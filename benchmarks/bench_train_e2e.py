@@ -56,12 +56,13 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.core.update import FusedBackwardUpdate
 from repro.data.synthetic import RandomRecDataset
+from repro.exec import InlineRankExecutor, LocalExecutor, ProcessRankExecutor
 from repro.exec.pool import pooled, tune_allocator_for_threads
 from repro.obs import TELEMETRY_SCHEMA, Tracer, set_tracer, stage_breakdown
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
 from repro.resilience.faults import FaultPlan
-from repro.train import DistributedTrainer, Trainer
+from repro.train import Trainer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKER_SWEEP = (1, 2, 4, 8)
@@ -137,17 +138,13 @@ def build_trainer(
         # functools.partial of a module-level function: picklable under
         # the process backend's spawn start method.
         dist.attach_optimizers(functools.partial(make_optimizer, storage))
-        return DistributedTrainer(
-            dist,
-            dataset,
-            batch_size=cfg.global_minibatch,
-            backend=backend,
-            workers=workers if backend == "process" else None,
-        )
+        if backend == "process":
+            return Trainer(ProcessRankExecutor(dist, dataset, cfg.global_minibatch, workers))
+        return Trainer(InlineRankExecutor(dist, dataset, cfg.global_minibatch))
     model = DLRM(cfg, seed=1, storage=storage)
     opt = make_optimizer(storage)
     opt.register(model.parameters())
-    return Trainer(model, opt, dataset, batch_size=cfg.minibatch)
+    return Trainer(LocalExecutor(model, opt, dataset, cfg.minibatch))
 
 
 def final_state(trainer: Trainer) -> dict[str, np.ndarray]:
@@ -196,9 +193,7 @@ def traced_stages(cfg: DLRMConfig, storage: str, distributed: bool, steps: int =
             trainer = build_trainer(cfg, storage, distributed)
             trainer.fit(steps)
             spans = trainer.drain_trace_spans()
-            close = getattr(trainer, "close", None)
-            if close is not None:
-                close()
+            trainer.close()
     finally:
         set_tracer(None)
     return stage_breakdown(spans)

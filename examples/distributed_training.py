@@ -1,11 +1,12 @@
 """Hybrid-parallel DLRM on a simulated 8-socket node (paper Sect. IV).
 
-One RunSpec, two parallelism sections: ``make_trainer`` builds a
-single-process :class:`~repro.train.Trainer` for ``ranks=1`` and a
-:class:`~repro.train.DistributedTrainer` (model-parallel embeddings,
-data-parallel MLPs, alltoall at the interaction) for ``ranks=4``.  Both
-train the same global minibatches; the losses agree, and the virtual
-cluster's per-rank time profile shows where the iteration went.
+One RunSpec, two parallelism sections, one :class:`~repro.train.Trainer`:
+``make_trainer`` puts a single model behind it for ``ranks=1`` and a
+hybrid-parallel one (model-parallel embeddings, data-parallel MLPs,
+alltoall at the interaction) for ``ranks=4`` -- the same loop over a
+different executor.  Both train the same global minibatches; the losses
+agree, and the virtual cluster's per-rank time profile shows where the
+iteration went.
 
 Usage:  python examples/distributed_training.py
 """
@@ -29,17 +30,15 @@ def main(steps: int = 5, minibatch: int = 64) -> None:
                      "eval_size": minibatch * RANKS},
     }
 
-    # Single-process reference: normalise by the batch so the losses are
-    # directly comparable to the distributed run's global-minibatch loss.
-    single = make_trainer(RunSpec.from_dict(base))
-    single.loss_normalizer = minibatch
-    single.fit()
+    # Single-process reference: its loss is normalised by the batch, like
+    # the distributed run's global-minibatch loss, so the two compare
+    # directly.
+    single = make_trainer(RunSpec.from_dict(base)).fit()
 
     # Hybrid-parallel run on the simulated 8-socket SKX node.
     dist = make_trainer(
         RunSpec.from_dict({**base, "parallel": {"ranks": RANKS, "platform": "node"}})
-    )
-    dist.fit()
+    ).fit()
 
     print(f"{RANKS}-rank hybrid parallel vs single process "
           f"({single.model.cfg.num_tables} tables round-robin over ranks):")

@@ -12,15 +12,17 @@ comm      Functional collectives, backend progress models (MPI vs CCL),
           exchange strategies, DDP gradient reducer.
 parallel  The simulated SPMD cluster, the hybrid-parallel DLRM, its
           analytic paper-scale twin, and the MLP overlap engine.
-data      Random + synthetic-Criteo datasets, loaders.
-exec      Real thread parallelism: the process-wide worker pool behind
-          parallel ranks, the sharded kernels and the prefetching data
-          pipeline (deterministic, bit-identical to sequential runs).
+data      Random + synthetic-Criteo datasets.
+exec      Real parallelism: the RankExecutor surface the Trainer loop
+          runs over (single model, inline ranks, process ranks over
+          shared memory), the process-wide worker pool behind parallel
+          ranks and sharded kernels, and the prefetching data pipeline
+          (deterministic, bit-identical to sequential runs).
 perf      Virtual clocks, profilers, report tables.
 bench     Experiment drivers regenerating every paper table and figure.
 train     The unified experiment API: JSON-round-trippable RunSpecs,
-          component registries, the callback-instrumented Trainer /
-          DistributedTrainer, and bit-exact ``.npz`` checkpointing.
+          component registries, the one callback-instrumented Trainer
+          over a RankExecutor, and bit-exact ``.npz`` checkpointing.
 serve     Batched, cache-aware inference: the forward-only engine
           (loadable from a training checkpoint), latency-budgeted
           micro-batcher, embedding cache, multi-socket replicas, SLA
@@ -45,7 +47,6 @@ from repro.parallel.timing import model_iteration, single_socket_iteration
 from repro.serve.engine import InferenceEngine
 from repro.train import (
     Callback,
-    DistributedTrainer,
     RunSpec,
     Trainer,
     build_from_checkpoint,
@@ -61,7 +62,6 @@ __all__ = [
     "DLRM",
     "DLRMConfig",
     "DistributedDLRM",
-    "DistributedTrainer",
     "InferenceEngine",
     "LARGE",
     "MLPERF",

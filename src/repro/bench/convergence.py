@@ -24,11 +24,16 @@ import numpy as np
 
 from repro.bench import paper
 from repro.core.config import MLPERF, DLRMConfig
-from repro.core.model import DLRM
-from repro.core.optim import SGD, SplitSGD
-from repro.data.criteo import SyntheticCriteoDataset
-from repro.train.callbacks import MetricLogger, PeriodicEval
-from repro.train.trainer import Trainer
+from repro.train.callbacks import MetricLogger
+from repro.train.spec import (
+    DataSpec,
+    ModelSpec,
+    OptimizerSpec,
+    PrecisionSpec,
+    RunSpec,
+    ScheduleSpec,
+)
+from repro.train.trainer import make_trainer
 
 
 def scaled_mlperf(rows_cap: int = 2000, embedding_dim: int = 16) -> DLRMConfig:
@@ -98,49 +103,51 @@ class ConvergenceCurves:
         return out
 
 
+#: Fig. 16 variant -> RunSpec precision/optimizer sections.
+_VARIANTS = {
+    "fp32": ("fp32", 16, "sgd"),
+    "bf16_split": ("split_bf16", 16, "split_sgd"),
+    "fp24": ("split_bf16", 8, "split_sgd"),
+    "bf16_nosplit": ("split_bf16", 0, "split_sgd"),
+}
+
+
 def _train_variant(
-    cfg: DLRMConfig,
-    dataset: SyntheticCriteoDataset,
     variant: str,
     epoch_batches: int,
     eval_points: int,
-    test_batch,
+    rows_cap: int,
     lr: float,
     seed: int,
+    test_size: int,
 ) -> list[float]:
     """One precision variant through the Trainer: the 5%-grid AUC curve.
 
-    The bespoke loop this replaces is now a :class:`PeriodicEval` firing
-    every ``epoch_batches / eval_points`` steps; the trainer's held-out
-    eval batch is exactly the ``test_batch`` the caller built (same
-    size, same far-future dataset index), so the curves are unchanged.
+    The spec's ``eval_every`` fires a :class:`PeriodicEval` every
+    ``epoch_batches / eval_points`` steps on the trainer's held-out
+    batch (``test_size`` samples at a far-future dataset index).  All
+    variants see identical data and identical initial weights (modulo
+    storage format), mirroring the paper's controlled comparison.
     """
-    if variant == "fp32":
-        model = DLRM(cfg, seed=seed)
-        opt: SGD = SGD(lr=lr)
-    elif variant == "bf16_split":
-        model = DLRM(cfg, seed=seed, storage="split_bf16")
-        opt = SplitSGD(lr=lr, lo_bits=16)
-    elif variant == "fp24":
-        model = DLRM(cfg, seed=seed, storage="split_bf16", lo_bits=8)
-        opt = SplitSGD(lr=lr, lo_bits=8)
-    elif variant == "bf16_nosplit":
-        model = DLRM(cfg, seed=seed, storage="split_bf16", lo_bits=0)
-        opt = SplitSGD(lr=lr, lo_bits=0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    opt.register(model.parameters())
-    logger = MetricLogger()
-    trainer = Trainer(
-        model,
-        opt,
-        dataset,
-        batch_size=cfg.minibatch,
-        callbacks=[PeriodicEval(every=epoch_batches // eval_points), logger],
-        eval_size=test_batch.size,
-        eval_index=10_000_000,
+    storage, lo_bits, optimizer = _VARIANTS[variant]
+    spec = RunSpec(
+        name=variant,
+        model=ModelSpec(
+            config="mlperf",
+            overrides=dataclasses.asdict(scaled_mlperf(rows_cap=rows_cap)),
+            seed=seed,
+        ),
+        data=DataSpec(name="criteo", seed=seed),
+        optimizer=OptimizerSpec(name=optimizer, lr=lr),
+        precision=PrecisionSpec(storage=storage, lo_bits=lo_bits),
+        schedule=ScheduleSpec(
+            steps=epoch_batches,
+            eval_every=epoch_batches // eval_points,
+            eval_size=test_size,
+        ),
     )
-    trainer.fit(epoch_batches)
+    logger = MetricLogger()
+    make_trainer(spec, callbacks=[logger]).fit()
     return [row["auc"] for row in logger.eval_history]
 
 
@@ -152,29 +159,18 @@ def run_fig16_convergence(
     seed: int = 0,
     test_size: int = 4096,
 ) -> ConvergenceCurves:
-    """Train the three precision variants and collect their AUC curves.
-
-    All three see identical data and identical initial weights (modulo
-    storage format), mirroring the paper's controlled comparison.
-    """
+    """Train the precision variants and collect their AUC curves."""
     if epoch_batches % eval_points:
         raise ValueError("epoch_batches must be divisible by eval_points")
-    cfg = scaled_mlperf(rows_cap=rows_cap)
-    dataset = SyntheticCriteoDataset(cfg, seed=seed)
-    test_batch = dataset.batch(test_size, batch_index=10_000_000)
     curves = ConvergenceCurves(
         fractions=[(k + 1) / eval_points for k in range(eval_points)]
     )
-    curves.fp32 = _train_variant(
-        cfg, dataset, "fp32", epoch_batches, eval_points, test_batch, lr, seed
-    )
-    curves.bf16_split = _train_variant(
-        cfg, dataset, "bf16_split", epoch_batches, eval_points, test_batch, lr, seed
-    )
-    curves.fp24 = _train_variant(
-        cfg, dataset, "fp24", epoch_batches, eval_points, test_batch, lr, seed
-    )
-    curves.bf16_nosplit = _train_variant(
-        cfg, dataset, "bf16_nosplit", epoch_batches, eval_points, test_batch, lr, seed
-    )
+    for variant in _VARIANTS:
+        setattr(
+            curves,
+            variant,
+            _train_variant(
+                variant, epoch_batches, eval_points, rows_cap, lr, seed, test_size
+            ),
+        )
     return curves

@@ -380,19 +380,12 @@ def _dispatch(args: argparse.Namespace) -> str:
         )
         return format_table(curves.rows(), title=EXPERIMENTS[name])
     if name == "train":
-        from repro.train import (
-            DistributedTrainer,
-            RunSpec,
-            StepTimer,
-            Trainer,
-            make_trainer,
-        )
+        from repro.train import RunSpec, StepTimer, Trainer
 
         if not args.spec and not args.resume:
             raise SystemExit("repro train: need --spec or --resume")
         if args.workers is not None and args.workers < 1:
             raise SystemExit("repro train: --workers must be >= 1")
-        timer = StepTimer()
         if args.resume:
             from repro.train import load_checkpoint
 
@@ -403,8 +396,8 @@ def _dispatch(args: argparse.Namespace) -> str:
             _require_file(args.spec, "repro train --spec")
             spec = RunSpec.load(args.spec)
             ckpt = None
-        backend = args.backend if args.backend is not None else spec.parallel.exec_backend
         distributed = spec.parallel.ranks > 1
+        overrides: dict[str, object] = {}
         if args.bucket_mb is not None:
             if args.bucket_mb <= 0:
                 raise SystemExit("repro train: --bucket-mb must be positive")
@@ -413,50 +406,42 @@ def _dispatch(args: argparse.Namespace) -> str:
                     "repro train: --bucket-mb only applies to distributed "
                     "specs (parallel.ranks > 1)"
                 )
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                parallel=dataclasses.replace(
-                    spec.parallel, bucket_mb=args.bucket_mb
-                ),
-            )
-            if ckpt is not None:
-                ckpt.spec = spec
-        res_overrides = {}
-        if args.fault is not None:
-            res_overrides["faults"] = args.fault
-        if args.ring_dir is not None:
-            res_overrides["ring_dir"] = args.ring_dir
-        if args.ring_every is not None:
-            res_overrides["ring_every"] = args.ring_every
-        if args.ring_keep is not None:
-            res_overrides["ring_keep"] = args.ring_keep
+            overrides["parallel.bucket_mb"] = args.bucket_mb
+        for flag, field in (
+            ("fault", "faults"),
+            ("ring_dir", "ring_dir"),
+            ("ring_every", "ring_every"),
+            ("ring_keep", "ring_keep"),
+        ):
+            if getattr(args, flag) is not None:
+                overrides[f"resilience.{field}"] = getattr(args, flag)
         if args.supervise:
-            res_overrides["supervise"] = True
-        if res_overrides:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                resilience=dataclasses.replace(spec.resilience, **res_overrides),
-            )
+            overrides["resilience.supervise"] = True
+        if overrides:
             try:
-                spec.validate()
+                spec = spec.with_overrides(overrides)
             except ValueError as exc:
                 raise SystemExit(f"repro train: {exc}") from exc
             if ckpt is not None:
                 ckpt.spec = spec
-        if backend == "process" and not distributed:
+        # (A spec that asks for it itself already failed RunSpec.validate.)
+        if args.backend == "process" and not distributed:
             raise SystemExit(
                 "repro train: --backend process needs a distributed spec "
                 "(parallel.ranks > 1); single-process runs have no ranks "
                 "to place in workers"
             )
-        if backend == "thread" and args.workers is not None:
-            from repro.exec import set_pool_workers
-
-            set_pool_workers(args.workers)
+        supervised = spec.resilience.supervise
+        if supervised and args.resume:
+            raise SystemExit(
+                "repro train: --supervise restores from its checkpoint "
+                "ring, not --resume"
+            )
+        if supervised and args.steps is not None:
+            raise SystemExit(
+                "repro train: --supervise always runs the spec's full "
+                "remaining budget; --steps does not apply"
+            )
         tracing = bool(args.trace or args.trace_jsonl)
         if tracing:
             from repro.obs import Tracer, set_tracer
@@ -465,106 +450,51 @@ def _dispatch(args: argparse.Namespace) -> str:
             # captures the switch at executor construction to decide
             # whether workers install their own tracers.
             set_tracer(Tracer(proc="main"))
-        if args.supervise or spec.resilience.supervise:
-            from repro.resilience import Supervisor
+        trainer = None
+        try:
+            if supervised:
+                from repro.resilience import Supervisor
 
-            if args.resume:
-                raise SystemExit(
-                    "repro train: --supervise restores from its checkpoint "
-                    "ring, not --resume"
-                )
-            if args.steps is not None:
-                raise SystemExit(
-                    "repro train: --supervise always runs the spec's full "
-                    "remaining budget; --steps does not apply"
-                )
-            sup = Supervisor(spec, backend=args.backend, workers=args.workers)
-            try:
+                sup = Supervisor(spec, backend=args.backend, workers=args.workers)
                 report = sup.run()
                 trainer = sup.trainer
-                try:
-                    metrics = trainer.evaluate()
-                    row = {
-                        "run": spec.name,
-                        "steps": len(report.losses),
-                        "global_step": report.final_step,
-                        "restarts": report.restarts,
-                        "final_loss": (
-                            report.losses[-1] if report.losses else float("nan")
-                        ),
-                        **metrics,
-                    }
-                    out = format_table(
-                        [row], title=f"Supervised training run '{spec.name}'"
-                    )
-                    if report.events:
-                        erows = [
-                            {
-                                "event": e["event"],
-                                "restart": e.get("restart", ""),
-                                "step": e.get("step", ""),
-                                "detail": e.get(
-                                    "error", e.get("path", e.get("disarmed", ""))
-                                ),
-                            }
-                            for e in report.events
-                        ]
-                        out += "\n\n" + format_table(
-                            erows, title="Recovery events"
-                        )
-                    if report.checkpoint:
-                        out += f"\n\nring checkpoint: {report.checkpoint}"
-                    if args.events_jsonl:
-                        path = report.write_events(args.events_jsonl)
-                        out += f"\nrecovery events written to {path}"
-                    if tracing:
-                        from repro.obs import (
-                            stage_table,
-                            write_chrome_trace,
-                            write_jsonl,
-                        )
-
-                        spans = trainer.drain_trace_spans()
-                        out += "\n\n" + format_table(
-                            stage_table(spans),
-                            title="Per-stage wall-clock breakdown",
-                        )
-                        if args.trace:
-                            n = write_chrome_trace(spans, args.trace)
-                            out += f"\n\ntrace: {n} spans written to {args.trace}"
-                        if args.trace_jsonl:
-                            n = write_jsonl(spans, args.trace_jsonl)
-                            out += f"\ntrace: {n} spans written to {args.trace_jsonl}"
-                    if args.checkpoint:
-                        trainer.save_checkpoint(args.checkpoint)
-                        out += f"\n\ncheckpoint written to {args.checkpoint}"
-                finally:
-                    trainer.close()
-            finally:
-                if tracing:
-                    set_tracer(None)
-            return out
-        overrides = (
-            {"backend": args.backend, "workers": args.workers} if distributed else {}
-        )
-        try:
-            if ckpt is not None:
-                cls = DistributedTrainer if distributed else Trainer
-                trainer = cls.from_checkpoint(ckpt, callbacks=[timer], **overrides)
-            elif distributed:
-                trainer = DistributedTrainer.from_spec(
-                    spec, callbacks=[timer], **overrides
-                )
+                row = {
+                    "run": spec.name,
+                    "steps": len(report.losses),
+                    "global_step": report.final_step,
+                    "restarts": report.restarts,
+                    "final_loss": report.losses[-1] if report.losses else float("nan"),
+                    **trainer.evaluate(),
+                }
+                out = format_table([row], title=f"Supervised training run '{spec.name}'")
+                if report.events:
+                    erows = [
+                        {
+                            "event": e["event"],
+                            "restart": e.get("restart", ""),
+                            "step": e.get("step", ""),
+                            "detail": e.get("error", e.get("path", e.get("disarmed", ""))),
+                        }
+                        for e in report.events
+                    ]
+                    out += "\n\n" + format_table(erows, title="Recovery events")
+                if report.checkpoint:
+                    out += f"\n\nring checkpoint: {report.checkpoint}"
+                if args.events_jsonl:
+                    path = report.write_events(args.events_jsonl)
+                    out += f"\nrecovery events written to {path}"
             else:
-                trainer = make_trainer(spec, callbacks=[timer])
-            try:
+                timer = StepTimer()
+                build = dict(callbacks=[timer], backend=args.backend, workers=args.workers)
+                trainer = (
+                    Trainer.from_checkpoint(ckpt, **build)
+                    if ckpt is not None
+                    else Trainer.from_spec(spec, **build)
+                )
                 start = trainer.step
                 trainer.fit(args.steps)
-                metrics = trainer.evaluate()
                 steps_per_s = (
-                    len(timer.times) / timer.total_s
-                    if timer.total_s > 0
-                    else float("nan")
+                    len(timer.times) / timer.total_s if timer.total_s > 0 else float("nan")
                 )
                 row = {
                     "run": spec.name,
@@ -573,25 +503,23 @@ def _dispatch(args: argparse.Namespace) -> str:
                     "final_loss": trainer.losses[-1] if trainer.losses else float("nan"),
                     "steps_per_s": steps_per_s,
                     "rows_per_s": steps_per_s * trainer.batch_size,
-                    **metrics,
+                    **trainer.evaluate(),
                 }
                 out = format_table([row], title=f"Training run '{spec.name}'")
                 out += "\n\n" + timer.summary()
                 if distributed:
                     from repro.parallel.placement import placement_stats
 
-                    pstats = placement_stats(
-                        trainer.dist.cfg,
-                        trainer.dist.owners,
-                        trainer.dist.cluster.n_ranks,
-                    )
+                    dist = trainer.dist
+                    n_ranks = dist.cluster.n_ranks
+                    pstats = placement_stats(dist.cfg, dist.owners, n_ranks)
                     prow = [
                         {
                             "rank": r,
                             "tables": pstats.tables_per_rank[r],
                             "embedding_mb": pstats.bytes_per_rank[r] / 2**20,
                         }
-                        for r in range(trainer.dist.cluster.n_ranks)
+                        for r in range(n_ranks)
                     ]
                     out += "\n\n" + format_table(
                         prow,
@@ -600,25 +528,25 @@ def _dispatch(args: argparse.Namespace) -> str:
                             f"imbalance {pstats.memory_imbalance:.2f}"
                         ),
                     )
-                if tracing:
-                    from repro.obs import stage_table, write_chrome_trace, write_jsonl
+            if tracing:
+                from repro.obs import stage_table, write_chrome_trace, write_jsonl
 
-                    spans = trainer.drain_trace_spans()
-                    out += "\n\n" + format_table(
-                        stage_table(spans), title="Per-stage wall-clock breakdown"
-                    )
-                    if args.trace:
-                        n = write_chrome_trace(spans, args.trace)
-                        out += f"\n\ntrace: {n} spans written to {args.trace}"
-                    if args.trace_jsonl:
-                        n = write_jsonl(spans, args.trace_jsonl)
-                        out += f"\ntrace: {n} spans written to {args.trace_jsonl}"
-                if args.checkpoint:
-                    trainer.save_checkpoint(args.checkpoint)
-                    out += f"\n\ncheckpoint written to {args.checkpoint}"
-            finally:
-                trainer.close()
+                spans = trainer.drain_trace_spans()
+                out += "\n\n" + format_table(
+                    stage_table(spans), title="Per-stage wall-clock breakdown"
+                )
+                if args.trace:
+                    n = write_chrome_trace(spans, args.trace)
+                    out += f"\n\ntrace: {n} spans written to {args.trace}"
+                if args.trace_jsonl:
+                    n = write_jsonl(spans, args.trace_jsonl)
+                    out += f"\ntrace: {n} spans written to {args.trace_jsonl}"
+            if args.checkpoint:
+                trainer.save_checkpoint(args.checkpoint)
+                out += f"\n\ncheckpoint written to {args.checkpoint}"
         finally:
+            if trainer is not None:
+                trainer.close()
             if tracing:
                 set_tracer(None)
         return out

@@ -42,7 +42,6 @@ from repro.comm.strategies import (
     EXCHANGE_STRATEGIES,
 )
 from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
-from repro.comm.ring import RingTrace, ring_allgather, ring_allreduce, ring_reduce_scatter
 
 __all__ = [
     "allreduce_sum",
@@ -68,8 +67,4 @@ __all__ = [
     "make_exchange",
     "EXCHANGE_STRATEGIES",
     "DistributedDataParallelReducer",
-    "RingTrace",
-    "ring_allgather",
-    "ring_allreduce",
-    "ring_reduce_scatter",
 ]

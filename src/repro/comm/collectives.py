@@ -11,11 +11,11 @@ All functions are exact (FP32 sums over one *canonical summation tree*,
 see :func:`tree_sum`) so that the distributed == single-socket
 equivalence tests can demand bitwise reproducibility.  The tree is a
 pure function of the rank count: every realisation of a sum collective
--- the direct fold here, the step-by-step recursive-halving ring in
-:mod:`repro.comm.ring`, and the hierarchical shared-memory fold of the
+-- the direct fold here and the hierarchical shared-memory fold of the
 process backend (:mod:`repro.exec.mp`) -- combines partial sums at the
 same tree nodes in the same order, so they all produce the same bits at
-any worker count.
+any worker count (``tests/comm/test_ring.py`` holds both to a
+step-by-step recursive-halving ring written as their oracle).
 
 Aliasing convention: the *sum* collectives (:func:`allreduce_sum`,
 :func:`reduce_scatter_sum`, :func:`allgather_concat`) accumulate into a

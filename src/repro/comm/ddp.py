@@ -21,14 +21,14 @@ path, just split along the fixed bucket boundaries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.obs.tracer import trace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.cluster import CollectiveHandle, CollectiveHandleSet, SimCluster
+    from repro.parallel.cluster import CollectiveHandle, SimCluster
 
 
 class GradientBucketer:
@@ -114,32 +114,6 @@ class DistributedDataParallelReducer:
         cost = cluster.net.allreduce(cluster.participants(), nbytes)
         return cluster.issue(op, cost, blocking)
 
-    def issue_timed_bucketed(
-        self,
-        bucket_sizes: Sequence[float],
-        op: str = "allreduce",
-        blocking: bool | None = None,
-    ) -> "CollectiveHandleSet":
-        """Timing-only *bucketed* allreduce: one transfer issue per bucket,
-        with the same per-byte framework charges as :meth:`issue_timed`
-        split along the bucket boundaries.  This is the analytic twin of
-        the functional per-bucket path in
-        :meth:`repro.parallel.hybrid.DistributedDLRM.train_step` -- a test
-        pins the two to the same framework + transfer charge totals."""
-        from repro.parallel.cluster import CollectiveHandleSet
-
-        if not bucket_sizes:
-            raise ValueError("need at least one bucket")
-        cluster = self.cluster
-        handles = []
-        for nb in bucket_sizes:
-            for r in cluster.ranks:
-                for _ in range(2):
-                    self.charge_framework_copy(r, nb, op)
-            cost = cluster.net.allreduce(cluster.participants(), nb)
-            handles.append(cluster.issue(op, cost, blocking))
-        return CollectiveHandleSet(handles)
-
     def charge_framework_copy(self, r: int, nbytes: float, op: str = "allreduce") -> None:
         """One framework copy (pack or unpack) of an ``nbytes`` gradient
         buffer on rank ``r`` -- the single charge formula shared by the
@@ -193,68 +167,3 @@ class DistributedDataParallelReducer:
         cluster = self.cluster
         cost = cluster.net.allreduce(cluster.participants(), nbytes)
         return cluster.issue(op, cost, blocking)
-
-    def allreduce_grads(
-        self,
-        grads_per_rank: "list[list[np.ndarray]] | Callable[[int], list[np.ndarray]]",
-        op: str = "allreduce",
-        blocking: bool | None = None,
-        pool=None,
-    ) -> "CollectiveHandle":
-        """Sum each rank's gradient list element-wise across ranks.
-
-        The arrays are updated *in place* so layer parameters keep their
-        views; timing-wise the result is only legal to consume after
-        ``handle.wait(rank)``.
-
-        ``grads_per_rank`` is a list of per-rank gradient lists, or a
-        callable ``rank -> gradient list`` evaluated lazily *inside* the
-        per-rank pack/unpack tasks.  The lazy form is what the process
-        backend needs: only the worker that owns a rank ever touches its
-        gradients (a non-owner holds stale replicas), and the flattened
-        buffers -- not the per-layer lists -- are what cross the
-        shared-memory transport.
-
-        ``pool`` is the rank-phase pool (default: the process-wide
-        worker pool): pack and unpack are per-rank tasks, so under the
-        process backend each worker packs/unpacks only its own ranks and
-        the pool's gather shares the flat buffers.
-        """
-        cluster = self.cluster
-        if callable(grads_per_rank):
-            grads_for = grads_per_rank
-        else:
-            if len(grads_per_rank) != cluster.n_ranks:
-                raise ValueError(
-                    f"expected {cluster.n_ranks} gradient lists, "
-                    f"got {len(grads_per_rank)}"
-                )
-            lengths = {len(g) for g in grads_per_rank}
-            if len(lengths) != 1:
-                raise ValueError("all ranks must reduce the same number of tensors")
-            grads_for = grads_per_rank.__getitem__
-        if pool is None:
-            from repro.exec.pool import get_pool
-
-            pool = get_pool()
-
-        # Pack: flatten each rank's list into one buffer (framework
-        # cost).  Per-rank packs touch only rank-local state, so they
-        # run concurrently on the worker pool -- same buffers, same
-        # charges, in any schedule.
-        def _pack(r: int) -> np.ndarray:
-            return self.pack_grads(r, grads_for(r), op=op)
-
-        flats = pool.map(_pack, list(cluster.ranks))
-        # Transfer (reduce-scatter + allgather under the hood).
-        summed, handle = cluster.allreduce(flats, op=op, blocking=blocking)
-
-        # Unpack: scatter the summed flat buffer back into the original
-        # arrays (framework cost; physically happens at wait time, charged
-        # here in lockstep -- same category, same magnitude).  Each rank
-        # writes only its own gradient arrays: concurrent-safe.
-        def _unpack(r: int) -> None:
-            self.unpack_grads(r, grads_for(r), summed[r], op=op)
-
-        pool.map(_unpack, list(cluster.ranks))
-        return handle

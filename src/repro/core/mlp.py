@@ -62,30 +62,23 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _blocked_gemm_nt(
-    x: np.ndarray,
-    w: np.ndarray,
-    threads: int,
-    counter: FlopCounter | None,
-    observe: bool = False,
+    x: np.ndarray, w: np.ndarray, threads: int, counter: FlopCounter
 ) -> np.ndarray:
     """``x[N, C] @ w[K, C]^T`` through the blocked layouts of Alg. 5.
 
-    ``observe=False`` (the default hot path) accounts the whole GEMM on
-    ``counter`` analytically and lets :func:`blocked_matmul` take its
-    single-tensordot fast path; ``observe=True`` threads the counter
-    through for per-block accounting, which forces the per-work-item
-    loop (the observable/testable decomposition).  Total flops are
-    identical either way -- the blocks tile the GEMM exactly.
+    The whole GEMM is accounted on ``counter`` analytically (the blocks
+    tile it exactly), which lets :func:`blocked_matmul` take its
+    single-tensordot fast path; the per-block decomposition is pinned
+    where it lives, in ``tests/kernels/test_gemm.py`` through
+    ``blocked_matmul(counter=...)``.
     """
     n, c = x.shape
     k = w.shape[0]
     layout = choose_blocking(n, c, k)
     x4 = block_activation(x, layout.bn, layout.bc)
     w4 = block_weight(w, layout.bc, layout.bk)
-    if not observe and counter is not None:
-        counter.add_gemm(n, k, c)
-        counter = None
-    y4 = blocked_matmul(x4, w4, layout, threads=threads, counter=counter)
+    counter.add_gemm(n, k, c)
+    y4 = blocked_matmul(x4, w4, layout, threads=threads)
     kb, nb, bn, bk = y4.shape
     # y4 is [Kb][Nb][bn][bk]; flatten back to [N, K].
     return np.ascontiguousarray(y4.transpose(1, 2, 0, 3).reshape(nb * bn, kb * bk))
@@ -123,7 +116,6 @@ class FullyConnected:
         engine: str = "reference",
         threads: int = 28,
         name: str = "",
-        observe_blocks: bool = False,
     ):
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature dimensions must be positive")
@@ -143,10 +135,6 @@ class FullyConnected:
         self.activation = activation
         self.engine = engine
         self.threads = threads
-        #: True forces the blocked engine through the per-block loop so
-        #: the Alg. 5 decomposition stays observable (tests, breakdowns);
-        #: False (default) lets it use the single-matmul fast path.
-        self.observe_blocks = observe_blocks
         self.flops = FlopCounter()
         #: Scratch arena: GEMM outputs and backward intermediates live in
         #: grow-only buffers, so steady-state steps allocate nothing.
@@ -203,9 +191,7 @@ class FullyConnected:
             )
         self._x = x
         if self.engine == "blocked":
-            z = _blocked_gemm_nt(
-                x, self.weight.value, self.threads, self.flops, self.observe_blocks
-            )
+            z = _blocked_gemm_nt(x, self.weight.value, self.threads, self.flops)
         elif self.engine == "bf16":
             self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
             z = bf16_dot(x, self.weight.value.T)
@@ -242,9 +228,7 @@ class FullyConnected:
             and out.flags["C_CONTIGUOUS"]
         )
         if self.engine == "blocked":
-            z = _blocked_gemm_nt(
-                x, self.weight.value, self.threads, self.flops, self.observe_blocks
-            )
+            z = _blocked_gemm_nt(x, self.weight.value, self.threads, self.flops)
         elif self.engine == "bf16":
             self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
             z = bf16_dot(x, self.weight.value.T)
@@ -294,12 +278,12 @@ class FullyConnected:
             # recast so the batch-reduce kernel reduces over N.
             dw = _blocked_gemm_nt(
                 np.ascontiguousarray(dz.T), np.ascontiguousarray(self._x.T),
-                self.threads, self.flops, self.observe_blocks,
+                self.threads, self.flops,
             )
             # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
             dx = _blocked_gemm_nt(
                 dz, np.ascontiguousarray(self.weight.value.T),
-                self.threads, self.flops, self.observe_blocks,
+                self.threads, self.flops,
             )
         elif self.engine == "bf16":
             # Both backward GEMMs through the emulated BF16 dot product.

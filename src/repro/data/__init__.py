@@ -17,13 +17,9 @@ synthesis.
 
 from repro.data.synthetic import RandomRecDataset, bounded_zipf
 from repro.data.criteo import SyntheticCriteoDataset
-from repro.data.loader import DataLoader, GlobalBatchLoader, ShardedLoader
 
 __all__ = [
     "RandomRecDataset",
     "bounded_zipf",
     "SyntheticCriteoDataset",
-    "DataLoader",
-    "GlobalBatchLoader",
-    "ShardedLoader",
 ]

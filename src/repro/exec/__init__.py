@@ -1,5 +1,12 @@
 """repro.exec: real parallel execution for the reproduction.
 
+:mod:`repro.exec.executor` defines the :class:`RankExecutor` surface the
+one :class:`~repro.train.Trainer` loop runs over -- ``step``, ``predict``,
+``state_dicts``/``load_state``, ``clocks``, ``drain_traces``, ``close`` --
+and its in-process implementations (:class:`LocalExecutor` for a single
+model, :class:`InlineRankExecutor` for hybrid-parallel ranks on the
+thread backend); :class:`ProcessRankExecutor` is the process backend's.
+
 Two substrates implement the same bit-exactness contract:
 
 * **thread backend** (:mod:`repro.exec.pool`) -- a process-wide
@@ -25,6 +32,7 @@ The pool defaults to 1 worker (pure sequential execution); opt in with
 ``set_pool_workers(n)``, the CLI's ``--workers n``, or ``REPRO_WORKERS``.
 """
 
+from repro.exec.executor import InlineRankExecutor, LocalExecutor, RankExecutor
 from repro.exec.mp import ProcessRankExecutor, in_worker_process
 from repro.exec.pool import (
     WorkerPool,
@@ -34,14 +42,17 @@ from repro.exec.pool import (
 )
 from repro.exec.prefetch import PrefetchLoader, PrefetchMap
 
-#: Execution substrates selectable by DistributedTrainer(backend=...) --
+#: Execution substrates selectable by Trainer.from_spec(backend=...) --
 #: distinct from the *communication* backends of repro.comm.backend
 #: ("mpi"/"ccl"/"local"), which model collective timing.
 EXEC_BACKENDS = ("thread", "process")
 
 __all__ = [
     "EXEC_BACKENDS",
+    "InlineRankExecutor",
+    "LocalExecutor",
     "ProcessRankExecutor",
+    "RankExecutor",
     "WorkerPool",
     "get_pool",
     "in_worker_process",

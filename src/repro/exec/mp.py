@@ -607,7 +607,7 @@ def _worker_main(
     with pool_mod._global_lock:
         pool_mod._global_pool = WorkerPool(1)
 
-    from repro.exec.prefetch import PrefetchLoader
+    from repro.exec.executor import InlineRankExecutor
     from repro.parallel.cluster import SimCluster
     from repro.parallel.hybrid import DistributedDLRM
 
@@ -656,14 +656,17 @@ def _worker_main(
                 ShmArena.attach(spec.model_name, spec.model_layout),
                 ShmArena.attach(spec.opt_name, spec.opt_layout),
             )
-        # Batches are synthesized locally from (seed, batch_index); a
-        # private 2-thread pool double-buffers the next index under the
-        # current step (bits are index-pure either way).
-        prefetch = PrefetchLoader(
+        # The same executor the parent uses for the thread backend, over
+        # this worker's SPMD pool.  Batches are synthesized locally from
+        # (seed, batch_index); a private 2-thread pool double-buffers the
+        # next index under the current step (bits are index-pure either
+        # way).
+        ranks = InlineRankExecutor(
+            dist,
             recipe.dataset,
             recipe.batch_size,
-            pool=WorkerPool(2),
-            depth=recipe.prefetch_depth,
+            prefetch_depth=recipe.prefetch_depth,
+            prefetch_pool=WorkerPool(2),
         )
         conn.send(("ready", os.getpid()))
     except BaseException:
@@ -674,7 +677,6 @@ def _worker_main(
             pass
         return
 
-    assert dist.optimizers is not None
     try:
         while True:
             try:
@@ -702,35 +704,25 @@ def _worker_main(
                         recipe.faults.fire(
                             "worker.step", worker=worker_index, step=index
                         )
-                    for opt in dist.optimizers:
-                        opt.lr = lr
-                    loss = dist.train_step(prefetch.batch(index))
-                    conn.send(("ok", loss))
+                    conn.send(("ok", ranks.step(index, lr)))
                 elif cmd == "predict":
                     _, batch = msg
-                    probs = dist.predict_proba(batch)
+                    probs = ranks.predict(batch)
                     conn.send(("ok", probs if worker_index == 0 else None))
                 elif cmd == "sync_state":
                     for r in local_ranks:
-                        model = dist.models[r]
                         model_arena, opt_arena = arenas[r]
-                        model_arena.write(model.state_dict())
-                        opt_arena.write(
-                            dist.optimizers[r].state_dict(
-                                model.parameters(), model.tables
-                            )
-                        )
+                        model_state, opt_state = ranks.rank_state_dicts(r)
+                        model_arena.write(model_state)
+                        opt_arena.write(opt_state)
                     conn.send(("ok", None))
                 elif cmd == "load_state":
                     _, with_opt = msg
                     for r in local_ranks:
-                        model = dist.models[r]
                         model_arena, opt_arena = arenas[r]
-                        model.load_state_dict(model_arena.read())
-                        if with_opt:
-                            dist.optimizers[r].load_state_dict(
-                                opt_arena.read(), model.parameters(), model.tables
-                            )
+                        ranks.load_rank_state(
+                            r, model_arena.read(), opt_arena.read() if with_opt else None
+                        )
                     conn.send(("ok", None))
                 elif cmd == "trace":
                     # Parent only asks when it created the trace
@@ -741,7 +733,7 @@ def _worker_main(
                     trace_box.publish(spans, seq)
                     conn.send(("ok", len(spans)))
                 elif cmd == "clocks":
-                    conn.send(("ok", cluster.snapshot()))
+                    conn.send(("ok", ranks.clocks()))
                 elif cmd == "ping":
                     conn.send(("ok", worker_index))
                 elif cmd == "stop":
@@ -813,16 +805,20 @@ _short_name = shm_name
 
 
 class ProcessRankExecutor:
-    """Parent-side handle on a fleet of SPMD rank workers.
+    """Parent-side handle on a fleet of SPMD rank workers (the
+    :class:`~repro.exec.executor.RankExecutor` of the process backend).
 
-    Built from the trainer's (already-constructed) parent replica: the
-    replica supplies the build recipe and the state-arena layouts, then
-    stays behind as the layout template while the workers hold the live
-    state.  ``step``/``predict`` broadcast one command and collect the
+    Built from an (already-constructed) parent replica: the replica
+    supplies the build recipe and the state-arena layouts, then stays
+    behind as the layout template (``dist``/``model``/``optimizer``;
+    its weights go stale) while the workers hold the live state.
+    ``step``/``predict`` broadcast one command and collect the
     (bitwise identical) per-worker results; ``state_dicts``/``load_state``
     move consolidated checkpoints through the arenas without pickling a
     single tensor.
     """
+
+    backend = "process"
 
     def __init__(
         self,
@@ -842,6 +838,11 @@ class ProcessRankExecutor:
             )
         if dist.optimizers is None or dist.optimizer_factory is None:
             raise ValueError("attach_optimizers() before building a process executor")
+        self.dist = dist
+        self.model = dist.models[0]
+        self.optimizer = dist.optimizers[0]
+        self.dataset = dataset
+        self.batch_size = batch_size
         n_ranks = dist.cluster.n_ranks
         self.n_ranks = n_ranks
         # Like the thread pool, the worker count is capped at the host's
@@ -1089,9 +1090,12 @@ class ProcessRankExecutor:
 
     # -- the public surface --------------------------------------------------
 
-    def step(self, index: int, lr: float) -> float:
-        """One global SGD step on batch ``index``; returns the loss."""
-        losses = self._roundtrip(("step", int(index), float(lr)), "train step")
+    def step(self, index: int, lr: float | None) -> float:
+        """One global SGD step on batch ``index``; returns the loss.
+        Workers synthesize the batch themselves: only the index and the
+        scheduled ``lr`` (None = keep the optimizers' own) cross the pipe."""
+        lr = None if lr is None else float(lr)
+        losses = self._roundtrip(("step", int(index), lr), "train step")
         first = losses[0]
         nan = first != first
         if any(loss != first and not (nan and loss != loss) for loss in losses[1:]):
@@ -1236,9 +1240,3 @@ class ProcessRankExecutor:
         self._mailboxes = []
         self._trace_boxes = []
         self._heartbeats = None
-
-    def __enter__(self) -> "ProcessRankExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

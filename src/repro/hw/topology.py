@@ -161,19 +161,6 @@ class Topology:
         """
         return sorted(participants)
 
-    def ring_step_time(self, participants: Sequence[int], nbytes: float) -> float:
-        """Time of one ring step: every rank sends ``nbytes`` to its
-        successor simultaneously; the step finishes when the slowest
-        transfer does.  Links shared by multiple flows split bandwidth."""
-        order = self.ring_order(participants)
-        r = len(order)
-        if r <= 1 or nbytes <= 0:
-            return 0.0
-        traffic = {
-            (order[i], order[(i + 1) % r]): float(nbytes) for i in range(r)
-        }
-        return self.congestion_time(traffic)
-
 
 # --- concrete fabrics ---------------------------------------------------
 

@@ -349,8 +349,7 @@ class SimCluster:
         # ring's transfer volume), but one fold instead of R rotation
         # copies -- this is the real execution hot path, and its
         # summation order is stable across the thread and process
-        # backends.  The step-by-step ring algorithm itself lives in
-        # repro.comm.ring, pinned by its own bandwidth-bound tests.
+        # backends.
         out = fc.allreduce_via_rs_ag(bufs)
         cost = self.net.allreduce(self.participants(), bufs[0].nbytes)
         handle = self.issue(op, cost, blocking)

@@ -236,15 +236,6 @@ class DistributedDLRM:
         optimizer, clock, profiler) plus per-rank collective waits."""
         return self._resolve_pool().map(fn, list(self.cluster.ranks))
 
-    def _grads_for(self, half: str) -> Callable[[int], list[np.ndarray]]:
-        """Lazy per-rank gradient source for the DDP reducer.
-
-        Evaluated only inside the reducer's per-rank pack/unpack tasks,
-        so under the process backend a worker touches exactly its own
-        ranks' live gradients (other ranks' replicas here are stale) and
-        only the packed flats cross the transport."""
-        return lambda r: [p.grad for p in getattr(self.models[r], half).parameters()]
-
     def _bucket_grads(self, r: int, half: str, start: int, stop: int) -> list[np.ndarray]:
         """Gradient tensors of one bucket, in the fixed pack order:
         descending layer index, ``[weight.grad, bias.grad]`` per layer

@@ -39,7 +39,7 @@ from repro.resilience.errors import WorkerFailure
 from repro.resilience.faults import FaultPlan
 from repro.resilience.ring import CheckpointRing
 from repro.train.spec import RunSpec
-from repro.train.trainer import DistributedTrainer, Trainer, _spec_faults
+from repro.train.trainer import Trainer, _spec_faults
 
 
 @dataclass
@@ -67,7 +67,7 @@ class Supervisor:
     """Run a spec to completion across worker failures.
 
     ``backend``/``workers`` override the spec's execution substrate
-    (exactly like ``DistributedTrainer.from_spec``); ``max_restarts``
+    (exactly like ``Trainer.from_spec``); ``max_restarts``
     defaults to the spec's ``resilience.max_restarts``.  The fault plan
     comes from ``spec.resilience.faults`` unless ``faults`` overrides
     it.  Requires ``resilience.ring_every > 0`` for checkpointed
@@ -105,18 +105,10 @@ class Supervisor:
 
     # -- building ------------------------------------------------------------
 
-    def _make(self) -> Trainer:
-        if self.spec.parallel.ranks > 1:
-            return DistributedTrainer.from_spec(
-                self.spec,
-                backend=self.backend,
-                workers=self.workers,
-                faults=self.plan,
-            )
-        return Trainer.from_spec(self.spec, faults=self.plan)
-
     def _build(self, restart: int) -> Trainer:
-        trainer = self._make()
+        trainer = Trainer.from_spec(
+            self.spec, backend=self.backend, workers=self.workers, faults=self.plan
+        )
         if restart:
             entry = self.ring.load_latest()
             if entry is not None:

@@ -4,9 +4,10 @@ One experiment is one :class:`~repro.train.spec.RunSpec` -- a plain-data
 description of model, data, optimizer, update strategy, precision,
 parallelism and schedule that round-trips to JSON.  Component names
 resolve through string-keyed registries (:mod:`repro.train.registry`);
-:func:`make_trainer` turns a spec into a single-process
-:class:`Trainer` or a hybrid-parallel :class:`DistributedTrainer`, both
-running the same callback-instrumented loop; and
+:func:`make_trainer` (``Trainer.from_spec``) turns a spec into the one
+:class:`Trainer`, whose callback-instrumented loop runs over whichever
+:class:`~repro.exec.executor.RankExecutor` the spec's parallel section
+asks for (single model, inline ranks, process ranks); and
 :mod:`repro.train.checkpoint` persists the whole training state to
 ``.npz`` with bit-identical resume (the Split-BF16 lo/hi halves and all
 optimizer state included).
@@ -54,7 +55,7 @@ from repro.train.spec import (
     ScheduleSpec,
     UpdateSpec,
 )
-from repro.train.trainer import DistributedTrainer, Trainer, make_trainer
+from repro.train.trainer import Trainer, make_trainer
 
 __all__ = [
     "BATCH_POLICIES",
@@ -64,7 +65,6 @@ __all__ = [
     "CheckpointCallback",
     "DATASETS",
     "DataSpec",
-    "DistributedTrainer",
     "EarlyStopping",
     "LRScheduleCallback",
     "LR_SCHEDULES",

@@ -187,9 +187,9 @@ class LRScheduleCallback(Callback):
         self.last_lr: float | None = None
 
     def on_step_start(self, trainer: "Trainer", step: int) -> None:
-        self.last_lr = float(self.schedule.lr_at(step))
-        for opt in trainer.all_optimizers():
-            opt.lr = self.last_lr
+        # The executor sets it on every optimizer it owns (in whatever
+        # process they live) at the top of this step.
+        trainer.lr = self.last_lr = float(self.schedule.lr_at(step))
 
 
 class CheckpointCallback(Callback):

@@ -1,40 +1,42 @@
 """Trainer: the one training loop every scenario shares.
 
-``Trainer`` (single process) and ``DistributedTrainer`` (hybrid-parallel
-on a :class:`~repro.parallel.cluster.SimCluster`) run the identical
-schedule: draw deterministic batch ``step`` from the dataset, call the
-model's ``train_step``, fire callbacks.  Because datasets are pure
-functions of ``(seed, batch_index)`` and the step counter is saved in
-every checkpoint, *resume is bit-identical*: training N steps equals
-training k, checkpointing, restoring and training N-k -- the invariant
-``tests/train/test_checkpoint.py`` pins for FP32 and Split-BF16.
+The paper runs one SPMD program on one socket and on 64; this module
+runs one loop.  :class:`Trainer` owns the schedule -- draw batch index
+``step``, train on it, fire callbacks -- the step counter and checkpoint
+file I/O, and delegates everything backend-specific to a
+:class:`~repro.exec.executor.RankExecutor`: a single model in this
+process, every rank of a hybrid-parallel model in this process, or rank
+ranges in worker processes.  Because datasets are pure functions of
+``(seed, batch_index)`` and the step counter is saved in every
+checkpoint, *resume is bit-identical*: training N steps equals training
+k, checkpointing, restoring and training N-k -- under any executor, and
+across them (``tests/train/test_checkpoint.py``,
+``test_process_trainer.py``).
 
 Build one three ways::
 
-    Trainer(model, opt, dataset, batch_size=128)     # objects you made
-    make_trainer(spec)                               # from a RunSpec
-    Trainer.from_checkpoint("run.npz")               # resume a file
+    Trainer.from_spec(spec)                      # from a RunSpec
+    Trainer.from_checkpoint("run.npz")           # resume a file
+    Trainer(LocalExecutor(model, opt, dataset))  # objects you made
 
-The optimizer must already be ``register()``-ed when passing objects
-directly (``from_spec`` does it for you); registering twice would reset
-Split-SGD lo halves and momentum state.
+(:func:`make_trainer` is ``Trainer.from_spec``.)  The optimizer must
+already be ``register()``-ed when passing objects directly (``from_spec``
+does it for you); registering twice would reset Split-SGD lo halves and
+momentum state.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.metrics import accuracy, log_loss, roc_auc
-from repro.core.mlp import sigmoid
-from repro.core.model import DLRM
-from repro.core.optim import SGD
 from repro.exec import EXEC_BACKENDS
+from repro.exec.executor import InlineRankExecutor, LocalExecutor, RankExecutor
 from repro.exec.mp import ProcessRankExecutor, in_worker_process
-from repro.exec.prefetch import PrefetchLoader
 from repro.obs.aggregate import merge_spans
 from repro.obs.tracer import drain_current, trace
 from repro.parallel.cluster import SimCluster
@@ -48,12 +50,7 @@ from repro.train.callbacks import (
     MetricLogger,
     PeriodicEval,
 )
-from repro.train.checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    restore,
-    save_state,
-)
+from repro.train.checkpoint import Checkpoint, load_checkpoint, save_state
 from repro.resilience.faults import FaultPlan
 from repro.train.spec import RunSpec
 from repro.tiering.planner import plan_from_spec
@@ -96,51 +93,134 @@ def _spec_faults(spec: RunSpec) -> FaultPlan | None:
     return FaultPlan.parse(spec.resilience.faults) if spec.resilience.faults else None
 
 
+def _spec_executor(
+    spec: RunSpec,
+    backend: str | None,
+    workers: int | None,
+    faults: FaultPlan | None,
+) -> RankExecutor:
+    """Model, optimizer(s) and data from a RunSpec, behind the executor
+    its parallel section (or the ``backend``/``workers`` overrides) asks
+    for -- the one place that knows which executors exist."""
+    cfg = spec.build_config()
+    par = spec.parallel
+    backend = backend if backend is not None else par.exec_backend
+    if backend not in EXEC_BACKENDS:
+        raise ValueError(f"backend must be one of {EXEC_BACKENDS}, got {backend!r}")
+    batch_size = spec.train_batch_size(cfg)
+    # What every executor takes after its model and data source.
+    common = dict(
+        batch_size=batch_size,
+        workers=workers if workers is not None else par.exec_workers,
+        prefetch_depth=spec.data.prefetch_depth,
+    )
+    if par.ranks == 1:
+        if backend == "process":
+            raise ValueError(
+                "backend 'process' needs parallel.ranks >= 2 (single-process "
+                "runs have no ranks to place in workers)"
+            )
+        model = spec.build_model(cfg)
+        # The plan is a pure function of the spec, so resume, serving and
+        # process-backend workers recompute the identical one.
+        plan = plan_from_spec(spec, cfg)
+        if plan is not None:
+            # Owners are a distributed concern; here only the hot/cold
+            # plans apply.
+            from repro.tiering.store import apply_tiering
+
+            apply_tiering(model, plan.plans, cold_dir=spec.tiering.cold_dir)
+        optimizer = spec.build_optimizer()
+        optimizer.register(model.parameters())
+        return LocalExecutor(model, optimizer, spec.build_dataset(cfg), **common)
+    eval_size = spec.schedule.eval_size
+    for what, n in (("global batch", batch_size), ("eval_size", eval_size)):
+        if n % par.ranks:
+            raise ValueError(f"{what} {n} not divisible by {par.ranks} ranks")
+    cluster = SimCluster(par.ranks, platform=par.platform, backend=par.backend)
+    plan = plan_from_spec(spec, cfg)
+    placement: str | list[int] = par.placement
+    tiering = None
+    if plan is not None:
+        # Frequency-informed owners supersede the blind registry entry;
+        # the per-table hot/cold plans ride into the model (and, via
+        # init_kwargs, to process-backend workers).
+        placement = list(plan.owners)
+        tiering = plan.plans if plan.tiered_tables else None
+    dist = DistributedDLRM(
+        cfg,
+        cluster,
+        seed=spec.model.seed,
+        exchange=par.exchange,
+        engine=spec.model.engine,
+        storage=spec.precision.storage,
+        lo_bits=spec.precision.lo_bits,
+        placement=placement,
+        bucket_mb=par.bucket_mb,
+        tiering=tiering,
+        tiering_cold_dir=spec.tiering.cold_dir,
+    )
+    dist.attach_optimizers(spec.build_optimizer)
+    dataset = spec.build_dataset(cfg)
+    # Inside a process-rank worker the process backend degrades to the
+    # inline one (the nested-use guard).
+    if backend == "process" and not in_worker_process():
+        return ProcessRankExecutor(
+            dist, dataset, eval_size_hint=eval_size, faults=faults, **common
+        )
+    return InlineRankExecutor(dist, dataset, **common)
+
+
 class Trainer:
-    """Single-process experiment driver around a :class:`DLRM`."""
+    """The experiment driver: one loop over a :class:`RankExecutor`.
+
+    ``model`` is the live :class:`~repro.core.model.DLRM` (rank 0's
+    replica when distributed) and ``dist`` the
+    :class:`~repro.parallel.hybrid.DistributedDLRM` (None on a single
+    rank); under the process backend both are the parent's layout
+    template -- the workers hold the live state, reachable through
+    :meth:`model_state_dict`/:meth:`save_checkpoint`.  Checkpoints are
+    always *consolidated* in the single-process layout, so a file saved
+    under one executor serves and resumes under any other.  Call
+    :meth:`close` (or rely on the process backend's atexit teardown)
+    when done.
+    """
 
     def __init__(
         self,
-        model: DLRM,
-        optimizer: SGD,
-        dataset,
-        batch_size: int | None = None,
+        executor: RankExecutor,
         callbacks: Sequence[Callback] = (),
         spec: RunSpec | None = None,
-        loss_normalizer: float | None = None,
         eval_size: int = 2048,
         eval_index: int = 10_000_000,
         faults: FaultPlan | None = None,
     ):
-        self.model = model
-        self.optimizer = optimizer
-        self.dataset = dataset
-        self.batch_size = batch_size or model.cfg.minibatch
+        self._executor = executor
+        self.dataset = executor.dataset
+        self.batch_size = executor.batch_size
         self.callbacks = CallbackList(list(callbacks))
         self.spec = spec
         #: Armed fault plan (chaos testing), or None -- the loop's only
         #: cost without one is a single attribute check per step.
         self.faults = faults
-        self.loss_normalizer = loss_normalizer
         self.eval_size = eval_size
         self.eval_index = eval_index
         #: Global step: batches consumed so far; the dataset index of the
         #: next batch.  Saved in checkpoints, restored on resume.
         self.step = 0
+        #: The scheduled learning rate every optimizer takes at the next
+        #: step (:class:`LRScheduleCallback` sets it); None leaves the
+        #: optimizers' constructed or restored rate alone.
+        self.lr: float | None = None
         self.losses: list[float] = []
         self.should_stop = False
         self.last_eval: dict[str, float] | None = None
         self._eval_batch: Batch | None = None
-        #: Double-buffered batch source: synthesizes batch ``step+1`` on
-        #: the worker pool while ``step`` trains.  Batches are pure
-        #: functions of (seed, batch_index), so prefetched bits equal
-        #: direct-call bits and checkpoint/resume stays bit-identical.
-        #: With a 1-wide pool this is a plain synchronous call.
-        self._prefetch = PrefetchLoader(
-            dataset,
-            self.batch_size,
-            depth=spec.data.prefetch_depth if spec is not None else 1,
-        )
+
+    model = property(lambda self: self._executor.model)
+    dist = property(lambda self: self._executor.dist)
+    optimizer = property(lambda self: self._executor.optimizer)
+    backend = property(lambda self: self._executor.backend)
 
     # -- construction --------------------------------------------------------
 
@@ -149,50 +229,46 @@ class Trainer:
         cls,
         spec: RunSpec,
         callbacks: Sequence[Callback] = (),
+        backend: str | None = None,
+        workers: int | None = None,
         faults: FaultPlan | None = None,
     ) -> "Trainer":
-        """Build model, data, optimizer and callbacks from a RunSpec.
+        """Build model, data, optimizer, executor and callbacks from a
+        RunSpec.
 
-        ``faults`` overrides the spec's own fault plan -- the supervisor
-        passes its (partially disarmed) plan here on respawn so replay
-        does not re-fire a recovered failure.
+        ``backend``/``workers`` override the spec's ``parallel.exec_backend``
+        / ``exec_workers``.  ``faults`` overrides the spec's own fault
+        plan -- the supervisor passes its (partially disarmed) plan here
+        on respawn so replay does not re-fire a recovered failure.
         """
-        cfg = spec.build_config()
-        model = spec.build_model(cfg)
-        plan = plan_from_spec(spec, cfg)
-        if plan is not None:
-            # Tiered storage for the single-process model (owners are a
-            # distributed concern; here only the hot/cold plans apply).
-            # The plan is a pure function of the spec, so resume and
-            # serving recompute the identical one.
-            from repro.tiering.store import apply_tiering
-
-            apply_tiering(model, plan.plans, cold_dir=spec.tiering.cold_dir)
-        optimizer = spec.build_optimizer()
-        optimizer.register(model.parameters())
+        faults = faults if faults is not None else _spec_faults(spec)
         return cls(
-            model,
-            optimizer,
-            spec.build_dataset(cfg),
-            batch_size=spec.train_batch_size(cfg),
+            _spec_executor(spec, backend, workers, faults),
             callbacks=[*_spec_callbacks(spec), *callbacks],
             spec=spec,
             eval_size=spec.schedule.eval_size,
             eval_index=spec.schedule.eval_index,
-            faults=faults if faults is not None else _spec_faults(spec),
+            faults=faults,
         )
 
     @classmethod
     def from_checkpoint(
-        cls, ckpt: Checkpoint | str | Path, callbacks: Sequence[Callback] = ()
+        cls,
+        ckpt: Checkpoint | str | Path,
+        callbacks: Sequence[Callback] = (),
+        backend: str | None = None,
+        workers: int | None = None,
+        faults: FaultPlan | None = None,
     ) -> "Trainer":
         """Resume from a checkpoint file or an already-loaded
         :class:`Checkpoint` (spec must be embedded)."""
         if not isinstance(ckpt, Checkpoint):
             ckpt = load_checkpoint(ckpt)
-        trainer = cls.from_spec(ckpt.require_spec(), callbacks)
-        restore(trainer.model, trainer.optimizer, ckpt)
-        trainer.step = ckpt.step
+        trainer = cls.from_spec(
+            ckpt.require_spec(), callbacks, backend=backend, workers=workers,
+            faults=faults,
+        )
+        trainer.load_checkpoint(ckpt)
         return trainer
 
     # -- the loop ----------------------------------------------------------
@@ -216,40 +292,19 @@ class Trainer:
             if self.faults is not None:
                 self.faults.fire("train.step", step=step)
             with trace("train.step", rows=self.batch_size):
-                loss = self._run_step(step)
+                loss = self._executor.step(step, self.lr)
             self.losses.append(loss)
             self.step += 1
             self.callbacks.on_step_end(self, step, loss)
         self.callbacks.on_fit_end(self)
         return self
 
-    def _run_step(self, step: int) -> float:
-        """Synthesize batch ``step`` and train on it (the loop's one
-        step).  The process backend overrides this: workers synthesize
-        their own batches from ``(seed, step)``, so the parent neither
-        builds nor ships a batch."""
-        return self.train_step(self._prefetch.batch(step))
-
-    def train_step(self, batch: Batch) -> float:
-        """One optimizer step on ``batch``; returns the loss."""
-        return self.model.train_step(
-            batch, self.optimizer, normalizer=self.loss_normalizer
-        )
-
-    def all_optimizers(self) -> list[SGD]:
-        """Every optimizer a schedule callback must keep in lock-step."""
-        return [self.optimizer]
-
     # -- evaluation ----------------------------------------------------------
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Click probabilities through the no-grad inference path.
-
-        Bit-identical to ``model.predict_proba`` but leaves all training
-        state (pending activations, saved batch) untouched, so it is safe
-        between ``loss`` and ``backward``.
-        """
-        return sigmoid(self.model.infer(batch)).reshape(-1)
+        """Click probabilities; leaves all training state (pending
+        activations, saved batch) untouched."""
+        return self._executor.predict(batch)
 
     def eval_batch(self) -> Batch:
         """The held-out batch: a dataset index far past any training step."""
@@ -277,282 +332,48 @@ class Trainer:
     # -- checkpointing --------------------------------------------------------
 
     def model_state_dict(self) -> dict[str, np.ndarray]:
-        """The live model weights (an alias the distributed/process
-        backends override with their consolidated equivalents)."""
-        return self.model.state_dict()
+        """The live model weights, consolidated."""
+        return self._executor.state_dicts()[0]
 
     def opt_state_dict(self) -> dict[str, np.ndarray]:
-        """The live optimizer state (see :meth:`model_state_dict`)."""
-        return self.optimizer.state_dict(self.model.parameters(), self.model.tables)
+        """The live optimizer state, consolidated."""
+        return self._executor.state_dicts()[1]
 
     def save_checkpoint(self, path: str | Path) -> None:
         """Write model + optimizer + step (+ spec) as one ``.npz``."""
-        save_state(
-            path,
-            self.model_state_dict(),
-            self.opt_state_dict(),
-            step=self.step,
-            spec=self.spec,
-        )
+        model_state, opt_state = self._executor.state_dicts()
+        save_state(path, model_state, opt_state, step=self.step, spec=self.spec)
 
     def load_checkpoint(self, ckpt: Checkpoint | str | Path) -> None:
         """Restore states and step into this trainer's live objects."""
-        ckpt = restore(self.model, self.optimizer, ckpt)
+        if not isinstance(ckpt, Checkpoint):
+            ckpt = load_checkpoint(ckpt)
+        self._executor.load_state(ckpt.model_state, ckpt.opt_state or None)
         self.step = ckpt.step
 
     def drain_trace_spans(self) -> list[dict]:
-        """Drain the process-wide tracer's spans (empty when tracing is
-        off).  The distributed trainer's override merges in the worker
-        processes' spans; call before :meth:`close`."""
-        return drain_current()
+        """This process's tracer spans merged with the executor's (worker
+        processes') into one timeline; empty when tracing is off.  Call
+        before :meth:`close`."""
+        return merge_spans(drain_current(), self._executor.drain_traces())
 
     def virtual_clock_s(self) -> float | None:
         """The slowest rank's simulated-cluster clock, in virtual
-        seconds -- or None for single-process runs (no cluster).
+        seconds -- or None for single-rank runs (no cluster).
 
         This is the deterministic measurement surface ``repro.tune``
         scores trials on: virtual clocks are bit-identical across
         backends and worker counts, so the advance between two reads
         brackets a measured run reproducibly.
         """
-        return None
+        clocks = self._executor.clocks()
+        return max(clocks) if clocks else None
 
     def close(self) -> None:
-        """Release backend resources (a no-op for in-process backends)."""
+        """Release the executor's resources (worker processes, shared
+        memory, a resized pool).  Idempotent."""
+        self._executor.close()
 
 
-class DistributedTrainer(Trainer):
-    """The same loop over a hybrid-parallel :class:`DistributedDLRM`.
-
-    ``batch_size`` is the *global* minibatch; the distributed model
-    shards it internally and normalises the loss by GN, so losses (and
-    weights) match the single-process trainer on the same stream.
-    Checkpoints are saved *consolidated* (dense from rank 0, each table
-    from its owner) in the exact single-process layout -- a distributed
-    run's file serves and resumes anywhere.
-
-    ``backend`` picks the execution substrate:
-
-    * ``"thread"`` (default) -- rank phases run on the process-wide
-      :class:`~repro.exec.pool.WorkerPool` (sequential when it is
-      1-wide).  ``workers`` (optional) resizes that pool.
-    * ``"process"`` -- rank phases run in ``workers`` worker *processes*
-      over shared memory (:mod:`repro.exec.mp`); each worker synthesizes
-      its own batches from ``(seed, batch_index)``.  Losses, checkpoints
-      and clocks stay bitwise identical to the other backends, so a run
-      may checkpoint under one backend and resume under another.
-      Inside a process-rank worker this degrades to ``"thread"`` (the
-      nested-use guard).  Call :meth:`close` (or rely on the atexit
-      teardown) to stop the workers.
-    """
-
-    def __init__(
-        self,
-        dist: DistributedDLRM,
-        dataset,
-        batch_size: int | None = None,
-        callbacks: Sequence[Callback] = (),
-        spec: RunSpec | None = None,
-        eval_size: int = 2048,
-        eval_index: int = 10_000_000,
-        backend: str = "thread",
-        workers: int | None = None,
-        mp_context: str | None = None,
-        faults: FaultPlan | None = None,
-    ):
-        if dist.optimizers is None:
-            raise ValueError("attach_optimizers() before building a trainer")
-        if backend not in EXEC_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {EXEC_BACKENDS}, got {backend!r}"
-            )
-        batch_size = batch_size or dist.cfg.global_minibatch
-        if batch_size % dist.cluster.n_ranks:
-            raise ValueError(
-                f"global batch {batch_size} not divisible by "
-                f"{dist.cluster.n_ranks} ranks"
-            )
-        if eval_size % dist.cluster.n_ranks:
-            raise ValueError(
-                f"eval_size {eval_size} not divisible by "
-                f"{dist.cluster.n_ranks} ranks"
-            )
-        super().__init__(
-            model=dist.models[0],
-            optimizer=dist.optimizers[0],
-            dataset=dataset,
-            batch_size=batch_size,
-            callbacks=callbacks,
-            spec=spec,
-            eval_size=eval_size,
-            eval_index=eval_index,
-            faults=faults,
-        )
-        self.dist = dist
-        if backend == "process" and in_worker_process():
-            backend = "thread"
-        self.backend = backend
-        self._executor: ProcessRankExecutor | None = None
-        if backend == "process":
-            self._executor = ProcessRankExecutor(
-                dist,
-                dataset,
-                batch_size=self.batch_size,
-                workers=workers,
-                context=mp_context,
-                eval_size_hint=eval_size,
-                faults=faults,
-                prefetch_depth=(
-                    spec.data.prefetch_depth if spec is not None else 1
-                ),
-            )
-        elif workers is not None:
-            from repro.exec.pool import set_pool_workers
-
-            set_pool_workers(workers)
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: RunSpec,
-        callbacks: Sequence[Callback] = (),
-        backend: str | None = None,
-        workers: int | None = None,
-        faults: FaultPlan | None = None,
-    ) -> "DistributedTrainer":
-        cfg = spec.build_config()
-        par = spec.parallel
-        cluster = SimCluster(par.ranks, platform=par.platform, backend=par.backend)
-        plan = plan_from_spec(spec, cfg)
-        placement: str | list[int] = par.placement
-        tiering = None
-        if plan is not None:
-            # Frequency-informed owners supersede the blind registry
-            # entry; the per-table hot/cold plans ride into the model
-            # (and, via init_kwargs, to process-backend workers).
-            placement = list(plan.owners)
-            tiering = plan.plans if plan.tiered_tables else None
-        dist = DistributedDLRM(
-            cfg,
-            cluster,
-            seed=spec.model.seed,
-            exchange=par.exchange,
-            engine=spec.model.engine,
-            storage=spec.precision.storage,
-            lo_bits=spec.precision.lo_bits,
-            placement=placement,
-            bucket_mb=par.bucket_mb,
-            tiering=tiering,
-            tiering_cold_dir=spec.tiering.cold_dir,
-        )
-        dist.attach_optimizers(spec.build_optimizer)
-        return cls(
-            dist,
-            spec.build_dataset(cfg),
-            batch_size=spec.train_batch_size(cfg),
-            callbacks=[*_spec_callbacks(spec), *callbacks],
-            spec=spec,
-            eval_size=spec.schedule.eval_size,
-            eval_index=spec.schedule.eval_index,
-            backend=backend if backend is not None else par.exec_backend,
-            workers=workers if workers is not None else par.exec_workers,
-            faults=faults if faults is not None else _spec_faults(spec),
-        )
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        ckpt: Checkpoint | str | Path,
-        callbacks: Sequence[Callback] = (),
-        backend: str | None = None,
-        workers: int | None = None,
-        faults: FaultPlan | None = None,
-    ) -> "DistributedTrainer":
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
-        trainer = cls.from_spec(
-            ckpt.require_spec(), callbacks, backend=backend, workers=workers,
-            faults=faults,
-        )
-        trainer.load_checkpoint(ckpt)
-        return trainer
-
-    def _run_step(self, step: int) -> float:
-        if self._executor is not None:
-            # Workers synthesize batch ``step`` themselves; only the
-            # index and the (callback-scheduled) lr cross the pipe.
-            return self._executor.step(step, lr=self.optimizer.lr)
-        return self.train_step(self._prefetch.batch(step))
-
-    def train_step(self, batch: Batch) -> float:
-        if self._executor is not None:
-            raise RuntimeError(
-                "direct train_step() bypasses the process-rank workers; "
-                "drive a process-backend trainer through fit()"
-            )
-        return self.dist.train_step(batch)
-
-    def all_optimizers(self) -> list[SGD]:
-        assert self.dist.optimizers is not None
-        return list(self.dist.optimizers)
-
-    def predict_proba(self, batch: Batch) -> np.ndarray:
-        if self._executor is not None:
-            return self._executor.predict(batch)
-        return self.dist.predict_proba(batch)
-
-    def model_state_dict(self) -> dict[str, np.ndarray]:
-        if self._executor is not None:
-            return self._executor.state_dicts()[0]
-        return self.dist.state_dict()
-
-    def opt_state_dict(self) -> dict[str, np.ndarray]:
-        if self._executor is not None:
-            return self._executor.state_dicts()[1]
-        return self.dist.optimizer_state_dict()
-
-    def save_checkpoint(self, path: str | Path) -> None:
-        if self._executor is not None:
-            # One worker sync + arena consolidation covers both halves.
-            model_state, opt_state = self._executor.state_dicts()
-            save_state(path, model_state, opt_state, step=self.step, spec=self.spec)
-            return
-        super().save_checkpoint(path)
-
-    def load_checkpoint(self, ckpt: Checkpoint | str | Path) -> None:
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
-        # The parent replica loads too: it stays the layout/lr template
-        # the callbacks and the executor consolidation read from.
-        self.dist.load_state_dict(ckpt.model_state)
-        if ckpt.opt_state:
-            self.dist.load_optimizer_state_dict(ckpt.opt_state)
-        if self._executor is not None:
-            self._executor.load_state(ckpt.model_state, ckpt.opt_state or None)
-        self.step = ckpt.step
-
-    def drain_trace_spans(self) -> list[dict]:
-        spans = drain_current()
-        if self._executor is not None:
-            return merge_spans(spans, self._executor.drain_traces())
-        return spans
-
-    def virtual_clock_s(self) -> float | None:
-        if self._executor is not None:
-            return max(self._executor.clocks())
-        return max(self.dist.cluster.snapshot())
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-
-def make_trainer(
-    spec: RunSpec, callbacks: Sequence[Callback] = ()
-) -> Trainer:
-    """Spec -> the right trainer: distributed iff ``parallel.ranks > 1``."""
-    factory: Callable[..., Trainer] = (
-        DistributedTrainer.from_spec if spec.parallel.ranks > 1 else Trainer.from_spec
-    )
-    return factory(spec, callbacks)
+#: Spec -> trainer; the historical name of :meth:`Trainer.from_spec`.
+make_trainer = Trainer.from_spec

@@ -3,7 +3,7 @@
 A *trial* is a short, real run of the existing execution stack -- the
 arm's overlay is applied to the base RunSpec with
 :meth:`~repro.train.spec.RunSpec.with_overrides`, a trainer is built
-through the normal :func:`~repro.train.trainer.make_trainer` dispatch
+through the normal :func:`~repro.train.trainer.make_trainer` path
 (so thread/process backends, tiering, bucketed allreduce and fault
 injection all behave exactly as in production runs), ``warmup`` steps
 are discarded, and ``steps`` measured steps are timed.
@@ -23,8 +23,8 @@ Two measurement modes:
   columns even under ``virtual``.
 
 Cleanup is unconditional: the trainer is closed (process workers
-reaped), the tracer restored, and the global worker pool returned to
-its pre-trial width, so a crashed arm cannot poison later arms.  Any
+reaped, the global worker pool returned to its pre-trial width) and the
+tracer restored, so a crashed arm cannot poison later arms.  Any
 exception a trial raises -- including the typed worker failures of
 :mod:`repro.resilience` -- scores the arm as *failed* (``-inf``)
 instead of aborting the search.
@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.exec.pool import get_pool, set_pool_workers
 from repro.obs import Tracer, get_tracer, set_tracer, stage_breakdown
 from repro.train.spec import RunSpec
 from repro.train.trainer import make_trainer
@@ -117,7 +116,6 @@ class TrainTrialRunner:
 
     def run(self, overlay: dict[str, Any], arm_id: int, steps: int, rung: int) -> TrialResult:
         merged = {**overlay, **_TRIAL_OVERRIDES, "schedule.steps": self.warmup + steps}
-        saved_workers = get_pool().workers
         prev_tracer = get_tracer()
         trainer = None
         try:
@@ -173,8 +171,6 @@ class TrainTrialRunner:
                 except Exception:  # noqa: BLE001 -- teardown must not mask the score
                     pass
             set_tracer(prev_tracer)
-            if get_pool().workers != saved_workers:
-                set_pool_workers(saved_workers)
 
 
 class ServeTrialRunner:

@@ -1,4 +1,5 @@
-"""Step-by-step pipelined collectives (the paper's allreduce realisation).
+"""Step-by-step pipelined collectives (the paper's allreduce realisation)
+-- a test oracle for the production fold, not on any ``src/`` path.
 
 Sect. IV-A materialises the MLP-gradient allreduce as a reduce-scatter
 followed by an allgather so the two phases can be pipelined against the

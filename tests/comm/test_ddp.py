@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.comm.collectives import tree_sum
 from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
 from repro.parallel.cluster import SimCluster
+
+
+def _allreduce_grads(reducer, grads):
+    """One bucket of ``DistributedDLRM.train_step``'s production path:
+    per-rank pack, canonical-tree fold, transfer issue, then per-rank
+    wait + in-place unpack."""
+    flats = [reducer.pack_grads(r, g) for r, g in enumerate(grads)]
+    summed = tree_sum(flats)
+    handle = reducer.issue_transfer(summed.nbytes)
+    for r, g in enumerate(grads):
+        handle.wait(r)
+        reducer.unpack_grads(r, g, summed)
 
 
 class TestAllreduceGrads:
@@ -17,8 +30,7 @@ class TestAllreduceGrads:
         ]
         want0 = np.sum([g[0] for g in grads], axis=0, dtype=np.float32)
         want1 = np.sum([g[1] for g in grads], axis=0, dtype=np.float32)
-        handle = reducer.allreduce_grads(grads)
-        handle.wait_all()
+        _allreduce_grads(reducer, grads)
         for r in range(3):
             np.testing.assert_allclose(grads[r][0], want0, rtol=1e-5)
             np.testing.assert_allclose(grads[r][1], want1, rtol=1e-5)
@@ -27,22 +39,18 @@ class TestAllreduceGrads:
         cluster = SimCluster(2, backend="ccl")
         reducer = DistributedDataParallelReducer(cluster)
         grads = [[np.ones((2000, 2000), np.float32)] for _ in range(2)]
-        reducer.allreduce_grads(grads).wait_all()
+        _allreduce_grads(reducer, grads)
         assert cluster.profilers[0].get("comm.allreduce.framework") > 0
         assert cluster.profilers[0].get("comm.allreduce.wait") > 0
 
-    def test_rank_count_validated(self, rng):
-        cluster = SimCluster(3, backend="ccl")
-        reducer = DistributedDataParallelReducer(cluster)
-        with pytest.raises(ValueError):
-            reducer.allreduce_grads([[np.zeros(2, np.float32)]] * 2)
-
     def test_tensor_count_validated(self, rng):
+        """Ranks that packed different tensor lists cannot be folded."""
         cluster = SimCluster(2, backend="ccl")
         reducer = DistributedDataParallelReducer(cluster)
         with pytest.raises(ValueError):
-            reducer.allreduce_grads(
-                [[np.zeros(2, np.float32)], [np.zeros(2, np.float32), np.zeros(2, np.float32)]]
+            _allreduce_grads(
+                reducer,
+                [[np.zeros(2, np.float32)], [np.zeros(2, np.float32), np.zeros(2, np.float32)]],
             )
 
     def test_preserves_views_into_parameters(self, rng):
@@ -53,7 +61,7 @@ class TestAllreduceGrads:
         a = np.ones(4, np.float32)
         b = np.full(4, 2.0, np.float32)
         alias_a = a
-        reducer.allreduce_grads([[a], [b]]).wait_all()
+        _allreduce_grads(reducer, [[a], [b]])
         np.testing.assert_array_equal(alias_a, np.full(4, 3.0))
 
 
@@ -132,10 +140,12 @@ class TestGradientBucketer:
 
 
 class TestBucketedChargeParity:
-    """The analytic ``issue_timed_bucketed`` (bench/scaling path) and the
-    functional per-bucket pack/issue/wait/unpack path charge the same
-    framework + transfer time -- so scaling curves computed analytically
-    stay honest about what the functional trainer would pay."""
+    """The analytic bucketed schedule (``parallel.timing.model_iteration``:
+    a framework-copy charge + transfer issue per bucket, a second copy
+    charge at each wait) and the functional per-bucket
+    pack/issue/wait/unpack path charge the same framework + transfer
+    time -- so scaling curves computed analytically stay honest about
+    what the functional trainer would pay."""
 
     @pytest.mark.parametrize("cap", [4_000, 20_000, 1 << 30])
     def test_totals_match(self, cap):
@@ -161,8 +171,15 @@ class TestBucketedChargeParity:
 
         analytic = SimCluster(r, backend="ccl", blocking=True)
         ared = DistributedDataParallelReducer(analytic)
-        handles = ared.issue_timed_bucketed(bucketer.sizes())
-        assert len(handles) == len(bucketer)
+        handles = []
+        for nb in bucketer.sizes():
+            for rank in range(r):
+                ared.charge_framework_copy(rank, nb)
+            handles.append(ared.issue_transfer(nb))
+        for rank in range(r):
+            for handle, nb in zip(handles, bucketer.sizes()):
+                handle.wait(rank)
+                ared.charge_framework_copy(rank, nb)
 
         for rank in range(r):
             fp, ap = functional.profilers[rank], analytic.profilers[rank]

@@ -1,4 +1,12 @@
-"""Ring collectives: correctness + the bandwidth-optimality invariant."""
+"""The production fold against a step-by-step ring written as its oracle.
+
+``tests/comm/ring_reference.py`` executes the paper's allreduce
+(recursive-halving reduce-scatter + ring allgather) with explicit
+per-step sends; nothing in ``src/`` calls it.  These tests hold
+``repro.comm.collectives`` / ``SimCluster.allreduce`` to it bitwise, and
+pin the oracle itself to the algorithm's defining property (the
+``(R-1)/R`` per-rank transfer volume the cost model prices).
+"""
 
 import numpy as np
 import pytest
@@ -11,7 +19,12 @@ from repro.comm.collectives import (
     reduce_scatter_sum,
     tree_sum,
 )
-from repro.comm.ring import RingTrace, ring_allgather, ring_allreduce, ring_reduce_scatter
+from tests.comm.ring_reference import (
+    RingTrace,
+    ring_allgather,
+    ring_allreduce,
+    ring_reduce_scatter,
+)
 
 
 def bufs(rng, r, rows=12, cols=3):

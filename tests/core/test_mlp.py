@@ -159,21 +159,6 @@ class TestBlockedEngine:
         with pytest.raises(ValueError):
             FullyConnected(4, 4, rng=rng, engine="cuda")
 
-    def test_fast_path_is_default_and_matches_observable_loop(self, rng):
-        """observe_blocks=False (default) takes the single-matmul fast
-        path; =True keeps the per-(Kb,Nb)-block loop.  Same math, same
-        flop totals, different call granularity."""
-        fast = FullyConnected(96, 128, rng=np.random.default_rng(3), engine="blocked", activation=None)
-        loop = FullyConnected(
-            96, 128, rng=np.random.default_rng(3), engine="blocked", activation=None,
-            observe_blocks=True,
-        )
-        x = rng.standard_normal((128, 96)).astype(np.float32)
-        np.testing.assert_allclose(fast.forward(x), loop.forward(x), rtol=1e-4, atol=1e-5)
-        assert fast.flops.flops == loop.flops.flops == 2 * 128 * 96 * 128
-        assert fast.flops.calls == 1  # one analytic GEMM record
-        assert loop.flops.calls > 1  # one record per output block
-
 
 class TestMLP:
     def test_stack_shapes(self, rng):

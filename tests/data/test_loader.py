@@ -1,43 +1,21 @@
-"""Data loaders, incl. the paper's global-minibatch flaw (Sect. VI-D2)."""
+"""Batch slicing and sharding: how ranks get their part of a minibatch."""
 
 import numpy as np
 import pytest
 
-from repro.data.loader import DataLoader, GlobalBatchLoader, ShardedLoader
 from repro.data.synthetic import RandomRecDataset
 from tests.conftest import tiny_config
 
 
-class TestDataLoader:
-    def test_sequential_batches(self):
-        cfg = tiny_config()
-        dl = DataLoader(RandomRecDataset(cfg, 0), batch_size=8)
-        a = next(dl)
-        b = next(dl)
-        assert a.size == b.size == 8
-        assert not np.array_equal(a.dense, b.dense)
-
-    def test_take(self):
-        cfg = tiny_config()
-        dl = DataLoader(RandomRecDataset(cfg, 0), batch_size=4)
-        assert len(dl.take(5)) == 5
-
-    def test_start_index_resumes(self):
-        cfg = tiny_config()
-        ds = RandomRecDataset(cfg, 0)
-        dl = DataLoader(ds, batch_size=4, start_index=3)
-        np.testing.assert_array_equal(next(dl).dense, ds.batch(4, 3).dense)
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            DataLoader(RandomRecDataset(tiny_config(), 0), batch_size=0)
-
-
 class TestGlobalVsSharded:
+    """``Batch.shard`` is how every rank gets its slice of the global
+    minibatch (``DistributedDLRM.train_step``); the paper's
+    global-minibatch loader flaw (Sect. VI-D2) is purely a cost
+    phenomenon, charged by ``DistributedDLRM._charge_loader``."""
+
     def test_shards_partition_the_global_batch(self):
-        cfg = tiny_config()
-        loader = GlobalBatchLoader(RandomRecDataset(cfg, 0), global_batch=16, ranks=4)
-        g, shards = loader.next_shards()
+        g = RandomRecDataset(tiny_config(), 0).batch(16, 0)
+        shards = g.shard(4)
         assert len(shards) == 4
         np.testing.assert_array_equal(
             np.concatenate([s.dense for s in shards]), g.dense
@@ -47,31 +25,9 @@ class TestGlobalVsSharded:
         )
 
     def test_shard_offsets_rebased(self):
-        cfg = tiny_config()
-        loader = GlobalBatchLoader(RandomRecDataset(cfg, 0), global_batch=16, ranks=4)
-        _, shards = loader.next_shards()
-        for s in shards:
+        for s in RandomRecDataset(tiny_config(), 0).batch(16, 0).shard(4):
             for off in s.offsets:
                 assert off[0] == 0
-
-    def test_flawed_loader_reads_global_batch_per_rank(self):
-        cfg = tiny_config()
-        flawed = GlobalBatchLoader(RandomRecDataset(cfg, 0), 64, ranks=8)
-        fixed = ShardedLoader(RandomRecDataset(cfg, 0), 64, ranks=8)
-        assert flawed.samples_read_per_rank == 64
-        assert fixed.samples_read_per_rank == 8
-
-    def test_both_loaders_produce_identical_shards(self):
-        """The flaw is purely a cost phenomenon, not a data one."""
-        cfg = tiny_config()
-        a = GlobalBatchLoader(RandomRecDataset(cfg, 0), 16, 4).next_shards()[1]
-        b = ShardedLoader(RandomRecDataset(cfg, 0), 16, 4).next_shards()[1]
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.dense, sb.dense)
-
-    def test_divisibility_validated(self):
-        with pytest.raises(ValueError):
-            GlobalBatchLoader(RandomRecDataset(tiny_config(), 0), 10, 4)
 
 
 class TestBatchSlicing:

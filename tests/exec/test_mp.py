@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.exec.executor import InlineRankExecutor
 from repro.exec.mp import (
     MailboxOverflow,
     ProcessRankExecutor,
@@ -28,7 +29,7 @@ from repro.exec.mp import (
     in_worker_process,
 )
 from repro.train import RunSpec
-from repro.train.trainer import DistributedTrainer
+from repro.train.trainer import Trainer
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -262,9 +263,9 @@ class TestNestedGuard:
 
     def test_trainer_degrades_to_thread(self, monkeypatch):
         monkeypatch.setenv("_REPRO_MP_WORKER", "1")
-        trainer = DistributedTrainer.from_spec(tiny_spec(), backend="process")
+        trainer = Trainer.from_spec(tiny_spec(), backend="process")
         assert trainer.backend == "thread"
-        assert trainer._executor is None
+        assert isinstance(trainer._executor, InlineRankExecutor)
         trainer.fit(1)
 
 

@@ -1,6 +1,7 @@
 """PrefetchLoader / PrefetchMap: bitwise-deterministic lookahead."""
 
 import numpy as np
+import pytest
 
 from repro.core.batch import Batch
 from repro.data.synthetic import RandomRecDataset
@@ -67,6 +68,13 @@ class TestPrefetchLoader:
         loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(1))
         assert batches_equal(loader.batch(3), dataset.batch(8, 3))
         assert loader.pending_indices == []
+
+    def test_batch_size_and_depth_validated(self):
+        dataset = RandomRecDataset(tiny_config(), seed=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            PrefetchLoader(dataset, batch_size=0)
+        with pytest.raises(ValueError, match="depth"):
+            PrefetchLoader(dataset, batch_size=8, depth=0)
 
 
 class TestPrefetchMap:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.obs import Tracer, set_tracer
 from repro.train import RunSpec, make_trainer
-from repro.train.trainer import DistributedTrainer
+from repro.train.trainer import Trainer
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +40,7 @@ def run(ranks: int, backend: str, traced: bool):
         set_tracer(Tracer(proc="main"))
     try:
         if ranks > 1:
-            trainer = DistributedTrainer.from_spec(
+            trainer = Trainer.from_spec(
                 tiny_spec(ranks), backend=backend, workers=2
             )
         else:

@@ -15,7 +15,6 @@ from repro.core.metrics import roc_auc
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.data.criteo import SyntheticCriteoDataset
-from repro.data.loader import DataLoader, GlobalBatchLoader
 from repro.data.synthetic import RandomRecDataset
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
@@ -43,8 +42,7 @@ class TestSingleSocketWorkflow:
         opt = SGD(lr=0.1)
         test = data.batch(2048, 99_999)
         auc_before = roc_auc(test.labels, model.predict_proba(test))
-        loader = DataLoader(data, batch_size=128)
-        for batch in loader.take(40):
+        for batch in data.batches(128, 40):
             model.train_step(batch, opt)
         auc_after = roc_auc(test.labels, model.predict_proba(test))
         assert auc_after > auc_before + 0.05
@@ -74,12 +72,10 @@ class TestDistributedWorkflow:
         cluster = SimCluster(4, backend="ccl")
         dist = DistributedDLRM(cfg, cluster, seed=0)
         dist.attach_optimizers(lambda: SGD(lr=0.1))
-        loader = GlobalBatchLoader(
-            SyntheticCriteoDataset(cfg, seed=1), global_batch=64, ranks=4
-        )
+        data = SyntheticCriteoDataset(cfg, seed=1)
         losses = []
-        for _ in range(12):
-            g, shards = loader.next_shards()
+        for g in data.batches(64, 12):
+            shards = g.shard(4)
             assert len(shards) == 4 and shards[0].size == 16
             losses.append(dist.train_step(g))
         # Fresh noisy batches each step: training must stay stable and

@@ -14,7 +14,6 @@ from repro.core.model import DLRM
 from repro.serve import InferenceEngine
 from repro.train import (
     CheckpointCallback,
-    DistributedTrainer,
     RunSpec,
     Trainer,
     build_from_checkpoint,
@@ -194,7 +193,7 @@ class TestDistributedCheckpoint:
         straight = make_trainer(spec).fit(4)
         partial = make_trainer(spec).fit(2)
         partial.save_checkpoint(tmp_path / "d.npz")
-        resumed = DistributedTrainer.from_checkpoint(tmp_path / "d.npz").fit(2)
+        resumed = Trainer.from_checkpoint(tmp_path / "d.npz").fit(2)
         assert_states_equal(straight.dist.state_dict(), resumed.dist.state_dict())
         assert_states_equal(
             straight.dist.optimizer_state_dict(), resumed.dist.optimizer_state_dict()

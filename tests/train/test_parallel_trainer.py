@@ -1,4 +1,4 @@
-"""Trainer/DistributedTrainer under the worker pool: same bits, same files.
+"""Trainer (single model and inline ranks) under the worker pool: same bits, same files.
 
 Covers the training-loop half of ISSUE 4's bit-identity contract: a
 ``fit`` with ``workers > 1`` (prefetching loader + parallel ranks +

@@ -1,4 +1,4 @@
-"""DistributedTrainer(backend="process"): same bits as every other path.
+"""Trainer.from_spec(backend="process"): same bits as every other path.
 
 The process-rank backend's contract: losses, consolidated checkpoints,
 optimizer state and virtual clocks are bitwise identical to the
@@ -14,7 +14,7 @@ import pytest
 
 from repro.exec.pool import pooled
 from repro.train import RunSpec, load_checkpoint, make_trainer
-from repro.train.trainer import DistributedTrainer
+from repro.train.trainer import Trainer
 
 from tests.train.test_trainer import tiny_spec
 
@@ -46,7 +46,7 @@ class TestProcessBitIdentity:
     def test_fit_matches_sequential(self, storage):
         spec = dist_spec(storage)
         sequential = make_trainer(spec).fit()
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        proc = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             proc.fit()
             assert proc.losses == sequential.losses
@@ -62,7 +62,7 @@ class TestProcessBitIdentity:
         spec = dist_spec()
         with pooled(4):
             thread = make_trainer(spec).fit()
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=4)
+        proc = Trainer.from_spec(spec, backend="process", workers=4)
         try:
             proc.fit()
             assert proc.losses == thread.losses
@@ -73,7 +73,7 @@ class TestProcessBitIdentity:
     def test_predict_and_evaluate_parity(self):
         spec = dist_spec()
         sequential = make_trainer(spec).fit()
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        proc = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             proc.fit()
             assert np.array_equal(
@@ -94,7 +94,7 @@ class TestProcessBitIdentity:
         }
         spec = dist_spec(schedule=schedule)
         sequential = make_trainer(spec).fit()
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        proc = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             proc.fit()
             assert proc.losses == sequential.losses
@@ -110,7 +110,7 @@ class TestCrossBackendCheckpoints:
         full = make_trainer(spec).fit()
         half = make_trainer(spec).fit(3)
         half.save_checkpoint(tmp_path / "half.npz")
-        resumed = DistributedTrainer.from_checkpoint(
+        resumed = Trainer.from_checkpoint(
             tmp_path / "half.npz", backend="process", workers=2
         )
         try:
@@ -128,13 +128,13 @@ class TestCrossBackendCheckpoints:
     def test_process_to_thread_resume(self, storage, tmp_path):
         spec = dist_spec(storage, steps=6)
         full = make_trainer(spec).fit()
-        half = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        half = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             half.fit(3)
             half.save_checkpoint(tmp_path / "half.npz")
         finally:
             half.close()
-        resumed = DistributedTrainer.from_checkpoint(tmp_path / "half.npz")
+        resumed = Trainer.from_checkpoint(tmp_path / "half.npz")
         assert resumed.backend == "thread"
         resumed.fit(3)
         assert resumed.step == full.step
@@ -146,7 +146,7 @@ class TestCrossBackendCheckpoints:
         spec = dist_spec(steps=3)
         thread = make_trainer(spec).fit()
         thread.save_checkpoint(tmp_path / "thread.npz")
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        proc = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             proc.fit()
             proc.save_checkpoint(tmp_path / "process.npz")
@@ -188,7 +188,7 @@ class TestSpecPlumbing:
         )
         trainer = make_trainer(spec)
         try:
-            assert isinstance(trainer, DistributedTrainer)
+            assert isinstance(trainer, Trainer)
             assert trainer.backend == "process"
             assert trainer._executor is not None
             trainer.fit()
@@ -205,7 +205,7 @@ class TestSpawnSmoke:
         monkeypatch.delenv("REPRO_MP_CONTEXT", raising=False)
         spec = dist_spec(steps=2)
         sequential = make_trainer(spec).fit()
-        proc = DistributedTrainer.from_spec(spec, backend="process", workers=2)
+        proc = Trainer.from_spec(spec, backend="process", workers=2)
         try:
             assert proc._executor is not None
             proc.fit()

@@ -6,9 +6,9 @@ import pytest
 from repro.core.model import DLRM
 from repro.core.optim import SGD
 from repro.data.synthetic import RandomRecDataset
+from repro.exec import InlineRankExecutor, LocalExecutor
 from repro.train import (
     Callback,
-    DistributedTrainer,
     EarlyStopping,
     LRScheduleCallback,
     MetricLogger,
@@ -16,6 +16,7 @@ from repro.train import (
     RunSpec,
     StepTimer,
     Trainer,
+    load_checkpoint,
     make_trainer,
 )
 
@@ -60,7 +61,7 @@ class TestTrainerLoop:
         model = DLRM(tiny_cfg, seed=0)
         opt = SGD(lr=0.1)
         opt.register(model.parameters())
-        trainer = Trainer(model, opt, RandomRecDataset(tiny_cfg, seed=0))
+        trainer = Trainer(LocalExecutor(model, opt, RandomRecDataset(tiny_cfg, seed=0)))
         with pytest.raises(ValueError, match="steps is required"):
             trainer.fit()
         assert trainer.fit(2).step == 2
@@ -171,7 +172,7 @@ class TestDistributedTrainer:
             schedule={"steps": 3, "batch_size": 64, "eval_size": 64},
         )
         dist = make_trainer(spec)
-        assert isinstance(dist, DistributedTrainer)
+        assert isinstance(dist._executor, InlineRankExecutor)
         dist.fit()
 
         single = make_trainer(
@@ -180,8 +181,7 @@ class TestDistributedTrainer:
                 schedule={"steps": 3, "batch_size": 64, "eval_size": 64},
             )
         )
-        single.loss_normalizer = 64
-        single.fit()
+        single.fit()  # the loss normaliser defaults to the batch: 64 on both sides
         assert np.allclose(dist.losses, single.losses, rtol=1e-5)
 
     def test_batch_size_must_divide_ranks(self):
@@ -205,24 +205,122 @@ class TestDistributedTrainer:
             },
         )
         trainer = make_trainer(spec).fit()
-        rates = [opt.lr for opt in trainer.all_optimizers()]
-        assert len(trainer.all_optimizers()) == 2
+        rates = [opt.lr for opt in trainer.dist.optimizers]
         assert rates == pytest.approx([0.3, 0.3])
 
 
 class TestTrainerConstruction:
     def test_make_trainer_picks_class(self):
-        assert type(make_trainer(tiny_spec())) is Trainer
+        """One Trainer class; the spec's parallel section picks the executor."""
+        single = make_trainer(tiny_spec())
+        assert type(single) is Trainer and type(single._executor) is LocalExecutor
         dist_spec = tiny_spec(
             parallel={"ranks": 2},
             schedule={"steps": 1, "batch_size": 32, "eval_size": 64},
         )
-        assert type(make_trainer(dist_spec)) is DistributedTrainer
+        dist = make_trainer(dist_spec)
+        assert type(dist) is Trainer and type(dist._executor) is InlineRankExecutor
+        with pytest.raises(ValueError, match="ranks >= 2"):
+            make_trainer(tiny_spec(), backend="process")
 
     def test_trainer_uses_config_minibatch_by_default(self):
         cfg = tiny_config(minibatch=24)
         model = DLRM(cfg, seed=0)
         opt = SGD(lr=0.1)
         opt.register(model.parameters())
-        trainer = Trainer(model, opt, RandomRecDataset(cfg, seed=0))
+        trainer = Trainer(LocalExecutor(model, opt, RandomRecDataset(cfg, seed=0)))
         assert trainer.batch_size == 24
+
+
+class FakeExecutor:
+    """The whole RankExecutor surface in ten lines: logs its calls, and
+    its loss is the batch index."""
+
+    dataset, batch_size = None, 8
+
+    def __init__(self, log):
+        self.log, self.loaded = log, None
+
+    def step(self, index, lr):
+        self.log.append(("step", index, lr))
+        return float(index)
+
+    def state_dicts(self):
+        return {"w": np.arange(3, dtype=np.float32)}, {"lr": np.float64(0.5)}
+
+    def load_state(self, model_state, opt_state=None):
+        self.loaded = (model_state, opt_state)
+
+    def close(self):
+        self.log.append(("close",))
+
+
+class TestTrainerOverAFakeExecutor:
+    """What the Trainer itself owns, with no model anywhere: callback
+    order around the executor's step, ``should_stop``, the ``fit(None)``
+    budget and the step counter in checkpoints."""
+
+    def test_callbacks_bracket_each_executor_step(self):
+        log = []
+
+        class Recorder(Callback):
+            def on_fit_start(self, trainer):
+                log.append(("fit_start",))
+
+            def on_step_start(self, trainer, step):
+                log.append(("start", step))
+                trainer.lr = 0.1 * (step + 1)  # what LRScheduleCallback does
+
+            def on_step_end(self, trainer, step, loss):
+                log.append(("end", step, loss))
+
+            def on_fit_end(self, trainer):
+                log.append(("fit_end",))
+
+        trainer = Trainer(FakeExecutor(log), callbacks=[Recorder()]).fit(2)
+        trainer.close()
+        assert log == [
+            ("fit_start",),
+            ("start", 0), ("step", 0, pytest.approx(0.1)), ("end", 0, 0.0),
+            ("start", 1), ("step", 1, pytest.approx(0.2)), ("end", 1, 1.0),
+            ("fit_end",),
+            ("close",),
+        ]
+        assert trainer.losses == [0.0, 1.0] and trainer.step == 2
+
+    def test_should_stop_ends_the_fit_and_resets(self):
+        class StopAfter(Callback):
+            def on_step_end(self, trainer, step, loss):
+                trainer.should_stop = step == 2
+
+        log = []
+        trainer = Trainer(FakeExecutor(log), callbacks=[StopAfter()]).fit(10)
+        assert trainer.should_stop and trainer.step == 3
+        trainer.fit(1)  # a new fit clears the flag and continues at step 3
+        assert [entry[1] for entry in log] == [0, 1, 2, 3]
+
+    def test_fit_none_is_the_spec_budget_minus_steps_done(self):
+        log = []
+        trainer = Trainer(FakeExecutor(log), spec=tiny_spec())  # schedule.steps = 6
+        trainer.step = 4
+        trainer.fit()
+        assert [entry[1] for entry in log] == [4, 5] and trainer.step == 6
+        trainer.step = 9  # past the budget: nothing to do, never negative
+        trainer.fit()
+        assert len(log) == 2 and trainer.step == 9
+
+    def test_checkpoint_carries_step_and_executor_state(self, tmp_path):
+        saver = Trainer(FakeExecutor([]), spec=tiny_spec()).fit(3)
+        saver.save_checkpoint(tmp_path / "fake.npz")
+        ckpt = load_checkpoint(tmp_path / "fake.npz")
+        assert ckpt.step == 3 and ckpt.spec == saver.spec
+        model_state, opt_state = saver._executor.state_dicts()
+        assert np.array_equal(ckpt.model_state["w"], model_state["w"])
+        assert ckpt.opt_state["lr"] == opt_state["lr"]
+
+        loader = Trainer(FakeExecutor([]))
+        loader.load_checkpoint(tmp_path / "fake.npz")
+        assert loader.step == 3
+        loaded_model, loaded_opt = loader._executor.loaded
+        assert np.array_equal(loaded_model["w"], model_state["w"])
+        assert loaded_opt["lr"] == opt_state["lr"]

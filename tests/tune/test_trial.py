@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.pool import get_pool, set_pool_workers
+from repro.exec.pool import get_pool
 from repro.obs import get_tracer, set_tracer
 from repro.train.spec import RunSpec
 from repro.tune.trial import ServeTrialRunner, TrainTrialRunner, TrialResult
@@ -68,16 +68,11 @@ class TestTrainTrial:
 
     def test_pool_and_tracer_restored(self):
         saved = get_pool().workers
-        marker = object()
-        try:
-            set_tracer(None)
-            runner = TrainTrialRunner(_dist_base(), warmup=0)
-            runner.run({"parallel.exec_workers": 2}, 0, steps=1, rung=0)
-            assert get_pool().workers == saved
-            assert get_tracer() is None
-        finally:
-            set_pool_workers(saved)
-            assert marker is not None
+        set_tracer(None)
+        runner = TrainTrialRunner(_dist_base(), warmup=0)
+        runner.run({"parallel.exec_workers": 2}, 0, steps=1, rung=0)
+        assert get_pool().workers == saved
+        assert get_tracer() is None
 
     def test_bad_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):
