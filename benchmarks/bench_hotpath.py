@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, SparseGrad, segment_sum
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.data.synthetic import bounded_zipf
 from repro.kernels.blocked import block_activation, block_weight, choose_blocking
 from repro.kernels.gemm import FlopCounter, blocked_matmul
 from repro.kernels.segment import (
@@ -167,21 +168,15 @@ def bench_racefree(results, reps, quick, rng):
     )
 
 
-def bench_update_duplicate_heavy(results, reps, quick, rng):
-    """The headline: one full backward+update of a duplicate-heavy table.
+def bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e):
+    """One full backward+update of one table, ``n`` bags of ``pooling``.
 
     Reference: Alg. 2 materialises dW row-per-lookup (``np.repeat``),
     then the seed race-free update scans all indices once per thread.
-    Optimized: the fused single pass (sort + bucketed fold straight from
-    the bag-level gradients).
+    Optimized: the fused single pass (composite-key sort + binary fold
+    straight from the bag-level gradients).
     """
-    if quick:
-        rows, n, pooling, e = (128, 512, 16, 32)
-    else:
-        rows, n, pooling, e = (256, 2048, 64, 128)
-    nnz = n * pooling
-    idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
-    offsets = np.arange(0, nnz + 1, pooling, dtype=np.int64)
+    offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)
     dy = rng.standard_normal((n, e)).astype(np.float32)
     w0 = rng.standard_normal((rows, e)).astype(np.float32)
     table = EmbeddingBag(rows, e, weight=w0.copy())
@@ -209,12 +204,31 @@ def bench_update_duplicate_heavy(results, reps, quick, rng):
     opt_s = best_of(fused_path, reps, setup=reset)
     record(
         results,
-        "update_duplicate_heavy",
+        name,
         f"rows={rows} N={n} pool={pooling} E={e} T={THREADS}",
         ref_s,
         opt_s,
         exact,
     )
+
+
+def bench_fused_updates(results, reps, quick, rng):
+    """The headline duplicate-heavy table, then the repo benchmark's
+    ``train_emb`` table (Zipf 1.05: runs from 1 to ~2 000 long) and a
+    cardinality-3 table (Criteo's smallest: three runs of thousands, the
+    most fold rounds for the fewest segments)."""
+    if quick:
+        rows, n, pooling, e = (128, 512, 16, 32)
+    else:
+        rows, n, pooling, e = (256, 2048, 64, 128)
+    idx = rng.integers(0, rows, size=n * pooling, dtype=np.int64)
+    bench_fused_update(
+        results, reps, rng, "update_duplicate_heavy", idx, rows, n, pooling, e
+    )
+    n, pooling, e = (128, 32, 64) if quick else (512, 32, 64)
+    for name, rows in (("fused_backward_update", 50_000), ("fused_backward_update_rows3", 3)):
+        idx = bounded_zipf(rng, n * pooling, rows, alpha=1.05)
+        bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e)
 
 
 def bench_blocked_gemm(results, reps, quick, rng):
@@ -253,7 +267,7 @@ def main() -> int:
     bench_scatter_fp32(results, reps, args.quick, rng)
     bench_scatter_split(results, reps, args.quick, rng)
     bench_racefree(results, reps, args.quick, rng)
-    bench_update_duplicate_heavy(results, reps, args.quick, rng)
+    bench_fused_updates(results, reps, args.quick, rng)
     bench_blocked_gemm(results, reps, args.quick, rng)
 
     mismatches = [k for k, v in results.items() if v["bit_identical"] is False]

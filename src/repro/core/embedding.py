@@ -74,8 +74,8 @@ class SparseGrad:
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum ``rows`` into segments delimited by ``offsets`` (N+1 entries).
 
-    Validates the segment structure, then runs the length-bucketed
-    kernel of :mod:`repro.kernels.segment` -- bit-identical to the
+    Validates the segment structure, then runs the fold kernel of
+    :mod:`repro.kernels.segment` -- bit-identical to the
     unbuffered scatter-add it replaced (the NumPy analogue of Alg. 1's
     inner loop).  Empty bags yield zero rows.
     """

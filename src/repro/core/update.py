@@ -80,13 +80,14 @@ class RTMUpdate(UpdateStrategy):
 class RaceFreeUpdate(UpdateStrategy):
     """Alg. 4: row-range partitioning over ``threads`` workers.
 
-    Single pass: one ``searchsorted`` buckets every index into its
-    owning thread's row range and one ``bincount`` yields the per-thread
-    work counts that feed the cost model's imbalance term -- replacing
-    the ``threads`` full-array mask scans of the seed implementation
-    (kept as :meth:`apply_reference`, the bit-identity oracle).  Because
-    the row ranges are disjoint, the partitioned update equals one
-    direct scatter-add, which runs through the sort-based fold kernel.
+    Single pass: the closed form ``((i + 1) * threads - 1) // rows``
+    names the thread owning row ``i`` and one ``bincount`` yields the
+    per-thread work counts that feed the cost model's imbalance term --
+    replacing the ``threads`` full-array mask scans of the seed
+    implementation (kept as :meth:`apply_reference`, the bit-identity
+    oracle).  Because the row ranges are disjoint, the partitioned
+    update equals one direct scatter-add, which runs through the
+    sort-based fold kernel.
     """
 
     cost_key = "racefree"

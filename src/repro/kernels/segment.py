@@ -4,10 +4,19 @@ The embedding forward/backward/update passes all reduce to one primitive:
 *sum value rows into segments keyed by a row id*.  The naive NumPy
 spelling is ``np.add.at`` -- an unbuffered per-element scatter that is
 correct but executes one indexed add at a time.  These kernels replace it
-with a stable counting sort (radix on integer keys) followed by
-*length-bucketed* gathers and vectorized axis sums, the same
-tile-the-gather-scatter restructuring HEAT applies to CPU embedding
-kernels.
+with two steps, the tile-the-gather-scatter restructuring HEAT applies
+to CPU embedding kernels:
+
+* :func:`plan_segments` sorts the **composite keys**
+  ``(row << bits) | position``.  The keys are unique, so one plain
+  in-place ``int64`` sort is a stable sort of the rows, and the sort
+  permutation and the sorted rows are read back with a mask and a shift.
+* :func:`_bucketed_fold` is a **binary-decomposed left fold**: round
+  ``r`` takes every segment whose length has bit ``2**r`` set and folds
+  that segment's next ``2**r`` contributions into its accumulator with
+  one gather and one strided-axis sum.  A fold needs
+  ``ceil(log2(longest run))`` rounds however many distinct run lengths
+  the batch has, and gathers every contribution exactly once.
 
 Bit-identity contract
 ---------------------
@@ -17,20 +26,28 @@ This works because of two NumPy facts (pinned by the test suite):
 
 * ``np.add.at`` applies updates element-by-element in array order, so the
   value a row ends with is a *sequential left fold* of its contributions
-  in their original order.
+  in their original order, started from the row's current value.
 * Summing a 3-D array over a **strided** (non-innermost) axis --
   ``buf[B, L, E].sum(axis=1)`` with ``E >= 2`` -- is also a sequential
   left fold over ``L``: NumPy's pairwise summation only engages when the
   reduction runs along the contiguous innermost axis.
 
-A stable sort preserves the original order of duplicate keys, so folding
-each sorted run left-to-right is the same fold ``np.add.at`` performs.
-For in-place scatters (``W[i] += d`` with a *non-zero* initial row) the
-fold must *start* from the current weight row; the kernels splice the
-initial rows in as element 0 of every segment before summing.  The one
-shape that cannot be expressed this way is ``E == 1`` (the reduction
-axis becomes contiguous and pairwise summation changes the bits); those
-fall back to the reference formulation.
+A stable sort keeps duplicate keys in their original order, so the sorted
+run of a row lists its contributions ``d1, d2, ...`` as ``np.add.at``
+meets them.  The fold cuts that run into consecutive pieces of
+``2**r`` contributions, one per set bit of its length, and keeps the
+partial result ``a`` -- the current weight row for an in-place scatter
+(``W[i] += d``), zero for an aggregation -- as a stored FP32 row between
+rounds.  A round overwrites the first contribution of its piece with
+``a + d_first`` and sums the piece left to right, so it computes
+``(((a + d_k) + d_k+1) + ...)`` and stores that as the new ``a``: every
+addition has the operands, in the order, that ``np.add.at`` gives it,
+and a partial that waits in memory between rounds is the same FP32
+value it would have been in a register.  The chain
+``((w + d1) + d2) + ...`` is therefore unchanged, whatever the piece
+sizes.  The one shape that cannot be expressed this way is ``E == 1``
+(the reduction axis becomes contiguous and pairwise summation changes
+the bits); those fall back to the reference formulation.
 
 The ``*_reference`` functions are the naive formulations themselves,
 kept as the oracle for tests and for ``benchmarks/bench_hotpath.py``.
@@ -38,19 +55,17 @@ kept as the oracle for tests and for ``benchmarks/bench_hotpath.py``.
 Thread parallelism
 ------------------
 When the process-wide :class:`~repro.exec.pool.WorkerPool` is wider than
-one thread, the fold kernels run their length buckets on the pool in
-balanced payload chunks: the index bookkeeping (unique lengths, segment
-selections -- the GIL-held part) happens once on the calling thread, and
-workers execute only the GIL-releasing gathers and strided sums over
-disjoint output rows.  Every individual segment is folded by the same
-gather+strided-sum the sequential kernel performs -- no summation order
-changes, so the parallel result is bitwise the sequential one (pinned by
-``tests/kernels/test_parallel_kernels.py``).  The thresholds below keep
-small and medium folds sequential: these kernels are random-access
-memory-bound, so sharding pays only once per-chunk payloads reach
-megabytes (and arithmetic density is high, e.g. wide rows); the coarser
-rank-level parallelism of :mod:`repro.parallel.hybrid` is the layer that
-wins on typical shapes.
+one thread, a large fold gives each worker a contiguous range of
+segments holding a balanced share of the contributions, and every worker
+runs the same rounds on its range.  Ranges own disjoint accumulator rows
+and no segment is split, so every segment is folded exactly as in the
+sequential kernel and the parallel result is bitwise the sequential one
+(pinned by ``tests/kernels/test_parallel_kernels.py``).  The thresholds
+below keep small and medium folds sequential: these kernels are
+random-access memory-bound, so sharding pays only once per-worker
+payloads reach megabytes (and arithmetic density is high, e.g. wide
+rows); the coarser rank-level parallelism of
+:mod:`repro.parallel.hybrid` is the layer that wins on typical shapes.
 """
 
 from __future__ import annotations
@@ -59,16 +74,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INT32_MAX = np.iinfo(np.int32).max
+_INT64_MAX = np.iinfo(np.int64).max
 
 #: Minimum shardable items (segments/bags) before threads engage.
 PARALLEL_MIN_SEGMENTS = 256
 #: Minimum total float32 elements folded before threads engage.  Folds
 #: are memory-bound with GIL-held index bookkeeping between the big
-#: GIL-free gathers, so sharding only pays once each worker's chunk
+#: GIL-free gathers, so sharding only pays once each worker's range
 #: carries megabytes of payload; below this the sequential kernel wins
 #: and the pool is better spent one level up, on whole ranks.
 PARALLEL_MIN_ELEMS = 1 << 21
+#: Float32 elements one fold round gathers at a time (512 KiB): the sum
+#: reads the block back while it is still in the core's cache, and the
+#: buffer is small enough for malloc to recycle instead of ``mmap``-ing
+#: and page-faulting a fresh one per round.
+_BLOCK_ELEMS = 1 << 17
 
 
 def resolve_pool(pool):
@@ -124,7 +144,15 @@ class SegmentPlan:
 
 
 def plan_segments(indices: np.ndarray) -> SegmentPlan:
-    """Stable-sort ``indices`` and delimit its duplicate runs."""
+    """Stable-sort ``indices`` and delimit its duplicate runs.
+
+    Sorts the composite keys ``(row << bits) | position``: the keys are
+    unique, so one plain in-place ``int64`` sort orders them exactly as
+    a stable sort orders the rows, and ``order`` / ``sorted_rows`` are
+    read back with a mask and a shift.  Ids that leave no room for the
+    position bits (negative, or ``>= 2**(62 - bits)``) take the stable
+    ``argsort``; both spellings produce the same plan.
+    """
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     if indices.ndim != 1:
         raise ValueError("indices must be 1-D")
@@ -132,13 +160,16 @@ def plan_segments(indices: np.ndarray) -> SegmentPlan:
     empty = np.empty(0, dtype=np.int64)
     if nnz == 0:
         return SegmentPlan(empty, empty, empty, empty, empty)
-    # Row ids in this simulator fit 32 bits; the radix sort on 4-byte
-    # keys is measurably faster than on int64.
-    keys = indices
-    if 0 <= indices.min() and indices.max() <= _INT32_MAX:
-        keys = indices.astype(np.int32)
-    order = np.argsort(keys, kind="stable")
-    sorted_rows = indices[order]
+    bits = max(1, (nnz - 1).bit_length())
+    if indices.min() >= 0 and indices.max() < (1 << (62 - bits)):
+        sorted_rows = indices << bits
+        sorted_rows |= np.arange(nnz)
+        sorted_rows.sort()
+        order = sorted_rows & ((1 << bits) - 1)
+        sorted_rows >>= bits
+    else:
+        order = np.argsort(indices, kind="stable")
+        sorted_rows = indices[order]
     newseg = np.empty(nnz, dtype=bool)
     newseg[0] = True
     np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=newseg[1:])
@@ -148,99 +179,56 @@ def plan_segments(indices: np.ndarray) -> SegmentPlan:
     return SegmentPlan(order, sorted_rows, uniq, starts, lengths)
 
 
-def _fold_range(
+def _fold_segments(
     values: np.ndarray,
     rowmap: np.ndarray | None,
     starts: np.ndarray,
     lengths: np.ndarray,
-    initial: np.ndarray | None,
-    out: np.ndarray,
-    lo: int,
-    hi: int,
+    acc: np.ndarray,
 ) -> None:
-    """Sequentially fold segments ``[lo, hi)``: one length bucket at a time.
+    """``acc[j] = ((acc[j] + c0) + c1) + ...`` over segment ``j``, in place.
 
-    Shared body of the fold kernels (sorted duplicate runs with
-    ``rowmap``, contiguous bags with ``rowmap=None``): each bucket runs
-    through the same :func:`_fold_one_chunk` the parallel path
-    dispatches, so sequential and pool execution are the same code on
-    the same per-segment folds.  Zero-length bags are skipped (their
-    output rows keep whatever the caller initialised them to).
+    The binary-decomposed left fold.  Segment ``j`` holds the
+    contributions ``values[rowmap[p]]`` (``values[p]`` when ``rowmap``
+    is None) for ``p`` in ``[starts[j], starts[j] + lengths[j])``.
+    Round ``r`` serves every segment whose length has bit ``2**r`` set:
+    it gathers that segment's next ``2**r`` contributions (the ones
+    after the ``lengths & (2**r - 1)`` already folded by lower rounds),
+    adds the stored accumulator into the first of them and sums the
+    block over its strided axis -- a sequential left fold that starts
+    from the FP32 partial of the previous rounds, so the chain of
+    roundings is the one ``np.add.at`` performs.  ``initial=-0.0`` is
+    the exact identity of IEEE addition (the default ``+0.0`` would turn
+    an all ``-0.0`` row positive).  A round runs in blocks of whole
+    segments, ``_BLOCK_ELEMS`` elements each, which changes no segment's
+    fold.  Every contribution is gathered once; zero-length segments
+    keep their ``acc`` row.
     """
-    seg_lengths = lengths[lo:hi]
-    for ln in np.unique(seg_lengths):
-        if ln == 0:
-            continue
-        sel = lo + np.flatnonzero(seg_lengths == ln)
-        _fold_one_chunk(values, rowmap, starts, initial, out, int(ln), sel)
-
-
-def _fold_chunks(
-    lengths: np.ndarray, shards: int
-) -> list[tuple[int, np.ndarray]] | None:
-    """Split the length buckets of a fold into balanced payload chunks.
-
-    Returns ``[(ln, sel_chunk), ...]`` where each chunk is a contiguous
-    slice of one length-bucket's segment selection, sized so every chunk
-    carries a comparable number of summed elements.  All of this index
-    bookkeeping (the GIL-held part of a fold) happens *once* on the
-    calling thread; workers receive chunks whose remaining work -- the
-    gather and the strided sum -- releases the GIL.  Returns None when
-    the fold has no exploitable chunking (degenerate inputs).
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return None
-    target = max(1, total // (2 * shards))
-    chunks: list[tuple[int, np.ndarray]] = []
-    for ln in np.unique(lengths):
-        if ln == 0:
-            continue
-        sel = np.flatnonzero(lengths == ln)
-        per_chunk = max(1, target // int(ln))
-        for pos in range(0, sel.shape[0], per_chunk):
-            chunks.append((int(ln), sel[pos : pos + per_chunk]))
-    return chunks if len(chunks) > 1 else None
-
-
-def _fold_one_chunk(
-    values: np.ndarray,
-    rowmap: np.ndarray,
-    starts: np.ndarray,
-    initial: np.ndarray | None,
-    out: np.ndarray,
-    ln: int,
-    sel: np.ndarray,
-) -> None:
-    """Fold the segments of one payload chunk (all of length ``ln``).
-
-    The same gather + strided-axis sum the sequential bucket loop runs,
-    restricted to ``sel`` -- each segment's fold is unchanged, so chunk
-    boundaries never change any output row's bits.
-    """
+    if lengths.shape[0] == 0:
+        return
     e = values.shape[1]
-    k = sel.shape[0]
-    gpos = starts[sel][:, None] + np.arange(ln)
-    if rowmap is None:  # contiguous segments: positions are row indices
-        flat_idx = gpos.reshape(-1)
-    else:
-        flat_idx = np.empty(gpos.size, dtype=rowmap.dtype)
-        np.take(rowmap, gpos.reshape(-1), out=flat_idx, mode="clip")
-    if initial is None:
-        buf = np.empty((k, ln, e), dtype=values.dtype)
-        _take_rows(values, flat_idx, buf.reshape(k * ln, e))
-    else:
-        buf = np.empty((k, ln + 1, e), dtype=values.dtype)
-        buf[:, 0] = initial[sel]
-        gathered = np.empty((k * ln, e), dtype=values.dtype)
-        _take_rows(values, flat_idx, gathered)
-        buf[:, 1:] = gathered.reshape(k, ln, e)
-    out[sel] = buf.sum(axis=1)
+    for r in range(int(lengths.max()).bit_length()):
+        step = 1 << r
+        sel = np.flatnonzero(lengths & step)
+        first = starts[sel] + (lengths[sel] & (step - 1))
+        within = np.arange(step)
+        per_block = max(1, _BLOCK_ELEMS // (step * e))
+        for lo in range(0, sel.shape[0], per_block):
+            segs = sel[lo : lo + per_block]
+            k = segs.shape[0]
+            flat_idx = (first[lo : lo + per_block, None] + within).reshape(-1)
+            if rowmap is not None:
+                flat_idx = np.take(rowmap, flat_idx, mode="clip")
+            block = np.empty((k, step, e), dtype=values.dtype)
+            _take_rows(values, flat_idx, block.reshape(k * step, e))
+            head = block[:, 0]
+            np.add(acc[segs], head, out=head)
+            acc[segs] = block.sum(axis=1, initial=-0.0)
 
 
 def _bucketed_fold(
     values: np.ndarray,
-    rowmap: np.ndarray,
+    rowmap: np.ndarray | None,
     starts: np.ndarray,
     lengths: np.ndarray,
     initial: np.ndarray | None = None,
@@ -252,34 +240,37 @@ def _bucketed_fold(
     contribution, which lets callers feed either pre-permuted per-lookup
     values (``rowmap = plan.order``) or shared per-bag gradients
     (``rowmap = bag_ids[plan.order]``) without materialising the
-    expanded ``(NS, E)`` array.  Segments are bucketed by length so each
-    distinct length costs one gather plus one vectorized strided-axis
-    sum -- the sequential fold ``np.add.at`` performs, batched.  When
-    ``initial`` is given (one row per segment) the fold starts from it,
-    exactly like an in-place ``W[i] += d`` scatter.
+    expanded ``(NS, E)`` array; ``rowmap=None`` folds contiguous bags of
+    ``values`` itself.  The fold starts from ``initial`` (one row per
+    segment, folded **in place** and returned), exactly like an in-place
+    ``W[i] += d`` scatter, or from zeros, exactly like ``np.add.at`` into
+    a zeroed buffer.
 
-    Large folds run their length buckets on the worker pool in balanced
-    payload chunks (:func:`_fold_chunks`): the index bookkeeping stays
-    on the calling thread, workers execute only GIL-releasing gathers
-    and sums over disjoint output rows, and every segment is folded
-    exactly as in the sequential loop -- so the parallel result is
-    bitwise the sequential one.
+    Large folds give each pool worker a contiguous segment range holding
+    a balanced share of the contributions and run the same
+    :func:`_fold_segments` on it: ranges own disjoint ``acc`` rows and no
+    segment is split, so the parallel result is bitwise the sequential
+    one.
     """
     u = starts.shape[0]
-    out = np.empty((u, values.shape[1]), dtype=values.dtype)
+    e = values.shape[1]
+    acc = initial if initial is not None else np.zeros((u, e), dtype=values.dtype)
     pool = resolve_pool(pool)
-    if shardable(pool, u, int(lengths.sum()) * values.shape[1]):
-        chunks = _fold_chunks(lengths, pool.effective_workers)
-        if chunks is not None:
-            pool.map(
-                lambda chunk: _fold_one_chunk(
-                    values, rowmap, starts, initial, out, chunk[0], chunk[1]
-                ),
-                chunks,
-            )
-            return out
-    _fold_range(values, rowmap, starts, lengths, initial, out, 0, u)
-    return out
+    total = int(lengths.sum())
+    bounds = [0, u]
+    if shardable(pool, u, total * e):
+        shards = pool.effective_workers
+        cuts = np.searchsorted(
+            np.cumsum(lengths), (total * np.arange(1, shards)) // shards
+        )
+        bounds = [0, *cuts.tolist(), u]
+
+    def fold_range(lo_hi: tuple[int, int]) -> None:
+        part = slice(*lo_hi)
+        _fold_segments(values, rowmap, starts[part], lengths[part], acc[part])
+
+    pool.map(fold_range, list(zip(bounds[:-1], bounds[1:])))
+    return acc
 
 
 # -- contiguous (bag-pooled) segments ---------------------------------------
@@ -293,11 +284,13 @@ def segment_sum_ragged(
 ) -> np.ndarray:
     """Sum already-contiguous segments ``rows[offsets[n]:offsets[n+1]]``.
 
-    The pooled forward pass (Alg. 1): bags are bucketed by length so
-    ragged lookups cost one gather+sum per distinct length instead of
-    one scatter per row.  Large batches shard their bags over the worker
-    pool (disjoint output rows, identical per-bag folds).  Bit-identical
-    to :func:`segment_sum_reference`; empty bags yield zero rows.
+    The pooled forward pass (Alg. 1): ragged bags run the binary fold
+    of :func:`_bucketed_fold` over ``rows`` itself (``rowmap=None``),
+    starting from the zeroed ``out`` -- ``ceil(log2(max bag))`` gathers
+    instead of one scatter per row.  Large batches shard their bags over
+    the worker pool (disjoint output rows, identical per-bag folds).
+    Bit-identical to :func:`segment_sum_reference`; empty bags yield
+    zero rows.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = offsets.shape[0] - 1
@@ -311,24 +304,12 @@ def segment_sum_ragged(
     if e == 1:  # contiguous reduction axis: pairwise summation differs
         return segment_sum_reference(rows, offsets, out=out)
     lengths = np.diff(offsets)
-    starts = offsets[:-1]
-    resolved = resolve_pool(pool)
-    if shardable(resolved, n, rows.shape[0] * e):
-        chunks = _fold_chunks(lengths, resolved.effective_workers)
-        if chunks is not None:
-            resolved.map(
-                lambda chunk: _fold_one_chunk(
-                    rows, None, starts, None, out, chunk[0], chunk[1]
-                ),
-                chunks,
-            )
-            return out
-    if lengths.min() == lengths.max():
+    pool = resolve_pool(pool)
+    if lengths.min() == lengths.max() and not shardable(pool, n, rows.shape[0] * e):
         # Equal-length bags are one reshape away from a single sum.
         out[...] = rows.reshape(n, int(lengths[0]), e).sum(axis=1, dtype=np.float32)
         return out
-    _fold_range(rows, None, starts, lengths, None, out, 0, n)
-    return out
+    return _bucketed_fold(rows, None, offsets[:-1], lengths, initial=out, pool=pool)
 
 
 def segment_sum_reference(
@@ -390,7 +371,7 @@ def aggregate_bag_duplicates(
         plan = plan_segments(indices)
     if plan.nnz == 0:
         return plan.uniq, np.zeros((0, bag_grads.shape[1]), dtype=np.float32)
-    rowmap = np.asarray(bag_ids, dtype=np.int64)[plan.order]
+    rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
     sums = _bucketed_fold(bag_grads, rowmap, plan.starts, plan.lengths)
     return plan.uniq, sums
 
@@ -406,6 +387,16 @@ def aggregate_duplicates_reference(
 
 
 # -- in-place scatter-add ----------------------------------------------------
+
+
+def _current_rows(weight: np.ndarray, plan: SegmentPlan) -> np.ndarray:
+    """A fresh ``weight[plan.uniq]`` for the fold to accumulate into.
+
+    Read through :func:`_take_rows`, which also serves the tiered
+    store's ``np.memmap`` cold tier.
+    """
+    rows = np.empty((plan.uniq.shape[0], weight.shape[1]), dtype=weight.dtype)
+    return _take_rows(weight, plan.uniq, rows)
 
 
 def scatter_add_exact(
@@ -429,7 +420,7 @@ def scatter_add_exact(
     if plan.nnz == 0:
         return
     weight[plan.uniq] = _bucketed_fold(
-        deltas, plan.order, plan.starts, plan.lengths, initial=weight[plan.uniq]
+        deltas, plan.order, plan.starts, plan.lengths, initial=_current_rows(weight, plan)
     )
 
 
@@ -455,9 +446,9 @@ def scatter_add_bags(
         plan = plan_segments(indices)
     if plan.nnz == 0:
         return
-    rowmap = np.asarray(bag_ids, dtype=np.int64)[plan.order]
+    rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
     weight[plan.uniq] = _bucketed_fold(
-        bag_grads, rowmap, plan.starts, plan.lengths, initial=weight[plan.uniq]
+        bag_grads, rowmap, plan.starts, plan.lengths, initial=_current_rows(weight, plan)
     )
 
 
@@ -474,13 +465,19 @@ def scatter_add_reference(
 def bucket_by_row_ranges(indices: np.ndarray, rows: int, threads: int) -> np.ndarray:
     """Per-thread update counts under Alg. 4's static row partition.
 
-    One ``searchsorted`` over the closed-form range starts plus one
+    Thread ``t`` owns rows ``[rows*t // threads, rows*(t+1) // threads)``,
+    so row ``i`` belongs to the last ``t`` with ``rows*t < (i+1)*threads``:
+    ``((i + 1) * threads - 1) // rows``.  That closed form plus one
     ``bincount`` replaces the ``threads`` full-array mask scans of the
     naive race-free update.  Returns an ``(threads,)`` int64 count
     vector identical to what the mask scans produce.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    starts = (rows * np.arange(threads, dtype=np.int64)) // threads
-    tids = np.searchsorted(starts, np.asarray(indices, dtype=np.int64), side="right") - 1
-    return np.bincount(tids, minlength=threads).astype(np.int64)
+    if rows * threads > _INT64_MAX:
+        raise ValueError("rows * threads must fit in int64")
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = np.bincount(((indices + 1) * threads - 1) // rows, minlength=threads)
+    if counts.shape[0] != threads:
+        raise IndexError("indices out of range")
+    return counts.astype(np.int64, copy=False)

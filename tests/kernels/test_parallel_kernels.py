@@ -104,6 +104,29 @@ class TestSegmentKernelsParallel:
             )
             assert np.array_equal(weight, want), f"workers={w}"
 
+    def test_one_row_holding_most_of_the_payload(self, rng, pools):
+        """Payload-balanced ranges never split a segment: a row with more
+        contributions than a worker's share leaves some ranges empty."""
+        indices = rng.permutation(
+            np.concatenate([np.full(3000, 7), rng.integers(0, 300, size=1000)])
+        ).astype(np.int64)
+        deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
+        base = rng.standard_normal((300, 16)).astype(np.float32)
+        want = base.copy()
+        np.add.at(want, indices, deltas)
+        plan = seg.plan_segments(indices)
+        for w, pool in pools.items():
+            weight = base.copy()
+            weight[plan.uniq] = seg._bucketed_fold(
+                deltas,
+                plan.order,
+                plan.starts,
+                plan.lengths,
+                initial=weight[plan.uniq],
+                pool=pool,
+            )
+            assert np.array_equal(weight, want), f"workers={w}"
+
     def test_scatter_add_via_global_pool(self, rng):
         """The public entry points pick the pool up from the process-wide
         configuration (no explicit pool plumbing at call sites)."""

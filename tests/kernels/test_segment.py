@@ -1,5 +1,8 @@
 """Segment kernels: bit-identity against the naive np.add.at oracles."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,44 @@ class TestPlanSegments:
         plan = plan_segments(idx)
         np.testing.assert_array_equal(plan.uniq, [5, 2**40])
         np.testing.assert_array_equal(plan.lengths, [2, 2])
+
+    @staticmethod
+    def assert_plan_is_stable_argsort(idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        plan = plan_segments(idx)
+        order = np.argsort(idx, kind="stable")
+        uniq, starts, lengths = np.unique(
+            idx[order], return_index=True, return_counts=True
+        )
+        np.testing.assert_array_equal(plan.order, order)
+        np.testing.assert_array_equal(plan.sorted_rows, idx[order])
+        np.testing.assert_array_equal(plan.uniq, uniq)
+        np.testing.assert_array_equal(plan.starts, starts)
+        np.testing.assert_array_equal(plan.lengths, lengths)
+        for field in (plan.order, plan.sorted_rows, plan.uniq, plan.starts, plan.lengths):
+            assert field.dtype == np.int64
+
+    @given(
+        idx=st.lists(st.integers(0, 40), min_size=1, max_size=300),
+        scale=st.sampled_from([1, 1000, 2**31, 2**45]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_stable_argsort(self, idx, scale):
+        self.assert_plan_is_stable_argsort(np.array(idx, dtype=np.int64) * scale)
+
+    @pytest.mark.parametrize("nnz", [1, 2, 3, 1000])
+    def test_ids_without_room_for_position_bits_take_the_argsort(self, rng, nnz):
+        # The composite key needs ids in [0, 2**(62 - bits)); shifting
+        # anything else would overflow or sort negatives last.
+        bits = max(1, (nnz - 1).bit_length())
+        limit = 1 << (62 - bits)
+        small = rng.integers(0, 5, size=nnz, dtype=np.int64)
+        self.assert_plan_is_stable_argsort(small + (limit - 5))  # largest packed ids
+        self.assert_plan_is_stable_argsort(small + (limit - 4))  # one id past them
+        self.assert_plan_is_stable_argsort(small - 2)  # negative ids
+        self.assert_plan_is_stable_argsort(
+            np.where(small > 2, np.iinfo(np.int64).max, np.iinfo(np.int64).min)
+        )
 
 
 class TestSegmentSumBitIdentity:
@@ -201,6 +242,139 @@ class TestScatterAddBitIdentity:
         scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
 
+#: Run lengths on both sides of every power of two the fold's rounds
+#: split at, and one run long enough for an eleventh round.
+RUN_LENGTHS = sorted(
+    {1, 2, 3} | {2**k + d for k in range(2, 8) for d in (-1, 0, 1)}
+)
+LONG_RUNS = (1025, 1536, 2047)
+#: The NaN this machine's adder produces.  Which payload survives
+#: ``NaN + NaN`` is the hardware's choice of operand, not a property of
+#: the summation order, so the inputs carry the one payload that
+#: ``inf - inf`` inside a fold yields as well.
+with np.errstate(invalid="ignore"):
+    MACHINE_NAN = np.float32(np.inf) - np.float32(np.inf)
+#: Values whose sums expose a changed association, a dropped sign of
+#: zero, or a flushed denormal.
+SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, MACHINE_NAN, 1e-45, -1e-40, 1.1754944e-38,
+     3.4028235e38, -3.4028235e38, 1.0, -1.0, 16777216.0, 1e-8],
+    dtype=np.float32,
+)
+
+
+def special_values(rng, shape, special_share):
+    """Normal draws over many magnitudes with SPECIALS mixed in."""
+    vals = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(
+        np.float32
+    )
+    mask = rng.random(shape) < special_share
+    vals[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return vals
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+fold_case = given(
+    runs=st.lists(st.sampled_from(RUN_LENGTHS), min_size=1, max_size=12),
+    long_run=st.sampled_from((0,) + LONG_RUNS),
+    dim=st.sampled_from([1, 2, 64]),
+    special_share=st.sampled_from([0.0, 0.05, 0.9]),
+    seed=st.integers(0, 10_000),
+)
+
+
+class TestBinaryFoldAgainstAddAt:
+    """The fold kernels against literal ``np.add.at``, bit for bit."""
+
+    @staticmethod
+    def shuffled_runs(rng, runs, long_run):
+        """Index vector whose duplicate runs have exactly these lengths,
+        with the occurrences of every row scattered over the vector."""
+        lengths = np.array(list(runs) + ([long_run] if long_run else []))
+        table_rows = int(lengths.shape[0]) + 3  # some rows stay untouched
+        ids = rng.permutation(table_rows)[: lengths.shape[0]]
+        return rng.permutation(np.repeat(ids, lengths)).astype(np.int64), table_rows
+
+    @fold_case
+    @settings(max_examples=120, deadline=None)
+    def test_scatter_starts_from_the_weight_row(
+        self, runs, long_run, dim, special_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        deltas = special_values(rng, (idx.shape[0], dim), special_share)
+        w0 = special_values(rng, (table_rows, dim), special_share)
+        want = w0.copy()
+        np.add.at(want, idx, deltas)
+        got = w0.copy()
+        scatter_add_exact(got, idx, deltas)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @fold_case
+    @settings(max_examples=60, deadline=None)
+    def test_bag_scatter_into_a_memmap(self, runs, long_run, dim, special_share, seed):
+        rng = np.random.default_rng(seed)
+        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        n_bags = 7
+        bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
+        bag_grads = special_values(rng, (n_bags, dim), special_share)
+        w0 = special_values(rng, (table_rows, dim), special_share)
+        want = w0.copy()
+        np.add.at(want, idx, bag_grads[bag_ids])
+        with tempfile.TemporaryDirectory() as tmp:
+            got = np.memmap(
+                Path(tmp) / "w.bin", dtype=np.float32, mode="w+", shape=w0.shape
+            )
+            got[...] = w0
+            scatter_add_bags(got, idx, bag_grads, bag_ids)
+            np.testing.assert_array_equal(bits(got), bits(want))
+            del got
+
+    @fold_case
+    @settings(max_examples=120, deadline=None)
+    def test_aggregate_starts_from_zero(self, runs, long_run, dim, special_share, seed):
+        rng = np.random.default_rng(seed)
+        idx, _ = self.shuffled_runs(rng, runs, long_run)
+        vals = special_values(rng, (idx.shape[0], dim), special_share)
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        want = np.zeros((uniq.shape[0], dim), dtype=np.float32)
+        np.add.at(want, inverse, vals)
+        got_uniq, got = aggregate_duplicates(idx, vals)
+        np.testing.assert_array_equal(got_uniq, uniq)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @given(
+        bags=st.lists(st.sampled_from([0, 0] + RUN_LENGTHS), min_size=1, max_size=12),
+        long_run=st.sampled_from((0,) + LONG_RUNS),
+        dim=st.sampled_from([1, 2, 64]),
+        special_share=st.sampled_from([0.0, 0.05, 0.9]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_contiguous_bags_with_empty_ones(
+        self, bags, long_run, dim, special_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(np.array(bags + ([long_run] if long_run else [])))
+        offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = special_values(rng, (int(offsets[-1]), dim), special_share)
+        want = np.zeros((lengths.shape[0], dim), dtype=np.float32)
+        np.add.at(want, np.repeat(np.arange(lengths.shape[0]), lengths), rows)
+        got = segment_sum_ragged(rows, offsets)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_all_negative_zero_row_stays_negative(self):
+        # A reduction started from +0.0 would flip the sign.
+        w = np.full((2, 2), -0.0, dtype=np.float32)
+        scatter_add_exact(
+            w, np.array([1, 1, 1]), np.full((3, 2), -0.0, dtype=np.float32)
+        )
+        assert np.signbit(w).all()
+
 
 class TestBucketByRowRanges:
     def naive_counts(self, indices, rows, threads):
@@ -233,3 +407,31 @@ class TestBucketByRowRanges:
     def test_rejects_zero_threads(self):
         with pytest.raises(ValueError):
             bucket_by_row_ranges(np.array([0]), 4, 0)
+
+    @pytest.mark.parametrize("rows,threads", [(1, 28), (3, 28), (27, 28), (5, 7)])
+    def test_every_row_of_a_table_smaller_than_the_team(self, rows, threads):
+        idx = np.repeat(np.arange(rows), 2)
+        np.testing.assert_array_equal(
+            bucket_by_row_ranges(idx, rows, threads),
+            self.naive_counts(idx, rows, threads),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 3, 28])
+    def test_row_times_threads_just_below_int64(self, threads):
+        rows = (2**63 - 1) // threads
+        edges = [(rows * t) // threads for t in range(threads + 1)]
+        idx = np.array(
+            sorted({i for e in edges for i in (e - 1, e, e + 1) if 0 <= i < rows}),
+            dtype=np.int64,
+        )
+        counts = bucket_by_row_ranges(idx, rows, threads)
+        np.testing.assert_array_equal(counts, self.naive_counts(idx, rows, threads))
+        assert counts.sum() == idx.shape[0]
+
+    def test_rejects_a_product_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            bucket_by_row_ranges(np.array([0]), 2**62, 2)
+
+    def test_rejects_rows_past_the_table(self):
+        with pytest.raises(IndexError):
+            bucket_by_row_ranges(np.array([0, 10]), rows=10, threads=4)
