@@ -35,7 +35,7 @@ from repro.core.mlp import MLP, FullyConnected, relu, sigmoid
 from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
-from repro.core.param import Parameter
+from repro.core.param import DenseSlab, Parameter
 from repro.core.update import (
     AtomicXchgUpdate,
     FusedBackwardUpdate,
@@ -85,6 +85,7 @@ __all__ = [
     "SparseAdagrad",
     "SplitSGD",
     "WarmupDecaySchedule",
+    "DenseSlab",
     "Parameter",
     "AtomicXchgUpdate",
     "FusedBackwardUpdate",

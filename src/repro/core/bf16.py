@@ -29,17 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_f32(x: np.ndarray) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float32)
-    return a
-
-
 def fp32_to_bf16_rne(x: np.ndarray) -> np.ndarray:
     """Round FP32 to BF16 (round-to-nearest-even), returned as uint16 bits.
 
     NaN payloads are preserved (quietened); +-inf round to themselves.
     """
-    a = _as_f32(x)
+    a = np.asarray(x, dtype=np.float32)
     bits = a.view(np.uint32)
     nan_mask = np.isnan(a)
     # RNE: add 0x7FFF + LSB-of-result, then truncate.
@@ -72,7 +67,7 @@ def split_fp32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     number") and the 16 LSBs as optimizer state; note the split truncates
     rather than rounds, so reconstruction is exact.
     """
-    bits = _as_f32(x).view(np.uint32)
+    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
     hi = (bits >> np.uint32(16)).astype(np.uint16)
     lo = (bits & np.uint32(0xFFFF)).astype(np.uint16)
     return hi, lo
@@ -88,6 +83,13 @@ def combine_fp32(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return bits.view(np.float32)
 
 
+def lo_mask(keep_bits: int) -> np.uint16:
+    """Mask of the ``keep_bits`` MSBs of a low half."""
+    if not 0 <= keep_bits <= 16:
+        raise ValueError(f"keep_bits must be in [0, 16], got {keep_bits}")
+    return np.uint16(((1 << keep_bits) - 1) << (16 - keep_bits))
+
+
 def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
     """Keep only the ``keep_bits`` MSBs of the low half (zero the rest).
 
@@ -95,13 +97,22 @@ def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
     plus 8 extra mantissa LSBs.  ``keep_bits=16`` is a no-op, ``0`` drops
     the low half entirely (pure BF16 weights).
     """
-    if not 0 <= keep_bits <= 16:
-        raise ValueError(f"keep_bits must be in [0, 16], got {keep_bits}")
+    mask = lo_mask(keep_bits)
     lo = np.asarray(lo, dtype=np.uint16)
     if keep_bits == 16:
         return lo.copy()
-    mask = np.uint16(((1 << keep_bits) - 1) << (16 - keep_bits))
     return lo & mask
+
+
+def split_fp32_into(x: np.ndarray, lo: np.ndarray, keep_bits: int = 16) -> None:
+    """:func:`split_fp32` + :func:`truncate_lo_bits` without a temporary:
+    the 16 LSBs of C-contiguous FP32 ``x`` move into ``lo`` (same shape,
+    ``uint16``) and ``x`` keeps its hi half, a BF16 number widened."""
+    bits = x.view(np.uint32)
+    np.copyto(lo, bits, casting="unsafe")  # uint32 -> uint16 keeps the LSBs
+    if keep_bits != 16:
+        np.bitwise_and(lo, lo_mask(keep_bits), out=lo)
+    np.bitwise_and(bits, np.uint32(0xFFFF0000), out=bits)
 
 
 def bf16_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
+from repro.core.bf16 import (
+    bf16_to_fp32,
+    combine_fp32,
+    split_fp32,
+    split_fp32_into,
+    truncate_lo_bits,
+)
 from repro.obs.tracer import trace
 from repro.kernels.segment import (
     aggregate_bag_duplicates,
@@ -282,12 +288,23 @@ class SplitEmbeddingBag(EmbeddingBag):
         self.hi = hi
         self.lo = truncate_lo_bits(lo, self.lo_bits)
 
+    def _take_halves(self, rows: np.ndarray, with_lo: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``hi[rows]`` (and ``lo[rows]``) assembled as FP32 bit patterns
+        in one ``uint32`` buffer; also returns the ``uint16`` staging
+        buffer the halves were gathered through, for reuse."""
+        half = np.empty((rows.shape[0], self.dim), dtype=np.uint16)
+        bits = np.empty((rows.shape[0], self.dim), dtype=np.uint32)
+        np.copyto(bits, np.take(self.hi, rows, axis=0, out=half, mode="clip"))
+        np.left_shift(bits, 16, out=bits)
+        if with_lo:
+            np.bitwise_or(bits, np.take(self.lo, rows, axis=0, out=half, mode="clip"), out=bits)
+        return bits, half
+
     def gather(self, indices: np.ndarray) -> np.ndarray:
         # Forward/backward read only the BF16 half: 2x less bandwidth.
         # Same GIL-releasing take-gather (and range check) as FP32.
-        indices = self._check_indices(indices)
-        hi = np.empty((indices.shape[0], self.dim), dtype=np.uint16)
-        return bf16_to_fp32(np.take(self.hi, indices, axis=0, out=hi, mode="clip"))
+        bits, _ = self._take_halves(self._check_indices(indices), with_lo=False)
+        return bits.view(np.float32)
 
     def dense_weight(self) -> np.ndarray:
         return bf16_to_fp32(self.hi)
@@ -337,11 +354,16 @@ class SplitEmbeddingBag(EmbeddingBag):
         self._apply_aggregated_range(uniq, agg)
 
     def _apply_aggregated_range(self, uniq: np.ndarray, agg: np.ndarray) -> None:
-        rows = combine_fp32(self.hi[uniq], self.lo[uniq])
-        rows = rows + agg
-        hi, lo = split_fp32(rows)
-        self.hi[uniq] = hi
-        self.lo[uniq] = truncate_lo_bits(lo, self.lo_bits)
+        # The Split-SGD trick on the touched rows only: rejoin hi||lo,
+        # add at full FP32 accuracy, split again -- in two buffers.
+        bits, half = self._take_halves(uniq, with_lo=True)
+        rows = bits.view(np.float32)
+        np.add(rows, agg, out=rows)
+        split_fp32_into(rows, half, self.lo_bits)
+        self.lo[uniq] = half
+        np.right_shift(bits, 16, out=bits)
+        np.copyto(half, bits, casting="unsafe")
+        self.hi[uniq] = half
 
     def capacity_bytes(self) -> int:
         # 2 bytes model (hi) + 2 bytes optimizer state (lo): same total as

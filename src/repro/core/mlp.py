@@ -285,18 +285,24 @@ class FullyConnected:
                 dz, np.ascontiguousarray(self.weight.value.T),
                 self.threads, self.flops,
             )
+            self.weight.accumulate_grad(dw)
         elif self.engine == "bf16":
             # Both backward GEMMs through the emulated BF16 dot product.
             self.flops.add_gemm(self.out_features, self.in_features, dz.shape[0])
             dw = bf16_dot(np.ascontiguousarray(dz.T), self._x)
             self.flops.add_gemm(dz.shape[0], self.in_features, self.out_features)
             dx = bf16_dot(dz, self.weight.value)
+            self.weight.accumulate_grad(dw)
         else:
             self.flops.add_gemm(self.out_features, self.in_features, dz.shape[0])
-            dw = _matmul_into(self._ws, "bwd.dw", dz.T, self._x)
+            if self.weight.grad is None:
+                # The step's first dW is written straight into the
+                # gradient storage (a view of the model's gradient flat).
+                np.matmul(dz.T, self._x, out=self.weight.fresh_grad())
+            else:
+                self.weight.accumulate_grad(dz.T @ self._x)
             self.flops.add_gemm(dz.shape[0], self.in_features, self.out_features)
             dx = _matmul_into(self._ws, "bwd.dx", dz, self.weight.value)
-        self.weight.accumulate_grad(dw)
         self.bias.accumulate_grad(dz.sum(axis=0))
         return dx
 

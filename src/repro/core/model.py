@@ -24,7 +24,7 @@ from repro.core.interaction import make_interaction
 from repro.core.loss import BCEWithLogitsLoss
 from repro.core.mlp import MLP, sigmoid
 from repro.core.optim import SGD
-from repro.core.param import Parameter
+from repro.core.param import DenseSlab, Parameter
 from repro.core.update import uses_fused_dispatch
 from repro.obs.tracer import trace
 from repro.util import rng_from
@@ -72,6 +72,9 @@ class DLRM:
             engine=engine,
             name="top",
         )
+        #: Every MLP weight, bias and gradient, laid out in two FP32
+        #: flats the optimizers step whole (parameters are views).
+        self.dense = DenseSlab(self.parameters())
         self.table_ids = list(range(cfg.num_tables)) if table_ids is None else list(table_ids)
         if any(not 0 <= t < cfg.num_tables for t in self.table_ids):
             raise ValueError("table_ids out of range")

@@ -18,17 +18,13 @@ to run that SGD in BF16 without a separate FP32 master copy:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.bf16 import (
-    bf16_to_fp32,
-    combine_fp32,
-    quantize_bf16,
-    split_fp32,
-    truncate_lo_bits,
-)
+from repro.core.bf16 import quantize_bf16, split_fp32_into
 from repro.core.embedding import EmbeddingBag, SparseGrad
-from repro.core.param import Parameter
+from repro.core.param import DenseSlab, Parameter
 from repro.core.update import RaceFreeUpdate, UpdateStrategy
 
 
@@ -49,6 +45,48 @@ def _checked(
     return value.copy()
 
 
+def _whole_slab(params: list[Parameter]) -> DenseSlab | None:
+    """The slab whose flats one call can step for all of ``params``."""
+    slab = params[0].slab if params else None
+    return slab if slab is not None and slab.steps_whole(params) else None
+
+
+#: Elements per pass of a dense step: a block's weights, gradients, lo
+#: halves and ``lr * grad`` (the only temporary) all stay in L2 across
+#: the step's ufunc calls, so each byte of the model crosses the memory
+#: bus once per step however many calls the update takes.
+STEP_BLOCK = 1 << 16
+
+
+def _step_in_place(
+    value: np.ndarray,
+    grad: np.ndarray,
+    lr: float,
+    scratch: np.ndarray,
+    lo: np.ndarray | None = None,
+    lo_bits: int = 16,
+) -> None:
+    """``value -= lr * grad`` in place, on a slab's flats or one tensor.
+
+    With ``lo`` this is the Split-SGD step: ``value`` holds BF16 numbers
+    (hi halves widened), ``lo`` the other 16 bits; each block is rejoined
+    into the FP32 master, stepped at full accuracy and split again.
+    All three arrays are C-contiguous (parameter storage always is).
+    """
+    value, grad = value.reshape(-1), grad.reshape(-1)
+    bits = value.view(np.uint32)
+    lo = None if lo is None else lo.reshape(-1)
+    lr32 = np.float32(lr)
+    for start in range(0, value.size, STEP_BLOCK):
+        block = slice(start, start + STEP_BLOCK)
+        v = value[block]
+        if lo is not None:
+            np.bitwise_or(bits[block], lo[block], out=bits[block])
+        np.subtract(v, np.multiply(grad[block], lr32, out=scratch[: v.size]), out=v)
+        if lo is not None:
+            split_fp32_into(v, lo[block], lo_bits)
+
+
 class SGD:
     """Vanilla SGD: ``w -= lr * grad`` (dense) + strategy scatter (sparse).
 
@@ -56,6 +94,10 @@ class SGD:
     parameters only (``v = mu*v + g; w -= lr*v``); embedding tables keep
     the paper's plain sparse SGD, whose update strategies assume a
     stateless scatter.
+
+    Per-parameter state is keyed by the parameter (or table) object, not
+    its ``id``: the dict keeps the key alive, so a recycled address can
+    never hand a new parameter a dead one's state.
     """
 
     name = "sgd-fp32"
@@ -73,36 +115,39 @@ class SGD:
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.strategy = strategy or RaceFreeUpdate()
-        self._velocity: dict[int, np.ndarray] = {}
+        self._velocity: dict[Parameter, np.ndarray] = {}
+        self._scratch = np.empty(STEP_BLOCK, dtype=np.float32)
 
     def register(self, params: list[Parameter]) -> None:
         """Allocate velocity buffers (a no-op without momentum)."""
         if self.momentum:
             for p in params:
-                self._velocity[id(p)] = np.zeros(p.shape, dtype=np.float32)
+                self._velocity[p] = np.zeros(p.shape, dtype=np.float32)
 
     def step_dense(self, params: list[Parameter]) -> None:
+        slab = None if self.momentum else _whole_slab(params)
+        if slab is not None:
+            _step_in_place(slab.values, slab.grads, self.lr, self._scratch)
+            for p in params:
+                p.zero_grad()
+            return
         for p in params:
             if p.grad is None:
                 continue
             if self.momentum:
-                v = self._velocity.get(id(p))
+                v = self._velocity.get(p)
                 if v is None:
                     v = np.zeros(p.shape, dtype=np.float32)
-                    self._velocity[id(p)] = v
+                    self._velocity[p] = v
                 v *= np.float32(self.momentum)
                 v += p.grad
                 p.value -= self.lr * v
             else:
-                p.value -= self.lr * p.grad
+                _step_in_place(p.value, p.grad, self.lr, self._scratch)
             p.zero_grad()
 
     def step_sparse(self, table: EmbeddingBag, grad: SparseGrad) -> None:
         self.strategy.apply(table, grad, self.lr)
-
-    def bytes_per_dense_param_step(self) -> int:
-        """Traffic per parameter element (read w, read g, write w)."""
-        return 12
 
     # -- checkpointing ------------------------------------------------------
 
@@ -121,7 +166,7 @@ class SGD:
         if self.momentum:
             state["momentum"] = np.float64(self.momentum)
             for i, p in enumerate(params):
-                v = self._velocity.get(id(p))
+                v = self._velocity.get(p)
                 state[f"velocity.{i}"] = (
                     np.zeros(p.shape, dtype=np.float32) if v is None else v.copy()
                 )
@@ -140,9 +185,22 @@ class SGD:
                 raise KeyError("momentum optimizer loading a momentum-free state")
             self.momentum = float(state["momentum"])
             for i, p in enumerate(params):
-                self._velocity[id(p)] = _checked(
+                self._velocity[p] = _checked(
                     state, f"velocity.{i}", p.shape, np.float32
                 )
+
+
+@dataclass
+class _SlabLo:
+    """Split-SGD state of one slab: the lo halves in the slab's slot
+    layout, and each *registered* parameter's view of them."""
+
+    flat: np.ndarray
+    views: list[np.ndarray | None]
+
+    @property
+    def complete(self) -> bool:
+        return all(v is not None for v in self.views)
 
 
 class SplitSGD(SGD):
@@ -150,9 +208,13 @@ class SplitSGD(SGD):
 
     Call :meth:`register` once after model construction; from then on the
     parameters' ``value`` tensors always hold BF16 numbers (the hi half
-    widened), while this optimizer owns the lo halves.  Sparse tables
-    must be :class:`~repro.core.embedding.SplitEmbeddingBag`, which carry
-    their own hi/lo storage.
+    widened), while this optimizer owns the lo halves: one ``uint16``
+    flat per :class:`~repro.core.param.DenseSlab`, addressed by slot
+    (parameters outside any slab are adopted into one).  A step over a
+    whole slab is one in-place pass over its flats, at the cost of the
+    FP32 step -- the paper's point.  Sparse tables must be
+    :class:`~repro.core.embedding.SplitEmbeddingBag`, which carry their
+    own hi/lo storage.
     """
 
     def __init__(self, lr: float, strategy: UpdateStrategy | None = None, lo_bits: int = 16):
@@ -161,38 +223,50 @@ class SplitSGD(SGD):
             raise ValueError(f"lo_bits must be in [0, 16], got {lo_bits}")
         self.lo_bits = lo_bits
         self.name = "split-sgd-bf16" if lo_bits == 16 else f"split-sgd-fp{16 + lo_bits}"
-        self._lo: dict[int, np.ndarray] = {}
+        self._lo: dict[DenseSlab, _SlabLo] = {}
 
     def register(self, params: list[Parameter]) -> None:
+        loose = [p for p in params if p.slab is None]
+        if loose:
+            DenseSlab(loose)
         for p in params:
-            hi, lo = split_fp32(p.value)
-            self._lo[id(p)] = truncate_lo_bits(lo, self.lo_bits)
-            p.value[...] = bf16_to_fp32(hi)
+            state = self._lo.get(p.slab)
+            if state is None:
+                state = _SlabLo(p.slab.zeros(np.uint16), [None] * len(p.slab))
+                self._lo[p.slab] = state
+            lo = state.views[p.slot] = p.slab.view(state.flat, p.slot)
+            split_fp32_into(p.value, lo, self.lo_bits)
+
+    def _lo_of(self, p: Parameter) -> np.ndarray:
+        state = self._lo.get(p.slab)
+        lo = None if state is None else state.views[p.slot]
+        if lo is None:
+            raise RuntimeError(
+                f"parameter {p.name or id(p)} not registered with SplitSGD"
+            )
+        return lo
 
     def step_dense(self, params: list[Parameter]) -> None:
+        slab = _whole_slab(params)
+        state = self._lo.get(slab)
+        if state is not None and state.complete:
+            _step_in_place(
+                slab.values, slab.grads, self.lr, self._scratch, state.flat, self.lo_bits
+            )
+            for p in params:
+                p.zero_grad()
+            return
         for p in params:
             if p.grad is None:
                 continue
-            lo = self._lo.get(id(p))
-            if lo is None:
-                raise RuntimeError(
-                    f"parameter {p.name or id(p)} not registered with SplitSGD"
-                )
-            hi, _ = split_fp32(p.value)  # value holds exactly the hi half
-            full = combine_fp32(hi, lo)
-            full -= self.lr * p.grad
-            new_hi, new_lo = split_fp32(full)
-            self._lo[id(p)] = truncate_lo_bits(new_lo, self.lo_bits)
-            p.value[...] = bf16_to_fp32(new_hi)
+            _step_in_place(
+                p.value, p.grad, self.lr, self._scratch, self._lo_of(p), self.lo_bits
+            )
             p.zero_grad()
 
     def master_value(self, p: Parameter) -> np.ndarray:
         """The implicit FP32 master weight of ``p`` (tests/inspection)."""
-        lo = self._lo.get(id(p))
-        if lo is None:
-            raise RuntimeError("parameter not registered")
-        hi, _ = split_fp32(p.value)
-        return combine_fp32(hi, lo)
+        return (p.value.view(np.uint32) | self._lo_of(p)).view(np.float32)
 
     def state_bytes(self, params: list[Parameter]) -> int:
         """Optimizer state: 2 bytes/element (the lo halves)."""
@@ -205,12 +279,7 @@ class SplitSGD(SGD):
     ) -> dict[str, np.ndarray]:
         state = super().state_dict(params, tables)
         for i, p in enumerate(params):
-            lo = self._lo.get(id(p))
-            if lo is None:
-                raise RuntimeError(
-                    f"parameter {p.name or i} not registered with SplitSGD"
-                )
-            state[f"lo.{i}"] = lo.copy()
+            state[f"lo.{i}"] = self._lo_of(p).copy()
         return state
 
     def load_state_dict(
@@ -221,7 +290,7 @@ class SplitSGD(SGD):
     ) -> None:
         super().load_state_dict(state, params, tables)
         for i, p in enumerate(params):
-            self._lo[id(p)] = _checked(state, f"lo.{i}", p.shape, np.uint16)
+            self._lo_of(p)[...] = _checked(state, f"lo.{i}", p.shape, np.uint16)
 
 
 class SparseAdagrad(SGD):
@@ -247,18 +316,18 @@ class SparseAdagrad(SGD):
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps
-        self._dense_state: dict[int, np.ndarray] = {}
-        self._row_state: dict[int, np.ndarray] = {}
+        self._dense_state: dict[Parameter, np.ndarray] = {}
+        self._row_state: dict[EmbeddingBag, np.ndarray] = {}
 
     def register(self, params: list[Parameter]) -> None:
         for p in params:
-            self._dense_state[id(p)] = np.zeros(p.shape, dtype=np.float32)
+            self._dense_state[p] = np.zeros(p.shape, dtype=np.float32)
 
     def step_dense(self, params: list[Parameter]) -> None:
         for p in params:
             if p.grad is None:
                 continue
-            acc = self._dense_state.get(id(p))
+            acc = self._dense_state.get(p)
             if acc is None:
                 raise RuntimeError("parameter not registered with SparseAdagrad")
             acc += p.grad * p.grad
@@ -270,10 +339,10 @@ class SparseAdagrad(SGD):
             raise ValueError(
                 "SparseAdagrad supports FP32 tables only (see class docstring)"
             )
-        acc = self._row_state.get(id(table))
+        acc = self._row_state.get(table)
         if acc is None:
             acc = np.zeros(table.rows, dtype=np.float32)
-            self._row_state[id(table)] = acc
+            self._row_state[table] = acc
         uniq, agg = grad.aggregated()
         # Row-wise accumulator: mean squared gradient over the row.
         acc[uniq] += np.mean(agg * agg, axis=1)
@@ -292,12 +361,12 @@ class SparseAdagrad(SGD):
     ) -> dict[str, np.ndarray]:
         state: dict[str, np.ndarray] = {"lr": np.float64(self.lr)}
         for i, p in enumerate(params):
-            acc = self._dense_state.get(id(p))
+            acc = self._dense_state.get(p)
             state[f"dense.{i}"] = (
                 np.zeros(p.shape, dtype=np.float32) if acc is None else acc.copy()
             )
         for tid, table in (tables or {}).items():
-            acc = self._row_state.get(id(table))
+            acc = self._row_state.get(table)
             state[f"row.{tid}"] = (
                 np.zeros(table.rows, dtype=np.float32) if acc is None else acc.copy()
             )
@@ -311,9 +380,9 @@ class SparseAdagrad(SGD):
     ) -> None:
         self.lr = float(state["lr"])
         for i, p in enumerate(params):
-            self._dense_state[id(p)] = _checked(state, f"dense.{i}", p.shape, np.float32)
+            self._dense_state[p] = _checked(state, f"dense.{i}", p.shape, np.float32)
         for tid, table in (tables or {}).items():
-            self._row_state[id(table)] = _checked(
+            self._row_state[table] = _checked(
                 state, f"row.{tid}", (table.rows,), np.float32
             )
 
@@ -331,18 +400,18 @@ class MasterWeightSGD(SGD):
 
     def __init__(self, lr: float, strategy: UpdateStrategy | None = None):
         super().__init__(lr, strategy)
-        self._master: dict[int, np.ndarray] = {}
+        self._master: dict[Parameter, np.ndarray] = {}
 
     def register(self, params: list[Parameter]) -> None:
         for p in params:
-            self._master[id(p)] = p.value.astype(np.float32, copy=True)
+            self._master[p] = p.value.astype(np.float32, copy=True)
             p.value[...] = quantize_bf16(p.value)
 
     def step_dense(self, params: list[Parameter]) -> None:
         for p in params:
             if p.grad is None:
                 continue
-            master = self._master.get(id(p))
+            master = self._master.get(p)
             if master is None:
                 raise RuntimeError("parameter not registered with MasterWeightSGD")
             master -= self.lr * p.grad
@@ -359,7 +428,7 @@ class MasterWeightSGD(SGD):
     ) -> dict[str, np.ndarray]:
         state = super().state_dict(params, tables)
         for i, p in enumerate(params):
-            master = self._master.get(id(p))
+            master = self._master.get(p)
             if master is None:
                 raise RuntimeError(
                     f"parameter {p.name or i} not registered with MasterWeightSGD"
@@ -375,4 +444,4 @@ class MasterWeightSGD(SGD):
     ) -> None:
         super().load_state_dict(state, params, tables)
         for i, p in enumerate(params):
-            self._master[id(p)] = _checked(state, f"master.{i}", p.shape, np.float32)
+            self._master[p] = _checked(state, f"master.{i}", p.shape, np.float32)

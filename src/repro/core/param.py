@@ -1,8 +1,34 @@
-"""Dense parameter container shared by the MLP layers and optimizers."""
+"""Dense parameter container and the slab that lays a model's out flat.
+
+A :class:`Parameter` owns one FP32 tensor and its gradient.  A
+:class:`DenseSlab` adopts a list of parameters into two flat FP32
+buffers -- all values, all gradients -- so an optimizer can update the
+whole model with a handful of ``out=`` ufunc calls instead of a Python
+loop over tensors (paper Sect. VII: Split-SGD has to cost what FP32 SGD
+costs).
+
+The contract that keeps the flats and the tensors one memory: after
+adoption nobody *rebinds* ``Parameter.value`` or the gradient storage;
+every writer goes through ``[...]``, ``out=`` or an in-place operator.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+#: Slot alignment in bytes: one cache line, one AVX-512 vector.
+SLOT_ALIGN = 64
+_SLOT_ELEMS = SLOT_ALIGN // 4
+
+
+def _aligned_zeros(n: int, dtype: type) -> np.ndarray:
+    """``n`` zeros of ``dtype`` whose first byte is ``SLOT_ALIGN``-aligned."""
+    nbytes = n * np.dtype(dtype).itemsize
+    raw = np.zeros(nbytes + SLOT_ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % SLOT_ALIGN
+    return raw[start : start + nbytes].view(dtype)
 
 
 class Parameter:
@@ -10,13 +36,18 @@ class Parameter:
 
     The gradient convention follows the loss normalisation chosen by the
     model: ``grad`` holds d(loss)/d(value) and optimizers subtract
-    ``lr * grad``.
+    ``lr * grad``.  The gradient lives in one persistent buffer (a slab
+    view once adopted); ``grad`` reads ``None`` while nothing is pending.
     """
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.value = np.ascontiguousarray(value, dtype=np.float32)
-        self.grad: np.ndarray | None = None
         self.name = name
+        #: The :class:`DenseSlab` that adopted this parameter, and where.
+        self.slab: DenseSlab | None = None
+        self.slot = -1
+        self._grad: np.ndarray | None = None
+        self._pending = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -30,19 +61,106 @@ class Parameter:
     def nbytes(self) -> int:
         return self.value.nbytes
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The pending gradient (a live view: write it through ``[...]``)."""
+        return self._grad if self._pending else None
+
     def zero_grad(self) -> None:
-        self.grad = None
+        self._pending = False
+
+    def fresh_grad(self) -> np.ndarray:
+        """The gradient storage, marked pending, for a producer that
+        *overwrites* it with the first gradient (``np.matmul(out=...)``).
+        Only valid while ``grad is None``."""
+        if self._pending:
+            raise RuntimeError("fresh_grad() with a gradient already pending")
+        if self._grad is None:
+            if self.slab is None:
+                self._grad = np.empty(self.value.shape, dtype=np.float32)
+            else:
+                self._grad = self.slab.view(self.slab.grads, self.slot)
+        self._pending = True
+        return self._grad
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` into the gradient (allocating on first use)."""
+        """Add ``g`` into the gradient (the first one is copied in)."""
         if g.shape != self.value.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {self.value.shape}"
             )
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float32, copy=True)
+        if self._pending:
+            self._grad += g
         else:
-            self.grad += g
+            np.copyto(self.fresh_grad(), g)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name or 'unnamed'}, shape={self.value.shape})"
+
+
+class DenseSlab:
+    """Values and gradients of a parameter list, each in one FP32 flat.
+
+    Construction *adopts* the parameters: slot ``i`` holds the ``i``-th
+    one at element offset ``offsets[i]``, a multiple of 16, so every
+    ``value``/gradient becomes a C-contiguous, 64-byte-aligned view.
+    The padding between slots is zero and stays zero under any
+    element-wise update of the flats (``0 - lr * 0``), which is what
+    lets an optimizer step ``values``/``grads`` whole.  Optimizer state
+    that mirrors the layout (the Split-SGD lo halves) is a flat from
+    :meth:`zeros`, addressed per parameter with :meth:`view`.
+    """
+
+    def __init__(self, params: list[Parameter]):
+        taken = [p for p in params if p.slab is not None]
+        if taken:
+            raise ValueError(f"{taken[0]!r} already belongs to a slab")
+        # Parameters point at their slab, never the reverse: a cycle
+        # would keep a dropped model's flats alive until the cyclic GC.
+        self.shapes = [p.shape for p in params]
+        self.offsets: list[int] = []
+        size = 0
+        for p in params:
+            self.offsets.append(size)
+            size += -(-p.size // _SLOT_ELEMS) * _SLOT_ELEMS
+        self.size = size
+        self.values = self.zeros(np.float32)
+        self._grads: np.ndarray | None = None
+        for slot, p in enumerate(params):
+            value = self.view(self.values, slot)
+            value[...] = p.value
+            pending = p.grad
+            # The one rebind of a parameter's storage: adoption.
+            p.value, p._grad, p._pending = value, None, False
+            p.slab, p.slot = self, slot
+            if pending is not None:
+                np.copyto(p.fresh_grad(), pending)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def zeros(self, dtype: type) -> np.ndarray:
+        """A zeroed, aligned flat with this slab's slot layout."""
+        return _aligned_zeros(self.size, dtype)
+
+    def view(self, flat: np.ndarray, slot: int) -> np.ndarray:
+        """Slot ``slot`` of a slab-shaped ``flat``, in the parameter's shape."""
+        shape = self.shapes[slot]
+        start = self.offsets[slot]
+        return flat[start : start + math.prod(shape)].reshape(shape)
+
+    @property
+    def grads(self) -> np.ndarray:
+        """The gradient flat, allocated with the first gradient (a model
+        that only serves never pays for it)."""
+        if self._grads is None:
+            self._grads = self.zeros(np.float32)
+        return self._grads
+
+    def steps_whole(self, params: list[Parameter]) -> bool:
+        """True when ``params`` is exactly this slab's list, in order,
+        and every gradient is pending: one call on the flats is the step."""
+        return len(params) == len(self) and all(
+            p.slab is self and p.slot == slot and p._pending
+            for slot, p in enumerate(params)
+        )

@@ -13,6 +13,7 @@ from repro.core.bf16 import (
     combine_fp32,
     quantize_bf16,
     split_fp32,
+    split_fp32_into,
     truncate_lo_bits,
 )
 
@@ -123,6 +124,32 @@ class TestTruncateLoBits:
         full = combine_fp32(hi, lo)
         full_err = np.abs(full.astype(np.float64) - x.astype(np.float64))
         assert np.all(err >= full_err)  # full split is exact (err 0)
+
+
+class TestSplitInto:
+    """The in-place split the optimizers run: same halves as
+    split_fp32 + truncate_lo_bits, for every bit pattern (this is also
+    the NumPy-floor check of ``copyto(casting="unsafe")`` narrowing and
+    the mixed ``uint32 | uint16`` rejoin with ``out=``)."""
+
+    @given(
+        hnp.arrays(np.uint32, st.integers(1, 64), elements=st.integers(0, 2**32 - 1)),
+        st.sampled_from([0, 3, 8, 16]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_split_then_truncate_and_rejoins(self, bits, keep):
+        hi, lo = split_fp32(bits.view(np.float32))
+        x = bits.view(np.float32).copy()
+        got_lo = np.full(bits.shape, 0xBEEF, dtype=np.uint16)
+        split_fp32_into(x, got_lo, keep)
+        assert np.array_equal(got_lo, truncate_lo_bits(lo, keep))
+        assert np.array_equal(x.view(np.uint32), hi.astype(np.uint32) << 16)
+        joined = x.view(np.uint32)
+        np.bitwise_or(joined, got_lo, out=joined)
+        assert joined.dtype == np.uint32
+        assert np.array_equal(
+            joined, combine_fp32(hi, truncate_lo_bits(lo, keep)).view(np.uint32)
+        )
 
 
 class TestBf16Dot:

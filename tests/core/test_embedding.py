@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.embedding import (
     EmbeddingBag,
     SparseGrad,
@@ -284,6 +285,35 @@ class TestOptimizedKernelBitIdentity:
         naive.scatter_add_rows_reference(idx, deltas)
         assert np.array_equal(fast.hi, naive.hi)
         assert np.array_equal(fast.lo, naive.lo)
+
+    @pytest.mark.parametrize("lo_bits", [16, 8, 0])
+    def test_split_row_update_and_gather_vs_split_combine_formula(self, rng, lo_bits):
+        """The in-place row update and the hi-only gather against the
+        textbook formulation on the repro.core.bf16 helpers, with
+        specials in both the rows and the deltas."""
+        rows, dim = 32, 8
+        w0 = rng.standard_normal((rows, dim)).astype(np.float32)
+        w0[0, :4] = [np.inf, -np.inf, 0.0, -0.0]
+        w0[1, :3] = [np.nan, 1e-45, np.finfo(np.float32).max]
+        table = SplitEmbeddingBag(rows, dim, weight=w0.copy(), lo_bits=lo_bits)
+        hi0, lo0 = table.hi.copy(), table.lo.copy()
+        uniq = np.array([0, 1, 5, 6, 31], dtype=np.int64)
+        agg = rng.standard_normal((uniq.size, dim)).astype(np.float32)
+        agg[0, :2] = [-np.inf, 1.0]  # inf - inf, -inf + 1
+        agg[1, 2] = np.finfo(np.float32).max  # overflow to inf
+        with np.errstate(all="ignore"):
+            table._apply_aggregated_range(uniq, agg)
+            want = combine_fp32(hi0[uniq], lo0[uniq]) + agg
+        want_hi, want_lo = split_fp32(want)
+        hi0[uniq], lo0[uniq] = want_hi, truncate_lo_bits(want_lo, lo_bits)
+        assert np.array_equal(table.hi, hi0)
+        assert np.array_equal(table.lo, lo0)
+        idx = np.array([1, 31, 0, 0, 7], dtype=np.int64)
+        got = table.gather(idx)
+        assert got.dtype == np.float32 and got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(
+            got.view(np.uint32), bf16_to_fp32(table.hi[idx]).view(np.uint32)
+        )
 
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
     def test_bag_updates_vs_backward_then_scatter(self, rng, storage):

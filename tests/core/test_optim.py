@@ -1,13 +1,19 @@
 """Optimizers: SGD, Split-SGD-BF16 (Sect. VII) and master-weight SGD."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bf16 import combine_fp32, quantize_bf16, split_fp32
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
+from repro.core import optim
 from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
-from repro.core.param import Parameter
+from repro.core.param import DenseSlab, Parameter
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from tests.conftest import random_batch, tiny_config
 
@@ -125,7 +131,7 @@ class TestMasterWeightSGD:
         g = rng.standard_normal(p.shape).astype(np.float32)
         p.accumulate_grad(g)
         opt.step_dense([p])
-        master = opt._master[id(p)]
+        master = opt._master[p]
         np.testing.assert_array_equal(p.value, quantize_bf16(master))
 
     def test_state_bytes_is_four_per_element(self, rng):
@@ -151,7 +157,7 @@ class TestMasterWeightSGD:
             pb.accumulate_grad(g)
             a.step_dense([pa])
             b.step_dense([pb])
-        np.testing.assert_array_equal(a.master_value(pa), b._master[id(pb)])
+        np.testing.assert_array_equal(a.master_value(pa), b._master[pb])
 
 
 class TestSinglePassUpdates:
@@ -253,3 +259,191 @@ class TestParameter:
         p.accumulate_grad(g)
         p.accumulate_grad(g)
         np.testing.assert_array_equal(p.grad, 2 * g)
+
+
+# -- Split-SGD against a literal per-element reference ------------------------
+#
+# The reference below knows nothing of repro.core.bf16: it is the paper's
+# Sect. VII update spelled out on Python ints and floats, one element at a
+# time.  A double holds every FP32 product exactly and rounds every FP32
+# sum/difference innocuously (53 >= 2*24 + 2), so rounding each operation
+# back to FP32 reproduces FP32 hardware arithmetic bit for bit.
+
+_QNAN = 0x7FC00000
+_SPECIAL_BITS = [
+    0x00000000, 0x80000000,  # +-0
+    0x00000001, 0x80000001, 0x007FFFFF,  # denormals
+    0x00800000, 0x7F7FFFFF, 0xFF7FFFFF,  # min normal, +-FLT_MAX
+    0x7F800000, 0xFF800000,  # +-inf
+    _QNAN,
+    0x3F800000, 0x3F80FFFF, 0x3F7FFFFF,  # 1.0, lo half all ones, carry into hi
+]
+
+
+def _is_nan_bits(bits: int) -> bool:
+    return (bits & 0x7F800000) == 0x7F800000 and (bits & 0x007FFFFF) != 0
+
+
+f32_bits = st.one_of(
+    st.sampled_from(_SPECIAL_BITS),
+    st.integers(0, 2**32 - 1).filter(lambda b: not _is_nan_bits(b)),
+)
+
+
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<f", struct.pack("<I", bits))[0]
+
+
+def _round_to_f32_bits(x: float) -> int:
+    try:
+        return struct.unpack("<I", struct.pack("<f", x))[0]
+    except OverflowError:  # finite double beyond FLT_MAX rounds to inf
+        return 0xFF800000 if x < 0 else 0x7F800000
+
+
+def _as_f32(x: float) -> float:
+    return _bits_to_float(_round_to_f32_bits(x))
+
+
+def reference_split_sgd_step(
+    hi: int, lo: int, grad_bits: int, lr: float, lo_bits: int
+) -> tuple[int, int]:
+    """One element of Split-SGD: (hi, lo) uint16 halves in and out."""
+    master = _bits_to_float((hi << 16) | lo)
+    scaled = _as_f32(_as_f32(lr) * _bits_to_float(grad_bits))
+    new = _round_to_f32_bits(master - scaled)
+    keep = ((1 << lo_bits) - 1) << (16 - lo_bits)
+    return new >> 16, new & 0xFFFF & keep
+
+
+class TestSplitSGDLiteralReference:
+    @given(
+        st.lists(st.tuples(f32_bits, f32_bits, f32_bits), min_size=1, max_size=40),
+        st.sampled_from([0.05, 1.0, 1e-3, 3.0]),
+        st.sampled_from([0, 8, 16]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_two_steps_match_per_element_reference(self, rows, lr, lo_bits):
+        w_bits, g1_bits, g2_bits = (np.array(col, dtype=np.uint32) for col in zip(*rows))
+        p = Parameter(w_bits.view(np.float32).copy())
+        opt = SplitSGD(lr=lr, lo_bits=lo_bits)
+        opt.register([p])
+        keep = ((1 << lo_bits) - 1) << (16 - lo_bits)
+        want = [(int(b) >> 16, int(b) & 0xFFFF & keep) for b in w_bits]
+        with np.errstate(all="ignore"):
+            for g_bits in (g1_bits, g2_bits):
+                p.accumulate_grad(g_bits.view(np.float32))
+                opt.step_dense([p])
+                want = [
+                    reference_split_sgd_step(hi, lo, int(g), lr, lo_bits)
+                    for (hi, lo), g in zip(want, g_bits)
+                ]
+        got_hi = p.value.view(np.uint32)
+        got_lo = opt.state_dict([p])["lo.0"]
+        for i, (hi, lo) in enumerate(want):
+            if _is_nan_bits(hi << 16 | lo):
+                # NaN sign is the architecture's choice (x86 makes
+                # inf - inf negative); a quiet NaN has an empty lo half.
+                assert int(got_hi[i]) & 0x7FFFFFFF == _QNAN and got_lo[i] == 0
+            else:
+                assert (int(got_hi[i]), int(got_lo[i])) == (hi << 16, lo), i
+
+
+def _models_with_grads(make_opt, steps=1):
+    """Two identical tiny models, registered, each with a full set of
+    pending gradients (after ``steps - 1`` whole training steps)."""
+    cfg = tiny_config()
+    out = []
+    for _ in range(2):
+        model = DLRM(cfg, seed=3, storage="split_bf16")
+        opt = make_opt()
+        opt.register(model.parameters())
+        for step in range(steps - 1):
+            model.train_step(random_batch(cfg, 16, seed=step), opt)
+        model.loss(random_batch(cfg, 16, seed=99))
+        model.backward()
+        out.append((model, opt))
+    return out
+
+
+def _dense_state(model, opt):
+    params = model.parameters()
+    return [p.value.copy() for p in params], opt.state_dict(params)
+
+
+class TestFlatStepEqualsPerViewStep:
+    """One call on the slab's flats == the same kernel on each view."""
+
+    @pytest.mark.parametrize(
+        "make_opt",
+        [
+            lambda: SGD(lr=0.05),
+            lambda: SplitSGD(lr=0.05),
+            lambda: SplitSGD(lr=0.05, lo_bits=8),
+            lambda: SplitSGD(lr=0.05, lo_bits=0),
+        ],
+        ids=["sgd", "split16", "split8", "split0"],
+    )
+    @pytest.mark.parametrize("block", [None, 48], ids=["one-block", "48-element-blocks"])
+    def test_whole_slab_vs_one_parameter_at_a_time(self, make_opt, block, monkeypatch):
+        if block is not None:  # blocks that straddle slots and end ragged
+            monkeypatch.setattr(optim, "STEP_BLOCK", block)
+        (flat, flat_opt), (views, views_opt) = _models_with_grads(make_opt, steps=3)
+        assert flat.dense.size > 10 * 48 and flat.dense.size % 48
+        assert flat.dense.steps_whole(flat.parameters())
+        flat_opt.step_dense(flat.parameters())
+        for p in views.parameters():
+            assert not views.dense.steps_whole([p])
+            views_opt.step_dense([p])
+        values_a, state_a = _dense_state(flat, flat_opt)
+        values_b, state_b = _dense_state(views, views_opt)
+        for a, b in zip(values_a, values_b):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert set(state_a) == set(state_b)
+        for key in state_a:
+            np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
+        assert all(p.grad is None for p in flat.parameters() + views.parameters())
+
+    @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.05), lambda: SplitSGD(lr=0.05)])
+    def test_missing_gradient_falls_back_to_views(self, make_opt):
+        (mixed, mixed_opt), (single, single_opt) = _models_with_grads(make_opt)
+        skipped = 2
+        for model in (mixed, single):
+            model.parameters()[skipped].zero_grad()
+        before, _ = _dense_state(mixed, mixed_opt)
+        assert not mixed.dense.steps_whole(mixed.parameters())
+        mixed_opt.step_dense(mixed.parameters())
+        for p in single.parameters():
+            single_opt.step_dense([p])
+        values_a, state_a = _dense_state(mixed, mixed_opt)
+        values_b, state_b = _dense_state(single, single_opt)
+        for i, (a, b) in enumerate(zip(values_a, values_b)):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+            assert (i == skipped) == np.array_equal(a, before[i])
+        for key in state_a:
+            np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
+
+
+class TestDenseStepAllocatesNothing:
+    @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.05), lambda: SplitSGD(lr=0.05)])
+    def test_steady_state_step_stays_under_64k(self, make_opt, rng):
+        # 3 x 128 KB tensors: one per-tensor temporary would trip the guard.
+        params = [Parameter(rng.standard_normal((128, 256)).astype(np.float32)) for _ in range(3)]
+        DenseSlab(params)
+        opt = make_opt()
+        opt.register(params)
+        grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+
+        def step():
+            for p, g in zip(params, grads):
+                p.accumulate_grad(g)
+            opt.step_dense(params)
+
+        step()  # the first gradients allocate the slab's gradient flat
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"dense step allocated {peak} bytes"

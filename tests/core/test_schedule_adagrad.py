@@ -132,6 +132,6 @@ class TestSparseAdagrad:
                 labels=np.ones(n, np.float32),
             )
             model.train_step(batch, opt)
-        acc = opt._row_state[id(model.tables[0])]
+        acc = opt._row_state[model.tables[0]]
         assert acc[0] > 0 and np.all(acc[1:] == 0)
         assert not np.array_equal(model.tables[0].dense_weight()[0], hot_before)
