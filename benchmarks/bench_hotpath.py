@@ -23,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, SparseGrad, segment_sum
+from repro.core.embedding import (
+    EmbeddingBag,
+    SparseGrad,
+    SplitEmbeddingBag,
+    segment_sum,
+    stack_tables,
+)
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
 from repro.kernels.blocked import block_activation, block_weight, choose_blocking
@@ -173,8 +179,8 @@ def bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e):
 
     Reference: Alg. 2 materialises dW row-per-lookup (``np.repeat``),
     then the seed race-free update scans all indices once per thread.
-    Optimized: the fused single pass (composite-key sort + binary fold
-    straight from the bag-level gradients).
+    Optimized: the fused single pass (composite-key sort + length-ordered
+    fold straight from the bag-level gradients).
     """
     offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)
     dy = rng.standard_normal((n, e)).astype(np.float32)
@@ -231,6 +237,74 @@ def bench_fused_updates(results, reps, quick, rng):
         bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e)
 
 
+def bench_suite_shapes(results, reps, quick, rng):
+    """The repo benchmark's ``train_emb`` step: ``tables`` x 50 000 rows
+    x E64, N=512 bags of 32 Zipf-1.05 look-ups per table.
+
+    ``pooled_forward`` / ``fused_backward_update`` (above) are one table
+    of it; the ``slab_*`` cells look all tables up and update them as
+    one bag in fused ids, the way a training step does.  Reference: the
+    naive formulation table by table on the slab's row-range views --
+    fancy-index gather + ``np.add.at`` pooling; ``np.repeat`` backward +
+    per-thread mask scans + ``np.add.at`` update.
+    """
+    tables, rows, n, pooling, e = (2, 2_000, 64, 8, 32) if quick else (8, 50_000, 512, 32, 64)
+    slab, views = stack_tables(
+        (EmbeddingBag(rows, e, rng=rng) for _ in range(tables)), tables * rows
+    )
+    w0 = slab.weight.copy()
+    idx = [bounded_zipf(rng, n * pooling, rows, alpha=1.05) for _ in range(tables)]
+    offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)
+    fused_idx = np.concatenate([idx[t] + t * rows for t in range(tables)])
+    fused_offsets = np.arange(0, tables * n * pooling + 1, pooling, dtype=np.int64)
+    dy = rng.standard_normal((tables * n, e)).astype(np.float32)
+    shape = f"rows={rows} N={n} pool={pooling} E={e}"
+
+    def pool_reference(t):
+        return segment_sum_reference(views[t].weight[idx[t]], offsets)
+
+    exact = bool(np.array_equal(pool_reference(0), views[0].forward(idx[0], offsets)))
+    ref_s = best_of(lambda: pool_reference(0), reps)
+    opt_s = best_of(lambda: views[0].forward(idx[0], offsets), reps)
+    record(results, "pooled_forward", shape, ref_s, opt_s, exact)
+
+    def slab_pool_reference():
+        return np.concatenate([pool_reference(t) for t in range(tables)])
+
+    exact = bool(np.array_equal(slab_pool_reference(), slab.forward(fused_idx, fused_offsets)))
+    ref_s = best_of(slab_pool_reference, reps)
+    opt_s = best_of(lambda: slab.forward(fused_idx, fused_offsets), reps)
+    record(results, "slab_pooled_forward", f"tables={tables} {shape}", ref_s, opt_s, exact)
+
+    racefree = RaceFreeUpdate(THREADS)
+    fused = FusedBackwardUpdate(THREADS)
+
+    def reset():
+        slab.weight[...] = w0
+        return ()
+
+    def update_reference():
+        for t in range(tables):
+            grad = views[t].backward(dy[t * n : (t + 1) * n], idx[t], offsets)
+            racefree.apply_reference(views[t], grad, 0.05)
+
+    def update_slab():
+        fused.apply_fused(slab, dy, fused_idx, fused_offsets, 0.05)
+
+    reset()
+    update_reference()
+    want = slab.weight.copy()
+    reset()
+    update_slab()
+    exact = bool(np.array_equal(want, slab.weight))
+    ref_s = best_of(update_reference, reps, setup=reset)
+    opt_s = best_of(update_slab, reps, setup=reset)
+    record(
+        results, "slab_fused_backward_update", f"tables={tables} {shape} T={THREADS}",
+        ref_s, opt_s, exact,
+    )
+
+
 def bench_blocked_gemm(results, reps, quick, rng):
     n, c, k = (64, 128, 128) if quick else (256, 512, 512)
     x = rng.standard_normal((n, c)).astype(np.float32)
@@ -268,6 +342,7 @@ def main() -> int:
     bench_scatter_split(results, reps, args.quick, rng)
     bench_racefree(results, reps, args.quick, rng)
     bench_fused_updates(results, reps, args.quick, rng)
+    bench_suite_shapes(results, reps, args.quick, rng)
     bench_blocked_gemm(results, reps, args.quick, rng)
 
     mismatches = [k for k, v in results.items() if v["bit_identical"] is False]

@@ -18,7 +18,9 @@ for 66% of the training passes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -77,6 +79,21 @@ class SparseGrad:
         return SparseGrad(self.indices, self.values * np.float32(factor))
 
 
+def check_offsets(offsets: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, bag lengths)`` of N+1 bag offsets over ``nnz`` look-ups,
+    as ``int64``; raises unless they are non-decreasing and span exactly
+    ``[0, nnz]``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1 or offsets.size < 1:
+        raise ValueError("offsets must be a 1-D array of N+1 entries")
+    lengths = np.diff(offsets)
+    if (lengths < 0).any():
+        raise ValueError("offsets must be non-decreasing")
+    if offsets[0] != 0 or offsets[-1] != nnz:
+        raise ValueError("offsets must span exactly the rows array")
+    return offsets, lengths
+
+
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum ``rows`` into segments delimited by ``offsets`` (N+1 entries).
 
@@ -85,26 +102,34 @@ def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     unbuffered scatter-add it replaced (the NumPy analogue of Alg. 1's
     inner loop).  Empty bags yield zero rows.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size < 1:
-        raise ValueError("offsets must be a 1-D array of N+1 entries")
-    lengths = np.diff(offsets)
-    if (lengths < 0).any():
-        raise ValueError("offsets must be non-decreasing")
-    if offsets[0] != 0 or offsets[-1] != rows.shape[0]:
-        raise ValueError("offsets must span exactly the rows array")
+    offsets, _ = check_offsets(offsets, rows.shape[0])
     return segment_sum_ragged(rows, offsets)
+
+
+#: Float32 elements a bag handles at a time (512 KiB).  The pooled
+#: forward gathers this much and reduces it while it is still in L2,
+#: instead of writing the whole ``(NS, E)`` gather out to L3 and
+#: re-reading it (swept 64 KiB .. 2 MiB at 131 072 look-ups x E64); the
+#: initialiser draws this much, so no table-sized transient exists.
+_BLOCK_ELEMS = 1 << 17
 
 
 class EmbeddingBag:
     """One embedding table with sum pooling (FP32 storage)."""
 
     storage = "fp32"
+    #: The ``(rows, dim)`` storage arrays, by attribute name.  Nothing
+    #: rebinds them after construction -- every writer goes through
+    #: ``[...]``, ``out=`` or a fancy-index assignment -- so a
+    #: :meth:`rows_view` and the bag it was cut from stay one memory.
+    _arrays: tuple[str, ...] = ("weight",)
 
     #: Optional callable fed every forward pass's flat index vector.
     #: Installed by :meth:`repro.tiering.freqstats.FreqStats.attach` to
     #: stream row-access frequencies; ``None`` costs one attribute test.
     freq_hook = None
+    #: Gather buffer of the pooled forward, allocated on first use.
+    _pool_buf: np.ndarray | None = None
 
     def __init__(
         self,
@@ -122,9 +147,15 @@ class EmbeddingBag:
             if w.shape != (rows, dim):
                 raise ValueError(f"weight must be ({rows}, {dim}), got {w.shape}")
         else:
+            # U(+-sqrt(1/rows)), drawn a block of rows at a time: the
+            # generator fills in C order, so the blocks are the one-shot
+            # draw bit for bit without its table-sized float64 transient.
             rng = rng or np.random.default_rng()
             bound = np.sqrt(1.0 / rows)
-            w = rng.uniform(-bound, bound, size=(rows, dim)).astype(np.float32)
+            w = np.empty((rows, dim), dtype=np.float32)
+            step = max(1, _BLOCK_ELEMS // dim)
+            for lo in range(0, rows, step):
+                w[lo : lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), dim))
         self._init_storage(w)
 
     # -- storage layer (overridden by SplitEmbeddingBag) ----------------------
@@ -132,19 +163,40 @@ class EmbeddingBag:
     def _init_storage(self, w: np.ndarray) -> None:
         self.weight = w
 
+    def _over(self, rows: int, pick: Callable[[np.ndarray], np.ndarray]) -> "EmbeddingBag":
+        """A bag like this one over ``rows`` rows, its storage arrays
+        ``pick(array)`` of this one's; scratch stays per instance."""
+        bag = copy.copy(self)
+        bag.rows = rows
+        for name in self._arrays:
+            setattr(bag, name, pick(getattr(self, name)))
+        bag._pool_buf = None
+        return bag
+
+    def rows_view(self, start: int, stop: int) -> "EmbeddingBag":
+        """A bag over rows ``[start, stop)`` whose storage *is* this
+        bag's: what either one writes, the other reads."""
+        if not 0 <= start < stop <= self.rows:
+            raise ValueError(f"rows [{start}, {stop}) outside a {self.rows}-row bag")
+        return self._over(stop - start, lambda a: a[start:stop])
+
+    def _gather_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows of pre-checked ``indices`` into ``out``, in compute
+        precision.  ``np.take(..., out=..., mode="clip")`` is bitwise the
+        fancy-indexing result, but on NumPy's no-buffering fast path --
+        faster, and it releases the GIL so parallel ranks' lookups
+        overlap (plain advanced indexing serialises them)."""
+        return np.take(self.weight, indices, axis=0, out=out, mode="clip")
+
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Read rows in compute precision (FP32 here; BF16 when split).
 
-        Gathers through ``np.take(..., out=..., mode="clip")``: bitwise
-        the fancy-indexing result, but on NumPy's no-buffering fast path
-        -- faster, and it releases the GIL so parallel ranks' lookups
-        overlap (plain advanced indexing serialises them).  The range
-        check keeps fancy indexing's loud out-of-range failure (clip
-        mode would silently read the last row).
+        The range check keeps fancy indexing's loud out-of-range failure
+        (the clip-mode gather would silently read the last row).
         """
         indices = self._check_indices(indices)
         out = np.empty((indices.shape[0], self.dim), dtype=np.float32)
-        return np.take(self.weight, indices, axis=0, out=out, mode="clip")
+        return self._gather_into(indices, out)
 
     def dense_weight(self) -> np.ndarray:
         """The full table as the compute pass sees it (tests/inspection)."""
@@ -223,16 +275,52 @@ class EmbeddingBag:
             raise IndexError("embedding indices out of range")
         return indices
 
-    def _check_lookup(self, indices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._check_indices(indices), np.asarray(offsets, dtype=np.int64)
+    def _check_lookup(
+        self, indices: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(indices, offsets, bag lengths)`` of one look-up."""
+        indices = self._check_indices(indices)
+        return (indices, *check_offsets(offsets, indices.shape[0]))
 
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Alg. 1: ``Y[N, E]`` with ``Y[n] = sum over bag n of W[I[s]]``."""
-        indices, offsets = self._check_lookup(indices, offsets)
+        indices, offsets, lengths = self._check_lookup(indices, offsets)
         if self.freq_hook is not None:
             self.freq_hook(indices)
         with trace("embedding.gather", rows=indices.shape[0]):
-            return segment_sum(self.gather(indices), offsets)
+            return self._pool(indices, offsets, lengths)
+
+    def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Alg. 1 on checked inputs.
+
+        Equal-length bags -- every batch the datasets and the serving
+        path build -- are pooled chunk by chunk: gather at most
+        ``_BLOCK_ELEMS`` elements into this bag's own buffer and
+        reduce them over the strided bag axis (a left fold, as in
+        :mod:`repro.kernels.segment`) straight into the output rows, so
+        the ``(NS, E)`` gather never exists.  The buffer belongs to the
+        instance: ranks pool concurrently on the thread pool, each
+        through its own bags.  Ragged bags gather whole and go through
+        the kernel's ragged fold.
+        """
+        n = lengths.shape[0]
+        p = int(lengths[0]) if n else 0
+        if p == 0 or self.dim == 1 or (lengths != p).any():
+            return segment_sum_ragged(self.gather(indices), offsets)
+        out = np.empty((n, self.dim), dtype=np.float32)
+        if p == 1:
+            # A sum of one is the row -- but for the ``0.0 +`` every sum
+            # starts from, which turns a stored -0.0 positive.
+            return np.add(self._gather_into(indices, out), np.float32(0.0), out=out)
+        per_chunk = max(1, _BLOCK_ELEMS // (p * self.dim))
+        need = min(n, per_chunk) * p
+        if self._pool_buf is None or self._pool_buf.shape[0] < need:
+            self._pool_buf = np.empty((need, self.dim), dtype=np.float32)
+        for lo in range(0, n, per_chunk):
+            hi = min(n, lo + per_chunk)
+            rows = self._gather_into(indices[lo * p : hi * p], self._pool_buf[: (hi - lo) * p])
+            np.add.reduce(rows.reshape(hi - lo, p, self.dim), axis=1, out=out[lo:hi])
+        return out
 
     def backward(
         self, grad_out: np.ndarray, indices: np.ndarray, offsets: np.ndarray
@@ -244,9 +332,8 @@ class EmbeddingBag:
         is repeated, the ``(NS, E)`` payload is one GIL-releasing gather
         of the same rows -- bitwise the repeated array.
         """
-        indices, offsets = self._check_lookup(indices, offsets)
+        indices, offsets, lengths = self._check_lookup(indices, offsets)
         grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
-        lengths = np.diff(offsets)
         # Keep the loud failure the np.repeat spelling had: a clip-mode
         # gather would silently reuse grad_out's last row instead.
         if grad_out.shape[0] != lengths.shape[0]:
@@ -260,6 +347,36 @@ class EmbeddingBag:
         return SparseGrad(indices, values)
 
 
+def stack_tables(
+    tables: Iterable[EmbeddingBag], total_rows: int
+) -> tuple[EmbeddingBag | None, list[EmbeddingBag]]:
+    """Move ``tables`` into one *slab* bag of ``total_rows`` rows.
+
+    The ``nn.Embedding(sum(rows))`` + per-table offsets construction:
+    returns the slab -- same class and settings as the tables, its
+    storage arrays theirs back to back -- and one :meth:`rows_view
+    <EmbeddingBag.rows_view>` per table, in order, holding that table's
+    exact bits.  ``tables`` is consumed one at a time (pass a
+    generator), so at most one stand-alone table is alive beside the
+    slab.  No tables, no slab: ``(None, [])``.
+    """
+    slab, views, start = None, [], 0
+    for table in tables:
+        if slab is None:
+            slab = table._over(
+                total_rows, lambda a: np.empty((total_rows, *a.shape[1:]), dtype=a.dtype)
+            )
+        view = slab.rows_view(start, start + table.rows)
+        for name in table._arrays:
+            getattr(view, name)[...] = getattr(table, name)
+        views.append(view)
+        start += table.rows
+        table = None  # dropped before the generator builds the next one
+    if start != total_rows:
+        raise ValueError(f"tables hold {start} rows, slab was sized for {total_rows}")
+    return slab, views
+
+
 class SplitEmbeddingBag(EmbeddingBag):
     """Split-BF16 storage (paper Sect. VII).
 
@@ -269,6 +386,7 @@ class SplitEmbeddingBag(EmbeddingBag):
     """
 
     storage = "split_bf16"
+    _arrays = ("hi", "lo")
 
     def __init__(
         self,
@@ -288,23 +406,27 @@ class SplitEmbeddingBag(EmbeddingBag):
         self.hi = hi
         self.lo = truncate_lo_bits(lo, self.lo_bits)
 
-    def _take_halves(self, rows: np.ndarray, with_lo: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _take_halves(
+        self, rows: np.ndarray, with_lo: bool, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``hi[rows]`` (and ``lo[rows]``) assembled as FP32 bit patterns
-        in one ``uint32`` buffer; also returns the ``uint16`` staging
-        buffer the halves were gathered through, for reuse."""
+        in one ``uint32`` buffer (``out``'s memory when given); also
+        returns the ``uint16`` staging buffer the halves were gathered
+        through, for reuse."""
         half = np.empty((rows.shape[0], self.dim), dtype=np.uint16)
-        bits = np.empty((rows.shape[0], self.dim), dtype=np.uint32)
+        if out is None:
+            out = np.empty((rows.shape[0], self.dim), dtype=np.float32)
+        bits = out.view(np.uint32)
         np.copyto(bits, np.take(self.hi, rows, axis=0, out=half, mode="clip"))
         np.left_shift(bits, 16, out=bits)
         if with_lo:
             np.bitwise_or(bits, np.take(self.lo, rows, axis=0, out=half, mode="clip"), out=bits)
         return bits, half
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
+    def _gather_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
         # Forward/backward read only the BF16 half: 2x less bandwidth.
-        # Same GIL-releasing take-gather (and range check) as FP32.
-        bits, _ = self._take_halves(self._check_indices(indices), with_lo=False)
-        return bits.view(np.float32)
+        self._take_halves(indices, with_lo=False, out=out)
+        return out
 
     def dense_weight(self) -> np.ndarray:
         return bf16_to_fp32(self.hi)

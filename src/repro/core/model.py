@@ -15,19 +15,38 @@ gradients exactly -- the invariant the distributed tests pin down.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
+
 import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
-from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
+from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, stack_tables
 from repro.core.interaction import make_interaction
 from repro.core.loss import BCEWithLogitsLoss
 from repro.core.mlp import MLP, sigmoid
 from repro.core.optim import SGD
 from repro.core.param import DenseSlab, Parameter
-from repro.core.update import uses_fused_dispatch
+from repro.core.update import steps_rows_statelessly, uses_fused_dispatch
 from repro.obs.tracer import trace
 from repro.util import rng_from
+
+
+@dataclass(frozen=True)
+class _SlabLookup:
+    """One batch's look-ups into the slab's tables as a single look-up
+    in the slab's id space: the ``j``-th of those tables owns bags
+    ``[j * n, (j + 1) * n)`` of ``offsets``, ``n`` the batch size."""
+
+    batch: Batch
+    indices: np.ndarray
+    offsets: np.ndarray
+
+    def bags(self, j: int) -> slice:
+        n = self.batch.size
+        return slice(j * n, (j + 1) * n)
 
 
 class DLRM:
@@ -78,17 +97,34 @@ class DLRM:
         self.table_ids = list(range(cfg.num_tables)) if table_ids is None else list(table_ids)
         if any(not 0 <= t < cfg.num_tables for t in self.table_ids):
             raise ValueError("table_ids out of range")
-        self.tables: dict[int, EmbeddingBag] = {}
-        for t in self.table_ids:
-            table_rng = rng_from(seed, "table", t)
-            if storage == "split_bf16":
-                self.tables[t] = SplitEmbeddingBag(
-                    cfg.table_rows[t], cfg.embedding_dim, rng=table_rng, lo_bits=lo_bits
-                )
-            else:
-                self.tables[t] = EmbeddingBag(
-                    cfg.table_rows[t], cfg.embedding_dim, rng=table_rng
-                )
+        bag_cls, bag_kw = (
+            (SplitEmbeddingBag, {"lo_bits": lo_bits})
+            if storage == "split_bf16"
+            else (EmbeddingBag, {})
+        )
+        rows = [cfg.table_rows[t] for t in self.table_ids]
+        #: Every owned table's rows back to back in one bag of the
+        #: storage class (``None`` once no table is served from it).  A
+        #: step looks all of them up with one ``slab.forward`` and
+        #: updates them with one sort, one plan and one fold.
+        self.slab, views = stack_tables(
+            (
+                bag_cls(r, cfg.embedding_dim, rng=rng_from(seed, "table", t), **bag_kw)
+                for t, r in zip(self.table_ids, rows)
+            ),
+            sum(rows),
+        )
+        self._tables: dict[int, EmbeddingBag] = dict(zip(self.table_ids, views))
+        #: The owned tables by id: row-range views into :attr:`slab`
+        #: (same ``state_dict`` keys and arrays as stand-alone bags), or
+        #: whatever :meth:`replace_table` put in their place.  Read-only:
+        #: an assignment could not tell the slab that a table has left.
+        self.tables: Mapping[int, EmbeddingBag] = MappingProxyType(self._tables)
+        #: First slab row of each table, and the tables still served
+        #: from the slab (in table order).
+        self._slab_start = dict(zip(self.table_ids, np.cumsum([0] + rows[:-1]).tolist()))
+        self._slab_tables = tuple(self.table_ids)
+        self._lookup: _SlabLookup | None = None
         self.interaction = make_interaction(
             cfg.interaction, cfg.num_tables, cfg.embedding_dim
         )
@@ -151,12 +187,67 @@ class DLRM:
 
     # -- passes ------------------------------------------------------------------
 
-    def embedding_forward(self, batch: Batch) -> dict[int, np.ndarray]:
-        """Look up only this process's tables (model-parallel half)."""
+    def replace_table(self, table_id: int, bag: EmbeddingBag) -> None:
+        """Serve table ``table_id`` from ``bag`` (a tiered store) from
+        now on.  The table leaves the slab and keeps a per-table path;
+        its slab rows go dead, and once every table has left the slab is
+        freed."""
+        self._tables[table_id] = bag
+        self._slab_tables = tuple(t for t in self._slab_tables if t != table_id)
+        self._lookup = None
+        if not self._slab_tables:
+            self.slab = None
+
+    def _fuse(self, batch: Batch) -> _SlabLookup | None:
+        """``batch``'s look-ups into the slab's tables, range- and
+        bag-checked per table (an id past its own table must raise, not
+        read the next one), then shifted into the slab's id space."""
+        if self.slab is None:
+            return None
+        checked = [
+            self.tables[t]._check_lookup(batch.indices[t], batch.offsets[t])
+            for t in self._slab_tables
+        ]
+        n = batch.size
+        indices = np.empty(sum(idx.shape[0] for idx, _, _ in checked), dtype=np.int64)
+        offsets = np.empty(n * len(checked) + 1, dtype=np.int64)
+        at = 0
+        for j, (t, (idx, off, _)) in enumerate(zip(self._slab_tables, checked)):
+            np.add(idx, self._slab_start[t], out=indices[at : at + idx.shape[0]])
+            np.add(off[:-1], at, out=offsets[j * n : (j + 1) * n])
+            at += idx.shape[0]
+        offsets[-1] = at
+        return _SlabLookup(batch, indices, offsets)
+
+    def _slab_lookup(self, batch: Batch) -> _SlabLookup | None:
+        """:meth:`_fuse`, once per batch: the forward fuses, the update
+        of the same batch reuses."""
+        if self._lookup is None or self._lookup.batch is not batch:
+            self._lookup = self._fuse(batch)
+        return self._lookup
+
+    def _embedding_lookup(
+        self, batch: Batch, lookup: _SlabLookup | None
+    ) -> dict[int, np.ndarray]:
+        """One ``slab.forward`` for the slab's tables (their ``freq_hook``s
+        fed their own ids first), one forward each for the rest."""
+        slot = {t: j for j, t in enumerate(self._slab_tables)}
+        if lookup is not None:
+            for t in slot:
+                hook = self.tables[t].freq_hook
+                if hook is not None:
+                    hook(batch.indices[t])
+            pooled = self.slab.forward(lookup.indices, lookup.offsets)
         return {
-            t: self.tables[t].forward(batch.indices[t], batch.offsets[t])
+            t: pooled[lookup.bags(slot[t])]
+            if t in slot
+            else self.tables[t].forward(batch.indices[t], batch.offsets[t])
             for t in self.table_ids
         }
+
+    def embedding_forward(self, batch: Batch) -> dict[int, np.ndarray]:
+        """Look up only this process's tables (model-parallel half)."""
+        return self._embedding_lookup(batch, self._slab_lookup(batch))
 
     def bottom_forward(self, batch: Batch) -> np.ndarray:
         """Bottom MLP on the (data-parallel) dense features.
@@ -210,7 +301,7 @@ class DLRM:
             raise ValueError(
                 f"inference needs all tables locally; missing {missing}"
             )
-        emb_out = self.embedding_forward(batch)
+        emb_out = self._embedding_lookup(batch, self._fuse(batch))  # no state kept
         x_bottom = self.bottom.infer(batch.dense, outs=bottom_outs)
         embs = [emb_out[t] for t in range(self.cfg.num_tables)]
         r = self.interaction.infer(x_bottom, embs)
@@ -263,15 +354,9 @@ class DLRM:
         self.bottom_backward(ddense)
         return dembs
 
-    def embedding_backward(self, demb: np.ndarray, table_id: int, batch: Batch) -> None:
-        """Alg. 2 for one owned table; stores the sparse gradient."""
-        table = self.tables[table_id]
-        self.sparse_grads[table_id] = table.backward(
-            demb, batch.indices[table_id], batch.offsets[table_id]
-        )
-
     def backward(self) -> None:
-        """Full backward of the last :meth:`loss` (single-process)."""
+        """Full backward of the last :meth:`loss` (single-process); leaves
+        Alg. 2's row-per-lookup gradients in :attr:`sparse_grads`."""
         if self._batch is None:
             raise RuntimeError("backward called before loss/forward")
         batch = self._batch
@@ -279,46 +364,81 @@ class DLRM:
         dembs = self.dense_backward(dlogits, batch)
         self.sparse_grads.clear()
         for t in self.table_ids:
-            self.embedding_backward(dembs[t], t, batch)
+            self.sparse_grads[t] = self.tables[t].backward(
+                dembs[t], batch.indices[t], batch.offsets[t]
+            )
 
     def apply_updates(self, opt: SGD) -> None:
-        """Dense step + sparse step for every owned table."""
+        """Dense step + sparse step of what :meth:`backward` left in
+        :attr:`sparse_grads`; the slab's tables step as one gradient in
+        its id space when the optimizer takes it (see
+        :meth:`sparse_update`)."""
         with trace("update.dense"):
             opt.step_dense(self.parameters())
-        for t, grad in self.sparse_grads.items():
-            with trace("update.sparse", rows=grad.nnz):
-                opt.step_sparse(self.tables[t], grad)
+        grads = dict(self.sparse_grads)
         self.sparse_grads.clear()
+        steps: list[tuple[EmbeddingBag, SparseGrad]] = []
+        stacked = [t for t in self._slab_tables if t in grads]
+        if stacked and steps_rows_statelessly(opt):
+            parts = [grads.pop(t) for t in stacked]
+            ids = [g.indices + self._slab_start[t] for t, g in zip(stacked, parts)]
+            values = [g.values for g in parts]
+            steps.append((self.slab, SparseGrad(np.concatenate(ids), np.concatenate(values))))
+        steps += [(self.tables[t], grad) for t, grad in grads.items()]
+        for bag, grad in steps:
+            with trace("update.sparse", rows=grad.nnz):
+                opt.step_sparse(bag, grad)
+
+    def sparse_update(
+        self, dembs: Mapping[int, np.ndarray] | list[np.ndarray], batch: Batch, opt: SGD, **span
+    ) -> None:
+        """Alg. 2 + Alg. 3/4 for every owned table, given the bag-level
+        gradients ``dembs[t]`` of the embedding outputs.
+
+        The slab's tables update as **one** look-up in the slab's id
+        space -- one sort, one plan, one fold -- whenever the optimizer
+        steps sparse gradients the plain-SGD way; a table that left the
+        slab (tiered) updates on its own, and an optimizer that
+        overrides ``step_sparse`` (per-table state, e.g.
+        :class:`~repro.core.optim.SparseAdagrad`) gets each table view
+        with its own gradient.  With the fused strategy (same gate as
+        ever: :func:`~repro.core.update.uses_fused_dispatch`) Alg. 2's
+        row-per-lookup gradient is never materialised.  Bitwise the
+        per-table updates in every case: fused ids of different tables
+        never collide and the stable sort keeps each row's
+        contributions in batch order.  ``span`` labels the trace spans
+        (the rank, under the hybrid-parallel runtime).
+        """
+        units: list[tuple[EmbeddingBag, np.ndarray, np.ndarray, np.ndarray]] = []
+        alone = list(self.table_ids)
+        if self.slab is not None and steps_rows_statelessly(opt):
+            lookup = self._slab_lookup(batch)
+            grad_out = np.concatenate([dembs[t] for t in self._slab_tables])
+            units.append((self.slab, grad_out, lookup.indices, lookup.offsets))
+            alone = [t for t in alone if t not in self._slab_tables]
+        units += [(self.tables[t], dembs[t], batch.indices[t], batch.offsets[t]) for t in alone]
+        fused = uses_fused_dispatch(opt)
+        for bag, grad_out, indices, offsets in units:
+            if fused:
+                with trace("update.sparse", rows=len(indices), **span):
+                    opt.strategy.apply_fused(bag, grad_out, indices, offsets, opt.lr)
+            else:
+                grad = bag.backward(grad_out, indices, offsets)
+                with trace("update.sparse", rows=grad.nnz, **span):
+                    opt.step_sparse(bag, grad)
 
     def train_step(self, batch: Batch, opt: SGD, normalizer: float | None = None) -> float:
-        """One SGD iteration; returns the (normalised) loss.
-
-        When the optimizer's sparse strategy is
-        :class:`~repro.core.update.FusedBackwardUpdate` (and the
-        optimizer uses the plain SGD sparse step), Alg. 2's sparse
-        gradient is never materialised: the bag-level embedding-output
-        gradients feed the table update directly, bit-identical to the
-        materialising path.
-        """
-        strategy = getattr(opt, "strategy", None)
-        fused = uses_fused_dispatch(opt)
+        """One SGD iteration; returns the (normalised) loss."""
         loss = self.loss(batch, normalizer=normalizer)
-        if not fused:
-            self.backward()
-            self.apply_updates(opt)
-            return loss
         dlogits = self.loss_fn.backward()
         dembs = self.dense_backward(dlogits, batch)
         self.sparse_grads.clear()
         with trace("update.dense"):
             opt.step_dense(self.parameters())
-        for t in self.table_ids:
-            with trace("update.sparse", rows=len(batch.indices[t])):
-                strategy.apply_fused(
-                    self.tables[t], dembs[t], batch.indices[t], batch.offsets[t], opt.lr
-                )
+        self.sparse_update(dembs, batch, opt)
         return loss
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         """Click probabilities (sigmoid of the logits), shape (N,)."""
         return sigmoid(self.forward(batch)).reshape(-1)
+

@@ -80,14 +80,14 @@ class RTMUpdate(UpdateStrategy):
 class RaceFreeUpdate(UpdateStrategy):
     """Alg. 4: row-range partitioning over ``threads`` workers.
 
-    Single pass: the closed form ``((i + 1) * threads - 1) // rows``
-    names the thread owning row ``i`` and one ``bincount`` yields the
-    per-thread work counts that feed the cost model's imbalance term --
-    replacing the ``threads`` full-array mask scans of the seed
-    implementation (kept as :meth:`apply_reference`, the bit-identity
-    oracle).  Because the row ranges are disjoint, the partitioned
-    update equals one direct scatter-add, which runs through the
-    sort-based fold kernel.
+    Because the row ranges are disjoint, the partitioned update equals
+    one direct scatter-add, which runs through the sort-based fold
+    kernel.  The partition itself is only observed:
+    :attr:`last_thread_counts` names each row's thread by the closed
+    form ``((i + 1) * threads - 1) // rows`` and counts with one
+    ``bincount`` -- replacing the ``threads`` full-array mask scans of
+    the seed implementation (kept as :meth:`apply_reference`, the
+    bit-identity oracle).
     """
 
     cost_key = "racefree"
@@ -96,13 +96,26 @@ class RaceFreeUpdate(UpdateStrategy):
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.threads = threads
-        #: Per-thread update counts of the last apply() (observability).
-        self.last_thread_counts: np.ndarray | None = None
+        #: (indices, table rows) of the last update, for the counts.
+        self._last: tuple[np.ndarray, int] | None = None
+        self._counts: np.ndarray | None = None
+
+    @property
+    def last_thread_counts(self) -> np.ndarray | None:
+        """Per-thread update counts of the last update under Alg. 4's
+        static row partition (observability), computed when first read:
+        no step pays for a figure nobody looks at."""
+        if self._counts is None and self._last is not None:
+            self._counts = bucket_by_row_ranges(*self._last, self.threads)
+        return self._counts
+
+    def _observe(self, indices: np.ndarray, rows: int) -> None:
+        self._last, self._counts = (indices, rows), None
 
     def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        self.last_thread_counts = bucket_by_row_ranges(
-            grad.indices, table.rows, self.threads
-        )
+        # A hand-built gradient has seen no range check yet, and a
+        # negative id would wrap silently through fancy indexing.
+        self._observe(table._check_indices(grad.indices), table.rows)
         if grad.nnz:
             table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
 
@@ -116,7 +129,7 @@ class RaceFreeUpdate(UpdateStrategy):
             counts[tid] = int(mask.sum())
             if counts[tid]:
                 table.scatter_add_rows_reference(grad.indices[mask], deltas[mask])
-        self.last_thread_counts = counts
+        self._last, self._counts = None, counts
 
 
 class FusedBackwardUpdate(UpdateStrategy):
@@ -158,8 +171,7 @@ class FusedBackwardUpdate(UpdateStrategy):
         lr: float,
     ) -> None:
         """Alg. 2 + Alg. 3/4 in one pass over the lookups of one table."""
-        indices, offsets = table._check_lookup(indices, offsets)
-        lengths = np.diff(offsets)
+        indices, offsets, lengths = table._check_lookup(indices, offsets)
         # The fold gathers bag rows with clip-mode take; reject a bag
         # count mismatch loudly instead of silently reusing the last row.
         if grad_out.shape[0] != lengths.shape[0]:
@@ -169,9 +181,7 @@ class FusedBackwardUpdate(UpdateStrategy):
             )
         bag_ids = np.repeat(np.arange(offsets.shape[0] - 1), lengths)
         scaled = -np.float32(lr) * np.ascontiguousarray(grad_out, dtype=np.float32)
-        self._inner.last_thread_counts = bucket_by_row_ranges(
-            indices, table.rows, self._inner.threads
-        )
+        self._inner._observe(indices, table.rows)
         if indices.size:
             table.apply_bag_updates(scaled, bag_ids, indices)
 
@@ -187,11 +197,19 @@ def uses_fused_dispatch(opt) -> bool:
     fused one *and* its sparse step is the plain SGD scatter (a subclass
     overriding ``step_sparse`` needs the materialised :class:`SparseGrad`).
     """
+    return isinstance(
+        getattr(opt, "strategy", None), FusedBackwardUpdate
+    ) and steps_rows_statelessly(opt)
+
+
+def steps_rows_statelessly(opt) -> bool:
+    """True when ``opt``'s sparse step is the plain SGD scatter: no
+    per-table state, so a model may hand it all the tables of its slab
+    as one gradient in the slab's id space.  An optimizer overriding
+    ``step_sparse`` keeps receiving each table with its own gradient."""
     from repro.core.optim import SGD  # lazy: optim imports this module
 
-    return isinstance(getattr(opt, "strategy", None), FusedBackwardUpdate) and (
-        type(opt).step_sparse is SGD.step_sparse
-    )
+    return type(opt).step_sparse is SGD.step_sparse
 
 
 STRATEGIES: dict[str, type[UpdateStrategy]] = {

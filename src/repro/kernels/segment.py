@@ -11,12 +11,16 @@ to CPU embedding kernels:
   ``(row << bits) | position``.  The keys are unique, so one plain
   in-place ``int64`` sort is a stable sort of the rows, and the sort
   permutation and the sorted rows are read back with a mask and a shift.
-* :func:`_bucketed_fold` is a **binary-decomposed left fold**: round
-  ``r`` takes every segment whose length has bit ``2**r`` set and folds
-  that segment's next ``2**r`` contributions into its accumulator with
-  one gather and one strided-axis sum.  A fold needs
-  ``ceil(log2(longest run))`` rounds however many distinct run lengths
-  the batch has, and gathers every contribution exactly once.
+* :func:`_fold` is a **length-ordered left fold**.  It orders the
+  segments by run length, so that "has a ``k``-th contribution" is a
+  prefix of the order, and walks them in cache-sized blocks: gather the
+  block's current rows into a contiguous accumulator, add the first,
+  second, ... contribution of every segment that has one (contiguous
+  slices: no fancy indexing, no reduction pass), write the rows back.
+  Most runs of a skewed batch end within the first few positions; the
+  remainder of the few long ones folds on in
+  ``ceil(log2(longest run))`` binary rounds (:func:`_fold_long_runs`).
+  Every contribution is gathered exactly once.
 
 Bit-identity contract
 ---------------------
@@ -34,20 +38,21 @@ This works because of two NumPy facts (pinned by the test suite):
 
 A stable sort keeps duplicate keys in their original order, so the sorted
 run of a row lists its contributions ``d1, d2, ...`` as ``np.add.at``
-meets them.  The fold cuts that run into consecutive pieces of
-``2**r`` contributions, one per set bit of its length, and keeps the
-partial result ``a`` -- the current weight row for an in-place scatter
-(``W[i] += d``), zero for an aggregation -- as a stored FP32 row between
-rounds.  A round overwrites the first contribution of its piece with
-``a + d_first`` and sums the piece left to right, so it computes
-``(((a + d_k) + d_k+1) + ...)`` and stores that as the new ``a``: every
-addition has the operands, in the order, that ``np.add.at`` gives it,
-and a partial that waits in memory between rounds is the same FP32
-value it would have been in a register.  The chain
-``((w + d1) + d2) + ...`` is therefore unchanged, whatever the piece
-sizes.  The one shape that cannot be expressed this way is ``E == 1``
-(the reduction axis becomes contiguous and pairwise summation changes
-the bits); those fall back to the reference formulation.
+meets them.  The fold keeps the partial result ``a`` -- the current
+weight row for an in-place scatter (``W[i] += d``), zero for an
+aggregation -- as a stored FP32 row and only ever computes
+``a + d_next`` with the run's next contribution: one position at a time
+for the head of the run, and for a long run's tail in consecutive pieces
+of ``2**r`` contributions, one per set bit of the remaining length,
+where a round overwrites the first contribution of its piece with
+``a + d_first`` and sums the piece left to right.  Every addition has
+the operands, in the order, that ``np.add.at`` gives it, and a partial
+that waits in memory between passes is the same FP32 value it would
+have been in a register.  The chain ``((w + d1) + d2) + ...`` is
+therefore unchanged, whatever the piece sizes.  The one shape that
+cannot be expressed this way is ``E == 1`` (the reduction axis becomes
+contiguous and pairwise summation changes the bits); those fall back to
+the reference formulation.
 
 The ``*_reference`` functions are the naive formulations themselves,
 kept as the oracle for tests and for ``benchmarks/bench_hotpath.py``.
@@ -57,7 +62,7 @@ Thread parallelism
 When the process-wide :class:`~repro.exec.pool.WorkerPool` is wider than
 one thread, a large fold gives each worker a contiguous range of
 segments holding a balanced share of the contributions, and every worker
-runs the same rounds on its range.  Ranges own disjoint accumulator rows
+runs the same fold on its range.  Ranges own disjoint destination rows
 and no segment is split, so every segment is folded exactly as in the
 sequential kernel and the parallel result is bitwise the sequential one
 (pinned by ``tests/kernels/test_parallel_kernels.py``).  The thresholds
@@ -84,11 +89,21 @@ PARALLEL_MIN_SEGMENTS = 256
 #: carries megabytes of payload; below this the sequential kernel wins
 #: and the pool is better spent one level up, on whole ranks.
 PARALLEL_MIN_ELEMS = 1 << 21
-#: Float32 elements one fold round gathers at a time (512 KiB): the sum
-#: reads the block back while it is still in the core's cache, and the
-#: buffer is small enough for malloc to recycle instead of ``mmap``-ing
-#: and page-faulting a fresh one per round.
+#: Float32 elements one long-run round gathers at a time (512 KiB): the
+#: sum reads the block back while it is still in the core's cache, and
+#: the buffer is small enough for malloc to recycle instead of
+#: ``mmap``-ing and page-faulting a fresh one per round.
 _BLOCK_ELEMS = 1 << 17
+#: Contributions of a segment the fold adds position by position before
+#: the rest of a run goes to the binary rounds.  Swept 2..64 on
+#: Zipf-1.05 look-ups (131 072 into 8 x 50 000 rows, a fresh batch per
+#: call): 32 is 7 % ahead of 8 and level with 64; over nine tenths of
+#: the runs end by 4, and a position costs three calls on a prefix that
+#: keeps shrinking.  Uniform look-ups do not care.
+_HEAD = 32
+#: Float32 elements of one block's accumulator (128 KiB, and as much
+#: scratch): both stay in L2 across the block's passes (swept 2^14..2^18).
+_SEGMENT_BLOCK_ELEMS = 1 << 15
 
 
 def resolve_pool(pool):
@@ -179,44 +194,40 @@ def plan_segments(indices: np.ndarray) -> SegmentPlan:
     return SegmentPlan(order, sorted_rows, uniq, starts, lengths)
 
 
-def _fold_segments(
+def _fold_long_runs(
     values: np.ndarray,
     rowmap: np.ndarray | None,
-    starts: np.ndarray,
+    first: np.ndarray,
     lengths: np.ndarray,
     acc: np.ndarray,
 ) -> None:
-    """``acc[j] = ((acc[j] + c0) + c1) + ...`` over segment ``j``, in place.
+    """``acc[j] = ((acc[j] + c0) + c1) + ...`` over run ``j``, in place.
 
-    The binary-decomposed left fold.  Segment ``j`` holds the
+    The tail of :func:`_fold_range` for the few runs longer than
+    ``_HEAD``: a binary-decomposed left fold.  Run ``j`` holds the
     contributions ``values[rowmap[p]]`` (``values[p]`` when ``rowmap``
-    is None) for ``p`` in ``[starts[j], starts[j] + lengths[j])``.
-    Round ``r`` serves every segment whose length has bit ``2**r`` set:
-    it gathers that segment's next ``2**r`` contributions (the ones
-    after the ``lengths & (2**r - 1)`` already folded by lower rounds),
-    adds the stored accumulator into the first of them and sums the
-    block over its strided axis -- a sequential left fold that starts
-    from the FP32 partial of the previous rounds, so the chain of
-    roundings is the one ``np.add.at`` performs.  ``initial=-0.0`` is
-    the exact identity of IEEE addition (the default ``+0.0`` would turn
-    an all ``-0.0`` row positive).  A round runs in blocks of whole
-    segments, ``_BLOCK_ELEMS`` elements each, which changes no segment's
-    fold.  Every contribution is gathered once; zero-length segments
-    keep their ``acc`` row.
+    is None) for ``p`` in ``[first[j], first[j] + lengths[j])``.  Round
+    ``r`` serves every run whose length has bit ``2**r`` set: it gathers
+    that run's next ``2**r`` contributions (the ones after the
+    ``lengths & (2**r - 1)`` already folded by lower rounds), adds the
+    stored accumulator into the first of them and sums the block over
+    its strided axis -- a sequential left fold that starts from the FP32
+    partial of the previous rounds.  ``initial=-0.0`` is the exact
+    identity of IEEE addition (the default ``+0.0`` would turn an all
+    ``-0.0`` row positive).  A round runs in blocks of whole runs,
+    ``_BLOCK_ELEMS`` elements each, which changes no run's fold.
     """
-    if lengths.shape[0] == 0:
-        return
     e = values.shape[1]
     for r in range(int(lengths.max()).bit_length()):
         step = 1 << r
         sel = np.flatnonzero(lengths & step)
-        first = starts[sel] + (lengths[sel] & (step - 1))
+        start = first[sel] + (lengths[sel] & (step - 1))
         within = np.arange(step)
         per_block = max(1, _BLOCK_ELEMS // (step * e))
         for lo in range(0, sel.shape[0], per_block):
             segs = sel[lo : lo + per_block]
             k = segs.shape[0]
-            flat_idx = (first[lo : lo + per_block, None] + within).reshape(-1)
+            flat_idx = (start[lo : lo + per_block, None] + within).reshape(-1)
             if rowmap is not None:
                 flat_idx = np.take(rowmap, flat_idx, mode="clip")
             block = np.empty((k, step, e), dtype=values.dtype)
@@ -226,39 +237,110 @@ def _fold_segments(
             acc[segs] = block.sum(axis=1, initial=-0.0)
 
 
-def _bucketed_fold(
+def _fold_range(
     values: np.ndarray,
     rowmap: np.ndarray | None,
     starts: np.ndarray,
     lengths: np.ndarray,
-    initial: np.ndarray | None = None,
-    pool=None,
-) -> np.ndarray:
-    """Left-fold each segment of ``values[rowmap]``; returns ``(U, E)``.
+    dst: np.ndarray,
+    dst_rows: np.ndarray,
+) -> None:
+    """``dst[dst_rows[j]] = ((dst[dst_rows[j]] + c0) + c1) + ...`` over
+    segment ``j``, in place: the length-ordered left fold.
 
-    ``rowmap[p]`` names the ``values`` row holding the ``p``-th sorted
-    contribution, which lets callers feed either pre-permuted per-lookup
-    values (``rowmap = plan.order``) or shared per-bag gradients
+    Segment ``j`` holds the contributions ``values[rowmap[p]]``
+    (``values[p]`` when ``rowmap`` is None) for ``p`` in
+    ``[starts[j], starts[j] + lengths[j])``.  The segments are put in
+    descending order of ``min(length, _HEAD + 1)`` (stable, so equally
+    long runs keep ascending rows), which makes "has more than ``k``
+    contributions" a prefix of the order for every ``k <= _HEAD``.  They
+    are then walked in blocks of ``_SEGMENT_BLOCK_ELEMS`` accumulator
+    elements; a block
+
+    1. gathers its current ``dst`` rows into a contiguous accumulator,
+    2. for ``k < _HEAD`` takes the ``k``-th contribution of every
+       segment that has one into a contiguous scratch and adds it:
+       ``acc[:n] += scratch[:n]`` -- plain slices, no fancy indexing,
+       and nothing further for the runs that end there (most do),
+    3. hands what is left of the runs longer than ``_HEAD`` to
+       :func:`_fold_long_runs`, which keeps folding into the same rows,
+    4. writes the rows back.
+
+    Every addition is ``accumulator + next contribution`` in the
+    segment's own order, so the chain of roundings is ``np.add.at``'s.
+    Zero-length segments keep their ``dst`` row.
+    """
+    e = values.shape[1]
+    # 0 for the runs longer than _HEAD, ..., _HEAD for one contribution,
+    # _HEAD + 1 for none; uint8 keys sort in one radix pass.
+    key = (_HEAD + 1 - np.minimum(lengths, _HEAD + 1)).astype(np.uint8)
+    by_length = np.argsort(key, kind="stable")
+    # live[k]: how many segments have more than k contributions.
+    live = np.cumsum(np.bincount(key, minlength=_HEAD + 2))[_HEAD::-1].tolist()
+    first = starts[by_length]
+    rows = dst_rows[by_length]
+    tail = lengths[by_length[: live[_HEAD]]] - _HEAD
+    per_block = max(1, _SEGMENT_BLOCK_ELEMS // e)
+    acc_buf = np.empty((min(per_block, live[0]), e), dtype=values.dtype)
+    scratch = np.empty_like(acc_buf)
+    for lo in range(0, live[0], per_block):
+        hi = min(lo + per_block, live[0])
+        acc = _take_rows(dst, rows[lo:hi], acc_buf[: hi - lo])
+        for k in range(_HEAD):
+            n = min(live[k], hi) - lo
+            if n <= 0:
+                break
+            idx = first[lo : lo + n] + k
+            if rowmap is not None:
+                idx = np.take(rowmap, idx, mode="clip")
+            np.add(acc[:n], _take_rows(values, idx, scratch[:n]), out=acc[:n])
+        n = min(live[_HEAD], hi) - lo
+        if n > 0:
+            _fold_long_runs(
+                values, rowmap, first[lo : lo + n] + _HEAD, tail[lo : lo + n], acc[:n]
+            )
+        dst[rows[lo:hi]] = acc
+
+
+def _fold(
+    values: np.ndarray,
+    rowmap: np.ndarray | None,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    dst: np.ndarray,
+    dst_rows: np.ndarray | None = None,
+    pool=None,
+) -> None:
+    """Left-fold each segment of ``values[rowmap]`` into its ``dst`` row.
+
+    The one fold every kernel below goes through.  ``rowmap[p]`` names
+    the ``values`` row holding the ``p``-th sorted contribution, which
+    lets callers feed either pre-permuted per-lookup values
+    (``rowmap = plan.order``) or shared per-bag gradients
     (``rowmap = bag_ids[plan.order]``) without materialising the
     expanded ``(NS, E)`` array; ``rowmap=None`` folds contiguous bags of
-    ``values`` itself.  The fold starts from ``initial`` (one row per
-    segment, folded **in place** and returned), exactly like an in-place
-    ``W[i] += d`` scatter, or from zeros, exactly like ``np.add.at`` into
-    a zeroed buffer.
+    ``values`` itself.  Segment ``j`` folds into ``dst[dst_rows[j]]``
+    (``dst[j]`` when ``dst_rows`` is None) starting from the row's
+    current value: the weight row for an in-place ``W[i] += d`` scatter,
+    zero for an aggregation -- exactly like ``np.add.at``.  ``dst_rows``
+    must be distinct; ``dst`` may be an ``np.memmap`` (the tiered
+    store's cold tier).
 
     Large folds give each pool worker a contiguous segment range holding
     a balanced share of the contributions and run the same
-    :func:`_fold_segments` on it: ranges own disjoint ``acc`` rows and no
+    :func:`_fold_range` on it: ranges own disjoint ``dst`` rows and no
     segment is split, so the parallel result is bitwise the sequential
     one.
     """
     u = starts.shape[0]
-    e = values.shape[1]
-    acc = initial if initial is not None else np.zeros((u, e), dtype=values.dtype)
+    if u == 0:
+        return
+    if dst_rows is None:
+        dst_rows = np.arange(u)
     pool = resolve_pool(pool)
     total = int(lengths.sum())
     bounds = [0, u]
-    if shardable(pool, u, total * e):
+    if shardable(pool, u, total * values.shape[1]):
         shards = pool.effective_workers
         cuts = np.searchsorted(
             np.cumsum(lengths), (total * np.arange(1, shards)) // shards
@@ -267,10 +349,9 @@ def _bucketed_fold(
 
     def fold_range(lo_hi: tuple[int, int]) -> None:
         part = slice(*lo_hi)
-        _fold_segments(values, rowmap, starts[part], lengths[part], acc[part])
+        _fold_range(values, rowmap, starts[part], lengths[part], dst, dst_rows[part])
 
     pool.map(fold_range, list(zip(bounds[:-1], bounds[1:])))
-    return acc
 
 
 # -- contiguous (bag-pooled) segments ---------------------------------------
@@ -284,13 +365,11 @@ def segment_sum_ragged(
 ) -> np.ndarray:
     """Sum already-contiguous segments ``rows[offsets[n]:offsets[n+1]]``.
 
-    The pooled forward pass (Alg. 1): ragged bags run the binary fold
-    of :func:`_bucketed_fold` over ``rows`` itself (``rowmap=None``),
-    starting from the zeroed ``out`` -- ``ceil(log2(max bag))`` gathers
-    instead of one scatter per row.  Large batches shard their bags over
-    the worker pool (disjoint output rows, identical per-bag folds).
-    Bit-identical to :func:`segment_sum_reference`; empty bags yield
-    zero rows.
+    The pooled forward pass (Alg. 1) for ragged bags: :func:`_fold` over
+    ``rows`` itself (``rowmap=None``), starting from the zeroed ``out``.
+    Large batches shard their bags over the worker pool (disjoint output
+    rows, identical per-bag folds).  Bit-identical to
+    :func:`segment_sum_reference`; empty bags yield zero rows.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = offsets.shape[0] - 1
@@ -309,7 +388,8 @@ def segment_sum_ragged(
         # Equal-length bags are one reshape away from a single sum.
         out[...] = rows.reshape(n, int(lengths[0]), e).sum(axis=1, dtype=np.float32)
         return out
-    return _bucketed_fold(rows, None, offsets[:-1], lengths, initial=out, pool=pool)
+    _fold(rows, None, offsets[:-1], lengths, out, pool=pool)
+    return out
 
 
 def segment_sum_reference(
@@ -348,7 +428,8 @@ def aggregate_duplicates(
         plan = plan_segments(indices)
     if plan.nnz == 0:
         return plan.uniq, np.zeros((0, values.shape[1]), dtype=np.float32)
-    sums = _bucketed_fold(values, plan.order, plan.starts, plan.lengths)
+    sums = np.zeros((plan.uniq.shape[0], values.shape[1]), dtype=np.float32)
+    _fold(values, plan.order, plan.starts, plan.lengths, sums)
     return plan.uniq, sums
 
 
@@ -372,7 +453,8 @@ def aggregate_bag_duplicates(
     if plan.nnz == 0:
         return plan.uniq, np.zeros((0, bag_grads.shape[1]), dtype=np.float32)
     rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
-    sums = _bucketed_fold(bag_grads, rowmap, plan.starts, plan.lengths)
+    sums = np.zeros((plan.uniq.shape[0], bag_grads.shape[1]), dtype=np.float32)
+    _fold(bag_grads, rowmap, plan.starts, plan.lengths, sums)
     return plan.uniq, sums
 
 
@@ -387,16 +469,6 @@ def aggregate_duplicates_reference(
 
 
 # -- in-place scatter-add ----------------------------------------------------
-
-
-def _current_rows(weight: np.ndarray, plan: SegmentPlan) -> np.ndarray:
-    """A fresh ``weight[plan.uniq]`` for the fold to accumulate into.
-
-    Read through :func:`_take_rows`, which also serves the tiered
-    store's ``np.memmap`` cold tier.
-    """
-    rows = np.empty((plan.uniq.shape[0], weight.shape[1]), dtype=weight.dtype)
-    return _take_rows(weight, plan.uniq, rows)
 
 
 def scatter_add_exact(
@@ -419,9 +491,7 @@ def scatter_add_exact(
         plan = plan_segments(indices)
     if plan.nnz == 0:
         return
-    weight[plan.uniq] = _bucketed_fold(
-        deltas, plan.order, plan.starts, plan.lengths, initial=_current_rows(weight, plan)
-    )
+    _fold(deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq)
 
 
 def scatter_add_bags(
@@ -447,9 +517,7 @@ def scatter_add_bags(
     if plan.nnz == 0:
         return
     rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
-    weight[plan.uniq] = _bucketed_fold(
-        bag_grads, rowmap, plan.starts, plan.lengths, initial=_current_rows(weight, plan)
-    )
+    _fold(bag_grads, rowmap, plan.starts, plan.lengths, weight, plan.uniq)
 
 
 def scatter_add_reference(

@@ -71,7 +71,6 @@ from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
 from repro.core.model import DLRM
 from repro.core.optim import SGD
-from repro.core.update import uses_fused_dispatch
 from repro.hw.cache import index_stats
 from repro.hw.costmodel import CostModel, GemmShape
 from repro.obs.tracer import trace
@@ -423,18 +422,11 @@ class DistributedDLRM:
             with trace("phase.updates", rank=r):
                 ex_bwd.wait(r)
                 opt = self.optimizers[r]
-                strategy = opt.strategy
-                # Same dispatch gate as DLRM.train_step (one shared
-                # predicate): with the fused strategy the bag-level exchange
-                # gradients feed each table update directly -- Alg. 2's
-                # row-per-lookup gradient is never materialised.  Charges
-                # are identical either way; so are the table bits (the
-                # fused kernel's pinned contract).
-                fused = uses_fused_dispatch(opt)
                 strategy_key = self._update_strategy_key(r)
+                # The virtual clock prices Alg. 2 + the update table by
+                # table, as the paper's kernels run them; the arithmetic
+                # below runs once over the rank's slab.
                 for t in model.table_ids:
-                    if not fused:
-                        model.embedding_backward(grads_to_owner[r][t], t, global_batch)
                     lookups = len(global_batch.indices[t])
                     # Tiered tables (repro.tiering) scatter most rows
                     # into the hot arena: the same hit-rate factor that
@@ -459,19 +451,10 @@ class DistributedDLRM:
                         tier * cm.embedding_update_time(strategy_key, stats, self.row_bytes, cores),
                         "update.sparse",
                     )
-                    if fused:
-                        with trace("update.sparse", rank=r, rows=lookups):
-                            strategy.apply_fused(
-                                model.tables[t],
-                                grads_to_owner[r][t],
-                                global_batch.indices[t],
-                                global_batch.offsets[t],
-                                opt.lr,
-                            )
-                for t, grad in model.sparse_grads.items():
-                    with trace("update.sparse", rank=r, rows=grad.nnz):
-                        opt.step_sparse(model.tables[t], grad)
-                model.sparse_grads.clear()
+                # Same dispatch as DLRM.train_step, by construction: the
+                # bag-level exchange gradients feed the model's one
+                # sparse-update entry point.
+                model.sparse_update(grads_to_owner[r], global_batch, opt, rank=r)
                 for k, handle in enumerate(top_handles):
                     handle.wait(r)
                     start, stop = self.top_buckets.layer_range(k)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingBag
 from repro.exec.mp import ShmArena, shm_name
-from repro.kernels.segment import scatter_add_bags, scatter_add_exact
+from repro.kernels.segment import scatter_add_bags, scatter_add_exact, segment_sum_ragged
 from repro.obs.tracer import trace
 
 
@@ -63,6 +63,7 @@ class TieredEmbeddingBag(EmbeddingBag):
     """
 
     storage = "fp32"
+    _arrays = ()  # two tiers, no row-sliceable array
 
     def __init__(
         self,
@@ -123,7 +124,7 @@ class TieredEmbeddingBag(EmbeddingBag):
         )
 
     def _rebuild_slot_map(self) -> None:
-        #: is_hot mask + hot-slot translation (int32: row ids fit).
+        #: is_hot mask + hot-slot translation, both indexed by row id.
         self._is_hot = np.zeros(self.rows, dtype=bool)
         self._slot = np.zeros(self.rows, dtype=np.int64)
         if self._hot_rows.size:
@@ -223,6 +224,10 @@ class TieredEmbeddingBag(EmbeddingBag):
                 out[cold_sel] = self._cold[indices[cold_sel]]
         return out
 
+    def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        # One tier-splitting gather per look-up, then the kernel's sum.
+        return segment_sum_ragged(self.gather(indices), offsets)
+
     def dense_weight(self) -> np.ndarray:
         full = np.array(self._cold, copy=True)
         if self._hot_rows.size:
@@ -320,7 +325,7 @@ def apply_tiering(model, plans, cold_dir: str | None = None, share_hot: bool = T
     Returns the list of converted table ids.
     """
     converted: list[int] = []
-    for t, table in model.tables.items():
+    for t, table in list(model.tables.items()):
         plan = plans.get(t) if hasattr(plans, "get") else plans[t]
         if plan is None or plan.mode != "hot_cold":
             continue
@@ -328,14 +333,18 @@ def apply_tiering(model, plans, cold_dir: str | None = None, share_hot: bool = T
             raise ValueError(
                 f"table {t}: tiering requires fp32 storage, got {table.storage!r}"
             )
-        model.tables[t] = TieredEmbeddingBag(
-            table.rows,
-            table.dim,
-            weight=table.dense_weight(),
-            hot_rows=plan.hot_rows,
-            cold_dir=cold_dir,
-            share_hot=share_hot,
-            name_hint=f"t{t}",
+        # The table leaves the model's slab; once all have, it is freed.
+        model.replace_table(
+            t,
+            TieredEmbeddingBag(
+                table.rows,
+                table.dim,
+                weight=table.dense_weight(),
+                hot_rows=plan.hot_rows,
+                cold_dir=cold_dir,
+                share_hot=share_hot,
+                name_hint=f"t{t}",
+            ),
         )
         converted.append(t)
     return converted

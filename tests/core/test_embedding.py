@@ -1,10 +1,13 @@
 """EmbeddingBag forward/backward (Algorithms 1-2) against naive loops."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import embedding
 from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.embedding import (
     EmbeddingBag,
@@ -336,3 +339,68 @@ class TestOptimizedKernelBitIdentity:
         before = table.weight.copy()
         table.scatter_add_rows(np.empty(0, np.int64), np.empty((0, 3), np.float32))
         np.testing.assert_array_equal(table.weight, before)
+
+
+class TestBlockedPooledForward:
+    """Equal-length bags pool chunk by chunk through the bag's own
+    buffer; the result is literal ``np.add.at`` whatever the chunking."""
+
+    @staticmethod
+    def add_at(rows, n, p):
+        """Literal ``np.add.at`` into zeroed bags."""
+        want = np.zeros((n, rows.shape[1]), dtype=np.float32)
+        np.add.at(want, np.repeat(np.arange(n), p), rows)
+        return want
+
+    @given(
+        n=st.integers(1, 40),
+        p=st.sampled_from([1, 2, 3, 8, 9, 33]),
+        dim=st.sampled_from([1, 2, 5, 64]),
+        block=st.sampled_from([None, 64, 64 * 7, 64 * 33 * 3]),
+        split=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_add_at_for_any_chunking(self, n, p, dim, block, split, seed):
+        rng = np.random.default_rng(seed)
+        rows = 23
+        w = rng.standard_normal((rows, dim)).astype(np.float32)
+        w[rng.random((rows, dim)) < 0.1] = -0.0
+        w[0, 0], w[1, -1] = np.inf, 1e-45
+        table = (SplitEmbeddingBag if split else EmbeddingBag)(rows, dim, weight=w)
+        indices = rng.integers(0, rows, size=n * p)
+        offsets = np.arange(0, n * p + 1, p)
+        with mock.patch.object(embedding, "_BLOCK_ELEMS", block or embedding._BLOCK_ELEMS):
+            got = table.forward(indices, offsets)
+        with np.errstate(invalid="ignore"):
+            want = self.add_at(table.dense_weight()[indices], n, p)
+        assert got.dtype == np.float32 and got.shape == (n, dim) and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_buffer_is_reused_and_grows_only_when_a_bag_outgrows_it(self, rng, monkeypatch):
+        monkeypatch.setattr("repro.core.embedding._BLOCK_ELEMS", 4 * 6 * 5)
+        table = EmbeddingBag(30, 4, rng=rng)
+        table.forward(rng.integers(0, 30, size=6 * 50), np.arange(0, 301, 6))
+        first = table._pool_buf
+        assert first.shape == (6 * 5, 4)
+        table.forward(rng.integers(0, 30, size=6 * 3), np.arange(0, 19, 6))
+        assert table._pool_buf is first
+        got = table.forward(np.arange(80) % 30, np.array([0, 40, 80]))  # one bag > a block
+        assert table._pool_buf.shape == (40, 4)
+        np.testing.assert_array_equal(got, self.add_at(table.weight[np.arange(80) % 30], 2, 40))
+
+    def test_unit_bags_gather_straight_into_the_output(self, rng):
+        table = EmbeddingBag(30, 4, rng=rng)
+        idx = rng.integers(0, 30, size=17)
+        got = table.forward(idx, np.arange(18))
+        np.testing.assert_array_equal(got, table.weight[idx])
+        assert table._pool_buf is None
+
+    def test_offsets_must_span_the_look_ups(self, rng):
+        table = EmbeddingBag(30, 4, rng=rng)
+        dy = np.ones((2, 4), np.float32)
+        for bad in ([0, 2, 3], [1, 2, 4], [0, 3, 2, 4]):
+            with pytest.raises(ValueError):
+                table.forward(np.arange(4), np.array(bad))
+            with pytest.raises(ValueError):
+                table.backward(dy, np.arange(4), np.array(bad))

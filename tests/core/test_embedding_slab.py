@@ -1,0 +1,299 @@
+"""The embedding slab: one bag per model, the tables row-range views.
+
+Contract under test: a model built over the slab is, bit for bit, the
+model whose tables are stand-alone bags taking the per-table path --
+same seeded init, same losses, same weights -- and nothing ever rebinds
+a table's storage away from the slab.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import embedding
+from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
+from repro.core.model import DLRM
+from repro.core.optim import SGD, SparseAdagrad, SplitSGD
+from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.data.criteo import SyntheticCriteoDataset
+from repro.tiering.freqstats import FreqStats
+from repro.util import rng_from
+
+from tests.conftest import random_batch, tiny_config
+
+#: (optimizer, strategy, storage): plain SGD through the fused and the
+#: materialising dispatch, Split-SGD, and an optimizer that overrides
+#: ``step_sparse`` (it keeps receiving table views).
+COMBOS = {
+    "sgd+fused": (SGD, FusedBackwardUpdate, "fp32"),
+    "sgd+racefree": (SGD, RaceFreeUpdate, "fp32"),
+    "split_sgd+fused": (SplitSGD, FusedBackwardUpdate, "split_bf16"),
+    "adagrad": (SparseAdagrad, RaceFreeUpdate, "fp32"),
+}
+
+
+def arrays(table):
+    return [getattr(table, name) for name in table._arrays]
+
+
+def detach_tables(model: DLRM, seed: int) -> None:
+    """Turn ``model`` into the per-table construction: every table a
+    stand-alone bag drawn from its own seeded stream, none in the slab."""
+    for t, view in list(model.tables.items()):
+        kw = {"lo_bits": view.lo_bits} if model.storage == "split_bf16" else {}
+        model.replace_table(
+            t, type(view)(view.rows, view.dim, rng=rng_from(seed, "table", t), **kw)
+        )
+    assert model.slab is None
+
+
+def mixed_cfg():
+    """Tables of different heights (one of cardinality 3), so a wrong
+    row offset cannot go unnoticed."""
+    cfg = tiny_config(num_tables=5, rows=40, dim=8, lookups=4)
+    return dataclasses.replace(cfg, table_rows=(40, 3, 57, 8, 21))
+
+
+class TestStackAndViews:
+    @pytest.mark.parametrize("cls", [EmbeddingBag, SplitEmbeddingBag])
+    def test_views_hold_the_tables_bits_and_share_the_slab(self, cls):
+        rows = [7, 3, 12]
+        alone = [cls(r, 4, rng=np.random.default_rng(t)) for t, r in enumerate(rows)]
+        slab, views = stack_tables(
+            (cls(r, 4, rng=np.random.default_rng(t)) for t, r in enumerate(rows)), sum(rows)
+        )
+        assert type(slab) is cls and slab.rows == 22
+        start = 0
+        for table, view in zip(alone, views):
+            assert type(view) is cls and (view.rows, view.dim) == (table.rows, 4)
+            for mine, theirs, whole in zip(arrays(view), arrays(table), arrays(slab)):
+                np.testing.assert_array_equal(mine, theirs)
+                assert np.shares_memory(mine, whole)
+                np.testing.assert_array_equal(mine, whole[start : start + table.rows])
+            start += table.rows
+
+    def test_a_write_through_either_side_is_seen_by_the_other(self, rng):
+        slab, (a, b) = stack_tables((EmbeddingBag(5, 3, rng=rng) for _ in range(2)), 10)
+        b.scatter_add_rows(np.array([1, 1]), np.ones((2, 3), np.float32))
+        np.testing.assert_array_equal(slab.weight[6], b.weight[1])
+        slab.load_state_dict({"weight": np.full((10, 3), 2.0, np.float32)})
+        assert (a.weight == 2.0).all() and (b.weight == 2.0).all()
+
+    def test_no_tables_no_slab(self):
+        assert stack_tables(iter(()), 0) == (None, [])
+
+    def test_row_count_mismatch_is_loud(self, rng):
+        with pytest.raises(ValueError, match="slab was sized"):
+            stack_tables((EmbeddingBag(5, 3, rng=rng) for _ in range(2)), 11)
+
+    def test_rows_view_rejects_a_range_outside_the_bag(self, rng):
+        bag = EmbeddingBag(5, 3, rng=rng)
+        for start, stop in ((-1, 2), (3, 3), (2, 6)):
+            with pytest.raises(ValueError):
+                bag.rows_view(start, stop)
+
+    def test_scratch_is_per_instance(self, rng):
+        slab, (a, b) = stack_tables((EmbeddingBag(50, 4, rng=rng) for _ in range(2)), 100)
+        idx, off = np.arange(40) % 50, np.arange(0, 41, 4)
+        for bag in (slab, a, b):
+            bag.forward(idx, off)
+        bufs = [bag._pool_buf for bag in (slab, a, b)]
+        assert all(buf is not None for buf in bufs)
+        assert not any(np.shares_memory(x, y) for x in bufs for y in bufs if x is not y)
+        assert a.rows_view(0, 10)._pool_buf is None
+
+    @pytest.mark.parametrize("rows,dim", [(50_000, 3), (7, 64), (1, 1)])
+    def test_blockwise_init_is_the_one_shot_draw(self, rows, dim):
+        bound = np.sqrt(1.0 / rows)
+        want = np.random.default_rng(3).uniform(-bound, bound, size=(rows, dim))
+        table = EmbeddingBag(rows, dim, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(table.weight, want.astype(np.float32))
+
+
+class TestModelOverTheSlab:
+    @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
+    def test_tables_are_views_after_construction_and_load(self, storage):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=3, storage=storage)
+        other = DLRM(cfg, seed=9, storage=storage)
+        assert model.slab.rows == sum(cfg.table_rows)
+
+        def assert_views(m):
+            for t, table in m.tables.items():
+                assert table.rows == cfg.table_rows[t]
+                for mine, whole in zip(arrays(table), arrays(m.slab)):
+                    assert np.shares_memory(mine, whole)
+
+        assert_views(model)
+        before = [id(a) for t in model.tables.values() for a in arrays(t)]
+        model.load_state_dict(other.state_dict())
+        assert_views(model)
+        assert before == [id(a) for t in model.tables.values() for a in arrays(t)]
+        for key, value in other.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[key], value)
+        # ... and the slab really holds what was loaded.
+        start = 0
+        for t in model.table_ids:
+            for mine, whole in zip(arrays(other.tables[t]), arrays(model.slab)):
+                np.testing.assert_array_equal(whole[start : start + cfg.table_rows[t]], mine)
+            start += cfg.table_rows[t]
+
+    def test_same_seeded_init_and_state_keys_as_stand_alone_tables(self):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=5)
+        for t, table in model.tables.items():
+            alone = EmbeddingBag(cfg.table_rows[t], cfg.embedding_dim, rng=rng_from(5, "table", t))
+            np.testing.assert_array_equal(table.weight, alone.weight)
+        keys = {k for k in model.state_dict() if k.startswith("table.")}
+        assert keys == {f"table.{t}.weight" for t in range(cfg.num_tables)}
+
+    def test_a_rank_owns_a_slab_of_its_tables_only(self):
+        cfg = mixed_cfg()
+        whole = DLRM(cfg, seed=2)
+        shard = DLRM(cfg, seed=2, table_ids=[1, 3, 4])
+        assert shard.slab.rows == 3 + 8 + 21
+        for t in (1, 3, 4):
+            np.testing.assert_array_equal(shard.tables[t].weight, whole.tables[t].weight)
+
+    def test_tables_mapping_is_read_only(self, rng):
+        model = DLRM(tiny_config(), seed=0)
+        with pytest.raises(TypeError):
+            model.tables[0] = EmbeddingBag(50, 8, rng=rng)
+
+    @pytest.mark.parametrize("table,bad", [(1, 3), (0, 40), (2, -1), (4, 21)])
+    def test_an_id_past_its_own_table_raises_instead_of_reading_the_next(self, table, bad):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=1)
+        opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(4))
+        opt.register(model.parameters())
+        batch = random_batch(cfg, 8, seed=0)
+        batch.indices[table][5] = bad
+        before = model.slab.weight.copy()
+        for call in (
+            lambda: model.forward(batch),
+            lambda: model.infer(batch),
+            lambda: model.train_step(batch, opt),
+        ):
+            with pytest.raises(IndexError):
+                call()
+        np.testing.assert_array_equal(model.slab.weight, before)
+
+    def test_offsets_that_do_not_span_a_tables_lookups_are_loud(self):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=1)
+        batch = random_batch(cfg, 8, seed=0)
+        batch.offsets[2] = batch.offsets[2].copy()
+        batch.offsets[2][0] = 1
+        with pytest.raises(ValueError, match="span"):
+            model.forward(batch)
+
+    def test_attached_freqstats_sees_each_tables_own_ids(self):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=1)
+        online, offline = FreqStats(cfg.table_rows), FreqStats(cfg.table_rows)
+        online.attach(model)
+        opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(4))
+        opt.register(model.parameters())
+        for step in range(3):
+            batch = random_batch(cfg, 8, seed=step)
+            model.train_step(batch, opt)
+            model.infer(batch)
+            for _ in range(2):  # one forward of the step, one of infer
+                offline.record_batch(batch)
+        for mine, theirs in zip(online.counters, offline.counters):
+            assert mine.total == theirs.total
+            np.testing.assert_array_equal(mine.counts, theirs.counts)
+        online.detach()
+        model.forward(random_batch(cfg, 8, seed=9))
+        assert [c.total for c in online.counters] == [c.total for c in offline.counters]
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_forward_and_infer_equal_the_per_table_look_ups(self, ragged):
+        cfg = mixed_cfg()
+        model, twin = DLRM(cfg, seed=4), DLRM(cfg, seed=4)
+        detach_tables(twin, seed=4)
+        batch = random_batch(cfg, 12, seed=2, ragged=ragged)
+        want = {t: twin.tables[t].forward(batch.indices[t], batch.offsets[t]) for t in range(5)}
+        got = model.embedding_forward(batch)
+        for t in range(5):
+            np.testing.assert_array_equal(got[t], want[t])
+        np.testing.assert_array_equal(model.infer(batch), twin.infer(batch))
+        assert model._lookup.batch is batch  # the forward fused; infer keeps no state
+
+
+@pytest.mark.parametrize("combo", sorted(COMBOS))
+def test_twenty_steps_equal_the_per_table_construction(combo):
+    opt_cls, strategy_cls, storage = COMBOS[combo]
+    cfg = mixed_cfg()
+    model = DLRM(cfg, seed=7, storage=storage)
+    twin = DLRM(cfg, seed=7, storage=storage)
+    detach_tables(twin, seed=7)
+    opts = []
+    for m in (model, twin):
+        opt = opt_cls(lr=0.05, strategy=strategy_cls(threads=5))
+        opt.register(m.parameters())
+        opts.append(opt)
+    data = SyntheticCriteoDataset(cfg, seed=3)
+    for step in range(20):
+        batch = data.batch(16, step) if step % 4 else random_batch(cfg, 16, seed=step, ragged=True)
+        assert model.train_step(batch, opts[0]) == twin.train_step(batch, opts[1])
+    a, b = model.state_dict(), twin.state_dict()
+    assert a.keys() == b.keys()
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+    sa = opts[0].state_dict(model.parameters(), model.tables)
+    sb = opts[1].state_dict(twin.parameters(), twin.tables)
+    assert sa.keys() == sb.keys()
+    for key in sa:
+        np.testing.assert_array_equal(sa[key], sb[key], err_msg=key)
+    for table in model.tables.values():  # still views, twenty steps on
+        for mine, whole in zip(arrays(table), arrays(model.slab)):
+            assert np.shares_memory(mine, whole)
+
+
+def test_backward_then_apply_updates_equals_train_step():
+    cfg = mixed_cfg()
+    a, b = DLRM(cfg, seed=7), DLRM(cfg, seed=7)
+    opt_a, opt_b = SGD(lr=0.05), SGD(lr=0.05)
+    opt_a.register(a.parameters())
+    opt_b.register(b.parameters())
+    for step in range(3):
+        batch = random_batch(cfg, 16, seed=step, ragged=bool(step % 2))
+        want = a.train_step(batch, opt_a)
+        assert b.loss(batch) == want
+        b.backward()
+        assert set(b.sparse_grads) == set(b.table_ids)
+        b.apply_updates(opt_b)
+        assert b.sparse_grads == {}
+    np.testing.assert_array_equal(a.slab.weight, b.slab.weight)
+
+
+def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block():
+    """``train_emb``'s shape, scaled down: the pooled forward gathers
+    through the bag's buffer and the fused update reads the bag-level
+    gradients, so no ``(NS, E)`` array exists at any point of a step."""
+    cfg = tiny_config(num_tables=8, rows=5_000, dim=64, lookups=32, minibatch=128)
+    model = DLRM(cfg, seed=0)
+    opt = SGD(lr=0.05, strategy=FusedBackwardUpdate(28))
+    opt.register(model.parameters())
+    data = SyntheticCriteoDataset(cfg, seed=0)
+    batches = [data.batch(128, i) for i in range(4)]
+    for batch in batches[:3]:  # buffers, gradient flats, allocator pools
+        model.train_step(batch, opt)
+    lookups_by_dim = 8 * 128 * 32 * 64 * 4
+    # What the forward does keep is one block, not the batch.
+    assert model.slab._pool_buf.nbytes <= embedding._BLOCK_ELEMS * 4 < lookups_by_dim // 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.train_step(batches[3], opt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Index bookkeeping (ids, plan, bag ids: a dozen int64 vectors) is
+    # about half an (NS, E) block at E=64; the block itself would add
+    # its full size on top.
+    assert peak < lookups_by_dim, f"peak {peak} B vs an (NS, E) block of {lookups_by_dim} B"

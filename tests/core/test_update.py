@@ -103,6 +103,43 @@ class TestRaceFreeObservability:
         with pytest.raises(ValueError):
             RaceFreeUpdate(0)
 
+    def test_counts_are_computed_on_first_read_only(self, rng, monkeypatch):
+        from repro.core import update
+
+        calls = []
+        real = update.bucket_by_row_ranges
+        monkeypatch.setattr(
+            update, "bucket_by_row_ranges", lambda *a: calls.append(a) or real(*a)
+        )
+        table = EmbeddingBag(40, 4, rng=rng)
+        dy = rng.standard_normal((6, 4)).astype(np.float32)
+        indices = rng.integers(0, 40, size=18)
+        offsets = np.arange(0, 19, 3)
+        for strat in (RaceFreeUpdate(threads=6), FusedBackwardUpdate(threads=6)):
+            assert strat.last_thread_counts is None
+            for _ in range(3):
+                strat.apply(table, make_grad(rng, 40, 100), 0.1)
+            if isinstance(strat, FusedBackwardUpdate):
+                strat.apply_fused(table, dy, indices, offsets, 0.1)
+            assert calls == []  # no step pays for the counts ...
+            want = 18 if isinstance(strat, FusedBackwardUpdate) else 100
+            assert strat.last_thread_counts.sum() == want  # ... the reader does, once
+            assert strat.last_thread_counts.sum() == want
+            assert len(calls) == 1
+            calls.clear()
+
+    @pytest.mark.parametrize("bad", [-1, 40, 1 << 40])
+    @pytest.mark.parametrize("cls", [RaceFreeUpdate, FusedBackwardUpdate])
+    def test_hand_built_gradient_out_of_range_is_loud(self, rng, cls, bad):
+        """A negative id must not wrap through fancy indexing, one past
+        the table must not clip onto its last row."""
+        table = EmbeddingBag(40, 4, rng=rng)
+        before = table.weight.copy()
+        grad = SparseGrad(np.array([3, bad, 5]), np.ones((3, 4), np.float32))
+        with pytest.raises(IndexError):
+            cls(threads=4).apply(table, grad, 0.1)
+        np.testing.assert_array_equal(table.weight, before)
+
 
 class TestFactory:
     def test_cost_keys_are_distinct(self):

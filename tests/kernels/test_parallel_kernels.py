@@ -79,9 +79,8 @@ class TestSegmentKernelsParallel:
         uniq_want, agg_want = seg.aggregate_duplicates_reference(indices, values)
         for w, pool in pools.items():
             plan = seg.plan_segments(indices)
-            sums = seg._bucketed_fold(
-                values, plan.order, plan.starts, plan.lengths, pool=pool
-            )
+            sums = np.zeros((plan.uniq.shape[0], 16), dtype=np.float32)
+            seg._fold(values, plan.order, plan.starts, plan.lengths, sums, pool=pool)
             assert np.array_equal(plan.uniq, uniq_want), f"workers={w}"
             assert np.array_equal(sums, agg_want), f"workers={w}"
 
@@ -94,13 +93,8 @@ class TestSegmentKernelsParallel:
         for w, pool in pools.items():
             weight = base.copy()
             plan = seg.plan_segments(indices)
-            weight[plan.uniq] = seg._bucketed_fold(
-                deltas,
-                plan.order,
-                plan.starts,
-                plan.lengths,
-                initial=weight[plan.uniq],
-                pool=pool,
+            seg._fold(
+                deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq, pool=pool
             )
             assert np.array_equal(weight, want), f"workers={w}"
 
@@ -117,15 +111,46 @@ class TestSegmentKernelsParallel:
         plan = seg.plan_segments(indices)
         for w, pool in pools.items():
             weight = base.copy()
-            weight[plan.uniq] = seg._bucketed_fold(
-                deltas,
-                plan.order,
-                plan.starts,
-                plan.lengths,
-                initial=weight[plan.uniq],
-                pool=pool,
+            seg._fold(
+                deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq, pool=pool
             )
             assert np.array_equal(weight, want), f"workers={w}"
+
+    @pytest.mark.parametrize("blocks", [None, (128, 1024)])
+    def test_runs_around_the_head_and_block_boundaries(self, rng, pools, monkeypatch, blocks):
+        """Scatter, bag-scatter and aggregate at widths 1 and 2 (and 3,
+        4): every range orders its own segments by length and cuts its
+        own blocks, and still folds each run as the sequential kernel."""
+        if blocks is not None:
+            monkeypatch.setattr(seg, "_SEGMENT_BLOCK_ELEMS", blocks[0])
+            monkeypatch.setattr(seg, "_BLOCK_ELEMS", blocks[1])
+        head = seg._HEAD
+        lengths = np.resize(
+            np.array([1, 2, head - 1, head, head + 1, head + 2, 3 * head + 7]), 60
+        )
+        idx = rng.permutation(np.repeat(rng.permutation(80)[:60], lengths)).astype(np.int64)
+        bag_ids = np.sort(rng.integers(0, 11, size=idx.size))
+        bag_grads = rng.standard_normal((11, 16)).astype(np.float32)
+        deltas = bag_grads[bag_ids]
+        base = rng.standard_normal((80, 16)).astype(np.float32)
+        want = base.copy()
+        np.add.at(want, idx, deltas)
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        want_sums = np.zeros((uniq.size, 16), dtype=np.float32)
+        np.add.at(want_sums, inverse, deltas)
+        plan = seg.plan_segments(idx)
+        for w, pool in {1: WorkerPool(1), **pools}.items():
+            scattered, bag_scattered = base.copy(), base.copy()
+            sums = np.zeros_like(want_sums)
+            seg._fold(deltas, plan.order, plan.starts, plan.lengths, scattered, plan.uniq, pool=pool)
+            seg._fold(
+                bag_grads, bag_ids[plan.order], plan.starts, plan.lengths,
+                bag_scattered, plan.uniq, pool=pool,
+            )
+            seg._fold(deltas, plan.order, plan.starts, plan.lengths, sums, pool=pool)
+            assert np.array_equal(scattered, want), f"workers={w}"
+            assert np.array_equal(bag_scattered, want), f"workers={w}"
+            assert np.array_equal(sums, want_sums), f"workers={w}"
 
     def test_scatter_add_via_global_pool(self, rng):
         """The public entry points pick the pool up from the process-wide

@@ -1,13 +1,16 @@
 """Segment kernels: bit-identity against the naive np.add.at oracles."""
 
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import segment as seg
 from repro.kernels.segment import (
     aggregate_bag_duplicates,
     aggregate_duplicates,
@@ -374,6 +377,178 @@ class TestBinaryFoldAgainstAddAt:
             w, np.array([1, 1, 1]), np.full((3, 2), -0.0, dtype=np.float32)
         )
         assert np.signbit(w).all()
+
+
+HEAD = seg._HEAD
+#: Run lengths around the hand-over from the position-by-position head
+#: to the binary tail: the last runs that end inside the head, the first
+#: whose tail is one contribution, and tails with one, two and three
+#: binary rounds.
+HEAD_RUNS = (1, 2, HEAD - 1, HEAD, HEAD + 1, HEAD + 2, HEAD + 3, 2 * HEAD + 5)
+#: (``_SEGMENT_BLOCK_ELEMS``, ``_BLOCK_ELEMS``): the shipped constants,
+#: then sizes that put block boundaries inside a dozen segments -- two
+#: segments per block at E=64, and long-run pieces of 16 and more
+#: contributions each wider than a whole tail block.
+BLOCKS = (None, (128, 1024), (64 * 3, 64 * 40))
+
+
+@contextmanager
+def fold_blocks(sizes):
+    if sizes is None:
+        yield
+        return
+    with mock.patch.object(seg, "_SEGMENT_BLOCK_ELEMS", sizes[0]), mock.patch.object(
+        seg, "_BLOCK_ELEMS", sizes[1]
+    ):
+        yield
+
+
+length_ordered_case = given(
+    runs=st.lists(st.sampled_from(HEAD_RUNS), min_size=1, max_size=14),
+    long_run=st.sampled_from((0, 3 * HEAD + 7, 700)),
+    dim=st.sampled_from([1, 2, 64]),
+    special_share=st.sampled_from([0.0, 0.05, 0.9]),
+    blocks=st.sampled_from(BLOCKS),
+    seed=st.integers(0, 10_000),
+)
+
+
+class TestLengthOrderedFoldAgainstAddAt:
+    """The length-ordered fold against literal ``np.add.at``: runs that
+    end on either side of ``_HEAD``, segment blocks and long-run blocks
+    cut inside the problem, and one run longer than a block.
+
+    Mutation-checked by hand against this class and the one above:
+    folding position ``k`` before ``k - 1`` (``first + (k ^ 1)``) fails
+    the three property tests on their first examples.  Swapping the
+    operands of the head's ``np.add`` cannot fail any portable test:
+    IEEE addition commutes for everything but the payload of
+    ``NaN + NaN``, and which payload survives differs between
+    ``np.add.at``, ``np.add``'s SIMD body and its scalar tail on one
+    machine (see ``MACHINE_NAN``).
+    """
+
+    shuffled_runs = staticmethod(TestBinaryFoldAgainstAddAt.shuffled_runs)
+
+    @length_ordered_case
+    @settings(max_examples=150, deadline=None)
+    def test_scatter(self, runs, long_run, dim, special_share, blocks, seed):
+        rng = np.random.default_rng(seed)
+        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        deltas = special_values(rng, (idx.shape[0], dim), special_share)
+        w0 = special_values(rng, (table_rows, dim), special_share)
+        want = w0.copy()
+        np.add.at(want, idx, deltas)
+        got = w0.copy()
+        with fold_blocks(blocks):
+            scatter_add_exact(got, idx, deltas)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @length_ordered_case
+    @settings(max_examples=150, deadline=None)
+    def test_bag_scatter(self, runs, long_run, dim, special_share, blocks, seed):
+        rng = np.random.default_rng(seed)
+        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        n_bags = 9
+        bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
+        bag_grads = special_values(rng, (n_bags, dim), special_share)
+        w0 = special_values(rng, (table_rows, dim), special_share)
+        want = w0.copy()
+        np.add.at(want, idx, bag_grads[bag_ids])
+        got = w0.copy()
+        with fold_blocks(blocks):
+            scatter_add_bags(got, idx, bag_grads, bag_ids)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @length_ordered_case
+    @settings(max_examples=150, deadline=None)
+    def test_aggregate_and_bag_aggregate(
+        self, runs, long_run, dim, special_share, blocks, seed
+    ):
+        rng = np.random.default_rng(seed)
+        idx, _ = self.shuffled_runs(rng, runs, long_run)
+        n_bags = 9
+        bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
+        bag_grads = special_values(rng, (n_bags, dim), special_share)
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        want = np.zeros((uniq.shape[0], dim), dtype=np.float32)
+        np.add.at(want, inverse, bag_grads[bag_ids])
+        with fold_blocks(blocks):
+            got_uniq, got = aggregate_bag_duplicates(idx, bag_grads, bag_ids)
+            same_uniq, same = aggregate_duplicates(idx, bag_grads[bag_ids])
+        np.testing.assert_array_equal(got_uniq, uniq)
+        np.testing.assert_array_equal(same_uniq, uniq)
+        np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(bits(same), bits(want))
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_more_segments_than_a_block_of_the_shipped_size(self, rng, dim):
+        per_block = seg._SEGMENT_BLOCK_ELEMS // dim
+        lengths = np.resize(np.array(HEAD_RUNS[:-1]), per_block + 7)
+        ids = rng.permutation(lengths.shape[0] + 5)[: lengths.shape[0]]
+        idx = rng.permutation(np.repeat(ids, lengths)).astype(np.int64)
+        deltas = special_values(rng, (idx.shape[0], dim), 0.05)
+        w0 = special_values(rng, (lengths.shape[0] + 5, dim), 0.05)
+        want = w0.copy()
+        np.add.at(want, idx, deltas)
+        scatter_add_exact(w0, idx, deltas)
+        np.testing.assert_array_equal(bits(w0), bits(want))
+
+    def test_one_run_longer_than_a_long_run_block_of_the_shipped_size(self, rng):
+        dim = 64
+        long_run = seg._BLOCK_ELEMS // dim + HEAD + 100
+        idx, table_rows = self.shuffled_runs(rng, HEAD_RUNS, long_run)
+        deltas = special_values(rng, (idx.shape[0], dim), 0.05)
+        w0 = special_values(rng, (table_rows, dim), 0.05)
+        want = w0.copy()
+        np.add.at(want, idx, deltas)
+        scatter_add_exact(w0, idx, deltas)
+        np.testing.assert_array_equal(bits(w0), bits(want))
+
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_empty_input(self, rng, dim):
+        none = np.empty(0, dtype=np.int64)
+        w0 = special_values(rng, (5, dim), 0.5)
+        w = w0.copy()
+        scatter_add_exact(w, none, np.empty((0, dim), np.float32))
+        scatter_add_bags(w, none, special_values(rng, (3, dim), 0.5), none)
+        np.testing.assert_array_equal(bits(w), bits(w0))
+        for uniq, agg in (
+            aggregate_duplicates(none, np.empty((0, dim), np.float32)),
+            aggregate_bag_duplicates(none, special_values(rng, (3, dim), 0.5), none),
+        ):
+            assert uniq.shape == (0,) and agg.shape == (0, dim)
+
+
+class TestNumpyFloor:
+    """What the kernels and the pooled forward assume of NumPy, pinned
+    so the oldest supported release (CI's 1.24 cell) is held to it."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @pytest.mark.parametrize("length", [2, 9, 32, 200])
+    def test_add_reduce_over_a_strided_axis_into_out_is_a_left_fold(self, rng, dim, length):
+        # Pairwise summation would regroup from 8 addends on.
+        bags = 5
+        buf = special_values(rng, (bags * length + 3, dim), 0.02)[: bags * length]
+        out = np.full((bags + 2, dim), 7.0, dtype=np.float32)
+        with np.errstate(all="ignore"):
+            got = np.add.reduce(buf.reshape(bags, length, dim), axis=1, out=out[1:-1])
+        assert np.shares_memory(got, out)
+        want = np.zeros((bags, dim), dtype=np.float32)  # the reduction's own start
+        with np.errstate(all="ignore"):
+            for k in range(length):
+                want = want + buf.reshape(bags, length, dim)[:, k]
+        np.testing.assert_array_equal(bits(out[1:-1]), bits(want))
+        assert (out[0] == 7.0).all() and (out[-1] == 7.0).all()
+
+    def test_take_with_out_and_clip_on_uint16_rows(self, rng):
+        src = rng.integers(0, 1 << 16, size=(40, 6), dtype=np.uint16)
+        idx = rng.integers(0, 40, size=100)
+        out = np.zeros((120, 6), dtype=np.uint16)
+        got = np.take(src, idx, axis=0, out=out[:100], mode="clip")
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out[:100], src[idx])
+        assert not out[100:].any()
 
 
 class TestBucketByRowRanges:

@@ -6,12 +6,20 @@ single bit of the losses, weights, optimizer state, checkpoints, or
 served predictions.
 """
 
+import types
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.model import DLRM
+from repro.core.optim import SGD, SparseAdagrad
+from repro.core.update import make_strategy
 from repro.serve import InferenceEngine
-from repro.tiering.store import TieredEmbeddingBag
+from repro.tiering.store import TieredEmbeddingBag, apply_tiering
 from repro.train import RunSpec, Trainer, make_trainer
+
+from tests.conftest import random_batch, tiny_config
 
 
 def spec_for(tiered: bool, **over) -> RunSpec:
@@ -124,3 +132,68 @@ class TestCheckpointAndServe:
         np.testing.assert_array_equal(
             engine.predict(batch), trainer.predict_proba(batch)
         )
+
+
+class TestSlabMembership:
+    """A tiered table leaves its model's embedding slab; the rest stay."""
+
+    CFG = tiny_config(num_tables=4, rows=60, dim=8, lookups=4)
+
+    @staticmethod
+    def plans(tables):
+        return {
+            t: types.SimpleNamespace(mode="hot_cold", hot_rows=np.arange(0, 60, 7) + t)
+            for t in tables
+        }
+
+    def build(self, tiered_tables, cold_dir, optimizer="sgd", update="fused"):
+        model = DLRM(self.CFG, seed=3)
+        converted = apply_tiering(
+            model, self.plans(tiered_tables), cold_dir=str(cold_dir), share_hot=False
+        )
+        assert converted == sorted(tiered_tables)
+        opt = (SparseAdagrad if optimizer == "adagrad" else SGD)(
+            lr=0.05, strategy=make_strategy(update, threads=4)
+        )
+        opt.register(model.parameters())
+        return model, opt
+
+    def train(self, model, opt, steps=6):
+        return [
+            model.train_step(random_batch(self.CFG, 16, seed=s, ragged=s % 3 == 2), opt)
+            for s in range(steps)
+        ]
+
+    def test_a_fully_tiered_model_frees_its_slab(self, tmp_path):
+        model, opt = self.build(range(4), tmp_path)
+        assert model.slab is None and model._slab_tables == ()
+        assert all(isinstance(t, TieredEmbeddingBag) for t in model.tables.values())
+        flat, flat_opt = self.build((), tmp_path)
+        assert self.train(model, opt) == self.train(flat, flat_opt)
+        assert_states_equal(model.state_dict(), flat.state_dict())
+        # Freed with the last table that leaves -- by reference count,
+        # not whenever the cyclic GC next runs.
+        storage = weakref.ref(flat.slab.weight)
+        apply_tiering(flat, self.plans(range(4)), cold_dir=str(tmp_path), share_hot=False)
+        assert flat.slab is None and storage() is None
+
+    @pytest.mark.parametrize(
+        "optimizer,update", [("sgd", "fused"), ("sgd", "racefree"), ("adagrad", "racefree")]
+    )
+    def test_a_partly_tiered_model_trains_like_its_flat_twin(self, tmp_path, optimizer, update):
+        model, opt = self.build((1, 2), tmp_path, optimizer, update)
+        flat, flat_opt = self.build((), tmp_path, optimizer, update)
+        assert model._slab_tables == (0, 3) and model.slab.rows == 240  # dead rows stay
+        for t in (0, 3):
+            assert np.shares_memory(model.tables[t].weight, model.slab.weight)
+        for t in (1, 2):
+            assert isinstance(model.tables[t], TieredEmbeddingBag)
+        assert self.train(model, opt) == self.train(flat, flat_opt)
+        assert_states_equal(model.state_dict(), flat.state_dict())
+        assert_states_equal(
+            opt.state_dict(model.parameters(), model.tables),
+            flat_opt.state_dict(flat.parameters(), flat.tables),
+        )
+        # The tiered tables' slab rows are dead: no step touched them.
+        untrained = DLRM(self.CFG, seed=3).slab.weight
+        np.testing.assert_array_equal(model.slab.weight[60:180], untrained[60:180])

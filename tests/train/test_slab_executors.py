@@ -1,0 +1,216 @@
+"""The embedding slab under every executor, and across commits.
+
+A run whose ranks hold their tables in slabs equals -- losses, weights,
+optimizer state, bit for bit -- the run whose tables are stand-alone
+bags on the per-table path; whatever restores state (checkpoint resume,
+``load_state``, ``load_rank_state``) writes through the views; and a
+checkpoint written before the slab existed loads and resumes.
+"""
+
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.train import RunSpec, load_checkpoint, make_trainer
+from repro.train.trainer import Trainer
+
+from tests.core.test_embedding_slab import arrays, detach_tables
+
+DATA = Path(__file__).parent / "data"
+SEED = 4
+#: optimizer / update strategy / storage.
+COMBOS = {
+    "sgd+fused": ("sgd", "fused", "fp32"),
+    "sgd+racefree": ("sgd", "racefree", "fp32"),
+    "split_sgd+fused": ("split_sgd", "fused", "split_bf16"),
+    "adagrad": ("adagrad", "racefree", "fp32"),
+}
+
+
+@pytest.fixture(autouse=True)
+def _fork_context(monkeypatch):
+    monkeypatch.setenv("REPRO_MP_CONTEXT", "fork")
+
+
+def slab_spec(combo: str, ranks: int, steps: int = 20) -> RunSpec:
+    optimizer, update, storage = COMBOS[combo]
+    spec = {
+        "model": {
+            "config": "small",
+            "overrides": {
+                "table_rows": [200, 3, 150, 64, 31],
+                "embedding_dim": 8,
+                "lookups_per_table": 5,
+                "dense_features": 6,
+                "bottom_mlp": [12, 8],
+                "top_mlp": [16, 1],
+            },
+            "minibatch": 32,
+            "seed": SEED,
+        },
+        "data": {"name": "criteo", "seed": 1},
+        "optimizer": {"name": optimizer, "lr": 0.05},
+        "update": {"name": update},
+        "precision": {"storage": storage},
+        "schedule": {"steps": steps, "batch_size": 32, "eval_size": 32},
+    }
+    if ranks > 1:
+        spec["parallel"] = {"ranks": ranks, "platform": "cluster"}
+    return RunSpec.from_dict(spec)
+
+
+def models_of(trainer) -> list:
+    return [trainer.model] if trainer.dist is None else trainer.dist.models
+
+
+def per_table_twin(spec: RunSpec):
+    """The same run with every rank's tables stand-alone (no slab)."""
+    twin = make_trainer(spec)
+    for model in models_of(twin):
+        detach_tables(model, SEED)
+    return twin
+
+
+def assert_states_equal(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+
+def assert_tables_are_slab_views(trainer) -> None:
+    for model in models_of(trainer):
+        assert model.slab is not None and model.slab.rows == sum(t.rows for t in model.tables.values())
+        for table in model.tables.values():
+            for mine, whole in zip(arrays(table), arrays(model.slab)):
+                assert np.shares_memory(mine, whole)
+
+
+@pytest.mark.parametrize("executor", ["local", "inline", "process"])
+@pytest.mark.parametrize("combo", sorted(COMBOS))
+def test_twenty_steps_equal_the_per_table_twin(combo, executor):
+    spec = slab_spec(combo, ranks=1 if executor == "local" else 2)
+    twin = per_table_twin(spec).fit()
+    if executor == "process":
+        run = Trainer.from_spec(spec, backend="process", workers=2)
+    else:
+        run = make_trainer(spec)
+    try:
+        run.fit()
+        assert run.losses == twin.losses
+        assert_states_equal(run.model_state_dict(), twin.model_state_dict())
+        assert_states_equal(run.opt_state_dict(), twin.opt_state_dict())
+        if executor != "process":  # the workers hold the live models
+            assert_tables_are_slab_views(run)
+    finally:
+        run.close()
+        twin.close()
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+@pytest.mark.parametrize("combo", ["sgd+fused", "split_sgd+fused"])
+def test_resume_writes_through_the_views_and_continues_bitwise(tmp_path, combo, ranks):
+    spec = slab_spec(combo, ranks, steps=8)
+    straight = make_trainer(spec).fit()
+    first = make_trainer(spec).fit(4)
+    first.save_checkpoint(tmp_path / "mid.npz")
+    resumed = Trainer.from_checkpoint(tmp_path / "mid.npz")
+    assert_tables_are_slab_views(resumed)
+    resumed.fit()
+    assert resumed.losses == straight.losses[4:]
+    assert_states_equal(resumed.model_state_dict(), straight.model_state_dict())
+    assert_tables_are_slab_views(resumed)
+    # load_checkpoint into a live trainer goes through the same views.
+    first.load_checkpoint(tmp_path / "mid.npz")
+    assert_tables_are_slab_views(first)
+
+
+def test_load_rank_state_writes_through_the_views():
+    spec = slab_spec("split_sgd+fused", ranks=2)
+    source = make_trainer(spec).fit(3)
+    target = make_trainer(spec)
+    for rank in range(2):
+        target._executor.load_rank_state(rank, *source._executor.rank_state_dicts(rank))
+    assert_tables_are_slab_views(target)
+    assert_states_equal(target.model_state_dict(), source.model_state_dict())
+    source.fit(2)
+    target.step = 3
+    target.fit(2)
+    assert_states_equal(target.model_state_dict(), source.model_state_dict())
+
+
+# -- a checkpoint written by the commit before the slab --------------------------
+
+
+def host_fingerprint() -> dict[str, str]:
+    """What decides the bits of an sgemm: NumPy, its BLAS build, the CPU."""
+    try:
+        build = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # NumPy < 1.25 prints, returns nothing
+        build = {}
+    blas = build.get("blas", {})
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "cpu": cpu,
+    }
+
+
+def state_digest(state: dict) -> str:
+    h = hashlib.sha256()
+    for key in sorted(state):
+        a = np.ascontiguousarray(state[key])
+        for part in (key.encode(), str(a.dtype).encode(), str(a.shape).encode(), a.tobytes()):
+            h.update(part)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
+class TestCheckpointFromTheParentCommit:
+    """``data/parent_<storage>.npz`` was saved at step 5 by commit
+    03dbfd6 (per-table bags, binary fold); ``parent_expected.json``
+    holds what that commit itself reached five steps later."""
+
+    def test_loads_into_the_slab_and_resumes_like_the_per_table_path(self, storage):
+        path = DATA / f"parent_{storage}.npz"
+        ckpt = load_checkpoint(path)  # CRCs verified
+        resumed = Trainer.from_checkpoint(path)
+        assert resumed.step == 5
+        assert_tables_are_slab_views(resumed)
+        assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
+        twin = Trainer.from_checkpoint(path)
+        for t, view in list(twin.model.tables.items()):
+            alone = type(view)(view.rows, view.dim, weight=np.zeros((view.rows, view.dim), np.float32))
+            alone.load_state_dict(view.state_dict())
+            twin.model.replace_table(t, alone)
+        resumed.fit(5)
+        twin.fit(5)
+        assert resumed.losses == twin.losses
+        assert_states_equal(resumed.model_state_dict(), twin.model_state_dict())
+        assert_states_equal(resumed.opt_state_dict(), twin.opt_state_dict())
+
+    def test_resumes_to_the_bits_the_parent_reached(self, storage):
+        recorded = json.loads((DATA / "parent_expected.json").read_text())
+        if recorded["host"] != host_fingerprint():
+            pytest.skip(
+                f"expected bits were recorded on {recorded['host']}; GEMM roundings "
+                f"differ on {host_fingerprint()}"
+            )
+        want = recorded["expected"][storage]
+        resumed = Trainer.from_checkpoint(DATA / f"parent_{storage}.npz")
+        resumed.fit(recorded["resumed_steps"])
+        assert [float(x).hex() for x in resumed.losses] == want["losses"]
+        assert state_digest(resumed.model_state_dict()) == want["model"]
+        assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
