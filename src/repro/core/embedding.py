@@ -180,6 +180,14 @@ class EmbeddingBag:
             raise ValueError(f"rows [{start}, {stop}) outside a {self.rows}-row bag")
         return self._over(stop - start, lambda a: a[start:stop])
 
+    def storage_rows(self, indices: np.ndarray) -> np.ndarray:
+        """The storage rows that pre-checked ``indices`` name: the ids
+        themselves, unless a subclass keeps its rows in another order
+        (:class:`~repro.tiering.store.TieredEmbeddingBag`).  This is what
+        a model shifts by the table's first slab row when it fuses a
+        batch into the slab's id space."""
+        return indices
+
     def _gather_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Rows of pre-checked ``indices`` into ``out``, in compute
         precision.  ``np.take(..., out=..., mode="clip")`` is bitwise the
@@ -245,15 +253,10 @@ class EmbeddingBag:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore storage saved by :meth:`state_dict`, bit-exactly."""
-        self._load_array(state, "weight", self.weight, np.float32)
+        self.weight[...] = self._state_array(state, "weight", np.float32)
 
-    def _load_array(
-        self,
-        state: dict[str, np.ndarray],
-        key: str,
-        dst: np.ndarray,
-        dtype: type,
-    ) -> None:
+    def _state_array(self, state: dict[str, np.ndarray], key: str, dtype: type) -> np.ndarray:
+        """``state[key]``, checked to be a ``(rows, dim)`` array of ``dtype``."""
         if key not in state:
             raise KeyError(f"missing state entry {key!r}")
         value = np.asarray(state[key])
@@ -261,9 +264,9 @@ class EmbeddingBag:
             raise ValueError(
                 f"{key}: dtype {value.dtype} != expected {np.dtype(dtype)}"
             )
-        if value.shape != dst.shape:
-            raise ValueError(f"{key}: shape {value.shape} != expected {dst.shape}")
-        dst[...] = value
+        if value.shape != (self.rows, self.dim):
+            raise ValueError(f"{key}: shape {value.shape} != expected {(self.rows, self.dim)}")
+        return value
 
     # -- compute layer -----------------------------------------------------------
 
@@ -348,7 +351,9 @@ class EmbeddingBag:
 
 
 def stack_tables(
-    tables: Iterable[EmbeddingBag], total_rows: int
+    tables: Iterable[EmbeddingBag],
+    total_rows: int,
+    alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
 ) -> tuple[EmbeddingBag | None, list[EmbeddingBag]]:
     """Move ``tables`` into one *slab* bag of ``total_rows`` rows.
 
@@ -358,14 +363,15 @@ def stack_tables(
     <EmbeddingBag.rows_view>` per table, in order, holding that table's
     exact bits.  ``tables`` is consumed one at a time (pass a
     generator), so at most one stand-alone table is alive beside the
-    slab.  No tables, no slab: ``(None, [])``.
+    slab.  ``alloc(shape, dtype)`` provides the slab's storage arrays
+    (default ``np.empty``; :func:`repro.tiering.store.file_backed` puts
+    them on a file mapping).  No tables, no slab: ``(None, [])``.
     """
+    alloc = alloc or np.empty
     slab, views, start = None, [], 0
     for table in tables:
         if slab is None:
-            slab = table._over(
-                total_rows, lambda a: np.empty((total_rows, *a.shape[1:]), dtype=a.dtype)
-            )
+            slab = table._over(total_rows, lambda a: alloc((total_rows, *a.shape[1:]), a.dtype))
         view = slab.rows_view(start, start + table.rows)
         for name in table._arrays:
             getattr(view, name)[...] = getattr(table, name)
@@ -497,5 +503,5 @@ class SplitEmbeddingBag(EmbeddingBag):
         return {"hi": self.hi.copy(), "lo": self.lo.copy()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self._load_array(state, "hi", self.hi, np.uint16)
-        self._load_array(state, "lo", self.lo, np.uint16)
+        self.hi[...] = self._state_array(state, "hi", np.uint16)
+        self.lo[...] = self._state_array(state, "lo", np.uint16)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from repro.util import rng_from
 
 @dataclass(frozen=True)
 class _SlabLookup:
-    """One batch's look-ups into the slab's tables as a single look-up
-    in the slab's id space: the ``j``-th of those tables owns bags
+    """One batch's look-ups into the owned tables as a single look-up
+    in the slab's id space: the ``j``-th owned table has bags
     ``[j * n, (j + 1) * n)`` of ``offsets``, ``n`` the batch size."""
 
     batch: Batch
@@ -60,6 +60,7 @@ class DLRM:
         storage: str = "fp32",
         lo_bits: int = 16,
         table_ids: list[int] | None = None,
+        slab_alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
     ):
         """Build the model.
 
@@ -68,6 +69,9 @@ class DLRM:
         initialisation draws from per-table seeded streams, so any
         partition of tables across processes reproduces the exact same
         weights as a single process holding all of them.
+        ``slab_alloc(shape, dtype)`` provides the embedding slab's memory
+        (default ``np.empty``); whoever tiers the tables passes a file
+        mapping (:func:`repro.tiering.store.build_tiered`).
         """
         if storage not in ("fp32", "split_bf16"):
             raise ValueError(f"storage must be fp32 or split_bf16, got {storage!r}")
@@ -104,7 +108,7 @@ class DLRM:
         )
         rows = [cfg.table_rows[t] for t in self.table_ids]
         #: Every owned table's rows back to back in one bag of the
-        #: storage class (``None`` once no table is served from it).  A
+        #: storage class (``None`` for a model that owns no table).  A
         #: step looks all of them up with one ``slab.forward`` and
         #: updates them with one sort, one plan and one fold.
         self.slab, views = stack_tables(
@@ -113,17 +117,17 @@ class DLRM:
                 for t, r in zip(self.table_ids, rows)
             ),
             sum(rows),
+            slab_alloc,
         )
         self._tables: dict[int, EmbeddingBag] = dict(zip(self.table_ids, views))
-        #: The owned tables by id: row-range views into :attr:`slab`
-        #: (same ``state_dict`` keys and arrays as stand-alone bags), or
-        #: whatever :meth:`replace_table` put in their place.  Read-only:
-        #: an assignment could not tell the slab that a table has left.
+        #: The owned tables by id: views of their row range of
+        #: :attr:`slab` (same ``state_dict`` keys and arrays as
+        #: stand-alone bags), in table order.  Read-only; a view that
+        #: keeps its rows in another order comes in through
+        #: :meth:`rebind_table`.
         self.tables: Mapping[int, EmbeddingBag] = MappingProxyType(self._tables)
-        #: First slab row of each table, and the tables still served
-        #: from the slab (in table order).
+        #: First slab row of each table.
         self._slab_start = dict(zip(self.table_ids, np.cumsum([0] + rows[:-1]).tolist()))
-        self._slab_tables = tuple(self.table_ids)
         self._lookup: _SlabLookup | None = None
         self.interaction = make_interaction(
             cfg.interaction, cfg.num_tables, cfg.embedding_dim
@@ -187,63 +191,59 @@ class DLRM:
 
     # -- passes ------------------------------------------------------------------
 
-    def replace_table(self, table_id: int, bag: EmbeddingBag) -> None:
-        """Serve table ``table_id`` from ``bag`` (a tiered store) from
-        now on.  The table leaves the slab and keeps a per-table path;
-        its slab rows go dead, and once every table has left the slab is
-        freed."""
-        self._tables[table_id] = bag
-        self._slab_tables = tuple(t for t in self._slab_tables if t != table_id)
+    def rebind_table(self, table_id: int, view: EmbeddingBag) -> None:
+        """Serve table ``table_id`` through ``view`` from now on: a bag
+        over the table's own slab rows that keeps them in another order
+        (:func:`repro.tiering.store.apply_tiering`).  The table stays in
+        the slab; its ``storage_rows`` is asked wherever ids enter the
+        slab's id space, so the model holds no copy of the order."""
+        old = self._tables[table_id]
+        if (view.rows, view.dim) != (old.rows, old.dim):
+            raise ValueError(
+                f"table {table_id} is {old.rows} x {old.dim}, the view {view.rows} x {view.dim}"
+            )
+        self._tables[table_id] = view
         self._lookup = None
-        if not self._slab_tables:
-            self.slab = None
 
-    def _fuse(self, batch: Batch) -> _SlabLookup | None:
-        """``batch``'s look-ups into the slab's tables, range- and
+    def _fuse(self, batch: Batch) -> _SlabLookup:
+        """``batch``'s look-ups into the owned tables, range- and
         bag-checked per table (an id past its own table must raise, not
-        read the next one), then shifted into the slab's id space."""
-        if self.slab is None:
-            return None
+        read the next one), then moved into the slab's id space: each
+        table's storage rows, shifted by its first slab row."""
         checked = [
             self.tables[t]._check_lookup(batch.indices[t], batch.offsets[t])
-            for t in self._slab_tables
+            for t in self.table_ids
         ]
         n = batch.size
         indices = np.empty(sum(idx.shape[0] for idx, _, _ in checked), dtype=np.int64)
         offsets = np.empty(n * len(checked) + 1, dtype=np.int64)
         at = 0
-        for j, (t, (idx, off, _)) in enumerate(zip(self._slab_tables, checked)):
-            np.add(idx, self._slab_start[t], out=indices[at : at + idx.shape[0]])
+        for j, (t, (idx, off, _)) in enumerate(zip(self.table_ids, checked)):
+            rows = self.tables[t].storage_rows(idx)
+            np.add(rows, self._slab_start[t], out=indices[at : at + idx.shape[0]])
             np.add(off[:-1], at, out=offsets[j * n : (j + 1) * n])
             at += idx.shape[0]
         offsets[-1] = at
         return _SlabLookup(batch, indices, offsets)
 
-    def _slab_lookup(self, batch: Batch) -> _SlabLookup | None:
+    def _slab_lookup(self, batch: Batch) -> _SlabLookup:
         """:meth:`_fuse`, once per batch: the forward fuses, the update
         of the same batch reuses."""
         if self._lookup is None or self._lookup.batch is not batch:
             self._lookup = self._fuse(batch)
         return self._lookup
 
-    def _embedding_lookup(
-        self, batch: Batch, lookup: _SlabLookup | None
-    ) -> dict[int, np.ndarray]:
-        """One ``slab.forward`` for the slab's tables (their ``freq_hook``s
-        fed their own ids first), one forward each for the rest."""
-        slot = {t: j for j, t in enumerate(self._slab_tables)}
-        if lookup is not None:
-            for t in slot:
-                hook = self.tables[t].freq_hook
-                if hook is not None:
-                    hook(batch.indices[t])
-            pooled = self.slab.forward(lookup.indices, lookup.offsets)
-        return {
-            t: pooled[lookup.bags(slot[t])]
-            if t in slot
-            else self.tables[t].forward(batch.indices[t], batch.offsets[t])
-            for t in self.table_ids
-        }
+    def _embedding_lookup(self, batch: Batch, lookup: _SlabLookup) -> dict[int, np.ndarray]:
+        """One ``slab.forward`` for every owned table, their
+        ``freq_hook``s fed their own ids first."""
+        if not self.table_ids:
+            return {}
+        for t in self.table_ids:
+            hook = self.tables[t].freq_hook
+            if hook is not None:
+                hook(batch.indices[t])
+        pooled = self.slab.forward(lookup.indices, lookup.offsets)
+        return {t: pooled[lookup.bags(j)] for j, t in enumerate(self.table_ids)}
 
     def embedding_forward(self, batch: Batch) -> dict[int, np.ndarray]:
         """Look up only this process's tables (model-parallel half)."""
@@ -370,21 +370,22 @@ class DLRM:
 
     def apply_updates(self, opt: SGD) -> None:
         """Dense step + sparse step of what :meth:`backward` left in
-        :attr:`sparse_grads`; the slab's tables step as one gradient in
-        its id space when the optimizer takes it (see
+        :attr:`sparse_grads`; the tables step as one gradient in the
+        slab's id space when the optimizer takes it (see
         :meth:`sparse_update`)."""
         with trace("update.dense"):
             opt.step_dense(self.parameters())
         grads = dict(self.sparse_grads)
         self.sparse_grads.clear()
-        steps: list[tuple[EmbeddingBag, SparseGrad]] = []
-        stacked = [t for t in self._slab_tables if t in grads]
-        if stacked and steps_rows_statelessly(opt):
-            parts = [grads.pop(t) for t in stacked]
-            ids = [g.indices + self._slab_start[t] for t, g in zip(stacked, parts)]
-            values = [g.values for g in parts]
-            steps.append((self.slab, SparseGrad(np.concatenate(ids), np.concatenate(values))))
-        steps += [(self.tables[t], grad) for t, grad in grads.items()]
+        if grads and steps_rows_statelessly(opt):
+            ids = [
+                self.tables[t].storage_rows(g.indices) + self._slab_start[t]
+                for t, g in grads.items()
+            ]
+            values = [g.values for g in grads.values()]
+            steps = [(self.slab, SparseGrad(np.concatenate(ids), np.concatenate(values)))]
+        else:
+            steps = [(self.tables[t], grad) for t, grad in grads.items()]
         for bag, grad in steps:
             with trace("update.sparse", rows=grad.nnz):
                 opt.step_sparse(bag, grad)
@@ -395,13 +396,14 @@ class DLRM:
         """Alg. 2 + Alg. 3/4 for every owned table, given the bag-level
         gradients ``dembs[t]`` of the embedding outputs.
 
-        The slab's tables update as **one** look-up in the slab's id
-        space -- one sort, one plan, one fold -- whenever the optimizer
-        steps sparse gradients the plain-SGD way; a table that left the
-        slab (tiered) updates on its own, and an optimizer that
-        overrides ``step_sparse`` (per-table state, e.g.
+        The tables update as **one** look-up in the slab's id space --
+        one sort, one plan, one fold -- whenever the optimizer steps
+        sparse gradients the plain-SGD way; an optimizer that overrides
+        ``step_sparse`` (per-table state, e.g.
         :class:`~repro.core.optim.SparseAdagrad`) gets each table view
-        with its own gradient.  With the fused strategy (same gate as
+        with its own gradient in the table's own ids, and a view that
+        keeps its rows in another order translates inside its own
+        scatter.  With the fused strategy (same gate as
         ever: :func:`~repro.core.update.uses_fused_dispatch`) Alg. 2's
         row-per-lookup gradient is never materialised.  Bitwise the
         per-table updates in every case: fused ids of different tables
@@ -409,14 +411,17 @@ class DLRM:
         contributions in batch order.  ``span`` labels the trace spans
         (the rank, under the hybrid-parallel runtime).
         """
-        units: list[tuple[EmbeddingBag, np.ndarray, np.ndarray, np.ndarray]] = []
-        alone = list(self.table_ids)
-        if self.slab is not None and steps_rows_statelessly(opt):
+        if not self.table_ids:
+            return
+        if steps_rows_statelessly(opt):
             lookup = self._slab_lookup(batch)
-            grad_out = np.concatenate([dembs[t] for t in self._slab_tables])
-            units.append((self.slab, grad_out, lookup.indices, lookup.offsets))
-            alone = [t for t in alone if t not in self._slab_tables]
-        units += [(self.tables[t], dembs[t], batch.indices[t], batch.offsets[t]) for t in alone]
+            grad_out = np.concatenate([dembs[t] for t in self.table_ids])
+            units = [(self.slab, grad_out, lookup.indices, lookup.offsets)]
+        else:
+            units = [
+                (self.tables[t], dembs[t], batch.indices[t], batch.offsets[t])
+                for t in self.table_ids
+            ]
         fused = uses_fused_dispatch(opt)
         for bag, grad_out, indices, offsets in units:
             if fused:

@@ -787,21 +787,15 @@ def _register_executor(executor: "ProcessRankExecutor") -> None:
         _ATEXIT_REGISTERED = True
 
 
-def shm_name(kind: str, index: int | str = "") -> str:
-    """A unique shm name short enough for macOS's 31-char limit.
-
-    Shared by the executor's state/trace arenas and the tiering hot
-    arenas (:mod:`repro.tiering.store`): pid + a process-wide sequence
-    number make names collision-free across concurrent arenas.
-    """
+def _short_name(kind: str, index: int | str = "") -> str:
+    """A unique shm name short enough for macOS's 31-char limit: pid + a
+    process-wide sequence number make names collision-free across
+    concurrent arenas."""
     global _NAME_SEQ
     with _NAME_LOCK:
         _NAME_SEQ += 1
         seq = _NAME_SEQ
     return f"rpx{os.getpid() % 0xFFFFF:05x}{seq:03x}{kind}{index}"
-
-
-_short_name = shm_name
 
 
 class ProcessRankExecutor:

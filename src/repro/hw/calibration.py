@@ -103,14 +103,14 @@ class Calibration:
     #: scan is cheap (4 B/index from cache) but not free.
     racefree_scan_bytes_per_index: float = 4.0
     #: Effective-bandwidth multiplier for gathers served from a pinned
-    #: hot-row arena small enough to stay cache-resident (the tiered
-    #: store of :mod:`repro.tiering`): a few-MB arena under a Zipf head
+    #: hot-row prefix small enough to stay cache-resident (the tiered
+    #: store of :mod:`repro.tiering`): a few-MB prefix under a Zipf head
     #: turns DRAM-random reads into L2/LLC hits.  GUPS-style random
     #: reads from cache run several times faster than from DRAM; 3x is
     #: a conservative single-socket figure.
     hot_gather_speedup: float = 3.0
-    #: Derating for gathers falling through to the mmap-backed cold
-    #: tier (page-cache resident; an extra indirection and no prefetch
+    #: Derating for gathers falling through to the file-mapped cold
+    #: tail (page-cache resident; an extra indirection and no prefetch
     #: friendliness vs. a malloc'd flat table).
     cold_gather_slowdown: float = 1.15
     #: Fusing backward+update (standalone experiment, Sect. III-A) saves

@@ -158,23 +158,23 @@ class CostModel:
         hot_traffic_fraction: float = 0.0,
         cores: int | None = None,
     ) -> float:
-        """Random-row read time under two-tier storage (:mod:`repro.tiering`).
+        """Random-row read time under hot-first storage (:mod:`repro.tiering`).
 
         ``hot_traffic_fraction`` of the look-ups hit the cache-resident
-        hot arena (``hot_gather_speedup`` faster than DRAM-random); the
-        rest fall through to the mmap cold tier (``cold_gather_slowdown``
+        hot prefix (``hot_gather_speedup`` faster than DRAM-random); the
+        rest fall through to the file-mapped tail (``cold_gather_slowdown``
         slower).  At fraction 0 this prices a flat table up to the small
-        mmap derating, so the planner can compare modes on one scale.
+        mapping derating, so the planner can compare modes on one scale.
         """
         bw = self.mem_bw_on(cores) * self.gather_efficiency(row_bytes)
         factor = self.tiered_traffic_factor(hot_traffic_fraction)
         return factor * total_lookups * row_bytes / bw
 
     def tiered_traffic_factor(self, hot_traffic_fraction: float) -> float:
-        """Scale on row-granular random traffic under two-tier storage.
+        """Scale on row-granular random traffic under hot-first storage.
 
         1.0 at fraction 0 (flat pricing), dropping toward
-        ``1 / hot_gather_speedup`` as the hot arena absorbs the traffic;
+        ``1 / hot_gather_speedup`` as the hot prefix absorbs the traffic;
         the cold remainder pays ``cold_gather_slowdown``.  Applied to
         gathers, scatters and in-place updates alike -- all are
         row-granular random accesses whose cost tracks the tier the row

@@ -323,8 +323,8 @@ def _fold(
     (``dst[j]`` when ``dst_rows`` is None) starting from the row's
     current value: the weight row for an in-place ``W[i] += d`` scatter,
     zero for an aggregation -- exactly like ``np.add.at``.  ``dst_rows``
-    must be distinct; ``dst`` may be an ``np.memmap`` (the tiered
-    store's cold tier).
+    must be distinct; ``dst`` may sit on a file mapping (a tiered
+    model's slab).
 
     Large folds give each pool worker a contiguous segment range holding
     a balanced share of the contributions and run the same

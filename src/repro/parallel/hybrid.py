@@ -75,6 +75,7 @@ from repro.hw.cache import index_stats
 from repro.hw.costmodel import CostModel, GemmShape
 from repro.obs.tracer import trace
 from repro.parallel.cluster import SimCluster
+from repro.tiering.store import build_tiered
 
 LOADER_MODES = ("none", "global", "sharded")
 
@@ -135,33 +136,29 @@ class DistributedDLRM:
         else:
             self.owners = list(placement)
             validate_placement(cfg, self.owners, r)
-        self.models = [
-            DLRM(
-                cfg,
-                seed=seed,
-                engine=engine,
-                storage=storage,
-                lo_bits=lo_bits,
-                table_ids=[t for t, o in enumerate(self.owners) if o == rank],
-            )
-            for rank in range(r)
-        ]
-        self.tiering = tiering
-        self.tiering_cold_dir = tiering_cold_dir
-        if tiering:
-            # Per-rank tiered storage: each rank converts only the tables
-            # it owns (plans for other ranks' tables are skipped because
-            # those tables don't exist in the rank's model).  Weights
-            # carry over bit-exactly, so the tiered cluster matches the
-            # flat one bitwise for a fixed plan.
-            from repro.tiering.store import apply_tiering
-
-            for model in self.models:
-                apply_tiering(
-                    model,
-                    {t: tiering.get(t) for t in model.tables},
+        self.models = []
+        plans = tiering or {}
+        for rank in range(r):
+            owned = [t for t, o in enumerate(self.owners) if o == rank]
+            # Per-rank tiered storage: each rank tiers only the tables it
+            # owns, in a slab built on the rank's own file.  Tiering moves
+            # rows, never bits, so the tiered cluster matches the flat
+            # one bitwise for any plan.
+            self.models.append(
+                build_tiered(
+                    lambda alloc: DLRM(
+                        cfg,
+                        seed=seed,
+                        engine=engine,
+                        storage=storage,
+                        lo_bits=lo_bits,
+                        table_ids=owned,
+                        slab_alloc=alloc,
+                    ),
+                    {t: plans[t] for t in owned if t in plans},
                     cold_dir=tiering_cold_dir,
                 )
+            )
         self.exchange = make_exchange(exchange)
         self.reducer = DistributedDataParallelReducer(cluster)
         if bucket_mb <= 0:
@@ -271,7 +268,7 @@ class DistributedDLRM:
             with trace("phase.embedding.fwd", rank=r):
                 out = model.embedding_forward(global_batch)
             # Tier-aware gather pricing: tiered tables (repro.tiering)
-            # read most rows from the cache-resident hot arena, so their
+            # read most rows from the cache-resident hot prefix, so their
             # random-read term is charged at the measured per-batch hit
             # rate; flat tables keep the DRAM-random price.  Bag writes
             # and per-table overhead are storage-independent and stay in
@@ -429,10 +426,10 @@ class DistributedDLRM:
                 for t in model.table_ids:
                     lookups = len(global_batch.indices[t])
                     # Tiered tables (repro.tiering) scatter most rows
-                    # into the hot arena: the same hit-rate factor that
+                    # into the hot prefix: the same hit-rate factor that
                     # discounts the forward gather scales the backward
                     # scatter and the in-place update -- all row-granular
-                    # random traffic against the same two tiers.
+                    # random traffic against the same rows.
                     frac = getattr(model.tables[t], "hot_traffic_fraction", None)
                     tier = (
                         1.0 if frac is None

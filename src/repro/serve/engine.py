@@ -20,6 +20,8 @@ from repro.core.batch import Batch
 from repro.core.mlp import sigmoid
 from repro.core.model import DLRM
 from repro.kernels.workspace import Workspace
+from repro.tiering.planner import plan_from_spec
+from repro.tiering.store import build_tiered
 
 
 class InferenceEngine:
@@ -56,26 +58,20 @@ class InferenceEngine:
 
         ckpt = load_checkpoint(path)
         spec = ckpt.require_spec()
-        model = spec.build_model()
+        # Serve out-of-core too: rebuild the (deterministic) plan from the
+        # spec *first*, build the model on its file with the same tables
+        # tiered as the trainer's, and only then load the weights through
+        # the tiered views -- no flat copy of the tables ever sits in
+        # anonymous memory, so a model bigger than RAM loads.  Tiering
+        # moves rows, never bits: predictions stay bit-identical to a
+        # flat replica for *any* plan.
+        plan = plan_from_spec(spec) if spec.tiering.enabled else None
+        model = build_tiered(
+            lambda alloc: spec.build_model(slab_alloc=alloc),
+            plan.plans if plan is not None else {},
+            cold_dir=spec.tiering.cold_dir,
+        )
         model.load_state_dict(ckpt.model_state)
-        if getattr(spec, "tiering", None) is not None and spec.tiering.enabled:
-            # Serve out-of-core too: rebuild the (deterministic) plan from
-            # the spec and split the same tables the trainer split, so a
-            # model bigger than RAM loads.  Gathers are exact copies from
-            # either tier, so predictions stay bit-identical to a flat
-            # replica -- for *any* plan.  Private hot tiers: a serving
-            # replica never forks workers that need the arena.
-            from repro.tiering.planner import plan_from_spec
-            from repro.tiering.store import apply_tiering
-
-            plan = plan_from_spec(spec)
-            if plan is not None:
-                apply_tiering(
-                    model,
-                    plan.plans,
-                    cold_dir=spec.tiering.cold_dir,
-                    share_hot=False,
-                )
         return cls(model)
 
     # -- buffers ------------------------------------------------------------

@@ -17,9 +17,10 @@ that skew into capacity and speed:
   owners).  Registered as ``placement="auto"`` next to ``round_robin``
   and ``balanced``.
 * :mod:`repro.tiering.store` -- :class:`~repro.tiering.store.TieredEmbeddingBag`,
-  a two-tier row store: pinned-hot rows in a ``multiprocessing.shared_memory``
-  arena, everything in an mmap-backed cold file, bit-identical to the
-  flat table for a fixed plan.
+  tiering as a permutation: the table's rows in hot-first order (the
+  pinned-hot ids are the prefix) on a file mapping, plus the id -> row
+  map; inside a model the rows stay in the embedding slab.  Bit-identical
+  to the flat table for any plan.
 """
 
 from repro.tiering.freqstats import FreqSnapshot, FreqStats, TableFreq

@@ -51,7 +51,8 @@ class TablePlan:
     """Storage decision for one table."""
 
     table: int
-    #: ``"flat"`` (plain contiguous FP32) or ``"hot_cold"`` (arena + mmap).
+    #: ``"flat"`` (rows in id order) or ``"hot_cold"`` (rows hot-first on
+    #: a file mapping, ``hot_rows`` the prefix).
     mode: str
     #: Pinned-hot row ids, sorted ascending (empty when flat).
     hot_rows: np.ndarray
@@ -84,7 +85,7 @@ class TieredPlacement:
         return sorted(t for t, p in self.plans.items() if p.mode == "hot_cold")
 
     def hot_bytes(self, cfg: DLRMConfig) -> int:
-        """Total pinned-hot arena bytes across all tables."""
+        """Total pinned-hot bytes across all tables."""
         row_bytes = cfg.embedding_dim * 4
         return sum(
             int(p.hot_rows.size) * row_bytes

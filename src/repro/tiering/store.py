@@ -1,69 +1,118 @@
-"""Two-tier embedding row store: shared-memory hot arena + mmap cold file.
+"""Tiered embedding rows: one array in hot-first order on a file mapping.
 
-:class:`TieredEmbeddingBag` keeps a pinned set of hot rows in a
-``multiprocessing.shared_memory`` arena (the same
-:class:`~repro.exec.mp.ShmArena` recipe the process backend mirrors
-state through) and the full table in an mmap-backed cold file.  The
-arena is authoritative for hot rows; the cold file is authoritative for
-everything else, which lets tables whose total bytes exceed the arena
-budget train and serve out-of-core -- the OS pages cold rows in and out
-on demand.
+A :class:`TieredEmbeddingBag` stores its table as *one* ``(rows, dim)``
+FP32 array whose first ``h`` rows are the pinned-hot ids (ascending) and
+whose remaining rows are every other id (ascending), plus the ``int64``
+permutation ``id -> row``.  Tiering is that permutation and nothing
+else: every operation is the flat :class:`~repro.core.embedding.EmbeddingBag`
+kernel on the translated ids, hot or cold is ``row < h``, and the rows
+a skewed id stream keeps hitting sit next to each other instead of
+being spread over the whole table.  The array lives on a file mapping
+under ``cold_dir`` (:func:`file_backed`), so a table -- or, inside a
+model, the whole slab the tables are views of -- can exceed RAM: the OS
+keeps the hot prefix resident and pages the tail in and out on demand.
 
-Bit-identity contract (pinned by ``tests/tiering/test_store.py``): for
-a *fixed* hot set, every operation -- gather, forward, backward,
-``scatter_add_rows``, ``apply_bag_updates``, ``state_dict`` -- produces
-bitwise the flat :class:`~repro.core.embedding.EmbeddingBag` result.
-Gathered values are exact copies wherever the row lives, and the
-scatter kernels fold each row's duplicate contributions in original
-occurrence order: splitting an index vector by the hot mask keeps every
-row's occurrences together and in order, so the per-row folds are the
-flat kernel's folds.  Promotion/demotion (:meth:`retier`) moves rows
-between tiers bit-exactly and is only ever invoked at epoch boundaries.
+Bit-identity contract (pinned by ``tests/tiering/``): for any hot set,
+every operation -- gather, forward, backward, ``scatter_add_rows``,
+``apply_bag_updates``, ``state_dict`` -- produces bitwise the flat
+table's result.  A bijection on row ids moves rows, never values, and
+the kernels' stable sort keeps each row's duplicate contributions in
+batch order whatever the row is called.  :meth:`TieredEmbeddingBag.retier`
+re-permutes in place, bit-exactly, and is only ever invoked at epoch
+boundaries.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import mmap
 import os
 import tempfile
 import weakref
+from typing import Callable
 
 import numpy as np
 
 from repro.core.embedding import EmbeddingBag
-from repro.exec.mp import ShmArena, shm_name
-from repro.kernels.segment import scatter_add_bags, scatter_add_exact, segment_sum_ragged
-from repro.obs.tracer import trace
 
 
-def _cold_dir(cold_dir: str | None) -> str:
-    """Resolve (and create) the directory holding cold-tier files."""
-    if cold_dir is None:
+def _release(path: str, own_dir: bool) -> None:
+    """Unlink a slab file; a defaulted directory goes with its last file
+    (``rmdir`` refuses while another file of this process lives there)."""
+    with contextlib.suppress(OSError):
+        os.unlink(path)
+    if own_dir:
+        with contextlib.suppress(OSError):
+            os.rmdir(os.path.dirname(path))
+
+
+def file_backed(
+    shape: tuple[int, ...], dtype=np.float32, cold_dir: str | None = None
+) -> np.ndarray:
+    """A zeroed ``shape`` array on a fresh file under ``cold_dir``
+    (default: ``<tmp>/repro-tiering-<pid>/``, removed with its last file).
+
+    Returned as a base-class ``ndarray`` over the one ``np.memmap`` of
+    the file, so the kernels see a plain array.  The mapping carries
+    ``release``: called, or when the last view of the mapping is
+    collected, it unlinks the file -- pages already mapped stay valid.
+    Rows are read at random, so the mapping is advised ``MADV_RANDOM``:
+    no read-ahead behind a gather that pages a row in, nor under the
+    first fill (docs/BENCHMARKS.md has what that window cost).
+    """
+    own_dir = cold_dir is None
+    if own_dir:
         cold_dir = os.path.join(tempfile.gettempdir(), f"repro-tiering-{os.getpid()}")
-    os.makedirs(cold_dir, exist_ok=True)
-    return cold_dir
+    while True:
+        os.makedirs(cold_dir, exist_ok=True)
+        try:
+            fd, path = tempfile.mkstemp(prefix="slab-", suffix=".bin", dir=cold_dir)
+            break
+        except FileNotFoundError:  # a release just removed the emptied default dir
+            continue
+    os.close(fd)
+    mapping = np.memmap(path, dtype=dtype, mode="w+", shape=tuple(shape))
+    if hasattr(mmap, "MADV_RANDOM"):
+        mapping._mmap.madvise(mmap.MADV_RANDOM)
+    mapping.release = weakref.finalize(mapping, _release, path, own_dir)
+    return mapping.view(np.ndarray)
 
 
-def _cleanup(arena: ShmArena | None, mmap_path: str) -> None:
-    if arena is not None:
-        arena.close()
-        arena.unlink()
-    try:
-        os.unlink(mmap_path)
-    except OSError:
-        pass
+def _mapping_of(array: np.ndarray) -> np.memmap | None:
+    """The :func:`file_backed` mapping ``array`` is a view of, if any."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = getattr(array, "base", None)
+    return array
+
+
+def _hot_first(rows: int, hot_rows: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """``(order, h)``: the storage order that puts the ``h`` distinct ids
+    of ``hot_rows`` first and every other id after them, both ascending;
+    ``order[row]`` is the id stored at ``row``."""
+    hot = (
+        np.empty(0, dtype=np.int64)
+        if hot_rows is None
+        else np.unique(np.asarray(hot_rows, dtype=np.int64))
+    )
+    if hot.size and (hot[0] < 0 or hot[-1] >= rows):
+        raise ValueError("hot_rows out of range")
+    cold = np.ones(rows, dtype=bool)
+    cold[hot] = False
+    return np.concatenate([hot, np.flatnonzero(cold)]), int(hot.size)
 
 
 class TieredEmbeddingBag(EmbeddingBag):
-    """One embedding table split into a hot arena and a cold mmap file.
+    """One embedding table stored hot-first.
 
-    ``hot_rows`` is the sorted pinned-hot row-id set (possibly empty:
-    a pure out-of-core table).  ``share_hot=True`` places the hot tier
-    in a named shared-memory arena; ``False`` keeps it in private
-    memory (serving replicas that never fork).
+    ``hot_rows`` is the pinned-hot row-id set (possibly empty: a pure
+    out-of-core table).  Built stand-alone, the bag owns a file under
+    ``cold_dir``; :meth:`view_of` instead wraps rows that already sit
+    hot-first in a model's file-backed slab (:func:`apply_tiering`).
     """
 
     storage = "fp32"
-    _arrays = ()  # two tiers, no row-sliceable array
+    _arrays = ()  # the rows belong to :attr:`store`
 
     def __init__(
         self,
@@ -73,69 +122,46 @@ class TieredEmbeddingBag(EmbeddingBag):
         weight: np.ndarray | None = None,
         hot_rows: np.ndarray | None = None,
         cold_dir: str | None = None,
-        share_hot: bool = True,
-        name_hint: str = "t",
     ):
-        self._hot_rows = (
-            np.empty(0, dtype=np.int64)
-            if hot_rows is None
-            else np.unique(np.asarray(hot_rows, dtype=np.int64))
-        )
-        if self._hot_rows.size and (
-            self._hot_rows[0] < 0 or self._hot_rows[-1] >= rows
-        ):
-            raise ValueError("hot_rows out of range")
-        self._cold_base = _cold_dir(cold_dir)
-        self._share_hot = share_hot
-        self._name_hint = name_hint
+        self._pending = (hot_rows, cold_dir)  # for _init_storage, which super() calls
         super().__init__(rows, dim, rng=rng, weight=weight)
 
-    # -- storage layer ------------------------------------------------------
-
     def _init_storage(self, w: np.ndarray) -> None:
-        rows, dim = w.shape
-        # Cold tier: the full table in an mmap-backed file.  Rows in the
-        # hot set go stale here the moment training starts; state
-        # assembly overlays the arena on top (see dense_weight).
-        fd, self._cold_path = tempfile.mkstemp(
-            prefix=f"cold-{self._name_hint}-", suffix=".bin", dir=self._cold_base
-        )
-        os.close(fd)
-        self._cold = np.memmap(
-            self._cold_path, dtype=np.float32, mode="w+", shape=(rows, dim)
-        )
-        self._cold[...] = w
-        # Hot tier: the pinned rows, shared-memory arena or private.
-        h = int(self._hot_rows.size)
-        if self._share_hot:
-            layout = ShmArena.layout_for(
-                {"hot": np.empty((max(1, h), dim), dtype=np.float32)}
-            )
-            self._arena = ShmArena.create(shm_name(self._name_hint), layout)
-            self._hot = self._arena.view("hot")[:h]
-        else:
-            self._arena = None
-            self._hot = np.empty((h, dim), dtype=np.float32)
-        if h:
-            self._hot[...] = w[self._hot_rows]
-        self._rebuild_slot_map()
-        self._finalizer = weakref.finalize(
-            self, _cleanup, self._arena, self._cold_path
-        )
+        hot_rows, cold_dir = self._pending
+        del self._pending
+        order, h = _hot_first(self.rows, hot_rows)
+        store = EmbeddingBag(self.rows, self.dim, weight=file_backed(w.shape, cold_dir=cold_dir))
+        np.take(w, order, axis=0, out=store.weight, mode="clip")
+        self._bind(store, order, h)
 
-    def _rebuild_slot_map(self) -> None:
-        #: is_hot mask + hot-slot translation, both indexed by row id.
-        self._is_hot = np.zeros(self.rows, dtype=bool)
-        self._slot = np.zeros(self.rows, dtype=np.int64)
-        if self._hot_rows.size:
-            self._is_hot[self._hot_rows] = True
-            self._slot[self._hot_rows] = np.arange(self._hot_rows.size)
+    @classmethod
+    def view_of(cls, store: EmbeddingBag, order: np.ndarray, hot: int) -> "TieredEmbeddingBag":
+        """The tiered table over ``store``, a file-backed flat bag whose
+        row ``r`` already holds id ``order[r]``, the first ``hot`` of
+        them the hot set."""
+        bag = cls.__new__(cls)
+        bag.rows, bag.dim = store.rows, store.dim
+        bag._bind(store, order, hot)
+        return bag
+
+    def _bind(self, store: EmbeddingBag, order: np.ndarray, hot: int) -> None:
+        #: The flat bag over this table's rows in hot-first order: slab
+        #: rows when the table belongs to a model.
+        self.store = store
+        self._file = _mapping_of(store.weight)
+        if self._file is None:
+            raise ValueError("a tiered table's rows must live on a file_backed mapping")
+        #: id -> row of :attr:`store`; only ever written in place.
+        self._remap = np.empty(self.rows, dtype=np.int64)
+        self._remap[order] = np.arange(self.rows)
+        #: Rows ``[0, _hot)`` are the hot set; :meth:`retier` may move
+        #: it, never grow it past the budget it was built with.
+        self._hot = self._budget = hot
 
     @property
     def weight(self) -> np.ndarray:
-        # The flat table keeps ``weight`` as the storage tensor; tiered
-        # storage has no single authoritative array, so anything asking
-        # for one gets the assembled copy (tests, inspection).
+        # The flat table keeps ``weight`` as its storage tensor; here it
+        # is the table read back in id order (tests, inspection).
         return self.dense_weight()
 
     @weight.setter
@@ -148,203 +174,171 @@ class TieredEmbeddingBag(EmbeddingBag):
     @property
     def hot_rows(self) -> np.ndarray:
         """The pinned-hot row ids (sorted ascending)."""
-        return self._hot_rows
+        return np.flatnonzero(self._remap < self._hot)
 
     @property
     def hot_bytes(self) -> int:
-        return int(self._hot_rows.size) * self.dim * 4
+        return self._hot * self.dim * 4
 
     @property
     def cold_path(self) -> str:
-        """Path of the mmap-backed cold file (deleted on :meth:`close`)."""
-        return self._cold_path
+        """Path of the file the rows are mapped from (deleted on
+        :meth:`close`, or with the last view of the mapping)."""
+        return str(self._file.filename)
 
     def hot_traffic_fraction(self, indices: np.ndarray) -> float:
-        """Fraction of ``indices`` served by the hot arena.
+        """Fraction of ``indices`` that name hot rows.
 
         The virtual-clock charging in :mod:`repro.parallel.hybrid` prices
-        tiered gathers with this per-batch hit rate (one bool gather --
-        cheap next to the row copies it prices).
+        tiered gathers with this per-batch hit rate (one ``int64`` gather
+        -- cheap next to the row copies it prices).
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return 0.0
-        return float(self._is_hot[indices].mean())
+        return float((self._remap[indices] < self._hot).mean())
 
     def cold_bytes(self) -> int:
         return self.rows * self.dim * 4
 
-    # -- tier maintenance ---------------------------------------------------
-
     def retier(self, hot_rows: np.ndarray) -> None:
-        """Re-pin the hot set (epoch boundaries only).
+        """Re-pin the hot set (epoch boundaries only): one in-place
+        re-permutation of the rows and of the id -> row map.  Every row
+        keeps its bits, so a retier between steps changes where rows
+        are read from and nothing else; a model the table belongs to
+        holds no copy of the map and needs no telling."""
+        order, h = _hot_first(self.rows, hot_rows)
+        if h > self._budget:
+            raise ValueError(
+                f"new hot set of {h} rows exceeds the budget of {self._budget} "
+                "rows this table was tiered with"
+            )
+        rows = self.store.weight
+        rows[...] = np.take(rows, self._remap[order], axis=0)
+        self._remap[order] = np.arange(self.rows)
+        self._hot = h
 
-        Flushes the current hot rows back to the cold file, then loads
-        the new set -- every row's bits are preserved, so a retier
-        between steps never changes a subsequent step's results beyond
-        where rows are read from.
-        """
-        self.flush_hot()
-        new = np.unique(np.asarray(hot_rows, dtype=np.int64))
-        if new.size and (new[0] < 0 or new[-1] >= self.rows):
-            raise ValueError("hot_rows out of range")
-        h = int(new.size)
-        if self._arena is not None:
-            cap = self._arena.view("hot").shape[0]
-            if h > cap:
-                raise ValueError(
-                    f"new hot set of {h} rows exceeds the arena capacity "
-                    f"of {cap} rows; retier within the planned budget"
-                )
-            self._hot = self._arena.view("hot")[:h]
-        else:
-            self._hot = np.empty((h, self.dim), dtype=np.float32)
-        self._hot_rows = new
-        if h:
-            self._hot[...] = self._cold[new]
-        self._rebuild_slot_map()
+    # -- the flat kernels, on translated ids -----------------------------------
 
-    def flush_hot(self) -> None:
-        """Write the authoritative hot rows back into the cold file."""
-        if self._hot_rows.size:
-            self._cold[self._hot_rows] = self._hot
+    def storage_rows(self, indices: np.ndarray) -> np.ndarray:
+        return np.take(self._remap, indices, mode="clip")
 
-    # -- compute layer ------------------------------------------------------
+    def _checked_rows(self, indices: np.ndarray) -> np.ndarray:
+        # The range check comes first: the clip-mode translation would
+        # turn an id past the table into its last row.
+        return self.storage_rows(self._check_indices(indices))
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
-        indices = self._check_indices(indices)
-        out = np.empty((indices.shape[0], self.dim), dtype=np.float32)
-        mask = self._is_hot[indices]
-        hot_sel = np.flatnonzero(mask)
-        cold_sel = np.flatnonzero(~mask)
-        with trace("embedding.gather.tiered", hot=hot_sel.size, cold=cold_sel.size):
-            if hot_sel.size:
-                out[hot_sel] = self._hot[self._slot[indices[hot_sel]]]
-            if cold_sel.size:
-                out[cold_sel] = self._cold[indices[cold_sel]]
-        return out
+        # Defined on this class, not inherited: the repo benchmark wraps
+        # TieredEmbeddingBag.gather itself to count per-table tiered
+        # gathers (none inside a slab step).
+        return self.store.gather(self._checked_rows(indices))
 
     def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        # One tier-splitting gather per look-up, then the kernel's sum.
-        return segment_sum_ragged(self.gather(indices), offsets)
+        return self.store._pool(self.storage_rows(indices), offsets, lengths)
 
     def dense_weight(self) -> np.ndarray:
-        full = np.array(self._cold, copy=True)
-        if self._hot_rows.size:
-            full[self._hot_rows] = self._hot
-        return full
-
-    def _split(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hot positions, cold positions) of an index vector, each in
-        original order -- the property the per-row fold order rests on."""
-        indices = np.asarray(indices, dtype=np.int64)
-        mask = self._is_hot[indices]
-        return np.flatnonzero(mask), np.flatnonzero(~mask)
+        return np.take(self.store.weight, self._remap, axis=0)
 
     def scatter_add_rows(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.float32)
-        hot_sel, cold_sel = self._split(indices)
-        if hot_sel.size:
-            scatter_add_exact(
-                self._hot, self._slot[indices[hot_sel]], deltas[hot_sel]
-            )
-        if cold_sel.size:
-            scatter_add_exact(self._cold, indices[cold_sel], deltas[cold_sel])
+        self.store.scatter_add_rows(self._checked_rows(indices), deltas)
 
-    def scatter_add_rows_reference(
-        self, indices: np.ndarray, deltas: np.ndarray
-    ) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        hot_sel, cold_sel = self._split(indices)
-        if hot_sel.size:
-            np.add.at(self._hot, self._slot[indices[hot_sel]], deltas[hot_sel])
-        if cold_sel.size:
-            np.add.at(self._cold, indices[cold_sel], deltas[cold_sel])
+    def scatter_add_rows_reference(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        self.store.scatter_add_rows_reference(self._checked_rows(indices), deltas)
 
     def apply_bag_updates(
         self, bag_grads: np.ndarray, bag_ids: np.ndarray, indices: np.ndarray
     ) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        bag_ids = np.asarray(bag_ids, dtype=np.int64)
-        hot_sel, cold_sel = self._split(indices)
-        if hot_sel.size:
-            scatter_add_bags(
-                self._hot,
-                self._slot[indices[hot_sel]],
-                bag_grads,
-                bag_ids[hot_sel],
-            )
-        if cold_sel.size:
-            scatter_add_bags(
-                self._cold, indices[cold_sel], bag_grads, bag_ids[cold_sel]
-            )
+        self.store.apply_bag_updates(bag_grads, bag_ids, self._checked_rows(indices))
 
     def capacity_bytes(self) -> int:
-        # RAM-resident bytes: the hot arena (the cold file is paged by
-        # the OS and not counted against the training footprint).
+        # RAM-resident bytes: the hot prefix (the tail is paged by the
+        # OS and not counted against the training footprint).
         return self.hot_bytes
 
     # -- checkpointing ------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """The flat-layout state: one assembled FP32 weight array, so
+        """The flat-layout state: one FP32 weight array in id order, so
         tiered tables round-trip through the existing ``.npz`` path and
         the process backend's state arenas unchanged."""
         return {"weight": self.dense_weight()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if "weight" not in state:
-            raise KeyError("missing state entry 'weight'")
-        value = np.asarray(state["weight"])
-        if value.dtype != np.float32:
-            raise ValueError(f"weight: dtype {value.dtype} != expected float32")
-        if value.shape != (self.rows, self.dim):
-            raise ValueError(
-                f"weight: shape {value.shape} != expected {(self.rows, self.dim)}"
-            )
-        self._cold[...] = value
-        if self._hot_rows.size:
-            self._hot[...] = value[self._hot_rows]
+        self.store.weight[self._remap] = self._state_array(state, "weight", np.float32)
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the arena and delete the cold file (idempotent)."""
-        self._finalizer()
+        """Delete the file the rows are mapped from (idempotent).  The
+        mapping itself stays usable until its last view is gone."""
+        self._file.release()
 
 
-def apply_tiering(model, plans, cold_dir: str | None = None, share_hot: bool = True):
-    """Replace ``model``'s flat FP32 tables with tiered ones, per plan.
+def _tiers(plan) -> bool:
+    return plan is not None and plan.mode == "hot_cold"
+
+
+def apply_tiering(model, plans, cold_dir: str | None = None) -> list[int]:
+    """Turn ``model``'s planned FP32 tables into tiered views, in place.
 
     ``plans`` maps table id -> :class:`~repro.tiering.planner.TablePlan`
     (or any object with ``mode`` and ``hot_rows``).  Only tables owned
-    by ``model`` and planned ``hot_cold`` are converted; weights carry
-    over bit-exactly.  Split-BF16 tables are never tiered (the lo half
-    lives with the optimizer; tiering is scoped to FP32 storage).
-    Returns the list of converted table ids.
+    by ``model`` and planned ``hot_cold`` are converted: their slab rows
+    are permuted hot-first and ``model.tables[t]`` becomes a
+    :class:`TieredEmbeddingBag` over the same rows, so the table never
+    leaves the slab and weights carry over bit-exactly.  A slab that is
+    not on a file mapping yet (the model was built without
+    :func:`build_tiered`) is moved onto one under ``cold_dir`` first,
+    table by table, planned tables landing hot-first as they are copied.
+    Split-BF16 tables are never tiered (the lo half lives with the
+    optimizer; tiering is scoped to FP32 storage).  Returns the list of
+    converted table ids.
     """
-    converted: list[int] = []
-    for t, table in list(model.tables.items()):
+    orders: dict[int, tuple[np.ndarray, int]] = {}
+    for t, table in model.tables.items():
         plan = plans.get(t) if hasattr(plans, "get") else plans[t]
-        if plan is None or plan.mode != "hot_cold":
+        if not _tiers(plan):
             continue
         if table.storage != "fp32":
             raise ValueError(
                 f"table {t}: tiering requires fp32 storage, got {table.storage!r}"
             )
-        # The table leaves the model's slab; once all have, it is freed.
-        model.replace_table(
-            t,
-            TieredEmbeddingBag(
-                table.rows,
-                table.dim,
-                weight=table.dense_weight(),
-                hot_rows=plan.hot_rows,
-                cold_dir=cold_dir,
-                share_hot=share_hot,
-                name_hint=f"t{t}",
-            ),
-        )
-        converted.append(t)
-    return converted
+        if isinstance(table, TieredEmbeddingBag):
+            raise ValueError(f"table {t} is already tiered; retier() moves its hot set")
+        orders[t] = _hot_first(table.rows, plan.hot_rows)
+    if not orders:
+        return []
+    slab = model.slab
+    on_file = _mapping_of(slab.weight) is not None
+    target = slab.weight if on_file else file_backed(slab.weight.shape, cold_dir=cold_dir)
+    start = 0
+    for t, table in model.tables.items():  # slab order
+        rows = target[start : start + table.rows]
+        start += table.rows
+        if t in orders:
+            # Permuting in place reads a copy: take may not read what it writes.
+            source = table.weight.copy() if on_file else table.weight
+            np.take(source, orders[t][0], axis=0, out=rows, mode="clip")
+        elif not on_file:
+            rows[...] = table.weight
+        if not on_file:
+            table.weight = rows  # the view moves with its slab
+    slab.weight = target
+    for t, (order, hot) in orders.items():
+        model.rebind_table(t, TieredEmbeddingBag.view_of(model.tables[t], order, hot))
+    return sorted(orders)
+
+
+def build_tiered(build: Callable, plans, cold_dir: str | None = None):
+    """``build(slab_alloc)`` -> model, tiered per ``plans``.
+
+    When ``plans`` tier any table the slab is allocated on a file
+    mapping under ``cold_dir`` from the start, so no anonymous twin of
+    the tables ever exists; ``plans`` must cover only tables the model
+    will own.  Without such a plan ``build(None)`` is all that happens.
+    """
+    on_file = any(map(_tiers, plans.values()))
+    model = build(functools.partial(file_backed, cold_dir=cold_dir) if on_file else None)
+    apply_tiering(model, plans, cold_dir=cold_dir)
+    return model

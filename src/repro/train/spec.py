@@ -172,18 +172,21 @@ class ParallelSpec:
 class TieringSpec:
     """Frequency-aware embedding tiering (:mod:`repro.tiering`).
 
-    ``enabled`` turns on hot/cold storage for tables the planner deems
-    worth splitting; ``placement="auto"`` in :class:`ParallelSpec`
+    ``enabled`` turns on hot-first storage for tables the planner deems
+    worth it: their rows are reordered so the pinned-hot ids form a
+    contiguous prefix, and the model's embedding slab moves onto a file
+    mapping.  ``placement="auto"`` in :class:`ParallelSpec`
     additionally lets the planner choose table-to-rank owners (either
     switch triggers the planning pass).  ``hot_rows`` is the per-table
-    pinned-hot row budget (the shared-memory arena size);
+    pinned-hot row budget (the length of that prefix);
     ``coverage_threshold`` is the minimum fraction of profiled look-ups
-    the hot set must absorb before a table is split; tables smaller than
+    the hot set must absorb before a table is tiered; tables smaller than
     ``min_table_rows`` always stay flat.  ``profile_batches``
     deterministic dataset batches feed the frequency counters -- every
     process that holds the spec recomputes the identical plan, which is
     how resume and serving stay bit-exact without persisting it.
-    ``cold_dir`` hosts the mmap-backed cold files (default: a temp dir).
+    ``cold_dir`` hosts the slab files, one per model (default: a
+    per-process temp dir, removed with its last file).
     Tiering applies to FP32 storage only.
     """
 
@@ -473,7 +476,7 @@ class RunSpec:
         return self.model.build_config()
 
     def build_model(
-        self, cfg: DLRMConfig | None = None, table_ids: list[int] | None = None
+        self, cfg: DLRMConfig | None = None, table_ids: list[int] | None = None, slab_alloc=None
     ) -> DLRM:
         cfg = cfg or self.build_config()
         return DLRM(
@@ -483,6 +486,7 @@ class RunSpec:
             storage=self.precision.storage,
             lo_bits=self.precision.lo_bits,
             table_ids=table_ids,
+            slab_alloc=slab_alloc,
         )
 
     def build_dataset(self, cfg: DLRMConfig | None = None):

@@ -54,6 +54,7 @@ from repro.train.checkpoint import Checkpoint, load_checkpoint, save_state
 from repro.resilience.faults import FaultPlan
 from repro.train.spec import RunSpec
 from repro.tiering.planner import plan_from_spec
+from repro.tiering.store import build_tiered
 
 
 def _spec_callbacks(spec: RunSpec) -> list[Callback]:
@@ -120,16 +121,16 @@ def _spec_executor(
                 "backend 'process' needs parallel.ranks >= 2 (single-process "
                 "runs have no ranks to place in workers)"
             )
-        model = spec.build_model(cfg)
         # The plan is a pure function of the spec, so resume, serving and
-        # process-backend workers recompute the identical one.
+        # process-backend workers recompute the identical one.  Owners
+        # are a distributed concern; here only the hot/cold plans apply,
+        # and they come first: a tiered model is built on its file.
         plan = plan_from_spec(spec, cfg)
-        if plan is not None:
-            # Owners are a distributed concern; here only the hot/cold
-            # plans apply.
-            from repro.tiering.store import apply_tiering
-
-            apply_tiering(model, plan.plans, cold_dir=spec.tiering.cold_dir)
+        model = build_tiered(
+            lambda alloc: spec.build_model(cfg, slab_alloc=alloc),
+            plan.plans if plan is not None else {},
+            cold_dir=spec.tiering.cold_dir,
+        )
         optimizer = spec.build_optimizer()
         optimizer.register(model.parameters())
         return LocalExecutor(model, optimizer, spec.build_dataset(cfg), **common)

@@ -42,7 +42,7 @@ _PLAYBOOK: dict[str, tuple[str | None, int, str]] = {
         "tiering",
         +1,
         "embedding-gather-bound -> enable tiering (hot rows served from "
-        "the cache-resident arena)",
+        "a cache-resident prefix)",
     ),
     "gemm": (
         "batch_size",

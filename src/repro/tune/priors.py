@@ -130,7 +130,7 @@ def prior_breakdown(
         "other": other,
     }
     if spec.tiering.enabled:
-        # The tiered hot arena serves the Zipf head from cache; credit
+        # The tiered hot prefix serves the Zipf head from cache; credit
         # the embedding stage with the calibrated speedup on the share
         # of look-ups the plan is required to cover.
         covered = spec.tiering.coverage_threshold

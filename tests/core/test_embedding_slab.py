@@ -16,7 +16,7 @@ from repro.core import embedding
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
-from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate, uses_fused_dispatch
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.tiering.freqstats import FreqStats
 from repro.util import rng_from
@@ -35,18 +35,53 @@ COMBOS = {
 
 
 def arrays(table):
+    """A bag's storage arrays; a tiered view's are its store's."""
+    table = getattr(table, "store", table)
     return [getattr(table, name) for name in table._arrays]
 
 
-def detach_tables(model: DLRM, seed: int) -> None:
+class PerTableDLRM(DLRM):
+    """The construction the slab replaced, kept here as the reference the
+    slab is pinned against: every table a stand-alone bag, one forward
+    and one update per table.  ``src/`` has no such path any more."""
+
+    def _fuse(self, batch):
+        return None
+
+    def _embedding_lookup(self, batch, lookup):
+        return {
+            t: self.tables[t].forward(batch.indices[t], batch.offsets[t]) for t in self.table_ids
+        }
+
+    def sparse_update(self, dembs, batch, opt, **span):
+        for t in self.table_ids:
+            bag, indices, offsets = self.tables[t], batch.indices[t], batch.offsets[t]
+            if uses_fused_dispatch(opt):
+                opt.strategy.apply_fused(bag, dembs[t], indices, offsets, opt.lr)
+            else:
+                opt.step_sparse(bag, bag.backward(dembs[t], indices, offsets))
+
+    def apply_updates(self, opt):
+        opt.step_dense(self.parameters())
+        for t, grad in self.sparse_grads.items():
+            opt.step_sparse(self.tables[t], grad)
+        self.sparse_grads.clear()
+
+
+def detach_tables(model: DLRM, seed: int | None = None) -> None:
     """Turn ``model`` into the per-table construction: every table a
-    stand-alone bag drawn from its own seeded stream, none in the slab."""
+    stand-alone bag -- drawn from its own seeded stream, or (no seed)
+    holding what the model's table holds now -- and no slab."""
+    model.__class__ = PerTableDLRM
     for t, view in list(model.tables.items()):
         kw = {"lo_bits": view.lo_bits} if model.storage == "split_bf16" else {}
-        model.replace_table(
-            t, type(view)(view.rows, view.dim, rng=rng_from(seed, "table", t), **kw)
-        )
-    assert model.slab is None
+        if seed is None:
+            alone = type(view)(view.rows, view.dim, rng=np.random.default_rng(0), **kw)
+            alone.load_state_dict(view.state_dict())
+        else:
+            alone = type(view)(view.rows, view.dim, rng=rng_from(seed, "table", t), **kw)
+        model._tables[t] = alone
+    model.slab = None
 
 
 def mixed_cfg():
@@ -251,6 +286,94 @@ def test_twenty_steps_equal_the_per_table_construction(combo):
     for table in model.tables.values():  # still views, twenty steps on
         for mine, whole in zip(arrays(table), arrays(model.slab)):
             assert np.shares_memory(mine, whole)
+
+
+class ReversedRows(EmbeddingBag):
+    """A view that keeps its rows bottom-up: the least a table needs to
+    stay in the slab in an order of its own is ``storage_rows``."""
+
+    def storage_rows(self, indices):
+        return self.rows - 1 - indices
+
+    def state_dict(self):
+        return {"weight": self.weight[::-1].copy()}
+
+
+class TestTheIdSeam:
+    """Ids enter the slab's id space in one place, which asks each table
+    view for its storage rows."""
+
+    def test_a_flat_bag_stores_row_i_at_i(self, rng):
+        idx = np.array([4, 0, 4])
+        assert EmbeddingBag(5, 3, rng=rng).storage_rows(idx) is idx
+
+    @pytest.mark.parametrize("storage,arrays_wanted", [("fp32", 1), ("split_bf16", 2)])
+    def test_the_slab_lives_where_slab_alloc_puts_it(self, storage, arrays_wanted):
+        handed = []
+
+        def alloc(shape, dtype):
+            handed.append(np.empty(shape, dtype))
+            return handed[-1]
+
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=3, storage=storage, slab_alloc=alloc)
+        assert len(handed) == arrays_wanted
+        assert all(a.shape == (sum(cfg.table_rows), 8) for a in handed)
+        assert all(mine is given for mine, given in zip(arrays(model.slab), handed))
+        other = DLRM(cfg, seed=3, storage=storage)
+        for key, value in other.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[key], value)
+
+    def rebound(self, seed=7):
+        """(model with table 2 stored bottom-up, untouched twin)."""
+        cfg = mixed_cfg()
+        model, twin = DLRM(cfg, seed=seed), DLRM(cfg, seed=seed)
+        rows = model.tables[2].weight
+        rows[...] = rows[::-1].copy()
+        fresh = model.slab.rows_view(43, 100)
+        fresh.__class__ = ReversedRows
+        model.forward(random_batch(cfg, 4, seed=0))  # a cached look-up to invalidate
+        model.rebind_table(2, fresh)
+        assert model.tables[2] is fresh and model._lookup is None
+        return cfg, model, twin
+
+    @pytest.mark.parametrize("strategy", [FusedBackwardUpdate, RaceFreeUpdate])
+    def test_a_view_with_its_own_row_order_stays_in_the_slab(self, strategy):
+        cfg, model, twin = self.rebound()
+        opts = []
+        for m in (model, twin):
+            opts.append(SGD(lr=0.05, strategy=strategy(threads=3)))
+            opts[-1].register(m.parameters())
+        for step in range(6):
+            batch = random_batch(cfg, 16, seed=step, ragged=step % 2 == 1)
+            np.testing.assert_array_equal(model.infer(batch), twin.infer(batch))
+            if step < 4:
+                assert model.train_step(batch, opts[0]) == twin.train_step(batch, opts[1])
+            else:  # the materialising way into the same update
+                for m, opt in zip((model, twin), opts):
+                    m.loss(batch)
+                    m.backward()
+                    m.apply_updates(opt)
+        for key, value in twin.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[key], value, err_msg=key)
+        np.testing.assert_array_equal(model.slab.weight[43:100], twin.slab.weight[43:100][::-1])
+
+    def test_a_model_that_owns_no_table_has_nothing_to_look_up_or_update(self):
+        cfg = mixed_cfg()
+        model = DLRM(cfg, seed=1, table_ids=[])
+        batch = random_batch(cfg, 4, seed=0)
+        opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(2))
+        assert model.slab is None and model.embedding_forward(batch) == {}
+        model.sparse_update({}, batch, opt)
+        model.apply_updates(opt)
+
+    def test_rebind_table_wants_a_view_of_the_same_shape(self, rng):
+        model = DLRM(mixed_cfg(), seed=1)
+        for bad in (EmbeddingBag(56, 8, rng=rng), EmbeddingBag(57, 4, rng=rng)):
+            with pytest.raises(ValueError, match="57 x 8"):
+                model.rebind_table(2, bad)
+        with pytest.raises(KeyError):
+            model.rebind_table(9, EmbeddingBag(57, 8, rng=rng))
 
 
 def test_backward_then_apply_updates_equals_train_step():

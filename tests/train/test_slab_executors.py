@@ -191,10 +191,7 @@ class TestCheckpointFromTheParentCommit:
         assert_tables_are_slab_views(resumed)
         assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
         twin = Trainer.from_checkpoint(path)
-        for t, view in list(twin.model.tables.items()):
-            alone = type(view)(view.rows, view.dim, weight=np.zeros((view.rows, view.dim), np.float32))
-            alone.load_state_dict(view.state_dict())
-            twin.model.replace_table(t, alone)
+        detach_tables(twin.model)
         resumed.fit(5)
         twin.fit(5)
         assert resumed.losses == twin.losses
