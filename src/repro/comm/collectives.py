@@ -59,26 +59,41 @@ def _split(lo: int, hi: int) -> int:
     return lo + (hi - lo + 1) // 2
 
 
-def _tree_sum_range(bufs: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, bool]:
-    """Sum ``bufs[lo:hi]`` over the canonical tree.
+#: Elements per pass of a fold into a caller's buffer: a block of every
+#: input, of the sum and of a tree level's temporary stays in L2 across
+#: the adds, so each byte moves once however deep the tree.
+FOLD_BLOCK = 1 << 15
 
-    Returns ``(total, owned)``: leaves are *borrowed* input buffers
-    (``owned=False``); every internal node allocates at most once (the
-    two-leaf combine) and accumulates into its own scratch above that.
+
+def _fold(
+    nodes: dict[tuple[int, int], np.ndarray], lo: int, hi: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, bool]:
+    """Sum ranks ``[lo, hi)`` over the canonical tree from ``nodes``,
+    the tree nodes already known (the leaves, or subtree partials).
+
+    Returns ``(total, owned)``: a node found in ``nodes`` is *borrowed*
+    (``owned=False``) and never written; an internal node allocates at
+    most once (the combine of two borrowed children; ``out`` takes it on
+    the root's left spine) and accumulates into that above.
     """
+    node = nodes.get((lo, hi))
+    if node is not None:
+        return node, False
     if hi - lo == 1:
-        return bufs[lo], False
+        raise ValueError(f"no partial covers rank {lo}")
     mid = _split(lo, hi)
-    left, left_owned = _tree_sum_range(bufs, lo, mid)
-    right, _ = _tree_sum_range(bufs, mid, hi)
+    left, left_owned = _fold(nodes, lo, mid, out)
+    right, _ = _fold(nodes, mid, hi)
     if left_owned:
         np.add(left, right, out=left)
         return left, True
-    return left + right, True
+    return np.add(left, right, out=out), True
 
 
-def tree_sum(bufs: list[np.ndarray]) -> np.ndarray:
-    """Canonical-tree FP32 fold into one freshly-allocated buffer.
+def tree_sum(bufs: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Canonical-tree FP32 fold into one buffer the inputs never alias:
+    ``out`` when given (the caller's persistent buffer), else a freshly
+    allocated one.
 
     The summation tree is the contiguous balanced binary tree over the
     rank indices with the left-heavy split of :func:`_split`; for one,
@@ -90,8 +105,7 @@ def tree_sum(bufs: list[np.ndarray]) -> np.ndarray:
     """
     if not bufs:
         raise ValueError("need at least one buffer")
-    total, owned = _tree_sum_range(bufs, 0, len(bufs))
-    return total if owned else total.copy()
+    return sum_canonical_partials({(i, i + 1): b for i, b in enumerate(bufs)}, len(bufs), out)
 
 
 def canonical_range_nodes(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
@@ -127,40 +141,36 @@ def canonical_node_partials(
     """
     if len(bufs) != hi - lo:
         raise ValueError(f"expected {hi - lo} buffers for [{lo}, {hi}), got {len(bufs)}")
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for nlo, nhi in canonical_range_nodes(lo, hi, size):
-        total, _ = _tree_sum_range(bufs, nlo - lo, nhi - lo)
-        out[(nlo, nhi)] = total
-    return out
+    leaves = {(lo + i, lo + i + 1): b for i, b in enumerate(bufs)}
+    return {node: _fold(leaves, *node)[0] for node in canonical_range_nodes(lo, hi, size)}
 
 
 def sum_canonical_partials(
-    partials: dict[tuple[int, int], np.ndarray], size: int
+    partials: dict[tuple[int, int], np.ndarray],
+    size: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complete the canonical tree over ``size`` ranks from node partials.
 
     ``partials`` must cover every rank exactly once via canonical nodes
     (the union of every worker's :func:`canonical_node_partials`).  The
-    result is always freshly allocated -- safe even when the partials are
-    read-only shared-memory views with a bounded lifetime.
+    result is ``out`` or freshly allocated, never a partial -- safe even
+    when the partials are read-only shared-memory views with a bounded
+    lifetime.  Into ``out``, flat buffers fold :data:`FOLD_BLOCK`
+    elements at a time (element-wise adds: the same bits in any blocking).
     """
-
-    def rec(nlo: int, nhi: int) -> tuple[np.ndarray, bool]:
-        node = partials.get((nlo, nhi))
-        if node is not None:
-            return node, False
-        if nhi - nlo == 1:
-            raise ValueError(f"no partial covers rank {nlo}")
-        mid = _split(nlo, nhi)
-        left, left_owned = rec(nlo, mid)
-        right, _ = rec(mid, nhi)
-        if left_owned:
-            np.add(left, right, out=left)
-            return left, True
-        return left + right, True
-
-    total, owned = rec(0, size)
-    return total if owned else np.array(total, copy=True)
+    if out is None:
+        total, owned = _fold(partials, 0, size)
+        return total if owned else np.array(total, copy=True)
+    if all(p.ndim == 1 and p.shape == out.shape for p in partials.values()):
+        blocks = [slice(at, at + FOLD_BLOCK) for at in range(0, out.size, FOLD_BLOCK)]
+    else:
+        blocks = [slice(None)]
+    for block in blocks:
+        total, owned = _fold({k: p[block] for k, p in partials.items()}, 0, size, out[block])
+        if not owned:
+            np.copyto(out[block], total)
+    return out
 
 
 def allreduce_sum(bufs: list[np.ndarray]) -> list[np.ndarray]:

@@ -10,7 +10,9 @@ Framework costs (flattening the gradient list into one buffer, and the
 unflatten + averaging on the way out) are charged to
 ``comm.allreduce.framework``; the transfer itself is charged to
 ``comm.allreduce.wait`` at whichever point the caller waits -- hidden if
-the wait lands after enough compute, exposed otherwise.
+the wait lands after enough compute, exposed otherwise.  Those copies
+are *modelled*, not made: a bucket is a slice of the model's gradient
+flat (:class:`BucketSlice`), sent and read where it lies.
 
 The issue-as-ready path (Sect. IV-C) buckets each MLP half's gradients
 with :class:`GradientBucketer` and issues one allreduce per bucket the
@@ -21,10 +23,13 @@ path, just split along the fixed bucket boundaries.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.param import Parameter
 from repro.obs.tracer import trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +46,10 @@ class GradientBucketer:
     listed in *issue order*: the last layer's gradients (ready first in
     backward) land in bucket 0.  Every bucket holds at least one whole
     layer; a single layer larger than the cap gets its own bucket.
+    *Inside* a bucket the tensors run ascending, ``[weight, bias]`` per
+    layer -- the order ``MLP.parameters()`` lists them and a
+    :class:`~repro.core.param.DenseSlab` lays them out -- so a bucket is
+    one contiguous slice of the gradient flat (:meth:`slices`).
     """
 
     def __init__(self, layer_shapes: Sequence[tuple[int, int]], cap_bytes: float):
@@ -79,6 +88,11 @@ class GradientBucketer:
         """Forward layer-index range ``[start, stop)`` of bucket ``k``."""
         return self.buckets[k]
 
+    def slices(self, params: Sequence[Parameter]) -> list[BucketSlice]:
+        """One rank's end of every bucket, in issue order, given its
+        MLP's ``parameters()`` (two per layer)."""
+        return [BucketSlice.of(params[2 * start : 2 * stop]) for start, stop in self.buckets]
+
     def nbytes(self, k: int) -> float:
         start, stop = self.buckets[k]
         return sum(self.layer_bytes(self.layer_shapes[i]) for i in range(start, stop))
@@ -91,11 +105,42 @@ class GradientBucketer:
         return sum(self.sizes())
 
 
+@dataclass(frozen=True)
+class BucketSlice:
+    """One rank's end of a gradient bucket: ``params`` (consecutive
+    slots of its :class:`~repro.core.param.DenseSlab`), the ``span`` of
+    the slab's flats that holds them, and their payload ``nbytes`` --
+    what every virtual charge prices; the span also covers padding."""
+
+    params: tuple[Parameter, ...]
+    span: slice
+    nbytes: int
+
+    @classmethod
+    def of(cls, params: Sequence[Parameter]) -> "BucketSlice":
+        if not params or params[0].slab is None:
+            raise ValueError("a gradient bucket is a run of parameters of one DenseSlab")
+        return cls(tuple(params), params[0].slab.span(params), sum(p.nbytes for p in params))
+
+    @property
+    def grads(self) -> np.ndarray:
+        """The live slice of the rank's gradient flat."""
+        return self.params[0].slab.grads[self.span]
+
+
 class DistributedDataParallelReducer:
-    """Sums gradient lists across ranks, in place."""
+    """The per-rank ends of a bucketed gradient allreduce and its
+    virtual-time charges, each buffer size priced once."""
 
     def __init__(self, cluster: "SimCluster"):
         self.cluster = cluster
+        cores = cluster.compute_cores
+        self._copy_time = functools.cache(
+            lambda nbytes: cluster.cost.copy_time(2.0 * nbytes, cores=cores)
+        )
+        self._transfer_cost = functools.cache(
+            lambda nbytes: cluster.net.allreduce(cluster.participants(), nbytes)
+        )
 
     def issue_timed(
         self, nbytes: float, op: str = "allreduce", blocking: bool | None = None
@@ -103,60 +148,53 @@ class DistributedDataParallelReducer:
         """Timing-only allreduce of an ``nbytes`` gradient buffer per rank
         (framework pack+unpack charges plus the transfer issue).  The
         analytic iteration model uses this at paper scale."""
-        cluster = self.cluster
-        for r in cluster.ranks:
+        for r in self.cluster.ranks:
             # Pack and unpack are two separate copies (matching the
             # functional path's charges call for call).
             for _ in range(2):
-                t = cluster.cost.copy_time(2.0 * nbytes, cores=cluster.compute_cores)
-                cluster.clocks[r].advance(t)
-                cluster.profilers[r].add(f"comm.{op}.framework", t)
-        cost = cluster.net.allreduce(cluster.participants(), nbytes)
-        return cluster.issue(op, cost, blocking)
+                self.charge_framework_copy(r, nbytes, op)
+        return self.issue_transfer(nbytes, op, blocking)
 
     def charge_framework_copy(self, r: int, nbytes: float, op: str = "allreduce") -> None:
         """One framework copy (pack or unpack) of an ``nbytes`` gradient
         buffer on rank ``r`` -- the single charge formula shared by the
         monolithic, bucketed and analytic paths."""
-        cluster = self.cluster
-        t = cluster.cost.copy_time(2.0 * nbytes, cores=cluster.compute_cores)
-        cluster.clocks[r].advance(t)
-        cluster.profilers[r].add(f"comm.{op}.framework", t)
+        t = self._copy_time(nbytes)
+        self.cluster.clocks[r].advance(t)
+        self.cluster.profilers[r].add(f"comm.{op}.framework", t)
 
     def pack_grads(
-        self, r: int, grads: Sequence[np.ndarray], op: str = "allreduce", bucket: int | None = None
+        self, r: int, bucket: BucketSlice, op: str = "allreduce", index: int | None = None
     ) -> np.ndarray:
-        """Flatten one rank's gradient list into a fresh FP32 buffer,
-        charging the framework copy."""
-        with trace(f"comm.{op}.framework", rank=r) as sp:
-            flat = np.concatenate(
-                [np.asarray(g, dtype=np.float32).ravel() for g in grads]
-            )
-            sp.add(bytes=flat.nbytes)
-            if bucket is not None:
-                sp.add(bucket=bucket)
-        self.charge_framework_copy(r, flat.nbytes, op)
-        return flat
+        """Rank ``r``'s send buffer of one bucket: the live slice of its
+        gradient flat (the fold only reads it), charging the framework
+        copy.  Every gradient must be pending: a slot nobody wrote this
+        step still holds the last step's."""
+        stale = [p for p in bucket.params if p.grad is None]
+        if stale:
+            raise RuntimeError(f"bucket {index}: no gradient pending for {stale[0]!r}")
+        self.charge_framework_copy(r, bucket.nbytes, op)
+        return bucket.grads
 
     def unpack_grads(
         self,
         r: int,
-        grads: Sequence[np.ndarray],
+        bucket: BucketSlice,
         summed: np.ndarray,
         op: str = "allreduce",
-        bucket: int | None = None,
+        index: int | None = None,
+        copy: bool = True,
     ) -> None:
-        """Scatter a summed flat buffer back into a rank's gradient
-        arrays *in place*, charging the framework copy."""
-        with trace(f"comm.{op}.framework", rank=r, bytes=summed.nbytes) as sp:
-            if bucket is not None:
-                sp.add(bucket=bucket)
-            offset = 0
-            for g in grads:
-                n = g.size
-                g[...] = summed[offset : offset + n].reshape(g.shape)
-                offset += n
-        self.charge_framework_copy(r, summed.nbytes, op)
+        """Rank ``r``'s receive end of one reduced bucket, charging the
+        framework copy.  ``copy`` writes the sum over the rank's own
+        gradient slice, for a dense step that walks the parameters; one
+        that reads ``summed`` (``step_dense(reduced=)``) passes False."""
+        if copy:
+            with trace(f"comm.{op}.framework", rank=r, bytes=bucket.nbytes) as sp:
+                if index is not None:
+                    sp.add(bucket=index)
+                np.copyto(bucket.grads, summed)
+        self.charge_framework_copy(r, bucket.nbytes, op)
 
     def issue_transfer(
         self, nbytes: float, op: str = "allreduce", blocking: bool | None = None
@@ -164,6 +202,4 @@ class DistributedDataParallelReducer:
         """Issue just the network transfer of an ``nbytes`` allreduce (no
         framework charges -- the bucketed path pays those in its own
         pack/unpack tasks)."""
-        cluster = self.cluster
-        cost = cluster.net.allreduce(cluster.participants(), nbytes)
-        return cluster.issue(op, cost, blocking)
+        return self.cluster.issue(op, self._transfer_cost(nbytes), blocking)

@@ -58,6 +58,11 @@ class ExchangeStrategy(ABC):
 
     name: str = ""
 
+    def __init__(self) -> None:
+        #: (framework copy s per rank, transfer cost) of one exchange
+        #: direction, priced once per (cluster, placement, table size).
+        self._prices: dict[tuple, tuple[float, CollectiveCost]] = {}
+
     # -- functional redistribution (identical for every strategy) ---------
 
     def _redistribute_forward(
@@ -101,18 +106,6 @@ class ExchangeStrategy(ABC):
         """Composite network cost of one exchange direction;
         ``table_bytes`` is the (GN, E) byte size of one table's output."""
 
-    def _charge_framework(
-        self, cluster: "SimCluster", owners: list[int], table_bytes: float
-    ) -> None:
-        """Flat-buffer packing/unpacking at every rank: each rank touches
-        its share of the exchanged volume twice (pack + unpack)."""
-        total = table_bytes * len(owners)
-        per_rank = total / cluster.n_ranks
-        for r in cluster.ranks:
-            t = cluster.cost.copy_time(2.0 * per_rank, cores=cluster.compute_cores)
-            cluster.clocks[r].advance(t)
-            cluster.profilers[r].add("comm.alltoall.framework", t)
-
     # -- public API ---------------------------------------------------------------
 
     def issue_timed(
@@ -127,9 +120,20 @@ class ExchangeStrategy(ABC):
         This is the timing half on its own -- the analytic iteration
         model (paper-scale benches) calls it directly; the functional
         :meth:`forward`/:meth:`backward` call it after moving real data.
+        Framework charge: every rank packs and unpacks its share.
         """
-        self._charge_framework(cluster, owners, table_bytes)
-        cost = self._transfer_cost(cluster, owners, table_bytes)
+        key = (cluster, tuple(owners), table_bytes)
+        price = self._prices.get(key)
+        if price is None:
+            per_rank = table_bytes * len(owners) / cluster.n_ranks
+            price = self._prices[key] = (
+                cluster.cost.copy_time(2.0 * per_rank, cores=cluster.compute_cores),
+                self._transfer_cost(cluster, owners, table_bytes),
+            )
+        copy_s, cost = price
+        for r in cluster.ranks:
+            cluster.clocks[r].advance(copy_s)
+            cluster.profilers[r].add("comm.alltoall.framework", copy_s)
         return cluster.issue("alltoall", cost, blocking)
 
     def forward(

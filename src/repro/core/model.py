@@ -403,8 +403,8 @@ class DLRM:
         :class:`~repro.core.optim.SparseAdagrad`) gets each table view
         with its own gradient in the table's own ids, and a view that
         keeps its rows in another order translates inside its own
-        scatter.  With the fused strategy (same gate as
-        ever: :func:`~repro.core.update.uses_fused_dispatch`) Alg. 2's
+        scatter.  With the ``fused`` and ``racefree`` strategies (gate:
+        :func:`~repro.core.update.uses_fused_dispatch`) Alg. 2's
         row-per-lookup gradient is never materialised.  Bitwise the
         per-table updates in every case: fused ids of different tables
         never collide and the stable sort keeps each row's

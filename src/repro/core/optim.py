@@ -51,6 +51,23 @@ def _whole_slab(params: list[Parameter]) -> DenseSlab | None:
     return slab if slab is not None and slab.steps_whole(params) else None
 
 
+def _flat_grads(slab: DenseSlab | None, reduced: np.ndarray | None) -> np.ndarray:
+    """What a whole-slab step reads: the caller's ``reduced`` or the slab's."""
+    if reduced is None:
+        return slab.grads
+    if slab is None or reduced.shape != slab.values.shape:
+        raise RuntimeError("step_dense(reduced=) needs one whole slab pending and its layout")
+    return reduced
+
+
+def steps_from_flat(opt) -> bool:
+    """True when ``opt``'s dense step is the whole-slab kernel, which can
+    read its gradients from any flat in the slab's layout
+    (``step_dense(params, reduced=...)``): momentum-free :class:`SGD`
+    and :class:`SplitSGD`.  The others walk the parameters' own."""
+    return not opt.momentum and type(opt).step_dense in (SGD.step_dense, SplitSGD.step_dense)
+
+
 #: Elements per pass of a dense step: a block's weights, gradients, lo
 #: halves and ``lr * grad`` (the only temporary) all stay in L2 across
 #: the step's ufunc calls, so each byte of the model crosses the memory
@@ -124,10 +141,14 @@ class SGD:
             for p in params:
                 self._velocity[p] = np.zeros(p.shape, dtype=np.float32)
 
-    def step_dense(self, params: list[Parameter]) -> None:
+    def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
+        """Step ``params`` by their pending gradients -- or, for a whole
+        slab (:func:`steps_from_flat`), by ``reduced``: a flat of the
+        slab's layout, only read (the hybrid runtime's allreduce sum)."""
         slab = None if self.momentum else _whole_slab(params)
-        if slab is not None:
-            _step_in_place(slab.values, slab.grads, self.lr, self._scratch)
+        if slab is not None or reduced is not None:
+            grads = _flat_grads(slab, reduced)
+            _step_in_place(slab.values, grads, self.lr, self._scratch)
             for p in params:
                 p.zero_grad()
             return
@@ -246,13 +267,14 @@ class SplitSGD(SGD):
             )
         return lo
 
-    def step_dense(self, params: list[Parameter]) -> None:
+    def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
         slab = _whole_slab(params)
         state = self._lo.get(slab)
-        if state is not None and state.complete:
-            _step_in_place(
-                slab.values, slab.grads, self.lr, self._scratch, state.flat, self.lo_bits
-            )
+        if state is None or not state.complete:
+            slab = None
+        if slab is not None or reduced is not None:
+            grads = _flat_grads(slab, reduced)
+            _step_in_place(slab.values, grads, self.lr, self._scratch, state.flat, self.lo_bits)
             for p in params:
                 p.zero_grad()
             return

@@ -15,6 +15,7 @@ every writer goes through ``[...]``, ``out=`` or an in-place operator.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -156,6 +157,18 @@ class DenseSlab:
         if self._grads is None:
             self._grads = self.zeros(np.float32)
         return self._grads
+
+    def span(self, params: Sequence[Parameter]) -> slice:
+        """Where ``params`` -- consecutive slots of this slab, in slot
+        order -- sit in a slab-shaped flat: from the first one's offset
+        through the padding behind the last."""
+        first = params[0].slot if params else -1
+        if not params or any(
+            p.slab is not self or p.slot != first + i for i, p in enumerate(params)
+        ):
+            raise ValueError("a span is a non-empty run of consecutive slots of one slab")
+        stop = first + len(params)
+        return slice(self.offsets[first], self.offsets[stop] if stop < len(self) else self.size)
 
     def steps_whole(self, params: list[Parameter]) -> bool:
         """True when ``params`` is exactly this slab's list, in order,

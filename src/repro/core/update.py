@@ -18,7 +18,8 @@ exact scatter-add of :meth:`EmbeddingBag.scatter_add_rows` and differ in
 (a) how they traverse (the race-free strategy really partitions, so tests
 can observe its thread ranges) and (b) the cost-model key used to time
 them.  ``fused`` additionally folds Alg. 2's backward into the update
-(the standalone 1.6x experiment of Sect. III-A).
+(the standalone 1.6x experiment of Sect. III-A); training loops run
+``racefree`` through that same bag-level pass.
 """
 
 from __future__ import annotations
@@ -59,38 +60,39 @@ class ReferenceUpdate(UpdateStrategy):
         table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
 
 
-class AtomicXchgUpdate(UpdateStrategy):
+class AtomicXchgUpdate(ReferenceUpdate):
     """FP atomic adds via integer XCHG (Sect. III-A option 1)."""
 
     cost_key = "atomic"
 
-    def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
 
-
-class RTMUpdate(UpdateStrategy):
+class RTMUpdate(ReferenceUpdate):
     """Transactional-memory critical sections (Sect. III-A option 2)."""
 
     cost_key = "rtm"
 
-    def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
 
+class FusedBackwardUpdate(UpdateStrategy):
+    """Backward+update fused into one pass (standalone 1.6x experiment),
+    and the class that holds the one race-free kernel.
 
-class RaceFreeUpdate(UpdateStrategy):
-    """Alg. 4: row-range partitioning over ``threads`` workers.
+    :meth:`apply_fused` is the entry every training loop uses: given the
+    *bag-level* output gradient it applies every per-lookup delta by
+    reading straight from the small ``(N, E)`` gradient array -- Alg. 2's
+    ``np.repeat`` materialisation of ``dW`` never happens, and neither
+    does the separate update pass over it.  Bit-identical to
+    ``EmbeddingBag.backward`` followed by :meth:`apply`, the
+    :class:`SparseGrad` entry for callers that materialised the gradient
+    (``DLRM.backward()`` + ``apply_updates()``).
 
-    Because the row ranges are disjoint, the partitioned update equals
-    one direct scatter-add, which runs through the sort-based fold
-    kernel.  The partition itself is only observed:
+    Either way the arithmetic is Alg. 4's: the row ranges are disjoint,
+    so the partitioned update equals one direct scatter-add through the
+    sort-based fold kernel.  The partition is only observed:
     :attr:`last_thread_counts` names each row's thread by the closed
-    form ``((i + 1) * threads - 1) // rows`` and counts with one
-    ``bincount`` -- replacing the ``threads`` full-array mask scans of
-    the seed implementation (kept as :meth:`apply_reference`, the
-    bit-identity oracle).
+    form ``((i + 1) * threads - 1) // rows`` and counts with a ``bincount``.
     """
 
-    cost_key = "racefree"
+    cost_key = "fused"
 
     def __init__(self, threads: int = 28):
         if threads < 1:
@@ -119,49 +121,6 @@ class RaceFreeUpdate(UpdateStrategy):
         if grad.nnz:
             table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
 
-    def apply_reference(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        """The seed's formulation: per-thread mask scans + ``np.add.at``."""
-        deltas = -np.float32(lr) * grad.values
-        counts = np.zeros(self.threads, dtype=np.int64)
-        for tid in range(self.threads):
-            lo, hi = row_range_for_thread(table.rows, tid, self.threads)
-            mask = (grad.indices >= lo) & (grad.indices < hi)
-            counts[tid] = int(mask.sum())
-            if counts[tid]:
-                table.scatter_add_rows_reference(grad.indices[mask], deltas[mask])
-        self._last, self._counts = None, counts
-
-
-class FusedBackwardUpdate(UpdateStrategy):
-    """Backward+update fused into one pass (standalone 1.6x experiment).
-
-    :meth:`apply_fused` is the real fusion: given the *bag-level* output
-    gradient it applies every per-lookup delta by reading straight from
-    the small ``(N, E)`` gradient array -- Alg. 2's ``np.repeat``
-    materialisation of ``dW`` never happens, and neither does the
-    separate update pass over it.  Bit-identical to
-    ``EmbeddingBag.backward`` followed by the race-free update.
-    :meth:`apply` keeps the plain :class:`SparseGrad` interface for
-    callers that already materialised the gradient (e.g. the
-    distributed runtime, which ships gradients between ranks).
-    """
-
-    cost_key = "fused"
-
-    def __init__(self, threads: int = 28):
-        self._inner = RaceFreeUpdate(threads)
-
-    @property
-    def threads(self) -> int:
-        return self._inner.threads
-
-    @property
-    def last_thread_counts(self) -> np.ndarray | None:
-        return self._inner.last_thread_counts
-
-    def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        self._inner.apply(table, grad, lr)
-
     def apply_fused(
         self,
         table: EmbeddingBag,
@@ -181,9 +140,32 @@ class FusedBackwardUpdate(UpdateStrategy):
             )
         bag_ids = np.repeat(np.arange(offsets.shape[0] - 1), lengths)
         scaled = -np.float32(lr) * np.ascontiguousarray(grad_out, dtype=np.float32)
-        self._inner._observe(indices, table.rows)
+        self._observe(indices, table.rows)
         if indices.size:
             table.apply_bag_updates(scaled, bag_ids, indices)
+
+
+class RaceFreeUpdate(FusedBackwardUpdate):
+    """Alg. 4: row-range partitioning over ``threads`` workers -- the
+    kernel it inherits, priced as the stand-alone update pass the paper
+    ships (``fused`` is the same arithmetic under the 1.6x experiment's
+    cost key).  :meth:`apply_reference` keeps the seed's ``threads``
+    full-array mask scans as the bit-identity oracle.
+    """
+
+    cost_key = "racefree"
+
+    def apply_reference(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
+        """The seed's formulation: per-thread mask scans + ``np.add.at``."""
+        deltas = -np.float32(lr) * grad.values
+        counts = np.zeros(self.threads, dtype=np.int64)
+        for tid in range(self.threads):
+            lo, hi = row_range_for_thread(table.rows, tid, self.threads)
+            mask = (grad.indices >= lo) & (grad.indices < hi)
+            counts[tid] = int(mask.sum())
+            if counts[tid]:
+                table.scatter_add_rows_reference(grad.indices[mask], deltas[mask])
+        self._last, self._counts = None, counts
 
 
 def uses_fused_dispatch(opt) -> bool:
@@ -193,9 +175,11 @@ def uses_fused_dispatch(opt) -> bool:
 
     The single gate shared by ``DLRM.train_step`` and the distributed
     runtime (they must dispatch identically or distributed ==
-    single-socket bit-exactness breaks): the optimizer's strategy is the
-    fused one *and* its sparse step is the plain SGD scatter (a subclass
-    overriding ``step_sparse`` needs the materialised :class:`SparseGrad`).
+    single-socket bit-exactness breaks): the optimizer's strategy has
+    the bag-level entry (``fused`` and ``racefree``; ``reference``, the
+    oracle, and ``atomic``/``rtm`` stay materialising) *and* its sparse
+    step is the plain SGD scatter (a subclass overriding ``step_sparse``
+    needs the materialised :class:`SparseGrad`).
     """
     return isinstance(
         getattr(opt, "strategy", None), FusedBackwardUpdate

@@ -438,41 +438,46 @@ class SpmdRankPool:
         if self.transport.n_workers > 1:
             cluster.enable_wait_log()
 
-    def map(self, fn: Callable[[int], Any], items: Sequence[int]) -> list[Any]:
-        ranks = list(items)
-        if self.transport.n_workers == 1:
-            return [fn(r) for r in ranks]
-        if ranks != list(range(self.n_ranks)):
-            raise ValueError(
-                f"SpmdRankPool.map expects the full rank list, got {ranks}"
-            )
-        cluster = self.cluster
-        if cluster is None:
-            raise RuntimeError("SpmdRankPool.map before bind(cluster)")
+    def _local_phase(self, ranks: Sequence[int], what: str) -> None:
+        """Checks before a phase runs on the local ranks."""
+        if list(ranks) != list(range(self.n_ranks)):
+            raise ValueError(f"SpmdRankPool.{what} expects the full rank list, got {list(ranks)}")
+        if self.cluster is None:
+            raise RuntimeError(f"SpmdRankPool.{what} before bind(cluster)")
         # Waits journaled since the last phase happened in replicated
         # orchestration (e.g. predict's wait_all): every worker already
         # replayed them locally, so they must not be published again.
-        cluster.drain_wait_log()
-        local = {r: fn(r) for r in self.local_ranks}
+        self.cluster.drain_wait_log()
+
+    def _exchange(self, payload: Any) -> list[Any]:
+        """One transport round: every worker's ``payload`` in worker
+        order; clock advances and collective waits ride along."""
+        cluster = self.cluster
         clocks = {r: cluster.clocks[r].now for r in self.local_ranks}
-        waits = cluster.drain_wait_log()
-        gathered = self.transport.exchange((local, clocks, waits))
-        results: list[Any] = [None] * len(ranks)
-        for i, (res_map, clk_map, wait_list) in enumerate(gathered):
-            for r, value in res_map.items():
-                results[r] = value
+        gathered = self.transport.exchange((payload, clocks, cluster.drain_wait_log()))
+        for i, (_, clk_map, wait_list) in enumerate(gathered):
             if i == self.transport.worker_index:
                 continue
             for r, now in clk_map.items():
                 cluster.set_clock(r, now)
             for hid, r in wait_list:
                 cluster.absorb_wait(hid, r)
+        return [peer_payload for peer_payload, _, _ in gathered]
+
+    def map(self, fn: Callable[[int], Any], items: Sequence[int]) -> list[Any]:
+        if self.transport.n_workers == 1:
+            return [fn(r) for r in items]
+        self._local_phase(items, "map")
+        results: list[Any] = [None] * self.n_ranks
+        for res_map in self._exchange({r: fn(r) for r in self.local_ranks}):
+            for r, value in res_map.items():
+                results[r] = value
         return results
 
-    def reduce_map(self, fn: Callable[[int], Any], ranks: Sequence[int]) -> Any:
+    def reduce_map(self, fn: Callable[[int], Any], ranks: Sequence[int], out: Any = None) -> Any:
         """Hierarchical canonical-tree fold of per-rank flat buffers.
 
-        The thread pool's ``reduce_map`` is ``tree_sum(map(fn, ranks))``.
+        The thread pool's ``reduce_map`` is ``tree_sum(map(fn, ranks), out)``.
         Here each worker runs ``fn`` for its local contiguous rank range,
         folds those buffers into the *maximal canonical-subtree partials*
         of that range (a zero-transport shared-memory reduction), ships
@@ -488,39 +493,20 @@ class SpmdRankPool:
         from repro.comm.collectives import (
             canonical_node_partials,
             sum_canonical_partials,
+            tree_sum,
         )
 
-        rank_list = list(ranks)
         if self.transport.n_workers == 1:
-            from repro.comm.collectives import tree_sum
-
-            return tree_sum([fn(r) for r in rank_list])
-        if rank_list != list(range(self.n_ranks)):
-            raise ValueError(
-                f"SpmdRankPool.reduce_map expects the full rank list, got {rank_list}"
-            )
-        cluster = self.cluster
-        if cluster is None:
-            raise RuntimeError("SpmdRankPool.reduce_map before bind(cluster)")
-        cluster.drain_wait_log()
+            return tree_sum([fn(r) for r in ranks], out=out)
+        self._local_phase(ranks, "reduce_map")
         lo, hi = self.local_ranks.start, self.local_ranks.stop
         local = [fn(r) for r in self.local_ranks]
-        partials = canonical_node_partials(local, lo, hi, self.n_ranks)
-        clocks = {r: cluster.clocks[r].now for r in self.local_ranks}
-        waits = cluster.drain_wait_log()
-        gathered = self.transport.exchange((partials, clocks, waits))
         all_partials: dict[tuple[int, int], Any] = {}
-        for i, (node_map, clk_map, wait_list) in enumerate(gathered):
+        for node_map in self._exchange(canonical_node_partials(local, lo, hi, self.n_ranks)):
             all_partials.update(node_map)
-            if i == self.transport.worker_index:
-                continue
-            for r, now in clk_map.items():
-                cluster.set_clock(r, now)
-            for hid, r in wait_list:
-                cluster.absorb_wait(hid, r)
-        # The completed root is always freshly allocated, so it outlives
-        # the mailbox views' double-buffer lifetime.
-        return sum_canonical_partials(all_partials, self.n_ranks)
+        # The completed root is ``out`` or freshly allocated, never a
+        # partial, so it outlives the mailbox views' double-buffer lifetime.
+        return sum_canonical_partials(all_partials, self.n_ranks, out=out)
 
 
 # -- build plan ----------------------------------------------------------------

@@ -174,14 +174,11 @@ class WorkerPool:
         futures = [executor.submit(self._entry, fn, (x,)) for x in items]
         return [f.result() for f in futures]
 
-    def run(self, thunks: Sequence[Callable[[], R]]) -> list[R]:
-        """Run zero-argument callables concurrently; fixed-order results."""
-        return self.map(lambda thunk: thunk(), thunks)
-
-    def reduce_map(self, fn: Callable[[int], Any], ranks: Sequence[int]) -> Any:
-        """``tree_sum(map(fn, ranks))``: run a per-rank task whose result
-        is a flat FP32 buffer, and fold the buffers over the canonical
-        summation tree of :func:`repro.comm.collectives.tree_sum`.
+    def reduce_map(self, fn: Callable[[int], Any], ranks: Sequence[int], out: Any = None) -> Any:
+        """``tree_sum(map(fn, ranks), out)``: run a per-rank task whose
+        result is a flat FP32 buffer (only read: it may be live state),
+        and fold the buffers over the canonical summation tree of
+        :func:`repro.comm.collectives.tree_sum`.
 
         This is the pool-level seam of the bucketed allreduce: the thread
         pool folds the full rank list here; the process backend's
@@ -192,7 +189,7 @@ class WorkerPool:
         """
         from repro.comm.collectives import tree_sum
 
-        return tree_sum(self.map(fn, ranks))
+        return tree_sum(self.map(fn, ranks), out=out)
 
     def run_sharded(
         self, fn: Callable[[int, int, int], R], work: int, max_shards: int | None = None

@@ -91,37 +91,6 @@ class CollectiveHandle:
         return len(self._waited) == len(self.completion)
 
 
-class CollectiveHandleSet:
-    """A fixed-order group of in-flight collectives (one per gradient
-    bucket) presented through the single-handle interface: ``wait(rank)``
-    waits every member in issue order and returns the summed exposed
-    time.  Used by the bucketed issue-as-ready allreduce path, whose
-    callers (the analytic iteration model, benches) treat the whole
-    half's reduction as one awaitable."""
-
-    def __init__(self, handles: list[CollectiveHandle]):
-        if not handles:
-            raise ValueError("need at least one handle")
-        self.handles = list(handles)
-
-    def __len__(self) -> int:
-        return len(self.handles)
-
-    def __iter__(self):
-        return iter(self.handles)
-
-    def wait(self, rank: int) -> float:
-        return sum(h.wait(rank) for h in self.handles)
-
-    def wait_all(self) -> None:
-        for h in self.handles:
-            h.wait_all()
-
-    @property
-    def done(self) -> bool:
-        return all(h.done for h in self.handles)
-
-
 class SimCluster:
     """R ranks, one socket each, joined by a modelled fabric."""
 

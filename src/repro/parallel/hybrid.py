@@ -31,14 +31,17 @@ layers' backward-by-weights completes:
 10. **wait** backward exchange; per-table Alg. 2 backward + sparse update
     (this wait is where the MPI backend's in-order completion makes the
     allreduce cost appear as "Alltoall-Wait", Sect. VI-D),
-11. **wait** each gradient bucket at first use (in issue order), unpack
-    its summed gradients, then the dense SGD step (identical on all
-    ranks).
+11. **wait** each gradient bucket at first use (in issue order), then
+    the dense SGD step (identical on all ranks).
 
 Each bucket's cross-rank sum folds over the canonical summation tree of
 :func:`repro.comm.collectives.tree_sum` -- fixed bucket membership,
 fixed tree, independent of issue timing and worker count -- so the
-overlapped run is bitwise the sequential one.
+overlapped run is bitwise the sequential one.  A gradient byte moves
+once: a bucket is one slice of each rank's gradient flat, the fold reads
+the live slices and writes that slice of one shared flat, and every
+rank's dense step reads the sum where it lies; the framework's pack and
+unpack copies exist on the virtual clock only.
 
 Numerical invariant (tested): with loss normaliser = GN on every rank,
 the summed allreduce gradients, the concatenated embedding-output
@@ -63,14 +66,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
+from repro.comm.ddp import BucketSlice, DistributedDataParallelReducer, GradientBucketer
 from repro.comm.strategies import make_exchange
 from repro.exec.pool import WorkerPool, get_pool
 from repro.parallel.placement import make_placement, validate_placement
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
+from repro.core.mlp import sigmoid
 from repro.core.model import DLRM
-from repro.core.optim import SGD
+from repro.core.optim import SGD, steps_from_flat
 from repro.hw.cache import index_stats
 from repro.hw.costmodel import CostModel, GemmShape
 from repro.obs.tracer import trace
@@ -170,6 +174,18 @@ class DistributedDLRM:
         #: rank/worker/backend (the bit-identity contract).
         self.top_buckets = GradientBucketer(cfg.top_layer_shapes(), cap_bytes)
         self.bottom_buckets = GradientBucketer(cfg.bottom_layer_shapes(), cap_bytes)
+        #: ``_ends[half][r][k]``: rank ``r``'s end of bucket ``k`` -- a
+        #: slice of its gradient flat, the same span on every rank.
+        self._ends: dict[str, list[list[BucketSlice]]] = {
+            "top": [self.top_buckets.slices(m.top.parameters()) for m in self.models],
+            "bottom": [self.bottom_buckets.slices(m.bottom.parameters()) for m in self.models],
+        }
+        #: The allreduce sum in the ranks' dense-slab layout: a bucket's
+        #: fold writes its span, dense steps read the unwritable view.
+        self._reduced = self.models[0].dense.zeros(np.float32)
+        self._reduced_view = self._reduced.view()
+        self._reduced_view.flags.writeable = False
+        self._prices: dict[int, tuple] = {}
         self.loader_mode = loader_mode
         self.gemm_impl = gemm_impl
         self.optimizers: list[SGD] | None = None
@@ -217,11 +233,6 @@ class DistributedDLRM:
         for r in self.cluster.ranks:
             self.cluster.charge(r, self.cluster.cost.loader_time(per_rank), "data.loader")
 
-    def _update_strategy_key(self, rank: int) -> str:
-        if self.optimizers is None:
-            raise RuntimeError("call attach_optimizers() before train_step()")
-        return self.optimizers[rank].strategy.cost_key
-
     def _resolve_pool(self) -> WorkerPool:
         return self.pool if self.pool is not None else get_pool()
 
@@ -232,14 +243,27 @@ class DistributedDLRM:
         optimizer, clock, profiler) plus per-rank collective waits."""
         return self._resolve_pool().map(fn, list(self.cluster.ranks))
 
-    def _bucket_grads(self, r: int, half: str, start: int, stop: int) -> list[np.ndarray]:
-        """Gradient tensors of one bucket, in the fixed pack order:
-        descending layer index, ``[weight.grad, bias.grad]`` per layer
-        (the parameter order of ``FullyConnected.parameters()``)."""
-        layers = getattr(self.models[r], half).layers
-        return [
-            p.grad for i in reversed(range(start, stop)) for p in layers[i].parameters()
-        ]
+    def _step_prices(self, ln: int) -> tuple:
+        """A step's charges that are pure functions of (config, local
+        batch ``ln``, cluster), computed once: MLP forward by half, MLP
+        backward by half and bucket, interaction, loss, dense update."""
+        if ln not in self._prices:
+            cfg, cm, impl = self.cfg, self.cluster.cost, self.gemm_impl
+            cores = self.cluster.compute_cores
+            shapes = {"top": cfg.top_layer_shapes(), "bottom": cfg.bottom_layer_shapes()}
+            buckets = {"top": self.top_buckets.buckets, "bottom": self.bottom_buckets.buckets}
+            dense_bytes = sum(p.nbytes for p in self.models[0].parameters()) * 3
+            self._prices[ln] = (
+                {h: mlp_forward_time(cm, s, ln, impl, cores) for h, s in shapes.items()},
+                {
+                    h: [mlp_backward_time(cm, s[a:b], ln, impl, cores) for a, b in buckets[h]]
+                    for h, s in shapes.items()
+                },
+                cm.interaction_time(ln, cfg.num_vectors, cfg.embedding_dim, cores),
+                cm.elementwise_time(ln * 16, cores),
+                cm.elementwise_time(dense_bytes, cores),
+            )
+        return self._prices[ln]
 
     # -- the iteration ------------------------------------------------------------
 
@@ -255,7 +279,6 @@ class DistributedDLRM:
         if gn % r_count:
             raise ValueError(f"global minibatch {gn} not divisible by {r_count} ranks")
         cfg = self.cfg
-        impl = self.gemm_impl
         shards = global_batch.shard(r_count)
         cluster.charge_all(cm.calib.iteration_overhead_s, "compute.framework")
         self._charge_loader(gn)
@@ -300,80 +323,61 @@ class DistributedDLRM:
         # virtual-time sequence.  The loss gradient is stashed rank-
         # locally: backward runs bucket by bucket below.
         emb_slices, ex_fwd = self.exchange.forward(cluster, emb_global, self.owners)
-        ln = gn // r_count
+        t_fwd, t_bwd, t_interaction, t_loss, t_dense = self._step_prices(gn // r_count)
         dy: list[np.ndarray | None] = [None] * r_count
 
         def _fwd_loss(r: int) -> float:
             model = self.models[r]
             with trace("phase.fwd_loss", rank=r):
                 x_bottom = model.bottom_forward(shards[r])
-                t = mlp_forward_time(cm, cfg.bottom_layer_shapes(), ln, impl, cores)
-                cluster.charge(r, t, "compute.mlp.bottom.fwd")
+                cluster.charge(r, t_fwd["bottom"], "compute.mlp.bottom.fwd")
                 ex_fwd.wait(r)
                 logits = model.top_forward(x_bottom, emb_slices[r])
-                cluster.charge(
-                    r,
-                    cm.interaction_time(ln, cfg.num_vectors, cfg.embedding_dim, cores),
-                    "compute.interaction.fwd",
-                )
-                cluster.charge(
-                    r,
-                    mlp_forward_time(cm, cfg.top_layer_shapes(), ln, impl, cores),
-                    "compute.mlp.top.fwd",
-                )
+                cluster.charge(r, t_interaction, "compute.interaction.fwd")
+                cluster.charge(r, t_fwd["top"], "compute.mlp.top.fwd")
                 loss = model.loss_fn.forward(logits, shards[r].labels, normalizer=gn)
-                cluster.charge(r, cm.elementwise_time(ln * 16, cores), "compute.loss")
+                cluster.charge(r, t_loss, "compute.loss")
                 dy[r] = model.loss_fn.backward()
             return loss
 
         # The cross-rank loss sum stays a fixed-rank-order fold here.
         global_loss = float(sum(self._map_ranks(_fwd_loss)))
 
-        # 6. Top MLP backward, bucket by bucket (reverse layer order).
-        # Each bucket's segment backward, pack and cross-rank fold run as
-        # one reduce_map (a single transport round under the process
+        # 6/9. One MLP half's backward, bucket by bucket (reverse layer
+        # order).  Each bucket's segment backward and cross-rank fold run
+        # as one reduce_map (a single transport round under the process
         # backend: canonical-subtree partials, not per-rank flats, cross
-        # the mailboxes); its allreduce is issued the moment the fold
-        # lands -- while the remaining top layers, the interaction and
-        # the whole bottom MLP still compute.
+        # the mailboxes); its allreduce is issued the moment the fold lands.
         pool = self._resolve_pool()
-        shapes_top = cfg.top_layer_shapes()
-        top_summed: list[np.ndarray] = []
-        top_handles = []
-        for k in range(len(self.top_buckets)):
-            start, stop = self.top_buckets.layer_range(k)
+        ranks = list(cluster.ranks)
 
-            def _top_seg(r: int, k: int = k, start: int = start, stop: int = stop):
-                model = self.models[r]
-                with trace("phase.top.bwd", rank=r, bucket=k):
-                    dy[r] = model.top_backward_segment(dy[r], start, stop)
-                    cluster.charge(
-                        r,
-                        mlp_backward_time(cm, shapes_top[start:stop], ln, impl, cores),
-                        "compute.mlp.top.bwd",
-                    )
-                    return self.reducer.pack_grads(
-                        r, self._bucket_grads(r, "top", start, stop), bucket=k
-                    )
+        def _backward_half(half: str, bucketer: GradientBucketer) -> list:
+            ends, handles = self._ends[half], []
+            for k, (start, stop) in enumerate(bucketer.buckets):
 
-            top_summed.append(pool.reduce_map(_top_seg, list(cluster.ranks)))
-            top_handles.append(self.reducer.issue_transfer(self.top_buckets.nbytes(k)))
+                def _segment(r: int, k: int = k, start: int = start, stop: int = stop):
+                    backward = getattr(self.models[r], f"{half}_backward_segment")
+                    with trace(f"phase.{half}.bwd", rank=r, bucket=k):
+                        dy[r] = backward(dy[r], start, stop)
+                        cluster.charge(r, t_bwd[half][k], f"compute.mlp.{half}.bwd")
+                        return self.reducer.pack_grads(r, ends[r][k], index=k)
+
+                pool.reduce_map(_segment, ranks, out=self._reduced[ends[0][k].span])
+                handles.append((half, k, self.reducer.issue_transfer(bucketer.nbytes(k))))
+            return handles
+
+        # The top buckets fly while the remaining top layers, the
+        # interaction and the whole bottom MLP still compute.
+        top_handles = _backward_half("top", self.top_buckets)
 
         # 7. Interaction backward.  d(bottom output) stays rank-local;
         # the embedding-output gradients come back through the map so the
         # replicated backward exchange sees every rank's contribution.
-        ddense: list[np.ndarray | None] = [None] * r_count
-
         def _interaction_bwd(r: int) -> dict[int, np.ndarray]:
             model = self.models[r]
             with trace("phase.interaction.bwd", rank=r):
-                dd, de = model.interaction_backward(dy[r])
-                cluster.charge(
-                    r,
-                    cm.interaction_time(ln, cfg.num_vectors, cfg.embedding_dim, cores),
-                    "compute.interaction.bwd",
-                )
-            ddense[r] = dd
+                dy[r], de = model.interaction_backward(dy[r])
+                cluster.charge(r, t_interaction, "compute.interaction.bwd")
             return {t: de[t] for t in range(cfg.num_tables)}
 
         dembs: list[dict[int, np.ndarray]] = self._map_ranks(_interaction_bwd)
@@ -381,45 +385,21 @@ class DistributedDLRM:
         # 8. Backward exchange: embedding-output gradients to table owners.
         grads_to_owner, ex_bwd = self.exchange.backward(cluster, dembs, self.owners)
 
-        # 9. Bottom MLP backward, bucket by bucket; these buckets
-        # transfer under the sparse-update phase.
-        shapes_bot = cfg.bottom_layer_shapes()
-        bottom_summed: list[np.ndarray] = []
-        bottom_handles = []
-        for k in range(len(self.bottom_buckets)):
-            start, stop = self.bottom_buckets.layer_range(k)
-
-            def _bottom_seg(r: int, k: int = k, start: int = start, stop: int = stop):
-                model = self.models[r]
-                with trace("phase.bottom.bwd", rank=r, bucket=k):
-                    src = ddense[r] if k == 0 else dy[r]
-                    dy[r] = model.bottom_backward_segment(src, start, stop)
-                    cluster.charge(
-                        r,
-                        mlp_backward_time(cm, shapes_bot[start:stop], ln, impl, cores),
-                        "compute.mlp.bottom.bwd",
-                    )
-                    return self.reducer.pack_grads(
-                        r, self._bucket_grads(r, "bottom", start, stop), bucket=k
-                    )
-
-            bottom_summed.append(pool.reduce_map(_bottom_seg, list(cluster.ranks)))
-            bottom_handles.append(
-                self.reducer.issue_transfer(self.bottom_buckets.nbytes(k))
-            )
+        # 9. The bottom buckets transfer under the sparse-update phase.
+        bottom_handles = _backward_half("bottom", self.bottom_buckets)
 
         # 10-11. One fused rank task: wait the backward exchange, run the
         # Alg. 2 backward + sparse update, then wait each gradient bucket
-        # at first use (issue order), unpack its summed gradients, and
-        # take the dense SGD step (summed grads, identical on every rank
-        # because the loss was normalised by GN).  Every bucket was
-        # issued above, so no barrier is needed in between.
+        # at first use (issue order) and take the dense SGD step (summed
+        # grads, identical on every rank because the loss was normalised
+        # by GN).  Every bucket was issued above, so no barrier is needed
+        # in between.
         def _updates(r: int) -> None:
             model = self.models[r]
             with trace("phase.updates", rank=r):
                 ex_bwd.wait(r)
                 opt = self.optimizers[r]
-                strategy_key = self._update_strategy_key(r)
+                strategy_key = opt.strategy.cost_key
                 # The virtual clock prices Alg. 2 + the update table by
                 # table, as the paper's kernels run them; the arithmetic
                 # below runs once over the rank's slab.
@@ -452,24 +432,21 @@ class DistributedDLRM:
                 # bag-level exchange gradients feed the model's one
                 # sparse-update entry point.
                 model.sparse_update(grads_to_owner[r], global_batch, opt, rank=r)
-                for k, handle in enumerate(top_handles):
+                # An optimizer that walks the tensors gets the sum
+                # copied over its own gradients, bucket by bucket.
+                flat = steps_from_flat(opt)
+                for half, k, handle in top_handles + bottom_handles:
                     handle.wait(r)
-                    start, stop = self.top_buckets.layer_range(k)
+                    mine = self._ends[half][r][k]
                     self.reducer.unpack_grads(
-                        r, self._bucket_grads(r, "top", start, stop),
-                        top_summed[k], bucket=k,
+                        r, mine, self._reduced_view[mine.span], index=k, copy=not flat
                     )
-                for k, handle in enumerate(bottom_handles):
-                    handle.wait(r)
-                    start, stop = self.bottom_buckets.layer_range(k)
-                    self.reducer.unpack_grads(
-                        r, self._bucket_grads(r, "bottom", start, stop),
-                        bottom_summed[k], bucket=k,
-                    )
-                dense_bytes = sum(p.nbytes for p in model.parameters()) * 3
                 with trace("update.dense", rank=r):
-                    opt.step_dense(model.parameters())
-                cluster.charge(r, cm.elementwise_time(dense_bytes, cores), "update.dense")
+                    if flat:
+                        opt.step_dense(model.parameters(), reduced=self._reduced_view)
+                    else:
+                        opt.step_dense(model.parameters())
+                cluster.charge(r, t_dense, "update.dense")
 
         self._map_ranks(_updates)
         return global_loss
@@ -542,7 +519,6 @@ class DistributedDLRM:
         def _rank_proba(r: int) -> np.ndarray:
             model = self.models[r]
             x = model.bottom_forward(shards[r])
-            logits = model.top_forward(x, emb_slices[r])
-            return 1.0 / (1.0 + np.exp(-logits.reshape(-1)))
+            return sigmoid(model.top_forward(x, emb_slices[r])).reshape(-1)
 
         return np.concatenate(self._map_ranks(_rank_proba))

@@ -105,6 +105,50 @@ class TestCanonicalTree:
         assert out2 is not whole[(0, 2)]
 
 
+class TestFoldIntoACallersBuffer:
+    """``out=``: the same tree, the same bits, in the caller's buffer --
+    in L2-sized blocks for flat inputs -- and the inputs only read."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("size", [0, 1, 7, 96, 100])
+    def test_flat_buffers_fold_in_blocks_to_the_same_bits(self, rng, monkeypatch, r, size):
+        from repro.comm import collectives
+
+        monkeypatch.setattr(collectives, "FOLD_BLOCK", 32)  # 100 = 3 blocks and a tail
+        bufs = rank_buffers(rng, r, shape=(size,))
+        keep = [b.copy() for b in bufs]
+        for b in bufs:
+            b.flags.writeable = False
+        want = collectives._fold({(i, i + 1): b for i, b in enumerate(bufs)}, 0, r)[0]
+        out = np.full(size, np.nan, np.float32)
+        assert tree_sum(bufs, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+        assert not any(np.shares_memory(out, b) for b in bufs)
+        for b, k in zip(bufs, keep):
+            np.testing.assert_array_equal(b, k)
+
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_other_shapes_fold_whole(self, rng, r):
+        bufs = rank_buffers(rng, r, shape=(6, 4))
+        out = np.empty((6, 4), np.float32)
+        assert tree_sum(bufs, out=out) is out
+        np.testing.assert_array_equal(out, tree_sum(bufs))
+        with pytest.raises(ValueError):
+            tree_sum(bufs + [np.zeros(5, np.float32)], out=out)
+
+    def test_partials_complete_into_out_for_every_worker_layout(self, rng):
+        bufs = rank_buffers(rng, 5, shape=(70,))
+        want = tree_sum(bufs)
+        for parts in range(1, 6):
+            for partition in contiguous_partitions(5, parts):
+                partials = {}
+                for lo, hi in partition:
+                    partials.update(canonical_node_partials(bufs[lo:hi], lo, hi, 5))
+                out = np.empty(70, np.float32)
+                assert sum_canonical_partials(partials, 5, out=out) is out
+                np.testing.assert_array_equal(out, want)
+
+
 class TestAllreduce:
     @given(st.integers(1, 8), st.integers(0, 999))
     @settings(max_examples=40, deadline=None)

@@ -1,23 +1,36 @@
-"""DDP gradient reducer: in-place sums + framework cost accounting."""
+"""DDP gradient reducer: slab-slice buckets + framework cost accounting."""
 
 import numpy as np
 import pytest
 
 from repro.comm.collectives import tree_sum
-from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
+from repro.comm.ddp import BucketSlice, DistributedDataParallelReducer, GradientBucketer
+from repro.core.param import DenseSlab, Parameter
 from repro.parallel.cluster import SimCluster
 
 
-def _allreduce_grads(reducer, grads):
+def _rank_params(grads):
+    """One rank's tensors, adopted by a slab, with ``grads`` pending."""
+    params = [Parameter(np.zeros_like(g)) for g in grads]
+    DenseSlab(params)
+    for p, g in zip(params, grads):
+        p.accumulate_grad(g)
+    return params
+
+
+def _allreduce_grads(reducer, grads, copy=True):
     """One bucket of ``DistributedDLRM.train_step``'s production path:
-    per-rank pack, canonical-tree fold, transfer issue, then per-rank
-    wait + in-place unpack."""
-    flats = [reducer.pack_grads(r, g) for r, g in enumerate(grads)]
-    summed = tree_sum(flats)
+    per-rank pack (a slice of the gradient flat), canonical-tree fold,
+    transfer issue, then per-rank wait + unpack.  Returns every rank's
+    parameters and the sum."""
+    ranks = [_rank_params(g) for g in grads]
+    ends = [BucketSlice.of(params) for params in ranks]
+    summed = tree_sum([reducer.pack_grads(r, end) for r, end in enumerate(ends)])
     handle = reducer.issue_transfer(summed.nbytes)
-    for r, g in enumerate(grads):
+    for r, end in enumerate(ends):
         handle.wait(r)
-        reducer.unpack_grads(r, g, summed)
+        reducer.unpack_grads(r, end, summed, copy=copy)
+    return ranks, summed
 
 
 class TestAllreduceGrads:
@@ -30,10 +43,10 @@ class TestAllreduceGrads:
         ]
         want0 = np.sum([g[0] for g in grads], axis=0, dtype=np.float32)
         want1 = np.sum([g[1] for g in grads], axis=0, dtype=np.float32)
-        _allreduce_grads(reducer, grads)
-        for r in range(3):
-            np.testing.assert_allclose(grads[r][0], want0, rtol=1e-5)
-            np.testing.assert_allclose(grads[r][1], want1, rtol=1e-5)
+        ranks, _ = _allreduce_grads(reducer, grads)
+        for params in ranks:
+            np.testing.assert_allclose(params[0].grad, want0, rtol=1e-5)
+            np.testing.assert_allclose(params[1].grad, want1, rtol=1e-5)
 
     def test_framework_cost_charged(self, rng):
         cluster = SimCluster(2, backend="ccl")
@@ -58,11 +71,56 @@ class TestAllreduceGrads:
         update those arrays, not replace them."""
         cluster = SimCluster(2, backend="ccl")
         reducer = DistributedDataParallelReducer(cluster)
-        a = np.ones(4, np.float32)
-        b = np.full(4, 2.0, np.float32)
-        alias_a = a
-        _allreduce_grads(reducer, [[a], [b]])
+        ranks = [_rank_params([np.full(4, v, np.float32)]) for v in (1.0, 2.0)]
+        alias_a = ranks[0][0].grad
+        ends = [BucketSlice.of(params) for params in ranks]
+        summed = tree_sum([reducer.pack_grads(r, end) for r, end in enumerate(ends)])
+        for r, end in enumerate(ends):
+            reducer.unpack_grads(r, end, summed)
         np.testing.assert_array_equal(alias_a, np.full(4, 3.0))
+        assert ranks[0][0].grad is alias_a
+
+    def test_pack_is_the_live_slice_and_unpack_need_not_copy(self, rng):
+        """The send buffer is the gradient flat itself, slot padding and
+        all; ``copy=False`` leaves a rank's own gradients alone for a
+        dense step that reads the sum where it is."""
+        cluster = SimCluster(2, backend="ccl")
+        reducer = DistributedDataParallelReducer(cluster)
+        params = _rank_params([np.ones((3, 5), np.float32), np.ones(3, np.float32)])
+        slab, both = params[0].slab, BucketSlice.of(params)
+        flat = reducer.pack_grads(0, both)
+        assert flat.base is not None and np.shares_memory(flat, slab.grads)
+        assert flat.shape == (slab.size,) == (32,) and flat.sum() == 18
+        reducer.unpack_grads(0, both, np.full(32, 7.0, np.float32), copy=False)
+        assert slab.grads.sum() == 18
+        reducer.unpack_grads(0, BucketSlice.of(params[1:]), np.full(16, 7.0, np.float32))
+        assert params[0].grad.sum() == 15 and (params[1].grad == 7.0).all()
+
+    def test_charges_price_the_payload_not_the_padded_slice(self):
+        cluster = SimCluster(2, backend="ccl")
+        reducer = DistributedDataParallelReducer(cluster)
+        params = _rank_params([np.ones((3, 5), np.float32), np.ones(3, np.float32)])
+        reducer.pack_grads(0, BucketSlice.of(params))
+        reducer.charge_framework_copy(1, 18 * 4.0)
+        assert cluster.clocks[0].now == cluster.clocks[1].now > 0
+
+    def test_a_bucket_with_an_unpending_gradient_raises(self):
+        """A slot nobody wrote this step still holds the last step's
+        gradient: summing it must be loud, not silent."""
+        reducer = DistributedDataParallelReducer(SimCluster(2, backend="ccl"))
+        params = _rank_params([np.ones(4, np.float32), np.ones(2, np.float32)])
+        end = BucketSlice.of(params)
+        params[1].zero_grad()
+        with pytest.raises(RuntimeError, match="bucket 3: no gradient pending"):
+            reducer.pack_grads(0, end, index=3)
+
+    def test_a_bucket_is_a_run_of_slots_of_one_slab(self):
+        params = _rank_params([np.ones(4, np.float32), np.ones(2, np.float32)])
+        for bad in (params[:1] + params[:1], params[::-1], []):
+            with pytest.raises(ValueError):
+                BucketSlice.of(bad)
+        with pytest.raises(ValueError, match="DenseSlab"):
+            BucketSlice.of([Parameter(np.zeros(2, np.float32))])
 
 
 class TestIssueTimed:
@@ -86,15 +144,13 @@ class TestIssueTimed:
 SHAPES = [(13, 64), (64, 64), (64, 32), (32, 8), (8, 1)]
 
 
-def _bucket_grads(shapes, start, stop):
-    """[weight.grad, bias.grad] per layer, descending layer index --
-    the exact order ``DistributedDLRM._bucket_grads`` packs."""
-    out = []
-    for i in reversed(range(start, stop)):
-        fi, fo = shapes[i]
-        out.append(np.ones((fi, fo), np.float32))
-        out.append(np.ones(fo, np.float32))
-    return out
+def _mlp_params(shapes):
+    """``[weight, bias]`` per layer, ascending, gradients pending -- an
+    MLP's ``parameters()`` as a model's dense slab lays them out."""
+    grads = []
+    for fi, fo in shapes:
+        grads += [np.ones((fo, fi), np.float32), np.ones(fo, np.float32)]
+    return _rank_params(grads)
 
 
 class TestGradientBucketer:
@@ -154,20 +210,16 @@ class TestBucketedChargeParity:
 
         functional = SimCluster(r, backend="ccl", blocking=True)
         fred = DistributedDataParallelReducer(functional)
+        slices = [bucketer.slices(_mlp_params(SHAPES)) for _ in range(r)]
         unpacks = []
         for k in range(len(bucketer)):
-            lo, hi = bucketer.layer_range(k)
-            flats = [
-                fred.pack_grads(rank, _bucket_grads(SHAPES, lo, hi), bucket=k)
-                for rank in range(r)
-            ]
+            ends = [slices[rank][k] for rank in range(r)]
+            flats = [fred.pack_grads(rank, ends[rank], index=k) for rank in range(r)]
             fred.issue_transfer(bucketer.nbytes(k))  # blocking cluster: waits inline
-            unpacks.append((lo, hi, flats))
+            unpacks.append((ends, tree_sum(flats)))
         for rank in range(r):  # the _updates tail: unpack at first use
-            for k, (lo, hi, flats) in enumerate(unpacks):
-                fred.unpack_grads(
-                    rank, _bucket_grads(SHAPES, lo, hi), flats[rank], bucket=k
-                )
+            for k, (ends, summed) in enumerate(unpacks):
+                fred.unpack_grads(rank, ends[rank], summed, index=k)
 
         analytic = SimCluster(r, backend="ccl", blocking=True)
         ared = DistributedDataParallelReducer(analytic)

@@ -62,3 +62,13 @@ def random_batch(cfg: DLRMConfig, n: int, seed: int = 0, ragged: bool = False):
         offsets.append(off)
     labels = g.integers(0, 2, size=n).astype(np.float32)
     return Batch(dense=dense, indices=indices, offsets=offsets, labels=labels)
+
+
+def assert_same_bits(got: dict, want: dict, what: str = "state") -> None:
+    """Two state dicts hold the same keys, dtypes, shapes and bytes
+    (not merely equal values: -0.0 and NaN payloads count)."""
+    assert set(got) == set(want), what
+    for key, value in want.items():
+        a, b = np.atleast_1d(got[key]), np.atleast_1d(value)
+        assert a.dtype == b.dtype and a.shape == b.shape, f"{what}: {key}"
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=f"{what}: {key}")

@@ -153,7 +153,7 @@ class TestFactory:
     def test_fused_uses_threads(self):
         s = make_strategy("fused", threads=5)
         assert isinstance(s, FusedBackwardUpdate)
-        assert s._inner.threads == 5
+        assert s.threads == 5
 
     @pytest.mark.parametrize(
         "name,cls",

@@ -6,6 +6,8 @@ single-process model on the same global minibatch (up to FP32 summation
 order for the dense half; bit-exact for the embedding updates).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,26 @@ class TestEquivalence:
         np.testing.assert_allclose(
             dist.predict_proba(batch), ref.predict_proba(batch), rtol=1e-4, atol=1e-6
         )
+
+
+    @pytest.mark.parametrize("logit", [100.0, -100.0])
+    def test_predict_proba_is_the_stable_sigmoid_bitwise(self, logit):
+        """``1 / (1 + exp(-x))`` overflows below -88 and rounds to an
+        exact 0.0 (an infinite log-loss); distributed eval uses the
+        single-process model's sigmoid instead, to the bit."""
+        cfg = tiny_config(num_tables=4, minibatch=16)
+        batch = random_batch(cfg, 16)
+        ref = DLRM(cfg, seed=7)
+        dist = build_distributed(cfg, 2)
+        for model in [ref, *dist.models]:
+            model.top.layers[-1].weight.value[...] = 0.0
+            model.top.layers[-1].bias.value[...] = logit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "overflow encountered in exp"
+            got = dist.predict_proba(batch)
+        assert got.dtype == np.float32 and got.shape == (16,)
+        np.testing.assert_array_equal(got.view(np.uint32), ref.predict_proba(batch).view(np.uint32))
+        assert (got == 1.0).all() if logit > 0 else ((got > 0) & (got < 1e-43)).all()
 
 
 class TestBucketing:

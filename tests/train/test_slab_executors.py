@@ -9,7 +9,10 @@ checkpoint written before the slab existed loads and resumes.
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,3 +214,67 @@ class TestCheckpointFromTheParentCommit:
         assert [float(x).hex() for x in resumed.losses] == want["losses"]
         assert state_digest(resumed.model_state_dict()) == want["model"]
         assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+
+
+_BOTH_EXECUTORS = """
+import json, sys
+from pathlib import Path
+from repro.train import RunSpec, Trainer
+from tests.train.test_slab_executors import state_digest
+
+spec = RunSpec.from_dict(json.loads(Path(sys.argv[1]).read_text()))
+out = {}
+for name, how in (("inline", {}), ("process", {"backend": "process", "workers": 2})):
+    trainer = Trainer.from_spec(spec, **how)
+    try:
+        trainer.fit(int(sys.argv[2]))
+        model_state, opt_state = trainer._executor.state_dicts()
+        out[name] = {
+            "losses": [float(x).hex() for x in trainer.losses],
+            "model": state_digest(model_state),
+            "optimizer": state_digest(opt_state),
+            "rank_clocks": [c.hex() for c in trainer._executor.clocks()],
+        }
+    finally:
+        trainer.close()
+print(json.dumps(out))
+"""
+
+
+class TestTheHybridStepAgainstCommitA67c22e:
+    """``parent_dist4_expected.json``: 20 steps of the benchmark's
+    ``train_dist4`` workload at commit a67c22e, the last one whose
+    hybrid-parallel step concatenated each gradient bucket, scattered
+    the sum back tensor by tensor and materialised ``racefree``'s
+    row-per-lookup gradient.  The rank clocks are virtual and compared
+    on every host; the bits only where GEMMs round as they did there."""
+
+    RECORDED = json.loads((DATA / "parent_dist4_expected.json").read_text())
+
+    def test_both_executors_reach_the_parents_bits_and_clocks(self):
+        # In a child with BLAS pinned to one thread, as the benchmark
+        # runs the workload: two workers sharing this process's BLAS
+        # pool spin through its GEMMs 16x slower.
+        recorded, repo = self.RECORDED, Path(__file__).resolve().parents[2]
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "REPRO_MP_CONTEXT": "fork",
+            "PYTHONPATH": os.pathsep.join([str(repo / "src"), str(repo)]),
+        }
+        child = subprocess.run(
+            [sys.executable, "-c", _BOTH_EXECUTORS, str(repo / recorded["workload"]),
+             str(recorded["steps"])],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        )
+        got = json.loads(child.stdout.strip().splitlines()[-1])
+        assert got["process"] == got["inline"]
+        clocks = [float.fromhex(c) for c in got["inline"]["rank_clocks"]]
+        want_clocks = [float.fromhex(c) for c in recorded["rank_clocks"]]
+        assert clocks == pytest.approx(want_clocks, rel=1e-12)
+        if recorded["host"] != host_fingerprint():
+            pytest.skip(
+                f"the parent's bits were recorded on {recorded['host']}; GEMM "
+                f"roundings differ on {host_fingerprint()}"
+            )
+        assert got["inline"] == {**recorded["expected"], "rank_clocks": recorded["rank_clocks"]}
