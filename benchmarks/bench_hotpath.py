@@ -17,6 +17,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick] [--reps N]
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import time
 from pathlib import Path
@@ -32,15 +33,10 @@ from repro.core.embedding import (
 )
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
+from repro.kernels import reference
 from repro.kernels.blocked import block_activation, block_weight, choose_blocking
 from repro.kernels.gemm import FlopCounter, blocked_matmul
-from repro.kernels.segment import (
-    aggregate_duplicates,
-    aggregate_duplicates_reference,
-    scatter_add_exact,
-    scatter_add_reference,
-    segment_sum_reference,
-)
+from repro.kernels.segment import aggregate_duplicates, scatter_add_exact
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 THREADS = 28  # the paper's per-socket core count (CLX-AP socket)
@@ -78,10 +74,10 @@ def bench_segment_sum(results, reps, quick, rng):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     rows = rng.standard_normal((int(offsets[-1]), e)).astype(np.float32)
-    want = segment_sum_reference(rows, offsets)
+    want = reference.segment_sum(rows, offsets)
     got = segment_sum(rows, offsets)
     exact = bool(np.array_equal(want, got))
-    ref_s = best_of(lambda: segment_sum_reference(rows, offsets), reps)
+    ref_s = best_of(lambda: reference.segment_sum(rows, offsets), reps)
     opt_s = best_of(lambda: segment_sum(rows, offsets), reps)
     record(results, "segment_sum_ragged", f"N={n} E={e} NS={int(offsets[-1])}", ref_s, opt_s, exact)
 
@@ -90,10 +86,10 @@ def bench_aggregate(results, reps, quick, rng):
     rows, nnz, e = (256, 16384, 32) if quick else (2048, 131072, 64)
     idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
     vals = rng.standard_normal((nnz, e)).astype(np.float32)
-    uw, aw = aggregate_duplicates_reference(idx, vals)
+    uw, aw = reference.aggregate_duplicates(idx, vals)
     ug, ag = aggregate_duplicates(idx, vals)
     exact = bool(np.array_equal(uw, ug) and np.array_equal(aw, ag))
-    ref_s = best_of(lambda: aggregate_duplicates_reference(idx, vals), reps)
+    ref_s = best_of(lambda: reference.aggregate_duplicates(idx, vals), reps)
     opt_s = best_of(lambda: aggregate_duplicates(idx, vals), reps)
     record(results, "aggregate_duplicates", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
 
@@ -104,7 +100,7 @@ def bench_scatter_fp32(results, reps, quick, rng):
     deltas = rng.standard_normal((nnz, e)).astype(np.float32)
     w0 = rng.standard_normal((rows, e)).astype(np.float32)
     a, b = w0.copy(), w0.copy()
-    scatter_add_reference(a, idx, deltas)
+    reference.scatter_add(a, idx, deltas)
     scatter_add_exact(b, idx, deltas)
     exact = bool(np.array_equal(a, b))
     w = w0.copy()
@@ -113,7 +109,7 @@ def bench_scatter_fp32(results, reps, quick, rng):
         w[...] = w0
         return ()
 
-    ref_s = best_of(lambda: scatter_add_reference(w, idx, deltas), reps, setup=reset)
+    ref_s = best_of(lambda: reference.scatter_add(w, idx, deltas), reps, setup=reset)
     opt_s = best_of(lambda: scatter_add_exact(w, idx, deltas), reps, setup=reset)
     record(results, "scatter_add_rows_fp32", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
 
@@ -131,15 +127,30 @@ def bench_scatter_split(results, reps, quick, rng):
         table.lo[...] = lo0
         return ()
 
+    def scatter_reference():
+        # np.unique + np.add.at, then the table's own update of the rows.
+        table._apply_aggregated(*reference.aggregate_duplicates(idx, deltas))
+
     reset()
-    table.scatter_add_rows_reference(idx, deltas)
+    scatter_reference()
     want = (table.hi.copy(), table.lo.copy())
     reset()
     table.scatter_add_rows(idx, deltas)
     exact = bool(np.array_equal(want[0], table.hi) and np.array_equal(want[1], table.lo))
-    ref_s = best_of(lambda: table.scatter_add_rows_reference(idx, deltas), reps, setup=reset)
+    ref_s = best_of(scatter_reference, reps, setup=reset)
     opt_s = best_of(lambda: table.scatter_add_rows(idx, deltas), reps, setup=reset)
     record(results, "scatter_add_rows_split", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
+
+
+def racefree_reference(table, grad, lr):
+    """Alg. 4 as written: ``THREADS`` mask scans + ``np.add.at``."""
+    reference.partitioned_scatter_add(
+        functools.partial(reference.scatter_add, table.weight),
+        table.rows,
+        grad.indices,
+        -np.float32(lr) * grad.values,
+        THREADS,
+    )
 
 
 def bench_racefree(results, reps, quick, rng):
@@ -157,12 +168,12 @@ def bench_racefree(results, reps, quick, rng):
         return ()
 
     reset()
-    strat.apply_reference(table, grad, 0.05)
+    racefree_reference(table, grad, 0.05)
     want = table.weight.copy()
     reset()
     strat.apply(table, grad, 0.05)
     exact = bool(np.array_equal(want, table.weight))
-    ref_s = best_of(lambda: strat.apply_reference(table, grad, 0.05), reps, setup=reset)
+    ref_s = best_of(lambda: racefree_reference(table, grad, 0.05), reps, setup=reset)
     opt_s = best_of(lambda: strat.apply(table, grad, 0.05), reps, setup=reset)
     record(
         results,
@@ -186,7 +197,6 @@ def bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e):
     dy = rng.standard_normal((n, e)).astype(np.float32)
     w0 = rng.standard_normal((rows, e)).astype(np.float32)
     table = EmbeddingBag(rows, e, weight=w0.copy())
-    racefree = RaceFreeUpdate(THREADS)
     fused = FusedBackwardUpdate(THREADS)
 
     def reset():
@@ -195,7 +205,7 @@ def bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e):
 
     def reference_path():
         grad = table.backward(dy, idx, offsets)
-        racefree.apply_reference(table, grad, 0.05)
+        racefree_reference(table, grad, 0.05)
 
     def fused_path():
         fused.apply_fused(table, dy, idx, offsets, 0.05)
@@ -261,7 +271,7 @@ def bench_suite_shapes(results, reps, quick, rng):
     shape = f"rows={rows} N={n} pool={pooling} E={e}"
 
     def pool_reference(t):
-        return segment_sum_reference(views[t].weight[idx[t]], offsets)
+        return reference.segment_sum(views[t].weight[idx[t]], offsets)
 
     exact = bool(np.array_equal(pool_reference(0), views[0].forward(idx[0], offsets)))
     ref_s = best_of(lambda: pool_reference(0), reps)
@@ -276,7 +286,6 @@ def bench_suite_shapes(results, reps, quick, rng):
     opt_s = best_of(lambda: slab.forward(fused_idx, fused_offsets), reps)
     record(results, "slab_pooled_forward", f"tables={tables} {shape}", ref_s, opt_s, exact)
 
-    racefree = RaceFreeUpdate(THREADS)
     fused = FusedBackwardUpdate(THREADS)
 
     def reset():
@@ -286,7 +295,7 @@ def bench_suite_shapes(results, reps, quick, rng):
     def update_reference():
         for t in range(tables):
             grad = views[t].backward(dy[t * n : (t + 1) * n], idx[t], offsets)
-            racefree.apply_reference(views[t], grad, 0.05)
+            racefree_reference(views[t], grad, 0.05)
 
     def update_slab():
         fused.apply_fused(slab, dy, fused_idx, fused_offsets, 0.05)

@@ -9,6 +9,8 @@ host machine.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.config import get_config
 from repro.parallel.timing import IterationResult, model_iteration
 
@@ -65,29 +67,58 @@ def run_fig9_strong_scaling(configs: tuple[str, ...] = ("small", "large", "mlper
     return rows
 
 
-def run_fig10_compute_comm(
-    config: str = "large", ranks: list[int] | None = None
+def _mode_backend_sweep(
+    config: str,
+    ranks: list[int],
+    result: Callable[..., IterationResult],
+    columns: Callable[[IterationResult], dict[str, float]],
 ) -> list[dict[str, object]]:
-    """Fig. 10: compute/communication split, overlapping vs blocking,
-    MPI vs CCL backend (strong scaling)."""
-    ranks = ranks if ranks is not None else STRONG_RANKS[config][:5]
+    """The sweep Figs. 10/11 and 13/14 share: overlapping then blocking,
+    MPI then CCL, every rank count; ``columns`` projects one modelled
+    iteration onto the figure's own columns."""
     rows = []
     for blocking in (False, True):
         for backend in ("mpi", "ccl"):
             for r in ranks:
-                res = model_iteration(config, r, backend=backend, blocking=blocking)
+                res = result(config, r, backend=backend, blocking=blocking)
                 rows.append(
                     {
                         "config": config,
                         "mode": "blocking" if blocking else "overlapping",
                         "backend": backend,
                         "ranks": r,
-                        "compute_ms": res.compute_time * 1e3,
-                        "comm_ms": res.comm_time * 1e3,
-                        "total_ms": res.iteration_time * 1e3,
+                        **columns(res),
                     }
                 )
     return rows
+
+
+def _comm_columns(res: IterationResult) -> dict[str, float]:
+    """Framework vs Wait cost per collective (Figs. 11/14)."""
+    bd = res.comm_breakdown()
+    return {
+        "alltoall_framework_ms": bd["Alltoall-Framework"] * 1e3,
+        "allreduce_framework_ms": bd["Allreduce-Framework"] * 1e3,
+        "alltoall_wait_ms": bd["Alltoall-Wait"] * 1e3,
+        "allreduce_wait_ms": bd["Allreduce-Wait"] * 1e3,
+    }
+
+
+def run_fig10_compute_comm(
+    config: str = "large", ranks: list[int] | None = None
+) -> list[dict[str, object]]:
+    """Fig. 10: compute/communication split, overlapping vs blocking,
+    MPI vs CCL backend (strong scaling)."""
+    return _mode_backend_sweep(
+        config,
+        ranks if ranks is not None else STRONG_RANKS[config][:5],
+        model_iteration,
+        lambda res: {
+            "compute_ms": res.compute_time * 1e3,
+            "comm_ms": res.comm_time * 1e3,
+            "total_ms": res.iteration_time * 1e3,
+        },
+    )
 
 
 def run_fig11_comm_breakdown(
@@ -95,26 +126,12 @@ def run_fig11_comm_breakdown(
 ) -> list[dict[str, object]]:
     """Fig. 11: communication cost split into Framework vs Wait, per
     collective, overlapping vs blocking, per backend (strong scaling)."""
-    ranks = ranks if ranks is not None else STRONG_RANKS[config][:5]
-    rows = []
-    for blocking in (False, True):
-        for backend in ("mpi", "ccl"):
-            for r in ranks:
-                res = model_iteration(config, r, backend=backend, blocking=blocking)
-                bd = res.comm_breakdown()
-                rows.append(
-                    {
-                        "config": config,
-                        "mode": "blocking" if blocking else "overlapping",
-                        "backend": backend,
-                        "ranks": r,
-                        "alltoall_framework_ms": bd["Alltoall-Framework"] * 1e3,
-                        "allreduce_framework_ms": bd["Allreduce-Framework"] * 1e3,
-                        "alltoall_wait_ms": bd["Alltoall-Wait"] * 1e3,
-                        "allreduce_wait_ms": bd["Allreduce-Wait"] * 1e3,
-                    }
-                )
-    return rows
+    return _mode_backend_sweep(
+        config,
+        ranks if ranks is not None else STRONG_RANKS[config][:5],
+        model_iteration,
+        _comm_columns,
+    )
 
 
 def _weak_result(config: str, r: int, **kw) -> IterationResult:
@@ -155,51 +172,28 @@ def run_fig13_compute_comm_weak(
 ) -> list[dict[str, object]]:
     """Fig. 13: compute/comm split under weak scaling -- including the
     data-loader-driven compute growth on the MLPerf config."""
-    ranks = ranks if ranks is not None else STRONG_RANKS[config]
-    rows = []
-    for blocking in (False, True):
-        for backend in ("mpi", "ccl"):
-            for r in ranks:
-                res = _weak_result(config, r, backend=backend, blocking=blocking)
-                loader = res.merged().get("data.loader")
-                rows.append(
-                    {
-                        "config": config,
-                        "mode": "blocking" if blocking else "overlapping",
-                        "backend": backend,
-                        "ranks": r,
-                        "compute_ms": res.compute_time * 1e3,
-                        "comm_ms": res.comm_time * 1e3,
-                        "loader_ms": loader * 1e3,
-                    }
-                )
-    return rows
+    return _mode_backend_sweep(
+        config,
+        ranks if ranks is not None else STRONG_RANKS[config],
+        _weak_result,
+        lambda res: {
+            "compute_ms": res.compute_time * 1e3,
+            "comm_ms": res.comm_time * 1e3,
+            "loader_ms": res.merged().get("data.loader") * 1e3,
+        },
+    )
 
 
 def run_fig14_comm_breakdown_weak(
     config: str = "mlperf", ranks: list[int] | None = None
 ) -> list[dict[str, object]]:
     """Fig. 14: communication breakdown under weak scaling."""
-    ranks = ranks if ranks is not None else STRONG_RANKS[config]
-    rows = []
-    for blocking in (False, True):
-        for backend in ("mpi", "ccl"):
-            for r in ranks:
-                res = _weak_result(config, r, backend=backend, blocking=blocking)
-                bd = res.comm_breakdown()
-                rows.append(
-                    {
-                        "config": config,
-                        "mode": "blocking" if blocking else "overlapping",
-                        "backend": backend,
-                        "ranks": r,
-                        "alltoall_framework_ms": bd["Alltoall-Framework"] * 1e3,
-                        "allreduce_framework_ms": bd["Allreduce-Framework"] * 1e3,
-                        "alltoall_wait_ms": bd["Alltoall-Wait"] * 1e3,
-                        "allreduce_wait_ms": bd["Allreduce-Wait"] * 1e3,
-                    }
-                )
-    return rows
+    return _mode_backend_sweep(
+        config,
+        ranks if ranks is not None else STRONG_RANKS[config],
+        _weak_result,
+        _comm_columns,
+    )
 
 
 def run_fig15_8socket(configs: tuple[str, ...] = ("small", "mlperf")) -> list[dict[str, object]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.bench import paper
@@ -106,25 +108,29 @@ def run_fig6_overlap() -> tuple[OverlapReport, list[dict[str, object]]]:
     return report, rows
 
 
-def run_fig7_single_socket() -> list[dict[str, object]]:
-    """Fig. 7: single-socket DLRM ms/iteration, 4 variants x 2 configs.
-
-    (The large config does not fit in one socket -- Sect. VI-C -- so, as
-    in the paper, it is absent here.)
-    """
+def _single_socket_sweep(
+    columns: Callable[[str, str, IterationResult], dict[str, object]],
+) -> list[dict[str, object]]:
+    """The sweep Figs. 7/8 share: 4 variants x 2 configs, one modelled
+    iteration each; ``columns(cfg, update, res)`` projects the figure's
+    own columns.  (The large config does not fit in one socket --
+    Sect. VI-C -- so, as in the paper, it is absent here.)"""
     rows = []
     for cfg in ("small", "mlperf"):
         for update, impl in FIG7_VARIANTS:
             res = single_socket_iteration(cfg, update=update, gemm_impl=impl)
-            rows.append(
-                {
-                    "config": cfg,
-                    "strategy": update,
-                    "model_ms": res.iteration_time * 1e3,
-                    "paper_ms": paper.FIG7_MS[(cfg, update)],
-                }
-            )
+            rows.append({"config": cfg, "strategy": update, **columns(cfg, update, res)})
     return rows
+
+
+def run_fig7_single_socket() -> list[dict[str, object]]:
+    """Fig. 7: single-socket DLRM ms/iteration, 4 variants x 2 configs."""
+    return _single_socket_sweep(
+        lambda cfg, update, res: {
+            "model_ms": res.iteration_time * 1e3,
+            "paper_ms": paper.FIG7_MS[(cfg, update)],
+        }
+    )
 
 
 def fig7_speedups(rows: list[dict[str, object]]) -> dict[str, float]:
@@ -146,22 +152,17 @@ def _breakdown(res: IterationResult) -> dict[str, float]:
 
 def run_fig8_breakdown() -> list[dict[str, object]]:
     """Fig. 8: time split across Embeddings / MLP / Rest per variant."""
-    rows = []
-    for cfg in ("small", "mlperf"):
-        for update, impl in FIG7_VARIANTS:
-            res = single_socket_iteration(cfg, update=update, gemm_impl=impl)
-            b = _breakdown(res)
-            total = res.iteration_time
-            rows.append(
-                {
-                    "config": cfg,
-                    "strategy": update,
-                    "total_ms": total * 1e3,
-                    "embeddings_ms": b["embeddings"] * 1e3,
-                    "mlp_ms": b["mlp"] * 1e3,
-                    "rest_ms": b["rest"] * 1e3,
-                    "embeddings_pct": 100 * b["embeddings"] / total,
-                    "paper_embeddings_ms": paper.FIG8_EMBEDDING_MS[(cfg, update)],
-                }
-            )
-    return rows
+
+    def columns(cfg: str, update: str, res: IterationResult) -> dict[str, object]:
+        b = _breakdown(res)
+        total = res.iteration_time
+        return {
+            "total_ms": total * 1e3,
+            "embeddings_ms": b["embeddings"] * 1e3,
+            "mlp_ms": b["mlp"] * 1e3,
+            "rest_ms": b["rest"] * 1e3,
+            "embeddings_pct": 100 * b["embeddings"] / total,
+            "paper_embeddings_ms": paper.FIG8_EMBEDDING_MS[(cfg, update)],
+        }
+
+    return _single_socket_sweep(columns)

@@ -340,45 +340,38 @@ def _require_file(path: str, what: str) -> None:
         raise SystemExit(f"{what}: file {path!r} not found")
 
 
+def _configs(args: argparse.Namespace) -> tuple[str, ...]:
+    return (args.config,) if args.config else ("small", "large", "mlperf")
+
+
+#: Every experiment of :data:`EXPERIMENTS`: parsed arguments -> table rows.
+_EXPERIMENT_ROWS: dict[str, Callable[[argparse.Namespace], list[dict[str, object]]]] = {
+    "table1": lambda args: run_table1(),
+    "table2": lambda args: run_table2(),
+    "fig5": lambda args: run_fig5_mlp_kernels(),
+    "fig6": lambda args: run_fig6_overlap()[1],
+    "fig7": lambda args: run_fig7_single_socket(),
+    "fig8": lambda args: run_fig8_breakdown(),
+    "fig9": lambda args: run_fig9_strong_scaling(_configs(args)),
+    "fig10": lambda args: run_fig10_compute_comm(args.config),
+    "fig11": lambda args: run_fig11_comm_breakdown(args.config),
+    "fig12": lambda args: run_fig12_weak_scaling(_configs(args)),
+    "fig13": lambda args: run_fig13_compute_comm_weak(args.config),
+    "fig14": lambda args: run_fig14_comm_breakdown_weak(args.config),
+    "fig15": lambda args: run_fig15_8socket(),
+    "fig16": lambda args: run_fig16_convergence(
+        epoch_batches=args.epoch_batches, eval_points=args.eval_points, lr=args.lr
+    ).rows(),
+}
+
+
 def _dispatch(args: argparse.Namespace) -> str:
     name = args.command
     if name == "list":
         rows = [{"experiment": k, "description": v} for k, v in EXPERIMENTS.items()]
         return format_table(rows, title="Available experiments")
-    if name == "table1":
-        return format_table(run_table1(), title=EXPERIMENTS[name])
-    if name == "table2":
-        return format_table(run_table2(), title=EXPERIMENTS[name])
-    if name == "fig5":
-        return format_table(run_fig5_mlp_kernels(), title=EXPERIMENTS[name])
-    if name == "fig6":
-        _, rows = run_fig6_overlap()
-        return format_table(rows, title=EXPERIMENTS[name])
-    if name == "fig7":
-        return format_table(run_fig7_single_socket(), title=EXPERIMENTS[name])
-    if name == "fig8":
-        return format_table(run_fig8_breakdown(), title=EXPERIMENTS[name])
-    if name in ("fig9", "fig12"):
-        configs = (args.config,) if args.config else ("small", "large", "mlperf")
-        fn: Callable = run_fig9_strong_scaling if name == "fig9" else run_fig12_weak_scaling
-        return format_table(fn(configs), title=EXPERIMENTS[name])
-    if name == "fig10":
-        return format_table(run_fig10_compute_comm(args.config), title=EXPERIMENTS[name])
-    if name == "fig11":
-        return format_table(run_fig11_comm_breakdown(args.config), title=EXPERIMENTS[name])
-    if name == "fig13":
-        return format_table(run_fig13_compute_comm_weak(args.config), title=EXPERIMENTS[name])
-    if name == "fig14":
-        return format_table(run_fig14_comm_breakdown_weak(args.config), title=EXPERIMENTS[name])
-    if name == "fig15":
-        return format_table(run_fig15_8socket(), title=EXPERIMENTS[name])
-    if name == "fig16":
-        curves = run_fig16_convergence(
-            epoch_batches=args.epoch_batches,
-            eval_points=args.eval_points,
-            lr=args.lr,
-        )
-        return format_table(curves.rows(), title=EXPERIMENTS[name])
+    if name in _EXPERIMENT_ROWS:
+        return format_table(_EXPERIMENT_ROWS[name](args), title=EXPERIMENTS[name])
     if name == "train":
         from repro.train import RunSpec, StepTimer, Trainer
 

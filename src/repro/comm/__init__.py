@@ -1,9 +1,10 @@
-"""Communication substrate: functional collectives, backend progress
-models, exchange strategies and a DDP-style gradient reducer.
+"""Communication substrate: the canonical summation tree, backend
+progress models, exchange strategies and a DDP-style gradient reducer.
 
-This package replaces ``torch.distributed`` + MPI/oneCCL.  Collectives
-perform real data movement over per-rank NumPy buffers (exactness is
-property-tested); their *cost* is charged by the simulated cluster
+This package replaces ``torch.distributed`` + MPI/oneCCL.  The exchange
+strategies and the gradient reducer perform real data movement over
+per-rank NumPy buffers (exactness is property-tested); their *cost* is
+charged by the simulated cluster
 (:mod:`repro.parallel.cluster`) according to the backend's progress model
 -- the single unpinned progress thread of the PyTorch MPI backend vs.
 oneCCL's pinned multi-worker engine (paper Sect. IV-C).
@@ -15,12 +16,6 @@ count -- timing knobs move *when* communication happens, never the sum.
 """
 
 from repro.comm.collectives import (
-    allreduce_sum,
-    reduce_scatter_sum,
-    allgather_concat,
-    alltoall_exchange,
-    scatter_chunks,
-    gather_chunks,
     tree_sum,
     canonical_range_nodes,
     canonical_node_partials,
@@ -44,12 +39,6 @@ from repro.comm.strategies import (
 from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
 
 __all__ = [
-    "allreduce_sum",
-    "reduce_scatter_sum",
-    "allgather_concat",
-    "alltoall_exchange",
-    "scatter_chunks",
-    "gather_chunks",
     "tree_sum",
     "canonical_range_nodes",
     "canonical_node_partials",

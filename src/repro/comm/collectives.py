@@ -1,49 +1,26 @@
-"""Functional collectives over per-rank NumPy buffers.
+"""The canonical summation tree over per-rank NumPy buffers.
 
-These are the data-movement semantics of the collectives the paper uses
-(allreduce realised as reduce-scatter + allgather, personalised alltoall,
-per-table scatters).  They follow the mpi4py buffer-object conventions:
-the caller hands one buffer (or buffer list) per rank, and receives
-result arrays; nothing here knows about time -- the simulated cluster
-charges cost separately.
+Every cross-rank sum of a training step -- a gradient bucket's
+allreduce, realised by ``reduce_map`` on the thread pool and by the
+hierarchical shared-memory fold of the process backend
+(:mod:`repro.exec.mp`) -- combines partial sums at the nodes of one
+*canonical summation tree* (see :func:`tree_sum`), a pure function of
+the rank count.  Each realisation therefore produces the same FP32 bits
+at any worker count, which is what lets the distributed == single-socket
+equivalence tests demand bitwise reproducibility
+(``tests/comm/test_ring.py`` holds the direct fold and the worker-partial
+fold to a step-by-step recursive-halving ring written as their oracle).
+Nothing here knows about time -- the simulated cluster charges cost
+separately -- and the embedding exchange moves its bytes in
+:mod:`repro.comm.strategies`.
 
-All functions are exact (FP32 sums over one *canonical summation tree*,
-see :func:`tree_sum`) so that the distributed == single-socket
-equivalence tests can demand bitwise reproducibility.  The tree is a
-pure function of the rank count: every realisation of a sum collective
--- the direct fold here and the hierarchical shared-memory fold of the
-process backend (:mod:`repro.exec.mp`) -- combines partial sums at the
-same tree nodes in the same order, so they all produce the same bits at
-any worker count (``tests/comm/test_ring.py`` holds both to a
-step-by-step recursive-halving ring written as their oracle).
-
-Aliasing convention: the *sum* collectives (:func:`allreduce_sum`,
-:func:`reduce_scatter_sum`, :func:`allgather_concat`) accumulate into a
-single buffer and hand every rank a reference (or slice view) of it
-rather than a per-rank copy -- the replicated result is identical by
-definition, and no caller mutates a received reduction in place (they
-read it or copy it into parameters).  Inputs are never modified.  The
-*routing* collectives (alltoall/scatter/gather) still copy: their
-outputs alias caller-owned send buffers otherwise.
+Inputs are never modified; the sum lands in the caller's ``out`` or in
+one freshly allocated buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _check_same_shapes(bufs: list[np.ndarray]) -> None:
-    if not bufs:
-        raise ValueError("need at least one rank buffer")
-    shape, dtype = bufs[0].shape, bufs[0].dtype
-    for i, b in enumerate(bufs):
-        if b.shape != shape:
-            raise ValueError(f"rank {i} buffer shape {b.shape} != rank 0 {shape}")
-        # The in-place accumulation folds into rank 0's dtype; a wider
-        # rank buffer would silently downcast, so reject mixed dtypes
-        # (real collectives are homogeneous anyway).
-        if b.dtype != dtype:
-            raise ValueError(f"rank {i} buffer dtype {b.dtype} != rank 0 {dtype}")
 
 
 def _split(lo: int, hi: int) -> int:
@@ -171,70 +148,3 @@ def sum_canonical_partials(
         if not owned:
             np.copyto(out[block], total)
     return out
-
-
-def allreduce_sum(bufs: list[np.ndarray]) -> list[np.ndarray]:
-    """Every rank receives the element-wise sum of all rank buffers.
-
-    All ranks share one result buffer (see the module aliasing note)."""
-    _check_same_shapes(bufs)
-    total = tree_sum(bufs)
-    return [total for _ in bufs]
-
-
-def reduce_scatter_sum(bufs: list[np.ndarray]) -> list[np.ndarray]:
-    """Rank r receives the r-th chunk of the element-wise sum.
-
-    Chunks follow ``np.array_split`` over the first axis (uneven sizes
-    allowed, like MPI_Reduce_scatter with counts); they are views into
-    one shared sum buffer (see the module aliasing note).
-    """
-    _check_same_shapes(bufs)
-    return list(np.array_split(tree_sum(bufs), len(bufs), axis=0))
-
-
-def allgather_concat(chunks: list[np.ndarray]) -> list[np.ndarray]:
-    """Every rank receives the concatenation of all rank chunks.
-
-    ``np.concatenate`` already materialises a fresh buffer; all ranks
-    share it (see the module aliasing note)."""
-    if not chunks:
-        raise ValueError("need at least one rank chunk")
-    full = np.concatenate(chunks, axis=0)
-    return [full for _ in chunks]
-
-
-def alltoall_exchange(send: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-    """Personalised all-to-all: ``recv[j][i] = send[i][j]``.
-
-    ``send[i]`` is rank i's list of R messages (one per destination).
-    """
-    r = len(send)
-    for i, msgs in enumerate(send):
-        if len(msgs) != r:
-            raise ValueError(f"rank {i} must send exactly {r} messages, got {len(msgs)}")
-    return [[send[i][j].copy() for i in range(r)] for j in range(r)]
-
-
-def scatter_chunks(chunks: list[np.ndarray], root: int) -> list[np.ndarray]:
-    """Root-scatter: rank r receives ``chunks[r]`` (held by ``root``)."""
-    if not 0 <= root < len(chunks):
-        raise ValueError(f"root {root} out of range for {len(chunks)} ranks")
-    return [c.copy() for c in chunks]
-
-
-def gather_chunks(chunks: list[np.ndarray], root: int) -> list[np.ndarray]:
-    """Root-gather: the root receives every rank's chunk (list in rank
-    order); non-roots receive nothing (the return value is the root's)."""
-    if not 0 <= root < len(chunks):
-        raise ValueError(f"root {root} out of range for {len(chunks)} ranks")
-    return [c.copy() for c in chunks]
-
-
-def allreduce_via_rs_ag(bufs: list[np.ndarray]) -> list[np.ndarray]:
-    """Allreduce composed exactly as the paper overlaps it: a
-    reduce-scatter followed by an allgather (Fig. 2).  Semantically equal
-    to :func:`allreduce_sum`; kept separate so tests can pin the
-    composition."""
-    scattered = reduce_scatter_sum(bufs)
-    return allgather_concat(scattered)

@@ -84,10 +84,6 @@ class GradientBucketer:
     def __len__(self) -> int:
         return len(self.buckets)
 
-    def layer_range(self, k: int) -> tuple[int, int]:
-        """Forward layer-index range ``[start, stop)`` of bucket ``k``."""
-        return self.buckets[k]
-
     def slices(self, params: Sequence[Parameter]) -> list[BucketSlice]:
         """One rank's end of every bucket, in issue order, given its
         MLP's ``parameters()`` (two per layer)."""
@@ -96,13 +92,6 @@ class GradientBucketer:
     def nbytes(self, k: int) -> float:
         start, stop = self.buckets[k]
         return sum(self.layer_bytes(self.layer_shapes[i]) for i in range(start, stop))
-
-    def sizes(self) -> list[float]:
-        """Per-bucket gradient bytes, in issue order."""
-        return [self.nbytes(k) for k in range(len(self.buckets))]
-
-    def total_bytes(self) -> float:
-        return sum(self.sizes())
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.cluster import CollectiveHandle, SimCluster
 
 
-def table_owners(num_tables: int, n_ranks: int) -> list[int]:
-    """Round-robin whole-table assignment (the paper's distribution)."""
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    return [t % n_ranks for t in range(num_tables)]
-
-
 def _slice_for_rank(buf: np.ndarray, rank: int, n_ranks: int) -> np.ndarray:
     n = buf.shape[0]
     if n % n_ranks:

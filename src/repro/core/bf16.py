@@ -126,15 +126,3 @@ def bf16_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aq = quantize_bf16(np.asarray(a, dtype=np.float32))
     bq = quantize_bf16(np.asarray(b, dtype=np.float32))
     return np.matmul(aq, bq)
-
-
-def bf16_ulp(x: np.ndarray) -> np.ndarray:
-    """The BF16 unit-in-last-place at each value's magnitude (for tests).
-
-    Subnormals share the fixed spacing 2^-133 (min normal 2^-126 over the
-    7 explicit mantissa bits).
-    """
-    a = np.abs(quantize_bf16(x)).astype(np.float64)
-    expo = np.where(a == 0, 2.0**-126, a)
-    ulp = 2.0 ** (np.floor(np.log2(expo)) - 7)
-    return np.maximum(ulp, 2.0**-133).astype(np.float64)

@@ -184,11 +184,6 @@ class DLRMConfig:
 
     # -- derived configs ---------------------------------------------------------------
 
-    def with_minibatch(self, n: int) -> "DLRMConfig":
-        if n <= 0:
-            raise ValueError("minibatch must be positive")
-        return replace(self, minibatch=n)
-
     def scaled_down(self, rows_cap: int = 2000, minibatch: int = 64) -> "DLRMConfig":
         """A structurally identical config small enough for unit tests:
         same table count, MLP depths and interaction; capped rows and

@@ -32,13 +32,7 @@ from repro.core.bf16 import (
     truncate_lo_bits,
 )
 from repro.obs.tracer import trace
-from repro.kernels.segment import (
-    aggregate_bag_duplicates,
-    aggregate_duplicates,
-    scatter_add_bags,
-    scatter_add_exact,
-    segment_sum_ragged,
-)
+from repro.kernels.segment import aggregate_duplicates, scatter_add_exact, segment_sum_ragged
 
 
 @dataclass
@@ -74,9 +68,6 @@ class SparseGrad:
         ``np.unique`` + ``np.add.at`` formulation it replaced.
         """
         return aggregate_duplicates(self.indices, self.values)
-
-    def scaled(self, factor: float) -> "SparseGrad":
-        return SparseGrad(self.indices, self.values * np.float32(factor))
 
 
 def check_offsets(offsets: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,35 +201,24 @@ class EmbeddingBag:
         """The full table as the compute pass sees it (tests/inspection)."""
         return self.weight
 
-    def scatter_add_rows(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+    def scatter_add_rows(
+        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
+    ) -> None:
         """``W[indices] += deltas`` with duplicate indices accumulating.
 
         This is the numerically-exact effect every update strategy of
         Sect. III-A must produce (atomics, RTM and the race-free
-        partitioning only change *how* concurrently it happens).  Runs
-        the sort-based fold kernel, bit-identical to
-        :meth:`scatter_add_rows_reference`.
+        partitioning only change *how* concurrently it happens).  With
+        ``delta_rows``, look-up ``i`` adds ``deltas[delta_rows[i]]``: the
+        fused backward+update entry, which reads per-lookup deltas from
+        the small per-bag gradient array instead of a
+        ``np.repeat``-materialised ``dW`` (bit-identical to
+        ``backward()`` followed by this method on the pre-scaled
+        gradient).  Runs the sort-based fold kernel, bit-identical to
+        :func:`repro.kernels.reference.scatter_add` on :attr:`weight`.
         """
-        scatter_add_exact(self.weight, np.asarray(indices, dtype=np.int64), deltas)
-
-    def scatter_add_rows_reference(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """The seed's naive formulation (unbuffered ``np.add.at``); kept
-        as the bit-identity oracle for tests and ``bench_hotpath``."""
-        np.add.at(self.weight, np.asarray(indices, dtype=np.int64), deltas)
-
-    def apply_bag_updates(
-        self, bag_grads: np.ndarray, bag_ids: np.ndarray, indices: np.ndarray
-    ) -> None:
-        """``W[indices[i]] += bag_grads[bag_ids[i]]`` without expansion.
-
-        The fused backward+update entry point: per-lookup deltas are
-        read from the small per-bag gradient array instead of a
-        ``np.repeat``-materialised ``dW``.  Bit-identical to
-        ``backward()`` followed by :meth:`scatter_add_rows` on the
-        (pre-scaled) gradient.
-        """
-        scatter_add_bags(
-            self.weight, np.asarray(indices, dtype=np.int64), bag_grads, bag_ids
+        scatter_add_exact(
+            self.weight, np.asarray(indices, dtype=np.int64), deltas, value_rows=delta_rows
         )
 
     def capacity_bytes(self) -> int:
@@ -441,25 +421,13 @@ class SplitEmbeddingBag(EmbeddingBag):
         """The implicit FP32 master: hi||lo, reconstructed exactly."""
         return combine_fp32(self.hi, self.lo)
 
-    def scatter_add_rows(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+    def scatter_add_rows(
+        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
+    ) -> None:
         # Aggregate duplicates first, then run the update at full FP32
         # accuracy on the reconstructed rows (the Split-SGD trick).
-        uniq, agg = aggregate_duplicates(np.asarray(indices, dtype=np.int64), deltas)
-        self._apply_aggregated(uniq, agg)
-
-    def scatter_add_rows_reference(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """The seed's naive formulation (``np.unique`` + ``np.add.at``)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        uniq, inverse = np.unique(indices, return_inverse=True)
-        agg = np.zeros((uniq.shape[0], self.dim), dtype=np.float32)
-        np.add.at(agg, inverse, deltas)
-        self._apply_aggregated(uniq, agg)
-
-    def apply_bag_updates(
-        self, bag_grads: np.ndarray, bag_ids: np.ndarray, indices: np.ndarray
-    ) -> None:
-        uniq, agg = aggregate_bag_duplicates(
-            np.asarray(indices, dtype=np.int64), bag_grads, bag_ids
+        uniq, agg = aggregate_duplicates(
+            np.asarray(indices, dtype=np.int64), deltas, value_rows=delta_rows
         )
         self._apply_aggregated(uniq, agg)
 

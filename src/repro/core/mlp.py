@@ -40,11 +40,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """ReLU backward using the *output* (y > 0 iff x > 0)."""
-    return dy * (y > 0.0)
-
-
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically-stable sigmoid; ``out`` may alias ``x`` (epilogues
     overwrite the GEMM result in place, killing the last allocation)."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
-from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, stack_tables
+from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
 from repro.core.interaction import make_interaction
 from repro.core.loss import BCEWithLogitsLoss
 from repro.core.mlp import MLP, sigmoid
@@ -133,10 +133,6 @@ class DLRM:
             cfg.interaction, cfg.num_tables, cfg.embedding_dim
         )
         self.loss_fn = BCEWithLogitsLoss()
-        self._batch: Batch | None = None
-        self._logits: np.ndarray | None = None
-        #: Sparse gradients of the last backward, keyed by table id.
-        self.sparse_grads: dict[int, SparseGrad] = {}
 
     # -- introspection ------------------------------------------------------
 
@@ -267,9 +263,7 @@ class DLRM:
         embs = [emb_out[t] for t in range(self.cfg.num_tables)]
         with trace("mlp.gemm.fwd", rows=x_bottom.shape[0]):
             r = self.interaction.forward(x_bottom, embs)
-            logits = self.top.forward(r)
-        self._logits = logits
-        return logits
+            return self.top.forward(r)
 
     def dense_forward(self, batch: Batch, emb_out: dict[int, np.ndarray]) -> np.ndarray:
         """Bottom MLP + interaction + Top MLP on (data-parallel) samples."""
@@ -277,7 +271,6 @@ class DLRM:
 
     def forward(self, batch: Batch) -> np.ndarray:
         """Full forward pass (single-process: owns all tables)."""
-        self._batch = batch
         emb_out = self.embedding_forward(batch)
         return self.dense_forward(batch, emb_out)
 
@@ -290,8 +283,8 @@ class DLRM:
         """Forward-only pass (inference/eval mode): returns the logits.
 
         Bit-identical to :meth:`forward` on the same batch, but stores
-        *no* state anywhere -- ``_batch``, ``_logits``, MLP activations
-        and the interaction's saved ``Z`` are all left untouched, so a
+        *no* state anywhere -- the slab look-up, MLP activations and the
+        interaction's saved ``Z`` are all left untouched, so a
         serving path can interleave with a pending training backward.
         The optional ``*_outs`` buffer lists are forwarded to
         :meth:`MLP.infer` (the serving engine's warm path).
@@ -318,27 +311,19 @@ class DLRM:
             dr = self.top.backward(dlogits)
             return self.interaction.backward(dr)
 
-    def top_backward_segment(
-        self, dy: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Backward through Top MLP layers ``[start, stop)`` only -- the
-        issue-as-ready path walks the stack bucket by bucket so each
-        bucket's weight gradients can fly while earlier layers compute."""
+    def backward_segment(self, half: str, dy: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Backward through layers ``[start, stop)`` of the ``"top"`` or
+        ``"bottom"`` MLP only -- the issue-as-ready path walks each stack
+        bucket by bucket so a bucket's weight gradients can fly while
+        earlier layers compute."""
         with trace("mlp.gemm.bwd", rows=dy.shape[0]):
-            return self.top.backward_segment(dy, start, stop)
-
-    def bottom_backward_segment(
-        self, dy: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Backward through Bottom MLP layers ``[start, stop)`` only."""
-        with trace("mlp.gemm.bwd", rows=dy.shape[0]):
-            return self.bottom.backward_segment(dy, start, stop)
+            return getattr(self, half).backward_segment(dy, start, stop)
 
     def interaction_backward(
         self, dr: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Interaction backward alone; composes with
-        :meth:`top_backward_segment` to equal :meth:`top_backward`."""
+        """Interaction backward alone; composes with the top half's
+        :meth:`backward_segment` to equal :meth:`top_backward`."""
         return self.interaction.backward(dr)
 
     def bottom_backward(self, ddense: np.ndarray) -> np.ndarray:
@@ -353,42 +338,6 @@ class DLRM:
         ddense, dembs = self.top_backward(dlogits)
         self.bottom_backward(ddense)
         return dembs
-
-    def backward(self) -> None:
-        """Full backward of the last :meth:`loss` (single-process); leaves
-        Alg. 2's row-per-lookup gradients in :attr:`sparse_grads`."""
-        if self._batch is None:
-            raise RuntimeError("backward called before loss/forward")
-        batch = self._batch
-        dlogits = self.loss_fn.backward()
-        dembs = self.dense_backward(dlogits, batch)
-        self.sparse_grads.clear()
-        for t in self.table_ids:
-            self.sparse_grads[t] = self.tables[t].backward(
-                dembs[t], batch.indices[t], batch.offsets[t]
-            )
-
-    def apply_updates(self, opt: SGD) -> None:
-        """Dense step + sparse step of what :meth:`backward` left in
-        :attr:`sparse_grads`; the tables step as one gradient in the
-        slab's id space when the optimizer takes it (see
-        :meth:`sparse_update`)."""
-        with trace("update.dense"):
-            opt.step_dense(self.parameters())
-        grads = dict(self.sparse_grads)
-        self.sparse_grads.clear()
-        if grads and steps_rows_statelessly(opt):
-            ids = [
-                self.tables[t].storage_rows(g.indices) + self._slab_start[t]
-                for t, g in grads.items()
-            ]
-            values = [g.values for g in grads.values()]
-            steps = [(self.slab, SparseGrad(np.concatenate(ids), np.concatenate(values)))]
-        else:
-            steps = [(self.tables[t], grad) for t, grad in grads.items()]
-        for bag, grad in steps:
-            with trace("update.sparse", rows=grad.nnz):
-                opt.step_sparse(bag, grad)
 
     def sparse_update(
         self, dembs: Mapping[int, np.ndarray] | list[np.ndarray], batch: Batch, opt: SGD, **span
@@ -437,7 +386,6 @@ class DLRM:
         loss = self.loss(batch, normalizer=normalizer)
         dlogits = self.loss_fn.backward()
         dembs = self.dense_backward(dlogits, batch)
-        self.sparse_grads.clear()
         with trace("update.dense"):
             opt.step_dense(self.parameters())
         self.sparse_update(dembs, batch, opt)

@@ -2,14 +2,14 @@
 
 The MLPerf recommendation benchmark the paper targets trains with a
 linear warmup followed by a hold and a polynomial/linear decay.  The
-scheduler mutates the optimizer's ``lr`` in place each step, so it works
-with every optimizer in :mod:`repro.core.optim` (including distributed
-per-rank optimizers, which must all be stepped to stay in lock-step).
+rate is a pure function of the global step (:meth:`lr_at`);
+:class:`repro.train.callbacks.LRScheduleCallback` hands it to the
+executor, which sets it on every optimizer it owns -- all ranks' alike,
+so distributed optimizers stay in lock-step and a resumed run replays
+the exact schedule.
 """
 
 from __future__ import annotations
-
-from repro.core.optim import SGD
 
 
 class WarmupDecaySchedule:
@@ -38,7 +38,6 @@ class WarmupDecaySchedule:
         self.decay_steps = decay_steps
         self.final_lr = final_lr
         self.start_lr = start_lr
-        self._step = 0
 
     def lr_at(self, step: int) -> float:
         """The learning rate scheduled for (0-based) ``step``."""
@@ -55,20 +54,3 @@ class WarmupDecaySchedule:
             return self.final_lr if self.decay_steps else self.peak_lr
         frac = step / self.decay_steps
         return self.peak_lr + (self.final_lr - self.peak_lr) * frac
-
-    @property
-    def current_step(self) -> int:
-        return self._step
-
-    def step(self, *optimizers: SGD) -> float:
-        """Set the next step's lr on every optimizer; returns that lr.
-
-        Pass all per-rank optimizers of a distributed run so their
-        schedules stay identical (a mismatch would silently break the
-        distributed == single-process invariant).
-        """
-        lr = self.lr_at(self._step)
-        self._step += 1
-        for opt in optimizers:
-            opt.lr = lr
-        return lr

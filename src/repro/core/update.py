@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.kernels.segment import bucket_by_row_ranges
-from repro.kernels.threads import row_range_for_thread
 
 
 class UpdateStrategy(ABC):
@@ -42,10 +41,6 @@ class UpdateStrategy(ABC):
     @abstractmethod
     def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
         """Mutate ``table`` in place."""
-
-    @property
-    def name(self) -> str:
-        return self.cost_key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -82,8 +77,8 @@ class FusedBackwardUpdate(UpdateStrategy):
     ``np.repeat`` materialisation of ``dW`` never happens, and neither
     does the separate update pass over it.  Bit-identical to
     ``EmbeddingBag.backward`` followed by :meth:`apply`, the
-    :class:`SparseGrad` entry for callers that materialised the gradient
-    (``DLRM.backward()`` + ``apply_updates()``).
+    :class:`SparseGrad` entry ``SGD.step_sparse`` takes when an optimizer
+    or strategy needs the gradient materialised.
 
     Either way the arithmetic is Alg. 4's: the row ranges are disjoint,
     so the partitioned update equals one direct scatter-add through the
@@ -142,30 +137,19 @@ class FusedBackwardUpdate(UpdateStrategy):
         scaled = -np.float32(lr) * np.ascontiguousarray(grad_out, dtype=np.float32)
         self._observe(indices, table.rows)
         if indices.size:
-            table.apply_bag_updates(scaled, bag_ids, indices)
+            table.scatter_add_rows(indices, scaled, delta_rows=bag_ids)
 
 
 class RaceFreeUpdate(FusedBackwardUpdate):
     """Alg. 4: row-range partitioning over ``threads`` workers -- the
     kernel it inherits, priced as the stand-alone update pass the paper
     ships (``fused`` is the same arithmetic under the 1.6x experiment's
-    cost key).  :meth:`apply_reference` keeps the seed's ``threads``
-    full-array mask scans as the bit-identity oracle.
+    cost key).  The ``threads`` full-array mask scans of Alg. 4 as
+    written are
+    :func:`repro.kernels.reference.partitioned_scatter_add`.
     """
 
     cost_key = "racefree"
-
-    def apply_reference(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        """The seed's formulation: per-thread mask scans + ``np.add.at``."""
-        deltas = -np.float32(lr) * grad.values
-        counts = np.zeros(self.threads, dtype=np.int64)
-        for tid in range(self.threads):
-            lo, hi = row_range_for_thread(table.rows, tid, self.threads)
-            mask = (grad.indices >= lo) & (grad.indices < hi)
-            counts[tid] = int(mask.sum())
-            if counts[tid]:
-                table.scatter_add_rows_reference(grad.indices[mask], deltas[mask])
-        self._last, self._counts = None, counts
 
 
 def uses_fused_dispatch(opt) -> bool:
@@ -196,27 +180,10 @@ def steps_rows_statelessly(opt) -> bool:
     return type(opt).step_sparse is SGD.step_sparse
 
 
-STRATEGIES: dict[str, type[UpdateStrategy]] = {
-    "reference": ReferenceUpdate,
-    "atomic": AtomicXchgUpdate,
-    "rtm": RTMUpdate,
-    "racefree": RaceFreeUpdate,
-    "fused": FusedBackwardUpdate,
-}
-
-
 def make_strategy(name: str, threads: int = 28) -> UpdateStrategy:
-    """Instantiate an update strategy by cost key.
+    """Instantiate an update strategy by cost key: a look-up in
+    :data:`repro.train.registry.UPDATE_STRATEGIES`, the one strategy
+    table (imported lazily -- ``repro.train`` sits above this module)."""
+    from repro.train.registry import UPDATE_STRATEGIES
 
-    Delegates to the :data:`repro.train.registry.UPDATE_STRATEGIES`
-    registry (imported lazily -- ``repro.train`` sits above this
-    module), so strategies registered by downstream code are reachable
-    through this legacy entry point too.  Entries added to the public
-    :data:`STRATEGIES` dict after the registry snapshot are picked up
-    on first use, keeping the old extension point alive.
-    """
-    from repro.train.registry import UPDATE_STRATEGIES, _strategy_factory
-
-    if name not in UPDATE_STRATEGIES and name in STRATEGIES:
-        UPDATE_STRATEGIES.register(name, _strategy_factory(STRATEGIES[name]))
     return UPDATE_STRATEGIES.create(name, threads=threads)

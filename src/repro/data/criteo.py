@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
 from repro.data.synthetic import RandomRecDataset, bounded_zipf
+from repro.kernels.reference import scatter_add
 from repro.util import rng_from
 
 #: Knuth's multiplicative hash constant (golden-ratio scramble).
@@ -95,7 +96,7 @@ class SyntheticCriteoDataset(RandomRecDataset):
             eff = _hashed_effect(t, indices[t], self.seed)
             lengths = np.diff(offsets[t])
             bag = np.zeros(n)
-            np.add.at(bag, np.repeat(np.arange(n), lengths), eff)
+            scatter_add(bag, np.repeat(np.arange(n), lengths), eff)
             denom = np.maximum(lengths, 1)
             score += self._table_w[t] * bag / denom
         norm = np.sqrt(1.0 + self.cfg.num_tables)

@@ -66,7 +66,8 @@ import traceback
 import multiprocessing as mp
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,19 +84,18 @@ _WORKER_ENV = "_REPRO_MP_WORKER"
 #: payloads outgrow the automatic estimate.
 _MAILBOX_ENV = "REPRO_MP_MAILBOX_MB"
 
-#: Trace-mailbox capacity override (MiB): one drained span batch per
-#: worker must fit (a span pickles to ~200 bytes).
-_OBS_MAILBOX_ENV = "REPRO_OBS_MAILBOX_MB"
-_DEFAULT_OBS_MAILBOX_MB = 16
+#: Trace-mailbox capacity (bytes): one drained span batch per worker
+#: must fit (a span pickles to ~200 bytes).
+_OBS_MAILBOX_BYTES = 16 << 20
 
-#: Parent <-> worker round-trip timeout (seconds).
+#: Parent <-> worker reply deadline (seconds): overrides the executor's
+#: ``timeout`` argument (a spec's ``resilience.heartbeat_timeout``).
 _TIMEOUT_ENV = "REPRO_MP_TIMEOUT"
 _DEFAULT_TIMEOUT = 600.0
 
 #: Worker-side barrier timeout (seconds): bounds how long an orphaned
 #: worker can linger if its peers vanished without aborting the barrier.
-_BARRIER_ENV = "REPRO_MP_BARRIER_TIMEOUT"
-_DEFAULT_BARRIER_TIMEOUT = 300.0
+_BARRIER_TIMEOUT = 300.0
 
 #: Spawn method: "spawn" is the safe, portable default (macOS/Windows
 #: semantics); "fork" starts much faster on Linux and accepts
@@ -108,14 +108,6 @@ def in_worker_process() -> bool:
     should fall back to the thread backend rather than spawn from a
     worker, mirroring ``WorkerPool.effective_workers``)."""
     return bool(os.environ.get(_WORKER_ENV))
-
-
-def _timeout() -> float:
-    return float(os.environ.get(_TIMEOUT_ENV, _DEFAULT_TIMEOUT))
-
-
-def _barrier_timeout() -> float:
-    return float(os.environ.get(_BARRIER_ENV, _DEFAULT_BARRIER_TIMEOUT))
 
 
 # -- shared-memory arenas (state placement) -----------------------------------
@@ -194,12 +186,10 @@ class ShmArena:
 
     # -- access ------------------------------------------------------------
 
-    def keys(self) -> list[str]:
-        return [key for key, _, _, _ in self.layout]
-
-    def view(self, key: str) -> np.ndarray:
-        """The live shared view of one entry (no copy)."""
-        return self._views[key]
+    @property
+    def views(self) -> Mapping[str, np.ndarray]:
+        """The live shared view of every entry (no copy), in layout order."""
+        return MappingProxyType(self._views)
 
     def write(self, state: dict[str, np.ndarray]) -> None:
         """Copy ``state`` values into the arena (keys must cover the layout)."""
@@ -627,7 +617,7 @@ def _worker_main(
             worker_index,
             barrier,
             mailboxes,
-            timeout=_barrier_timeout(),
+            timeout=_BARRIER_TIMEOUT,
             heartbeat=heartbeat,
             faults=recipe.faults,
         )
@@ -810,6 +800,7 @@ class ProcessRankExecutor:
         prefetch_depth: int = 1,
         eval_size_hint: int = 0,
         faults: Any = None,
+        timeout: float = _DEFAULT_TIMEOUT,
     ):
         if in_worker_process():
             raise RuntimeError(
@@ -833,7 +824,8 @@ class ProcessRankExecutor:
         self.n_workers = max(1, min(requested, n_ranks, os.cpu_count() or n_ranks))
         ctx_name = context or os.environ.get(_CONTEXT_ENV, "spawn")
         ctx = mp.get_context(ctx_name)
-        self._timeout = _timeout()
+        #: Reply deadline of every parent <-> worker round trip.
+        self._timeout = float(os.environ.get(_TIMEOUT_ENV, timeout))
         self._closed = False
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list[Any] = []
@@ -849,20 +841,6 @@ class ProcessRankExecutor:
         self._trace_seq = 0
 
         self.owners: list[int] = list(dist.owners)
-        #: Consolidation key split, computed once from the parent replica
-        #: (mirrors DistributedDLRM.state_dict/optimizer_state_dict).
-        opt0 = dist.optimizers[0]
-        self._opt_dense_keys = list(
-            opt0.state_dict(dist.models[0].parameters(), tables={})
-        )
-        self._opt_table_keys = {
-            r: [
-                k
-                for k in dist.optimizers[r].state_dict([], dist.models[r].tables)
-                if k != "lr"
-            ]
-            for r in range(n_ranks)
-        }
 
         recipe = ProcessRecipe(
             dist_kwargs=dict(dist.init_kwargs),
@@ -923,11 +901,8 @@ class ProcessRankExecutor:
                 # One drain mailbox per worker (1-worker fleets too):
                 # drained span batches come back through shared memory,
                 # never the pipe.
-                tcap = int(
-                    os.environ.get(_OBS_MAILBOX_ENV, _DEFAULT_OBS_MAILBOX_MB)
-                ) << 20
                 self._trace_boxes = [
-                    _create(lambda n: ShmMailbox.create(n, tcap), "t", i)
+                    _create(lambda n: ShmMailbox.create(n, _OBS_MAILBOX_BYTES), "t", i)
                     for i in range(self.n_workers)
                 ]
                 trace_names = [box.name for box in self._trace_boxes]
@@ -1094,27 +1069,17 @@ class ProcessRankExecutor:
         self._roundtrip(("sync_state",), "state sync")
 
     def state_dicts(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """(model_state, opt_state), consolidated exactly like
-        ``DistributedDLRM.state_dict``/``optimizer_state_dict``."""
+        """(model_state, opt_state): the rank arenas consolidated exactly
+        like ``DistributedDLRM.state_dict``/``optimizer_state_dict``, and
+        copied out of shared memory."""
+        from repro.parallel.hybrid import consolidate_state  # lazy: hybrid imports exec
+
+        def consolidated(arenas: dict[int, ShmArena]) -> dict[str, np.ndarray]:
+            views = consolidate_state([arenas[r].views for r in range(self.n_ranks)], self.owners)
+            return {key: np.array(view, copy=True) for key, view in views.items()}
+
         self.sync_state()
-        model_state: dict[str, np.ndarray] = {}
-        for key in self._model_arenas[0].keys():
-            if not key.startswith("table."):
-                model_state[key] = np.array(self._model_arenas[0].view(key), copy=True)
-        for t, owner in enumerate(self.owners):
-            prefix = f"table.{t}."
-            arena = self._model_arenas[owner]
-            for key in arena.keys():
-                if key.startswith(prefix):
-                    model_state[key] = np.array(arena.view(key), copy=True)
-        opt_state: dict[str, np.ndarray] = {}
-        for key in self._opt_dense_keys:
-            opt_state[key] = np.array(self._opt_arenas[0].view(key), copy=True)
-        for r in range(self.n_ranks):
-            arena = self._opt_arenas[r]
-            for key in self._opt_table_keys[r]:
-                opt_state[key] = np.array(arena.view(key), copy=True)
-        return model_state, opt_state
+        return consolidated(self._model_arenas), consolidated(self._opt_arenas)
 
     def load_state(
         self,
@@ -1124,10 +1089,10 @@ class ProcessRankExecutor:
         """Restore a consolidated checkpoint into the live workers."""
         for r in range(self.n_ranks):
             arena = self._model_arenas[r]
-            arena.write({key: model_state[key] for key in arena.keys()})
+            arena.write({key: model_state[key] for key in arena.views})
             if opt_state:
                 opt_arena = self._opt_arenas[r]
-                opt_arena.write({key: opt_state[key] for key in opt_arena.keys()})
+                opt_arena.write({key: opt_state[key] for key in opt_arena.views})
         self._roundtrip(("load_state", bool(opt_state)), "state load")
 
     def clocks(self) -> list[float]:

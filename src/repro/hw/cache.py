@@ -70,9 +70,15 @@ class IndexStats:
 def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> IndexStats:
     """Compute :class:`IndexStats` for one table's index vector.
 
-    The imbalance statistic mirrors Alg. 4's partitioning exactly: thread
-    ``t`` owns rows ``[M*t/T, M*(t+1)/T)`` and performs one update per
-    index falling in its range.
+    The imbalance statistic follows Alg. 4's equal-row-range partition:
+    row ``r`` is counted for thread ``floor(r*T/M)``, one update per
+    index.  When ``T`` divides ``M`` that is exactly
+    :func:`~repro.kernels.threads.row_range_for_thread`'s
+    ``[M*t//T, M*(t+1)//T)``; otherwise the two roundings put the range
+    boundaries a row apart (M=10, T=4: per-thread row counts
+    ``[3, 2, 3, 2]`` here against ``[2, 3, 2, 3]`` there).  The recorded
+    rank clocks are priced with this formula, so it stays as it is
+    (``tests/hw/test_cache.py`` pins both sides).
     """
     if table_rows <= 0:
         raise ValueError("table_rows must be positive")
@@ -90,7 +96,7 @@ def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> Inde
     # index stream.
     concurrency = np.minimum(1.0, counts * threads / total)
     conflicts = float(np.sum((counts - 1) * concurrency))
-    # Alg. 4 thread ranges: row r belongs to thread floor(r * T / M).
+    # Row r is counted for thread floor(r * T / M) (see the docstring).
     owner = (uniq.astype(np.int64) * threads) // int(table_rows)
     per_thread = np.bincount(owner, weights=counts, minlength=threads)
     mean = total / threads

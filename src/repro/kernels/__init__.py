@@ -22,11 +22,9 @@ from repro.kernels.gemm import (
 )
 from repro.kernels.segment import (
     SegmentPlan,
-    aggregate_bag_duplicates,
     aggregate_duplicates,
     bucket_by_row_ranges,
     plan_segments,
-    scatter_add_bags,
     scatter_add_exact,
     segment_sum_ragged,
 )
@@ -39,11 +37,9 @@ from repro.kernels.workspace import Workspace
 
 __all__ = [
     "SegmentPlan",
-    "aggregate_bag_duplicates",
     "aggregate_duplicates",
     "bucket_by_row_ranges",
     "plan_segments",
-    "scatter_add_bags",
     "scatter_add_exact",
     "segment_sum_ragged",
     "Workspace",

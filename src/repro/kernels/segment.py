@@ -54,8 +54,9 @@ cannot be expressed this way is ``E == 1`` (the reduction axis becomes
 contiguous and pairwise summation changes the bits); those fall back to
 the reference formulation.
 
-The ``*_reference`` functions are the naive formulations themselves,
-kept as the oracle for tests and for ``benchmarks/bench_hotpath.py``.
+The naive formulations themselves live in :mod:`repro.kernels.reference`:
+the oracle for tests and for ``benchmarks/bench_hotpath.py``, and the
+``E == 1`` fallback here.
 
 Thread parallelism
 ------------------
@@ -78,6 +79,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.kernels import reference
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -152,10 +155,6 @@ class SegmentPlan:
     uniq: np.ndarray  # (U,) int64: distinct rows, ascending
     starts: np.ndarray  # (U,) int64: segment starts in sorted order
     lengths: np.ndarray  # (U,) int64: segment lengths (all >= 1)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.order.shape[0])
 
 
 def plan_segments(indices: np.ndarray) -> SegmentPlan:
@@ -357,31 +356,23 @@ def _fold(
 # -- contiguous (bag-pooled) segments ---------------------------------------
 
 
-def segment_sum_ragged(
-    rows: np.ndarray,
-    offsets: np.ndarray,
-    out: np.ndarray | None = None,
-    pool=None,
-) -> np.ndarray:
+def segment_sum_ragged(rows: np.ndarray, offsets: np.ndarray, pool=None) -> np.ndarray:
     """Sum already-contiguous segments ``rows[offsets[n]:offsets[n+1]]``.
 
     The pooled forward pass (Alg. 1) for ragged bags: :func:`_fold` over
-    ``rows`` itself (``rowmap=None``), starting from the zeroed ``out``.
+    ``rows`` itself (``rowmap=None``), starting from zeroed output rows.
     Large batches shard their bags over the worker pool (disjoint output
     rows, identical per-bag folds).  Bit-identical to
-    :func:`segment_sum_reference`; empty bags yield zero rows.
+    :func:`repro.kernels.reference.segment_sum`; empty bags yield zero rows.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = offsets.shape[0] - 1
     e = rows.shape[1]
-    if out is None:
-        out = np.zeros((n, e), dtype=np.float32)
-    else:
-        out[...] = 0.0
+    if e == 1:  # contiguous reduction axis: pairwise summation differs
+        return reference.segment_sum(rows, offsets)
+    out = np.zeros((n, e), dtype=np.float32)
     if n == 0 or rows.shape[0] == 0:
         return out
-    if e == 1:  # contiguous reduction axis: pairwise summation differs
-        return segment_sum_reference(rows, offsets, out=out)
     lengths = np.diff(offsets)
     pool = resolve_pool(pool)
     if lengths.min() == lengths.max() and not shardable(pool, n, rows.shape[0] * e):
@@ -392,80 +383,40 @@ def segment_sum_ragged(
     return out
 
 
-def segment_sum_reference(
-    rows: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The naive formulation: ``np.add.at`` over repeated bag ids."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n = offsets.shape[0] - 1
-    if out is None:
-        out = np.zeros((n, rows.shape[1]), dtype=np.float32)
-    else:
-        out[...] = 0.0
-    if n and rows.shape[0]:
-        bag_ids = np.repeat(np.arange(n), np.diff(offsets))
-        np.add.at(out, bag_ids, rows)
-    return out
-
-
 # -- duplicate aggregation ---------------------------------------------------
+
+
+def _rowmap(plan: SegmentPlan, value_rows: np.ndarray | None) -> np.ndarray:
+    """Which ``values`` row holds each sorted contribution: look-up ``i``
+    contributes ``values[i]``, or ``values[value_rows[i]]`` when the
+    values are shared (one row per bag, say)."""
+    if value_rows is None:
+        return plan.order
+    return np.take(np.asarray(value_rows, dtype=np.int64), plan.order, mode="clip")
 
 
 def aggregate_duplicates(
     indices: np.ndarray,
     values: np.ndarray,
-    plan: SegmentPlan | None = None,
+    value_rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(unique_rows, folded_sums): duplicates folded in original order.
 
-    Bit-identical to :func:`aggregate_duplicates_reference` (the
-    ``np.unique`` + ``np.add.at`` spelling) for ``E >= 2``.
+    Look-up ``i`` contributes ``values[i]``; with ``value_rows`` it
+    contributes ``values[value_rows[i]]`` -- bag-level gradients, one row
+    per bag -- and the expanded ``(NS, E)`` array (``np.repeat`` in the
+    naive backward) is never materialised.  Bit-identical to
+    :func:`repro.kernels.reference.aggregate_duplicates` (the
+    ``np.unique`` + ``np.add.at`` spelling) on the expanded values.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     if values.shape[1] == 1:
-        return aggregate_duplicates_reference(indices, values)
-    if plan is None:
-        plan = plan_segments(indices)
-    if plan.nnz == 0:
-        return plan.uniq, np.zeros((0, values.shape[1]), dtype=np.float32)
+        expanded = values if value_rows is None else values[np.asarray(value_rows)]
+        return reference.aggregate_duplicates(indices, expanded)
+    plan = plan_segments(indices)
     sums = np.zeros((plan.uniq.shape[0], values.shape[1]), dtype=np.float32)
-    _fold(values, plan.order, plan.starts, plan.lengths, sums)
+    _fold(values, _rowmap(plan, value_rows), plan.starts, plan.lengths, sums)
     return plan.uniq, sums
-
-
-def aggregate_bag_duplicates(
-    indices: np.ndarray,
-    bag_grads: np.ndarray,
-    bag_ids: np.ndarray,
-    plan: SegmentPlan | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`aggregate_duplicates` with values given *per bag*.
-
-    Lookup ``i`` contributes ``bag_grads[bag_ids[i]]``; the expanded
-    ``(NS, E)`` value array (``np.repeat`` in the naive backward) is
-    never materialised -- the fused backward+update path.
-    """
-    bag_grads = np.ascontiguousarray(bag_grads, dtype=np.float32)
-    if bag_grads.shape[1] == 1:
-        return aggregate_duplicates_reference(indices, bag_grads[bag_ids])
-    if plan is None:
-        plan = plan_segments(indices)
-    if plan.nnz == 0:
-        return plan.uniq, np.zeros((0, bag_grads.shape[1]), dtype=np.float32)
-    rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
-    sums = np.zeros((plan.uniq.shape[0], bag_grads.shape[1]), dtype=np.float32)
-    _fold(bag_grads, rowmap, plan.starts, plan.lengths, sums)
-    return plan.uniq, sums
-
-
-def aggregate_duplicates_reference(
-    indices: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The naive formulation: ``np.unique`` + ``np.add.at`` on inverse."""
-    uniq, inverse = np.unique(np.asarray(indices, dtype=np.int64), return_inverse=True)
-    agg = np.zeros((uniq.shape[0], values.shape[1]), dtype=np.float32)
-    np.add.at(agg, inverse, values)
-    return uniq, agg
 
 
 # -- in-place scatter-add ----------------------------------------------------
@@ -475,56 +426,26 @@ def scatter_add_exact(
     weight: np.ndarray,
     indices: np.ndarray,
     deltas: np.ndarray,
-    plan: SegmentPlan | None = None,
+    value_rows: np.ndarray | None = None,
 ) -> None:
     """``weight[indices] += deltas`` with duplicates folding in order.
 
-    Bit-identical to ``np.add.at(weight, indices, deltas)``: each
+    Look-up ``i`` adds ``deltas[i]``; with ``value_rows`` it adds
+    ``deltas[value_rows[i]]``, read straight from the small shared array
+    (bag-level gradients: cache-resident for any realistic minibatch,
+    which is where the fused backward+update earns its keep on
+    duplicate-heavy tables).  Bit-identical to ``np.add.at`` of the
+    expanded deltas (:func:`repro.kernels.reference.scatter_add`): each
     touched row is rewritten as the left fold of (current row, then its
     deltas in original order).
     """
     deltas = np.ascontiguousarray(deltas, dtype=weight.dtype)
     if weight.shape[1] == 1:
-        scatter_add_reference(weight, indices, deltas)
+        expanded = deltas if value_rows is None else deltas[np.asarray(value_rows)]
+        reference.scatter_add(weight, indices, expanded)
         return
-    if plan is None:
-        plan = plan_segments(indices)
-    if plan.nnz == 0:
-        return
-    _fold(deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq)
-
-
-def scatter_add_bags(
-    weight: np.ndarray,
-    indices: np.ndarray,
-    bag_grads: np.ndarray,
-    bag_ids: np.ndarray,
-    plan: SegmentPlan | None = None,
-) -> None:
-    """Fused scatter: lookup ``i`` adds ``bag_grads[bag_ids[i]]``.
-
-    The backward's ``np.repeat`` expansion is skipped; values are read
-    straight from the small per-bag gradient array (cache-resident for
-    any realistic minibatch), which is where the fused backward+update
-    earns its keep on duplicate-heavy tables.
-    """
-    bag_grads = np.ascontiguousarray(bag_grads, dtype=weight.dtype)
-    if weight.shape[1] == 1:
-        scatter_add_reference(weight, indices, bag_grads[np.asarray(bag_ids)])
-        return
-    if plan is None:
-        plan = plan_segments(indices)
-    if plan.nnz == 0:
-        return
-    rowmap = np.take(np.asarray(bag_ids, dtype=np.int64), plan.order, mode="clip")
-    _fold(bag_grads, rowmap, plan.starts, plan.lengths, weight, plan.uniq)
-
-
-def scatter_add_reference(
-    weight: np.ndarray, indices: np.ndarray, deltas: np.ndarray
-) -> None:
-    """The naive formulation: unbuffered ``np.add.at``."""
-    np.add.at(weight, np.asarray(indices, dtype=np.int64), deltas)
+    plan = plan_segments(indices)
+    _fold(deltas, _rowmap(plan, value_rows), plan.starts, plan.lengths, weight, plan.uniq)
 
 
 # -- thread-range bucketing --------------------------------------------------

@@ -9,11 +9,12 @@ nodes").
 Execution is lockstep: the orchestrator runs each rank's compute phase
 (in rank order, or concurrently on the :mod:`repro.exec` worker pool --
 virtual time is charged per rank and is identical either way) and
-issues collectives *collectively* (one call covering all ranks).  Collectives return a
-:class:`CollectiveHandle`; data is moved immediately (deterministic
-lockstep) but the *time* is only paid at :meth:`CollectiveHandle.wait`,
-which is where overlap either hides the cost or exposes it -- exactly the
-quantity Figs. 10-14 plot.
+issues collectives *collectively* (one :meth:`SimCluster.issue` covering
+all ranks).  An issue returns a :class:`CollectiveHandle`; the caller
+moves the data immediately (deterministic lockstep) but the *time* is
+only paid at :meth:`CollectiveHandle.wait`, which is where overlap
+either hides the cost or exposes it -- exactly the quantity Figs. 10-14
+plot.
 
 Backend pathologies reproduced here:
 
@@ -28,10 +29,7 @@ Backend pathologies reproduced here:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.comm.backend import BackendSpec, make_backend
-from repro.comm import collectives as fc
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.costmodel import CostModel
 from repro.hw.network import CollectiveCost, NetworkModel
@@ -201,12 +199,6 @@ class SimCluster:
         for r in self.ranks:
             self.charge(r, seconds, category)
 
-    def barrier(self) -> None:
-        """Synchronise all rank clocks to the latest."""
-        latest = max(c.now for c in self.clocks)
-        for c in self.clocks:
-            c.advance_to(latest)
-
     def snapshot(self) -> list[float]:
         return [c.now for c in self.clocks]
 
@@ -275,9 +267,10 @@ class SimCluster:
         blocking: bool | None = None,
     ) -> CollectiveHandle:
         """Register a collective with transfer cost ``cost`` and return a
-        handle.  This is the timing half; the functional data movement is
-        done by the public collective methods below (or by strategies
-        composing several transfers into one issue)."""
+        handle.  This is the timing half; the bytes move in the caller
+        (:mod:`repro.comm.strategies`, :mod:`repro.comm.ddp`), which
+        prices them with :attr:`net` and may compose several transfers
+        into one issue."""
         start = max(c.now for c in self.clocks)
         duration = cost.scaled(self.backend.bw_factor).total + self.backend.call_overhead_s
         # The fabric/progress engine is shared: a collective cannot start
@@ -303,58 +296,3 @@ class SimCluster:
         if effective_blocking:
             handle.wait_all()
         return handle
-
-    # -- timed + functional collectives ------------------------------------------------
-
-    def allreduce(
-        self, bufs: list[np.ndarray], op: str = "allreduce", blocking: bool | None = None
-    ) -> tuple[list[np.ndarray], CollectiveHandle]:
-        """Sum-allreduce of one buffer per rank (realised as
-        reduce-scatter + allgather, per the paper)."""
-        if len(bufs) != self.n_ranks:
-            raise ValueError(f"expected {self.n_ranks} buffers, got {len(bufs)}")
-        # Data path: the fixed-rank-order reduce-scatter + allgather
-        # composition.  Semantically the ring (the cost model prices the
-        # ring's transfer volume), but one fold instead of R rotation
-        # copies -- this is the real execution hot path, and its
-        # summation order is stable across the thread and process
-        # backends.
-        out = fc.allreduce_via_rs_ag(bufs)
-        cost = self.net.allreduce(self.participants(), bufs[0].nbytes)
-        handle = self.issue(op, cost, blocking)
-        return out, handle
-
-    def alltoall(
-        self,
-        send: list[list[np.ndarray]],
-        op: str = "alltoall",
-        blocking: bool | None = None,
-    ) -> tuple[list[list[np.ndarray]], CollectiveHandle]:
-        """Personalised all-to-all; cost uses the total exchanged volume."""
-        if len(send) != self.n_ranks:
-            raise ValueError(f"expected {self.n_ranks} send lists, got {len(send)}")
-        recv = fc.alltoall_exchange(send)
-        total = sum(
-            msg.nbytes for i, msgs in enumerate(send) for j, msg in enumerate(msgs) if i != j
-        )
-        # Include the local (diagonal) share in the volume the way Eq. 2
-        # counts it; the network model divides by R^2 and ignores i == j.
-        total += sum(send[i][i].nbytes for i in range(self.n_ranks))
-        cost = self.net.alltoall(self.participants(), total)
-        handle = self.issue(op, cost, blocking)
-        return recv, handle
-
-    def scatter(
-        self,
-        root: int,
-        chunks: list[np.ndarray],
-        op: str = "alltoall",
-        blocking: bool | None = None,
-    ) -> tuple[list[np.ndarray], CollectiveHandle]:
-        """Root-scatter of per-rank chunks (charged to the alltoall bucket
-        by default: it implements the embedding exchange)."""
-        out = fc.scatter_chunks(chunks, root)
-        total = sum(c.nbytes for c in chunks)
-        cost = self.net.scatter(root, self.participants(), total)
-        handle = self.issue(op, cost, blocking)
-        return out, handle

@@ -52,8 +52,8 @@ are bit-exact.
 Execution is *really* parallel when the process-wide worker pool
 (:mod:`repro.exec`) is wider than one thread: every per-rank compute
 phase above (embedding forward, MLP forward/backward, sparse + dense
-updates) runs concurrently across ranks, synchronizing only at the
-functional collectives.  Rank state is disjoint (each rank owns its
+updates) runs concurrently across ranks, synchronizing only where bytes
+cross ranks (the exchanges and the bucket folds).  Rank state is disjoint (each rank owns its
 model, optimizer, virtual clock and profiler) and every cross-rank
 reduction keeps its fixed rank order, so the parallel run is bitwise
 the sequential one -- including the virtual-clock timing, which is a
@@ -62,7 +62,7 @@ pure function of per-rank charges and collective issue order.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +103,39 @@ def mlp_backward_time(
         total += cm.gemm_time(GemmShape(m=n, n=fi, k=fo), impl=impl, pass_="bwd_d", cores=cores)
         total += cm.gemm_time(GemmShape(m=fo, n=fi, k=n), impl=impl, pass_="bwd_w", cores=cores)
     return total
+
+
+#: State keys that belong to one table -- ``table.<t>.<tensor>`` in
+#: model state, ``row.<t>`` in optimizer state; every other key is
+#: rank-replicated.
+_PER_TABLE = ("table", "row")
+
+
+def consolidate_state(
+    rank_states: Sequence[Mapping[str, np.ndarray]], owners: Sequence[int]
+) -> dict[str, np.ndarray]:
+    """The single-process layout from one state mapping per rank: model
+    state (:meth:`DLRM.state_dict`) or optimizer state
+    (``opt.state_dict(params, tables)``), keys in the order the
+    single-process twin emits them.
+
+    Replicated keys -- dense weights, dense optimizer state, ``lr`` --
+    are kept in lock-step by the allreduce, so rank 0's copy is
+    authoritative; each table's keys come from its owning rank, in table
+    order.  The values are the mappings' own (live shared-memory views
+    when the mappings are arenas: copy before they change).  The result
+    loads into a single-process model, a serving replica, or a cluster
+    of any rank count whose placement covers the same tables.
+    """
+
+    def table_of(key: str) -> int | None:
+        kind, _, rest = key.partition(".")
+        return int(rest.partition(".")[0]) if kind in _PER_TABLE else None
+
+    out = {k: v for k, v in rank_states[0].items() if table_of(k) is None}
+    for t, owner in enumerate(owners):
+        out.update((k, v) for k, v in rank_states[owner].items() if table_of(k) == t)
+    return out
 
 
 class DistributedDLRM:
@@ -356,9 +389,8 @@ class DistributedDLRM:
             for k, (start, stop) in enumerate(bucketer.buckets):
 
                 def _segment(r: int, k: int = k, start: int = start, stop: int = stop):
-                    backward = getattr(self.models[r], f"{half}_backward_segment")
                     with trace(f"phase.{half}.bwd", rank=r, bucket=k):
-                        dy[r] = backward(dy[r], start, stop)
+                        dy[r] = self.models[r].backward_segment(half, dy[r], start, stop)
                         cluster.charge(r, t_bwd[half][k], f"compute.mlp.{half}.bwd")
                         return self.reducer.pack_grads(r, ends[r][k], index=k)
 
@@ -455,24 +487,8 @@ class DistributedDLRM:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Consolidated model state, identical in layout to a
-        single-process :meth:`DLRM.state_dict`.
-
-        Dense (MLP) weights are replicated and kept in lock-step by the
-        allreduce, so rank 0's copy is authoritative; each embedding
-        table is collected from its owning rank.  The result can be
-        loaded into a single-process model, a serving replica, or back
-        into a cluster of any rank count whose placement covers the same
-        tables.
-        """
-        out = {
-            k: v
-            for k, v in self.models[0].state_dict().items()
-            if not k.startswith("table.")
-        }
-        for t, owner in enumerate(self.owners):
-            for key, value in self.models[owner].tables[t].state_dict().items():
-                out[f"table.{t}.{key}"] = value
-        return out
+        single-process :meth:`DLRM.state_dict` (:func:`consolidate_state`)."""
+        return consolidate_state([m.state_dict() for m in self.models], self.owners)
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load a consolidated checkpoint: dense weights into every
@@ -481,20 +497,19 @@ class DistributedDLRM:
             model.load_state_dict(state)
 
     def optimizer_state_dict(self) -> dict[str, np.ndarray]:
-        """Consolidated optimizer state matching :meth:`state_dict`.
-
-        Dense state (momentum velocities, Split-SGD lo halves, Adagrad
-        accumulators) is rank-replicated -- rank 0 is saved; per-table
-        rows (Adagrad) come from each table's owner.
-        """
+        """Consolidated optimizer state matching :meth:`state_dict`:
+        dense state (momentum velocities, Split-SGD lo halves, Adagrad
+        accumulators) from rank 0, per-table rows (Adagrad) from each
+        table's owner."""
         if self.optimizers is None:
             raise RuntimeError("call attach_optimizers() before checkpointing")
-        out = self.optimizers[0].state_dict(self.models[0].parameters(), tables={})
-        for r, model in enumerate(self.models):
-            for key, value in self.optimizers[r].state_dict([], model.tables).items():
-                if key != "lr":
-                    out[key] = value
-        return out
+        return consolidate_state(
+            [
+                opt.state_dict(model.parameters(), model.tables)
+                for opt, model in zip(self.optimizers, self.models)
+            ],
+            self.owners,
+        )
 
     def load_optimizer_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore per-rank optimizers from a consolidated state."""

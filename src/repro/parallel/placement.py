@@ -92,10 +92,6 @@ class PlacementStats:
             return 1.0
         return max(self.bytes_per_rank) / mean
 
-    @property
-    def max_bytes(self) -> float:
-        return max(self.bytes_per_rank)
-
 
 def placement_stats(cfg: DLRMConfig, owners: list[int], n_ranks: int) -> PlacementStats:
     validate_placement(cfg, owners, n_ranks)

@@ -221,7 +221,7 @@ def model_iteration(
         shapes_bottom = cfg.bottom_layer_shapes()
         grad_handles: list = []
         for k in range(len(top_buckets)):
-            seg_lo, seg_hi = top_buckets.layer_range(k)
+            seg_lo, seg_hi = top_buckets.buckets[k]
             nb = top_buckets.nbytes(k)
             for r in cluster.ranks:
                 cluster.charge(
@@ -239,7 +239,7 @@ def model_iteration(
             )
         ex_bwd = strategy.issue_timed(cluster, owners, table_bytes)
         for k in range(len(bottom_buckets)):
-            seg_lo, seg_hi = bottom_buckets.layer_range(k)
+            seg_lo, seg_hi = bottom_buckets.buckets[k]
             nb = bottom_buckets.nbytes(k)
             for r in cluster.ranks:
                 cluster.charge(

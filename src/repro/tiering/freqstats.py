@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.reference import scatter_add
+
 #: Tables at or below this row count always get an exact counter.
 EXACT_ROWS_THRESHOLD = 1 << 20
 
@@ -147,7 +149,7 @@ class SketchCounter:
         uniq, counts = np.unique(idx, return_counts=True)
         buckets = self._buckets(uniq)
         for d in range(self.depth):
-            np.add.at(self.table[d], buckets[d], counts)
+            scatter_add(self.table[d], buckets[d], counts)
         self.total += int(idx.size)
         # Refresh the head over (current head + this batch's rows).
         cand = np.union1d(np.fromiter(self._head, dtype=np.int64, count=len(self._head)), uniq)

@@ -13,9 +13,9 @@ model, the whole slab the tables are views of -- can exceed RAM: the OS
 keeps the hot prefix resident and pages the tail in and out on demand.
 
 Bit-identity contract (pinned by ``tests/tiering/``): for any hot set,
-every operation -- gather, forward, backward, ``scatter_add_rows``,
-``apply_bag_updates``, ``state_dict`` -- produces bitwise the flat
-table's result.  A bijection on row ids moves rows, never values, and
+every operation -- gather, forward, backward, ``scatter_add_rows``
+(per-lookup or bag-level deltas), ``state_dict`` -- produces bitwise the
+flat table's result.  A bijection on row ids moves rows, never values, and
 the kernels' stable sort keeps each row's duplicate contributions in
 batch order whatever the row is called.  :meth:`TieredEmbeddingBag.retier`
 re-permutes in place, bit-exactly, and is only ever invoked at epoch
@@ -198,9 +198,6 @@ class TieredEmbeddingBag(EmbeddingBag):
             return 0.0
         return float((self._remap[indices] < self._hot).mean())
 
-    def cold_bytes(self) -> int:
-        return self.rows * self.dim * 4
-
     def retier(self, hot_rows: np.ndarray) -> None:
         """Re-pin the hot set (epoch boundaries only): one in-place
         re-permutation of the rows and of the id -> row map.  Every row
@@ -240,16 +237,10 @@ class TieredEmbeddingBag(EmbeddingBag):
     def dense_weight(self) -> np.ndarray:
         return np.take(self.store.weight, self._remap, axis=0)
 
-    def scatter_add_rows(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        self.store.scatter_add_rows(self._checked_rows(indices), deltas)
-
-    def scatter_add_rows_reference(self, indices: np.ndarray, deltas: np.ndarray) -> None:
-        self.store.scatter_add_rows_reference(self._checked_rows(indices), deltas)
-
-    def apply_bag_updates(
-        self, bag_grads: np.ndarray, bag_ids: np.ndarray, indices: np.ndarray
+    def scatter_add_rows(
+        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
     ) -> None:
-        self.store.apply_bag_updates(bag_grads, bag_ids, self._checked_rows(indices))
+        self.store.scatter_add_rows(self._checked_rows(indices), deltas, delta_rows)
 
     def capacity_bytes(self) -> int:
         # RAM-resident bytes: the hot prefix (the tail is paged by the

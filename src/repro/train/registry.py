@@ -16,8 +16,8 @@ touching this package::
     spec = RunSpec.from_dict({..., "optimizer": {"name": "lars", "lr": 0.1}})
 
 The registries replace the ad-hoc ``make_strategy``-style lookups the
-seed spread across modules; :func:`repro.core.update.make_strategy` now
-delegates here.
+seed spread across modules; :func:`repro.core.update.make_strategy` is a
+look-up in :data:`UPDATE_STRATEGIES`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from typing import Any, Callable, Iterator
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
 from repro.core.update import (
+    AtomicXchgUpdate,
     FusedBackwardUpdate,
     RaceFreeUpdate,
-    STRATEGIES,
+    ReferenceUpdate,
+    RTMUpdate,
     UpdateStrategy,
 )
 from repro.data.criteo import SyntheticCriteoDataset
@@ -100,12 +102,13 @@ OPTIMIZERS.register("split_sgd", SplitSGD)
 OPTIMIZERS.register("adagrad", SparseAdagrad)
 OPTIMIZERS.register("master_weight", MasterWeightSGD)
 
-#: Sparse update strategies (paper Sect. III-A): ``factory(threads=28)``.
+#: Sparse update strategies (paper Sect. III-A), by cost key:
+#: ``factory(threads=28)``.  The one strategy table.
 UPDATE_STRATEGIES = Registry("update strategy")
 
 
 def _strategy_factory(cls: type[UpdateStrategy]) -> Callable[..., UpdateStrategy]:
-    threaded = cls in (RaceFreeUpdate, FusedBackwardUpdate)
+    threaded = issubclass(cls, FusedBackwardUpdate)
 
     def make(threads: int = 28) -> UpdateStrategy:
         return cls(threads) if threaded else cls()
@@ -113,8 +116,8 @@ def _strategy_factory(cls: type[UpdateStrategy]) -> Callable[..., UpdateStrategy
     return make
 
 
-for _name, _cls in STRATEGIES.items():
-    UPDATE_STRATEGIES.register(_name, _strategy_factory(_cls))
+for _cls in (ReferenceUpdate, AtomicXchgUpdate, RTMUpdate, RaceFreeUpdate, FusedBackwardUpdate):
+    UPDATE_STRATEGIES.register(_cls.cost_key, _strategy_factory(_cls))
 
 #: Datasets: ``factory(cfg, seed=0, **kwargs) -> RandomRecDataset``.
 DATASETS = Registry("dataset")

@@ -210,8 +210,9 @@ class ResilienceSpec:
     ``ring_dir`` configure the durable checkpoint ring the supervisor
     restores from (``ring_every=0`` leaves ring checkpointing off;
     the supervisor then restarts failed runs from step 0).
-    ``heartbeat_timeout`` is documentation of the reply deadline the
-    executor enforces (the env knob ``REPRO_MP_TIMEOUT`` overrides).
+    ``heartbeat_timeout`` is the reply deadline (seconds) the process
+    executor enforces on every worker round trip (the env knob
+    ``REPRO_MP_TIMEOUT`` overrides it).
     """
 
     faults: str = ""

@@ -167,7 +167,12 @@ def _spec_executor(
     # inline one (the nested-use guard).
     if backend == "process" and not in_worker_process():
         return ProcessRankExecutor(
-            dist, dataset, eval_size_hint=eval_size, faults=faults, **common
+            dist,
+            dataset,
+            eval_size_hint=eval_size,
+            faults=faults,
+            timeout=spec.resilience.heartbeat_timeout,
+            **common,
         )
     return InlineRankExecutor(dist, dataset, **common)
 

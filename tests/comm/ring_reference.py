@@ -3,7 +3,7 @@
 
 Sect. IV-A materialises the MLP-gradient allreduce as a reduce-scatter
 followed by an allgather so the two phases can be pipelined against the
-backward GEMMs (Fig. 2).  The direct-sum collectives in
+backward GEMMs (Fig. 2).  The canonical-tree folds in
 :mod:`repro.comm.collectives` give the *semantics*; this module executes
 the algorithm step by step, with explicit per-step sends -- so tests can
 assert not just the result but the algorithm's defining property: every
@@ -23,8 +23,8 @@ Schedule:
   ``array_split(tree_sum(bufs), R)``.
 * allgather: the classic ring rotation, copying only (order-free).
 
-Rank r returns chunk r, matching the convention of
-:func:`repro.comm.collectives.reduce_scatter_sum`.
+Rank r returns chunk r of ``np.array_split`` over the first axis
+(uneven sizes allowed, like MPI_Reduce_scatter with counts).
 """
 
 from __future__ import annotations

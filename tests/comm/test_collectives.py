@@ -1,4 +1,4 @@
-"""Functional collectives: exactness against NumPy references."""
+"""The canonical summation tree: exactness against NumPy references."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.collectives import (
-    allgather_concat,
-    allreduce_sum,
-    allreduce_via_rs_ag,
-    alltoall_exchange,
     canonical_node_partials,
     canonical_range_nodes,
-    gather_chunks,
-    reduce_scatter_sum,
-    scatter_chunks,
     sum_canonical_partials,
     tree_sum,
 )
@@ -53,6 +46,17 @@ class TestCanonicalTree:
     def test_tree_sum_empty_rejected(self):
         with pytest.raises(ValueError):
             tree_sum([])
+
+    def test_inputs_not_mutated(self, rng):
+        bufs = rank_buffers(rng, 3)
+        copies = [b.copy() for b in bufs]
+        tree_sum(bufs)
+        for b, c in zip(bufs, copies):
+            np.testing.assert_array_equal(b, c)
+
+    def test_shape_mismatch_raises(self, rng):
+        with pytest.raises(ValueError):
+            tree_sum([np.zeros((2, 2), np.float32), np.zeros((3, 2), np.float32)])
 
     def test_tree_sum_single_returns_copy(self, rng):
         b = rank_buffers(rng, 1)
@@ -147,102 +151,3 @@ class TestFoldIntoACallersBuffer:
                 out = np.empty(70, np.float32)
                 assert sum_canonical_partials(partials, 5, out=out) is out
                 np.testing.assert_array_equal(out, want)
-
-
-class TestAllreduce:
-    @given(st.integers(1, 8), st.integers(0, 999))
-    @settings(max_examples=40, deadline=None)
-    def test_every_rank_gets_the_sum(self, r, seed):
-        bufs = rank_buffers(np.random.default_rng(seed), r)
-        out = allreduce_sum(bufs)
-        want = np.sum(bufs, axis=0, dtype=np.float32)
-        for o in out:
-            np.testing.assert_allclose(o, want, rtol=1e-5, atol=1e-6)
-
-    def test_inputs_not_mutated(self, rng):
-        bufs = rank_buffers(rng, 3)
-        copies = [b.copy() for b in bufs]
-        allreduce_sum(bufs)
-        for b, c in zip(bufs, copies):
-            np.testing.assert_array_equal(b, c)
-
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            allreduce_sum([np.zeros((2, 2)), np.zeros((3, 2))])
-
-    def test_rs_ag_composition_equals_allreduce(self, rng):
-        """The paper's realisation (Fig. 2) is semantically an allreduce."""
-        bufs = rank_buffers(rng, 4, shape=(10, 3))
-        direct = allreduce_sum(bufs)
-        composed = allreduce_via_rs_ag(bufs)
-        for d, c in zip(direct, composed):
-            np.testing.assert_allclose(d, c, rtol=1e-6)
-
-
-class TestReduceScatterAllgather:
-    def test_reduce_scatter_chunks(self, rng):
-        bufs = rank_buffers(rng, 3, shape=(7, 2))  # uneven split
-        chunks = reduce_scatter_sum(bufs)
-        total = np.sum(bufs, axis=0, dtype=np.float32)
-        sizes = [c.shape[0] for c in chunks]
-        assert sum(sizes) == 7
-        np.testing.assert_allclose(np.concatenate(chunks), total, rtol=1e-6)
-
-    def test_allgather_restores_order(self, rng):
-        chunks = [rng.standard_normal((i + 1, 2)).astype(np.float32) for i in range(3)]
-        out = allgather_concat(chunks)
-        want = np.concatenate(chunks)
-        for o in out:
-            np.testing.assert_array_equal(o, want)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_scatter_sum([])
-        with pytest.raises(ValueError):
-            allgather_concat([])
-
-
-class TestAlltoall:
-    @given(st.integers(1, 6), st.integers(0, 999))
-    @settings(max_examples=40, deadline=None)
-    def test_transpose_property(self, r, seed):
-        rng = np.random.default_rng(seed)
-        send = [
-            [rng.standard_normal((2, 2)).astype(np.float32) for _ in range(r)]
-            for _ in range(r)
-        ]
-        recv = alltoall_exchange(send)
-        for i in range(r):
-            for j in range(r):
-                np.testing.assert_array_equal(recv[j][i], send[i][j])
-
-    def test_double_exchange_is_identity(self, rng):
-        send = [
-            [rng.standard_normal((3,)).astype(np.float32) for _ in range(4)]
-            for _ in range(4)
-        ]
-        back = alltoall_exchange(alltoall_exchange(send))
-        for i in range(4):
-            for j in range(4):
-                np.testing.assert_array_equal(back[i][j], send[i][j])
-
-    def test_message_count_validated(self, rng):
-        with pytest.raises(ValueError):
-            alltoall_exchange([[np.zeros(1)], [np.zeros(1), np.zeros(1)]])
-
-
-class TestScatterGather:
-    def test_scatter_delivers_chunks(self, rng):
-        chunks = [rng.standard_normal(3).astype(np.float32) for _ in range(4)]
-        out = scatter_chunks(chunks, root=2)
-        for o, c in zip(out, chunks):
-            np.testing.assert_array_equal(o, c)
-
-    def test_gather_returns_rank_order(self, rng):
-        chunks = [np.full(2, i, np.float32) for i in range(4)]
-        out = gather_chunks(chunks, root=0)
-        assert [o[0] for o in out] == [0, 1, 2, 3]
-
-    def test_root_validated(self):
-        with pytest.raises(ValueError):
-            scatter_chunks([np.zeros(1)], root=1)

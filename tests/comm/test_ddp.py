@@ -156,7 +156,7 @@ def _mlp_params(shapes):
 class TestGradientBucketer:
     def test_partitions_layers_in_reverse_order(self):
         b = GradientBucketer(SHAPES, cap_bytes=20_000)
-        ranges = [b.layer_range(k) for k in range(len(b))]
+        ranges = b.buckets
         # Issue order is last-layer-first; ranges tile [0, n) exactly.
         assert ranges[0][1] == len(SHAPES)
         assert ranges[-1][0] == 0
@@ -168,21 +168,20 @@ class TestGradientBucketer:
         cap = 20_000
         b = GradientBucketer(SHAPES, cap_bytes=cap)
         for k in range(len(b)):
-            lo, hi = b.layer_range(k)
+            lo, hi = b.buckets[k]
             if hi - lo > 1:
                 assert b.nbytes(k) <= cap
 
     def test_byte_totals(self):
         b = GradientBucketer(SHAPES, cap_bytes=20_000)
-        assert sum(b.sizes()) == b.total_bytes()
-        assert b.total_bytes() == sum(
+        assert sum(b.nbytes(k) for k in range(len(b))) == sum(
             GradientBucketer.layer_bytes(s) for s in SHAPES
         )
 
     def test_huge_cap_gives_one_bucket(self):
         b = GradientBucketer(SHAPES, cap_bytes=1 << 30)
         assert len(b) == 1
-        assert b.layer_range(0) == (0, len(SHAPES))
+        assert b.buckets == [(0, len(SHAPES))]
 
     def test_tiny_cap_gives_one_bucket_per_layer(self):
         b = GradientBucketer(SHAPES, cap_bytes=1.0)
@@ -224,12 +223,13 @@ class TestBucketedChargeParity:
         analytic = SimCluster(r, backend="ccl", blocking=True)
         ared = DistributedDataParallelReducer(analytic)
         handles = []
-        for nb in bucketer.sizes():
+        sizes = [bucketer.nbytes(k) for k in range(len(bucketer))]
+        for nb in sizes:
             for rank in range(r):
                 ared.charge_framework_copy(rank, nb)
             handles.append(ared.issue_transfer(nb))
         for rank in range(r):
-            for handle, nb in zip(handles, bucketer.sizes()):
+            for handle, nb in zip(handles, sizes):
                 handle.wait(rank)
                 ared.charge_framework_copy(rank, nb)
 

@@ -2,10 +2,12 @@
 
 ``tests/comm/ring_reference.py`` executes the paper's allreduce
 (recursive-halving reduce-scatter + ring allgather) with explicit
-per-step sends; nothing in ``src/`` calls it.  These tests hold
-``repro.comm.collectives`` / ``SimCluster.allreduce`` to it bitwise, and
-pin the oracle itself to the algorithm's defining property (the
-``(R-1)/R`` per-rank transfer volume the cost model prices).
+per-step sends; nothing in ``src/`` calls it.  These tests hold the two
+realisations a training step uses -- ``tree_sum`` (the thread pool's
+``reduce_map``) and the worker-partial fold of the process backend
+(``canonical_node_partials`` + ``sum_canonical_partials``) -- to it
+bitwise, and pin the oracle itself to the algorithm's defining property
+(the ``(R-1)/R`` per-rank transfer volume the cost model prices).
 """
 
 import numpy as np
@@ -14,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.collectives import (
-    allreduce_sum,
-    allreduce_via_rs_ag,
-    reduce_scatter_sum,
+    canonical_node_partials,
+    sum_canonical_partials,
     tree_sum,
 )
+from repro.kernels.threads import static_partition
 from tests.comm.ring_reference import (
     RingTrace,
     ring_allgather,
@@ -31,6 +33,17 @@ def bufs(rng, r, rows=12, cols=3):
     return [rng.standard_normal((rows, cols)).astype(np.float32) for _ in range(r)]
 
 
+def worker_partial_fold(b, workers):
+    """The process backend's sum: every worker folds its contiguous rank
+    range to canonical-node partials, everyone completes the tree."""
+    r = len(b)
+    partials = {}
+    for lo, hi in static_partition(r, workers):
+        if hi > lo:
+            partials.update(canonical_node_partials(b[lo:hi], lo, hi, r))
+    return sum_canonical_partials(partials, r)
+
+
 class TestRingReduceScatter:
     @given(st.integers(1, 8), st.integers(1, 20), st.integers(0, 999))
     @settings(max_examples=50, deadline=None)
@@ -38,7 +51,7 @@ class TestRingReduceScatter:
         rng = np.random.default_rng(seed)
         b = bufs(rng, r, rows=rows)
         ring = ring_reduce_scatter(b)
-        direct = reduce_scatter_sum(b)
+        direct = np.array_split(tree_sum(b), r, axis=0)
         assert len(ring) == len(direct)
         for a, d in zip(ring, direct):
             np.testing.assert_allclose(a, d, rtol=1e-5, atol=1e-6)
@@ -96,10 +109,9 @@ class TestRingAllreduce:
     def test_equals_direct_allreduce(self, r, rows, seed):
         rng = np.random.default_rng(seed)
         b = bufs(rng, r, rows=rows)
-        ring = ring_allreduce(b)
-        direct = allreduce_sum(b)
-        for a, d in zip(ring, direct):
-            np.testing.assert_allclose(a, d, rtol=1e-5, atol=1e-6)
+        direct = tree_sum(b)
+        for a in ring_allreduce(b):
+            np.testing.assert_allclose(a, direct, rtol=1e-5, atol=1e-6)
 
     def test_bandwidth_optimality(self, rng):
         """Total transmitted per rank = 2 (R-1)/R * nbytes -- the bound
@@ -127,52 +139,55 @@ class TestRingAllreduce:
 
 
 class TestRingMatchesFold:
-    """The step-by-step ring and the direct reduce-scatter+allgather fold
-    are the *same algorithm* at two abstraction levels: identical bits,
+    """The step-by-step ring and the folds a training step runs are the
+    *same algorithm* at two abstraction levels: identical bits,
     identical virtual-time charges.  Odd/awkward rank counts on purpose
     (uneven halving trees AND uneven chunking)."""
 
     @pytest.mark.parametrize("r", [3, 5, 6])
     def test_bitwise_identical_sums(self, rng, r):
         b = bufs(rng, r, rows=2 * r + 1)  # uneven chunks
-        ring = ring_allreduce(b)
-        fold = allreduce_via_rs_ag(b)
         want = tree_sum(b)
-        for o, f in zip(ring, fold):
-            np.testing.assert_array_equal(o, f)  # bitwise, not allclose
-            np.testing.assert_array_equal(o, want)
+        for o in ring_allreduce(b):
+            np.testing.assert_array_equal(o, want)  # bitwise, not allclose
+        for workers in range(1, r + 1):
+            np.testing.assert_array_equal(worker_partial_fold(b, workers), want)
 
     @pytest.mark.parametrize("r", [3, 5, 6])
     def test_reduce_scatter_bitwise_identical(self, rng, r):
         b = bufs(rng, r, rows=2 * r + 1)
-        for o, f in zip(ring_reduce_scatter(b), reduce_scatter_sum(b)):
-            np.testing.assert_array_equal(o, f)
+        for workers in (1, 2, r):
+            fold = np.array_split(worker_partial_fold(b, workers), r, axis=0)
+            for o, f in zip(ring_reduce_scatter(b), fold):
+                np.testing.assert_array_equal(o, f)
 
     @pytest.mark.parametrize("r", [3, 5, 6])
     def test_virtual_time_charges_match(self, rng, r):
-        """A functional ``cluster.allreduce`` and a cost-only issue of the
+        """The reducer's transfer issue -- what a step charges for a
+        gradient bucket -- and a bare issue of the ring's cost for the
         same byte volume land every rank on the same virtual clock and
-        charge the same wait time -- the timing model prices the data
+        charge the same wait time: the timing model prices the data
         path purely by bytes, never by which algorithm moved them."""
+        from repro.comm.ddp import DistributedDataParallelReducer
         from repro.parallel.cluster import SimCluster
 
-        b = bufs(rng, r, rows=2 * r + 1)
-        functional = SimCluster(r, platform="cluster", backend="ccl")
+        nbytes = bufs(rng, r, rows=2 * r + 1)[0].nbytes
+        stepped = SimCluster(r, platform="cluster", backend="ccl")
         analytic = SimCluster(r, platform="cluster", backend="ccl")
         # Stagger the ranks identically on both clusters so the waits
         # are nontrivial (late ranks expose less of the transfer).
         for rank in range(r):
-            functional.charge(rank, 1e-4 * rank, "compute.mlp.top.bwd")
+            stepped.charge(rank, 1e-4 * rank, "compute.mlp.top.bwd")
             analytic.charge(rank, 1e-4 * rank, "compute.mlp.top.bwd")
-        _, fh = functional.allreduce(b)
+        sh = DistributedDataParallelReducer(stepped).issue_transfer(nbytes)
         ah = analytic.issue(
-            "allreduce", analytic.net.allreduce(analytic.participants(), b[0].nbytes)
+            "allreduce", analytic.net.allreduce(analytic.participants(), nbytes)
         )
         for rank in range(r):
-            assert fh.wait(rank) == ah.wait(rank)
+            assert sh.wait(rank) == ah.wait(rank) > 0
         for rank in range(r):
-            assert functional.clocks[rank].now == analytic.clocks[rank].now
+            assert stepped.clocks[rank].now == analytic.clocks[rank].now
             assert (
-                functional.profilers[rank].as_dict()
+                stepped.profilers[rank].as_dict()
                 == analytic.profilers[rank].as_dict()
             )

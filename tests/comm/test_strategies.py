@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.comm.strategies import (
-    EXCHANGE_STRATEGIES,
-    make_exchange,
-    table_owners,
-)
+from repro.comm.strategies import EXCHANGE_STRATEGIES, make_exchange
 from repro.parallel.cluster import SimCluster
 
 ALL = sorted(EXCHANGE_STRATEGIES)
 
 
 def setup_exchange(rng, r=4, s=6, gn=8, e=4):
-    owners = table_owners(s, r)
+    owners = [t % r for t in range(s)]  # round robin, the paper's distribution
     emb_out = [dict() for _ in range(r)]
     truth = {}
     for t, o in enumerate(owners):
@@ -22,18 +18,6 @@ def setup_exchange(rng, r=4, s=6, gn=8, e=4):
         emb_out[o][t] = buf
         truth[t] = buf
     return owners, emb_out, truth
-
-
-class TestTableOwners:
-    def test_round_robin(self):
-        assert table_owners(6, 4) == [0, 1, 2, 3, 0, 1]
-
-    def test_single_rank(self):
-        assert table_owners(3, 1) == [0, 0, 0]
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            table_owners(3, 0)
 
 
 @pytest.mark.parametrize("name", ALL)

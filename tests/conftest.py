@@ -64,6 +64,48 @@ def random_batch(cfg: DLRMConfig, n: int, seed: int = 0, ragged: bool = False):
     return Batch(dense=dense, indices=indices, offsets=offsets, labels=labels)
 
 
+def pending_grads(model, batch, normalizer: float | None = None):
+    """Loss forward and dense backward of ``batch``, nothing stepped:
+    every MLP gradient is left pending.  Returns the loss and the
+    bag-level gradients of the embedding outputs, one per table."""
+    loss = model.loss(batch, normalizer=normalizer)
+    return loss, model.dense_backward(model.loss_fn.backward(), batch)
+
+
+def scatter_add_rows_oracle(table, indices, deltas) -> None:
+    """What ``table.scatter_add_rows(indices, deltas)`` promises, spelled
+    with :mod:`repro.kernels.reference`: literal ``np.add.at`` on an
+    FP32 table's rows (a tiered table's ids translated first); for
+    Split-BF16 the ``np.unique`` + ``np.add.at`` aggregate, then the
+    table's own update of the reconstructed rows."""
+    from repro.kernels import reference
+
+    indices = np.asarray(indices, dtype=np.int64)
+    if table.storage == "split_bf16":
+        table._apply_aggregated(*reference.aggregate_duplicates(indices, deltas))
+    elif hasattr(table, "store"):
+        reference.scatter_add(table.store.weight, table._checked_rows(indices), deltas)
+    else:
+        reference.scatter_add(table.weight, indices, deltas)
+
+
+def racefree_update_oracle(table, grad, lr: float, threads: int) -> np.ndarray:
+    """Alg. 4 as written on ``table`` -- ``threads`` full-array mask
+    scans, each thread's share through :func:`scatter_add_rows_oracle`;
+    returns the per-thread counts."""
+    from functools import partial
+
+    from repro.kernels import reference
+
+    return reference.partitioned_scatter_add(
+        partial(scatter_add_rows_oracle, table),
+        table.rows,
+        grad.indices,
+        -np.float32(lr) * grad.values,
+        threads,
+    )
+
+
 def assert_same_bits(got: dict, want: dict, what: str = "state") -> None:
     """Two state dicts hold the same keys, dtypes, shapes and bytes
     (not merely equal values: -0.0 and NaN payloads count)."""

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core.bf16 import (
     bf16_dot,
     bf16_to_fp32,
-    bf16_ulp,
     combine_fp32,
     quantize_bf16,
     split_fp32,
@@ -25,6 +24,18 @@ finite_f32 = hnp.arrays(
         allow_nan=False, allow_infinity=False,
     ),
 )
+
+
+def bf16_ulp(x: np.ndarray) -> np.ndarray:
+    """The BF16 unit-in-last-place at each value's magnitude.
+
+    Subnormals share the fixed spacing 2^-133 (min normal 2^-126 over the
+    7 explicit mantissa bits).
+    """
+    a = np.abs(quantize_bf16(x)).astype(np.float64)
+    expo = np.where(a == 0, 2.0**-126, a)
+    ulp = 2.0 ** (np.floor(np.log2(expo)) - 7)
+    return np.maximum(ulp, 2.0**-133).astype(np.float64)
 
 
 class TestSplitCombine:

@@ -141,11 +141,6 @@ class TestScaledDown:
         assert all(m <= 100 for m in s.table_rows)
         assert s.minibatch == 8
 
-    def test_with_minibatch(self):
-        assert SMALL.with_minibatch(64).minibatch == 64
-        with pytest.raises(ValueError):
-            SMALL.with_minibatch(0)
-
     def test_validation_rejects_empty_tables(self):
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, table_rows=())

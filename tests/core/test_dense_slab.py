@@ -17,7 +17,7 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.core.param import SLOT_ALIGN, DenseSlab, Parameter
 from repro.train import make_trainer
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import pending_grads, random_batch, tiny_config
 from tests.train.test_trainer import tiny_spec
 
 
@@ -126,8 +126,7 @@ class TestDenseSlab:
         model = DLRM(cfg, seed=0)
         model.infer(random_batch(cfg, 8, seed=0))
         assert model.dense._grads is None
-        model.loss(random_batch(cfg, 8, seed=0))
-        model.backward()
+        pending_grads(model, random_batch(cfg, 8, seed=0))
         assert model.dense.steps_whole(model.parameters())
 
     def test_unregistered_parameter_of_a_registered_slab_is_refused(self):

@@ -16,7 +16,12 @@ from repro.core import embedding
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
-from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate, uses_fused_dispatch
+from repro.core.update import (
+    FusedBackwardUpdate,
+    RaceFreeUpdate,
+    ReferenceUpdate,
+    uses_fused_dispatch,
+)
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.tiering.freqstats import FreqStats
 from repro.util import rng_from
@@ -60,12 +65,6 @@ class PerTableDLRM(DLRM):
                 opt.strategy.apply_fused(bag, dembs[t], indices, offsets, opt.lr)
             else:
                 opt.step_sparse(bag, bag.backward(dembs[t], indices, offsets))
-
-    def apply_updates(self, opt):
-        opt.step_dense(self.parameters())
-        for t, grad in self.sparse_grads.items():
-            opt.step_sparse(self.tables[t], grad)
-        self.sparse_grads.clear()
 
 
 def detach_tables(model: DLRM, seed: int | None = None) -> None:
@@ -350,10 +349,8 @@ class TestTheIdSeam:
             if step < 4:
                 assert model.train_step(batch, opts[0]) == twin.train_step(batch, opts[1])
             else:  # the materialising way into the same update
-                for m, opt in zip((model, twin), opts):
-                    m.loss(batch)
-                    m.backward()
-                    m.apply_updates(opt)
+                for m in (model, twin):
+                    m.train_step(batch, SGD(lr=0.05, strategy=ReferenceUpdate()))
         for key, value in twin.state_dict().items():
             np.testing.assert_array_equal(model.state_dict()[key], value, err_msg=key)
         np.testing.assert_array_equal(model.slab.weight[43:100], twin.slab.weight[43:100][::-1])
@@ -365,7 +362,6 @@ class TestTheIdSeam:
         opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(2))
         assert model.slab is None and model.embedding_forward(batch) == {}
         model.sparse_update({}, batch, opt)
-        model.apply_updates(opt)
 
     def test_rebind_table_wants_a_view_of_the_same_shape(self, rng):
         model = DLRM(mixed_cfg(), seed=1)
@@ -374,23 +370,6 @@ class TestTheIdSeam:
                 model.rebind_table(2, bad)
         with pytest.raises(KeyError):
             model.rebind_table(9, EmbeddingBag(57, 8, rng=rng))
-
-
-def test_backward_then_apply_updates_equals_train_step():
-    cfg = mixed_cfg()
-    a, b = DLRM(cfg, seed=7), DLRM(cfg, seed=7)
-    opt_a, opt_b = SGD(lr=0.05), SGD(lr=0.05)
-    opt_a.register(a.parameters())
-    opt_b.register(b.parameters())
-    for step in range(3):
-        batch = random_batch(cfg, 16, seed=step, ragged=bool(step % 2))
-        want = a.train_step(batch, opt_a)
-        assert b.loss(batch) == want
-        b.backward()
-        assert set(b.sparse_grads) == set(b.table_ids)
-        b.apply_updates(opt_b)
-        assert b.sparse_grads == {}
-    np.testing.assert_array_equal(a.slab.weight, b.slab.weight)
 
 
 def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block():

@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mlp import MLP, FullyConnected, relu, relu_grad, sigmoid
+from repro.core.mlp import MLP, FullyConnected, relu, sigmoid
 
 
 class TestActivations:
     def test_relu(self):
         x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
         np.testing.assert_array_equal(relu(x), [0.0, 0.0, 2.0])
-
-    def test_relu_grad_gates_on_output(self):
-        y = np.array([0.0, 3.0], dtype=np.float32)
-        dy = np.array([5.0, 5.0], dtype=np.float32)
-        np.testing.assert_array_equal(relu_grad(dy, y), [0.0, 5.0])
 
     def test_sigmoid_stable_at_extremes(self):
         x = np.array([-100.0, 0.0, 100.0], dtype=np.float32)

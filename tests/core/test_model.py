@@ -6,7 +6,7 @@ import pytest
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.core.update import make_strategy
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import pending_grads, random_batch, tiny_config
 
 
 class TestForward:
@@ -68,18 +68,15 @@ class TestTraining:
     def test_backward_populates_all_gradients(self, tiny_cfg):
         model = DLRM(tiny_cfg, seed=0)
         batch = random_batch(tiny_cfg, 16)
-        model.loss(batch)
-        model.backward()
+        _, dembs = pending_grads(model, batch)
         assert all(p.grad is not None for p in model.parameters())
-        assert set(model.sparse_grads) == set(model.table_ids)
+        assert [g.shape for g in dembs] == [(16, tiny_cfg.embedding_dim)] * tiny_cfg.num_tables
 
     def test_sparse_updates_touch_only_used_rows(self, tiny_cfg):
         model = DLRM(tiny_cfg, seed=0)
         batch = random_batch(tiny_cfg, 16)
         w_before = model.tables[0].dense_weight().copy()
-        model.loss(batch)
-        model.backward()
-        model.apply_updates(SGD(lr=0.1))
+        model.train_step(batch, SGD(lr=0.1))
         used = np.unique(batch.indices[0])
         unused = np.setdiff1d(np.arange(tiny_cfg.table_rows[0]), used)
         w_after = model.tables[0].dense_weight()
@@ -101,10 +98,6 @@ class TestTraining:
                 rtol=1e-6,
                 atol=1e-7,
             )
-
-    def test_backward_before_forward_raises(self, tiny_cfg):
-        with pytest.raises(RuntimeError):
-            DLRM(tiny_cfg, seed=0).backward()
 
     def test_predict_proba_in_unit_interval(self, tiny_cfg):
         model = DLRM(tiny_cfg, seed=0)

@@ -15,7 +15,7 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.param import DenseSlab, Parameter
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import pending_grads, racefree_update_oracle, random_batch, tiny_config
 
 
 def make_param(rng, shape=(6, 4)):
@@ -177,10 +177,9 @@ class TestSinglePassUpdates:
         fast = RaceFreeUpdate(threads)
         fast.apply(fast_table, grad, 0.05)
         naive_table = cls(rows, dim, weight=w0.copy())
-        naive = RaceFreeUpdate(threads)
-        naive.apply_reference(naive_table, grad, 0.05)
+        naive_counts = racefree_update_oracle(naive_table, grad, 0.05, threads)
         assert np.array_equal(fast_table.dense_weight(), naive_table.dense_weight())
-        np.testing.assert_array_equal(fast.last_thread_counts, naive.last_thread_counts)
+        np.testing.assert_array_equal(fast.last_thread_counts, naive_counts)
 
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
     def test_fused_apply_matches_backward_then_update(self, rng, storage):
@@ -194,7 +193,7 @@ class TestSinglePassUpdates:
         dy = rng.standard_normal((n, dim)).astype(np.float32)
         naive_table = cls(rows, dim, weight=w0.copy())
         grad = naive_table.backward(dy, indices, offsets)
-        RaceFreeUpdate(7).apply_reference(naive_table, grad, 0.1)
+        racefree_update_oracle(naive_table, grad, 0.1, 7)
         fused_table = cls(rows, dim, weight=w0.copy())
         fused = FusedBackwardUpdate(7)
         fused.apply_fused(fused_table, dy, indices, offsets, 0.1)
@@ -221,13 +220,6 @@ class TestSinglePassUpdates:
             assert np.array_equal(pa.value, pb.value)
         for t in a.table_ids:
             assert np.array_equal(a.tables[t].dense_weight(), b.tables[t].dense_weight())
-
-    def test_fused_train_step_leaves_no_sparse_grads(self):
-        cfg = tiny_config()
-        model = DLRM(cfg, seed=1)
-        opt = SGD(lr=0.05, strategy=FusedBackwardUpdate(threads=4))
-        model.train_step(random_batch(cfg, 8, seed=0), opt)
-        assert model.sparse_grads == {}
 
     def test_fused_strategy_with_adagrad_falls_back(self):
         """SparseAdagrad overrides step_sparse; the fused dispatch must
@@ -360,8 +352,7 @@ def _models_with_grads(make_opt, steps=1):
         opt.register(model.parameters())
         for step in range(steps - 1):
             model.train_step(random_batch(cfg, 16, seed=step), opt)
-        model.loss(random_batch(cfg, 16, seed=99))
-        model.backward()
+        pending_grads(model, random_batch(cfg, 16, seed=99))
         out.append((model, opt))
     return out
 

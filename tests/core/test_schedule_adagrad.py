@@ -28,14 +28,6 @@ class TestWarmupDecaySchedule:
         s = WarmupDecaySchedule(peak_lr=0.5, warmup_steps=1)
         assert s.lr_at(1000) == 0.5
 
-    def test_step_mutates_all_optimizers(self):
-        s = WarmupDecaySchedule(peak_lr=1.0, warmup_steps=2)
-        a, b = SGD(lr=9.0), SGD(lr=9.0)
-        lr = s.step(a, b)
-        assert a.lr == b.lr == lr == 0.5
-        s.step(a, b)
-        assert a.lr == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WarmupDecaySchedule(peak_lr=0.0, warmup_steps=1)
@@ -55,8 +47,8 @@ class TestWarmupDecaySchedule:
         )
         batch = random_batch(cfg, 32)
         losses = []
-        for _ in range(20):
-            sched.step(opt)
+        for step in range(20):
+            opt.lr = sched.lr_at(step)
             losses.append(model.train_step(batch, opt))
         assert losses[-1] < losses[0]
 
@@ -96,11 +88,8 @@ class TestSparseAdagrad:
         model = DLRM(cfg, seed=0, storage="split_bf16")
         opt = SparseAdagrad(lr=0.1)
         opt.register(model.parameters())
-        batch = random_batch(cfg, 16)
-        model.loss(batch)
-        model.backward()
         with pytest.raises(ValueError, match="FP32 tables only"):
-            model.apply_updates(opt)
+            model.train_step(random_batch(cfg, 16), opt)
 
     def test_state_accounting(self):
         cfg = tiny_config(num_tables=2, rows=50, dim=8)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.core.update import (
-    STRATEGIES,
     AtomicXchgUpdate,
     FusedBackwardUpdate,
     RaceFreeUpdate,
@@ -15,8 +14,9 @@ from repro.core.update import (
     RTMUpdate,
     make_strategy,
 )
+from repro.train.registry import UPDATE_STRATEGIES
 
-ALL_NAMES = sorted(STRATEGIES)
+ALL_NAMES = UPDATE_STRATEGIES.names()
 
 
 def make_grad(rng, rows, nnz, dim=4):

@@ -105,3 +105,29 @@ class TestReadmeIsQuickstart:
 
 if __name__ == "__main__":
     sys.exit("run under pytest")
+
+
+class TestEnvironmentKnobs:
+    def test_the_tuning_table_lists_exactly_what_src_reads(self):
+        """One table in docs/TUNING.md names every environment variable
+        the code reads (``_REPRO_MP_WORKER`` is the workers' own marker,
+        set by the parent, not a knob)."""
+        import re
+
+        read = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            read |= set(re.findall(r"(?<![_A-Z])REPRO_[A-Z_]+", path.read_text()))
+        tuning = (DOCS / "TUNING.md").read_text()
+        section = tuning.split("### Environment knobs", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, flags=re.M))
+        assert rows == read == {
+            "REPRO_WORKERS",
+            "REPRO_NO_MALLOC_TUNING",
+            "REPRO_MP_CONTEXT",
+            "REPRO_MP_MAILBOX_MB",
+            "REPRO_MP_NO_PIN",
+            "REPRO_MP_TIMEOUT",
+        }
+        architecture = (DOCS / "ARCHITECTURE.md").read_text()
+        assert set(re.findall(r"REPRO_[A-Z_]+", architecture)) <= rows
+        assert "TUNING.md#environment-knobs" in architecture

@@ -132,8 +132,8 @@ class TestShmArena:
             for key in state:
                 assert np.array_equal(back[key], np.asarray(state[key]))
             # Writes land in shared bytes: the creator sees them live.
-            peer.view("w")[0, 0] = 42.0
-            assert arena.view("w")[0, 0] == 42.0
+            peer.views["w"][0, 0] = 42.0
+            assert arena.views["w"][0, 0] == 42.0
             peer.close()
         finally:
             arena.close()

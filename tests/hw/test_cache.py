@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data.synthetic import bounded_zipf
 from repro.hw.cache import ContentionModel, IndexStats, index_stats, merge_stats
+from repro.kernels.segment import bucket_by_row_ranges
+from repro.kernels.threads import row_range_for_thread
 
 
 class TestIndexStats:
@@ -57,6 +59,36 @@ class TestIndexStats:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             index_stats(np.array([5]), 5, threads=2)
+
+    def test_thread_ranges_are_not_row_range_for_thread_when_threads_do_not_divide_rows(self):
+        """M=10, T=4: ``index_stats`` counts row ``r`` for thread
+        ``floor(r*T/M)`` (3, 2, 3, 2 rows per thread); Alg. 4's executed
+        ranges ``[M*t//T, M*(t+1)//T)`` hold 2, 3, 2, 3.  The recorded
+        rank clocks are priced with the former, so neither side may be
+        'fixed' to match the other without re-recording them."""
+        rows, threads = 10, 4
+
+        def same_thread(a, b, rows=rows):  # both look-ups on one thread: imbalance T, else T/2
+            return index_stats(np.array([a, b]), rows, threads=threads).imbalance == threads
+
+        sizes, first = [], 0
+        for r in range(1, rows + 1):
+            if r == rows or not same_thread(first, r):
+                sizes.append(r - first)
+                first = r
+        assert sizes == [3, 2, 3, 2]
+        ranges = [row_range_for_thread(rows, t, threads) for t in range(threads)]
+        assert [hi - lo for lo, hi in ranges] == [2, 3, 2, 3]
+        # Where they differ: rows 0-2 load one thread here, two threads there.
+        idx = np.array([0, 1, 2])
+        assert index_stats(idx, rows, threads=threads).imbalance == pytest.approx(4.0)
+        counts = bucket_by_row_ranges(idx, rows, threads)
+        assert counts.tolist() == [2, 1, 0, 0]
+        # When T divides M the two agree row for row.
+        for r in range(12):
+            owner = next(t for t in range(threads) if same_thread(r, 3 * t, rows=12))
+            lo, hi = row_range_for_thread(12, owner, threads)
+            assert lo <= r < hi
 
     def test_duplication_ratio(self):
         s = index_stats(np.array([1, 1, 2, 3]), 10, threads=2)

@@ -57,7 +57,7 @@ class TestSegmentKernelsParallel:
         rows, offsets = ragged_problem(rng)
         want = seg.segment_sum_ragged(rows, offsets, pool=WorkerPool(1))
         np.testing.assert_array_equal(
-            want, seg.segment_sum_reference(rows, offsets)
+            want, seg.reference.segment_sum(rows, offsets)
         )
         for w, pool in pools.items():
             got = seg.segment_sum_ragged(rows, offsets, pool=pool)
@@ -76,7 +76,7 @@ class TestSegmentKernelsParallel:
     def test_aggregate_duplicates(self, rng, pools):
         indices = duplicate_heavy_indices(rng)
         values = rng.standard_normal((indices.size, 16)).astype(np.float32)
-        uniq_want, agg_want = seg.aggregate_duplicates_reference(indices, values)
+        uniq_want, agg_want = seg.reference.aggregate_duplicates(indices, values)
         for w, pool in pools.items():
             plan = seg.plan_segments(indices)
             sums = np.zeros((plan.uniq.shape[0], 16), dtype=np.float32)

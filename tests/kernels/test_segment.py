@@ -10,18 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import reference
 from repro.kernels import segment as seg
 from repro.kernels.segment import (
-    aggregate_bag_duplicates,
     aggregate_duplicates,
-    aggregate_duplicates_reference,
     bucket_by_row_ranges,
     plan_segments,
-    scatter_add_bags,
     scatter_add_exact,
-    scatter_add_reference,
     segment_sum_ragged,
-    segment_sum_reference,
 )
 
 
@@ -45,7 +41,7 @@ class TestPlanSegments:
 
     def test_empty(self):
         plan = plan_segments(np.empty(0, dtype=np.int64))
-        assert plan.nnz == 0
+        assert plan.order.shape == (0,)
         assert plan.uniq.size == 0
 
     def test_rejects_2d(self):
@@ -103,7 +99,7 @@ class TestSegmentSumBitIdentity:
         for _ in range(5):
             offsets = ragged_offsets(rng, int(rng.integers(1, 40)))
             rows = rng.standard_normal((int(offsets[-1]), dim)).astype(np.float32)
-            want = segment_sum_reference(rows, offsets)
+            want = reference.segment_sum(rows, offsets)
             got = segment_sum_ragged(rows, offsets)
             assert np.array_equal(got, want)
 
@@ -111,7 +107,7 @@ class TestSegmentSumBitIdentity:
         offsets = ragged_offsets(rng, 20)
         rows = rng.standard_normal((int(offsets[-1]), 1)).astype(np.float32)
         assert np.array_equal(
-            segment_sum_ragged(rows, offsets), segment_sum_reference(rows, offsets)
+            segment_sum_ragged(rows, offsets), reference.segment_sum(rows, offsets)
         )
 
     def test_all_bags_empty(self, rng):
@@ -123,16 +119,8 @@ class TestSegmentSumBitIdentity:
     def test_equal_length_bags(self, rng):
         rows = rng.standard_normal((12, 4)).astype(np.float32)
         offsets = np.arange(0, 13, 3)
-        want = segment_sum_reference(rows, offsets)
+        want = reference.segment_sum(rows, offsets)
         assert np.array_equal(segment_sum_ragged(rows, offsets), want)
-
-    def test_out_buffer_reused(self, rng):
-        offsets = ragged_offsets(rng, 10)
-        rows = rng.standard_normal((int(offsets[-1]), 4)).astype(np.float32)
-        out = np.full((10, 4), 7.0, dtype=np.float32)  # stale garbage
-        got = segment_sum_ragged(rows, offsets, out=out)
-        assert got is out
-        assert np.array_equal(out, segment_sum_reference(rows, offsets))
 
     @given(n=st.integers(1, 30), dim=st.integers(2, 9), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -141,7 +129,7 @@ class TestSegmentSumBitIdentity:
         offsets = ragged_offsets(rng, n)
         rows = rng.standard_normal((int(offsets[-1]), dim)).astype(np.float32)
         assert np.array_equal(
-            segment_sum_ragged(rows, offsets), segment_sum_reference(rows, offsets)
+            segment_sum_ragged(rows, offsets), reference.segment_sum(rows, offsets)
         )
 
 
@@ -149,7 +137,7 @@ class TestAggregateBitIdentity:
     def test_duplicate_heavy(self, rng):
         idx = rng.integers(0, 7, size=500, dtype=np.int64)  # ~70 dups per row
         vals = rng.standard_normal((500, 5)).astype(np.float32)
-        uw, aw = aggregate_duplicates_reference(idx, vals)
+        uw, aw = reference.aggregate_duplicates(idx, vals)
         ug, ag = aggregate_duplicates(idx, vals)
         np.testing.assert_array_equal(ug, uw)
         assert np.array_equal(ag, aw)
@@ -166,8 +154,8 @@ class TestAggregateBitIdentity:
         idx = rng.integers(0, 9, size=nnz, dtype=np.int64)
         bag_grads = rng.standard_normal((n, dim)).astype(np.float32)
         bag_ids = np.repeat(np.arange(n), np.diff(offsets))
-        uw, aw = aggregate_duplicates_reference(idx, bag_grads[bag_ids])
-        ug, ag = aggregate_bag_duplicates(idx, bag_grads, bag_ids)
+        uw, aw = reference.aggregate_duplicates(idx, bag_grads[bag_ids])
+        ug, ag = aggregate_duplicates(idx, bag_grads, value_rows=bag_ids)
         np.testing.assert_array_equal(ug, uw)
         assert np.array_equal(ag, aw)
 
@@ -177,7 +165,7 @@ class TestAggregateBitIdentity:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
         vals = rng.standard_normal((nnz, 3)).astype(np.float32)
-        uw, aw = aggregate_duplicates_reference(idx, vals)
+        uw, aw = reference.aggregate_duplicates(idx, vals)
         ug, ag = aggregate_duplicates(idx, vals)
         np.testing.assert_array_equal(ug, uw)
         assert np.array_equal(ag, aw)
@@ -190,7 +178,7 @@ class TestScatterAddBitIdentity:
         deltas = rng.standard_normal((nnz, dim)).astype(np.float32)
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         want = w0.copy()
-        scatter_add_reference(want, idx, deltas)
+        reference.scatter_add(want, idx, deltas)
         got = w0.copy()
         scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
@@ -200,7 +188,7 @@ class TestScatterAddBitIdentity:
         deltas = rng.standard_normal((100, 1)).astype(np.float32)
         w0 = rng.standard_normal((6, 1)).astype(np.float32)
         want = w0.copy()
-        scatter_add_reference(want, idx, deltas)
+        reference.scatter_add(want, idx, deltas)
         got = w0.copy()
         scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
@@ -222,9 +210,9 @@ class TestScatterAddBitIdentity:
         bag_grads = rng.standard_normal((n, dim)).astype(np.float32)
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         want = w0.copy()
-        scatter_add_reference(want, idx, bag_grads[bag_ids])
+        reference.scatter_add(want, idx, bag_grads[bag_ids])
         got = w0.copy()
-        scatter_add_bags(got, idx, bag_grads, bag_ids)
+        scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
         assert np.array_equal(got, want)
 
     @given(
@@ -240,7 +228,7 @@ class TestScatterAddBitIdentity:
         deltas = rng.standard_normal((nnz, dim)).astype(np.float32)
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         want = w0.copy()
-        scatter_add_reference(want, idx, deltas)
+        reference.scatter_add(want, idx, deltas)
         got = w0.copy()
         scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
@@ -332,7 +320,7 @@ class TestBinaryFoldAgainstAddAt:
                 Path(tmp) / "w.bin", dtype=np.float32, mode="w+", shape=w0.shape
             )
             got[...] = w0
-            scatter_add_bags(got, idx, bag_grads, bag_ids)
+            scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
             np.testing.assert_array_equal(bits(got), bits(want))
             del got
 
@@ -457,7 +445,7 @@ class TestLengthOrderedFoldAgainstAddAt:
         np.add.at(want, idx, bag_grads[bag_ids])
         got = w0.copy()
         with fold_blocks(blocks):
-            scatter_add_bags(got, idx, bag_grads, bag_ids)
+            scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
         np.testing.assert_array_equal(bits(got), bits(want))
 
     @length_ordered_case
@@ -474,7 +462,7 @@ class TestLengthOrderedFoldAgainstAddAt:
         want = np.zeros((uniq.shape[0], dim), dtype=np.float32)
         np.add.at(want, inverse, bag_grads[bag_ids])
         with fold_blocks(blocks):
-            got_uniq, got = aggregate_bag_duplicates(idx, bag_grads, bag_ids)
+            got_uniq, got = aggregate_duplicates(idx, bag_grads, value_rows=bag_ids)
             same_uniq, same = aggregate_duplicates(idx, bag_grads[bag_ids])
         np.testing.assert_array_equal(got_uniq, uniq)
         np.testing.assert_array_equal(same_uniq, uniq)
@@ -511,11 +499,11 @@ class TestLengthOrderedFoldAgainstAddAt:
         w0 = special_values(rng, (5, dim), 0.5)
         w = w0.copy()
         scatter_add_exact(w, none, np.empty((0, dim), np.float32))
-        scatter_add_bags(w, none, special_values(rng, (3, dim), 0.5), none)
+        scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), value_rows=none)
         np.testing.assert_array_equal(bits(w), bits(w0))
         for uniq, agg in (
             aggregate_duplicates(none, np.empty((0, dim), np.float32)),
-            aggregate_bag_duplicates(none, special_values(rng, (3, dim), 0.5), none),
+            aggregate_duplicates(none, special_values(rng, (3, dim), 0.5), value_rows=none),
         ):
             assert uniq.shape == (0,) and agg.shape == (0, dim)
 

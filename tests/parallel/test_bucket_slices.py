@@ -42,7 +42,8 @@ def test_bucket_slices_tile_each_mlp_half_of_the_slab(bucket_mb):
                 assert end.grads.flags["C_CONTIGUOUS"] and np.shares_memory(end.grads, slab.grads)
                 at = end.span.stop
             assert at == slab.offsets[params[-1].slot] + -(-params[-1].size // 16) * 16
-            assert sum(end.nbytes for end in ends) == bucketer.total_bytes()
+            total = sum(bucketer.nbytes(k) for k in range(len(bucketer)))
+            assert sum(end.nbytes for end in ends) == total
             assert [p for end in reversed(ends) for p in end.params] == params
         assert at == slab.size
     assert (len(dist.top_buckets), len(dist.bottom_buckets)) == (
@@ -69,14 +70,15 @@ def test_a_bucket_whose_gradient_nobody_wrote_stops_the_step():
     cfg, dist = build()
     dist.train_step(random_batch(cfg, 24, seed=0))
     model = dist.models[2]
-    segment = model.top_backward_segment
+    segment = model.backward_segment
 
-    def forgetful(dy, start, stop):
-        out = segment(dy, start, stop)
-        model.top.layers[start].bias.zero_grad()
+    def forgetful(half, dy, start, stop):
+        out = segment(half, dy, start, stop)
+        if half == "top":
+            model.top.layers[start].bias.zero_grad()
         return out
 
-    model.top_backward_segment = forgetful
+    model.backward_segment = forgetful
     with pytest.raises(RuntimeError, match="no gradient pending for Parameter\\(top.0.bias"):
         dist.train_step(random_batch(cfg, 24, seed=1))
 

@@ -92,7 +92,7 @@ def _bucketed_backward_run(ranks, n_layers, n, c, k):
     assert len(buckets) == n_layers
     handles = []
     for b in range(len(buckets)):
-        lo, hi = buckets.layer_range(b)
+        lo, hi = buckets.buckets[b]
         for layer in reversed(range(lo, hi)):
             for r in cluster.ranks:
                 t = cm.gemm_time(

@@ -16,7 +16,7 @@ from repro.core.embedding import EmbeddingBag
 from repro.core.model import DLRM
 from repro.tiering.planner import plan_placement
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, file_backed
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import random_batch, scatter_add_rows_oracle, tiny_config
 from tests.kernels.test_segment import bits, special_values
 from tests.tiering.test_planner import skewed_snapshot
 
@@ -62,15 +62,15 @@ class TestBitIdentity:
         tiered.scatter_add_rows(idx, deltas)
         np.testing.assert_array_equal(tiered.dense_weight(), flat.weight)
 
-    def test_apply_bag_updates(self, tmp_path):
+    def test_scatter_add_with_bag_level_deltas(self, tmp_path):
         flat, tiered = pair(tmp_path)
         idx, off = lookup(seed=3)
         n_bags = off.size - 1
         g = np.random.default_rng(4)
         bag_grads = g.standard_normal((n_bags, DIM)).astype(np.float32)
         bag_ids = np.repeat(np.arange(n_bags), np.diff(off))
-        flat.apply_bag_updates(bag_grads, bag_ids, idx)
-        tiered.apply_bag_updates(bag_grads, bag_ids, idx)
+        flat.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
+        tiered.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
         np.testing.assert_array_equal(tiered.dense_weight(), flat.weight)
 
     def test_state_dict_roundtrip(self, tmp_path):
@@ -177,10 +177,10 @@ class TestAnyHotSetAgainstAddAt:
                 table.scatter_add_rows(idx, deltas)
                 np.testing.assert_array_equal(bits(table.weight), bits(want))
                 np.add.at(want, idx, bag_grads[bag_ids])
-                table.apply_bag_updates(bag_grads, bag_ids, idx)
+                table.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
                 np.testing.assert_array_equal(bits(table.weight), bits(want))
                 np.add.at(want, idx, deltas)
-                table.scatter_add_rows_reference(idx, deltas)
+                scatter_add_rows_oracle(table, idx, deltas)
                 np.testing.assert_array_equal(bits(table.weight), bits(want))
 
             step(bag)
@@ -215,8 +215,8 @@ class TestAnyHotSetAgainstAddAt:
             lambda: tiered.gather(idx),
             lambda: tiered.forward(idx, off),
             lambda: tiered.scatter_add_rows(idx, ones),
-            lambda: tiered.scatter_add_rows_reference(idx, ones),
-            lambda: tiered.apply_bag_updates(ones[:2], np.array([0, 0, 1]), idx),
+            lambda: scatter_add_rows_oracle(tiered, idx, ones),
+            lambda: tiered.scatter_add_rows(idx, ones[:2], delta_rows=np.array([0, 0, 1])),
         ):
             with pytest.raises(IndexError):
                 call()
@@ -241,7 +241,7 @@ class TestStoreMechanics:
         _, tiered = pair(tmp_path, hot_step=8)
         full = ROWS * DIM * 4
         assert 0 < tiered.capacity_bytes() < full  # out-of-core footprint
-        assert tiered.cold_bytes() == full
+        assert tiered.store.weight.nbytes == full
 
     def test_retier_preserves_bits(self, tmp_path):
         flat, tiered = pair(tmp_path, hot_step=3)

@@ -22,7 +22,7 @@ import repro
 from repro.core.embedding import EmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad
-from repro.core.update import FusedBackwardUpdate, make_strategy
+from repro.core.update import FusedBackwardUpdate, ReferenceUpdate, make_strategy
 from repro.serve import InferenceEngine
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, build_tiered
 from repro.train import RunSpec, Trainer, make_trainer
@@ -138,7 +138,7 @@ class TestCheckpointAndServe:
         ]
         assert tiered
         assert sum(t.capacity_bytes() for t in tiered) < sum(
-            t.cold_bytes() for t in tiered
+            t.store.weight.nbytes for t in tiered
         )
         batch = trainer.eval_batch()
         np.testing.assert_array_equal(
@@ -261,12 +261,11 @@ class TestSlabMembership:
             opt.state_dict(model.parameters(), model.tables),
             flat_opt.state_dict(flat.parameters(), flat.tables),
         )
-        # backward() + apply_updates(), the other way into the same update.
+        # The materialised SparseGrad branch, the other way into the same update.
         batch = random_batch(self.CFG, 16, seed=9)
         for m, o in ((model, opt), (flat, flat_opt)):
-            m.loss(batch)
-            m.backward()
-            m.apply_updates(o)
+            o.strategy = ReferenceUpdate()
+            m.train_step(batch, o)
         assert_states_equal(model.state_dict(), flat.state_dict())
         for t, table in model.tables.items():  # still views, steps later
             assert np.shares_memory(arrays(table)[0], model.slab.weight)

@@ -3,7 +3,7 @@
 The repo benchmark's own check compares ``fused`` with
 ``update.name="reference"``, and both go through the fold kernel of
 :mod:`repro.kernels.segment`.  Here the twin's sparse update is applied
-by ``scatter_add_rows_reference`` -- literal ``np.add.at`` -- on the
+by ``repro.kernels.reference`` -- literal ``np.add.at`` -- on the
 ``train_emb`` workload (8 x 50 000 x E64, P = 32), whose Zipf(1.05)
 look-ups give duplicate runs from 1 to ~2 000 long -- and on the
 ``train_dist4`` workload (4 ranks, ``racefree``), where every rank's
@@ -19,7 +19,7 @@ import pytest
 from repro.core.update import RaceFreeUpdate, UpdateStrategy
 from repro.tiering.store import TieredEmbeddingBag
 from repro.train import RunSpec, Trainer
-from tests.conftest import assert_same_bits
+from tests.conftest import assert_same_bits, scatter_add_rows_oracle
 
 STEPS = 3
 WORKLOADS = Path(__file__).resolve().parents[2] / "benchmarks" / "suite" / "workloads"
@@ -31,7 +31,7 @@ class AddAtUpdate(UpdateStrategy):
     cost_key = "reference"
 
     def apply(self, table, grad, lr):
-        table.scatter_add_rows_reference(grad.indices, -np.float32(lr) * grad.values)
+        scatter_add_rows_oracle(table, grad.indices, -np.float32(lr) * grad.values)
 
 
 class MaterialisedRaceFree(UpdateStrategy):

@@ -198,6 +198,43 @@ class TestSpecPlumbing:
             trainer.close()
 
 
+class TestReplyDeadline:
+    """``resilience.heartbeat_timeout`` is the deadline the executor
+    enforces on every worker reply; ``REPRO_MP_TIMEOUT`` overrides it."""
+
+    def test_a_hang_past_the_specs_deadline_is_a_typed_timeout(self, monkeypatch):
+        from repro.resilience import WorkerTimeout
+
+        monkeypatch.delenv("REPRO_MP_TIMEOUT", raising=False)
+        spec = dist_spec(
+            resilience={
+                "heartbeat_timeout": 1.0,
+                "faults": "worker.step:step=1,worker=0,action=hang,seconds=3",
+            }
+        )
+        trainer = Trainer.from_spec(spec, backend="process", workers=2)
+        try:
+            assert trainer._executor._timeout == 1.0
+            with pytest.raises(WorkerTimeout, match="no reply within 1s"):
+                trainer.fit(2)
+            assert trainer.step == 1  # step 0 answered inside the deadline
+        finally:
+            trainer.close()
+
+    @pytest.mark.parametrize("env,want", [(None, 37.5), ("12", 12.0)])
+    def test_the_env_var_wins_when_set(self, monkeypatch, env, want):
+        if env is None:
+            monkeypatch.delenv("REPRO_MP_TIMEOUT", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_MP_TIMEOUT", env)
+        spec = dist_spec(resilience={"heartbeat_timeout": 37.5})
+        trainer = Trainer.from_spec(spec, backend="process", workers=2)
+        try:
+            assert trainer._executor._timeout == want
+        finally:
+            trainer.close()
+
+
 class TestSpawnSmoke:
     def test_spawn_start_method(self, monkeypatch):
         """The portable default start method works end to end (slow:

@@ -80,19 +80,6 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown update strategy"):
             make_strategy("lockfree")
 
-    def test_legacy_strategies_dict_mutation_still_works(self):
-        from repro.core.update import STRATEGIES
-
-        class ExtraUpdate(RaceFreeUpdate):
-            cost_key = "racefree"
-
-        STRATEGIES["extra-test"] = ExtraUpdate
-        try:
-            assert isinstance(make_strategy("extra-test"), ExtraUpdate)
-        finally:
-            STRATEGIES.pop("extra-test")
-            UPDATE_STRATEGIES._factories.pop("extra-test", None)
-
     def test_custom_strategy_reachable_via_make_strategy(self):
         class NullStrategy(RaceFreeUpdate):
             cost_key = "racefree"

@@ -24,6 +24,7 @@ from repro.train.trainer import Trainer
 from tests.core.test_embedding_slab import arrays, detach_tables
 
 DATA = Path(__file__).parent / "data"
+REPO = Path(__file__).resolve().parents[2]
 SEED = 4
 #: optimizer / update strategy / storage.
 COMBOS = {
@@ -216,6 +217,23 @@ class TestCheckpointFromTheParentCommit:
         assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
 
 
+def pinned_child(*argv: str) -> str:
+    """stdout of a child interpreter with BLAS pinned to one thread, as
+    the benchmark runs its workloads and as the parents' bits were
+    recorded: two process workers sharing this process's BLAS pool spin
+    through its GEMMs 16x slower."""
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "REPRO_MP_CONTEXT": "fork",
+        "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)]),
+    }
+    child = subprocess.run(
+        [sys.executable, *argv], env=env, check=True, capture_output=True, text=True, timeout=300
+    )
+    return child.stdout
+
+
 _BOTH_EXECUTORS = """
 import json, sys
 from pathlib import Path
@@ -252,22 +270,11 @@ class TestTheHybridStepAgainstCommitA67c22e:
     RECORDED = json.loads((DATA / "parent_dist4_expected.json").read_text())
 
     def test_both_executors_reach_the_parents_bits_and_clocks(self):
-        # In a child with BLAS pinned to one thread, as the benchmark
-        # runs the workload: two workers sharing this process's BLAS
-        # pool spin through its GEMMs 16x slower.
-        recorded, repo = self.RECORDED, Path(__file__).resolve().parents[2]
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": "1",
-            "REPRO_MP_CONTEXT": "fork",
-            "PYTHONPATH": os.pathsep.join([str(repo / "src"), str(repo)]),
-        }
-        child = subprocess.run(
-            [sys.executable, "-c", _BOTH_EXECUTORS, str(repo / recorded["workload"]),
-             str(recorded["steps"])],
-            env=env, check=True, capture_output=True, text=True, timeout=300,
+        recorded = self.RECORDED
+        stdout = pinned_child(
+            "-c", _BOTH_EXECUTORS, str(REPO / recorded["workload"]), str(recorded["steps"])
         )
-        got = json.loads(child.stdout.strip().splitlines()[-1])
+        got = json.loads(stdout.strip().splitlines()[-1])
         assert got["process"] == got["inline"]
         clocks = [float.fromhex(c) for c in got["inline"]["rank_clocks"]]
         want_clocks = [float.fromhex(c) for c in recorded["rank_clocks"]]
@@ -278,3 +285,67 @@ class TestTheHybridStepAgainstCommitA67c22e:
                 f"roundings differ on {host_fingerprint()}"
             )
         assert got["inline"] == {**recorded["expected"], "rank_clocks": recorded["rank_clocks"]}
+
+
+class TestTheTrainingStepAgainstCommit15082ab:
+    """``parent_15082ab_expected.json`` is ``tests/train/step_bits.py`` run
+    at commit 15082ab, the last one that kept a second entry beside each
+    operator of the step (``scatter_add_bags`` / ``apply_bag_updates``,
+    ``DLRM.backward`` + ``apply_updates``, two consolidations): 20 steps
+    of the benchmark's ``train_emb``, ``train_emb_tiered``, ``train_bf16``
+    and ``train_dist4`` specs at test scale on the local, inline and
+    process executors, and ``parent_15082ab_bf16.npz``, its ``train_bf16``
+    checkpoint at step 10.  The rank clocks are virtual and compared on
+    every host; the bits only where GEMMs round as they did there."""
+
+    RECORDED = json.loads((DATA / "parent_15082ab_expected.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def got(self, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("step_bits") / "bf16.npz"
+        return json.loads(pinned_child(str(REPO / "tests/train/step_bits.py"), str(ckpt)))
+
+    def test_every_executor_runs_every_spec(self, got):
+        assert sorted(got["runs"]) == sorted(self.RECORDED["runs"])
+        assert {name.split("/")[1] for name in got["runs"]} == {"local", "inline", "process"}
+
+    def test_process_equals_inline_and_a_resume_equals_the_uninterrupted_run(self, got):
+        for name, run in got["runs"].items():
+            if name.endswith("/process"):
+                assert run == got["runs"][name.replace("/process", "/inline")], name
+        whole = got["runs"]["train_bf16/local"]
+        assert (got["resumed"]["model"], got["resumed"]["optimizer"]) == (
+            whole["model"], whole["optimizer"],
+        )
+
+    def test_rank_clocks_are_the_parents(self, got):
+        for name, want in self.RECORDED["runs"].items():
+            clocks = [float.fromhex(c) for c in got["runs"][name]["rank_clocks"]]
+            want_clocks = [float.fromhex(c) for c in want["rank_clocks"]]
+            assert len(clocks) == len(want_clocks), name
+            assert clocks == pytest.approx(want_clocks, rel=1e-12), name
+
+    def test_bits_are_the_parents(self, got):
+        recorded = self.RECORDED
+        if recorded["host"] != host_fingerprint():
+            pytest.skip(
+                f"the parent's bits were recorded on {recorded['host']}; GEMM "
+                f"roundings differ on {host_fingerprint()}"
+            )
+        assert got["runs"] == recorded["runs"]
+        assert got["resumed"] == recorded["resumed"]
+
+    def test_the_parents_checkpoint_resumes(self):
+        recorded = self.RECORDED
+        path = DATA / "parent_15082ab_bf16.npz"
+        ckpt = load_checkpoint(path)  # CRCs verified
+        resumed = Trainer.from_checkpoint(path)
+        assert resumed.step == 10
+        assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
+        assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
+        resumed.fit(recorded["steps"] - 10)
+        if recorded["host"] == host_fingerprint():
+            want = recorded["runs"]["train_bf16/local"]
+            assert float(resumed.losses[-1]).hex() == want["final_loss"]
+            assert state_digest(resumed.model_state_dict()) == want["model"]
+            assert state_digest(resumed.opt_state_dict()) == want["optimizer"]

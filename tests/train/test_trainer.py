@@ -74,12 +74,12 @@ class TestTrainerLoop:
     def test_evaluate_leaves_training_state_untouched(self):
         trainer = make_trainer(tiny_spec()).fit(2)
         before = trainer.model.state_dict()
-        pending = trainer.model._batch  # the last training batch
+        pending = trainer.model._lookup  # the last training batch's fused look-up
         metrics = trainer.evaluate()
         assert set(metrics) == {"eval_loss", "auc", "accuracy"}
         after = trainer.model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
-        assert trainer.model._batch is pending  # infer path stores nothing
+        assert pending is not None and trainer.model._lookup is pending  # infer stores nothing
 
 
 class TestCallbacks:
