@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.param import Parameter
-from repro.obs.tracer import trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.cluster import CollectiveHandle, SimCluster
@@ -172,17 +171,10 @@ class DistributedDataParallelReducer:
         summed: np.ndarray,
         op: str = "allreduce",
         index: int | None = None,
-        copy: bool = True,
     ) -> None:
-        """Rank ``r``'s receive end of one reduced bucket, charging the
-        framework copy.  ``copy`` writes the sum over the rank's own
-        gradient slice, for a dense step that walks the parameters; one
-        that reads ``summed`` (``step_dense(reduced=)``) passes False."""
-        if copy:
-            with trace(f"comm.{op}.framework", rank=r, bytes=bucket.nbytes) as sp:
-                if index is not None:
-                    sp.add(bucket=index)
-                np.copyto(bucket.grads, summed)
+        """Rank ``r``'s receive end of one reduced bucket: the framework
+        copy is charged, not made -- every dense step reads ``summed``
+        where it lies (``step_dense(reduced=)``)."""
         self.charge_framework_copy(r, bucket.nbytes, op)
 
     def issue_transfer(

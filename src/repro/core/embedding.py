@@ -31,6 +31,7 @@ from repro.core.bf16 import (
     split_fp32_into,
     truncate_lo_bits,
 )
+from repro.core.param import checked_entry
 from repro.obs.tracer import trace
 from repro.kernels.segment import aggregate_duplicates, scatter_add_exact, segment_sum_ragged
 
@@ -115,10 +116,6 @@ class EmbeddingBag:
     #: :meth:`rows_view` and the bag it was cut from stay one memory.
     _arrays: tuple[str, ...] = ("weight",)
 
-    #: Optional callable fed every forward pass's flat index vector.
-    #: Installed by :meth:`repro.tiering.freqstats.FreqStats.attach` to
-    #: stream row-access frequencies; ``None`` costs one attribute test.
-    freq_hook = None
     #: Gather buffer of the pooled forward, allocated on first use.
     _pool_buf: np.ndarray | None = None
 
@@ -237,16 +234,7 @@ class EmbeddingBag:
 
     def _state_array(self, state: dict[str, np.ndarray], key: str, dtype: type) -> np.ndarray:
         """``state[key]``, checked to be a ``(rows, dim)`` array of ``dtype``."""
-        if key not in state:
-            raise KeyError(f"missing state entry {key!r}")
-        value = np.asarray(state[key])
-        if value.dtype != np.dtype(dtype):
-            raise ValueError(
-                f"{key}: dtype {value.dtype} != expected {np.dtype(dtype)}"
-            )
-        if value.shape != (self.rows, self.dim):
-            raise ValueError(f"{key}: shape {value.shape} != expected {(self.rows, self.dim)}")
-        return value
+        return checked_entry(state, key, (self.rows, self.dim), dtype)
 
     # -- compute layer -----------------------------------------------------------
 
@@ -268,8 +256,6 @@ class EmbeddingBag:
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Alg. 1: ``Y[N, E]`` with ``Y[n] = sum over bag n of W[I[s]]``."""
         indices, offsets, lengths = self._check_lookup(indices, offsets)
-        if self.freq_hook is not None:
-            self.freq_hook(indices)
         with trace("embedding.gather", rows=indices.shape[0]):
             return self._pool(indices, offsets, lengths)
 

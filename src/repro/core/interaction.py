@@ -26,16 +26,12 @@ class CatInteraction:
         self.out_features = (num_embeddings + 1) * dim
 
     def forward(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
-        self._n = dense.shape[0]
         if len(embs) != self.num_embeddings:
             raise ValueError(f"expected {self.num_embeddings} embedding outputs, got {len(embs)}")
         return np.concatenate([dense, *embs], axis=1)
 
-    def infer(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
-        """Forward without backward state (trivially identical here)."""
-        if len(embs) != self.num_embeddings:
-            raise ValueError(f"expected {self.num_embeddings} embedding outputs, got {len(embs)}")
-        return np.concatenate([dense, *embs], axis=1)
+    #: Forward without backward state: there is none to keep.
+    infer = forward
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         d = self.dim
@@ -62,7 +58,10 @@ class DotInteraction:
         self.out_features = dim + v * (v - 1) // 2
         self._z: np.ndarray | None = None
 
-    def forward(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
+    def _interact(
+        self, dense: np.ndarray, embs: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The output and the stacked vectors ``Z[N, V, E]`` it came from."""
         if len(embs) != self.num_embeddings:
             raise ValueError(f"expected {self.num_embeddings} embedding outputs, got {len(embs)}")
         for i, e in enumerate(embs):
@@ -70,28 +69,20 @@ class DotInteraction:
                 raise ValueError(
                     f"embedding output {i} shape {e.shape} != dense {dense.shape}"
                 )
-        # Z[N, V, E]: the stacked feature vectors.
         z = np.stack([dense, *embs], axis=1).astype(np.float32, copy=False)
-        self._z = z
         # Batched self-GEMM: P[N, V, V] = Z @ Z^T.
         p = np.matmul(z, z.transpose(0, 2, 1))
         flat = p[:, self._tril[0], self._tril[1]]
-        return np.concatenate([dense, flat], axis=1)
+        return np.concatenate([dense, flat], axis=1), z
+
+    def forward(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
+        out, self._z = self._interact(dense, embs)
+        return out
 
     def infer(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
-        """Forward-only interaction: bit-identical to :meth:`forward` but
-        leaves the saved ``Z`` (and hence any pending backward) untouched."""
-        if len(embs) != self.num_embeddings:
-            raise ValueError(f"expected {self.num_embeddings} embedding outputs, got {len(embs)}")
-        for i, e in enumerate(embs):
-            if e.shape != dense.shape:
-                raise ValueError(
-                    f"embedding output {i} shape {e.shape} != dense {dense.shape}"
-                )
-        z = np.stack([dense, *embs], axis=1).astype(np.float32, copy=False)
-        p = np.matmul(z, z.transpose(0, 2, 1))
-        flat = p[:, self._tril[0], self._tril[1]]
-        return np.concatenate([dense, flat], axis=1)
+        """Forward-only interaction: leaves the saved ``Z`` (and hence
+        any pending backward) untouched."""
+        return self._interact(dense, embs)[0]
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         if self._z is None:

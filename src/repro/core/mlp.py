@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bf16 import bf16_dot
-from repro.core.param import Parameter
+from repro.core.param import Parameter, checked_entry
 from repro.kernels.blocked import (
     block_activation,
     block_weight,
@@ -145,24 +145,9 @@ class FullyConnected:
         return {"weight": self.weight.value.copy(), "bias": self.bias.value.copy()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore tensors saved by :meth:`state_dict`, bit-exactly.
-
-        Strict on shapes *and* dtype: a float64 entry would load with
-        silent rounding, which breaks the checkpoint contract.
-        """
+        """Restore tensors saved by :meth:`state_dict`, bit-exactly."""
         for key, param in (("weight", self.weight), ("bias", self.bias)):
-            if key not in state:
-                raise KeyError(f"missing state entry {key!r}")
-            value = np.asarray(state[key])
-            if value.dtype != np.float32:
-                raise ValueError(
-                    f"{key}: dtype {value.dtype} != expected {np.dtype(np.float32)}"
-                )
-            if value.shape != param.value.shape:
-                raise ValueError(
-                    f"{key}: shape {value.shape} != expected {param.value.shape}"
-                )
-            param.value[...] = value
+            param.value[...] = checked_entry(state, key, param.shape, np.float32)
             param.zero_grad()
 
     @property
@@ -173,68 +158,55 @@ class FullyConnected:
     # -- passes ----------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """One training forward pass.
+        """One training forward pass: :meth:`infer` into this layer's
+        workspace, with input and output kept for :meth:`backward`.
 
-        The returned array lives in this layer's workspace (reference
-        engine): it stays valid until the *next* forward through the
-        same layer; callers that keep results across steps must copy.
+        The returned array stays valid until the *next* forward through
+        the same layer; callers that keep results across steps must copy.
         """
+        x = self._checked_input(x)
+        self._x = x
+        self._y = self.infer(x, out=self._ws.take("fwd.z", (x.shape[0], self.out_features)))
+        return self._y
+
+    def _checked_input(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input (N, {self.in_features}), got {x.shape}"
             )
-        self._x = x
-        if self.engine == "blocked":
-            z = _blocked_gemm_nt(x, self.weight.value, self.threads, self.flops)
-        elif self.engine == "bf16":
-            self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            z = bf16_dot(x, self.weight.value.T)
-        else:
-            self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            z = _matmul_into(self._ws, "fwd.z", x, self.weight.value.T)
-        z += self.bias.value
-        if self.activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        elif self.activation == "sigmoid":
-            sigmoid(z, out=z)
-        self._y = z
-        return z
+        return x
 
     def infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Forward pass without autograd state (inference/eval mode).
+        """The forward pass, storing no autograd state: interleaving
+        inference with training never corrupts a pending backward.
 
-        Produces bit-identical results to :meth:`forward` but stores no
-        activations, so interleaving inference with training never
-        corrupts a pending backward.  ``out`` may be a preallocated
-        C-contiguous ``(N, out_features)`` float32 buffer; the reference
-        engine then writes the GEMM result directly into it (the serving
-        engine's warm path reuses one buffer per layer across calls).
+        ``out`` may be a preallocated C-contiguous ``(N, out_features)``
+        float32 buffer; the reference engine then writes the GEMM result
+        directly into it (the serving engine's warm path reuses one
+        buffer per layer across calls).  A buffer the input aliases is
+        not used (self-feeding calls: the GEMM must never write what it
+        is reading) and the result is a fresh array.
         """
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"expected input (N, {self.in_features}), got {x.shape}"
-            )
+        x = self._checked_input(x)
         usable = (
             out is not None
             and out.shape == (x.shape[0], self.out_features)
             and out.dtype == np.float32
             and out.flags["C_CONTIGUOUS"]
+            and not np.may_share_memory(x, out)
         )
         if self.engine == "blocked":
             z = _blocked_gemm_nt(x, self.weight.value, self.threads, self.flops)
-        elif self.engine == "bf16":
-            self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            z = bf16_dot(x, self.weight.value.T)
-        elif usable:
-            self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            np.matmul(x, self.weight.value.T, out=out)
-            z = out
         else:
             self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            z = x @ self.weight.value.T
-        if z is not out and usable:
+            if self.engine == "bf16":
+                z = bf16_dot(x, self.weight.value.T)
+            elif usable:
+                z = np.matmul(x, self.weight.value.T, out=out)
+            else:
+                z = x @ self.weight.value.T
+        if usable and z is not out:
             out[...] = z
             z = out
         z += self.bias.value

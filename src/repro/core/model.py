@@ -158,10 +158,18 @@ class DLRM:
         for prefix, mlp in (("bottom", self.bottom), ("top", self.top)):
             for key, value in mlp.state_dict().items():
                 out[f"{prefix}.{key}"] = value
-        for t, table in self.tables.items():
-            for key, value in table.state_dict().items():
-                out[f"table.{t}.{key}"] = value
+        out.update(self.table_state_dict())
         return out
+
+    def table_state_dict(self) -> dict[str, np.ndarray]:
+        """The ``table.<t>.<tensor>`` entries of :meth:`state_dict` alone:
+        all a model-parallel rank contributes to a consolidated
+        checkpoint beside rank 0 (the dense entries are replicated)."""
+        return {
+            f"table.{t}.{key}": value
+            for t, table in self.tables.items()
+            for key, value in table.state_dict().items()
+        }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore a :meth:`state_dict` bit-exactly.
@@ -229,21 +237,16 @@ class DLRM:
             self._lookup = self._fuse(batch)
         return self._lookup
 
-    def _embedding_lookup(self, batch: Batch, lookup: _SlabLookup) -> dict[int, np.ndarray]:
-        """One ``slab.forward`` for every owned table, their
-        ``freq_hook``s fed their own ids first."""
+    def _embedding_lookup(self, lookup: _SlabLookup) -> dict[int, np.ndarray]:
+        """One ``slab.forward`` for every owned table."""
         if not self.table_ids:
             return {}
-        for t in self.table_ids:
-            hook = self.tables[t].freq_hook
-            if hook is not None:
-                hook(batch.indices[t])
         pooled = self.slab.forward(lookup.indices, lookup.offsets)
         return {t: pooled[lookup.bags(j)] for j, t in enumerate(self.table_ids)}
 
     def embedding_forward(self, batch: Batch) -> dict[int, np.ndarray]:
         """Look up only this process's tables (model-parallel half)."""
-        return self._embedding_lookup(batch, self._slab_lookup(batch))
+        return self._embedding_lookup(self._slab_lookup(batch))
 
     def bottom_forward(self, batch: Batch) -> np.ndarray:
         """Bottom MLP on the (data-parallel) dense features.
@@ -294,7 +297,7 @@ class DLRM:
             raise ValueError(
                 f"inference needs all tables locally; missing {missing}"
             )
-        emb_out = self._embedding_lookup(batch, self._fuse(batch))  # no state kept
+        emb_out = self._embedding_lookup(self._fuse(batch))  # no state kept
         x_bottom = self.bottom.infer(batch.dense, outs=bottom_outs)
         embs = [emb_out[t] for t in range(self.cfg.num_tables)]
         r = self.interaction.infer(x_bottom, embs)

@@ -18,90 +18,25 @@ to run that SGD in BF16 without a separate FP32 master copy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.bf16 import quantize_bf16, split_fp32_into
 from repro.core.embedding import EmbeddingBag, SparseGrad
-from repro.core.param import DenseSlab, Parameter
+from repro.core.param import DenseSlab, Parameter, checked_entry
 from repro.core.update import RaceFreeUpdate, UpdateStrategy
 
 
-def _checked(
-    state: dict[str, np.ndarray],
-    key: str,
-    shape: tuple[int, ...],
-    dtype: type,
-) -> np.ndarray:
-    """A verified, owned copy of ``state[key]`` (checkpoint loading)."""
-    if key not in state:
-        raise KeyError(f"missing optimizer state entry {key!r}")
-    value = np.asarray(state[key])
-    if value.dtype != np.dtype(dtype):
-        raise ValueError(f"{key}: dtype {value.dtype} != expected {np.dtype(dtype)}")
-    if value.shape != tuple(shape):
-        raise ValueError(f"{key}: shape {value.shape} != expected {tuple(shape)}")
-    return value.copy()
-
-
-def _whole_slab(params: list[Parameter]) -> DenseSlab | None:
-    """The slab whose flats one call can step for all of ``params``."""
-    slab = params[0].slab if params else None
-    return slab if slab is not None and slab.steps_whole(params) else None
-
-
-def _flat_grads(slab: DenseSlab | None, reduced: np.ndarray | None) -> np.ndarray:
-    """What a whole-slab step reads: the caller's ``reduced`` or the slab's."""
-    if reduced is None:
-        return slab.grads
-    if slab is None or reduced.shape != slab.values.shape:
-        raise RuntimeError("step_dense(reduced=) needs one whole slab pending and its layout")
-    return reduced
-
-
-def steps_from_flat(opt) -> bool:
-    """True when ``opt``'s dense step is the whole-slab kernel, which can
-    read its gradients from any flat in the slab's layout
-    (``step_dense(params, reduced=...)``): momentum-free :class:`SGD`
-    and :class:`SplitSGD`.  The others walk the parameters' own."""
-    return not opt.momentum and type(opt).step_dense in (SGD.step_dense, SplitSGD.step_dense)
-
-
-#: Elements per pass of a dense step: a block's weights, gradients, lo
-#: halves and ``lr * grad`` (the only temporary) all stay in L2 across
-#: the step's ufunc calls, so each byte of the model crosses the memory
-#: bus once per step however many calls the update takes.
+#: Elements per pass of a dense step: a block's weights, gradients,
+#: state and ``lr * grad`` (the only temporary of the SGD kernels) all
+#: stay in L2 across the step's ufunc calls, so each byte of the model
+#: crosses the memory bus once per step however many calls the update
+#: takes.
 STEP_BLOCK = 1 << 16
 
 
-def _step_in_place(
-    value: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    scratch: np.ndarray,
-    lo: np.ndarray | None = None,
-    lo_bits: int = 16,
-) -> None:
-    """``value -= lr * grad`` in place, on a slab's flats or one tensor.
-
-    With ``lo`` this is the Split-SGD step: ``value`` holds BF16 numbers
-    (hi halves widened), ``lo`` the other 16 bits; each block is rejoined
-    into the FP32 master, stepped at full accuracy and split again.
-    All three arrays are C-contiguous (parameter storage always is).
-    """
-    value, grad = value.reshape(-1), grad.reshape(-1)
-    bits = value.view(np.uint32)
-    lo = None if lo is None else lo.reshape(-1)
-    lr32 = np.float32(lr)
-    for start in range(0, value.size, STEP_BLOCK):
-        block = slice(start, start + STEP_BLOCK)
-        v = value[block]
-        if lo is not None:
-            np.bitwise_or(bits[block], lo[block], out=bits[block])
-        np.subtract(v, np.multiply(grad[block], lr32, out=scratch[: v.size]), out=v)
-        if lo is not None:
-            split_fp32_into(v, lo[block], lo_bits)
+def _descend(values: np.ndarray, grads: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+    """``values -= lr * grads`` in place; ``scratch`` holds the product."""
+    np.subtract(values, np.multiply(grads, np.float32(lr), out=scratch[: values.size]), out=values)
 
 
 class SGD:
@@ -112,12 +47,21 @@ class SGD:
     the paper's plain sparse SGD, whose update strategies assume a
     stateless scatter.
 
-    Per-parameter state is keyed by the parameter (or table) object, not
-    its ``id``: the dict keeps the key alive, so a recycled address can
-    never hand a new parameter a dead one's state.
+    The dense step is one pass for every optimizer of this module
+    (:meth:`_step`): each maximal run of consecutive pending slots of a
+    :class:`~repro.core.param.DenseSlab` is one span of its flats --
+    a whole model is one run, one tensor a one-slot run -- walked block
+    by block through the class's element-wise :meth:`_update`.  Dense
+    *state* (velocity, Split-SGD lo halves, Adagrad accumulators, master
+    weights) is one more flat per slab in the same slot layout, created
+    by :meth:`register` and saved under ``<state_key>.<i>``.
     """
 
     name = "sgd-fp32"
+    #: Checkpoint key and dtype of the per-element dense state; ``None``
+    #: keeps none (momentum turns it on for plain SGD).
+    state_key: str | None = None
+    state_dtype: type = np.float32
 
     def __init__(
         self,
@@ -131,41 +75,109 @@ class SGD:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = float(lr)
         self.momentum = float(momentum)
+        if self.momentum:
+            self.state_key = "velocity"
         self.strategy = strategy or RaceFreeUpdate()
-        self._velocity: dict[Parameter, np.ndarray] = {}
+        #: slab -> (its state flat, the slots registered with this
+        #: optimizer).  Keyed by the slab object, not its ``id``: the
+        #: dict keeps the key alive, so a recycled address can never
+        #: hand a new model a dead one's state.
+        self._flats: dict[DenseSlab, tuple[np.ndarray, set[int]]] = {}
         self._scratch = np.empty(STEP_BLOCK, dtype=np.float32)
 
+    # -- dense state --------------------------------------------------------
+
     def register(self, params: list[Parameter]) -> None:
-        """Allocate velocity buffers (a no-op without momentum)."""
-        if self.momentum:
-            for p in params:
-                self._velocity[p] = np.zeros(p.shape, dtype=np.float32)
+        """(Re)initialise the dense state of ``params`` from their
+        current values (a no-op for a stateless optimizer); parameters
+        outside any slab are adopted into one."""
+        if self.state_key is None:
+            return
+        loose = [p for p in params if p.slab is None]
+        if loose:
+            DenseSlab(loose)
+        for p in params:
+            if p.slab not in self._flats:
+                self._flats[p.slab] = (p.slab.zeros(self.state_dtype), set())
+            flat, slots = self._flats[p.slab]
+            slots.add(p.slot)
+            self._init_state(p.value, p.slab.view(flat, p.slot))
+
+    def _init_state(self, value: np.ndarray, state: np.ndarray) -> None:
+        state[...] = 0
+
+    def _state_flat(self, params: list[Parameter]) -> np.ndarray:
+        """The state flat of the slab holding ``params``, all registered."""
+        flat, slots = self._flats.get(params[0].slab, (None, ()))
+        for p in params:
+            if p.slot not in slots:
+                raise RuntimeError(
+                    f"parameter {p.name or id(p)} not registered with {type(self).__name__}"
+                )
+        return flat
+
+    def state_view(self, p: Parameter) -> np.ndarray:
+        """``p``'s slot of the dense state flat: a live view."""
+        return p.slab.view(self._state_flat([p]), p.slot)
+
+    def state_bytes(self, params: list[Parameter]) -> int:
+        """Dense optimizer state held for ``params``."""
+        per_element = 0 if self.state_key is None else np.dtype(self.state_dtype).itemsize
+        return sum(p.size * per_element for p in params)
+
+    # -- the step -----------------------------------------------------------
+
+    def _update(self, values: np.ndarray, grads: np.ndarray, state: np.ndarray | None) -> None:
+        """One block, element-wise and in place (``state``: the velocity)."""
+        if state is not None:
+            state *= np.float32(self.momentum)
+            state += grads
+            grads = state
+        _descend(values, grads, self.lr, self._scratch)
+
+    def _step(self, params: list[Parameter], reduced: np.ndarray | None) -> None:
+        """Step every parameter of ``params`` with a gradient pending,
+        one maximal run of consecutive slots at a time.  The padding
+        inside a run is stepped along: it is zero in values, gradients
+        and state and every ``_update`` keeps it so."""
+        stop = 0
+        while stop < len(params):
+            first = params[stop]
+            start, stop = stop, stop + 1
+            if first.grad is None:
+                continue
+            slab = first.slab
+            while (
+                slab is not None
+                and stop < len(params)
+                and params[stop].grad is not None
+                and params[stop].slab is slab
+                and params[stop].slot == params[stop - 1].slot + 1
+            ):
+                stop += 1
+            run = params[start:stop]
+            state = None if self.state_key is None else self._state_flat(run)
+            if reduced is not None and (slab is None or reduced.shape != slab.values.shape):
+                raise RuntimeError("step_dense(reduced=) needs a flat in the layout of the slab")
+            if slab is None:  # a stand-alone tensor: its own arrays are the span
+                values, grads = first.value.reshape(-1), first.grad.reshape(-1)
+            else:
+                span = slab.span(run)
+                values = slab.values[span]
+                grads = (slab.grads if reduced is None else reduced)[span]
+                state = None if state is None else state[span]
+            for at in range(0, values.size, STEP_BLOCK):
+                block = slice(at, at + STEP_BLOCK)
+                self._update(values[block], grads[block], None if state is None else state[block])
+            for p in run:
+                p.zero_grad()
 
     def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
-        """Step ``params`` by their pending gradients -- or, for a whole
-        slab (:func:`steps_from_flat`), by ``reduced``: a flat of the
-        slab's layout, only read (the hybrid runtime's allreduce sum)."""
-        slab = None if self.momentum else _whole_slab(params)
-        if slab is not None or reduced is not None:
-            grads = _flat_grads(slab, reduced)
-            _step_in_place(slab.values, grads, self.lr, self._scratch)
-            for p in params:
-                p.zero_grad()
-            return
-        for p in params:
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v = self._velocity.get(p)
-                if v is None:
-                    v = np.zeros(p.shape, dtype=np.float32)
-                    self._velocity[p] = v
-                v *= np.float32(self.momentum)
-                v += p.grad
-                p.value -= self.lr * v
-            else:
-                _step_in_place(p.value, p.grad, self.lr, self._scratch)
-            p.zero_grad()
+        """Step ``params`` by their pending gradients -- or by
+        ``reduced``, a flat in their slab's layout that is only read
+        (the hybrid runtime's allreduce sum); a parameter with no
+        gradient pending is skipped either way."""
+        self._step(params, reduced)
 
     def step_sparse(self, table: EmbeddingBag, grad: SparseGrad) -> None:
         self.strategy.apply(table, grad, self.lr)
@@ -186,11 +198,9 @@ class SGD:
         state: dict[str, np.ndarray] = {"lr": np.float64(self.lr)}
         if self.momentum:
             state["momentum"] = np.float64(self.momentum)
+        if self.state_key is not None:
             for i, p in enumerate(params):
-                v = self._velocity.get(p)
-                state[f"velocity.{i}"] = (
-                    np.zeros(p.shape, dtype=np.float32) if v is None else v.copy()
-                )
+                state[f"{self.state_key}.{i}"] = self.state_view(p).copy()
         return state
 
     def load_state_dict(
@@ -205,23 +215,11 @@ class SGD:
             if "momentum" not in state:
                 raise KeyError("momentum optimizer loading a momentum-free state")
             self.momentum = float(state["momentum"])
+        if self.state_key is not None:
             for i, p in enumerate(params):
-                self._velocity[p] = _checked(
-                    state, f"velocity.{i}", p.shape, np.float32
+                self.state_view(p)[...] = checked_entry(
+                    state, f"{self.state_key}.{i}", p.shape, self.state_dtype
                 )
-
-
-@dataclass
-class _SlabLo:
-    """Split-SGD state of one slab: the lo halves in the slab's slot
-    layout, and each *registered* parameter's view of them."""
-
-    flat: np.ndarray
-    views: list[np.ndarray | None]
-
-    @property
-    def complete(self) -> bool:
-        return all(v is not None for v in self.views)
 
 
 class SplitSGD(SGD):
@@ -229,14 +227,16 @@ class SplitSGD(SGD):
 
     Call :meth:`register` once after model construction; from then on the
     parameters' ``value`` tensors always hold BF16 numbers (the hi half
-    widened), while this optimizer owns the lo halves: one ``uint16``
-    flat per :class:`~repro.core.param.DenseSlab`, addressed by slot
-    (parameters outside any slab are adopted into one).  A step over a
-    whole slab is one in-place pass over its flats, at the cost of the
-    FP32 step -- the paper's point.  Sparse tables must be
+    widened), while this optimizer owns the lo halves as its dense state
+    (``uint16``).  A block is rejoined into the FP32 master, stepped at
+    full accuracy and split again, so the step costs what the FP32 step
+    costs -- the paper's point.  Sparse tables must be
     :class:`~repro.core.embedding.SplitEmbeddingBag`, which carry their
     own hi/lo storage.
     """
+
+    state_key = "lo"
+    state_dtype = np.uint16
 
     def __init__(self, lr: float, strategy: UpdateStrategy | None = None, lo_bits: int = 16):
         super().__init__(lr, strategy)
@@ -244,75 +244,22 @@ class SplitSGD(SGD):
             raise ValueError(f"lo_bits must be in [0, 16], got {lo_bits}")
         self.lo_bits = lo_bits
         self.name = "split-sgd-bf16" if lo_bits == 16 else f"split-sgd-fp{16 + lo_bits}"
-        self._lo: dict[DenseSlab, _SlabLo] = {}
 
-    def register(self, params: list[Parameter]) -> None:
-        loose = [p for p in params if p.slab is None]
-        if loose:
-            DenseSlab(loose)
-        for p in params:
-            state = self._lo.get(p.slab)
-            if state is None:
-                state = _SlabLo(p.slab.zeros(np.uint16), [None] * len(p.slab))
-                self._lo[p.slab] = state
-            lo = state.views[p.slot] = p.slab.view(state.flat, p.slot)
-            split_fp32_into(p.value, lo, self.lo_bits)
+    def _init_state(self, value: np.ndarray, lo: np.ndarray) -> None:
+        split_fp32_into(value, lo, self.lo_bits)
 
-    def _lo_of(self, p: Parameter) -> np.ndarray:
-        state = self._lo.get(p.slab)
-        lo = None if state is None else state.views[p.slot]
-        if lo is None:
-            raise RuntimeError(
-                f"parameter {p.name or id(p)} not registered with SplitSGD"
-            )
-        return lo
+    def _update(self, values: np.ndarray, grads: np.ndarray, lo: np.ndarray) -> None:
+        bits = values.view(np.uint32)
+        np.bitwise_or(bits, lo, out=bits)
+        _descend(values, grads, self.lr, self._scratch)
+        split_fp32_into(values, lo, self.lo_bits)
 
     def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
-        slab = _whole_slab(params)
-        state = self._lo.get(slab)
-        if state is None or not state.complete:
-            slab = None
-        if slab is not None or reduced is not None:
-            grads = _flat_grads(slab, reduced)
-            _step_in_place(slab.values, grads, self.lr, self._scratch, state.flat, self.lo_bits)
-            for p in params:
-                p.zero_grad()
-            return
-        for p in params:
-            if p.grad is None:
-                continue
-            _step_in_place(
-                p.value, p.grad, self.lr, self._scratch, self._lo_of(p), self.lo_bits
-            )
-            p.zero_grad()
+        self._step(params, reduced)
 
     def master_value(self, p: Parameter) -> np.ndarray:
         """The implicit FP32 master weight of ``p`` (tests/inspection)."""
-        return (p.value.view(np.uint32) | self._lo_of(p)).view(np.float32)
-
-    def state_bytes(self, params: list[Parameter]) -> int:
-        """Optimizer state: 2 bytes/element (the lo halves)."""
-        return sum(p.size * 2 for p in params)
-
-    def state_dict(
-        self,
-        params: list[Parameter],
-        tables: dict[int, EmbeddingBag] | None = None,
-    ) -> dict[str, np.ndarray]:
-        state = super().state_dict(params, tables)
-        for i, p in enumerate(params):
-            state[f"lo.{i}"] = self._lo_of(p).copy()
-        return state
-
-    def load_state_dict(
-        self,
-        state: dict[str, np.ndarray],
-        params: list[Parameter],
-        tables: dict[int, EmbeddingBag] | None = None,
-    ) -> None:
-        super().load_state_dict(state, params, tables)
-        for i, p in enumerate(params):
-            self._lo_of(p)[...] = _checked(state, f"lo.{i}", p.shape, np.uint16)
+        return (p.value.view(np.uint32) | self.state_view(p)).view(np.float32)
 
 
 class SparseAdagrad(SGD):
@@ -332,29 +279,18 @@ class SparseAdagrad(SGD):
     """
 
     name = "sparse-adagrad"
+    state_key = "dense"
 
     def __init__(self, lr: float, strategy: UpdateStrategy | None = None, eps: float = 1e-8):
         super().__init__(lr, strategy)
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps
-        self._dense_state: dict[Parameter, np.ndarray] = {}
         self._row_state: dict[EmbeddingBag, np.ndarray] = {}
 
-    def register(self, params: list[Parameter]) -> None:
-        for p in params:
-            self._dense_state[p] = np.zeros(p.shape, dtype=np.float32)
-
-    def step_dense(self, params: list[Parameter]) -> None:
-        for p in params:
-            if p.grad is None:
-                continue
-            acc = self._dense_state.get(p)
-            if acc is None:
-                raise RuntimeError("parameter not registered with SparseAdagrad")
-            acc += p.grad * p.grad
-            p.value -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-            p.zero_grad()
+    def _update(self, values: np.ndarray, grads: np.ndarray, acc: np.ndarray) -> None:
+        acc += grads * grads
+        values -= self.lr * grads / (np.sqrt(acc) + self.eps)
 
     def step_sparse(self, table: EmbeddingBag, grad: SparseGrad) -> None:
         if table.storage != "fp32":
@@ -372,21 +308,14 @@ class SparseAdagrad(SGD):
         table.scatter_add_rows(uniq, -scale[:, None] * agg)
 
     def state_bytes(self, params: list[Parameter], tables: list[EmbeddingBag] = ()) -> int:
-        dense = sum(p.size * 4 for p in params)
-        sparse = sum(t.rows * 4 for t in tables)
-        return dense + sparse
+        return super().state_bytes(params) + sum(t.rows * 4 for t in tables)
 
     def state_dict(
         self,
         params: list[Parameter],
         tables: dict[int, EmbeddingBag] | None = None,
     ) -> dict[str, np.ndarray]:
-        state: dict[str, np.ndarray] = {"lr": np.float64(self.lr)}
-        for i, p in enumerate(params):
-            acc = self._dense_state.get(p)
-            state[f"dense.{i}"] = (
-                np.zeros(p.shape, dtype=np.float32) if acc is None else acc.copy()
-            )
+        state = super().state_dict(params, tables)
         for tid, table in (tables or {}).items():
             acc = self._row_state.get(table)
             state[f"row.{tid}"] = (
@@ -400,13 +329,11 @@ class SparseAdagrad(SGD):
         params: list[Parameter],
         tables: dict[int, EmbeddingBag] | None = None,
     ) -> None:
-        self.lr = float(state["lr"])
-        for i, p in enumerate(params):
-            self._dense_state[p] = _checked(state, f"dense.{i}", p.shape, np.float32)
+        super().load_state_dict(state, params, tables)
         for tid, table in (tables or {}).items():
-            self._row_state[table] = _checked(
+            self._row_state[table] = checked_entry(
                 state, f"row.{tid}", (table.rows,), np.float32
-            )
+            ).copy()
 
 
 class MasterWeightSGD(SGD):
@@ -419,51 +346,15 @@ class MasterWeightSGD(SGD):
     """
 
     name = "master-weight-bf16"
+    state_key = "master"
 
     def __init__(self, lr: float, strategy: UpdateStrategy | None = None):
         super().__init__(lr, strategy)
-        self._master: dict[Parameter, np.ndarray] = {}
 
-    def register(self, params: list[Parameter]) -> None:
-        for p in params:
-            self._master[p] = p.value.astype(np.float32, copy=True)
-            p.value[...] = quantize_bf16(p.value)
+    def _init_state(self, value: np.ndarray, master: np.ndarray) -> None:
+        master[...] = value
+        value[...] = quantize_bf16(value)
 
-    def step_dense(self, params: list[Parameter]) -> None:
-        for p in params:
-            if p.grad is None:
-                continue
-            master = self._master.get(p)
-            if master is None:
-                raise RuntimeError("parameter not registered with MasterWeightSGD")
-            master -= self.lr * p.grad
-            p.value[...] = quantize_bf16(master)
-            p.zero_grad()
-
-    def state_bytes(self, params: list[Parameter]) -> int:
-        return sum(p.size * 4 for p in params)
-
-    def state_dict(
-        self,
-        params: list[Parameter],
-        tables: dict[int, EmbeddingBag] | None = None,
-    ) -> dict[str, np.ndarray]:
-        state = super().state_dict(params, tables)
-        for i, p in enumerate(params):
-            master = self._master.get(p)
-            if master is None:
-                raise RuntimeError(
-                    f"parameter {p.name or i} not registered with MasterWeightSGD"
-                )
-            state[f"master.{i}"] = master.copy()
-        return state
-
-    def load_state_dict(
-        self,
-        state: dict[str, np.ndarray],
-        params: list[Parameter],
-        tables: dict[int, EmbeddingBag] | None = None,
-    ) -> None:
-        super().load_state_dict(state, params, tables)
-        for i, p in enumerate(params):
-            self._master[p] = _checked(state, f"master.{i}", p.shape, np.float32)
+    def _update(self, values: np.ndarray, grads: np.ndarray, master: np.ndarray) -> None:
+        _descend(master, grads, self.lr, self._scratch)
+        values[...] = quantize_bf16(master)

@@ -32,6 +32,23 @@ def _aligned_zeros(n: int, dtype: type) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype)
 
 
+def checked_entry(
+    state: dict[str, np.ndarray], key: str, shape: tuple[int, ...], dtype: type
+) -> np.ndarray:
+    """``state[key]``, verified to be a ``shape`` array of ``dtype``: what
+    every ``load_state_dict`` copies into its own storage.  Strict on
+    dtype too -- a float64 entry would load with silent rounding, which
+    breaks the checkpoint contract."""
+    if key not in state:
+        raise KeyError(f"missing state entry {key!r}")
+    value = np.asarray(state[key])
+    if value.dtype != np.dtype(dtype):
+        raise ValueError(f"{key}: dtype {value.dtype} != expected {np.dtype(dtype)}")
+    if value.shape != tuple(shape):
+        raise ValueError(f"{key}: shape {value.shape} != expected {tuple(shape)}")
+    return value
+
+
 class Parameter:
     """A trainable FP32 tensor with an accumulated gradient.
 
@@ -107,9 +124,10 @@ class DenseSlab:
     ``value``/gradient becomes a C-contiguous, 64-byte-aligned view.
     The padding between slots is zero and stays zero under any
     element-wise update of the flats (``0 - lr * 0``), which is what
-    lets an optimizer step ``values``/``grads`` whole.  Optimizer state
-    that mirrors the layout (the Split-SGD lo halves) is a flat from
-    :meth:`zeros`, addressed per parameter with :meth:`view`.
+    lets an optimizer step a :meth:`span` of ``values``/``grads`` whole.
+    Optimizer state mirrors the layout (velocity, Split-SGD lo halves,
+    Adagrad accumulators, master weights): a flat from :meth:`zeros`,
+    addressed per parameter with :meth:`view`.
     """
 
     def __init__(self, params: list[Parameter]):
@@ -169,11 +187,3 @@ class DenseSlab:
             raise ValueError("a span is a non-empty run of consecutive slots of one slab")
         stop = first + len(params)
         return slice(self.offsets[first], self.offsets[stop] if stop < len(self) else self.size)
-
-    def steps_whole(self, params: list[Parameter]) -> bool:
-        """True when ``params`` is exactly this slab's list, in order,
-        and every gradient is pending: one call on the flats is the step."""
-        return len(params) == len(self) and all(
-            p.slab is self and p.slot == slot and p._pending
-            for slot, p in enumerate(params)
-        )

@@ -1,10 +1,11 @@
 """Prefetching data pipeline: synthesize batch ``step+1`` under batch ``step``.
 
 The InTune observation applied to this reproduction: the input pipeline
-is pure overhead when it runs synchronously inside the train step.  Both
-helpers here schedule *future* work on the process-wide
+is pure overhead when it runs synchronously inside the train step.
+:class:`LookAhead` schedules *future* work on the process-wide
 :class:`~repro.exec.pool.WorkerPool` so the host thread trains on batch
-``step`` while a worker synthesizes batch ``step+1``.
+``step`` while a worker synthesizes batch ``step+1``; the training
+loader and the serve driver's index synthesis are its two callers.
 
 Determinism is preserved by construction: datasets are pure functions of
 ``(seed, batch_index)`` and workload index synthesis is a pure function
@@ -14,8 +15,8 @@ moves.  Checkpoint/resume therefore stays bit-identical: a resumed
 trainer asks for an arbitrary start index and the loader simply misses
 its lookahead window and computes it directly.
 
-With a 1-wide pool both classes degenerate to plain synchronous calls
-(no futures, no buffering) -- the sequential baseline.
+With a 1-wide pool it degenerates to plain synchronous calls (no
+futures, no buffering) -- the sequential baseline.
 
 The same determinism argument is what lets the process backend
 (:mod:`repro.exec.mp`) synthesize batches *per worker process* instead
@@ -26,6 +27,7 @@ pipe and the synthesized bits still equal the sequential run's.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import Future
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -36,14 +38,54 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+class LookAhead(Generic[R]):
+    """``fn(k)`` for integer positions ``k``, computed ahead on the pool.
+
+    A call with position ``k`` returns ``fn(k)`` and schedules
+    ``k+1..k+depth`` (below ``stop``), so a consumer walking the
+    positions in order finds its next result already built.  A miss
+    (first call, a jump after resume, any out-of-order access) is
+    computed directly and drops the stale window, which re-centres on
+    the new cursor -- same bits, ``fn`` being pure.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[int], R],
+        depth: int,
+        pool: WorkerPool | None = None,
+        stop: int = sys.maxsize,
+    ):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.fn = fn
+        self.depth = depth
+        self.pool = pool
+        self.stop = stop
+        self._pending: dict[int, Future] = {}
+
+    def __call__(self, k: int) -> R:
+        pool = self.pool if self.pool is not None else get_pool()
+        if pool.effective_workers == 1:
+            return self.fn(k)
+        future = self._pending.pop(k, None)
+        if future is None:
+            self._pending.clear()
+        for ahead in range(k + 1, min(k + 1 + self.depth, self.stop)):
+            if ahead not in self._pending:
+                self._pending[ahead] = pool.submit(self.fn, ahead)
+        return self.fn(k) if future is None else future.result()
+
+
 class PrefetchLoader:
     """Double-buffered deterministic batches from a dataset.
 
     ``batch(index)`` returns ``dataset.batch(batch_size, index)`` and
-    schedules the next ``depth`` indices on the pool, so sequential
-    consumers (the Trainer loop) find their next batch already built.
-    Out-of-order access (resume, evaluation probes) falls back to a
-    direct synchronous call -- same bits, no stale buffers.
+    schedules the next ``depth`` indices on the pool (:class:`LookAhead`),
+    so sequential consumers (the Trainer loop) find their next batch
+    already built.  Out-of-order access (resume, evaluation probes)
+    falls back to a direct synchronous call -- same bits, no stale
+    buffers.
     """
 
     def __init__(
@@ -55,21 +97,9 @@ class PrefetchLoader:
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.pool = pool
-        self.depth = depth
-        self._pending: dict[int, Future] = {}
-
-    def _resolve_pool(self) -> WorkerPool:
-        return self.pool if self.pool is not None else get_pool()
-
-    @property
-    def pending_indices(self) -> list[int]:
-        """Indices currently scheduled ahead (introspection/tests)."""
-        return sorted(self._pending)
+        self._ahead = LookAhead(self._synthesize, depth, pool)
 
     def _synthesize(self, index: int):
         """The traced synthesis call both the direct path and the pool
@@ -77,25 +107,9 @@ class PrefetchLoader:
         with trace("data.synthesis", rows=self.batch_size):
             return self.dataset.batch(self.batch_size, index)
 
-    def _schedule(self, index: int, pool: WorkerPool) -> None:
-        if index not in self._pending:
-            self._pending[index] = pool.submit(self._synthesize, index)
-
     def batch(self, index: int):
         """Deterministic batch ``index``; primes ``index+1..index+depth``."""
-        pool = self._resolve_pool()
-        if pool.effective_workers == 1:
-            return self._synthesize(index)
-        future = self._pending.pop(index, None)
-        # A miss (first call, or a jump after resume) also drops any
-        # stale lookahead so the window re-centres on the new cursor.
-        if future is None and self._pending:
-            self._pending.clear()
-        for ahead in range(index + 1, index + 1 + self.depth):
-            self._schedule(ahead, pool)
-        if future is None:
-            return self._synthesize(index)
-        return future.result()
+        return self._ahead(index)
 
 
 class PrefetchMap(Generic[T, R]):
@@ -105,7 +119,8 @@ class PrefetchMap(Generic[T, R]):
     (``indices_for(mb)``) is a pure function of the micro-batch, and the
     replica loop consumes batches in a known order.  Calling the wrapper
     with item ``k`` returns ``fn(items[k])`` and schedules items
-    ``k+1..k+depth``; items called out of order are computed directly.
+    ``k+1..k+depth`` (:class:`LookAhead`); an item outside the sequence
+    is computed directly.
     """
 
     def __init__(
@@ -115,26 +130,11 @@ class PrefetchMap(Generic[T, R]):
         pool: WorkerPool | None = None,
         depth: int = 2,
     ):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         self.fn = fn
         self.items = list(items)
-        self.pool = pool
-        self.depth = depth
         self._position = {id(item): k for k, item in enumerate(self.items)}
-        self._pending: dict[int, Future] = {}
+        self._ahead = LookAhead(lambda k: fn(self.items[k]), depth, pool, stop=len(self.items))
 
     def __call__(self, item: T) -> R:
-        pool = self.pool if self.pool is not None else get_pool()
-        if pool.effective_workers == 1:
-            return self.fn(item)
         k = self._position.get(id(item))
-        if k is None:
-            return self.fn(item)
-        future = self._pending.pop(k, None)
-        for ahead in range(k + 1, min(k + 1 + self.depth, len(self.items))):
-            if ahead not in self._pending:
-                self._pending[ahead] = pool.submit(self.fn, self.items[ahead])
-        if future is None:
-            return self.fn(item)
-        return future.result()
+        return self.fn(item) if k is None else self._ahead(k)

@@ -74,7 +74,7 @@ from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
 from repro.core.mlp import sigmoid
 from repro.core.model import DLRM
-from repro.core.optim import SGD, steps_from_flat
+from repro.core.optim import SGD
 from repro.hw.cache import index_stats
 from repro.hw.costmodel import CostModel, GemmShape
 from repro.obs.tracer import trace
@@ -464,20 +464,12 @@ class DistributedDLRM:
                 # bag-level exchange gradients feed the model's one
                 # sparse-update entry point.
                 model.sparse_update(grads_to_owner[r], global_batch, opt, rank=r)
-                # An optimizer that walks the tensors gets the sum
-                # copied over its own gradients, bucket by bucket.
-                flat = steps_from_flat(opt)
                 for half, k, handle in top_handles + bottom_handles:
                     handle.wait(r)
                     mine = self._ends[half][r][k]
-                    self.reducer.unpack_grads(
-                        r, mine, self._reduced_view[mine.span], index=k, copy=not flat
-                    )
+                    self.reducer.unpack_grads(r, mine, self._reduced_view[mine.span], index=k)
                 with trace("update.dense", rank=r):
-                    if flat:
-                        opt.step_dense(model.parameters(), reduced=self._reduced_view)
-                    else:
-                        opt.step_dense(model.parameters())
+                    opt.step_dense(model.parameters(), reduced=self._reduced_view)
                 cluster.charge(r, t_dense, "update.dense")
 
         self._map_ranks(_updates)
@@ -487,8 +479,13 @@ class DistributedDLRM:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Consolidated model state, identical in layout to a
-        single-process :meth:`DLRM.state_dict` (:func:`consolidate_state`)."""
-        return consolidate_state([m.state_dict() for m in self.models], self.owners)
+        single-process :meth:`DLRM.state_dict` (:func:`consolidate_state`).
+        Only what is kept is copied: rank 0's dense entries, every
+        rank's own tables."""
+        return consolidate_state(
+            [m.table_state_dict() if r else m.state_dict() for r, m in enumerate(self.models)],
+            self.owners,
+        )
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load a consolidated checkpoint: dense weights into every
@@ -505,8 +502,8 @@ class DistributedDLRM:
             raise RuntimeError("call attach_optimizers() before checkpointing")
         return consolidate_state(
             [
-                opt.state_dict(model.parameters(), model.tables)
-                for opt, model in zip(self.optimizers, self.models)
+                opt.state_dict([] if r else model.parameters(), model.tables)
+                for r, (opt, model) in enumerate(zip(self.optimizers, self.models))
             ],
             self.owners,
         )

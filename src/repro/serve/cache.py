@@ -160,11 +160,9 @@ class EmbeddingCache:
     def row_frequencies(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-table (rows, counts) of the resident set, rows ascending.
 
-        The warm-start feed for the tiering planner
-        (:meth:`repro.tiering.freqstats.FreqStats.seed_from_cache`): LFU
-        residency carries its accumulated access counts; LRU has no
-        counts, so each resident row reports 1 (presence is itself the
-        recency evidence).
+        A warm-start feed for a tiering planner: LFU residency carries
+        its accumulated access counts; LRU has no counts, so each
+        resident row reports 1 (presence is itself the recency evidence).
         """
         by_table: dict[int, tuple[list[int], list[int]]] = {}
         if self.policy == "lfu":

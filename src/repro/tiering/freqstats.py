@@ -12,15 +12,9 @@ counter families cover the table-size spectrum:
   (where relative error is smallest), so the hot set it extracts is
   robust to sketch collisions.
 
-:class:`FreqStats` owns one counter per table and is fed three ways:
-
-* ``record(table, indices)`` -- called directly with a batch's index
-  vectors (the profiling pass of ``placement="auto"``),
-* ``attach(model)`` -- installs a per-table hook on the model's
-  :class:`~repro.core.embedding.EmbeddingBag` instances so every gather
-  feeds the counters online during training/serving,
-* ``seed_from_cache(cache)`` -- imports the serving cache's accumulated
-  (table, row) hit frequencies as a warm start.
+:class:`FreqStats` owns one counter per table and is fed by
+``record(table, indices)`` / ``record_batch(batch)`` with a batch's index
+vectors (the profiling pass of ``placement="auto"`` and of tiering).
 
 ``snapshot()`` freezes the counters into an immutable
 :class:`FreqSnapshot` the planner consumes; ``reset()`` clears them so
@@ -232,7 +226,6 @@ class FreqStats:
         self.counters = [
             TableFreq(m, exact_threshold=exact_threshold, k=k) for m in self.table_rows
         ]
-        self._attached: list = []
 
     # -- feeding -----------------------------------------------------------
 
@@ -243,31 +236,6 @@ class FreqStats:
         """Record every table's index vector of one training batch."""
         for t in range(len(self.table_rows)):
             self.record(t, batch.indices[t])
-
-    def attach(self, model) -> None:
-        """Install gather hooks on ``model``'s owned tables: every
-        ``EmbeddingBag.forward`` feeds this object online.  Idempotent
-        per table (re-attaching replaces the hook)."""
-        for t, table in model.tables.items():
-            def hook(indices, table_id=t):
-                self.record(table_id, indices)
-            table.freq_hook = hook
-            self._attached.append(table)
-
-    def detach(self) -> None:
-        for table in self._attached:
-            table.freq_hook = None
-        self._attached = []
-
-    def seed_from_cache(self, cache) -> None:
-        """Warm-start from a serving cache's accumulated hit statistics
-        (:meth:`repro.serve.cache.EmbeddingCache.row_frequencies`)."""
-        for t, (rows, counts) in cache.row_frequencies().items():
-            idx = np.asarray(rows, dtype=np.int64)
-            cnt = np.asarray(counts, dtype=np.int64)
-            if cnt.size:
-                # Replay each (row, count) pair; repeats carry magnitude.
-                self.counters[t].record(np.repeat(idx, cnt))
 
     # -- consuming ---------------------------------------------------------
 

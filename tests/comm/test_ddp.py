@@ -18,7 +18,7 @@ def _rank_params(grads):
     return params
 
 
-def _allreduce_grads(reducer, grads, copy=True):
+def _allreduce_grads(reducer, grads):
     """One bucket of ``DistributedDLRM.train_step``'s production path:
     per-rank pack (a slice of the gradient flat), canonical-tree fold,
     transfer issue, then per-rank wait + unpack.  Returns every rank's
@@ -29,7 +29,7 @@ def _allreduce_grads(reducer, grads, copy=True):
     handle = reducer.issue_transfer(summed.nbytes)
     for r, end in enumerate(ends):
         handle.wait(r)
-        reducer.unpack_grads(r, end, summed, copy=copy)
+        reducer.unpack_grads(r, end, summed)
     return ranks, summed
 
 
@@ -43,10 +43,13 @@ class TestAllreduceGrads:
         ]
         want0 = np.sum([g[0] for g in grads], axis=0, dtype=np.float32)
         want1 = np.sum([g[1] for g in grads], axis=0, dtype=np.float32)
-        ranks, _ = _allreduce_grads(reducer, grads)
-        for params in ranks:
-            np.testing.assert_allclose(params[0].grad, want0, rtol=1e-5)
-            np.testing.assert_allclose(params[1].grad, want1, rtol=1e-5)
+        ranks, summed = _allreduce_grads(reducer, grads)
+        slab = ranks[0][0].slab
+        np.testing.assert_allclose(slab.view(summed, 0), want0, rtol=1e-5)
+        np.testing.assert_allclose(slab.view(summed, 1), want1, rtol=1e-5)
+        for params, own in zip(ranks, grads):  # the receive end is a charge, not a copy
+            np.testing.assert_array_equal(params[0].grad, own[0])
+            np.testing.assert_array_equal(params[1].grad, own[1])
 
     def test_framework_cost_charged(self, rng):
         cluster = SimCluster(2, backend="ccl")
@@ -68,7 +71,7 @@ class TestAllreduceGrads:
 
     def test_preserves_views_into_parameters(self, rng):
         """Layers keep references to their grad arrays; the reducer must
-        update those arrays, not replace them."""
+        neither replace nor write them."""
         cluster = SimCluster(2, backend="ccl")
         reducer = DistributedDataParallelReducer(cluster)
         ranks = [_rank_params([np.full(4, v, np.float32)]) for v in (1.0, 2.0)]
@@ -77,12 +80,13 @@ class TestAllreduceGrads:
         summed = tree_sum([reducer.pack_grads(r, end) for r, end in enumerate(ends)])
         for r, end in enumerate(ends):
             reducer.unpack_grads(r, end, summed)
-        np.testing.assert_array_equal(alias_a, np.full(4, 3.0))
+        np.testing.assert_array_equal(summed[:4], np.full(4, 3.0))
+        np.testing.assert_array_equal(alias_a, np.full(4, 1.0))
         assert ranks[0][0].grad is alias_a
 
     def test_pack_is_the_live_slice_and_unpack_need_not_copy(self, rng):
         """The send buffer is the gradient flat itself, slot padding and
-        all; ``copy=False`` leaves a rank's own gradients alone for a
+        all; the receive end leaves a rank's own gradients alone for a
         dense step that reads the sum where it is."""
         cluster = SimCluster(2, backend="ccl")
         reducer = DistributedDataParallelReducer(cluster)
@@ -91,10 +95,10 @@ class TestAllreduceGrads:
         flat = reducer.pack_grads(0, both)
         assert flat.base is not None and np.shares_memory(flat, slab.grads)
         assert flat.shape == (slab.size,) == (32,) and flat.sum() == 18
-        reducer.unpack_grads(0, both, np.full(32, 7.0, np.float32), copy=False)
+        packed = cluster.clocks[0].now
+        reducer.unpack_grads(0, both, np.full(32, 7.0, np.float32))
         assert slab.grads.sum() == 18
-        reducer.unpack_grads(0, BucketSlice.of(params[1:]), np.full(16, 7.0, np.float32))
-        assert params[0].grad.sum() == 15 and (params[1].grad == 7.0).all()
+        assert cluster.clocks[0].now == 2 * packed > 0  # the same charge again
 
     def test_charges_price_the_payload_not_the_padded_slice(self):
         cluster = SimCluster(2, backend="ccl")

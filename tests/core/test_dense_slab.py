@@ -1,10 +1,10 @@
-"""The dense slab: parameters, gradients and lo halves as views of flats.
+"""The dense slab: parameters, gradients and optimizer state as views of flats.
 
 Pins the never-rebind contract of :mod:`repro.core.param`: whatever
 writes a weight, a gradient or a Split-SGD lo half -- construction, a
 training step, ``load_state_dict``, a checkpoint resume on any executor
--- writes *through* the views, so the flats an optimizer steps whole are
-always the tensors the layers compute with.
+-- writes *through* the views, so the flats an optimizer steps span by
+span are always the tensors the layers compute with.
 """
 
 import gc
@@ -29,9 +29,18 @@ def padding_mask(slab: DenseSlab) -> np.ndarray:
     return mask
 
 
+def state_flat(opt: SGD, slab: DenseSlab, params: list[Parameter]) -> np.ndarray:
+    """``opt``'s whole state flat for ``slab``, padding included, reached
+    through the public view of slot 0 (which starts the flat)."""
+    first = opt.state_view(params[0]).reshape(-1)
+    assert params[0].slab is slab and params[0].slot == 0
+    return np.lib.stride_tricks.as_strided(first, shape=(slab.size,), strides=first.strides)
+
+
 def assert_aliases_slab(model: DLRM, opt: SplitSGD | None = None) -> None:
     """Every value, gradient and lo half is a view of its flat."""
     slab = model.dense
+    lo_flat = None if opt is None else state_flat(opt, slab, model.parameters())
     for slot, p in enumerate(model.parameters()):
         assert (p.slab, p.slot) == (slab, slot)
         for view, flat in ((p.value, slab.values), (p.fresh_grad(), slab.grads)):
@@ -40,9 +49,10 @@ def assert_aliases_slab(model: DLRM, opt: SplitSGD | None = None) -> None:
             assert view.ctypes.data - flat.ctypes.data == 4 * slab.offsets[slot]
         p.zero_grad()
         if opt is not None:
-            lo = opt._lo[slab].views[slot]
-            assert np.shares_memory(lo, opt._lo[slab].flat)
-            assert lo.ctypes.data - opt._lo[slab].flat.ctypes.data == 2 * slab.offsets[slot]
+            lo = opt.state_view(p)
+            assert lo.dtype == np.uint16 and lo.shape == p.shape
+            assert lo.flags["C_CONTIGUOUS"]
+            assert lo.ctypes.data - lo_flat.ctypes.data == 2 * slab.offsets[slot]
 
 
 class TestParameter:
@@ -100,16 +110,34 @@ class TestDenseSlab:
         with pytest.raises(ValueError, match="already belongs"):
             DenseSlab([p])
 
-    def test_steps_whole_needs_the_full_list_in_order_with_gradients(self):
-        params = [Parameter(np.zeros(3, np.float32)) for _ in range(3)]
+    def test_a_step_walks_the_maximal_runs_of_consecutive_pending_slots(self, monkeypatch):
+        params = [Parameter(np.zeros(3, np.float32)) for _ in range(4)]
         slab = DenseSlab(params)
-        assert not slab.steps_whole(params)  # nothing pending
-        for p in params:
-            p.fresh_grad()
-        assert slab.steps_whole(params)
-        assert not slab.steps_whole(params[:2])
-        assert not slab.steps_whole(params[::-1])
-        assert not slab.steps_whole(params[:2] + [Parameter(np.zeros(3, np.float32))])
+        loose = Parameter(np.zeros(3, np.float32))
+        opt, spans, steps = SGD(lr=0.5), [], {}
+        update = opt._update
+        monkeypatch.setattr(opt, "_update", lambda v, g, s: (spans.append(v.size), update(v, g, s)))
+
+        def sizes_of_a_step(listed, pending):
+            spans.clear()
+            for p in pending:
+                p.fresh_grad()[...] = 1.0
+                steps[p] = steps.get(p, 0) + 1
+            opt.step_dense(listed)
+            assert all(p.grad is None for p in listed)
+            return spans.copy()
+
+        assert sizes_of_a_step(params, []) == []  # nothing pending
+        assert sizes_of_a_step(params, params) == [slab.size]  # the model: one span
+        assert sizes_of_a_step(params[1:3], params[1:3]) == [32]
+        assert sizes_of_a_step(params, [params[0], params[2], params[3]]) == [16, 32]
+        assert sizes_of_a_step(params[::-1], params) == [16] * 4  # listed out of slot order
+        assert sizes_of_a_step(params[:2] + [loose] + params[2:], params + [loose]) == [32, 3, 32]
+        # Listed twice, stepped once.
+        assert sizes_of_a_step([params[0], params[0]], params[:1]) == [16]
+        for p in params + [loose]:
+            np.testing.assert_array_equal(p.value, np.full(3, -0.5 * steps[p], np.float32))
+        assert not slab.values[padding_mask(slab)].any() and loose.slab is None
 
     def test_dropping_a_model_frees_its_flats_without_the_cyclic_gc(self):
         gc.disable()
@@ -127,7 +155,7 @@ class TestDenseSlab:
         model.infer(random_batch(cfg, 8, seed=0))
         assert model.dense._grads is None
         pending_grads(model, random_batch(cfg, 8, seed=0))
-        assert model.dense.steps_whole(model.parameters())
+        assert model.dense._grads is not None
 
     def test_unregistered_parameter_of_a_registered_slab_is_refused(self):
         model = DLRM(tiny_config(), seed=0, storage="split_bf16")
@@ -155,7 +183,10 @@ class TestModelAliasesItsSlab:
         opt.load_state_dict(donor_opt.state_dict(donor.parameters()), model.parameters())
         assert_aliases_slab(model, opt)
         np.testing.assert_array_equal(model.dense.values, donor.dense.values)
-        np.testing.assert_array_equal(opt._lo[model.dense].flat, donor_opt._lo[donor.dense].flat)
+        np.testing.assert_array_equal(
+            state_flat(opt, model.dense, model.parameters()),
+            state_flat(donor_opt, donor.dense, donor.parameters()),
+        )
 
         # The loaded state is live: both models now train identically.
         batch = random_batch(cfg, 16, seed=1)
@@ -174,7 +205,7 @@ class TestModelAliasesItsSlab:
             model.train_step(random_batch(cfg, 16, seed=step), opt)
         flats = [model.dense.values, model.dense.grads]
         if isinstance(opt, SplitSGD):
-            flats.append(opt._lo[model.dense].flat)
+            flats.append(state_flat(opt, model.dense, model.parameters()))
         for flat in flats:
             assert not flat.view(f"u{flat.itemsize}")[pad].any()
         assert_aliases_slab(model, opt if isinstance(opt, SplitSGD) else None)

@@ -79,6 +79,24 @@ class TestDotInteractionForward:
             DotInteraction(3, 4).forward(dense, embs)
 
 
+@pytest.mark.parametrize("kind", ["dot", "cat"])
+def test_infer_is_forward_to_the_bit_and_leaves_a_pending_backward_alone(rng, kind):
+    op = make_interaction(kind, 3, 4)
+    first = [rng.standard_normal((5, 4)).astype(np.float32) for _ in range(4)]
+    other = [rng.standard_normal((2, 4)).astype(np.float32) for _ in range(4)]
+    dout = rng.standard_normal((5, op.out_features)).astype(np.float32)
+    out = op.forward(first[0], first[1:])
+    want = op.backward(dout)
+    again = op.infer(first[0], first[1:])
+    np.testing.assert_array_equal(again.view(np.uint32), out.view(np.uint32))
+    assert op.infer(other[0], other[1:]).shape == (2, op.out_features)
+    got = op.backward(dout)  # still the first batch's Z
+    for a, b in zip([want[0], *want[1]], [got[0], *got[1]]):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="expected 3 embedding outputs"):
+        op.infer(first[0], first[1:3])
+
+
 class TestDotInteractionBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)

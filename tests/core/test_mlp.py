@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mlp import MLP, FullyConnected, relu, sigmoid
+from repro.core.mlp import ENGINES, MLP, FullyConnected, relu, sigmoid
 
 
 class TestActivations:
@@ -187,6 +187,48 @@ class TestMLP:
     def test_empty_layer_list_rejected(self, rng):
         with pytest.raises(ValueError):
             MLP(5, (), rng=rng)
+
+
+@pytest.mark.parametrize("activation", [None, "relu", "sigmoid"])
+@pytest.mark.parametrize("engine", ENGINES)
+class TestOneForward:
+    """``forward`` is ``infer`` into the layer's workspace plus the two
+    saved references: the three ways to ask for a layer's output agree
+    to the bit on every engine, and only ``forward`` leaves state."""
+
+    def test_forward_infer_and_infer_into_a_buffer_agree_bitwise(self, rng, engine, activation):
+        fc = FullyConnected(6, 5, rng=rng, activation=activation, engine=engine)
+        x = rng.standard_normal((7, 6)).astype(np.float32)
+        plain = fc.infer(x)
+        buf = np.full((7, 5), np.nan, np.float32)
+        into = fc.infer(x, out=buf)
+        assert into is buf and fc._x is None and fc._y is None  # no autograd state
+        trained = fc.forward(x)
+        assert trained is fc._y and fc._x is x
+        assert np.shares_memory(trained, fc._ws.take("fwd.z", (7, 5)))  # the workspace buffer
+        for other in (into, trained):
+            np.testing.assert_array_equal(plain.view(np.uint32), other.view(np.uint32))
+        # A buffer of the wrong shape, dtype or layout is ignored, not an error.
+        for bad in (np.empty((7, 4), np.float32), np.empty((7, 5)), np.empty((5, 7), np.float32).T):
+            out = fc.infer(x, out=bad)
+            assert out is not bad
+            np.testing.assert_array_equal(plain.view(np.uint32), out.view(np.uint32))
+        assert fc._y is trained  # infer never touched what backward needs
+
+    def test_a_self_feeding_call_never_writes_the_buffer_it_reads(self, rng, engine, activation):
+        fc = FullyConnected(5, 5, rng=rng, activation=activation, engine=engine)
+        x = rng.standard_normal((4, 5)).astype(np.float32)
+        y1 = fc.forward(x)  # the workspace buffer, deliberately not copied
+        snapshot = y1.copy()
+        want = fc.infer(snapshot)
+        y2 = fc.forward(y1)  # input aliases the buffer forward would write
+        assert fc._x is y1 and not np.shares_memory(y2, y1)
+        np.testing.assert_array_equal(y1, snapshot)
+        again = fc.infer(y1, out=y1)  # and so may a caller's own buffer
+        assert again is not y1
+        np.testing.assert_array_equal(y1, snapshot)
+        for got in (y2, again):
+            np.testing.assert_array_equal(want.view(np.uint32), got.view(np.uint32))
 
 
 class TestWorkspaceSteadyState:

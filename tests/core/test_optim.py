@@ -16,6 +16,7 @@ from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.param import DenseSlab, Parameter
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from tests.conftest import pending_grads, racefree_update_oracle, random_batch, tiny_config
+from tests.core.test_dense_slab import padding_mask, state_flat
 
 
 def make_param(rng, shape=(6, 4)):
@@ -131,8 +132,7 @@ class TestMasterWeightSGD:
         g = rng.standard_normal(p.shape).astype(np.float32)
         p.accumulate_grad(g)
         opt.step_dense([p])
-        master = opt._master[p]
-        np.testing.assert_array_equal(p.value, quantize_bf16(master))
+        np.testing.assert_array_equal(p.value, quantize_bf16(opt.state_view(p)))
 
     def test_state_bytes_is_four_per_element(self, rng):
         """The capacity overhead Split-SGD eliminates: a full FP32 copy."""
@@ -157,7 +157,7 @@ class TestMasterWeightSGD:
             pb.accumulate_grad(g)
             a.step_dense([pa])
             b.step_dense([pb])
-        np.testing.assert_array_equal(a.master_value(pa), b._master[pb])
+        np.testing.assert_array_equal(a.master_value(pa), b.state_view(pb))
 
 
 class TestSinglePassUpdates:
@@ -341,13 +341,26 @@ class TestSplitSGDLiteralReference:
                 assert (int(got_hi[i]), int(got_lo[i])) == (hi << 16, lo), i
 
 
-def _models_with_grads(make_opt, steps=1):
+#: Every dense optimizer: name -> (factory, the table storage it trains on).
+DENSE_OPTIMIZERS = {
+    "sgd": (lambda: SGD(lr=0.05), "fp32"),
+    "momentum": (lambda: SGD(lr=0.05, momentum=0.9), "fp32"),
+    "split16": (lambda: SplitSGD(lr=0.05), "split_bf16"),
+    "split8": (lambda: SplitSGD(lr=0.05, lo_bits=8), "split_bf16"),
+    "split0": (lambda: SplitSGD(lr=0.05, lo_bits=0), "split_bf16"),
+    "adagrad": (lambda: SparseAdagrad(lr=0.05), "fp32"),
+    "master_weight": (lambda: MasterWeightSGD(lr=0.05), "fp32"),
+}
+
+
+def _models_with_grads(name, steps=1):
     """Two identical tiny models, registered, each with a full set of
     pending gradients (after ``steps - 1`` whole training steps)."""
+    make_opt, storage = DENSE_OPTIMIZERS[name]
     cfg = tiny_config()
     out = []
     for _ in range(2):
-        model = DLRM(cfg, seed=3, storage="split_bf16")
+        model = DLRM(cfg, seed=3, storage=storage)
         opt = make_opt()
         opt.register(model.parameters())
         for step in range(steps - 1):
@@ -363,46 +376,35 @@ def _dense_state(model, opt):
 
 
 class TestFlatStepEqualsPerViewStep:
-    """One call on the slab's flats == the same kernel on each view."""
+    """One span over the slab's flats == the same kernel on each view."""
 
-    @pytest.mark.parametrize(
-        "make_opt",
-        [
-            lambda: SGD(lr=0.05),
-            lambda: SplitSGD(lr=0.05),
-            lambda: SplitSGD(lr=0.05, lo_bits=8),
-            lambda: SplitSGD(lr=0.05, lo_bits=0),
-        ],
-        ids=["sgd", "split16", "split8", "split0"],
-    )
+    @pytest.mark.parametrize("name", DENSE_OPTIMIZERS)
     @pytest.mark.parametrize("block", [None, 48], ids=["one-block", "48-element-blocks"])
-    def test_whole_slab_vs_one_parameter_at_a_time(self, make_opt, block, monkeypatch):
+    def test_whole_slab_vs_one_parameter_at_a_time(self, name, block, monkeypatch):
         if block is not None:  # blocks that straddle slots and end ragged
             monkeypatch.setattr(optim, "STEP_BLOCK", block)
-        (flat, flat_opt), (views, views_opt) = _models_with_grads(make_opt, steps=3)
+        (flat, flat_opt), (views, views_opt) = _models_with_grads(name, steps=3)
         assert flat.dense.size > 10 * 48 and flat.dense.size % 48
-        assert flat.dense.steps_whole(flat.parameters())
         flat_opt.step_dense(flat.parameters())
         for p in views.parameters():
-            assert not views.dense.steps_whole([p])
             views_opt.step_dense([p])
         values_a, state_a = _dense_state(flat, flat_opt)
         values_b, state_b = _dense_state(views, views_opt)
         for a, b in zip(values_a, values_b):
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
         assert set(state_a) == set(state_b)
+        assert (len(state_a) > 2) == (name != "sgd")  # there is state to get wrong
         for key in state_a:
             np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
         assert all(p.grad is None for p in flat.parameters() + views.parameters())
 
-    @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.05), lambda: SplitSGD(lr=0.05)])
-    def test_missing_gradient_falls_back_to_views(self, make_opt):
-        (mixed, mixed_opt), (single, single_opt) = _models_with_grads(make_opt)
+    @pytest.mark.parametrize("name", DENSE_OPTIMIZERS)
+    def test_a_missing_gradient_splits_the_slab_into_two_runs(self, name):
+        (mixed, mixed_opt), (single, single_opt) = _models_with_grads(name)
         skipped = 2
         for model in (mixed, single):
             model.parameters()[skipped].zero_grad()
         before, _ = _dense_state(mixed, mixed_opt)
-        assert not mixed.dense.steps_whole(mixed.parameters())
         mixed_opt.step_dense(mixed.parameters())
         for p in single.parameters():
             single_opt.step_dense([p])
@@ -413,6 +415,102 @@ class TestFlatStepEqualsPerViewStep:
             assert (i == skipped) == np.array_equal(a, before[i])
         for key in state_a:
             np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
+
+
+_SHAPES = st.lists(
+    st.sampled_from([(1,), (3,), (16,), (33,), (5, 7), (4, 8), (2, 3, 5)]), min_size=1, max_size=6
+)
+
+
+class TestAnyPartitionIntoRunsIsTheSameStep:
+    """However a step's parameters are listed -- the whole slab, tensor
+    by tensor, any partition into runs, gradients missing here and there
+    -- and wherever it reads them (the slab's gradient flat, or a
+    ``reduced`` flat in its layout), weights and state come out bitwise
+    equal, and no padding element of any flat ever leaves zero."""
+
+    @staticmethod
+    def replica(name, shapes, seed):
+        rng = np.random.default_rng(seed)
+        params = [Parameter(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+        slab, opt = DenseSlab(params), DENSE_OPTIMIZERS[name][0]()
+        opt.register(params)
+        return params, slab, opt
+
+    @staticmethod
+    def flats(params, slab, opt):
+        out = {"values": slab.values, "grads": slab.grads}
+        if opt.state_key is not None:
+            out["state"] = state_flat(opt, slab, params)
+        return out
+
+    @pytest.mark.parametrize("name", DENSE_OPTIMIZERS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_whole_slab_tensor_by_tensor_and_any_partition(self, name, data):
+        shapes = data.draw(_SHAPES)
+        n, seed = len(shapes), data.draw(st.integers(0, 2**16))
+        block = data.draw(st.sampled_from([1 << 16, 48, 5]))
+        saved, optim.STEP_BLOCK = optim.STEP_BLOCK, block
+        try:
+            replicas = [self.replica(name, shapes, seed) for _ in range(4)]
+        finally:  # an optimizer sizes its scratch when it is built
+            optim.STEP_BLOCK = saved
+        pad = padding_mask(replicas[0][1])
+        for step in range(3):
+            absent = data.draw(st.sets(st.integers(0, n - 1)))
+            cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else [])
+            pieces = list(zip([0, *cuts], [*cuts, n]))
+            rng = np.random.default_rng([seed, step])
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            # What the fourth replica reads instead of its own gradients.
+            reduced = replicas[3][1].zeros(np.float32)
+            for slot, g in enumerate(grads):
+                replicas[3][1].view(reduced, slot)[...] = g
+            reduced.flags.writeable = False
+            optim.STEP_BLOCK = block
+            try:
+                for k, (params, slab, opt) in enumerate(replicas):
+                    for i, (p, g) in enumerate(zip(params, grads)):
+                        if i not in absent:  # the fourth's own are never read
+                            p.accumulate_grad(g if k < 3 else np.full_like(g, np.nan))
+                    if k == 0:
+                        opt.step_dense(params)
+                    elif k == 1:
+                        for p in params:
+                            opt.step_dense([p])
+                    elif k == 2:
+                        for a, b in pieces:
+                            opt.step_dense(params[a:b])
+                    else:
+                        opt.step_dense(params, reduced=reduced)
+                    assert all(p.grad is None for p in params)
+            finally:
+                optim.STEP_BLOCK = saved
+            want = self.flats(*replicas[0])
+            want_state = replicas[0][2].state_dict(replicas[0][0])
+            for k, replica in enumerate(replicas[1:], start=1):
+                for what, flat in self.flats(*replica).items():
+                    bits = f"u{flat.itemsize}"
+                    assert not flat.view(bits)[pad].any(), (k, what, "padding")
+                    if what != "grads":
+                        np.testing.assert_array_equal(
+                            flat.view(bits), want[what].view(bits), err_msg=f"{k} {what}"
+                        )
+                state = replica[2].state_dict(replica[0])
+                assert list(state) == list(want_state)
+                for key in state:
+                    np.testing.assert_array_equal(state[key], want_state[key], err_msg=key)
+
+    def test_reduced_must_have_the_slabs_layout(self):
+        params, slab, opt = self.replica("sgd", [(3,), (4,)], 0)
+        loose = Parameter(np.zeros(3, np.float32))
+        for p in params + [loose]:
+            p.fresh_grad()[...] = 1.0
+        with pytest.raises(RuntimeError, match="layout of the slab"):
+            opt.step_dense(params, reduced=np.zeros(slab.size - 16, np.float32))
+        with pytest.raises(RuntimeError, match="layout of the slab"):
+            opt.step_dense([loose], reduced=slab.zeros(np.float32))
 
 
 class TestDenseStepAllocatesNothing:

@@ -1,4 +1,5 @@
-"""PrefetchLoader / PrefetchMap: bitwise-deterministic lookahead."""
+"""LookAhead and its two callers, PrefetchLoader / PrefetchMap:
+bitwise-deterministic lookahead."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from repro.core.batch import Batch
 from repro.data.synthetic import RandomRecDataset
 from repro.exec.pool import WorkerPool
-from repro.exec.prefetch import PrefetchLoader, PrefetchMap
+from repro.exec.prefetch import LookAhead, PrefetchLoader, PrefetchMap
 
 from tests.conftest import tiny_config
 
@@ -21,6 +22,32 @@ def batches_equal(a: Batch, b: Batch) -> bool:
         if not np.array_equal(oa, ob):
             return False
     return True
+
+
+def pending_indices(ahead: LookAhead) -> list[int]:
+    """Positions currently scheduled ahead."""
+    return sorted(ahead._pending)
+
+
+class TestLookAhead:
+    def test_schedules_the_window_below_stop_and_recentres_on_a_miss(self):
+        pool = WorkerPool(2)
+        try:
+            ahead = LookAhead(lambda k: k * k, depth=3, pool=pool, stop=6)
+            assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
+            assert ahead(1) == 1 and pending_indices(ahead) == [2, 3, 4]
+            assert ahead(5) == 25 and pending_indices(ahead) == []  # a miss: window dropped
+            assert ahead(2) == 4 and pending_indices(ahead) == [3, 4, 5]
+        finally:
+            pool.shutdown()
+
+    def test_a_one_wide_pool_schedules_nothing(self):
+        ahead = LookAhead(lambda k: -k, depth=2, pool=WorkerPool(1))
+        assert [ahead(k) for k in (0, 1, 7)] == [0, -1, -7] and pending_indices(ahead) == []
+
+    def test_depth_is_validated(self):
+        with pytest.raises(ValueError, match="depth"):
+            LookAhead(abs, depth=0)
 
 
 class TestPrefetchLoader:
@@ -43,9 +70,9 @@ class TestPrefetchLoader:
         try:
             loader = PrefetchLoader(dataset, batch_size=8, pool=pool, depth=2)
             loader.batch(0)
-            assert loader.pending_indices == [1, 2]
+            assert pending_indices(loader._ahead) == [1, 2]
             loader.batch(1)
-            assert loader.pending_indices == [2, 3]
+            assert pending_indices(loader._ahead) == [2, 3]
         finally:
             pool.shutdown()
 
@@ -59,7 +86,7 @@ class TestPrefetchLoader:
             # and the window re-centres past the new cursor.
             got = loader.batch(50)
             assert batches_equal(got, dataset.batch(8, 50))
-            assert loader.pending_indices == [51]
+            assert pending_indices(loader._ahead) == [51]
         finally:
             pool.shutdown()
 
@@ -67,7 +94,7 @@ class TestPrefetchLoader:
         dataset = RandomRecDataset(tiny_config(), seed=0)
         loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(1))
         assert batches_equal(loader.batch(3), dataset.batch(8, 3))
-        assert loader.pending_indices == []
+        assert pending_indices(loader._ahead) == []
 
     def test_batch_size_and_depth_validated(self):
         dataset = RandomRecDataset(tiny_config(), seed=0)

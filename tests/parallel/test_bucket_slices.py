@@ -16,7 +16,8 @@ from repro.core.update import FusedBackwardUpdate, make_strategy
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
 from tests.conftest import random_batch, tiny_config
-from tests.core.test_dense_slab import padding_mask
+from tests.core.test_dense_slab import padding_mask, state_flat
+from tests.parallel.test_dense_step_optimizers import OPTIMIZERS
 
 
 def build(ranks=4, make_opt=lambda: SGD(lr=0.05), **kw):
@@ -61,7 +62,7 @@ def test_slab_padding_is_still_zero_after_five_steps(make_opt):
     for model, opt in zip(dist.models, dist.optimizers):
         flats = [model.dense.values, model.dense.grads, dist._reduced]
         if isinstance(opt, SplitSGD):
-            flats.append(opt._lo[model.dense].flat)
+            flats.append(state_flat(opt, model.dense, model.parameters()))
         for flat in flats:
             assert not flat.view(f"u{flat.itemsize}")[pad].any()
 
@@ -83,10 +84,11 @@ def test_a_bucket_whose_gradient_nobody_wrote_stops_the_step():
         dist.train_step(random_batch(cfg, 24, seed=1))
 
 
-@pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.05), lambda: SparseAdagrad(lr=0.05)])
+@pytest.mark.parametrize("name", OPTIMIZERS)
 @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
-def test_the_sum_a_rank_receives_is_read_only_and_nobodys_gradients(ranks, make_opt):
-    cfg, dist = build(ranks, make_opt)
+def test_every_optimizer_reads_the_shared_sum_and_no_gradient_flat_is_written(ranks, name):
+    make_opt, storage, _ = OPTIMIZERS[name]
+    cfg, dist = build(ranks, make_opt, storage=storage)
     received = []
     unpack = dist.reducer.unpack_grads
 
@@ -95,6 +97,16 @@ def test_the_sum_a_rank_receives_is_read_only_and_nobodys_gradients(ranks, make_
         return unpack(r, bucket, summed, **kw)
 
     dist.reducer.unpack_grads = spying_unpack
+    own = {}  # rank -> its gradient flat as the fold left it
+    fold = dist._resolve_pool().reduce_map
+
+    def snapshot_after_the_last_fold(*args, **kw):
+        out = fold(*args, **kw)
+        own.update({r: m.dense.grads.copy() for r, m in enumerate(dist.models)})
+        return out
+
+    dist.pool = dist._resolve_pool()
+    dist.pool.reduce_map = snapshot_after_the_last_fold
     for opt in dist.optimizers:
         step_dense = opt.step_dense
         opt.step_dense = lambda params, _step=step_dense, **kw: (
@@ -102,11 +114,15 @@ def test_the_sum_a_rank_receives_is_read_only_and_nobodys_gradients(ranks, make_
             _step(params, **kw),
         )
     sums = []
-    for step in range(2):
-        dist.train_step(random_batch(cfg, 24, seed=step))
-        sums.append(dist._reduced.copy())
-    flat = isinstance(dist.optimizers[0], SGD) and not isinstance(dist.optimizers[0], SparseAdagrad)
-    assert len(received) == 2 * ranks * (2 + flat)  # two buckets (+ the whole flat) a rank a step
+    try:
+        for step in range(2):
+            dist.train_step(random_batch(cfg, 24, seed=step))
+            sums.append(dist._reduced.copy())
+            for r, model in enumerate(dist.models):  # the dense step read, never wrote
+                np.testing.assert_array_equal(model.dense.grads, own[r])
+    finally:
+        del dist.pool.reduce_map
+    assert len(received) == 2 * ranks * 3  # two buckets and the whole flat, a rank a step
     for summed in received:
         assert not summed.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -116,6 +132,8 @@ def test_the_sum_a_rank_receives_is_read_only_and_nobodys_gradients(ranks, make_
     assert sums[0].any() and not np.array_equal(sums[0], sums[1])
     if ranks == 1:  # a one-rank "sum" is a copy, not the rank's own flat
         np.testing.assert_array_equal(dist._reduced, dist.models[0].dense.grads)
+    else:  # a rank's own gradients are not the sum: reading them would show
+        assert not np.array_equal(dist._reduced, dist.models[0].dense.grads)
 
 
 class TestSparseDispatch:

@@ -1,32 +1,35 @@
 """The hybrid-parallel dense step, optimizer by optimizer.
 
-Every rank's dense step reads one shared allreduce sum -- the whole-slab
-kernel where it lies, a tensor-walking optimizer through a copy over its
-own gradients -- so each optimizer's *state* (lo halves, velocity,
-Adagrad accumulators, master copies) has to come out exactly as if the
-rank had summed the gradients itself.  The other distributed tests
-compare two runs through the same step; these compare against something
-that never enters it: the single-process model, and a replay that
-tree-sums the captured per-rank gradients and steps tensor by tensor.
+Every rank's dense step reads one shared allreduce sum where it lies
+(``step_dense(params, reduced=)``), so each optimizer's *state* (lo
+halves, velocity, Adagrad accumulators, master copies) has to come out
+exactly as if the rank had summed the gradients itself.  The other
+distributed tests compare two runs through the same step; these compare
+against something that never enters it: the single-process model, and a
+replay that tree-sums the captured per-rank gradients and steps tensor
+by tensor.
 """
 
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.comm.collectives import tree_sum
 from repro.core.model import DLRM
-from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD, steps_from_flat
+from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
 from tests.conftest import assert_same_bits, random_batch, tiny_config
 
 STEPS = 4
-#: name -> (optimizer factory, table storage, steps the slab's flats whole)
+#: name -> (optimizer factory, table storage, checkpoint key of its dense state)
 OPTIMIZERS = {
-    "sgd": (lambda: SGD(lr=0.05), "fp32", True),
-    "sgd_momentum": (lambda: SGD(lr=0.05, momentum=0.9), "fp32", False),
-    "split_sgd": (lambda: SplitSGD(lr=0.05), "split_bf16", True),
-    "adagrad": (lambda: SparseAdagrad(lr=0.05), "fp32", False),
-    "master_weight": (lambda: MasterWeightSGD(lr=0.05), "fp32", False),
+    "sgd": (lambda: SGD(lr=0.05), "fp32", None),
+    "sgd_momentum": (lambda: SGD(lr=0.05, momentum=0.9), "fp32", "velocity"),
+    "split_sgd": (lambda: SplitSGD(lr=0.05), "split_bf16", "lo"),
+    "adagrad": (lambda: SparseAdagrad(lr=0.05), "fp32", "dense"),
+    "master_weight": (lambda: MasterWeightSGD(lr=0.05), "fp32", "master"),
 }
 
 
@@ -46,9 +49,26 @@ def dense_state(model: DLRM, opt: SGD) -> dict:
 
 
 @pytest.mark.parametrize("name", OPTIMIZERS)
-def test_the_gate_names_the_optimizers_that_step_the_flats(name):
-    make_opt, _, flat = OPTIMIZERS[name]
-    assert steps_from_flat(make_opt()) is flat
+def test_every_optimizer_takes_the_shared_sum_and_keeps_its_state_in_the_slabs_layout(name):
+    make_opt, storage, key = OPTIMIZERS[name]
+    cfg, dist = build(name, ranks=2)
+    dist.train_step(random_batch(cfg, 16, seed=0))
+    for model, opt in zip(dist.models, dist.optimizers):
+        assert inspect.signature(type(opt).step_dense).parameters.keys() == {
+            "self", "params", "reduced"
+        }
+        assert opt.state_key == key
+        state = opt.state_dict(model.parameters(), tables={})
+        assert {k.split(".")[0] for k in state} - {"lr", "momentum"} == ({key} if key else set())
+        for i, p in enumerate(model.parameters()):
+            if key is None:
+                with pytest.raises(RuntimeError, match="not registered with SGD"):
+                    opt.state_view(p)
+            else:  # the checkpoint entry is a copy of the live per-parameter view
+                view = opt.state_view(p)
+                assert view.shape == p.shape and view.any()
+                assert_same_bits({"s": state[f"{key}.{i}"]}, {"s": view}, f"{key}.{i}")
+                assert not np.shares_memory(state[f"{key}.{i}"], view)
 
 
 @pytest.mark.parametrize("name", OPTIMIZERS)

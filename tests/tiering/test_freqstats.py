@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.model import DLRM
-from repro.serve.cache import EmbeddingCache
 from repro.tiering.freqstats import (
     EXACT_ROWS_THRESHOLD,
     ExactCounter,
@@ -95,27 +93,6 @@ class TestFreqStats:
         hot, coverage = stats.snapshot().hot_set(0, budget_rows=8)
         # nothing recorded: topk still returns rows, but coverage is 0
         assert coverage == 0.0
-
-    def test_attach_feeds_counters_online(self):
-        cfg = tiny_config()
-        model = DLRM(cfg, seed=0)
-        stats = FreqStats(cfg.table_rows)
-        stats.attach(model)
-        batch = random_batch(cfg, 16, seed=1)
-        model.forward(batch)
-        snap = stats.snapshot()
-        assert all(snap.totals[t] == len(batch.indices[t]) for t in range(cfg.num_tables))
-        stats.detach()
-        model.forward(batch)
-        assert stats.snapshot().totals == snap.totals  # hooks removed
-
-    def test_seed_from_cache(self):
-        cache = EmbeddingCache(capacity_rows=16, table_rows=(50, 50), policy="lfu")
-        cache.access(0, np.array([3, 3, 3, 7]))
-        stats = FreqStats((50, 50))
-        stats.seed_from_cache(cache)
-        rows, counts = stats.snapshot().heads[0]
-        assert rows[0] == 3 and counts[0] == 3
 
     def test_reset(self):
         stats = FreqStats((50,))

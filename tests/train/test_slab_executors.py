@@ -298,35 +298,41 @@ class TestTheTrainingStepAgainstCommit15082ab:
     checkpoint at step 10.  The rank clocks are virtual and compared on
     every host; the bits only where GEMMs round as they did there."""
 
-    RECORDED = json.loads((DATA / "parent_15082ab_expected.json").read_text())
+    COMMIT, SUITE = "15082ab", "workloads"
+    #: case of the suite -> the checkpoint the parent saved of its local run
+    CHECKPOINTS = {"train_bf16": "parent_15082ab_bf16.npz"}
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads((DATA / f"parent_{self.COMMIT}_expected.json").read_text())
 
     @pytest.fixture(scope="class")
     def got(self, tmp_path_factory):
-        ckpt = tmp_path_factory.mktemp("step_bits") / "bf16.npz"
-        return json.loads(pinned_child(str(REPO / "tests/train/step_bits.py"), str(ckpt)))
+        ckpt = tmp_path_factory.mktemp("step_bits") / "ckpt.npz"
+        script = str(REPO / "tests/train/step_bits.py")
+        return json.loads(pinned_child(script, str(ckpt), self.SUITE))
 
-    def test_every_executor_runs_every_spec(self, got):
-        assert sorted(got["runs"]) == sorted(self.RECORDED["runs"])
+    def test_every_executor_runs_every_spec(self, got, recorded):
+        assert sorted(got["runs"]) == sorted(recorded["runs"])
         assert {name.split("/")[1] for name in got["runs"]} == {"local", "inline", "process"}
 
     def test_process_equals_inline_and_a_resume_equals_the_uninterrupted_run(self, got):
         for name, run in got["runs"].items():
             if name.endswith("/process"):
                 assert run == got["runs"][name.replace("/process", "/inline")], name
-        whole = got["runs"]["train_bf16/local"]
-        assert (got["resumed"]["model"], got["resumed"]["optimizer"]) == (
-            whole["model"], whole["optimizer"],
-        )
+        assert sorted(got["resumed"]) == sorted(self.CHECKPOINTS)
+        for case, run in got["resumed"].items():
+            whole = got["runs"][f"{case}/local"]
+            assert (run["model"], run["optimizer"]) == (whole["model"], whole["optimizer"]), case
 
-    def test_rank_clocks_are_the_parents(self, got):
-        for name, want in self.RECORDED["runs"].items():
+    def test_rank_clocks_are_the_parents(self, got, recorded):
+        for name, want in recorded["runs"].items():
             clocks = [float.fromhex(c) for c in got["runs"][name]["rank_clocks"]]
             want_clocks = [float.fromhex(c) for c in want["rank_clocks"]]
             assert len(clocks) == len(want_clocks), name
             assert clocks == pytest.approx(want_clocks, rel=1e-12), name
 
-    def test_bits_are_the_parents(self, got):
-        recorded = self.RECORDED
+    def test_bits_are_the_parents(self, got, recorded):
         if recorded["host"] != host_fingerprint():
             pytest.skip(
                 f"the parent's bits were recorded on {recorded['host']}; GEMM "
@@ -335,17 +341,33 @@ class TestTheTrainingStepAgainstCommit15082ab:
         assert got["runs"] == recorded["runs"]
         assert got["resumed"] == recorded["resumed"]
 
-    def test_the_parents_checkpoint_resumes(self):
-        recorded = self.RECORDED
-        path = DATA / "parent_15082ab_bf16.npz"
-        ckpt = load_checkpoint(path)  # CRCs verified
-        resumed = Trainer.from_checkpoint(path)
-        assert resumed.step == 10
-        assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
-        assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
-        resumed.fit(recorded["steps"] - 10)
-        if recorded["host"] == host_fingerprint():
-            want = recorded["runs"]["train_bf16/local"]
-            assert float(resumed.losses[-1]).hex() == want["final_loss"]
-            assert state_digest(resumed.model_state_dict()) == want["model"]
-            assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+    def test_the_parents_checkpoint_resumes(self, recorded):
+        for case, name in self.CHECKPOINTS.items():
+            path = DATA / name
+            ckpt = load_checkpoint(path)  # CRCs verified
+            resumed = Trainer.from_checkpoint(path)
+            assert resumed.step == 10
+            assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
+            assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
+            resumed.fit(recorded["steps"] - 10)
+            if recorded["host"] == host_fingerprint():
+                want = recorded["runs"][f"{case}/local"]
+                assert float(resumed.losses[-1]).hex() == want["final_loss"]
+                assert state_digest(resumed.model_state_dict()) == want["model"]
+                assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+
+
+class TestTheDenseStepAgainstCommit82d76ee(TestTheTrainingStepAgainstCommit15082ab):
+    """``parent_82d76ee_expected.json`` is ``step_bits.py``'s ``optimizers``
+    suite run at commit 82d76ee, the last one whose optimizers kept their
+    dense state in per-parameter dicts, three of them walking the tensors
+    through a copy of the allreduce sum: ``train_dist4`` at test scale
+    under ``sgd`` + ``momentum=0.9``, ``adagrad`` and ``master_weight``,
+    local at one rank, inline and process at four, with each local run's
+    step-10 checkpoint (``parent_82d76ee_<optimizer>.npz``)."""
+
+    COMMIT, SUITE = "82d76ee", "optimizers"
+    CHECKPOINTS = {
+        f"train_dist4+{key}": f"parent_82d76ee_{key}.npz"
+        for key in ("momentum", "adagrad", "master_weight")
+    }
