@@ -182,7 +182,7 @@ class WorkerPool:
 
         This is the pool-level seam of the bucketed allreduce: the thread
         pool folds the full rank list here; the process backend's
-        :class:`repro.exec.mp.SpmdRankPool` overrides it with a
+        :class:`repro.exec.transport.SpmdRankPool` overrides it with a
         hierarchical fold (local canonical-subtree partials, one
         shared-memory exchange, identical tree completion) that produces
         the same bits from the same contract.

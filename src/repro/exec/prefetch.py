@@ -46,7 +46,8 @@ class LookAhead(Generic[R]):
     positions in order finds its next result already built.  A miss
     (first call, a jump after resume, any out-of-order access) is
     computed directly and drops the stale window, which re-centres on
-    the new cursor -- same bits, ``fn`` being pure.
+    the new cursor -- same bits, ``fn`` being pure.  A hit drops what
+    lies behind the cursor (positions a consumer skipped over).
     """
 
     def __init__(
@@ -71,6 +72,8 @@ class LookAhead(Generic[R]):
         future = self._pending.pop(k, None)
         if future is None:
             self._pending.clear()
+        else:
+            self._pending = {p: f for p, f in self._pending.items() if p > k}
         for ahead in range(k + 1, min(k + 1 + self.depth, self.stop)):
             if ahead not in self._pending:
                 self._pending[ahead] = pool.submit(self.fn, ahead)

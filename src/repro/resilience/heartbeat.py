@@ -17,38 +17,25 @@ deadlines that consult it.
 from __future__ import annotations
 
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
+
+from repro.exec.shm import ShmBlock
 
 #: Per-worker record: (stamp monotonic ns, step, round seq).
 _FIELDS = 3
 
 
-class HeartbeatBoard:
+class HeartbeatBoard(ShmBlock):
     """A fixed ``(n_workers, 3)`` int64 grid in named shared memory."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, n_workers: int, owner: bool):
-        self._shm = shm
-        self._owner = owner
+    def __init__(self, name: str, n_workers: int, create: bool = False):
+        super().__init__(name, max(1, n_workers) * _FIELDS * 8 if create else None)
         self.n_workers = n_workers
-        self._grid = np.ndarray((n_workers, _FIELDS), dtype=np.int64, buffer=shm.buf)
-
-    @classmethod
-    def create(cls, name: str, n_workers: int) -> "HeartbeatBoard":
-        nbytes = max(1, n_workers) * _FIELDS * 8
-        shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        board = cls(shm, n_workers, owner=True)
-        board._grid[...] = 0
-        return board
-
-    @classmethod
-    def attach(cls, name: str, n_workers: int) -> "HeartbeatBoard":
-        return cls(shared_memory.SharedMemory(name=name), n_workers, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        grid = np.frombuffer(self._shm.buf, np.int64, n_workers * _FIELDS)
+        self._grid = grid.reshape(n_workers, _FIELDS)
+        if create:
+            self._grid[...] = 0
 
     # -- worker side ---------------------------------------------------------
 
@@ -84,18 +71,6 @@ class HeartbeatBoard:
             for w in range(self.n_workers)
         ]
 
-    # -- lifecycle -----------------------------------------------------------
-
     def close(self) -> None:
         self._grid = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown best effort
-            pass
-
-    def unlink(self) -> None:
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        super().close()

@@ -5,6 +5,8 @@ against; the two that run the same 4-rank spec (inline, process) must
 also agree bitwise on everything observable.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -34,13 +36,46 @@ def build(kind: str):
     return make_trainer(spec, backend=KINDS[kind][1], workers=workers)._executor
 
 
+@pytest.fixture(scope="module")
+def lockstep():
+    """One inline and one process executor of the same spec for the whole
+    module, stepped together from fresh: what each returned on the way
+    is recorded for the agreement test to read, and the executors stay
+    open for whatever does not need them fresh.  Built on first use,
+    inside a test, so the fork context applies."""
+    built = []
+
+    def get() -> SimpleNamespace:
+        if not built:
+            inline, proc = build("inline"), build("process")
+            batch = inline.dataset.batch(64, 10_000)
+            rates = enumerate([None, 0.2, 0.1])
+            built.append(
+                SimpleNamespace(
+                    executors={"inline": inline, "process": proc},
+                    losses=[(inline.step(i, lr), proc.step(i, lr)) for i, lr in rates],
+                    clocks=(inline.clocks(), proc.clocks()),
+                    states=(inline.state_dicts(), proc.state_dicts()),
+                    probs=(inline.predict(batch), proc.predict(batch)),
+                )
+            )
+        return built[0]
+
+    yield get
+    for shared in built:
+        for ex in shared.executors.values():
+            ex.close()
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_conformance(kind):
+def test_conformance(kind, lockstep):
     ex = build(kind)
     ex.close()  # safe before any step ...
     ex.close()  # ... and idempotent
 
-    ex = build(kind)
+    # Nothing below needs a fresh executor: every assertion is relative
+    # to the state it starts from, so the ranked kinds use the module's.
+    ex = build(kind) if kind == "local" else lockstep().executors[kind]
     try:
         assert type(ex) is KINDS[kind][0] and ex.backend == KINDS[kind][1]
         assert ex.dataset is not None and ex.batch_size > 0
@@ -70,23 +105,18 @@ def test_conformance(kind):
         assert clocks == [] if kind == "local" else len(clocks) == 4
         assert ex.drain_traces() == []  # tracing is off
     finally:
-        ex.close()
-        ex.close()
+        if kind == "local":
+            ex.close()
+            ex.close()
 
 
-def test_inline_and_process_agree_bitwise():
-    inline, proc = build("inline"), build("process")
-    try:
-        for index, lr in enumerate([None, 0.2, 0.1]):
-            assert inline.step(index, lr) == proc.step(index, lr)
-        assert inline.clocks() == proc.clocks()
-        for a, b in zip(inline.state_dicts(), proc.state_dicts()):
-            assert state_equal(a, b)
-        batch = inline.dataset.batch(64, 10_000)
-        assert np.array_equal(inline.predict(batch), proc.predict(batch))
-    finally:
-        inline.close()
-        proc.close()
+def test_inline_and_process_agree_bitwise(lockstep):
+    shared = lockstep()
+    assert all(inline_loss == proc_loss for inline_loss, proc_loss in shared.losses)
+    assert shared.clocks[0] == shared.clocks[1]
+    for a, b in zip(*shared.states):
+        assert state_equal(a, b)
+    assert np.array_equal(*shared.probs)
 
 
 @pytest.mark.parametrize("ranks", [1, 4])

@@ -12,22 +12,21 @@ the trainer suite.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.exec.executor import InlineRankExecutor
-from repro.exec.mp import (
-    MailboxOverflow,
-    ProcessRankExecutor,
-    ShmArena,
-    ShmMailbox,
-    in_worker_process,
-)
+from repro.exec.mp import ProcessRankExecutor, in_worker_process
+from repro.exec.shm import _PINNED, MailboxOverflow, ShmArena, ShmMailbox
+from repro.obs import Tracer, set_tracer, trace
+from repro.resilience import FaultPlan, HeartbeatBoard, WorkerCrash
 from repro.train import RunSpec
 from repro.train.trainer import Trainer
 
@@ -37,6 +36,12 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 @pytest.fixture(autouse=True)
 def _fork_context(monkeypatch):
     monkeypatch.setenv("REPRO_MP_CONTEXT", "fork")
+
+
+def own_segments() -> list[str]:
+    """Shared-memory segments under this process's executor prefix."""
+    prefix = f"rpx{os.getpid() % 0xFFFFF:05x}"
+    return sorted(name for name in os.listdir("/dev/shm") if name.startswith(prefix))
 
 
 def tiny_spec(**over) -> RunSpec:
@@ -51,9 +56,43 @@ def tiny_spec(**over) -> RunSpec:
     return RunSpec.from_dict(base)
 
 
+_LAYOUT = ShmArena.layout_for({"w": np.zeros((4, 4), dtype=np.float32)})
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm mount required")
+@pytest.mark.parametrize(
+    "kind,spec,view_of",
+    [
+        (ShmArena, (_LAYOUT,), lambda block: block.views()["w"]),
+        (ShmMailbox, (1 << 12,), lambda block: block.publish(np.arange(8.0), 1) or block.read(1)),
+        (HeartbeatBoard, (3,), lambda block: block._grid),
+    ],
+    ids=["arena", "mailbox", "heartbeat"],
+)
+def test_shm_block_lifecycle(kind, spec, view_of):
+    """One lifecycle under all three kinds: a unique short name, attach
+    by name, close with a live exported view pins instead of raising,
+    only the owner's unlink removes the segment."""
+    owner, pinned = kind.create_unique("x9", *spec), len(_PINNED)
+    try:
+        assert owner.name in own_segments() and len(owner.name) + 1 <= 31  # + the leading "/"
+        peer = kind(owner.name, *spec)
+        held = [view_of(owner), view_of(peer)]
+        peer.close()  # a live view into each mapping: neither close raises
+        peer.unlink()  # not the owner: a no-op
+        assert owner.name in own_segments()
+        owner.close()
+        assert len(_PINNED) == pinned + 2  # both mappings outlive their blocks ...
+        assert all(np.isfinite(np.asarray(view)).all() for view in held)  # ... and stay readable
+    finally:
+        owner.unlink()
+    assert owner.name not in own_segments()
+    owner.unlink()  # already gone: still quiet
+
+
 class TestShmMailbox:
     def test_round_trip_mixed_payload(self):
-        box = ShmMailbox.create("tmb-rt", 1 << 20)
+        box = ShmMailbox("tmb-rt", 1 << 20, create=True)
         try:
             obj = (
                 {0: np.arange(12, dtype=np.float32).reshape(3, 4)},
@@ -70,7 +109,7 @@ class TestShmMailbox:
 
     def test_double_buffer_rounds(self):
         """Round k's data survives round k+1 (parity slots)."""
-        box = ShmMailbox.create("tmb-db", 1 << 16)
+        box = ShmMailbox("tmb-db", 1 << 16, create=True)
         try:
             a = np.full(64, 1.0, dtype=np.float64)
             b = np.full(64, 2.0, dtype=np.float64)
@@ -84,7 +123,7 @@ class TestShmMailbox:
             box.unlink()
 
     def test_reads_are_readonly_views(self):
-        box = ShmMailbox.create("tmb-ro", 1 << 16)
+        box = ShmMailbox("tmb-ro", 1 << 16, create=True)
         try:
             box.publish(np.arange(8, dtype=np.float32), 1)
             out = box.read(1)
@@ -96,7 +135,7 @@ class TestShmMailbox:
             box.unlink()
 
     def test_sequence_guard(self):
-        box = ShmMailbox.create("tmb-seq", 1 << 16)
+        box = ShmMailbox("tmb-seq", 1 << 16, create=True)
         try:
             box.publish([1, 2, 3], 1)
             with pytest.raises(RuntimeError, match="out of sync"):
@@ -106,7 +145,7 @@ class TestShmMailbox:
             box.unlink()
 
     def test_overflow_is_loud(self):
-        box = ShmMailbox.create("tmb-ovf", 1 << 12)
+        box = ShmMailbox("tmb-ovf", 1 << 12, create=True)
         try:
             with pytest.raises(MailboxOverflow, match="REPRO_MP_MAILBOX_MB"):
                 box.publish(np.zeros(1 << 16, dtype=np.float64), 1)
@@ -123,17 +162,17 @@ class TestShmArena:
             "lo": np.arange(4, dtype=np.uint16),
         }
         layout = ShmArena.layout_for(state)
-        arena = ShmArena.create("tma-rt", layout)
+        arena = ShmArena("tma-rt", layout, create=True)
         try:
             arena.write(state)
-            peer = ShmArena.attach("tma-rt", layout)
+            peer = ShmArena("tma-rt", layout)
             back = peer.read()
             assert set(back) == set(state)
             for key in state:
                 assert np.array_equal(back[key], np.asarray(state[key]))
             # Writes land in shared bytes: the creator sees them live.
-            peer.views["w"][0, 0] = 42.0
-            assert arena.views["w"][0, 0] == 42.0
+            peer.views()["w"][0, 0] = 42.0
+            assert arena.views()["w"][0, 0] == 42.0
             peer.close()
         finally:
             arena.close()
@@ -141,7 +180,7 @@ class TestShmArena:
 
     def test_shape_drift_rejected(self):
         state = {"w": np.zeros((2, 2), dtype=np.float32)}
-        arena = ShmArena.create("tma-drift", ShmArena.layout_for(state))
+        arena = ShmArena("tma-drift", ShmArena.layout_for(state), create=True)
         try:
             with pytest.raises(ValueError, match="shape/dtype"):
                 arena.write({"w": np.zeros((2, 3), dtype=np.float32)})
@@ -165,52 +204,91 @@ def build_dist(spec: RunSpec):
     return dist, spec.build_dataset(cfg)
 
 
+@pytest.fixture(scope="module")
+def stepped():
+    """One executor for the assertions that only read it (or put back
+    what they change), beside a sequential reference stepped with it.
+    Built on first use, inside a test, so the fork context applies; what
+    a later test could move (clocks) is recorded here."""
+    built = []
+
+    def get() -> SimpleNamespace:
+        if not built:
+            dist, dataset = build_dist(tiny_spec())
+            ref_dist, ref_data = build_dist(tiny_spec())
+            executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=64)
+            built.append(
+                SimpleNamespace(
+                    executor=executor,
+                    ref_dist=ref_dist,
+                    ref_data=ref_data,
+                    losses=[executor.step(i, lr=0.05) for i in range(2)],
+                    ref_losses=[ref_dist.train_step(ref_data.batch(32, i)) for i in range(2)],
+                    clocks=executor.clocks(),
+                    ref_clocks=ref_dist.cluster.snapshot(),
+                )
+            )
+        return built[0]
+
+    yield get
+    for shared in built:
+        shared.executor.close()
+
+
 class TestExecutor:
-    def test_step_predict_state_parity(self):
-        spec = tiny_spec()
+    def test_step_predict_state_parity(self, stepped):
+        shared = stepped()
+        executor, ref_dist = shared.executor, shared.ref_dist
+        assert shared.losses == shared.ref_losses
+        batch = shared.ref_data.batch(32, 10_000)
+        assert np.array_equal(executor.predict(batch), ref_dist.predict_proba(batch))
+        model_state, opt_state = executor.state_dicts()
+        ref_model = ref_dist.state_dict()
+        assert set(model_state) == set(ref_model)
+        assert all(np.array_equal(model_state[k], ref_model[k]) for k in ref_model)
+        ref_opt = ref_dist.optimizer_state_dict()
+        assert set(opt_state) == set(ref_opt)
+        assert all(np.array_equal(opt_state[k], ref_opt[k]) for k in ref_opt)
+        assert shared.clocks == shared.ref_clocks
+
+    def test_load_state_round_trip(self, stepped):
+        executor = stepped().executor
+        model_state, opt_state = executor.state_dicts()
+        executor.step(2, lr=0.05)
+        executor.load_state(model_state, opt_state)
+        back, back_opt = executor.state_dicts()
+        assert all(np.array_equal(back[k], model_state[k]) for k in model_state)
+        assert all(np.array_equal(back_opt[k], opt_state[k]) for k in opt_state)
+
+    def test_worker_cap(self, stepped):
+        # Asked for 64: capped at ranks and host cores, like the thread pool.
+        assert stepped().executor.n_workers <= min(2, os.cpu_count() or 2)
+
+    @pytest.mark.parametrize(
+        "storage,optimizer",
+        [
+            ("fp32", {"name": "sgd", "lr": 0.05, "kwargs": {"momentum": 0.9}}),
+            ("split_bf16", {"name": "split_sgd", "lr": 0.05}),
+        ],
+        ids=["fp32", "split_bf16"],
+    )
+    def test_load_state_without_optimizer_state_leaves_it_alone(self, storage, optimizer):
+        """Model and optimizer state share one arena per rank: restoring
+        the model half must not touch the other."""
+        spec = tiny_spec(precision={"storage": storage}, optimizer=optimizer)
         dist, dataset = build_dist(spec)
-        ref_dist, ref_data = build_dist(spec)
         executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
         try:
-            for i in range(2):
-                loss = executor.step(i, lr=0.05)
-                ref = ref_dist.train_step(ref_data.batch(32, i))
-                assert loss == ref
-            batch = ref_data.batch(32, 10_000)
-            assert np.array_equal(executor.predict(batch), ref_dist.predict_proba(batch))
-            model_state, opt_state = executor.state_dicts()
-            ref_model = ref_dist.state_dict()
-            assert set(model_state) == set(ref_model)
-            assert all(np.array_equal(model_state[k], ref_model[k]) for k in ref_model)
-            ref_opt = ref_dist.optimizer_state_dict()
-            assert set(opt_state) == set(ref_opt)
-            assert all(np.array_equal(opt_state[k], ref_opt[k]) for k in ref_opt)
-            assert executor.clocks() == ref_dist.cluster.snapshot()
-        finally:
-            executor.close()
-
-    def test_load_state_round_trip(self):
-        spec = tiny_spec()
-        dist, dataset = build_dist(spec)
-        executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
-        try:
-            executor.step(0, lr=0.05)
-            model_state, opt_state = executor.state_dicts()
-            executor.step(1, lr=0.05)
-            executor.load_state(model_state, opt_state)
-            back, back_opt = executor.state_dicts()
-            assert all(np.array_equal(back[k], model_state[k]) for k in model_state)
-            assert all(np.array_equal(back_opt[k], opt_state[k]) for k in opt_state)
-        finally:
-            executor.close()
-
-    def test_worker_cap(self):
-        spec = tiny_spec()
-        dist, dataset = build_dist(spec)
-        executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=64)
-        try:
-            # Capped at ranks and host cores, like the thread pool.
-            assert executor.n_workers <= min(2, os.cpu_count() or 2)
+            executor.step(0, lr=None)
+            old_model, old_opt = executor.state_dicts()
+            executor.step(1, lr=None)
+            _, new_opt = executor.state_dicts()
+            assert any(not np.array_equal(old_opt[k], new_opt[k]) for k in new_opt)
+            executor.load_state(old_model)
+            model, opt = executor.state_dicts()
+            assert set(model) == set(old_model) and set(opt) == set(new_opt)
+            assert all(np.array_equal(model[k], old_model[k]) for k in model)
+            assert all(np.array_equal(opt[k], new_opt[k]) for k in opt)
         finally:
             executor.close()
 
@@ -246,6 +324,87 @@ class TestExecutor:
         executor.close()
         for pid in pids:
             _wait_gone(pid, timeout=10.0)
+
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm mount required")
+    @pytest.mark.parametrize("where", ["build", "command"])
+    def test_a_worker_failure_is_a_typed_crash_with_its_traceback(self, where):
+        """Build-time and command-time failures take one path: barrier
+        abort, traceback on the pipe, typed at the parent, nothing left
+        in shared memory."""
+        spec = tiny_spec()
+        dist, dataset = build_dist(spec)
+        before = own_segments()
+        if where == "build":
+
+            def factory():
+                if in_worker_process():
+                    raise RuntimeError("boom while building")
+                return spec.build_optimizer()
+
+            dist.attach_optimizers(factory)
+            with pytest.raises(WorkerCrash, match="worker startup") as err:
+                ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
+            assert "boom while building" in err.value.worker_traceback
+        else:
+            plan = FaultPlan.parse("worker.step:step=0,worker=0,action=raise")
+            executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=2, faults=plan)
+            with pytest.raises(WorkerCrash, match="train step") as err:
+                executor.step(0, lr=0.05)
+            assert "InjectedFault" in err.value.worker_traceback
+            assert executor._closed
+        assert "Traceback (most recent call last)" in err.value.worker_traceback
+        assert err.value.worker_index == 0 and err.value.rank_range == (0, 1)
+        assert own_segments() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm mount required")
+    @pytest.mark.parametrize("variable", ["REPRO_MP_TIMEOUT", "REPRO_MP_MAILBOX_MB"])
+    def test_a_malformed_environment_value_names_its_variable(self, monkeypatch, variable):
+        monkeypatch.setenv(variable, "soon")
+        dist, dataset = build_dist(tiny_spec())
+        before = own_segments()
+        with pytest.raises(ValueError, match=f"{variable} must be .* got 'soon'"):
+            ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
+        assert own_segments() == before
+
+    def test_a_trace_drain_has_no_size_limit(self):
+        """Each worker holds more spans than the 16 MiB trace mailbox
+        slot of old could carry; the pipe returns them all, merged."""
+        spec = tiny_spec()
+        dist, dataset = build_dist(spec)
+
+        class Chatty:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def batch(self, n, index=0):
+                if index == 0:
+                    for i in range(9000):
+                        with trace("pad", blob=f"{i:02048d}"):
+                            pass
+                return self.inner.batch(n, index)
+
+        set_tracer(Tracer(proc="main"))
+        try:
+            executor = ProcessRankExecutor(dist, Chatty(dataset), batch_size=32, workers=2)
+        finally:
+            set_tracer(None)
+        try:
+            executor.step(0, lr=0.05)
+            spans = executor.drain_traces()
+        finally:
+            executor.close()
+        per_worker: dict[str, list] = {}
+        for span in spans:
+            if span["name"] == "pad":
+                per_worker.setdefault(span["proc"], []).append(span)
+        assert len(per_worker) == executor.n_workers
+        blobs = [f"{i:02048d}" for i in range(9000)]
+        for drained in per_worker.values():
+            assert sorted(s["args"]["blob"] for s in drained) == blobs
+            assert len(pickle.dumps(drained)) > 16 << 20
+        keys = [(s["ts"], s["depth"]) for s in spans]
+        assert keys == sorted(keys)
 
 
 class TestNestedGuard:

@@ -41,6 +41,17 @@ class TestLookAhead:
         finally:
             pool.shutdown()
 
+    def test_a_hit_drops_the_positions_skipped_over(self):
+        pool = WorkerPool(2)
+        try:
+            ahead = LookAhead(lambda k: k * k, depth=3, pool=pool)
+            assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
+            # A skip forward onto a scheduled position: 1 and 2 will never
+            # be asked for, so they must not stay (each holds a result).
+            assert ahead(3) == 9 and pending_indices(ahead) == [4, 5, 6]
+        finally:
+            pool.shutdown()
+
     def test_a_one_wide_pool_schedules_nothing(self):
         ahead = LookAhead(lambda k: -k, depth=2, pool=WorkerPool(1))
         assert [ahead(k) for k in (0, 1, 7)] == [0, -1, -7] and pending_indices(ahead) == []

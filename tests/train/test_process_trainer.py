@@ -41,48 +41,56 @@ def state_equal(a: dict, b: dict) -> bool:
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
+@pytest.fixture(scope="module")
+def fitted():
+    """``fitted(storage)`` -> (sequential trainer, process trainer), both
+    fit on ``dist_spec(storage)``: one spawn per storage for every test
+    that only reads the finished runs.  Built on first use, inside a
+    test, so the fork context applies.  FP32 asks for 4 workers and
+    Split-BF16 for 2; both are capped at the host's cores."""
+    built = {}
+
+    def get(storage: str):
+        if storage not in built:
+            spec = dist_spec(storage)
+            workers = 4 if storage == "fp32" else 2
+            built[storage] = (
+                make_trainer(spec).fit(),
+                Trainer.from_spec(spec, backend="process", workers=workers).fit(),
+            )
+        return built[storage]
+
+    yield get
+    for _, proc in built.values():
+        proc.close()
+
+
 class TestProcessBitIdentity:
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
-    def test_fit_matches_sequential(self, storage):
-        spec = dist_spec(storage)
-        sequential = make_trainer(spec).fit()
-        proc = Trainer.from_spec(spec, backend="process", workers=2)
-        try:
-            proc.fit()
-            assert proc.losses == sequential.losses
-            assert state_equal(proc.model_state_dict(), sequential.dist.state_dict())
-            assert state_equal(
-                proc.opt_state_dict(), sequential.dist.optimizer_state_dict()
-            )
-            assert proc._executor.clocks() == sequential.dist.cluster.snapshot()
-        finally:
-            proc.close()
+    def test_fit_matches_sequential(self, storage, fitted):
+        sequential, proc = fitted(storage)
+        assert proc.losses == sequential.losses
+        assert state_equal(proc.model_state_dict(), sequential.dist.state_dict())
+        assert state_equal(proc.opt_state_dict(), sequential.dist.optimizer_state_dict())
+        assert proc._executor.clocks() == sequential.dist.cluster.snapshot()
 
-    def test_fit_matches_thread_pool(self):
+    def test_fit_matches_thread_pool(self, fitted):
         spec = dist_spec()
         with pooled(4):
             thread = make_trainer(spec).fit()
-        proc = Trainer.from_spec(spec, backend="process", workers=4)
-        try:
-            proc.fit()
-            assert proc.losses == thread.losses
-            assert state_equal(proc.model_state_dict(), thread.dist.state_dict())
-        finally:
-            proc.close()
+        _, proc = fitted("fp32")
+        assert proc.losses == thread.losses
+        assert state_equal(proc.model_state_dict(), thread.dist.state_dict())
 
-    def test_predict_and_evaluate_parity(self):
-        spec = dist_spec()
-        sequential = make_trainer(spec).fit()
-        proc = Trainer.from_spec(spec, backend="process", workers=2)
-        try:
-            proc.fit()
-            assert np.array_equal(
-                proc.predict_proba(proc.eval_batch()),
-                sequential.predict_proba(sequential.eval_batch()),
-            )
-            assert proc.evaluate() == sequential.evaluate()
-        finally:
-            proc.close()
+    def test_predict_and_evaluate_parity(self, fitted):
+        # Both sides predict the same number of times, so their clocks
+        # stay level for whichever test reads them next.
+        sequential, proc = fitted("fp32")
+        assert np.array_equal(
+            proc.predict_proba(proc.eval_batch()),
+            sequential.predict_proba(sequential.eval_batch()),
+        )
+        assert proc.evaluate() == sequential.evaluate()
 
     def test_lr_schedule_rides_the_pipe(self):
         """Callback-driven lr changes reach the workers step by step."""
