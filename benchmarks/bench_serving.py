@@ -9,7 +9,7 @@ embedding cache earn a substantial hit rate at a tiny fraction of the
 table capacity.
 """
 
-from repro.serve import ServeParams, frontier_rows, sweep_budgets
+from repro.serve import ServeParams, sla_frontier, sweep_budgets
 
 BUDGETS_MS = (1.0, 5.0, 20.0)
 
@@ -41,7 +41,7 @@ def test_serving_sweep(benchmark, emit):
     )
     emit(
         "serving_sla_frontier",
-        frontier_rows(rows, sla_ms_grid=(2.0, 5.0, 10.0, 25.0, 50.0)),
+        sla_frontier(rows),
         title="Serving: throughput-under-SLA frontier",
     )
     by_budget = {r["budget_ms"]: r for r in rows}

@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault", metavar="PLAN", default="",
         help="inject replica failures and serve through them: a fault-plan "
         "string like 'serve.replica:replica=1,action=die' (actions die/"
-        "slow/error; see repro.resilience.faults). Switches the run onto "
-        "the degradation-aware replica set and reports shed rate",
+        "slow/error; see repro.resilience.faults). Turns hedging and load "
+        "shedding on and reports the shed rate",
     )
     sv.add_argument(
         "--error-threshold", type=int, default=3,
@@ -782,7 +782,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         }
         return format_table([row], title=f"Checkpoint evaluation ({args.checkpoint})")
     if name == "serve":
-        from repro.serve import ServeParams, frontier_rows, sweep_budgets
+        from repro.serve import ServeParams, sla_frontier, sweep_budgets
 
         scored = ""
         if args.checkpoint:
@@ -819,24 +819,25 @@ def _dispatch(args: argparse.Namespace) -> str:
             raise SystemExit("repro serve: --cache-rows must be >= 1")
         if any(b <= 0 for b in args.budgets_ms):
             raise SystemExit("repro serve: --budgets-ms values must be positive")
-        degrade = None
-        if args.fault:
-            from repro.resilience.faults import FaultPlan
-            from repro.serve import DegradePolicy
+        from repro.resilience.faults import FaultPlan
+        from repro.serve import DegradePolicy
 
-            try:
-                FaultPlan.parse(args.fault)
-            except ValueError as exc:
-                raise SystemExit(f"repro serve: --fault: {exc}") from exc
-            if args.error_threshold < 1:
-                raise SystemExit("repro serve: --error-threshold must be >= 1")
-            if args.retry_attempts < 1:
-                raise SystemExit("repro serve: --retry-attempts must be >= 1")
+        try:
+            FaultPlan.parse(args.fault)
             degrade = DegradePolicy(
                 error_threshold=args.error_threshold,
                 cooldown_s=args.breaker_cooldown_ms * 1e-3,
                 retry_attempts=args.retry_attempts,
             )
+        except ValueError as exc:
+            raise SystemExit(f"repro serve: {exc}") from exc
+        if not args.fault:
+            if degrade != DegradePolicy():
+                raise SystemExit(
+                    "repro serve: --error-threshold, --breaker-cooldown-ms and "
+                    "--retry-attempts tune the response to --fault; give a fault plan"
+                )
+            degrade = None
         params = ServeParams(
             config=args.config,
             requests=args.requests,
@@ -868,7 +869,7 @@ def _dispatch(args: argparse.Namespace) -> str:
             ),
         )
         frontier = format_table(
-            frontier_rows(sweep), title="Throughput-under-SLA frontier"
+            sla_frontier(sweep), title="Throughput-under-SLA frontier"
         )
         return f"{scored}{table}\n\n{frontier}"
     if name == "iteration":

@@ -150,11 +150,6 @@ class FullyConnected:
             param.value[...] = checked_entry(state, key, param.shape, np.float32)
             param.zero_grad()
 
-    @property
-    def workspace_bytes(self) -> int:
-        """Resident scratch bytes of this layer's arena."""
-        return self._ws.nbytes
-
     # -- passes ----------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -314,11 +309,6 @@ class MLP:
     @property
     def out_features(self) -> int:
         return self.layers[-1].out_features
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Resident scratch bytes across all layers' arenas."""
-        return sum(layer.workspace_bytes for layer in self.layers)
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]

@@ -30,7 +30,7 @@ Actions the *call site* applies (fire returns the matched point):
     the just-written checkpoint file gets bytes flipped.
 ``die`` / ``slow`` / ``error``
     serve-replica failures, interpreted on virtual time by
-    :mod:`repro.serve.degrade`.
+    :class:`repro.serve.replica.ReplicaSet`.
 
 The one-line syntax (``repro train --fault ...``)::
 

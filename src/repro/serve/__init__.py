@@ -23,19 +23,8 @@ from repro.serve.batcher import (
     poisson_stream,
 )
 from repro.serve.cache import CacheReport, EmbeddingCache
-from repro.serve.degrade import (
-    BreakerState,
-    DegradePolicy,
-    DegradedServingResult,
-    ResilientReplicaSet,
-)
-from repro.serve.driver import (
-    ServeParams,
-    ServingWorkload,
-    frontier_rows,
-    run_serving,
-    sweep_budgets,
-)
+from repro.serve.degrade import BreakerState, DegradePolicy
+from repro.serve.driver import ServeParams, ServingWorkload, run_serving, sweep_budgets
 from repro.serve.engine import InferenceEngine
 from repro.serve.replica import ROUTERS, ReplicaSet, ReplicaStats, Router, ServingResult
 from repro.serve.sla import LatencyReport, ServingCost, latency_report, sla_frontier
@@ -44,9 +33,7 @@ __all__ = [
     "BreakerState",
     "CacheReport",
     "DegradePolicy",
-    "DegradedServingResult",
     "EmbeddingCache",
-    "ResilientReplicaSet",
     "InferenceEngine",
     "LatencyReport",
     "MicroBatch",
@@ -62,7 +49,6 @@ __all__ = [
     "ServingResult",
     "ServingWorkload",
     "StreamConfig",
-    "frontier_rows",
     "latency_report",
     "poisson_stream",
     "run_serving",

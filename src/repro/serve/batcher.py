@@ -113,20 +113,6 @@ class MicroBatch:
         """Total candidate rows scored by this batch."""
         return sum(r.candidates for r in self.requests)
 
-    @property
-    def open_time(self) -> float:
-        """Arrival of the oldest (first) request in the batch."""
-        return self.requests[0].arrival
-
-    @property
-    def queue_delay(self) -> float:
-        """Batching delay suffered by the oldest request."""
-        return self.dispatch_time - self.open_time
-
-    def delays(self) -> list[float]:
-        """Per-request batching delay (dispatch - arrival)."""
-        return [self.dispatch_time - r.arrival for r in self.requests]
-
 
 class MicroBatcher:
     """Coalesces an arrival-ordered request stream into micro-batches.

@@ -147,40 +147,6 @@ class EmbeddingCache:
         self.misses += misses
         return CacheReport(hits=hits, misses=misses, stats=stats)
 
-    def reset(self) -> None:
-        """Zero the cumulative hit/miss counters, keeping the resident set.
-
-        Lets callers window statistics by epoch: snapshot ``hits`` /
-        ``misses`` / :meth:`row_frequencies`, reset, and the next window
-        starts from a warm cache but clean counters.
-        """
-        self.hits = 0
-        self.misses = 0
-
-    def row_frequencies(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per-table (rows, counts) of the resident set, rows ascending.
-
-        A warm-start feed for a tiering planner: LFU residency carries
-        its accumulated access counts; LRU has no counts, so each
-        resident row reports 1 (presence is itself the recency evidence).
-        """
-        by_table: dict[int, tuple[list[int], list[int]]] = {}
-        if self.policy == "lfu":
-            items = ((key, c) for key, c in self._freq.items())
-        else:
-            items = ((key, 1) for key in self._lru)
-        for (table, row), count in items:
-            rows, counts = by_table.setdefault(table, ([], []))
-            rows.append(row)
-            counts.append(count)
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for table, (rows, counts) in by_table.items():
-            r = np.asarray(rows, dtype=np.int64)
-            c = np.asarray(counts, dtype=np.int64)
-            order = np.argsort(r)
-            out[table] = (r[order], c[order])
-        return out
-
     def _evict_lfu(self) -> None:
         """Pop stale heap entries until the resident set fits."""
         freq, heap = self._freq, self._heap

@@ -1,12 +1,10 @@
-"""Graceful serve degradation: breakers, retry/hedge, load shedding.
+"""Graceful serve degradation: the policy knobs and the breaker state.
 
-:class:`ResilientReplicaSet` is the fault-aware sibling of
-:class:`~repro.serve.replica.ReplicaSet`: the same dispatch-ordered
-virtual-time loop, but every dispatch first consults a
+:class:`~repro.serve.replica.ReplicaSet` consults a
 :class:`~repro.resilience.faults.FaultPlan` (site ``serve.replica``,
-actions ``die``/``slow``/``error``) and the per-replica circuit-breaker
-state before a micro-batch lands.  The failure handling is the serving
-half of the resilience story:
+actions ``die``/``slow``/``error``) and the per-replica
+:class:`BreakerState` before every micro-batch lands; the
+:class:`DegradePolicy` here tunes what it does about a failure:
 
 * **death detection** -- a ``die`` fault removes the replica from
   routing permanently; in-flight work retries elsewhere.
@@ -29,25 +27,13 @@ half of the resilience story:
 
 Everything runs on the cluster's virtual clocks, so chaos scenarios are
 bit-reproducible; degradation events surface as ``repro.obs`` spans
-(``serve.degrade.*``) and on :attr:`DegradedServingResult.events`.
+(``serve.degrade.*``) and on :attr:`ServingResult.events
+<repro.serve.replica.ServingResult.events>`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
-
-from repro.obs.tracer import trace
-from repro.parallel.cluster import SimCluster
-from repro.resilience.errors import ResilienceError
-from repro.resilience.faults import FaultPlan
-from repro.serve.batcher import MicroBatch
-from repro.serve.replica import ReplicaSet, ReplicaStats, Router, ServingResult
-from repro.serve.sla import ServingCost
-from repro.util import backoff_delays
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -82,6 +68,12 @@ class DegradePolicy:
             raise ValueError("shed_fraction must be in (0, 1]")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1")
+        for name in (
+            "cooldown_s", "retry_backoff_s", "retry_cap_s", "hedge_wait_s", "shed_wait_s"
+        ):
+            # ``inf`` is a legal wait (never hedge, never shed); NaN is not.
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -99,270 +91,3 @@ class BreakerState:
 
     def available(self, now: float) -> bool:
         return self.alive and now >= self.open_until
-
-
-@dataclass
-class DegradedServingResult(ServingResult):
-    """A :class:`ServingResult` plus the degradation ledger."""
-
-    retries: int = 0
-    hedges: int = 0
-    #: Requests served degraded (shed); they still completed.
-    shed_requests: int = 0
-    dead_replicas: list[int] = field(default_factory=list)
-    breaker_trips: int = 0
-    #: Degradation events in virtual-time order: {event, t, ...}.
-    events: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def shed_rate(self) -> float:
-        total = int(self.latencies.size)
-        return self.shed_requests / total if total else 0.0
-
-
-class ResilientReplicaSet(ReplicaSet):
-    """A :class:`ReplicaSet` that keeps serving through replica failure.
-
-    ``faults`` drives the injected failures (site ``serve.replica``,
-    matched on ``replica`` -- the rank -- ``request`` -- the batch's
-    oldest request id -- and ``seq`` -- the dispatch index); ``policy``
-    tunes the breaker/retry/hedge/shed machinery.  With an empty plan
-    and light load the serve loop degenerates to the plain one (same
-    routing, same costs), so the resilient path can serve as a drop-in.
-    """
-
-    def __init__(
-        self,
-        cluster: SimCluster,
-        cost: ServingCost,
-        cache_rows: int,
-        cache_policy: str = "lru",
-        router: str | Router = "least_loaded",
-        faults: FaultPlan | None = None,
-        policy: DegradePolicy | None = None,
-    ):
-        super().__init__(
-            cluster, cost, cache_rows, cache_policy=cache_policy, router=router
-        )
-        self.faults = faults if faults is not None else FaultPlan()
-        self.policy = policy or DegradePolicy()
-        self.states = [BreakerState(rank=r) for r in cluster.ranks]
-        self.events: list[dict[str, Any]] = []
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _event(self, kind: str, t: float, **data: Any) -> None:
-        self.events.append({"event": kind, "t": t, **data})
-        with trace(f"serve.degrade.{kind}", t=t, **data):
-            pass
-
-    def _note_error(self, st: BreakerState, now: float) -> None:
-        st.errors += 1
-        if st.errors >= self.policy.error_threshold and st.open_until <= now:
-            st.open_until = now + self.policy.cooldown_s * (2.0**st.trips)
-            st.trips += 1
-            self._event("breaker_open", now, replica=st.rank, until=st.open_until)
-
-    def _note_success(self, st: BreakerState, now: float) -> None:
-        if st.errors >= self.policy.error_threshold:
-            # The half-open probe succeeded: readmit the replica.
-            self._event("readmit", now, replica=st.rank)
-        st.errors = 0
-
-    # -- routing -------------------------------------------------------------
-
-    def _pick(self, mb: MicroBatch, avail: list[int]) -> int:
-        busy = [
-            self.cluster.clocks[r].now if r in avail else math.inf
-            for r in self.cluster.ranks
-        ]
-        rank = self.router.pick(mb, busy)
-        if rank not in avail:
-            # round_robin / cache_affinity ignore health; remap onto the
-            # available set without disturbing their policy state.
-            rank = avail[rank % len(avail)]
-        return rank
-
-    # -- one dispatch --------------------------------------------------------
-
-    def _service(
-        self, mb: MicroBatch, rank: int, indices: list[np.ndarray], shed: bool
-    ) -> tuple[float, int, int, int]:
-        """(service time, hits, misses, samples) of ``mb`` on ``rank``;
-        a shed batch scores only ``shed_fraction`` of its look-ups."""
-        cache = self.caches[rank]
-        hits = misses = 0
-        for t, idx in enumerate(indices):
-            if shed:
-                idx = idx[: max(1, int(len(idx) * self.policy.shed_fraction))]
-            rep = cache.access(t, idx)
-            hits += rep.hits
-            misses += rep.misses
-        lookups = hits + misses
-        hit_rate = hits / lookups if lookups else 0.0
-        samples = (
-            max(1, int(mb.samples * self.policy.shed_fraction)) if shed else mb.samples
-        )
-        service = self.cost.batch_time(samples, total_lookups=lookups, hit_rate=hit_rate)
-        return service, hits, misses, samples
-
-    def _land(
-        self,
-        stats: list[ReplicaStats],
-        rank: int,
-        now: float,
-        service: float,
-        hits: int,
-        misses: int,
-        samples: int,
-    ) -> float:
-        """Advance ``rank``'s clock past the batch; returns completion."""
-        clock = self.cluster.clocks[rank]
-        start = max(now, clock.now)
-        done = start + service
-        clock.advance_to(done)
-        prof = self.cluster.profilers[rank]
-        prof.add("serve.batch", service)
-        prof.add("serve.queue", start - now)
-        st = stats[rank]
-        st.batches += 1
-        st.samples += samples
-        st.busy_s += service
-        st.hits += hits
-        st.misses += misses
-        return done
-
-    # -- the serve loop ------------------------------------------------------
-
-    def serve(self, batches: list[MicroBatch], indices_for) -> DegradedServingResult:
-        """Serve ``batches`` to completion through injected failures.
-
-        Every request completes: failed dispatches retry with backoff on
-        the surviving replicas, overload sheds to a degraded (cheaper)
-        response, and only the death of *every* replica raises.
-        """
-        pol = self.policy
-        stats = [ReplicaStats(rank=r) for r in self.cluster.ranks]
-        lat: dict[int, float] = {}
-        shed_rids: set[int] = set()
-        retries = hedges = n_batches = 0
-        makespan = 0.0
-        for bi, mb in enumerate(sorted(batches, key=lambda b: b.dispatch_time)):
-            rid0 = mb.requests[0].rid
-            delays = [0.0] + backoff_delays(
-                pol.retry_attempts, pol.retry_backoff_s, cap=pol.retry_cap_s,
-                jitter_seed=rid0,
-            )
-            indices = indices_for(mb)
-            offset = 0.0
-            tried: set[int] = set()
-            done = None
-            for attempt, delay in enumerate(delays):
-                offset += delay
-                now = mb.dispatch_time + offset
-                if attempt:
-                    retries += 1
-                    self._event(
-                        "retry", now, replica=None, request=rid0, attempt=attempt
-                    )
-                avail = [
-                    s.rank
-                    for s in self.states
-                    if s.available(now) and s.rank not in tried
-                ]
-                if not avail:
-                    # Everything is open or already tried: wait for the
-                    # earliest breaker to half-open (readmission path).
-                    alive = [s for s in self.states if s.alive and s.rank not in tried]
-                    if not alive:
-                        alive = [s for s in self.states if s.alive]
-                        tried.clear()
-                    if not alive:
-                        raise ResilienceError(
-                            "all serve replicas are dead; nothing left to route to"
-                        )
-                    st = min(alive, key=lambda s: s.open_until)
-                    now = max(now, st.open_until)
-                    avail = [st.rank]
-                rank = self._pick(mb, avail)
-                st = self.states[rank]
-                point = self.faults.match(
-                    "serve.replica", replica=rank, request=rid0, seq=bi
-                )
-                if point is not None and point.action == "die":
-                    st.alive = False
-                    tried.add(rank)
-                    self._event("replica_die", now, replica=rank, request=rid0)
-                    continue
-                if point is not None and point.action == "error":
-                    self._note_error(st, now)
-                    tried.add(rank)
-                    self._event("replica_error", now, replica=rank, request=rid0)
-                    continue
-                wait = max(0.0, self.cluster.clocks[rank].now - now)
-                shed = wait > pol.shed_wait_s
-                service, hits, misses, samples = self._service(mb, rank, indices, shed)
-                if point is not None and point.action == "slow":
-                    service = (
-                        service + point.seconds
-                        if point.seconds
-                        else service * pol.slow_factor
-                    )
-                    self._event("replica_slow", now, replica=rank, request=rid0)
-                done = self._land(stats, rank, now, service, hits, misses, samples)
-                if shed:
-                    shed_rids.update(r.rid for r in mb.requests)
-                    self._event(
-                        "shed", now, replica=rank, requests=len(mb.requests)
-                    )
-                elif wait > pol.hedge_wait_s:
-                    # Queueing but below the shed line: hedge onto the
-                    # replica that frees earliest, if that helps.
-                    alts = [
-                        s.rank
-                        for s in self.states
-                        if s.available(now) and s.rank != rank and s.rank not in tried
-                    ]
-                    if alts:
-                        alt = min(alts, key=lambda r: self.cluster.clocks[r].now)
-                        if self.cluster.clocks[alt].now < self.cluster.clocks[rank].now:
-                            s2, h2, m2, n2 = self._service(mb, alt, indices, False)
-                            done2 = self._land(stats, alt, now, s2, h2, m2, n2)
-                            done = min(done, done2)
-                            hedges += 1
-                            self._event("hedge", now, replica=rank, alt=alt)
-                self._note_success(st, now)
-                break
-            if done is None:
-                # Out of attempts (every try hit an injected failure):
-                # force a degraded response on the least-loaded survivor
-                # so the requests still complete.
-                alive = [s.rank for s in self.states if s.alive]
-                if not alive:
-                    raise ResilienceError(
-                        "all serve replicas are dead; nothing left to route to"
-                    )
-                rank = min(alive, key=lambda r: self.cluster.clocks[r].now)
-                now = mb.dispatch_time + offset
-                service, hits, misses, samples = self._service(mb, rank, indices, True)
-                done = self._land(stats, rank, now, service, hits, misses, samples)
-                shed_rids.update(r.rid for r in mb.requests)
-                self._event("forced", now, replica=rank, requests=len(mb.requests))
-                self._note_success(self.states[rank], now)
-            n_batches += 1
-            makespan = max(makespan, done)
-            for r in mb.requests:
-                lat[r.rid] = done - r.arrival
-        latencies = np.array([lat[rid] for rid in sorted(lat)], dtype=np.float64)
-        return DegradedServingResult(
-            latencies=latencies,
-            makespan_s=makespan,
-            replicas=stats,
-            batches=n_batches,
-            retries=retries,
-            hedges=hedges,
-            shed_requests=len(shed_rids),
-            dead_replicas=[s.rank for s in self.states if not s.alive],
-            breaker_trips=sum(s.trips for s in self.states),
-            events=list(self.events),
-        )

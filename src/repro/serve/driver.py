@@ -9,8 +9,7 @@ latencies into the throughput-vs-p99 table and SLA frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,13 +19,12 @@ from repro.exec.pool import get_pool
 from repro.exec.prefetch import PrefetchMap
 from repro.obs.tracer import trace
 from repro.parallel.cluster import SimCluster
+from repro.resilience.faults import FaultPlan
 from repro.serve.batcher import MicroBatch, MicroBatcher, Request, StreamConfig, poisson_stream
+from repro.serve.degrade import DegradePolicy
 from repro.serve.replica import ReplicaSet, ServingResult
-from repro.serve.sla import ServingCost, sla_frontier
+from repro.serve.sla import ServingCost
 from repro.util import rng_from
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.serve.degrade import DegradePolicy
 
 #: Key stride scattering each user's Zipf head across the id space.
 _KEY_STRIDE = 7919
@@ -99,8 +97,8 @@ class ServeParams:
     cache_policy: str = "lru"
     platform: str = "cluster"
     seed: int = 0
-    #: Fault-plan string (``serve.replica:...``); non-empty switches the
-    #: run onto :class:`~repro.serve.degrade.ResilientReplicaSet`.
+    #: Fault-plan string (``serve.replica:...``); non-empty injects the
+    #: failures and turns the default :class:`DegradePolicy` on.
     fault: str = ""
 
     @property
@@ -112,16 +110,16 @@ def run_serving(
     params: ServeParams,
     workload: ServingWorkload | None = None,
     stream: list[Request] | None = None,
-    degrade: "DegradePolicy | None" = None,
+    degrade: DegradePolicy | None = None,
 ) -> tuple[ServingResult, dict[str, object]]:
     """Simulate one operating point; returns (result, summary row).
 
     ``workload``/``stream`` may be passed in to share index synthesis
     across operating points (see :func:`sweep_budgets`); they must have
     been built from the same config and seed as ``params``.  A non-empty
-    ``params.fault`` (or an explicit ``degrade`` policy) runs the
-    degradation-aware replica set instead of the plain one; the summary
-    row then carries the shed rate and recovery counters.
+    ``params.fault`` (or an explicit ``degrade`` policy) turns hedging
+    and shedding on; the summary row then carries the shed rate and
+    recovery counters.
     """
     cfg = get_config(params.config)
     if workload is None:
@@ -142,27 +140,15 @@ def run_serving(
         sp.add(batches=len(batches))
     cluster = SimCluster(params.replicas, platform=params.platform)
     cost = ServingCost(cfg, socket=cluster.socket, calib=cluster.calib)
-    if params.fault or degrade is not None:
-        from repro.resilience.faults import FaultPlan
-        from repro.serve.degrade import DegradePolicy, ResilientReplicaSet
-
-        replicas = ResilientReplicaSet(
-            cluster,
-            cost,
-            cache_rows=params.cache_rows,
-            cache_policy=params.cache_policy,
-            router=params.router,
-            faults=FaultPlan.parse(params.fault) if params.fault else None,
-            policy=degrade or DegradePolicy(),
-        )
-    else:
-        replicas = ReplicaSet(
-            cluster,
-            cost,
-            cache_rows=params.cache_rows,
-            cache_policy=params.cache_policy,
-            router=params.router,
-        )
+    replicas = ReplicaSet(
+        cluster,
+        cost,
+        cache_rows=params.cache_rows,
+        cache_policy=params.cache_policy,
+        router=params.router,
+        faults=FaultPlan.parse(params.fault) if params.fault else None,
+        policy=degrade,
+    )
     # Sort into dispatch order here (ReplicaSet.serve's own stable sort
     # is then the identity), so the prefetcher's lookahead window and
     # the replica loop consume the micro-batches in the same order.
@@ -185,7 +171,7 @@ def run_serving(
         "hit_rate": result.hit_rate,
     }
     row.update(result.report().row())
-    if params.fault or degrade is not None:
+    if replicas.degrades:
         row.update(
             {
                 "shed_rate": result.shed_rate,
@@ -201,7 +187,7 @@ def run_serving(
 def sweep_budgets(
     params: ServeParams,
     budgets_ms: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0),
-    degrade: "DegradePolicy | None" = None,
+    degrade: DegradePolicy | None = None,
 ) -> list[dict[str, object]]:
     """Throughput-vs-p99 sweep over the micro-batcher's latency budget.
 
@@ -210,8 +196,6 @@ def sweep_budgets(
     one shared :class:`ServingWorkload` memoises index synthesis across
     all points instead of redrawing 2000 x S Zipf vectors per budget.
     """
-    from dataclasses import replace
-
     workload = ServingWorkload(get_config(params.config), seed=params.seed)
     stream = poisson_stream(
         StreamConfig(
@@ -228,11 +212,3 @@ def sweep_budgets(
         )
         rows.append(row)
     return rows
-
-
-def frontier_rows(
-    sweep: list[dict[str, object]],
-    sla_ms_grid: tuple[float, ...] = (2.0, 5.0, 10.0, 25.0, 50.0),
-) -> list[dict[str, object]]:
-    """SLA frontier of a budget sweep (see :func:`sla_frontier`)."""
-    return sla_frontier(sweep, sla_ms_grid)

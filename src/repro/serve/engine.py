@@ -38,10 +38,8 @@ class InferenceEngine:
         #: into ``buf[:n]`` views of the capacity-sized allocations.
         self._ws = Workspace()
         self._capacity = 0
-        self.batches_scored = 0
-        self.samples_scored = 0
+        #: Calls that grew the workspace (allocated); all others ran warm.
         self.cold_calls = 0
-        self.warm_calls = 0
 
     @classmethod
     def from_checkpoint(cls, path) -> "InferenceEngine":
@@ -90,8 +88,6 @@ class InferenceEngine:
         if n > self._capacity:
             self._capacity = n
             self.cold_calls += 1
-        else:
-            self.warm_calls += 1
         # Take at full capacity (so the arena never thrashes), then hand
         # out leading slices: a leading slice of a C-contiguous buffer is
         # itself contiguous, so the MLP infer path can still write GEMMs
@@ -100,11 +96,6 @@ class InferenceEngine:
         bottom = self._layer_bufs("bottom", self.model.bottom, cap)
         top = self._layer_bufs("top", self.model.top, cap)
         return [b[:n] for b in bottom], [b[:n] for b in top]
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Resident bytes of the preallocated workspace."""
-        return self._ws.nbytes
 
     # -- scoring ------------------------------------------------------------
 
@@ -116,8 +107,6 @@ class InferenceEngine:
         """
         bottom_outs, top_outs = self._workspace(batch.size)
         logits = self.model.infer(batch, bottom_outs=bottom_outs, top_outs=top_outs)
-        self.batches_scored += 1
-        self.samples_scored += batch.size
         return logits.copy()
 
     def predict(self, batch: Batch) -> np.ndarray:

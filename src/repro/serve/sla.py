@@ -151,7 +151,7 @@ def latency_report(latencies: Sequence[float] | np.ndarray, duration_s: float) -
 
 def sla_frontier(
     rows: Iterable[Mapping[str, object]],
-    sla_ms_grid: Sequence[float],
+    sla_ms_grid: Sequence[float] = (2.0, 5.0, 10.0, 25.0, 50.0),
     qps_key: str = "qps",
     p99_key: str = "p99_ms",
 ) -> list[dict[str, object]]:

@@ -37,11 +37,9 @@ from repro.train.checkpoint import (
     save_state,
 )
 from repro.train.registry import (
-    BATCH_POLICIES,
     DATASETS,
     LR_SCHEDULES,
     OPTIMIZERS,
-    ROUTE_POLICIES,
     Registry,
     UPDATE_STRATEGIES,
 )
@@ -58,7 +56,6 @@ from repro.train.spec import (
 from repro.train.trainer import Trainer, make_trainer
 
 __all__ = [
-    "BATCH_POLICIES",
     "Callback",
     "CallbackList",
     "Checkpoint",
@@ -75,7 +72,6 @@ __all__ = [
     "ParallelSpec",
     "PeriodicEval",
     "PrecisionSpec",
-    "ROUTE_POLICIES",
     "Registry",
     "RunSpec",
     "ScheduleSpec",

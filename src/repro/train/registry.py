@@ -1,8 +1,7 @@
 """String-keyed component registries: the extension points of ``repro.train``.
 
 Every pluggable piece of the experiment API -- optimizers, sparse update
-strategies, datasets, learning-rate schedules, and the serving stack's
-micro-batching and routing policies -- is reachable through a
+strategies, datasets and learning-rate schedules -- is reachable through a
 :class:`Registry`, so a :class:`~repro.train.spec.RunSpec` can name
 components by string and third-party code can add its own without
 touching this package::
@@ -36,8 +35,6 @@ from repro.core.update import (
 )
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.data.synthetic import RandomRecDataset
-from repro.serve.batcher import MicroBatcher, POLICIES
-from repro.serve.replica import ROUTERS, Router
 
 
 class Registry:
@@ -127,31 +124,3 @@ DATASETS.register("criteo", SyntheticCriteoDataset)
 #: Learning-rate schedules: ``factory(**kwargs)`` with an ``lr_at(step)``.
 LR_SCHEDULES = Registry("lr schedule")
 LR_SCHEDULES.register("warmup_decay", WarmupDecaySchedule)
-
-#: Serving micro-batch policies: ``factory(**kwargs) -> MicroBatcher``.
-BATCH_POLICIES = Registry("batch policy")
-
-
-def _batcher_factory(policy: str) -> Callable[..., MicroBatcher]:
-    def make(**kwargs: Any) -> MicroBatcher:
-        return MicroBatcher(policy=policy, **kwargs)
-
-    return make
-
-
-for _policy in POLICIES:
-    BATCH_POLICIES.register(_policy, _batcher_factory(_policy))
-
-#: Serving routers: ``factory(n_replicas) -> Router``.
-ROUTE_POLICIES = Registry("router")
-
-
-def _router_factory(policy: str) -> Callable[..., Router]:
-    def make(n_replicas: int) -> Router:
-        return Router(policy, n_replicas)
-
-    return make
-
-
-for _router in ROUTERS:
-    ROUTE_POLICIES.register(_router, _router_factory(_router))

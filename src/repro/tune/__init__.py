@@ -27,7 +27,7 @@ ranks by wall-clock instead and is machine-local by design.
 """
 
 from repro.tune.bottleneck import Bottleneck, attribute, attribute_serve
-from repro.tune.priors import host_overhead_s, prior_breakdown, prior_step_s
+from repro.tune.priors import prior_breakdown, prior_step_s
 from repro.tune.report import TUNE_SCHEMA, read_report, write_report
 from repro.tune.space import Knob, SearchSpace
 from repro.tune.trial import ServeTrialRunner, TrainTrialRunner, TrialResult
@@ -46,7 +46,6 @@ __all__ = [
     "TuneResult",
     "attribute",
     "attribute_serve",
-    "host_overhead_s",
     "prior_breakdown",
     "prior_step_s",
     "read_report",

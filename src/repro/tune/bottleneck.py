@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.tune.priors import STAGES
+
 #: stage -> (knob to step, direction, human-readable hint).
 _PLAYBOOK: dict[str, tuple[str | None, int, str]] = {
     "comm": (
@@ -141,7 +143,7 @@ def measured_breakdown(stages: dict[str, dict]) -> dict[str, float]:
     scheme (``train.step`` children like ``dist.forward``,
     ``comm.allreduce`` ...); unrecognised stages pool into ``other``.
     """
-    out = {k: 0.0 for k in ("data", "embedding", "gemm", "update", "comm", "host", "other")}
+    out = dict.fromkeys(STAGES, 0.0)
     for name, stat in stages.items():
         secs = float(stat.get("total_ns", 0)) / 1e9
         if name == "train.step":

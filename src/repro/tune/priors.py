@@ -42,36 +42,6 @@ STAGES = (
 )
 
 
-def _dense_payload_bytes(spec: RunSpec, batch: int) -> float:
-    """Rough per-step host<->worker payload for the process backend."""
-    cfg = spec.build_config()
-    return float(batch) * (cfg.dense_features + 1) * 4.0
-
-
-def host_overhead_s(
-    spec: RunSpec,
-    synth_s: float = 0.0,
-    compute_s: float = 0.0,
-    calib: Calibration = DEFAULT_CALIBRATION,
-) -> float:
-    """Per-step substrate cost of the spec's execution backend.
-
-    ``synth_s``/``compute_s`` feed the prefetch-overlap term: deeper
-    prefetch hides more batch synthesis behind compute.
-    """
-    cm = CostModel(CLX_8280, calib)
-    par = spec.parallel
-    return cm.host_overhead_time(
-        par.ranks,
-        exec_backend=par.exec_backend,
-        workers=par.exec_workers,
-        synth_s=synth_s,
-        prefetch_depth=spec.data.prefetch_depth,
-        compute_s=compute_s,
-        payload_bytes=_dense_payload_bytes(spec, spec.train_batch_size()),
-    )
-
-
 def prior_breakdown(
     spec: RunSpec, calib: Calibration = DEFAULT_CALIBRATION
 ) -> dict[str, float]:
@@ -86,30 +56,24 @@ def prior_breakdown(
     batch = spec.train_batch_size(cfg)
     par = spec.parallel
     if par.ranks > 1:
-        it = model_iteration(
-            cfg,
+        topology = dict(
             n_ranks=par.ranks,
             platform=par.platform,
             backend=par.backend,
             exchange=par.exchange,
-            update=spec.update.name,
-            global_n=batch,
-            calib=calib,
-            seed=spec.model.seed,
             placement="round_robin" if par.placement == "auto" else par.placement,
             bucket_mb=par.bucket_mb,
         )
     else:
-        it = model_iteration(
-            cfg,
-            n_ranks=1,
-            platform="node",
-            backend="local",
-            update=spec.update.name,
-            global_n=batch,
-            calib=calib,
-            seed=spec.model.seed,
-        )
+        topology = dict(n_ranks=1, platform="node", backend="local")
+    it = model_iteration(
+        cfg,
+        update=spec.update.name,
+        global_n=batch,
+        calib=calib,
+        seed=spec.model.seed,
+        **topology,
+    )
     merged = it.merged()
     data = merged.total("data")
     embedding = merged.total("compute.embedding")
@@ -119,7 +83,17 @@ def prior_breakdown(
     known = data + embedding + gemm + update + comm
     other = max(0.0, it.iteration_time - known)
     compute = embedding + gemm + update
-    host = host_overhead_s(spec, synth_s=data, compute_s=compute / 4.0, calib=calib)
+    # Deeper prefetch hides more batch synthesis behind compute; the
+    # payload is the dense features and label a process worker receives.
+    host = CostModel(CLX_8280, calib).host_overhead_time(
+        par.ranks,
+        exec_backend=par.exec_backend,
+        workers=par.exec_workers,
+        synth_s=data,
+        prefetch_depth=spec.data.prefetch_depth,
+        compute_s=compute / 4.0,
+        payload_bytes=float(batch) * (cfg.dense_features + 1) * 4.0,
+    )
     breakdown = {
         "data": data,
         "embedding": embedding,

@@ -62,9 +62,6 @@ class Knob:
             raise ValueError(f"knob {self.name}: {value!r} not in {self.values}")
         return self.expand(value)
 
-    def index_of(self, value: Any) -> int:
-        return self.values.index(value)
-
 
 @dataclass
 class SearchSpace:
@@ -80,7 +77,8 @@ class SearchSpace:
     #: Per-arm chance a knob moves off its base value (rest stay default,
     #: keeping arms near the topology-aware starting point).
     flip_prob: float = 0.5
-    _assignments: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: canonical overlay -> the knob assignment that built it.
+    _assignments: dict[tuple, dict[str, Any]] = field(default_factory=dict)
 
     # -- construction -------------------------------------------------------
 
@@ -162,13 +160,22 @@ class SearchSpace:
         """Hashable dedup key: two arms with equal overlays are one arm."""
         return tuple(sorted(overlay.items()))
 
-    def _record(self, assignment: dict[str, Any]) -> Overlay:
+    def _overlay_of(self, assignment: dict[str, Any]) -> Overlay:
+        """Expand a knob assignment, in knob order, into its overlay."""
         overlay: Overlay = {}
         for knob in self.knobs:
             if knob.name in assignment:
                 overlay.update(knob.overlay(assignment[knob.name]))
-        self._assignments[repr(self.canonical(overlay))] = dict(assignment)
         return overlay
+
+    def _admit(self, overlay: Overlay, assignment: dict[str, Any]) -> bool:
+        """Whether ``overlay`` builds; if so, remember what it came from."""
+        try:
+            self.validate(overlay)
+        except (ValueError, KeyError):
+            return False
+        self._assignments[self.canonical(overlay)] = assignment
+        return True
 
     def assignment_of(self, overlay: Overlay) -> dict[str, Any]:
         """The knob->value assignment an overlay was built from.
@@ -176,7 +183,7 @@ class SearchSpace:
         Empty for overlays this space did not produce (e.g. the
         all-defaults arm, whose overlay is ``{}``).
         """
-        return dict(self._assignments.get(repr(self.canonical(overlay)), {}))
+        return dict(self._assignments.get(self.canonical(overlay), {}))
 
     def sample(self, n: int, rng: random.Random, max_tries: int = 200) -> list[Overlay]:
         """``n`` distinct valid overlays, deterministic in ``rng``'s seed.
@@ -195,19 +202,11 @@ class SearchSpace:
                 for knob in self.knobs
                 if rng.random() < self.flip_prob
             }
-            overlay = {}
-            for knob in self.knobs:
-                if knob.name in assignment:
-                    overlay.update(knob.overlay(assignment[knob.name]))
+            overlay = self._overlay_of(assignment)
             key = self.canonical(overlay)
-            if key in seen or not overlay:
-                continue
-            try:
-                self.validate(overlay)
-            except (ValueError, KeyError):
+            if key in seen or not overlay or not self._admit(overlay, assignment):
                 continue
             seen.add(key)
-            self._assignments[repr(key)] = assignment
             out.append(overlay)
         return out
 
@@ -227,19 +226,11 @@ class SearchSpace:
             return None
         assignment = self.assignment_of(overlay)
         current = assignment.get(knob_name, knob.values[0])
-        idx = knob.index_of(current) + (1 if direction >= 0 else -1)
+        idx = knob.values.index(current) + (1 if direction >= 0 else -1)
         if not 0 <= idx < len(knob.values):
             return None
         assignment[knob_name] = knob.values[idx]
-        mutated: Overlay = {}
-        for k in self.knobs:
-            if k.name in assignment:
-                mutated.update(k.overlay(assignment[k.name]))
-        if self.canonical(mutated) == self.canonical(overlay) or not mutated:
+        mutated = self._overlay_of(assignment)
+        if not mutated or self.canonical(mutated) == self.canonical(overlay):
             return None
-        try:
-            self.validate(mutated)
-        except (ValueError, KeyError):
-            return None
-        self._assignments[repr(self.canonical(mutated))] = assignment
-        return mutated
+        return mutated if self._admit(mutated, assignment) else None

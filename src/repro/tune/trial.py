@@ -36,6 +36,7 @@ pool) during :meth:`run`; run trials sequentially.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -78,10 +79,23 @@ class TrialResult:
     bottleneck: Bottleneck | None = None
     error: str | None = None
 
+    @classmethod
+    def failed(
+        cls, arm_id: int, overlay: dict[str, Any], rung: int, steps: int, exc: Exception
+    ) -> "TrialResult":
+        """The trial ``exc`` ended: scores ``-inf``, so it ranks last."""
+        return cls(
+            arm_id=arm_id,
+            overlay=overlay,
+            rung=rung,
+            steps=steps,
+            ok=False,
+            score=float("-inf"),
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
     def as_record(self) -> dict[str, Any]:
         """JSON-safe report record (``-inf`` scores become null)."""
-        import math
-
         return {
             "type": "trial",
             "arm": self.arm_id,
@@ -155,15 +169,7 @@ class TrainTrialRunner:
                 bottleneck=attribute(breakdown),
             )
         except Exception as exc:  # noqa: BLE001 -- failed arms score, not abort
-            return TrialResult(
-                arm_id=arm_id,
-                overlay=overlay,
-                rung=rung,
-                steps=steps,
-                ok=False,
-                score=float("-inf"),
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return TrialResult.failed(arm_id, overlay, rung, steps, exc)
         finally:
             if trainer is not None:
                 try:
@@ -210,13 +216,5 @@ class ServeTrialRunner:
                 measured_stages={k: row[k] for k in ("p50_ms", "p95_ms", "p99_ms", "qps", "hit_rate") if k in row},
                 bottleneck=attribute_serve(row, self.sla_ms),
             )
-        except Exception as exc:  # noqa: BLE001
-            return TrialResult(
-                arm_id=arm_id,
-                overlay=overlay,
-                rung=rung,
-                steps=steps,
-                ok=False,
-                score=float("-inf"),
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        except Exception as exc:  # noqa: BLE001 -- failed arms score, not abort
+            return TrialResult.failed(arm_id, overlay, rung, steps, exc)

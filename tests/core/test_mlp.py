@@ -240,14 +240,14 @@ class TestWorkspaceSteadyState:
         mlp.forward(x)
         mlp.backward(dy)
         allocs = sum(layer._ws.allocations for layer in mlp.layers)
-        resident = mlp.workspace_bytes
+        resident = sum(layer._ws.nbytes for layer in mlp.layers)
         assert resident > 0
         for _ in range(4):
             mlp.forward(x)
             mlp.backward(dy)
             mlp.zero_grad()
         assert sum(layer._ws.allocations for layer in mlp.layers) == allocs
-        assert mlp.workspace_bytes == resident
+        assert sum(layer._ws.nbytes for layer in mlp.layers) == resident
 
     def test_gradients_unchanged_by_buffer_reuse(self, rng):
         """Reused scratch must not perturb numerics across repeat steps."""

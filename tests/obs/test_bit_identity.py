@@ -1,8 +1,8 @@
 """Tracing only observes: traced runs are bitwise the untraced runs.
 
 Covers both execution substrates (thread pool and process-rank
-workers), plus the shape of the merged cross-process timeline the
-process backend drains through the shared-memory trace mailboxes.
+workers), plus the shape of the merged cross-process timeline: a drain
+asks each worker for its spans over the command pipe.
 """
 
 import numpy as np

@@ -5,12 +5,18 @@ The acceptance pin: a replica killed mid-stream never loses a request
 and the whole chaos scenario replays bit-identically (virtual time).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core.config import get_config
+from repro.obs import Tracer, set_tracer
 from repro.resilience import FaultPlan, ResilienceError
-from repro.serve import DegradePolicy, ServeParams, run_serving
+from repro.serve import DegradePolicy, ServeParams, ServingWorkload
+from repro.serve import run_serving as simulate
 from repro.serve.degrade import BreakerState
+from tests.serve import dispatch_bits
 
 
 def params(**over) -> ServeParams:
@@ -30,6 +36,12 @@ class TestPolicy:
             {"shed_fraction": 0.0},
             {"shed_fraction": 1.5},
             {"slow_factor": 0.5},
+            {"cooldown_s": -1.0},
+            {"retry_backoff_s": -0.0005},
+            {"retry_cap_s": -1.0},
+            {"hedge_wait_s": -5.0},
+            {"shed_wait_s": -1.0},
+            {"shed_wait_s": float("nan")},
         ],
     )
     def test_rejects_bad_knobs(self, bad):
@@ -44,6 +56,57 @@ class TestPolicy:
         assert st.available(1.0)
         st.alive = False
         assert not st.available(2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def workload(config: str, seed: int, requests: int) -> ServingWorkload:
+    return ServingWorkload(get_config(config), seed=seed)
+
+
+def run_serving(p: ServeParams, **kw):
+    """``run_serving`` over one index memo per stream: most cases here
+    replay the same 300 requests, and synthesis is most of a small run."""
+    return simulate(p, workload=workload(p.config, p.seed, p.requests), **kw)
+
+
+def traced(fn):
+    """(fn(), names of the spans it emitted)."""
+    tracer = Tracer()
+    set_tracer(tracer)
+    try:
+        return fn(), {span["name"] for span in tracer.drain()}
+    finally:
+        set_tracer(None)
+
+
+class TestPlainServing:
+    """Given neither a plan nor a policy, the one loop only queues."""
+
+    @staticmethod
+    def overloaded():
+        shared, stream = dispatch_bits.shared()
+        return simulate(ServeParams(**dispatch_bits.LOAD), workload=shared, stream=stream)
+
+    def test_overload_without_a_plan_never_sheds_or_hedges(self):
+        (plain, row), names = traced(self.overloaded)
+        # Queued far past the line at which the default policy sheds (the
+        # fixture's fault cells, same load, shed most of their requests).
+        assert row["p99_ms"] > 5 * DegradePolicy().shed_wait_s * 1e3
+        assert plain.shed_requests == plain.hedges == plain.retries == 0
+        assert plain.shed_rate == 0.0 and plain.events == []
+        assert "shed_rate" not in row
+        assert {"serve.route", "serve.infer"} <= names
+        assert not any(name.startswith("serve.degrade.") for name in names)
+
+    def test_a_traced_fault_run_keeps_the_serving_spans(self):
+        (result, _), names = traced(
+            lambda: run_serving(params(fault=TestReplicaDeath.FAULT))
+        )
+        assert result.dead_replicas == [1]
+        assert {
+            "serve.batcher", "serve.route", "serve.infer",
+            "serve.degrade.replica_die", "serve.degrade.retry",
+        } <= names
 
 
 class TestReplicaDeath:
@@ -177,7 +240,7 @@ class TestFaultPlanIntegration:
         plan = FaultPlan.parse("serve.replica:replica=1,action=die")
         from repro.core.config import get_config
         from repro.parallel.cluster import SimCluster
-        from repro.serve import ResilientReplicaSet, ServingCost, ServingWorkload
+        from repro.serve import ReplicaSet, ServingCost, ServingWorkload
         from repro.serve.batcher import MicroBatcher, StreamConfig, poisson_stream
 
         cfg = get_config("small")
@@ -185,7 +248,7 @@ class TestFaultPlanIntegration:
         batches = MicroBatcher(policy="dynamic").plan(stream)
         cluster = SimCluster(3, platform="cluster")
         cost = ServingCost(cfg, socket=cluster.socket, calib=cluster.calib)
-        rs = ResilientReplicaSet(cluster, cost, cache_rows=1024, faults=plan)
+        rs = ReplicaSet(cluster, cost, cache_rows=1024, faults=plan)
         workload = ServingWorkload(cfg, seed=1)
         result = rs.serve(batches, workload.batch_indices)
         assert plan.fired and plan.fired[0]["site"] == "serve.replica"

@@ -114,34 +114,3 @@ class TestValidation:
         cache = EmbeddingCache(10, (ROWS,))
         rep = cache.access(0, np.array([], dtype=np.int64))
         assert rep.hits == rep.misses == 0 and rep.hit_rate == 0.0
-
-
-class TestTieringFeeds:
-    """The cache as a warm-start frequency source for repro.tiering."""
-
-    def test_reset_zeroes_counters_keeps_residency(self):
-        cache = EmbeddingCache(10, (ROWS,))
-        cache.access(0, np.array([1, 2, 3]))
-        assert cache.lookups == 3
-        cache.reset()
-        assert cache.hits == cache.misses == 0
-        assert len(cache) == 3  # resident set survives the window cut
-        rep = cache.access(0, np.array([1]))
-        assert rep.hits == 1  # still warm
-
-    def test_row_frequencies_lfu_carries_counts(self):
-        cache = EmbeddingCache(10, (ROWS, ROWS), policy="lfu")
-        cache.access(0, np.array([5, 5, 5, 2]))
-        cache.access(1, np.array([7]))
-        freqs = cache.row_frequencies()
-        rows, counts = freqs[0]
-        np.testing.assert_array_equal(rows, [2, 5])  # ascending
-        np.testing.assert_array_equal(counts, [1, 3])
-        np.testing.assert_array_equal(freqs[1][0], [7])
-
-    def test_row_frequencies_lru_reports_presence(self):
-        cache = EmbeddingCache(10, (ROWS,), policy="lru")
-        cache.access(0, np.array([4, 4, 4, 9]))
-        rows, counts = cache.row_frequencies()[0]
-        np.testing.assert_array_equal(rows, [4, 9])
-        np.testing.assert_array_equal(counts, [1, 1])  # LRU has no counts

@@ -42,34 +42,35 @@ class TestWarmPath:
         cfg = tiny_config()
         eng = InferenceEngine(DLRM(cfg, seed=0))
         eng.predict(random_batch(cfg, 16, seed=0))
-        assert (eng.cold_calls, eng.warm_calls) == (1, 0)
+        allocated = eng._ws.allocations
+        assert eng.cold_calls == 1 and allocated > 0
         eng.predict(random_batch(cfg, 16, seed=1))
         # Smaller micro-batches (the batcher's deadline closes) score
         # into slice views of the same workspace -- still warm.
         eng.predict(random_batch(cfg, 8, seed=2))
-        assert (eng.cold_calls, eng.warm_calls) == (1, 2)
+        assert (eng.cold_calls, eng._ws.allocations) == (1, allocated)
         # Only a capacity increase reallocates.
         eng.predict(random_batch(cfg, 32, seed=3))
-        assert eng.cold_calls == 2
-        assert eng.workspace_bytes > 0
+        assert eng.cold_calls == 2 and eng._ws.allocations > allocated
 
     def test_workspace_does_not_grow_with_batch_size_diversity(self):
         cfg = tiny_config()
         eng = InferenceEngine(DLRM(cfg, seed=0))
         eng.warmup(32)
-        resident = eng.workspace_bytes
+        resident = eng._ws.nbytes
         for n in (3, 7, 12, 25, 32, 1):
             eng.predict(random_batch(cfg, n, seed=n))
-        assert eng.workspace_bytes == resident
+        assert eng._ws.nbytes == resident
         assert eng.cold_calls == 1  # the warmup only
 
     def test_warmup_preallocates(self):
         cfg = tiny_config()
         eng = InferenceEngine(DLRM(cfg, seed=0))
         eng.warmup(16)
-        assert eng.cold_calls == 1
+        allocated = eng._ws.allocations
+        assert eng.cold_calls == 1 and allocated > 0
         eng.predict(random_batch(cfg, 16, seed=0))
-        assert (eng.cold_calls, eng.warm_calls) == (1, 1)
+        assert (eng.cold_calls, eng._ws.allocations) == (1, allocated)
 
     def test_returned_arrays_do_not_alias_buffers(self):
         cfg = tiny_config()
@@ -78,14 +79,6 @@ class TestWarmPath:
         snapshot = a.copy()
         eng.predict_logits(random_batch(cfg, 16, seed=1))
         np.testing.assert_array_equal(a, snapshot)
-
-    def test_counters(self):
-        cfg = tiny_config()
-        eng = InferenceEngine(DLRM(cfg, seed=0))
-        eng.predict(random_batch(cfg, 16, seed=0))
-        eng.predict(random_batch(cfg, 8, seed=1))
-        assert eng.batches_scored == 2
-        assert eng.samples_scored == 24
 
 
 class TestStateIsolation:

@@ -64,6 +64,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["serve", "--policy", "fifo"])
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--fault", "serve.replica:replica=1,action=die",
+              "--breaker-cooldown-ms", "-50"], "cooldown_s must be >= 0"),
+            (["--fault", "serve.replica:replica=1,action=die",
+              "--error-threshold", "0"], "error_threshold must be >= 1"),
+            (["--error-threshold", "0"], "error_threshold must be >= 1"),
+            (["--retry-attempts", "2"], "give a fault plan"),
+        ],
+    )
+    def test_serve_validates_degradation_flags(self, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", "--config", "small", "--requests", "40", *flags])
+
     def test_fig16_tiny(self, capsys):
         assert main(
             ["fig16", "--epoch-batches", "4", "--eval-points", "2"]

@@ -5,14 +5,10 @@ import pytest
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate, make_strategy
-from repro.serve.batcher import MicroBatcher
-from repro.serve.replica import Router
 from repro.train import (
-    BATCH_POLICIES,
     DATASETS,
     LR_SCHEDULES,
     OPTIMIZERS,
-    ROUTE_POLICIES,
     Registry,
     UPDATE_STRATEGIES,
 )
@@ -99,15 +95,3 @@ class TestBuiltins:
         sched = LR_SCHEDULES.create("warmup_decay", peak_lr=0.2, warmup_steps=4)
         assert isinstance(sched, WarmupDecaySchedule)
         assert sched.lr_at(3) == pytest.approx(0.2)
-
-    def test_serve_policies(self):
-        assert {"static", "dynamic", "adaptive"} <= set(BATCH_POLICIES.names())
-        batcher = BATCH_POLICIES.create(
-            "dynamic", max_batch_samples=64, latency_budget_s=1e-3
-        )
-        assert isinstance(batcher, MicroBatcher) and batcher.policy == "dynamic"
-        assert {"round_robin", "least_loaded", "cache_affinity"} <= set(
-            ROUTE_POLICIES.names()
-        )
-        router = ROUTE_POLICIES.create("least_loaded", n_replicas=3)
-        assert isinstance(router, Router) and router.n_replicas == 3

@@ -86,6 +86,24 @@ class TestMutation:
             assert stepped != overlay
             space.validate(stepped)
 
+    def test_step_after_sample_starts_from_the_sampled_assignment(self):
+        knobs = [
+            Knob("a", (1, 2, 3), lambda v: {"x.a": v}),
+            Knob("b", (10, 20, 30), lambda v: {"x.b": v}),
+        ]
+        space = SearchSpace(knobs=knobs, validate=lambda ov: ov, flip_prob=1.0)
+        overlays = space.sample(4, random.Random(0))
+        assert len(overlays) == 4
+        for overlay in overlays:
+            assert space.assignment_of(overlay) == {"a": overlay["x.a"], "b": overlay["x.b"]}
+            stepped = space.step(overlay, "a", +1)
+            if overlay["x.a"] == 3:
+                assert stepped is None
+            else:
+                # b keeps its sampled value; the child is remembered too.
+                assert stepped == {**overlay, "x.a": overlay["x.a"] + 1}
+                assert space.assignment_of(stepped)["b"] == overlay["x.b"]
+
     def test_step_from_defaults(self):
         space = SearchSpace.train_space(_dist_base())
         stepped = space.step({}, "bucket_mb", +1)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from repro.train.spec import RunSpec
 from repro.tune.bottleneck import Bottleneck
 from repro.tune.space import Knob, SearchSpace
 from repro.tune.trial import TrialResult
@@ -164,3 +163,29 @@ class TestPriorPruning:
         kept = sorted(a.prior_s for a in sampled)
         best_possible = sorted(float(len(ov)) for ov in pool)[: len(sampled)]
         assert kept == best_possible
+
+
+class TestServeSearchAgainstParent:
+    def test_fixed_seed_returns_the_parents_winner_and_scores(self):
+        """Recorded at commit 7541f89 (plain ``ReplicaSet`` loop, ``repr``-keyed
+        assignments); serve tuning is virtual-clocked, so every host agrees."""
+        from repro.serve import ServeParams
+        from repro.tune import ServeTrialRunner
+
+        base = ServeParams(config="small", mean_qps=4000.0, seed=0)
+        res = SuccessiveHalving(
+            SearchSpace.serve_space(base),
+            ServeTrialRunner(base, sla_ms=6.0),
+            budget=6, seed=0, rung0_steps=64, max_rungs=2,
+        ).run()
+        assert (res.winner.arm_id, res.winner.overlay) == (
+            4, {"policy": "adaptive", "max_batch_samples": 1024, "cache_rows": 32768}
+        )
+        assert res.eliminated == [(0, 2), (0, 5), (0, 3)]
+        assert [(r.arm_id, r.score.hex()) for rung in res.rungs for r in rung] == [
+            (0, "-0x1.42cce26b3ddc0p-3"), (1, "-0x1.42cce26b3ddc0p-3"),
+            (2, "-0x1.bc62bfc8d53fcp+1"), (3, "-0x1.42cce26b3ddc0p-3"),
+            (4, "0x1.8b24e28291f56p+11"), (5, "-0x1.42cce26b3ddc0p-3"),
+            (4, "0x1.192f4a06168f9p+12"), (0, "0x1.f49ef590f4863p+11"),
+            (1, "0x1.f49ef590f4863p+11"),
+        ]
