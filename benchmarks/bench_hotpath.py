@@ -36,6 +36,7 @@ from repro.data.synthetic import bounded_zipf
 from repro.kernels import reference
 from repro.kernels.blocked import block_activation, block_weight, choose_blocking
 from repro.kernels.gemm import FlopCounter, blocked_matmul
+from repro.kernels.rows import split_add_aggregated
 from repro.kernels.segment import aggregate_duplicates, scatter_add_exact
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +130,9 @@ def bench_scatter_split(results, reps, quick, rng):
 
     def scatter_reference():
         # np.unique + np.add.at, then the table's own update of the rows.
-        table._apply_aggregated(*reference.aggregate_duplicates(idx, deltas))
+        split_add_aggregated(
+            table.hi, table.lo, table.lo_bits, *reference.aggregate_duplicates(idx, deltas)
+        )
 
     reset()
     scatter_reference()

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.rows import lo_mask
+
 
 def fp32_to_bf16_rne(x: np.ndarray) -> np.ndarray:
     """Round FP32 to BF16 (round-to-nearest-even), returned as uint16 bits.
@@ -83,13 +85,6 @@ def combine_fp32(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return bits.view(np.float32)
 
 
-def lo_mask(keep_bits: int) -> np.uint16:
-    """Mask of the ``keep_bits`` MSBs of a low half."""
-    if not 0 <= keep_bits <= 16:
-        raise ValueError(f"keep_bits must be in [0, 16], got {keep_bits}")
-    return np.uint16(((1 << keep_bits) - 1) << (16 - keep_bits))
-
-
 def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
     """Keep only the ``keep_bits`` MSBs of the low half (zero the rest).
 
@@ -102,17 +97,6 @@ def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
     if keep_bits == 16:
         return lo.copy()
     return lo & mask
-
-
-def split_fp32_into(x: np.ndarray, lo: np.ndarray, keep_bits: int = 16) -> None:
-    """:func:`split_fp32` + :func:`truncate_lo_bits` without a temporary:
-    the 16 LSBs of C-contiguous FP32 ``x`` move into ``lo`` (same shape,
-    ``uint16``) and ``x`` keeps its hi half, a BF16 number widened."""
-    bits = x.view(np.uint32)
-    np.copyto(lo, bits, casting="unsafe")  # uint32 -> uint16 keeps the LSBs
-    if keep_bits != 16:
-        np.bitwise_and(lo, lo_mask(keep_bits), out=lo)
-    np.bitwise_and(bits, np.uint32(0xFFFF0000), out=bits)
 
 
 def bf16_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,16 +24,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.bf16 import (
-    bf16_to_fp32,
-    combine_fp32,
-    split_fp32,
-    split_fp32_into,
-    truncate_lo_bits,
-)
+from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.param import checked_entry
 from repro.obs.tracer import trace
-from repro.kernels.segment import aggregate_duplicates, scatter_add_exact, segment_sum_ragged
+from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add
+from repro.kernels.rows import gather_rows
+from repro.kernels.segment import aggregate_duplicates, segment_sum_ragged
+from repro.kernels.workspace import Workspace
 
 
 @dataclass
@@ -98,11 +95,8 @@ def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return segment_sum_ragged(rows, offsets)
 
 
-#: Float32 elements a bag handles at a time (512 KiB).  The pooled
-#: forward gathers this much and reduces it while it is still in L2,
-#: instead of writing the whole ``(NS, E)`` gather out to L3 and
-#: re-reading it (swept 64 KiB .. 2 MiB at 131 072 look-ups x E64); the
-#: initialiser draws this much, so no table-sized transient exists.
+#: Float32 elements the initialiser draws at a time (512 KiB), so no
+#: table-sized transient exists.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -115,9 +109,6 @@ class EmbeddingBag:
     #: ``[...]``, ``out=`` or a fancy-index assignment -- so a
     #: :meth:`rows_view` and the bag it was cut from stay one memory.
     _arrays: tuple[str, ...] = ("weight",)
-
-    #: Gather buffer of the pooled forward, allocated on first use.
-    _pool_buf: np.ndarray | None = None
 
     def __init__(
         self,
@@ -145,6 +136,8 @@ class EmbeddingBag:
             for lo in range(0, rows, step):
                 w[lo : lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), dim))
         self._init_storage(w)
+        #: Buffers of the pooled forward, allocated on first use.
+        self._scratch = Workspace()
 
     # -- storage layer (overridden by SplitEmbeddingBag) ----------------------
 
@@ -158,7 +151,7 @@ class EmbeddingBag:
         bag.rows = rows
         for name in self._arrays:
             setattr(bag, name, pick(getattr(self, name)))
-        bag._pool_buf = None
+        bag._scratch = Workspace()
         return bag
 
     def rows_view(self, start: int, stop: int) -> "EmbeddingBag":
@@ -176,13 +169,9 @@ class EmbeddingBag:
         batch into the slab's id space."""
         return indices
 
-    def _gather_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Rows of pre-checked ``indices`` into ``out``, in compute
-        precision.  ``np.take(..., out=..., mode="clip")`` is bitwise the
-        fancy-indexing result, but on NumPy's no-buffering fast path --
-        faster, and it releases the GIL so parallel ranks' lookups
-        overlap (plain advanced indexing serialises them)."""
-        return np.take(self.weight, indices, axis=0, out=out, mode="clip")
+    def _read_rows(self) -> np.ndarray:
+        """The array forward/backward read rows from."""
+        return self.weight
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Read rows in compute precision (FP32 here; BF16 when split).
@@ -192,7 +181,7 @@ class EmbeddingBag:
         """
         indices = self._check_indices(indices)
         out = np.empty((indices.shape[0], self.dim), dtype=np.float32)
-        return self._gather_into(indices, out)
+        return gather_rows(self._read_rows(), indices, out)
 
     def dense_weight(self) -> np.ndarray:
         """The full table as the compute pass sees it (tests/inspection)."""
@@ -211,7 +200,7 @@ class EmbeddingBag:
         the small per-bag gradient array instead of a
         ``np.repeat``-materialised ``dW`` (bit-identical to
         ``backward()`` followed by this method on the pre-scaled
-        gradient).  Runs the sort-based fold kernel, bit-identical to
+        gradient).  Bit-identical to
         :func:`repro.kernels.reference.scatter_add` on :attr:`weight`.
         """
         scatter_add_exact(
@@ -260,36 +249,11 @@ class EmbeddingBag:
             return self._pool(indices, offsets, lengths)
 
     def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Alg. 1 on checked inputs.
-
-        Equal-length bags -- every batch the datasets and the serving
-        path build -- are pooled chunk by chunk: gather at most
-        ``_BLOCK_ELEMS`` elements into this bag's own buffer and
-        reduce them over the strided bag axis (a left fold, as in
-        :mod:`repro.kernels.segment`) straight into the output rows, so
-        the ``(NS, E)`` gather never exists.  The buffer belongs to the
-        instance: ranks pool concurrently on the thread pool, each
-        through its own bags.  Ragged bags gather whole and go through
-        the kernel's ragged fold.
-        """
-        n = lengths.shape[0]
-        p = int(lengths[0]) if n else 0
-        if p == 0 or self.dim == 1 or (lengths != p).any():
-            return segment_sum_ragged(self.gather(indices), offsets)
-        out = np.empty((n, self.dim), dtype=np.float32)
-        if p == 1:
-            # A sum of one is the row -- but for the ``0.0 +`` every sum
-            # starts from, which turns a stored -0.0 positive.
-            return np.add(self._gather_into(indices, out), np.float32(0.0), out=out)
-        per_chunk = max(1, _BLOCK_ELEMS // (p * self.dim))
-        need = min(n, per_chunk) * p
-        if self._pool_buf is None or self._pool_buf.shape[0] < need:
-            self._pool_buf = np.empty((need, self.dim), dtype=np.float32)
-        for lo in range(0, n, per_chunk):
-            hi = min(n, lo + per_chunk)
-            rows = self._gather_into(indices[lo * p : hi * p], self._pool_buf[: (hi - lo) * p])
-            np.add.reduce(rows.reshape(hi - lo, p, self.dim), axis=1, out=out[lo:hi])
-        return out
+        """Alg. 1 on checked inputs.  The ``(NS, E)`` gather never
+        exists; what scratch the kernel needs belongs to this instance
+        (ranks pool concurrently on the thread pool, each through its
+        own bags)."""
+        return pool_rows(self._read_rows(), indices, offsets, lengths, self._scratch)
 
     def backward(
         self, grad_out: np.ndarray, indices: np.ndarray, offsets: np.ndarray
@@ -378,27 +342,9 @@ class SplitEmbeddingBag(EmbeddingBag):
         self.hi = hi
         self.lo = truncate_lo_bits(lo, self.lo_bits)
 
-    def _take_halves(
-        self, rows: np.ndarray, with_lo: bool, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``hi[rows]`` (and ``lo[rows]``) assembled as FP32 bit patterns
-        in one ``uint32`` buffer (``out``'s memory when given); also
-        returns the ``uint16`` staging buffer the halves were gathered
-        through, for reuse."""
-        half = np.empty((rows.shape[0], self.dim), dtype=np.uint16)
-        if out is None:
-            out = np.empty((rows.shape[0], self.dim), dtype=np.float32)
-        bits = out.view(np.uint32)
-        np.copyto(bits, np.take(self.hi, rows, axis=0, out=half, mode="clip"))
-        np.left_shift(bits, 16, out=bits)
-        if with_lo:
-            np.bitwise_or(bits, np.take(self.lo, rows, axis=0, out=half, mode="clip"), out=bits)
-        return bits, half
-
-    def _gather_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _read_rows(self) -> np.ndarray:
         # Forward/backward read only the BF16 half: 2x less bandwidth.
-        self._take_halves(indices, with_lo=False, out=out)
-        return out
+        return self.hi
 
     def dense_weight(self) -> np.ndarray:
         return bf16_to_fp32(self.hi)
@@ -412,40 +358,14 @@ class SplitEmbeddingBag(EmbeddingBag):
     ) -> None:
         # Aggregate duplicates first, then run the update at full FP32
         # accuracy on the reconstructed rows (the Split-SGD trick).
-        uniq, agg = aggregate_duplicates(
-            np.asarray(indices, dtype=np.int64), deltas, value_rows=delta_rows
+        split_scatter_add(
+            self.hi,
+            self.lo,
+            self.lo_bits,
+            np.asarray(indices, dtype=np.int64),
+            deltas,
+            value_rows=delta_rows,
         )
-        self._apply_aggregated(uniq, agg)
-
-    def _apply_aggregated(self, uniq: np.ndarray, agg: np.ndarray) -> None:
-        from repro.kernels.segment import resolve_pool, shardable
-
-        pool = resolve_pool(None)
-        if shardable(pool, uniq.shape[0], agg.size):
-            # Rows in ``uniq`` are distinct, so pool workers owning
-            # disjoint [lo, hi) slices touch disjoint table rows; the
-            # per-row combine/add/split is element-wise, so the parallel
-            # update is bitwise the sequential one.
-            pool.run_sharded(
-                lambda lo, hi, tid: self._apply_aggregated_range(
-                    uniq[lo:hi], agg[lo:hi]
-                ),
-                uniq.shape[0],
-            )
-            return
-        self._apply_aggregated_range(uniq, agg)
-
-    def _apply_aggregated_range(self, uniq: np.ndarray, agg: np.ndarray) -> None:
-        # The Split-SGD trick on the touched rows only: rejoin hi||lo,
-        # add at full FP32 accuracy, split again -- in two buffers.
-        bits, half = self._take_halves(uniq, with_lo=True)
-        rows = bits.view(np.float32)
-        np.add(rows, agg, out=rows)
-        split_fp32_into(rows, half, self.lo_bits)
-        self.lo[uniq] = half
-        np.right_shift(bits, 16, out=bits)
-        np.copyto(half, bits, casting="unsafe")
-        self.hi[uniq] = half
 
     def capacity_bytes(self) -> int:
         # 2 bytes model (hi) + 2 bytes optimizer state (lo): same total as

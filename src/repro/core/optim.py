@@ -20,23 +20,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bf16 import quantize_bf16, split_fp32_into
+from repro.core.bf16 import quantize_bf16
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.core.param import DenseSlab, Parameter, checked_entry
 from repro.core.update import RaceFreeUpdate, UpdateStrategy
+from repro.kernels.dispatch import sgd_step, split_sgd_step
+from repro.kernels.rows import descend, split_fp32_into
 
 
-#: Elements per pass of a dense step: a block's weights, gradients,
-#: state and ``lr * grad`` (the only temporary of the SGD kernels) all
-#: stay in L2 across the step's ufunc calls, so each byte of the model
+#: Elements per pass of a NumPy dense step, and the length of the
+#: scratch an optimizer owns: a block's weights, gradients, state and
+#: ``lr * grad`` (the only temporary of the NumPy SGD kernels) all stay
+#: in L2 across the step's ufunc calls, so each byte of the model
 #: crosses the memory bus once per step however many calls the update
-#: takes.
+#: takes.  The native kernels make one pass and take a span whole.
 STEP_BLOCK = 1 << 16
-
-
-def _descend(values: np.ndarray, grads: np.ndarray, lr: float, scratch: np.ndarray) -> None:
-    """``values -= lr * grads`` in place; ``scratch`` holds the product."""
-    np.subtract(values, np.multiply(grads, np.float32(lr), out=scratch[: values.size]), out=values)
 
 
 class SGD:
@@ -127,13 +125,22 @@ class SGD:
 
     # -- the step -----------------------------------------------------------
 
+    def _blocks(self, n: int):
+        """Slices covering ``[0, n)``, a scratch length (``STEP_BLOCK``)
+        each: what an ``_update`` written as several ufunc calls walks."""
+        step = self._scratch.size
+        return (slice(at, at + step) for at in range(0, n, step))
+
     def _update(self, values: np.ndarray, grads: np.ndarray, state: np.ndarray | None) -> None:
-        """One block, element-wise and in place (``state``: the velocity)."""
-        if state is not None:
-            state *= np.float32(self.momentum)
-            state += grads
-            grads = state
-        _descend(values, grads, self.lr, self._scratch)
+        """One span, element-wise and in place (``state``: the velocity)."""
+        if state is None:
+            sgd_step(values, grads, self.lr, self._scratch)
+            return
+        for block in self._blocks(values.size):
+            velocity = state[block]
+            velocity *= np.float32(self.momentum)
+            velocity += grads[block]
+            descend(values[block], velocity, self.lr, self._scratch)
 
     def _step(self, params: list[Parameter], reduced: np.ndarray | None) -> None:
         """Step every parameter of ``params`` with a gradient pending,
@@ -166,9 +173,7 @@ class SGD:
                 values = slab.values[span]
                 grads = (slab.grads if reduced is None else reduced)[span]
                 state = None if state is None else state[span]
-            for at in range(0, values.size, STEP_BLOCK):
-                block = slice(at, at + STEP_BLOCK)
-                self._update(values[block], grads[block], None if state is None else state[block])
+            self._update(values, grads, state)
             for p in run:
                 p.zero_grad()
 
@@ -249,10 +254,7 @@ class SplitSGD(SGD):
         split_fp32_into(value, lo, self.lo_bits)
 
     def _update(self, values: np.ndarray, grads: np.ndarray, lo: np.ndarray) -> None:
-        bits = values.view(np.uint32)
-        np.bitwise_or(bits, lo, out=bits)
-        _descend(values, grads, self.lr, self._scratch)
-        split_fp32_into(values, lo, self.lo_bits)
+        split_sgd_step(values, lo, grads, self.lr, self.lo_bits, self._scratch)
 
     def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
         self._step(params, reduced)
@@ -289,8 +291,10 @@ class SparseAdagrad(SGD):
         self._row_state: dict[EmbeddingBag, np.ndarray] = {}
 
     def _update(self, values: np.ndarray, grads: np.ndarray, acc: np.ndarray) -> None:
-        acc += grads * grads
-        values -= self.lr * grads / (np.sqrt(acc) + self.eps)
+        for block in self._blocks(values.size):
+            v, g, a = values[block], grads[block], acc[block]
+            a += g * g
+            v -= self.lr * g / (np.sqrt(a) + self.eps)
 
     def step_sparse(self, table: EmbeddingBag, grad: SparseGrad) -> None:
         if table.storage != "fp32":
@@ -356,5 +360,6 @@ class MasterWeightSGD(SGD):
         value[...] = quantize_bf16(value)
 
     def _update(self, values: np.ndarray, grads: np.ndarray, master: np.ndarray) -> None:
-        _descend(master, grads, self.lr, self._scratch)
-        values[...] = quantize_bf16(master)
+        for block in self._blocks(values.size):
+            descend(master[block], grads[block], self.lr, self._scratch)
+            values[block] = quantize_bf16(master[block])

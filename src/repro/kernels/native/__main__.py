@@ -1,0 +1,99 @@
+"""``python -m repro.kernels.native``: which tier this host runs, and does it work.
+
+Prints the tier, the compiler and its version, the flags, the cached
+library and the source hash, then runs every native kernel once on a
+small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
+for the Split-BF16 and dense steps, which have no ``np.add.at``
+spelling).  Exits 1 on any ``FAIL``, or when the tier is ``numpy`` (the
+reason is printed).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shlex
+import subprocess
+import sys
+
+import numpy as np
+
+from repro.kernels import native, reference, rows
+from repro.kernels.native import build
+
+
+def _compiler_line() -> str:
+    try:
+        cc = build.compiler()
+        out = subprocess.run([*shlex.split(cc), "--version"], capture_output=True, text=True)
+        return f"{cc} ({(out.stdout or out.stderr).strip().splitlines()[0]})"
+    except (build.Unavailable, OSError, IndexError) as exc:
+        return f"unavailable ({exc})"
+
+
+def _same(*pairs: tuple[np.ndarray, np.ndarray]) -> bool:
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+def checks() -> dict[str, bool]:
+    """Kernel name -> did the native entry run and match its oracle."""
+    rng = np.random.default_rng(0)
+    table_rows, dim, bags = 50, 5, 12
+    w = rng.standard_normal((table_rows, dim)).astype(np.float32)
+    w[3], w[4, 0] = -0.0, np.inf
+    idx = rng.integers(0, 9, size=64, dtype=np.int64)  # duplicate-heavy
+    offsets = np.sort(rng.integers(0, idx.size + 1, size=bags - 1))
+    offsets = np.concatenate([[0], offsets, [idx.size]]).astype(np.int64)
+    bag_ids = np.repeat(np.arange(bags), np.diff(offsets))
+    grads = rng.standard_normal((bags, dim)).astype(np.float32)
+    hi, lo = (w.view(np.uint32) >> 16).astype(np.uint16), w.view(np.uint32).astype(np.uint16)
+    widened = (hi.astype(np.uint32) << 16).view(np.float32)
+    out: dict[str, bool] = {}
+
+    want, got = w.copy(), w.copy()
+    reference.scatter_add(want, idx, grads[bag_ids])
+    ran = native.scatter_add_exact(got, idx, grads, value_rows=bag_ids)
+    out["scatter_add_exact"] = ran and _same((got, want))
+
+    for name, source, dense in (("fp32", w, w), ("bf16", hi, widened)):
+        got = native.pool_rows(source, idx, offsets)
+        want = reference.segment_sum(dense[idx], offsets)
+        out[f"pool_rows[{name}]"] = got is not None and _same((got, want))
+
+    for keep_bits in (16, 8):
+        pairs = [(hi.copy(), lo & rows.lo_mask(keep_bits)) for _ in range(2)]
+        rows.split_add_aggregated(
+            *pairs[0], keep_bits, *reference.aggregate_duplicates(idx, grads[bag_ids])
+        )
+        ran = native.split_scatter_add(*pairs[1], keep_bits, idx, grads, value_rows=bag_ids)
+        out[f"split_scatter_add[{keep_bits}]"] = ran and _same(*zip(*pairs))
+
+    flat, g = w.reshape(-1), rng.standard_normal(w.size).astype(np.float32)
+    want, got = flat.copy(), flat.copy()
+    rows.descend(want, g, 0.05, np.empty(w.size, np.float32))
+    out["sgd_step"] = native.sgd_step(got, g, 0.05) and _same((got, want))
+
+    halves = [(widened.reshape(-1).copy(), lo.reshape(-1).copy()) for _ in range(2)]
+    rows.split_sgd_step(*halves[0], g, 0.05, 16, np.empty(w.size, np.float32))
+    ran = native.split_sgd_step(*halves[1], g, 0.05, 16)
+    out["split_sgd_step"] = ran and _same(*zip(*halves))
+    return out
+
+
+def main() -> int:
+    lib, where = build.load()
+    print(f"tier      {native.tier()}")
+    print(f"compiler  {_compiler_line()}")
+    print(f"flags     {' '.join(build.FLAGS)}")
+    print(f"source    {build.SOURCE} sha256 {hashlib.sha256(build.source_bytes()).hexdigest()[:16]}")
+    if lib is None:
+        print(f"reason    {where}")
+        return 1
+    print(f"library   {where}")
+    results = checks()
+    for name, ok in results.items():
+        print(f"{name:<22} {'ok' if ok else 'FAIL'}")
+    return 0 if all(results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,9 @@
 Both formats carry :data:`~repro.obs.tracer.TELEMETRY_SCHEMA`:
 
 * **JSONL** -- line 1 is a header record (``{"type": "header",
-  "telemetry_schema": N, ...}``), every following line is one span
+  "telemetry_schema": N, "kernels": "native" | "numpy", ...}``: the
+  kernel tier the writing process ran, an additive key readers may
+  ignore), every following line is one span
   exactly as drained (``name``/``ts``/``dur`` in ns/``depth``/``tid``/
   ``pid``/``proc``/optional ``args``).  This is the lossless archival
   format ``repro trace`` reads back.
@@ -21,6 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.kernels import native
 from repro.obs.tracer import TELEMETRY_SCHEMA
 
 
@@ -97,7 +100,7 @@ def write_jsonl(spans: Iterable[dict[str, Any]], path: str | Path) -> int:
         "telemetry_schema",
         TELEMETRY_SCHEMA,
         spans,
-        header_extra={"spans": len(spans)},
+        header_extra={"spans": len(spans), "kernels": native.tier()},
     )
 
 

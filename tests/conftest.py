@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck
 
 from repro.core.config import DLRMConfig
 
@@ -11,6 +12,68 @@ from repro.core.config import DLRMConfig
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+class _NoFallback:
+    """Stands in for a NumPy-tier module inside ``kernels.dispatch``."""
+
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the native tier declined: dispatch fell back to {name}")
+
+        return refuse
+
+
+def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
+    """Make ``repro.kernels.dispatch`` run ``tier`` and nothing else.
+
+    ``"numpy"``: this process has no library, and ``CC`` names a
+    compiler that cannot compile, so a spawned worker takes the real
+    fallback.  ``"native"``: the library must load (else the test is
+    skipped with the loader's reason) and a fall-back to the NumPy tier
+    is an error, so a pass means the C kernel produced the bits.
+    """
+    from repro.kernels import dispatch
+    from repro.kernels.native import build
+
+    if tier == "numpy":
+        mp.setattr(build, "_loaded", (None, "this test runs the NumPy tier"))
+        mp.setenv("CC", "/bin/false")
+        return
+    lib, why = build.load()
+    if lib is None:
+        pytest.skip(f"native tier unavailable: {why}")
+    mp.setattr(dispatch, "segment", _NoFallback())
+    mp.setattr(dispatch, "rows", _NoFallback())
+
+
+#: ``@settings(**TIERED)`` for a Hypothesis test that uses
+#: :func:`kernel_tier`: the tier is set once per test and no example
+#: changes it, so there is nothing to reset between examples.
+TIERED = {"suppress_health_check": [HealthCheck.function_scoped_fixture]}
+
+
+@pytest.fixture(params=["numpy", "native"])
+def kernel_tier(request, monkeypatch):
+    """Run the test once per kernel tier, named explicitly."""
+    force_kernel_tier(monkeypatch, request.param)
+    return request.param
+
+
+def counting_cc(tmp_path):
+    """``(CC value, calls file)``: a compiler wrapper that appends one
+    line to the file per invocation, then runs ``cc``."""
+    calls, wrapper = tmp_path / "cc-calls", tmp_path / "counting-cc"
+    calls.write_text("")
+    wrapper.write_text(f'#!/bin/sh\necho x >> "{calls}"\nexec cc "$@"\n')
+    wrapper.chmod(0o755)
+    return str(wrapper), calls
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """For tests of the NumPy tier's own mechanics (buffers, blocks)."""
+    force_kernel_tier(monkeypatch, "numpy")
 
 
 def tiny_config(
@@ -78,11 +141,13 @@ def scatter_add_rows_oracle(table, indices, deltas) -> None:
     FP32 table's rows (a tiered table's ids translated first); for
     Split-BF16 the ``np.unique`` + ``np.add.at`` aggregate, then the
     table's own update of the reconstructed rows."""
-    from repro.kernels import reference
+    from repro.kernels import reference, rows
 
     indices = np.asarray(indices, dtype=np.int64)
     if table.storage == "split_bf16":
-        table._apply_aggregated(*reference.aggregate_duplicates(indices, deltas))
+        rows.split_add_aggregated(
+            table.hi, table.lo, table.lo_bits, *reference.aggregate_duplicates(indices, deltas)
+        )
     elif hasattr(table, "store"):
         reference.scatter_add(table.store.weight, table._checked_rows(indices), deltas)
     else:

@@ -12,9 +12,9 @@ from repro.core.bf16 import (
     combine_fp32,
     quantize_bf16,
     split_fp32,
-    split_fp32_into,
     truncate_lo_bits,
 )
+from repro.kernels.rows import split_fp32_into
 
 finite_f32 = hnp.arrays(
     np.float32,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import embedding
 from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.embedding import (
     EmbeddingBag,
@@ -16,7 +15,9 @@ from repro.core.embedding import (
     segment_sum,
 )
 
-from tests.conftest import scatter_add_rows_oracle
+from repro.kernels import reference, rows as row_kernels
+from tests.conftest import TIERED, scatter_add_rows_oracle
+from tests.kernels.test_segment import bits, special_values
 
 
 def naive_forward(w, indices, offsets):
@@ -64,8 +65,9 @@ class TestSegmentSum:
 
 
 class TestForward:
+    @pytest.mark.usefixtures("kernel_tier")
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 1_000_000))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, **TIERED)
     def test_matches_naive_algorithm1(self, rows, n, seed):
         rng = np.random.default_rng(seed)
         table = EmbeddingBag(rows, 6, rng=rng)
@@ -81,6 +83,37 @@ class TestForward:
         got = table.forward(indices, offsets)
         want = naive_forward(table.weight, indices, offsets)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.usefixtures("kernel_tier")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
+    @given(
+        n=st.integers(0, 12),
+        max_len=st.sampled_from([0, 1, 5, 40]),
+        dim=st.sampled_from([1, 2, 3, 16, 64, 65]),
+        split=st.booleans(),
+        special_share=st.sampled_from([0.0, 0.05, 0.9]),
+        negative_zero=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None, **TIERED)
+    def test_ragged_bags_are_add_at_bit_for_bit(
+        self, n, max_len, dim, split, special_share, negative_zero, seed
+    ):
+        """Ragged, empty and unit bags, no look-ups at all, specials in
+        the rows and an all ``-0.0`` table (every sum starts from +0.0),
+        FP32 and Split-BF16 storage: literal ``np.add.at`` into zeros."""
+        rng = np.random.default_rng(seed)
+        rows = 17
+        w = special_values(rng, (rows, dim), special_share)
+        if negative_zero:
+            w[...] = -0.0
+        table = (SplitEmbeddingBag if split else EmbeddingBag)(rows, dim, weight=w)
+        indices, offsets = make_lookup(rng, rows, n, max_len=max_len)
+        got = table.forward(indices, offsets)
+        want = reference.segment_sum(table.dense_weight()[indices], offsets)
+        assert got.dtype == np.float32 and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(bits(got), bits(want))
+        assert not (negative_zero and np.signbit(got).any())
 
     def test_out_of_range_index_raises(self, rng):
         table = EmbeddingBag(10, 4, rng=rng)
@@ -262,7 +295,8 @@ class TestOptimizedKernelBitIdentity:
         np.testing.assert_array_equal(uniq, uniq_w)
         assert np.array_equal(agg, agg_w)
 
-    @pytest.mark.parametrize("dim", [2, 4, 1])  # dim=1 exercises the fallback
+    @pytest.mark.usefixtures("kernel_tier")
+    @pytest.mark.parametrize("dim", [2, 4, 1])  # dim=1 exercises the NumPy tier's fallback
     def test_fp32_scatter_vs_add_at(self, rng, dim):
         rows = 12
         idx = rng.integers(0, rows, size=200, dtype=np.int64)  # duplicate-heavy
@@ -274,6 +308,7 @@ class TestOptimizedKernelBitIdentity:
         scatter_add_rows_oracle(naive, idx, deltas)
         assert np.array_equal(fast.weight, naive.weight)
 
+    @pytest.mark.usefixtures("kernel_tier")
     @pytest.mark.parametrize("lo_bits", [16, 8])
     def test_split_bf16_scatter_vs_reference(self, rng, lo_bits):
         rows, dim = 16, 4
@@ -289,9 +324,9 @@ class TestOptimizedKernelBitIdentity:
 
     @pytest.mark.parametrize("lo_bits", [16, 8, 0])
     def test_split_row_update_and_gather_vs_split_combine_formula(self, rng, lo_bits):
-        """The in-place row update and the hi-only gather against the
-        textbook formulation on the repro.core.bf16 helpers, with
-        specials in both the rows and the deltas."""
+        """The NumPy tier's in-place row update and the hi-only gather
+        against the textbook formulation on the repro.core.bf16 helpers,
+        with specials in both the rows and the deltas."""
         rows, dim = 32, 8
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         w0[0, :4] = [np.inf, -np.inf, 0.0, -0.0]
@@ -303,7 +338,7 @@ class TestOptimizedKernelBitIdentity:
         agg[0, :2] = [-np.inf, 1.0]  # inf - inf, -inf + 1
         agg[1, 2] = np.finfo(np.float32).max  # overflow to inf
         with np.errstate(all="ignore"):
-            table._apply_aggregated_range(uniq, agg)
+            row_kernels.split_add_aggregated(table.hi, table.lo, lo_bits, uniq, agg)
             want = combine_fp32(hi0[uniq], lo0[uniq]) + agg
         want_hi, want_lo = split_fp32(want)
         hi0[uniq], lo0[uniq] = want_hi, truncate_lo_bits(want_lo, lo_bits)
@@ -316,6 +351,7 @@ class TestOptimizedKernelBitIdentity:
             got.view(np.uint32), bf16_to_fp32(table.hi[idx]).view(np.uint32)
         )
 
+    @pytest.mark.usefixtures("kernel_tier")
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
     def test_bag_updates_vs_backward_then_scatter(self, rng, storage):
         """The fused entry point == materialise dW, then scatter."""
@@ -340,8 +376,9 @@ class TestOptimizedKernelBitIdentity:
 
 
 class TestBlockedPooledForward:
-    """Equal-length bags pool chunk by chunk through the bag's own
-    buffer; the result is literal ``np.add.at`` whatever the chunking."""
+    """Equal-length bags: the NumPy tier pools them chunk by chunk
+    through the bag's own buffer, the native tier bag by bag; the result
+    is literal ``np.add.at`` whatever the tier and the chunking."""
 
     @staticmethod
     def add_at(rows, n, p):
@@ -350,6 +387,7 @@ class TestBlockedPooledForward:
         np.add.at(want, np.repeat(np.arange(n), p), rows)
         return want
 
+    @pytest.mark.usefixtures("kernel_tier")
     @given(
         n=st.integers(1, 40),
         p=st.sampled_from([1, 2, 3, 8, 9, 33]),
@@ -358,7 +396,7 @@ class TestBlockedPooledForward:
         split=st.booleans(),
         seed=st.integers(0, 10_000),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_matches_add_at_for_any_chunking(self, n, p, dim, block, split, seed):
         rng = np.random.default_rng(seed)
         rows = 23
@@ -368,31 +406,32 @@ class TestBlockedPooledForward:
         table = (SplitEmbeddingBag if split else EmbeddingBag)(rows, dim, weight=w)
         indices = rng.integers(0, rows, size=n * p)
         offsets = np.arange(0, n * p + 1, p)
-        with mock.patch.object(embedding, "_BLOCK_ELEMS", block or embedding._BLOCK_ELEMS):
+        with mock.patch.object(row_kernels, "_BLOCK_ELEMS", block or row_kernels._BLOCK_ELEMS):
             got = table.forward(indices, offsets)
         with np.errstate(invalid="ignore"):
             want = self.add_at(table.dense_weight()[indices], n, p)
         assert got.dtype == np.float32 and got.shape == (n, dim) and got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    def test_buffer_is_reused_and_grows_only_when_a_bag_outgrows_it(self, rng, monkeypatch):
-        monkeypatch.setattr("repro.core.embedding._BLOCK_ELEMS", 4 * 6 * 5)
+    def test_buffer_is_reused_and_grows_only_when_a_bag_outgrows_it(
+        self, rng, monkeypatch, numpy_tier
+    ):
+        monkeypatch.setattr(row_kernels, "_BLOCK_ELEMS", 4 * 6 * 5)
         table = EmbeddingBag(30, 4, rng=rng)
         table.forward(rng.integers(0, 30, size=6 * 50), np.arange(0, 301, 6))
-        first = table._pool_buf
-        assert first.shape == (6 * 5, 4)
+        assert table._scratch.nbytes == 6 * 5 * 4 * 4
         table.forward(rng.integers(0, 30, size=6 * 3), np.arange(0, 19, 6))
-        assert table._pool_buf is first
+        assert (table._scratch.allocations, table._scratch.hits) == (1, 1)
         got = table.forward(np.arange(80) % 30, np.array([0, 40, 80]))  # one bag > a block
-        assert table._pool_buf.shape == (40, 4)
+        assert table._scratch.nbytes == 40 * 4 * 4
         np.testing.assert_array_equal(got, self.add_at(table.weight[np.arange(80) % 30], 2, 40))
 
-    def test_unit_bags_gather_straight_into_the_output(self, rng):
+    def test_unit_bags_gather_straight_into_the_output(self, rng, numpy_tier):
         table = EmbeddingBag(30, 4, rng=rng)
         idx = rng.integers(0, 30, size=17)
         got = table.forward(idx, np.arange(18))
         np.testing.assert_array_equal(got, table.weight[idx])
-        assert table._pool_buf is None
+        assert len(table._scratch) == 0
 
     def test_offsets_must_span_the_look_ups(self, rng):
         table = EmbeddingBag(30, 4, rng=rng)

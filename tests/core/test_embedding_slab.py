@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import embedding
+from repro.kernels import rows as row_kernels
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
@@ -129,15 +129,15 @@ class TestStackAndViews:
             with pytest.raises(ValueError):
                 bag.rows_view(start, stop)
 
-    def test_scratch_is_per_instance(self, rng):
+    def test_scratch_is_per_instance(self, rng, numpy_tier):
         slab, (a, b) = stack_tables((EmbeddingBag(50, 4, rng=rng) for _ in range(2)), 100)
         idx, off = np.arange(40) % 50, np.arange(0, 41, 4)
         for bag in (slab, a, b):
             bag.forward(idx, off)
-        bufs = [bag._pool_buf for bag in (slab, a, b)]
-        assert all(buf is not None for buf in bufs)
-        assert not any(np.shares_memory(x, y) for x in bufs for y in bufs if x is not y)
-        assert a.rows_view(0, 10)._pool_buf is None
+        scratches = [bag._scratch for bag in (slab, a, b)]
+        assert all(s.nbytes for s in scratches)
+        assert len(set(map(id, scratches))) == 3
+        assert len(a.rows_view(0, 10)._scratch) == 0
 
     @pytest.mark.parametrize("rows,dim", [(50_000, 3), (7, 64), (1, 1)])
     def test_blockwise_init_is_the_one_shot_draw(self, rows, dim):
@@ -353,10 +353,11 @@ class TestTheIdSeam:
             model.rebind_table(9, EmbeddingBag(57, 8, rng=rng))
 
 
-def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block():
+def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block(kernel_tier):
     """``train_emb``'s shape, scaled down: the pooled forward gathers
-    through the bag's buffer and the fused update reads the bag-level
-    gradients, so no ``(NS, E)`` array exists at any point of a step."""
+    through the bag's buffer (NumPy tier) or not at all (native) and the
+    fused update reads the bag-level gradients, so no ``(NS, E)`` array
+    exists at any point of a step."""
     cfg = tiny_config(num_tables=8, rows=5_000, dim=64, lookups=32, minibatch=128)
     model = DLRM(cfg, seed=0)
     opt = SGD(lr=0.05, strategy=FusedBackwardUpdate(28))
@@ -367,7 +368,7 @@ def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block():
         model.train_step(batch, opt)
     lookups_by_dim = 8 * 128 * 32 * 64 * 4
     # What the forward does keep is one block, not the batch.
-    assert model.slab._pool_buf.nbytes <= embedding._BLOCK_ELEMS * 4 < lookups_by_dim // 8
+    assert model.slab._scratch.nbytes <= row_kernels._BLOCK_ELEMS * 4 < lookups_by_dim // 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

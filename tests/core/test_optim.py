@@ -15,7 +15,13 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.param import DenseSlab, Parameter
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
-from tests.conftest import pending_grads, racefree_update_oracle, random_batch, tiny_config
+from tests.conftest import (
+    TIERED,
+    pending_grads,
+    racefree_update_oracle,
+    random_batch,
+    tiny_config,
+)
 from tests.core.test_dense_slab import padding_mask, state_flat
 
 
@@ -309,12 +315,13 @@ def reference_split_sgd_step(
 
 
 class TestSplitSGDLiteralReference:
+    @pytest.mark.usefixtures("kernel_tier")
     @given(
         st.lists(st.tuples(f32_bits, f32_bits, f32_bits), min_size=1, max_size=40),
         st.sampled_from([0.05, 1.0, 1e-3, 3.0]),
         st.sampled_from([0, 8, 16]),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_two_steps_match_per_element_reference(self, rows, lr, lo_bits):
         w_bits, g1_bits, g2_bits = (np.array(col, dtype=np.uint32) for col in zip(*rows))
         p = Parameter(w_bits.view(np.float32).copy())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import reference
+from repro.kernels import dispatch, reference
 from repro.kernels import segment as seg
 from repro.kernels.segment import (
     aggregate_duplicates,
@@ -19,6 +19,7 @@ from repro.kernels.segment import (
     scatter_add_exact,
     segment_sum_ragged,
 )
+from tests.conftest import TIERED
 
 
 def ragged_offsets(rng, n, max_len=6, allow_empty=True):
@@ -414,12 +415,16 @@ class TestLengthOrderedFoldAgainstAddAt:
     ``NaN + NaN``, and which payload survives differs between
     ``np.add.at``, ``np.add``'s SIMD body and its scalar tail on one
     machine (see ``MACHINE_NAN``).
+
+    The scatter tests run once per kernel tier through the dispatch: the
+    native tier's input-order C loop is held to the same ``np.add.at``.
     """
 
     shuffled_runs = staticmethod(TestBinaryFoldAgainstAddAt.shuffled_runs)
 
+    @pytest.mark.usefixtures("kernel_tier")
     @length_ordered_case
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_scatter(self, runs, long_run, dim, special_share, blocks, seed):
         rng = np.random.default_rng(seed)
         idx, table_rows = self.shuffled_runs(rng, runs, long_run)
@@ -429,11 +434,12 @@ class TestLengthOrderedFoldAgainstAddAt:
         np.add.at(want, idx, deltas)
         got = w0.copy()
         with fold_blocks(blocks):
-            scatter_add_exact(got, idx, deltas)
+            dispatch.scatter_add_exact(got, idx, deltas)
         np.testing.assert_array_equal(bits(got), bits(want))
 
+    @pytest.mark.usefixtures("kernel_tier")
     @length_ordered_case
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_bag_scatter(self, runs, long_run, dim, special_share, blocks, seed):
         rng = np.random.default_rng(seed)
         idx, table_rows = self.shuffled_runs(rng, runs, long_run)
@@ -445,7 +451,7 @@ class TestLengthOrderedFoldAgainstAddAt:
         np.add.at(want, idx, bag_grads[bag_ids])
         got = w0.copy()
         with fold_blocks(blocks):
-            scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
+            dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
         np.testing.assert_array_equal(bits(got), bits(want))
 
     @length_ordered_case
@@ -469,6 +475,7 @@ class TestLengthOrderedFoldAgainstAddAt:
         np.testing.assert_array_equal(bits(got), bits(want))
         np.testing.assert_array_equal(bits(same), bits(want))
 
+    @pytest.mark.usefixtures("kernel_tier")
     @pytest.mark.parametrize("dim", [2, 64])
     def test_more_segments_than_a_block_of_the_shipped_size(self, rng, dim):
         per_block = seg._SEGMENT_BLOCK_ELEMS // dim
@@ -479,9 +486,10 @@ class TestLengthOrderedFoldAgainstAddAt:
         w0 = special_values(rng, (lengths.shape[0] + 5, dim), 0.05)
         want = w0.copy()
         np.add.at(want, idx, deltas)
-        scatter_add_exact(w0, idx, deltas)
+        dispatch.scatter_add_exact(w0, idx, deltas)
         np.testing.assert_array_equal(bits(w0), bits(want))
 
+    @pytest.mark.usefixtures("kernel_tier")
     def test_one_run_longer_than_a_long_run_block_of_the_shipped_size(self, rng):
         dim = 64
         long_run = seg._BLOCK_ELEMS // dim + HEAD + 100
@@ -490,16 +498,17 @@ class TestLengthOrderedFoldAgainstAddAt:
         w0 = special_values(rng, (table_rows, dim), 0.05)
         want = w0.copy()
         np.add.at(want, idx, deltas)
-        scatter_add_exact(w0, idx, deltas)
+        dispatch.scatter_add_exact(w0, idx, deltas)
         np.testing.assert_array_equal(bits(w0), bits(want))
 
+    @pytest.mark.usefixtures("kernel_tier")
     @pytest.mark.parametrize("dim", [1, 2, 64])
     def test_empty_input(self, rng, dim):
         none = np.empty(0, dtype=np.int64)
         w0 = special_values(rng, (5, dim), 0.5)
         w = w0.copy()
-        scatter_add_exact(w, none, np.empty((0, dim), np.float32))
-        scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), value_rows=none)
+        dispatch.scatter_add_exact(w, none, np.empty((0, dim), np.float32))
+        dispatch.scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), value_rows=none)
         np.testing.assert_array_equal(bits(w), bits(w0))
         for uniq, agg in (
             aggregate_duplicates(none, np.empty((0, dim), np.float32)),

@@ -7,7 +7,8 @@
 own row (``arange(n)``) sends the per-lookup values through the shared
 gather, so the two entries and the ``np.add.at`` spelling of
 :mod:`repro.kernels.reference` must produce the same bits -- including
-``E == 1`` (the fallback), empty input and all-``-0.0`` rows.
+``E == 1`` (the NumPy tier's fallback), empty input and all-``-0.0``
+rows.  The array kernel and the bags' entries run once per kernel tier.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
-from repro.kernels import reference
+from repro.kernels import dispatch, reference
 from repro.kernels.segment import aggregate_duplicates, scatter_add_exact
 from repro.tiering.store import TieredEmbeddingBag
-from tests.conftest import scatter_add_rows_oracle
+from tests.conftest import TIERED, scatter_add_rows_oracle
 from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
@@ -53,22 +54,23 @@ def draw(rows, nnz, dim, special_share, negative_zero, seed):
 
 
 class TestKernels:
+    @pytest.mark.usefixtures("kernel_tier")
     @case
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_scatter_add_exact(self, **kw):
         w0, idx, deltas, shared, shared_rows = draw(**kw)
         want = w0.copy()
         reference.scatter_add(want, idx, deltas)
         for value_rows in (None, np.arange(idx.size)):
             got = w0.copy()
-            scatter_add_exact(got, idx, deltas, value_rows=value_rows)
+            dispatch.scatter_add_exact(got, idx, deltas, value_rows=value_rows)
             np.testing.assert_array_equal(bits(got), bits(want))
         if kw["negative_zero"]:
             assert np.signbit(want).all()  # -0.0 + -0.0: no +0.0 start crept in
         want = w0.copy()
         reference.scatter_add(want, idx, shared[shared_rows])
         got = w0.copy()
-        scatter_add_exact(got, idx, shared, value_rows=shared_rows)
+        dispatch.scatter_add_exact(got, idx, shared, value_rows=shared_rows)
         np.testing.assert_array_equal(bits(got), bits(want))
 
     @case
@@ -117,8 +119,9 @@ def storage_bits(bag):
 
 @pytest.mark.parametrize("kind", ["fp32", "split_bf16", "tiered"])
 class TestScatterAddRows:
+    @pytest.mark.usefixtures("kernel_tier")
     @case
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, **TIERED)
     def test_both_entries_equal_the_oracle(self, kind, cold_dir, **kw):
         w0, idx, deltas, shared, shared_rows = draw(**kw)
         bags = [make_bag(kind, w0, cold_dir, kw["seed"]) for _ in range(5)]

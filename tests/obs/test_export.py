@@ -27,6 +27,23 @@ class TestJsonl:
         assert header["spans"] == len(spans)
         assert back == spans
 
+    def test_header_names_the_kernel_tier_without_a_schema_bump(self, tmp_path):
+        """``kernels`` is an additive header key: the schema stays 1, a
+        file without the key (written before the native tier) still
+        reads, and the spans of a file with it are untouched."""
+        from repro.kernels import native
+
+        assert TELEMETRY_SCHEMA == 1
+        spans = recorded_spans()
+        path = tmp_path / "run.jsonl"
+        write_jsonl(spans, path)
+        header, back = read_jsonl(path)
+        assert header["kernels"] == native.tier() and header["kernels"] in ("native", "numpy")
+        lines = path.read_text().splitlines()
+        old = {k: v for k, v in json.loads(lines[0]).items() if k != "kernels"}
+        path.write_text("\n".join([json.dumps(old)] + lines[1:]) + "\n")
+        assert read_jsonl(path) == (old, back) and back == spans
+
     def test_schema_mismatch_raises(self, tmp_path):
         path = tmp_path / "old.jsonl"
         write_jsonl(recorded_spans(), path)

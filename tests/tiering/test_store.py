@@ -16,7 +16,7 @@ from repro.core.embedding import EmbeddingBag
 from repro.core.model import DLRM
 from repro.tiering.planner import plan_placement
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, file_backed
-from tests.conftest import random_batch, scatter_add_rows_oracle, tiny_config
+from tests.conftest import TIERED, random_batch, scatter_add_rows_oracle, tiny_config
 from tests.kernels.test_segment import bits, special_values
 from tests.tiering.test_planner import skewed_snapshot
 
@@ -43,6 +43,7 @@ def lookup(seed=0, n=200):
     return idx, off
 
 
+@pytest.mark.usefixtures("kernel_tier")
 class TestBitIdentity:
     def test_gather(self, tmp_path):
         flat, tiered = pair(tmp_path)
@@ -131,10 +132,11 @@ def bags(rng, ragged):
     return idx, offsets, np.repeat(np.arange(30), lengths)
 
 
+@pytest.mark.usefixtures("kernel_tier")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow: wanted inputs
 class TestAnyHotSetAgainstAddAt:
     @store_case
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_layout_and_reads(self, cold_dir, hot_kind, special_share, ragged, seed):
         rng = np.random.default_rng(seed)
         w0, hot, bag = build(rng, hot_kind, special_share, cold_dir)
@@ -160,7 +162,7 @@ class TestAnyHotSetAgainstAddAt:
             bag.close()
 
     @store_case
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_updates_state_and_retier(self, cold_dir, hot_kind, special_share, ragged, seed):
         rng = np.random.default_rng(seed)
         want, hot, bag = build(rng, hot_kind, special_share, cold_dir)

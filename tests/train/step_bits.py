@@ -7,7 +7,8 @@ it runs on, the loss bits, the ``state_digest`` of the consolidated model
 and optimizer state and the rank clocks after :data:`STEPS` steps.  With
 a path it also saves the local run of every case :func:`checkpoints`
 lists at step :data:`CHECKPOINT_STEP`, and ``resumed`` is, by case, what
-each file reaches once resumed for the remaining steps.
+each file reaches once resumed for the remaining steps; ``kernels`` is
+the kernel tier the process ran (``CC=/bin/false`` selects ``numpy``).
 ``tests/train/data/parent_15082ab_expected.json`` is the ``workloads``
 output with commit 15082ab's ``src/`` on the path and
 ``parent_82d76ee_expected.json`` the ``optimizers`` output with commit
@@ -21,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.kernels import native
 from repro.train import RunSpec, Trainer
 
 from tests.train.test_slab_executors import host_fingerprint, state_digest
@@ -131,6 +133,7 @@ def main(checkpoint: str | None = None, suite: str = "workloads") -> dict:
                 trainer.close()
     if saved:
         out["resumed"] = {name: resume(path) for name, path in saved.items()}
+    out["kernels"] = native.tier()
     return out
 
 

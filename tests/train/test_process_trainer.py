@@ -8,6 +8,8 @@ resume under the other).
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.exec.pool import pooled
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
+from tests.conftest import counting_cc
 from tests.train.test_trainer import tiny_spec
 
 
@@ -252,10 +255,22 @@ class TestReplyDeadline:
 
 
 class TestSpawnSmoke:
-    def test_spawn_start_method(self, monkeypatch):
+    def test_spawn_start_method(self, monkeypatch, tmp_path):
         """The portable default start method works end to end (slow:
-        workers re-import the world)."""
+        workers re-import the world).  The workers load the native
+        kernel tier from a warm cache without compiling: ``CC`` is a
+        wrapper that counts its calls, and one process warms the cache
+        under that name before any worker starts."""
         monkeypatch.delenv("REPRO_MP_CONTEXT", raising=False)
+        cc, calls = counting_cc(tmp_path)
+        monkeypatch.setenv("CC", cc)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        warm = subprocess.run(
+            [sys.executable, "-c", "from repro.kernels import native; print(native.tier())"],
+            capture_output=True, text=True, check=True,
+        )
+        warmed = warm.stdout.strip() == "native"  # else: no compiler here, nothing to count
+        assert not warmed or calls.read_text() == "x\n"
         spec = dist_spec(steps=2)
         sequential = make_trainer(spec).fit()
         proc = Trainer.from_spec(spec, backend="process", workers=2)
@@ -265,3 +280,4 @@ class TestSpawnSmoke:
             assert proc.losses == sequential.losses
         finally:
             proc.close()
+        assert not warmed or calls.read_text() == "x\n"

@@ -202,7 +202,7 @@ class TestCheckpointFromTheParentCommit:
         assert_states_equal(resumed.model_state_dict(), twin.model_state_dict())
         assert_states_equal(resumed.opt_state_dict(), twin.opt_state_dict())
 
-    def test_resumes_to_the_bits_the_parent_reached(self, storage):
+    def test_resumes_to_the_bits_the_parent_reached(self, storage, kernel_tier):
         recorded = json.loads((DATA / "parent_expected.json").read_text())
         if recorded["host"] != host_fingerprint():
             pytest.skip(
@@ -217,16 +217,17 @@ class TestCheckpointFromTheParentCommit:
         assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
 
 
-def pinned_child(*argv: str) -> str:
+def pinned_child(*argv: str, **environ: str) -> str:
     """stdout of a child interpreter with BLAS pinned to one thread, as
     the benchmark runs its workloads and as the parents' bits were
     recorded: two process workers sharing this process's BLAS pool spin
-    through its GEMMs 16x slower."""
+    through its GEMMs 16x slower.  ``environ`` adds to its environment."""
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": "1",
         "REPRO_MP_CONTEXT": "fork",
         "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)]),
+        **environ,
     }
     child = subprocess.run(
         [sys.executable, *argv], env=env, check=True, capture_output=True, text=True, timeout=300
@@ -296,7 +297,9 @@ class TestTheTrainingStepAgainstCommit15082ab:
     and ``train_dist4`` specs at test scale on the local, inline and
     process executors, and ``parent_15082ab_bf16.npz``, its ``train_bf16``
     checkpoint at step 10.  The rank clocks are virtual and compared on
-    every host; the bits only where GEMMs round as they did there."""
+    every host; the bits only where GEMMs round as they did there.  Every
+    test runs once per kernel tier: the child of the ``numpy`` run has a
+    ``CC`` that cannot compile, the real fallback on all three executors."""
 
     COMMIT, SUITE = "15082ab", "workloads"
     #: case of the suite -> the checkpoint the parent saved of its local run
@@ -306,11 +309,15 @@ class TestTheTrainingStepAgainstCommit15082ab:
     def recorded(self):
         return json.loads((DATA / f"parent_{self.COMMIT}_expected.json").read_text())
 
-    @pytest.fixture(scope="class")
-    def got(self, tmp_path_factory):
+    @pytest.fixture(scope="class", params=["numpy", "native"])
+    def got(self, request, tmp_path_factory):
         ckpt = tmp_path_factory.mktemp("step_bits") / "ckpt.npz"
         script = str(REPO / "tests/train/step_bits.py")
-        return json.loads(pinned_child(script, str(ckpt), self.SUITE))
+        environ = {"CC": "/bin/false"} if request.param == "numpy" else {}
+        got = json.loads(pinned_child(script, str(ckpt), self.SUITE, **environ))
+        if got["kernels"] != request.param:
+            pytest.skip(f"the child ran the {got['kernels']} tier: no native tier on this host")
+        return got
 
     def test_every_executor_runs_every_spec(self, got, recorded):
         assert sorted(got["runs"]) == sorted(recorded["runs"])
@@ -341,7 +348,7 @@ class TestTheTrainingStepAgainstCommit15082ab:
         assert got["runs"] == recorded["runs"]
         assert got["resumed"] == recorded["resumed"]
 
-    def test_the_parents_checkpoint_resumes(self, recorded):
+    def test_the_parents_checkpoint_resumes(self, recorded, kernel_tier):
         for case, name in self.CHECKPOINTS.items():
             path = DATA / name
             ckpt = load_checkpoint(path)  # CRCs verified
