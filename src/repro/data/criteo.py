@@ -25,30 +25,21 @@ import numpy as np
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
 from repro.data.synthetic import RandomRecDataset, bounded_zipf
-from repro.kernels.reference import scatter_add
+from repro.kernels import dispatch
 from repro.util import rng_from
 
-#: Knuth's multiplicative hash constant (golden-ratio scramble).
-_HASH_MULT = np.uint64(2654435761)
-_HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
+#: Golden-ratio mix: table ``t``'s hash adds ``(t + 1) * _HASH_MIX``.
+_HASH_MIX = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
-def _hashed_effect(table: int, idx: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic pseudo-random effect in [-0.5, 0.5) per (table, idx).
-
-    This is the teacher's "ground-truth embedding": a fixed scalar effect
-    per categorical value, computable without materialising 188M rows.
-    """
-    mask64 = (1 << 64) - 1
-    table_mix = np.uint64(((table + 1) * int(_HASH_MIX)) & mask64)
-    seed_mult = np.uint64((seed * 2 + 1) & mask64)
-    h = idx.astype(np.uint64)
-    # Unsigned array arithmetic wraps modulo 2^64 by construction.
-    h = (h + table_mix) * _HASH_MULT
-    h ^= h >> np.uint64(29)
-    h *= seed_mult
-    h ^= h >> np.uint64(32)
-    return (h & np.uint64(0xFFFFFFFF)).astype(np.float64) / 2.0**32 - 0.5
+def _hash_keys(table: int, seed: int) -> tuple[int, int]:
+    """``(mix, seed_mult)`` of table ``table``'s teacher hash: with
+    :func:`repro.kernels.synth.hashed_effect` a deterministic
+    pseudo-random effect in [-0.5, 0.5) per (table, id) -- the teacher's
+    "ground-truth embedding", computable without materialising 188M
+    rows."""
+    return ((table + 1) * _HASH_MIX) & _MASK64, (seed * 2 + 1) & _MASK64
 
 
 class SyntheticCriteoDataset(RandomRecDataset):
@@ -88,17 +79,12 @@ class SyntheticCriteoDataset(RandomRecDataset):
         self, dense: np.ndarray, indices: list[np.ndarray], offsets: list[np.ndarray]
     ) -> np.ndarray:
         """The planted ground-truth click logit for each sample."""
-        n = dense.shape[0]
         score = self.dense_signal * (dense @ self._dense_w) / np.sqrt(
             self.cfg.dense_features
         )
         for t in range(self.cfg.num_tables):
-            eff = _hashed_effect(t, indices[t], self.seed)
-            lengths = np.diff(offsets[t])
-            bag = np.zeros(n)
-            scatter_add(bag, np.repeat(np.arange(n), lengths), eff)
-            denom = np.maximum(lengths, 1)
-            score += self._table_w[t] * bag / denom
+            mix, seed_mult = _hash_keys(t, self.seed)
+            dispatch.teacher_bags(indices[t], offsets[t], mix, seed_mult, self._table_w[t], score)
         norm = np.sqrt(1.0 + self.cfg.num_tables)
         return self.signal_scale * score / norm
 

@@ -13,11 +13,9 @@ import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
+from repro.kernels import dispatch
+from repro.kernels.synth import KNUTH, MAX_SCRAMBLE_ITEMS
 from repro.util import rng_from
-
-
-#: Odd prime used to scatter Zipf ranks over the id space (0x9E3779B1).
-_SCRAMBLE_PRIME = 2654435761
 
 
 def bounded_zipf(
@@ -39,24 +37,28 @@ def bounded_zipf(
     are scattered across the table, like the hashed categorical ids of
     the real dataset.  Without it, every hot row lands at the bottom of
     the id range and Alg. 4's row-range partition would see artificial
-    load imbalance that real Criteo does not exhibit.
+    load imbalance that real Criteo does not exhibit.  The bijection is
+    exact up to :data:`~repro.kernels.synth.MAX_SCRAMBLE_ITEMS` items
+    (3,474,689,199); a larger scrambled table raises ``ValueError``.
     """
     if n_items <= 0:
         raise ValueError("n_items must be positive")
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
-    u = rng.random(size)
-    m = float(n_items)
-    # Inverse CDF of the continuous density ~ x^-alpha on [1, M].
-    x = (1.0 + u * (m ** (1.0 - alpha) - 1.0)) ** (1.0 / (1.0 - alpha))
-    ranks = np.minimum(x.astype(np.int64) - 1, n_items - 1).clip(0)
-    if not scramble:
-        return ranks
-    if n_items % _SCRAMBLE_PRIME == 0:  # pragma: no cover - 2.6B-row tables
+    if scramble and n_items % KNUTH == 0:
         raise ValueError("n_items collides with the scramble prime")
-    # Affine bijection on [0, n_items): the +12345 keeps rank 0 (the Zipf
-    # head) away from id 0.
-    return ((ranks + 12345) * _SCRAMBLE_PRIME) % n_items
+    if scramble and n_items > MAX_SCRAMBLE_ITEMS:
+        raise ValueError(
+            f"n_items {n_items} > {MAX_SCRAMBLE_ITEMS}: the scramble would wrap int64"
+        )
+    # Inverse CDF of the continuous density ~ x^-alpha on [1, M], in
+    # place: (1 + u * (M^(1-alpha) - 1)) ** (1 / (1 - alpha)), the same
+    # operations in the same order (``**=`` takes ``**``'s scalar paths).
+    x = rng.random(size)
+    x *= float(n_items) ** (1.0 - alpha) - 1.0
+    x += 1.0
+    x **= 1.0 / (1.0 - alpha)
+    return dispatch.zipf_ids(x, n_items, scramble)
 
 
 class RandomRecDataset:

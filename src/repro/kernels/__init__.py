@@ -5,9 +5,10 @@ on.  The numerics are exact FP32 NumPy; the *loop structure* mirrors the
 paper's Algorithm 5 (blocked layouts + batch-reduce GEMM) so that the
 code path being cost-modelled is the code path that actually executes.
 
-The embedding and optimizer row operators come in two tiers with the
-same bits: NumPy formulations (:mod:`~repro.kernels.segment`,
-:mod:`~repro.kernels.rows`) and C loops compiled on first use
+The embedding and optimizer row operators and the Criteo generator's two
+data kernels come in two tiers with the same bits: NumPy formulations
+(:mod:`~repro.kernels.segment`, :mod:`~repro.kernels.rows`,
+:mod:`~repro.kernels.synth`) and C loops compiled on first use
 (:mod:`~repro.kernels.native`).  :mod:`~repro.kernels.dispatch` picks one
 per call from what the process and the arrays are; nothing outside this
 package can tell which.

@@ -1,20 +1,21 @@
 """Where a kernel tier is chosen: the only place.
 
-Five operators have two implementations -- C loops behind ``ctypes``
+Seven operators have two implementations -- C loops behind ``ctypes``
 (:mod:`repro.kernels.native`) and NumPy formulations
-(:mod:`repro.kernels.segment`, :mod:`repro.kernels.rows`) -- with the
-same bits, both held to :mod:`repro.kernels.reference`.  Each function
+(:mod:`repro.kernels.segment`, :mod:`repro.kernels.rows`,
+:mod:`repro.kernels.synth`) -- with the same bits, the row operators'
+held to :mod:`repro.kernels.reference`.  Each function
 below offers its arguments to the native entry, which either does the
 whole job or touches nothing (no library in this process, or arrays it
 cannot represent: another dtype, a strided view, an id out of range);
 then the NumPy tier gets the same arguments.  The tier is a property of
 the process and of the arrays, never an option: callers in ``core``
-import these and cannot tell which one ran.
+and ``data`` import these and cannot tell which one ran.
 """
 
 from __future__ import annotations
 
-from repro.kernels import native, rows, segment
+from repro.kernels import native, rows, segment, synth
 
 
 def scatter_add_exact(weight, indices, deltas, value_rows=None) -> None:
@@ -52,3 +53,17 @@ def split_sgd_step(values, lo, grads, lr, keep_bits, scratch) -> None:
     """Split-SGD on a span: rejoin ``values || lo``, step, split."""
     if not native.split_sgd_step(values, lo, grads, lr, keep_bits):
         rows.split_sgd_step(values, lo, grads, lr, keep_bits, scratch)
+
+
+def zipf_ids(x, n_items, scramble):
+    """Ids on ``[0, n_items)`` from float64 draws ``x`` of the power law
+    on ``[1, n_items]``: rank ``trunc(x) - 1`` clamped, then scrambled."""
+    ids = native.zipf_ids(x, n_items, scramble)
+    return synth.zipf_ids(x, n_items, scramble) if ids is None else ids
+
+
+def teacher_bags(ids, offsets, mix, seed_mult, weight, score) -> None:
+    """``score[b] += weight * (bag b's hashed effects folded from +0.0 in
+    input order) / max(len, 1)``: the teacher's term for one table."""
+    if not native.teacher_bags(ids, offsets, mix, seed_mult, weight, score):
+        synth.teacher_bags(ids, offsets, mix, seed_mult, weight, score)

@@ -3,20 +3,23 @@
 The C functions take raw pointers, so every check happens here, before
 the first write: dtype, C-contiguity, writeability, agreeing shapes,
 every id inside ``[0, rows)`` and every ``value_rows`` entry inside
-``[0, len(deltas))``.  An entry that cannot *represent* its inputs
-(another dtype, a strided view, an id out of range, no library in this
-process) touches nothing and says so -- ``False``, or ``None`` for the
-one that returns an array -- and :mod:`repro.kernels.dispatch` hands the
-same inputs, unchanged, to the NumPy tier, where they wrap or raise as
-they always did.  ``np.memmap`` storage and ``rows_view`` slices are
-plain C-contiguous arrays and take these entries.
+``[0, len(deltas))``, offsets rising from 0 to the number of ids, a
+Zipf table no larger than the scramble's ``int64`` bound.  An entry
+that cannot *represent* its inputs (another dtype, a strided view, an
+id out of range, no library in this process) touches nothing and says
+so -- ``False``, or ``None`` for the two that return an array -- and
+:mod:`repro.kernels.dispatch` hands the same inputs, unchanged, to the
+NumPy tier, where they wrap or raise as they always did.  ``np.memmap``
+storage and ``rows_view`` slices are plain C-contiguous arrays and take
+these entries.
 
 Thread sharding is the caller's pool over disjoint ranges -- rows for
 the scatter (Alg. 4: every thread scans all look-ups and owns
 ``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, segments for the
 Split-BF16 update -- so each output row has one owner who folds it in
-input order, and the bits do not depend on the number of threads.  A
-``ctypes`` call releases the GIL.
+input order, and the bits do not depend on the number of threads.  The
+two data kernels run whole on the calling thread.  A ``ctypes`` call
+releases the GIL.
 
 ``python -m repro.kernels.native`` says what is loaded.
 """
@@ -30,6 +33,7 @@ import numpy as np
 from repro.kernels.native.build import library
 from repro.kernels.rows import lo_mask
 from repro.kernels.segment import plan_segments, resolve_pool, shardable
+from repro.kernels.synth import MAX_SCRAMBLE_ITEMS
 
 
 def tier() -> str:
@@ -78,6 +82,18 @@ def _deltas(lib, deltas, dim: int, n: int, value_rows) -> bool:
     return _ids(lib, value_rows, n, deltas.shape[0])
 
 
+def _offsets(offsets, n: int) -> bool:
+    """``offsets``: a C-contiguous ``int64`` vector of bag bounds rising
+    from 0 to ``n``."""
+    return (
+        _plain(offsets, np.int64, 1)
+        and offsets.shape[0] > 0
+        and offsets[0] == 0
+        and offsets[-1] == n
+        and not (np.diff(offsets) < 0).any()
+    )
+
+
 def _run(fn: Callable[[int, int, int], None], work: int, items: int, elems: int, pool) -> None:
     """``fn(lo, hi, tid)`` over ``[0, work)``: whole, or sharded over the
     pool's static ranges when the payload is worth the hand-off."""
@@ -124,11 +140,9 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     else:
         return None
     rows, dim = source.shape
-    if not (dim and _ids(lib, indices, None, rows) and _plain(offsets, np.int64, 1)):
+    if not (dim and _ids(lib, indices, None, rows) and _offsets(offsets, indices.shape[0])):
         return None
     n, bags = indices.shape[0], offsets.shape[0] - 1
-    if bags < 0 or offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
-        return None
     out = np.empty((bags, dim), dtype=np.float32)
     args = (_ptr(source), dim, _ptr(indices), _ptr(offsets))
     _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, n * dim, pool)
@@ -199,4 +213,39 @@ def split_sgd_step(values, lo, grads, lr: float, keep_bits: int) -> bool:
     lib.repro_split_sgd_step(
         _ptr(values), _ptr(lo), _ptr(grads), values.shape[0], float(lr), int(lo_mask(keep_bits))
     )
+    return True
+
+
+def zipf_ids(x, n_items, scramble: bool) -> np.ndarray | None:
+    """``bounded_zipf``'s integer tail over float64 power-law draws
+    ``x``; None when not representable (an item count outside
+    ``[1, MAX_SCRAMBLE_ITEMS]``, scrambled or not)."""
+    lib = library()
+    if lib is None or not (
+        _plain(x, np.float64, 1)
+        and isinstance(n_items, (int, np.integer))
+        and 1 <= n_items <= MAX_SCRAMBLE_ITEMS
+    ):
+        return None
+    ids = np.empty(x.shape[0], dtype=np.int64)
+    lib.repro_zipf_ids(_ptr(x), x.shape[0], int(n_items), int(bool(scramble)), _ptr(ids))
+    return ids
+
+
+def teacher_bags(ids, offsets, mix: int, seed_mult: int, weight: float, score) -> bool:
+    """The teacher's term for one table, added into ``score`` (one
+    float64 per bag) in place; False when not representable."""
+    lib = library()
+    if lib is None or not (
+        _plain(ids, np.int64, 1)
+        and _plain(score, np.float64, 1, writeable=True)
+        and _offsets(offsets, ids.shape[0])
+        and offsets.shape[0] == score.shape[0] + 1
+        and _disjoint((score,), (ids, offsets))
+        and 0 <= mix < 1 << 64
+        and 0 <= seed_mult < 1 << 64
+    ):
+        return False
+    keys = (int(mix), int(seed_mult), float(weight))
+    lib.repro_teacher_bags(_ptr(ids), _ptr(offsets), score.shape[0], *keys, _ptr(score))
     return True

@@ -3,9 +3,9 @@
 Prints the tier, the compiler and its version, the flags, the cached
 library and the source hash, then runs every native kernel once on a
 small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
-for the Split-BF16 and dense steps, which have no ``np.add.at``
-spelling).  Exits 1 on any ``FAIL``, or when the tier is ``numpy`` (the
-reason is printed).
+for the Split-BF16 and dense steps and the two data kernels, which have
+no ``np.add.at`` spelling).  Exits 1 on any ``FAIL``, or when the tier
+is ``numpy`` (the reason is printed).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from repro.kernels import native, reference, rows
+from repro.kernels import native, reference, rows, synth
 from repro.kernels.native import build
 
 
@@ -76,6 +76,18 @@ def checks() -> dict[str, bool]:
     rows.split_sgd_step(*halves[0], g, 0.05, 16, np.empty(w.size, np.float32))
     ran = native.split_sgd_step(*halves[1], g, 0.05, 16)
     out["split_sgd_step"] = ran and _same(*zip(*halves))
+
+    x = np.concatenate([[0.5, 1.0, 7.9, 50.0, 51.0], 1.0 / (1.0 - rng.random(200))])
+    for name, scramble in (("ranks", False), ("scrambled", True)):
+        got, want = native.zipf_ids(x, 50, scramble), synth.zipf_ids(x, 50, scramble)
+        out[f"zipf_ids[{name}]"] = got is not None and _same((got, want))
+
+    ids = np.concatenate([idx, [-1, 2**62]])
+    ragged = np.append(offsets, ids.size)
+    want, got = np.zeros((2, bags + 1))
+    synth.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, want)
+    ran = native.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, got)
+    out["teacher_bags"] = ran and _same((got, want))
     return out
 
 

@@ -1,5 +1,6 @@
-/* The native tier of repro.kernels: the paper's Alg. 1-4 and the
- * Split-SGD step as plain C loops, loaded through ctypes.
+/* The native tier of repro.kernels: the paper's Alg. 1-4, the
+ * Split-SGD step and the Criteo generator's two data kernels (twins in
+ * repro.kernels.synth) as plain C loops, loaded through ctypes.
  *
  * Every function here promises the bits of its NumPy twin, which in
  * turn promises the bits of repro.kernels.reference (np.add.at).  The
@@ -9,11 +10,13 @@
  *     applies them: no reassociation, so never -ffast-math or -Ofast;
  *   - no FMA contraction (-ffp-contract=off): lr*g is rounded to FP32
  *     before it is subtracted, exactly where np.multiply rounds it;
- *   - a sum starts from +0.0 wherever NumPy's does (the pooled forward
- *     and the Split-BF16 aggregate), and from the stored row for the
- *     in-place scatter;
+ *   - a sum starts from +0.0 wherever NumPy's does (the pooled forward,
+ *     the Split-BF16 aggregate, a teacher bag), and from the stored row
+ *     for the in-place scatter;
  *   - the Split-BF16 path aggregates a row's deltas first and adds the
- *     aggregate to hi||lo once.
+ *     aggregate to hi||lo once;
+ *   - hash and scramble arithmetic is uint64, wrapping as NumPy's; the
+ *     Zipf draws' power stays in NumPy (libm's pow promises other bits).
  *
  * No function checks its arguments: repro/kernels/native/__init__.py
  * owns every check (dtype, contiguity, writeability, shapes, ids in
@@ -43,9 +46,12 @@
 /* Bytes of a cache line, the unit a prefetch requests. */
 #define LINE 64
 
+#define KNUTH UINT64_C(2654435761) /* synth.KNUTH: Zipf scramble and teacher hash */
+#define SCRAMBLE_SHIFT 12345
+
 /* Bumped whenever a signature below changes; the loader refuses a
  * library that answers anything else. */
-int64_t repro_abi(void) { return 1; }
+int64_t repro_abi(void) { return 2; }
 
 static inline float bits_to_f32(uint32_t bits)
 {
@@ -212,5 +218,49 @@ void repro_split_sgd_step(uint32_t *restrict values, uint16_t *restrict lo,
         uint32_t bits = f32_to_bits(bits_to_f32(values[i] | lo[i]) - scaled);
         lo[i] = (uint16_t)bits & lo_mask;
         values[i] = bits & 0xFFFF0000u;
+    }
+}
+
+/* bounded_zipf's integer tail: r = min(trunc(x) - 1, items - 1) clipped
+ * at 0 (NaN gives items - 1), then, if scramble, ((r + 12345) * KNUTH) mod
+ * items.  The wrapper admits items <= synth.MAX_SCRAMBLE_ITEMS: the product
+ * stays below 2^63 and its quotient below 2^45, so a double reciprocal's
+ * estimate is off by at most one and one correction each way is exact:
+ * 1.1 ns a look-up, where a hardware divide by the runtime divisor took 3.8. */
+void repro_zipf_ids(const double *restrict x, int64_t n, int64_t items, int scramble,
+                    int64_t *restrict ids)
+{
+    const double top = (double)items, inv = 1.0 / top;
+    for (int64_t i = 0; i < n; i++) {
+        double v = x[i];
+        int64_t r = !(v < top) ? items - 1 : v < 1.0 ? 0 : (int64_t)v - 1;
+        if (scramble) {
+            uint64_t p = (uint64_t)(r + SCRAMBLE_SHIFT) * KNUTH;
+            int64_t m = (int64_t)(p - (uint64_t)(int64_t)((double)p * inv) * (uint64_t)items);
+            m += m < 0 ? items : 0;
+            r = m >= items ? m - items : m;
+        }
+        ids[i] = r;
+    }
+}
+
+/* The teacher's term for one table: per bag b, fold the ids' effects
+ * (synth.hashed_effect) from +0.0 in input order into acc, then
+ * score[b] += weight * acc / max(len, 1). */
+void repro_teacher_bags(const int64_t *restrict ids, const int64_t *restrict offsets,
+                        int64_t bags, uint64_t mix, uint64_t seed_mult, double weight,
+                        double *restrict score)
+{
+    for (int64_t b = 0; b < bags; b++) {
+        double acc = 0.0;
+        for (int64_t s = offsets[b]; s < offsets[b + 1]; s++) {
+            uint64_t h = ((uint64_t)ids[s] + mix) * KNUTH;
+            h ^= h >> 29;
+            h *= seed_mult;
+            h ^= h >> 32;
+            acc += (double)(uint32_t)h / 4294967296.0 - 0.5;
+        }
+        int64_t len = offsets[b + 1] - offsets[b];
+        score[b] += weight * acc / (double)(len > 1 ? len : 1);
     }
 }

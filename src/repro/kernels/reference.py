@@ -5,11 +5,13 @@ and update strategy built on them -- promises the exact FP32 result of
 one of the spellings below.  They are the oracle the tests and
 ``benchmarks/bench_hotpath.py`` compare against, and what the kernels
 themselves run for ``E == 1``, the one shape whose fold NumPy would
-reorder; nothing else under ``src/`` calls ``np.add.at`` (the Criteo
-teacher's bag sums and the count-min sketch go through
-:func:`scatter_add`).  Array-level on purpose: a bag's oracle is its storage array
-through one of these (``tests/conftest.py::scatter_add_rows_oracle``),
-so nothing here knows about tables.
+reorder.  Nothing else under ``src/`` calls ``np.add.at``: only the
+count-min sketch of :mod:`repro.tiering.freqstats` goes through
+:func:`scatter_add` (the Criteo teacher's bag sums are a data kernel of
+their own, :mod:`repro.kernels.synth`).  Array-level on purpose: a
+bag's oracle is its storage array through one of these
+(``tests/conftest.py::scatter_add_rows_oracle``), so nothing here knows
+about tables.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     lib, why = build.load()
     if lib is None:
         pytest.skip(f"native tier unavailable: {why}")
-    mp.setattr(dispatch, "segment", _NoFallback())
-    mp.setattr(dispatch, "rows", _NoFallback())
+    for numpy_module in ("segment", "rows", "synth"):
+        mp.setattr(dispatch, numpy_module, _NoFallback())
 
 
 #: ``@settings(**TIERED)`` for a Hypothesis test that uses

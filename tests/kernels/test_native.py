@@ -19,6 +19,7 @@ from repro.core.embedding import EmbeddingBag
 from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, native, reference, rows as row_kernels
 from repro.kernels import segment as seg
+from repro.kernels import synth
 from repro.kernels.native import build
 from repro.kernels.threads import row_range_for_thread
 from repro.kernels.workspace import Workspace
@@ -286,6 +287,64 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         assert native.split_sgd_step(v, lo[:7], g, 0.5, 16) is False
         assert native.split_sgd_step(v, lo.astype(np.int16), g, 0.5, 16) is False
         assert (v == 1).all() and not lo.any()
+
+    @staticmethod
+    def same_outcome(kernel, *args) -> None:
+        """The dispatch and the NumPy tier return or raise alike."""
+        outcomes = []
+        for module in (dispatch, synth):
+            try:
+                outcomes.append(np.asarray(getattr(module, kernel)(*args)).tobytes())
+            except Exception as exc:  # noqa: BLE001 - whatever NumPy raises, both must
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
+    X = np.array([0.5, 1.0, 3.7, 49.9, 50.0, 61.0])
+    ZIPF = {
+        "float32 draws": lambda s: (s.X.astype(np.float32), 50),
+        "strided draws": lambda s: (np.repeat(s.X, 2)[::2], 50),
+        "2-d draws": lambda s: (s.X.reshape(2, 3), 50),
+        "a list of draws": lambda s: (s.X.tolist(), 50),
+        "no items": lambda s: (s.X, 0),
+        "a float item count": lambda s: (s.X, 50.0),
+        "past the scramble bound": lambda s: (s.X, synth.MAX_SCRAMBLE_ITEMS + 1),
+    }
+
+    @pytest.mark.parametrize("what", sorted(ZIPF))
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_zipf_ids(self, what, scramble):
+        x, n_items = self.ZIPF[what](self)
+        assert native.zipf_ids(x, n_items, scramble) is None
+        self.same_outcome("zipf_ids", x, n_items, scramble)
+
+    OFF = np.array([0, 2, 2, 3])
+    TEACHER = {
+        "int32 ids": lambda s: (s.IDX.astype(np.int32), s.OFF, 5, np.zeros(3)),
+        "strided ids": lambda s: (np.repeat(s.IDX, 2)[::2], s.OFF, 5, np.zeros(3)),
+        "float32 score": lambda s: (s.IDX, s.OFF, 5, np.zeros(3, np.float32)),
+        "strided score": lambda s: (s.IDX, s.OFF, 5, np.zeros(6)[::2]),
+        "read-only score": lambda s: (s.IDX, s.OFF, 5, np.zeros(3)),
+        "short offsets": lambda s: (s.IDX, np.array([0, 2, 2]), 5, np.zeros(2)),
+        "late offsets": lambda s: (s.IDX, np.array([1, 2, 2, 3]), 5, np.zeros(3)),
+        "decreasing offsets": lambda s: (s.IDX, np.array([0, 2, 1, 3]), 5, np.zeros(3)),
+        "int32 offsets": lambda s: (s.IDX, s.OFF.astype(np.int32), 5, np.zeros(3)),
+        "a score per bag too many": lambda s: (s.IDX, s.OFF, 5, np.zeros(4)),
+        "a negative mix": lambda s: (s.IDX, s.OFF, -5, np.zeros(3)),
+    }
+
+    @pytest.mark.parametrize("what", sorted(TEACHER))
+    def test_teacher_bags(self, what):
+        ids, offsets, mix, score = self.TEACHER[what](self)
+        score.flags.writeable = what != "read-only score"
+        assert native.teacher_bags(ids, offsets, mix, 7, 0.5, score) is False
+        assert not score.any()
+        self.same_outcome("teacher_bags", ids, offsets, mix, 7, 0.5, score.copy())
+
+    def test_teacher_score_overlapping_the_ids(self):
+        ids = np.zeros(3, dtype=np.int64)
+        score = ids[2:].view(np.float64)
+        assert native.teacher_bags(ids, np.array([0, 3]), 5, 7, 0.5, score) is False
+        assert not ids.any()
 
     def test_split_halves_must_be_two_arrays_of_one_shape(self):
         hi, lo = halves(self.W)

@@ -197,4 +197,4 @@ def test_the_command_says_what_is_loaded(tmp_path):
     for field in ("tier      native", "compiler  ", "flags     -O3", "library   ", "source    "):
         assert field in ok.stdout
     checks = [line for line in ok.stdout.splitlines() if line.endswith((" ok", " FAIL"))]
-    assert len(checks) == 7 and all(line.endswith(" ok") for line in checks)
+    assert len(checks) == 10 and all(line.endswith(" ok") for line in checks)
