@@ -30,7 +30,7 @@ from repro.obs.tracer import trace
 from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add
 from repro.kernels.rows import gather_rows
 from repro.kernels.segment import aggregate_duplicates, segment_sum_ragged
-from repro.kernels.workspace import Workspace
+from repro.kernels.workspace import Workspace, aligned_empty
 
 
 @dataclass
@@ -131,7 +131,7 @@ class EmbeddingBag:
             # draw bit for bit without its table-sized float64 transient.
             rng = rng or np.random.default_rng()
             bound = np.sqrt(1.0 / rows)
-            w = np.empty((rows, dim), dtype=np.float32)
+            w = aligned_empty((rows, dim), np.float32)
             step = max(1, _BLOCK_ELEMS // dim)
             for lo in range(0, rows, step):
                 w[lo : lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), dim))
@@ -294,10 +294,12 @@ def stack_tables(
     exact bits.  ``tables`` is consumed one at a time (pass a
     generator), so at most one stand-alone table is alive beside the
     slab.  ``alloc(shape, dtype)`` provides the slab's storage arrays
-    (default ``np.empty``; :func:`repro.tiering.store.file_backed` puts
-    them on a file mapping).  No tables, no slab: ``(None, [])``.
+    (default :func:`~repro.kernels.workspace.aligned_empty`, so a table
+    whose rows are whole cache lines starts on one too;
+    :func:`repro.tiering.store.file_backed` puts them on a file
+    mapping).  No tables, no slab: ``(None, [])``.
     """
-    alloc = alloc or np.empty
+    alloc = alloc or aligned_empty
     slab, views, start = None, [], 0
     for table in tables:
         if slab is None:

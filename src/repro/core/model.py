@@ -70,7 +70,7 @@ class DLRM:
         partition of tables across processes reproduces the exact same
         weights as a single process holding all of them.
         ``slab_alloc(shape, dtype)`` provides the embedding slab's memory
-        (default ``np.empty``); whoever tiers the tables passes a file
+        (default: line-aligned memory); whoever tiers the tables passes a file
         mapping (:func:`repro.tiering.store.build_tiered`).
         """
         if storage not in ("fp32", "split_bf16"):

@@ -19,17 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-#: Slot alignment in bytes: one cache line, one AVX-512 vector.
-SLOT_ALIGN = 64
-_SLOT_ELEMS = SLOT_ALIGN // 4
+from repro.kernels.workspace import LINE_BYTES, aligned_empty
 
-
-def _aligned_zeros(n: int, dtype: type) -> np.ndarray:
-    """``n`` zeros of ``dtype`` whose first byte is ``SLOT_ALIGN``-aligned."""
-    nbytes = n * np.dtype(dtype).itemsize
-    raw = np.zeros(nbytes + SLOT_ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % SLOT_ALIGN
-    return raw[start : start + nbytes].view(dtype)
+#: Slot alignment in FP32 elements: one cache line, one AVX-512 vector.
+_SLOT_ELEMS = LINE_BYTES // 4
 
 
 def checked_entry(
@@ -160,7 +153,9 @@ class DenseSlab:
 
     def zeros(self, dtype: type) -> np.ndarray:
         """A zeroed, aligned flat with this slab's slot layout."""
-        return _aligned_zeros(self.size, dtype)
+        flat = aligned_empty(self.size, dtype)
+        flat[...] = 0
+        return flat
 
     def view(self, flat: np.ndarray, slot: int) -> np.ndarray:
         """Slot ``slot`` of a slab-shaped ``flat``, in the parameter's shape."""

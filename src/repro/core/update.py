@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.kernels.segment import bucket_by_row_ranges
+from repro.kernels.workspace import aligned_empty
 
 
 class UpdateStrategy(ABC):
@@ -134,7 +135,10 @@ class FusedBackwardUpdate(UpdateStrategy):
                 f"{lengths.shape[0]} bags"
             )
         bag_ids = np.repeat(np.arange(offsets.shape[0] - 1), lengths)
-        scaled = -np.float32(lr) * np.ascontiguousarray(grad_out, dtype=np.float32)
+        grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
+        # Line-aligned like the slab rows they meet; the same product.
+        scaled = aligned_empty(grad_out.shape, np.float32)
+        np.multiply(-np.float32(lr), grad_out, out=scaled)
         self._observe(indices, table.rows)
         if indices.size:
             table.scatter_add_rows(indices, scaled, delta_rows=bag_ids)

@@ -11,7 +11,9 @@ so -- ``False``, or ``None`` for the two that return an array -- and
 :mod:`repro.kernels.dispatch` hands the same inputs, unchanged, to the
 NumPy tier, where they wrap or raise as they always did.  ``np.memmap``
 storage and ``rows_view`` slices are plain C-contiguous arrays and take
-these entries.
+these entries.  Alignment is never checked: arrays from
+:func:`~repro.kernels.workspace.aligned_empty` start on a cache line,
+and one that does not gets the same bits, only slower.
 
 Thread sharding is the caller's pool over disjoint ranges -- rows for
 the scatter (Alg. 4: every thread scans all look-ups and owns
@@ -34,6 +36,7 @@ from repro.kernels.native.build import library
 from repro.kernels.rows import lo_mask
 from repro.kernels.segment import plan_segments, resolve_pool, shardable
 from repro.kernels.synth import MAX_SCRAMBLE_ITEMS
+from repro.kernels.workspace import aligned_empty
 
 
 def tier() -> str:
@@ -143,7 +146,7 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     if not (dim and _ids(lib, indices, None, rows) and _offsets(offsets, indices.shape[0])):
         return None
     n, bags = indices.shape[0], offsets.shape[0] - 1
-    out = np.empty((bags, dim), dtype=np.float32)
+    out = aligned_empty((bags, dim), np.float32)
     args = (_ptr(source), dim, _ptr(indices), _ptr(offsets))
     _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, n * dim, pool)
     return out

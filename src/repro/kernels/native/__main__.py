@@ -4,8 +4,10 @@ Prints the tier, the compiler and its version, the flags, the cached
 library and the source hash, then runs every native kernel once on a
 small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
 for the Split-BF16 and dense steps and the two data kernels, which have
-no ``np.add.at`` spelling).  Exits 1 on any ``FAIL``, or when the tier
-is ``numpy`` (the reason is printed).
+no ``np.add.at`` spelling).  The four row kernels then run again on
+256-byte rows, once line-aligned and once 16 bytes past a line, and a
+second column says whether the two gave the same bits.  Exits 1 on any
+``FAIL``, or when the tier is ``numpy`` (the reason is printed).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from repro.kernels import native, reference, rows, synth
 from repro.kernels.native import build
+from repro.kernels.workspace import aligned_empty
 
 
 def _compiler_line() -> str:
@@ -91,6 +94,40 @@ def checks() -> dict[str, bool]:
     return out
 
 
+def _placed(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``a`` whose first byte lies ``offset`` bytes past a line."""
+    out = aligned_empty(a.nbytes + offset, np.uint8)[offset:].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def offset_checks(offset: int = 16) -> dict[str, bool]:
+    """Row kernel name -> same bits on a line-aligned table and on a copy
+    ``offset`` bytes past a line, where each 256-byte row spans 5 lines."""
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal((40, 64)).astype(np.float32)
+    idx = rng.integers(0, 40, size=300, dtype=np.int64)  # more than AHEAD, duplicates
+    offsets = np.array([0, 0, 100, 300], dtype=np.int64)  # one bag empty
+    bag_ids = np.repeat(np.arange(3), np.diff(offsets))
+    grads = rng.standard_normal((3, 64)).astype(np.float32)
+    halves = (w.view(np.uint32) >> 16).astype(np.uint16), w.view(np.uint32).astype(np.uint16)
+
+    def run(at: int) -> list:  # the pools read the tables before the updates write them
+        weight, hi, lo, deltas = (_placed(a, at) for a in (w, *halves, grads))
+        return [
+            native.pool_rows(weight, idx, offsets),
+            native.pool_rows(hi, idx, offsets),
+            native.scatter_add_exact(weight, idx, deltas, bag_ids) and weight,
+            native.split_scatter_add(hi, lo, 16, idx, deltas, bag_ids) and np.stack([hi, lo]),
+        ]
+
+    names = ("pool_rows[fp32]", "pool_rows[bf16]", "scatter_add_exact", "split_scatter_add[16]")
+    return {
+        name: all(isinstance(a, np.ndarray) for a in pair) and _same(pair)
+        for name, pair in zip(names, zip(run(0), run(offset)))
+    }
+
+
 def main() -> int:
     lib, where = build.load()
     print(f"tier      {native.tier()}")
@@ -101,10 +138,12 @@ def main() -> int:
         print(f"reason    {where}")
         return 1
     print(f"library   {where}")
-    results = checks()
+    results, moved = checks(), offset_checks()
+    word = {True: "ok", False: "FAIL"}
     for name, ok in results.items():
-        print(f"{name:<22} {'ok' if ok else 'FAIL'}")
-    return 0 if all(results.values()) else 1
+        beside = f"  off-line {word[moved[name]]}" if name in moved else ""
+        print(f"{name:<22} {word[ok]}{beside}")
+    return 0 if all(results.values()) and all(moved.values()) else 1
 
 
 if __name__ == "__main__":

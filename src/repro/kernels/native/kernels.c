@@ -16,7 +16,11 @@
  *   - the Split-BF16 path aggregates a row's deltas first and adds the
  *     aggregate to hi||lo once;
  *   - hash and scramble arithmetic is uint64, wrapping as NumPy's; the
- *     Zipf draws' power stays in NumPy (libm's pow promises other bits).
+ *     Zipf draws' power stays in NumPy (libm's pow promises other bits);
+ *   - storage rows arrive line-aligned from workspace.aligned_empty (a
+ *     256-byte row then spans 4 lines, not 5), but no loop relies on
+ *     it: an array off a line runs the same adds, and the row prefetch
+ *     covers every line a row touches wherever it starts.
  *
  * No function checks its arguments: repro/kernels/native/__init__.py
  * owns every check (dtype, contiguity, writeability, shapes, ids in
@@ -38,10 +42,13 @@
 
 /* Look-ups ahead of the current one whose row is requested from memory:
  * a table is far larger than the caches and its rows are read at random,
- * so without it every row costs a full memory latency.  Swept 4..32 on
- * 131,072 Zipf look-ups into 400,000 x 64 rows: 25 ns/row with
- * non-temporal hints at any distance, 8-10 with cache-resident ones at
- * 8 and beyond, 50-80 without. */
+ * so without it every row costs a full memory latency.  Swept 8..64 on
+ * train_emb's line-aligned slab (400,000 x 64 rows), a fresh batch of
+ * 131,072 Zipf look-ups per call, seven rounds on a 2-vCPU Xeon: median
+ * pool / scatter 19.9 / 19.7 ns/row at 8, 16.8 / 16.2 at 16, 16.9 /
+ * 16.0 at 32, 15.3 / 13.9 at 64, where 64 beat 16 in only 4 of 7
+ * rounds.  A call's first AHEAD look-ups go unprefetched, more of a
+ * short call's the longer the distance, so 16 stays. */
 #define AHEAD 16
 /* Bytes of a cache line, the unit a prefetch requests. */
 #define LINE 64
@@ -67,16 +74,21 @@ static inline uint32_t f32_to_bits(float f)
     return bits;
 }
 
+/* Every line a row of `bytes` bytes touches, from the line holding its
+ * first byte to the line holding its last: one more than bytes / LINE
+ * when the row starts off a line, and that one is a miss if skipped. */
 static inline void prefetch_row_r(const char *row, int64_t bytes)
 {
-    for (int64_t at = 0; at < bytes; at += LINE)
-        PREFETCH_R(row + at);
+    uintptr_t end = (uintptr_t)row + (uintptr_t)bytes;
+    for (uintptr_t at = (uintptr_t)row & ~(uintptr_t)(LINE - 1); at < end; at += LINE)
+        PREFETCH_R((const char *)at);
 }
 
 static inline void prefetch_row_w(const char *row, int64_t bytes)
 {
-    for (int64_t at = 0; at < bytes; at += LINE)
-        PREFETCH_W(row + at);
+    uintptr_t end = (uintptr_t)row + (uintptr_t)bytes;
+    for (uintptr_t at = (uintptr_t)row & ~(uintptr_t)(LINE - 1); at < end; at += LINE)
+        PREFETCH_W((const char *)at);
 }
 
 /* 1 when every ids[i] lies in [0, bound), else 0: the one pass the

@@ -21,6 +21,23 @@ from typing import Hashable
 
 import numpy as np
 
+#: Bytes of a cache line, the unit the embedding kernels move rows in.
+LINE_BYTES = 64
+
+
+def aligned_empty(shape: int | tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
+    """``np.empty(shape, dtype)`` starting on a cache line: the storage
+    of every array the native row kernels stream rows through.  glibc
+    returns a large block 16 bytes past a line, where a 256-byte row
+    spans 5 lines instead of 4; this views a byte buffer ``LINE_BYTES``
+    larger from its first line."""
+    dtype = np.dtype(dtype)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + LINE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % LINE_BYTES
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
 
 class Workspace:
     """Named, grow-only pool of reusable numpy scratch buffers."""

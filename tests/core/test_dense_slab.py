@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
-from repro.core.param import SLOT_ALIGN, DenseSlab, Parameter
+from repro.core.param import DenseSlab, Parameter
+from repro.kernels.workspace import LINE_BYTES
 from repro.train import make_trainer
 from tests.conftest import pending_grads, random_batch, tiny_config
 from tests.train.test_trainer import tiny_spec
@@ -45,7 +46,7 @@ def assert_aliases_slab(model: DLRM, opt: SplitSGD | None = None) -> None:
         assert (p.slab, p.slot) == (slab, slot)
         for view, flat in ((p.value, slab.values), (p.fresh_grad(), slab.grads)):
             assert np.shares_memory(view, flat)
-            assert view.flags["C_CONTIGUOUS"] and view.ctypes.data % SLOT_ALIGN == 0
+            assert view.flags["C_CONTIGUOUS"] and view.ctypes.data % LINE_BYTES == 0
             assert view.ctypes.data - flat.ctypes.data == 4 * slab.offsets[slot]
         p.zero_grad()
         if opt is not None:

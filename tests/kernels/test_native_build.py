@@ -198,3 +198,5 @@ def test_the_command_says_what_is_loaded(tmp_path):
         assert field in ok.stdout
     checks = [line for line in ok.stdout.splitlines() if line.endswith((" ok", " FAIL"))]
     assert len(checks) == 10 and all(line.endswith(" ok") for line in checks)
+    moved = [line.split()[0] for line in checks if "  off-line ok" in line]
+    assert moved == ["scatter_add_exact", "pool_rows[fp32]", "pool_rows[bf16]", "split_scatter_add[16]"]

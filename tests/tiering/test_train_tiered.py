@@ -24,6 +24,7 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad
 from repro.core.update import FusedBackwardUpdate, ReferenceUpdate, make_strategy
 from repro.serve import InferenceEngine
+from repro.tiering import store
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, build_tiered
 from repro.train import RunSpec, Trainer, make_trainer
 
@@ -292,7 +293,7 @@ class TestSlabMembership:
         np.testing.assert_array_equal(planned.slab.weight, moved.slab.weight)
         assert_states_equal(planned.state_dict(), moved.state_dict())
         # Nothing to tier, nothing on a file.
-        assert build_tiered(build, {}, cold_dir=str(tmp_path / "c")).slab.weight.base is None
+        assert store._mapping_of(build_tiered(build, {}, cold_dir=str(tmp_path / "c")).slab.weight) is None
         assert allocs[-1] is None and not (tmp_path / "c").exists()
 
     def test_moving_the_slab_keeps_the_flat_views(self, tmp_path):
