@@ -9,12 +9,18 @@ outputs -- S+1 vectors of length E per sample:
   dot products without self terms), concatenated after the dense vector.
   This is the batched-GEMM key kernel the paper calls out, and the reason
   the interaction is the point where model-parallel embeddings must be
-  realigned with the data-parallel minibatch (the alltoall).
+  realigned with the data-parallel minibatch (the alltoall).  Its
+  arithmetic is :mod:`repro.kernels.dispatch`'s: one C pass each way, or
+  the NumPy tier's stacked ``np.matmul``, with the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kernels import dispatch
+from repro.kernels.interaction import pairs
+from repro.kernels.workspace import Workspace
 
 
 class CatInteraction:
@@ -34,6 +40,11 @@ class CatInteraction:
     infer = forward
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        if np.ndim(dout) != 2 or np.shape(dout)[1] != self.out_features:
+            raise ValueError(
+                f"expected an interaction gradient of shape (N, {self.out_features}), "
+                f"got {np.shape(dout)}"
+            )
         d = self.dim
         ddense = dout[:, :d]
         dembs = [
@@ -46,59 +57,48 @@ class DotInteraction:
     """Pairwise dot-product interaction (batched GEMM), DLRM default.
 
     Output per sample: ``[dense (E floats), z_i . z_j for i > j]`` over
-    the V = S+1 stacked vectors -- ``E + V(V-1)/2`` features.
+    the V = S+1 stacked vectors -- ``E + V(V-1)/2`` features.  The one
+    piece of state is the stacked ``Z`` of the last training forward, in
+    a buffer of the interaction's own: the backward never reads the
+    caller's arrays, which may be reused buffers or transport views.
     """
 
     def __init__(self, num_embeddings: int, dim: int):
         self.num_embeddings = num_embeddings
         self.dim = dim
-        v = num_embeddings + 1
-        self.num_vectors = v
-        self._tril = np.tril_indices(v, k=-1)
-        self.out_features = dim + v * (v - 1) // 2
+        self.num_vectors = num_embeddings + 1
+        self.out_features = dim + pairs(self.num_vectors)
+        self._ws = Workspace()
         self._z: np.ndarray | None = None
 
-    def _interact(
-        self, dense: np.ndarray, embs: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The output and the stacked vectors ``Z[N, V, E]`` it came from."""
+    def _check(self, embs: list[np.ndarray]) -> None:
         if len(embs) != self.num_embeddings:
             raise ValueError(f"expected {self.num_embeddings} embedding outputs, got {len(embs)}")
-        for i, e in enumerate(embs):
-            if e.shape != dense.shape:
-                raise ValueError(
-                    f"embedding output {i} shape {e.shape} != dense {dense.shape}"
-                )
-        z = np.stack([dense, *embs], axis=1).astype(np.float32, copy=False)
-        # Batched self-GEMM: P[N, V, V] = Z @ Z^T.
-        p = np.matmul(z, z.transpose(0, 2, 1))
-        flat = p[:, self._tril[0], self._tril[1]]
-        return np.concatenate([dense, flat], axis=1), z
 
     def forward(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
-        out, self._z = self._interact(dense, embs)
+        self._check(embs)
+        self._z = None  # a forward that raises leaves no backward to run
+        z = self._ws.take("z", (len(dense), self.num_vectors, self.dim))
+        out = dispatch.dot_interaction(dense, embs, z)
+        self._z = z
         return out
 
     def infer(self, dense: np.ndarray, embs: list[np.ndarray]) -> np.ndarray:
         """Forward-only interaction: leaves the saved ``Z`` (and hence
         any pending backward) untouched."""
-        return self._interact(dense, embs)[0]
+        self._check(embs)
+        return dispatch.dot_interaction(dense, embs)
 
-    def backward(self, dout: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ddense, dembs)``: the gradient of the bottom MLP's output
+        and every table's in one ``(S, N, E)`` block, ``dembs[t]`` table
+        ``t``'s."""
         if self._z is None:
             raise RuntimeError("backward called before forward")
-        z = self._z
-        n, v, e = z.shape
-        ddense_direct = dout[:, :e]
-        dflat = dout[:, e:]
-        # Scatter the triangle back into a symmetric dP: the gradient of
-        # z_i . z_j w.r.t. Z flows through both (i, j) and (j, i).
-        dp = np.zeros((n, v, v), dtype=np.float32)
-        dp[:, self._tril[0], self._tril[1]] = dflat
-        dz = np.matmul(dp + dp.transpose(0, 2, 1), z)
-        ddense = dz[:, 0, :] + ddense_direct
-        dembs = [np.ascontiguousarray(dz[:, i + 1, :]) for i in range(v - 1)]
-        return np.ascontiguousarray(ddense), dembs
+        want = (self._z.shape[0], self.out_features)
+        if np.shape(dout) != want:
+            raise ValueError(f"expected an interaction gradient of shape {want}, got {np.shape(dout)}")
+        return dispatch.dot_interaction_backward(self._z, dout)
 
 
 def make_interaction(kind: str, num_embeddings: int, dim: int):

@@ -307,9 +307,10 @@ class DLRM:
         logits = self.forward(batch)
         return self.loss_fn.forward(logits, batch.labels, normalizer=normalizer)
 
-    def top_backward(self, dlogits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def top_backward(self, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray | list[np.ndarray]]:
         """Top MLP + interaction backward; returns (d bottom-output,
-        per-table embedding-output gradients)."""
+        per-table embedding-output gradients: the dot interaction's
+        ``(S, N, E)`` block, a list for the cat interaction)."""
         with trace("mlp.gemm.bwd", rows=dlogits.shape[0]):
             dr = self.top.backward(dlogits)
             return self.interaction.backward(dr)
@@ -346,7 +347,8 @@ class DLRM:
         self, dembs: Mapping[int, np.ndarray] | list[np.ndarray], batch: Batch, opt: SGD, **span
     ) -> None:
         """Alg. 2 + Alg. 3/4 for every owned table, given the bag-level
-        gradients ``dembs[t]`` of the embedding outputs.
+        gradients ``dembs[t]`` of the embedding outputs (a mapping, a
+        list, or the dot interaction's ``(S, N, E)`` block).
 
         The tables update as **one** look-up in the slab's id space --
         one sort, one plan, one fold -- whenever the optimizer steps
@@ -367,8 +369,7 @@ class DLRM:
             return
         if steps_rows_statelessly(opt):
             lookup = self._slab_lookup(batch)
-            grad_out = np.concatenate([dembs[t] for t in self.table_ids])
-            units = [(self.slab, grad_out, lookup.indices, lookup.offsets)]
+            units = [(self.slab, self._slab_grads(dembs), lookup.indices, lookup.offsets)]
         else:
             units = [
                 (self.tables[t], dembs[t], batch.indices[t], batch.offsets[t])
@@ -383,6 +384,16 @@ class DLRM:
                 grad = bag.backward(grad_out, indices, offsets)
                 with trace("update.sparse", rows=grad.nnz, **span):
                     opt.step_sparse(bag, grad)
+
+    def _slab_grads(self, dembs) -> np.ndarray:
+        """The owned tables' bag gradients in table order, as the slab's
+        one look-up takes them: the dot interaction's ``(S, N, E)`` block
+        itself, reshaped with no copy, when it holds every table in order;
+        else a concatenation (a model-parallel shard's subset, the
+        exchange's dict, a list)."""
+        if isinstance(dembs, np.ndarray) and self.table_ids == list(range(len(dembs))):
+            return dembs.reshape(-1, dembs.shape[-1])
+        return np.concatenate([dembs[t] for t in self.table_ids])
 
     def train_step(self, batch: Batch, opt: SGD, normalizer: float | None = None) -> float:
         """One SGD iteration; returns the (normalised) loss."""

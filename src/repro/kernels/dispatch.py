@@ -1,21 +1,23 @@
 """Where a kernel tier is chosen: the only place.
 
-Seven operators have two implementations -- C loops behind ``ctypes``
+Nine operators have two implementations -- C loops behind ``ctypes``
 (:mod:`repro.kernels.native`) and NumPy formulations
 (:mod:`repro.kernels.segment`, :mod:`repro.kernels.rows`,
-:mod:`repro.kernels.synth`) -- with the same bits, the row operators'
-held to :mod:`repro.kernels.reference`.  Each function
-below offers its arguments to the native entry, which either does the
-whole job or touches nothing (no library in this process, or arrays it
-cannot represent: another dtype, a strided view, an id out of range);
-then the NumPy tier gets the same arguments.  The tier is a property of
-the process and of the arrays, never an option: callers in ``core``
-and ``data`` import these and cannot tell which one ran.
+:mod:`repro.kernels.synth`, :mod:`repro.kernels.interaction`) -- with
+the same bits, the row operators' held to :mod:`repro.kernels.reference`
+and the interaction's to BLAS.  Each function below offers its arguments
+to the native entry, which either does the whole job or touches nothing
+(no library in this process, arrays it cannot represent: another dtype,
+a strided view, an id out of range -- or, for the interaction, a host
+whose BLAS computes other bits); then the NumPy tier gets the same
+arguments.  The tier is a property of the process and of the arrays,
+never an option: callers in ``core`` and ``data`` import these and
+cannot tell which one ran.
 """
 
 from __future__ import annotations
 
-from repro.kernels import native, rows, segment, synth
+from repro.kernels import interaction, native, rows, segment, synth
 
 
 def scatter_add_exact(weight, indices, deltas, value_rows=None) -> None:
@@ -53,6 +55,21 @@ def split_sgd_step(values, lo, grads, lr, keep_bits, scratch) -> None:
     """Split-SGD on a span: rejoin ``values || lo``, step, split."""
     if not native.split_sgd_step(values, lo, grads, lr, keep_bits):
         rows.split_sgd_step(values, lo, grads, lr, keep_bits, scratch)
+
+
+def dot_interaction(dense, embs, z=None):
+    """The dot interaction: ``[dense | z_i . z_j for i > j]`` per sample
+    over ``Z = [dense, *embs]``, written into ``z`` when given (the state
+    its backward reads)."""
+    out = native.dot_interaction(dense, embs, z)
+    return interaction.interact(dense, embs, z) if out is None else out
+
+
+def dot_interaction_backward(z, dout):
+    """``(ddense, dembs)`` from the stacked ``z`` and the gradient of the
+    output: every table's gradient in one ``(S, N, E)`` block."""
+    grads = native.dot_interaction_backward(z, dout)
+    return interaction.interact_backward(z, dout) if grads is None else grads
 
 
 def zipf_ids(x, n_items, scramble):

@@ -4,10 +4,12 @@ The C functions take raw pointers, so every check happens here, before
 the first write: dtype, C-contiguity, writeability, agreeing shapes,
 every id inside ``[0, rows)`` and every ``value_rows`` entry inside
 ``[0, len(deltas))``, offsets rising from 0 to the number of ids, a
-Zipf table no larger than the scramble's ``int64`` bound.  An entry
+Zipf table no larger than the scramble's ``int64`` bound, interaction
+vectors of one shape no wider than :data:`MAX_DOT_DIM` on a host whose
+BLAS agrees with the C loops (:func:`blas_agrees`).  An entry
 that cannot *represent* its inputs (another dtype, a strided view, an
 id out of range, no library in this process) touches nothing and says
-so -- ``False``, or ``None`` for the two that return an array -- and
+so -- ``False``, or ``None`` for those that return arrays -- and
 :mod:`repro.kernels.dispatch` hands the same inputs, unchanged, to the
 NumPy tier, where they wrap or raise as they always did.  ``np.memmap``
 storage and ``rows_view`` slices are plain C-contiguous arrays and take
@@ -20,8 +22,8 @@ the scatter (Alg. 4: every thread scans all look-ups and owns
 ``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, segments for the
 Split-BF16 update -- so each output row has one owner who folds it in
 input order, and the bits do not depend on the number of threads.  The
-two data kernels run whole on the calling thread.  A ``ctypes`` call
-releases the GIL.
+two data kernels and the interaction run whole on the calling thread.
+A ``ctypes`` call releases the GIL.
 
 ``python -m repro.kernels.native`` says what is loaded.
 """
@@ -32,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.kernels import interaction
 from repro.kernels.native.build import library
 from repro.kernels.rows import lo_mask
 from repro.kernels.segment import plan_segments, resolve_pool, shardable
@@ -252,3 +255,116 @@ def teacher_bags(ids, offsets, mix: int, seed_mult: int, weight: float, score) -
     keys = (int(mix), int(seed_mult), float(weight))
     lib.repro_teacher_bags(_ptr(ids), _ptr(offsets), score.shape[0], *keys, _ptr(score))
     return True
+
+
+#: The widest ``E`` the interaction entries take.  Their dot products are
+#: FMA chains over ``E`` in order, which is a BLAS microkernel's order
+#: only while ``E`` fits one of its K blocks (OpenBLAS 0.3.31 on an
+#: AVX-512 Xeon held at 448 and split at 512).
+MAX_DOT_DIM = 256
+#: ``(N, V, E)`` of the agreement check: one pair, an odd width, the
+#: suite's ``V`` and ``E``, a vector body and tail, the cap.
+_BATTERY = ((1, 2, 2), (3, 3, 7), (4, 9, 64), (3, 9, 65), (2, 27, 128), (2, 5, 255), (2, 4, 256))
+_agrees: bool | None = None
+
+
+def blas_agrees() -> bool:
+    """Whether this process's BLAS computes the dot interaction with the
+    bits of the C loops.  On first use both tiers run :data:`_BATTERY`,
+    once plain and once with ±0, subnormals, ±inf and NaN mixed in; one
+    differing bit makes the interaction entries decline for the rest of
+    the process.  A capability of the host, like the compiler: no knob."""
+    global _agrees
+    if _agrees is None:
+        lib = library()
+        _agrees = lib is not None and _agreement(lib)
+    return _agrees
+
+
+def _agreement(lib) -> bool:
+    rng = np.random.default_rng(0)
+    with np.errstate(all="ignore"):
+        inf = np.float32(np.inf)
+        specials = np.array([0.0, -0.0, 1e-40, -1e-45, inf, -inf, inf - inf], np.float32)
+
+        def draw(shape: tuple[int, ...], share: float) -> np.ndarray:
+            a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)).astype(np.float32)
+            mask = rng.random(shape) < share
+            a[mask] = rng.choice(specials, int(mask.sum()))
+            return a
+
+        for n, v, e in _BATTERY:
+            for share in (0.0, 0.01):
+                vecs = [draw((n, e), share) for _ in range(v)]
+                z, mine = np.empty((2, n, v, e), np.float32)
+                want = interaction.interact(vecs[0], vecs[1:], z)
+                got = _dot_forward(lib, vecs, mine)
+                dout = draw(want.shape, share)
+                grads = zip(interaction.interact_backward(z, dout), _dot_backward(lib, mine, dout))
+                if not all(a.tobytes() == b.tobytes() for a, b in ((want, got), (z, mine), *grads)):
+                    return False
+    return True
+
+
+def _vectors(dense, embs) -> list | None:
+    """``[dense, *embs]`` when every one is a C-contiguous FP32 matrix of
+    one ``(N, E)`` shape, ``1 <= E <= MAX_DOT_DIM``; else None."""
+    vecs = [dense, *embs]
+    if all(_plain(a, np.float32, 2) and a.shape == dense.shape for a in vecs):
+        return vecs if 1 <= dense.shape[1] <= MAX_DOT_DIM else None
+    return None
+
+
+def dot_interaction(dense, embs, z=None) -> np.ndarray | None:
+    """The dot interaction's forward, the stacked vectors written into
+    ``z`` when given; None when not representable (another dtype, a
+    strided view, shapes that disagree, ``E`` past :data:`MAX_DOT_DIM`, a
+    ``z`` that is not a writeable ``(N, V, E)`` FP32 buffer apart from the
+    inputs) or when :func:`blas_agrees` says no."""
+    lib = library()
+    vecs = None if lib is None else _vectors(dense, embs)
+    if vecs is None or not (
+        z is None
+        or (
+            _plain(z, np.float32, 3, writeable=True)
+            and z.shape == (dense.shape[0], len(vecs), dense.shape[1])
+            and _disjoint((z,), tuple(vecs))
+        )
+    ):
+        return None
+    return _dot_forward(lib, vecs, z) if blas_agrees() else None
+
+
+def _dot_forward(lib, vecs: list, z) -> np.ndarray:
+    (n, e), v = vecs[0].shape, len(vecs)
+    vp = (v + 14) // 8 * 8  # kernels.c: the per-sample copies are padded to vp vectors
+    out = np.empty((n, e + interaction.pairs(v)), np.float32)
+    ptrs = np.array([a.ctypes.data for a in vecs], dtype=np.uintp)
+    scratch = np.empty((2 * e + vp) * vp, np.float32)
+    lib.repro_dot_fwd(_ptr(ptrs), n, v, e, _ptr(z), _ptr(out), _ptr(scratch))
+    return out
+
+
+def dot_interaction_backward(z, dout) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dot interaction's backward from the forward's stacked ``z``:
+    ``(ddense, dembs)``, ``dembs`` one ``(S, N, E)`` block.  None when not
+    representable (another dtype, a strided view, ``E`` past
+    :data:`MAX_DOT_DIM`, a ``dout`` that is not ``(N, E + V(V-1)/2)``), for
+    ``E = 1`` (NumPy's matmul takes ``gemv`` for a one-column product,
+    whose reduction order is its kernel's own) or when
+    :func:`blas_agrees` says no."""
+    lib = library()
+    if lib is None or not (_plain(z, np.float32, 3) and _plain(dout, np.float32, 2)):
+        return None
+    n, v, e = z.shape
+    if not (v > 1 and 1 < e <= MAX_DOT_DIM and dout.shape == (n, e + interaction.pairs(v))):
+        return None
+    return _dot_backward(lib, z, dout) if blas_agrees() else None
+
+
+def _dot_backward(lib, z, dout) -> tuple[np.ndarray, np.ndarray]:
+    n, v, e = z.shape
+    ddense, dembs = np.empty((n, e), np.float32), np.empty((v - 1, n, e), np.float32)
+    sym = np.empty(v * v, np.float32)
+    lib.repro_dot_bwd(_ptr(z), _ptr(dout), n, v, e, _ptr(ddense), _ptr(dembs), _ptr(sym))
+    return ddense, dembs

@@ -3,9 +3,11 @@
 Prints the tier, the compiler and its version, the flags, the cached
 library and the source hash, then runs every native kernel once on a
 small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
-for the Split-BF16 and dense steps and the two data kernels, which have
-no ``np.add.at`` spelling).  The four row kernels then run again on
-256-byte rows, once line-aligned and once 16 bytes past a line, and a
+for the Split-BF16 and dense steps, the two data kernels and the dot
+interaction, which have no ``np.add.at`` spelling), and says whether
+this host's BLAS gives the interaction the C loops' bits
+(:func:`~repro.kernels.native.blas_agrees`).  The four row kernels then
+run again on 256-byte rows, once line-aligned and once 16 bytes past a line, and a
 second column says whether the two gave the same bits.  Exits 1 on any
 ``FAIL``, or when the tier is ``numpy`` (the reason is printed).
 """
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from repro.kernels import native, reference, rows, synth
+from repro.kernels import interaction, native, reference, rows, synth
 from repro.kernels.native import build
 from repro.kernels.workspace import aligned_empty
 
@@ -91,6 +93,17 @@ def checks() -> dict[str, bool]:
     synth.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, want)
     ran = native.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, got)
     out["teacher_bags"] = ran and _same((got, want))
+
+    vecs = [rng.standard_normal((6, 20)).astype(np.float32) for _ in range(4)]
+    zs = np.empty((2, 6, 4, 20), np.float32)
+    want = interaction.interact(vecs[0], vecs[1:], zs[0])
+    got = native.dot_interaction(vecs[0], vecs[1:], zs[1])
+    out["interaction[fwd]"] = got is not None and _same((got, want), (zs[1], zs[0]))
+    dout = rng.standard_normal(want.shape).astype(np.float32)
+    got = native.dot_interaction_backward(zs[0], dout)
+    want = interaction.interact_backward(zs[0], dout)
+    out["interaction[bwd]"] = got is not None and _same(*zip(got, want))
+    out["blas agrees"] = native.blas_agrees()
     return out
 
 

@@ -1,15 +1,23 @@
 /* The native tier of repro.kernels: the paper's Alg. 1-4, the
- * Split-SGD step and the Criteo generator's two data kernels (twins in
+ * Split-SGD step, the dot interaction (twin in repro.kernels.interaction)
+ * and the Criteo generator's two data kernels (twins in
  * repro.kernels.synth) as plain C loops, loaded through ctypes.
  *
- * Every function here promises the bits of its NumPy twin, which in
- * turn promises the bits of repro.kernels.reference (np.add.at).  The
- * rules that make that hold:
+ * Every function here promises the bits of its NumPy twin; the row
+ * operators' twins in turn promise the bits of repro.kernels.reference
+ * (np.add.at).  The rules that make that hold:
  *
  *   - one FP32 add per contribution, in the input order np.add.at
  *     applies them: no reassociation, so never -ffast-math or -Ofast;
  *   - no FMA contraction (-ffp-contract=off): lr*g is rounded to FP32
  *     before it is subtracted, exactly where np.multiply rounds it;
+ *   - the one FMA is explicit, __builtin_fmaf in the dot interaction,
+ *     whose twin is a BLAS GEMM: its microkernel computes each output
+ *     element as one FMA chain over K from +0.0, in K order, while K fits
+ *     one of its K blocks (OpenBLAS 0.3.31 on an AVX-512 Xeon: K = 448
+ *     held, 512 split).  So each dot and each gradient element is such a
+ *     chain, the wrapper caps E at 256, and it checks the host's BLAS
+ *     against these loops before it trusts them;
  *   - a sum starts from +0.0 wherever NumPy's does (the pooled forward,
  *     the Split-BF16 aggregate, a teacher bag), and from the stored row
  *     for the in-place scatter;
@@ -58,7 +66,7 @@
 
 /* Bumped whenever a signature below changes; the loader refuses a
  * library that answers anything else. */
-int64_t repro_abi(void) { return 2; }
+int64_t repro_abi(void) { return 3; }
 
 static inline float bits_to_f32(uint32_t bits)
 {
@@ -253,6 +261,96 @@ void repro_zipf_ids(const double *restrict x, int64_t n, int64_t items, int scra
             r = m >= items ? m - items : m;
         }
         ids[i] = r;
+    }
+}
+
+/* The dot interaction's forward (Sect. II: Z Z^T per sample, the strict
+ * lower triangle kept).  Sample s stacks v vectors of e floats, vector i
+ * at vecs[i] + s * e (vecs[0] the bottom MLP's output, then the tables');
+ * out[s] = [vecs[0][s] | p(1,0), p(2,0), p(2,1), p(3,0), ...] in
+ * np.tril_indices(v, -1) order, p(i,j) = fma chain over k of
+ * z_i[k] * z_j[k] from +0.0, stored as p + 0.0f (BLAS adds its result
+ * to a zeroed C: a chain that underflowed to -0.0 lands as +0.0).  z,
+ * unless NULL, receives the stacked [n][v][e] the backward reads.  The
+ * sample is copied into zr[i][k] (vp >= v + 7 rows, zero past v) and
+ * the vectors a column needs (j < v - 1), eight at a time, transposed
+ * into zt[b][k][u] (vector 8b + u: a power-of-two group the compiler
+ * interleaves with shuffles).  p then fills in 8 x 8 tiles of rows
+ * [i0, i0 + 8) by columns [j0, j0 + 8), j0 < i0: per k, eight values of
+ * zt and eight broadcasts from zr feed 64 chains held in registers.
+ * scratch: (2 * e + vp) * vp floats. */
+void repro_dot_fwd(const float *const *vecs, int64_t n, int64_t v, int64_t e,
+                   float *restrict z, float *restrict out, float *restrict scratch)
+{
+    const int64_t vp = (v + 14) & ~(int64_t)7, width = e + v * (v - 1) / 2;
+    float *restrict zt = scratch, *restrict zr = zt + e * vp, *restrict p = zr + e * vp;
+    memset(scratch, 0, (size_t)(2 * e * vp) * sizeof *scratch);
+    for (int64_t s = 0; s < n; s++) {
+        for (int64_t i = 0; i < v; i++)
+            memcpy(zr + i * e, vecs[i] + s * e, (size_t)e * sizeof *zr);
+        if (z)
+            memcpy(z + s * v * e, zr, (size_t)(v * e) * sizeof *z);
+        for (int64_t b = 0; b < v - 1; b += 8) {
+            float *restrict dst = zt + b * e;
+            const float *restrict src = zr + b * e;
+            for (int64_t k = 0; k < e; k++)
+                for (int u = 0; u < 8; u++)
+                    dst[k * 8 + u] = src[u * e + k];
+        }
+        for (int64_t i0 = 1; i0 < v; i0 += 8)
+            for (int64_t j0 = 0; j0 < i0; j0 += 8) {
+                float acc[8][8] = {{0.0f}};
+                for (int64_t k = 0; k < e; k++) {
+                    const float *cj = zt + j0 * e + k * 8, *ci = zr + i0 * e + k;
+#pragma GCC unroll 8
+                    for (int r = 0; r < 8; r++) {
+                        const float a = ci[r * e];
+#pragma GCC unroll 8
+                        for (int t = 0; t < 8; t++)
+                            acc[r][t] = __builtin_fmaf(a, cj[t], acc[r][t]);
+                    }
+                }
+                for (int r = 0; r < 8; r++)
+                    memcpy(p + (i0 + r) * vp + j0, acc[r], sizeof acc[r]);
+            }
+        float *restrict o = out + s * width;
+        memcpy(o, zr, (size_t)e * sizeof *o);
+        for (int64_t i = 1, at = e; i < v; i++)
+            for (int64_t j = 0; j < i; j++)
+                o[at++] = p[i * vp + j] + 0.0f;
+    }
+}
+
+/* The dot interaction's backward over the forward's stacked z.  Per
+ * sample: sym[i][j] = dout's entry for pair (max(i,j), min(i,j)) + 0.0f
+ * (NumPy's dP + dP^T), sym[i][i] = +0.0; dZ[i] = fma chain over j =
+ * 0..v-1 of sym[i][j] * z_j from +0.0 -- the diagonal stays in the chain,
+ * so NaN and inf spread as they do through BLAS; then ddense[s] = dZ[0] +
+ * dout[s][:e], one add, and dembs[i-1][s] = dZ[i]: every table's
+ * gradient in one (v-1, n, e) block.  sym: v * v floats. */
+void repro_dot_bwd(const float *restrict z, const float *restrict dout, int64_t n, int64_t v,
+                   int64_t e, float *restrict ddense, float *restrict dembs, float *restrict sym)
+{
+    const int64_t width = e + v * (v - 1) / 2;
+    for (int64_t s = 0; s < n; s++) {
+        const float *restrict d = dout + s * width, *restrict zs = z + s * v * e;
+        for (int64_t i = 0, at = e; i < v; i++) {
+            sym[i * v + i] = 0.0f;
+            for (int64_t j = 0; j < i; j++)
+                sym[i * v + j] = sym[j * v + i] = d[at++] + 0.0f;
+        }
+        for (int64_t i = 0; i < v; i++) {
+            float *restrict g = i ? dembs + ((i - 1) * n + s) * e : ddense + s * e;
+            for (int64_t k = 0; k < e; k++)
+                g[k] = 0.0f;
+            for (int64_t j = 0; j < v; j++) {
+                const float c = sym[i * v + j], *restrict zj = zs + j * e;
+                for (int64_t k = 0; k < e; k++)
+                    g[k] = __builtin_fmaf(c, zj[k], g[k]);
+            }
+        }
+        for (int64_t k = 0; k < e; k++)
+            ddense[s * e + k] = ddense[s * e + k] + d[k];
     }
 }
 

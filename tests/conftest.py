@@ -31,9 +31,10 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     compiler that cannot compile, so a spawned worker takes the real
     fallback.  ``"native"``: the library must load (else the test is
     skipped with the loader's reason) and a fall-back to the NumPy tier
-    is an error, so a pass means the C kernel produced the bits.
+    is an error, so a pass means the C kernel produced the bits (the dot
+    interaction's too, wherever :func:`repro.kernels.native.blas_agrees`).
     """
-    from repro.kernels import dispatch
+    from repro.kernels import dispatch, native
     from repro.kernels.native import build
 
     if tier == "numpy":
@@ -43,7 +44,10 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     lib, why = build.load()
     if lib is None:
         pytest.skip(f"native tier unavailable: {why}")
-    for numpy_module in ("segment", "rows", "synth"):
+    modules = ["segment", "rows", "synth"]
+    if native.blas_agrees():  # else this host's BLAS computes other bits: NumPy by design
+        modules.append("interaction")
+    for numpy_module in modules:
         mp.setattr(dispatch, numpy_module, _NoFallback())
 
 

@@ -133,6 +133,32 @@ class TestDotInteractionBackward:
             DotInteraction(2, 4).backward(np.zeros((1, 7), np.float32))
 
 
+@pytest.mark.usefixtures("kernel_tier")
+class TestAWrongShapedGradientRaises:
+    """Naming the expected and the received shape: never a broadcast
+    of one column over every pair or of one row over the batch, never
+    truncated table gradients."""
+
+    def test_a_dot_gradient_one_column_too_wide(self, rng):
+        dot = DotInteraction(3, 4)
+        dot.forward(*setup_inputs(rng))
+        with pytest.raises(ValueError, match=r"\(5, 10\), got \(5, 11\)"):
+            dot.backward(np.zeros((5, 11), np.float32))
+
+    def test_a_dot_gradient_of_one_row(self, rng):
+        dot = DotInteraction(3, 4)
+        dot.forward(*setup_inputs(rng))
+        with pytest.raises(ValueError, match=r"\(5, 10\), got \(1, 10\)"):
+            dot.backward(np.zeros((1, 10), np.float32))
+
+    def test_a_cat_gradient_too_narrow(self, rng):
+        cat = CatInteraction(3, 4)
+        cat.forward(*setup_inputs(rng))
+        for width in (12, 4, 0):
+            with pytest.raises(ValueError, match=rf"\(N, 16\), got \(5, {width}\)"):
+                cat.backward(np.zeros((5, width), np.float32))
+
+
 class TestFactory:
     def test_dot(self):
         assert isinstance(make_interaction("dot", 3, 4), DotInteraction)

@@ -1,12 +1,56 @@
 """End-to-end DLRM model: shapes, training behaviour, storage modes."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.core.update import make_strategy
-from tests.conftest import pending_grads, random_batch, tiny_config
+from tests.conftest import assert_same_bits, pending_grads, random_batch, tiny_config
+
+
+class TestSparseUpdateTakesTheInteractionsBlockWhole:
+    """``DLRM.sparse_update`` reshapes the dot interaction's ``(S, N, E)``
+    block into the slab's gradient instead of concatenating the tables;
+    anything else -- a list, a shard's subset -- still concatenates, and
+    both give the same bits."""
+
+    @pytest.fixture
+    def concatenations(self, monkeypatch):
+        calls = []
+        real = np.concatenate
+
+        def spy(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals.get("__name__") == "repro.core.model" and "dembs" in caller.f_locals:
+                calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        return calls
+
+    def test_the_block_is_reshaped_not_copied(self, tiny_cfg, concatenations):
+        batch = random_batch(tiny_cfg, 16)
+        models = [DLRM(tiny_cfg, seed=3) for _ in range(2)]
+        blocks = [pending_grads(model, batch)[1] for model in models]
+        assert blocks[0].shape == (tiny_cfg.num_tables, 16, tiny_cfg.embedding_dim)
+        models[0].sparse_update(blocks[0], batch, SGD(lr=0.1))
+        assert concatenations == []
+        models[1].sparse_update(list(blocks[1]), batch, SGD(lr=0.1))  # the tables one by one
+        assert len(concatenations) == 1
+        assert_same_bits(models[0].table_state_dict(), models[1].table_state_dict())
+
+    def test_a_subset_of_tables_concatenates(self, tiny_cfg, concatenations):
+        batch = random_batch(tiny_cfg, 16)
+        whole, shard = DLRM(tiny_cfg, seed=3), DLRM(tiny_cfg, seed=3, table_ids=[0, 2])
+        block = pending_grads(whole, batch)[1]
+        whole.sparse_update(block, batch, SGD(lr=0.1))
+        shard.sparse_update(block, batch, SGD(lr=0.1))
+        assert len(concatenations) == 1
+        want = {k: v for k, v in whole.table_state_dict().items() if k.split(".")[1] in "02"}
+        assert_same_bits(shard.table_state_dict(), want)
 
 
 class TestForward:

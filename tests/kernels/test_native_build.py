@@ -197,6 +197,9 @@ def test_the_command_says_what_is_loaded(tmp_path):
     for field in ("tier      native", "compiler  ", "flags     -O3", "library   ", "source    "):
         assert field in ok.stdout
     checks = [line for line in ok.stdout.splitlines() if line.endswith((" ok", " FAIL"))]
-    assert len(checks) == 10 and all(line.endswith(" ok") for line in checks)
+    assert len(checks) == 13 and all(line.endswith(" ok") for line in checks)
+    assert [line.rsplit(None, 1)[0] for line in checks[-3:]] == [
+        "interaction[fwd]", "interaction[bwd]", "blas agrees"
+    ]
     moved = [line.split()[0] for line in checks if "  off-line ok" in line]
     assert moved == ["scatter_add_exact", "pool_rows[fp32]", "pool_rows[bf16]", "split_scatter_add[16]"]
