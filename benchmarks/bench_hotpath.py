@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Hot-path microbenchmarks: seed (reference) formulations vs optimized kernels.
+"""Hot-path microbenchmarks: the naive formulations vs the dispatched kernels.
 
-Each bench times the naive formulation the seed shipped (``np.add.at``
-scatters, per-thread mask scans, the ``np.repeat``-materialised sparse
-backward, the per-block GEMM loop) against the vectorized kernel that
-replaced it in this PR, verifies the two produce *bit-identical* results
-on the benchmarked shape (allclose for the GEMM fast path, which
-reorders the FP32 accumulation), and records the speedup.
+Each bench times the naive formulation of :mod:`repro.kernels.reference`
+(``np.add.at`` scatters, per-thread mask scans, the
+``np.repeat``-materialised sparse backward; the per-block GEMM loop)
+against what :mod:`repro.kernels.dispatch` or the public table method
+runs -- the C loops of the native tier wherever a compiler is present,
+else the reference spellings themselves -- verifies the two produce
+*bit-identical* results on the benchmarked shape (allclose for the GEMM
+fast path, which reorders the FP32 accumulation), and records the
+speedup.
 
 Results are written to ``BENCH_hotpath.json`` at the repo root so future
 PRs inherit a perf trajectory.
@@ -24,20 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.embedding import (
-    EmbeddingBag,
-    SparseGrad,
-    SplitEmbeddingBag,
-    segment_sum,
-    stack_tables,
-)
+from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, stack_tables
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
-from repro.kernels import reference
+from repro.kernels import dispatch, reference
 from repro.kernels.blocked import block_activation, block_weight, choose_blocking
 from repro.kernels.gemm import FlopCounter, blocked_matmul
 from repro.kernels.rows import split_add_aggregated
-from repro.kernels.segment import aggregate_duplicates, scatter_add_exact
+from repro.kernels.workspace import Workspace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 THREADS = 28  # the paper's per-socket core count (CLX-AP socket)
@@ -69,30 +66,41 @@ def record(results: dict, name: str, shape: str, ref_s: float, opt_s: float, exa
     )
 
 
-def bench_segment_sum(results, reps, quick, rng):
-    n, e, max_len = (1024, 32, 6) if quick else (8192, 64, 8)
+def bench_ragged_pool(results, reps, quick, rng):
+    """Alg. 1 over ragged bags (some empty): the gather plus
+    ``np.add.at`` pooling against the dispatched pooled forward."""
+    rows, n, e, max_len = (2048, 1024, 32, 6) if quick else (16384, 8192, 64, 8)
     lengths = rng.integers(0, max_len + 1, size=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    rows = rng.standard_normal((int(offsets[-1]), e)).astype(np.float32)
-    want = reference.segment_sum(rows, offsets)
-    got = segment_sum(rows, offsets)
-    exact = bool(np.array_equal(want, got))
-    ref_s = best_of(lambda: reference.segment_sum(rows, offsets), reps)
-    opt_s = best_of(lambda: segment_sum(rows, offsets), reps)
-    record(results, "segment_sum_ragged", f"N={n} E={e} NS={int(offsets[-1])}", ref_s, opt_s, exact)
+    table = rng.standard_normal((rows, e)).astype(np.float32)
+    idx = rng.integers(0, rows, size=int(offsets[-1]), dtype=np.int64)
+    scratch = Workspace()
+
+    def pool_reference():
+        return reference.segment_sum(table[idx], offsets)
+
+    def pool():
+        return dispatch.pool_rows(table, idx, offsets, lengths, scratch)
+
+    exact = bool(np.array_equal(pool_reference(), pool()))
+    ref_s = best_of(pool_reference, reps)
+    opt_s = best_of(pool, reps)
+    record(results, "ragged_pool", f"rows={rows} N={n} E={e} NS={idx.shape[0]}", ref_s, opt_s, exact)
 
 
 def bench_aggregate(results, reps, quick, rng):
+    """``SparseGrad.aggregated`` (``SparseAdagrad``'s entry) against
+    ``np.unique`` + ``np.add.at``."""
     rows, nnz, e = (256, 16384, 32) if quick else (2048, 131072, 64)
     idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
-    vals = rng.standard_normal((nnz, e)).astype(np.float32)
-    uw, aw = reference.aggregate_duplicates(idx, vals)
-    ug, ag = aggregate_duplicates(idx, vals)
+    grad = SparseGrad(idx, rng.standard_normal((nnz, e)).astype(np.float32))
+    uw, aw = reference.aggregate_duplicates(idx, grad.values)
+    ug, ag = grad.aggregated()
     exact = bool(np.array_equal(uw, ug) and np.array_equal(aw, ag))
-    ref_s = best_of(lambda: reference.aggregate_duplicates(idx, vals), reps)
-    opt_s = best_of(lambda: aggregate_duplicates(idx, vals), reps)
-    record(results, "aggregate_duplicates", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
+    ref_s = best_of(lambda: reference.aggregate_duplicates(idx, grad.values), reps)
+    opt_s = best_of(grad.aggregated, reps)
+    record(results, "sparse_grad_aggregated", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
 
 
 def bench_scatter_fp32(results, reps, quick, rng):
@@ -102,7 +110,7 @@ def bench_scatter_fp32(results, reps, quick, rng):
     w0 = rng.standard_normal((rows, e)).astype(np.float32)
     a, b = w0.copy(), w0.copy()
     reference.scatter_add(a, idx, deltas)
-    scatter_add_exact(b, idx, deltas)
+    dispatch.scatter_add_exact(b, idx, deltas)
     exact = bool(np.array_equal(a, b))
     w = w0.copy()
 
@@ -111,7 +119,7 @@ def bench_scatter_fp32(results, reps, quick, rng):
         return ()
 
     ref_s = best_of(lambda: reference.scatter_add(w, idx, deltas), reps, setup=reset)
-    opt_s = best_of(lambda: scatter_add_exact(w, idx, deltas), reps, setup=reset)
+    opt_s = best_of(lambda: dispatch.scatter_add_exact(w, idx, deltas), reps, setup=reset)
     record(results, "scatter_add_rows_fp32", f"rows={rows} NS={nnz} E={e}", ref_s, opt_s, exact)
 
 
@@ -193,8 +201,8 @@ def bench_fused_update(results, reps, rng, name, idx, rows, n, pooling, e):
 
     Reference: Alg. 2 materialises dW row-per-lookup (``np.repeat``),
     then the seed race-free update scans all indices once per thread.
-    Optimized: the fused single pass (composite-key sort + length-ordered
-    fold straight from the bag-level gradients).
+    Optimized: the fused single pass (one input-order scatter straight
+    from the bag-level gradients).
     """
     offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)
     dy = rng.standard_normal((n, e)).astype(np.float32)
@@ -235,7 +243,7 @@ def bench_fused_updates(results, reps, quick, rng):
     """The headline duplicate-heavy table, then the repo benchmark's
     ``train_emb`` table (Zipf 1.05: runs from 1 to ~2 000 long) and a
     cardinality-3 table (Criteo's smallest: three runs of thousands, the
-    most fold rounds for the fewest segments)."""
+    longest runs for the fewest rows)."""
     if quick:
         rows, n, pooling, e = (128, 512, 16, 32)
     else:
@@ -348,7 +356,7 @@ def main() -> int:
 
     results: dict[str, dict] = {}
     print(f"hot-path microbench (quick={args.quick}, reps={reps}, numpy {np.__version__})")
-    bench_segment_sum(results, reps, args.quick, rng)
+    bench_ragged_pool(results, reps, args.quick, rng)
     bench_aggregate(results, reps, args.quick, rng)
     bench_scatter_fp32(results, reps, args.quick, rng)
     bench_scatter_split(results, reps, args.quick, rng)

@@ -27,9 +27,9 @@ import numpy as np
 from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.param import checked_entry
 from repro.obs.tracer import trace
+from repro.kernels import reference
 from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add
 from repro.kernels.rows import gather_rows
-from repro.kernels.segment import aggregate_duplicates, segment_sum_ragged
 from repro.kernels.workspace import Workspace, aligned_empty
 
 
@@ -62,10 +62,15 @@ class SparseGrad:
     def aggregated(self) -> tuple[np.ndarray, np.ndarray]:
         """(unique_indices, summed_values): duplicates folded together.
 
-        Runs the sort-based segment kernel; bit-identical to the naive
-        ``np.unique`` + ``np.add.at`` formulation it replaced.
+        ``np.unique``, then the scatter-add of every value into a zeroed
+        row per unique index in input order: the bits of
+        :func:`repro.kernels.reference.aggregate_duplicates`
+        (``np.add.at`` on the inverse), and the C loop where it runs.
         """
-        return aggregate_duplicates(self.indices, self.values)
+        uniq, inverse = np.unique(self.indices, return_inverse=True)
+        sums = np.zeros((uniq.shape[0], self.values.shape[1]), dtype=np.float32)
+        scatter_add_exact(sums, inverse, self.values)
+        return uniq, sums
 
 
 def check_offsets(offsets: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,13 +91,13 @@ def check_offsets(offsets: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndarray
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum ``rows`` into segments delimited by ``offsets`` (N+1 entries).
 
-    Validates the segment structure, then runs the fold kernel of
-    :mod:`repro.kernels.segment` -- bit-identical to the
-    unbuffered scatter-add it replaced (the NumPy analogue of Alg. 1's
-    inner loop).  Empty bags yield zero rows.
+    Validates the segment structure, then runs
+    :func:`repro.kernels.reference.segment_sum`, the unbuffered
+    scatter-add (the NumPy analogue of Alg. 1's inner loop).  Empty
+    bags yield zero rows.
     """
     offsets, _ = check_offsets(offsets, rows.shape[0])
-    return segment_sum_ragged(rows, offsets)
+    return reference.segment_sum(rows, offsets)
 
 
 #: Float32 elements the initialiser draws at a time (512 KiB), so no

@@ -305,6 +305,8 @@ class SparseAdagrad(SGD):
         if acc is None:
             acc = np.zeros(table.rows, dtype=np.float32)
             self._row_state[table] = acc
+        # A negative id would wrap silently through the row accumulator.
+        table._check_indices(grad.indices)
         uniq, agg = grad.aggregated()
         # Row-wise accumulator: mean squared gradient over the row.
         acc[uniq] += np.mean(agg * agg, axis=1)

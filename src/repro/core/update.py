@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.embedding import EmbeddingBag, SparseGrad
-from repro.kernels.segment import bucket_by_row_ranges
+from repro.kernels.threads import bucket_by_row_ranges
 from repro.kernels.workspace import aligned_empty
 
 
@@ -53,7 +53,10 @@ class ReferenceUpdate(UpdateStrategy):
     cost_key = "reference"
 
     def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
+        # A negative id would wrap silently through ``np.add.at``.
+        table.scatter_add_rows(
+            table._check_indices(grad.indices), -np.float32(lr) * grad.values
+        )
 
 
 class AtomicXchgUpdate(ReferenceUpdate):
@@ -82,8 +85,8 @@ class FusedBackwardUpdate(UpdateStrategy):
     or strategy needs the gradient materialised.
 
     Either way the arithmetic is Alg. 4's: the row ranges are disjoint,
-    so the partitioned update equals one direct scatter-add through the
-    sort-based fold kernel.  The partition is only observed:
+    so the partitioned update equals one direct scatter-add in input
+    order.  The partition is only observed:
     :attr:`last_thread_counts` names each row's thread by the closed
     form ``((i + 1) * threads - 1) // rows`` and counts with a ``bincount``.
     """
@@ -127,8 +130,8 @@ class FusedBackwardUpdate(UpdateStrategy):
     ) -> None:
         """Alg. 2 + Alg. 3/4 in one pass over the lookups of one table."""
         indices, offsets, lengths = table._check_lookup(indices, offsets)
-        # The fold gathers bag rows with clip-mode take; reject a bag
-        # count mismatch loudly instead of silently reusing the last row.
+        # Reject a bag count mismatch loudly: gradient rows past the
+        # last bag would otherwise be silently ignored.
         if grad_out.shape[0] != lengths.shape[0]:
             raise ValueError(
                 f"grad_out has {grad_out.shape[0]} rows for "

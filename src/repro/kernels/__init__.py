@@ -7,12 +7,13 @@ code path being cost-modelled is the code path that actually executes.
 
 The embedding and optimizer row operators, the dot interaction and the
 Criteo generator's two data kernels come in two tiers with the same
-bits: NumPy formulations (:mod:`~repro.kernels.segment`,
-:mod:`~repro.kernels.rows`, :mod:`~repro.kernels.synth`,
-:mod:`~repro.kernels.interaction`) and C loops compiled on first use
-(:mod:`~repro.kernels.native`).  :mod:`~repro.kernels.dispatch` picks one
-per call from what the process and the arrays are; nothing outside this
-package can tell which.
+bits: NumPy formulations (:mod:`~repro.kernels.rows`,
+:mod:`~repro.kernels.synth`, :mod:`~repro.kernels.interaction`) and C
+loops compiled on first use (:mod:`~repro.kernels.native`).  The NumPy
+tier of each sparse row operator *is* its ``np.add.at`` oracle from
+:mod:`~repro.kernels.reference`, applied a bounded block at a time.
+:mod:`~repro.kernels.dispatch` picks one tier per call from what the
+process and the arrays are; nothing outside this package can tell which.
 """
 
 from repro.kernels.blocked import (
@@ -29,15 +30,8 @@ from repro.kernels.gemm import (
     blocked_matmul,
     FlopCounter,
 )
-from repro.kernels.segment import (
-    SegmentPlan,
-    aggregate_duplicates,
-    bucket_by_row_ranges,
-    plan_segments,
-    scatter_add_exact,
-    segment_sum_ragged,
-)
 from repro.kernels.threads import (
+    bucket_by_row_ranges,
     static_partition,
     row_range_for_thread,
     partition_balance,
@@ -45,12 +39,7 @@ from repro.kernels.threads import (
 from repro.kernels.workspace import Workspace
 
 __all__ = [
-    "SegmentPlan",
-    "aggregate_duplicates",
     "bucket_by_row_ranges",
-    "plan_segments",
-    "scatter_add_exact",
-    "segment_sum_ragged",
     "Workspace",
     "BlockedLayout",
     "block_activation",

@@ -2,11 +2,12 @@
 
 Nine operators have two implementations -- C loops behind ``ctypes``
 (:mod:`repro.kernels.native`) and NumPy formulations
-(:mod:`repro.kernels.segment`, :mod:`repro.kernels.rows`,
-:mod:`repro.kernels.synth`, :mod:`repro.kernels.interaction`) -- with
-the same bits, the row operators' held to :mod:`repro.kernels.reference`
-and the interaction's to BLAS.  Each function below offers its arguments
-to the native entry, which either does the whole job or touches nothing
+(:mod:`repro.kernels.rows`, :mod:`repro.kernels.synth`,
+:mod:`repro.kernels.interaction`) -- with the same bits, the row
+operators' those of :mod:`repro.kernels.reference` (whose ``np.add.at``
+spellings the NumPy tier runs) and the interaction's those of BLAS.
+Each function below offers its arguments to the native entry, which
+either does the whole job or touches nothing
 (no library in this process, arrays it cannot represent: another dtype,
 a strided view, an id out of range -- or, for the interaction, a host
 whose BLAS computes other bits); then the NumPy tier gets the same
@@ -17,7 +18,7 @@ cannot tell which one ran.
 
 from __future__ import annotations
 
-from repro.kernels import interaction, native, rows, segment, synth
+from repro.kernels import interaction, native, rows, synth
 
 
 def scatter_add_exact(weight, indices, deltas, value_rows=None) -> None:
@@ -25,7 +26,7 @@ def scatter_add_exact(weight, indices, deltas, value_rows=None) -> None:
     ``deltas[value_rows[i]]`` when given), duplicates folding in input
     order: the bits of :func:`repro.kernels.reference.scatter_add`."""
     if not native.scatter_add_exact(weight, indices, deltas, value_rows):
-        segment.scatter_add_exact(weight, indices, deltas, value_rows)
+        rows.scatter_add(weight, indices, deltas, value_rows)
 
 
 def pool_rows(source, indices, offsets, lengths, scratch):

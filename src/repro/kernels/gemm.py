@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels.blocked import BlockedLayout
-from repro.kernels.segment import resolve_pool
-from repro.kernels.threads import static_partition
+from repro.kernels.threads import resolve_pool, static_partition
 
 
 @dataclass
@@ -93,8 +92,9 @@ def batch_reduce_gemm(
 
 
 #: Minimum x4 elements before the fast path shards over the pool
-#: (distinct name from the segment-fold threshold, which is far higher:
-#: GEMMs are compute-bound and profit from threads much earlier).
+#: (distinct name from the row kernels' threshold in
+#: :mod:`repro.kernels.threads`, which is far higher: GEMMs are
+#: compute-bound and profit from threads much earlier).
 GEMM_PARALLEL_MIN_ELEMS = 1 << 14
 
 

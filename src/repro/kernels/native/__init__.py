@@ -19,11 +19,11 @@ and one that does not gets the same bits, only slower.
 
 Thread sharding is the caller's pool over disjoint ranges -- rows for
 the scatter (Alg. 4: every thread scans all look-ups and owns
-``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, segments for the
-Split-BF16 update -- so each output row has one owner who folds it in
-input order, and the bits do not depend on the number of threads.  The
-two data kernels and the interaction run whole on the calling thread.
-A ``ctypes`` call releases the GIL.
+``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, runs of one id
+for the Split-BF16 update -- so each output row has one owner who folds
+it in input order, and the bits do not depend on the number of threads.
+The NumPy tier never shards.  The two data kernels and the interaction
+run whole on the calling thread.  A ``ctypes`` call releases the GIL.
 
 ``python -m repro.kernels.native`` says what is loaded.
 """
@@ -37,8 +37,8 @@ import numpy as np
 from repro.kernels import interaction
 from repro.kernels.native.build import library
 from repro.kernels.rows import lo_mask
-from repro.kernels.segment import plan_segments, resolve_pool, shardable
 from repro.kernels.synth import MAX_SCRAMBLE_ITEMS
+from repro.kernels.threads import resolve_pool, shardable
 from repro.kernels.workspace import aligned_empty
 
 
@@ -173,18 +173,53 @@ def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None, pool=
         return False
     if not _disjoint((hi, lo), (deltas,)):
         return False
-    plan = plan_segments(indices)
+    order, uniq, starts, lengths = _plan_segments(indices)
     args = (_ptr(hi), _ptr(lo), dim, int(lo_mask(keep_bits)))
-    segs = (_ptr(plan.uniq), _ptr(plan.starts), _ptr(plan.lengths))
-    tail = (_ptr(plan.order), _ptr(value_rows), _ptr(deltas))
+    segs = (_ptr(uniq), _ptr(starts), _ptr(lengths))
+    tail = (_ptr(order), _ptr(value_rows), _ptr(deltas))
 
     def update(seg_lo: int, seg_hi: int, tid: int) -> None:
         acc = np.empty(dim, dtype=np.float32)
         lib.repro_split_scatter_add(*args, *segs, seg_lo, seg_hi, *tail, _ptr(acc))
 
     n = indices.shape[0]
-    _run(update, plan.uniq.shape[0], plan.uniq.shape[0], n * dim, pool)
+    _run(update, uniq.shape[0], uniq.shape[0], n * dim, pool)
     return True
+
+
+def _plan_segments(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, uniq, starts, lengths)`` of checked ids: ``order`` a
+    stable sort permutation of ``indices``, and run ``j`` of equal ids
+    in that order -- every occurrence of row ``uniq[j]``, ascending --
+    covers sorted positions ``[starts[j], starts[j] + lengths[j])``.
+
+    Sorts the composite keys ``(row << bits) | position``: the keys are
+    unique, so one plain in-place ``int64`` sort orders them exactly as
+    a stable sort orders the rows (3x faster than ``argsort(kind=
+    "stable")`` at 4,096 ids), and ``order`` and the sorted rows are
+    read back with a mask and a shift.  Ids that leave no room for the
+    position bits (negative, or ``>= 2**(62 - bits)``) take the stable
+    ``argsort``; both spellings give the same runs.
+    """
+    nnz = indices.shape[0]
+    if nnz == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    bits = max(1, (nnz - 1).bit_length())
+    if indices.min() >= 0 and indices.max() < (1 << (62 - bits)):
+        sorted_rows = indices << bits
+        sorted_rows |= np.arange(nnz)
+        sorted_rows.sort()
+        order = sorted_rows & ((1 << bits) - 1)
+        sorted_rows >>= bits
+    else:
+        order = np.argsort(indices, kind="stable")
+        sorted_rows = indices[order]
+    newseg = np.empty(nnz, dtype=bool)
+    newseg[0] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=newseg[1:])
+    starts = np.flatnonzero(newseg)
+    return order, sorted_rows[starts], starts, np.diff(np.append(starts, nnz))
 
 
 def _flat_step(values, grads) -> bool:

@@ -1,11 +1,14 @@
 """What ``np.add.at`` would do: the naive formulations, written down once.
 
-Every optimized kernel of :mod:`repro.kernels.segment` -- and every bag
-and update strategy built on them -- promises the exact FP32 result of
-one of the spellings below.  They are the oracle the tests and
-``benchmarks/bench_hotpath.py`` compare against, and what the kernels
-themselves run for ``E == 1``, the one shape whose fold NumPy would
-reorder.  Nothing else under ``src/`` calls ``np.add.at``: only the
+The sparse row operators promise the exact FP32 result of one of the
+spellings below, on both kernel tiers.  The NumPy tier *is* these
+spellings: :func:`repro.kernels.rows.scatter_add` runs
+:func:`scatter_add` a bounded block of look-ups at a time (``np.add.at``
+applies its adds in array order, so the blocks give the same bits), the
+ragged pooled forward gathers and runs :func:`segment_sum`, and the
+Split-BF16 update starts from :func:`aggregate_duplicates`.  The C loops
+of :mod:`repro.kernels.native` are held to them by the tests and by
+``benchmarks/bench_hotpath.py``.  Outside the kernels only the
 count-min sketch of :mod:`repro.tiering.freqstats` goes through
 :func:`scatter_add` (the Criteo teacher's bag sums are a data kernel of
 their own, :mod:`repro.kernels.synth`).  Array-level on purpose: a

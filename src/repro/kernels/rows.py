@@ -1,26 +1,28 @@
 """Row operators of the embedding and optimizer hot path: the NumPy tier.
 
-Array-level, like :mod:`repro.kernels.segment` and
-:mod:`repro.kernels.reference`: nothing here knows about tables or
-optimizers.  These are the portable formulations of the operators that
-also have a C twin in :mod:`repro.kernels.native` -- the pooled forward
-over FP32 or Split-BF16 rows, the Split-BF16 row update, the dense SGD
-and Split-SGD steps -- and :mod:`repro.kernels.dispatch` is where one of
-the two is chosen.  Both tiers produce the bits of
-:mod:`repro.kernels.reference`.
+Array-level, like :mod:`repro.kernels.reference`: nothing here knows
+about tables or optimizers.  These are the portable formulations of the
+operators that also have a C twin in :mod:`repro.kernels.native` -- the
+scatter-add, the pooled forward over FP32 or Split-BF16 rows, the
+Split-BF16 row update, the dense SGD and Split-SGD steps -- and
+:mod:`repro.kernels.dispatch` is where one of the two is chosen.  The
+sparse ones are the ``np.add.at`` spellings of
+:mod:`repro.kernels.reference` themselves, cut into blocks that bound
+their temporaries; the C loops produce the same bits, faster.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.segment import aggregate_duplicates, resolve_pool, segment_sum_ragged, shardable
+from repro.kernels import reference
 from repro.kernels.workspace import Workspace
 
-#: Float32 elements the pooled forward handles at a time (512 KiB): it
-#: gathers this much and reduces it while it is still in L2, instead of
-#: writing the whole ``(NS, E)`` gather out to L3 and re-reading it
-#: (swept 64 KiB .. 2 MiB at 131 072 look-ups x E64).
+#: Float32 elements the pooled forward and the scatter handle at a time
+#: (512 KiB): the forward gathers this much and reduces it while it is
+#: still in L2, instead of writing the whole ``(NS, E)`` gather out to
+#: L3 and re-reading it (swept 64 KiB .. 2 MiB at 131 072 look-ups x
+#: E64); the scatter expands no more shared deltas than this at once.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -64,6 +66,31 @@ def take_halves(
     return bits, half
 
 
+# -- scatter-add (Alg. 3) -------------------------------------------------------
+
+
+def scatter_add(
+    weight: np.ndarray,
+    indices: np.ndarray,
+    deltas: np.ndarray,
+    value_rows: np.ndarray | None = None,
+) -> None:
+    """``weight[indices] += deltas``: :func:`repro.kernels.reference.scatter_add`
+    on the look-ups' deltas (``deltas[value_rows[i]]`` for look-up ``i``
+    when given), ``_BLOCK_ELEMS`` elements of them at a time.  ``np.add.at``
+    adds in array order, so consecutive blocks give the one-shot call's
+    bits, and shared bag-level deltas are never expanded to ``(NS, E)``."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1:
+        raise ValueError("indices must be 1-D")
+    deltas = np.ascontiguousarray(deltas, dtype=weight.dtype)
+    step = max(1, _BLOCK_ELEMS // max(1, weight.shape[1]))
+    for lo in range(0, indices.shape[0], step):
+        part = slice(lo, lo + step)
+        block = deltas[part] if value_rows is None else deltas[value_rows[part]]
+        reference.scatter_add(weight, indices[part], block)
+
+
 # -- gather and pooled forward (Alg. 1) ---------------------------------------
 
 
@@ -92,17 +119,19 @@ def pool_rows(
     Equal-length bags -- every batch the datasets and the serving path
     build -- are pooled chunk by chunk: gather at most ``_BLOCK_ELEMS``
     elements into ``scratch``'s buffer and reduce them over the strided
-    bag axis (a left fold from +0.0, as in :mod:`repro.kernels.segment`)
-    straight into the output rows, so the ``(NS, E)`` gather never
-    exists.  ``scratch`` belongs to the caller: ranks pool concurrently
-    on the thread pool, each through its own.  Ragged bags gather whole
-    and go through the ragged fold.
+    bag axis (a left fold from +0.0, the order of ``np.add.at``) straight
+    into the output rows, so the ``(NS, E)`` gather never exists.
+    ``scratch`` belongs to the caller: ranks pool concurrently on the
+    thread pool, each through its own.  Ragged bags, and ``E == 1``
+    (where the bag axis is contiguous and NumPy would sum it pairwise),
+    gather whole and go through
+    :func:`repro.kernels.reference.segment_sum`.
     """
     n, dim = lengths.shape[0], source.shape[1]
     p = int(lengths[0]) if n else 0
     if p == 0 or dim == 1 or (lengths != p).any():
         rows = np.empty((indices.shape[0], dim), dtype=np.float32)
-        return segment_sum_ragged(gather_rows(source, indices, rows), offsets)
+        return reference.segment_sum(gather_rows(source, indices, rows), offsets)
     out = np.empty((n, dim), dtype=np.float32)
     if p == 1:
         # A sum of one is the row -- but for the ``0.0 +`` every sum
@@ -129,38 +158,28 @@ def split_scatter_add(
     value_rows: np.ndarray | None = None,
 ) -> None:
     """``W[indices] += deltas`` on the FP32 master ``hi || lo``:
-    aggregate the duplicates first, then run the update at full FP32
-    accuracy on the reconstructed rows (the Split-SGD trick)."""
-    split_add_aggregated(
-        hi, lo, keep_bits, *aggregate_duplicates(indices, deltas, value_rows=value_rows)
-    )
+    aggregate the duplicates first
+    (:func:`repro.kernels.reference.aggregate_duplicates`), then run the
+    update at full FP32 accuracy on the reconstructed rows (the
+    Split-SGD trick)."""
+    if value_rows is not None:
+        deltas = np.asarray(deltas)[value_rows]
+    split_add_aggregated(hi, lo, keep_bits, *reference.aggregate_duplicates(indices, deltas))
 
 
 def split_add_aggregated(
     hi: np.ndarray, lo: np.ndarray, keep_bits: int, uniq: np.ndarray, agg: np.ndarray
 ) -> None:
-    """``(hi || lo)[uniq] += agg`` for distinct rows ``uniq``.  Large
-    updates shard over the worker pool: disjoint slices of ``uniq``
-    touch disjoint rows and the per-row combine/add/split is
-    element-wise, so the parallel update is bitwise the sequential one."""
-
-    def add_range(start: int, stop: int, tid: int = 0) -> None:
-        # Rejoin hi||lo, add, split again -- in two buffers.
-        rows = uniq[start:stop]
-        bits, half = take_halves(hi, lo, rows)
-        master = bits.view(np.float32)
-        np.add(master, agg[start:stop], out=master)
-        split_fp32_into(master, half, keep_bits)
-        lo[rows] = half
-        np.right_shift(bits, 16, out=bits)
-        np.copyto(half, bits, casting="unsafe")
-        hi[rows] = half
-
-    pool = resolve_pool(None)
-    if shardable(pool, uniq.shape[0], agg.size):
-        pool.run_sharded(add_range, uniq.shape[0])
-    else:
-        add_range(0, uniq.shape[0])
+    """``(hi || lo)[uniq] += agg`` for distinct rows ``uniq``: rejoin
+    ``hi || lo``, add, split again -- in two buffers."""
+    bits, half = take_halves(hi, lo, uniq)
+    master = bits.view(np.float32)
+    np.add(master, agg, out=master)
+    split_fp32_into(master, half, keep_bits)
+    lo[uniq] = half
+    np.right_shift(bits, 16, out=bits)
+    np.copyto(half, bits, casting="unsafe")
+    hi[uniq] = half
 
 
 # -- dense steps --------------------------------------------------------------

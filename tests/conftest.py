@@ -44,7 +44,7 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     lib, why = build.load()
     if lib is None:
         pytest.skip(f"native tier unavailable: {why}")
-    modules = ["segment", "rows", "synth"]
+    modules = ["rows", "synth"]
     if native.blas_agrees():  # else this host's BLAS computes other bits: NumPy by design
         modules.append("interaction")
     for numpy_module in modules:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
+from repro.core.optim import SGD, SparseAdagrad
 from repro.core.update import (
     AtomicXchgUpdate,
     FusedBackwardUpdate,
@@ -139,6 +140,20 @@ class TestRaceFreeObservability:
         with pytest.raises(IndexError):
             cls(threads=4).apply(table, grad, 0.1)
         np.testing.assert_array_equal(table.weight, before)
+
+
+@pytest.mark.usefixtures("kernel_tier")
+@pytest.mark.parametrize("step", ["reference", "atomic", "rtm", "sparse-adagrad"])
+def test_a_negative_id_raises_instead_of_wrapping(step):
+    """A 4 x 2 table holding ``arange(8)`` and one delta for id -1 at lr
+    1: the materialising steps must refuse it before the first write,
+    like the fused ones, not add it to the last row."""
+    w0 = np.arange(8, dtype=np.float32).reshape(4, 2)
+    table = EmbeddingBag(4, 2, weight=w0)
+    opt = SparseAdagrad(1.0) if step == "sparse-adagrad" else SGD(1.0, make_strategy(step))
+    with pytest.raises(IndexError):
+        opt.step_sparse(table, SparseGrad(np.array([-1]), np.ones((1, 2), np.float32)))
+    np.testing.assert_array_equal(table.weight, w0)
 
 
 class TestFactory:

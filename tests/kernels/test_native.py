@@ -1,4 +1,4 @@
-"""The native kernel tier: same bits as the NumPy tier, and a checked entry.
+"""The native kernel tier: the oracle's bits, and a checked entry.
 
 Three things are pinned here.  *Bits*: every dispatched operator, under
 each tier named explicitly, against :mod:`repro.kernels.reference` (or a
@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from repro.core.embedding import EmbeddingBag
 from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, native, reference, rows as row_kernels
-from repro.kernels import segment as seg
-from repro.kernels import synth
+from repro.kernels import synth, threads
 from repro.kernels.native import build
 from repro.kernels.threads import row_range_for_thread
 from repro.kernels.workspace import Workspace
@@ -149,8 +148,8 @@ class TestShardedEqualsUnsharded:
 
     @pytest.fixture(autouse=True)
     def low_thresholds(self, monkeypatch):
-        monkeypatch.setattr(seg, "PARALLEL_MIN_SEGMENTS", 1)
-        monkeypatch.setattr(seg, "PARALLEL_MIN_ELEMS", 1)
+        monkeypatch.setattr(threads, "PARALLEL_MIN_SEGMENTS", 1)
+        monkeypatch.setattr(threads, "PARALLEL_MIN_ELEMS", 1)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("table_rows", [23, 64])  # 2, 3 and 7 do not divide 23
@@ -231,7 +230,7 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
             assert native.split_scatter_add(hi, lo, 16, idx, deltas, value_rows) is False
             assert not hi.any() and not lo.any()
         outcomes = []
-        for scatter in (dispatch.scatter_add_exact, seg.scatter_add_exact):
+        for scatter in (dispatch.scatter_add_exact, row_kernels.scatter_add):
             w = np.array(before, copy=True, order="K")
             try:
                 scatter(w, idx, deltas, value_rows)

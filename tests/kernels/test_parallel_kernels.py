@@ -1,11 +1,12 @@
 """Bit-identity of every pool-sharded kernel against its sequential run.
 
-The contract of ISSUE 4: for each parallelized path, ``workers > 1``
-produces *bitwise* the ``workers = 1`` result -- in FP32 and Split-BF16.
-Workers own disjoint output rows from the Alg. 4/5 static partitions and
-fold each segment/bag/block identically, so no summation order changes.
-Sizes here are chosen above the kernels' parallel thresholds so the
-sharded paths actually execute.
+For each parallelized path, ``workers > 1`` produces *bitwise* the
+``workers = 1`` result -- in FP32 and Split-BF16.  Workers own disjoint
+output rows from the Alg. 4/5 static partitions and fold each row, bag
+or block identically, so no summation order changes.  The row kernels
+shard on the native tier only (the NumPy tier runs whole).  Sizes here
+are chosen above the kernels' parallel thresholds so the sharded paths
+actually execute.
 """
 
 import numpy as np
@@ -13,11 +14,16 @@ import pytest
 
 from repro.core.embedding import SplitEmbeddingBag
 from repro.exec.pool import WorkerPool
-from repro.kernels import segment as seg
+from repro.kernels import dispatch, native, reference, threads
 from repro.kernels.blocked import BlockedLayout, block_activation, block_weight
 from repro.kernels.gemm import FlopCounter, blocked_matmul
+from repro.kernels.native import build
 
 WORKER_COUNTS = (2, 3, 4)
+
+needs_native = pytest.mark.skipif(
+    build.library() is None, reason=f"native tier unavailable: {build.load()[1]}"
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +40,8 @@ def force_parallel_thresholds(monkeypatch):
     executes at test sizes (defaults only engage on multi-MB payloads)."""
     from repro.kernels import gemm
 
-    monkeypatch.setattr(seg, "PARALLEL_MIN_SEGMENTS", 4)
-    monkeypatch.setattr(seg, "PARALLEL_MIN_ELEMS", 64)
+    monkeypatch.setattr(threads, "PARALLEL_MIN_SEGMENTS", 4)
+    monkeypatch.setattr(threads, "PARALLEL_MIN_ELEMS", 64)
     monkeypatch.setattr(gemm, "GEMM_PARALLEL_MIN_ELEMS", 64)
 
 
@@ -48,42 +54,33 @@ def ragged_problem(rng, n_bags=600, dim=16, max_len=7):
 
 
 def duplicate_heavy_indices(rng, nnz=4000, n_rows=300):
-    # Heavy duplication exercises long segments (the fold order matters).
+    # Heavy duplication exercises long runs (the add order matters).
     return rng.integers(0, n_rows, size=nnz, dtype=np.int64)
 
 
 class TestSegmentKernelsParallel:
+    @needs_native
     def test_segment_sum_ragged(self, rng, pools):
         rows, offsets = ragged_problem(rng)
-        want = seg.segment_sum_ragged(rows, offsets, pool=WorkerPool(1))
-        np.testing.assert_array_equal(
-            want, seg.reference.segment_sum(rows, offsets)
-        )
+        look = np.arange(rows.shape[0])
+        want = native.pool_rows(rows, look, offsets, pool=WorkerPool(1))
+        np.testing.assert_array_equal(want, reference.segment_sum(rows, offsets))
         for w, pool in pools.items():
-            got = seg.segment_sum_ragged(rows, offsets, pool=pool)
+            got = native.pool_rows(rows, look, offsets, pool=pool)
             assert np.array_equal(got, want), f"workers={w}"
 
+    @needs_native
     def test_segment_sum_equal_length_bags(self, rng, pools):
-        # The sequential fast path reshapes; shards gather. Same bits.
         dim, n_bags, length = 16, 512, 4
         rows = rng.standard_normal((n_bags * length, dim)).astype(np.float32)
         offsets = np.arange(0, n_bags * length + 1, length, dtype=np.int64)
-        want = seg.segment_sum_ragged(rows, offsets, pool=WorkerPool(1))
+        look = np.arange(rows.shape[0])
+        want = native.pool_rows(rows, look, offsets, pool=WorkerPool(1))
         for w, pool in pools.items():
-            got = seg.segment_sum_ragged(rows, offsets, pool=pool)
+            got = native.pool_rows(rows, look, offsets, pool=pool)
             assert np.array_equal(got, want), f"workers={w}"
 
-    def test_aggregate_duplicates(self, rng, pools):
-        indices = duplicate_heavy_indices(rng)
-        values = rng.standard_normal((indices.size, 16)).astype(np.float32)
-        uniq_want, agg_want = seg.reference.aggregate_duplicates(indices, values)
-        for w, pool in pools.items():
-            plan = seg.plan_segments(indices)
-            sums = np.zeros((plan.uniq.shape[0], 16), dtype=np.float32)
-            seg._fold(values, plan.order, plan.starts, plan.lengths, sums, pool=pool)
-            assert np.array_equal(plan.uniq, uniq_want), f"workers={w}"
-            assert np.array_equal(sums, agg_want), f"workers={w}"
-
+    @needs_native
     def test_scatter_add_exact(self, rng, pools):
         indices = duplicate_heavy_indices(rng)
         deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
@@ -92,15 +89,13 @@ class TestSegmentKernelsParallel:
         np.add.at(want, indices, deltas)
         for w, pool in pools.items():
             weight = base.copy()
-            plan = seg.plan_segments(indices)
-            seg._fold(
-                deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq, pool=pool
-            )
+            assert native.scatter_add_exact(weight, indices, deltas, pool=pool)
             assert np.array_equal(weight, want), f"workers={w}"
 
+    @needs_native
     def test_one_row_holding_most_of_the_payload(self, rng, pools):
-        """Payload-balanced ranges never split a segment: a row with more
-        contributions than a worker's share leaves some ranges empty."""
+        """Row ranges with a hot row in one of them: the other ranges
+        finish early, and the hot row still has one owner."""
         indices = rng.permutation(
             np.concatenate([np.full(3000, 7), rng.integers(0, 300, size=1000)])
         ).astype(np.int64)
@@ -108,49 +103,10 @@ class TestSegmentKernelsParallel:
         base = rng.standard_normal((300, 16)).astype(np.float32)
         want = base.copy()
         np.add.at(want, indices, deltas)
-        plan = seg.plan_segments(indices)
         for w, pool in pools.items():
             weight = base.copy()
-            seg._fold(
-                deltas, plan.order, plan.starts, plan.lengths, weight, plan.uniq, pool=pool
-            )
+            assert native.scatter_add_exact(weight, indices, deltas, pool=pool)
             assert np.array_equal(weight, want), f"workers={w}"
-
-    @pytest.mark.parametrize("blocks", [None, (128, 1024)])
-    def test_runs_around_the_head_and_block_boundaries(self, rng, pools, monkeypatch, blocks):
-        """Scatter, bag-scatter and aggregate at widths 1 and 2 (and 3,
-        4): every range orders its own segments by length and cuts its
-        own blocks, and still folds each run as the sequential kernel."""
-        if blocks is not None:
-            monkeypatch.setattr(seg, "_SEGMENT_BLOCK_ELEMS", blocks[0])
-            monkeypatch.setattr(seg, "_BLOCK_ELEMS", blocks[1])
-        head = seg._HEAD
-        lengths = np.resize(
-            np.array([1, 2, head - 1, head, head + 1, head + 2, 3 * head + 7]), 60
-        )
-        idx = rng.permutation(np.repeat(rng.permutation(80)[:60], lengths)).astype(np.int64)
-        bag_ids = np.sort(rng.integers(0, 11, size=idx.size))
-        bag_grads = rng.standard_normal((11, 16)).astype(np.float32)
-        deltas = bag_grads[bag_ids]
-        base = rng.standard_normal((80, 16)).astype(np.float32)
-        want = base.copy()
-        np.add.at(want, idx, deltas)
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        want_sums = np.zeros((uniq.size, 16), dtype=np.float32)
-        np.add.at(want_sums, inverse, deltas)
-        plan = seg.plan_segments(idx)
-        for w, pool in {1: WorkerPool(1), **pools}.items():
-            scattered, bag_scattered = base.copy(), base.copy()
-            sums = np.zeros_like(want_sums)
-            seg._fold(deltas, plan.order, plan.starts, plan.lengths, scattered, plan.uniq, pool=pool)
-            seg._fold(
-                bag_grads, bag_ids[plan.order], plan.starts, plan.lengths,
-                bag_scattered, plan.uniq, pool=pool,
-            )
-            seg._fold(deltas, plan.order, plan.starts, plan.lengths, sums, pool=pool)
-            assert np.array_equal(scattered, want), f"workers={w}"
-            assert np.array_equal(bag_scattered, want), f"workers={w}"
-            assert np.array_equal(sums, want_sums), f"workers={w}"
 
     def test_scatter_add_via_global_pool(self, rng):
         """The public entry points pick the pool up from the process-wide
@@ -161,14 +117,14 @@ class TestSegmentKernelsParallel:
         deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
         base = rng.standard_normal((300, 16)).astype(np.float32)
         want = base.copy()
-        seg.scatter_add_exact(want, indices, deltas)
+        dispatch.scatter_add_exact(want, indices, deltas)
         with pooled(4):
             got = base.copy()
-            seg.scatter_add_exact(got, indices, deltas)
+            dispatch.scatter_add_exact(got, indices, deltas)
         assert np.array_equal(got, want)
 
     def test_split_bf16_scatter_add(self, rng):
-        """Split-BF16 update: parallel aggregation + sharded combine/split
+        """Split-BF16 update: the runs of one id sharded over the pool
         rewrite bitwise the sequential table halves."""
         from repro.exec.pool import pooled
 

@@ -1,25 +1,30 @@
-"""Segment kernels: bit-identity against the naive np.add.at oracles."""
+"""The sparse row operators through the dispatch, against ``np.add.at``.
+
+Scatter, pooled forward and duplicate aggregation run once per kernel
+tier (the NumPy tier *is* the ``np.add.at`` spelling of
+:mod:`repro.kernels.reference`, a bounded block at a time; the native
+tier is an input-order C loop) and are held, bit for bit, to the
+reference or to literal ``np.add.at``: duplicate-heavy and long runs,
+±0 / NaN / inf specials, a memmap destination, empty bags.
+"""
 
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.embedding import SparseGrad
 from repro.kernels import dispatch, reference
-from repro.kernels import segment as seg
-from repro.kernels.segment import (
-    aggregate_duplicates,
-    bucket_by_row_ranges,
-    plan_segments,
-    scatter_add_exact,
-    segment_sum_ragged,
-)
+from repro.kernels import rows as row_kernels
+from repro.kernels.native import _plan_segments as plan_segments
+from repro.kernels.threads import bucket_by_row_ranges
+from repro.kernels.workspace import Workspace
 from tests.conftest import TIERED
+
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
 
 
 def ragged_offsets(rng, n, max_len=6, allow_empty=True):
@@ -29,31 +34,40 @@ def ragged_offsets(rng, n, max_len=6, allow_empty=True):
     return offsets
 
 
+def segment_sum(rows, offsets):
+    """The dispatched pooled forward over ``rows`` themselves (look-up
+    ``s`` reads row ``s``)."""
+    return dispatch.pool_rows(
+        rows, np.arange(rows.shape[0]), offsets, np.diff(offsets), Workspace()
+    )
+
+
+def aggregate_duplicates(indices, values):
+    return SparseGrad(indices, values).aggregated()
+
+
 class TestPlanSegments:
+    """The composite-key sort of the native Split-BF16 update."""
+
     def test_stable_order_and_runs(self):
         idx = np.array([3, 1, 3, 0, 1, 3], dtype=np.int64)
-        plan = plan_segments(idx)
-        np.testing.assert_array_equal(plan.uniq, [0, 1, 3])
-        np.testing.assert_array_equal(plan.lengths, [1, 2, 3])
-        np.testing.assert_array_equal(plan.starts, [0, 1, 3])
+        order, uniq, starts, lengths = plan_segments(idx)
+        np.testing.assert_array_equal(uniq, [0, 1, 3])
+        np.testing.assert_array_equal(lengths, [1, 2, 3])
+        np.testing.assert_array_equal(starts, [0, 1, 3])
         # Stability: duplicates keep their original relative order.
-        np.testing.assert_array_equal(plan.order, [3, 1, 4, 0, 2, 5])
-        np.testing.assert_array_equal(idx[plan.order], plan.sorted_rows)
+        np.testing.assert_array_equal(order, [3, 1, 4, 0, 2, 5])
 
     def test_empty(self):
-        plan = plan_segments(np.empty(0, dtype=np.int64))
-        assert plan.order.shape == (0,)
-        assert plan.uniq.size == 0
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            plan_segments(np.zeros((2, 2), dtype=np.int64))
+        order, uniq, _, _ = plan_segments(np.empty(0, dtype=np.int64))
+        assert order.shape == (0,)
+        assert uniq.size == 0
 
     def test_rows_beyond_int32_still_sort(self):
         idx = np.array([2**40, 5, 2**40, 5], dtype=np.int64)
-        plan = plan_segments(idx)
-        np.testing.assert_array_equal(plan.uniq, [5, 2**40])
-        np.testing.assert_array_equal(plan.lengths, [2, 2])
+        _, uniq, _, lengths = plan_segments(idx)
+        np.testing.assert_array_equal(uniq, [5, 2**40])
+        np.testing.assert_array_equal(lengths, [2, 2])
 
     @staticmethod
     def assert_plan_is_stable_argsort(idx):
@@ -63,13 +77,9 @@ class TestPlanSegments:
         uniq, starts, lengths = np.unique(
             idx[order], return_index=True, return_counts=True
         )
-        np.testing.assert_array_equal(plan.order, order)
-        np.testing.assert_array_equal(plan.sorted_rows, idx[order])
-        np.testing.assert_array_equal(plan.uniq, uniq)
-        np.testing.assert_array_equal(plan.starts, starts)
-        np.testing.assert_array_equal(plan.lengths, lengths)
-        for field in (plan.order, plan.sorted_rows, plan.uniq, plan.starts, plan.lengths):
-            assert field.dtype == np.int64
+        for got, want in zip(plan, (order, uniq, starts, lengths)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
 
     @given(
         idx=st.lists(st.integers(0, 40), min_size=1, max_size=300),
@@ -94,26 +104,20 @@ class TestPlanSegments:
         )
 
 
+@pytest.mark.usefixtures("kernel_tier")
 class TestSegmentSumBitIdentity:
-    @pytest.mark.parametrize("dim", [2, 3, 8, 17])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
     def test_ragged_matches_reference_bitwise(self, rng, dim):
         for _ in range(5):
             offsets = ragged_offsets(rng, int(rng.integers(1, 40)))
             rows = rng.standard_normal((int(offsets[-1]), dim)).astype(np.float32)
             want = reference.segment_sum(rows, offsets)
-            got = segment_sum_ragged(rows, offsets)
+            got = segment_sum(rows, offsets)
             assert np.array_equal(got, want)
-
-    def test_dim_one_fallback_matches(self, rng):
-        offsets = ragged_offsets(rng, 20)
-        rows = rng.standard_normal((int(offsets[-1]), 1)).astype(np.float32)
-        assert np.array_equal(
-            segment_sum_ragged(rows, offsets), reference.segment_sum(rows, offsets)
-        )
 
     def test_all_bags_empty(self, rng):
         offsets = np.zeros(6, dtype=np.int64)
-        out = segment_sum_ragged(np.zeros((0, 4), np.float32), offsets)
+        out = segment_sum(np.zeros((0, 4), np.float32), offsets)
         assert out.shape == (5, 4)
         assert not out.any()
 
@@ -121,19 +125,18 @@ class TestSegmentSumBitIdentity:
         rows = rng.standard_normal((12, 4)).astype(np.float32)
         offsets = np.arange(0, 13, 3)
         want = reference.segment_sum(rows, offsets)
-        assert np.array_equal(segment_sum_ragged(rows, offsets), want)
+        assert np.array_equal(segment_sum(rows, offsets), want)
 
-    @given(n=st.integers(1, 30), dim=st.integers(2, 9), seed=st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), dim=st.integers(1, 9), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_property_bitwise(self, n, dim, seed):
         rng = np.random.default_rng(seed)
         offsets = ragged_offsets(rng, n)
         rows = rng.standard_normal((int(offsets[-1]), dim)).astype(np.float32)
-        assert np.array_equal(
-            segment_sum_ragged(rows, offsets), reference.segment_sum(rows, offsets)
-        )
+        assert np.array_equal(segment_sum(rows, offsets), reference.segment_sum(rows, offsets))
 
 
+@pytest.mark.usefixtures("kernel_tier")
 class TestAggregateBitIdentity:
     def test_duplicate_heavy(self, rng):
         idx = rng.integers(0, 7, size=500, dtype=np.int64)  # ~70 dups per row
@@ -148,20 +151,8 @@ class TestAggregateBitIdentity:
         assert uniq.size == 0
         assert agg.shape == (0, 3)
 
-    def test_bag_variant_matches_expanded(self, rng):
-        n, dim = 12, 4
-        offsets = ragged_offsets(rng, n)
-        nnz = int(offsets[-1])
-        idx = rng.integers(0, 9, size=nnz, dtype=np.int64)
-        bag_grads = rng.standard_normal((n, dim)).astype(np.float32)
-        bag_ids = np.repeat(np.arange(n), np.diff(offsets))
-        uw, aw = reference.aggregate_duplicates(idx, bag_grads[bag_ids])
-        ug, ag = aggregate_duplicates(idx, bag_grads, value_rows=bag_ids)
-        np.testing.assert_array_equal(ug, uw)
-        assert np.array_equal(ag, aw)
-
     @given(rows=st.integers(1, 12), nnz=st.integers(0, 200), seed=st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_property_bitwise(self, rows, nnz, seed):
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
@@ -172,8 +163,11 @@ class TestAggregateBitIdentity:
         assert np.array_equal(ag, aw)
 
 
+@pytest.mark.usefixtures("kernel_tier")
 class TestScatterAddBitIdentity:
-    @pytest.mark.parametrize("rows,nnz,dim", [(5, 300, 4), (64, 64, 2), (1, 50, 8), (40, 0, 3)])
+    @pytest.mark.parametrize(
+        "rows,nnz,dim", [(5, 300, 4), (64, 64, 2), (1, 50, 8), (40, 0, 3), (6, 100, 1)]
+    )
     def test_matches_add_at_bitwise(self, rng, rows, nnz, dim):
         idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
         deltas = rng.standard_normal((nnz, dim)).astype(np.float32)
@@ -181,23 +175,13 @@ class TestScatterAddBitIdentity:
         want = w0.copy()
         reference.scatter_add(want, idx, deltas)
         got = w0.copy()
-        scatter_add_exact(got, idx, deltas)
-        assert np.array_equal(got, want)
-
-    def test_dim_one_fallback(self, rng):
-        idx = rng.integers(0, 6, size=100, dtype=np.int64)
-        deltas = rng.standard_normal((100, 1)).astype(np.float32)
-        w0 = rng.standard_normal((6, 1)).astype(np.float32)
-        want = w0.copy()
-        reference.scatter_add(want, idx, deltas)
-        got = w0.copy()
-        scatter_add_exact(got, idx, deltas)
+        dispatch.scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
 
     def test_untouched_rows_untouched(self, rng):
         w0 = rng.standard_normal((10, 3)).astype(np.float32)
         w = w0.copy()
-        scatter_add_exact(w, np.array([2, 2]), np.ones((2, 3), np.float32))
+        dispatch.scatter_add_exact(w, np.array([2, 2]), np.ones((2, 3), np.float32))
         mask = np.ones(10, bool)
         mask[2] = False
         assert np.array_equal(w[mask], w0[mask])
@@ -213,7 +197,7 @@ class TestScatterAddBitIdentity:
         want = w0.copy()
         reference.scatter_add(want, idx, bag_grads[bag_ids])
         got = w0.copy()
-        scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
+        dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
         assert np.array_equal(got, want)
 
     @given(
@@ -222,7 +206,7 @@ class TestScatterAddBitIdentity:
         dim=st.integers(2, 6),
         seed=st.integers(0, 10_000),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_property_bitwise(self, rows, nnz, dim, seed):
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, rows, size=nnz, dtype=np.int64)
@@ -231,11 +215,11 @@ class TestScatterAddBitIdentity:
         want = w0.copy()
         reference.scatter_add(want, idx, deltas)
         got = w0.copy()
-        scatter_add_exact(got, idx, deltas)
+        dispatch.scatter_add_exact(got, idx, deltas)
         assert np.array_equal(got, want)
 
-#: Run lengths on both sides of every power of two the fold's rounds
-#: split at, and one run long enough for an eleventh round.
+#: Run lengths on both sides of every power of two up to 128, and runs
+#: longer than a thousand.
 RUN_LENGTHS = sorted(
     {1, 2, 3} | {2**k + d for k in range(2, 8) for d in (-1, 0, 1)}
 )
@@ -243,7 +227,7 @@ LONG_RUNS = (1025, 1536, 2047)
 #: The NaN this machine's adder produces.  Which payload survives
 #: ``NaN + NaN`` is the hardware's choice of operand, not a property of
 #: the summation order, so the inputs carry the one payload that
-#: ``inf - inf`` inside a fold yields as well.
+#: ``inf - inf`` inside a sum yields as well.
 with np.errstate(invalid="ignore"):
     MACHINE_NAN = np.float32(np.inf) - np.float32(np.inf)
 #: Values whose sums expose a changed association, a dropped sign of
@@ -269,7 +253,16 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
 
 
-fold_case = given(
+def shuffled_runs(rng, runs, long_run):
+    """Index vector whose duplicate runs have exactly these lengths,
+    with the occurrences of every row scattered over the vector."""
+    lengths = np.array(list(runs) + ([long_run] if long_run else []))
+    table_rows = int(lengths.shape[0]) + 3  # some rows stay untouched
+    ids = rng.permutation(table_rows)[: lengths.shape[0]]
+    return rng.permutation(np.repeat(ids, lengths)).astype(np.int64), table_rows
+
+
+run_case = given(
     runs=st.lists(st.sampled_from(RUN_LENGTHS), min_size=1, max_size=12),
     long_run=st.sampled_from((0,) + LONG_RUNS),
     dim=st.sampled_from([1, 2, 64]),
@@ -278,38 +271,36 @@ fold_case = given(
 )
 
 
-class TestBinaryFoldAgainstAddAt:
-    """The fold kernels against literal ``np.add.at``, bit for bit."""
+@pytest.mark.usefixtures("kernel_tier")
+class TestLongRunsAgainstAddAt:
+    """Every operator against literal ``np.add.at``, bit for bit, on
+    runs from one look-up to two thousand, with specials.
 
-    @staticmethod
-    def shuffled_runs(rng, runs, long_run):
-        """Index vector whose duplicate runs have exactly these lengths,
-        with the occurrences of every row scattered over the vector."""
-        lengths = np.array(list(runs) + ([long_run] if long_run else []))
-        table_rows = int(lengths.shape[0]) + 3  # some rows stay untouched
-        ids = rng.permutation(table_rows)[: lengths.shape[0]]
-        return rng.permutation(np.repeat(ids, lengths)).astype(np.int64), table_rows
+    Mutation-checked by hand: adding each block's look-ups in reverse
+    order (NumPy tier) or walking the look-ups backwards in the C
+    scatter (native tier) fails the scatter test.
+    """
 
-    @fold_case
-    @settings(max_examples=120, deadline=None)
+    @run_case
+    @settings(max_examples=120, deadline=None, **TIERED)
     def test_scatter_starts_from_the_weight_row(
         self, runs, long_run, dim, special_share, seed
     ):
         rng = np.random.default_rng(seed)
-        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        idx, table_rows = shuffled_runs(rng, runs, long_run)
         deltas = special_values(rng, (idx.shape[0], dim), special_share)
         w0 = special_values(rng, (table_rows, dim), special_share)
         want = w0.copy()
         np.add.at(want, idx, deltas)
         got = w0.copy()
-        scatter_add_exact(got, idx, deltas)
+        dispatch.scatter_add_exact(got, idx, deltas)
         np.testing.assert_array_equal(bits(got), bits(want))
 
-    @fold_case
-    @settings(max_examples=60, deadline=None)
+    @run_case
+    @settings(max_examples=60, deadline=None, **TIERED)
     def test_bag_scatter_into_a_memmap(self, runs, long_run, dim, special_share, seed):
         rng = np.random.default_rng(seed)
-        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
+        idx, table_rows = shuffled_runs(rng, runs, long_run)
         n_bags = 7
         bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
         bag_grads = special_values(rng, (n_bags, dim), special_share)
@@ -321,15 +312,15 @@ class TestBinaryFoldAgainstAddAt:
                 Path(tmp) / "w.bin", dtype=np.float32, mode="w+", shape=w0.shape
             )
             got[...] = w0
-            scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
+            dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
             np.testing.assert_array_equal(bits(got), bits(want))
             del got
 
-    @fold_case
-    @settings(max_examples=120, deadline=None)
+    @run_case
+    @settings(max_examples=120, deadline=None, **TIERED)
     def test_aggregate_starts_from_zero(self, runs, long_run, dim, special_share, seed):
         rng = np.random.default_rng(seed)
-        idx, _ = self.shuffled_runs(rng, runs, long_run)
+        idx, _ = shuffled_runs(rng, runs, long_run)
         vals = special_values(rng, (idx.shape[0], dim), special_share)
         uniq, inverse = np.unique(idx, return_inverse=True)
         want = np.zeros((uniq.shape[0], dim), dtype=np.float32)
@@ -345,7 +336,7 @@ class TestBinaryFoldAgainstAddAt:
         special_share=st.sampled_from([0.0, 0.05, 0.9]),
         seed=st.integers(0, 10_000),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, **TIERED)
     def test_contiguous_bags_with_empty_ones(
         self, bags, long_run, dim, special_share, seed
     ):
@@ -356,144 +347,43 @@ class TestBinaryFoldAgainstAddAt:
         rows = special_values(rng, (int(offsets[-1]), dim), special_share)
         want = np.zeros((lengths.shape[0], dim), dtype=np.float32)
         np.add.at(want, np.repeat(np.arange(lengths.shape[0]), lengths), rows)
-        got = segment_sum_ragged(rows, offsets)
+        got = segment_sum(rows, offsets)
         np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_all_negative_zero_row_stays_negative(self):
         # A reduction started from +0.0 would flip the sign.
         w = np.full((2, 2), -0.0, dtype=np.float32)
-        scatter_add_exact(
+        dispatch.scatter_add_exact(
             w, np.array([1, 1, 1]), np.full((3, 2), -0.0, dtype=np.float32)
         )
         assert np.signbit(w).all()
 
 
-HEAD = seg._HEAD
-#: Run lengths around the hand-over from the position-by-position head
-#: to the binary tail: the last runs that end inside the head, the first
-#: whose tail is one contribution, and tails with one, two and three
-#: binary rounds.
-HEAD_RUNS = (1, 2, HEAD - 1, HEAD, HEAD + 1, HEAD + 2, HEAD + 3, 2 * HEAD + 5)
-#: (``_SEGMENT_BLOCK_ELEMS``, ``_BLOCK_ELEMS``): the shipped constants,
-#: then sizes that put block boundaries inside a dozen segments -- two
-#: segments per block at E=64, and long-run pieces of 16 and more
-#: contributions each wider than a whole tail block.
-BLOCKS = (None, (128, 1024), (64 * 3, 64 * 40))
+class TestScatterChunks:
+    """The NumPy tier's scatter applies a bounded block of look-ups at a
+    time; ``np.add.at`` adds in array order, so the blocks do not change
+    the bits wherever they cut a run."""
 
-
-@contextmanager
-def fold_blocks(sizes):
-    if sizes is None:
-        yield
-        return
-    with mock.patch.object(seg, "_SEGMENT_BLOCK_ELEMS", sizes[0]), mock.patch.object(
-        seg, "_BLOCK_ELEMS", sizes[1]
-    ):
-        yield
-
-
-length_ordered_case = given(
-    runs=st.lists(st.sampled_from(HEAD_RUNS), min_size=1, max_size=14),
-    long_run=st.sampled_from((0, 3 * HEAD + 7, 700)),
-    dim=st.sampled_from([1, 2, 64]),
-    special_share=st.sampled_from([0.0, 0.05, 0.9]),
-    blocks=st.sampled_from(BLOCKS),
-    seed=st.integers(0, 10_000),
-)
-
-
-class TestLengthOrderedFoldAgainstAddAt:
-    """The length-ordered fold against literal ``np.add.at``: runs that
-    end on either side of ``_HEAD``, segment blocks and long-run blocks
-    cut inside the problem, and one run longer than a block.
-
-    Mutation-checked by hand against this class and the one above:
-    folding position ``k`` before ``k - 1`` (``first + (k ^ 1)``) fails
-    the three property tests on their first examples.  Swapping the
-    operands of the head's ``np.add`` cannot fail any portable test:
-    IEEE addition commutes for everything but the payload of
-    ``NaN + NaN``, and which payload survives differs between
-    ``np.add.at``, ``np.add``'s SIMD body and its scalar tail on one
-    machine (see ``MACHINE_NAN``).
-
-    The scatter tests run once per kernel tier through the dispatch: the
-    native tier's input-order C loop is held to the same ``np.add.at``.
-    """
-
-    shuffled_runs = staticmethod(TestBinaryFoldAgainstAddAt.shuffled_runs)
-
-    @pytest.mark.usefixtures("kernel_tier")
-    @length_ordered_case
-    @settings(max_examples=150, deadline=None, **TIERED)
-    def test_scatter(self, runs, long_run, dim, special_share, blocks, seed):
-        rng = np.random.default_rng(seed)
-        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
-        deltas = special_values(rng, (idx.shape[0], dim), special_share)
-        w0 = special_values(rng, (table_rows, dim), special_share)
-        want = w0.copy()
-        np.add.at(want, idx, deltas)
-        got = w0.copy()
-        with fold_blocks(blocks):
-            dispatch.scatter_add_exact(got, idx, deltas)
-        np.testing.assert_array_equal(bits(got), bits(want))
-
-    @pytest.mark.usefixtures("kernel_tier")
-    @length_ordered_case
-    @settings(max_examples=150, deadline=None, **TIERED)
-    def test_bag_scatter(self, runs, long_run, dim, special_share, blocks, seed):
-        rng = np.random.default_rng(seed)
-        idx, table_rows = self.shuffled_runs(rng, runs, long_run)
-        n_bags = 9
-        bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
-        bag_grads = special_values(rng, (n_bags, dim), special_share)
-        w0 = special_values(rng, (table_rows, dim), special_share)
+    @pytest.mark.usefixtures("numpy_tier")
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_a_chunk_boundary_inside_a_row(self, rng, monkeypatch, dim):
+        monkeypatch.setattr(row_kernels, "_BLOCK_ELEMS", 3 * dim)  # 3 look-ups a chunk
+        idx = rng.permutation(np.repeat(np.arange(4), [1, 5, 8, 13])).astype(np.int64)
+        bag_ids = np.sort(rng.integers(0, 5, size=idx.shape[0]))
+        bag_grads = special_values(rng, (5, dim), 0.05)
+        w0 = special_values(rng, (6, dim), 0.05)
         want = w0.copy()
         np.add.at(want, idx, bag_grads[bag_ids])
-        got = w0.copy()
-        with fold_blocks(blocks):
-            dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
-        np.testing.assert_array_equal(bits(got), bits(want))
-
-    @length_ordered_case
-    @settings(max_examples=150, deadline=None)
-    def test_aggregate_and_bag_aggregate(
-        self, runs, long_run, dim, special_share, blocks, seed
-    ):
-        rng = np.random.default_rng(seed)
-        idx, _ = self.shuffled_runs(rng, runs, long_run)
-        n_bags = 9
-        bag_ids = np.sort(rng.integers(0, n_bags, size=idx.shape[0]))
-        bag_grads = special_values(rng, (n_bags, dim), special_share)
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        want = np.zeros((uniq.shape[0], dim), dtype=np.float32)
-        np.add.at(want, inverse, bag_grads[bag_ids])
-        with fold_blocks(blocks):
-            got_uniq, got = aggregate_duplicates(idx, bag_grads, value_rows=bag_ids)
-            same_uniq, same = aggregate_duplicates(idx, bag_grads[bag_ids])
-        np.testing.assert_array_equal(got_uniq, uniq)
-        np.testing.assert_array_equal(same_uniq, uniq)
-        np.testing.assert_array_equal(bits(got), bits(want))
-        np.testing.assert_array_equal(bits(same), bits(want))
+        for deltas, value_rows in ((bag_grads[bag_ids], None), (bag_grads, bag_ids)):
+            got = w0.copy()
+            dispatch.scatter_add_exact(got, idx, deltas, value_rows=value_rows)
+            np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.usefixtures("kernel_tier")
-    @pytest.mark.parametrize("dim", [2, 64])
-    def test_more_segments_than_a_block_of_the_shipped_size(self, rng, dim):
-        per_block = seg._SEGMENT_BLOCK_ELEMS // dim
-        lengths = np.resize(np.array(HEAD_RUNS[:-1]), per_block + 7)
-        ids = rng.permutation(lengths.shape[0] + 5)[: lengths.shape[0]]
-        idx = rng.permutation(np.repeat(ids, lengths)).astype(np.int64)
-        deltas = special_values(rng, (idx.shape[0], dim), 0.05)
-        w0 = special_values(rng, (lengths.shape[0] + 5, dim), 0.05)
-        want = w0.copy()
-        np.add.at(want, idx, deltas)
-        dispatch.scatter_add_exact(w0, idx, deltas)
-        np.testing.assert_array_equal(bits(w0), bits(want))
-
-    @pytest.mark.usefixtures("kernel_tier")
-    def test_one_run_longer_than_a_long_run_block_of_the_shipped_size(self, rng):
+    def test_one_run_longer_than_a_chunk_of_the_shipped_size(self, rng):
         dim = 64
-        long_run = seg._BLOCK_ELEMS // dim + HEAD + 100
-        idx, table_rows = self.shuffled_runs(rng, HEAD_RUNS, long_run)
+        long_run = row_kernels._BLOCK_ELEMS // dim + 100
+        idx, table_rows = shuffled_runs(rng, RUN_LENGTHS, long_run)
         deltas = special_values(rng, (idx.shape[0], dim), 0.05)
         w0 = special_values(rng, (table_rows, dim), 0.05)
         want = w0.copy()
@@ -510,16 +400,13 @@ class TestLengthOrderedFoldAgainstAddAt:
         dispatch.scatter_add_exact(w, none, np.empty((0, dim), np.float32))
         dispatch.scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), value_rows=none)
         np.testing.assert_array_equal(bits(w), bits(w0))
-        for uniq, agg in (
-            aggregate_duplicates(none, np.empty((0, dim), np.float32)),
-            aggregate_duplicates(none, special_values(rng, (3, dim), 0.5), value_rows=none),
-        ):
-            assert uniq.shape == (0,) and agg.shape == (0, dim)
+        uniq, agg = aggregate_duplicates(none, np.empty((0, dim), np.float32))
+        assert uniq.shape == (0,) and agg.shape == (0, dim)
 
 
 class TestNumpyFloor:
-    """What the kernels and the pooled forward assume of NumPy, pinned
-    so the oldest supported release (CI's 1.24 cell) is held to it."""
+    """What the pooled forward assumes of NumPy, pinned so the oldest
+    supported release (CI's 1.24 cell) is held to it."""
 
     @pytest.mark.parametrize("dim", [2, 3, 64])
     @pytest.mark.parametrize("length", [2, 9, 32, 200])

@@ -93,7 +93,7 @@ class TestPartitionBalance:
 class TestBucketByRowRanges:
     def test_matches_mask_scan_counts(self, rng):
         from repro.kernels.threads import row_range_for_thread
-        from repro.kernels.segment import bucket_by_row_ranges
+        from repro.kernels.threads import bucket_by_row_ranges
 
         rows, threads = 101, 7
         indices = rng.integers(0, rows, size=500, dtype=np.int64)

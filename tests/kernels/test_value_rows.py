@@ -1,14 +1,14 @@
 """One way in: per-lookup values, shared values and the oracle agree.
 
-``scatter_add_exact`` / ``aggregate_duplicates`` and every bag's
-``scatter_add_rows`` take the values one row per look-up
-(``value_rows=None``) or shared (look-up ``i`` reads
-``values[value_rows[i]]``: bag-level gradients).  Naming each look-up's
-own row (``arange(n)``) sends the per-lookup values through the shared
-gather, so the two entries and the ``np.add.at`` spelling of
-:mod:`repro.kernels.reference` must produce the same bits -- including
-``E == 1`` (the NumPy tier's fallback), empty input and all-``-0.0``
-rows.  The array kernel and the bags' entries run once per kernel tier.
+``scatter_add_exact`` and every bag's ``scatter_add_rows`` take the
+values one row per look-up (``value_rows=None``) or shared (look-up
+``i`` reads ``values[value_rows[i]]``: bag-level gradients).  Naming
+each look-up's own row (``arange(n)``) sends the per-lookup values
+through the shared gather, so the two entries and the ``np.add.at``
+spelling of :mod:`repro.kernels.reference` must produce the same bits
+-- including ``E == 1``, empty input and all-``-0.0`` rows; so must
+``SparseGrad.aggregated`` on the expanded values.  Every entry runs once
+per kernel tier.
 """
 
 import numpy as np
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
+from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.kernels import dispatch, reference
-from repro.kernels.segment import aggregate_duplicates, scatter_add_exact
+from repro.kernels.rows import scatter_add
 from repro.tiering.store import TieredEmbeddingBag
 from tests.conftest import TIERED, scatter_add_rows_oracle
 from tests.kernels.test_segment import bits, special_values
@@ -27,7 +27,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: 
 
 case = given(
     rows=st.integers(1, 24),
-    nnz=st.sampled_from([0, 1, 7, 40, 300]),  # 300 into <= 24 rows: runs past the fold's head
+    nnz=st.sampled_from([0, 1, 7, 40, 300]),  # 300 into <= 24 rows: long runs
     dim=st.sampled_from([1, 2, 8]),
     special_share=st.sampled_from([0.0, 0.05, 0.9]),
     negative_zero=st.booleans(),
@@ -73,17 +73,14 @@ class TestKernels:
         dispatch.scatter_add_exact(got, idx, shared, value_rows=shared_rows)
         np.testing.assert_array_equal(bits(got), bits(want))
 
+    @pytest.mark.usefixtures("kernel_tier")
     @case
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **TIERED)
     def test_aggregate_duplicates(self, **kw):
         _, idx, deltas, shared, shared_rows = draw(**kw)
-        for values, value_rows, expanded in (
-            (deltas, None, deltas),
-            (deltas, np.arange(idx.size), deltas),
-            (shared, shared_rows, shared[shared_rows]),
-        ):
+        for expanded in (deltas, shared[shared_rows]):
             want_uniq, want = reference.aggregate_duplicates(idx, expanded)
-            uniq, got = aggregate_duplicates(idx, values, value_rows=value_rows)
+            uniq, got = SparseGrad(idx, expanded).aggregated()
             np.testing.assert_array_equal(uniq, want_uniq)
             assert got.shape == want.shape
             np.testing.assert_array_equal(bits(got), bits(want))
@@ -162,6 +159,6 @@ def test_the_array_kernel_refuses_an_id_past_the_table_too(dim):
     ones = np.ones((3, dim), np.float32)
     for value_rows in (None, np.arange(3)):
         with pytest.raises(IndexError):
-            scatter_add_exact(np.ones((6, dim), np.float32), idx, ones, value_rows=value_rows)
+            scatter_add(np.ones((6, dim), np.float32), idx, ones, value_rows=value_rows)
     with pytest.raises(IndexError):
         reference.scatter_add(np.ones((6, dim), np.float32), idx, ones)

@@ -41,8 +41,8 @@ STEPS = 20
 CHECKPOINT_STEP = 10
 #: Test scale: the workload's optimizer, update strategy, storage, data
 #: set, tiering and rank count over tables and MLPs a tier-1 test can
-#: afford (1 024 Zipf look-ups into 320 rows still makes runs longer
-#: than the fold's head).
+#: afford (1 024 Zipf look-ups into 320 rows still makes runs dozens
+#: of look-ups long).
 MODEL_SCALE = {"embedding_dim": 8, "bottom_mlp": [16, 8], "top_mlp": [32, 16, 1]}
 BATCH = 32
 

@@ -1,8 +1,8 @@
 """The fused sparse update against ``np.add.at`` at the benchmark's shape.
 
 The repo benchmark's own check compares ``fused`` with
-``update.name="reference"``, and both go through the fold kernel of
-:mod:`repro.kernels.segment`.  Here the twin's sparse update is applied
+``update.name="reference"``, and both go through the one dispatched
+scatter.  Here the twin's sparse update is applied
 by ``repro.kernels.reference`` -- literal ``np.add.at`` -- on the
 ``train_emb`` workload (8 x 50 000 x E64, P = 32), whose Zipf(1.05)
 look-ups give duplicate runs from 1 to ~2 000 long -- and on the
