@@ -372,11 +372,12 @@ def dot_interaction(dense, embs, z=None) -> np.ndarray | None:
 
 def _dot_forward(lib, vecs: list, z) -> np.ndarray:
     (n, e), v = vecs[0].shape, len(vecs)
-    vp = (v + 14) // 8 * 8  # kernels.c: the per-sample copies are padded to vp vectors
     out = np.empty((n, e + interaction.pairs(v)), np.float32)
     ptrs = np.array([a.ctypes.data for a in vecs], dtype=np.uintp)
-    scratch = np.empty((2 * e + vp) * vp, np.float32)
-    lib.repro_dot_fwd(_ptr(ptrs), n, v, e, _ptr(z), _ptr(out), _ptr(scratch))
+    args = (_ptr(ptrs), n, v, e, _ptr(z), _ptr(out))
+    need = lib.repro_dot_fwd(*args, None, 0)  # declines, naming the scratch it needs
+    scratch = np.empty(need, np.float32)
+    lib.repro_dot_fwd(*args, _ptr(scratch), need)
     return out
 
 

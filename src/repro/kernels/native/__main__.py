@@ -1,8 +1,10 @@
 """``python -m repro.kernels.native``: which tier this host runs, and does it work.
 
-Prints the tier, the compiler and its version, the flags, the cached
-library and the source hash, then runs every native kernel once on a
-small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
+Prints the tier, the compiler and its version, the flags, the
+``-march=`` / ``-mtune=`` the compiler resolves for them (``unknown``
+when it will not say: a host GCC tunes as ``generic`` shows here), the
+cached library and the source hash, then runs every native kernel once
+on a small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
 for the Split-BF16 and dense steps, the two data kernels and the dot
 interaction, which have no ``np.add.at`` spelling), and says whether
 this host's BLAS gives the interaction the C loops' bits
@@ -15,6 +17,7 @@ second column says whether the two gave the same bits.  Exits 1 on any
 from __future__ import annotations
 
 import hashlib
+import re
 import shlex
 import subprocess
 import sys
@@ -33,6 +36,16 @@ def _compiler_line() -> str:
         return f"{cc} ({(out.stdout or out.stderr).strip().splitlines()[0]})"
     except (build.Unavailable, OSError, IndexError) as exc:
         return f"unavailable ({exc})"
+
+
+def _tuning_line() -> str:
+    try:
+        cmd = [*shlex.split(build.compiler()), *build.FLAGS, "-Q", "--help=target"]
+        out = subprocess.run(cmd, capture_output=True, text=True).stdout
+    except (build.Unavailable, OSError):
+        return "unknown"
+    found = [re.search(rf"^\s+(-m{key}=)\s+(\S+)$", out, re.MULTILINE) for key in ("arch", "tune")]
+    return " ".join(m[1] + m[2] for m in found) if all(found) else "unknown"
 
 
 def _same(*pairs: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -146,6 +159,7 @@ def main() -> int:
     print(f"tier      {native.tier()}")
     print(f"compiler  {_compiler_line()}")
     print(f"flags     {' '.join(build.FLAGS)}")
+    print(f"tuning    {_tuning_line()}")
     print(f"source    {build.SOURCE} sha256 {hashlib.sha256(build.source_bytes()).hexdigest()[:16]}")
     if lib is None:
         print(f"reason    {where}")

@@ -37,7 +37,7 @@ from importlib import resources
 
 SOURCE = "kernels.c"
 #: What ``repro_abi()`` of a matching library answers.
-ABI = 3
+ABI = 4
 #: Exactly these: -ffast-math, -Ofast and -funsafe-math-optimizations
 #: reassociate, and linking them into a shared object flips FTZ/DAZ for
 #: the whole process, NumPy included.
@@ -58,7 +58,7 @@ SIGNATURES = {
     "repro_split_sgd_step": ((_P, _P, _P, _I, ctypes.c_float, ctypes.c_uint16), None),
     "repro_zipf_ids": ((_P, _I, _I, ctypes.c_int, _P), None),
     "repro_teacher_bags": ((_P, _P, _I, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_double, _P), None),
-    "repro_dot_fwd": ((_P, _I, _I, _I, _P, _P, _P), None),
+    "repro_dot_fwd": ((_P, _I, _I, _I, _P, _P, _P, _I), _I),
     "repro_dot_bwd": ((_P, _P, _I, _I, _I, _P, _P, _P), None),
 }
 

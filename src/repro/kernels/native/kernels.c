@@ -8,16 +8,20 @@
  * (np.add.at).  The rules that make that hold:
  *
  *   - one FP32 add per contribution, in the input order np.add.at
- *     applies them: no reassociation, so never -ffast-math or -Ofast;
+ *     applies them: no reassociation, so never -ffast-math or -Ofast.
+ *     Vector lanes run across a row's independent elements, never along
+ *     a sum, so each element keeps its adds and their order;
  *   - no FMA contraction (-ffp-contract=off): lr*g is rounded to FP32
  *     before it is subtracted, exactly where np.multiply rounds it;
- *   - the one FMA is explicit, __builtin_fmaf in the dot interaction,
- *     whose twin is a BLAS GEMM: its microkernel computes each output
- *     element as one FMA chain over K from +0.0, in K order, while K fits
- *     one of its K blocks (OpenBLAS 0.3.31 on an AVX-512 Xeon: K = 448
- *     held, 512 split).  So each dot and each gradient element is such a
- *     chain, the wrapper caps E at 256, and it checks the host's BLAS
- *     against these loops before it trusts them;
+ *   - the FMAs are the dot interaction's, whose twin is a BLAS GEMM: its
+ *     microkernel computes each output element as one FMA chain over K
+ *     from +0.0, in K order, while K fits one of its K blocks (OpenBLAS
+ *     0.3.31 on an AVX-512 Xeon: K = 448 held, 512 split).  So each dot
+ *     and each gradient element is such a chain, the wrapper caps E at
+ *     256, and it checks the host's BLAS against these loops before it
+ *     trusts them.  The backward spells them __builtin_fmaf; the
+ *     forward's tile is the one site compiled with fp-contract=fast,
+ *     where a vector a * b + c is the only expression to fuse;
  *   - a sum starts from +0.0 wherever NumPy's does (the pooled forward,
  *     the Split-BF16 aggregate, a teacher bag), and from the stored row
  *     for the in-place scatter;
@@ -32,71 +36,53 @@
  *
  * No function checks its arguments: repro/kernels/native/__init__.py
  * owns every check (dtype, contiguity, writeability, shapes, ids in
- * range) before it passes a pointer.  No Python.h, no OpenMP, no
- * intrinsics; threads come from the caller, who gives each a disjoint
- * range of rows, bags or segments.
+ * range) before it passes a pointer.  No Python.h, no OpenMP; GCC vector
+ * types, no target intrinsics, so the vector width is the source's, not
+ * the compiler's tuning for the host.  Threads come from the caller, who
+ * gives each a disjoint range of rows, bags or segments.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-#if defined(__GNUC__)
-#define PREFETCH_R(p) __builtin_prefetch((p), 0, 3)
-#define PREFETCH_W(p) __builtin_prefetch((p), 1, 3)
-#else
-#define PREFETCH_R(p) ((void)0)
-#define PREFETCH_W(p) ((void)0)
-#endif
-
 /* Look-ups ahead of the current one whose row is requested from memory:
  * a table is far larger than the caches and its rows are read at random,
- * so without it every row costs a full memory latency.  Swept 8..64 on
+ * so without it every row costs a full memory latency.  Swept on
  * train_emb's line-aligned slab (400,000 x 64 rows), a fresh batch of
- * 131,072 Zipf look-ups per call, seven rounds on a 2-vCPU Xeon: median
- * pool / scatter 19.9 / 19.7 ns/row at 8, 16.8 / 16.2 at 16, 16.9 /
- * 16.0 at 32, 15.3 / 13.9 at 64, where 64 beat 16 in only 4 of 7
- * rounds.  A call's first AHEAD look-ups go unprefetched, more of a
- * short call's the longer the distance, so 16 stays. */
-#define AHEAD 16
+ * 131,072 Zipf look-ups per call, 5 rounds on a 2-vCPU Xeon: median
+ * pool / scatter 8.9 / 12.4 ns/row at 8, 7.3 / 9.8 at 16, 6.7 / 9.1 at
+ * 32, 6.3 / 9.1 at 64, 6.5 / 8.9 at 96, 7.5 / 10.0 at 128 (scalar loops:
+ * 10.8 / 10.1 at 16).  Seven more rounds: 32 beat 16 in all, 32 and 64
+ * split them.  A call's first AHEAD look-ups go unprefetched, so of the
+ * two the shorter stays. */
+#define AHEAD 32
 /* Bytes of a cache line, the unit a prefetch requests. */
 #define LINE 64
+
+/* 16 and 8 FP32 lanes as GCC vector types, lowered to whatever the
+ * target has (16 lanes: one zmm, two ymm, four xmm, or scalars);
+ * aligned(4): a load or store may start at any float. */
+typedef float f32x16 __attribute__((vector_size(64), aligned(4)));
+typedef float f32x8 __attribute__((vector_size(32), aligned(4)));
 
 #define KNUTH UINT64_C(2654435761) /* synth.KNUTH: Zipf scramble and teacher hash */
 #define SCRAMBLE_SHIFT 12345
 
 /* Bumped whenever a signature below changes; the loader refuses a
  * library that answers anything else. */
-int64_t repro_abi(void) { return 3; }
+int64_t repro_abi(void) { return 4; }
 
-static inline float bits_to_f32(uint32_t bits)
-{
-    float f;
-    memcpy(&f, &bits, sizeof f);
-    return f;
-}
-
-static inline uint32_t f32_to_bits(float f)
-{
-    uint32_t bits;
-    memcpy(&bits, &f, sizeof bits);
-    return bits;
-}
+static inline float bits_to_f32(uint32_t bits) { float f; memcpy(&f, &bits, 4); return f; }
+static inline uint32_t f32_to_bits(float f) { uint32_t bits; memcpy(&bits, &f, 4); return bits; }
 
 /* Every line a row of `bytes` bytes touches, from the line holding its
  * first byte to the line holding its last: one more than bytes / LINE
  * when the row starts off a line, and that one is a miss if skipped. */
-static inline void prefetch_row_r(const char *row, int64_t bytes)
+static inline void prefetch_row(const char *row, int64_t bytes, int write)
 {
     uintptr_t end = (uintptr_t)row + (uintptr_t)bytes;
     for (uintptr_t at = (uintptr_t)row & ~(uintptr_t)(LINE - 1); at < end; at += LINE)
-        PREFETCH_R((const char *)at);
-}
-
-static inline void prefetch_row_w(const char *row, int64_t bytes)
-{
-    uintptr_t end = (uintptr_t)row + (uintptr_t)bytes;
-    for (uintptr_t at = (uintptr_t)row & ~(uintptr_t)(LINE - 1); at < end; at += LINE)
-        PREFETCH_W((const char *)at);
+        write ? __builtin_prefetch((const char *)at, 1, 3) : __builtin_prefetch((const char *)at, 0, 3);
 }
 
 /* 1 when every ids[i] lies in [0, bound), else 0: the one pass the
@@ -123,36 +109,65 @@ void repro_scatter_add_f32(float *restrict w, int64_t dim, const int64_t *restri
         if (i + AHEAD < n) {
             int64_t ahead = ids[i + AHEAD];
             if (ahead >= lo && ahead < hi)
-                prefetch_row_w((const char *)(w + ahead * dim), dim * 4);
+                prefetch_row((const char *)(w + ahead * dim), dim * 4, 1);
         }
         int64_t r = ids[i];
         if (r < lo || r >= hi)
             continue;
         float *restrict row = w + r * dim;
         const float *restrict d = deltas + (delta_rows ? delta_rows[i] : i) * dim;
-        for (int64_t e = 0; e < dim; e++)
+        int64_t e = 0;
+        for (; e + 16 <= dim; e += 16)
+            *(f32x16 *)(row + e) += *(const f32x16 *)(d + e);
+        for (; e < dim; e++)
             row[e] += d[e];
     }
 }
 
+/* Lanes [e, e + 16 * q) of a bag's sum over look-ups [s0, s1), held in q
+ * 16-lane registers across the bag and stored once at y + e; the pass at
+ * e == 0 requests the rows AHEAD look-ups on. */
+static inline __attribute__((always_inline)) void pool_lanes(
+    const float *restrict w, int64_t dim, const int64_t *restrict ids, int64_t s0, int64_t s1,
+    int64_t end, int64_t e, const int q, float *restrict y)
+{
+    f32x16 a[4] = {{0}};
+    for (int64_t s = s0; s < s1; s++) {
+        if (e == 0 && s + AHEAD < end)
+            prefetch_row((const char *)(w + ids[s + AHEAD] * dim), dim * 4, 0);
+        for (int j = 0; j < q; j++)
+            a[j] += *(const f32x16 *)(w + ids[s] * dim + e + 16 * j);
+    }
+    for (int j = 0; j < q; j++)
+        *(f32x16 *)(y + e + 16 * j) = a[j];
+}
+
 /* Alg. 1 over FP32 rows: out[b] = ((+0.0 + w[ids[s0]]) + w[ids[s0+1]]) + ...
  * over bag b's look-ups [offsets[b], offsets[b+1]), for b in
- * [bag_lo, bag_hi).  An empty bag is a +0.0 row. */
+ * [bag_lo, bag_hi).  An empty bag is a +0.0 row.  A row's 64-float
+ * blocks, then 16-float blocks, then single elements, each summed
+ * across the bag in registers. */
 void repro_pool_f32(const float *restrict w, int64_t dim, const int64_t *restrict ids,
                     const int64_t *restrict offsets, int64_t bag_lo, int64_t bag_hi,
                     float *restrict out)
 {
-    int64_t end = offsets[bag_hi];
+    const int64_t end = offsets[bag_hi];
     for (int64_t b = bag_lo; b < bag_hi; b++) {
+        const int64_t s0 = offsets[b], s1 = offsets[b + 1];
         float *restrict y = out + b * dim;
-        for (int64_t e = 0; e < dim; e++)
-            y[e] = 0.0f;
-        for (int64_t s = offsets[b]; s < offsets[b + 1]; s++) {
-            if (s + AHEAD < end)
-                prefetch_row_r((const char *)(w + ids[s + AHEAD] * dim), dim * 4);
-            const float *restrict row = w + ids[s] * dim;
-            for (int64_t e = 0; e < dim; e++)
-                y[e] += row[e];
+        int64_t e = 0;
+        for (; e + 64 <= dim; e += 64)
+            pool_lanes(w, dim, ids, s0, s1, end, e, 4, y);
+        for (; e + 16 <= dim; e += 16)
+            pool_lanes(w, dim, ids, s0, s1, end, e, 1, y);
+        for (; e < dim; e++) {
+            float a = 0.0f;
+            for (int64_t s = s0; s < s1; s++) {
+                if (e == 0 && s + AHEAD < end)
+                    prefetch_row((const char *)(w + ids[s + AHEAD] * dim), dim * 4, 0);
+                a += w[ids[s] * dim + e];
+            }
+            y[e] = a;
         }
     }
 }
@@ -170,7 +185,7 @@ void repro_pool_bf16(const uint16_t *restrict hi, int64_t dim, const int64_t *re
             y[e] = 0.0f;
         for (int64_t s = offsets[b]; s < offsets[b + 1]; s++) {
             if (s + AHEAD < end)
-                prefetch_row_r((const char *)(hi + ids[s + AHEAD] * dim), dim * 2);
+                prefetch_row((const char *)(hi + ids[s + AHEAD] * dim), dim * 2, 0);
             const uint16_t *restrict row = hi + ids[s] * dim;
             for (int64_t e = 0; e < dim; e++)
                 y[e] += bits_to_f32((uint32_t)row[e] << 16);
@@ -195,8 +210,8 @@ void repro_split_scatter_add(uint16_t *restrict hi, uint16_t *restrict lo, int64
 {
     for (int64_t j = seg_lo; j < seg_hi; j++) {
         if (j + AHEAD < seg_hi) {
-            prefetch_row_w((const char *)(hi + uniq[j + AHEAD] * dim), dim * 2);
-            prefetch_row_w((const char *)(lo + uniq[j + AHEAD] * dim), dim * 2);
+            prefetch_row((const char *)(hi + uniq[j + AHEAD] * dim), dim * 2, 1);
+            prefetch_row((const char *)(lo + uniq[j + AHEAD] * dim), dim * 2, 1);
         }
         for (int64_t e = 0; e < dim; e++)
             acc[e] = 0.0f;
@@ -276,13 +291,20 @@ void repro_zipf_ids(const double *restrict x, int64_t n, int64_t items, int scra
  * the vectors a column needs (j < v - 1), eight at a time, transposed
  * into zt[b][k][u] (vector 8b + u: a power-of-two group the compiler
  * interleaves with shuffles).  p then fills in 8 x 8 tiles of rows
- * [i0, i0 + 8) by columns [j0, j0 + 8), j0 < i0: per k, eight values of
- * zt and eight broadcasts from zr feed 64 chains held in registers.
- * scratch: (2 * e + vp) * vp floats. */
-void repro_dot_fwd(const float *const *vecs, int64_t n, int64_t v, int64_t e,
-                   float *restrict z, float *restrict out, float *restrict scratch)
+ * [i0, i0 + 8) by columns [j0, j0 + 8), j0 < i0, as eight 8-lane
+ * accumulators: per k, one vector of zt times a broadcast from zr per
+ * row, fused -- the file's one contracted expression, so the chains are
+ * packed FMAs whatever the compiler's cost model.  scratch holds
+ * (2 * e + vp) * vp floats; given fewer (scratch_len), the function
+ * writes nothing and returns how many it needs, else 0. */
+__attribute__((optimize("fp-contract=fast")))
+int64_t repro_dot_fwd(const float *const *vecs, int64_t n, int64_t v, int64_t e,
+                      float *restrict z, float *restrict out, float *restrict scratch,
+                      int64_t scratch_len)
 {
     const int64_t vp = (v + 14) & ~(int64_t)7, width = e + v * (v - 1) / 2;
+    if (scratch_len < (2 * e + vp) * vp)
+        return (2 * e + vp) * vp;
     float *restrict zt = scratch, *restrict zr = zt + e * vp, *restrict p = zr + e * vp;
     memset(scratch, 0, (size_t)(2 * e * vp) * sizeof *scratch);
     for (int64_t s = 0; s < n; s++) {
@@ -299,19 +321,16 @@ void repro_dot_fwd(const float *const *vecs, int64_t n, int64_t v, int64_t e,
         }
         for (int64_t i0 = 1; i0 < v; i0 += 8)
             for (int64_t j0 = 0; j0 < i0; j0 += 8) {
-                float acc[8][8] = {{0.0f}};
+                f32x8 acc[8] = {{0}};
                 for (int64_t k = 0; k < e; k++) {
-                    const float *cj = zt + j0 * e + k * 8, *ci = zr + i0 * e + k;
+                    const f32x8 cj = *(const f32x8 *)(zt + j0 * e + k * 8);
+                    const float *ci = zr + i0 * e + k;
 #pragma GCC unroll 8
-                    for (int r = 0; r < 8; r++) {
-                        const float a = ci[r * e];
-#pragma GCC unroll 8
-                        for (int t = 0; t < 8; t++)
-                            acc[r][t] = __builtin_fmaf(a, cj[t], acc[r][t]);
-                    }
+                    for (int r = 0; r < 8; r++)
+                        acc[r] = ci[r * e] * cj + acc[r];
                 }
                 for (int r = 0; r < 8; r++)
-                    memcpy(p + (i0 + r) * vp + j0, acc[r], sizeof acc[r]);
+                    *(f32x8 *)(p + (i0 + r) * vp + j0) = acc[r];
             }
         float *restrict o = out + s * width;
         memcpy(o, zr, (size_t)e * sizeof *o);
@@ -319,6 +338,7 @@ void repro_dot_fwd(const float *const *vecs, int64_t n, int64_t v, int64_t e,
             for (int64_t j = 0; j < i; j++)
                 o[at++] = p[i * vp + j] + 0.0f;
     }
+    return 0;
 }
 
 /* The dot interaction's backward over the forward's stacked z.  Per

@@ -60,6 +60,8 @@ def assert_tiers_agree(n, s, e, share, seed):
     want = interaction.interact(dense, embs, z)
     assert same(dot.forward(dense, embs), want)
     assert same(dot.infer(dense, embs), want)
+    if e == 1:
+        return  # the backward entry declines E = 1: see TestARefusalTakesTheNumPyTier
     dout = draw(rng, want.shape, share)
     got = dot.backward(dout)
     assert all(same(a, b) for a, b in zip(got, interaction.interact_backward(z, dout), strict=True))
@@ -84,6 +86,13 @@ class TestTheTiersAgreeByteForByte:
     @pytest.mark.parametrize("n, s, e", SUITE_SHAPES)
     def test_the_benchmarks_shapes(self, n, s, e):
         assert_tiers_agree(n, s, e, 0.001, seed=n + s + e)
+
+    @pytest.mark.parametrize("v", [2, 8, 9, 10, 16, 17, 27, 31])
+    @pytest.mark.parametrize("e", [1, 7, 8, 9, 64, 128, 256])
+    def test_the_tiles_edges(self, v, e):
+        """V one short of, at and past the 8 x 8 tile's rows and columns;
+        E across the 8- and 16-float vector bodies, their tails and the cap."""
+        assert_tiers_agree(4, v - 1, e, 0.05, seed=100 * v + e)
 
 
 def forward_case(what: str):
@@ -215,6 +224,28 @@ class TestTheBackwardReadsItsOwnCopy:
         dot.forward(dense, embs)
         dot.infer(*vectors(np.random.default_rng(6), 9, 5, 24))
         assert all(same(a, b) for a, b in zip(dot.backward(dout), want, strict=True))
+
+
+@needs_native
+@pytest.mark.parametrize("v, e", [(2, 1), (10, 9), (27, 128)])
+def test_the_forward_sizes_its_scratch_and_declines_a_short_one(v, e):
+    """Asked with no scratch, the C forward names the floats it needs;
+    one float fewer and it writes nothing at all; with exactly that many
+    it writes none past them."""
+    lib, rng, n = build.library(), np.random.default_rng(v + e), 3
+    vecs = [draw(rng, (n, e)) for _ in range(v)]
+    ptrs = np.array([a.ctypes.data for a in vecs], dtype=np.uintp)
+    z = np.full((n, v, e), 7.0, np.float32)
+    out = np.full((n, e + interaction.pairs(v)), 7.0, np.float32)
+    args = (ptrs.ctypes.data, n, v, e, z.ctypes.data, out.ctypes.data)
+    need = lib.repro_dot_fwd(*args, None, 0)
+    scratch = np.full(need + 64, 7.0, np.float32)
+    assert lib.repro_dot_fwd(*args, scratch.ctypes.data, need - 1) == need
+    assert (scratch == 7.0).all() and (z == 7.0).all() and (out == 7.0).all()
+    assert lib.repro_dot_fwd(*args, scratch.ctypes.data, need) == 0
+    assert (scratch[need:] == 7.0).all()
+    want_z = np.empty_like(z)
+    assert same(out, interaction.interact(vecs[0], vecs[1:], want_z)) and same(z, want_z)
 
 
 def gamma(k: int) -> float:

@@ -28,7 +28,7 @@ from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
 
-DIMS = [1, 2, 3, 16, 64, 65]
+DIMS = [1, 2, 3, 15, 16, 17, 63, 64, 65, 128, 130]
 
 needs_native = pytest.mark.skipif(
     build.library() is None, reason=f"native tier unavailable: {build.load()[1]}"
@@ -86,6 +86,26 @@ class TestEveryOperatorUnderEachTier:
             want = reference.segment_sum(dense[idx], offsets)
             assert got.shape == (n_bags, dim) and got.dtype == np.float32
             np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bags_of_length_zero_one_and_past_the_prefetch_distance(self, dim):
+        """One call mixing empty, single and long bags, the last ones
+        inside the prefetch distance of the call's end."""
+        rng = np.random.default_rng(dim)
+        lengths = [0, 1, 70, 0, 1, 40, 1, 0, 33, 1, 0, 1]
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        w0 = special_values(rng, (97, dim), 0.05)
+        idx = rng.integers(0, 97, size=int(offsets[-1]), dtype=np.int64)
+        hi, _ = halves(w0)
+        widened = (hi.astype(np.uint32) << 16).view(np.float32)
+        for source, dense in ((w0, w0), (hi, widened)):
+            got = dispatch.pool_rows(source, idx, offsets, np.diff(offsets), Workspace())
+            np.testing.assert_array_equal(bits(got), bits(reference.segment_sum(dense[idx], offsets)))
+        deltas = special_values(rng, (idx.size, dim), 0.05)
+        want, got = w0.copy(), w0.copy()
+        reference.scatter_add(want, idx, deltas)
+        dispatch.scatter_add_exact(got, idx, deltas)
+        np.testing.assert_array_equal(bits(got), bits(want))
 
     @case
     @settings(max_examples=120, deadline=None, **TIERED)

@@ -190,12 +190,15 @@ def test_the_command_says_what_is_loaded(tmp_path):
     broken = command(CC="/bin/false")
     assert broken.returncode == 1
     assert "tier      numpy" in broken.stdout and "reason    '/bin/false' exited 1" in broken.stdout
+    assert "tuning    unknown" in broken.stdout
     if build.library() is None:
         pytest.skip(f"native tier unavailable: {build.load()[1]}")
     ok = command()
     assert ok.returncode == 0, ok.stdout + ok.stderr
     for field in ("tier      native", "compiler  ", "flags     -O3", "library   ", "source    "):
         assert field in ok.stdout
+    (tuning,) = [line for line in ok.stdout.splitlines() if line.startswith("tuning    ")]
+    assert re.fullmatch(r"tuning    (-march=\S+ -mtune=\S+|unknown)", tuning)
     checks = [line for line in ok.stdout.splitlines() if line.endswith((" ok", " FAIL"))]
     assert len(checks) == 13 and all(line.endswith(" ok") for line in checks)
     assert [line.rsplit(None, 1)[0] for line in checks[-3:]] == [
