@@ -1,21 +1,24 @@
 """The native kernel tier: checked entries to the C loops of ``kernels.c``.
 
 The C functions take raw pointers, so every check happens here, before
-the first write: dtype, C-contiguity, writeability, agreeing shapes,
-every id inside ``[0, rows)`` and every ``value_rows`` entry inside
-``[0, len(deltas))``, offsets rising from 0 to the number of ids, a
-Zipf table no larger than the scramble's ``int64`` bound, interaction
-vectors of one shape no wider than :data:`MAX_DOT_DIM` on a host whose
-BLAS agrees with the C loops (:func:`blas_agrees`).  An entry
-that cannot *represent* its inputs (another dtype, a strided view, an
-id out of range, no library in this process) touches nothing and says
-so -- ``False``, or ``None`` for those that return arrays -- and
-:mod:`repro.kernels.dispatch` hands the same inputs, unchanged, to the
-NumPy tier, where they wrap or raise as they always did.  ``np.memmap``
-storage and ``rows_view`` slices are plain C-contiguous arrays and take
-these entries.  Alignment is never checked: arrays from
-:func:`~repro.kernels.workspace.aligned_empty` start on a cache line,
-and one that does not gets the same bits, only slower.
+the first write.  Each entry's array arguments are declared once, in
+:data:`CONTRACTS` -- dtype, rank and agreeing shapes, C-contiguity,
+writeability, ids under their bound, offsets rising from 0, and the one
+rule for ``restrict`` pointers: no written array overlaps any other
+argument -- and :func:`bind` applies every clause.  What no array clause
+can say stays in the entry: a Zipf table no larger than the scramble's
+``int64`` bound, the teacher's ``uint64`` keys, interaction vectors no
+wider than :data:`MAX_DOT_DIM` on a host whose BLAS agrees with the C
+loops (:func:`blas_agrees`).  An entry that cannot *represent* its
+inputs (another dtype, a strided view, an id out of range, no library
+in this process) touches nothing and says so -- ``False``, or ``None``
+for those that return arrays -- and :mod:`repro.kernels.dispatch` hands
+the same inputs, unchanged, to the NumPy tier, where they wrap or raise
+as they always did.  ``np.memmap`` storage and ``rows_view`` slices are
+plain C-contiguous arrays and take these entries.  Alignment is never
+checked: arrays from :func:`~repro.kernels.workspace.aligned_empty`
+start on a cache line, and one that does not gets the same bits, only
+slower.
 
 Thread sharding is the caller's pool over disjoint ranges -- rows for
 the scatter (Alg. 4: every thread scans all look-ups and owns
@@ -30,6 +33,8 @@ run whole on the calling thread.  A ``ctypes`` call releases the GIL.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -48,56 +53,97 @@ def tier() -> str:
     return "numpy" if library() is None else "native"
 
 
-def _plain(a, dtype: type, ndim: int, writeable: bool = False) -> bool:
-    return (
-        isinstance(a, np.ndarray)
-        and a.dtype == dtype
-        and a.ndim == ndim
-        and a.flags.c_contiguous
-        and (a.flags.writeable or not writeable)
+#: One parsed clause of :data:`CONTRACTS`; each size of ``shape`` is
+#: ``(name, excess, least)``: the axis is ``sizes[name] + excess`` long
+#: and ``sizes[name] >= least``.
+Clause = namedtuple("Clause", "name each dtypes shape written below rises_to optional")
+_DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64, "u16": np.uint16}
+_CLAUSE = re.compile(r"(\w+):(?:\[(\w+)\])?([\w|]+)\[([\w,>+]+)\](!?)(?:<(\w+)|~(\w+))?(\??)")
+
+
+def _clause(spec: str) -> Clause:
+    name, each, dtypes, shape, written, below, rises_to, optional = _CLAUSE.fullmatch(spec).groups()
+    sizes = (re.fullmatch(r"(\w+)(\+1)?(>0)?", size).groups() for size in shape.split(","))
+    return Clause(
+        name, each, tuple(np.dtype(_DTYPES[d]) for d in dtypes.split("|")),
+        tuple((size, int(bool(plus)), int(bool(least))) for size, plus, least in sizes),
+        bool(written), below, rises_to, bool(optional),
     )
 
 
-def _disjoint(written: tuple, read: tuple = ()) -> bool:
-    """No written array may overlap another array the kernel touches
-    (the C loops declare their pointers ``restrict``)."""
-    return not any(
-        np.may_share_memory(w, other)
-        for i, w in enumerate(written)
-        for other in (*written[i + 1 :], *read)
+#: Every native entry's array arguments in call order, one clause each:
+#: ``name:dtype[sizes]`` is a C-contiguous array of that dtype (``f32|u16``:
+#: either) with one size per axis.  A size binds where it first appears
+#: and must agree after that; ``d>0`` is at least 1 and ``b+1`` one more
+#: than ``b``.  ``[s]`` before the dtype: a list of ``s`` such arrays.
+#: ``!``: written -- writeable, and apart from every other argument (the
+#: C loops declare their pointers ``restrict``).  ``<rows``: every entry
+#: in ``[0, rows)``.  ``~n``: rising from 0 to ``n``.  ``?``: may be
+#: None; an absent id map is the identity, so its length is its bound.
+CONTRACTS = {
+    entry: tuple(map(_clause, specs))
+    for entry, *specs in (
+        ("scatter_add_exact", "weight:f32[rows,dim>0]!", "indices:i64[n]<rows",
+         "deltas:f32[k,dim]", "value_rows:i64[n]<k?"),
+        ("pool_rows", "source:f32|u16[rows,dim>0]", "indices:i64[n]<rows", "offsets:i64[bags+1]~n"),
+        ("split_scatter_add", "hi:u16[rows,dim>0]!", "lo:u16[rows,dim]!", "indices:i64[n]<rows",
+         "deltas:f32[k,dim]", "value_rows:i64[n]<k?"),
+        ("sgd_step", "values:f32[n]!", "grads:f32[n]"),
+        ("split_sgd_step", "values:f32[n]!", "lo:u16[n]!", "grads:f32[n]"),
+        ("zipf_ids", "x:f64[n]"),
+        ("teacher_bags", "ids:i64[n]", "offsets:i64[bags+1]~n", "score:f64[bags]!"),
+        ("dot_interaction", "dense:f32[n,e>0]", "embs:[s]f32[n,e]", "z:f32[n,s+1,e]!?"),
+        ("dot_interaction_backward", "z:f32[n,v,e]", "dout:f32[n,w]"),
     )
+}
 
 
-def _ids(lib, ids, n: int | None, bound: int) -> bool:
-    """``ids``: a C-contiguous ``int64`` vector (of ``n`` entries, when
-    given), every entry in ``[0, bound)``."""
-    return (
-        _plain(ids, np.int64, 1)
-        and (n is None or ids.shape[0] == n)
-        and bool(lib.repro_ids_in_range(ids.ctypes.data, ids.shape[0], bound))
-    )
-
-
-def _deltas(lib, deltas, dim: int, n: int, value_rows) -> bool:
-    """``deltas``: FP32 ``(k, dim)`` rows, one per look-up, or shared
-    and named by ``value_rows``, all inside ``[0, k)``."""
-    if not (_plain(deltas, np.float32, 2) and deltas.shape[1] == dim):
-        return False
-    if value_rows is None:
-        return deltas.shape[0] == n
-    return _ids(lib, value_rows, n, deltas.shape[0])
-
-
-def _offsets(offsets, n: int) -> bool:
-    """``offsets``: a C-contiguous ``int64`` vector of bag bounds rising
-    from 0 to ``n``."""
-    return (
-        _plain(offsets, np.int64, 1)
-        and offsets.shape[0] > 0
-        and offsets[0] == 0
-        and offsets[-1] == n
-        and not (np.diff(offsets) < 0).any()
-    )
+def bind(entry: str, *args) -> dict[str, int] | None:
+    """The sizes that ``args``, ``entry``'s array arguments in clause
+    order, bind; None when the library is missing or any clause fails.
+    Every clause is applied before the entry writes anything."""
+    lib, sizes, arrays, written = library(), {}, [], []
+    if lib is None:
+        return None
+    for clause, value in zip(CONTRACTS[entry], args):
+        if value is None:
+            if not clause.optional:
+                return None
+            if clause.below:  # the identity map: as long as its bound
+                n = sizes[clause.shape[0][0]]
+                if sizes.setdefault(clause.below, n) != n:
+                    return None
+            continue
+        if clause.each is None:
+            value = (value,)
+        elif not isinstance(value, (list, tuple)):
+            return None
+        elif sizes.setdefault(clause.each, len(value)) != len(value):
+            return None
+        for a in value:
+            if not (isinstance(a, np.ndarray) and a.dtype in clause.dtypes and a.flags.c_contiguous):
+                return None
+            if a.ndim != len(clause.shape) or (clause.written and not a.flags.writeable):
+                return None
+            for (name, excess, least), extent in zip(clause.shape, a.shape):
+                extent -= excess
+                if extent < least or sizes.setdefault(name, extent) != extent:
+                    return None
+            if clause.written:
+                written.append(len(arrays))
+            arrays.append((clause, a))
+    for i in written:
+        for j in range(len(arrays)):
+            if i != j and np.may_share_memory(arrays[i][1], arrays[j][1]):
+                return None
+    for clause, a in arrays:
+        if clause.below and not lib.repro_ids_in_range(a.ctypes.data, a.shape[0], sizes[clause.below]):
+            return None
+        if clause.rises_to and not (
+            a[0] == 0 and a[-1] == sizes[clause.rises_to] and not (np.diff(a) < 0).any()
+        ):
+            return None
+    return sizes
 
 
 def _run(fn: Callable[[int, int, int], None], work: int, items: int, elems: int, pool) -> None:
@@ -117,15 +163,10 @@ def _ptr(a: np.ndarray | None) -> int | None:
 def scatter_add_exact(weight, indices, deltas, value_rows=None, pool=None) -> bool:
     """``weight[indices] += deltas`` (``deltas[value_rows]`` when given)
     in ``np.add.at``'s order; False when not representable."""
-    lib = library()
-    if lib is None or not (_plain(weight, np.float32, 2, writeable=True) and weight.shape[1]):
+    sizes = bind("scatter_add_exact", weight, indices, deltas, value_rows)
+    if sizes is None:
         return False
-    rows, dim = weight.shape
-    if not (_ids(lib, indices, None, rows) and _deltas(lib, deltas, dim, len(indices), value_rows)):
-        return False
-    if not _disjoint((weight,), (deltas,)):
-        return False
-    n = indices.shape[0]
+    lib, rows, dim, n = library(), sizes["rows"], sizes["dim"], sizes["n"]
     args = (_ptr(weight), dim, _ptr(indices), n, _ptr(deltas), _ptr(value_rows))
     _run(lambda lo, hi, tid: lib.repro_scatter_add_f32(*args, lo, hi), rows, n, n * dim, pool)
     return True
@@ -136,19 +177,11 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     ``b``'s look-ups ``[offsets[b], offsets[b+1])``; ``source`` is FP32
     rows or the ``uint16`` hi half of Split-BF16 rows, widened on the
     fly.  None when not representable."""
-    lib = library()
-    if lib is None:
+    sizes = bind("pool_rows", source, indices, offsets)
+    if sizes is None:
         return None
-    if _plain(source, np.float32, 2):
-        kernel = lib.repro_pool_f32
-    elif _plain(source, np.uint16, 2):
-        kernel = lib.repro_pool_bf16
-    else:
-        return None
-    rows, dim = source.shape
-    if not (dim and _ids(lib, indices, None, rows) and _offsets(offsets, indices.shape[0])):
-        return None
-    n, bags = indices.shape[0], offsets.shape[0] - 1
+    lib, n, bags, dim = library(), sizes["n"], sizes["bags"], sizes["dim"]
+    kernel = lib.repro_pool_f32 if source.dtype == np.float32 else lib.repro_pool_bf16
     out = aligned_empty((bags, dim), np.float32)
     args = (_ptr(source), dim, _ptr(indices), _ptr(offsets))
     _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, n * dim, pool)
@@ -160,19 +193,10 @@ def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None, pool=
     touched row, aggregate its deltas from +0.0 in input order, rejoin,
     add once, split -- one pass, no materialised aggregate.  False when
     not representable."""
-    lib = library()
-    if lib is None or not (
-        _plain(hi, np.uint16, 2, writeable=True)
-        and _plain(lo, np.uint16, 2, writeable=True)
-        and hi.shape == lo.shape
-        and hi.shape[1]
-    ):
+    sizes = bind("split_scatter_add", hi, lo, indices, deltas, value_rows)
+    if sizes is None:
         return False
-    rows, dim = hi.shape
-    if not (_ids(lib, indices, None, rows) and _deltas(lib, deltas, dim, len(indices), value_rows)):
-        return False
-    if not _disjoint((hi, lo), (deltas,)):
-        return False
+    lib, dim, n = library(), sizes["dim"], sizes["n"]
     order, uniq, starts, lengths = _plan_segments(indices)
     args = (_ptr(hi), _ptr(lo), dim, int(lo_mask(keep_bits)))
     segs = (_ptr(uniq), _ptr(starts), _ptr(lengths))
@@ -182,7 +206,6 @@ def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None, pool=
         acc = np.empty(dim, dtype=np.float32)
         lib.repro_split_scatter_add(*args, *segs, seg_lo, seg_hi, *tail, _ptr(acc))
 
-    n = indices.shape[0]
     _run(update, uniq.shape[0], uniq.shape[0], n * dim, pool)
     return True
 
@@ -222,37 +245,24 @@ def _plan_segments(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return order, sorted_rows[starts], starts, np.diff(np.append(starts, nnz))
 
 
-def _flat_step(values, grads) -> bool:
-    return (
-        _plain(values, np.float32, 1, writeable=True)
-        and _plain(grads, np.float32, 1)
-        and values.shape == grads.shape
-    )
-
-
 def sgd_step(values, grads, lr: float) -> bool:
     """``values -= fl32(lr * grads)`` on flat FP32 spans; False when
     not representable."""
-    lib = library()
-    if lib is None or not (_flat_step(values, grads) and _disjoint((values,), (grads,))):
+    sizes = bind("sgd_step", values, grads)
+    if sizes is None:
         return False
-    lib.repro_sgd_step(_ptr(values), _ptr(grads), values.shape[0], float(lr))
+    library().repro_sgd_step(_ptr(values), _ptr(grads), sizes["n"], float(lr))
     return True
 
 
 def split_sgd_step(values, lo, grads, lr: float, keep_bits: int) -> bool:
     """Split-SGD on flat spans (``values``: BF16 widened to FP32,
     ``lo``: the other ``uint16`` halves); False when not representable."""
-    lib = library()
-    if lib is None or not (
-        _flat_step(values, grads)
-        and _plain(lo, np.uint16, 1, writeable=True)
-        and lo.shape == values.shape
-        and _disjoint((values, lo), (grads,))
-    ):
+    sizes = bind("split_sgd_step", values, lo, grads)
+    if sizes is None:
         return False
-    lib.repro_split_sgd_step(
-        _ptr(values), _ptr(lo), _ptr(grads), values.shape[0], float(lr), int(lo_mask(keep_bits))
+    library().repro_split_sgd_step(
+        _ptr(values), _ptr(lo), _ptr(grads), sizes["n"], float(lr), int(lo_mask(keep_bits))
     )
     return True
 
@@ -261,34 +271,24 @@ def zipf_ids(x, n_items, scramble: bool) -> np.ndarray | None:
     """``bounded_zipf``'s integer tail over float64 power-law draws
     ``x``; None when not representable (an item count outside
     ``[1, MAX_SCRAMBLE_ITEMS]``, scrambled or not)."""
-    lib = library()
-    if lib is None or not (
-        _plain(x, np.float64, 1)
-        and isinstance(n_items, (int, np.integer))
-        and 1 <= n_items <= MAX_SCRAMBLE_ITEMS
-    ):
+    if not (isinstance(n_items, (int, np.integer)) and 1 <= n_items <= MAX_SCRAMBLE_ITEMS):
         return None
-    ids = np.empty(x.shape[0], dtype=np.int64)
-    lib.repro_zipf_ids(_ptr(x), x.shape[0], int(n_items), int(bool(scramble)), _ptr(ids))
+    sizes = bind("zipf_ids", x)
+    if sizes is None:
+        return None
+    ids = np.empty(sizes["n"], dtype=np.int64)
+    library().repro_zipf_ids(_ptr(x), sizes["n"], int(n_items), int(bool(scramble)), _ptr(ids))
     return ids
 
 
 def teacher_bags(ids, offsets, mix: int, seed_mult: int, weight: float, score) -> bool:
     """The teacher's term for one table, added into ``score`` (one
     float64 per bag) in place; False when not representable."""
-    lib = library()
-    if lib is None or not (
-        _plain(ids, np.int64, 1)
-        and _plain(score, np.float64, 1, writeable=True)
-        and _offsets(offsets, ids.shape[0])
-        and offsets.shape[0] == score.shape[0] + 1
-        and _disjoint((score,), (ids, offsets))
-        and 0 <= mix < 1 << 64
-        and 0 <= seed_mult < 1 << 64
-    ):
+    sizes = bind("teacher_bags", ids, offsets, score)
+    if sizes is None or not (0 <= mix < 1 << 64 and 0 <= seed_mult < 1 << 64):
         return False
     keys = (int(mix), int(seed_mult), float(weight))
-    lib.repro_teacher_bags(_ptr(ids), _ptr(offsets), score.shape[0], *keys, _ptr(score))
+    library().repro_teacher_bags(_ptr(ids), _ptr(offsets), sizes["bags"], *keys, _ptr(score))
     return True
 
 
@@ -341,33 +341,15 @@ def _agreement(lib) -> bool:
     return True
 
 
-def _vectors(dense, embs) -> list | None:
-    """``[dense, *embs]`` when every one is a C-contiguous FP32 matrix of
-    one ``(N, E)`` shape, ``1 <= E <= MAX_DOT_DIM``; else None."""
-    vecs = [dense, *embs]
-    if all(_plain(a, np.float32, 2) and a.shape == dense.shape for a in vecs):
-        return vecs if 1 <= dense.shape[1] <= MAX_DOT_DIM else None
-    return None
-
-
 def dot_interaction(dense, embs, z=None) -> np.ndarray | None:
     """The dot interaction's forward, the stacked vectors written into
-    ``z`` when given; None when not representable (another dtype, a
-    strided view, shapes that disagree, ``E`` past :data:`MAX_DOT_DIM`, a
-    ``z`` that is not a writeable ``(N, V, E)`` FP32 buffer apart from the
-    inputs) or when :func:`blas_agrees` says no."""
-    lib = library()
-    vecs = None if lib is None else _vectors(dense, embs)
-    if vecs is None or not (
-        z is None
-        or (
-            _plain(z, np.float32, 3, writeable=True)
-            and z.shape == (dense.shape[0], len(vecs), dense.shape[1])
-            and _disjoint((z,), tuple(vecs))
-        )
-    ):
+    ``z`` when given; None when not representable (``E`` past
+    :data:`MAX_DOT_DIM`, among others) or when :func:`blas_agrees` says
+    no."""
+    sizes = bind("dot_interaction", dense, embs, z)
+    if sizes is None or sizes["e"] > MAX_DOT_DIM or not blas_agrees():
         return None
-    return _dot_forward(lib, vecs, z) if blas_agrees() else None
+    return _dot_forward(library(), [dense, *embs], z)
 
 
 def _dot_forward(lib, vecs: list, z) -> np.ndarray:
@@ -384,18 +366,17 @@ def _dot_forward(lib, vecs: list, z) -> np.ndarray:
 def dot_interaction_backward(z, dout) -> tuple[np.ndarray, np.ndarray] | None:
     """The dot interaction's backward from the forward's stacked ``z``:
     ``(ddense, dembs)``, ``dembs`` one ``(S, N, E)`` block.  None when not
-    representable (another dtype, a strided view, ``E`` past
-    :data:`MAX_DOT_DIM`, a ``dout`` that is not ``(N, E + V(V-1)/2)``), for
-    ``E = 1`` (NumPy's matmul takes ``gemv`` for a one-column product,
-    whose reduction order is its kernel's own) or when
-    :func:`blas_agrees` says no."""
-    lib = library()
-    if lib is None or not (_plain(z, np.float32, 3) and _plain(dout, np.float32, 2)):
+    representable (``E`` past :data:`MAX_DOT_DIM`, a ``dout`` that is not
+    ``(N, E + V(V-1)/2)``, among others), for ``E = 1`` (NumPy's matmul
+    takes ``gemv`` for a one-column product, whose reduction order is its
+    kernel's own) or when :func:`blas_agrees` says no."""
+    sizes = bind("dot_interaction_backward", z, dout)
+    if sizes is None:
         return None
     n, v, e = z.shape
-    if not (v > 1 and 1 < e <= MAX_DOT_DIM and dout.shape == (n, e + interaction.pairs(v))):
+    if not (v > 1 and 1 < e <= MAX_DOT_DIM and sizes["w"] == e + interaction.pairs(v)):
         return None
-    return _dot_backward(lib, z, dout) if blas_agrees() else None
+    return _dot_backward(library(), z, dout) if blas_agrees() else None
 
 
 def _dot_backward(lib, z, dout) -> tuple[np.ndarray, np.ndarray]:

@@ -3,15 +3,14 @@
 Prints the tier, the compiler and its version, the flags, the
 ``-march=`` / ``-mtune=`` the compiler resolves for them (``unknown``
 when it will not say: a host GCC tunes as ``generic`` shows here), the
-cached library and the source hash, then runs every native kernel once
-on a small fixed input against :mod:`repro.kernels.reference` (the NumPy tier
-for the Split-BF16 and dense steps, the two data kernels and the dot
-interaction, which have no ``np.add.at`` spelling), and says whether
-this host's BLAS gives the interaction the C loops' bits
-(:func:`~repro.kernels.native.blas_agrees`).  The four row kernels then
-run again on 256-byte rows, once line-aligned and once 16 bytes past a line, and a
-second column says whether the two gave the same bits.  Exits 1 on any
-``FAIL``, or when the tier is ``numpy`` (the reason is printed).
+cached library and the source hash, then runs every native entry once
+on inputs drawn from its contract (:data:`~repro.kernels.native.CONTRACTS`)
+at :data:`SIZES` against its NumPy twin, and says whether this host's
+BLAS gives the interaction the C loops' bits
+(:func:`~repro.kernels.native.blas_agrees`).  The four row kernels run
+again on the same arrays 16 bytes past a line, and a second column says
+whether the two gave the same bits.  Exits 1 on any ``FAIL``, or when
+the tier is ``numpy`` (the reason is printed).
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ import re
 import shlex
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 
-from repro.kernels import interaction, native, reference, rows, synth
+from repro.kernels import interaction, native, rows, synth
 from repro.kernels.native import build
-from repro.kernels.workspace import aligned_empty
+from repro.kernels.workspace import Workspace, aligned_empty
 
 
 def _compiler_line() -> str:
@@ -48,110 +48,124 @@ def _tuning_line() -> str:
     return " ".join(m[1] + m[2] for m in found) if all(found) else "unknown"
 
 
-def _same(*pairs: tuple[np.ndarray, np.ndarray]) -> bool:
-    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+#: Every native entry's NumPy twin: the function :mod:`repro.kernels.dispatch`
+#: hands the same arguments to when the entry declines.
+NUMPY_TIER = {
+    "scatter_add_exact": rows.scatter_add,
+    "pool_rows": rows.pool_rows,
+    "split_scatter_add": rows.split_scatter_add,
+    "sgd_step": rows.descend,
+    "split_sgd_step": rows.split_sgd_step,
+    "zipf_ids": synth.zipf_ids,
+    "teacher_bags": synth.teacher_bags,
+    "dot_interaction": interaction.interact,
+    "dot_interaction_backward": interaction.interact_backward,
+}
 
 
-def checks() -> dict[str, bool]:
-    """Kernel name -> did the native entry run and match its oracle."""
-    rng = np.random.default_rng(0)
-    table_rows, dim, bags = 50, 5, 12
-    w = rng.standard_normal((table_rows, dim)).astype(np.float32)
-    w[3], w[4, 0] = -0.0, np.inf
-    idx = rng.integers(0, 9, size=64, dtype=np.int64)  # duplicate-heavy
-    offsets = np.sort(rng.integers(0, idx.size + 1, size=bags - 1))
-    offsets = np.concatenate([[0], offsets, [idx.size]]).astype(np.int64)
-    bag_ids = np.repeat(np.arange(bags), np.diff(offsets))
-    grads = rng.standard_normal((bags, dim)).astype(np.float32)
-    hi, lo = (w.view(np.uint32) >> 16).astype(np.uint16), w.view(np.uint32).astype(np.uint16)
-    widened = (hi.astype(np.uint32) << 16).view(np.float32)
-    out: dict[str, bool] = {}
+def numpy_extras(entry: str, args: dict) -> dict:
+    """What the dispatch and the NumPy twin take beyond the native
+    entry's arguments: the bag lengths and the scratch buffers."""
+    if entry == "pool_rows":
+        return {"lengths": np.diff(args["offsets"]), "scratch": Workspace()}
+    return {"scratch": np.empty(64, np.float32)} if entry.endswith("sgd_step") else {}
 
-    want, got = w.copy(), w.copy()
-    reference.scatter_add(want, idx, grads[bag_ids])
-    ran = native.scatter_add_exact(got, idx, grads, value_rows=bag_ids)
-    out["scatter_add_exact"] = ran and _same((got, want))
 
-    for name, source, dense in (("fp32", w, w), ("bf16", hi, widened)):
-        got = native.pool_rows(source, idx, offsets)
-        want = reference.segment_sum(dense[idx], offsets)
-        out[f"pool_rows[{name}]"] = got is not None and _same((got, want))
-
-    for keep_bits in (16, 8):
-        pairs = [(hi.copy(), lo & rows.lo_mask(keep_bits)) for _ in range(2)]
-        rows.split_add_aggregated(
-            *pairs[0], keep_bits, *reference.aggregate_duplicates(idx, grads[bag_ids])
-        )
-        ran = native.split_scatter_add(*pairs[1], keep_bits, idx, grads, value_rows=bag_ids)
-        out[f"split_scatter_add[{keep_bits}]"] = ran and _same(*zip(*pairs))
-
-    flat, g = w.reshape(-1), rng.standard_normal(w.size).astype(np.float32)
-    want, got = flat.copy(), flat.copy()
-    rows.descend(want, g, 0.05, np.empty(w.size, np.float32))
-    out["sgd_step"] = native.sgd_step(got, g, 0.05) and _same((got, want))
-
-    halves = [(widened.reshape(-1).copy(), lo.reshape(-1).copy()) for _ in range(2)]
-    rows.split_sgd_step(*halves[0], g, 0.05, 16, np.empty(w.size, np.float32))
-    ran = native.split_sgd_step(*halves[1], g, 0.05, 16)
-    out["split_sgd_step"] = ran and _same(*zip(*halves))
-
-    x = np.concatenate([[0.5, 1.0, 7.9, 50.0, 51.0], 1.0 / (1.0 - rng.random(200))])
-    for name, scramble in (("ranks", False), ("scrambled", True)):
-        got, want = native.zipf_ids(x, 50, scramble), synth.zipf_ids(x, 50, scramble)
-        out[f"zipf_ids[{name}]"] = got is not None and _same((got, want))
-
-    ids = np.concatenate([idx, [-1, 2**62]])
-    ragged = np.append(offsets, ids.size)
-    want, got = np.zeros((2, bags + 1))
-    synth.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, want)
-    ran = native.teacher_bags(ids, ragged, 0x9E3779B97F4A7C15, 7, 0.75, got)
-    out["teacher_bags"] = ran and _same((got, want))
-
-    vecs = [rng.standard_normal((6, 20)).astype(np.float32) for _ in range(4)]
-    zs = np.empty((2, 6, 4, 20), np.float32)
-    want = interaction.interact(vecs[0], vecs[1:], zs[0])
-    got = native.dot_interaction(vecs[0], vecs[1:], zs[1])
-    out["interaction[fwd]"] = got is not None and _same((got, want), (zs[1], zs[0]))
-    dout = rng.standard_normal(want.shape).astype(np.float32)
-    got = native.dot_interaction_backward(zs[0], dout)
-    want = interaction.interact_backward(zs[0], dout)
-    out["interaction[bwd]"] = got is not None and _same(*zip(got, want))
-    out["blas agrees"] = native.blas_agrees()
+def draw(entry: str, rng: np.random.Generator, sizes: dict[str, int], alt: int = 0) -> dict:
+    """Arguments that meet ``entry``'s contract at ``sizes`` (the
+    ``alt``-th dtype where a clause allows two): FP32 with -0.0 and ±inf
+    mixed in, ``uint16`` the hi halves of such, float64 spread over three
+    decades, ids under their bound, offsets from 0 to their end that
+    leave the first bag empty, and -1 and 2**62 among ids with no
+    bound."""
+    out: dict = {}
+    for clause in native.CONTRACTS[entry]:
+        shape = tuple(sizes[name] + excess for name, excess, _ in clause.shape)
+        dtype = clause.dtypes[min(alt, len(clause.dtypes) - 1)]
+        one = partial(_values, rng, clause, dtype, shape, sizes)
+        out[clause.name] = [one() for _ in range(sizes[clause.each])] if clause.each else one()
     return out
 
 
-def _placed(a: np.ndarray, offset: int) -> np.ndarray:
-    """A copy of ``a`` whose first byte lies ``offset`` bytes past a line."""
+def _values(rng, clause, dtype: np.dtype, shape: tuple, sizes: dict[str, int]) -> np.ndarray:
+    if clause.below:
+        return rng.integers(0, sizes[clause.below], shape)
+    if clause.rises_to:
+        offsets = np.sort(rng.integers(0, sizes[clause.rises_to] + 1, shape))
+        offsets[:2], offsets[-1] = 0, sizes[clause.rises_to]
+        return offsets
+    if dtype == np.int64:
+        return np.concatenate([[-1, 2**62], rng.integers(0, 9, shape[0] - 2)])
+    if dtype == np.float64:
+        return np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-1, 2, shape)
+    a = rng.standard_normal(shape).astype(np.float32)
+    mixed = rng.random(shape) < 1 / 16
+    a[mixed] = rng.choice(np.array([-0.0, np.inf, -np.inf], np.float32), int(mixed.sum()))
+    return a if dtype == np.float32 else (a.view(np.uint32) >> 16).astype(np.uint16)
+
+
+#: The sizes the self-check draws at: 65-float rows are a vector body
+#: and a tail and span 5 lines once 16 bytes past one, and 300 look-ups
+#: outrun the row prefetch.
+SIZES = {"rows": 50, "dim": 65, "n": 300, "k": 12, "bags": 12, "s": 3, "e": 20, "v": 4, "w": 26}
+#: The self-check's lines: (name, entry, its other arguments, the dtype
+#: drawn where a clause allows two).
+LINES = (
+    ("scatter_add_exact", "scatter_add_exact", {}, 0),
+    ("pool_rows[fp32]", "pool_rows", {}, 0),
+    ("pool_rows[bf16]", "pool_rows", {}, 1),
+    ("split_scatter_add[16]", "split_scatter_add", {"keep_bits": 16}, 0),
+    ("split_scatter_add[8]", "split_scatter_add", {"keep_bits": 8}, 0),
+    ("sgd_step", "sgd_step", {"lr": 0.05}, 0),
+    ("split_sgd_step", "split_sgd_step", {"lr": 0.05, "keep_bits": 16}, 0),
+    ("zipf_ids[ranks]", "zipf_ids", {"n_items": 50, "scramble": False}, 0),
+    ("zipf_ids[scrambled]", "zipf_ids", {"n_items": 50, "scramble": True}, 0),
+    ("teacher_bags", "teacher_bags", {"mix": 0x9E3779B97F4A7C15, "seed_mult": 7, "weight": 0.75}, 0),
+    ("interaction[fwd]", "dot_interaction", {}, 0),
+    ("interaction[bwd]", "dot_interaction_backward", {}, 0),
+)
+#: The row kernels, whose prefetch covers every line a row spans: run
+#: again on the same arrays 16 bytes past a line.
+OFF_LINE = ("scatter_add_exact", "pool_rows[fp32]", "pool_rows[bf16]", "split_scatter_add[16]")
+
+
+def _placed(a, offset: int):
+    """A copy of ``a`` (of each array in a list) whose first byte lies
+    ``offset`` bytes past a line."""
+    if a is None:
+        return None
+    if isinstance(a, list):
+        return [_placed(v, offset) for v in a]
     out = aligned_empty(a.nbytes + offset, np.uint8)[offset:].view(a.dtype).reshape(a.shape)
     out[...] = a
     return out
 
 
-def offset_checks(offset: int = 16) -> dict[str, bool]:
-    """Row kernel name -> same bits on a line-aligned table and on a copy
-    ``offset`` bytes past a line, where each 256-byte row spans 5 lines."""
-    rng = np.random.default_rng(1)
-    w = rng.standard_normal((40, 64)).astype(np.float32)
-    idx = rng.integers(0, 40, size=300, dtype=np.int64)  # more than AHEAD, duplicates
-    offsets = np.array([0, 0, 100, 300], dtype=np.int64)  # one bag empty
-    bag_ids = np.repeat(np.arange(3), np.diff(offsets))
-    grads = rng.standard_normal((3, 64)).astype(np.float32)
-    halves = (w.view(np.uint32) >> 16).astype(np.uint16), w.view(np.uint32).astype(np.uint16)
+def _call(fn, entry: str, inputs: dict, scalars: dict, offset: int = 0) -> tuple:
+    """What ``fn`` returns on copies of ``inputs`` ``offset`` bytes past a
+    line, and the bytes it returns and leaves in the written arguments."""
+    args = {name: _placed(a, offset) for name, a in inputs.items()}
+    got = fn(**args, **scalars)
+    arrays = got if isinstance(got, tuple) else (got,) if isinstance(got, np.ndarray) else ()
+    written = (args[c.name] for c in native.CONTRACTS[entry] if c.written)
+    arrays += tuple(a for a in written if a is not None)
+    return got, [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
 
-    def run(at: int) -> list:  # the pools read the tables before the updates write them
-        weight, hi, lo, deltas = (_placed(a, at) for a in (w, *halves, grads))
-        return [
-            native.pool_rows(weight, idx, offsets),
-            native.pool_rows(hi, idx, offsets),
-            native.scatter_add_exact(weight, idx, deltas, bag_ids) and weight,
-            native.split_scatter_add(hi, lo, 16, idx, deltas, bag_ids) and np.stack([hi, lo]),
-        ]
 
-    names = ("pool_rows[fp32]", "pool_rows[bf16]", "scatter_add_exact", "split_scatter_add[16]")
-    return {
-        name: all(isinstance(a, np.ndarray) for a in pair) and _same(pair)
-        for name, pair in zip(names, zip(run(0), run(offset)))
-    }
+def checks() -> dict[str, tuple[bool, bool | None]]:
+    """Line -> (did the native entry run and give its NumPy twin's bits,
+    and the same bits 16 bytes past a line -- None where not run)."""
+    out = {}
+    with np.errstate(all="ignore"):
+        for line, entry, scalars, alt in LINES:
+            inputs, fn = draw(entry, np.random.default_rng(0), SIZES, alt), getattr(native, entry)
+            extras = {**scalars, **numpy_extras(entry, inputs)}
+            _, want = _call(NUMPY_TIER[entry], entry, inputs, extras)
+            ran, got = _call(fn, entry, inputs, scalars)
+            moved = _call(fn, entry, inputs, scalars, 16)[1] == got if line in OFF_LINE else None
+            out[line] = (ran is not None and ran is not False and got == want, moved)
+    out["blas agrees"] = (native.blas_agrees(), None)
+    return out
 
 
 def main() -> int:
@@ -165,12 +179,12 @@ def main() -> int:
         print(f"reason    {where}")
         return 1
     print(f"library   {where}")
-    results, moved = checks(), offset_checks()
+    results = checks()
     word = {True: "ok", False: "FAIL"}
-    for name, ok in results.items():
-        beside = f"  off-line {word[moved[name]]}" if name in moved else ""
+    for name, (ok, moved) in results.items():
+        beside = "" if moved is None else f"  off-line {word[moved]}"
         print(f"{name:<22} {word[ok]}{beside}")
-    return 0 if all(results.values()) and all(moved.values()) else 1
+    return 0 if all(ok and moved is not False for ok, moved in results.values()) else 1
 
 
 if __name__ == "__main__":

@@ -2,16 +2,92 @@
 
 from __future__ import annotations
 
+import ctypes
+import platform
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck
 
 from repro.core.config import DLRMConfig
 
+#: What the reason of every skipped recorded-bit comparison starts with.
+RECORDED_ELSEWHERE = "recorded bits"
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def _blas_core() -> str | None:
+    """The kernel set (``SkylakeX``, ...) OpenBLAS chose for this CPU, read
+    from the library NumPy loaded; None when no OpenBLAS will say."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def host_fingerprint() -> dict[str, str]:
+    """What decides the bits of an sgemm: NumPy, its BLAS build and the
+    kernel set that BLAS runs on this CPU -- or, when the BLAS cannot
+    say, the CPU's model name without its clock ("@ 2.10GHz" comes and
+    goes between hosts of one model)."""
+    try:
+        build = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # NumPy < 1.25 prints, returns nothing
+        build = {}
+    blas = build.get("blas", {})
+    host = {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+    }
+    core = _blas_core()
+    if core:
+        return {**host, "core": core}
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1] for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {**host, "cpu": re.sub(r"@.*", "", cpu).strip()}
+
+
+def skip_unless_recorded_here(host: dict) -> None:
+    """Skip the rest of a recorded-bit comparison unless ``host`` (the
+    recording's) is this host: GEMMs round differently elsewhere.  The
+    run's summary names every such skip."""
+    here = host_fingerprint()
+    if host != here:
+        pytest.skip(f"{RECORDED_ELSEWHERE} on {host}; this host is {here}")
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    skipped = [
+        report
+        for report in terminalreporter.stats.get("skipped", [])
+        if RECORDED_ELSEWHERE in str(report.longrepr)
+    ]
+    if skipped:
+        terminalreporter.section("recorded-bit comparisons skipped")
+        for report in skipped:
+            terminalreporter.line(f"{report.nodeid}: {report.longrepr[2]}")
 
 
 class _NoFallback:

@@ -79,7 +79,7 @@ def name(workload: str, seed: int, alpha: float) -> str:
 
 
 if __name__ == "__main__":
-    from tests.train.test_slab_executors import host_fingerprint
+    from tests.conftest import host_fingerprint
 
     out = {"host": host_fingerprint(), "cells": {name(*c): digest(*c) for c in cells()}}
     print(json.dumps(out, indent=1, sort_keys=True))

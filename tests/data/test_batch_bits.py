@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import skip_unless_recorded_here
 from tests.data import batch_bits
-from tests.train.test_slab_executors import host_fingerprint
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "parent_7e426b8_batches.json").read_text())
 
@@ -23,5 +23,5 @@ RECORDED = json.loads((Path(__file__).parent / "data" / "parent_7e426b8_batches.
 def test_batches_are_the_parents(cell, kernel_tier):
     got, want = batch_bits.digest(*cell), RECORDED["cells"][batch_bits.name(*cell)]
     assert got["batches"] == want["batches"]
-    if RECORDED["host"] == host_fingerprint():
-        assert got["logits"] == want["logits"]
+    skip_unless_recorded_here(RECORDED["host"])
+    assert got["logits"] == want["logits"]

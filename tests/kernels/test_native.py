@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core.embedding import EmbeddingBag
 from repro.exec.pool import WorkerPool
-from repro.kernels import dispatch, native, reference, rows as row_kernels
+from repro.kernels import dispatch, interaction, native, reference, rows as row_kernels
 from repro.kernels import synth, threads
 from repro.kernels.native import build
+from repro.kernels.native.__main__ import NUMPY_TIER, draw, numpy_extras
 from repro.kernels.threads import row_range_for_thread
 from repro.kernels.workspace import Workspace
 from repro.tiering.store import file_backed
@@ -264,6 +265,33 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         assert native.scatter_add_exact(w, np.array([0, 1, 2]), w[3:], None) is False
         np.testing.assert_array_equal(w, self.W)
 
+    @staticmethod
+    def laid_over(shape, dtype, ids):
+        """``(table, ids)``: a zeroed table whose first bytes are ``ids``."""
+        buf = np.zeros(int(np.prod(shape)) * np.dtype(dtype).itemsize, np.uint8)
+        over = buf[: 8 * len(ids)].view(np.int64)
+        over[:] = ids
+        return buf.view(dtype).reshape(shape), over
+
+    def test_scatter_weight_over_the_bytes_of_indices(self):
+        weight, idx = self.laid_over((6, 4), np.float32, [1, 5, 1])
+        before = weight.copy()
+        assert native.scatter_add_exact(weight, idx, self.D) is False
+        np.testing.assert_array_equal(bits(weight), bits(before))
+
+    def test_scatter_weight_over_the_bytes_of_value_rows(self):
+        weight, value_rows = self.laid_over((6, 4), np.float32, [0, 1, 0])
+        before = weight.copy()
+        assert native.scatter_add_exact(weight, self.IDX, self.D[:2], value_rows) is False
+        np.testing.assert_array_equal(bits(weight), bits(before))
+
+    def test_split_hi_over_the_bytes_of_indices(self):
+        hi, idx = self.laid_over((6, 4), np.uint16, [1, 5, 1])
+        lo, before = np.zeros((6, 4), np.uint16), hi.copy()
+        assert native.split_scatter_add(hi, lo, 16, idx, self.D) is False
+        np.testing.assert_array_equal(hi, before)
+        assert not lo.any()
+
     def test_a_read_only_array_is_never_written(self):
         w = self.W.copy()
         w.flags.writeable = False
@@ -370,6 +398,143 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         assert native.split_scatter_add(hi, lo[:5], 16, self.IDX, self.D) is False
         assert native.split_scatter_add(hi, hi, 16, self.IDX, self.D) is False
         assert native.split_scatter_add(hi, lo.astype(np.uint32), 16, self.IDX, self.D) is False
+
+
+#: Valid arguments of each entry beyond its contract's arrays.
+SCALARS = {
+    "split_scatter_add": {"keep_bits": 16},
+    "sgd_step": {"lr": 0.5},
+    "split_sgd_step": {"lr": 0.5, "keep_bits": 16},
+    "zipf_ids": {"n_items": 50, "scramble": True},
+    "teacher_bags": {"mix": 5, "seed_mult": 7, "weight": 0.5},
+}
+OTHER_DTYPE = {np.float32: np.float64, np.float64: np.float32, np.int64: np.int32, np.uint16: np.int16}
+
+
+def arrays_of(args: dict) -> list:
+    """Every array among ``args``, each of a list too."""
+    return [a for v in args.values() if v is not None for a in (v if isinstance(v, list) else [v])]
+
+
+def clause_breaks(entry: str, args: dict) -> list[tuple]:
+    """Every way to break exactly one clause of ``entry``'s contract on
+    the valid ``args``: ``(kind, clause, detail)``."""
+    clauses = native.CONTRACTS[entry]
+    present = [c for c in clauses if args[c.name] is not None]
+    named = [size for c in present for size, _, _ in c.shape]
+    named += [c.rises_to for c in present if c.rises_to] + [c.each for c in present if c.each]
+    named += [s for c in clauses if args[c.name] is None and c.below for s in (c.shape[0][0], c.below)]
+    out = [("zero", None, size) for c in present for size, _, least in c.shape if least]
+    for c in present:
+        out += [("dtype", c, None), ("rank", c, None), ("strided", c, None)]
+        out += [("fortran", c, None)] if len(c.shape) > 1 else []
+        out += [("read-only", c, None)] if c.written else []
+        out += [("id", c, at) for at in ("-1", "bound")] if c.below else []
+        out += [("offsets", c, how) for how in ("late", "short", "decreasing")] if c.rises_to else []
+        out += [("overlap", c, other) for other in present if c.written and other is not c]
+        axes = [*enumerate(size for size, _, _ in c.shape), *([("each", c.each)] if c.each else [])]
+        shared = [axis for axis, size in axes if named.count(size) > 1]
+        out += [("size", c, axis, grow) for axis in shared for grow in (0, 1)]
+    return out
+
+
+def broken(args: dict, sizes: dict, brk: tuple) -> dict:
+    """The valid ``args`` (drawn at ``sizes``) with the one clause
+    ``brk`` names broken, in the last array of a list."""
+    kind, clause, detail, *grow = brk
+    if kind in ("none", "zero"):
+        return args
+
+    def one(name):  # (the array, a setter for its place)
+        held = args[name]
+        if isinstance(held, list):
+            return held[-1], lambda new: held.__setitem__(-1, new)
+        return held, lambda new: args.__setitem__(name, new)
+
+    a, put = one(clause.name)
+    if kind == "dtype":
+        put(a.astype(OTHER_DTYPE[a.dtype.type]))
+    elif kind == "rank":
+        put(a[np.newaxis])
+    elif kind == "strided":
+        put(np.repeat(a, 2, axis=-1)[..., ::2])
+    elif kind == "fortran":
+        put(np.asfortranarray(a))
+    elif kind == "read-only":
+        a.flags.writeable = False
+    elif kind == "id":
+        a[a.size // 2] = -1 if detail == "-1" else sizes[clause.below]
+    elif kind == "offsets" and detail == "late":
+        a[a < 1] = 1
+    elif kind == "offsets":
+        a[-1 if detail == "short" else 1] = a[-1] - 1 if detail == "short" else a[2] + 1
+    elif kind == "size" and detail == "each":
+        held = args[clause.name]
+        args[clause.name] = held + [held[-1].copy()] if grow[0] else held[:-1]
+    elif kind == "size":
+        extent = a.shape[detail]
+        keep = np.minimum(np.arange(extent + 1), extent - 1) if grow[0] else np.arange(extent - 1)
+        put(np.take(a, keep, axis=detail))
+    elif kind == "overlap":
+        other, put_other = one(detail.name)
+        buf = np.zeros(max(a.nbytes, other.nbytes), np.uint8)
+        laid = [buf[: x.nbytes].view(x.dtype).reshape(x.shape) for x in (a, other)]
+        laid[0][...], laid[1][...] = a, other
+        put(laid[0])
+        put_other(laid[1])
+    return args
+
+
+def outcome(fn, entry: str, args: dict, scalars: dict) -> tuple:
+    """What ``fn`` returns or raises, and every argument's bytes after."""
+    try:
+        got = fn(**args, **scalars, **numpy_extras(entry, args))
+        result = [np.asarray(a).tobytes() for a in (got if isinstance(got, tuple) else (got,))]
+    except Exception as exc:  # noqa: BLE001 - whatever the NumPy tier raises, both must
+        result = type(exc)
+    return result, [a.tobytes() for a in arrays_of(args)]
+
+
+@needs_native
+class TestTheContractRefusesEachBrokenClause:
+    """A valid call drawn from each entry's contract, then every way of
+    breaking exactly one clause: the entry declines and writes nothing,
+    and the dispatch returns or raises exactly what the NumPy tier does."""
+
+    @pytest.mark.parametrize("entry", sorted(native.CONTRACTS))
+    @given(
+        sizes=st.fixed_dictionaries(
+            {k: st.integers(2, 5) for k in ("rows", "dim", "n", "k", "bags", "s", "e")}
+        ),
+        absent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_clause_broken_in_turn(self, entry, sizes, absent, seed):
+        if entry.startswith("dot") and not native.blas_agrees():
+            pytest.skip("this host's BLAS computes other bits: the interaction entries decline")
+        sizes.update(v=sizes["s"] + 1, w=sizes["e"] + interaction.pairs(sizes["s"] + 1))
+        sizes["k"] = sizes["n"] if absent else sizes["k"]  # an absent id map is the identity
+
+        def case(brk: tuple) -> dict:
+            at = {**sizes, brk[2]: 0} if brk[0] == "zero" else sizes
+            args = draw(entry, np.random.default_rng(seed), at)
+            args.update({c.name: None for c in native.CONTRACTS[entry] if absent and c.optional})
+            return broken(args, at, brk)
+
+        scalars, entry_fn = SCALARS.get(entry, {}), getattr(native, entry)
+        valid = case(("none", None, None))
+        ran = entry_fn(**valid, **scalars)
+        assert ran is not None and ran is not False
+        for brk in clause_breaks(entry, valid):
+            args = case(brk)
+            before = [a.tobytes() for a in arrays_of(args)]
+            declined = entry_fn(**args, **scalars)
+            assert declined is None or declined is False, brk
+            assert [a.tobytes() for a in arrays_of(args)] == before, brk
+            tiers = (getattr(dispatch, entry), NUMPY_TIER[entry])
+            got, want = (outcome(fn, entry, case(brk), scalars) for fn in tiers)
+            assert got == want, brk
 
 
 @needs_native

@@ -28,9 +28,9 @@ from repro.tiering import store
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, build_tiered
 from repro.train import RunSpec, Trainer, make_trainer
 
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import random_batch, skip_unless_recorded_here, tiny_config
 from tests.core.test_embedding_slab import arrays
-from tests.train.test_slab_executors import host_fingerprint, state_digest
+from tests.train.test_slab_executors import state_digest
 
 DATA = Path(__file__).parent.parent / "train" / "data"
 
@@ -375,11 +375,7 @@ class TestAgainstTheParentCommit:
         assert resumed.losses == flat.losses
         assert_states_equal(resumed.model_state_dict(), flat.model_state_dict())
         assert_states_equal(resumed.opt_state_dict(), flat.opt_state_dict())
-        if self.RECORDED["host"] != host_fingerprint():
-            pytest.skip(
-                f"the parent's bits were recorded on {self.RECORDED['host']}; GEMM "
-                f"roundings differ on {host_fingerprint()}"
-            )
+        skip_unless_recorded_here(self.RECORDED["host"])
         want = self.RECORDED["expected"]
         assert [float(x).hex() for x in resumed.losses] == want["losses"]
         assert state_digest(resumed.model_state_dict()) == want["model"]

@@ -25,7 +25,8 @@ from pathlib import Path
 from repro.kernels import native
 from repro.train import RunSpec, Trainer
 
-from tests.train.test_slab_executors import host_fingerprint, state_digest
+from tests.conftest import host_fingerprint
+from tests.train.test_slab_executors import state_digest
 
 REPO = Path(__file__).resolve().parents[2]
 WORKLOADS = ("train_emb", "train_emb_tiered", "train_bf16", "train_dist4")

@@ -10,7 +10,6 @@ checkpoint written before the slab existed loads and resumes.
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ import pytest
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
+from tests.conftest import skip_unless_recorded_here
 from tests.core.test_embedding_slab import arrays, detach_tables
 
 DATA = Path(__file__).parent / "data"
@@ -149,29 +149,6 @@ def test_load_rank_state_writes_through_the_views():
 # -- a checkpoint written by the commit before the slab --------------------------
 
 
-def host_fingerprint() -> dict[str, str]:
-    """What decides the bits of an sgemm: NumPy, its BLAS build, the CPU."""
-    try:
-        build = np.show_config(mode="dicts").get("Build Dependencies", {})
-    except TypeError:  # NumPy < 1.25 prints, returns nothing
-        build = {}
-    blas = build.get("blas", {})
-    cpu = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next(
-                (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")),
-                cpu,
-            )
-    except OSError:
-        pass
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
-        "cpu": cpu,
-    }
-
-
 def state_digest(state: dict) -> str:
     h = hashlib.sha256()
     for key in sorted(state):
@@ -204,11 +181,7 @@ class TestCheckpointFromTheParentCommit:
 
     def test_resumes_to_the_bits_the_parent_reached(self, storage, kernel_tier):
         recorded = json.loads((DATA / "parent_expected.json").read_text())
-        if recorded["host"] != host_fingerprint():
-            pytest.skip(
-                f"expected bits were recorded on {recorded['host']}; GEMM roundings "
-                f"differ on {host_fingerprint()}"
-            )
+        skip_unless_recorded_here(recorded["host"])
         want = recorded["expected"][storage]
         resumed = Trainer.from_checkpoint(DATA / f"parent_{storage}.npz")
         resumed.fit(recorded["resumed_steps"])
@@ -280,11 +253,7 @@ class TestTheHybridStepAgainstCommitA67c22e:
         clocks = [float.fromhex(c) for c in got["inline"]["rank_clocks"]]
         want_clocks = [float.fromhex(c) for c in recorded["rank_clocks"]]
         assert clocks == pytest.approx(want_clocks, rel=1e-12)
-        if recorded["host"] != host_fingerprint():
-            pytest.skip(
-                f"the parent's bits were recorded on {recorded['host']}; GEMM "
-                f"roundings differ on {host_fingerprint()}"
-            )
+        skip_unless_recorded_here(recorded["host"])
         assert got["inline"] == {**recorded["expected"], "rank_clocks": recorded["rank_clocks"]}
 
 
@@ -340,11 +309,7 @@ class TestTheTrainingStepAgainstCommit15082ab:
             assert clocks == pytest.approx(want_clocks, rel=1e-12), name
 
     def test_bits_are_the_parents(self, got, recorded):
-        if recorded["host"] != host_fingerprint():
-            pytest.skip(
-                f"the parent's bits were recorded on {recorded['host']}; GEMM "
-                f"roundings differ on {host_fingerprint()}"
-            )
+        skip_unless_recorded_here(recorded["host"])
         assert got["runs"] == recorded["runs"]
         assert got["resumed"] == recorded["resumed"]
 
@@ -357,11 +322,11 @@ class TestTheTrainingStepAgainstCommit15082ab:
             assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
             assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
             resumed.fit(recorded["steps"] - 10)
-            if recorded["host"] == host_fingerprint():
-                want = recorded["runs"][f"{case}/local"]
-                assert float(resumed.losses[-1]).hex() == want["final_loss"]
-                assert state_digest(resumed.model_state_dict()) == want["model"]
-                assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+            skip_unless_recorded_here(recorded["host"])
+            want = recorded["runs"][f"{case}/local"]
+            assert float(resumed.losses[-1]).hex() == want["final_loss"]
+            assert state_digest(resumed.model_state_dict()) == want["model"]
+            assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
 
 
 class TestTheDenseStepAgainstCommit82d76ee(TestTheTrainingStepAgainstCommit15082ab):
