@@ -54,20 +54,24 @@ def tier() -> str:
 
 
 #: One parsed clause of :data:`CONTRACTS`; each size of ``shape`` is
-#: ``(name, excess, least)``: the axis is ``sizes[name] + excess`` long
-#: and ``sizes[name] >= least``.
+#: ``(name, excess, least)``: the axis is ``at[name] + excess`` long
+#: and ``at[name] >= least`` (``excess`` and ``least``: False or True).
 Clause = namedtuple("Clause", "name each dtypes shape written below rises_to optional")
 _DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64, "u16": np.uint16}
-_CLAUSE = re.compile(r"(\w+):(?:\[(\w+)\])?([\w|]+)\[([\w,>+]+)\](!?)(?:<(\w+)|~(\w+))?(\??)")
+_CLAUSE = re.compile(
+    r"(?P<name>\w+):(?:\[(?P<each>\w+)\])?(?P<dtypes>[\w|]+)\[(?P<shape>[\w,>+]+)\]"
+    r"(?P<written>!?)(?:<(?P<below>\w+)|~(?P<rises_to>\w+))?(?P<optional>\??)"
+)
 
 
 def _clause(spec: str) -> Clause:
-    name, each, dtypes, shape, written, below, rises_to, optional = _CLAUSE.fullmatch(spec).groups()
-    sizes = (re.fullmatch(r"(\w+)(\+1)?(>0)?", size).groups() for size in shape.split(","))
-    return Clause(
-        name, each, tuple(np.dtype(_DTYPES[d]) for d in dtypes.split("|")),
-        tuple((size, int(bool(plus)), int(bool(least))) for size, plus, least in sizes),
-        bool(written), below, rises_to, bool(optional),
+    raw = Clause(**_CLAUSE.fullmatch(spec).groupdict())
+    sizes = raw.shape.split(",")
+    return raw._replace(
+        dtypes=tuple(np.dtype(_DTYPES[d]) for d in raw.dtypes.split("|")),
+        shape=tuple((re.match(r"[a-z]+", s)[0], s.endswith("+1"), s.endswith(">0")) for s in sizes),
+        written=bool(raw.written),
+        optional=bool(raw.optional),
     )
 
 
@@ -75,7 +79,8 @@ def _clause(spec: str) -> Clause:
 #: ``name:dtype[sizes]`` is a C-contiguous array of that dtype (``f32|u16``:
 #: either) with one size per axis.  A size binds where it first appears
 #: and must agree after that; ``d>0`` is at least 1 and ``b+1`` one more
-#: than ``b``.  ``[s]`` before the dtype: a list of ``s`` such arrays.
+#: than ``b``; an id bound, an offsets end and an absent array's first
+#: size are bound earlier.  ``[s]`` before the dtype: ``s`` such arrays.
 #: ``!``: written -- writeable, and apart from every other argument (the
 #: C loops declare their pointers ``restrict``).  ``<rows``: every entry
 #: in ``[0, rows)``.  ``~n``: rising from 0 to ``n``.  ``?``: may be
@@ -98,52 +103,55 @@ CONTRACTS = {
 }
 
 
-def bind(entry: str, *args) -> dict[str, int] | None:
-    """The sizes that ``args``, ``entry``'s array arguments in clause
-    order, bind; None when the library is missing or any clause fails.
-    Every clause is applied before the entry writes anything."""
-    lib, sizes, arrays, written = library(), {}, [], []
+def bind(entry: str, *args) -> tuple:
+    """``(lib, at)`` for ``args``, ``entry``'s array arguments in clause
+    order: ``at`` holds every size the contract names and, under each
+    argument's name, its address (a list of them for a list; None when
+    absent).  ``(None, None)`` when the library is missing or any clause
+    fails.  Every clause is applied before the entry writes anything."""
+    lib = library()
     if lib is None:
-        return None
+        return None, None
+    at = {}
+    spans = []  # (first byte, end, written) of every array
     for clause, value in zip(CONTRACTS[entry], args):
-        if value is None:
-            if not clause.optional:
-                return None
-            if clause.below:  # the identity map: as long as its bound
-                n = sizes[clause.shape[0][0]]
-                if sizes.setdefault(clause.below, n) != n:
-                    return None
+        if value is None and clause.optional:
+            at[clause.name] = None
+            n = at[clause.shape[0][0]]
+            if clause.below and at.setdefault(clause.below, n) != n:  # the identity map
+                return None, None
             continue
-        if clause.each is None:
-            value = (value,)
-        elif not isinstance(value, (list, tuple)):
-            return None
-        elif sizes.setdefault(clause.each, len(value)) != len(value):
-            return None
-        for a in value:
-            if not (isinstance(a, np.ndarray) and a.dtype in clause.dtypes and a.flags.c_contiguous):
-                return None
-            if a.ndim != len(clause.shape) or (clause.written and not a.flags.writeable):
-                return None
+        arrays = value if clause.each else (value,)
+        if clause.each and not isinstance(value, (list, tuple)):
+            return None, None
+        if clause.each and at.setdefault(clause.each, len(value)) != len(value):
+            return None, None
+        addresses = []
+        for a in arrays:
+            if not (isinstance(a, np.ndarray) and a.dtype in clause.dtypes):
+                return None, None
+            if a.ndim != len(clause.shape) or not a.flags.c_contiguous:
+                return None, None
+            if clause.written and not a.flags.writeable:
+                return None, None
             for (name, excess, least), extent in zip(clause.shape, a.shape):
                 extent -= excess
-                if extent < least or sizes.setdefault(name, extent) != extent:
-                    return None
-            if clause.written:
-                written.append(len(arrays))
-            arrays.append((clause, a))
-    for i in written:
-        for j in range(len(arrays)):
-            if i != j and np.may_share_memory(arrays[i][1], arrays[j][1]):
-                return None
-    for clause, a in arrays:
-        if clause.below and not lib.repro_ids_in_range(a.ctypes.data, a.shape[0], sizes[clause.below]):
-            return None
-        if clause.rises_to and not (
-            a[0] == 0 and a[-1] == sizes[clause.rises_to] and not (np.diff(a) < 0).any()
-        ):
-            return None
-    return sizes
+                if extent < least or at.setdefault(name, extent) != extent:
+                    return None, None
+            address = a.ctypes.data
+            if clause.below and not lib.repro_ids_in_range(address, a.shape[0], at[clause.below]):
+                return None, None
+            if clause.rises_to and not (
+                a[0] == 0 and a[-1] == at[clause.rises_to] and (a[1:] >= a[:-1]).all()
+            ):
+                return None, None
+            addresses.append(address)
+            spans.append((address, address + a.nbytes, clause.written))
+        at[clause.name] = addresses if clause.each else addresses[0]
+    for first, end, written in spans:  # a written array's bytes meet only its own
+        if written and sum(max(first, f) < min(end, e) for f, e, _ in spans) > 1:
+            return None, None
+    return lib, at
 
 
 def _run(fn: Callable[[int, int, int], None], work: int, items: int, elems: int, pool) -> None:
@@ -163,12 +171,12 @@ def _ptr(a: np.ndarray | None) -> int | None:
 def scatter_add_exact(weight, indices, deltas, value_rows=None, pool=None) -> bool:
     """``weight[indices] += deltas`` (``deltas[value_rows]`` when given)
     in ``np.add.at``'s order; False when not representable."""
-    sizes = bind("scatter_add_exact", weight, indices, deltas, value_rows)
-    if sizes is None:
+    lib, at = bind("scatter_add_exact", weight, indices, deltas, value_rows)
+    if lib is None:
         return False
-    lib, rows, dim, n = library(), sizes["rows"], sizes["dim"], sizes["n"]
-    args = (_ptr(weight), dim, _ptr(indices), n, _ptr(deltas), _ptr(value_rows))
-    _run(lambda lo, hi, tid: lib.repro_scatter_add_f32(*args, lo, hi), rows, n, n * dim, pool)
+    args = (at["weight"], at["dim"], at["indices"], at["n"], at["deltas"], at["value_rows"])
+    kernel = lib.repro_scatter_add_f32
+    _run(lambda lo, hi, tid: kernel(*args, lo, hi), at["rows"], at["n"], at["n"] * at["dim"], pool)
     return True
 
 
@@ -177,14 +185,14 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     ``b``'s look-ups ``[offsets[b], offsets[b+1])``; ``source`` is FP32
     rows or the ``uint16`` hi half of Split-BF16 rows, widened on the
     fly.  None when not representable."""
-    sizes = bind("pool_rows", source, indices, offsets)
-    if sizes is None:
+    lib, at = bind("pool_rows", source, indices, offsets)
+    if lib is None:
         return None
-    lib, n, bags, dim = library(), sizes["n"], sizes["bags"], sizes["dim"]
+    bags = at["bags"]
     kernel = lib.repro_pool_f32 if source.dtype == np.float32 else lib.repro_pool_bf16
-    out = aligned_empty((bags, dim), np.float32)
-    args = (_ptr(source), dim, _ptr(indices), _ptr(offsets))
-    _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, n * dim, pool)
+    out = aligned_empty((bags, at["dim"]), np.float32)
+    args = (at["source"], at["dim"], at["indices"], at["offsets"])
+    _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, at["n"] * at["dim"], pool)
     return out
 
 
@@ -193,20 +201,20 @@ def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None, pool=
     touched row, aggregate its deltas from +0.0 in input order, rejoin,
     add once, split -- one pass, no materialised aggregate.  False when
     not representable."""
-    sizes = bind("split_scatter_add", hi, lo, indices, deltas, value_rows)
-    if sizes is None:
+    lib, at = bind("split_scatter_add", hi, lo, indices, deltas, value_rows)
+    if lib is None:
         return False
-    lib, dim, n = library(), sizes["dim"], sizes["n"]
+    dim = at["dim"]
     order, uniq, starts, lengths = _plan_segments(indices)
-    args = (_ptr(hi), _ptr(lo), dim, int(lo_mask(keep_bits)))
+    args = (at["hi"], at["lo"], dim, int(lo_mask(keep_bits)))
     segs = (_ptr(uniq), _ptr(starts), _ptr(lengths))
-    tail = (_ptr(order), _ptr(value_rows), _ptr(deltas))
+    tail = (_ptr(order), at["value_rows"], at["deltas"])
 
     def update(seg_lo: int, seg_hi: int, tid: int) -> None:
         acc = np.empty(dim, dtype=np.float32)
         lib.repro_split_scatter_add(*args, *segs, seg_lo, seg_hi, *tail, _ptr(acc))
 
-    _run(update, uniq.shape[0], uniq.shape[0], n * dim, pool)
+    _run(update, uniq.shape[0], uniq.shape[0], at["n"] * dim, pool)
     return True
 
 
@@ -248,21 +256,21 @@ def _plan_segments(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def sgd_step(values, grads, lr: float) -> bool:
     """``values -= fl32(lr * grads)`` on flat FP32 spans; False when
     not representable."""
-    sizes = bind("sgd_step", values, grads)
-    if sizes is None:
+    lib, at = bind("sgd_step", values, grads)
+    if lib is None:
         return False
-    library().repro_sgd_step(_ptr(values), _ptr(grads), sizes["n"], float(lr))
+    lib.repro_sgd_step(at["values"], at["grads"], at["n"], float(lr))
     return True
 
 
 def split_sgd_step(values, lo, grads, lr: float, keep_bits: int) -> bool:
     """Split-SGD on flat spans (``values``: BF16 widened to FP32,
     ``lo``: the other ``uint16`` halves); False when not representable."""
-    sizes = bind("split_sgd_step", values, lo, grads)
-    if sizes is None:
+    lib, at = bind("split_sgd_step", values, lo, grads)
+    if lib is None:
         return False
-    library().repro_split_sgd_step(
-        _ptr(values), _ptr(lo), _ptr(grads), sizes["n"], float(lr), int(lo_mask(keep_bits))
+    lib.repro_split_sgd_step(
+        at["values"], at["lo"], at["grads"], at["n"], float(lr), int(lo_mask(keep_bits))
     )
     return True
 
@@ -271,24 +279,23 @@ def zipf_ids(x, n_items, scramble: bool) -> np.ndarray | None:
     """``bounded_zipf``'s integer tail over float64 power-law draws
     ``x``; None when not representable (an item count outside
     ``[1, MAX_SCRAMBLE_ITEMS]``, scrambled or not)."""
-    if not (isinstance(n_items, (int, np.integer)) and 1 <= n_items <= MAX_SCRAMBLE_ITEMS):
+    lib, at = bind("zipf_ids", x)
+    items = isinstance(n_items, (int, np.integer)) and 1 <= n_items <= MAX_SCRAMBLE_ITEMS
+    if lib is None or not items:
         return None
-    sizes = bind("zipf_ids", x)
-    if sizes is None:
-        return None
-    ids = np.empty(sizes["n"], dtype=np.int64)
-    library().repro_zipf_ids(_ptr(x), sizes["n"], int(n_items), int(bool(scramble)), _ptr(ids))
+    ids = np.empty(at["n"], dtype=np.int64)
+    lib.repro_zipf_ids(at["x"], at["n"], int(n_items), int(bool(scramble)), _ptr(ids))
     return ids
 
 
 def teacher_bags(ids, offsets, mix: int, seed_mult: int, weight: float, score) -> bool:
     """The teacher's term for one table, added into ``score`` (one
     float64 per bag) in place; False when not representable."""
-    sizes = bind("teacher_bags", ids, offsets, score)
-    if sizes is None or not (0 <= mix < 1 << 64 and 0 <= seed_mult < 1 << 64):
+    lib, at = bind("teacher_bags", ids, offsets, score)
+    if lib is None or not (0 <= mix < 1 << 64 and 0 <= seed_mult < 1 << 64):
         return False
     keys = (int(mix), int(seed_mult), float(weight))
-    library().repro_teacher_bags(_ptr(ids), _ptr(offsets), sizes["bags"], *keys, _ptr(score))
+    lib.repro_teacher_bags(at["ids"], at["offsets"], at["bags"], *keys, at["score"])
     return True
 
 
@@ -333,9 +340,10 @@ def _agreement(lib) -> bool:
                 vecs = [draw((n, e), share) for _ in range(v)]
                 z, mine = np.empty((2, n, v, e), np.float32)
                 want = interaction.interact(vecs[0], vecs[1:], z)
-                got = _dot_forward(lib, vecs, mine)
+                got = _dot_forward(lib, [_ptr(a) for a in vecs], n, e, _ptr(mine))
                 dout = draw(want.shape, share)
-                grads = zip(interaction.interact_backward(z, dout), _dot_backward(lib, mine, dout))
+                mine_grads = _dot_backward(lib, _ptr(mine), _ptr(dout), n, v, e)
+                grads = zip(interaction.interact_backward(z, dout), mine_grads)
                 if not all(a.tobytes() == b.tobytes() for a, b in ((want, got), (z, mine), *grads)):
                     return False
     return True
@@ -346,17 +354,17 @@ def dot_interaction(dense, embs, z=None) -> np.ndarray | None:
     ``z`` when given; None when not representable (``E`` past
     :data:`MAX_DOT_DIM`, among others) or when :func:`blas_agrees` says
     no."""
-    sizes = bind("dot_interaction", dense, embs, z)
-    if sizes is None or sizes["e"] > MAX_DOT_DIM or not blas_agrees():
+    lib, at = bind("dot_interaction", dense, embs, z)
+    if lib is None or at["e"] > MAX_DOT_DIM or not blas_agrees():
         return None
-    return _dot_forward(library(), [dense, *embs], z)
+    return _dot_forward(lib, [at["dense"], *at["embs"]], at["n"], at["e"], at["z"])
 
 
-def _dot_forward(lib, vecs: list, z) -> np.ndarray:
-    (n, e), v = vecs[0].shape, len(vecs)
+def _dot_forward(lib, vecs: list[int], n: int, e: int, z: int | None) -> np.ndarray:
+    v = len(vecs)
     out = np.empty((n, e + interaction.pairs(v)), np.float32)
-    ptrs = np.array([a.ctypes.data for a in vecs], dtype=np.uintp)
-    args = (_ptr(ptrs), n, v, e, _ptr(z), _ptr(out))
+    ptrs = np.array(vecs, dtype=np.uintp)
+    args = (_ptr(ptrs), n, v, e, z, _ptr(out))
     need = lib.repro_dot_fwd(*args, None, 0)  # declines, naming the scratch it needs
     scratch = np.empty(need, np.float32)
     lib.repro_dot_fwd(*args, _ptr(scratch), need)
@@ -370,18 +378,17 @@ def dot_interaction_backward(z, dout) -> tuple[np.ndarray, np.ndarray] | None:
     ``(N, E + V(V-1)/2)``, among others), for ``E = 1`` (NumPy's matmul
     takes ``gemv`` for a one-column product, whose reduction order is its
     kernel's own) or when :func:`blas_agrees` says no."""
-    sizes = bind("dot_interaction_backward", z, dout)
-    if sizes is None:
+    lib, at = bind("dot_interaction_backward", z, dout)
+    if lib is None:
         return None
     n, v, e = z.shape
-    if not (v > 1 and 1 < e <= MAX_DOT_DIM and sizes["w"] == e + interaction.pairs(v)):
+    if not (v > 1 and 1 < e <= MAX_DOT_DIM and at["w"] == e + interaction.pairs(v)):
         return None
-    return _dot_backward(library(), z, dout) if blas_agrees() else None
+    return _dot_backward(lib, at["z"], at["dout"], n, v, e) if blas_agrees() else None
 
 
-def _dot_backward(lib, z, dout) -> tuple[np.ndarray, np.ndarray]:
-    n, v, e = z.shape
+def _dot_backward(lib, z: int, dout: int, n: int, v: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     ddense, dembs = np.empty((n, e), np.float32), np.empty((v - 1, n, e), np.float32)
     sym = np.empty(v * v, np.float32)
-    lib.repro_dot_bwd(_ptr(z), _ptr(dout), n, v, e, _ptr(ddense), _ptr(dembs), _ptr(sym))
+    lib.repro_dot_bwd(z, dout, n, v, e, _ptr(ddense), _ptr(dembs), _ptr(sym))
     return ddense, dembs

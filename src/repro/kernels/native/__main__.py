@@ -48,27 +48,27 @@ def _tuning_line() -> str:
     return " ".join(m[1] + m[2] for m in found) if all(found) else "unknown"
 
 
-#: Every native entry's NumPy twin: the function :mod:`repro.kernels.dispatch`
-#: hands the same arguments to when the entry declines.
+def _pooled(fn, source, indices, offsets):
+    """``fn``, a ``pool_rows`` that also takes the bag lengths and a
+    workspace, on the native entry's arguments."""
+    return fn(source, indices, offsets, np.diff(offsets), Workspace())
+
+
+#: Every native entry's NumPy twin, called with the entry's arguments: the
+#: function :mod:`repro.kernels.dispatch` hands them to when the entry
+#: declines, given what else it (and so the dispatch) takes -- a scratch
+#: block as a ``partial``'s keyword, the bag lengths through :func:`_pooled`.
 NUMPY_TIER = {
     "scatter_add_exact": rows.scatter_add,
-    "pool_rows": rows.pool_rows,
+    "pool_rows": partial(_pooled, rows.pool_rows),
     "split_scatter_add": rows.split_scatter_add,
-    "sgd_step": rows.descend,
-    "split_sgd_step": rows.split_sgd_step,
+    "sgd_step": partial(rows.descend, scratch=np.empty(64, np.float32)),
+    "split_sgd_step": partial(rows.split_sgd_step, scratch=np.empty(64, np.float32)),
     "zipf_ids": synth.zipf_ids,
     "teacher_bags": synth.teacher_bags,
     "dot_interaction": interaction.interact,
     "dot_interaction_backward": interaction.interact_backward,
 }
-
-
-def numpy_extras(entry: str, args: dict) -> dict:
-    """What the dispatch and the NumPy twin take beyond the native
-    entry's arguments: the bag lengths and the scratch buffers."""
-    if entry == "pool_rows":
-        return {"lengths": np.diff(args["offsets"]), "scratch": Workspace()}
-    return {"scratch": np.empty(64, np.float32)} if entry.endswith("sgd_step") else {}
 
 
 def draw(entry: str, rng: np.random.Generator, sizes: dict[str, int], alt: int = 0) -> dict:
@@ -92,7 +92,8 @@ def _values(rng, clause, dtype: np.dtype, shape: tuple, sizes: dict[str, int]) -
         return rng.integers(0, sizes[clause.below], shape)
     if clause.rises_to:
         offsets = np.sort(rng.integers(0, sizes[clause.rises_to] + 1, shape))
-        offsets[:2], offsets[-1] = 0, sizes[clause.rises_to]
+        offsets[:2] = 0  # the first bag empty
+        offsets[-1] = sizes[clause.rises_to]
         return offsets
     if dtype == np.int64:
         return np.concatenate([[-1, 2**62], rng.integers(0, 9, shape[0] - 2)])
@@ -109,31 +110,28 @@ def _values(rng, clause, dtype: np.dtype, shape: tuple, sizes: dict[str, int]) -
 #: outrun the row prefetch.
 SIZES = {"rows": 50, "dim": 65, "n": 300, "k": 12, "bags": 12, "s": 3, "e": 20, "v": 4, "w": 26}
 #: The self-check's lines: (name, entry, its other arguments, the dtype
-#: drawn where a clause allows two).
+#: drawn where a clause allows two, whether it runs again on the same
+#: arrays 16 bytes past a line -- the row kernels, whose prefetch covers
+#: every line a row spans).
 LINES = (
-    ("scatter_add_exact", "scatter_add_exact", {}, 0),
-    ("pool_rows[fp32]", "pool_rows", {}, 0),
-    ("pool_rows[bf16]", "pool_rows", {}, 1),
-    ("split_scatter_add[16]", "split_scatter_add", {"keep_bits": 16}, 0),
-    ("split_scatter_add[8]", "split_scatter_add", {"keep_bits": 8}, 0),
-    ("sgd_step", "sgd_step", {"lr": 0.05}, 0),
-    ("split_sgd_step", "split_sgd_step", {"lr": 0.05, "keep_bits": 16}, 0),
-    ("zipf_ids[ranks]", "zipf_ids", {"n_items": 50, "scramble": False}, 0),
-    ("zipf_ids[scrambled]", "zipf_ids", {"n_items": 50, "scramble": True}, 0),
-    ("teacher_bags", "teacher_bags", {"mix": 0x9E3779B97F4A7C15, "seed_mult": 7, "weight": 0.75}, 0),
-    ("interaction[fwd]", "dot_interaction", {}, 0),
-    ("interaction[bwd]", "dot_interaction_backward", {}, 0),
+    ("scatter_add_exact", "scatter_add_exact", {}, 0, True),
+    ("pool_rows[fp32]", "pool_rows", {}, 0, True),
+    ("pool_rows[bf16]", "pool_rows", {}, 1, True),
+    ("split_scatter_add[16]", "split_scatter_add", {"keep_bits": 16}, 0, True),
+    ("split_scatter_add[8]", "split_scatter_add", {"keep_bits": 8}, 0, False),
+    ("sgd_step", "sgd_step", {"lr": 0.05}, 0, False),
+    ("split_sgd_step", "split_sgd_step", {"lr": 0.05, "keep_bits": 16}, 0, False),
+    ("zipf_ids[ranks]", "zipf_ids", {"n_items": 50, "scramble": False}, 0, False),
+    ("zipf_ids[scrambled]", "zipf_ids", {"n_items": 50, "scramble": True}, 0, False),
+    ("teacher_bags", "teacher_bags", {"mix": 2**64 - 59, "seed_mult": 7, "weight": 0.75}, 0, False),
+    ("interaction[fwd]", "dot_interaction", {}, 0, False),
+    ("interaction[bwd]", "dot_interaction_backward", {}, 0, False),
 )
-#: The row kernels, whose prefetch covers every line a row spans: run
-#: again on the same arrays 16 bytes past a line.
-OFF_LINE = ("scatter_add_exact", "pool_rows[fp32]", "pool_rows[bf16]", "split_scatter_add[16]")
 
 
 def _placed(a, offset: int):
     """A copy of ``a`` (of each array in a list) whose first byte lies
     ``offset`` bytes past a line."""
-    if a is None:
-        return None
     if isinstance(a, list):
         return [_placed(v, offset) for v in a]
     out = aligned_empty(a.nbytes + offset, np.uint8)[offset:].view(a.dtype).reshape(a.shape)
@@ -147,8 +145,7 @@ def _call(fn, entry: str, inputs: dict, scalars: dict, offset: int = 0) -> tuple
     args = {name: _placed(a, offset) for name, a in inputs.items()}
     got = fn(**args, **scalars)
     arrays = got if isinstance(got, tuple) else (got,) if isinstance(got, np.ndarray) else ()
-    written = (args[c.name] for c in native.CONTRACTS[entry] if c.written)
-    arrays += tuple(a for a in written if a is not None)
+    arrays += tuple(args[c.name] for c in native.CONTRACTS[entry] if c.written)
     return got, [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
 
 
@@ -157,12 +154,12 @@ def checks() -> dict[str, tuple[bool, bool | None]]:
     and the same bits 16 bytes past a line -- None where not run)."""
     out = {}
     with np.errstate(all="ignore"):
-        for line, entry, scalars, alt in LINES:
-            inputs, fn = draw(entry, np.random.default_rng(0), SIZES, alt), getattr(native, entry)
-            extras = {**scalars, **numpy_extras(entry, inputs)}
-            _, want = _call(NUMPY_TIER[entry], entry, inputs, extras)
+        for line, entry, scalars, alt, off_line in LINES:
+            inputs = draw(entry, np.random.default_rng(0), SIZES, alt)
+            fn = getattr(native, entry)
+            _, want = _call(NUMPY_TIER[entry], entry, inputs, scalars)
             ran, got = _call(fn, entry, inputs, scalars)
-            moved = _call(fn, entry, inputs, scalars, 16)[1] == got if line in OFF_LINE else None
+            moved = _call(fn, entry, inputs, scalars, 16)[1] == got if off_line else None
             out[line] = (ran is not None and ran is not False and got == want, moved)
     out["blas agrees"] = (native.blas_agrees(), None)
     return out

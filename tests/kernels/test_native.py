@@ -10,6 +10,8 @@ call for any ``T``.  *Safety*: an input the C loops cannot represent is
 refused before the first write and takes the NumPy tier unchanged.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, interaction, native, reference, rows as row_kernels
 from repro.kernels import synth, threads
 from repro.kernels.native import build
-from repro.kernels.native.__main__ import NUMPY_TIER, draw, numpy_extras
+from repro.kernels.native.__main__ import LINES, NUMPY_TIER, draw
 from repro.kernels.threads import row_range_for_thread
 from repro.kernels.workspace import Workspace
 from repro.tiering.store import file_backed
@@ -400,14 +402,9 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         assert native.split_scatter_add(hi, lo.astype(np.uint32), 16, self.IDX, self.D) is False
 
 
-#: Valid arguments of each entry beyond its contract's arrays.
-SCALARS = {
-    "split_scatter_add": {"keep_bits": 16},
-    "sgd_step": {"lr": 0.5},
-    "split_sgd_step": {"lr": 0.5, "keep_bits": 16},
-    "zipf_ids": {"n_items": 50, "scramble": True},
-    "teacher_bags": {"mix": 5, "seed_mult": 7, "weight": 0.5},
-}
+#: Valid arguments of each entry beyond its contract's arrays: those of
+#: its first line in the self-check.
+SCALARS = {entry: scalars for _, entry, scalars, *_ in reversed(LINES)}
 OTHER_DTYPE = {np.float32: np.float64, np.float64: np.float32, np.int64: np.int32, np.uint16: np.int16}
 
 
@@ -485,10 +482,21 @@ def broken(args: dict, sizes: dict, brk: tuple) -> dict:
     return args
 
 
-def outcome(fn, entry: str, args: dict, scalars: dict) -> tuple:
+def dispatched(entry: str):
+    """``entry``'s dispatch, called with the entry's arguments as its
+    NumPy twin is."""
+    twin, fn = NUMPY_TIER[entry], getattr(dispatch, entry)
+    if not isinstance(twin, partial):
+        return fn
+    # the twin, and so the dispatch, takes more: a scratch keyword, or
+    # the bag lengths through an adapter whose first argument is the twin
+    return partial(twin.func, fn) if twin.args else partial(fn, **twin.keywords)
+
+
+def outcome(fn, args: dict, scalars: dict) -> tuple:
     """What ``fn`` returns or raises, and every argument's bytes after."""
     try:
-        got = fn(**args, **scalars, **numpy_extras(entry, args))
+        got = fn(**args, **scalars)
         result = [np.asarray(a).tobytes() for a in (got if isinstance(got, tuple) else (got,))]
     except Exception as exc:  # noqa: BLE001 - whatever the NumPy tier raises, both must
         result = type(exc)
@@ -522,7 +530,8 @@ class TestTheContractRefusesEachBrokenClause:
             args.update({c.name: None for c in native.CONTRACTS[entry] if absent and c.optional})
             return broken(args, at, brk)
 
-        scalars, entry_fn = SCALARS.get(entry, {}), getattr(native, entry)
+        scalars = SCALARS[entry]
+        entry_fn = getattr(native, entry)
         valid = case(("none", None, None))
         ran = entry_fn(**valid, **scalars)
         assert ran is not None and ran is not False
@@ -532,8 +541,8 @@ class TestTheContractRefusesEachBrokenClause:
             declined = entry_fn(**args, **scalars)
             assert declined is None or declined is False, brk
             assert [a.tobytes() for a in arrays_of(args)] == before, brk
-            tiers = (getattr(dispatch, entry), NUMPY_TIER[entry])
-            got, want = (outcome(fn, entry, case(brk), scalars) for fn in tiers)
+            tiers = (dispatched(entry), NUMPY_TIER[entry])
+            got, want = (outcome(fn, case(brk), scalars) for fn in tiers)
             assert got == want, brk
 
 

@@ -314,6 +314,7 @@ class TestTheTrainingStepAgainstCommit15082ab:
         assert got["resumed"] == recorded["resumed"]
 
     def test_the_parents_checkpoint_resumes(self, recorded, kernel_tier):
+        reached = {}
         for case, name in self.CHECKPOINTS.items():
             path = DATA / name
             ckpt = load_checkpoint(path)  # CRCs verified
@@ -322,11 +323,15 @@ class TestTheTrainingStepAgainstCommit15082ab:
             assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
             assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
             resumed.fit(recorded["steps"] - 10)
-            skip_unless_recorded_here(recorded["host"])
+            reached[case] = {
+                "final_loss": float(resumed.losses[-1]).hex(),
+                "model": state_digest(resumed.model_state_dict()),
+                "optimizer": state_digest(resumed.opt_state_dict()),
+            }
+        skip_unless_recorded_here(recorded["host"])
+        for case, got in reached.items():
             want = recorded["runs"][f"{case}/local"]
-            assert float(resumed.losses[-1]).hex() == want["final_loss"]
-            assert state_digest(resumed.model_state_dict()) == want["model"]
-            assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+            assert got == {key: want[key] for key in got}, case
 
 
 class TestTheDenseStepAgainstCommit82d76ee(TestTheTrainingStepAgainstCommit15082ab):
