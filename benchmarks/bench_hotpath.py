@@ -3,12 +3,11 @@
 
 Each bench times the naive formulation of :mod:`repro.kernels.reference`
 (``np.add.at`` scatters, per-thread mask scans, the
-``np.repeat``-materialised sparse backward; the per-block GEMM loop)
-against what :mod:`repro.kernels.dispatch` or the public table method
-runs -- the C loops of the native tier wherever a compiler is present,
-else the reference spellings themselves -- verifies the two produce
-*bit-identical* results on the benchmarked shape (allclose for the GEMM
-fast path, which reorders the FP32 accumulation), and records the
+``np.repeat``-materialised sparse backward) against what
+:mod:`repro.kernels.dispatch` or the public table method runs -- the C
+loops of the native tier wherever a compiler is present, else the
+reference spellings themselves -- verifies the two produce
+*bit-identical* results on the benchmarked shape, and records the
 speedup.
 
 Results are written to ``BENCH_hotpath.json`` at the repo root so future
@@ -31,8 +30,6 @@ from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, st
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
 from repro.kernels import dispatch, reference
-from repro.kernels.blocked import block_activation, block_weight, choose_blocking
-from repro.kernels.gemm import FlopCounter, blocked_matmul
 from repro.kernels.rows import split_add_aggregated
 from repro.kernels.workspace import Workspace
 
@@ -59,7 +56,7 @@ def record(results: dict, name: str, shape: str, ref_s: float, opt_s: float, exa
         "speedup": round(ref_s / opt_s, 2) if opt_s > 0 else float("inf"),
         "bit_identical": exact,
     }
-    tag = {True: "bitwise", False: "MISMATCH", None: "allclose"}[exact]
+    tag = "bitwise" if exact else "MISMATCH"
     print(
         f"{name:<28} ref {ref_s * 1e3:9.2f} ms   opt {opt_s * 1e3:8.2f} ms   "
         f"{ref_s / opt_s:6.1f}x   [{tag}]  {shape}"
@@ -325,24 +322,6 @@ def bench_suite_shapes(results, reps, quick, rng):
     )
 
 
-def bench_blocked_gemm(results, reps, quick, rng):
-    n, c, k = (64, 128, 128) if quick else (256, 512, 512)
-    x = rng.standard_normal((n, c)).astype(np.float32)
-    w = rng.standard_normal((k, c)).astype(np.float32)
-    layout = choose_blocking(n, c, k)
-    x4 = block_activation(x, layout.bn, layout.bc)
-    w4 = block_weight(w, layout.bc, layout.bk)
-    loop = blocked_matmul(x4, w4, layout, threads=THREADS, counter=FlopCounter())
-    fast = blocked_matmul(x4, w4, layout, threads=THREADS)
-    assert np.allclose(loop, fast, rtol=1e-4, atol=1e-5)
-    ref_s = best_of(
-        lambda: blocked_matmul(x4, w4, layout, threads=THREADS, counter=FlopCounter()), reps
-    )
-    opt_s = best_of(lambda: blocked_matmul(x4, w4, layout, threads=THREADS), reps)
-    # The fast path reorders FP32 accumulation: allclose, not bitwise.
-    record(results, "blocked_gemm_fast_path", f"N={n} C={c} K={k}", ref_s, opt_s, None)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small shapes (CI smoke)")
@@ -363,7 +342,6 @@ def main() -> int:
     bench_racefree(results, reps, args.quick, rng)
     bench_fused_updates(results, reps, args.quick, rng)
     bench_suite_shapes(results, reps, args.quick, rng)
-    bench_blocked_gemm(results, reps, args.quick, rng)
 
     mismatches = [k for k, v in results.items() if v["bit_identical"] is False]
     payload = {

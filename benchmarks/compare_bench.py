@@ -102,8 +102,10 @@ def check_bit_identity(payload: dict, bench: str) -> list[str]:
     """Every cell of a fresh payload must be bitwise clean.
 
     ``bit_identical: null`` means the bench makes no bit claim for that
-    cell (e.g. the blocked-GEMM fast path is allclose-by-design); only
-    an explicit ``false`` is a violation."""
+    cell (say, a kernel that reorders its FP32 accumulation and is
+    allclose by design); only an explicit ``false`` is a violation.  A
+    baseline cell that a fresh run no longer emits (a retired kernel)
+    is not compared at all."""
     failures = []
     if bench == "train_e2e":
         for (scenario, backend, workers), cell in _train_cells(payload).items():

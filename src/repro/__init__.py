@@ -5,7 +5,8 @@ Packages
 --------
 core      The paper's contribution: optimized DLRM training operators,
           update strategies, Split-SGD-BF16, configs (Table I/II).
-kernels   Blocked tensor layouts + batch-reduce GEMM (Alg. 5 substrate).
+kernels   Embedding/optimizer row operators (Alg. 1-4) in a NumPy and a
+          native C tier, static thread partitions, workspaces.
 hw        Analytic hardware model of the two testbeds (specs, topologies,
           cost model, calibration).
 comm      Functional collectives, backend progress models (MPI vs CCL),

@@ -99,14 +99,17 @@ def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
     return lo & mask
 
 
-def bf16_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def bf16_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Emulated ``vdpbf16ps``: BF16 inputs, FP32 products and accumulation.
 
     Inputs are FP32 arrays; they are first rounded to BF16 (RNE), then
     multiplied exactly in FP32 (a product of two 8-bit mantissas fits FP32
     exactly) and accumulated in FP32 -- matching the instruction's
-    numerics up to accumulation order.
+    numerics up to accumulation order.  The left operand is quantized
+    from a C-contiguous copy, so a transposed view multiplies with the
+    bits of its copy (the FP32 ``sgemm`` picks its accumulation order by
+    layout).  ``out`` is as for ``np.matmul``.
     """
-    aq = quantize_bf16(np.asarray(a, dtype=np.float32))
+    aq = quantize_bf16(np.ascontiguousarray(a, dtype=np.float32))
     bq = quantize_bf16(np.asarray(b, dtype=np.float32))
-    return np.matmul(aq, bq)
+    return np.matmul(aq, bq, out=out)

@@ -1,4 +1,4 @@
-"""Multi-layer perceptron with reference and blocked execution engines.
+"""Multi-layer perceptron with a reference and a BF16 GEMM engine.
 
 The dense half of DLRM (paper Sect. III-B).  Each fully connected layer
 computes ``Y[N, K] = X[N, C] @ W[K, C]^T + b`` in the forward pass and the
@@ -7,11 +7,11 @@ two backward GEMMs
 * backward-by-data:    ``dX = dY @ W``
 * backward-by-weights: ``dW = dY^T @ X``, ``db = sum_n dY``
 
-The ``blocked`` engine runs all three passes through the 4-D blocked
-layouts and the batch-reduce GEMM of :mod:`repro.kernels` (paper Alg. 5);
-the ``reference`` engine uses plain matmuls (the PyTorch/MKL baseline).
-Both produce identical FP32 results up to accumulation order; tests pin
-them together within tight tolerances.
+All three passes call one product function, the layer's engine: plain
+``np.matmul`` (the PyTorch/MKL baseline) for ``reference``, and the
+emulated BF16 dot product :func:`~repro.core.bf16.bf16_dot` for
+``bf16``.  The paper's Alg. 5 (blocked layouts and a batch-reduce GEMM)
+is priced by the cost model (:mod:`repro.hw.costmodel`), not executed.
 """
 
 from __future__ import annotations
@@ -20,20 +20,15 @@ import numpy as np
 
 from repro.core.bf16 import bf16_dot
 from repro.core.param import Parameter, checked_entry
-from repro.kernels.blocked import (
-    block_activation,
-    block_weight,
-    choose_blocking,
-)
-from repro.kernels.gemm import FlopCounter, blocked_matmul
 from repro.kernels.workspace import Workspace
 
-#: GEMM execution engines: plain matmul (the MKL baseline), the blocked
-#: batch-reduce path (Alg. 5), and an emulated-``vdpbf16ps`` path that
-#: rounds both operands to BF16 and accumulates in FP32 (the paper's
+#: The product ``a @ b`` (into ``out=`` when given) of each GEMM engine:
+#: plain matmul (the MKL baseline), and an emulated-``vdpbf16ps`` path
+#: that rounds both operands to BF16 and accumulates in FP32 (the paper's
 #: Cooper Lake outlook, Sect. VII: "this will help to also significantly
 #: speed-up the MLP portions").
-ENGINES = ("reference", "blocked", "bf16")
+_PRODUCTS = {"reference": np.matmul, "bf16": bf16_dot}
+ENGINES = tuple(_PRODUCTS)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -56,31 +51,8 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _blocked_gemm_nt(
-    x: np.ndarray, w: np.ndarray, threads: int, counter: FlopCounter
-) -> np.ndarray:
-    """``x[N, C] @ w[K, C]^T`` through the blocked layouts of Alg. 5.
-
-    The whole GEMM is accounted on ``counter`` analytically (the blocks
-    tile it exactly), which lets :func:`blocked_matmul` take its
-    single-tensordot fast path; the per-block decomposition is pinned
-    where it lives, in ``tests/kernels/test_gemm.py`` through
-    ``blocked_matmul(counter=...)``.
-    """
-    n, c = x.shape
-    k = w.shape[0]
-    layout = choose_blocking(n, c, k)
-    x4 = block_activation(x, layout.bn, layout.bc)
-    w4 = block_weight(w, layout.bc, layout.bk)
-    counter.add_gemm(n, k, c)
-    y4 = blocked_matmul(x4, w4, layout, threads=threads)
-    kb, nb, bn, bk = y4.shape
-    # y4 is [Kb][Nb][bn][bk]; flatten back to [N, K].
-    return np.ascontiguousarray(y4.transpose(1, 2, 0, 3).reshape(nb * bn, kb * bk))
-
-
-def _matmul_into(ws: Workspace, key: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` into the workspace buffer named ``key``.
+def _matmul_into(ws: Workspace, key: str, dot, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dot(a, b)`` into the workspace buffer named ``key``.
 
     Falls back to a fresh allocation when either operand aliases the
     buffer (self-feeding calls: the GEMM must never write what it is
@@ -88,9 +60,8 @@ def _matmul_into(ws: Workspace, key: str, a: np.ndarray, b: np.ndarray) -> np.nd
     """
     out = ws.take(key, (a.shape[0], b.shape[1]))
     if np.may_share_memory(a, out) or np.may_share_memory(b, out):
-        return a @ b
-    np.matmul(a, b, out=out)
-    return out
+        return dot(a, b)
+    return dot(a, b, out=out)
 
 
 class FullyConnected:
@@ -109,7 +80,6 @@ class FullyConnected:
         rng: np.random.Generator | None = None,
         activation: str | None = "relu",
         engine: str = "reference",
-        threads: int = 28,
         name: str = "",
     ):
         if in_features <= 0 or out_features <= 0:
@@ -129,8 +99,8 @@ class FullyConnected:
         self.out_features = out_features
         self.activation = activation
         self.engine = engine
-        self.threads = threads
-        self.flops = FlopCounter()
+        #: The one product every pass calls: ``dot(a, b, out=None)``.
+        self._dot = _PRODUCTS[engine]
         #: Scratch arena: GEMM outputs and backward intermediates live in
         #: grow-only buffers, so steady-state steps allocate nothing.
         self._ws = Workspace()
@@ -177,11 +147,11 @@ class FullyConnected:
         inference with training never corrupts a pending backward.
 
         ``out`` may be a preallocated C-contiguous ``(N, out_features)``
-        float32 buffer; the reference engine then writes the GEMM result
-        directly into it (the serving engine's warm path reuses one
-        buffer per layer across calls).  A buffer the input aliases is
-        not used (self-feeding calls: the GEMM must never write what it
-        is reading) and the result is a fresh array.
+        float32 buffer; the GEMM then writes its result directly into it
+        (the serving engine's warm path reuses one buffer per layer
+        across calls).  A buffer the input aliases is not used
+        (self-feeding calls: the GEMM must never write what it is
+        reading) and the result is a fresh array.
         """
         x = self._checked_input(x)
         usable = (
@@ -191,19 +161,7 @@ class FullyConnected:
             and out.flags["C_CONTIGUOUS"]
             and not np.may_share_memory(x, out)
         )
-        if self.engine == "blocked":
-            z = _blocked_gemm_nt(x, self.weight.value, self.threads, self.flops)
-        else:
-            self.flops.add_gemm(x.shape[0], self.out_features, self.in_features)
-            if self.engine == "bf16":
-                z = bf16_dot(x, self.weight.value.T)
-            elif usable:
-                z = np.matmul(x, self.weight.value.T, out=out)
-            else:
-                z = x @ self.weight.value.T
-        if usable and z is not out:
-            out[...] = z
-            z = out
+        z = self._dot(x, self.weight.value.T, out=out if usable else None)
         z += self.bias.value
         if self.activation == "relu":
             np.maximum(z, 0.0, out=z)
@@ -234,37 +192,15 @@ class FullyConnected:
             dz *= one_minus_y
         else:
             dz = dy
-        if self.engine == "blocked":
-            # BWD_W: dW[K, C] = dz[N, K]^T @ x[N, C]: a GEMM with the
-            # minibatch as reduction dim -- run blocked with operands
-            # recast so the batch-reduce kernel reduces over N.
-            dw = _blocked_gemm_nt(
-                np.ascontiguousarray(dz.T), np.ascontiguousarray(self._x.T),
-                self.threads, self.flops,
-            )
-            # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
-            dx = _blocked_gemm_nt(
-                dz, np.ascontiguousarray(self.weight.value.T),
-                self.threads, self.flops,
-            )
-            self.weight.accumulate_grad(dw)
-        elif self.engine == "bf16":
-            # Both backward GEMMs through the emulated BF16 dot product.
-            self.flops.add_gemm(self.out_features, self.in_features, dz.shape[0])
-            dw = bf16_dot(np.ascontiguousarray(dz.T), self._x)
-            self.flops.add_gemm(dz.shape[0], self.in_features, self.out_features)
-            dx = bf16_dot(dz, self.weight.value)
-            self.weight.accumulate_grad(dw)
+        # BWD_W: dW[K, C] = dz[N, K]^T @ x[N, C].
+        if self.weight.grad is None:
+            # The step's first dW is written straight into the
+            # gradient storage (a view of the model's gradient flat).
+            self._dot(dz.T, self._x, out=self.weight.fresh_grad())
         else:
-            self.flops.add_gemm(self.out_features, self.in_features, dz.shape[0])
-            if self.weight.grad is None:
-                # The step's first dW is written straight into the
-                # gradient storage (a view of the model's gradient flat).
-                np.matmul(dz.T, self._x, out=self.weight.fresh_grad())
-            else:
-                self.weight.accumulate_grad(dz.T @ self._x)
-            self.flops.add_gemm(dz.shape[0], self.in_features, self.out_features)
-            dx = _matmul_into(self._ws, "bwd.dx", dz, self.weight.value)
+            self.weight.accumulate_grad(self._dot(dz.T, self._x))
+        # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
+        dx = _matmul_into(self._ws, "bwd.dx", self._dot, dz, self.weight.value)
         self.bias.accumulate_grad(dz.sum(axis=0))
         return dx
 
@@ -279,7 +215,6 @@ class MLP:
         rng: np.random.Generator | None = None,
         last_activation: str | None = None,
         engine: str = "reference",
-        threads: int = 28,
         name: str = "mlp",
     ):
         if not layer_sizes:
@@ -296,7 +231,6 @@ class MLP:
                     rng=rng,
                     activation=(last_activation if last else "relu"),
                     engine=engine,
-                    threads=threads,
                     name=f"{name}.{i}",
                 )
             )

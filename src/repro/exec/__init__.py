@@ -22,9 +22,9 @@ Three layers share one process-wide :class:`WorkerPool`:
 * **parallel ranks** -- :class:`~repro.parallel.hybrid.DistributedDLRM`
   runs each rank's compute phases concurrently (collectives stay
   fixed-order, so distributed == single-socket bit-exactness holds);
-* **parallel kernels** -- the native row kernels and the blocked GEMM shard
-  rows over the Alg. 4/5 static partitions (disjoint ownership, so the
-  parallel result is bitwise the sequential one);
+* **parallel kernels** -- the native row kernels shard rows over the
+  Alg. 4 static partitions (disjoint ownership, so the parallel result
+  is bitwise the sequential one);
 * **prefetching pipeline** -- :class:`PrefetchLoader` / :class:`PrefetchMap`
   synthesize the next batch on the pool while the current one computes.
 

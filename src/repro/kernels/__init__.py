@@ -1,9 +1,10 @@
-"""Kernel substrate: blocked tensor layouts, batch-reduce GEMM, threading.
+"""Kernel substrate: row operators, static thread partitions, workspaces.
 
-These modules stand in for the LIBXSMM/MKL microkernels the paper builds
-on.  The numerics are exact FP32 NumPy; the *loop structure* mirrors the
-paper's Algorithm 5 (blocked layouts + batch-reduce GEMM) so that the
-code path being cost-modelled is the code path that actually executes.
+These modules stand in for the LIBXSMM microkernels the paper builds on.
+The MLP's GEMMs are not among them: :mod:`repro.core.mlp` calls one
+product function per pass (``np.matmul``, or the emulated BF16 dot
+product), and the paper's Algorithm 5 (blocked layouts + batch-reduce
+GEMM) is priced by the cost model, not executed.
 
 The embedding and optimizer row operators, the dot interaction and the
 Criteo generator's two data kernels come in two tiers with the same
@@ -16,20 +17,6 @@ tier of each sparse row operator *is* its ``np.add.at`` oracle from
 process and the arrays are; nothing outside this package can tell which.
 """
 
-from repro.kernels.blocked import (
-    BlockedLayout,
-    block_activation,
-    unblock_activation,
-    block_weight,
-    unblock_weight,
-    choose_blocking,
-)
-from repro.kernels.gemm import (
-    reference_gemm,
-    batch_reduce_gemm,
-    blocked_matmul,
-    FlopCounter,
-)
 from repro.kernels.threads import (
     bucket_by_row_ranges,
     static_partition,
@@ -41,16 +28,6 @@ from repro.kernels.workspace import Workspace
 __all__ = [
     "bucket_by_row_ranges",
     "Workspace",
-    "BlockedLayout",
-    "block_activation",
-    "unblock_activation",
-    "block_weight",
-    "unblock_weight",
-    "choose_blocking",
-    "reference_gemm",
-    "batch_reduce_gemm",
-    "blocked_matmul",
-    "FlopCounter",
     "static_partition",
     "row_range_for_thread",
     "partition_balance",

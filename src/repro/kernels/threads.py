@@ -1,7 +1,8 @@
 """Static thread-partitioning helpers (paper Alg. 4 line 1-3, Alg. 5 line 1).
 
-Both the race-free embedding update and the blocked MLP assign work to
-threads with closed-form static ranges: thread ``t`` of ``T`` owns items
+Both the race-free embedding update and the blocked MLP of Alg. 5 (as
+the cost model prices it) assign work to threads with closed-form
+static ranges: thread ``t`` of ``T`` owns items
 ``[floor(W*t/T), floor(W*(t+1)/T))``.  These exact ranges serve two
 masters: the cost model reads their load-balance statistics (imbalance
 penalties match what real threads would see), and the worker pool of

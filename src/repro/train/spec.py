@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import CONFIGS, DLRMConfig, get_config
+from repro.core.mlp import ENGINES
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
 from repro.core.update import UpdateStrategy
@@ -274,6 +275,10 @@ class RunSpec:
             raise ValueError(
                 f"model.config must name a paper preset {sorted(CONFIGS)}, "
                 f"got {self.model.config!r}"
+            )
+        if self.model.engine not in ENGINES:
+            raise ValueError(
+                f"model.engine must be one of {ENGINES}, got {self.model.engine!r}"
             )
         if self.optimizer.name not in OPTIMIZERS:
             raise ValueError(

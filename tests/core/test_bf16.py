@@ -173,3 +173,26 @@ class TestBf16Dot:
         a = np.array([[1.0 + 2.0**-12]], dtype=np.float32)  # not a BF16 value
         b = np.array([[1.0]], dtype=np.float32)
         assert bf16_dot(a, b)[0, 0] == np.float32(1.0)
+
+    @pytest.mark.parametrize("n,c,k", [(7, 6, 5), (100, 33, 5), (64, 128, 32)])
+    def test_a_transposed_view_multiplies_as_its_contiguous_copy(self, rng, n, c, k):
+        """BWD_W passes ``dz.T``: the left operand is quantized from a
+        C-contiguous copy, so its layout never picks the FP32 GEMM's
+        accumulation order."""
+        a = rng.standard_normal((c, n)).astype(np.float32).T
+        b = rng.standard_normal((c, k)).astype(np.float32)
+        want = bf16_dot(np.ascontiguousarray(a), b)
+        np.testing.assert_array_equal(want.view(np.uint32), bf16_dot(a, b).view(np.uint32))
+
+    def test_out_receives_the_product(self, rng):
+        a = rng.standard_normal((9, 16)).astype(np.float32)
+        b = rng.standard_normal((16, 4)).astype(np.float32)
+        buf = np.full((9, 4), np.nan, np.float32)
+        assert bf16_dot(a, b, out=buf) is buf
+        np.testing.assert_array_equal(buf.view(np.uint32), bf16_dot(a, b).view(np.uint32))
+
+    def test_an_out_of_the_wrong_shape_raises(self, rng):
+        a = rng.standard_normal((9, 16)).astype(np.float32)
+        b = rng.standard_normal((16, 4)).astype(np.float32)
+        with pytest.raises(ValueError):
+            bf16_dot(a, b, out=np.empty((4, 9), np.float32))

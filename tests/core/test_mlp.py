@@ -1,4 +1,4 @@
-"""MLP layers: gradients vs. finite differences; blocked == reference."""
+"""MLP layers: gradients vs. finite differences, the engines' one forward."""
 
 import numpy as np
 import pytest
@@ -66,10 +66,10 @@ class TestFullyConnectedForward:
         with pytest.raises(ValueError):
             FullyConnected(4, 3, rng=rng, activation="gelu")
 
-    def test_flop_counter_tracks_gemm(self, rng):
-        fc = FullyConnected(4, 3, rng=rng, activation=None)
-        fc.forward(np.zeros((10, 4), np.float32))
-        assert fc.flops.flops == 2 * 10 * 3 * 4
+    @pytest.mark.parametrize("engine", ["cuda", "blocked"])
+    def test_rejects_unknown_engine(self, rng, engine):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            FullyConnected(4, 4, rng=rng, engine=engine)
 
 
 def numeric_grad(f, x, eps=1e-3):
@@ -124,35 +124,6 @@ class TestGradients:
         fc.forward(x)
         fc.backward(dy)
         np.testing.assert_allclose(fc.weight.grad, 2 * g1, rtol=1e-5)
-
-
-class TestBlockedEngine:
-    @pytest.mark.parametrize("n,c,k", [(16, 12, 8), (8, 8, 8), (24, 10, 6)])
-    def test_forward_matches_reference(self, n, c, k):
-        rng = np.random.default_rng(3)
-        ref = FullyConnected(c, k, rng=np.random.default_rng(3), engine="reference", activation=None)
-        blk = FullyConnected(c, k, rng=np.random.default_rng(3), engine="blocked", activation=None)
-        np.testing.assert_array_equal(ref.weight.value, blk.weight.value)
-        x = rng.standard_normal((n, c)).astype(np.float32)
-        np.testing.assert_allclose(ref.forward(x), blk.forward(x), rtol=1e-5, atol=1e-6)
-
-    def test_backward_matches_reference(self):
-        rng = np.random.default_rng(5)
-        ref = FullyConnected(12, 8, rng=np.random.default_rng(5), engine="reference", activation="relu")
-        blk = FullyConnected(12, 8, rng=np.random.default_rng(5), engine="blocked", activation="relu")
-        x = rng.standard_normal((16, 12)).astype(np.float32)
-        dy = rng.standard_normal((16, 8)).astype(np.float32)
-        ref.forward(x)
-        blk.forward(x)
-        dx_ref = ref.backward(dy)
-        dx_blk = blk.backward(dy)
-        np.testing.assert_allclose(dx_ref, dx_blk, rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(ref.weight.grad, blk.weight.grad, rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(ref.bias.grad, blk.bias.grad, rtol=1e-4, atol=1e-5)
-
-    def test_rejects_unknown_engine(self, rng):
-        with pytest.raises(ValueError):
-            FullyConnected(4, 4, rng=rng, engine="cuda")
 
 
 class TestMLP:
@@ -229,6 +200,58 @@ class TestOneForward:
         np.testing.assert_array_equal(y1, snapshot)
         for got in (y2, again):
             np.testing.assert_array_equal(want.view(np.uint32), got.view(np.uint32))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestOneProduct:
+    """FWD, BWD_D and BWD_W all call the layer's one product function,
+    into ``out=`` where the result has a home, and ``out=`` never
+    changes a bit."""
+
+    @pytest.mark.parametrize("n,c,k", [(1, 1, 1), (7, 6, 5), (33, 5, 100)])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["a", "aT"])
+    def test_out_is_bitwise_a_fresh_product(self, rng, engine, n, c, k, transposed):
+        dot = FullyConnected(1, 1, rng=rng, engine=engine)._dot
+        a = rng.standard_normal((c, n) if transposed else (n, c)).astype(np.float32)
+        a = a.T if transposed else a
+        b = rng.standard_normal((c, k)).astype(np.float32)
+        want = dot(a, b)
+        buf = np.full((n, k), np.nan, np.float32)
+        assert dot(a, b, out=buf) is buf
+        np.testing.assert_array_equal(want.view(np.uint32), buf.view(np.uint32))
+
+    def test_every_pass_calls_the_one_product(self, rng, engine):
+        fc = FullyConnected(6, 5, rng=rng, activation="relu", engine=engine)
+        calls = []
+        product = fc._dot
+
+        def spy(a, b, out=None):
+            calls.append(out)
+            return product(a, b, out=out)
+
+        fc._dot = spy
+        x = rng.standard_normal((7, 6)).astype(np.float32)
+        dy = rng.standard_normal((7, 5)).astype(np.float32)
+        fc.forward(x)
+        assert len(calls) == 1 and calls[0] is fc._y  # FWD, into the workspace
+        fc.backward(dy)
+        # BWD_W's first dW goes straight into the gradient storage, BWD_D into the workspace.
+        assert len(calls) == 3 and calls[1] is fc.weight.grad
+        assert calls[2] is not None and np.shares_memory(calls[2], fc._ws.take("bwd.dx", (7, 6)))
+        fc.backward(dy)
+        assert len(calls) == 5 and calls[3] is None  # an accumulating dW has no home
+
+    def test_an_accumulated_dw_adds_the_fresh_product(self, rng, engine):
+        fc = FullyConnected(6, 5, rng=rng, activation=None, engine=engine)
+        x = rng.standard_normal((7, 6)).astype(np.float32)
+        dy = rng.standard_normal((7, 5)).astype(np.float32)
+        fc.forward(x)
+        fc.backward(dy)
+        first = fc.weight.grad.copy()
+        np.testing.assert_array_equal(first.view(np.uint32), fc._dot(dy.T, x).view(np.uint32))
+        fc.backward(dy)
+        want = first + fc._dot(dy.T, x)
+        np.testing.assert_array_equal(want.view(np.uint32), fc.weight.grad.view(np.uint32))
 
 
 class TestWorkspaceSteadyState:

@@ -2,11 +2,12 @@
 
 For each parallelized path, ``workers > 1`` produces *bitwise* the
 ``workers = 1`` result -- in FP32 and Split-BF16.  Workers own disjoint
-output rows from the Alg. 4/5 static partitions and fold each row, bag
-or block identically, so no summation order changes.  The row kernels
-shard on the native tier only (the NumPy tier runs whole).  Sizes here
-are chosen above the kernels' parallel thresholds so the sharded paths
-actually execute.
+output rows from the Alg. 4 static partitions and fold each row or bag
+identically, so no summation order changes.  The row kernels shard on
+the native tier only (the NumPy tier runs whole).  Sizes here are chosen
+above the kernels' parallel thresholds so the sharded paths actually
+execute.  The MLP's GEMMs do not shard yet; their test pins what a
+sharded GEMM must keep.
 """
 
 import numpy as np
@@ -15,8 +16,6 @@ import pytest
 from repro.core.embedding import SplitEmbeddingBag
 from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, native, reference, threads
-from repro.kernels.blocked import BlockedLayout, block_activation, block_weight
-from repro.kernels.gemm import FlopCounter, blocked_matmul
 from repro.kernels.native import build
 
 WORKER_COUNTS = (2, 3, 4)
@@ -38,11 +37,8 @@ def pools():
 def force_parallel_thresholds(monkeypatch):
     """Drop the engagement thresholds so every sharded path actually
     executes at test sizes (defaults only engage on multi-MB payloads)."""
-    from repro.kernels import gemm
-
     monkeypatch.setattr(threads, "PARALLEL_MIN_SEGMENTS", 4)
     monkeypatch.setattr(threads, "PARALLEL_MIN_ELEMS", 64)
-    monkeypatch.setattr(gemm, "GEMM_PARALLEL_MIN_ELEMS", 64)
 
 
 def ragged_problem(rng, n_bags=600, dim=16, max_len=7):
@@ -141,47 +137,17 @@ class TestSegmentKernelsParallel:
             assert np.array_equal(table.lo, sequential.lo), f"workers={w}"
 
 
-class TestBlockedMatmulParallel:
-    @staticmethod
-    def problem(rng, n=256, c=128, k=192):
-        layout = BlockedLayout(bn=32, bc=32, bk=32)
-        x = rng.standard_normal((n, c)).astype(np.float32)
-        w = rng.standard_normal((k, c)).astype(np.float32)
-        x4 = block_activation(x, layout.bn, layout.bc)
-        w4 = block_weight(w, layout.bc, layout.bk)
-        return x4, w4, layout
-
-    def test_fast_path_row_sharding(self, rng, pools):
-        x4, w4, layout = self.problem(rng)
-        want = blocked_matmul(x4, w4, layout, pool=WorkerPool(1))
-        for w, pool in pools.items():
-            got = blocked_matmul(x4, w4, layout, pool=pool)
-            assert np.array_equal(got, want), f"workers={w}"
-            assert got.flags["C_CONTIGUOUS"]
-
-    def test_observable_path_blocks_and_counter(self, rng, pools):
-        x4, w4, layout = self.problem(rng)
-        counter = FlopCounter()
-        want = blocked_matmul(
-            x4, w4, layout, threads=4, counter=counter, pool=WorkerPool(1)
-        )
-        for w, pool in pools.items():
-            sub = FlopCounter()
-            got = blocked_matmul(x4, w4, layout, threads=4, counter=sub, pool=pool)
-            assert np.array_equal(got, want), f"workers={w}"
-            assert sub.flops == counter.flops
-            assert sub.bytes_moved == counter.bytes_moved
-            assert sub.calls == counter.calls
-
-    def test_mlp_through_global_pool(self, rng):
-        """A blocked-engine MLP forward/backward under a wide global pool
-        stays bitwise the sequential run (weights, grads, outputs)."""
+class TestMLPUnderPool:
+    @pytest.mark.parametrize("engine", ["reference", "bf16"])
+    def test_mlp_under_a_wide_pool_is_bitwise_its_1_wide_run(self, engine):
+        """An MLP forward/backward under ``pooled(4)`` is bitwise its
+        1-wide run (outputs, input gradient, weight gradients)."""
         from repro.core.mlp import MLP
         from repro.exec.pool import pooled
 
         def run():
             g = np.random.default_rng(11)
-            mlp = MLP(64, (128, 32), rng=g, engine="blocked")
+            mlp = MLP(64, (128, 32), rng=g, engine=engine)
             x = np.random.default_rng(5).standard_normal((128, 64)).astype(np.float32)
             y = mlp.forward(x)
             dx = mlp.backward(np.ones_like(y))

@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="model.config"):
             RunSpec.from_dict({"model": {"config": "resnet"}})
 
+    @pytest.mark.parametrize("engine", ["cuda", "blocked"])
+    def test_unknown_engine_named_at_load(self, engine):
+        """Caught when the spec loads, not when the first layer is built."""
+        with pytest.raises(ValueError, match=r"model\.engine.*'reference', 'bf16'"):
+            RunSpec.from_dict({"model": {"engine": engine}})
+
     @pytest.mark.parametrize(
         "section,payload,match",
         [
