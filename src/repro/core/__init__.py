@@ -27,7 +27,7 @@ from repro.core.config import (
     table_one,
     table_two,
 )
-from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, segment_sum
+from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.core.interaction import CatInteraction, DotInteraction, make_interaction
 from repro.core.loss import BCEWithLogitsLoss
 from repro.core.metrics import accuracy, log_loss, roc_auc
@@ -67,7 +67,6 @@ __all__ = [
     "EmbeddingBag",
     "SparseGrad",
     "SplitEmbeddingBag",
-    "segment_sum",
     "CatInteraction",
     "DotInteraction",
     "make_interaction",

@@ -27,8 +27,8 @@ import numpy as np
 from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.param import checked_entry
 from repro.obs.tracer import trace
-from repro.kernels import reference
 from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add
+from repro.kernels.lookup import Lookup, check_ids, check_lookup
 from repro.kernels.rows import gather_rows
 from repro.kernels.workspace import Workspace, aligned_empty
 
@@ -71,33 +71,6 @@ class SparseGrad:
         sums = np.zeros((uniq.shape[0], self.values.shape[1]), dtype=np.float32)
         scatter_add_exact(sums, inverse, self.values)
         return uniq, sums
-
-
-def check_offsets(offsets: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, bag lengths)`` of N+1 bag offsets over ``nnz`` look-ups,
-    as ``int64``; raises unless they are non-decreasing and span exactly
-    ``[0, nnz]``."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size < 1:
-        raise ValueError("offsets must be a 1-D array of N+1 entries")
-    lengths = np.diff(offsets)
-    if (lengths < 0).any():
-        raise ValueError("offsets must be non-decreasing")
-    if offsets[0] != 0 or offsets[-1] != nnz:
-        raise ValueError("offsets must span exactly the rows array")
-    return offsets, lengths
-
-
-def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum ``rows`` into segments delimited by ``offsets`` (N+1 entries).
-
-    Validates the segment structure, then runs
-    :func:`repro.kernels.reference.segment_sum`, the unbuffered
-    scatter-add (the NumPy analogue of Alg. 1's inner loop).  Empty
-    bags yield zero rows.
-    """
-    offsets, _ = check_offsets(offsets, rows.shape[0])
-    return reference.segment_sum(rows, offsets)
 
 
 #: Float32 elements the initialiser draws at a time (512 KiB), so no
@@ -192,25 +165,18 @@ class EmbeddingBag:
         """The full table as the compute pass sees it (tests/inspection)."""
         return self.weight
 
-    def scatter_add_rows(
-        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
-    ) -> None:
-        """``W[indices] += deltas`` with duplicate indices accumulating.
-
-        This is the numerically-exact effect every update strategy of
-        Sect. III-A must produce (atomics, RTM and the race-free
-        partitioning only change *how* concurrently it happens).  With
-        ``delta_rows``, look-up ``i`` adds ``deltas[delta_rows[i]]``: the
-        fused backward+update entry, which reads per-lookup deltas from
-        the small per-bag gradient array instead of a
-        ``np.repeat``-materialised ``dW`` (bit-identical to
-        ``backward()`` followed by this method on the pre-scaled
-        gradient).  Bit-identical to
+    def scatter_add_rows(self, indices, deltas: np.ndarray, offsets=None, scale: float = 1.0) -> None:
+        """``W[indices] += fl32(scale * deltas)`` with duplicate indices
+        accumulating: the numerically-exact effect every update strategy
+        of Sect. III-A must produce (they only change *how* concurrently
+        it happens), bit-identical to
         :func:`repro.kernels.reference.scatter_add` on :attr:`weight`.
-        """
-        scatter_add_exact(
-            self.weight, np.asarray(indices, dtype=np.int64), deltas, value_rows=delta_rows
-        )
+        With bags (``offsets``, or a :class:`~repro.kernels.lookup.Lookup`
+        for ``indices``) every look-up of bag ``b`` adds ``fl32(scale *
+        deltas[b])``: the fused backward+update reads the small per-bag
+        gradient, bitwise ``backward()`` and this method on the scaled
+        gradient."""
+        scatter_add_exact(self.weight, self._look_ups(indices, offsets), deltas, None, scale)
 
     def capacity_bytes(self) -> int:
         """Model + optimizer-state bytes held for this table."""
@@ -232,57 +198,48 @@ class EmbeddingBag:
 
     # -- compute layer -----------------------------------------------------------
 
-    def _check_indices(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise ValueError("embedding indices must be a flat 1-D vector")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.rows):
-            raise IndexError("embedding indices out of range")
-        return indices
+    @property
+    def _label(self) -> str:  # how a BadLookup names this bag
+        return f"{type(self).__name__} of {self.rows} rows"
 
-    def _check_lookup(
-        self, indices: np.ndarray, offsets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated ``(indices, offsets, bag lengths)`` of one look-up."""
-        indices = self._check_indices(indices)
-        return (indices, *check_offsets(offsets, indices.shape[0]))
+    def _check_indices(self, indices) -> np.ndarray:
+        return check_ids(indices, self.rows, self._label)
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Alg. 1: ``Y[N, E]`` with ``Y[n] = sum over bag n of W[I[s]]``."""
-        indices, offsets, lengths = self._check_lookup(indices, offsets)
-        with trace("embedding.gather", rows=indices.shape[0]):
-            return self._pool(indices, offsets, lengths)
+    def _check_lookup(self, indices, offsets=None) -> Lookup:
+        """Raw look-ups checked; a Lookup under this bag's rows as it is."""
+        return check_lookup(indices, offsets, self.rows, self._label)
 
-    def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Alg. 1 on checked inputs.  The ``(NS, E)`` gather never
-        exists; what scratch the kernel needs belongs to this instance
-        (ranks pool concurrently on the thread pool, each through its
-        own bags)."""
-        return pool_rows(self._read_rows(), indices, offsets, lengths, self._scratch)
+    def _look_ups(self, indices, offsets=None):
+        """A scatter's: checked ids (one delta each) or a Lookup (one a bag)."""
+        if offsets is None and not isinstance(indices, Lookup):
+            return self._check_indices(indices)
+        return self._check_lookup(indices, offsets)
 
-    def backward(
-        self, grad_out: np.ndarray, indices: np.ndarray, offsets: np.ndarray
-    ) -> SparseGrad:
-        """Alg. 2: each looked-up row receives its bag's output gradient.
+    def forward(self, indices, offsets=None) -> np.ndarray:
+        """Alg. 1: ``Y[N, E]`` with ``Y[n] = sum over bag n of W[I[s]]``;
+        ``indices`` may be a Lookup, which brings its offsets."""
+        look = self._check_lookup(indices, offsets)
+        with trace("embedding.gather", rows=len(look)):
+            return self._pool(look)
 
-        The row-per-lookup expansion gathers through ``np.take(out=)``
-        instead of ``np.repeat``: only the small ``(NS,)`` bag-id vector
-        is repeated, the ``(NS, E)`` payload is one GIL-releasing gather
-        of the same rows -- bitwise the repeated array.
-        """
-        indices, offsets, lengths = self._check_lookup(indices, offsets)
+    def _pool(self, look: Lookup) -> np.ndarray:
+        """Alg. 1 on checked look-ups, no ``(NS, E)`` gather; the scratch
+        is this instance's (ranks pool concurrently, each its own bags)."""
+        return pool_rows(self._read_rows(), look, None, self._scratch)
+
+    def backward(self, grad_out: np.ndarray, indices, offsets=None) -> SparseGrad:
+        """Alg. 2: each looked-up row receives its bag's output gradient,
+        expanded by one GIL-releasing ``np.take(out=)`` of the bag ids --
+        bitwise the ``np.repeat``-ed array."""
+        look = self._check_lookup(indices, offsets)
         grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
-        # Keep the loud failure the np.repeat spelling had: a clip-mode
-        # gather would silently reuse grad_out's last row instead.
-        if grad_out.shape[0] != lengths.shape[0]:
-            raise ValueError(
-                f"grad_out has {grad_out.shape[0]} rows for "
-                f"{lengths.shape[0]} bags"
-            )
-        bag_ids = np.repeat(np.arange(lengths.shape[0]), lengths)
-        values = np.empty((indices.shape[0], self.dim), dtype=np.float32)
+        # Loudly, as np.repeat did: a clip-mode gather would reuse the last row.
+        if grad_out.shape[0] != look.bags:
+            raise ValueError(f"grad_out has {grad_out.shape[0]} rows for {look.bags} bags")
+        bag_ids = np.repeat(np.arange(look.bags), look.lengths)
+        values = np.empty((len(look), self.dim), dtype=np.float32)
         np.take(grad_out, bag_ids, axis=0, out=values, mode="clip")
-        return SparseGrad(indices, values)
+        return SparseGrad(look.ids, values)
 
 
 def stack_tables(
@@ -360,19 +317,11 @@ class SplitEmbeddingBag(EmbeddingBag):
         """The implicit FP32 master: hi||lo, reconstructed exactly."""
         return combine_fp32(self.hi, self.lo)
 
-    def scatter_add_rows(
-        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
-    ) -> None:
+    def scatter_add_rows(self, indices, deltas: np.ndarray, offsets=None, scale: float = 1.0) -> None:
         # Aggregate duplicates first, then run the update at full FP32
         # accuracy on the reconstructed rows (the Split-SGD trick).
-        split_scatter_add(
-            self.hi,
-            self.lo,
-            self.lo_bits,
-            np.asarray(indices, dtype=np.int64),
-            deltas,
-            value_rows=delta_rows,
-        )
+        look = self._look_ups(indices, offsets)
+        split_scatter_add(self.hi, self.lo, self.lo_bits, look, deltas, None, scale)
 
     def capacity_bytes(self) -> int:
         # 2 bytes model (hi) + 2 bytes optimizer state (lo): same total as

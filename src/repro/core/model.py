@@ -15,7 +15,6 @@ gradients exactly -- the invariant the distributed tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -30,23 +29,9 @@ from repro.core.mlp import MLP, sigmoid
 from repro.core.optim import SGD
 from repro.core.param import DenseSlab, Parameter
 from repro.core.update import steps_rows_statelessly, uses_fused_dispatch
+from repro.kernels.lookup import BadLookup, Lookup, fuse
 from repro.obs.tracer import trace
 from repro.util import rng_from
-
-
-@dataclass(frozen=True)
-class _SlabLookup:
-    """One batch's look-ups into the owned tables as a single look-up
-    in the slab's id space: the ``j``-th owned table has bags
-    ``[j * n, (j + 1) * n)`` of ``offsets``, ``n`` the batch size."""
-
-    batch: Batch
-    indices: np.ndarray
-    offsets: np.ndarray
-
-    def bags(self, j: int) -> slice:
-        n = self.batch.size
-        return slice(j * n, (j + 1) * n)
 
 
 class DLRM:
@@ -126,9 +111,7 @@ class DLRM:
         #: keeps its rows in another order comes in through
         #: :meth:`rebind_table`.
         self.tables: Mapping[int, EmbeddingBag] = MappingProxyType(self._tables)
-        #: First slab row of each table.
-        self._slab_start = dict(zip(self.table_ids, np.cumsum([0] + rows[:-1]).tolist()))
-        self._lookup: _SlabLookup | None = None
+        self._lookup: tuple[Batch, Lookup] | None = None  # see _slab_lookup
         self.interaction = make_interaction(
             cfg.interaction, cfg.num_tables, cfg.embedding_dim
         )
@@ -209,40 +192,31 @@ class DLRM:
         self._tables[table_id] = view
         self._lookup = None
 
-    def _fuse(self, batch: Batch) -> _SlabLookup:
-        """``batch``'s look-ups into the owned tables, range- and
-        bag-checked per table (an id past its own table must raise, not
-        read the next one), then moved into the slab's id space: each
-        table's storage rows, shifted by its first slab row."""
-        checked = [
-            self.tables[t]._check_lookup(batch.indices[t], batch.offsets[t])
-            for t in self.table_ids
-        ]
-        n = batch.size
-        indices = np.empty(sum(idx.shape[0] for idx, _, _ in checked), dtype=np.int64)
-        offsets = np.empty(n * len(checked) + 1, dtype=np.int64)
-        at = 0
-        for j, (t, (idx, off, _)) in enumerate(zip(self.table_ids, checked)):
-            rows = self.tables[t].storage_rows(idx)
-            np.add(rows, self._slab_start[t], out=indices[at : at + idx.shape[0]])
-            np.add(off[:-1], at, out=offsets[j * n : (j + 1) * n])
-            at += idx.shape[0]
-        offsets[-1] = at
-        return _SlabLookup(batch, indices, offsets)
+    def _fuse(self, batch: Batch) -> Lookup:
+        """``batch``'s look-ups as one look-up in the slab's id space (table
+        ``j``'s bags ``[j * N, (j + 1) * N)``), checked per table: the only
+        check they get.  Each table's storage rows, shifted by its first."""
+        parts = []
+        for t in self.table_ids:
+            if np.shape(batch.offsets[t]) != (batch.size + 1,):
+                raise BadLookup(f"table {t}", "offsets", None, f"must hold {batch.size + 1} entries")
+            bag = self.tables[t]
+            parts.append((f"table {t}", batch.indices[t], batch.offsets[t], bag.rows, bag.storage_rows))
+        return fuse(parts)
 
-    def _slab_lookup(self, batch: Batch) -> _SlabLookup:
-        """:meth:`_fuse`, once per batch: the forward fuses, the update
-        of the same batch reuses."""
-        if self._lookup is None or self._lookup.batch is not batch:
-            self._lookup = self._fuse(batch)
-        return self._lookup
+    def _slab_lookup(self, batch: Batch) -> Lookup:
+        """:meth:`_fuse`, once per batch: the forward fuses, the update reuses."""
+        if self._lookup is None or self._lookup[0] is not batch:
+            self._lookup = (batch, self._fuse(batch))
+        return self._lookup[1]
 
-    def _embedding_lookup(self, lookup: _SlabLookup) -> dict[int, np.ndarray]:
+    def _embedding_lookup(self, lookup: Lookup) -> dict[int, np.ndarray]:
         """One ``slab.forward`` for every owned table."""
         if not self.table_ids:
             return {}
-        pooled = self.slab.forward(lookup.indices, lookup.offsets)
-        return {t: pooled[lookup.bags(j)] for j, t in enumerate(self.table_ids)}
+        pooled = self.slab.forward(lookup)
+        n = lookup.bags // len(self.table_ids)
+        return {t: pooled[j * n : (j + 1) * n] for j, t in enumerate(self.table_ids)}
 
     def embedding_forward(self, batch: Batch) -> dict[int, np.ndarray]:
         """Look up only this process's tables (model-parallel half)."""
@@ -350,26 +324,22 @@ class DLRM:
         gradients ``dembs[t]`` of the embedding outputs (a mapping, a
         list, or the dot interaction's ``(S, N, E)`` block).
 
-        The tables update as **one** look-up in the slab's id space --
-        one sort, one plan, one fold -- whenever the optimizer steps
-        sparse gradients the plain-SGD way; an optimizer that overrides
+        The tables update as **one** look-up in the slab's id space, the
+        forward's checked one, whenever the optimizer steps sparse
+        gradients the plain-SGD way; an optimizer that overrides
         ``step_sparse`` (per-table state, e.g.
         :class:`~repro.core.optim.SparseAdagrad`) gets each table view
-        with its own gradient in the table's own ids, and a view that
-        keeps its rows in another order translates inside its own
-        scatter.  With the ``fused`` and ``racefree`` strategies (gate:
+        with its own gradient and ids.  With the ``fused`` and
+        ``racefree`` strategies (gate:
         :func:`~repro.core.update.uses_fused_dispatch`) Alg. 2's
         row-per-lookup gradient is never materialised.  Bitwise the
         per-table updates in every case: fused ids of different tables
-        never collide and the stable sort keeps each row's
-        contributions in batch order.  ``span`` labels the trace spans
-        (the rank, under the hybrid-parallel runtime).
-        """
+        never collide.  ``span`` labels the trace spans (the rank, under
+        the hybrid-parallel runtime)."""
         if not self.table_ids:
             return
         if steps_rows_statelessly(opt):
-            lookup = self._slab_lookup(batch)
-            units = [(self.slab, self._slab_grads(dembs), lookup.indices, lookup.offsets)]
+            units = [(self.slab, self._slab_grads(dembs), self._slab_lookup(batch), None)]
         else:
             units = [
                 (self.tables[t], dembs[t], batch.indices[t], batch.offsets[t])

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.kernels.threads import bucket_by_row_ranges
-from repro.kernels.workspace import aligned_empty
 
 
 class UpdateStrategy(ABC):
@@ -53,10 +52,8 @@ class ReferenceUpdate(UpdateStrategy):
     cost_key = "reference"
 
     def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        # A negative id would wrap silently through ``np.add.at``.
-        table.scatter_add_rows(
-            table._check_indices(grad.indices), -np.float32(lr) * grad.values
-        )
+        # The table checks the ids: a negative one would wrap in np.add.at.
+        table.scatter_add_rows(grad.indices, grad.values, scale=-np.float32(lr))
 
 
 class AtomicXchgUpdate(ReferenceUpdate):
@@ -77,9 +74,10 @@ class FusedBackwardUpdate(UpdateStrategy):
 
     :meth:`apply_fused` is the entry every training loop uses: given the
     *bag-level* output gradient it applies every per-lookup delta by
-    reading straight from the small ``(N, E)`` gradient array -- Alg. 2's
-    ``np.repeat`` materialisation of ``dW`` never happens, and neither
-    does the separate update pass over it.  Bit-identical to
+    reading straight from the small ``(N, E)`` gradient array -- no
+    ``np.repeat``-materialised ``dW``, no bag id per look-up, no scaled
+    copy: the scatter walks the bags and rounds ``-lr * dY[b]`` itself,
+    as ``np.multiply`` would.  Bit-identical to
     ``EmbeddingBag.backward`` followed by :meth:`apply`, the
     :class:`SparseGrad` entry ``SGD.step_sparse`` takes when an optimizer
     or strategy needs the gradient materialised.
@@ -114,47 +112,29 @@ class FusedBackwardUpdate(UpdateStrategy):
         self._last, self._counts = (indices, rows), None
 
     def apply(self, table: EmbeddingBag, grad: SparseGrad, lr: float) -> None:
-        # A hand-built gradient has seen no range check yet, and a
-        # negative id would wrap silently through fancy indexing.
-        self._observe(table._check_indices(grad.indices), table.rows)
-        if grad.nnz:
-            table.scatter_add_rows(grad.indices, -np.float32(lr) * grad.values)
+        table.scatter_add_rows(grad.indices, grad.values, scale=-np.float32(lr))  # checks the ids
+        self._observe(grad.indices, table.rows)
 
-    def apply_fused(
-        self,
-        table: EmbeddingBag,
-        grad_out: np.ndarray,
-        indices: np.ndarray,
-        offsets: np.ndarray,
-        lr: float,
-    ) -> None:
-        """Alg. 2 + Alg. 3/4 in one pass over the lookups of one table."""
-        indices, offsets, lengths = table._check_lookup(indices, offsets)
-        # Reject a bag count mismatch loudly: gradient rows past the
-        # last bag would otherwise be silently ignored.
-        if grad_out.shape[0] != lengths.shape[0]:
-            raise ValueError(
-                f"grad_out has {grad_out.shape[0]} rows for "
-                f"{lengths.shape[0]} bags"
-            )
-        bag_ids = np.repeat(np.arange(offsets.shape[0] - 1), lengths)
-        grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
-        # Line-aligned like the slab rows they meet; the same product.
-        scaled = aligned_empty(grad_out.shape, np.float32)
-        np.multiply(-np.float32(lr), grad_out, out=scaled)
-        self._observe(indices, table.rows)
-        if indices.size:
-            table.scatter_add_rows(indices, scaled, delta_rows=bag_ids)
+    def apply_fused(self, table: EmbeddingBag, grad_out: np.ndarray, indices, offsets, lr: float) -> None:
+        """Alg. 2 + Alg. 3/4 in one pass over the lookups of one table:
+        look-up ``s`` of bag ``b`` adds ``fl32(-lr * grad_out[b])``.  A
+        :class:`~repro.kernels.lookup.Lookup` for ``indices`` is not rescanned."""
+        look = table._check_lookup(indices, offsets)
+        # Loudly: gradient rows past the last bag would be ignored silently.
+        if grad_out.shape[0] != look.bags:
+            raise ValueError(f"grad_out has {grad_out.shape[0]} rows for {look.bags} bags")
+        self._observe(look.ids, table.rows)
+        if len(look):
+            grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
+            table.scatter_add_rows(look, grad_out, scale=-np.float32(lr))
 
 
 class RaceFreeUpdate(FusedBackwardUpdate):
     """Alg. 4: row-range partitioning over ``threads`` workers -- the
     kernel it inherits, priced as the stand-alone update pass the paper
-    ships (``fused`` is the same arithmetic under the 1.6x experiment's
-    cost key).  The ``threads`` full-array mask scans of Alg. 4 as
-    written are
-    :func:`repro.kernels.reference.partitioned_scatter_add`.
-    """
+    ships (``fused``: the same arithmetic, the 1.6x experiment's cost
+    key).  Alg. 4 as written, ``threads`` full-array mask scans, is
+    :func:`repro.kernels.reference.partitioned_scatter_add`."""
 
     cost_key = "racefree"
 

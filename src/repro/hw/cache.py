@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.lookup import check_ids
+
 
 @dataclass(frozen=True)
 class IndexStats:
@@ -88,9 +90,7 @@ def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> Inde
     total = int(idx.size)
     if total == 0:
         return IndexStats(0, 0, 0, 0, int(table_rows), 0.0, 1.0)
-    uniq, counts = np.unique(idx, return_counts=True)
-    if uniq.min() < 0 or uniq.max() >= table_rows:
-        raise ValueError("indices out of range for table")
+    uniq, counts = np.unique(check_ids(idx, table_rows, "index_stats"), return_counts=True)
     # Concurrency-weighted conflicts: a row with count c keeps a line hot
     # across cores when c is comparable to a thread's share NS/T of the
     # index stream.

@@ -21,7 +21,6 @@ from repro.kernels.threads import (
     bucket_by_row_ranges,
     static_partition,
     row_range_for_thread,
-    partition_balance,
 )
 from repro.kernels.workspace import Workspace
 
@@ -30,5 +29,4 @@ __all__ = [
     "Workspace",
     "static_partition",
     "row_range_for_thread",
-    "partition_balance",
 ]

@@ -21,28 +21,28 @@ from __future__ import annotations
 from repro.kernels import interaction, native, rows, synth
 
 
-def scatter_add_exact(weight, indices, deltas, value_rows=None) -> None:
-    """``weight[indices] += deltas`` (look-up ``i`` adds
-    ``deltas[value_rows[i]]`` when given), duplicates folding in input
+def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0) -> None:
+    """``weight[indices] += fl32(scale * deltas)``, look-up ``s`` of bag
+    ``b`` taking ``deltas[b]`` (no offsets: a bag a look-up), in input
     order: the bits of :func:`repro.kernels.reference.scatter_add`."""
-    if not native.scatter_add_exact(weight, indices, deltas, value_rows):
-        rows.scatter_add(weight, indices, deltas, value_rows)
+    if not native.scatter_add_exact(weight, indices, deltas, offsets, scale):
+        rows.scatter_add(weight, indices, deltas, offsets, scale)
 
 
-def pool_rows(source, indices, offsets, lengths, scratch):
+def pool_rows(source, indices, offsets, scratch):
     """Alg. 1 on checked look-ups: ``Y[b]`` sums bag ``b``'s rows of
     ``source`` (FP32 rows, or Split-BF16 hi halves widened) from +0.0;
-    ``lengths`` and ``scratch`` serve the NumPy tier's blocked gather."""
+    ``scratch`` serves the NumPy tier's blocked gather."""
     out = native.pool_rows(source, indices, offsets)
-    return rows.pool_rows(source, indices, offsets, lengths, scratch) if out is None else out
+    return rows.pool_rows(source, indices, offsets, scratch) if out is None else out
 
 
-def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None) -> None:
-    """The scatter-add on a Split-BF16 table: each touched row's deltas
-    aggregate from +0.0 in input order and meet ``hi || lo`` in one FP32
-    add."""
-    if not native.split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows):
-        rows.split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows)
+def split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets=None, scale=1.0) -> None:
+    """The scatter-add on a Split-BF16 table: each touched row's scaled
+    deltas aggregate from +0.0 in input order and meet ``hi || lo`` in
+    one FP32 add."""
+    if not native.split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets, scale):
+        rows.split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets, scale)
 
 
 def sgd_step(values, grads, lr, scratch) -> None:

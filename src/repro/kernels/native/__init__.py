@@ -5,11 +5,12 @@ the first write.  Each entry's array arguments are declared once, in
 :data:`CONTRACTS` -- dtype, rank and agreeing shapes, C-contiguity,
 writeability, ids under their bound, offsets rising from 0, and the one
 rule for ``restrict`` pointers: no written array overlaps any other
-argument -- and :func:`bind` applies every clause.  What no array clause
-can say stays in the entry: a Zipf table no larger than the scramble's
-``int64`` bound, the teacher's ``uint64`` keys, interaction vectors no
-wider than :data:`MAX_DOT_DIM` on a host whose BLAS agrees with the C
-loops (:func:`blas_agrees`).  An entry that cannot *represent* its
+argument -- and :func:`bind` applies every clause (a
+:class:`~repro.kernels.lookup.Lookup` is not rescanned).  What no array
+clause can say stays in the entry: a Zipf table no larger than the
+scramble's ``int64`` bound, the teacher's ``uint64`` keys, interaction
+vectors no wider than :data:`MAX_DOT_DIM` on a host whose BLAS agrees
+with the C loops (:func:`blas_agrees`).  An entry that cannot *represent* its
 inputs (another dtype, a strided view, an id out of range, no library
 in this process) touches nothing and says so -- ``False``, or ``None``
 for those that return arrays -- and :mod:`repro.kernels.dispatch` hands
@@ -40,8 +41,9 @@ from typing import Callable
 import numpy as np
 
 from repro.kernels import interaction
+from repro.kernels.lookup import Lookup, arrays
 from repro.kernels.native.build import library
-from repro.kernels.rows import lo_mask
+from repro.kernels.rows import lo_mask, per_bag
 from repro.kernels.synth import MAX_SCRAMBLE_ITEMS
 from repro.kernels.threads import resolve_pool, shardable
 from repro.kernels.workspace import aligned_empty
@@ -79,20 +81,20 @@ def _clause(spec: str) -> Clause:
 #: ``name:dtype[sizes]`` is a C-contiguous array of that dtype (``f32|u16``:
 #: either) with one size per axis.  A size binds where it first appears
 #: and must agree after that; ``d>0`` is at least 1 and ``b+1`` one more
-#: than ``b``; an id bound, an offsets end and an absent array's first
-#: size are bound earlier.  ``[s]`` before the dtype: ``s`` such arrays.
+#: than ``b``; an id bound and an offsets end are bound earlier.  ``[s]``
+#: before the dtype: ``s`` such arrays.
 #: ``!``: written -- writeable, and apart from every other argument (the
 #: C loops declare their pointers ``restrict``).  ``<rows``: every entry
 #: in ``[0, rows)``.  ``~n``: rising from 0 to ``n``.  ``?``: may be
-#: None; an absent id map is the identity, so its length is its bound.
+#: None; absent offsets make each look-up a bag of its own.
 CONTRACTS = {
     entry: tuple(map(_clause, specs))
     for entry, *specs in (
         ("scatter_add_exact", "weight:f32[rows,dim>0]!", "indices:i64[n]<rows",
-         "deltas:f32[k,dim]", "value_rows:i64[n]<k?"),
+         "offsets:i64[bags+1]~n?", "deltas:f32[bags,dim]"),
         ("pool_rows", "source:f32|u16[rows,dim>0]", "indices:i64[n]<rows", "offsets:i64[bags+1]~n"),
         ("split_scatter_add", "hi:u16[rows,dim>0]!", "lo:u16[rows,dim]!", "indices:i64[n]<rows",
-         "deltas:f32[k,dim]", "value_rows:i64[n]<k?"),
+         "offsets:i64[bags+1]~n?", "deltas:f32[bags,dim]"),
         ("sgd_step", "values:f32[n]!", "grads:f32[n]"),
         ("split_sgd_step", "values:f32[n]!", "lo:u16[n]!", "grads:f32[n]"),
         ("zipf_ids", "x:f64[n]"),
@@ -108,26 +110,34 @@ def bind(entry: str, *args) -> tuple:
     order: ``at`` holds every size the contract names and, under each
     argument's name, its address (a list of them for a list; None when
     absent).  ``(None, None)`` when the library is missing or any clause
-    fails.  Every clause is applied before the entry writes anything."""
+    fails.  Every clause is applied before the entry writes anything.  A
+    Lookup in an id clause brings its ids and offsets, scanned only if
+    its bound is past the ids' own."""
     lib = library()
     if lib is None:
         return None, None
     at = {}
     spans = []  # (first byte, end, written) of every array
+    look = None
     for clause, value in zip(CONTRACTS[entry], args):
+        trusted = False  # checked once already: a Lookup's ids under this bound, its offsets
+        if isinstance(value, Lookup) and clause.below:
+            look, value = value, value.ids
+            trusted = look.bound <= at[clause.below]
+        elif look is not None and clause.rises_to:
+            value, trusted = look.offsets, True
         if value is None and clause.optional:
             at[clause.name] = None
-            n = at[clause.shape[0][0]]
-            if clause.below and at.setdefault(clause.below, n) != n:  # the identity map
-                return None, None
+            if clause.rises_to:  # each look-up a bag of its own
+                at.setdefault(clause.shape[0][0], at[clause.rises_to])
             continue
-        arrays = value if clause.each else (value,)
+        items = value if clause.each else (value,)
         if clause.each and not isinstance(value, (list, tuple)):
             return None, None
         if clause.each and at.setdefault(clause.each, len(value)) != len(value):
             return None, None
         addresses = []
-        for a in arrays:
+        for a in items:
             if not (isinstance(a, np.ndarray) and a.dtype in clause.dtypes):
                 return None, None
             if a.ndim != len(clause.shape) or not a.flags.c_contiguous:
@@ -139,10 +149,11 @@ def bind(entry: str, *args) -> tuple:
                 if extent < least or at.setdefault(name, extent) != extent:
                     return None, None
             address = a.ctypes.data
-            if clause.below and not lib.repro_ids_in_range(address, a.shape[0], at[clause.below]):
+            scan = clause.below and not trusted
+            if scan and not lib.repro_ids_in_range(address, a.shape[0], at[clause.below]):
                 return None, None
             if clause.rises_to and not (
-                a[0] == 0 and a[-1] == at[clause.rises_to] and (a[1:] >= a[:-1]).all()
+                a[0] == 0 and a[-1] == at[clause.rises_to] and (trusted or (a[1:] >= a[:-1]).all())
             ):
                 return None, None
             addresses.append(address)
@@ -168,13 +179,13 @@ def _ptr(a: np.ndarray | None) -> int | None:
     return None if a is None else a.ctypes.data
 
 
-def scatter_add_exact(weight, indices, deltas, value_rows=None, pool=None) -> bool:
-    """``weight[indices] += deltas`` (``deltas[value_rows]`` when given)
-    in ``np.add.at``'s order; False when not representable."""
-    lib, at = bind("scatter_add_exact", weight, indices, deltas, value_rows)
+def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0, pool=None) -> bool:
+    """Alg. 2-4: look-up ``s`` of bag ``b`` adds ``fl32(scale * deltas[b])``
+    to its row in ``np.add.at``'s order; False when not representable."""
+    lib, at = bind("scatter_add_exact", weight, indices, offsets, deltas)
     if lib is None:
         return False
-    args = (at["weight"], at["dim"], at["indices"], at["n"], at["deltas"], at["value_rows"])
+    args = (at["weight"], at["dim"], at["indices"], at["offsets"], at["bags"], at["deltas"], scale)
     kernel = lib.repro_scatter_add_f32
     _run(lambda lo, hi, tid: kernel(*args, lo, hi), at["rows"], at["n"], at["n"] * at["dim"], pool)
     return True
@@ -196,19 +207,21 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     return out
 
 
-def split_scatter_add(hi, lo, keep_bits, indices, deltas, value_rows=None, pool=None) -> bool:
-    """``W[indices] += deltas`` on the FP32 master ``hi || lo``: per
+def split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets=None, scale=1.0, pool=None) -> bool:
+    """:func:`scatter_add_exact` on the FP32 master ``hi || lo``: per
     touched row, aggregate its deltas from +0.0 in input order, rejoin,
     add once, split -- one pass, no materialised aggregate.  False when
     not representable."""
-    lib, at = bind("split_scatter_add", hi, lo, indices, deltas, value_rows)
+    lib, at = bind("split_scatter_add", hi, lo, indices, offsets, deltas)
     if lib is None:
         return False
     dim = at["dim"]
-    order, uniq, starts, lengths = _plan_segments(indices)
+    ids, offsets = arrays(indices, offsets)
+    deltas, bag_ids = per_bag(deltas, offsets, scale)  # it sorts anyway: no bag walk
+    order, uniq, starts, lengths = _plan_segments(ids)
     args = (at["hi"], at["lo"], dim, int(lo_mask(keep_bits)))
     segs = (_ptr(uniq), _ptr(starts), _ptr(lengths))
-    tail = (_ptr(order), at["value_rows"], at["deltas"])
+    tail = (_ptr(order), _ptr(bag_ids), _ptr(deltas))
 
     def update(seg_lo: int, seg_hi: int, tid: int) -> None:
         acc = np.empty(dim, dtype=np.float32)

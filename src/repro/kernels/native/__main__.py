@@ -48,19 +48,13 @@ def _tuning_line() -> str:
     return " ".join(m[1] + m[2] for m in found) if all(found) else "unknown"
 
 
-def _pooled(fn, source, indices, offsets):
-    """``fn``, a ``pool_rows`` that also takes the bag lengths and a
-    workspace, on the native entry's arguments."""
-    return fn(source, indices, offsets, np.diff(offsets), Workspace())
-
-
 #: Every native entry's NumPy twin, called with the entry's arguments: the
 #: function :mod:`repro.kernels.dispatch` hands them to when the entry
-#: declines, given what else it (and so the dispatch) takes -- a scratch
-#: block as a ``partial``'s keyword, the bag lengths through :func:`_pooled`.
+#: declines, given what else it (and so the dispatch) takes: a scratch
+#: block as a ``partial``'s keyword.
 NUMPY_TIER = {
     "scatter_add_exact": rows.scatter_add,
-    "pool_rows": partial(_pooled, rows.pool_rows),
+    "pool_rows": partial(rows.pool_rows, scratch=Workspace()),
     "split_scatter_add": rows.split_scatter_add,
     "sgd_step": partial(rows.descend, scratch=np.empty(64, np.float32)),
     "split_sgd_step": partial(rows.split_sgd_step, scratch=np.empty(64, np.float32)),
@@ -108,17 +102,17 @@ def _values(rng, clause, dtype: np.dtype, shape: tuple, sizes: dict[str, int]) -
 #: The sizes the self-check draws at: 65-float rows are a vector body
 #: and a tail and span 5 lines once 16 bytes past one, and 300 look-ups
 #: outrun the row prefetch.
-SIZES = {"rows": 50, "dim": 65, "n": 300, "k": 12, "bags": 12, "s": 3, "e": 20, "v": 4, "w": 26}
+SIZES = {"rows": 50, "dim": 65, "n": 300, "bags": 12, "s": 3, "e": 20, "v": 4, "w": 26}
 #: The self-check's lines: (name, entry, its other arguments, the dtype
 #: drawn where a clause allows two, whether it runs again on the same
 #: arrays 16 bytes past a line -- the row kernels, whose prefetch covers
 #: every line a row spans).
 LINES = (
-    ("scatter_add_exact", "scatter_add_exact", {}, 0, True),
+    ("scatter_add_exact", "scatter_add_exact", {"scale": -0.05}, 0, True),
     ("pool_rows[fp32]", "pool_rows", {}, 0, True),
     ("pool_rows[bf16]", "pool_rows", {}, 1, True),
-    ("split_scatter_add[16]", "split_scatter_add", {"keep_bits": 16}, 0, True),
-    ("split_scatter_add[8]", "split_scatter_add", {"keep_bits": 8}, 0, False),
+    ("split_scatter_add[16]", "split_scatter_add", {"keep_bits": 16, "scale": -0.05}, 0, True),
+    ("split_scatter_add[8]", "split_scatter_add", {"keep_bits": 8, "scale": -0.05}, 0, False),
     ("sgd_step", "sgd_step", {"lr": 0.05}, 0, False),
     ("split_sgd_step", "split_sgd_step", {"lr": 0.05, "keep_bits": 16}, 0, False),
     ("zipf_ids[ranks]", "zipf_ids", {"n_items": 50, "scramble": False}, 0, False),

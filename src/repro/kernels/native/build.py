@@ -37,7 +37,7 @@ from importlib import resources
 
 SOURCE = "kernels.c"
 #: What ``repro_abi()`` of a matching library answers.
-ABI = 4
+ABI = 5
 #: Exactly these: -ffast-math, -Ofast and -funsafe-math-optimizations
 #: reassociate, and linking them into a shared object flips FTZ/DAZ for
 #: the whole process, NumPy included.
@@ -48,7 +48,7 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 SIGNATURES = {
     "repro_abi": ((), _I),
     "repro_ids_in_range": ((_P, _I, _I), ctypes.c_int),
-    "repro_scatter_add_f32": ((_P, _I, _P, _I, _P, _P, _I, _I), None),
+    "repro_scatter_add_f32": ((_P, _I, _P, _P, _I, _P, ctypes.c_float, _I, _I), None),
     "repro_pool_f32": ((_P, _I, _P, _P, _I, _I, _P), None),
     "repro_pool_bf16": ((_P, _I, _P, _P, _I, _I, _P), None),
     "repro_split_scatter_add": (

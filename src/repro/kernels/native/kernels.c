@@ -11,8 +11,8 @@
  *     applies them: no reassociation, so never -ffast-math or -Ofast.
  *     Vector lanes run across a row's independent elements, never along
  *     a sum, so each element keeps its adds and their order;
- *   - no FMA contraction (-ffp-contract=off): lr*g is rounded to FP32
- *     before it is subtracted, exactly where np.multiply rounds it;
+ *   - no FMA contraction (-ffp-contract=off): lr*g, and the scatter's
+ *     scale*dY, round to FP32 before the add, where np.multiply rounds;
  *   - the FMAs are the dot interaction's, whose twin is a BLAS GEMM: its
  *     microkernel computes each output element as one FMA chain over K
  *     from +0.0, in K order, while K fits one of its K blocks (OpenBLAS
@@ -70,7 +70,7 @@ typedef float f32x8 __attribute__((vector_size(32), aligned(4)));
 
 /* Bumped whenever a signature below changes; the loader refuses a
  * library that answers anything else. */
-int64_t repro_abi(void) { return 4; }
+int64_t repro_abi(void) { return 5; }
 
 static inline float bits_to_f32(uint32_t bits) { float f; memcpy(&f, &bits, 4); return f; }
 static inline uint32_t f32_to_bits(float f) { uint32_t bits; memcpy(&bits, &f, 4); return bits; }
@@ -95,32 +95,35 @@ int repro_ids_in_range(const int64_t *ids, int64_t n, int64_t bound)
     return ok;
 }
 
-/* Alg. 3/4: w[ids[i]] += deltas[delta_rows ? delta_rows[i] : i] for the
- * look-ups whose row lies in [lo, hi), in input order -- np.add.at's
- * order, so duplicates fold as they do there.  Threads call it with
- * Alg. 4's disjoint row ranges over the same look-ups: each row has one
- * owner, who meets its contributions in the same order whatever the
- * number of threads. */
+/* Alg. 2-4 in one pass: look-up s of bag b (s in [offsets[b], offsets[b+1]),
+ * or look-up b alone when offsets is NULL) adds fl32(scale * deltas[b]) to
+ * w[ids[s]] if that row is in [lo, hi), in input order: np.add.at's order
+ * over the scaled, expanded deltas.  Threads take Alg. 4's disjoint row
+ * ranges over the same look-ups: each row has one owner, who meets its
+ * contributions in the same order whatever the number of threads. */
 void repro_scatter_add_f32(float *restrict w, int64_t dim, const int64_t *restrict ids,
-                           int64_t n, const float *restrict deltas,
-                           const int64_t *restrict delta_rows, int64_t lo, int64_t hi)
+                           const int64_t *restrict offsets, int64_t bags,
+                           const float *restrict deltas, float scale, int64_t lo, int64_t hi)
 {
-    for (int64_t i = 0; i < n; i++) {
-        if (i + AHEAD < n) {
-            int64_t ahead = ids[i + AHEAD];
-            if (ahead >= lo && ahead < hi)
-                prefetch_row((const char *)(w + ahead * dim), dim * 4, 1);
+    const int64_t n = offsets ? offsets[bags] : bags;
+    for (int64_t b = 0, s = 0; b < bags; b++) {
+        const float *restrict d = deltas + b * dim;
+        for (const int64_t end = offsets ? offsets[b + 1] : b + 1; s < end; s++) {
+            if (s + AHEAD < n) {
+                int64_t ahead = ids[s + AHEAD];
+                if (ahead >= lo && ahead < hi)
+                    prefetch_row((const char *)(w + ahead * dim), dim * 4, 1);
+            }
+            int64_t r = ids[s];
+            if (r < lo || r >= hi)
+                continue;
+            float *restrict row = w + r * dim;
+            int64_t e = 0;
+            for (; e + 16 <= dim; e += 16)
+                *(f32x16 *)(row + e) += scale * *(const f32x16 *)(d + e);
+            for (; e < dim; e++)
+                row[e] += scale * d[e];
         }
-        int64_t r = ids[i];
-        if (r < lo || r >= hi)
-            continue;
-        float *restrict row = w + r * dim;
-        const float *restrict d = deltas + (delta_rows ? delta_rows[i] : i) * dim;
-        int64_t e = 0;
-        for (; e + 16 <= dim; e += 16)
-            *(f32x16 *)(row + e) += *(const f32x16 *)(d + e);
-        for (; e < dim; e++)
-            row[e] += d[e];
     }
 }
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import reference
+from repro.kernels.lookup import arrays
 from repro.kernels.workspace import Workspace
 
 #: Float32 elements the pooled forward and the scatter handle at a time
@@ -69,26 +70,28 @@ def take_halves(
 # -- scatter-add (Alg. 3) -------------------------------------------------------
 
 
-def scatter_add(
-    weight: np.ndarray,
-    indices: np.ndarray,
-    deltas: np.ndarray,
-    value_rows: np.ndarray | None = None,
-) -> None:
-    """``weight[indices] += deltas``: :func:`repro.kernels.reference.scatter_add`
-    on the look-ups' deltas (``deltas[value_rows[i]]`` for look-up ``i``
-    when given), ``_BLOCK_ELEMS`` elements of them at a time.  ``np.add.at``
-    adds in array order, so consecutive blocks give the one-shot call's
-    bits, and shared bag-level deltas are never expanded to ``(NS, E)``."""
+def scatter_add(weight: np.ndarray, indices, deltas: np.ndarray, offsets=None, scale=1.0) -> None:
+    """``weight[indices] += fl32(scale * deltas)``, look-up ``s`` of bag
+    ``b`` taking ``deltas[b]`` (no offsets: each look-up a bag):
+    :func:`repro.kernels.reference.scatter_add` on the expanded deltas,
+    ``_BLOCK_ELEMS`` elements at a time.  ``np.add.at`` adds in array
+    order, so the blocks give the one-shot call's bits, and bag deltas
+    are never expanded to ``(NS, E)``."""
+    indices, offsets = arrays(indices, offsets)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1:
         raise ValueError("indices must be 1-D")
-    deltas = np.ascontiguousarray(deltas, dtype=weight.dtype)
+    deltas, bag = per_bag(np.ascontiguousarray(deltas, dtype=weight.dtype), offsets, scale)
     step = max(1, _BLOCK_ELEMS // max(1, weight.shape[1]))
     for lo in range(0, indices.shape[0], step):
         part = slice(lo, lo + step)
-        block = deltas[part] if value_rows is None else deltas[value_rows[part]]
-        reference.scatter_add(weight, indices[part], block)
+        reference.scatter_add(weight, indices[part], deltas[part if bag is None else bag[part]])
+
+
+def per_bag(deltas: np.ndarray, offsets, scale) -> tuple[np.ndarray, np.ndarray | None]:
+    """``fl32(scale * deltas)`` and each look-up's bag (None: its own)."""
+    scaled = deltas if scale == 1.0 else np.multiply(np.float32(scale), deltas)
+    return scaled, None if offsets is None else np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
 # -- gather and pooled forward (Alg. 1) ---------------------------------------
@@ -107,14 +110,9 @@ def gather_rows(source: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.
     return np.take(source, indices, axis=0, out=out, mode="clip")
 
 
-def pool_rows(
-    source: np.ndarray,
-    indices: np.ndarray,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    scratch: Workspace,
-) -> np.ndarray:
-    """``Y[n] = sum over bag n of source[indices[s]]`` on checked inputs.
+def pool_rows(source: np.ndarray, indices, offsets, scratch: Workspace) -> np.ndarray:
+    """``Y[n] = sum over bag n of source[indices[s]]`` on checked inputs
+    (a :class:`~repro.kernels.lookup.Lookup` brings its offsets).
 
     Equal-length bags -- every batch the datasets and the serving path
     build -- are pooled chunk by chunk: gather at most ``_BLOCK_ELEMS``
@@ -127,6 +125,8 @@ def pool_rows(
     gather whole and go through
     :func:`repro.kernels.reference.segment_sum`.
     """
+    indices, offsets = arrays(indices, offsets)
+    lengths = np.diff(offsets)
     n, dim = lengths.shape[0], source.shape[1]
     p = int(lengths[0]) if n else 0
     if p == 0 or dim == 1 or (lengths != p).any():
@@ -149,21 +149,14 @@ def pool_rows(
 # -- Split-BF16 row update ----------------------------------------------------
 
 
-def split_scatter_add(
-    hi: np.ndarray,
-    lo: np.ndarray,
-    keep_bits: int,
-    indices: np.ndarray,
-    deltas: np.ndarray,
-    value_rows: np.ndarray | None = None,
-) -> None:
-    """``W[indices] += deltas`` on the FP32 master ``hi || lo``:
-    aggregate the duplicates first
-    (:func:`repro.kernels.reference.aggregate_duplicates`), then run the
-    update at full FP32 accuracy on the reconstructed rows (the
-    Split-SGD trick)."""
-    if value_rows is not None:
-        deltas = np.asarray(deltas)[value_rows]
+def split_scatter_add(hi, lo, keep_bits: int, indices, deltas, offsets=None, scale=1.0) -> None:
+    """:func:`scatter_add` on the FP32 master ``hi || lo``: aggregate the
+    duplicates first (:func:`repro.kernels.reference.aggregate_duplicates`),
+    then run the update at full FP32 accuracy on the reconstructed rows
+    (the Split-SGD trick)."""
+    indices, offsets = arrays(indices, offsets)
+    deltas, bag = per_bag(np.asarray(deltas), offsets, scale)
+    deltas = deltas if bag is None else deltas[bag]
     split_add_aggregated(hi, lo, keep_bits, *reference.aggregate_duplicates(indices, deltas))
 
 

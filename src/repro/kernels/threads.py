@@ -61,17 +61,6 @@ def row_range_for_thread(rows: int, tid: int, threads: int) -> tuple[int, int]:
     return (rows * tid) // threads, (rows * (tid + 1)) // threads
 
 
-def partition_balance(counts_per_thread: np.ndarray) -> float:
-    """Max/mean load ratio of a partition (1.0 = perfectly balanced)."""
-    counts = np.asarray(counts_per_thread, dtype=np.float64)
-    if counts.size == 0:
-        return 1.0
-    mean = counts.mean()
-    if mean == 0:
-        return 1.0
-    return float(counts.max() / mean)
-
-
 def bucket_by_row_ranges(indices: np.ndarray, rows: int, threads: int) -> np.ndarray:
     """Per-thread update counts under Alg. 4's static row partition.
 

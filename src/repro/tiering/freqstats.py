@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.lookup import check_ids
 from repro.kernels.reference import scatter_add
 
 #: Tables at or below this row count always get an exact counter.
@@ -61,11 +62,9 @@ class ExactCounter:
         self.total = 0
 
     def record(self, indices: np.ndarray) -> None:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
+        idx = check_ids(np.ravel(indices), self.rows, "frequency counts")
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= self.rows:
-            raise IndexError("frequency indices out of range")
         self.counts += np.bincount(idx, minlength=self.rows)
         self.total += int(idx.size)
 
@@ -135,11 +134,9 @@ class SketchCounter:
         return out
 
     def record(self, indices: np.ndarray) -> None:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
+        idx = check_ids(np.ravel(indices), self.rows, "frequency counts")
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= self.rows:
-            raise IndexError("frequency indices out of range")
         uniq, counts = np.unique(idx, return_counts=True)
         buckets = self._buckets(uniq)
         for d in range(self.depth):

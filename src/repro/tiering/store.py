@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.embedding import EmbeddingBag
+from repro.kernels.lookup import Lookup, check_ids, fuse
 
 
 def _release(path: str, own_dir: bool) -> None:
@@ -90,13 +91,7 @@ def _hot_first(rows: int, hot_rows: np.ndarray | None) -> tuple[np.ndarray, int]
     """``(order, h)``: the storage order that puts the ``h`` distinct ids
     of ``hot_rows`` first and every other id after them, both ascending;
     ``order[row]`` is the id stored at ``row``."""
-    hot = (
-        np.empty(0, dtype=np.int64)
-        if hot_rows is None
-        else np.unique(np.asarray(hot_rows, dtype=np.int64))
-    )
-    if hot.size and (hot[0] < 0 or hot[-1] >= rows):
-        raise ValueError("hot_rows out of range")
+    hot = np.unique(check_ids(np.ravel([] if hot_rows is None else hot_rows), rows, "hot_rows"))
     cold = np.ones(rows, dtype=bool)
     cold[hot] = False
     return np.concatenate([hot, np.flatnonzero(cold)]), int(hot.size)
@@ -220,10 +215,12 @@ class TieredEmbeddingBag(EmbeddingBag):
     def storage_rows(self, indices: np.ndarray) -> np.ndarray:
         return np.take(self._remap, indices, mode="clip")
 
-    def _checked_rows(self, indices: np.ndarray) -> np.ndarray:
+    def _checked_rows(self, indices, offsets=None):
         # The range check comes first: the clip-mode translation would
         # turn an id past the table into its last row.
-        return self.storage_rows(self._check_indices(indices))
+        if offsets is None and not isinstance(indices, Lookup):
+            return self.storage_rows(self._check_indices(indices))
+        return fuse([(self._label, indices, offsets, self.rows, self.storage_rows)])
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         # Defined on this class, not inherited: the repo benchmark wraps
@@ -231,16 +228,14 @@ class TieredEmbeddingBag(EmbeddingBag):
         # gathers (none inside a slab step).
         return self.store.gather(self._checked_rows(indices))
 
-    def _pool(self, indices: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        return self.store._pool(self.storage_rows(indices), offsets, lengths)
+    def _pool(self, look: Lookup) -> np.ndarray:
+        return self.store._pool(self._checked_rows(look))
 
     def dense_weight(self) -> np.ndarray:
         return np.take(self.store.weight, self._remap, axis=0)
 
-    def scatter_add_rows(
-        self, indices: np.ndarray, deltas: np.ndarray, delta_rows: np.ndarray | None = None
-    ) -> None:
-        self.store.scatter_add_rows(self._checked_rows(indices), deltas, delta_rows)
+    def scatter_add_rows(self, indices, deltas: np.ndarray, offsets=None, scale: float = 1.0) -> None:
+        self.store.scatter_add_rows(self._checked_rows(indices, offsets), deltas, scale=scale)
 
     def capacity_bytes(self) -> int:
         # RAM-resident bytes: the hot prefix (the tail is paged by the

@@ -85,3 +85,49 @@ def test_a_racefree_two_rank_step_runs_through_the_seams(suite):
     assert "core.embedding.bwd" not in totals  # no materialised Alg. 2 gradient
     params = sum(p.size for p in trainer.model.parameters())
     assert totals["core.optim.dense"]["count"] == 4 * params
+
+
+def test_a_fused_step_counts_every_look_up_once_in_each_sparse_span(suite, monkeypatch):
+    """The slab's forward and its fused update take the step's checked
+    look-up in the slots the suite reads with ``len()``: per step, the
+    ``core.embedding.fwd`` and ``core.update.sparse`` counts are the
+    step's look-ups, and each span is entered once."""
+    from repro.core.model import DLRM
+
+    spec = RunSpec.from_dict(
+        {
+            "model": {
+                "config": "small",
+                "overrides": {
+                    "table_rows": [200, 3, 150, 64], "embedding_dim": 8, "lookups_per_table": 5,
+                    "bottom_mlp": [12, 8], "top_mlp": [16, 1],
+                },
+                "seed": 4,
+            },
+            "data": {"name": "random", "seed": 1},
+            "optimizer": {"name": "sgd", "lr": 0.05},
+            "update": {"name": "fused"},
+            "schedule": {"steps": 3, "batch_size": 32, "eval_size": 32},
+        }
+    )
+    look_ups = []
+    train_step = DLRM.train_step
+
+    def counting(self, batch, *args, **kwargs):
+        look_ups.append(sum(len(idx) for idx in batch.indices))
+        return train_step(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(DLRM, "train_step", counting)
+    trainer = make_trainer(spec)
+    rec = suite.spans.SpanRecorder()
+    suite.layers.install(rec)
+    try:
+        trainer.fit(3)
+    finally:
+        rec.unpatch()
+        trainer.close()
+    totals = rec.totals()
+    assert len(look_ups) == 3 and sum(look_ups) > 0
+    for name in ("core.embedding.fwd", "core.update.sparse"):
+        assert totals[name]["calls"] == 3, name
+        assert totals[name]["count"] == sum(look_ups), name

@@ -235,7 +235,7 @@ class TestModelOverTheSlab:
         for t in range(5):
             np.testing.assert_array_equal(got[t], want[t])
         np.testing.assert_array_equal(model.infer(batch), twin.infer(batch))
-        assert model._lookup.batch is batch  # the forward fused; infer keeps no state
+        assert model._lookup[0] is batch  # the forward fused; infer keeps no state
 
 
 @pytest.mark.parametrize("combo", sorted(COMBOS))

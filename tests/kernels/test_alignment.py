@@ -2,9 +2,9 @@
 
 Two things are pinned here.  *Where*: every array a native row kernel
 reads rows from or writes rows to -- the embedding slab and its table
-views, the Split-BF16 halves, a tiered slab, the dense slab's flats, the
-pooled forward's output and the scaled deltas of the fused update --
-starts on a 64-byte line.  *Bits*: pool, scatter-add and the Split-BF16
+views, the Split-BF16 halves, a tiered slab, the dense slab's flats and
+the pooled forward's output -- starts on a 64-byte line, and the fused
+update scatters the bag gradient where it arrives, with no copy to place.  *Bits*: pool, scatter-add and the Split-BF16
 update on a line-aligned array and on a copy 4, 16 or 32 bytes past a
 line give the same bytes, under each kernel tier -- alignment moves
 bytes, never bits, and the native entries take an array off a line.
@@ -93,13 +93,14 @@ class TestWhereRowsLive:
 
     @pytest.mark.parametrize("bag_cls", [EmbeddingBag, SplitEmbeddingBag])
     def test_the_deltas_the_fused_update_scatters(self, monkeypatch, rng, bag_cls):
-        """Whatever line the bag-level gradient arrives on."""
+        """The bag-level gradient itself, on whatever line it arrives:
+        the C loop scales it, so no scaled copy exists to place."""
         seen = []
         for name in ("scatter_add_exact", "split_scatter_add"):
             real = getattr(dispatch, name)
 
             def spy(*args, real=real, **kwargs):
-                seen.append(args[-1])  # both take the deltas last, value_rows by keyword
+                seen.append(args[-3])  # both take the deltas, the offsets and the scale last
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(embedding, name, spy)
@@ -107,7 +108,7 @@ class TestWhereRowsLive:
         idx, offsets, _ = lookups(rng, 20, 9, 5)
         grad_out = placed(rng.standard_normal((9, 16)).astype(np.float32), 16)
         FusedBackwardUpdate().apply_fused(table, grad_out, idx, offsets, 0.1)
-        assert len(seen) == 1 and seen[0].shape == (9, 16) and on_a_line(seen[0])
+        assert len(seen) == 1 and seen[0] is grad_out and not on_a_line(seen[0])
 
 
 @pytest.mark.usefixtures("kernel_tier")
@@ -125,16 +126,15 @@ class TestAlignmentMovesBytesNeverBits:
         rng = np.random.default_rng(seed)
         w = special_values(rng, (13, dim), 0.05)
         hi, lo = halves(w)
-        idx, offsets, bag_ids = lookups(rng, 13, n_bags, max_len)
+        idx, offsets, _ = lookups(rng, 13, n_bags, max_len)
         grads = special_values(rng, (n_bags, dim), 0.05)
 
         def run(at: int) -> list[np.ndarray]:
             weight, h, l, deltas = (placed(a, at) for a in (w, hi, lo, grads))
             assert on_a_line(weight, h, l) == (at == 0)
-            lengths = np.diff(offsets)
-            pooled = [dispatch.pool_rows(s, idx, offsets, lengths, Workspace()) for s in (weight, h)]
-            dispatch.scatter_add_exact(weight, idx, deltas, bag_ids)
-            dispatch.split_scatter_add(h, l, 16, idx, deltas, value_rows=bag_ids)
+            pooled = [dispatch.pool_rows(s, idx, offsets, Workspace()) for s in (weight, h)]
+            dispatch.scatter_add_exact(weight, idx, deltas, offsets, -0.05)
+            dispatch.split_scatter_add(h, l, 16, idx, deltas, offsets, -0.05)
             return [*pooled, weight, h, l]
 
         for a, b in zip(run(0), run(offset), strict=True):

@@ -73,19 +73,19 @@ class TestEveryOperatorUnderEachTier:
         grads = special_values(rng, (n_bags, dim), special_share)
         per_lookup = special_values(rng, (idx.size, dim), special_share)
 
-        for deltas, value_rows, expanded in (
+        for deltas, bags, expanded in (
             (per_lookup, None, per_lookup),
-            (grads, bag_ids, grads[bag_ids]),
+            (grads, offsets, grads[bag_ids]),
         ):
             want, got = w0.copy(), w0.copy()
             reference.scatter_add(want, idx, expanded)
-            dispatch.scatter_add_exact(got, idx, deltas, value_rows)
+            dispatch.scatter_add_exact(got, idx, deltas, bags)
             np.testing.assert_array_equal(bits(got), bits(want))
 
         hi, _ = halves(w0)
         widened = (hi.astype(np.uint32) << 16).view(np.float32)
         for source, dense in ((w0, w0), (hi, widened)):
-            got = dispatch.pool_rows(source, idx, offsets, np.diff(offsets), Workspace())
+            got = dispatch.pool_rows(source, idx, offsets, Workspace())
             want = reference.segment_sum(dense[idx], offsets)
             assert got.shape == (n_bags, dim) and got.dtype == np.float32
             np.testing.assert_array_equal(bits(got), bits(want))
@@ -102,7 +102,7 @@ class TestEveryOperatorUnderEachTier:
         hi, _ = halves(w0)
         widened = (hi.astype(np.uint32) << 16).view(np.float32)
         for source, dense in ((w0, w0), (hi, widened)):
-            got = dispatch.pool_rows(source, idx, offsets, np.diff(offsets), Workspace())
+            got = dispatch.pool_rows(source, idx, offsets, Workspace())
             np.testing.assert_array_equal(bits(got), bits(reference.segment_sum(dense[idx], offsets)))
         deltas = special_values(rng, (idx.size, dim), 0.05)
         want, got = w0.copy(), w0.copy()
@@ -118,7 +118,7 @@ class TestEveryOperatorUnderEachTier:
         rng = np.random.default_rng(seed)
         table_rows = 11
         w0 = special_values(rng, (table_rows, dim), special_share)
-        idx, _, bag_ids = lookups(rng, table_rows, n_bags, max_len)
+        idx, offsets, bag_ids = lookups(rng, table_rows, n_bags, max_len)
         grads = special_values(rng, (n_bags, dim), special_share)
         for keep_bits in (16, 8, 0):
             mask = row_kernels.lo_mask(keep_bits)
@@ -127,7 +127,7 @@ class TestEveryOperatorUnderEachTier:
             master = ((want[0][uniq].astype(np.uint32) << 16) | want[1][uniq]).view(np.float32)
             want[0][uniq], lo = halves(master + agg)
             want[1][uniq] = lo & mask
-            dispatch.split_scatter_add(*got, keep_bits, idx, grads, value_rows=bag_ids)
+            dispatch.split_scatter_add(*got, keep_bits, idx, grads, offsets=offsets)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
@@ -190,7 +190,7 @@ class TestShardedEqualsUnsharded:
         try:
             want, got = w0.copy(), w0.copy()
             reference.scatter_add(want, idx, grads[bag_ids])
-            assert native.scatter_add_exact(got, idx, grads, bag_ids, pool=pool)
+            assert native.scatter_add_exact(got, idx, grads, offsets, pool=pool)
             np.testing.assert_array_equal(bits(got), bits(want))
 
             got = native.pool_rows(w0, idx, offsets, pool=pool)
@@ -199,8 +199,8 @@ class TestShardedEqualsUnsharded:
             )
 
             sharded, whole = halves(w0), halves(w0)
-            assert native.split_scatter_add(*sharded, 16, idx, grads, bag_ids, pool=pool)
-            assert native.split_scatter_add(*whole, 16, idx, grads, bag_ids, pool=WorkerPool(1))
+            assert native.split_scatter_add(*sharded, 16, idx, grads, offsets, pool=pool)
+            assert native.split_scatter_add(*whole, 16, idx, grads, offsets, pool=WorkerPool(1))
             np.testing.assert_array_equal(np.stack(sharded), np.stack(whole))
             if threads > 1:  # the scatter's shards are Alg. 4's row ranges
                 assert sorted(ranges[:threads]) == [
@@ -234,29 +234,29 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         "float64 deltas": lambda s: (s.W.copy(), s.IDX, s.D.astype(np.float64), None),
         "narrow deltas": lambda s: (s.W.copy(), s.IDX, s.D[:, :3], None),
         "too few deltas": lambda s: (s.W.copy(), s.IDX, s.D[:2], None),
-        "value_rows past the deltas": lambda s: (s.W.copy(), s.IDX, s.D[:2], np.array([0, 2, 1])),
-        "negative value_rows": lambda s: (s.W.copy(), s.IDX, s.D[:2], np.array([0, -1, 1])),
-        "too few value_rows": lambda s: (s.W.copy(), s.IDX, s.D[:2], np.array([0, 1])),
-        "int32 value_rows": lambda s: (s.W.copy(), s.IDX, s.D, np.arange(3, dtype=np.int32)),
+        "offsets past the deltas": lambda s: (s.W.copy(), s.IDX, s.D[:2], np.array([0, 1, 2, 3])),
+        "decreasing offsets": lambda s: (s.W.copy(), s.IDX, s.D, np.array([0, 2, 1, 3])),
+        "short offsets": lambda s: (s.W.copy(), s.IDX, s.D[:2], np.array([0, 1, 2])),
+        "int32 offsets": lambda s: (s.W.copy(), s.IDX, s.D, np.arange(4, dtype=np.int32)),
     }
 
     @pytest.mark.parametrize("what", sorted(SCATTERS))
     def test_scatter(self, what):
-        weight, idx, deltas, value_rows = self.SCATTERS[what](self)
+        weight, idx, deltas, offsets = self.SCATTERS[what](self)
         before = np.array(weight, copy=True)
-        assert native.scatter_add_exact(weight, idx, deltas, value_rows) is False
+        assert native.scatter_add_exact(weight, idx, deltas, offsets) is False
         np.testing.assert_array_equal(weight, before)
         if weight.ndim != 2:
             return  # no tier takes a flat table
         if "weight" not in what:  # ids and deltas are checked alike for Split-BF16 rows
             hi, lo = halves(np.zeros((6, 4), np.float32))
-            assert native.split_scatter_add(hi, lo, 16, idx, deltas, value_rows) is False
+            assert native.split_scatter_add(hi, lo, 16, idx, deltas, offsets) is False
             assert not hi.any() and not lo.any()
         outcomes = []
         for scatter in (dispatch.scatter_add_exact, row_kernels.scatter_add):
             w = np.array(before, copy=True, order="K")
             try:
-                scatter(w, idx, deltas, value_rows)
+                scatter(w, idx, deltas, offsets)
                 outcomes.append(bits(w).tolist())
             except Exception as exc:  # noqa: BLE001 - whatever NumPy raises, both must
                 outcomes.append(type(exc))
@@ -281,10 +281,10 @@ class TestTheOneEntryRefusesWhatItCannotRepresent:
         assert native.scatter_add_exact(weight, idx, self.D) is False
         np.testing.assert_array_equal(bits(weight), bits(before))
 
-    def test_scatter_weight_over_the_bytes_of_value_rows(self):
-        weight, value_rows = self.laid_over((6, 4), np.float32, [0, 1, 0])
+    def test_scatter_weight_over_the_bytes_of_offsets(self):
+        weight, offsets = self.laid_over((6, 4), np.float32, [0, 2, 3])
         before = weight.copy()
-        assert native.scatter_add_exact(weight, self.IDX, self.D[:2], value_rows) is False
+        assert native.scatter_add_exact(weight, self.IDX, self.D[:2], offsets) is False
         np.testing.assert_array_equal(bits(weight), bits(before))
 
     def test_split_hi_over_the_bytes_of_indices(self):
@@ -420,7 +420,7 @@ def clause_breaks(entry: str, args: dict) -> list[tuple]:
     present = [c for c in clauses if args[c.name] is not None]
     named = [size for c in present for size, _, _ in c.shape]
     named += [c.rises_to for c in present if c.rises_to] + [c.each for c in present if c.each]
-    named += [s for c in clauses if args[c.name] is None and c.below for s in (c.shape[0][0], c.below)]
+    named += [s for c in clauses if args[c.name] is None and c.rises_to for s in (c.shape[0][0], c.rises_to)]
     out = [("zero", None, size) for c in present for size, _, least in c.shape if least]
     for c in present:
         out += [("dtype", c, None), ("rank", c, None), ("strided", c, None)]
@@ -488,9 +488,7 @@ def dispatched(entry: str):
     twin, fn = NUMPY_TIER[entry], getattr(dispatch, entry)
     if not isinstance(twin, partial):
         return fn
-    # the twin, and so the dispatch, takes more: a scratch keyword, or
-    # the bag lengths through an adapter whose first argument is the twin
-    return partial(twin.func, fn) if twin.args else partial(fn, **twin.keywords)
+    return partial(fn, **twin.keywords)  # the twin, and so the dispatch, takes a scratch
 
 
 def outcome(fn, args: dict, scalars: dict) -> tuple:
@@ -512,7 +510,7 @@ class TestTheContractRefusesEachBrokenClause:
     @pytest.mark.parametrize("entry", sorted(native.CONTRACTS))
     @given(
         sizes=st.fixed_dictionaries(
-            {k: st.integers(2, 5) for k in ("rows", "dim", "n", "k", "bags", "s", "e")}
+            {k: st.integers(2, 5) for k in ("rows", "dim", "n", "bags", "s", "e")}
         ),
         absent=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -522,7 +520,7 @@ class TestTheContractRefusesEachBrokenClause:
         if entry.startswith("dot") and not native.blas_agrees():
             pytest.skip("this host's BLAS computes other bits: the interaction entries decline")
         sizes.update(v=sizes["s"] + 1, w=sizes["e"] + interaction.pairs(sizes["s"] + 1))
-        sizes["k"] = sizes["n"] if absent else sizes["k"]  # an absent id map is the identity
+        sizes["bags"] = sizes["n"] if absent else sizes["bags"]  # absent offsets: a bag a look-up
 
         def case(brk: tuple) -> dict:
             at = {**sizes, brk[2]: 0} if brk[0] == "zero" else sizes

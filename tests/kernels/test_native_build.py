@@ -35,7 +35,7 @@ with warnings.catch_warnings(record=True) as seen:
     w = np.arange(40, dtype=np.float32).reshape(10, 4) / 7
     idx = np.array([3, 9, 3, 0, 3], dtype=np.int64)
     for _ in range(2):
-        dispatch.scatter_add_exact(w, idx, np.full((2, 4), 0.1, np.float32), np.array([0, 1, 1, 0, 1]))
+        dispatch.scatter_add_exact(w, idx, np.full((2, 4), 0.1, np.float32), np.array([0, 2, 5]), -0.5)
     lib, where = build.load()
 print(json.dumps({"tier": native.tier(), "where": where, "bits": w.view(np.uint32).tolist(),
                   "warnings": [str(w.message) for w in seen]}))
@@ -47,7 +47,7 @@ def want_bits():
     idx = np.array([3, 9, 3, 0, 3], dtype=np.int64)
     for _ in range(2):
         reference.scatter_add(
-            w, idx, np.full((2, 4), 0.1, np.float32)[np.array([0, 1, 1, 0, 1])]
+            w, idx, (np.float32(-0.5) * np.full((2, 4), 0.1, np.float32))[np.array([0, 0, 1, 1, 1])]
         )
     return w.view(np.uint32).tolist()
 

