@@ -763,12 +763,12 @@ def _dispatch(args: argparse.Namespace) -> str:
     if name == "eval":
         from repro.core.metrics import accuracy, log_loss, roc_auc
         from repro.serve import InferenceEngine
-        from repro.train import load_checkpoint
+        from repro.train.checkpoint import Archive
 
         _require_file(args.checkpoint, "repro eval")
-        ckpt = load_checkpoint(args.checkpoint)
-        spec = ckpt.require_spec()
-        engine = InferenceEngine.from_checkpoint(args.checkpoint)
+        with Archive(args.checkpoint) as ckpt:  # read once: header, then members
+            spec = ckpt.require_spec()
+            engine = InferenceEngine.from_checkpoint(ckpt)
         batch = spec.build_dataset().batch(args.batch_size, args.batch_index)
         probs = engine.predict(batch)
         row = {
@@ -787,12 +787,12 @@ def _dispatch(args: argparse.Namespace) -> str:
         scored = ""
         if args.checkpoint:
             from repro.serve import InferenceEngine
-            from repro.train import load_checkpoint
+            from repro.train.checkpoint import Archive
 
             _require_file(args.checkpoint, "repro serve --checkpoint")
-            ckpt = load_checkpoint(args.checkpoint)
-            spec = ckpt.require_spec()
-            engine = InferenceEngine.from_checkpoint(args.checkpoint)
+            with Archive(args.checkpoint) as ckpt:
+                spec = ckpt.require_spec()
+                engine = InferenceEngine.from_checkpoint(ckpt)
             batch = spec.build_dataset().batch(min(args.max_batch, 256), 10_000_000)
             probs = engine.predict(batch)
             args.config = spec.model.config

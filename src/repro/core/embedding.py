@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -82,11 +82,12 @@ class EmbeddingBag:
     """One embedding table with sum pooling (FP32 storage)."""
 
     storage = "fp32"
-    #: The ``(rows, dim)`` storage arrays, by attribute name.  Nothing
-    #: rebinds them after construction -- every writer goes through
-    #: ``[...]``, ``out=`` or a fancy-index assignment -- so a
-    #: :meth:`rows_view` and the bag it was cut from stay one memory.
-    _arrays: tuple[str, ...] = ("weight",)
+    #: The ``(rows, dim)`` storage arrays: attribute name -> dtype, also
+    #: their :meth:`state_dict` keys.  Nothing rebinds them after
+    #: construction -- every writer goes through ``[...]``, ``out=`` or a
+    #: fancy-index assignment -- so a :meth:`rows_view` and the bag it
+    #: was cut from stay one memory.
+    _arrays: dict[str, type] = {"weight": np.float32}
 
     def __init__(
         self,
@@ -94,15 +95,22 @@ class EmbeddingBag:
         dim: int,
         rng: np.random.Generator | None = None,
         weight: np.ndarray | None = None,
+        state: Mapping[str, np.ndarray] | None = None,
     ):
+        """``weight`` gives the FP32 table instead of its draw; ``state``
+        (a :meth:`state_dict`) the storage arrays, checked, taken as is."""
         if rows <= 0 or dim <= 0:
             raise ValueError("rows and dim must be positive")
         self.rows = int(rows)
         self.dim = int(dim)
-        if weight is not None:
+        if state is not None:
+            for name, dtype in self._arrays.items():
+                setattr(self, name, self._state_array(state, name, dtype))
+        elif weight is not None:
             w = np.ascontiguousarray(weight, dtype=np.float32)
             if w.shape != (rows, dim):
                 raise ValueError(f"weight must be ({rows}, {dim}), got {w.shape}")
+            self._init_storage(w)
         else:
             # U(+-sqrt(1/rows)), drawn a block of rows at a time: the
             # generator fills in C order, so the blocks are the one-shot
@@ -113,7 +121,7 @@ class EmbeddingBag:
             step = max(1, _BLOCK_ELEMS // dim)
             for lo in range(0, rows, step):
                 w[lo : lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), dim))
-        self._init_storage(w)
+            self._init_storage(w)
         #: Buffers of the pooled forward, allocated on first use.
         self._scratch = Workspace()
 
@@ -178,21 +186,20 @@ class EmbeddingBag:
         gradient."""
         scatter_add_exact(self.weight, self._look_ups(indices, offsets), deltas, None, scale)
 
-    def capacity_bytes(self) -> int:
-        """Model + optimizer-state bytes held for this table."""
-        return self.rows * self.dim * 4
-
     # -- checkpointing ------------------------------------------------------------
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of the table's storage tensors (FP32: one weight array)."""
-        return {"weight": self.weight.copy()}
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
+        """Copies of the table's storage arrays (FP32: one weight array;
+        Split-BF16: the ``hi``/``lo`` uint16 halves, together the exact
+        FP32 master weight), or with ``copy=False`` the live arrays."""
+        return {n: getattr(self, n).copy() if copy else getattr(self, n) for n in self._arrays}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore storage saved by :meth:`state_dict`, bit-exactly."""
-        self.weight[...] = self._state_array(state, "weight", np.float32)
+        for name, dtype in self._arrays.items():
+            getattr(self, name)[...] = self._state_array(state, name, dtype)
 
-    def _state_array(self, state: dict[str, np.ndarray], key: str, dtype: type) -> np.ndarray:
+    def _state_array(self, state: Mapping[str, np.ndarray], key: str, dtype: type) -> np.ndarray:
         """``state[key]``, checked to be a ``(rows, dim)`` array of ``dtype``."""
         return checked_entry(state, key, (self.rows, self.dim), dtype)
 
@@ -286,7 +293,7 @@ class SplitEmbeddingBag(EmbeddingBag):
     """
 
     storage = "split_bf16"
-    _arrays = ("hi", "lo")
+    _arrays = {"hi": np.uint16, "lo": np.uint16}
 
     def __init__(
         self,
@@ -294,12 +301,13 @@ class SplitEmbeddingBag(EmbeddingBag):
         dim: int,
         rng: np.random.Generator | None = None,
         weight: np.ndarray | None = None,
+        state: Mapping[str, np.ndarray] | None = None,
         lo_bits: int = 16,
     ):
         if not 0 <= lo_bits <= 16:
             raise ValueError(f"lo_bits must be in [0, 16], got {lo_bits}")
         self.lo_bits = lo_bits
-        super().__init__(rows, dim, rng=rng, weight=weight)
+        super().__init__(rows, dim, rng=rng, weight=weight, state=state)
 
     def _init_storage(self, w: np.ndarray) -> None:
         hi, lo = split_fp32(w)
@@ -322,16 +330,3 @@ class SplitEmbeddingBag(EmbeddingBag):
         # accuracy on the reconstructed rows (the Split-SGD trick).
         look = self._look_ups(indices, offsets)
         split_scatter_add(self.hi, self.lo, self.lo_bits, look, deltas, None, scale)
-
-    def capacity_bytes(self) -> int:
-        # 2 bytes model (hi) + 2 bytes optimizer state (lo): same total as
-        # FP32, with zero master-weight overhead.
-        return self.rows * self.dim * (2 + 2)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Both 16-bit halves -- together the exact FP32 master weight."""
-        return {"hi": self.hi.copy(), "lo": self.lo.copy()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self.hi[...] = self._state_array(state, "hi", np.uint16)
-        self.lo[...] = self._state_array(state, "lo", np.uint16)

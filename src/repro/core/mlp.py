@@ -16,10 +16,12 @@ is priced by the cost model (:mod:`repro.hw.costmodel`), not executed.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.core.bf16 import bf16_dot
-from repro.core.param import Parameter, checked_entry
+from repro.core.param import Parameter, Prefixed, checked_entry
 from repro.kernels.workspace import Workspace
 
 #: The product ``a @ b`` (into ``out=`` when given) of each GEMM engine:
@@ -81,18 +83,24 @@ class FullyConnected:
         activation: str | None = "relu",
         engine: str = "reference",
         name: str = "",
+        state: Mapping[str, np.ndarray] | None = None,
     ):
+        """``state`` (a :meth:`state_dict`) gives the tensors, not ``rng``."""
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature dimensions must be positive")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if activation not in (None, "relu", "sigmoid"):
             raise ValueError(f"unsupported activation {activation!r}")
-        rng = rng or np.random.default_rng()
-        # DLRM reference initialisation: N(0, sqrt(2 / (fan_in + fan_out))).
-        std = np.sqrt(2.0 / (in_features + out_features))
-        w = rng.normal(0.0, std, size=(out_features, in_features)).astype(np.float32)
-        b = rng.normal(0.0, np.sqrt(1.0 / out_features), size=out_features).astype(np.float32)
+        if state is not None:
+            w = checked_entry(state, "weight", (out_features, in_features), np.float32)
+            b = checked_entry(state, "bias", (out_features,), np.float32)
+        else:
+            rng = rng or np.random.default_rng()
+            # DLRM reference initialisation: N(0, sqrt(2 / (fan_in + fan_out))).
+            std = np.sqrt(2.0 / (in_features + out_features))
+            w = rng.normal(0.0, std, size=(out_features, in_features)).astype(np.float32)
+            b = rng.normal(0.0, np.sqrt(1.0 / out_features), size=out_features).astype(np.float32)
         self.weight = Parameter(w, name=f"{name}.weight")
         self.bias = Parameter(b, name=f"{name}.bias")
         self.in_features = in_features
@@ -110,11 +118,13 @@ class FullyConnected:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of the layer's trainable tensors, keyed by name."""
-        return {"weight": self.weight.value.copy(), "bias": self.bias.value.copy()}
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
+        """Copies of the layer's trainable tensors, keyed by name (with
+        ``copy=False``, the live tensors)."""
+        w, b = self.weight.value, self.bias.value
+        return {"weight": w.copy(), "bias": b.copy()} if copy else {"weight": w, "bias": b}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore tensors saved by :meth:`state_dict`, bit-exactly."""
         for key, param in (("weight", self.weight), ("bias", self.bias)):
             param.value[...] = checked_entry(state, key, param.shape, np.float32)
@@ -216,7 +226,9 @@ class MLP:
         last_activation: str | None = None,
         engine: str = "reference",
         name: str = "mlp",
+        state: Mapping[str, np.ndarray] | None = None,
     ):
+        """``state`` (a :meth:`state_dict`) gives the tensors, not ``rng``."""
         if not layer_sizes:
             raise ValueError("need at least one layer")
         rng = rng or np.random.default_rng()
@@ -232,6 +244,7 @@ class MLP:
                     activation=(last_activation if last else "relu"),
                     engine=engine,
                     name=f"{name}.{i}",
+                    state=None if state is None else Prefixed(state, f"layers.{i}."),
                 )
             )
             prev = size
@@ -247,15 +260,15 @@ class MLP:
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Flat state of the whole stack, keyed ``layers.<i>.<tensor>``."""
         out: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
-            for key, value in layer.state_dict().items():
+            for key, value in layer.state_dict(copy).items():
                 out[f"layers.{i}.{key}"] = value
         return out
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore a :meth:`state_dict`; keys must match exactly."""
         expected = {
             f"layers.{i}.{k}"
@@ -267,9 +280,7 @@ class MLP:
             extra = sorted(set(state) - expected)
             raise KeyError(f"state mismatch: missing {missing}, unexpected {extra}")
         for i, layer in enumerate(self.layers):
-            layer.load_state_dict(
-                {k: state[f"layers.{i}.{k}"] for k in ("weight", "bias")}
-            )
+            layer.load_state_dict(Prefixed(state, f"layers.{i}."))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -25,13 +25,21 @@ from repro.core.config import DLRMConfig
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
 from repro.core.interaction import make_interaction
 from repro.core.loss import BCEWithLogitsLoss
-from repro.core.mlp import MLP, sigmoid
+from repro.core.mlp import MLP
 from repro.core.optim import SGD
-from repro.core.param import DenseSlab, Parameter
+from repro.core.param import DenseSlab, Parameter, Prefixed
 from repro.core.update import steps_rows_statelessly, uses_fused_dispatch
 from repro.kernels.lookup import BadLookup, Lookup, fuse
 from repro.obs.tracer import trace
 from repro.util import rng_from
+
+
+def _table_state(state: Mapping[str, np.ndarray], t: int) -> Prefixed:
+    """``state``'s entries for table ``t``, which it must hold."""
+    sub = Prefixed(state, f"table.{t}.")
+    if not len(sub):
+        raise KeyError(f"checkpoint has no state for owned table {t}")
+    return sub
 
 
 class DLRM:
@@ -46,6 +54,7 @@ class DLRM:
         lo_bits: int = 16,
         table_ids: list[int] | None = None,
         slab_alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
+        state: Mapping[str, np.ndarray] | None = None,
     ):
         """Build the model.
 
@@ -57,6 +66,9 @@ class DLRM:
         ``slab_alloc(shape, dtype)`` provides the embedding slab's memory
         (default: line-aligned memory); whoever tiers the tables passes a file
         mapping (:func:`repro.tiering.store.build_tiered`).
+        ``state`` (a :meth:`state_dict`-keyed mapping, such as a
+        checkpoint's members) gives every tensor instead of its draw, one
+        entry at a time: the model as it was saved, with no drawn twin.
         """
         if storage not in ("fp32", "split_bf16"):
             raise ValueError(f"storage must be fp32 or split_bf16, got {storage!r}")
@@ -71,6 +83,7 @@ class DLRM:
             last_activation="relu",
             engine=engine,
             name="bottom",
+            state=None if state is None else Prefixed(state, "bottom."),
         )
         self.top = MLP(
             cfg.interaction_dim,
@@ -79,6 +92,7 @@ class DLRM:
             last_activation=None,  # logits; sigmoid lives in the loss
             engine=engine,
             name="top",
+            state=None if state is None else Prefixed(state, "top."),
         )
         #: Every MLP weight, bias and gradient, laid out in two FP32
         #: flats the optimizers step whole (parameters are views).
@@ -99,6 +113,8 @@ class DLRM:
         self.slab, views = stack_tables(
             (
                 bag_cls(r, cfg.embedding_dim, rng=rng_from(seed, "table", t), **bag_kw)
+                if state is None
+                else bag_cls(r, cfg.embedding_dim, state=_table_state(state, t), **bag_kw)
                 for t, r in zip(self.table_ids, rows)
             ),
             sum(rows),
@@ -123,14 +139,10 @@ class DLRM:
         """All dense (MLP) parameters, bottom first."""
         return self.bottom.parameters() + self.top.parameters()
 
-    def capacity_bytes(self) -> int:
-        """Model + optimizer-visible storage of this process's shard."""
-        dense = sum(p.nbytes for p in self.parameters())
-        sparse = sum(t.capacity_bytes() for t in self.tables.values())
-        return dense + sparse
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """All weights of this process's shard as a flat dict of copies.
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
+        """All weights of this process's shard as a flat dict of copies
+        (with ``copy=False``, of the live storage: what the checkpoint
+        writer takes).
 
         Keys are ``bottom.layers.<i>.<tensor>``, ``top.layers.<i>.<tensor>``
         and ``table.<t>.<tensor>`` (``weight`` for FP32 tables, the
@@ -139,42 +151,32 @@ class DLRM:
         """
         out: dict[str, np.ndarray] = {}
         for prefix, mlp in (("bottom", self.bottom), ("top", self.top)):
-            for key, value in mlp.state_dict().items():
+            for key, value in mlp.state_dict(copy).items():
                 out[f"{prefix}.{key}"] = value
-        out.update(self.table_state_dict())
+        out.update(self.table_state_dict(copy))
         return out
 
-    def table_state_dict(self) -> dict[str, np.ndarray]:
+    def table_state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
         """The ``table.<t>.<tensor>`` entries of :meth:`state_dict` alone:
         all a model-parallel rank contributes to a consolidated
         checkpoint beside rank 0 (the dense entries are replicated)."""
         return {
             f"table.{t}.{key}": value
             for t, table in self.tables.items()
-            for key, value in table.state_dict().items()
+            for key, value in table.state_dict(copy).items()
         }
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore a :meth:`state_dict` bit-exactly.
 
         Only this process's owned tables are required; entries for
         unowned tables are ignored, so a model-parallel shard can load
         its share straight from a consolidated checkpoint.
         """
-        for prefix, mlp in (("bottom", self.bottom), ("top", self.top)):
-            sub = {
-                k[len(prefix) + 1 :]: v
-                for k, v in state.items()
-                if k.startswith(f"{prefix}.")
-            }
-            mlp.load_state_dict(sub)
-        expected_tables = set(self.table_ids)
-        for t in expected_tables:
-            prefix = f"table.{t}."
-            sub = {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
-            if not sub:
-                raise KeyError(f"checkpoint has no state for owned table {t}")
-            self.tables[t].load_state_dict(sub)
+        self.bottom.load_state_dict(Prefixed(state, "bottom."))
+        self.top.load_state_dict(Prefixed(state, "top."))
+        for t in self.table_ids:
+            self.tables[t].load_state_dict(_table_state(state, t))
 
     # -- passes ------------------------------------------------------------------
 
@@ -374,8 +376,3 @@ class DLRM:
             opt.step_dense(self.parameters())
         self.sparse_update(dembs, batch, opt)
         return loss
-
-    def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Click probabilities (sigmoid of the logits), shape (N,)."""
-        return sigmoid(self.forward(batch)).reshape(-1)
-

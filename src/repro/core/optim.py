@@ -118,11 +118,6 @@ class SGD:
         """``p``'s slot of the dense state flat: a live view."""
         return p.slab.view(self._state_flat([p]), p.slot)
 
-    def state_bytes(self, params: list[Parameter]) -> int:
-        """Dense optimizer state held for ``params``."""
-        per_element = 0 if self.state_key is None else np.dtype(self.state_dtype).itemsize
-        return sum(p.size * per_element for p in params)
-
     # -- the step -----------------------------------------------------------
 
     def _blocks(self, n: int):
@@ -193,19 +188,22 @@ class SGD:
         self,
         params: list[Parameter],
         tables: dict[int, EmbeddingBag] | None = None,
+        copy: bool = True,
     ) -> dict[str, np.ndarray]:
         """Optimizer state as flat arrays, keyed by parameter *position*.
 
         ``params`` must be the same ordered list the optimizer was
         registered with (``model.parameters()`` is stable); ``tables``
         maps table id -> table for optimizers with per-table state.
+        ``copy=False`` hands the live state instead of copies.
         """
         state: dict[str, np.ndarray] = {"lr": np.float64(self.lr)}
         if self.momentum:
             state["momentum"] = np.float64(self.momentum)
         if self.state_key is not None:
             for i, p in enumerate(params):
-                state[f"{self.state_key}.{i}"] = self.state_view(p).copy()
+                view = self.state_view(p)
+                state[f"{self.state_key}.{i}"] = view.copy() if copy else view
         return state
 
     def load_state_dict(
@@ -259,10 +257,6 @@ class SplitSGD(SGD):
     def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
         self._step(params, reduced)
 
-    def master_value(self, p: Parameter) -> np.ndarray:
-        """The implicit FP32 master weight of ``p`` (tests/inspection)."""
-        return (p.value.view(np.uint32) | self.state_view(p)).view(np.float32)
-
 
 class SparseAdagrad(SGD):
     """Adagrad with row-wise state for the embedding tables.
@@ -313,20 +307,18 @@ class SparseAdagrad(SGD):
         scale = self.lr / (np.sqrt(acc[uniq]) + self.eps)
         table.scatter_add_rows(uniq, -scale[:, None] * agg)
 
-    def state_bytes(self, params: list[Parameter], tables: list[EmbeddingBag] = ()) -> int:
-        return super().state_bytes(params) + sum(t.rows * 4 for t in tables)
-
     def state_dict(
         self,
         params: list[Parameter],
         tables: dict[int, EmbeddingBag] | None = None,
+        copy: bool = True,
     ) -> dict[str, np.ndarray]:
-        state = super().state_dict(params, tables)
+        state = super().state_dict(params, tables, copy)
         for tid, table in (tables or {}).items():
             acc = self._row_state.get(table)
-            state[f"row.{tid}"] = (
-                np.zeros(table.rows, dtype=np.float32) if acc is None else acc.copy()
-            )
+            if acc is None:
+                acc = np.zeros(table.rows, dtype=np.float32)
+            state[f"row.{tid}"] = acc.copy() if copy else acc
         return state
 
     def load_state_dict(

@@ -15,7 +15,7 @@ every writer goes through ``[...]``, ``out=`` or an in-place operator.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,15 +25,39 @@ from repro.kernels.workspace import LINE_BYTES, aligned_empty
 _SLOT_ELEMS = LINE_BYTES // 4
 
 
+class Prefixed(Mapping):
+    """The entries of ``state`` under ``prefix``, keyed without it.  Only
+    ``[key]`` reads an entry (an archive's reads the member), so a
+    constructor or ``load_state_dict`` handed one reads each entry once."""
+
+    def __init__(self, state: Mapping[str, np.ndarray], prefix: str):
+        if isinstance(state, Prefixed):  # one level, named by its whole prefix
+            state, prefix = state.state, state.prefix + prefix
+        self.state, self.prefix = state, prefix
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.state[self.prefix + key]
+
+    def __contains__(self, key) -> bool:
+        return self.prefix + key in self.state
+
+    def __iter__(self) -> Iterator[str]:
+        n = len(self.prefix)
+        return (k[n:] for k in self.state if k.startswith(self.prefix))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 def checked_entry(
-    state: dict[str, np.ndarray], key: str, shape: tuple[int, ...], dtype: type
+    state: Mapping[str, np.ndarray], key: str, shape: tuple[int, ...], dtype: type
 ) -> np.ndarray:
     """``state[key]``, verified to be a ``shape`` array of ``dtype``: what
-    every ``load_state_dict`` copies into its own storage.  Strict on
-    dtype too -- a float64 entry would load with silent rounding, which
-    breaks the checkpoint contract."""
+    every ``load_state_dict`` copies (or constructor takes) into its own
+    storage.  Strict on dtype too -- a float64 entry would load with
+    silent rounding, which breaks the checkpoint contract."""
     if key not in state:
-        raise KeyError(f"missing state entry {key!r}")
+        raise KeyError(f"missing state entry {getattr(state, 'prefix', '') + key!r}")
     value = np.asarray(state[key])
     if value.dtype != np.dtype(dtype):
         raise ValueError(f"{key}: dtype {value.dtype} != expected {np.dtype(dtype)}")

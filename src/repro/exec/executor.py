@@ -56,8 +56,10 @@ class RankExecutor(Protocol):
     def predict(self, batch: "Batch") -> np.ndarray:
         """Click probabilities, leaving training state untouched."""
 
-    def state_dicts(self) -> tuple[StateDict, StateDict]:
-        """``(model_state, opt_state)`` in the single-process layout."""
+    def state_dicts(self, copy: bool = True) -> tuple[StateDict, StateDict]:
+        """``(model_state, opt_state)`` in the single-process layout:
+        copies, or (``copy=False``) what the checkpoint writer takes --
+        live views, valid until the next step."""
 
     def load_state(self, model_state: StateDict, opt_state: StateDict | None = None) -> None:
         """Restore what :meth:`state_dicts` returned."""
@@ -135,15 +137,15 @@ class LocalExecutor(_InProcessExecutor):
         return self.model.train_step(self._prefetch.batch(index), self.optimizer)
 
     def predict(self, batch: "Batch") -> np.ndarray:
-        # The no-grad path: bit-identical to model.predict_proba, but safe
+        # The no-grad path: bit-identical to the training forward, but safe
         # between ``loss`` and ``backward``.
         return sigmoid(self.model.infer(batch)).reshape(-1)
 
-    def state_dicts(self) -> tuple[StateDict, StateDict]:
+    def state_dicts(self, copy: bool = True) -> tuple[StateDict, StateDict]:
         model = self.model
         return (
-            model.state_dict(),
-            self.optimizer.state_dict(model.parameters(), model.tables),
+            model.state_dict(copy),
+            self.optimizer.state_dict(model.parameters(), model.tables, copy),
         )
 
     def load_state(self, model_state: StateDict, opt_state: StateDict | None = None) -> None:
@@ -200,8 +202,8 @@ class InlineRankExecutor(_InProcessExecutor):
     def predict(self, batch: "Batch") -> np.ndarray:
         return self.dist.predict_proba(batch)
 
-    def state_dicts(self) -> tuple[StateDict, StateDict]:
-        return self.dist.state_dict(), self.dist.optimizer_state_dict()
+    def state_dicts(self, copy: bool = True) -> tuple[StateDict, StateDict]:
+        return self.dist.state_dict(copy), self.dist.optimizer_state_dict(copy)
 
     def load_state(self, model_state: StateDict, opt_state: StateDict | None = None) -> None:
         self.dist.load_state_dict(model_state)

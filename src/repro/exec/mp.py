@@ -332,16 +332,16 @@ class ProcessRankExecutor:
         """Click probabilities via the distributed forward path."""
         return self._roundtrip(("predict", batch), "predict")[0]
 
-    def state_dicts(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    def state_dicts(self, copy: bool = True) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """(model_state, opt_state): the workers mirror their live rank
         state into the arenas, which are consolidated exactly like
         ``DistributedDLRM.state_dict``/``optimizer_state_dict`` and
-        copied out of shared memory."""
+        copied out of shared memory (``copy=False``: the arena views)."""
         from repro.parallel.hybrid import consolidate_state  # lazy: hybrid imports exec
 
         def consolidated(prefix: str) -> dict[str, np.ndarray]:
             views = consolidate_state([a.views(prefix) for a in self._arenas], self.dist.owners)
-            return {key: np.array(view, copy=True) for key, view in views.items()}
+            return {key: np.array(view, copy=copy) for key, view in views.items()}
 
         self._roundtrip(("sync_state",), "state sync")
         return consolidated(MODEL), consolidated(OPT)
@@ -376,16 +376,6 @@ class ProcessRankExecutor:
         if not self._trace or self._closed:
             return []
         return merge_spans(*self._roundtrip(("trace",), "trace drain"))
-
-    def worker_pids(self) -> list[int]:
-        return [proc.pid for proc in self._procs if proc.pid is not None]
-
-    def heartbeats(self) -> list[dict[str, Any]]:
-        """Per-worker {worker, age_s, step, seq} liveness snapshot (the
-        supervisor's failure-report ingredient); [] after close."""
-        if self._heartbeats is None:
-            return []
-        return self._heartbeats.snapshot()
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -61,13 +61,6 @@ class IndexStats:
     #: threads: max per-range count / mean per-range count.
     imbalance: float
 
-    @property
-    def duplication_ratio(self) -> float:
-        """Fraction of look-ups that hit an already-touched row."""
-        if self.total == 0:
-            return 0.0
-        return self.duplicates / self.total
-
 
 def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> IndexStats:
     """Compute :class:`IndexStats` for one table's index vector.

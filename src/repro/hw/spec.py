@@ -18,7 +18,7 @@ and latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: FP32 operations per core per cycle with AVX512: two 512-bit FMA units,
 #: 16 lanes each, 2 flops (mul+add) per lane.
@@ -57,10 +57,6 @@ class SocketSpec:
         if not 0 <= cores <= self.cores:
             raise ValueError(f"cores must be in [0, {self.cores}], got {cores}")
         return cores * self.avx512_turbo_ghz * 1e9 * self.flops_per_core_per_cycle
-
-    def with_capacity(self, capacity_gb: float) -> "SocketSpec":
-        """A copy of this socket with different DRAM capacity (fat nodes)."""
-        return replace(self, mem_capacity_gb=capacity_gb)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -73,10 +72,6 @@ class Topology:
         """All socket endpoints, ordered by index."""
         return list(self._sockets)
 
-    @property
-    def num_sockets(self) -> int:
-        return len(self._sockets)
-
     def degree(self, node: NodeId) -> int:
         return self.graph.degree[node]
 
@@ -111,13 +106,6 @@ class Topology:
         route = self.route(src_socket, dst_socket)
         return sum(self.link_latency(u, v) for u, v in route.edges)
 
-    def diameter_between_sockets(self) -> int:
-        """Maximum hop count over all socket pairs."""
-        return max(
-            self.hops(a[1], b[1])
-            for a, b in itertools.combinations(self._sockets, 2)
-        )
-
     # -- congestion --------------------------------------------------------
 
     def link_loads(self, traffic: Mapping[tuple[int, int], float]) -> dict[tuple[NodeId, NodeId], float]:
@@ -134,21 +122,6 @@ class Topology:
             for u, v in self.route(s, d).edges:
                 loads[(u, v)] = loads.get((u, v), 0.0) + nbytes
         return loads
-
-    def congestion_time(self, traffic: Mapping[tuple[int, int], float]) -> float:
-        """Lower-bound completion time of a traffic matrix: the bottleneck
-        directed link's load divided by its bandwidth, plus the worst path
-        latency involved."""
-        loads = self.link_loads(traffic)
-        if not loads:
-            return 0.0
-        transfer = max(nbytes / self.link_bw(u, v) for (u, v), nbytes in loads.items())
-        lat = max(
-            self.path_latency(s, d)
-            for (s, d), nbytes in traffic.items()
-            if s != d and nbytes > 0
-        )
-        return transfer + lat
 
     # -- ring embedding (for ring collectives) ------------------------------
 

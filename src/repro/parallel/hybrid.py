@@ -477,14 +477,14 @@ class DistributedDLRM:
 
     # -- checkpointing --------------------------------------------------------------
 
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Consolidated model state, identical in layout to a
         single-process :meth:`DLRM.state_dict` (:func:`consolidate_state`).
         Only what is kept is copied: rank 0's dense entries, every
-        rank's own tables."""
+        rank's own tables (nothing with ``copy=False``)."""
+        models = enumerate(self.models)
         return consolidate_state(
-            [m.table_state_dict() if r else m.state_dict() for r, m in enumerate(self.models)],
-            self.owners,
+            [m.table_state_dict(copy) if r else m.state_dict(copy) for r, m in models], self.owners
         )
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -493,7 +493,7 @@ class DistributedDLRM:
         for model in self.models:
             model.load_state_dict(state)
 
-    def optimizer_state_dict(self) -> dict[str, np.ndarray]:
+    def optimizer_state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Consolidated optimizer state matching :meth:`state_dict`:
         dense state (momentum velocities, Split-SGD lo halves, Adagrad
         accumulators) from rank 0, per-table rows (Adagrad) from each
@@ -502,7 +502,7 @@ class DistributedDLRM:
             raise RuntimeError("call attach_optimizers() before checkpointing")
         return consolidate_state(
             [
-                opt.state_dict([] if r else model.parameters(), model.tables)
+                opt.state_dict([] if r else model.parameters(), model.tables, copy)
                 for r, (opt, model) in enumerate(zip(self.optimizers, self.models))
             ],
             self.owners,

@@ -83,23 +83,6 @@ class EmbeddingCache:
         self.hits = 0
         self.misses = 0
 
-    # -- introspection ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._lru) if self.policy == "lru" else len(self._freq)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._lru or key in self._freq
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Cumulative hit rate over the cache's lifetime."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     # -- the one mutating operation -----------------------------------------
 
     def access(self, table: int, indices: np.ndarray) -> CacheReport:

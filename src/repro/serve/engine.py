@@ -42,34 +42,33 @@ class InferenceEngine:
         self.cold_calls = 0
 
     @classmethod
-    def from_checkpoint(cls, path) -> "InferenceEngine":
+    def from_checkpoint(cls, source) -> "InferenceEngine":
         """Serve a training checkpoint: the train -> serve loop closed.
 
-        Rebuilds the model from the RunSpec embedded in a
-        ``repro.train`` ``.npz`` checkpoint (always as a full replica,
-        whatever parallelism produced it) and loads the saved weights
-        bit-exactly, so predictions match the training-time model to
-        the bit.  The import is deferred: ``repro.train`` sits above
-        this package in the layering.
+        Builds the model from the RunSpec embedded in a ``repro.train``
+        ``.npz`` checkpoint (a path or an open ``Archive``), always as a
+        full replica whatever parallelism produced it, each tensor taken
+        from its checked member: predictions match the training-time
+        model to the bit.  The import is deferred: ``repro.train`` sits
+        above this package in the layering.
         """
-        from repro.train.checkpoint import load_checkpoint
+        from repro.train.checkpoint import open_checkpoint
 
-        ckpt = load_checkpoint(path)
-        spec = ckpt.require_spec()
-        # Serve out-of-core too: rebuild the (deterministic) plan from the
-        # spec *first*, build the model on its file with the same tables
-        # tiered as the trainer's, and only then load the weights through
-        # the tiered views -- no flat copy of the tables ever sits in
-        # anonymous memory, so a model bigger than RAM loads.  Tiering
-        # moves rows, never bits: predictions stay bit-identical to a
-        # flat replica for *any* plan.
-        plan = plan_from_spec(spec) if spec.tiering.enabled else None
-        model = build_tiered(
-            lambda alloc: spec.build_model(slab_alloc=alloc),
-            plan.plans if plan is not None else {},
-            cold_dir=spec.tiering.cold_dir,
-        )
-        model.load_state_dict(ckpt.model_state)
+        with open_checkpoint(source) as archive:
+            spec = archive.require_spec()
+            # Serve out-of-core too: rebuild the (deterministic) plan from
+            # the spec *first* and build the model on its file, the same
+            # tables tiered as the trainer's.  Each table streams from its
+            # member into the file-backed slab and is permuted hot-first
+            # there: no flat copy of the tables ever sits in anonymous
+            # memory, so a model bigger than RAM loads.  Tiering moves
+            # rows, never bits, for *any* plan.
+            plan = plan_from_spec(spec) if spec.tiering.enabled else None
+            model = build_tiered(
+                lambda alloc: spec.build_model(slab_alloc=alloc, state=archive.model_state),
+                plan.plans if plan is not None else {},
+                cold_dir=spec.tiering.cold_dir,
+            )
         return cls(model)
 
     # -- buffers ------------------------------------------------------------

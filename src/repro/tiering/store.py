@@ -107,7 +107,7 @@ class TieredEmbeddingBag(EmbeddingBag):
     """
 
     storage = "fp32"
-    _arrays = ()  # the rows belong to :attr:`store`
+    _arrays = {}  # the rows belong to :attr:`store`
 
     def __init__(
         self,
@@ -172,10 +172,6 @@ class TieredEmbeddingBag(EmbeddingBag):
         return np.flatnonzero(self._remap < self._hot)
 
     @property
-    def hot_bytes(self) -> int:
-        return self._hot * self.dim * 4
-
-    @property
     def cold_path(self) -> str:
         """Path of the file the rows are mapped from (deleted on
         :meth:`close`, or with the last view of the mapping)."""
@@ -237,18 +233,14 @@ class TieredEmbeddingBag(EmbeddingBag):
     def scatter_add_rows(self, indices, deltas: np.ndarray, offsets=None, scale: float = 1.0) -> None:
         self.store.scatter_add_rows(self._checked_rows(indices, offsets), deltas, scale=scale)
 
-    def capacity_bytes(self) -> int:
-        # RAM-resident bytes: the hot prefix (the tail is paged by the
-        # OS and not counted against the training footprint).
-        return self.hot_bytes
-
     # -- checkpointing ------------------------------------------------------
 
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def state_dict(self, copy: bool = True) -> dict:
         """The flat-layout state: one FP32 weight array in id order, so
-        tiered tables round-trip through the existing ``.npz`` path and
-        the process backend's state arenas unchanged."""
-        return {"weight": self.dense_weight()}
+        tiered tables round-trip through the ``.npz`` path and the process
+        backend's state arenas unchanged.  ``copy=False`` defers the
+        gather to the checkpoint writer: one table at a time."""
+        return {"weight": self.dense_weight() if copy else self.dense_weight}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         self.store.weight[self._remap] = self._state_array(state, "weight", np.float32)

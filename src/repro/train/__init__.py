@@ -29,10 +29,10 @@ from repro.train.callbacks import (
     StepTimer,
 )
 from repro.train.checkpoint import (
+    Archive,
     Checkpoint,
     build_from_checkpoint,
     load_checkpoint,
-    restore,
     save_checkpoint,
     save_state,
 )
@@ -56,6 +56,7 @@ from repro.train.spec import (
 from repro.train.trainer import Trainer, make_trainer
 
 __all__ = [
+    "Archive",
     "Callback",
     "CallbackList",
     "Checkpoint",
@@ -82,7 +83,6 @@ __all__ = [
     "build_from_checkpoint",
     "load_checkpoint",
     "make_trainer",
-    "restore",
     "save_checkpoint",
     "save_state",
 ]

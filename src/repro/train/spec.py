@@ -482,8 +482,10 @@ class RunSpec:
         return self.model.build_config()
 
     def build_model(
-        self, cfg: DLRMConfig | None = None, table_ids: list[int] | None = None, slab_alloc=None
+        self, cfg: DLRMConfig | None = None, table_ids: list[int] | None = None,
+        slab_alloc=None, state=None,
     ) -> DLRM:
+        """The spec's model (``state``: its tensors, see ``DLRM``)."""
         cfg = cfg or self.build_config()
         return DLRM(
             cfg,
@@ -493,6 +495,7 @@ class RunSpec:
             lo_bits=self.precision.lo_bits,
             table_ids=table_ids,
             slab_alloc=slab_alloc,
+            state=state,
         )
 
     def build_dataset(self, cfg: DLRMConfig | None = None):

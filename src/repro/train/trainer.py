@@ -346,8 +346,9 @@ class Trainer:
         return self._executor.state_dicts()[1]
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Write model + optimizer + step (+ spec) as one ``.npz``."""
-        model_state, opt_state = self._executor.state_dicts()
+        """Write model + optimizer + step (+ spec) as one ``.npz``,
+        straight from the live storage."""
+        model_state, opt_state = self._executor.state_dicts(copy=False)
         save_state(path, model_state, opt_state, step=self.step, spec=self.spec)
 
     def load_checkpoint(self, ckpt: Checkpoint | str | Path) -> None:

@@ -251,6 +251,35 @@ def racefree_update_oracle(table, grad, lr: float, threads: int) -> np.ndarray:
     )
 
 
+def predict_proba(model, batch) -> np.ndarray:
+    """Click probabilities from a model's training forward: the sigmoid
+    of its logits, shape (N,)."""
+    from repro.core.mlp import sigmoid
+
+    return sigmoid(model.forward(batch)).reshape(-1)
+
+
+def capacity_bytes(model) -> int:
+    """Model + optimizer-visible bytes a model (or one table) holds in
+    RAM: dense parameters, and each table's storage arrays -- for a
+    tiered table only its hot rows (the OS pages the tail)."""
+    tables = getattr(model, "tables", None)
+    if tables is not None:
+        dense = sum(p.nbytes for p in model.parameters())
+        return dense + sum(capacity_bytes(t) for t in tables.values())
+    if hasattr(model, "_hot"):
+        return model._hot * model.dim * 4
+    return sum(getattr(model, name).nbytes for name in model._arrays)
+
+
+def state_bytes(opt, params, tables=()) -> int:
+    """Optimizer state bytes held for ``params`` -- their slots of the
+    dense state flat -- plus one float per row of each of ``tables`` (a
+    row-wise optimizer's sparse state)."""
+    dense = 0 if opt.state_key is None else sum(opt.state_view(p).nbytes for p in params)
+    return dense + sum(t.rows * 4 for t in tables)
+
+
 def assert_same_bits(got: dict, want: dict, what: str = "state") -> None:
     """Two state dicts hold the same keys, dtypes, shapes and bytes
     (not merely equal values: -0.0 and NaN payloads count)."""

@@ -11,7 +11,7 @@ from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.kernels import reference, rows as row_kernels
 from repro.kernels.lookup import check_offsets
-from tests.conftest import TIERED, scatter_add_rows_oracle
+from tests.conftest import TIERED, capacity_bytes, scatter_add_rows_oracle
 from tests.kernels.test_segment import bits, special_values
 
 
@@ -242,7 +242,7 @@ class TestSplitEmbeddingBag:
         """Split storage needs no master copy: 4 bytes/element total."""
         fp32 = EmbeddingBag(100, 8, rng=rng)
         split = SplitEmbeddingBag(100, 8, rng=rng)
-        assert split.capacity_bytes() == fp32.capacity_bytes()
+        assert capacity_bytes(split) == capacity_bytes(fp32)
 
     def test_rejects_bad_lo_bits(self):
         with pytest.raises(ValueError):

@@ -275,7 +275,7 @@ class ReversedRows(EmbeddingBag):
     def storage_rows(self, indices):
         return self.rows - 1 - indices
 
-    def state_dict(self):
+    def state_dict(self, copy=True):
         return {"weight": self.weight[::-1].copy()}
 
 

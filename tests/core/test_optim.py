@@ -20,9 +20,16 @@ from tests.conftest import (
     pending_grads,
     racefree_update_oracle,
     random_batch,
+    state_bytes,
     tiny_config,
 )
 from tests.core.test_dense_slab import padding_mask, state_flat
+
+
+def master_value(opt: SplitSGD, p: Parameter) -> np.ndarray:
+    """The implicit FP32 master weight of ``p``: its hi half joined with
+    the lo half ``opt`` keeps."""
+    return (p.value.view(np.uint32) | opt.state_view(p)).view(np.float32)
 
 
 def make_param(rng, shape=(6, 4)):
@@ -63,7 +70,7 @@ class TestSplitSGD:
         # Model tensor now holds exactly the truncated BF16 half.
         np.testing.assert_array_equal(p.value, combine_fp32(hi, np.zeros_like(hi)))
         # ... while the master is still reconstructible bit-for-bit.
-        np.testing.assert_array_equal(opt.master_value(p), original)
+        np.testing.assert_array_equal(master_value(opt, p), original)
 
     def test_update_is_fp32_accurate(self, rng):
         """Split-SGD's master trajectory must equal plain FP32 SGD."""
@@ -77,7 +84,7 @@ class TestSplitSGD:
             p_split.accumulate_grad(g)
             opt.step_dense([p_split])
             ref_master -= np.float32(0.05) * g
-        np.testing.assert_array_equal(opt.master_value(p_split), ref_master)
+        np.testing.assert_array_equal(master_value(opt, p_split), ref_master)
 
     def test_small_updates_not_lost(self):
         """The classic mixed-precision failure: updates below the BF16 ULP
@@ -90,7 +97,7 @@ class TestSplitSGD:
             p.accumulate_grad(-tiny)  # push upward
             opt.step_dense([p])
         # 1024 * 2^-12 = 0.25 accumulated exactly in the master.
-        assert opt.master_value(p)[0] == pytest.approx(1.25, rel=1e-6)
+        assert master_value(opt, p)[0] == pytest.approx(1.25, rel=1e-6)
         assert p.value[0] >= np.float32(1.242)  # visible in BF16 too
 
     def test_fp24_loses_small_updates(self):
@@ -108,8 +115,8 @@ class TestSplitSGD:
             p8.accumulate_grad(-tiny)
             full.step_dense([p16])
             fp24.step_dense([p8])
-        full_gain = full.master_value(p16)[0] - 1.0
-        fp24_gain = fp24.master_value(p8)[0] - 1.0
+        full_gain = master_value(full, p16)[0] - 1.0
+        fp24_gain = master_value(fp24, p8)[0] - 1.0
         assert full_gain == pytest.approx(256 * 2.0**-20, rel=1e-6)
         assert fp24_gain < full_gain  # FP24 dropped part of the signal
 
@@ -123,7 +130,7 @@ class TestSplitSGD:
         p = make_param(rng, (10, 10))
         opt = SplitSGD(lr=0.1)
         opt.register([p])
-        assert opt.state_bytes([p]) == 200
+        assert state_bytes(opt, [p]) == 200
 
     def test_name_reflects_lo_bits(self):
         assert SplitSGD(lr=0.1).name == "split-sgd-bf16"
@@ -145,8 +152,10 @@ class TestMasterWeightSGD:
         p = make_param(rng, (10, 10))
         opt = MasterWeightSGD(lr=0.1)
         opt.register([p])
-        assert opt.state_bytes([p]) == 400
-        assert opt.state_bytes([p]) == 2 * SplitSGD(lr=0.1).state_bytes([p]) * 1.0
+        assert state_bytes(opt, [p]) == 400
+        q, split = make_param(rng, (10, 10)), SplitSGD(lr=0.1)
+        split.register([q])
+        assert state_bytes(opt, [p]) == 2 * state_bytes(split, [q])
 
     def test_trajectory_close_to_split_sgd(self, rng):
         """Both mixed-precision schemes keep FP32-exact masters, so their
@@ -163,7 +172,7 @@ class TestMasterWeightSGD:
             pb.accumulate_grad(g)
             a.step_dense([pa])
             b.step_dense([pb])
-        np.testing.assert_array_equal(a.master_value(pa), b.state_view(pb))
+        np.testing.assert_array_equal(master_value(a, pa), b.state_view(pb))
 
 
 class TestSinglePassUpdates:

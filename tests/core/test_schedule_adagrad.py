@@ -7,7 +7,7 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad
 from repro.core.param import Parameter
 from repro.core.schedule import WarmupDecaySchedule
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import random_batch, state_bytes, tiny_config
 
 
 class TestWarmupDecaySchedule:
@@ -97,7 +97,7 @@ class TestSparseAdagrad:
         opt = SparseAdagrad(lr=0.1)
         opt.register(model.parameters())
         dense = sum(p.size * 4 for p in model.parameters())
-        got = opt.state_bytes(model.parameters(), list(model.tables.values()))
+        got = state_bytes(opt, model.parameters(), list(model.tables.values()))
         assert got == dense + 2 * 50 * 4  # one float per row per table
 
     def test_repeated_rows_shrink_their_steps(self):

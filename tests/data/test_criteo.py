@@ -9,7 +9,7 @@ from repro.core.metrics import roc_auc
 from repro.data.criteo import SyntheticCriteoDataset, _hash_keys
 from repro.kernels import reference
 from repro.kernels.synth import hashed_effect
-from tests.conftest import TIERED, tiny_config
+from tests.conftest import TIERED, predict_proba, tiny_config
 
 
 def _hashed_effect(table, idx, seed):
@@ -144,5 +144,5 @@ class TestSyntheticCriteo:
         for i in range(30):
             model.train_step(ds.batch(128, i), opt)
         test = ds.batch(1024, 999)
-        auc = roc_auc(test.labels, model.predict_proba(test))
+        auc = roc_auc(test.labels, predict_proba(model, test))
         assert auc > 0.6

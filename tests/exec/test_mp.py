@@ -311,14 +311,14 @@ class TestExecutor:
             executor.step(1, lr=0.05)
         # The failed executor tore itself down.
         assert executor._closed
-        for pid in executor.worker_pids():
+        for pid in worker_pids(executor):
             _wait_gone(pid, timeout=10.0)
 
     def test_close_is_idempotent_and_reaps(self):
         spec = tiny_spec()
         dist, dataset = build_dist(spec)
         executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
-        pids = executor.worker_pids()
+        pids = worker_pids(executor)
         executor.step(0, lr=0.05)
         executor.close()
         executor.close()
@@ -466,7 +466,7 @@ class TestTypedFailures:
             executor.step(1, lr=0.05)
         assert err.value.worker_index == 0
         assert executor._closed
-        for pid in executor.worker_pids():
+        for pid in worker_pids(executor):
             _wait_gone(pid, timeout=10.0)
 
     def test_heartbeats_visible_to_parent(self):
@@ -474,7 +474,7 @@ class TestTypedFailures:
         executor = ProcessRankExecutor(dist, dataset, batch_size=32, workers=2)
         try:
             executor.step(0, lr=0.05)
-            beats = executor.heartbeats()
+            beats = executor._heartbeats.snapshot()
             assert len(beats) == executor.n_workers
             for b in beats:
                 assert b["age_s"] is not None and b["age_s"] >= 0.0
@@ -500,6 +500,10 @@ class TestTypedFailures:
         assert executor._closed  # the failure path tore down + unlinked
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked, f"leaked shm blocks: {sorted(leaked)}"
+
+
+def worker_pids(executor: ProcessRankExecutor) -> list[int]:
+    return [proc.pid for proc in executor._procs if proc.pid is not None]
 
 
 def _alive(pid: int) -> bool:
@@ -547,7 +551,7 @@ ORPHAN_SCRIPT = textwrap.dedent(
     dist = DistributedDLRM(cfg, cluster, seed=3)
     dist.attach_optimizers(spec.build_optimizer)
     ex = ProcessRankExecutor(dist, spec.build_dataset(cfg), batch_size=32, workers=2)
-    print("PIDS " + " ".join(map(str, ex.worker_pids())), flush=True)
+    print("PIDS " + " ".join(map(str, [p.pid for p in ex._procs])), flush=True)
     # Fire a step and die mid-flight: no close(), no atexit (os._exit).
     for conn in ex._conns:
         conn.send(("step", 0, 0.05))

@@ -92,7 +92,7 @@ class TestIndexStats:
 
     def test_duplication_ratio(self):
         s = index_stats(np.array([1, 1, 2, 3]), 10, threads=2)
-        assert s.duplication_ratio == pytest.approx(0.25)
+        assert s.duplicates / s.total == pytest.approx(0.25)
 
     @given(st.integers(1, 200), st.integers(1, 32), st.integers(0, 999))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Machine specs: the paper's published platform numbers."""
 
+import dataclasses
+
 import pytest
 
 from repro.hw.spec import (
@@ -34,7 +36,7 @@ class TestSocketSpecs:
             SKX_8180.peak_flops_on(29)
 
     def test_with_capacity(self):
-        fat = CLX_8280.with_capacity(192.0)
+        fat = dataclasses.replace(CLX_8280, mem_capacity_gb=192.0)
         assert fat.mem_capacity_gb == 192.0
         assert fat.cores == CLX_8280.cores
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.model import DLRM
 from repro.serve.engine import InferenceEngine
-from tests.conftest import pending_grads, random_batch, tiny_config
+from tests.conftest import pending_grads, predict_proba, random_batch, tiny_config
 
 
 class TestBitIdentity:
@@ -25,7 +25,7 @@ class TestBitIdentity:
         model = DLRM(cfg, seed=1)
         eng = InferenceEngine(model)
         batch = random_batch(cfg, 8, seed=2)
-        want = DLRM(cfg, seed=1).predict_proba(batch)
+        want = predict_proba(DLRM(cfg, seed=1), batch)
         np.testing.assert_array_equal(eng.predict(batch), want)
 
     def test_split_bf16_storage_supported(self):

@@ -1,6 +1,7 @@
 """CLI: every experiment is addressable and prints a table."""
 
 import re
+import zipfile
 
 import pytest
 
@@ -143,6 +144,41 @@ class TestTrainEvalCli:
         out = capsys.readouterr().out
         assert "Functional scoring with trained weights" in out
         assert "Serving small" in out  # sweep aligned to the checkpoint config
+
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--batch-size", "64"], ["serve", "--requests", "40", "--budgets-ms", "2"]]
+    )
+    def test_a_checkpoint_command_reads_the_archive_once(
+        self, argv, spec_path, tmp_path, capsys, monkeypatch
+    ):
+        """One open, and every member read at most once: the header the
+        command prints and the engine it builds come from one pass."""
+        from collections import Counter
+
+        from repro.train.checkpoint import Archive
+
+        ckpt = tmp_path / "run.npz"
+        main(["train", "--spec", str(spec_path), "--checkpoint", str(ckpt)])
+        capsys.readouterr()
+        opens, reads = [], Counter()
+        real_init, real_get = Archive.__init__, Archive.__getitem__
+
+        def spy_init(self, *args, **kwargs):
+            opens.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        def spy_get(self, key):
+            reads[key] += 1
+            return real_get(self, key)
+
+        monkeypatch.setattr(Archive, "__init__", spy_init)
+        monkeypatch.setattr(Archive, "__getitem__", spy_get)
+        assert main([argv[0], "--checkpoint", str(ckpt), *argv[1:]]) == 0
+        assert opens == [str(ckpt)]
+        assert max(reads.values()) == 1, reads
+        with zipfile.ZipFile(ckpt) as zf:
+            members = {info.filename.removesuffix(".npy") for info in zf.infolist()}
+        assert {key for key in members if key.startswith("model.")} <= set(reads)
 
 
 class TestPlanSubcommand:

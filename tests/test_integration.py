@@ -19,7 +19,7 @@ from repro.data.synthetic import RandomRecDataset
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
 from repro.parallel.timing import model_iteration
-from tests.conftest import tiny_config
+from tests.conftest import capacity_bytes, predict_proba, tiny_config
 
 
 class TestPackageSurface:
@@ -41,10 +41,10 @@ class TestSingleSocketWorkflow:
         model = DLRM(cfg, seed=1)
         opt = SGD(lr=0.1)
         test = data.batch(2048, 99_999)
-        auc_before = roc_auc(test.labels, model.predict_proba(test))
+        auc_before = roc_auc(test.labels, predict_proba(model, test))
         for batch in data.batches(128, 40):
             model.train_step(batch, opt)
-        auc_after = roc_auc(test.labels, model.predict_proba(test))
+        auc_after = roc_auc(test.labels, predict_proba(model, test))
         assert auc_after > auc_before + 0.05
 
     def test_checkpointless_determinism(self):
@@ -96,7 +96,7 @@ class TestDistributedWorkflow:
             batch = data.batch(32, i)
             single.train_step(batch, opt, normalizer=batch.size)
             dist.train_step(batch)
-        auc_single = roc_auc(test.labels, single.predict_proba(test))
+        auc_single = roc_auc(test.labels, predict_proba(single, test))
         auc_dist = roc_auc(test.labels, dist.predict_proba(test))
         assert auc_dist == pytest.approx(auc_single, abs=1e-3)
 
@@ -145,6 +145,6 @@ class TestMemoryAccounting:
         split = DLRM(cfg, seed=0, storage="split_bf16")
         # Total capacity equal (no master copy), but the *model* half the
         # forward pass touches is 2 bytes/element instead of 4.
-        assert split.capacity_bytes() == fp32.capacity_bytes()
+        assert capacity_bytes(split) == capacity_bytes(fp32)
         t = split.tables[0]
         assert t.hi.nbytes * 2 == t.hi.nbytes + t.lo.nbytes

@@ -16,7 +16,13 @@ from repro.core.embedding import EmbeddingBag
 from repro.core.model import DLRM
 from repro.tiering.planner import plan_placement
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, file_backed
-from tests.conftest import TIERED, random_batch, scatter_add_rows_oracle, tiny_config
+from tests.conftest import (
+    TIERED,
+    capacity_bytes,
+    random_batch,
+    scatter_add_rows_oracle,
+    tiny_config,
+)
 from tests.kernels.test_segment import bits, special_values
 from tests.tiering.test_planner import skewed_snapshot
 
@@ -145,7 +151,7 @@ class TestAnyHotSetAgainstAddAt:
             assert bag.store.weight.shape == (ROWS, DIM)
             np.testing.assert_array_equal(bits(bag.store.weight), bits(w0[np.r_[hot, cold]]))
             np.testing.assert_array_equal(bag.hot_rows, hot)
-            assert bag.capacity_bytes() == bag.hot_bytes == hot.size * DIM * 4
+            assert capacity_bytes(bag) == hot.size * DIM * 4
             for read in (bag.weight, bag.dense_weight(), bag.state_dict()["weight"]):
                 np.testing.assert_array_equal(bits(read), bits(w0))
             idx, offsets, bag_ids = bags(rng, ragged)
@@ -241,7 +247,7 @@ class TestStoreMechanics:
     def test_capacity_counts_hot_only(self, tmp_path):
         _, tiered = pair(tmp_path, hot_step=8)
         full = ROWS * DIM * 4
-        assert 0 < tiered.capacity_bytes() < full  # out-of-core footprint
+        assert 0 < capacity_bytes(tiered) < full  # out-of-core footprint
         assert tiered.store.weight.nbytes == full
 
     def test_retier_preserves_bits(self, tmp_path):

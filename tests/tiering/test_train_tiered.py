@@ -28,7 +28,12 @@ from repro.tiering import store
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, build_tiered
 from repro.train import RunSpec, Trainer, make_trainer
 
-from tests.conftest import random_batch, skip_unless_recorded_here, tiny_config
+from tests.conftest import (
+    capacity_bytes,
+    random_batch,
+    skip_unless_recorded_here,
+    tiny_config,
+)
 from tests.core.test_embedding_slab import arrays
 from tests.train.test_slab_executors import state_digest
 
@@ -138,7 +143,7 @@ class TestCheckpointAndServe:
             if isinstance(t, TieredEmbeddingBag)
         ]
         assert tiered
-        assert sum(t.capacity_bytes() for t in tiered) < sum(
+        assert sum(capacity_bytes(t) for t in tiered) < sum(
             t.store.weight.nbytes for t in tiered
         )
         batch = trainer.eval_batch()

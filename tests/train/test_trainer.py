@@ -245,7 +245,7 @@ class FakeExecutor:
         self.log.append(("step", index, lr))
         return float(index)
 
-    def state_dicts(self):
+    def state_dicts(self, copy=True):
         return {"w": np.arange(3, dtype=np.float32)}, {"lr": np.float64(0.5)}
 
     def load_state(self, model_state, opt_state=None):
