@@ -26,13 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag, stack_tables
+from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
 from repro.kernels import dispatch, reference
 from repro.kernels.lookup import check_lookup
 from repro.kernels.rows import split_add_aggregated
-from repro.kernels.workspace import Workspace
+from repro.kernels.workspace import Workspace, aligned_empty
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 THREADS = 28  # the paper's per-socket core count (CLX-AP socket)
@@ -268,9 +268,10 @@ def bench_suite_shapes(results, reps, quick, rng):
     per-thread mask scans + ``np.add.at`` update.
     """
     tables, rows, n, pooling, e = (2, 2_000, 64, 8, 32) if quick else (8, 50_000, 512, 32, 64)
-    slab, views = stack_tables(
-        (EmbeddingBag(rows, e, rng=rng) for _ in range(tables)), tables * rows
-    )
+    slab = EmbeddingBag(tables * rows, e, alloc=aligned_empty)
+    views = [slab.rows_view(t * rows, (t + 1) * rows) for t in range(tables)]
+    for view in views:
+        view.draw(rng)
     w0 = slab.weight.copy()
     idx = [bounded_zipf(rng, n * pooling, rows, alpha=1.05) for _ in range(tables)]
     offsets = np.arange(0, n * pooling + 1, pooling, dtype=np.int64)

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
 from repro.core.param import checked_entry
 from repro.obs.tracer import trace
-from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add
+from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add, uniform_fill
 from repro.kernels.lookup import Lookup, check_ids, check_lookup
-from repro.kernels.rows import gather_rows
+from repro.kernels.rows import gather_rows, split_fp32_into
 from repro.kernels.workspace import Workspace, aligned_empty
 
 
@@ -73,8 +73,8 @@ class SparseGrad:
         return uniq, sums
 
 
-#: Float32 elements the initialiser draws at a time (512 KiB), so no
-#: table-sized transient exists.
+#: Float32 elements a Split-BF16 draw makes at a time (512 KiB) before
+#: it splits them into their halves, so no table-sized transient exists.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -95,33 +95,27 @@ class EmbeddingBag:
         dim: int,
         rng: np.random.Generator | None = None,
         weight: np.ndarray | None = None,
-        state: Mapping[str, np.ndarray] | None = None,
+        alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
     ):
-        """``weight`` gives the FP32 table instead of its draw; ``state``
-        (a :meth:`state_dict`) the storage arrays, checked, taken as is."""
+        """Storage drawn from ``rng`` (:meth:`draw`) into line-aligned
+        memory, or ``weight``, the FP32 table, in its place.  With
+        ``alloc(shape, dtype)`` the storage arrays come from there and
+        stay unfilled: a model's slab, whose :meth:`rows_view` tables are
+        then each drawn or loaded (:meth:`load_state_dict`) in place."""
         if rows <= 0 or dim <= 0:
             raise ValueError("rows and dim must be positive")
         self.rows = int(rows)
         self.dim = int(dim)
-        if state is not None:
-            for name, dtype in self._arrays.items():
-                setattr(self, name, self._state_array(state, name, dtype))
-        elif weight is not None:
+        if weight is not None:
             w = np.ascontiguousarray(weight, dtype=np.float32)
             if w.shape != (rows, dim):
                 raise ValueError(f"weight must be ({rows}, {dim}), got {w.shape}")
             self._init_storage(w)
         else:
-            # U(+-sqrt(1/rows)), drawn a block of rows at a time: the
-            # generator fills in C order, so the blocks are the one-shot
-            # draw bit for bit without its table-sized float64 transient.
-            rng = rng or np.random.default_rng()
-            bound = np.sqrt(1.0 / rows)
-            w = aligned_empty((rows, dim), np.float32)
-            step = max(1, _BLOCK_ELEMS // dim)
-            for lo in range(0, rows, step):
-                w[lo : lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), dim))
-            self._init_storage(w)
+            for name, dtype in self._arrays.items():
+                setattr(self, name, (alloc or aligned_empty)((self.rows, self.dim), dtype))
+            if alloc is None:
+                self.draw(rng or np.random.default_rng())
         #: Buffers of the pooled forward, allocated on first use.
         self._scratch = Workspace()
 
@@ -130,22 +124,26 @@ class EmbeddingBag:
     def _init_storage(self, w: np.ndarray) -> None:
         self.weight = w
 
-    def _over(self, rows: int, pick: Callable[[np.ndarray], np.ndarray]) -> "EmbeddingBag":
-        """A bag like this one over ``rows`` rows, its storage arrays
-        ``pick(array)`` of this one's; scratch stays per instance."""
-        bag = copy.copy(self)
-        bag.rows = rows
-        for name in self._arrays:
-            setattr(bag, name, pick(getattr(self, name)))
-        bag._scratch = Workspace()
-        return bag
+    def draw(self, rng: np.random.Generator) -> None:
+        """Fill the rows in place with the table initialiser,
+        U(+-sqrt(1/rows)) from ``rng``: bitwise ``rng.uniform(-b, b,
+        (rows, dim)).astype(np.float32)``, ``rng`` left where that draw
+        leaves it, with no float64 transient."""
+        bound = np.sqrt(1.0 / self.rows)
+        uniform_fill(self.weight, rng, -bound, bound)
 
     def rows_view(self, start: int, stop: int) -> "EmbeddingBag":
         """A bag over rows ``[start, stop)`` whose storage *is* this
-        bag's: what either one writes, the other reads."""
+        bag's: what either one writes, the other reads.  Scratch stays
+        per instance."""
         if not 0 <= start < stop <= self.rows:
             raise ValueError(f"rows [{start}, {stop}) outside a {self.rows}-row bag")
-        return self._over(stop - start, lambda a: a[start:stop])
+        bag = copy.copy(self)
+        bag.rows = stop - start
+        for name in self._arrays:
+            setattr(bag, name, getattr(self, name)[start:stop])
+        bag._scratch = Workspace()
+        return bag
 
     def storage_rows(self, indices: np.ndarray) -> np.ndarray:
         """The storage rows that pre-checked ``indices`` name: the ids
@@ -197,11 +195,7 @@ class EmbeddingBag:
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore storage saved by :meth:`state_dict`, bit-exactly."""
         for name, dtype in self._arrays.items():
-            getattr(self, name)[...] = self._state_array(state, name, dtype)
-
-    def _state_array(self, state: Mapping[str, np.ndarray], key: str, dtype: type) -> np.ndarray:
-        """``state[key]``, checked to be a ``(rows, dim)`` array of ``dtype``."""
-        return checked_entry(state, key, (self.rows, self.dim), dtype)
+            getattr(self, name)[...] = checked_entry(state, name, (self.rows, self.dim), dtype)
 
     # -- compute layer -----------------------------------------------------------
 
@@ -249,41 +243,6 @@ class EmbeddingBag:
         return SparseGrad(look.ids, values)
 
 
-def stack_tables(
-    tables: Iterable[EmbeddingBag],
-    total_rows: int,
-    alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
-) -> tuple[EmbeddingBag | None, list[EmbeddingBag]]:
-    """Move ``tables`` into one *slab* bag of ``total_rows`` rows.
-
-    The ``nn.Embedding(sum(rows))`` + per-table offsets construction:
-    returns the slab -- same class and settings as the tables, its
-    storage arrays theirs back to back -- and one :meth:`rows_view
-    <EmbeddingBag.rows_view>` per table, in order, holding that table's
-    exact bits.  ``tables`` is consumed one at a time (pass a
-    generator), so at most one stand-alone table is alive beside the
-    slab.  ``alloc(shape, dtype)`` provides the slab's storage arrays
-    (default :func:`~repro.kernels.workspace.aligned_empty`, so a table
-    whose rows are whole cache lines starts on one too;
-    :func:`repro.tiering.store.file_backed` puts them on a file
-    mapping).  No tables, no slab: ``(None, [])``.
-    """
-    alloc = alloc or aligned_empty
-    slab, views, start = None, [], 0
-    for table in tables:
-        if slab is None:
-            slab = table._over(total_rows, lambda a: alloc((total_rows, *a.shape[1:]), a.dtype))
-        view = slab.rows_view(start, start + table.rows)
-        for name in table._arrays:
-            getattr(view, name)[...] = getattr(table, name)
-        views.append(view)
-        start += table.rows
-        table = None  # dropped before the generator builds the next one
-    if start != total_rows:
-        raise ValueError(f"tables hold {start} rows, slab was sized for {total_rows}")
-    return slab, views
-
-
 class SplitEmbeddingBag(EmbeddingBag):
     """Split-BF16 storage (paper Sect. VII).
 
@@ -301,18 +260,30 @@ class SplitEmbeddingBag(EmbeddingBag):
         dim: int,
         rng: np.random.Generator | None = None,
         weight: np.ndarray | None = None,
-        state: Mapping[str, np.ndarray] | None = None,
+        alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
         lo_bits: int = 16,
     ):
         if not 0 <= lo_bits <= 16:
             raise ValueError(f"lo_bits must be in [0, 16], got {lo_bits}")
         self.lo_bits = lo_bits
-        super().__init__(rows, dim, rng=rng, weight=weight, state=state)
+        super().__init__(rows, dim, rng=rng, weight=weight, alloc=alloc)
 
     def _init_storage(self, w: np.ndarray) -> None:
         hi, lo = split_fp32(w)
         self.hi = hi
         self.lo = truncate_lo_bits(lo, self.lo_bits)
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """The FP32 draw, a float32 block of rows at a time, each block
+        split into its rows' ``hi`` and ``lo`` halves."""
+        bound = np.sqrt(1.0 / self.rows)
+        step = max(1, _BLOCK_ELEMS // self.dim)
+        block = np.empty((min(step, self.rows), self.dim), np.float32)
+        for lo in range(0, self.rows, step):
+            w = block[: self.rows - lo]
+            uniform_fill(w, rng, -bound, bound)
+            split_fp32_into(w, self.lo[lo : lo + step], self.lo_bits)
+            np.right_shift(w.view(np.uint32), 16, out=self.hi[lo : lo + step], casting="unsafe")
 
     def _read_rows(self) -> np.ndarray:
         # Forward/backward read only the BF16 half: 2x less bandwidth.

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.config import DLRMConfig
-from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
+from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.interaction import make_interaction
 from repro.core.loss import BCEWithLogitsLoss
 from repro.core.mlp import MLP
@@ -30,6 +30,7 @@ from repro.core.optim import SGD
 from repro.core.param import DenseSlab, Parameter, Prefixed
 from repro.core.update import steps_rows_statelessly, uses_fused_dispatch
 from repro.kernels.lookup import BadLookup, Lookup, fuse
+from repro.kernels.workspace import aligned_empty
 from repro.obs.tracer import trace
 from repro.util import rng_from
 
@@ -64,7 +65,8 @@ class DLRM:
         partition of tables across processes reproduces the exact same
         weights as a single process holding all of them.
         ``slab_alloc(shape, dtype)`` provides the embedding slab's memory
-        (default: line-aligned memory); whoever tiers the tables passes a file
+        (default: line-aligned memory), each table drawn or loaded
+        straight into its rows; whoever tiers the tables passes a file
         mapping (:func:`repro.tiering.store.build_tiered`).
         ``state`` (a :meth:`state_dict`-keyed mapping, such as a
         checkpoint's members) gives every tensor instead of its draw, one
@@ -110,17 +112,20 @@ class DLRM:
         #: storage class (``None`` for a model that owns no table).  A
         #: step looks all of them up with one ``slab.forward`` and
         #: updates them with one sort, one plan and one fold.
-        self.slab, views = stack_tables(
-            (
-                bag_cls(r, cfg.embedding_dim, rng=rng_from(seed, "table", t), **bag_kw)
-                if state is None
-                else bag_cls(r, cfg.embedding_dim, state=_table_state(state, t), **bag_kw)
-                for t, r in zip(self.table_ids, rows)
-            ),
-            sum(rows),
-            slab_alloc,
+        self.slab = (
+            bag_cls(sum(rows), cfg.embedding_dim, alloc=slab_alloc or aligned_empty, **bag_kw)
+            if rows
+            else None
         )
-        self._tables: dict[int, EmbeddingBag] = dict(zip(self.table_ids, views))
+        self._tables: dict[int, EmbeddingBag] = {}
+        start = 0
+        for t, r in zip(self.table_ids, rows):  # each table filled in place, in its own rows
+            table = self._tables[t] = self.slab.rows_view(start, start + r)
+            start += r
+            if state is None:
+                table.draw(rng_from(seed, "table", t))
+            else:
+                table.load_state_dict(_table_state(state, t))
         #: The owned tables by id: views of their row range of
         #: :attr:`slab` (same ``state_dict`` keys and arrays as
         #: stand-alone bags), in table order.  Read-only; a view that

@@ -1,16 +1,17 @@
 """Where a kernel tier is chosen: the only place.
 
-Nine operators have two implementations -- C loops behind ``ctypes``
+Ten operators have two implementations -- C loops behind ``ctypes``
 (:mod:`repro.kernels.native`) and NumPy formulations
 (:mod:`repro.kernels.rows`, :mod:`repro.kernels.synth`,
 :mod:`repro.kernels.interaction`) -- with the same bits, the row
 operators' those of :mod:`repro.kernels.reference` (whose ``np.add.at``
-spellings the NumPy tier runs) and the interaction's those of BLAS.
-Each function below offers its arguments to the native entry, which
-either does the whole job or touches nothing
-(no library in this process, arrays it cannot represent: another dtype,
-a strided view, an id out of range -- or, for the interaction, a host
-whose BLAS computes other bits); then the NumPy tier gets the same
+spellings the NumPy tier runs), the interaction's those of BLAS, the
+draw's those of NumPy's ``Generator``.  Each function below offers its
+arguments to the native entry, which either does the whole job or
+touches nothing (no library in this process, arrays it cannot represent:
+another dtype, a strided view, an id out of range -- or, for the
+interaction, a host whose BLAS computes other bits; for the draw,
+another bit generator); then the NumPy tier gets the same
 arguments.  The tier is a property of the process and of the arrays,
 never an option: callers in ``core`` and ``data`` import these and
 cannot tell which one ran.
@@ -85,3 +86,10 @@ def teacher_bags(ids, offsets, mix, seed_mult, weight, score) -> None:
     input order) / max(len, 1)``: the teacher's term for one table."""
     if not native.teacher_bags(ids, offsets, mix, seed_mult, weight, score):
         synth.teacher_bags(ids, offsets, mix, seed_mult, weight, score)
+
+
+def uniform_fill(out, rng, low, high) -> None:
+    """``out[...] = rng.uniform(low, high, out.shape)`` with no float64
+    transient; ``rng`` ends where that one draw leaves it."""
+    if not native.uniform_fill(out, rng, low, high):
+        rows.uniform_fill(out, rng, low, high)

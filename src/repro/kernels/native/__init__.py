@@ -10,7 +10,9 @@ argument -- and :func:`bind` applies every clause (a
 clause can say stays in the entry: a Zipf table no larger than the
 scramble's ``int64`` bound, the teacher's ``uint64`` keys, interaction
 vectors no wider than :data:`MAX_DOT_DIM` on a host whose BLAS agrees
-with the C loops (:func:`blas_agrees`).  An entry that cannot *represent* its
+with the C loops (:func:`blas_agrees`), a ``PCG64`` draw between bounds
+NumPy accepts once the C loop has matched NumPy's own
+(:func:`pcg64_agrees`).  An entry that cannot *represent* its
 inputs (another dtype, a strided view, an id out of range, no library
 in this process) touches nothing and says so -- ``False``, or ``None``
 for those that return arrays -- and :mod:`repro.kernels.dispatch` hands
@@ -26,14 +28,17 @@ the scatter (Alg. 4: every thread scans all look-ups and owns
 ``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, runs of one id
 for the Split-BF16 update -- so each output row has one owner who folds
 it in input order, and the bits do not depend on the number of threads.
-The NumPy tier never shards.  The two data kernels and the interaction
-run whole on the calling thread.  A ``ctypes`` call releases the GIL.
+The NumPy tier never shards.  The two data kernels, the interaction and
+the uniform draw run whole on the calling thread.  A ``ctypes`` call
+releases the GIL.
 
 ``python -m repro.kernels.native`` says what is loaded.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from collections import namedtuple
 from typing import Callable
@@ -101,6 +106,7 @@ CONTRACTS = {
         ("teacher_bags", "ids:i64[n]", "offsets:i64[bags+1]~n", "score:f64[bags]!"),
         ("dot_interaction", "dense:f32[n,e>0]", "embs:[s]f32[n,e]", "z:f32[n,s+1,e]!?"),
         ("dot_interaction_backward", "z:f32[n,v,e]", "dout:f32[n,w]"),
+        ("uniform_fill", "out:f32[rows,dim]!"),
     )
 }
 
@@ -320,20 +326,17 @@ MAX_DOT_DIM = 256
 #: ``(N, V, E)`` of the agreement check: one pair, an odd width, the
 #: suite's ``V`` and ``E``, a vector body and tail, the cap.
 _BATTERY = ((1, 2, 2), (3, 3, 7), (4, 9, 64), (3, 9, 65), (2, 27, 128), (2, 5, 255), (2, 4, 256))
-_agrees: bool | None = None
 
 
+@functools.cache
 def blas_agrees() -> bool:
     """Whether this process's BLAS computes the dot interaction with the
     bits of the C loops.  On first use both tiers run :data:`_BATTERY`,
     once plain and once with ±0, subnormals, ±inf and NaN mixed in; one
     differing bit makes the interaction entries decline for the rest of
     the process.  A capability of the host, like the compiler: no knob."""
-    global _agrees
-    if _agrees is None:
-        lib = library()
-        _agrees = lib is not None and _agreement(lib)
-    return _agrees
+    lib = library()
+    return lib is not None and _agreement(lib)
 
 
 def _agreement(lib) -> bool:
@@ -405,3 +408,66 @@ def _dot_backward(lib, z: int, dout: int, n: int, v: int, e: int) -> tuple[np.nd
     sym = np.empty(v * v, np.float32)
     lib.repro_dot_bwd(z, dout, n, v, e, _ptr(ddense), _ptr(dembs), _ptr(sym))
     return ddense, dembs
+
+
+def uniform_fill(out, rng, low, high) -> bool:
+    """``out[...] = rng.uniform(low, high, out.shape)`` rounded to FP32,
+    ``rng`` left where that draw leaves it; False when not representable
+    (a bit generator other than ``PCG64``; bounds ``Generator.uniform``
+    broadcasts, or refuses: a range below +0.0 or past the largest
+    double) or when :func:`pcg64_agrees` says no."""
+    lib, at = bind("uniform_fill", out)
+    pcg64 = isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64
+    scalars = all(isinstance(b, (int, float, np.integer, np.floating)) for b in (low, high))
+    if lib is None or not (pcg64 and scalars):
+        return False
+    try:
+        low, span = float(low), float(high) - float(low)
+    except OverflowError:
+        return False
+    if not (math.copysign(1.0, span) > 0 and span < math.inf and pcg64_agrees()):
+        return False
+    return _fill(lib, rng.bit_generator, at["out"], out.size, low, span)
+
+
+def _fill(lib, bits, out: int, n: int, low: float, span: float) -> bool:
+    """``n`` draws into ``out`` from ``PCG64`` ``bits``, its 128-bit state
+    and increment in and the state back out through ``bits.state``,
+    under ``bits.lock``; False, touching nothing, where the library was
+    built without 128-bit integers."""
+    with bits.lock:
+        state = bits.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        words = np.array([(v >> k) & ((1 << 64) - 1) for v in (s, inc) for k in (0, 64)], np.uint64)
+        if not lib.repro_uniform_fill(_ptr(words), n, low, span, out):
+            return False
+        state["state"]["state"] = int(words[0]) | int(words[1]) << 64
+        bits.state = state
+        return True
+
+
+#: ``(draws, low, high)`` of the uniform agreement check: none, one, a
+#: few, a long ragged run; a unit, a table's, an underflowing and an
+#: empty range.
+_DRAWS = ((0, 0.0, 1.0), (1, -0.5, 0.5), (7, -0.0125, 0.0125), (8, 0.0, 1.0),
+          (9, -3.0, 1e-300), (1001, -0.0125, 0.0125), (1001, 2.0, 2.0))
+
+
+@functools.cache
+def pcg64_agrees() -> bool:
+    """Whether the C uniform draw gives NumPy's ``PCG64``
+    ``Generator.uniform`` bits in this process.  On first use both run
+    :data:`_DRAWS` from fresh generators and compare the values, the
+    state left behind and the draws after it; one differing bit makes
+    :func:`uniform_fill` decline for the rest of the process."""
+    lib = library()
+    return lib is not None and all(_draw_agrees(lib, *case) for case in _DRAWS)
+
+
+def _draw_agrees(lib, n: int, low: float, high: float) -> bool:
+    mine, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    got = np.empty(n, np.float32)
+    if not _fill(lib, mine.bit_generator, _ptr(got), n, low, high - low):
+        return False
+    want = theirs.uniform(low, high, n).astype(np.float32)
+    return got.tobytes() == want.tobytes() and mine.random(3).tobytes() == theirs.random(3).tobytes()

@@ -7,14 +7,17 @@ cached library and the source hash, then runs every native entry once
 on inputs drawn from its contract (:data:`~repro.kernels.native.CONTRACTS`)
 at :data:`SIZES` against its NumPy twin, and says whether this host's
 BLAS gives the interaction the C loops' bits
-(:func:`~repro.kernels.native.blas_agrees`).  The four row kernels run
-again on the same arrays 16 bytes past a line, and a second column says
+(:func:`~repro.kernels.native.blas_agrees`) and the C uniform draw
+NumPy's ``PCG64`` bits (:func:`~repro.kernels.native.pcg64_agrees`).
+The four row kernels run again on the same arrays 16 bytes past a
+line, and a second column says
 whether the two gave the same bits.  Exits 1 on any ``FAIL``, or when
 the tier is ``numpy`` (the reason is printed).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import re
 import shlex
@@ -62,6 +65,7 @@ NUMPY_TIER = {
     "teacher_bags": synth.teacher_bags,
     "dot_interaction": interaction.interact,
     "dot_interaction_backward": interaction.interact_backward,
+    "uniform_fill": rows.uniform_fill,
 }
 
 
@@ -120,6 +124,7 @@ LINES = (
     ("teacher_bags", "teacher_bags", {"mix": 2**64 - 59, "seed_mult": 7, "weight": 0.75}, 0, False),
     ("interaction[fwd]", "dot_interaction", {}, 0, False),
     ("interaction[bwd]", "dot_interaction_backward", {}, 0, False),
+    ("uniform_fill", "uniform_fill", {"rng": np.random.default_rng(0), "low": -0.1, "high": 0.1}, 0, False),
 )
 
 
@@ -135,9 +140,10 @@ def _placed(a, offset: int):
 
 def _call(fn, entry: str, inputs: dict, scalars: dict, offset: int = 0) -> tuple:
     """What ``fn`` returns on copies of ``inputs`` ``offset`` bytes past a
-    line, and the bytes it returns and leaves in the written arguments."""
+    line (and of ``scalars``: a generator draws from where the line's
+    starts), and the bytes it returns and leaves in the written arguments."""
     args = {name: _placed(a, offset) for name, a in inputs.items()}
-    got = fn(**args, **scalars)
+    got = fn(**args, **copy.deepcopy(scalars))
     arrays = got if isinstance(got, tuple) else (got,) if isinstance(got, np.ndarray) else ()
     arrays += tuple(args[c.name] for c in native.CONTRACTS[entry] if c.written)
     return got, [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
@@ -156,6 +162,7 @@ def checks() -> dict[str, tuple[bool, bool | None]]:
             moved = _call(fn, entry, inputs, scalars, 16)[1] == got if off_line else None
             out[line] = (ran is not None and ran is not False and got == want, moved)
     out["blas agrees"] = (native.blas_agrees(), None)
+    out["pcg64 agrees"] = (native.pcg64_agrees(), None)
     return out
 
 

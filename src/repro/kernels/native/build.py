@@ -37,7 +37,7 @@ from importlib import resources
 
 SOURCE = "kernels.c"
 #: What ``repro_abi()`` of a matching library answers.
-ABI = 5
+ABI = 6
 #: Exactly these: -ffast-math, -Ofast and -funsafe-math-optimizations
 #: reassociate, and linking them into a shared object flips FTZ/DAZ for
 #: the whole process, NumPy included.
@@ -60,6 +60,7 @@ SIGNATURES = {
     "repro_teacher_bags": ((_P, _P, _I, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_double, _P), None),
     "repro_dot_fwd": ((_P, _I, _I, _I, _P, _P, _P, _I), _I),
     "repro_dot_bwd": ((_P, _P, _I, _I, _I, _P, _P, _P), None),
+    "repro_uniform_fill": ((_P, _I, ctypes.c_double, ctypes.c_double, _P), _I),
 }
 
 

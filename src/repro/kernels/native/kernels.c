@@ -1,7 +1,8 @@
 /* The native tier of repro.kernels: the paper's Alg. 1-4, the
- * Split-SGD step, the dot interaction (twin in repro.kernels.interaction)
- * and the Criteo generator's two data kernels (twins in
- * repro.kernels.synth) as plain C loops, loaded through ctypes.
+ * Split-SGD step, the dot interaction (twin in repro.kernels.interaction),
+ * the Criteo generator's two data kernels (twins in repro.kernels.synth)
+ * and the tables' uniform draw (twin: NumPy's PCG64 Generator.uniform)
+ * as plain C loops, loaded through ctypes.
  *
  * Every function here promises the bits of its NumPy twin; the row
  * operators' twins in turn promise the bits of repro.kernels.reference
@@ -70,7 +71,7 @@ typedef float f32x8 __attribute__((vector_size(32), aligned(4)));
 
 /* Bumped whenever a signature below changes; the loader refuses a
  * library that answers anything else. */
-int64_t repro_abi(void) { return 5; }
+int64_t repro_abi(void) { return 6; }
 
 static inline float bits_to_f32(uint32_t bits) { float f; memcpy(&f, &bits, 4); return f; }
 static inline uint32_t f32_to_bits(float f) { uint32_t bits; memcpy(&bits, &f, 4); return bits; }
@@ -397,3 +398,35 @@ void repro_teacher_bags(const int64_t *restrict ids, const int64_t *restrict off
         score[b] += weight * acc / (double)(len > 1 ? len : 1);
     }
 }
+
+/* Generator.uniform(low, low + range, n).astype(float32) for a NumPy
+ * PCG64 state (its 128-bit state, then increment, low words first), left
+ * where NumPy leaves it.  Draw i steps s = s * M + inc and takes the
+ * XSL-RR output x of the new s; out[i] = (float)(low + range * ((x >> 11)
+ * * 2^-53)), unfused: NumPy's random_uniform.  Returns 0, touching
+ * nothing, on a target without 128-bit integers: NumPy draws there. */
+#ifdef __SIZEOF_INT128__
+int64_t repro_uniform_fill(uint64_t *restrict state, int64_t n, double low, double range,
+                           float *restrict out)
+{
+    typedef unsigned __int128 u128;
+    const u128 m = (u128)UINT64_C(0x2360ED051FC65DA4) << 64 | UINT64_C(0x4385DF649FCCF645);
+    const u128 inc = (u128)state[3] << 64 | state[2];
+    u128 s = (u128)state[1] << 64 | state[0];
+    for (int64_t i = 0; i < n; i++) {
+        s = s * m + inc;
+        const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+        const unsigned rot = (unsigned)(s >> 122);
+        out[i] = (float)(low + range * ((double)(((x >> rot) | (x << (-rot & 63))) >> 11) * 0x1.0p-53));
+    }
+    state[0] = (uint64_t)s;
+    state[1] = (uint64_t)(s >> 64);
+    return 1;
+}
+#else
+int64_t repro_uniform_fill(uint64_t *state, int64_t n, double low, double range, float *out)
+{
+    (void)state, (void)n, (void)low, (void)range, (void)out;
+    return 0;
+}
+#endif

@@ -4,8 +4,8 @@ Array-level, like :mod:`repro.kernels.reference`: nothing here knows
 about tables or optimizers.  These are the portable formulations of the
 operators that also have a C twin in :mod:`repro.kernels.native` -- the
 scatter-add, the pooled forward over FP32 or Split-BF16 rows, the
-Split-BF16 row update, the dense SGD and Split-SGD steps -- and
-:mod:`repro.kernels.dispatch` is where one of the two is chosen.  The
+Split-BF16 row update, the dense SGD and Split-SGD steps, the tables'
+uniform draw -- and :mod:`repro.kernels.dispatch` chooses.  The
 sparse ones are the ``np.add.at`` spellings of
 :mod:`repro.kernels.reference` themselves, cut into blocks that bound
 their temporaries; the C loops produce the same bits, faster.
@@ -23,7 +23,8 @@ from repro.kernels.workspace import Workspace
 #: (512 KiB): the forward gathers this much and reduces it while it is
 #: still in L2, instead of writing the whole ``(NS, E)`` gather out to
 #: L3 and re-reading it (swept 64 KiB .. 2 MiB at 131 072 look-ups x
-#: E64); the scatter expands no more shared deltas than this at once.
+#: E64); the scatter expands no more shared deltas than this at once,
+#: and the uniform draw makes no larger float64 block.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -208,3 +209,13 @@ def split_sgd_step(
         np.bitwise_or(bits, half, out=bits)
         descend(v, grads[at : at + step], lr, scratch)
         split_fp32_into(v, half, keep_bits)
+
+
+def uniform_fill(out: np.ndarray, rng: np.random.Generator, low, high) -> None:
+    """``out[...] = rng.uniform(low, high, out.shape)`` a block of rows at
+    a time: the generator fills in C order, so the blocks are the one-shot
+    draw bit for bit without its ``out``-sized float64 transient."""
+    rows, row = out.shape[0], out.shape[1:]
+    step = max(1, _BLOCK_ELEMS // max(1, out[:1].size))
+    for lo in range(0, rows, step):
+        out[lo : lo + step] = rng.uniform(low, high, size=(min(step, rows - lo), *row))

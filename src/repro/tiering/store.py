@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.embedding import EmbeddingBag
+from repro.core.param import checked_entry
 from repro.kernels.lookup import Lookup, check_ids, fuse
 
 
@@ -118,15 +119,11 @@ class TieredEmbeddingBag(EmbeddingBag):
         hot_rows: np.ndarray | None = None,
         cold_dir: str | None = None,
     ):
-        self._pending = (hot_rows, cold_dir)  # for _init_storage, which super() calls
-        super().__init__(rows, dim, rng=rng, weight=weight)
-
-    def _init_storage(self, w: np.ndarray) -> None:
-        hot_rows, cold_dir = self._pending
-        del self._pending
-        order, h = _hot_first(self.rows, hot_rows)
-        store = EmbeddingBag(self.rows, self.dim, weight=file_backed(w.shape, cold_dir=cold_dir))
-        np.take(w, order, axis=0, out=store.weight, mode="clip")
+        flat = EmbeddingBag(rows, dim, rng=rng, weight=weight)  # drawn or given in id order
+        order, h = _hot_first(flat.rows, hot_rows)
+        store = EmbeddingBag(rows, dim, alloc=functools.partial(file_backed, cold_dir=cold_dir))
+        np.take(flat.weight, order, axis=0, out=store.weight, mode="clip")
+        self.rows, self.dim = store.rows, store.dim
         self._bind(store, order, h)
 
     @classmethod
@@ -158,13 +155,6 @@ class TieredEmbeddingBag(EmbeddingBag):
         # The flat table keeps ``weight`` as its storage tensor; here it
         # is the table read back in id order (tests, inspection).
         return self.dense_weight()
-
-    @weight.setter
-    def weight(self, value: np.ndarray) -> None:  # pragma: no cover - guard
-        raise AttributeError(
-            "TieredEmbeddingBag has no flat weight tensor; use "
-            "load_state_dict or scatter_add_rows"
-        )
 
     @property
     def hot_rows(self) -> np.ndarray:
@@ -243,7 +233,8 @@ class TieredEmbeddingBag(EmbeddingBag):
         return {"weight": self.dense_weight() if copy else self.dense_weight}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self.store.weight[self._remap] = self._state_array(state, "weight", np.float32)
+        weight = checked_entry(state, "weight", (self.rows, self.dim), np.float32)
+        self.store.weight[self._remap] = weight
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import platform
 import re
 
@@ -91,9 +92,16 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 
 class _NoFallback:
-    """Stands in for a NumPy-tier module inside ``kernels.dispatch``."""
+    """Stands in for a NumPy-tier module inside ``kernels.dispatch``,
+    passing on only the functions this host runs there by design."""
+
+    def __init__(self, module, by_design=()):
+        self._module, self._by_design = module, by_design
 
     def __getattr__(self, name):
+        if name in self._by_design:
+            return getattr(self._module, name)
+
         def refuse(*args, **kwargs):
             raise AssertionError(f"the native tier declined: dispatch fell back to {name}")
 
@@ -108,7 +116,8 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     fallback.  ``"native"``: the library must load (else the test is
     skipped with the loader's reason) and a fall-back to the NumPy tier
     is an error, so a pass means the C kernel produced the bits (the dot
-    interaction's too, wherever :func:`repro.kernels.native.blas_agrees`).
+    interaction's too, wherever :func:`repro.kernels.native.blas_agrees`,
+    and the tables' draw's, wherever :func:`~repro.kernels.native.pcg64_agrees`).
     """
     from repro.kernels import dispatch, native
     from repro.kernels.native import build
@@ -120,11 +129,12 @@ def force_kernel_tier(mp: pytest.MonkeyPatch, tier: str) -> None:
     lib, why = build.load()
     if lib is None:
         pytest.skip(f"native tier unavailable: {why}")
-    modules = ["rows", "synth"]
-    if native.blas_agrees():  # else this host's BLAS computes other bits: NumPy by design
-        modules.append("interaction")
-    for numpy_module in modules:
-        mp.setattr(dispatch, numpy_module, _NoFallback())
+    # Else this host's BLAS, or its build of the draw, computes other bits: NumPy by design.
+    by_design = {"rows": () if native.pcg64_agrees() else ("uniform_fill",), "synth": ()}
+    if native.blas_agrees():
+        by_design["interaction"] = ()
+    for numpy_module, allowed in by_design.items():
+        mp.setattr(dispatch, numpy_module, _NoFallback(getattr(dispatch, numpy_module), allowed))
 
 
 #: ``@settings(**TIERED)`` for a Hypothesis test that uses
@@ -278,6 +288,16 @@ def state_bytes(opt, params, tables=()) -> int:
     row-wise optimizer's sparse state)."""
     dense = 0 if opt.state_key is None else sum(opt.state_view(p).nbytes for p in params)
     return dense + sum(t.rows * 4 for t in tables)
+
+
+def state_digest(state: dict) -> str:
+    """sha256 over a state dict's keys, dtypes, shapes and bytes, in key order."""
+    h = hashlib.sha256()
+    for key in sorted(state):
+        a = np.ascontiguousarray(state[key])
+        for part in (key.encode(), str(a.dtype).encode(), str(a.shape).encode(), a.tobytes()):
+            h.update(part)
+    return h.hexdigest()
 
 
 def assert_same_bits(got: dict, want: dict, what: str = "state") -> None:

@@ -8,12 +8,14 @@ a table's storage away from the slab.
 
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from repro.core.bf16 import split_fp32, truncate_lo_bits
 from repro.kernels import rows as row_kernels
-from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag, stack_tables
+from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
 from repro.core.update import (
@@ -23,9 +25,11 @@ from repro.core.update import (
     uses_fused_dispatch,
 )
 from repro.data.criteo import SyntheticCriteoDataset
+from repro.kernels.workspace import aligned_empty
+from repro.tiering.store import build_tiered
 from repro.util import rng_from
 
-from tests.conftest import random_batch, tiny_config
+from tests.conftest import random_batch, state_digest, tiny_config
 
 #: (optimizer, strategy, storage): plain SGD through the fused and the
 #: materialising dispatch, Split-SGD, and an optimizer that overrides
@@ -91,14 +95,24 @@ def mixed_cfg():
     return dataclasses.replace(cfg, table_rows=(40, 3, 57, 8, 21))
 
 
-class TestStackAndViews:
+def filled(cls, rows, dim=4, alloc=aligned_empty):
+    """A model's construction on its own: one slab of ``cls`` over
+    ``rows`` tables, allocated once, then each table a ``rows_view`` of
+    it drawn in place from ``default_rng(t)``."""
+    slab, views, start = cls(sum(rows), dim, alloc=alloc), [], 0
+    for t, r in enumerate(rows):
+        views.append(slab.rows_view(start, start + r))
+        views[-1].draw(np.random.default_rng(t))
+        start += r
+    return slab, views
+
+
+class TestAllocateThenFill:
     @pytest.mark.parametrize("cls", [EmbeddingBag, SplitEmbeddingBag])
     def test_views_hold_the_tables_bits_and_share_the_slab(self, cls):
         rows = [7, 3, 12]
         alone = [cls(r, 4, rng=np.random.default_rng(t)) for t, r in enumerate(rows)]
-        slab, views = stack_tables(
-            (cls(r, 4, rng=np.random.default_rng(t)) for t, r in enumerate(rows)), sum(rows)
-        )
+        slab, views = filled(cls, rows)
         assert type(slab) is cls and slab.rows == 22
         start = 0
         for table, view in zip(alone, views):
@@ -109,19 +123,40 @@ class TestStackAndViews:
                 np.testing.assert_array_equal(mine, whole[start : start + table.rows])
             start += table.rows
 
-    def test_a_write_through_either_side_is_seen_by_the_other(self, rng):
-        slab, (a, b) = stack_tables((EmbeddingBag(5, 3, rng=rng) for _ in range(2)), 10)
+    def test_a_write_through_either_side_is_seen_by_the_other(self):
+        slab, (a, b) = filled(EmbeddingBag, [5, 5], dim=3)
         b.scatter_add_rows(np.array([1, 1]), np.ones((2, 3), np.float32))
         np.testing.assert_array_equal(slab.weight[6], b.weight[1])
         slab.load_state_dict({"weight": np.full((10, 3), 2.0, np.float32)})
         assert (a.weight == 2.0).all() and (b.weight == 2.0).all()
 
     def test_no_tables_no_slab(self):
-        assert stack_tables(iter(()), 0) == (None, [])
+        with pytest.raises(ValueError, match="positive"):
+            EmbeddingBag(0, 3, alloc=aligned_empty)
+        assert DLRM(mixed_cfg(), seed=1, table_ids=[]).slab is None
 
-    def test_row_count_mismatch_is_loud(self, rng):
-        with pytest.raises(ValueError, match="slab was sized"):
-            stack_tables((EmbeddingBag(5, 3, rng=rng) for _ in range(2)), 11)
+    @pytest.mark.parametrize("cls", [EmbeddingBag, SplitEmbeddingBag])
+    def test_a_fill_writes_its_own_rows_and_no_others(self, cls):
+        """The slab arrives unfilled (all bytes 0xFF here: no drawn row
+        is that); a table's draw fills exactly its rows."""
+
+        def poisoned(shape, dtype):
+            a = np.empty(shape, dtype)
+            a.view(np.uint8)[...] = 0xFF
+            return a
+
+        slab = cls(12, 3, alloc=poisoned)
+        slab.rows_view(4, 9).draw(np.random.default_rng(0))
+        for whole in arrays(slab):
+            poisoned_rows = (whole.view(np.uint8) == 0xFF).all(axis=1)
+            np.testing.assert_array_equal(np.flatnonzero(~poisoned_rows), np.arange(4, 9))
+
+    def test_row_count_mismatch_is_loud(self):
+        slab, (a, b) = filled(EmbeddingBag, [5, 5], dim=3)
+        before = slab.weight.copy()
+        with pytest.raises(ValueError, match="shape"):
+            b.load_state_dict({"weight": np.zeros((6, 3), np.float32)})
+        np.testing.assert_array_equal(slab.weight, before)
 
     def test_rows_view_rejects_a_range_outside_the_bag(self, rng):
         bag = EmbeddingBag(5, 3, rng=rng)
@@ -129,8 +164,8 @@ class TestStackAndViews:
             with pytest.raises(ValueError):
                 bag.rows_view(start, stop)
 
-    def test_scratch_is_per_instance(self, rng, numpy_tier):
-        slab, (a, b) = stack_tables((EmbeddingBag(50, 4, rng=rng) for _ in range(2)), 100)
+    def test_scratch_is_per_instance(self, numpy_tier):
+        slab, (a, b) = filled(EmbeddingBag, [50, 50])
         idx, off = np.arange(40) % 50, np.arange(0, 41, 4)
         for bag in (slab, a, b):
             bag.forward(idx, off)
@@ -145,6 +180,64 @@ class TestStackAndViews:
         want = np.random.default_rng(3).uniform(-bound, bound, size=(rows, dim))
         table = EmbeddingBag(rows, dim, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(table.weight, want.astype(np.float32))
+
+
+#: A model whose tables are drawn straight into its slab is, byte for
+#: byte, the one drawn at commit 1e07cee (a bag per table, copied into
+#: the slab): :func:`state_digest` of ``DLRM(PINNED_CFG, seed=5)`` per
+#: build, and for the tiered build also of its slab, hot-first.  Seeded
+#: draws only, no BLAS: these hold on every host and tier.
+PINNED_CFG = dataclasses.replace(tiny_config(num_tables=4, dim=13), table_rows=(60, 7, 10_500, 33))
+PINNED = {
+    "fp32": "b322f6e56f23df6e6adcb625bcd32869821eef8530c6d424e23442dd1f37d454",
+    "split_bf16/16": "99744a9618eea2030751adfa053ad9981ec730537ba9171e2f594ceb3f152d24",
+    "split_bf16/8": "59bf8934d92ab2307a8e5a1651e57b998ce81c72de7a3716310990bfb1f26610",
+    "tiered slab": "7bbe43af08171e77af19655e011b6d050c34ccefd34781e5ba390c8b6dd5c430",
+}
+
+
+@pytest.mark.usefixtures("kernel_tier")
+class TestTheDrawnModelIsPinned:
+    def test_fp32_and_split_bf16(self):
+        assert state_digest(DLRM(PINNED_CFG, seed=5).state_dict()) == PINNED["fp32"]
+        for lo_bits in (16, 8):
+            model = DLRM(PINNED_CFG, seed=5, storage="split_bf16", lo_bits=lo_bits)
+            assert state_digest(model.state_dict()) == PINNED[f"split_bf16/{lo_bits}"]
+
+    def test_a_hot_cold_build(self, tmp_path):
+        plans = {t: types.SimpleNamespace(mode="hot_cold", hot_rows=np.arange(0, 30, 4) + t) for t in (0, 2)}
+        model = build_tiered(
+            lambda alloc: DLRM(PINNED_CFG, seed=5, slab_alloc=alloc), plans, cold_dir=str(tmp_path)
+        )
+        assert state_digest(model.state_dict()) == PINNED["fp32"]
+        assert state_digest({"slab": model.slab.weight}) == PINNED["tiered slab"]
+
+
+    @pytest.mark.parametrize("lo_bits", [16, 8])
+    def test_a_split_draw_is_the_one_shot_draw_split(self, lo_bits):
+        rows, dim = 50_000, 3  # two of the Split-BF16 draw's blocks
+        bound = np.sqrt(1.0 / rows)
+        want = np.random.default_rng(3).uniform(-bound, bound, size=(rows, dim))
+        hi, lo = split_fp32(want.astype(np.float32))
+        table = SplitEmbeddingBag(rows, dim, rng=np.random.default_rng(3), lo_bits=lo_bits)
+        np.testing.assert_array_equal(table.hi, hi)
+        np.testing.assert_array_equal(table.lo, truncate_lo_bits(lo, lo_bits))
+
+
+@pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
+def test_a_build_holds_the_slab_and_no_table_beside_it(storage, kernel_tier):
+    """Each table is drawn into its slab rows: a build's traced peak is
+    the slab and at most a block, not the slab and a stand-alone table."""
+    cfg = tiny_config(num_tables=2, rows=20_000, dim=64)
+    table_bytes = 20_000 * 64 * 4
+    tracemalloc.start()
+    try:
+        model = DLRM(cfg, seed=0, storage=storage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in arrays(model.slab)) == 2 * table_bytes
+    assert peak < 2 * table_bytes + table_bytes // 2, f"peak {peak} B over a {2 * table_bytes} B slab"
 
 
 class TestModelOverTheSlab:

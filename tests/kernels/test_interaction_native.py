@@ -190,7 +190,7 @@ class TestARefusalTakesTheNumPyTier:
         dense, embs, z = forward_case("none")
         assert native.dot_interaction(dense, embs, z) is not None
         assert native.dot_interaction_backward(*backward_case("none")) is not None
-        monkeypatch.setattr(native, "_agrees", False)
+        monkeypatch.setattr(native, "blas_agrees", lambda: False)
         assert native.dot_interaction(dense, embs, z) is None
         assert native.dot_interaction_backward(*backward_case("none")) is None
         assert same(dispatch.dot_interaction(dense, embs), interaction.interact(dense, embs))

@@ -10,6 +10,7 @@ call for any ``T``.  *Safety*: an input the C loops cannot represent is
 refused before the first write and takes the NumPy tier unchanged.
 """
 
+import copy
 from functools import partial
 
 import numpy as np
@@ -492,9 +493,10 @@ def dispatched(entry: str):
 
 
 def outcome(fn, args: dict, scalars: dict) -> tuple:
-    """What ``fn`` returns or raises, and every argument's bytes after."""
+    """What ``fn`` returns or raises on a copy of ``scalars`` (a generator
+    draws from where the line's starts), and every argument's bytes after."""
     try:
-        got = fn(**args, **scalars)
+        got = fn(**args, **copy.deepcopy(scalars))
         result = [np.asarray(a).tobytes() for a in (got if isinstance(got, tuple) else (got,))]
     except Exception as exc:  # noqa: BLE001 - whatever the NumPy tier raises, both must
         result = type(exc)
@@ -519,6 +521,8 @@ class TestTheContractRefusesEachBrokenClause:
     def test_every_clause_broken_in_turn(self, entry, sizes, absent, seed):
         if entry.startswith("dot") and not native.blas_agrees():
             pytest.skip("this host's BLAS computes other bits: the interaction entries decline")
+        if entry == "uniform_fill" and not native.pcg64_agrees():
+            pytest.skip("the C draw gives other bits than NumPy's here: the entry declines")
         sizes.update(v=sizes["s"] + 1, w=sizes["e"] + interaction.pairs(sizes["s"] + 1))
         sizes["bags"] = sizes["n"] if absent else sizes["bags"]  # absent offsets: a bag a look-up
 
@@ -531,12 +535,12 @@ class TestTheContractRefusesEachBrokenClause:
         scalars = SCALARS[entry]
         entry_fn = getattr(native, entry)
         valid = case(("none", None, None))
-        ran = entry_fn(**valid, **scalars)
+        ran = entry_fn(**valid, **copy.deepcopy(scalars))
         assert ran is not None and ran is not False
         for brk in clause_breaks(entry, valid):
             args = case(brk)
             before = [a.tobytes() for a in arrays_of(args)]
-            declined = entry_fn(**args, **scalars)
+            declined = entry_fn(**args, **copy.deepcopy(scalars))
             assert declined is None or declined is False, brk
             assert [a.tobytes() for a in arrays_of(args)] == before, brk
             tiers = (dispatched(entry), NUMPY_TIER[entry])

@@ -7,7 +7,6 @@ bags on the per-table path; whatever restores state (checkpoint resume,
 checkpoint written before the slab existed loads and resumes.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +19,7 @@ import pytest
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
-from tests.conftest import skip_unless_recorded_here
+from tests.conftest import skip_unless_recorded_here, state_digest
 from tests.core.test_embedding_slab import arrays, detach_tables
 
 DATA = Path(__file__).parent / "data"
@@ -147,15 +146,6 @@ def test_load_rank_state_writes_through_the_views():
 
 
 # -- a checkpoint written by the commit before the slab --------------------------
-
-
-def state_digest(state: dict) -> str:
-    h = hashlib.sha256()
-    for key in sorted(state):
-        a = np.ascontiguousarray(state[key])
-        for part in (key.encode(), str(a.dtype).encode(), str(a.shape).encode(), a.tobytes()):
-            h.update(part)
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
