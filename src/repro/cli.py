@@ -392,8 +392,6 @@ def _dispatch(args: argparse.Namespace) -> str:
         distributed = spec.parallel.ranks > 1
         overrides: dict[str, object] = {}
         if args.bucket_mb is not None:
-            if args.bucket_mb <= 0:
-                raise SystemExit("repro train: --bucket-mb must be positive")
             if not distributed:
                 raise SystemExit(
                     "repro train: --bucket-mb only applies to distributed "
@@ -672,51 +670,31 @@ def _dispatch(args: argparse.Namespace) -> str:
         import dataclasses
 
         from repro.parallel.placement import make_placement, placement_stats
-        from repro.tiering.planner import plan_placement, profile_snapshot
+        from repro.tiering.planner import plan_from_spec, plan_placement
         from repro.train import RunSpec
 
         _require_file(args.spec, "repro plan")
-        spec = RunSpec.load(args.spec)
-        par_overrides = {}
-        if args.ranks is not None:
-            if args.ranks < 1:
-                raise SystemExit("repro plan: --ranks must be >= 1")
-            par_overrides["ranks"] = args.ranks
-        if args.placement is not None:
-            par_overrides["placement"] = args.placement
-        if par_overrides:
-            spec = dataclasses.replace(
-                spec, parallel=dataclasses.replace(spec.parallel, **par_overrides)
+        flags = {"ranks": args.ranks, "placement": args.placement}
+        try:
+            spec = RunSpec.load(args.spec).with_overrides(
+                {f"parallel.{k}": v for k, v in flags.items() if v is not None}
             )
-        cfg = spec.build_config()
-        ranks = spec.parallel.ranks
-        tier = spec.tiering
-        tiering_active = (
-            tier.enabled or spec.parallel.placement == "auto"
-        ) and spec.precision.storage == "fp32"
-        snapshot = (
-            profile_snapshot(spec, cfg)
-            if tiering_active and tier.profile_batches > 0
-            else None
-        )
-        plan = plan_placement(
-            cfg,
-            ranks,
-            snapshot=snapshot,
-            hot_rows=tier.hot_rows if tiering_active else 0,
-            coverage_threshold=tier.coverage_threshold,
-            min_table_rows=tier.min_table_rows,
-        )
-        if spec.parallel.placement == "auto":
-            owners = list(plan.owners)
-        else:
-            owners = make_placement(spec.parallel.placement, cfg, ranks)
-        stats = placement_stats(cfg, owners, ranks)
+            cfg = spec.build_config()
+            ranks = spec.parallel.ranks
+            # The trainer's rule: the plan's owners whenever the spec
+            # plans (placement "auto" or tiering on), else the static ones.
+            plan = plan_from_spec(spec, cfg) or dataclasses.replace(
+                plan_placement(cfg, ranks),
+                owners=tuple(make_placement(spec.parallel.placement, cfg, ranks)),
+            )
+        except ValueError as exc:
+            raise SystemExit(f"repro plan: {exc}") from exc
+        stats = placement_stats(cfg, plan.owners, ranks)
         row_bytes = cfg.embedding_dim * 4
         per_table_a2a = cfg.alltoall_bytes() / cfg.num_tables
         rank_rows = []
         for r in range(ranks):
-            owned = [t for t, o in enumerate(owners) if o == r]
+            owned = [t for t, o in enumerate(plan.owners) if o == r]
             hot_mb = sum(
                 int(plan.plans[t].hot_rows.size) * row_bytes for t in owned
             ) / 2**20
@@ -730,12 +708,11 @@ def _dispatch(args: argparse.Namespace) -> str:
                     "alltoall_mb": len(owned) * per_table_a2a / 2**20,
                 }
             )
-        tiered = sum(1 for p in plan.plans.values() if p.mode == "hot_cold")
         out = format_table(
             rank_rows,
             title=(
                 f"Placement plan '{spec.name}': {spec.parallel.placement}, "
-                f"{ranks} rank(s), {tiered}/{cfg.num_tables} tables tiered, "
+                f"{ranks} rank(s), {len(plan.tiered_tables)}/{cfg.num_tables} tables tiered, "
                 f"memory imbalance {stats.memory_imbalance:.2f}"
             ),
         )

@@ -132,9 +132,9 @@ class Calibration:
     # --- Host execution substrate (repro.exec; priced by repro.tune) -------
     #: Python-side dispatch cost per rank phase per step (submitting the
     #: phase closures to the worker pool, callback bookkeeping, future
-    #: resolution).  Order-of-magnitude from the BENCH_train_e2e quick
-    #: cells: the 4-rank thread-backend step carries ~0.5-1 ms of
-    #: interpreter work that never parallelises under the GIL.
+    #: resolution).  Order-of-magnitude from wall-clock 4-rank runs: the
+    #: thread-backend step carries ~0.5-1 ms of interpreter work that
+    #: never parallelises under the GIL.
     host_dispatch_us: float = 150.0
     #: Fixed per-step cost of one process-backend mailbox round (seqlock
     #: header writes, barrier entry/exit, command pipe poll) on top of

@@ -7,8 +7,8 @@ spellings: :func:`repro.kernels.rows.scatter_add` runs
 applies its adds in array order, so the blocks give the same bits), the
 ragged pooled forward gathers and runs :func:`segment_sum`, and the
 Split-BF16 update starts from :func:`aggregate_duplicates`.  The C loops
-of :mod:`repro.kernels.native` are held to them by the tests and by
-``benchmarks/bench_hotpath.py``.  Outside the kernels only the
+of :mod:`repro.kernels.native` are held to them by the tests (bit for
+bit, on both kernel tiers).  Outside the kernels only the
 count-min sketch of :mod:`repro.tiering.freqstats` goes through
 :func:`scatter_add` (the Criteo teacher's bag sums are a data kernel of
 their own, :mod:`repro.kernels.synth`).  Array-level on purpose: a

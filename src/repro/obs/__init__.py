@@ -14,7 +14,7 @@ in Perfetto, or as the per-stage aggregate table the Trainer/serve/CLI
 summaries print.
 
 All exported events carry :data:`TELEMETRY_SCHEMA`; consumers
-(``repro trace``, ``benchmarks/compare_bench.py``) refuse mismatched
+(``repro trace``, :func:`read_jsonl`) refuse mismatched
 versions instead of misreading them.
 """
 

@@ -101,8 +101,8 @@ def stage_table(spans: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
 
 
 def stage_breakdown(spans: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """The versioned per-stage section embedded in bench JSON payloads
-    (``BENCH_train_e2e.json``) and gated by ``compare_bench.py``."""
+    """The versioned per-stage section a tuning trial reads measured
+    stage times from (:mod:`repro.tune.trial`)."""
     stages = {}
     for name, st in aggregate(spans).items():
         entry = {

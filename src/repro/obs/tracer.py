@@ -6,8 +6,8 @@ Design constraints, in order:
    :func:`trace` unconditionally; when no tracer is installed that is
    one module-global load, one comparison and a shared no-op context
    manager -- no allocation besides the kwargs dict the call site built.
-   ``benchmarks/bench_obs_overhead.py`` asserts the end-to-end step
-   overhead stays under 1%.
+   ``tests/obs/test_tracer.py`` counts that a step with tracing off
+   calls no tracer method at all.
 2. **Enabled cost = a clock read and an index bump.**  A finished span
    is one tuple written into a fixed-size per-thread ring
    (``buf[count % capacity]``); no locks on the hot path (each thread

@@ -152,11 +152,6 @@ class SimCluster:
         self._last_completion = [0.0] * n_ranks
         #: Time at which the shared network engine becomes free.
         self._network_free = 0.0
-        #: Cumulative transfer occupancy of the network engine (sum of
-        #: issued collective durations).  Against the exposed wait
-        #: charges this splits communication into hidden vs exposed:
-        #: ``hidden = network_busy_s - mean-rank exposed wait``.
-        self.network_busy_s = 0.0
         #: Issue-order sequence for handle ids (identical across SPMD
         #: worker processes: issues happen in replicated orchestration).
         self._issue_seq = 0
@@ -278,7 +273,6 @@ class SimCluster:
         transfer_start = max(start, self._network_free)
         raw_done = transfer_start + duration
         self._network_free = raw_done
-        self.network_busy_s += duration
         completion: dict[int, float] = {}
         for r in self.ranks:
             done = raw_done

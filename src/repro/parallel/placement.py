@@ -12,7 +12,7 @@ This module provides the paper's placement, a size-balanced alternative
 placement backed by the tiering planner (:mod:`repro.tiering.planner`),
 plus the statistics needed to compare them.  ``DistributedDLRM``, the
 trainer and the analytic iteration model all accept an explicit
-placement; ``benchmarks/bench_tiering.py`` quantifies the differences.
+placement; the virtual clocks price the differences.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Virtual time is pure data: it advances only by explicit ``advance``
 calls with model-derived durations, never by reading a host clock, so
 clock values are **bit-identical** across execution backends, worker
 counts and machines.  That determinism is what makes virtual-clock
-throughput comparable across CI runners (``compare_bench.py``) and
+throughput comparable across machines (tests bound it exactly) and
 tuning runs reproducible (``repro tune --measure virtual``).  Instances
 are not thread-safe; each simulated rank owns its own clock.
 """

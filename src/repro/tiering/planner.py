@@ -84,15 +84,6 @@ class TieredPlacement:
     def tiered_tables(self) -> list[int]:
         return sorted(t for t, p in self.plans.items() if p.mode == "hot_cold")
 
-    def hot_bytes(self, cfg: DLRMConfig) -> int:
-        """Total pinned-hot bytes across all tables."""
-        row_bytes = cfg.embedding_dim * 4
-        return sum(
-            int(p.hot_rows.size) * row_bytes
-            for p in self.plans.values()
-            if p.mode == "hot_cold"
-        )
-
     def describe(self, cfg: DLRMConfig) -> list[dict[str, object]]:
         """One row per table for the ``repro plan`` report."""
         rows = []

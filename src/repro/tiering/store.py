@@ -17,9 +17,7 @@ every operation -- gather, forward, backward, ``scatter_add_rows``
 (per-lookup or bag-level deltas), ``state_dict`` -- produces bitwise the
 flat table's result.  A bijection on row ids moves rows, never values, and
 the kernels' stable sort keeps each row's duplicate contributions in
-batch order whatever the row is called.  :meth:`TieredEmbeddingBag.retier`
-re-permutes in place, bit-exactly, and is only ever invoked at epoch
-boundaries.
+batch order whatever the row is called.
 """
 
 from __future__ import annotations
@@ -99,56 +97,27 @@ def _hot_first(rows: int, hot_rows: np.ndarray | None) -> tuple[np.ndarray, int]
 
 
 class TieredEmbeddingBag(EmbeddingBag):
-    """One embedding table stored hot-first.
-
-    ``hot_rows`` is the pinned-hot row-id set (possibly empty: a pure
-    out-of-core table).  Built stand-alone, the bag owns a file under
-    ``cold_dir``; :meth:`view_of` instead wraps rows that already sit
-    hot-first in a model's file-backed slab (:func:`apply_tiering`).
+    """One embedding table stored hot-first: ``store`` is a file-backed
+    flat bag whose row ``r`` holds id ``order[r]``, the first ``hot`` of
+    them the pinned-hot set (possibly none: a pure out-of-core table).
+    :func:`apply_tiering` builds these over a model's slab rows.
     """
 
     storage = "fp32"
     _arrays = {}  # the rows belong to :attr:`store`
 
-    def __init__(
-        self,
-        rows: int,
-        dim: int,
-        rng: np.random.Generator | None = None,
-        weight: np.ndarray | None = None,
-        hot_rows: np.ndarray | None = None,
-        cold_dir: str | None = None,
-    ):
-        flat = EmbeddingBag(rows, dim, rng=rng, weight=weight)  # drawn or given in id order
-        order, h = _hot_first(flat.rows, hot_rows)
-        store = EmbeddingBag(rows, dim, alloc=functools.partial(file_backed, cold_dir=cold_dir))
-        np.take(flat.weight, order, axis=0, out=store.weight, mode="clip")
+    def __init__(self, store: EmbeddingBag, order: np.ndarray, hot: int):
         self.rows, self.dim = store.rows, store.dim
-        self._bind(store, order, h)
-
-    @classmethod
-    def view_of(cls, store: EmbeddingBag, order: np.ndarray, hot: int) -> "TieredEmbeddingBag":
-        """The tiered table over ``store``, a file-backed flat bag whose
-        row ``r`` already holds id ``order[r]``, the first ``hot`` of
-        them the hot set."""
-        bag = cls.__new__(cls)
-        bag.rows, bag.dim = store.rows, store.dim
-        bag._bind(store, order, hot)
-        return bag
-
-    def _bind(self, store: EmbeddingBag, order: np.ndarray, hot: int) -> None:
         #: The flat bag over this table's rows in hot-first order: slab
         #: rows when the table belongs to a model.
         self.store = store
         self._file = _mapping_of(store.weight)
         if self._file is None:
             raise ValueError("a tiered table's rows must live on a file_backed mapping")
-        #: id -> row of :attr:`store`; only ever written in place.
+        #: id -> row of :attr:`store`; rows ``[0, _hot)`` are the hot set.
         self._remap = np.empty(self.rows, dtype=np.int64)
         self._remap[order] = np.arange(self.rows)
-        #: Rows ``[0, _hot)`` are the hot set; :meth:`retier` may move
-        #: it, never grow it past the budget it was built with.
-        self._hot = self._budget = hot
+        self._hot = hot
 
     @property
     def weight(self) -> np.ndarray:
@@ -178,23 +147,6 @@ class TieredEmbeddingBag(EmbeddingBag):
         if indices.size == 0:
             return 0.0
         return float((self._remap[indices] < self._hot).mean())
-
-    def retier(self, hot_rows: np.ndarray) -> None:
-        """Re-pin the hot set (epoch boundaries only): one in-place
-        re-permutation of the rows and of the id -> row map.  Every row
-        keeps its bits, so a retier between steps changes where rows
-        are read from and nothing else; a model the table belongs to
-        holds no copy of the map and needs no telling."""
-        order, h = _hot_first(self.rows, hot_rows)
-        if h > self._budget:
-            raise ValueError(
-                f"new hot set of {h} rows exceeds the budget of {self._budget} "
-                "rows this table was tiered with"
-            )
-        rows = self.store.weight
-        rows[...] = np.take(rows, self._remap[order], axis=0)
-        self._remap[order] = np.arange(self.rows)
-        self._hot = h
 
     # -- the flat kernels, on translated ids -----------------------------------
 
@@ -274,7 +226,7 @@ def apply_tiering(model, plans, cold_dir: str | None = None) -> list[int]:
                 f"table {t}: tiering requires fp32 storage, got {table.storage!r}"
             )
         if isinstance(table, TieredEmbeddingBag):
-            raise ValueError(f"table {t} is already tiered; retier() moves its hot set")
+            raise ValueError(f"table {t} is already tiered")
         orders[t] = _hot_first(table.rows, plan.hot_rows)
     if not orders:
         return []
@@ -295,7 +247,7 @@ def apply_tiering(model, plans, cold_dir: str | None = None) -> list[int]:
             table.weight = rows  # the view moves with its slab
     slab.weight = target
     for t, (order, hot) in orders.items():
-        model.rebind_table(t, TieredEmbeddingBag.view_of(model.tables[t], order, hot))
+        model.rebind_table(t, TieredEmbeddingBag(model.tables[t], order, hot))
     return sorted(orders)
 
 

@@ -176,10 +176,10 @@ class TieringSpec:
     ``enabled`` turns on hot-first storage for tables the planner deems
     worth it: their rows are reordered so the pinned-hot ids form a
     contiguous prefix, and the model's embedding slab moves onto a file
-    mapping.  ``placement="auto"`` in :class:`ParallelSpec`
-    additionally lets the planner choose table-to-rank owners (either
-    switch triggers the planning pass).  ``hot_rows`` is the per-table
-    pinned-hot row budget (the length of that prefix);
+    mapping.  Either this or ``placement="auto"`` triggers the planning
+    pass, and a planned run takes the plan's owners, not the static
+    ``placement``'s (``repro plan`` shows them).  ``hot_rows`` is the
+    per-table pinned-hot row budget (the length of that prefix);
     ``coverage_threshold`` is the minimum fraction of profiled look-ups
     the hot set must absorb before a table is tiered; tables smaller than
     ``min_table_rows`` always stay flat.  ``profile_batches``

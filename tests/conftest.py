@@ -244,6 +244,22 @@ def scatter_add_rows_oracle(table, indices, deltas) -> None:
         reference.scatter_add(table.weight, indices, deltas)
 
 
+def tiered_bag(weight, hot_rows=None, cold_dir: str | None = None):
+    """A tiered table holding ``weight`` (id order) with ``hot_rows``
+    pinned, built the one way tiered tables are: :func:`apply_tiering`
+    on a one-table model, whose slab moves onto a file under ``cold_dir``."""
+    from repro.core.model import DLRM
+    from repro.tiering.planner import TablePlan
+    from repro.tiering.store import apply_tiering
+
+    rows, dim = weight.shape
+    model = DLRM(tiny_config(num_tables=1, rows=rows, dim=dim), seed=0)
+    model.tables[0].load_state_dict({"weight": weight})
+    hot = np.ravel([] if hot_rows is None else hot_rows)
+    apply_tiering(model, {0: TablePlan(0, "hot_cold", hot, 0.0)}, cold_dir=cold_dir)
+    return model.tables[0]
+
+
 def racefree_update_oracle(table, grad, lr: float, threads: int) -> np.ndarray:
     """Alg. 4 as written on ``table`` -- ``threads`` full-array mask
     scans, each thread's share through :func:`scatter_add_rows_oracle`;

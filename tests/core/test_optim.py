@@ -15,6 +15,7 @@ from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.param import DenseSlab, Parameter
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.data.synthetic import bounded_zipf
 from tests.conftest import (
     TIERED,
     pending_grads,
@@ -196,24 +197,37 @@ class TestSinglePassUpdates:
         assert np.array_equal(fast_table.dense_weight(), naive_table.dense_weight())
         np.testing.assert_array_equal(fast.last_thread_counts, naive_counts)
 
-    @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
-    def test_fused_apply_matches_backward_then_update(self, rng, storage):
-        rows, dim, n = 20, 4, 12
+    @staticmethod
+    def fused_against_backward_then_update(rng, storage, rows, dim, indices, offsets, threads):
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         cls = SplitEmbeddingBag if storage == "split_bf16" else EmbeddingBag
+        dy = rng.standard_normal((offsets.size - 1, dim)).astype(np.float32)
+        naive_table = cls(rows, dim, weight=w0.copy())
+        grad = naive_table.backward(dy, indices, offsets)
+        racefree_update_oracle(naive_table, grad, 0.1, threads)
+        fused_table = cls(rows, dim, weight=w0.copy())
+        fused = FusedBackwardUpdate(threads)
+        fused.apply_fused(fused_table, dy, indices, offsets, 0.1)
+        assert np.array_equal(fused_table.dense_weight(), naive_table.dense_weight())
+        assert fused.last_thread_counts.sum() == indices.size
+
+    @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
+    def test_fused_apply_matches_backward_then_update(self, rng, storage):
+        rows, n = 20, 12
         lengths = rng.integers(0, 5, size=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         indices = rng.integers(0, rows, size=int(offsets[-1]), dtype=np.int64)
-        dy = rng.standard_normal((n, dim)).astype(np.float32)
-        naive_table = cls(rows, dim, weight=w0.copy())
-        grad = naive_table.backward(dy, indices, offsets)
-        racefree_update_oracle(naive_table, grad, 0.1, 7)
-        fused_table = cls(rows, dim, weight=w0.copy())
-        fused = FusedBackwardUpdate(7)
-        fused.apply_fused(fused_table, dy, indices, offsets, 0.1)
-        assert np.array_equal(fused_table.dense_weight(), naive_table.dense_weight())
-        assert fused.last_thread_counts.sum() == indices.size
+        self.fused_against_backward_then_update(rng, storage, rows, 4, indices, offsets, 7)
+
+    @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
+    def test_fused_apply_on_three_zipf_rows_and_a_socket_of_threads(self, rng, storage):
+        """Criteo's smallest cardinality: 512 bags of 32 Zipf(1.05)
+        look-ups into three rows -- runs thousands long -- on the paper's
+        28 threads per socket, more threads than rows."""
+        indices = bounded_zipf(rng, 512 * 32, 3, alpha=1.05)
+        offsets = np.arange(0, 512 * 32 + 1, 32, dtype=np.int64)
+        self.fused_against_backward_then_update(rng, storage, 3, 64, indices, offsets, 28)
 
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
     def test_fused_train_step_matches_materialized(self, storage):

@@ -24,8 +24,7 @@ from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.kernels import dispatch, reference
 from repro.kernels.lookup import check_lookup
 from repro.kernels.rows import scatter_add
-from repro.tiering.store import TieredEmbeddingBag
-from tests.conftest import TIERED, scatter_add_rows_oracle
+from tests.conftest import TIERED, scatter_add_rows_oracle, tiered_bag
 from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
@@ -172,7 +171,7 @@ def make_bag(kind, w0, cold_dir, seed=0):
     if kind == "split_bf16":
         return SplitEmbeddingBag(rows, dim, weight=w0.copy())
     hot = np.random.default_rng(seed).integers(0, rows, size=rows // 3)
-    return TieredEmbeddingBag(rows, dim, weight=w0.copy(), hot_rows=hot, cold_dir=cold_dir)
+    return tiered_bag(w0, hot, cold_dir)
 
 
 def close(*bags):

@@ -1,18 +1,21 @@
 """Tracer mechanics: nesting, ring wraparound, counters, the off switch."""
 
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.obs.tracer import (
     _NULL_SPAN,
     Tracer,
+    _NullSpan,
     drain_current,
     enabled,
     get_tracer,
     set_tracer,
     trace,
 )
+from repro.train import RunSpec, make_trainer
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +137,29 @@ class TestGlobalSwitch:
         with sp as inner:
             assert inner.add(bytes=1) is sp  # chainable no-op
         assert drain_current() == []
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_a_step_with_tracing_off_calls_no_tracer(self, ranks):
+        """The disabled-path budget as a count: with no tracer installed
+        every span site of a step stops at the None check and enters the
+        shared null span -- no Tracer method runs -- and the same sites
+        are exactly the spans a traced step records."""
+        spec = RunSpec.from_dict({
+            "name": "tracer-off",
+            "model": {"config": "small", "rows_cap": 256, "minibatch": 32},
+            "parallel": {"ranks": ranks},
+            "schedule": {"steps": 5, "eval_size": 64},
+        })
+        trainer = make_trainer(spec)
+        trainer.fit(1)
+        with mock.patch.object(Tracer, "span", autospec=True) as span, mock.patch.object(
+            _NullSpan, "__enter__", autospec=True, side_effect=lambda self: self
+        ) as null:
+            trainer.fit(2)
+        assert span.call_count == 0 and null.call_count > 0
+        set_tracer(Tracer(proc="main"))
+        trainer.fit(2)
+        assert len(trainer.drain_trace_spans()) == null.call_count
 
     def test_enabled_trace_records_through_global(self):
         t = Tracer(proc="main")

@@ -6,6 +6,7 @@ single-process model on the same global minibatch (up to FP32 summation
 order for the dense half; bit-exact for the embedding updates).
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -196,6 +197,27 @@ class TestBucketing:
             return dist.cluster._issue_seq
 
         assert n_allreduce_issues(1e-4) > n_allreduce_issues(64.0)
+
+    def test_default_buckets_expose_no_more_wait_than_one_bucket(self):
+        """The overlap issue-as-ready buckets buy, on the virtual clocks:
+        at the default cap the MLP's gradients leave in several buckets,
+        the first under the backward of the layers still running, and the
+        four ranks wait no longer than for the same bytes in one bucket."""
+        cfg = dataclasses.replace(
+            tiny_config(dim=128, minibatch=64),
+            bottom_mlp=(512, 256, 128), top_mlp=(1024, 1024, 512, 256, 1),
+        )
+        batch = random_batch(cfg, 64)
+
+        def exposed(**bucket):
+            dist = build_distributed(cfg, 4, **bucket)
+            dist.train_step(batch)
+            waits = sum(p.comm_time() for p in dist.cluster.profilers)
+            return waits, dist.cluster._issue_seq
+
+        (default, issues), (one, one_issues) = exposed(), exposed(bucket_mb=1e6)
+        assert issues > one_issues
+        assert default <= one
 
     def test_bucket_mb_validated(self):
         cfg = tiny_config(num_tables=4)

@@ -1,10 +1,12 @@
 """FaultPlan/FaultPoint: parsing, matching, arming, disarm, corrupt_file."""
 
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro.resilience import FaultPlan, FaultPoint, InjectedFault, corrupt_file
+from repro.train import RunSpec, make_trainer
 
 
 class TestParse:
@@ -53,6 +55,29 @@ class TestParse:
         # Copies diverge: firing the clone leaves the original armed.
         assert clone.match("worker.step", worker=0, step=2) is not None
         assert plan.points[0].remaining == 1
+
+
+class TestDisabledHooks:
+    """The disabled-path budget as a count: the fault sites stay in the
+    step for good, and with no plan armed each stops at its None check."""
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_no_plan_no_fire(self, ranks):
+        spec = RunSpec.from_dict({
+            "name": "faults-off",
+            "model": {"config": "small", "rows_cap": 256, "minibatch": 32},
+            "parallel": {"ranks": ranks},
+            "schedule": {"steps": 4, "eval_size": 64},
+        })
+        trainer = make_trainer(spec)
+        with mock.patch.object(FaultPlan, "fire", autospec=True) as fire:
+            trainer.fit(2)
+            assert trainer.faults is None and fire.call_count == 0
+            # Armed with a plan that never matches, the same steps reach
+            # the step site once each: the hook is on the path.
+            trainer.faults = FaultPlan.parse("train.step:step=999,action=raise")
+            trainer.fit(2)
+        assert [c.args[1] for c in fire.call_args_list] == ["train.step"] * 2
 
 
 class TestMatching:

@@ -226,6 +226,59 @@ class TestPlanSubcommand:
         with pytest.raises(SystemExit):
             main(["plan", "--spec", "/nonexistent.json"])
 
+    @pytest.mark.parametrize("placement", ["round_robin", "auto"])
+    def test_plan_prints_the_trainers_owners(self, tmp_path, capsys, placement):
+        from repro.parallel.placement import placement_stats
+        from repro.train import RunSpec, Trainer
+
+        spec = RunSpec.from_dict({
+            "name": "owners",
+            "model": {"config": "small", "minibatch": 16, "overrides": {
+                "table_rows": [200, 1600, 400, 1400, 600, 1200, 800, 1000],
+            }},
+            "data": {"name": "criteo", "seed": 1},
+            "parallel": {"ranks": 4, "placement": placement},
+            "tiering": {"enabled": True, "hot_rows": 32, "min_table_rows": 64},
+        })
+        spec.save(tmp_path / "spec.json")
+        assert main(["plan", "--spec", str(tmp_path / "spec.json"), "--tables"]) == 0
+        by_rank, by_table = capsys.readouterr().out.split("Per-table storage plan")
+        trainer = Trainer.from_spec(spec)
+        try:
+            owners = list(trainer.dist.owners)
+        finally:
+            trainer.close()
+        # Tiering plans owners whatever the placement names ...
+        assert owners != [t % 4 for t in range(8)]
+        # ... and both of the plan's tables print them.
+        assert [int(line.split()[1]) for line in by_table.strip().splitlines()[2:]] == owners
+        stats = placement_stats(spec.build_config(), owners, 4)
+        for r, line in enumerate(by_rank.strip().splitlines()[3:]):
+            rank, tables, embedding_mb = line.split()[:3]
+            assert (int(rank), int(tables)) == (r, owners.count(r))
+            assert float(embedding_mb) == pytest.approx(stats.bytes_per_rank[r] / 2**20, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--placement", "bogus"], "parallel.placement 'bogus' not registered"),
+            (["--ranks", "9"], "9 ranks > 8 tables"),
+        ],
+        ids=["placement", "ranks"],
+    )
+    def test_plan_rejects_a_bad_flag_in_one_line(self, tiered_spec_path, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--spec", str(tiered_spec_path), *flags])
+        assert str(exc.value).startswith("repro plan: ") and message in str(exc.value)
+
+    def test_train_rejects_a_bucket_cap_the_spec_would(self, tmp_path):
+        from repro.train import RunSpec
+
+        path = tmp_path / "dist.json"
+        RunSpec.from_dict({"name": "b", "parallel": {"ranks": 2}}).save(path)
+        with pytest.raises(SystemExit, match="repro train: parallel.bucket_mb must be positive"):
+            main(["train", "--spec", str(path), "--bucket-mb", "0"])
+
     def test_train_prints_placement_stats(self, tmp_path, capsys):
         from repro.train import RunSpec
 

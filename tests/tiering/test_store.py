@@ -21,6 +21,7 @@ from tests.conftest import (
     capacity_bytes,
     random_batch,
     scatter_add_rows_oracle,
+    tiered_bag,
     tiny_config,
 )
 from tests.kernels.test_segment import bits, special_values
@@ -32,14 +33,12 @@ ROWS, DIM = 64, 8
 def pair(tmp_path, hot_step=3):
     """A flat table and a tiered clone (every ``hot_step``-th row hot)."""
     flat = EmbeddingBag(ROWS, DIM, rng=np.random.default_rng(0))
-    tiered = TieredEmbeddingBag(
-        ROWS,
-        DIM,
-        weight=flat.weight,
-        hot_rows=np.arange(0, ROWS, hot_step),
-        cold_dir=str(tmp_path),
-    )
+    tiered = tiered_bag(flat.weight, np.arange(0, ROWS, hot_step), str(tmp_path))
     return flat, tiered
+
+
+def drawn(seed) -> np.ndarray:
+    return EmbeddingBag(ROWS, DIM, rng=np.random.default_rng(seed)).weight
 
 
 def lookup(seed=0, n=200):
@@ -83,10 +82,7 @@ class TestBitIdentity:
         flat, tiered = pair(tmp_path)
         state = tiered.state_dict()
         np.testing.assert_array_equal(state["weight"], flat.weight)
-        other = TieredEmbeddingBag(
-            ROWS, DIM, rng=np.random.default_rng(9),
-            hot_rows=np.arange(5), cold_dir=str(tmp_path),
-        )
+        other = tiered_bag(drawn(9), np.arange(5), str(tmp_path))
         other.load_state_dict(state)
         np.testing.assert_array_equal(other.dense_weight(), flat.weight)
 
@@ -124,9 +120,7 @@ def build(rng, hot_kind, special_share, cold_dir):
     """(w0 in id order, the hot ids, a tiered bag holding w0)."""
     w0 = special_values(rng, (ROWS, DIM), special_share)
     hot_rows = HOT_SETS[hot_kind](rng)
-    return w0, hot_ids(hot_rows), TieredEmbeddingBag(
-        ROWS, DIM, weight=w0, hot_rows=hot_rows, cold_dir=cold_dir
-    )
+    return w0, hot_ids(hot_rows), tiered_bag(w0, hot_rows, cold_dir)
 
 
 def bags(rng, ragged):
@@ -168,11 +162,11 @@ class TestAnyHotSetAgainstAddAt:
 
     @store_case
     @settings(max_examples=60, deadline=None, **TIERED)
-    def test_updates_state_and_retier(self, cold_dir, hot_kind, special_share, ragged, seed):
+    def test_updates_and_state(self, cold_dir, hot_kind, special_share, ragged, seed):
         rng = np.random.default_rng(seed)
         want, hot, bag = build(rng, hot_kind, special_share, cold_dir)
-        other = TieredEmbeddingBag(
-            ROWS, DIM, rng=rng, hot_rows=rng.integers(0, ROWS, size=9), cold_dir=cold_dir
+        other = tiered_bag(
+            EmbeddingBag(ROWS, DIM, rng=rng).weight, rng.integers(0, ROWS, size=9), cold_dir
         )
         try:
             idx, offsets, bag_ids = bags(rng, ragged)
@@ -195,18 +189,7 @@ class TestAnyHotSetAgainstAddAt:
             other.load_state_dict(bag.state_dict())
             step(other)
             bag.load_state_dict(other.state_dict())
-            # Re-pinning inside the budget moves rows, not bits, in place.
-            store, remap = bag.store.weight, bag._remap
-            new_hot = rng.permutation(ROWS)[: rng.integers(0, hot.size + 1)]
-            bag.retier(np.r_[new_hot, new_hot[:3]])
-            assert bag.store.weight is store and bag._remap is remap
-            np.testing.assert_array_equal(bag.hot_rows, np.sort(new_hot))
             np.testing.assert_array_equal(bits(bag.weight), bits(want))
-            np.testing.assert_array_equal(bits(store[: new_hot.size]), bits(want[np.sort(new_hot)]))
-            step(bag)
-            assert bag.hot_traffic_fraction(idx) == (
-                float(np.isin(idx, new_hot).mean()) if idx.size else 0.0
-            )
         finally:
             bag.close()
             other.close()
@@ -232,10 +215,8 @@ class TestAnyHotSetAgainstAddAt:
     def test_hot_rows_outside_the_table_are_rejected(self, tmp_path):
         for hot in ([ROWS], [-1, 2]):
             with pytest.raises(ValueError, match="out of range"):
-                TieredEmbeddingBag(ROWS, DIM, hot_rows=np.array(hot), cold_dir=str(tmp_path))
-        _, tiered = pair(tmp_path)
-        with pytest.raises(ValueError, match="out of range"):
-            tiered.retier(np.array([ROWS]))
+                tiered_bag(drawn(0), np.array(hot), str(tmp_path))
+        assert not list(tmp_path.iterdir())  # rejected before a file is made
 
 
 class TestStoreMechanics:
@@ -249,21 +230,6 @@ class TestStoreMechanics:
         full = ROWS * DIM * 4
         assert 0 < capacity_bytes(tiered) < full  # out-of-core footprint
         assert tiered.store.weight.nbytes == full
-
-    def test_retier_preserves_bits(self, tmp_path):
-        flat, tiered = pair(tmp_path, hot_step=3)
-        tiered.retier(np.arange(1, ROWS, 7))
-        np.testing.assert_array_equal(tiered.dense_weight(), flat.weight)
-        idx, off = lookup(seed=5)
-        np.testing.assert_array_equal(tiered.forward(idx, off), flat.forward(idx, off))
-
-    def test_retier_over_capacity_raises(self, tmp_path):
-        _, tiered = pair(tmp_path, hot_step=8)
-        before = tiered.weight
-        with pytest.raises(ValueError):
-            tiered.retier(np.arange(ROWS))
-        np.testing.assert_array_equal(tiered.hot_rows, np.arange(0, ROWS, 8))
-        np.testing.assert_array_equal(tiered.weight, before)
 
     def test_close_removes_cold_file(self, tmp_path):
         _, tiered = pair(tmp_path)
@@ -279,7 +245,7 @@ class TestStoreMechanics:
         assert type(rows) is np.ndarray and type(tiered.gather(np.arange(3))) is np.ndarray
         assert os.path.dirname(tiered.cold_path) == str(tmp_path)
         assert os.path.getsize(tiered.cold_path) == ROWS * DIM * 4
-        rows.base.flush()
+        tiered._file.flush()
         on_disk = np.fromfile(tiered.cold_path, dtype=np.float32).reshape(ROWS, DIM)
         np.testing.assert_array_equal(on_disk, rows)
 
@@ -306,7 +272,7 @@ class TestStoreMechanics:
 
     def test_a_defaulted_directory_goes_with_its_last_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
-        a, b = (TieredEmbeddingBag(ROWS, DIM, rng=np.random.default_rng(i)) for i in range(2))
+        a, b = (tiered_bag(drawn(i)) for i in range(2))
         (directory,) = tmp_path.iterdir()
         assert directory.name == f"repro-tiering-{os.getpid()}"
         assert sorted(map(str, directory.iterdir())) == sorted([a.cold_path, b.cold_path])
