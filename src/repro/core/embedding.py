@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
+from repro.core.bf16 import bf16_to_fp32, combine_fp32
 from repro.core.param import checked_entry
 from repro.obs.tracer import trace
 from repro.kernels.dispatch import pool_rows, scatter_add_exact, split_scatter_add, uniform_fill
@@ -94,35 +94,25 @@ class EmbeddingBag:
         rows: int,
         dim: int,
         rng: np.random.Generator | None = None,
-        weight: np.ndarray | None = None,
         alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
     ):
         """Storage drawn from ``rng`` (:meth:`draw`) into line-aligned
-        memory, or ``weight``, the FP32 table, in its place.  With
-        ``alloc(shape, dtype)`` the storage arrays come from there and
-        stay unfilled: a model's slab, whose :meth:`rows_view` tables are
-        then each drawn or loaded (:meth:`load_state_dict`) in place."""
+        memory.  With ``alloc(shape, dtype)`` the storage arrays come
+        from there and stay unfilled: a model's slab, whose
+        :meth:`rows_view` tables are then each drawn or loaded
+        (:meth:`load_state_dict`) in place."""
         if rows <= 0 or dim <= 0:
             raise ValueError("rows and dim must be positive")
         self.rows = int(rows)
         self.dim = int(dim)
-        if weight is not None:
-            w = np.ascontiguousarray(weight, dtype=np.float32)
-            if w.shape != (rows, dim):
-                raise ValueError(f"weight must be ({rows}, {dim}), got {w.shape}")
-            self._init_storage(w)
-        else:
-            for name, dtype in self._arrays.items():
-                setattr(self, name, (alloc or aligned_empty)((self.rows, self.dim), dtype))
-            if alloc is None:
-                self.draw(rng or np.random.default_rng())
+        for name, dtype in self._arrays.items():
+            setattr(self, name, (alloc or aligned_empty)((self.rows, self.dim), dtype))
+        if alloc is None:
+            self.draw(rng or np.random.default_rng())
         #: Buffers of the pooled forward, allocated on first use.
         self._scratch = Workspace()
 
     # -- storage layer (overridden by SplitEmbeddingBag) ----------------------
-
-    def _init_storage(self, w: np.ndarray) -> None:
-        self.weight = w
 
     def draw(self, rng: np.random.Generator) -> None:
         """Fill the rows in place with the table initialiser,
@@ -259,19 +249,13 @@ class SplitEmbeddingBag(EmbeddingBag):
         rows: int,
         dim: int,
         rng: np.random.Generator | None = None,
-        weight: np.ndarray | None = None,
         alloc: Callable[[tuple[int, ...], np.dtype], np.ndarray] | None = None,
         lo_bits: int = 16,
     ):
         if not 0 <= lo_bits <= 16:
             raise ValueError(f"lo_bits must be in [0, 16], got {lo_bits}")
         self.lo_bits = lo_bits
-        super().__init__(rows, dim, rng=rng, weight=weight, alloc=alloc)
-
-    def _init_storage(self, w: np.ndarray) -> None:
-        hi, lo = split_fp32(w)
-        self.hi = hi
-        self.lo = truncate_lo_bits(lo, self.lo_bits)
+        super().__init__(rows, dim, rng=rng, alloc=alloc)
 
     def draw(self, rng: np.random.Generator) -> None:
         """The FP32 draw, a float32 block of rows at a time, each block

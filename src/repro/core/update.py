@@ -171,6 +171,6 @@ def make_strategy(name: str, threads: int = 28) -> UpdateStrategy:
     """Instantiate an update strategy by cost key: a look-up in
     :data:`repro.train.registry.UPDATE_STRATEGIES`, the one strategy
     table (imported lazily -- ``repro.train`` sits above this module)."""
-    from repro.train.registry import UPDATE_STRATEGIES
+    from repro.train.registry import UPDATE_STRATEGIES, create
 
-    return UPDATE_STRATEGIES.create(name, threads=threads)
+    return create(UPDATE_STRATEGIES, "update strategy", name, threads=threads)

@@ -34,12 +34,7 @@ The pool defaults to 1 worker (pure sequential execution); opt in with
 
 from repro.exec.executor import InlineRankExecutor, LocalExecutor, RankExecutor
 from repro.exec.mp import ProcessRankExecutor, in_worker_process
-from repro.exec.pool import (
-    WorkerPool,
-    get_pool,
-    pooled,
-    set_pool_workers,
-)
+from repro.exec.pool import WorkerPool, get_pool, set_pool_workers
 from repro.exec.prefetch import PrefetchLoader, PrefetchMap
 
 #: Execution substrates selectable by Trainer.from_spec(backend=...) --
@@ -56,7 +51,6 @@ __all__ = [
     "WorkerPool",
     "get_pool",
     "in_worker_process",
-    "pooled",
     "set_pool_workers",
     "PrefetchLoader",
     "PrefetchMap",

@@ -53,9 +53,8 @@ from repro.obs.aggregate import merge_spans
 from repro.obs.tracer import enabled as trace_enabled
 from repro.resilience.errors import WorkerCrash, WorkerTimeout
 
-#: Parent <-> worker reply deadline (seconds): overrides the executor's
-#: ``timeout`` argument (a spec's ``resilience.heartbeat_timeout``).
-_TIMEOUT_ENV = "REPRO_MP_TIMEOUT"
+#: Parent <-> worker reply deadline (seconds) when the executor is given
+#: none (a spec's ``resilience.heartbeat_timeout``).
 _DEFAULT_TIMEOUT = 600.0
 
 #: Spawn method: "spawn" is the safe, portable default (macOS/Windows
@@ -71,16 +70,15 @@ def in_worker_process() -> bool:
     return bool(os.environ.get(WORKER_ENV))
 
 
-def _env_number(name: str, kind: type, default: Any) -> Any:
-    """``kind(os.environ[name])``, or ``default`` when unset or blank."""
+def _env_int(name: str) -> int | None:
+    """``int(os.environ[name])``, or None when unset or blank."""
     env = os.environ.get(name, "").strip()
     if not env:
-        return default
+        return None
     try:
-        return kind(env)
+        return int(env)
     except ValueError:
-        want = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {want}, got {env!r}") from None
+        raise ValueError(f"{name} must be an integer, got {env!r}") from None
 
 
 #: Live executors, closed at interpreter exit (a worker clears its
@@ -116,7 +114,6 @@ class ProcessRankExecutor:
         dataset,
         batch_size: int,
         workers: int | None = None,
-        context: str | None = None,
         prefetch_depth: int = 1,
         eval_size_hint: int = 0,
         faults: Any = None,
@@ -129,11 +126,11 @@ class ProcessRankExecutor:
             )
         if dist.optimizers is None or dist.optimizer_factory is None:
             raise ValueError("attach_optimizers() before building a process executor")
+        #: Reply deadline of every parent <-> worker round trip.
+        self._timeout = timeout
         # The environment is read before anything is allocated: a typo
         # there must not leave shared memory behind.
-        #: Reply deadline of every parent <-> worker round trip.
-        self._timeout = _env_number(_TIMEOUT_ENV, float, timeout)
-        mailbox_mb = _env_number(MAILBOX_ENV, int, None)
+        mailbox_mb = _env_int(MAILBOX_ENV)
         self.dist = dist
         self.model = dist.models[0]
         self.optimizer = dist.optimizers[0]
@@ -146,7 +143,7 @@ class ProcessRankExecutor:
         # width (fixed-order reduction).
         requested = workers if workers is not None else n_ranks
         self.n_workers = max(1, min(requested, n_ranks, os.cpu_count() or n_ranks))
-        ctx = mp.get_context(context or os.environ.get(_CONTEXT_ENV, "spawn"))
+        ctx = mp.get_context(os.environ.get(_CONTEXT_ENV, "spawn"))
         self._closed = False
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list[Any] = []

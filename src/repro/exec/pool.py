@@ -19,8 +19,7 @@ One process-wide pool (:func:`get_pool`) is shared by the parallel-rank
 trainer, the sharded kernels and the prefetching data pipeline.  It
 defaults to ``workers=1`` (inline execution, no threads, bit-for-bit the
 sequential code path) unless ``REPRO_WORKERS`` is set; configure it
-explicitly with :func:`set_pool_workers` or temporarily with
-:func:`pooled`.
+explicitly with :func:`set_pool_workers`.
 
 Nested parallelism is defused rather than deadlocked: tasks running *on*
 pool workers see an effective width of 1 (:meth:`WorkerPool.effective_workers`),
@@ -33,8 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.kernels.threads import static_partition
 
@@ -61,14 +59,11 @@ def tune_allocator_for_threads() -> bool:
     recycled without any kernel round trip.
 
     Called once per process when a multi-worker pool is first created;
-    a no-op (returning False) off glibc.  Set ``REPRO_NO_MALLOC_TUNING``
-    to opt out.
+    a no-op (returning False) off glibc.
     """
     global _allocator_tuned
     if _allocator_tuned:
         return True
-    if os.environ.get("REPRO_NO_MALLOC_TUNING"):
-        return False
     try:
         import ctypes
 
@@ -252,17 +247,3 @@ def set_pool_workers(workers: int) -> WorkerPool:
     if old is not None:
         old.shutdown()
     return pool
-
-
-@contextmanager
-def pooled(workers: int) -> Iterator[WorkerPool]:
-    """Temporarily swap the process-wide pool (tests, benchmarks)."""
-    previous = get_pool()
-    pool = set_pool_workers(workers)
-    try:
-        yield pool
-    finally:
-        global _global_pool
-        with _global_lock:
-            _global_pool = previous
-        pool.shutdown()

@@ -81,10 +81,9 @@ class WorkerSeat:
 
 def _pin_to_cores(worker_index: int, n_workers: int) -> None:
     """Give each worker a disjoint slice of the allowed cores (the
-    paper's dedicated-cores placement; Linux only, opt out with
-    ``REPRO_MP_NO_PIN``).  Keeps the scheduler from bouncing rank
-    processes across each other's caches."""
-    if os.environ.get("REPRO_MP_NO_PIN") or not hasattr(os, "sched_setaffinity"):
+    paper's dedicated-cores placement; Linux only).  Keeps the scheduler
+    from bouncing rank processes across each other's caches."""
+    if not hasattr(os, "sched_setaffinity"):
         return
     try:
         cores = sorted(os.sched_getaffinity(0))

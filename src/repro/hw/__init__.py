@@ -10,15 +10,11 @@ documented calibration constants anchored to numbers printed in the paper.
 
 from repro.hw.spec import (
     SocketSpec,
-    NodeSpec,
-    ClusterSpec,
     LinkSpec,
     SKX_8180,
     CLX_8280,
     UPI_LINK,
     OPA_LINK,
-    eight_socket_node,
-    hpc_cluster,
 )
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.topology import (
@@ -33,15 +29,11 @@ from repro.hw.costmodel import CostModel, GemmShape
 
 __all__ = [
     "SocketSpec",
-    "NodeSpec",
-    "ClusterSpec",
     "LinkSpec",
     "SKX_8180",
     "CLX_8280",
     "UPI_LINK",
     "OPA_LINK",
-    "eight_socket_node",
-    "hpc_cluster",
     "Calibration",
     "DEFAULT_CALIBRATION",
     "Topology",

@@ -80,53 +80,6 @@ class LinkSpec:
         return self.latency_us * 1e-6
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    """A shared-memory node: one or more sockets joined by ``intra_link``."""
-
-    name: str
-    socket: SocketSpec
-    sockets: int
-    intra_link: LinkSpec
-
-    @property
-    def total_cores(self) -> int:
-        return self.sockets * self.socket.cores
-
-    @property
-    def peak_flops(self) -> float:
-        return self.sockets * self.socket.peak_flops
-
-    @property
-    def mem_capacity(self) -> float:
-        return self.sockets * self.socket.mem_capacity
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A cluster of identical nodes joined by ``inter_link`` through a fabric."""
-
-    name: str
-    node: NodeSpec
-    nodes: int
-    inter_link: LinkSpec
-    #: Ratio of leaf uplink to downlink capacity, e.g. 2.0 for the paper's
-    #: 2:1 pruned fat-tree.
-    pruning_ratio: float = 1.0
-
-    @property
-    def total_sockets(self) -> int:
-        return self.nodes * self.node.sockets
-
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.node.total_cores
-
-    @property
-    def peak_flops(self) -> float:
-        return self.nodes * self.node.peak_flops
-
-
 # --- Paper platform presets -------------------------------------------------
 
 #: Intel Xeon Platinum 8180 (Skylake-SP): 28 cores, 2.3 GHz AVX512 turbo,
@@ -159,26 +112,3 @@ UPI_LINK = LinkSpec(name="UPI", bw_gbs=11.0, latency_us=0.6, load_store=True)
 
 #: One OPA port: 100 Gbit/s = 12.5 GB/s per direction at 1 us latency.
 OPA_LINK = LinkSpec(name="OPA-100G", bw_gbs=12.5, latency_us=1.0, load_store=False)
-
-
-def eight_socket_node() -> NodeSpec:
-    """The Inspur TS860M5: 8x SKX 8180, twisted-hypercube UPI fabric.
-
-    224 cores, 32 FP32-TFLOPS, 800 GB/s stream bandwidth, 1.5 TB DRAM.
-    """
-    return NodeSpec(name="Inspur TS860M5 (8S SKX)", socket=SKX_8180, sockets=8, intra_link=UPI_LINK)
-
-
-def hpc_cluster(nodes: int = 32) -> ClusterSpec:
-    """The 64-socket CLX/OPA cluster: dual-socket nodes, 2:1 pruned fat-tree.
-
-    1792 cores, 275 FP32-TFLOPS, 6.7 TB/s aggregate bandwidth, ~6 TB DRAM.
-    """
-    node = NodeSpec(name="2S CLX 8280", socket=CLX_8280, sockets=2, intra_link=UPI_LINK)
-    return ClusterSpec(
-        name="64S CLX + OPA pruned fat-tree",
-        node=node,
-        nodes=nodes,
-        inter_link=OPA_LINK,
-        pruning_ratio=2.0,
-    )

@@ -8,11 +8,11 @@ another holds kilobytes -- and, with P=1 look-ups per table, a matching
 imbalance in embedding compute.
 
 This module provides the paper's placement, a size-balanced alternative
-(greedy LPT over table bytes), and a frequency/cost-driven ``auto``
-placement backed by the tiering planner (:mod:`repro.tiering.planner`),
-plus the statistics needed to compare them.  ``DistributedDLRM``, the
-trainer and the analytic iteration model all accept an explicit
-placement; the virtual clocks price the differences.
+(greedy LPT over table bytes), and the ``auto`` name of the tiering
+planner (:mod:`repro.tiering.planner`), which balances predicted gather
+cost given frequencies, plus the statistics needed to compare them.
+``DistributedDLRM``, the trainer and the analytic iteration model all
+accept an explicit placement; the virtual clocks price the differences.
 """
 
 from __future__ import annotations
@@ -29,29 +29,33 @@ def round_robin_placement(cfg: DLRMConfig, n_ranks: int) -> list[int]:
 
 
 def balanced_placement(cfg: DLRMConfig, n_ranks: int) -> list[int]:
-    """Greedy longest-processing-time placement over table bytes.
-
-    Tables are assigned largest-first to the currently-lightest rank.
-    Loads are exact integer bytes and every comparison -- the assignment
-    order and the lightest-rank choice -- tie-breaks on the smaller id,
-    so the result is a pure function of the config, independent of dict
-    ordering or float accumulation quirks.  Guarantees every rank gets
-    at least one table when R <= S (largest R tables seed the ranks).
-    """
+    """Greedy longest-processing-time placement over table bytes
+    (:func:`lpt_owners`): a pure function of the config, independent of
+    dict ordering or float accumulation quirks."""
     _validate(cfg, n_ranks)
-    order = sorted(
-        range(cfg.num_tables), key=lambda t: (-cfg.table_rows[t], t)
-    )
-    owners = [0] * cfg.num_tables
-    load = [0] * n_ranks
     row_bytes = cfg.embedding_dim * 4
+    return lpt_owners([rows * row_bytes for rows in cfg.table_rows], n_ranks)
+
+
+def lpt_owners(weight, n_ranks: int) -> list[int]:
+    """Greedy LPT: tables largest ``weight`` first, each to the
+    currently-lightest rank.
+
+    Every comparison -- the assignment order and the lightest-rank
+    choice -- tie-breaks on the smaller id, so integer weights give a
+    deterministic result.  Every rank gets at least one table when
+    R <= S (the heaviest R tables seed the ranks).
+    """
+    order = sorted(range(len(weight)), key=lambda t: (-weight[t], t))
+    owners = [0] * len(weight)
+    load = [0] * n_ranks
     for i, t in enumerate(order):
         if i < n_ranks:
-            rank = i  # seed every rank with one of the largest tables
+            rank = i  # seed every rank with one of the heaviest tables
         else:
             rank = min(range(n_ranks), key=lambda r: (load[r], r))
         owners[t] = rank
-        load[rank] += cfg.table_rows[t] * row_bytes
+        load[rank] += weight[t]
     return owners
 
 
@@ -104,18 +108,13 @@ def placement_stats(cfg: DLRMConfig, owners: list[int], n_ranks: int) -> Placeme
     return PlacementStats(bytes_per_rank=tuple(by), tables_per_rank=tuple(cnt))
 
 
-def _auto_placement(cfg: DLRMConfig, n_ranks: int) -> list[int]:
-    """The tiering planner's cost-driven placement (lazy import: the
-    planner imports the cost model; keep base placement dependency-free)."""
-    from repro.tiering.planner import auto_placement
-
-    return auto_placement(cfg, n_ranks)
-
-
 PLACEMENTS = {
     "round_robin": round_robin_placement,
     "balanced": balanced_placement,
-    "auto": _auto_placement,
+    # Without frequency evidence the planner's placement is byte-balanced
+    # LPT; :func:`repro.tiering.planner.plan_from_spec` supersedes it
+    # whenever a spec is available.
+    "auto": balanced_placement,
 }
 
 

@@ -14,8 +14,8 @@ that skew into capacity and speed:
   frequency snapshot plus :class:`~repro.hw.costmodel.CostModel` gather
   costs and emits a :class:`~repro.tiering.planner.TieredPlacement`
   (per-table flat vs. hot/cold storage, plus cost-balanced table-to-rank
-  owners).  Registered as ``placement="auto"`` next to ``round_robin``
-  and ``balanced``.
+  owners): ``placement="auto"`` next to ``round_robin`` and
+  ``balanced``.
 * :mod:`repro.tiering.store` -- :class:`~repro.tiering.store.TieredEmbeddingBag`,
   tiering as a permutation: the table's rows in hot-first order (the
   pinned-hot ids are the prefix) on a file mapping, plus the id -> row
@@ -27,7 +27,6 @@ from repro.tiering.freqstats import FreqSnapshot, FreqStats, TableFreq
 from repro.tiering.planner import (
     TablePlan,
     TieredPlacement,
-    auto_placement,
     plan_from_spec,
     plan_placement,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "TieredPlacement",
     "TieredEmbeddingBag",
     "apply_tiering",
-    "auto_placement",
     "plan_from_spec",
     "plan_placement",
 ]

@@ -174,11 +174,11 @@ class SketchCounter:
         self._head = {}
 
 
-def TableFreq(rows: int, exact_threshold: int = EXACT_ROWS_THRESHOLD, k: int = 65536):
+def TableFreq(rows: int):
     """The right counter for a table of ``rows`` rows."""
-    if rows <= exact_threshold:
+    if rows <= EXACT_ROWS_THRESHOLD:
         return ExactCounter(rows)
-    return SketchCounter(rows, k=k)
+    return SketchCounter(rows)
 
 
 @dataclass(frozen=True)
@@ -211,18 +211,11 @@ class FreqSnapshot:
 class FreqStats:
     """Per-table streaming frequency counters for one model config."""
 
-    def __init__(
-        self,
-        table_rows,
-        exact_threshold: int = EXACT_ROWS_THRESHOLD,
-        k: int = 65536,
-    ):
+    def __init__(self, table_rows):
         if not table_rows:
             raise ValueError("table_rows must be non-empty")
         self.table_rows = tuple(int(m) for m in table_rows)
-        self.counters = [
-            TableFreq(m, exact_threshold=exact_threshold, k=k) for m in self.table_rows
-        ]
+        self.counters = [TableFreq(m) for m in self.table_rows]
 
     # -- feeding -----------------------------------------------------------
 

@@ -15,12 +15,12 @@ emits a :class:`TieredPlacement`:
   byte loads and table-id tie-breaks keep the result deterministic
   across runs and processes.
 
-The planner is registered as ``placement="auto"`` next to
-``round_robin`` and ``balanced`` (see :mod:`repro.parallel.placement`);
-:func:`plan_from_spec` is the trainer/CLI entry point, which profiles a
-few deterministic dataset batches -- the datasets are pure functions of
-``(seed, batch_index)``, so a resumed or serving process recomputes the
-*same* plan from the spec alone.
+The planner is ``placement="auto"`` next to ``round_robin`` and
+``balanced`` (see :mod:`repro.parallel.placement`, which names its
+byte-balanced fallback); :func:`plan_from_spec` is the trainer/CLI entry
+point, which profiles a few deterministic dataset batches -- the
+datasets are pure functions of ``(seed, batch_index)``, so a resumed or
+serving process recomputes the *same* plan from the spec alone.
 
 Scope: tables are still placed whole (rowwise cross-rank sharding of a
 single table remains a roadmap item); tiering decides how each owned
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.config import DLRMConfig
 from repro.obs.tracer import trace
+from repro.parallel.placement import _validate, balanced_placement, lpt_owners
 from repro.tiering.freqstats import FreqSnapshot, FreqStats
 
 #: Default per-table pinned-hot row budget.
@@ -132,12 +133,7 @@ def plan_placement(
     stays flat and owners fall back to byte-balanced LPT -- the planner
     never guesses a hot set it has no evidence for.
     """
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    if n_ranks > cfg.num_tables:
-        raise ValueError(
-            f"pure model parallelism: {n_ranks} ranks > {cfg.num_tables} tables"
-        )
+    _validate(cfg, n_ranks)
     if cost is None:
         cost = _default_cost()
     s = cfg.num_tables
@@ -177,21 +173,10 @@ def plan_placement(
     # -- owners: greedy LPT -------------------------------------------------
     # Frequency-informed runs balance predicted gather seconds; blind runs
     # balance table bytes (all-flat gather costs are degenerate there).
-    # Integer byte loads + table-id ordering make both deterministic.
     if have_freq:
-        weight = [table_cost[t] for t in range(s)]
+        owners = lpt_owners(table_cost, n_ranks)
     else:
-        weight = [cfg.table_rows[t] * row_bytes for t in range(s)]
-    order = sorted(range(s), key=lambda t: (-weight[t], t))
-    owners = [0] * s
-    load = [0] * n_ranks if not have_freq else [0.0] * n_ranks
-    for i, t in enumerate(order):
-        if i < n_ranks:
-            rank = i  # seed every rank with one of the heaviest tables
-        else:
-            rank = min(range(n_ranks), key=lambda r: (load[r], r))
-        owners[t] = rank
-        load[rank] += weight[t]
+        owners = balanced_placement(cfg, n_ranks)
     rank_cost = [0.0] * n_ranks
     for t in range(s):
         rank_cost[owners[t]] += table_cost[t]
@@ -201,17 +186,6 @@ def plan_placement(
         table_cost=table_cost,
         rank_cost=tuple(rank_cost),
     )
-
-
-def auto_placement(cfg: DLRMConfig, n_ranks: int) -> list[int]:
-    """The ``placement="auto"`` registry entry.
-
-    Called without frequency evidence (``make_placement`` passes only the
-    config), so it reduces to deterministic byte-balanced LPT.  The
-    trainer's :func:`plan_from_spec` path supersedes this with the
-    frequency-informed plan whenever a spec is available.
-    """
-    return list(plan_placement(cfg, n_ranks).owners)
 
 
 def profile_snapshot(

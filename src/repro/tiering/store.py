@@ -130,12 +130,6 @@ class TieredEmbeddingBag(EmbeddingBag):
         """The pinned-hot row ids (sorted ascending)."""
         return np.flatnonzero(self._remap < self._hot)
 
-    @property
-    def cold_path(self) -> str:
-        """Path of the file the rows are mapped from (deleted on
-        :meth:`close`, or with the last view of the mapping)."""
-        return str(self._file.filename)
-
     def hot_traffic_fraction(self, indices: np.ndarray) -> float:
         """Fraction of ``indices`` that name hot rows.
 

@@ -3,7 +3,7 @@
 One experiment is one :class:`~repro.train.spec.RunSpec` -- a plain-data
 description of model, data, optimizer, update strategy, precision,
 parallelism and schedule that round-trips to JSON.  Component names
-resolve through string-keyed registries (:mod:`repro.train.registry`);
+resolve through string-keyed tables (:mod:`repro.train.registry`);
 :func:`make_trainer` (``Trainer.from_spec``) turns a spec into the one
 :class:`Trainer`, whose callback-instrumented loop runs over whichever
 :class:`~repro.exec.executor.RankExecutor` the spec's parallel section
@@ -40,7 +40,6 @@ from repro.train.registry import (
     DATASETS,
     LR_SCHEDULES,
     OPTIMIZERS,
-    Registry,
     UPDATE_STRATEGIES,
 )
 from repro.train.spec import (
@@ -73,7 +72,6 @@ __all__ = [
     "ParallelSpec",
     "PeriodicEval",
     "PrecisionSpec",
-    "Registry",
     "RunSpec",
     "ScheduleSpec",
     "StepTimer",

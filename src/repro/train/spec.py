@@ -34,12 +34,13 @@ from repro.core.config import CONFIGS, DLRMConfig, get_config
 from repro.core.mlp import ENGINES
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
-from repro.core.update import UpdateStrategy
+from repro.core.update import UpdateStrategy, make_strategy
 from repro.train.registry import (
     DATASETS,
     LR_SCHEDULES,
     OPTIMIZERS,
     UPDATE_STRATEGIES,
+    create,
 )
 
 #: Fields of DLRMConfig that JSON round-trips as lists but must be tuples.
@@ -212,8 +213,7 @@ class ResilienceSpec:
     restores from (``ring_every=0`` leaves ring checkpointing off;
     the supervisor then restarts failed runs from step 0).
     ``heartbeat_timeout`` is the reply deadline (seconds) the process
-    executor enforces on every worker round trip (the env knob
-    ``REPRO_MP_TIMEOUT`` overrides it).
+    executor enforces on every worker round trip.
     """
 
     faults: str = ""
@@ -283,18 +283,18 @@ class RunSpec:
         if self.optimizer.name not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer.name {self.optimizer.name!r} not registered; "
-                f"have {OPTIMIZERS.names()}"
+                f"have {sorted(OPTIMIZERS)}"
             )
         if self.data.name not in DATASETS:
             raise ValueError(
-                f"data.name {self.data.name!r} not registered; have {DATASETS.names()}"
+                f"data.name {self.data.name!r} not registered; have {sorted(DATASETS)}"
             )
         if self.data.prefetch_depth < 1:
             raise ValueError("data.prefetch_depth must be >= 1")
         if self.update.name not in UPDATE_STRATEGIES:
             raise ValueError(
                 f"update.name {self.update.name!r} not registered; "
-                f"have {UPDATE_STRATEGIES.names()}"
+                f"have {sorted(UPDATE_STRATEGIES)}"
             )
         if self.precision.storage not in ("fp32", "split_bf16"):
             raise ValueError(
@@ -376,7 +376,7 @@ class RunSpec:
             if name not in LR_SCHEDULES:
                 raise ValueError(
                     f"schedule.lr_schedule.name {name!r} not registered; "
-                    f"have {LR_SCHEDULES.names()}"
+                    f"have {sorted(LR_SCHEDULES)}"
                 )
 
     # -- round trip ----------------------------------------------------------
@@ -500,20 +500,21 @@ class RunSpec:
 
     def build_dataset(self, cfg: DLRMConfig | None = None):
         cfg = cfg or self.build_config()
-        return DATASETS.create(
-            self.data.name, cfg=cfg, seed=self.data.seed, **self.data.kwargs
+        return create(
+            DATASETS, "dataset", self.data.name, cfg=cfg, seed=self.data.seed, **self.data.kwargs
         )
 
     def build_strategy(self) -> UpdateStrategy:
-        return UPDATE_STRATEGIES.create(self.update.name, threads=self.update.threads)
+        return make_strategy(self.update.name, threads=self.update.threads)
 
     def build_optimizer(self, strategy: UpdateStrategy | None = None) -> SGD:
         strategy = strategy or self.build_strategy()
         kwargs = dict(self.optimizer.kwargs)
         if self.optimizer.name == "split_sgd":
             kwargs.setdefault("lo_bits", self.precision.lo_bits)
-        opt = OPTIMIZERS.create(
-            self.optimizer.name, lr=self.optimizer.lr, strategy=strategy, **kwargs
+        opt = create(
+            OPTIMIZERS, "optimizer", self.optimizer.name,
+            lr=self.optimizer.lr, strategy=strategy, **kwargs,
         )
         if isinstance(opt, SplitSGD) and opt.lo_bits != self.precision.lo_bits:
             raise ValueError(
@@ -528,7 +529,7 @@ class RunSpec:
             return None
         kwargs = dict(self.schedule.lr_schedule)
         name = kwargs.pop("name")
-        return LR_SCHEDULES.create(name, **kwargs)
+        return create(LR_SCHEDULES, "lr schedule", name, **kwargs)
 
     def train_batch_size(self, cfg: DLRMConfig | None = None) -> int:
         """The per-step batch size: explicit, or the config's default."""

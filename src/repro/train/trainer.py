@@ -143,7 +143,7 @@ def _spec_executor(
     placement: str | list[int] = par.placement
     tiering = None
     if plan is not None:
-        # Frequency-informed owners supersede the blind registry entry;
+        # Frequency-informed owners supersede the blind `PLACEMENTS` entry;
         # the per-table hot/cold plans ride into the model (and, via
         # init_kwargs, to process-backend workers).
         placement = list(plan.owners)

@@ -6,6 +6,7 @@ import ctypes
 import hashlib
 import platform
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -242,6 +243,43 @@ def scatter_add_rows_oracle(table, indices, deltas) -> None:
         reference.scatter_add(table.store.weight, table._checked_rows(indices), deltas)
     else:
         reference.scatter_add(table.weight, indices, deltas)
+
+
+@contextmanager
+def pooled(workers: int):
+    """Run the block under a process-wide pool of ``workers`` threads,
+    then put back a pool of the previous width."""
+    from repro.exec.pool import get_pool, set_pool_workers
+
+    before = get_pool().workers
+    pool = set_pool_workers(workers)
+    try:
+        yield pool
+    finally:
+        set_pool_workers(before)
+
+
+def bag_of(weight, cls=None, **kwargs):
+    """A ``cls`` table (:class:`EmbeddingBag` by default) holding the FP32
+    ``weight`` bit-exactly, through :meth:`load_state_dict`; a
+    Split-BF16 one keeps ``lo_bits`` of its low halves."""
+    from repro.core.bf16 import split_fp32, truncate_lo_bits
+    from repro.core.embedding import EmbeddingBag
+    from repro.kernels.workspace import aligned_empty
+
+    weight = np.asarray(weight, dtype=np.float32)
+    bag = (cls or EmbeddingBag)(*weight.shape, alloc=aligned_empty, **kwargs)
+    if bag.storage == "fp32":
+        bag.load_state_dict({"weight": weight})
+    else:
+        hi, lo = split_fp32(weight)
+        bag.load_state_dict({"hi": hi, "lo": truncate_lo_bits(lo, bag.lo_bits)})
+    return bag
+
+
+def cold_path(table) -> str:
+    """Path of the file a tiered table's rows are mapped from."""
+    return str(table._file.filename)
 
 
 def tiered_bag(weight, hot_rows=None, cold_dir: str | None = None):

@@ -11,7 +11,7 @@ from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.kernels import reference, rows as row_kernels
 from repro.kernels.lookup import check_offsets
-from tests.conftest import TIERED, capacity_bytes, scatter_add_rows_oracle
+from tests.conftest import TIERED, bag_of, capacity_bytes, scatter_add_rows_oracle
 from tests.kernels.test_segment import bits, special_values
 
 
@@ -107,7 +107,7 @@ class TestForward:
         w = special_values(rng, (rows, dim), special_share)
         if negative_zero:
             w[...] = -0.0
-        table = (SplitEmbeddingBag if split else EmbeddingBag)(rows, dim, weight=w)
+        table = bag_of(w, SplitEmbeddingBag if split else EmbeddingBag)
         indices, offsets = make_lookup(rng, rows, n, max_len=max_len)
         got = table.forward(indices, offsets)
         want = reference.segment_sum(table.dense_weight()[indices], offsets)
@@ -128,13 +128,13 @@ class TestForward:
 
     def test_explicit_weight(self):
         w = np.arange(12, dtype=np.float32).reshape(3, 4)
-        t = EmbeddingBag(3, 4, weight=w)
+        t = bag_of(w)
         out = t.forward(np.array([0, 2]), np.array([0, 2]))
         np.testing.assert_array_equal(out[0], w[0] + w[2])
 
     def test_weight_shape_validated(self):
-        with pytest.raises(ValueError):
-            EmbeddingBag(3, 4, weight=np.zeros((4, 3), np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingBag(3, 4).load_state_dict({"weight": np.zeros((4, 3), np.float32)})
 
 
 class TestBackward:
@@ -216,7 +216,7 @@ class TestSplitEmbeddingBag:
 
     def test_forward_uses_bf16_half(self, rng):
         w = rng.standard_normal((10, 4)).astype(np.float32)
-        t = SplitEmbeddingBag(10, 4, weight=w)
+        t = bag_of(w, SplitEmbeddingBag)
         idx = np.arange(10)
         off = np.arange(11)
         got = t.forward(idx, off)
@@ -226,7 +226,7 @@ class TestSplitEmbeddingBag:
         """The split update must match an FP32 table's update on the
         master weights exactly (that is the whole point of Split-SGD)."""
         w = rng.standard_normal((20, 4)).astype(np.float32)
-        split = SplitEmbeddingBag(20, 4, weight=w)
+        split = bag_of(w, SplitEmbeddingBag)
         idx = np.array([3, 3, 7])
         deltas = rng.standard_normal((3, 4)).astype(np.float32)
         split.scatter_add_rows(idx, deltas)
@@ -302,9 +302,9 @@ class TestOptimizedKernelBitIdentity:
         idx = rng.integers(0, rows, size=200, dtype=np.int64)  # duplicate-heavy
         deltas = rng.standard_normal((200, dim)).astype(np.float32)
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
-        fast = EmbeddingBag(rows, dim, weight=w0.copy())
+        fast = bag_of(w0)
         fast.scatter_add_rows(idx, deltas)
-        naive = EmbeddingBag(rows, dim, weight=w0.copy())
+        naive = bag_of(w0)
         scatter_add_rows_oracle(naive, idx, deltas)
         assert np.array_equal(fast.weight, naive.weight)
 
@@ -315,9 +315,9 @@ class TestOptimizedKernelBitIdentity:
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         idx = rng.integers(0, rows, size=120, dtype=np.int64)
         deltas = rng.standard_normal((120, dim)).astype(np.float32)
-        fast = SplitEmbeddingBag(rows, dim, weight=w0.copy(), lo_bits=lo_bits)
+        fast = bag_of(w0, SplitEmbeddingBag, lo_bits=lo_bits)
         fast.scatter_add_rows(idx, deltas)
-        naive = SplitEmbeddingBag(rows, dim, weight=w0.copy(), lo_bits=lo_bits)
+        naive = bag_of(w0, SplitEmbeddingBag, lo_bits=lo_bits)
         scatter_add_rows_oracle(naive, idx, deltas)
         assert np.array_equal(fast.hi, naive.hi)
         assert np.array_equal(fast.lo, naive.lo)
@@ -331,7 +331,7 @@ class TestOptimizedKernelBitIdentity:
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         w0[0, :4] = [np.inf, -np.inf, 0.0, -0.0]
         w0[1, :3] = [np.nan, 1e-45, np.finfo(np.float32).max]
-        table = SplitEmbeddingBag(rows, dim, weight=w0.copy(), lo_bits=lo_bits)
+        table = bag_of(w0, SplitEmbeddingBag, lo_bits=lo_bits)
         hi0, lo0 = table.hi.copy(), table.lo.copy()
         uniq = np.array([0, 1, 5, 6, 31], dtype=np.int64)
         agg = rng.standard_normal((uniq.size, dim)).astype(np.float32)
@@ -360,10 +360,10 @@ class TestOptimizedKernelBitIdentity:
         cls = SplitEmbeddingBag if storage == "split_bf16" else EmbeddingBag
         indices, offsets = make_lookup(rng, rows, n)
         dy = rng.standard_normal((n, dim)).astype(np.float32)
-        naive = cls(rows, dim, weight=w0.copy())
+        naive = bag_of(w0, cls)
         grad = naive.backward(dy, indices, offsets)
         scatter_add_rows_oracle(naive, grad.indices, grad.values)
-        fused = cls(rows, dim, weight=w0.copy())
+        fused = bag_of(w0, cls)
         fused.scatter_add_rows(indices, dy, offsets=offsets)
         assert np.array_equal(fused.dense_weight(), naive.dense_weight())
 
@@ -402,7 +402,7 @@ class TestBlockedPooledForward:
         w = rng.standard_normal((rows, dim)).astype(np.float32)
         w[rng.random((rows, dim)) < 0.1] = -0.0
         w[0, 0], w[1, -1] = np.inf, 1e-45
-        table = (SplitEmbeddingBag if split else EmbeddingBag)(rows, dim, weight=w)
+        table = bag_of(w, SplitEmbeddingBag if split else EmbeddingBag)
         indices = rng.integers(0, rows, size=n * p)
         offsets = np.arange(0, n * p + 1, p)
         with mock.patch.object(row_kernels, "_BLOCK_ELEMS", block or row_kernels._BLOCK_ELEMS):

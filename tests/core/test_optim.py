@@ -18,6 +18,7 @@ from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
 from repro.data.synthetic import bounded_zipf
 from tests.conftest import (
     TIERED,
+    bag_of,
     pending_grads,
     racefree_update_oracle,
     random_batch,
@@ -189,10 +190,10 @@ class TestSinglePassUpdates:
             rng.integers(0, rows, size=90, dtype=np.int64),
             rng.standard_normal((90, dim)).astype(np.float32),
         )
-        fast_table = cls(rows, dim, weight=w0.copy())
+        fast_table = bag_of(w0, cls)
         fast = RaceFreeUpdate(threads)
         fast.apply(fast_table, grad, 0.05)
-        naive_table = cls(rows, dim, weight=w0.copy())
+        naive_table = bag_of(w0, cls)
         naive_counts = racefree_update_oracle(naive_table, grad, 0.05, threads)
         assert np.array_equal(fast_table.dense_weight(), naive_table.dense_weight())
         np.testing.assert_array_equal(fast.last_thread_counts, naive_counts)
@@ -202,10 +203,10 @@ class TestSinglePassUpdates:
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         cls = SplitEmbeddingBag if storage == "split_bf16" else EmbeddingBag
         dy = rng.standard_normal((offsets.size - 1, dim)).astype(np.float32)
-        naive_table = cls(rows, dim, weight=w0.copy())
+        naive_table = bag_of(w0, cls)
         grad = naive_table.backward(dy, indices, offsets)
         racefree_update_oracle(naive_table, grad, 0.1, threads)
-        fused_table = cls(rows, dim, weight=w0.copy())
+        fused_table = bag_of(w0, cls)
         fused = FusedBackwardUpdate(threads)
         fused.apply_fused(fused_table, dy, indices, offsets, 0.1)
         assert np.array_equal(fused_table.dense_weight(), naive_table.dense_weight())

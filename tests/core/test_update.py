@@ -16,8 +16,9 @@ from repro.core.update import (
     make_strategy,
 )
 from repro.train.registry import UPDATE_STRATEGIES
+from tests.conftest import bag_of
 
-ALL_NAMES = UPDATE_STRATEGIES.names()
+ALL_NAMES = sorted(UPDATE_STRATEGIES)
 
 
 def make_grad(rng, rows, nnz, dim=4):
@@ -34,14 +35,14 @@ class TestEquivalence:
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
         grad = make_grad(rng, rows, 50, dim)
         lr = 0.05
-        table = EmbeddingBag(rows, dim, weight=w0.copy())
+        table = bag_of(w0)
         make_strategy(name, threads=7).apply(table, grad, lr)
         ref = w0.copy()
         np.add.at(ref, grad.indices, -np.float32(lr) * grad.values)
         np.testing.assert_allclose(table.weight, ref, rtol=1e-6, atol=1e-7)
 
     def test_duplicates_accumulate(self, name, rng):
-        table = EmbeddingBag(4, 2, weight=np.zeros((4, 2), np.float32))
+        table = bag_of(np.zeros((4, 2), np.float32))
         grad = SparseGrad(
             np.array([1, 1, 1]), np.ones((3, 2), dtype=np.float32)
         )
@@ -52,7 +53,7 @@ class TestEquivalence:
     def test_works_on_split_storage(self, name, rng):
         rows, dim = 16, 4
         w0 = rng.standard_normal((rows, dim)).astype(np.float32)
-        table = SplitEmbeddingBag(rows, dim, weight=w0.copy())
+        table = bag_of(w0, SplitEmbeddingBag)
         grad = make_grad(rng, rows, 20, dim)
         make_strategy(name, threads=4).apply(table, grad, lr=0.1)
         ref = w0.copy()
@@ -76,8 +77,8 @@ def test_racefree_equals_atomic_for_any_partition(rows, nnz, threads, seed):
         rng.integers(0, rows, size=nnz, dtype=np.int64),
         rng.standard_normal((nnz, dim)).astype(np.float32),
     )
-    a = EmbeddingBag(rows, dim, weight=w0.copy())
-    b = EmbeddingBag(rows, dim, weight=w0.copy())
+    a = bag_of(w0)
+    b = bag_of(w0)
     AtomicXchgUpdate().apply(a, grad, 0.01)
     RaceFreeUpdate(threads).apply(b, grad, 0.01)
     np.testing.assert_allclose(a.weight, b.weight, rtol=1e-6, atol=1e-7)
@@ -149,7 +150,7 @@ def test_a_negative_id_raises_instead_of_wrapping(step):
     1: the materialising steps must refuse it before the first write,
     like the fused ones, not add it to the last row."""
     w0 = np.arange(8, dtype=np.float32).reshape(4, 2)
-    table = EmbeddingBag(4, 2, weight=w0)
+    table = bag_of(w0)
     opt = SparseAdagrad(1.0) if step == "sparse-adagrad" else SGD(1.0, make_strategy(step))
     with pytest.raises(IndexError):
         opt.step_sparse(table, SparseGrad(np.array([-1]), np.ones((1, 2), np.float32)))

@@ -358,7 +358,7 @@ class TestExecutor:
         assert own_segments() == before
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm mount required")
-    @pytest.mark.parametrize("variable", ["REPRO_MP_TIMEOUT", "REPRO_MP_MAILBOX_MB"])
+    @pytest.mark.parametrize("variable", ["REPRO_MP_MAILBOX_MB"])
     def test_a_malformed_environment_value_names_its_variable(self, monkeypatch, variable):
         monkeypatch.setenv(variable, "soon")
         dist, dataset = build_dist(tiny_spec())
@@ -432,17 +432,19 @@ class TestTypedFailures:
     """Fault-injected failures surface as the typed taxonomy of
     :mod:`repro.resilience.errors`, with per-worker diagnostics."""
 
-    def test_hang_becomes_typed_timeout(self, monkeypatch):
+    def test_hang_becomes_typed_timeout(self):
         from repro.resilience import FaultPlan, WorkerTimeout
 
-        monkeypatch.setenv("REPRO_MP_TIMEOUT", "1")
         dist, dataset = build_dist(tiny_spec())
         plan = FaultPlan.parse("worker.step:step=1,worker=0,action=hang,seconds=4")
         executor = ProcessRankExecutor(
             dist, dataset, batch_size=32, workers=2, faults=plan
         )
         try:
+            # Start-up and the healthy step run under the default
+            # deadline, only the hung step under one second.
             executor.step(0, lr=0.05)
+            executor._timeout = 1.0
             with pytest.raises(WorkerTimeout, match="no reply within") as err:
                 executor.step(1, lr=0.05)
             assert err.value.worker_index == 0

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exec.pool import WorkerPool, get_pool, pooled, set_pool_workers
+from repro.exec.pool import WorkerPool, get_pool, set_pool_workers
 from repro.kernels.threads import static_partition
 
 
@@ -114,13 +114,6 @@ class TestWorkerPool:
 class TestGlobalPool:
     def test_default_is_sequential(self):
         assert get_pool().workers >= 1
-
-    def test_pooled_swaps_and_restores(self):
-        before = get_pool()
-        with pooled(3) as pool:
-            assert get_pool() is pool
-            assert pool.workers == 3
-        assert get_pool() is before
 
     def test_set_pool_workers_replaces(self):
         before = get_pool()

@@ -9,7 +9,7 @@ from repro.data.synthetic import RandomRecDataset
 from repro.exec.pool import WorkerPool
 from repro.exec.prefetch import LookAhead, PrefetchLoader, PrefetchMap
 
-from tests.conftest import tiny_config
+from tests.conftest import pooled, tiny_config
 
 
 def batches_equal(a: Batch, b: Batch) -> bool:
@@ -143,7 +143,6 @@ class TestPrefetchMap:
         """run_serving under a wide pool reproduces the sequential sweep
         row bitwise (index synthesis is pure; only timing of synthesis
         moves)."""
-        from repro.exec.pool import pooled
         from repro.serve.driver import ServeParams, run_serving
 
         params = ServeParams(config="small", requests=40, mean_qps=500.0, replicas=2)

@@ -9,9 +9,8 @@ from repro.hw.spec import (
     OPA_LINK,
     SKX_8180,
     UPI_LINK,
-    eight_socket_node,
-    hpc_cluster,
 )
+from repro.hw.topology import pruned_fat_tree, twisted_hypercube
 
 
 class TestSocketSpecs:
@@ -44,18 +43,17 @@ class TestSocketSpecs:
 class TestNodeAndCluster:
     def test_eight_socket_node_totals(self):
         # Sect. V-A: 224 cores, 32 TFLOPS, 1.5 TB.
-        node = eight_socket_node()
-        assert node.total_cores == 224
-        assert node.peak_flops == pytest.approx(32e12, rel=0.05)
-        assert node.mem_capacity == pytest.approx(1.5e12, rel=0.05)
+        sockets = len(twisted_hypercube().sockets)
+        assert sockets * SKX_8180.cores == 224
+        assert sockets * SKX_8180.peak_flops == pytest.approx(32e12, rel=0.05)
+        assert sockets * SKX_8180.mem_capacity == pytest.approx(1.5e12, rel=0.05)
 
     def test_cluster_totals(self):
-        # Sect. V-B: 1792 cores, 275 TFLOPS, ~6 TB.
-        cl = hpc_cluster()
-        assert cl.total_sockets == 64
-        assert cl.total_cores == 1792
-        assert cl.peak_flops == pytest.approx(275e12, rel=0.02)
-        assert cl.pruning_ratio == 2.0
+        # Sect. V-B: 1792 cores, 275 TFLOPS.
+        sockets = len(pruned_fat_tree().sockets)
+        assert sockets == 64
+        assert sockets * CLX_8280.cores == 1792
+        assert sockets * CLX_8280.peak_flops == pytest.approx(275e12, rel=0.02)
 
 
 class TestLinks:

@@ -554,7 +554,7 @@ class TestStorageTheNativeTierMustTake:
         """The tiered slab is an ``np.memmap`` seen as a plain array and
         a table is a ``rows_view`` slice of it: both are C-contiguous,
         writeable FP32 rows."""
-        slab = EmbeddingBag(40, 8, weight=file_backed((40, 8), cold_dir=str(tmp_path)))
+        slab = EmbeddingBag(40, 8, alloc=lambda shape, dtype: file_backed(shape, dtype, str(tmp_path)))
         slab.weight[...] = rng.standard_normal((40, 8)).astype(np.float32)
         view = slab.rows_view(10, 30)
         idx = rng.integers(0, 20, size=50, dtype=np.int64)

@@ -17,6 +17,7 @@ from repro.core.embedding import SplitEmbeddingBag
 from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, native, reference, threads
 from repro.kernels.native import build
+from tests.conftest import bag_of, pooled
 
 WORKER_COUNTS = (2, 3, 4)
 
@@ -107,7 +108,6 @@ class TestSegmentKernelsParallel:
     def test_scatter_add_via_global_pool(self, rng):
         """The public entry points pick the pool up from the process-wide
         configuration (no explicit pool plumbing at call sites)."""
-        from repro.exec.pool import pooled
 
         indices = duplicate_heavy_indices(rng)
         deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
@@ -122,16 +122,15 @@ class TestSegmentKernelsParallel:
     def test_split_bf16_scatter_add(self, rng):
         """Split-BF16 update: the runs of one id sharded over the pool
         rewrite bitwise the sequential table halves."""
-        from repro.exec.pool import pooled
 
         indices = duplicate_heavy_indices(rng, nnz=5000, n_rows=400)
         deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
         init = rng.standard_normal((400, 16)).astype(np.float32)
-        sequential = SplitEmbeddingBag(400, 16, weight=init)
+        sequential = bag_of(init, SplitEmbeddingBag)
         sequential.scatter_add_rows(indices, deltas)
         for w in WORKER_COUNTS:
             with pooled(w):
-                table = SplitEmbeddingBag(400, 16, weight=init)
+                table = bag_of(init, SplitEmbeddingBag)
                 table.scatter_add_rows(indices, deltas)
             assert np.array_equal(table.hi, sequential.hi), f"workers={w}"
             assert np.array_equal(table.lo, sequential.lo), f"workers={w}"
@@ -143,7 +142,6 @@ class TestMLPUnderPool:
         """An MLP forward/backward under ``pooled(4)`` is bitwise its
         1-wide run (outputs, input gradient, weight gradients)."""
         from repro.core.mlp import MLP
-        from repro.exec.pool import pooled
 
         def run():
             g = np.random.default_rng(11)

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
+from repro.core.embedding import SparseGrad, SplitEmbeddingBag
 from repro.kernels import dispatch, reference
 from repro.kernels.lookup import check_lookup
 from repro.kernels.rows import scatter_add
-from tests.conftest import TIERED, scatter_add_rows_oracle, tiered_bag
+from tests.conftest import TIERED, bag_of, scatter_add_rows_oracle, tiered_bag
 from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
@@ -167,9 +167,9 @@ def cold_dir(tmp_path_factory):
 def make_bag(kind, w0, cold_dir, seed=0):
     rows, dim = w0.shape
     if kind == "fp32":
-        return EmbeddingBag(rows, dim, weight=w0.copy())
+        return bag_of(w0)
     if kind == "split_bf16":
-        return SplitEmbeddingBag(rows, dim, weight=w0.copy())
+        return bag_of(w0, SplitEmbeddingBag)
     hot = np.random.default_rng(seed).integers(0, rows, size=rows // 3)
     return tiered_bag(w0, hot, cold_dir)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import MLPERF, SMALL
+from repro.core.config import CONFIGS, MLPERF, SMALL
 from repro.core.optim import SGD
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
@@ -15,7 +15,8 @@ from repro.parallel.placement import (
     validate_placement,
 )
 from repro.parallel.timing import model_iteration
-from tests.conftest import random_batch, tiny_config
+from repro.tiering.planner import plan_placement
+from tests.conftest import assert_same_bits, random_batch, tiny_config
 
 
 class TestRoundRobin:
@@ -77,18 +78,21 @@ class TestValidation:
 
 class TestIntegration:
     def test_distributed_training_equivalent_under_any_placement(self):
-        """Placement moves tables between ranks; numerics must not move."""
+        """Placement moves tables between ranks; numerics must not move:
+        every step's loss and the consolidated state, bit for bit."""
         cfg = tiny_config(num_tables=4, minibatch=16)
-        batch = random_batch(cfg, 16)
-        losses = {}
+        batches = [random_batch(cfg, 16, seed=s) for s in range(3)]
+        runs = []
         for placement in ("round_robin", "balanced", [1, 0, 1, 0]):
             cluster = SimCluster(2, backend="ccl")
             dist = DistributedDLRM(cfg, cluster, seed=7, placement=placement)
             dist.attach_optimizers(lambda: SGD(lr=0.05))
-            losses[str(placement)] = dist.train_step(batch)
-        vals = list(losses.values())
-        assert vals[0] == pytest.approx(vals[1], rel=1e-6)
-        assert vals[0] == pytest.approx(vals[2], rel=1e-6)
+            losses = [dist.train_step(b) for b in batches]
+            runs.append((placement, losses, dist.state_dict()))
+        _, want_losses, want_state = runs[0]
+        for placement, losses, state in runs[1:]:
+            assert losses == want_losses, placement
+            assert_same_bits(state, want_state, str(placement))
 
     def test_timing_model_accepts_placements(self):
         rr = model_iteration("mlperf", 8, placement="round_robin")
@@ -126,6 +130,18 @@ class TestAutoPlacement:
         auto = placement_stats(MLPERF, make_placement("auto", MLPERF, 8), 8)
         rr = placement_stats(MLPERF, round_robin_placement(MLPERF, 8), 8)
         assert auto.memory_imbalance <= rr.memory_imbalance
+
+    @pytest.mark.parametrize(
+        "name,ranks",
+        [(name, r) for name, cfg in CONFIGS.items() for r in range(1, cfg.num_tables + 1)],
+    )
+    def test_blind_auto_is_balanced(self, name, ranks):
+        """Without a frequency snapshot the planner's owners are the
+        byte-balanced LPT's, and ``auto`` names that placement."""
+        cfg = CONFIGS[name]
+        want = balanced_placement(cfg, ranks)
+        assert make_placement("auto", cfg, ranks) == want
+        assert list(plan_placement(cfg, ranks).owners) == want
 
     def test_balanced_is_deterministic(self):
         """Integer byte loads + table-id tie-breaks: no float drift."""

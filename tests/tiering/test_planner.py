@@ -1,6 +1,7 @@
 """Placement planner: storage modes, LPT owners, spec entry points."""
 
 import numpy as np
+import pytest
 
 from repro.parallel.placement import PLACEMENTS, make_placement, validate_placement
 from repro.tiering.freqstats import FreqStats
@@ -84,13 +85,13 @@ class TestOwners:
 
 
 class TestSpecEntryPoints:
-    def spec(self, **tiering):
+    def spec(self, config="small", rows_cap=300, ranks=2, **tiering):
         return RunSpec.from_dict(
             {
-                "model": {"config": "small", "rows_cap": 300, "minibatch": 32, "seed": 4},
+                "model": {"config": config, "rows_cap": rows_cap, "minibatch": 32, "seed": 4},
                 "data": {"name": "criteo", "seed": 1},
                 "schedule": {"steps": 4},
-                "parallel": {"ranks": 2, "placement": "auto"},
+                "parallel": {"ranks": ranks, "placement": "auto"},
                 "tiering": {
                     "enabled": True,
                     "hot_rows": 32,
@@ -134,3 +135,22 @@ class TestSpecEntryPoints:
         for (ra, ca), (rb, cb) in zip(a.heads, b.heads):
             np.testing.assert_array_equal(ra, rb)
             np.testing.assert_array_equal(ca, cb)
+
+    @pytest.mark.parametrize(
+        "config,rows_cap,ranks,owners",
+        [
+            ("small", 300, 2, (1, 1, 1, 0, 0, 1, 0, 0)),
+            ("small", 300, 4, (2, 2, 0, 1, 3, 1, 0, 3)),
+            (
+                "mlperf", 4000, 4,
+                (0, 2, 2, 3, 1, 0, 0, 0, 1, 0, 2, 3, 2, 3, 1, 3, 3, 1, 0, 2, 3, 2, 1, 3, 2, 1),
+            ),
+        ],
+    )
+    def test_frequency_informed_owners_are_pinned(self, config, rows_cap, ranks, owners):
+        """The gather-cost LPT over a profiled Zipf spec, against recorded
+        owners: a change to the order or the tie-breaks of
+        :func:`~repro.parallel.placement.lpt_owners` moves them."""
+        plan = plan_from_spec(self.spec(config, rows_cap, ranks))
+        assert plan.tiered_tables
+        assert plan.owners == owners

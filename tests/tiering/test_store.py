@@ -19,6 +19,7 @@ from repro.tiering.store import TieredEmbeddingBag, apply_tiering, file_backed
 from tests.conftest import (
     TIERED,
     capacity_bytes,
+    cold_path,
     random_batch,
     scatter_add_rows_oracle,
     tiered_bag,
@@ -233,7 +234,7 @@ class TestStoreMechanics:
 
     def test_close_removes_cold_file(self, tmp_path):
         _, tiered = pair(tmp_path)
-        cold = tiered.cold_path
+        cold = cold_path(tiered)
         assert os.path.exists(cold)
         tiered.close()
         assert not os.path.exists(cold)
@@ -243,10 +244,10 @@ class TestStoreMechanics:
         _, tiered = pair(tmp_path)
         rows = tiered.store.weight
         assert type(rows) is np.ndarray and type(tiered.gather(np.arange(3))) is np.ndarray
-        assert os.path.dirname(tiered.cold_path) == str(tmp_path)
-        assert os.path.getsize(tiered.cold_path) == ROWS * DIM * 4
+        assert os.path.dirname(cold_path(tiered)) == str(tmp_path)
+        assert os.path.getsize(cold_path(tiered)) == ROWS * DIM * 4
         tiered._file.flush()
-        on_disk = np.fromfile(tiered.cold_path, dtype=np.float32).reshape(ROWS, DIM)
+        on_disk = np.fromfile(cold_path(tiered), dtype=np.float32).reshape(ROWS, DIM)
         np.testing.assert_array_equal(on_disk, rows)
 
     def test_the_file_goes_with_the_last_view_of_the_mapping(self, tmp_path):
@@ -275,7 +276,7 @@ class TestStoreMechanics:
         a, b = (tiered_bag(drawn(i)) for i in range(2))
         (directory,) = tmp_path.iterdir()
         assert directory.name == f"repro-tiering-{os.getpid()}"
-        assert sorted(map(str, directory.iterdir())) == sorted([a.cold_path, b.cold_path])
+        assert sorted(map(str, directory.iterdir())) == sorted([cold_path(a), cold_path(b)])
         a.close()
         assert directory.exists()
         del b  # by reference count, no close()

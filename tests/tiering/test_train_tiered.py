@@ -30,6 +30,7 @@ from repro.train import RunSpec, Trainer, make_trainer
 
 from tests.conftest import (
     capacity_bytes,
+    cold_path,
     random_batch,
     skip_unless_recorded_here,
     tiny_config,
@@ -229,9 +230,8 @@ class TestCheckpointAndServe:
         assert type(slab) is np.ndarray
         (path,) = cold.iterdir()
         assert path.stat().st_size == slab.nbytes
-        assert {t.cold_path for t in engine.model.tables.values() if hasattr(t, "cold_path")} == {
-            str(path)
-        }
+        tiered = [t for t in engine.model.tables.values() if isinstance(t, TieredEmbeddingBag)]
+        assert {cold_path(t) for t in tiered} == {str(path)}
         slab.base.flush()
         np.testing.assert_array_equal(np.fromfile(path, dtype=np.float32), slab.reshape(-1))
         for key, value in engine.model.state_dict().items():
@@ -283,7 +283,7 @@ class TestSlabMembership:
         # One file for the whole slab -- and none without a tiered table.
         files = [str(p) for p in tmp_path.iterdir()]
         assert len(files) == bool(tiered_tables)
-        assert {model.tables[t].cold_path for t in tiered_tables} == set(files)
+        assert {cold_path(model.tables[t]) for t in tiered_tables} == set(files)
 
     @pytest.mark.parametrize("tiered_tables", TIERED)
     def test_a_step_is_one_slab_forward_and_one_fused_update(self, tmp_path, tiered_tables):
@@ -451,7 +451,7 @@ def test_a_tiered_process_leaves_nothing_in_the_temp_dir(tmp_path):
         "import json, sys\n"
         "from repro.train import RunSpec, make_trainer\n"
         "trainer = make_trainer(RunSpec.from_dict(json.loads(sys.argv[1]))).fit(1)\n"
-        "print(trainer.model.tables[0].cold_path)\n"
+        "print(trainer.model.tables[0]._file.filename)\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": src}

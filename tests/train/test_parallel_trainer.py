@@ -10,9 +10,9 @@ bit-identical -- in FP32 and Split-BF16.
 import numpy as np
 import pytest
 
-from repro.exec.pool import pooled
 from repro.train import RunSpec, load_checkpoint, make_trainer
 
+from tests.conftest import pooled
 from tests.train.test_trainer import tiny_spec
 
 

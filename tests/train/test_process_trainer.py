@@ -14,11 +14,10 @@ import sys
 import numpy as np
 import pytest
 
-from repro.exec.pool import pooled
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
-from tests.conftest import counting_cc
+from tests.conftest import counting_cc, pooled
 from tests.train.test_trainer import tiny_spec
 
 
@@ -211,12 +210,11 @@ class TestSpecPlumbing:
 
 class TestReplyDeadline:
     """``resilience.heartbeat_timeout`` is the deadline the executor
-    enforces on every worker reply; ``REPRO_MP_TIMEOUT`` overrides it."""
+    enforces on every worker reply."""
 
-    def test_a_hang_past_the_specs_deadline_is_a_typed_timeout(self, monkeypatch):
+    def test_a_hang_past_the_specs_deadline_is_a_typed_timeout(self):
         from repro.resilience import WorkerTimeout
 
-        monkeypatch.delenv("REPRO_MP_TIMEOUT", raising=False)
         spec = dist_spec(
             resilience={
                 "heartbeat_timeout": 30.0,
@@ -237,19 +235,6 @@ class TestReplyDeadline:
             with pytest.raises(WorkerTimeout, match="no reply within 1s"):
                 trainer.fit(1)
             assert trainer.step == 1  # the hang was step 1's, not step 0's
-        finally:
-            trainer.close()
-
-    @pytest.mark.parametrize("env,want", [(None, 37.5), ("12", 12.0)])
-    def test_the_env_var_wins_when_set(self, monkeypatch, env, want):
-        if env is None:
-            monkeypatch.delenv("REPRO_MP_TIMEOUT", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_MP_TIMEOUT", env)
-        spec = dist_spec(resilience={"heartbeat_timeout": 37.5})
-        trainer = Trainer.from_spec(spec, backend="process", workers=2)
-        try:
-            assert trainer._executor._timeout == want
         finally:
             trainer.close()
 
