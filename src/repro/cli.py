@@ -377,8 +377,6 @@ def _dispatch(args: argparse.Namespace) -> str:
 
         if not args.spec and not args.resume:
             raise SystemExit("repro train: need --spec or --resume")
-        if args.workers is not None and args.workers < 1:
-            raise SystemExit("repro train: --workers must be >= 1")
         if args.resume:
             from repro.train import load_checkpoint
 
@@ -399,13 +397,15 @@ def _dispatch(args: argparse.Namespace) -> str:
                 )
             overrides["parallel.bucket_mb"] = args.bucket_mb
         for flag, field in (
-            ("fault", "faults"),
-            ("ring_dir", "ring_dir"),
-            ("ring_every", "ring_every"),
-            ("ring_keep", "ring_keep"),
+            ("backend", "parallel.exec_backend"),
+            ("workers", "parallel.exec_workers"),
+            ("fault", "resilience.faults"),
+            ("ring_dir", "resilience.ring_dir"),
+            ("ring_every", "resilience.ring_every"),
+            ("ring_keep", "resilience.ring_keep"),
         ):
             if getattr(args, flag) is not None:
-                overrides[f"resilience.{field}"] = getattr(args, flag)
+                overrides[field] = getattr(args, flag)
         if args.supervise:
             overrides["resilience.supervise"] = True
         if overrides:
@@ -415,13 +415,6 @@ def _dispatch(args: argparse.Namespace) -> str:
                 raise SystemExit(f"repro train: {exc}") from exc
             if ckpt is not None:
                 ckpt.spec = spec
-        # (A spec that asks for it itself already failed RunSpec.validate.)
-        if args.backend == "process" and not distributed:
-            raise SystemExit(
-                "repro train: --backend process needs a distributed spec "
-                "(parallel.ranks > 1); single-process runs have no ranks "
-                "to place in workers"
-            )
         supervised = spec.resilience.supervise
         if supervised and args.resume:
             raise SystemExit(
@@ -446,7 +439,7 @@ def _dispatch(args: argparse.Namespace) -> str:
             if supervised:
                 from repro.resilience import Supervisor
 
-                sup = Supervisor(spec, backend=args.backend, workers=args.workers)
+                sup = Supervisor(spec)
                 report = sup.run()
                 trainer = sup.trainer
                 row = {
@@ -476,11 +469,10 @@ def _dispatch(args: argparse.Namespace) -> str:
                     out += f"\nrecovery events written to {path}"
             else:
                 timer = StepTimer()
-                build = dict(callbacks=[timer], backend=args.backend, workers=args.workers)
                 trainer = (
-                    Trainer.from_checkpoint(ckpt, **build)
+                    Trainer.from_checkpoint(ckpt, callbacks=[timer])
                     if ckpt is not None
-                    else Trainer.from_spec(spec, **build)
+                    else Trainer.from_spec(spec, callbacks=[timer])
                 )
                 start = trainer.step
                 trainer.fit(args.steps)
@@ -784,21 +776,11 @@ def _dispatch(args: argparse.Namespace) -> str:
                 ],
                 title="Functional scoring with trained weights",
             ) + "\n\n"
-        if args.requests < 1:
-            raise SystemExit("repro serve: --requests must be >= 1")
-        if args.qps <= 0:
-            raise SystemExit("repro serve: --qps must be positive")
-        if args.replicas < 1:
-            raise SystemExit("repro serve: --replicas must be >= 1")
-        if args.max_batch < 1:
-            raise SystemExit("repro serve: --max-batch must be >= 1")
-        if args.cache_rows < 1:
-            raise SystemExit("repro serve: --cache-rows must be >= 1")
-        if any(b <= 0 for b in args.budgets_ms):
-            raise SystemExit("repro serve: --budgets-ms values must be positive")
         from repro.resilience.faults import FaultPlan
         from repro.serve import DegradePolicy
 
+        # Each flag is checked where it is used: a bad value exits with
+        # the message of the layer that refuses it.
         try:
             FaultPlan.parse(args.fault)
             degrade = DegradePolicy(
@@ -806,29 +788,28 @@ def _dispatch(args: argparse.Namespace) -> str:
                 cooldown_s=args.breaker_cooldown_ms * 1e-3,
                 retry_attempts=args.retry_attempts,
             )
-        except ValueError as exc:
-            raise SystemExit(f"repro serve: {exc}") from exc
-        if not args.fault:
-            if degrade != DegradePolicy():
-                raise SystemExit(
-                    "repro serve: --error-threshold, --breaker-cooldown-ms and "
+            if not args.fault and degrade != DegradePolicy():
+                raise ValueError(
+                    "--error-threshold, --breaker-cooldown-ms and "
                     "--retry-attempts tune the response to --fault; give a fault plan"
                 )
-            degrade = None
-        params = ServeParams(
-            config=args.config,
-            requests=args.requests,
-            mean_qps=args.qps,
-            policy=args.policy,
-            router=args.router,
-            replicas=args.replicas,
-            max_batch_samples=args.max_batch,
-            cache_rows=args.cache_rows,
-            cache_policy=args.cache_policy,
-            seed=args.seed,
-            fault=args.fault,
-        )
-        sweep = sweep_budgets(params, budgets_ms=tuple(args.budgets_ms), degrade=degrade)
+            params = ServeParams(
+                config=args.config,
+                requests=args.requests,
+                mean_qps=args.qps,
+                policy=args.policy,
+                router=args.router,
+                replicas=args.replicas,
+                max_batch_samples=args.max_batch,
+                cache_rows=args.cache_rows,
+                cache_policy=args.cache_policy,
+                seed=args.seed,
+                fault=args.fault,
+            )
+            budgets = tuple(args.budgets_ms)
+            sweep = sweep_budgets(params, budgets_ms=budgets, degrade=degrade if args.fault else None)
+        except ValueError as exc:
+            raise SystemExit(f"repro serve: {exc}") from exc
         columns = [
             "policy", "router", "budget_ms", "batches", "batch_samples",
             "hit_rate", "qps", "p50_ms", "p95_ms", "p99_ms",

@@ -184,18 +184,15 @@ class DLRMConfig:
 
     # -- derived configs ---------------------------------------------------------------
 
-    def scaled_down(self, rows_cap: int = 2000, minibatch: int = 64) -> "DLRMConfig":
-        """A structurally identical config small enough for unit tests:
-        same table count, MLP depths and interaction; capped rows and
-        minibatch."""
-        return replace(
-            self,
-            name=f"{self.name}-scaled",
-            minibatch=minibatch,
-            global_minibatch=minibatch * 4,
-            local_minibatch=minibatch,
-            table_rows=tuple(min(m, rows_cap) for m in self.table_rows),
-        )
+    def scaled_down(self, rows_cap: int | None = 2000, minibatch: int | None = 64) -> "DLRMConfig":
+        """The same topology with at most ``rows_cap`` rows a table and a
+        ``minibatch`` of samples (global 4x, local 1x); None keeps either."""
+        cfg = self
+        if rows_cap is not None:
+            cfg = replace(cfg, table_rows=tuple(min(m, rows_cap) for m in cfg.table_rows))
+        if minibatch is not None:
+            cfg = replace(cfg, minibatch=minibatch, global_minibatch=minibatch * 4, local_minibatch=minibatch)
+        return cfg
 
 
 # --- Paper Table I presets ------------------------------------------------

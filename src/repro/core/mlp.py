@@ -179,8 +179,9 @@ class FullyConnected:
             sigmoid(z, out=z)
         return z
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Backward-by-weights (into .grad) and backward-by-data (returned).
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backward-by-weights (into .grad) and backward-by-data (returned;
+        None, its GEMM skipped, without ``input_grad``).
 
         Like :meth:`forward`, the returned ``dx`` and the internal
         intermediates live in the layer's workspace; they are
@@ -209,10 +210,9 @@ class FullyConnected:
             self._dot(dz.T, self._x, out=self.weight.fresh_grad())
         else:
             self.weight.accumulate_grad(self._dot(dz.T, self._x))
-        # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
-        dx = _matmul_into(self._ws, "bwd.dx", self._dot, dz, self.weight.value)
         self.bias.accumulate_grad(dz.sum(axis=0))
-        return dx
+        # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
+        return _matmul_into(self._ws, "bwd.dx", self._dot, dz, self.weight.value) if input_grad else None
 
 
 class MLP:
@@ -301,14 +301,15 @@ class MLP:
             x = layer.infer(x, out=None if outs is None else outs[i])
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         for layer in reversed(self.layers):
-            dy = layer.backward(dy)
+            dy = layer.backward(dy, input_grad or layer is not self.layers[0])
         return dy
 
-    def backward_segment(self, dy: np.ndarray, start: int, stop: int) -> np.ndarray:
+    def backward_segment(self, dy: np.ndarray, start: int, stop: int, input_grad: bool = True) -> np.ndarray | None:
         """Backward through layers ``[start, stop)`` only (in reverse),
-        returning the gradient flowing into layer ``start``.
+        returning the gradient flowing into layer ``start`` (None for
+        layer 0 without ``input_grad``).
 
         Running ``backward_segment`` over a partition of ``[0, n)`` in
         descending order is bit-for-bit :meth:`backward` -- it is the
@@ -320,7 +321,7 @@ class MLP:
                 f"segment [{start}, {stop}) invalid for {len(self.layers)} layers"
             )
         for layer in reversed(self.layers[start:stop]):
-            dy = layer.backward(dy)
+            dy = layer.backward(dy, input_grad or layer is not self.layers[0])
         return dy
 
     def zero_grad(self) -> None:

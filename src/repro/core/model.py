@@ -296,13 +296,14 @@ class DLRM:
             dr = self.top.backward(dlogits)
             return self.interaction.backward(dr)
 
-    def backward_segment(self, half: str, dy: np.ndarray, start: int, stop: int) -> np.ndarray:
+    def backward_segment(self, half: str, dy: np.ndarray, start: int, stop: int) -> np.ndarray | None:
         """Backward through layers ``[start, stop)`` of the ``"top"`` or
         ``"bottom"`` MLP only -- the issue-as-ready path walks each stack
         bucket by bucket so a bucket's weight gradients can fly while
-        earlier layers compute."""
+        earlier layers compute.  The dense features need no gradient: the
+        bottom's first layer returns None."""
         with trace("mlp.gemm.bwd", rows=dy.shape[0]):
-            return getattr(self, half).backward_segment(dy, start, stop)
+            return getattr(self, half).backward_segment(dy, start, stop, half == "top")
 
     def interaction_backward(
         self, dr: np.ndarray
@@ -311,10 +312,11 @@ class DLRM:
         :meth:`backward_segment` to equal :meth:`top_backward`."""
         return self.interaction.backward(dr)
 
-    def bottom_backward(self, ddense: np.ndarray) -> np.ndarray:
-        """Bottom MLP backward (weight grads accumulate into parameters)."""
+    def bottom_backward(self, ddense: np.ndarray) -> None:
+        """Bottom MLP backward (weight grads accumulate into parameters;
+        the dense features need no gradient)."""
         with trace("mlp.gemm.bwd", rows=ddense.shape[0]):
-            return self.bottom.backward(ddense)
+            self.bottom.backward(ddense, input_grad=False)
 
     def dense_backward(self, dlogits: np.ndarray, batch: Batch) -> list[np.ndarray]:
         """Top MLP + interaction + Bottom MLP backward; returns the

@@ -134,7 +134,7 @@ class RaceFreeUpdate(FusedBackwardUpdate):
     kernel it inherits, priced as the stand-alone update pass the paper
     ships (``fused``: the same arithmetic, the 1.6x experiment's cost
     key).  Alg. 4 as written, ``threads`` full-array mask scans, is
-    :func:`repro.kernels.reference.partitioned_scatter_add`."""
+    the tests' oracle (``tests/conftest.py::racefree_update_oracle``)."""
 
     cost_key = "racefree"
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.mlp import sigmoid
 from repro.exec.pool import WorkerPool, get_pool, set_pool_workers
-from repro.exec.prefetch import PrefetchLoader
+from repro.exec.prefetch import PrefetchLoader, beside
 
 if TYPE_CHECKING:
     from repro.core.batch import Batch
@@ -74,6 +74,17 @@ class RankExecutor(Protocol):
         """Release backend resources.  Idempotent."""
 
 
+def _states(model: "DLRM", opt: "SGD", copy: bool = True) -> tuple[StateDict, StateDict]:
+    """One model's and its optimizer's state, single-process layout."""
+    return model.state_dict(copy), opt.state_dict(model.parameters(), model.tables, copy)
+
+
+def _load(model: "DLRM", opt: "SGD", model_state: StateDict, opt_state: StateDict | None) -> None:
+    model.load_state_dict(model_state)
+    if opt_state:
+        opt.load_state_dict(opt_state, model.parameters(), model.tables)
+
+
 class _InProcessExecutor:
     """What the two in-process executors share: the batch source and the
     pool width they asked for."""
@@ -91,7 +102,7 @@ class _InProcessExecutor:
         self.dataset = dataset
         self.batch_size = batch_size
         #: Synthesizes batch ``index+1`` on the pool while ``index``
-        #: trains; a plain synchronous call on a 1-wide pool.
+        #: trains; a 1-wide pool leaves it to the executor's step.
         self._prefetch = PrefetchLoader(
             dataset, batch_size, pool=prefetch_pool, depth=prefetch_depth
         )
@@ -134,7 +145,11 @@ class LocalExecutor(_InProcessExecutor):
     def step(self, index: int, lr: float | None) -> float:
         if lr is not None:
             self.optimizer.lr = lr
-        return self.model.train_step(self._prefetch.batch(index), self.optimizer)
+        batch = self._prefetch.batch(index)
+        # On a 1-wide pool batch ``index + 1`` is built here: beside the
+        # row scatter the helper thread runs, or after the update.
+        with beside(self._prefetch.primer(index + 1)):
+            return self.model.train_step(batch, self.optimizer)
 
     def predict(self, batch: "Batch") -> np.ndarray:
         # The no-grad path: bit-identical to the training forward, but safe
@@ -142,18 +157,10 @@ class LocalExecutor(_InProcessExecutor):
         return sigmoid(self.model.infer(batch)).reshape(-1)
 
     def state_dicts(self, copy: bool = True) -> tuple[StateDict, StateDict]:
-        model = self.model
-        return (
-            model.state_dict(copy),
-            self.optimizer.state_dict(model.parameters(), model.tables, copy),
-        )
+        return _states(self.model, self.optimizer, copy)
 
     def load_state(self, model_state: StateDict, opt_state: StateDict | None = None) -> None:
-        self.model.load_state_dict(model_state)
-        if opt_state:
-            self.optimizer.load_state_dict(
-                opt_state, self.model.parameters(), self.model.tables
-            )
+        _load(self.model, self.optimizer, model_state, opt_state)
 
     def clocks(self) -> list[float]:
         return []
@@ -216,18 +223,9 @@ class InlineRankExecutor(_InProcessExecutor):
     # -- one rank's share (what a process worker mirrors through its arenas) --
 
     def rank_state_dicts(self, rank: int) -> tuple[StateDict, StateDict]:
-        model = self.dist.models[rank]
-        return (
-            model.state_dict(),
-            self.dist.optimizers[rank].state_dict(model.parameters(), model.tables),
-        )
+        return _states(self.dist.models[rank], self.dist.optimizers[rank])
 
     def load_rank_state(
         self, rank: int, model_state: StateDict, opt_state: StateDict | None = None
     ) -> None:
-        model = self.dist.models[rank]
-        model.load_state_dict(model_state)
-        if opt_state:
-            self.dist.optimizers[rank].load_state_dict(
-                opt_state, model.parameters(), model.tables
-            )
+        _load(self.dist.models[rank], self.dist.optimizers[rank], model_state, opt_state)

@@ -15,8 +15,13 @@ moves.  Checkpoint/resume therefore stays bit-identical: a resumed
 trainer asks for an arbitrary start index and the loader simply misses
 its lookahead window and computes it directly.
 
-With a 1-wide pool it degenerates to plain synchronous calls (no
-futures, no buffering) -- the sequential baseline.
+A 1-wide pool schedules nothing: the consumer builds the next position
+(:meth:`LookAhead.primer`) in ``with beside(work):``, where the first
+call handed to :func:`overlap` (the FP32 row scatter's ``ctypes`` call,
+which releases the GIL) runs on one helper thread -- pinned off its
+creator's CPU, none where one CPU is allowed, dropped by a forked child
+-- while the caller runs ``work()``; with no such call (the NumPy tier,
+a Split-BF16 or sharded scatter) ``work()`` runs as the block ends.
 
 The same determinism argument is what lets the process backend
 (:mod:`repro.exec.mp`) synthesize batches *per worker process* instead
@@ -27,15 +32,71 @@ pipe and the synthesized bits still equal the sequential run's.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
+import os
 import sys
-from concurrent.futures import Future
-from typing import Callable, Generic, Sequence, TypeVar
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 from repro.exec.pool import WorkerPool, get_pool
 from repro.obs.tracer import trace
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: The pending work of the innermost ``beside`` block, until a call takes it.
+_work: contextvars.ContextVar[list | None] = contextvars.ContextVar("beside", default=None)
+
+
+def _pin(cpus: set[int]) -> None:
+    with contextlib.suppress(OSError):  # containers may forbid affinity
+        os.sched_setaffinity(0, cpus)
+
+
+@functools.cache
+def helper() -> ThreadPoolExecutor | None:
+    """This process's helper thread (started on first use); None where
+    one CPU is allowed or the platform has no affinity calls."""
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    cpus = os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()}
+    return ThreadPoolExecutor(1, "repro-beside", _pin, (cpus,)) if cpus else None
+
+
+os.register_at_fork(after_in_child=helper.cache_clear)  # the thread stays in the parent
+
+
+@contextlib.contextmanager
+def beside(work: Callable[[], object] | None) -> Iterator[None]:
+    """Run ``work()`` once within the block: beside its first
+    :func:`overlap`, else as the block ends (not after an exception)."""
+    box = [] if work is None else [work]
+    token = _work.set(box)
+    try:
+        yield
+    finally:
+        _work.reset(token)
+    if box:
+        box.pop()()
+
+
+def overlap(call: Callable[[], object]) -> None:
+    """``call()``, a native call that releases the GIL and reads no Python
+    object: on the helper while the innermost ``beside`` block's work
+    runs here, when there are both; else here."""
+    box = _work.get()
+    side = helper() if box else None
+    if side is None:
+        call()
+        return
+    done = side.submit(call)
+    try:
+        box.pop()()
+    finally:
+        done.result()
 
 
 class LookAhead(Generic[R]):
@@ -67,17 +128,33 @@ class LookAhead(Generic[R]):
 
     def __call__(self, k: int) -> R:
         pool = self.pool if self.pool is not None else get_pool()
-        if pool.effective_workers == 1:
-            return self.fn(k)
         future = self._pending.pop(k, None)
         if future is None:
             self._pending.clear()
         else:
             self._pending = {p: f for p, f in self._pending.items() if p > k}
         for ahead in range(k + 1, min(k + 1 + self.depth, self.stop)):
-            if ahead not in self._pending:
+            if ahead not in self._pending and pool.effective_workers > 1:
                 self._pending[ahead] = pool.submit(self.fn, ahead)
         return self.fn(k) if future is None else future.result()
+
+    def primer(self, k: int) -> Callable[[], None] | None:
+        """What builds position ``k`` here for the call that asks for it
+        next (any other call drops it; an error waits for that call too);
+        None where the pool builds it."""
+        pool = self.pool if self.pool is not None else get_pool()
+        if pool.effective_workers > 1:
+            return None
+
+        def prime() -> None:
+            future: Future = Future()
+            try:
+                future.set_result(self.fn(k))
+            except Exception as exc:
+                future.set_exception(exc)
+            self._pending[k] = future
+
+        return prime
 
 
 class PrefetchLoader:
@@ -102,17 +179,22 @@ class PrefetchLoader:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = batch_size
-        self._ahead = LookAhead(self._synthesize, depth, pool)
+        # No bound method: a cycle back to the loader would keep a primed batch.
+        self._ahead = LookAhead(functools.partial(self._synthesize, dataset, batch_size), depth, pool)
 
-    def _synthesize(self, index: int):
+    @staticmethod
+    def _synthesize(dataset, batch_size: int, index: int):
         """The traced synthesis call both the direct path and the pool
         workers run (spans only observe; the bits are index-pure)."""
-        with trace("data.synthesis", rows=self.batch_size):
-            return self.dataset.batch(self.batch_size, index)
+        with trace("data.synthesis", rows=batch_size):
+            return dataset.batch(batch_size, index)
 
     def batch(self, index: int):
         """Deterministic batch ``index``; primes ``index+1..index+depth``."""
         return self._ahead(index)
+
+    def primer(self, index: int) -> Callable[[], None] | None:
+        return self._ahead.primer(index)
 
 
 class PrefetchMap(Generic[T, R]):

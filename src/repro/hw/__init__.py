@@ -21,7 +21,6 @@ from repro.hw.topology import (
     Topology,
     twisted_hypercube,
     pruned_fat_tree,
-    single_switch,
 )
 from repro.hw.network import NetworkModel, CollectiveCost
 from repro.hw.cache import IndexStats, ContentionModel, index_stats, merge_stats
@@ -39,7 +38,6 @@ __all__ = [
     "Topology",
     "twisted_hypercube",
     "pruned_fat_tree",
-    "single_switch",
     "NetworkModel",
     "CollectiveCost",
     "IndexStats",

@@ -68,7 +68,7 @@ def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> Inde
     The imbalance statistic follows Alg. 4's equal-row-range partition:
     row ``r`` is counted for thread ``floor(r*T/M)``, one update per
     index.  When ``T`` divides ``M`` that is exactly
-    :func:`~repro.kernels.threads.row_range_for_thread`'s
+    :func:`~repro.kernels.threads.static_partition`'s
     ``[M*t//T, M*(t+1)//T)``; otherwise the two roundings put the range
     boundaries a row apart (M=10, T=4: per-thread row counts
     ``[3, 2, 3, 2]`` here against ``[2, 3, 2, 3]`` there).  The recorded

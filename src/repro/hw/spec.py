@@ -47,11 +47,6 @@ class SocketSpec:
         """Stream memory bandwidth in bytes/s."""
         return self.mem_bw_gbs * 1e9
 
-    @property
-    def mem_capacity(self) -> float:
-        """DRAM capacity in bytes."""
-        return self.mem_capacity_gb * 1e9
-
     def peak_flops_on(self, cores: int) -> float:
         """Peak flops of a subset of ``cores`` (for compute/comm core splits)."""
         if not 0 <= cores <= self.cores:

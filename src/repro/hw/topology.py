@@ -209,15 +209,3 @@ def pruned_fat_tree(
                         latency=intra_node_link.latency,
                     )
     return Topology(g, name=f"pruned-fat-tree-{sockets}S", link=link)
-
-
-def single_switch(sockets: int, link: LinkSpec = OPA_LINK) -> Topology:
-    """A non-blocking crossbar: every socket one hop from a single switch.
-
-    Used as an idealised baseline in tests and ablations.
-    """
-    g = nx.Graph()
-    sw = switch_id("xbar")
-    for s in range(sockets):
-        g.add_edge(socket_id(s), sw, bw=link.bw, latency=link.latency / 2)
-    return Topology(g, name=f"single-switch-{sockets}S", link=link)

@@ -20,7 +20,6 @@ process and the arrays are; nothing outside this package can tell which.
 from repro.kernels.threads import (
     bucket_by_row_ranges,
     static_partition,
-    row_range_for_thread,
 )
 from repro.kernels.workspace import Workspace
 
@@ -28,5 +27,4 @@ __all__ = [
     "bucket_by_row_ranges",
     "Workspace",
     "static_partition",
-    "row_range_for_thread",
 ]

@@ -30,7 +30,8 @@ for the Split-BF16 update -- so each output row has one owner who folds
 it in input order, and the bits do not depend on the number of threads.
 The NumPy tier never shards.  The two data kernels, the interaction and
 the uniform draw run whole on the calling thread.  A ``ctypes`` call
-releases the GIL.
+releases the GIL, so an unsharded FP32 scatter runs on the step's helper
+thread while the caller builds the next batch (:mod:`repro.exec.prefetch`).
 
 ``python -m repro.kernels.native`` says what is loaded.
 """
@@ -192,8 +193,13 @@ def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0, pool=Non
     if lib is None:
         return False
     args = (at["weight"], at["dim"], at["indices"], at["offsets"], at["bags"], at["deltas"], scale)
-    kernel = lib.repro_scatter_add_f32
-    _run(lambda lo, hi, tid: kernel(*args, lo, hi), at["rows"], at["n"], at["n"] * at["dim"], pool)
+    kernel, rows, pool = lib.repro_scatter_add_f32, at["rows"], resolve_pool(pool)
+    if shardable(pool, at["n"], at["n"] * at["dim"]):
+        pool.run_sharded(lambda lo, hi, tid: kernel(*args, lo, hi), rows)
+    else:  # whole, on the step's helper thread when it has work beside
+        from repro.exec.prefetch import overlap  # lazy: exec sits above kernels
+
+        overlap(lambda: kernel(*args, 0, rows))
     return True
 
 

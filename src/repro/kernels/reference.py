@@ -19,11 +19,7 @@ about tables.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from repro.kernels.threads import row_range_for_thread
 
 
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -51,25 +47,3 @@ def scatter_add(weight: np.ndarray, indices: np.ndarray, deltas: np.ndarray) -> 
     """Alg. 3: ``weight[indices] += deltas``, one unbuffered add per
     look-up in array order."""
     np.add.at(weight, np.asarray(indices, dtype=np.int64), deltas)
-
-
-def partitioned_scatter_add(
-    scatter: Callable[[np.ndarray, np.ndarray], None],
-    rows: int,
-    indices: np.ndarray,
-    deltas: np.ndarray,
-    threads: int,
-) -> np.ndarray:
-    """Alg. 4 as written: every thread scans all the indices of a
-    ``rows``-row table and hands those inside its own row range to
-    ``scatter(indices, deltas)`` (:func:`scatter_add` bound to an FP32
-    array, say).  Returns the per-thread counts."""
-    indices = np.asarray(indices, dtype=np.int64)
-    counts = np.zeros(threads, dtype=np.int64)
-    for tid in range(threads):
-        lo, hi = row_range_for_thread(rows, tid, threads)
-        mask = (indices >= lo) & (indices < hi)
-        counts[tid] = int(mask.sum())
-        if counts[tid]:
-            scatter(indices[mask], deltas[mask])
-    return counts

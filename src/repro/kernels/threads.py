@@ -54,13 +54,6 @@ def static_partition(work: int, threads: int) -> list[tuple[int, int]]:
     ]
 
 
-def row_range_for_thread(rows: int, tid: int, threads: int) -> tuple[int, int]:
-    """Alg. 4 lines 2-3: the row range owned by thread ``tid``."""
-    if not 0 <= tid < threads:
-        raise ValueError(f"tid must be in [0, {threads}), got {tid}")
-    return (rows * tid) // threads, (rows * (tid + 1)) // threads
-
-
 def bucket_by_row_ranges(indices: np.ndarray, rows: int, threads: int) -> np.ndarray:
     """Per-thread update counts under Alg. 4's static row partition.
 

@@ -64,8 +64,8 @@ class ModelSpec:
 
     ``config`` names a paper preset (Table I); ``overrides`` are applied
     with ``dataclasses.replace`` for custom topologies; ``rows_cap`` and
-    ``minibatch`` are the common scaled-down-for-laptops knobs (the
-    latter mirrors ``DLRMConfig.scaled_down``: global = 4x, local = x).
+    ``minibatch`` are the common scaled-down-for-laptops knobs
+    (``DLRMConfig.scaled_down``: global = 4x, local = x).
     """
 
     config: str = "small"
@@ -88,18 +88,7 @@ class ModelSpec:
         cfg = get_config(self.config)
         if self.overrides:
             cfg = dataclasses.replace(cfg, **self.overrides)
-        if self.rows_cap is not None:
-            cfg = dataclasses.replace(
-                cfg, table_rows=tuple(min(m, self.rows_cap) for m in cfg.table_rows)
-            )
-        if self.minibatch is not None:
-            cfg = dataclasses.replace(
-                cfg,
-                minibatch=self.minibatch,
-                global_minibatch=self.minibatch * 4,
-                local_minibatch=self.minibatch,
-            )
-        return cfg
+        return cfg.scaled_down(self.rows_cap, self.minibatch)
 
 
 @dataclass(frozen=True)

@@ -298,21 +298,26 @@ def tiered_bag(weight, hot_rows=None, cold_dir: str | None = None):
     return model.tables[0]
 
 
+def row_range_for_thread(rows: int, tid: int, threads: int) -> tuple[int, int]:
+    """Alg. 4 lines 2-3: the row range owned by thread ``tid``."""
+    if not 0 <= tid < threads:
+        raise ValueError(f"tid must be in [0, {threads}), got {tid}")
+    return (rows * tid) // threads, (rows * (tid + 1)) // threads
+
+
 def racefree_update_oracle(table, grad, lr: float, threads: int) -> np.ndarray:
-    """Alg. 4 as written on ``table`` -- ``threads`` full-array mask
-    scans, each thread's share through :func:`scatter_add_rows_oracle`;
-    returns the per-thread counts."""
-    from functools import partial
-
-    from repro.kernels import reference
-
-    return reference.partitioned_scatter_add(
-        partial(scatter_add_rows_oracle, table),
-        table.rows,
-        grad.indices,
-        -np.float32(lr) * grad.values,
-        threads,
-    )
+    """Alg. 4 as written on ``table``: every thread scans all the ids and
+    hands those in its own row range to :func:`scatter_add_rows_oracle`
+    (``threads`` full-array mask scans); returns the per-thread counts."""
+    indices, deltas = grad.indices, -np.float32(lr) * grad.values
+    counts = np.zeros(threads, dtype=np.int64)
+    for tid in range(threads):
+        lo, hi = row_range_for_thread(table.rows, tid, threads)
+        mask = (indices >= lo) & (indices < hi)
+        counts[tid] = int(mask.sum())
+        if counts[tid]:
+            scatter_add_rows_oracle(table, indices[mask], deltas[mask])
+    return counts
 
 
 def predict_proba(model, batch) -> np.ndarray:

@@ -145,6 +145,25 @@ class TestMLP:
         dx = mlp.backward(np.ones((3, 2), np.float32))
         assert dx.shape == x.shape
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_input_grad_skips_only_the_first_layers_bwd_d(self, rng, engine):
+        # The dense features of DLRM's bottom MLP need no gradient: the
+        # first layer's dz @ W is skipped, and no weight or gradient bit moves.
+        x = rng.standard_normal((6, 13)).astype(np.float32)
+        dy = rng.standard_normal((6, 4)).astype(np.float32)
+        full, lean = (MLP(13, (8, 4), rng=np.random.default_rng(3), engine=engine) for _ in "ab")
+        for mlp in (full, lean):
+            mlp.forward(x)
+        assert full.backward(dy).shape == x.shape
+        assert lean.backward(dy, input_grad=False) is None
+        for a, b in zip(full.parameters(), lean.parameters()):
+            assert a.value.tobytes() == b.value.tobytes() and a.grad.tobytes() == b.grad.tobytes()
+        for mlp in (full, lean):
+            mlp.forward(x)
+        seg = lean.backward_segment(dy, 1, 2, input_grad=False)  # not layer 0: still returned
+        assert seg.tobytes() == full.backward_segment(dy, 1, 2).tobytes()
+        assert lean.backward_segment(seg, 0, 1, input_grad=False) is None
+
     def test_parameters_and_zero_grad(self, rng):
         mlp = MLP(5, (4, 2), rng=rng)
         assert len(mlp.parameters()) == 4  # 2 layers x (W, b)

@@ -116,6 +116,20 @@ class TestTraining:
         losses = [model.train_step(batch, opt) for _ in range(30)]
         assert losses[-1] < losses[0] * 0.9
 
+    def test_the_skipped_bottom_input_grad_moves_no_bit(self, tiny_cfg):
+        # A model whose bottom MLP still computes d(dense features) -- the
+        # backward before the skip -- trains to the same bits.
+        batch = random_batch(tiny_cfg, 16)
+        lean, full = DLRM(tiny_cfg, seed=7), DLRM(tiny_cfg, seed=7)
+        full.bottom_backward = lambda ddense: full.bottom.backward(ddense)
+        losses = []
+        for model in (lean, full):
+            opt = SGD(lr=0.1)
+            opt.register(model.parameters())
+            losses.append([model.train_step(batch, opt) for _ in range(3)])
+        assert losses[0] == losses[1]
+        assert_same_bits(lean.state_dict(), full.state_dict())
+
     def test_backward_populates_all_gradients(self, tiny_cfg):
         model = DLRM(tiny_cfg, seed=0)
         batch = random_batch(tiny_cfg, 16)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.hw.network import CollectiveCost, NetworkModel
-from repro.hw.topology import pruned_fat_tree, single_switch, twisted_hypercube
+from repro.hw.topology import pruned_fat_tree, twisted_hypercube
+
+from tests.hw.test_topology import single_switch
 
 MB = 1e6
 

@@ -46,7 +46,7 @@ class TestNodeAndCluster:
         sockets = len(twisted_hypercube().sockets)
         assert sockets * SKX_8180.cores == 224
         assert sockets * SKX_8180.peak_flops == pytest.approx(32e12, rel=0.05)
-        assert sockets * SKX_8180.mem_capacity == pytest.approx(1.5e12, rel=0.05)
+        assert sockets * SKX_8180.mem_capacity_gb * 1e9 == pytest.approx(1.5e12, rel=0.05)
 
     def test_cluster_totals(self):
         # Sect. V-B: 1792 cores, 275 TFLOPS.

@@ -2,16 +2,28 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 
 from repro.hw.network import NetworkModel
+from repro.hw.spec import OPA_LINK, LinkSpec
 from repro.hw.topology import (
+    Topology,
     pruned_fat_tree,
-    single_switch,
     socket_id,
     switch_id,
     twisted_hypercube,
 )
+
+
+def single_switch(sockets: int, link: LinkSpec = OPA_LINK) -> Topology:
+    """A non-blocking crossbar: every socket one hop from a single switch
+    (an idealised baseline)."""
+    g = nx.Graph()
+    sw = switch_id("xbar")
+    for s in range(sockets):
+        g.add_edge(socket_id(s), sw, bw=link.bw, latency=link.latency / 2)
+    return Topology(g, name=f"single-switch-{sockets}S", link=link)
 
 
 class TestTwistedHypercube:

@@ -24,10 +24,9 @@ from repro.kernels import dispatch, interaction, native, reference, rows as row_
 from repro.kernels import synth, threads
 from repro.kernels.native import build
 from repro.kernels.native.__main__ import LINES, NUMPY_TIER, draw
-from repro.kernels.threads import row_range_for_thread
 from repro.kernels.workspace import Workspace
 from repro.tiering.store import file_backed
-from tests.conftest import TIERED
+from tests.conftest import TIERED, row_range_for_thread
 from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.threads import row_range_for_thread, static_partition
+from repro.kernels.threads import static_partition
+
+from tests.conftest import row_range_for_thread
 
 
 class TestStaticPartition:
@@ -100,7 +102,6 @@ class TestPartitionBalance:
 
 class TestBucketByRowRanges:
     def test_matches_mask_scan_counts(self, rng):
-        from repro.kernels.threads import row_range_for_thread
         from repro.kernels.threads import bucket_by_row_ranges
 
         rows, threads = 101, 7
