@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.resilience import Supervisor
+from repro.resilience.supervisor import Supervisor
 from repro.serve import ServeParams, run_serving
 from repro.train import RunSpec, load_checkpoint
 

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.perf.report import format_table
+from repro.util import format_table
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -13,7 +13,7 @@ Usage:  python examples/distributed_training.py
 
 import numpy as np
 
-from repro.perf.report import format_seconds
+from repro.util import format_seconds
 from repro.train import RunSpec, make_trainer
 
 RANKS = 4

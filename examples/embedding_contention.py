@@ -16,7 +16,7 @@ from repro.data.synthetic import bounded_zipf
 from repro.hw.cache import index_stats
 from repro.hw.costmodel import CostModel
 from repro.hw.spec import SKX_8180
-from repro.perf.report import format_seconds, print_table
+from repro.util import format_seconds, format_table
 
 ROWS, DIM, LOOKUPS, THREADS = 200_000, 128, 16_384, 28
 STRATEGIES = ("reference", "atomic", "rtm", "racefree", "fused")
@@ -62,7 +62,7 @@ def main(rows_n: int = ROWS, dim: int = DIM, lookups: int = LOOKUPS) -> None:
                     "imbalance": round(stats.imbalance, 2),
                 }
             )
-    print_table(rows, title="Sparse-update strategies under two index regimes")
+    print(format_table(rows, title="Sparse-update strategies under two index regimes"))
     print(
         "\nUniform draws: duplicates exist but are never concurrent -> the\n"
         "optimised strategies tie.  Zipf draws: the hot head serialises on\n"

@@ -12,7 +12,7 @@ Usage:  python examples/quickstart.py
 """
 
 from repro.parallel.timing import single_socket_iteration
-from repro.perf.report import format_seconds
+from repro.util import format_seconds
 from repro.train import MetricLogger, RunSpec, make_trainer
 
 

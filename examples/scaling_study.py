@@ -17,7 +17,7 @@ from repro.bench.scaling import (
 )
 from repro.core.config import get_config
 from repro.parallel.timing import model_iteration
-from repro.perf.report import print_table
+from repro.util import format_table
 
 
 def comm_split_table(config: str) -> None:
@@ -36,7 +36,7 @@ def comm_split_table(config: str) -> None:
                 "total_ms": res.iteration_time * 1e3,
             }
         )
-    print_table(rows, title=f"\n{config}: blocking compute/comm split (CCL)")
+    print(format_table(rows, title=f"\n{config}: blocking compute/comm split (CCL)"))
 
 
 def main(config: str | None = None) -> None:
@@ -45,17 +45,17 @@ def main(config: str | None = None) -> None:
     get_config(config)  # validate the name early
 
     strong = [r for r in run_fig9_strong_scaling((config,))]
-    print_table(
+    print(format_table(
         strong,
         columns=["variant", "ranks", "ms_per_iter", "speedup", "efficiency"],
         title=f"{config}: strong scaling (GN={get_config(config).global_minibatch})",
-    )
+    ))
     weak = [r for r in run_fig12_weak_scaling((config,))]
-    print_table(
+    print(format_table(
         weak,
         columns=["variant", "ranks", "ms_per_iter", "speedup", "efficiency"],
         title=f"\n{config}: weak scaling (LN={get_config(config).local_minibatch})",
-    )
+    ))
     comm_split_table(config)
     print(
         "\nReading guide: CCL-Alltoall wins everywhere; the scatter-based\n"

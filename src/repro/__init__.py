@@ -11,15 +11,15 @@ hw        Analytic hardware model of the two testbeds (specs, topologies,
           cost model, calibration).
 comm      Functional collectives, backend progress models (MPI vs CCL),
           exchange strategies, DDP gradient reducer.
-parallel  The simulated SPMD cluster, the hybrid-parallel DLRM, its
-          analytic paper-scale twin, and the MLP overlap engine.
+parallel  The simulated SPMD cluster (per-rank virtual clocks and
+          profilers), the hybrid-parallel DLRM, its analytic
+          paper-scale twin, and the MLP overlap engine.
 data      Random + synthetic-Criteo datasets.
 exec      Real parallelism: the RankExecutor surface the Trainer loop
           runs over (single model, inline ranks, process ranks over
           shared memory), the process-wide worker pool behind parallel
           ranks and sharded kernels, and the prefetching data pipeline
           (deterministic, bit-identical to sequential runs).
-perf      Virtual clocks, profilers, report tables.
 bench     Experiment drivers regenerating every paper table and figure.
 train     The unified experiment API: JSON-round-trippable RunSpecs,
           component registries, the one callback-instrumented Trainer
@@ -32,8 +32,9 @@ serve     Batched, cache-aware inference: the forward-only engine
 The stable public API is re-exported here: configs and the model
 (``DLRMConfig``, ``DLRM``), optimizers, the simulated cluster, and the
 ``repro.train`` experiment surface (``RunSpec``, ``make_trainer``,
-``Trainer``, checkpoint helpers).  Everything else is importable from
-its package but may move between PRs.
+``Trainer``, checkpoint helpers).  Everything else is imported from
+the module that defines it; a sub-package re-exports only the few
+names its examples and benchmarks import through it.
 """
 
 __version__ = "1.1.0"
@@ -41,20 +42,16 @@ __version__ = "1.1.0"
 from repro.core.config import CONFIGS, LARGE, MLPERF, SMALL, DLRMConfig, get_config
 from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
-from repro.exec import PrefetchLoader, WorkerPool, get_pool, set_pool_workers
+from repro.exec.pool import WorkerPool, get_pool, set_pool_workers
+from repro.exec.prefetch import PrefetchLoader
 from repro.parallel.cluster import SimCluster
 from repro.parallel.hybrid import DistributedDLRM
 from repro.parallel.timing import model_iteration, single_socket_iteration
 from repro.serve.engine import InferenceEngine
-from repro.train import (
-    Callback,
-    RunSpec,
-    Trainer,
-    build_from_checkpoint,
-    load_checkpoint,
-    make_trainer,
-    save_checkpoint,
-)
+from repro.train.callbacks import Callback
+from repro.train.checkpoint import build_from_checkpoint, load_checkpoint, save_checkpoint
+from repro.train.spec import RunSpec
+from repro.train.trainer import Trainer, make_trainer
 
 __all__ = [
     "__version__",

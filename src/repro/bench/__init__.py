@@ -6,7 +6,6 @@ reported values, so the benchmark harness can render side-by-side tables
 and assert *shape* properties (orderings, ratios, crossovers).
 """
 
-from repro.bench import paper
 from repro.bench.singlesocket import (
     run_table1,
     run_table2,
@@ -27,7 +26,6 @@ from repro.bench.scaling import (
 from repro.bench.convergence import run_fig16_convergence
 
 __all__ = [
-    "paper",
     "run_table1",
     "run_table2",
     "run_fig5_mlp_kernels",

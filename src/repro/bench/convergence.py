@@ -12,7 +12,8 @@ At reproduction scale we train an MLPerf-*shaped* DLRM (26 tables with
 capped cardinalities, same interaction and MLP structure) on the
 synthetic Criteo generator, with the same 5%-grid evaluation.  The claim
 being reproduced is the *relationship between the three curves*, not the
-absolute 0.80 AUC of the real dataset (see EXPERIMENTS.md).
+absolute 0.80 AUC of the real dataset: the synthetic generator's click
+signal, not Criteo's, sets where the curves saturate.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ class ConvergenceCurves:
     ``bf16_nosplit`` (BF16 weights with *no* low half at all) is an extra
     ablation beyond the paper's three curves: it exposes, at reproduction
     scale, the lost-small-updates mechanism that makes the paper's FP24
-    curve fall short at full Criteo scale (see EXPERIMENTS.md).
+    curve fall short at full Criteo scale.  Tables of at most 2,000 rows
+    trained for ~100 batches lose too few updates below FP24's 8 extra
+    bits for that gap to open, so at this scale FP24 at best ties the
+    split curve.
     """
 
     fractions: list[float]

@@ -46,24 +46,54 @@ from repro.bench import (
     run_table2,
 )
 from repro.parallel.timing import model_iteration
-from repro.perf.report import format_table
+from repro.util import format_table
 
-#: Experiments addressable by name, mapped to their description strings.
-EXPERIMENTS: dict[str, str] = {
-    "table1": "Table I: DLRM model specifications",
-    "table2": "Table II: distributed-run characteristics (Eq. 1/2)",
-    "fig5": "Fig. 5: single-socket MLP kernel performance",
-    "fig6": "Fig. 6: MLP GEMM/SGD communication overlap",
-    "fig7": "Fig. 7: single-socket DLRM time per iteration",
-    "fig8": "Fig. 8: time split across Embeddings/MLP/Rest",
-    "fig9": "Fig. 9: strong-scaling speedup & efficiency",
-    "fig10": "Fig. 10: compute/comm split (strong scaling)",
-    "fig11": "Fig. 11: communication breakdown (strong scaling)",
-    "fig12": "Fig. 12: weak-scaling speedup & efficiency",
-    "fig13": "Fig. 13: compute/comm split (weak scaling)",
-    "fig14": "Fig. 14: communication breakdown (weak scaling)",
-    "fig15": "Fig. 15: 8-socket shared-memory node scaling",
-    "fig16": "Fig. 16: Split-SGD-BF16 convergence (functional training)",
+Rows = list[dict[str, object]]
+
+
+def _configs(args: argparse.Namespace) -> tuple[str, ...]:
+    return (args.config,) if args.config else ("small", "large", "mlperf")
+
+
+#: Experiments addressable by name: (title, parsed arguments -> table rows).
+EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], Rows]]] = {
+    "table1": ("Table I: DLRM model specifications", lambda a: run_table1()),
+    "table2": ("Table II: distributed-run characteristics (Eq. 1/2)", lambda a: run_table2()),
+    "fig5": ("Fig. 5: single-socket MLP kernel performance", lambda a: run_fig5_mlp_kernels()),
+    "fig6": ("Fig. 6: MLP GEMM/SGD communication overlap", lambda a: run_fig6_overlap()[1]),
+    "fig7": ("Fig. 7: single-socket DLRM time per iteration", lambda a: run_fig7_single_socket()),
+    "fig8": ("Fig. 8: time split across Embeddings/MLP/Rest", lambda a: run_fig8_breakdown()),
+    "fig9": (
+        "Fig. 9: strong-scaling speedup & efficiency",
+        lambda a: run_fig9_strong_scaling(_configs(a)),
+    ),
+    "fig10": (
+        "Fig. 10: compute/comm split (strong scaling)",
+        lambda a: run_fig10_compute_comm(a.config),
+    ),
+    "fig11": (
+        "Fig. 11: communication breakdown (strong scaling)",
+        lambda a: run_fig11_comm_breakdown(a.config),
+    ),
+    "fig12": (
+        "Fig. 12: weak-scaling speedup & efficiency",
+        lambda a: run_fig12_weak_scaling(_configs(a)),
+    ),
+    "fig13": (
+        "Fig. 13: compute/comm split (weak scaling)",
+        lambda a: run_fig13_compute_comm_weak(a.config),
+    ),
+    "fig14": (
+        "Fig. 14: communication breakdown (weak scaling)",
+        lambda a: run_fig14_comm_breakdown_weak(a.config),
+    ),
+    "fig15": ("Fig. 15: 8-socket shared-memory node scaling", lambda a: run_fig15_8socket()),
+    "fig16": (
+        "Fig. 16: Split-SGD-BF16 convergence (functional training)",
+        lambda a: run_fig16_convergence(
+            epoch_batches=a.epoch_batches, eval_points=a.eval_points, lr=a.lr
+        ).rows(),
+    ),
 }
 
 
@@ -74,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list all experiments")
-    for name, desc in EXPERIMENTS.items():
-        sp = sub.add_parser(name, help=desc)
+    for name, (title, _) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=title)
         if name in ("fig9", "fig12"):
             sp.add_argument(
                 "--config", choices=["small", "large", "mlperf"], default=None,
@@ -340,40 +370,17 @@ def _require_file(path: str, what: str) -> None:
         raise SystemExit(f"{what}: file {path!r} not found")
 
 
-def _configs(args: argparse.Namespace) -> tuple[str, ...]:
-    return (args.config,) if args.config else ("small", "large", "mlperf")
-
-
-#: Every experiment of :data:`EXPERIMENTS`: parsed arguments -> table rows.
-_EXPERIMENT_ROWS: dict[str, Callable[[argparse.Namespace], list[dict[str, object]]]] = {
-    "table1": lambda args: run_table1(),
-    "table2": lambda args: run_table2(),
-    "fig5": lambda args: run_fig5_mlp_kernels(),
-    "fig6": lambda args: run_fig6_overlap()[1],
-    "fig7": lambda args: run_fig7_single_socket(),
-    "fig8": lambda args: run_fig8_breakdown(),
-    "fig9": lambda args: run_fig9_strong_scaling(_configs(args)),
-    "fig10": lambda args: run_fig10_compute_comm(args.config),
-    "fig11": lambda args: run_fig11_comm_breakdown(args.config),
-    "fig12": lambda args: run_fig12_weak_scaling(_configs(args)),
-    "fig13": lambda args: run_fig13_compute_comm_weak(args.config),
-    "fig14": lambda args: run_fig14_comm_breakdown_weak(args.config),
-    "fig15": lambda args: run_fig15_8socket(),
-    "fig16": lambda args: run_fig16_convergence(
-        epoch_batches=args.epoch_batches, eval_points=args.eval_points, lr=args.lr
-    ).rows(),
-}
-
-
 def _dispatch(args: argparse.Namespace) -> str:
     name = args.command
     if name == "list":
-        rows = [{"experiment": k, "description": v} for k, v in EXPERIMENTS.items()]
+        rows = [{"experiment": k, "description": v[0]} for k, v in EXPERIMENTS.items()]
         return format_table(rows, title="Available experiments")
-    if name in _EXPERIMENT_ROWS:
-        return format_table(_EXPERIMENT_ROWS[name](args), title=EXPERIMENTS[name])
+    if name in EXPERIMENTS:
+        title, rows_fn = EXPERIMENTS[name]
+        return format_table(rows_fn(args), title=title)
     if name == "train":
-        from repro.train import RunSpec, StepTimer, Trainer
+        from repro.train import RunSpec, Trainer
+        from repro.train.callbacks import StepTimer
 
         if not args.spec and not args.resume:
             raise SystemExit("repro train: need --spec or --resume")
@@ -437,7 +444,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         trainer = None
         try:
             if supervised:
-                from repro.resilience import Supervisor
+                from repro.resilience.supervisor import Supervisor
 
                 sup = Supervisor(spec)
                 report = sup.run()
@@ -512,7 +519,8 @@ def _dispatch(args: argparse.Namespace) -> str:
                         ),
                     )
             if tracing:
-                from repro.obs import stage_table, write_chrome_trace, write_jsonl
+                from repro.obs.aggregate import stage_table
+                from repro.obs.export import write_chrome_trace, write_jsonl
 
                 spans = trainer.drain_trace_spans()
                 out += "\n\n" + format_table(
@@ -536,14 +544,11 @@ def _dispatch(args: argparse.Namespace) -> str:
     if name == "tune":
         import math
 
-        from repro.tune import (
-            SearchSpace,
-            ServeTrialRunner,
-            SuccessiveHalving,
-            TrainTrialRunner,
-            prior_step_s,
-            write_report,
-        )
+        from repro.tune.priors import prior_step_s
+        from repro.tune.report import write_report
+        from repro.tune.space import SearchSpace
+        from repro.tune.trial import ServeTrialRunner, TrainTrialRunner
+        from repro.tune.tuner import SuccessiveHalving
 
         if args.budget < 2:
             raise SystemExit("repro tune: --budget must be >= 2")
@@ -714,7 +719,8 @@ def _dispatch(args: argparse.Namespace) -> str:
             )
         return out
     if name == "trace":
-        from repro.obs import read_jsonl, stage_table, write_chrome_trace
+        from repro.obs.aggregate import stage_table
+        from repro.obs.export import read_jsonl, write_chrome_trace
 
         _require_file(args.jsonl, "repro trace")
         header, spans = read_jsonl(args.jsonl)
@@ -777,7 +783,7 @@ def _dispatch(args: argparse.Namespace) -> str:
                 title="Functional scoring with trained weights",
             ) + "\n\n"
         from repro.resilience.faults import FaultPlan
-        from repro.serve import DegradePolicy
+        from repro.serve.degrade import DegradePolicy
 
         # Each flag is checked where it is used: a bad value exits with
         # the message of the layer that refuses it.

@@ -14,46 +14,3 @@ tree (:func:`repro.comm.collectives.tree_sum`), so results are
 bit-identical for any bucket size, issue schedule, backend or worker
 count -- timing knobs move *when* communication happens, never the sum.
 """
-
-from repro.comm.collectives import (
-    tree_sum,
-    canonical_range_nodes,
-    canonical_node_partials,
-    sum_canonical_partials,
-)
-from repro.comm.backend import (
-    BackendSpec,
-    mpi_backend,
-    ccl_backend,
-    local_backend,
-    make_backend,
-)
-from repro.comm.strategies import (
-    ExchangeStrategy,
-    ScatterListStrategy,
-    FusedScatterStrategy,
-    AlltoallStrategy,
-    make_exchange,
-    EXCHANGE_STRATEGIES,
-)
-from repro.comm.ddp import DistributedDataParallelReducer, GradientBucketer
-
-__all__ = [
-    "tree_sum",
-    "canonical_range_nodes",
-    "canonical_node_partials",
-    "sum_canonical_partials",
-    "GradientBucketer",
-    "BackendSpec",
-    "mpi_backend",
-    "ccl_backend",
-    "local_backend",
-    "make_backend",
-    "ExchangeStrategy",
-    "ScatterListStrategy",
-    "FusedScatterStrategy",
-    "AlltoallStrategy",
-    "make_exchange",
-    "EXCHANGE_STRATEGIES",
-    "DistributedDataParallelReducer",
-]

@@ -14,8 +14,9 @@ Three configurations are used throughout the paper:
 Note on the MLPerf top MLP: Table I prints "512-512-256-1", but Table
 II's 9.0 MB allreduce volume is only consistent with the official MLPerf
 DLRM top MLP **1024-1024-512-256-1** (Eq. 1 gives ~9.04 MiB with it, vs.
-~3.1 MiB with the printed stack).  We implement the official topology and
-record the discrepancy in EXPERIMENTS.md.
+~3.1 MiB with the printed stack).  We implement the official topology,
+so Table I's printed top MLP is the one figure of that row we do not
+reproduce.
 """
 
 from __future__ import annotations
@@ -271,15 +272,16 @@ def table_one() -> list[dict[str, object]]:
     return rows
 
 
-def table_two(socket_capacity_bytes: float = 192e9) -> list[dict[str, object]]:
-    """Rows of paper Table II: distributed-run characteristics."""
+def table_two() -> list[dict[str, object]]:
+    """Rows of paper Table II: distributed-run characteristics (192 GB of
+    DRAM per socket)."""
     rows = []
     for cfg in CONFIGS.values():
         rows.append(
             {
                 "config": cfg.name,
                 "embedding_capacity_gb": cfg.embedding_bytes / 2**30,
-                "min_sockets": cfg.min_sockets(socket_capacity_bytes),
+                "min_sockets": cfg.min_sockets(192e9),
                 "max_ranks": cfg.max_ranks,
                 "allreduce_mb": cfg.allreduce_bytes / 2**20,
                 "alltoall_strong_mb": cfg.alltoall_bytes() / 2**20,

@@ -54,10 +54,10 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(labels: np.ndarray, scores: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of correct binary predictions at ``threshold``."""
+def accuracy(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Fraction of correct binary predictions (score >= 0.5 predicts 1)."""
     y = np.asarray(labels).ravel() > 0.5
-    p = np.asarray(scores).ravel() >= threshold
+    p = np.asarray(scores).ravel() >= 0.5
     if y.shape != p.shape:
         raise ValueError("labels/scores shape mismatch")
     return float(np.mean(y == p))

@@ -14,12 +14,3 @@ depth, per-process synthesis under the process backend, resume, and
 supervised crash-replay all bit-identical to synchronous single-process
 synthesis.
 """
-
-from repro.data.synthetic import RandomRecDataset, bounded_zipf
-from repro.data.criteo import SyntheticCriteoDataset
-
-__all__ = [
-    "RandomRecDataset",
-    "bounded_zipf",
-    "SyntheticCriteoDataset",
-]

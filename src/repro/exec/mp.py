@@ -51,7 +51,9 @@ from repro.exec.worker import MODEL, OPT, WORKER_ENV, ProcessRecipe, WorkerSeat,
 from repro.kernels.threads import static_partition
 from repro.obs.aggregate import merge_spans
 from repro.obs.tracer import enabled as trace_enabled
+from repro.parallel.hybrid import consolidate_state
 from repro.resilience.errors import WorkerCrash, WorkerTimeout
+from repro.resilience.heartbeat import HeartbeatBoard
 
 #: Parent <-> worker reply deadline (seconds) when the executor is given
 #: none (a spec's ``resilience.heartbeat_timeout``).
@@ -175,8 +177,6 @@ class ProcessRankExecutor:
             capacity = max(1, mailbox_mb) << 20
         else:
             capacity = self._mailbox_capacity(dist, batch_size, eval_size_hint, self._ranges)
-
-        from repro.resilience.heartbeat import HeartbeatBoard  # lazy: it imports exec.shm
 
         def create(kind: type, tag: str, *spec: Any):
             block = kind.create_unique(tag, *spec)
@@ -334,8 +334,6 @@ class ProcessRankExecutor:
         state into the arenas, which are consolidated exactly like
         ``DistributedDLRM.state_dict``/``optimizer_state_dict`` and
         copied out of shared memory (``copy=False``: the arena views)."""
-        from repro.parallel.hybrid import consolidate_state  # lazy: hybrid imports exec
-
         def consolidated(prefix: str) -> dict[str, np.ndarray]:
             views = consolidate_state([a.views(prefix) for a in self._arenas], self.dist.owners)
             return {key: np.array(view, copy=copy) for key, view in views.items()}

@@ -186,21 +186,16 @@ class WorkerPool:
 
         return tree_sum(self.map(fn, ranks), out=out)
 
-    def run_sharded(
-        self, fn: Callable[[int, int, int], R], work: int, max_shards: int | None = None
-    ) -> list[R]:
+    def run_sharded(self, fn: Callable[[int, int, int], R], work: int) -> list[R]:
         """Run ``fn(lo, hi, tid)`` over the Alg. 4/5 static partition.
 
-        ``work`` items are split into ``min(workers, max_shards)``
-        contiguous ranges by :func:`static_partition`; empty ranges are
+        ``work`` items are split into one contiguous range per effective
+        worker by :func:`static_partition`; empty ranges are
         skipped.  Results come back in ``tid`` order.  Because every
         shard owns a disjoint ``[lo, hi)``, writers into per-item output
         rows are race-free and the result is independent of scheduling.
         """
         shards = self.effective_workers
-        if max_shards is not None:
-            shards = min(shards, max_shards)
-        shards = max(1, shards)
         ranges = [
             (lo, hi, tid)
             for tid, (lo, hi) in enumerate(static_partition(work, shards))

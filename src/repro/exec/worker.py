@@ -31,6 +31,7 @@ from repro.exec.shm import ArenaLayout, ShmArena, ShmBlock, ShmMailbox
 from repro.exec.transport import SpmdRankPool, WorkerTransport
 from repro.kernels.threads import static_partition
 from repro.obs.tracer import Tracer, drain_current, set_tracer
+from repro.resilience.heartbeat import HeartbeatBoard
 
 #: Set in every worker's environment: the nested-use marker
 #: :func:`repro.exec.mp.in_worker_process` reads.
@@ -103,7 +104,6 @@ def _build(seat: WorkerSeat, recipe: ProcessRecipe, stack: ExitStack):
     from repro.exec.executor import InlineRankExecutor
     from repro.parallel.cluster import SimCluster
     from repro.parallel.hybrid import DistributedDLRM
-    from repro.resilience.heartbeat import HeartbeatBoard  # lazy: it imports exec.shm
 
     def attached(block: ShmBlock):
         return stack.enter_context(closing(block))

@@ -165,8 +165,6 @@ def pruned_fat_tree(
     sockets_per_leaf: int = 32,
     pruning_ratio: float = 2.0,
     link: LinkSpec = OPA_LINK,
-    sockets_per_node: int = 2,
-    intra_node_link: LinkSpec = UPI_LINK,
 ) -> Topology:
     """The OPA pruned fat-tree of the 64-socket cluster (paper Fig. 4).
 
@@ -175,15 +173,15 @@ def pruned_fat_tree(
     links' worth of bandwidth (16 links for the paper's 2:1 pruning),
     giving 200 GB/s within a leaf and 200 GB/s aggregate between leaves.
 
-    The cluster's nodes are dual-socket: the two sockets of a node also
-    share a direct UPI link, which shortest-path routing prefers for
+    The cluster's nodes are dual-socket: sockets ``2k`` and ``2k + 1``
+    also share a direct UPI link, which shortest-path routing prefers for
     intra-node traffic -- this is why the paper's placement "occupies the
     node first before going multiple nodes".
     """
     if sockets % sockets_per_leaf:
         raise ValueError("sockets must be a multiple of sockets_per_leaf")
-    if sockets_per_node > 1 and sockets % sockets_per_node:
-        raise ValueError("sockets must be a multiple of sockets_per_node")
+    if sockets % 2:
+        raise ValueError("sockets must pair into dual-socket nodes")
     g = nx.Graph()
     leaves = sockets // sockets_per_leaf
     uplink_bw = link.bw * sockets_per_leaf / pruning_ratio
@@ -197,15 +195,6 @@ def pruned_fat_tree(
         g.add_node(root)
         for leaf in range(leaves):
             g.add_edge(switch_id(f"leaf{leaf}"), root, bw=uplink_bw, latency=link.latency / 2)
-    if sockets_per_node > 1:
-        for node in range(sockets // sockets_per_node):
-            base = node * sockets_per_node
-            for a in range(base, base + sockets_per_node):
-                for b in range(a + 1, base + sockets_per_node):
-                    g.add_edge(
-                        socket_id(a),
-                        socket_id(b),
-                        bw=intra_node_link.bw,
-                        latency=intra_node_link.latency,
-                    )
+    for a in range(0, sockets, 2):
+        g.add_edge(socket_id(a), socket_id(a + 1), bw=UPI_LINK.bw, latency=UPI_LINK.latency)
     return Topology(g, name=f"pruned-fat-tree-{sockets}S", link=link)

@@ -16,15 +16,3 @@ tier of each sparse row operator *is* its ``np.add.at`` oracle from
 :mod:`~repro.kernels.dispatch` picks one tier per call from what the
 process and the arrays are; nothing outside this package can tell which.
 """
-
-from repro.kernels.threads import (
-    bucket_by_row_ranges,
-    static_partition,
-)
-from repro.kernels.workspace import Workspace
-
-__all__ = [
-    "bucket_by_row_ranges",
-    "Workspace",
-    "static_partition",
-]

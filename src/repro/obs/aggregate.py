@@ -84,7 +84,7 @@ def _exposed_ms(st: dict[str, Any]) -> float:
 
 
 def stage_table(spans: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Rows for :func:`repro.perf.report.format_table`."""
+    """Rows for :func:`repro.util.format_table`."""
     rows = []
     for name, st in aggregate(spans).items():
         rows.append(

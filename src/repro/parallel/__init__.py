@@ -10,48 +10,3 @@ amounts.  Rank phases may run concurrently, but each rank's state is
 owned by exactly one task at a time; the cluster object itself is not
 thread-safe for concurrent ``step`` calls.
 """
-
-from repro.parallel.cluster import SimCluster, CollectiveHandle
-from repro.parallel.hybrid import (
-    DistributedDLRM,
-    mlp_forward_time,
-    mlp_backward_time,
-)
-from repro.parallel.timing import (
-    IterationResult,
-    model_iteration,
-    single_socket_iteration,
-    synthetic_table_stats,
-)
-from repro.parallel.placement import (
-    balanced_placement,
-    make_placement,
-    placement_stats,
-    round_robin_placement,
-    validate_placement,
-)
-from repro.parallel.overlap import (
-    OverlapReport,
-    LayerOverlap,
-    overlap_mlp_training,
-)
-
-__all__ = [
-    "SimCluster",
-    "CollectiveHandle",
-    "DistributedDLRM",
-    "mlp_forward_time",
-    "mlp_backward_time",
-    "IterationResult",
-    "model_iteration",
-    "single_socket_iteration",
-    "synthetic_table_stats",
-    "balanced_placement",
-    "make_placement",
-    "placement_stats",
-    "round_robin_placement",
-    "validate_placement",
-    "OverlapReport",
-    "LayerOverlap",
-    "overlap_mlp_training",
-]

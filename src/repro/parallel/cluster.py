@@ -25,9 +25,19 @@ Backend pathologies reproduced here:
 * MPI's unpinned progress thread inflates any compute charged while
   requests are in flight; CCL instead donates ``dedicated_cores`` to the
   communication engine permanently.
+
+Each rank's time is two pieces of plain data, a :class:`VirtualClock`
+and a :class:`Profiler`.  Together they replace the autograd profiling
+hooks the paper added to PyTorch's DDP and communication backends
+(Sect. IV-C).  Both advance only by model-derived amounts, never by a
+host clock, so they are bit-identical across execution backends, worker
+counts and machines; the wall-clock half of the story is
+:mod:`repro.obs`, whose stage names share this category vocabulary.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from repro.comm.backend import BackendSpec, make_backend
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
@@ -36,8 +46,108 @@ from repro.hw.network import CollectiveCost, NetworkModel
 from repro.hw.spec import CLX_8280, SKX_8180, SocketSpec
 from repro.hw.topology import Topology, pruned_fat_tree, twisted_hypercube
 from repro.obs.tracer import trace
-from repro.perf.clock import VirtualClock
-from repro.perf.profiler import Profiler
+
+#: Paper Fig. 11/14 series -> category prefix.
+COMM_BUCKETS = {
+    "Alltoall-Framework": "comm.alltoall.framework",
+    "Allreduce-Framework": "comm.allreduce.framework",
+    "Alltoall-Wait": "comm.alltoall.wait",
+    "Allreduce-Wait": "comm.allreduce.wait",
+}
+
+
+class VirtualClock:
+    """Monotonically advancing simulated time, in seconds (one per rank)."""
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+
+    @property
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> float:
+        """Move forward by ``seconds`` (must be non-negative); returns now."""
+        if seconds < 0:
+            raise ValueError(f"cannot advance by negative time: {seconds}")
+        self._now += seconds
+        return self._now
+
+    def advance_to(self, t: float) -> float:
+        """Move forward to absolute time ``t`` if it is in the future."""
+        if t > self._now:
+            self._now = t
+        return self._now
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"VirtualClock(now={self._now:.6f}s)"
+
+
+class Profiler:
+    """Accumulates modelled seconds per dot-separated category.
+
+    Categories: ``compute.*`` (GEMMs, embedding kernels, elementwise ops),
+    ``data.loader``, ``comm.<coll>.framework`` (flat-buffer packing,
+    gradient averaging), ``comm.<coll>.wait`` (exposed wait of collective
+    <coll>) and ``update.*`` (optimizer passes).
+    """
+
+    def __init__(self) -> None:
+        self._times: dict[str, float] = defaultdict(float)
+
+    def add(self, category: str, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError(f"negative time charge for {category!r}: {seconds}")
+        if not category:
+            raise ValueError("category must be non-empty")
+        self._times[category] += seconds
+
+    def get(self, category: str) -> float:
+        """Exact-category time (0.0 if never charged)."""
+        return self._times.get(category, 0.0)
+
+    def total(self, prefix: str = "") -> float:
+        """Sum over all categories equal to, or nested under, ``prefix``."""
+        if not prefix:
+            return sum(self._times.values())
+        dotted = prefix + "."
+        return sum(
+            t for c, t in self._times.items() if c == prefix or c.startswith(dotted)
+        )
+
+    def categories(self) -> list[str]:
+        return sorted(self._times)
+
+    def as_dict(self) -> dict[str, float]:
+        return dict(self._times)
+
+    def merge(self, other: "Profiler") -> None:
+        for c, t in other._times.items():
+            self._times[c] += t
+
+    def clear(self) -> None:
+        self._times.clear()
+
+    # -- paper-figure aggregations ----------------------------------------
+
+    def compute_time(self) -> float:
+        """The "Compute" series of Figs. 10/13 (everything that is not an
+        exposed communication wait)."""
+        return (
+            self.total("compute")
+            + self.total("update")
+            + self.total("data")
+            + self.total("comm.alltoall.framework")
+            + self.total("comm.allreduce.framework")
+        )
+
+    def comm_time(self) -> float:
+        """The "Communication" series of Figs. 10/13: exposed waits."""
+        return self.total("comm.alltoall.wait") + self.total("comm.allreduce.wait")
+
+    def comm_breakdown(self) -> dict[str, float]:
+        """The four stacked series of Figs. 11/14."""
+        return {name: self.total(prefix) for name, prefix in COMM_BUCKETS.items()}
 
 
 class CollectiveHandle:

@@ -27,9 +27,8 @@ from repro.core.config import DLRMConfig, get_config
 from repro.data.synthetic import bounded_zipf
 from repro.hw.cache import IndexStats, index_stats
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.parallel.cluster import SimCluster
+from repro.parallel.cluster import Profiler, SimCluster
 from repro.parallel.hybrid import mlp_backward_time, mlp_forward_time
-from repro.perf.profiler import Profiler
 from repro.util import rng_from
 
 DISTRIBUTIONS = ("uniform", "zipf")

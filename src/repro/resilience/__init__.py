@@ -4,69 +4,23 @@ The package turns "a worker died" from a run-killing event into a
 handled one, and makes the failure modes themselves injectable so the
 handling is testable:
 
-* :mod:`~repro.resilience.faults` -- :class:`FaultPlan` /
-  :class:`FaultPoint`: deterministic failures (kill/hang/raise/delay/
+* :mod:`~repro.resilience.faults` -- ``FaultPlan`` /
+  ``FaultPoint``: deterministic failures (kill/hang/raise/delay/
   torn_write/corrupt/die/slow) at named sites threaded through
   :mod:`repro.exec.mp`, the trainer, checkpointing and serving.
 * :mod:`~repro.resilience.errors` -- the typed failure taxonomy
-  (:class:`WorkerTimeout`, :class:`WorkerCrash`,
-  :class:`CheckpointCorrupt`, ...), all ``RuntimeError`` subclasses.
+  (``WorkerTimeout``, ``WorkerCrash``, ``CheckpointCorrupt``, ...),
+  all ``RuntimeError`` subclasses.
 * :mod:`~repro.resilience.heartbeat` -- shared-memory worker liveness
   stamps, piggybacked on mailbox rounds.
 * :mod:`~repro.resilience.ring` -- the retained checkpoint ring with
   CRC-verified loads and automatic fallback past corruption.
 * :mod:`~repro.resilience.supervisor` -- the restart loop: catch a
   typed worker failure, respawn, restore from the ring, replay to the
-  failure step bit-exactly (lazy import: it pulls in the trainer).
+  failure step bit-exactly.
 
 Because every batch is a pure function of ``(seed, batch_index)`` and
 checkpoints are bit-exact, recovery here is *lossless by construction*
 -- a supervised run's losses and final state are bitwise identical to a
 fault-free run's, which ``tests/resilience`` pins.
 """
-
-from repro.resilience.errors import (
-    CheckpointCorrupt,
-    InjectedFault,
-    ResilienceError,
-    WorkerCrash,
-    WorkerFailure,
-    WorkerTimeout,
-)
-from repro.resilience.faults import FaultPlan, FaultPoint, corrupt_file
-from repro.resilience.heartbeat import HeartbeatBoard
-
-__all__ = [
-    "CheckpointCorrupt",
-    "CheckpointRing",
-    "FaultPlan",
-    "FaultPoint",
-    "HeartbeatBoard",
-    "InjectedFault",
-    "ResilienceError",
-    "RingCheckpoint",
-    "Supervisor",
-    "SupervisorReport",
-    "WorkerCrash",
-    "WorkerFailure",
-    "WorkerTimeout",
-    "corrupt_file",
-]
-
-_LAZY = {
-    # ring imports train.checkpoint, supervisor imports the trainer;
-    # loading either eagerly would cycle through exec.mp's import of
-    # the error/heartbeat modules above.
-    "CheckpointRing": "repro.resilience.ring",
-    "RingCheckpoint": "repro.resilience.ring",
-    "Supervisor": "repro.resilience.supervisor",
-    "SupervisorReport": "repro.resilience.supervisor",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,43 +14,13 @@ distributions, cache hit rates and degradation scenarios replay exactly
 for a given seed, on any machine.
 """
 
-from repro.serve.batcher import (
-    MicroBatch,
-    MicroBatcher,
-    POLICIES,
-    Request,
-    StreamConfig,
-    poisson_stream,
-)
-from repro.serve.cache import CacheReport, EmbeddingCache
-from repro.serve.degrade import BreakerState, DegradePolicy
-from repro.serve.driver import ServeParams, ServingWorkload, run_serving, sweep_budgets
+from repro.serve.driver import ServeParams, run_serving, sweep_budgets
 from repro.serve.engine import InferenceEngine
-from repro.serve.replica import ROUTERS, ReplicaSet, ReplicaStats, Router, ServingResult
-from repro.serve.sla import LatencyReport, ServingCost, latency_report, sla_frontier
+from repro.serve.sla import sla_frontier
 
 __all__ = [
-    "BreakerState",
-    "CacheReport",
-    "DegradePolicy",
-    "EmbeddingCache",
     "InferenceEngine",
-    "LatencyReport",
-    "MicroBatch",
-    "MicroBatcher",
-    "POLICIES",
-    "ROUTERS",
-    "ReplicaSet",
-    "ReplicaStats",
-    "Request",
-    "Router",
     "ServeParams",
-    "ServingCost",
-    "ServingResult",
-    "ServingWorkload",
-    "StreamConfig",
-    "latency_report",
-    "poisson_stream",
     "run_serving",
     "sla_frontier",
     "sweep_budgets",

@@ -4,9 +4,8 @@ Serving replicates the full model once per socket (inference needs no
 gradient exchange, so -- unlike training -- sockets are independent and
 the fabric only carries requests).  Replicas live on the ranks of a
 :class:`~repro.parallel.cluster.SimCluster`: each rank's
-:class:`~repro.perf.clock.VirtualClock` is the replica's busy-until
-time, its profiler accumulates the ``serve.*`` categories, and the
-cluster's socket spec prices the per-batch service time through
+:class:`~repro.parallel.cluster.VirtualClock` is the replica's
+busy-until time, and the cluster's socket spec prices the per-batch service time through
 :class:`~repro.serve.sla.ServingCost`.
 
 Routers:
@@ -262,9 +261,6 @@ class ReplicaSet:
         start = max(now, clock.now)
         done = start + service
         clock.advance_to(done)
-        prof = self.cluster.profilers[rank]
-        prof.add("serve.batch", service)
-        prof.add("serve.queue", start - now)
         st = stats[rank]
         st.batches += 1
         st.samples += samples

@@ -152,28 +152,26 @@ def latency_report(latencies: Sequence[float] | np.ndarray, duration_s: float) -
 def sla_frontier(
     rows: Iterable[Mapping[str, object]],
     sla_ms_grid: Sequence[float] = (2.0, 5.0, 10.0, 25.0, 50.0),
-    qps_key: str = "qps",
-    p99_key: str = "p99_ms",
 ) -> list[dict[str, object]]:
     """Throughput-under-SLA frontier over sweep ``rows``.
 
     For each p99 SLA in ``sla_ms_grid``, picks the sweep point with the
     highest achieved QPS whose p99 meets the SLA (or reports the SLA as
-    unattainable).  Rows must carry ``qps_key`` and ``p99_key``.
+    unattainable).  Rows must carry ``qps`` and ``p99_ms``.
     """
     pts = list(rows)
     out: list[dict[str, object]] = []
     for sla in sla_ms_grid:
-        feasible = [r for r in pts if float(r[p99_key]) <= sla]
+        feasible = [r for r in pts if float(r["p99_ms"]) <= sla]
         if not feasible:
             out.append({"sla_p99_ms": sla, "best_qps": 0.0, "operating_point": "(none)"})
             continue
-        best = max(feasible, key=lambda r: float(r[qps_key]))
+        best = max(feasible, key=lambda r: float(r["qps"]))
         label = str(best.get("label", best.get("policy", "?")))
         out.append(
             {
                 "sla_p99_ms": sla,
-                "best_qps": float(best[qps_key]),
+                "best_qps": float(best["qps"]),
                 "operating_point": label,
             }
         )

@@ -22,24 +22,3 @@ that skew into capacity and speed:
   map; inside a model the rows stay in the embedding slab.  Bit-identical
   to the flat table for any plan.
 """
-
-from repro.tiering.freqstats import FreqSnapshot, FreqStats, TableFreq
-from repro.tiering.planner import (
-    TablePlan,
-    TieredPlacement,
-    plan_from_spec,
-    plan_placement,
-)
-from repro.tiering.store import TieredEmbeddingBag, apply_tiering
-
-__all__ = [
-    "FreqSnapshot",
-    "FreqStats",
-    "TableFreq",
-    "TablePlan",
-    "TieredPlacement",
-    "TieredEmbeddingBag",
-    "apply_tiering",
-    "plan_from_spec",
-    "plan_placement",
-]

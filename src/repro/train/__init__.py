@@ -18,69 +18,15 @@ optimizer state included).
 >>> trainer.save_checkpoint("run.npz")          # doctest: +SKIP
 """
 
-from repro.train.callbacks import (
-    Callback,
-    CallbackList,
-    CheckpointCallback,
-    EarlyStopping,
-    LRScheduleCallback,
-    MetricLogger,
-    PeriodicEval,
-    StepTimer,
-)
-from repro.train.checkpoint import (
-    Archive,
-    Checkpoint,
-    build_from_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-    save_state,
-)
-from repro.train.registry import (
-    DATASETS,
-    LR_SCHEDULES,
-    OPTIMIZERS,
-    UPDATE_STRATEGIES,
-)
-from repro.train.spec import (
-    DataSpec,
-    ModelSpec,
-    OptimizerSpec,
-    ParallelSpec,
-    PrecisionSpec,
-    RunSpec,
-    ScheduleSpec,
-    UpdateSpec,
-)
+from repro.train.callbacks import MetricLogger
+from repro.train.checkpoint import load_checkpoint
+from repro.train.spec import RunSpec
 from repro.train.trainer import Trainer, make_trainer
 
 __all__ = [
-    "Archive",
-    "Callback",
-    "CallbackList",
-    "Checkpoint",
-    "CheckpointCallback",
-    "DATASETS",
-    "DataSpec",
-    "EarlyStopping",
-    "LRScheduleCallback",
-    "LR_SCHEDULES",
     "MetricLogger",
-    "ModelSpec",
-    "OPTIMIZERS",
-    "OptimizerSpec",
-    "ParallelSpec",
-    "PeriodicEval",
-    "PrecisionSpec",
     "RunSpec",
-    "ScheduleSpec",
-    "StepTimer",
     "Trainer",
-    "UPDATE_STRATEGIES",
-    "UpdateSpec",
-    "build_from_checkpoint",
     "load_checkpoint",
     "make_trainer",
-    "save_checkpoint",
-    "save_state",
 ]

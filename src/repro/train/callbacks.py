@@ -275,7 +275,7 @@ class StepTimer(Callback):
         ]
         if spans:
             from repro.obs.aggregate import stage_table
-            from repro.perf.report import format_table
+            from repro.util import format_table
 
             lines.append(format_table(stage_table(spans)))
         return "\n".join(lines)

@@ -194,7 +194,7 @@ class ResilienceSpec:
     """Fault injection and supervised recovery (:mod:`repro.resilience`).
 
     ``faults`` is a fault-plan string (see
-    :meth:`repro.resilience.FaultPlan.parse`; empty = no injection and
+    :meth:`repro.resilience.faults.FaultPlan.parse`; empty = no injection and
     every hook stays a None-check).  ``supervise`` wraps the run in the
     restart loop: up to ``max_restarts`` respawn-restore-replay cycles
     after typed worker failures.  ``ring_every``/``ring_keep``/

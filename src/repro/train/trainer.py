@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.batch import Batch
 from repro.core.metrics import accuracy, log_loss, roc_auc
-from repro.exec import EXEC_BACKENDS
 from repro.exec.executor import InlineRankExecutor, LocalExecutor, RankExecutor
 from repro.exec.mp import ProcessRankExecutor, in_worker_process
 from repro.obs.aggregate import merge_spans
@@ -55,6 +54,11 @@ from repro.resilience.faults import FaultPlan
 from repro.train.spec import RunSpec
 from repro.tiering.planner import plan_from_spec
 from repro.tiering.store import build_tiered
+
+#: Execution substrates ``backend=`` selects -- distinct from the
+#: *communication* backends of repro.comm.backend ("mpi"/"ccl"/"local"),
+#: which model collective timing.
+EXEC_BACKENDS = ("thread", "process")
 
 
 def _spec_callbacks(spec: RunSpec) -> list[Callback]:

@@ -25,29 +25,3 @@ entire search -- arm pool, scores, elimination order, winner -- is a
 pure function of ``(base spec, budget, seed)``.  ``measure="wall"``
 ranks by wall-clock instead and is machine-local by design.
 """
-
-from repro.tune.bottleneck import Bottleneck, attribute, attribute_serve
-from repro.tune.priors import prior_breakdown, prior_step_s
-from repro.tune.report import TUNE_SCHEMA, read_report, write_report
-from repro.tune.space import Knob, SearchSpace
-from repro.tune.trial import ServeTrialRunner, TrainTrialRunner, TrialResult
-from repro.tune.tuner import Arm, SuccessiveHalving, TuneResult
-
-__all__ = [
-    "Arm",
-    "Bottleneck",
-    "Knob",
-    "SearchSpace",
-    "ServeTrialRunner",
-    "SuccessiveHalving",
-    "TUNE_SCHEMA",
-    "TrainTrialRunner",
-    "TrialResult",
-    "TuneResult",
-    "attribute",
-    "attribute_serve",
-    "prior_breakdown",
-    "prior_step_s",
-    "read_report",
-    "write_report",
-]

@@ -24,9 +24,9 @@ bit-reproducible end to end.
 
 from __future__ import annotations
 
-from repro.hw import CLX_8280
 from repro.hw.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hw.costmodel import CostModel
+from repro.hw.spec import CLX_8280
 from repro.parallel.timing import model_iteration
 from repro.train.spec import RunSpec
 

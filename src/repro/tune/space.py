@@ -185,17 +185,18 @@ class SearchSpace:
         """
         return dict(self._assignments.get(self.canonical(overlay), {}))
 
-    def sample(self, n: int, rng: random.Random, max_tries: int = 200) -> list[Overlay]:
+    def sample(self, n: int, rng: random.Random) -> list[Overlay]:
         """``n`` distinct valid overlays, deterministic in ``rng``'s seed.
 
         Each draw flips each knob off its first (default-ish) value with
-        ``flip_prob``; invalid combinations and duplicates are redrawn.
-        Returns fewer than ``n`` only when the space is exhausted.
+        ``flip_prob``; invalid combinations and duplicates are redrawn,
+        up to ``200 * n`` draws in all.  Returns fewer than ``n`` only
+        when the space is exhausted.
         """
         seen: set[tuple] = set()
         out: list[Overlay] = []
         tries = 0
-        while len(out) < n and tries < max_tries * n:
+        while len(out) < n and tries < 200 * n:
             tries += 1
             assignment = {
                 knob.name: rng.choice(knob.values)

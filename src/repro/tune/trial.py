@@ -41,7 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs import Tracer, get_tracer, set_tracer, stage_breakdown
+from repro.obs.aggregate import stage_breakdown
+from repro.obs.tracer import Tracer, get_tracer, set_tracer
 from repro.train.spec import RunSpec
 from repro.train.trainer import make_trainer
 from repro.tune.bottleneck import (

@@ -1,4 +1,5 @@
-"""Small shared utilities: stable seeded RNG streams, deterministic retry.
+"""Small shared utilities: stable seeded RNG streams, deterministic retry,
+plain-text tables.
 
 NumPy's ``SeedSequence`` accepts only integers, so hierarchical stream
 labels ("table 3 of seed 7") are hashed to stable 64-bit integers first.
@@ -11,13 +12,16 @@ racy resource (shared-memory segment creation in :mod:`repro.exec.mp`,
 checkpoint writes in :mod:`repro.train.checkpoint`): capped exponential
 backoff whose jitter comes from the same seeded-stream machinery, so a
 retried run sleeps the exact same schedule every time.
+
+:func:`format_table` renders the dict-rows every CLI command, benchmark
+and example prints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -95,3 +99,42 @@ def retry(
             if delays[k] > 0:
                 sleep(delays[k])
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def format_seconds(seconds: float) -> str:
+    """Human-readable duration (the paper reports ms per iteration)."""
+    if seconds < 0:
+        raise ValueError("negative duration")
+    if seconds >= 1.0:
+        return f"{seconds:.2f} s"
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.1f} ms"
+    if seconds >= 1e-6:
+        return f"{seconds * 1e6:.1f} us"
+    return f"{seconds * 1e9:.0f} ns"
+
+
+def format_table(
+    rows: Sequence[Mapping[str, object]],
+    columns: Sequence[str] | None = None,
+    title: str = "",
+) -> str:
+    """Render dict-rows as an aligned ASCII table (floats as ``.3g``)."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    cols = list(columns) if columns is not None else list(rows[0].keys())
+
+    def cell(v: object) -> str:
+        return format(v, ".3g") if isinstance(v, float) else str(v)
+
+    rendered = [[cell(r.get(c, "")) for c in cols] for r in rows]
+    widths = [
+        max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(cols)
+    ]
+    header = "  ".join(c.ljust(w) for c, w in zip(cols, widths))
+    sep = "  ".join("-" * w for w in widths)
+    body = "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rendered)
+    out = f"{header}\n{sep}\n{body}"
+    if title:
+        out = f"{title}\n{out}"
+    return out

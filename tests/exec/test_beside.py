@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.data.criteo import SyntheticCriteoDataset
-from repro.exec import LocalExecutor
+from repro.exec.executor import LocalExecutor
 from repro.exec.pool import WorkerPool
 from repro.exec.prefetch import PrefetchLoader, beside, helper
 from repro.kernels import dispatch

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.exec import InlineRankExecutor, LocalExecutor, ProcessRankExecutor
+from repro.exec.executor import InlineRankExecutor, LocalExecutor
+from repro.exec.mp import ProcessRankExecutor
 from repro.exec.pool import get_pool
 from repro.train import Trainer, make_trainer
 

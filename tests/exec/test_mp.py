@@ -25,8 +25,11 @@ import pytest
 from repro.exec.executor import InlineRankExecutor
 from repro.exec.mp import ProcessRankExecutor, in_worker_process
 from repro.exec.shm import _PINNED, MailboxOverflow, ShmArena, ShmMailbox
-from repro.obs import Tracer, set_tracer, trace
-from repro.resilience import FaultPlan, HeartbeatBoard, WorkerCrash
+from repro.obs import Tracer, set_tracer
+from repro.obs.tracer import trace
+from repro.resilience.errors import WorkerCrash
+from repro.resilience.faults import FaultPlan
+from repro.resilience.heartbeat import HeartbeatBoard
 from repro.train import RunSpec
 from repro.train.trainer import Trainer
 
@@ -433,7 +436,8 @@ class TestTypedFailures:
     :mod:`repro.resilience.errors`, with per-worker diagnostics."""
 
     def test_hang_becomes_typed_timeout(self):
-        from repro.resilience import FaultPlan, WorkerTimeout
+        from repro.resilience.errors import WorkerTimeout
+        from repro.resilience.faults import FaultPlan
 
         dist, dataset = build_dist(tiny_spec())
         plan = FaultPlan.parse("worker.step:step=1,worker=0,action=hang,seconds=4")
@@ -456,7 +460,8 @@ class TestTypedFailures:
             executor.close()
 
     def test_kill_becomes_typed_crash(self):
-        from repro.resilience import FaultPlan, WorkerCrash
+        from repro.resilience.errors import WorkerCrash
+        from repro.resilience.faults import FaultPlan
 
         dist, dataset = build_dist(tiny_spec())
         plan = FaultPlan.parse("worker.step:step=1,worker=0,action=kill")
@@ -488,7 +493,7 @@ class TestTypedFailures:
         not os.path.isdir("/dev/shm"), reason="POSIX shm mount required"
     )
     def test_no_shm_leaks_after_worker_kill(self):
-        from repro.resilience import FaultPlan
+        from repro.resilience.faults import FaultPlan
 
         before = set(os.listdir("/dev/shm"))
         dist, dataset = build_dist(tiny_spec())

@@ -1,6 +1,7 @@
 """Per-stage aggregation and multi-process timeline merging."""
 
-from repro.obs import TELEMETRY_SCHEMA, aggregate, merge_spans, stage_breakdown, stage_table
+from repro.obs.aggregate import aggregate, merge_spans, stage_breakdown, stage_table
+from repro.obs.tracer import TELEMETRY_SCHEMA
 
 
 def span(name, ts, dur, depth=0, pid=1, proc="main", args=None):

@@ -100,7 +100,7 @@ def test_cross_process_merge_is_rank_attributed_and_ordered():
 
 
 def test_steptimer_summary_includes_percentiles_and_stage_table():
-    from repro.train import StepTimer
+    from repro.train.callbacks import StepTimer
 
     timer = StepTimer()
     timer.times = [0.010, 0.020, 0.030, 0.040]

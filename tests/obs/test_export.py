@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.obs import TELEMETRY_SCHEMA, Tracer, read_jsonl, write_chrome_trace, write_jsonl
+from repro.obs import Tracer
+from repro.obs.export import read_jsonl, write_chrome_trace, write_jsonl
+from repro.obs.tracer import TELEMETRY_SCHEMA
 from repro.obs.export import SchemaMismatch, chrome_trace_events
 
 

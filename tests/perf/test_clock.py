@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.clock import VirtualClock
+from repro.parallel.cluster import VirtualClock
 
 
 class TestVirtualClock:

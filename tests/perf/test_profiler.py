@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.perf.clock import VirtualClock
-from repro.perf.profiler import COMM_BUCKETS, Profiler
-from repro.perf.report import format_seconds, format_table
+from repro.parallel.cluster import COMM_BUCKETS, Profiler, VirtualClock
+from repro.util import format_seconds, format_table
 
 
 class TestVirtualClock:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.report import format_seconds, format_table, print_table
+from repro.util import format_seconds, format_table
 
 
 class TestFormatSeconds:
@@ -61,14 +61,9 @@ class TestFormatTable:
         assert out.splitlines()[2].split() == ["1"]  # no b-cell on row 1
 
     def test_floatfmt_applies_to_floats_only(self):
-        out = format_table([{"f": 0.123456, "i": 7}], floatfmt=".1f")
-        assert "0.1" in out and "7" in out and "0.123456" not in out
+        out = format_table([{"f": 0.123456, "i": 7}])
+        assert "0.123" in out and "7" in out and "0.123456" not in out
 
     def test_empty_rows(self):
         assert format_table([]) == "(no rows)"
         assert format_table([], title="T") == "T\n(no rows)"
-
-    def test_print_table_writes_stdout(self, capsys):
-        print_table(self.ROWS, title="T")
-        out = capsys.readouterr().out
-        assert "T" in out and "alltoall" in out

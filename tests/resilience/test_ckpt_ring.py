@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.resilience import CheckpointCorrupt, CheckpointRing, RingCheckpoint, corrupt_file
+from repro.resilience.errors import CheckpointCorrupt
+from repro.resilience.faults import corrupt_file
+from repro.resilience.ring import CheckpointRing, RingCheckpoint
 from repro.train import RunSpec, load_checkpoint, make_trainer
 
 

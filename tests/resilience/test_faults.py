@@ -5,7 +5,8 @@ from unittest import mock
 
 import pytest
 
-from repro.resilience import FaultPlan, FaultPoint, InjectedFault, corrupt_file
+from repro.resilience.errors import InjectedFault
+from repro.resilience.faults import FaultPlan, FaultPoint, corrupt_file
 from repro.train import RunSpec, make_trainer
 
 

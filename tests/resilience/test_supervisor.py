@@ -9,7 +9,8 @@ to an uninterrupted run's.
 import numpy as np
 import pytest
 
-from repro.resilience import InjectedFault, Supervisor, WorkerCrash
+from repro.resilience.errors import InjectedFault, WorkerCrash
+from repro.resilience.supervisor import Supervisor
 from repro.train import RunSpec, load_checkpoint
 
 

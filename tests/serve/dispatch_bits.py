@@ -21,7 +21,9 @@ import hashlib
 import json
 
 from repro.core.config import get_config
-from repro.serve import ServeParams, ServingWorkload, StreamConfig, poisson_stream, run_serving
+from repro.serve import ServeParams, run_serving
+from repro.serve.batcher import StreamConfig, poisson_stream
+from repro.serve.driver import ServingWorkload
 
 ROUTERS = ("round_robin", "least_loaded", "cache_affinity")
 POLICIES = ("static", "dynamic", "adaptive")

@@ -12,8 +12,11 @@ import pytest
 
 from repro.core.config import get_config
 from repro.obs import Tracer, set_tracer
-from repro.resilience import FaultPlan, ResilienceError
-from repro.serve import DegradePolicy, ServeParams, ServingWorkload
+from repro.resilience.errors import ResilienceError
+from repro.resilience.faults import FaultPlan
+from repro.serve import ServeParams
+from repro.serve.degrade import DegradePolicy
+from repro.serve.driver import ServingWorkload
 from repro.serve import run_serving as simulate
 from repro.serve.degrade import BreakerState
 from tests.serve import dispatch_bits
@@ -240,7 +243,9 @@ class TestFaultPlanIntegration:
         plan = FaultPlan.parse("serve.replica:replica=1,action=die")
         from repro.core.config import get_config
         from repro.parallel.cluster import SimCluster
-        from repro.serve import ReplicaSet, ServingCost, ServingWorkload
+        from repro.serve.driver import ServingWorkload
+        from repro.serve.replica import ReplicaSet
+        from repro.serve.sla import ServingCost
         from repro.serve.batcher import MicroBatcher, StreamConfig, poisson_stream
 
         cfg = get_config("small")

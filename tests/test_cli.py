@@ -19,7 +19,7 @@ class TestCli:
     def test_fast_experiments_print_tables(self, name, capsys):
         assert main([name]) == 0
         out = capsys.readouterr().out
-        assert EXPERIMENTS[name].split(":")[0] in out
+        assert EXPERIMENTS[name][0].split(":")[0] in out
         assert "---" in out  # a rendered table separator
 
     def test_fig6(self, capsys):
@@ -349,7 +349,7 @@ class TestTuneCli:
         assert "final_loss" in capsys.readouterr().out
 
     def test_tune_report_round_trips(self, quick_spec, tmp_path, capsys):
-        from repro.tune import TUNE_SCHEMA, read_report
+        from repro.tune.report import TUNE_SCHEMA, read_report
 
         report = tmp_path / "report.jsonl"
         assert (

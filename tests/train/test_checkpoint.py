@@ -12,15 +12,9 @@ import pytest
 
 from repro.core.model import DLRM
 from repro.serve import InferenceEngine
-from repro.train import (
-    CheckpointCallback,
-    RunSpec,
-    Trainer,
-    build_from_checkpoint,
-    load_checkpoint,
-    make_trainer,
-    save_checkpoint,
-)
+from repro.train import RunSpec, Trainer, load_checkpoint, make_trainer
+from repro.train.callbacks import CheckpointCallback
+from repro.train.checkpoint import build_from_checkpoint, save_checkpoint
 
 #: (name, spec-section overrides) for every optimizer-state flavour.
 VARIANTS = {

@@ -27,9 +27,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.core.optim import SparseAdagrad
-from repro.resilience import CheckpointCorrupt, corrupt_file
+from repro.resilience.errors import CheckpointCorrupt
+from repro.resilience.faults import corrupt_file
 from repro.serve import InferenceEngine
-from repro.train import RunSpec, build_from_checkpoint, load_checkpoint, make_trainer, save_state
+from repro.train import RunSpec, load_checkpoint, make_trainer
+from repro.train.checkpoint import build_from_checkpoint, save_state
 from repro.train import checkpoint as ckpt_mod
 
 DATA = Path(__file__).parent / "data"

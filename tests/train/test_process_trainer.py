@@ -213,7 +213,7 @@ class TestReplyDeadline:
     enforces on every worker reply."""
 
     def test_a_hang_past_the_specs_deadline_is_a_typed_timeout(self):
-        from repro.resilience import WorkerTimeout
+        from repro.resilience.errors import WorkerTimeout
 
         spec = dist_spec(
             resilience={

@@ -5,7 +5,7 @@ import pytest
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
 from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate, make_strategy
-from repro.train import DATASETS, LR_SCHEDULES, OPTIMIZERS, UPDATE_STRATEGIES
+from repro.train.registry import DATASETS, LR_SCHEDULES, OPTIMIZERS, UPDATE_STRATEGIES
 from repro.train.registry import create
 
 

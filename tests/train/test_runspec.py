@@ -10,7 +10,8 @@ from repro.core.schedule import WarmupDecaySchedule
 from repro.core.update import AtomicXchgUpdate
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.data.synthetic import RandomRecDataset
-from repro.train import ModelSpec, RunSpec
+from repro.train import RunSpec
+from repro.train.spec import ModelSpec
 
 FULL = {
     "name": "full",

@@ -6,18 +6,14 @@ import pytest
 from repro.core.model import DLRM
 from repro.core.optim import SGD
 from repro.data.synthetic import RandomRecDataset
-from repro.exec import InlineRankExecutor, LocalExecutor
-from repro.train import (
+from repro.exec.executor import InlineRankExecutor, LocalExecutor
+from repro.train import MetricLogger, RunSpec, Trainer, load_checkpoint, make_trainer
+from repro.train.callbacks import (
     Callback,
     EarlyStopping,
     LRScheduleCallback,
-    MetricLogger,
     PeriodicEval,
-    RunSpec,
     StepTimer,
-    Trainer,
-    load_checkpoint,
-    make_trainer,
 )
 
 from tests.conftest import tiny_config

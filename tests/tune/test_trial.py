@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.pool import get_pool
-from repro.obs import get_tracer, set_tracer
+from repro.obs import set_tracer
+from repro.obs.tracer import get_tracer
 from repro.train.spec import RunSpec
 from repro.tune.trial import ServeTrialRunner, TrainTrialRunner, TrialResult
 

@@ -170,7 +170,7 @@ class TestServeSearchAgainstParent:
         """Recorded at commit 7541f89 (plain ``ReplicaSet`` loop, ``repr``-keyed
         assignments); serve tuning is virtual-clocked, so every host agrees."""
         from repro.serve import ServeParams
-        from repro.tune import ServeTrialRunner
+        from repro.tune.trial import ServeTrialRunner
 
         base = ServeParams(config="small", mean_qps=4000.0, seed=0)
         res = SuccessiveHalving(
