@@ -15,11 +15,15 @@ parallel  The simulated SPMD cluster (per-rank virtual clocks and
           profilers), the hybrid-parallel DLRM, its analytic
           paper-scale twin, and the MLP overlap engine.
 data      Random + synthetic-Criteo datasets.
+tiering   Frequency-aware hot/cold embedding rows and table placement.
 exec      Real parallelism: the RankExecutor surface the Trainer loop
           runs over (single model, inline ranks, process ranks over
-          shared memory), the process-wide worker pool behind parallel
-          ranks and sharded kernels, and the prefetching data pipeline
-          (deterministic, bit-identical to sequential runs).
+          shared memory), the process's helper threads, the pool width
+          that shards parallel ranks and kernels over them, and the
+          prefetching data pipeline (bit-identical to sequential runs).
+resilience Fault injection, typed failures, supervised recovery and
+          durable checkpoints.
+obs       Wall-clock tracing spans, their aggregation and export.
 bench     Experiment drivers regenerating every paper table and figure.
 train     The unified experiment API: JSON-round-trippable RunSpecs,
           component registries, the one callback-instrumented Trainer
@@ -28,6 +32,7 @@ serve     Batched, cache-aware inference: the forward-only engine
           (loadable from a training checkpoint), latency-budgeted
           micro-batcher, embedding cache, multi-socket replicas, SLA
           frontier.
+tune      Self-tuning RunSpec search scored by measured short runs.
 
 The stable public API is re-exported here: configs and the model
 (``DLRMConfig``, ``DLRM``), optimizers, the simulated cluster, and the

@@ -200,10 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker threads (thread backend: the process-wide pool for "
-        "parallel ranks, sharded kernels, batch prefetch) or worker "
-        "processes (process backend); default: REPRO_WORKERS / one "
-        "process per rank",
+        help="pool width N (thread backend: the static shards of parallel "
+        "ranks and sharded kernels, run on the caller and up to N-1 "
+        "helper threads, the first of which also builds the batch "
+        "prefetch) or worker processes (process backend); default: 1 / "
+        "one process per rank",
     )
     tr.add_argument(
         "--bucket-mb", type=float, default=None, metavar="MB",

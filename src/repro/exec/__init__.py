@@ -5,13 +5,15 @@
 implementations (``LocalExecutor`` for a single model,
 ``InlineRankExecutor`` for hybrid-parallel ranks on the thread
 backend); ``ProcessRankExecutor`` (:mod:`repro.exec.mp`) runs SPMD
-worker processes over shared memory.  One process-wide ``WorkerPool``
-(:mod:`repro.exec.pool`; 1 worker unless ``set_pool_workers(n)``, the
-CLI's ``--workers n`` or ``REPRO_WORKERS`` say otherwise) runs parallel
-ranks, sharded native kernels and the batch prefetch
-(:mod:`repro.exec.prefetch`).  At width 1 a ``LocalExecutor`` step
-builds its next batch beside the row scatter, which one pinned helper
-thread runs (:func:`repro.exec.prefetch.beside`).  Every substrate
+worker processes over shared memory.  A process has one set of threads,
+:func:`repro.exec.pool.helpers`: one for each allowed CPU but the
+creator's.  The process-wide ``WorkerPool`` (1 wide unless
+``set_pool_workers(n)``, the CLI's ``--workers n`` or a spec's
+``parallel.exec_workers`` say otherwise) shards parallel ranks and
+native kernels over the caller and those helpers, and submits the batch
+prefetch (:mod:`repro.exec.prefetch`) to them.  At width 1 a
+``LocalExecutor`` step builds its next batch while the first helper runs
+the row scatter (:func:`repro.exec.prefetch.beside`).  Every substrate
 trains bitwise identically: they move *when* work happens, never
 *what*.
 """

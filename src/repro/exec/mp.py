@@ -139,8 +139,8 @@ class ProcessRankExecutor:
         self.dataset = dataset
         self.batch_size = batch_size
         n_ranks = dist.cluster.n_ranks
-        # Like the thread pool, the worker count is capped at the host's
-        # cores: oversubscribing a small box only adds scheduling and
+        # Like the thread pool's helpers, the worker count is capped at the
+        # host's cores: oversubscribing a small box only adds scheduling and
         # transport overhead, and results are bitwise identical at any
         # width (fixed-order reduction).
         requested = workers if workers is not None else n_ranks

@@ -1,37 +1,50 @@
-"""Process-wide persistent worker pool for real thread parallelism.
+"""The process's one set of threads, and the static shards that use them.
 
 The paper extracts concurrency from 28-core sockets with *static* thread
-partitions (Alg. 4/5); this module supplies the executing half of that
-story for the reproduction.  A :class:`WorkerPool` wraps a persistent
-``ThreadPoolExecutor`` -- NumPy kernels release the GIL, so threads give
-genuine wall-clock parallelism on the vectorized hot paths -- behind an
-API that keeps every result reduction in a **fixed order**:
+partitions (Alg. 4/5): every thread owns one range, and the thread that
+issues the work takes its own share.  :func:`helpers` holds this
+process's only threads -- one single-thread executor per allowed CPU
+other than its creator's, each started on its first submit and pinned
+to that CPU only by :func:`pinned`; none where one CPU is allowed, and a
+forked child drops them.  NumPy kernels and ``ctypes`` calls release the
+GIL, so they give genuine wall-clock parallelism on the vectorized hot
+paths.
 
-* :meth:`WorkerPool.map` returns results in submission order, never in
-  completion order, so any caller-side fold over the results is
-  deterministic;
-* :meth:`WorkerPool.run_sharded` hands each worker a contiguous
-  ``[lo, hi)`` range from :func:`repro.kernels.threads.static_partition`
-  -- the exact Alg. 4/5 ranges -- so workers own disjoint output rows and
-  no summation order ever changes.
+A :class:`WorkerPool` is a width over those threads that keeps every
+result reduction in a **fixed order**:
 
-One process-wide pool (:func:`get_pool`) is shared by the parallel-rank
-trainer, the sharded kernels and the prefetching data pipeline.  It
-defaults to ``workers=1`` (inline execution, no threads, bit-for-bit the
-sequential code path) unless ``REPRO_WORKERS`` is set; configure it
-explicitly with :func:`set_pool_workers`.
+* :meth:`WorkerPool.map` runs task ``i`` on lane ``i mod (H+1)``: lane 0
+  is the calling thread, lanes ``1..H`` the first ``H`` helpers, ``H``
+  the width minus one or the helper count, the lesser.  Results come back in
+  submission order, and a failure is raised only once every lane is
+  done, in submission order, so no task still writes when the caller
+  sees it;
+* :meth:`WorkerPool.run_sharded` hands task ``tid`` the ``[lo, hi)``
+  range of :func:`repro.kernels.threads.static_partition` -- the exact
+  Alg. 4/5 ranges -- so tasks own disjoint output rows and no summation
+  order depends on which lane ran them.
 
-Nested parallelism is defused rather than deadlocked: tasks running *on*
-pool workers see an effective width of 1 (:meth:`WorkerPool.effective_workers`),
-so a kernel called from inside a parallel rank step runs its sequential
-path instead of re-submitting to the pool it is executing on.
+The width fixes the partition; the helpers only decide which thread runs
+each shard, so no bit moves at any width or CPU count.  One process-wide
+pool (:func:`get_pool`) is shared by the parallel-rank trainer, the
+sharded kernels and the prefetching data pipeline.  It is 1 wide (inline,
+bit-for-bit the sequential code path) unless :func:`set_pool_workers`
+(the CLI's ``--workers``, a spec's ``parallel.exec_workers``) widens it.
+
+Nested parallelism is defused rather than deadlocked: a task running on
+any lane, the caller's included, sees an effective width of 1
+(:meth:`WorkerPool.effective_workers`), so a kernel called from inside a
+parallel rank step runs its sequential path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.kernels.threads import static_partition
@@ -65,8 +78,6 @@ def tune_allocator_for_threads() -> bool:
     if _allocator_tuned:
         return True
     try:
-        import ctypes
-
         libc = ctypes.CDLL("libc.so.6")
         m_trim_threshold, m_mmap_threshold = -1, -3
         bound = 64 * 1024 * 1024
@@ -79,95 +90,120 @@ def tune_allocator_for_threads() -> bool:
     return ok
 
 
+#: A helper thread's own CPU, set as it starts (unset on every other thread).
+_own = threading.local()
+
+
+@functools.cache
+def helpers() -> tuple[ThreadPoolExecutor, ...]:
+    """This process's helper threads: a single-thread executor per allowed
+    CPU but the creator's, which it owns (each starts on its first
+    submit); none where one CPU is allowed or the platform has no
+    affinity calls.  A helper runs free until :func:`pinned` pins it."""
+    if not hasattr(os, "sched_getaffinity"):
+        return ()
+    cpus = sorted(os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()})
+    return tuple(
+        ThreadPoolExecutor(1, f"repro-helper{cpu}", _own.__setattr__, ("cpu", cpu)) for cpu in cpus
+    )
+
+
+def pinned(call: Callable[[], R]) -> R:
+    """``call()`` on the running helper, pinned to its own CPU from now on:
+    a GIL-free call beside the caller's work needs it (free, the scheduler
+    wakes the helper on the caller's CPU), Python-heavy work that trades
+    the GIL with the caller runs faster free (docs/ARCHITECTURE.md)."""
+    with contextlib.suppress(OSError):  # containers may forbid affinity
+        os.sched_setaffinity(0, {_own.cpu})
+    return call()
+
+
+os.register_at_fork(after_in_child=helpers.cache_clear)  # the threads stay in the parent
+
+
 def _in_worker() -> bool:
     return getattr(_worker_ctx, "active", False)
 
 
-class WorkerPool:
-    """A persistent thread pool with deterministic, fixed-order reduction.
+def _guarded(fn: Callable[..., R], args: tuple) -> R:
+    """``fn(*args)`` as a pool task: nested pool use runs inline."""
+    _worker_ctx.active = True
+    try:
+        return fn(*args)
+    finally:
+        _worker_ctx.active = False
 
-    ``workers=1`` executes everything inline on the calling thread -- no
-    executor is created, and every code path is byte-for-byte the
-    sequential one.  ``workers>1`` runs tasks on a shared
-    ``ThreadPoolExecutor``; results are always collected in submission
-    order.
+
+def done(fn: Callable[..., R], *args: Any) -> "Future[R]":
+    """``fn(*args)`` run here, as a completed future (an error included)."""
+    future: Future[R] = Future()
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:  # noqa: BLE001 - mirror executor semantics
+        future.set_exception(exc)
+    return future
+
+
+class WorkerPool:
+    """A static-shard width over the process's helpers, with fixed-order results.
+
+    ``workers=1`` executes everything inline on the calling thread --
+    byte-for-byte the sequential path.  ``workers>1`` runs task ``i`` on
+    lane ``i mod (H+1)`` (lane 0 the caller, lanes ``1..H`` the first
+    ``H = min(workers - 1, len(helpers()))`` :func:`helpers`; all on the
+    caller, in order, where ``H`` is 0); ``submit`` takes the first helper;
+    results are always collected in submission order.
     """
 
     def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._executor: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
         if workers > 1:
             tune_allocator_for_threads()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _get_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                # ``workers`` is the *sharding* width (it fixes the static
-                # partitions and hence the task granularity); the thread
-                # count is capped at the host's cores -- oversubscribing a
-                # small box just thrashes the GIL and caches, and results
-                # are identical either way (fixed-order reduction).
-                threads = min(self.workers, os.cpu_count() or self.workers)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=threads, thread_name_prefix="repro-exec"
-                )
-            return self._executor
-
-    def shutdown(self) -> None:
-        """Stop the worker threads (the pool may be used again; a new
-        executor spins up lazily)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     @property
     def effective_workers(self) -> int:
         """Pool width as seen by the calling thread: 1 inside a pool
-        worker (nested submission would deadlock a saturated pool), the
+        task (the lanes are busy with the tasks that would wait), the
         configured width everywhere else."""
         return 1 if _in_worker() else self.workers
 
-    # -- execution -----------------------------------------------------------
-
-    @staticmethod
-    def _entry(fn: Callable[..., R], args: tuple) -> R:
-        _worker_ctx.active = True
-        try:
-            return fn(*args)
-        finally:
-            _worker_ctx.active = False
-
     def submit(self, fn: Callable[..., R], *args: Any) -> "Future[R]":
-        """Schedule ``fn(*args)``; inline (already-completed future) when
-        the effective width is 1."""
+        """Schedule ``fn(*args)`` on the first helper lane; inline (an
+        already-completed future) at effective width 1 or with no
+        helpers."""
         if self.effective_workers == 1:
-            future: Future[R] = Future()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # noqa: BLE001 - mirror executor semantics
-                future.set_exception(exc)
-            return future
-        return self._get_executor().submit(self._entry, fn, args)
+            return done(fn, *args)
+        side = helpers()
+        return side[0].submit(_guarded, fn, args) if side else done(_guarded, fn, args)
+
+    def _lanes(self, fn: Callable[..., R], tasks: Sequence[tuple]) -> list[R]:
+        """``[fn(*t) for t in tasks]``, task ``i`` on lane ``i mod (H+1)``;
+        once every lane is done, the first failure in submission order
+        raises."""
+        side = helpers()[: self.workers - 1]  # never more threads than the width
+        lanes = len(side) + 1
+        futures: list = [
+            side[i % lanes - 1].submit(_guarded, fn, t) if i % lanes else None
+            for i, t in enumerate(tasks)
+        ]
+        for i in range(0, len(tasks), lanes):
+            futures[i] = done(_guarded, fn, tasks[i])
+        wait(futures)
+        return [f.result() for f in futures]
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """``[fn(x) for x in items]`` with a fixed-order result list.
 
-        All items are submitted before any result is awaited; the list
-        is assembled in submission order regardless of completion order,
-        so reductions over it are deterministic.  The first exception
-        (in submission order) propagates.
+        The list is assembled in submission order regardless of
+        completion order, so reductions over it are deterministic.  The
+        first exception (in submission order) propagates once every
+        item has run.
         """
         if self.effective_workers == 1 or len(items) <= 1:
             return [fn(x) for x in items]
-        executor = self._get_executor()
-        futures = [executor.submit(self._entry, fn, (x,)) for x in items]
-        return [f.result() for f in futures]
+        return self._lanes(fn, [(x,) for x in items])
 
     def reduce_map(self, fn: Callable[[int], Any], ranks: Sequence[int], out: Any = None) -> Any:
         """``tree_sum(map(fn, ranks), out)``: run a per-rank task whose
@@ -203,42 +239,21 @@ class WorkerPool:
         ]
         if shards == 1 or len(ranges) <= 1:
             return [fn(lo, hi, tid) for lo, hi, tid in ranges]
-        executor = self._get_executor()
-        futures = [executor.submit(self._entry, fn, rng) for rng in ranges]
-        return [f.result() for f in futures]
+        return self._lanes(fn, ranges)
 
 
 # -- the process-wide pool ----------------------------------------------------
 
-_global_lock = threading.Lock()
-_global_pool: WorkerPool | None = None
-
-
-def _default_workers() -> int:
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from None
-    return 1
+_global_pool = WorkerPool(1)
 
 
 def get_pool() -> WorkerPool:
-    """The process-wide pool (created on first use; ``REPRO_WORKERS`` or 1)."""
-    global _global_pool
-    with _global_lock:
-        if _global_pool is None:
-            _global_pool = WorkerPool(_default_workers())
-        return _global_pool
+    """The process-wide pool (1 wide until :func:`set_pool_workers`)."""
+    return _global_pool
 
 
 def set_pool_workers(workers: int) -> WorkerPool:
-    """Replace the process-wide pool with one of ``workers`` threads."""
+    """Replace the process-wide pool with one ``workers`` wide."""
     global _global_pool
-    pool = WorkerPool(workers)
-    with _global_lock:
-        old, _global_pool = _global_pool, pool
-    if old is not None:
-        old.shutdown()
-    return pool
+    _global_pool = WorkerPool(workers)
+    return _global_pool

@@ -2,10 +2,11 @@
 
 The InTune observation applied to this reproduction: the input pipeline
 is pure overhead when it runs synchronously inside the train step.
-:class:`LookAhead` schedules *future* work on the process-wide
-:class:`~repro.exec.pool.WorkerPool` so the host thread trains on batch
-``step`` while a worker synthesizes batch ``step+1``; the training
-loader and the serve driver's index synthesis are its two callers.
+:class:`LookAhead` submits *future* work to a helper lane of the
+process-wide :class:`~repro.exec.pool.WorkerPool` so the host thread
+trains on batch ``step`` while a helper synthesizes batch ``step+1``;
+the training loader and the serve driver's index synthesis are its two
+callers.
 
 Determinism is preserved by construction: datasets are pure functions of
 ``(seed, batch_index)`` and workload index synthesis is a pure function
@@ -18,10 +19,11 @@ its lookahead window and computes it directly.
 A 1-wide pool schedules nothing: the consumer builds the next position
 (:meth:`LookAhead.primer`) in ``with beside(work):``, where the first
 call handed to :func:`overlap` (the FP32 row scatter's ``ctypes`` call,
-which releases the GIL) runs on one helper thread -- pinned off its
-creator's CPU, none where one CPU is allowed, dropped by a forked child
--- while the caller runs ``work()``; with no such call (the NumPy tier,
-a Split-BF16 or sharded scatter) ``work()`` runs as the block ends.
+which releases the GIL) runs on the first of the process's
+:func:`~repro.exec.pool.helpers`, :func:`~repro.exec.pool.pinned` to its
+CPU, while the caller runs ``work()``; with
+no helper (one allowed CPU) or no such call (the NumPy tier, a
+Split-BF16 or sharded scatter) ``work()`` runs as the block ends.
 
 The same determinism argument is what lets the process backend
 (:mod:`repro.exec.mp`) synthesize batches *per worker process* instead
@@ -34,14 +36,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import ctypes
 import functools
-import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
-from repro.exec.pool import WorkerPool, get_pool
+from repro.exec.pool import WorkerPool, done, get_pool, helpers, pinned
 from repro.obs.tracer import trace
 
 T = TypeVar("T")
@@ -49,24 +49,6 @@ R = TypeVar("R")
 
 #: The pending work of the innermost ``beside`` block, until a call takes it.
 _work: contextvars.ContextVar[list | None] = contextvars.ContextVar("beside", default=None)
-
-
-def _pin(cpus: set[int]) -> None:
-    with contextlib.suppress(OSError):  # containers may forbid affinity
-        os.sched_setaffinity(0, cpus)
-
-
-@functools.cache
-def helper() -> ThreadPoolExecutor | None:
-    """This process's helper thread (started on first use); None where
-    one CPU is allowed or the platform has no affinity calls."""
-    if not hasattr(os, "sched_getaffinity"):
-        return None
-    cpus = os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()}
-    return ThreadPoolExecutor(1, "repro-beside", _pin, (cpus,)) if cpus else None
-
-
-os.register_at_fork(after_in_child=helper.cache_clear)  # the thread stays in the parent
 
 
 @contextlib.contextmanager
@@ -85,22 +67,22 @@ def beside(work: Callable[[], object] | None) -> Iterator[None]:
 
 def overlap(call: Callable[[], object]) -> None:
     """``call()``, a native call that releases the GIL and reads no Python
-    object: on the helper while the innermost ``beside`` block's work
-    runs here, when there are both; else here."""
+    object: on the first helper, pinned, while the innermost ``beside``
+    block's work runs here, when there are both; else here."""
     box = _work.get()
-    side = helper() if box else None
-    if side is None:
+    side = helpers() if box else ()
+    if not side:
         call()
         return
-    done = side.submit(call)
+    future = side[0].submit(pinned, call)
     try:
         box.pop()()
     finally:
-        done.result()
+        future.result()
 
 
 class LookAhead(Generic[R]):
-    """``fn(k)`` for integer positions ``k``, computed ahead on the pool.
+    """``fn(k)`` for integer positions ``k``, computed ahead on a helper lane.
 
     A call with position ``k`` returns ``fn(k)`` and schedules
     ``k+1..k+depth`` (below ``stop``), so a consumer walking the
@@ -147,12 +129,7 @@ class LookAhead(Generic[R]):
             return None
 
         def prime() -> None:
-            future: Future = Future()
-            try:
-                future.set_result(self.fn(k))
-            except Exception as exc:
-                future.set_exception(exc)
-            self._pending[k] = future
+            self._pending[k] = done(self.fn, k)
 
         return prime
 
@@ -208,17 +185,11 @@ class PrefetchMap(Generic[T, R]):
     is computed directly.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        pool: WorkerPool | None = None,
-        depth: int = 2,
-    ):
+    def __init__(self, fn: Callable[[T], R], items: Sequence[T], depth: int = 2):
         self.fn = fn
         self.items = list(items)
         self._position = {id(item): k for k, item in enumerate(self.items)}
-        self._ahead = LookAhead(lambda k: fn(self.items[k]), depth, pool, stop=len(self.items))
+        self._ahead = LookAhead(lambda k: fn(self.items[k]), depth, stop=len(self.items))
 
     def __call__(self, item: T) -> R:
         k = self._position.get(id(item))

@@ -26,7 +26,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.exec.pool import WorkerPool
+from repro.exec.pool import WorkerPool, set_pool_workers
 from repro.exec.shm import ArenaLayout, ShmArena, ShmBlock, ShmMailbox
 from repro.exec.transport import SpmdRankPool, WorkerTransport
 from repro.kernels.threads import static_partition
@@ -121,8 +121,9 @@ def _build(seat: WorkerSeat, recipe: ProcessRecipe, stack: ExitStack):
     dist.attach_optimizers(recipe.optimizer_factory)
     arenas = {r: attached(ShmArena(*seat.arenas[r])) for r in range(*seat.rank_range)}
     # The same executor the parent uses for the thread backend, over this
-    # worker's SPMD pool.  A private 2-thread pool double-buffers the next
-    # batch index under the current step (bits are index-pure either way).
+    # worker's SPMD pool.  A 2-wide pool double-buffers the next batch
+    # index under the current step on this worker's helpers, if its cores
+    # leave it any (bits are index-pure either way).
     ranks = InlineRankExecutor(
         dist,
         recipe.dataset,
@@ -187,13 +188,13 @@ def _serve(seat: WorkerSeat, handlers: dict[str, Callable], heartbeat) -> None:
 def worker_main(recipe: ProcessRecipe, seat: WorkerSeat) -> None:
     os.environ[WORKER_ENV] = "1"
     _pin_to_cores(seat.index, seat.n_workers)
-    # A forked worker inherits the parent's executor registry and global
-    # thread pool; both are parent-owned state that must not leak in.
-    from repro.exec import mp as mp_mod, pool as pool_mod
+    # A forked worker inherits the parent's executor registry and pool
+    # width; both are parent-owned state that must not leak in (the fork
+    # already dropped the parent's helper threads).
+    from repro.exec import mp as mp_mod
 
     mp_mod._EXECUTORS.clear()
-    with pool_mod._global_lock:
-        pool_mod._global_pool = WorkerPool(1)
+    set_pool_workers(1)
     if recipe.trace:
         # Rank attribution of the merged timeline: every span drained
         # from this process carries the worker's rank range as its

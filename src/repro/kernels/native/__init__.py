@@ -23,7 +23,7 @@ checked: arrays from :func:`~repro.kernels.workspace.aligned_empty`
 start on a cache line, and one that does not gets the same bits, only
 slower.
 
-Thread sharding is the caller's pool over disjoint ranges -- rows for
+Thread sharding is the process-wide pool over disjoint ranges -- rows for
 the scatter (Alg. 4: every thread scans all look-ups and owns
 ``[M*t//T, M*(t+1)//T)``), bags for the pooled forward, runs of one id
 for the Split-BF16 update -- so each output row has one owner who folds
@@ -51,7 +51,7 @@ from repro.kernels.lookup import Lookup, arrays
 from repro.kernels.native.build import library
 from repro.kernels.rows import lo_mask, per_bag
 from repro.kernels.synth import MAX_SCRAMBLE_ITEMS
-from repro.kernels.threads import resolve_pool, shardable
+from repro.kernels.threads import sharding_pool
 from repro.kernels.workspace import aligned_empty
 
 
@@ -172,11 +172,11 @@ def bind(entry: str, *args) -> tuple:
     return lib, at
 
 
-def _run(fn: Callable[[int, int, int], None], work: int, items: int, elems: int, pool) -> None:
+def _run(fn: Callable[[int, int, int], None], work: int, items: int, elems: int) -> None:
     """``fn(lo, hi, tid)`` over ``[0, work)``: whole, or sharded over the
     pool's static ranges when the payload is worth the hand-off."""
-    pool = resolve_pool(pool)
-    if shardable(pool, items, elems):
+    pool = sharding_pool(items, elems)
+    if pool is not None:
         pool.run_sharded(fn, work)
     elif work:
         fn(0, work, 0)
@@ -186,15 +186,16 @@ def _ptr(a: np.ndarray | None) -> int | None:
     return None if a is None else a.ctypes.data
 
 
-def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0, pool=None) -> bool:
+def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0) -> bool:
     """Alg. 2-4: look-up ``s`` of bag ``b`` adds ``fl32(scale * deltas[b])``
     to its row in ``np.add.at``'s order; False when not representable."""
     lib, at = bind("scatter_add_exact", weight, indices, offsets, deltas)
     if lib is None:
         return False
     args = (at["weight"], at["dim"], at["indices"], at["offsets"], at["bags"], at["deltas"], scale)
-    kernel, rows, pool = lib.repro_scatter_add_f32, at["rows"], resolve_pool(pool)
-    if shardable(pool, at["n"], at["n"] * at["dim"]):
+    kernel, rows = lib.repro_scatter_add_f32, at["rows"]
+    pool = sharding_pool(at["n"], at["n"] * at["dim"])
+    if pool is not None:
         pool.run_sharded(lambda lo, hi, tid: kernel(*args, lo, hi), rows)
     else:  # whole, on the step's helper thread when it has work beside
         from repro.exec.prefetch import overlap  # lazy: exec sits above kernels
@@ -203,7 +204,7 @@ def scatter_add_exact(weight, indices, deltas, offsets=None, scale=1.0, pool=Non
     return True
 
 
-def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
+def pool_rows(source, indices, offsets) -> np.ndarray | None:
     """Alg. 1: ``out[b] = +0.0 + source[indices[s]] + ...`` over bag
     ``b``'s look-ups ``[offsets[b], offsets[b+1])``; ``source`` is FP32
     rows or the ``uint16`` hi half of Split-BF16 rows, widened on the
@@ -215,11 +216,11 @@ def pool_rows(source, indices, offsets, pool=None) -> np.ndarray | None:
     kernel = lib.repro_pool_f32 if source.dtype == np.float32 else lib.repro_pool_bf16
     out = aligned_empty((bags, at["dim"]), np.float32)
     args = (at["source"], at["dim"], at["indices"], at["offsets"])
-    _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, at["n"] * at["dim"], pool)
+    _run(lambda lo, hi, tid: kernel(*args, lo, hi, _ptr(out)), bags, bags, at["n"] * at["dim"])
     return out
 
 
-def split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets=None, scale=1.0, pool=None) -> bool:
+def split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets=None, scale=1.0) -> bool:
     """:func:`scatter_add_exact` on the FP32 master ``hi || lo``: per
     touched row, aggregate its deltas from +0.0 in input order, rejoin,
     add once, split -- one pass, no materialised aggregate.  False when
@@ -239,7 +240,7 @@ def split_scatter_add(hi, lo, keep_bits, indices, deltas, offsets=None, scale=1.
         acc = np.empty(dim, dtype=np.float32)
         lib.repro_split_scatter_add(*args, *segs, seg_lo, seg_hi, *tail, _ptr(acc))
 
-    _run(update, uniq.shape[0], uniq.shape[0], at["n"] * dim, pool)
+    _run(update, uniq.shape[0], uniq.shape[0], at["n"] * dim)
     return True
 
 

@@ -6,9 +6,9 @@ static ranges: thread ``t`` of ``T`` owns items
 ``[floor(W*t/T), floor(W*(t+1)/T))``.  These exact ranges serve two
 masters: the cost model reads their load-balance statistics (imbalance
 penalties match what real threads would see), and the worker pool of
-:mod:`repro.exec` *executes* them -- each pool worker owns one
-contiguous range, so sharded kernels write disjoint output rows and
-stay bitwise equal to their sequential formulations.
+:mod:`repro.exec` *executes* them -- each shard owns one contiguous
+range, whichever thread runs it, so sharded kernels write disjoint
+output rows and stay bitwise equal to their sequential formulations.
 """
 
 from __future__ import annotations
@@ -27,20 +27,15 @@ PARALLEL_MIN_SEGMENTS = 256
 PARALLEL_MIN_ELEMS = 1 << 21
 
 
-def resolve_pool(pool):
-    if pool is not None:
-        return pool
+def sharding_pool(items: int, elems: int):
+    """The process-wide pool when it is wider than 1 here and the payload
+    (``items`` shardable units moving ``elems`` float32 elements) is worth
+    the hand-off; else None."""
     from repro.exec.pool import get_pool  # lazy: keeps kernels import-light
 
-    return get_pool()
-
-
-def shardable(pool, items: int, elems: int) -> bool:
-    return (
-        pool.effective_workers > 1
-        and items >= PARALLEL_MIN_SEGMENTS
-        and elems >= PARALLEL_MIN_ELEMS
-    )
+    pool = get_pool()
+    wide = pool.effective_workers > 1
+    return pool if wide and items >= PARALLEL_MIN_SEGMENTS and elems >= PARALLEL_MIN_ELEMS else None
 
 
 def static_partition(work: int, threads: int) -> list[tuple[int, int]]:

@@ -141,7 +141,7 @@ class ParallelSpec:
     ``exec_backend`` is the real execution substrate the trainer runs
     rank phases on (``thread`` = the process-wide worker pool,
     ``process`` = shared-memory worker processes, see
-    :mod:`repro.exec.mp`), with ``exec_workers`` worker threads or
+    :mod:`repro.exec.mp`), ``exec_workers`` wide or with that many
     processes (None = backend default).  ``bucket_mb`` caps the
     issue-as-ready gradient buckets of the MLP allreduce (MiB per
     bucket; smaller = more overlap, more per-collective overhead).

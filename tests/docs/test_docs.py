@@ -120,7 +120,7 @@ class TestEnvironmentKnobs:
         tuning = (DOCS / "TUNING.md").read_text()
         section = tuning.split("### Environment knobs", 1)[1].split("\n## ", 1)[0]
         rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, flags=re.M))
-        assert rows == read == {"REPRO_WORKERS", "REPRO_MP_CONTEXT", "REPRO_MP_MAILBOX_MB"}
+        assert rows == read == {"REPRO_MP_CONTEXT", "REPRO_MP_MAILBOX_MB"}
         architecture = (DOCS / "ARCHITECTURE.md").read_text()
         assert set(re.findall(r"REPRO_[A-Z_]+", architecture)) <= rows
         assert "TUNING.md#environment-knobs" in architecture

@@ -2,8 +2,8 @@
 
 At pool width 1 :class:`~repro.exec.executor.LocalExecutor` builds batch
 ``k+1`` during step ``k``: beside the FP32 row scatter, which runs on
-the one helper thread of :mod:`repro.exec.prefetch`, or after the
-update where no such scatter runs.  These tests hold that to *when*,
+the first of the process's helper threads (:func:`repro.exec.pool.helpers`),
+or after the update where no such scatter runs.  These tests hold that to *when*,
 never *what*: the same losses and state bits as a process with one
 allowed CPU (which has no helper), the scatter applied once whatever
 the synthesis does, the primed batch dropped on a jump, every span on
@@ -23,8 +23,8 @@ import pytest
 
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.exec.executor import LocalExecutor
-from repro.exec.pool import WorkerPool
-from repro.exec.prefetch import PrefetchLoader, beside, helper
+from repro.exec.pool import WorkerPool, helpers, pinned
+from repro.exec.prefetch import PrefetchLoader, beside
 from repro.kernels import dispatch
 from repro.obs import Tracer, set_tracer
 from repro.train import RunSpec, Trainer, make_trainer
@@ -77,12 +77,12 @@ def run(spec: RunSpec) -> dict:
 _ONE_CPU_CHILD = """
 import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from repro.exec.prefetch import helper
+from repro.exec.pool import helpers
 from repro.kernels import native
 from repro.train import RunSpec
 from tests.exec.test_beside import run
 out = run(RunSpec.from_dict(json.loads(sys.argv[1])))
-print(json.dumps({**out, "tier": native.tier(), "helper": helper() is not None}))
+print(json.dumps({**out, "tier": native.tier(), "helper": bool(helpers())}))
 """
 
 
@@ -98,18 +98,24 @@ def one_cpu_child(spec: RunSpec, tier: str) -> dict:
     return json.loads(child.stdout)
 
 
+def first_helper():
+    """The helper :func:`~repro.exec.prefetch.overlap` hands its call to;
+    None where there is none."""
+    return next(iter(helpers()), None)
+
+
 @pytest.fixture
 def handed(monkeypatch):
     """The calls handed to the helper beside a step's work."""
-    calls, side = [], helper()
+    calls, side = [], first_helper()
     if side is not None:
         real = side.submit
-        monkeypatch.setattr(side, "submit", lambda call: (calls.append(call), real(call))[1])
+        monkeypatch.setattr(side, "submit", lambda *task: (calls.append(task), real(*task))[1])
     return calls
 
 
 def test_one_allowed_cpu_means_no_helper():
-    assert (helper() is None) == ONE_CPU
+    assert (first_helper() is None) == ONE_CPU
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -122,6 +128,7 @@ def test_the_helper_changes_no_bit(case, kernel_tier, handed):
     # The helper took one call a step exactly where an FP32 scatter runs whole.
     takes = CASES[case][0] == "fp32" and kernel_tier == "native" and not ONE_CPU
     assert len(handed) == (spec.schedule.steps if takes else 0)
+    assert all(fn is pinned for fn, _ in handed)
 
 
 def failing_at(batch, bad: int):
@@ -167,7 +174,7 @@ def test_threads_sharing_the_helper_each_get_their_own_call_and_work(monkeypatch
         sys.setswitchinterval(switch)
     assert works == [rounds] * callers
     assert all((w == 8 * rounds).all() for w in weights)
-    assert_idle(helper())
+    assert_idle(first_helper())
 
 
 class TestAFailingBatch:
@@ -183,7 +190,7 @@ class TestAFailingBatch:
             with beside(fail):
                 dispatch.scatter_add_exact(weight, ids, deltas)
         np.testing.assert_array_equal(weight[:, 0], [0, 2, 0, 1])
-        assert_idle(helper())
+        assert_idle(first_helper())
 
     @pytest.mark.parametrize("tier", ["native", "numpy"])
     def test_the_step_before_trains_and_the_failure_waits_for_its_batch(self, tier, monkeypatch):
@@ -195,7 +202,7 @@ class TestAFailingBatch:
             losses = [ex.step(i, None) for i in range(3)]  # step 2 primes batch 3
             assert losses == [twin._executor.step(i, None) for i in range(3)]
             assert_same_bits(ex.state_dicts()[0], twin._executor.state_dicts()[0])
-            assert_idle(helper())
+            assert_idle(first_helper())
             with pytest.raises(RuntimeError, match="batch 3 failed"):
                 ex.step(3, None)
         # A retry builds the batch afresh.
@@ -235,7 +242,6 @@ class TestThePrimedBatch:
     def test_a_wider_pool_schedules_it_itself(self):
         loader = PrefetchLoader(SyntheticCriteoDataset(criteo_spec().build_config()), 8, WorkerPool(2))
         assert loader.primer(1) is None
-        loader._ahead.pool.shutdown()
 
 
 def test_every_span_comes_from_the_callers_thread(kernel_tier, handed):
@@ -256,7 +262,7 @@ class TestFork:
     @staticmethod
     def started_helper():
         """The helper, its thread running (where there is one)."""
-        side = helper()
+        side = first_helper()
         if side is not None:
             assert side.submit(int).result(timeout=5) == 0
         return side
@@ -265,10 +271,10 @@ class TestFork:
         made = self.started_helper()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child
-            os._exit(0 if helper.cache_info().currsize == 0 else 1)
+            os._exit(0 if helpers.cache_info().currsize == 0 else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert helper() is made  # the parent keeps its own
+        assert first_helper() is made  # the parent keeps its own
 
     def test_a_process_run_after_a_local_one_trains_as_inline(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_CONTEXT", "fork")

@@ -31,26 +31,18 @@ def pending_indices(ahead: LookAhead) -> list[int]:
 
 class TestLookAhead:
     def test_schedules_the_window_below_stop_and_recentres_on_a_miss(self):
-        pool = WorkerPool(2)
-        try:
-            ahead = LookAhead(lambda k: k * k, depth=3, pool=pool, stop=6)
-            assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
-            assert ahead(1) == 1 and pending_indices(ahead) == [2, 3, 4]
-            assert ahead(5) == 25 and pending_indices(ahead) == []  # a miss: window dropped
-            assert ahead(2) == 4 and pending_indices(ahead) == [3, 4, 5]
-        finally:
-            pool.shutdown()
+        ahead = LookAhead(lambda k: k * k, depth=3, pool=WorkerPool(2), stop=6)
+        assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
+        assert ahead(1) == 1 and pending_indices(ahead) == [2, 3, 4]
+        assert ahead(5) == 25 and pending_indices(ahead) == []  # a miss: window dropped
+        assert ahead(2) == 4 and pending_indices(ahead) == [3, 4, 5]
 
     def test_a_hit_drops_the_positions_skipped_over(self):
-        pool = WorkerPool(2)
-        try:
-            ahead = LookAhead(lambda k: k * k, depth=3, pool=pool)
-            assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
-            # A skip forward onto a scheduled position: 1 and 2 will never
-            # be asked for, so they must not stay (each holds a result).
-            assert ahead(3) == 9 and pending_indices(ahead) == [4, 5, 6]
-        finally:
-            pool.shutdown()
+        ahead = LookAhead(lambda k: k * k, depth=3, pool=WorkerPool(2))
+        assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
+        # A skip forward onto a scheduled position: 1 and 2 will never
+        # be asked for, so they must not stay (each holds a result).
+        assert ahead(3) == 9 and pending_indices(ahead) == [4, 5, 6]
 
     def test_a_one_wide_pool_schedules_nothing(self):
         ahead = LookAhead(lambda k: -k, depth=2, pool=WorkerPool(1))
@@ -65,41 +57,29 @@ class TestPrefetchLoader:
     def test_sequential_stream_matches_direct_calls(self):
         cfg = tiny_config()
         dataset = RandomRecDataset(cfg, seed=7)
-        pool = WorkerPool(2)
-        try:
-            loader = PrefetchLoader(dataset, batch_size=16, pool=pool)
-            for step in range(6):
-                got = loader.batch(step)
-                want = dataset.batch(16, step)
-                assert batches_equal(got, want)
-        finally:
-            pool.shutdown()
+        loader = PrefetchLoader(dataset, batch_size=16, pool=WorkerPool(2))
+        for step in range(6):
+            got = loader.batch(step)
+            want = dataset.batch(16, step)
+            assert batches_equal(got, want)
 
     def test_primes_lookahead_window(self):
         dataset = RandomRecDataset(tiny_config(), seed=0)
-        pool = WorkerPool(2)
-        try:
-            loader = PrefetchLoader(dataset, batch_size=8, pool=pool, depth=2)
-            loader.batch(0)
-            assert pending_indices(loader._ahead) == [1, 2]
-            loader.batch(1)
-            assert pending_indices(loader._ahead) == [2, 3]
-        finally:
-            pool.shutdown()
+        loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(2), depth=2)
+        loader.batch(0)
+        assert pending_indices(loader._ahead) == [1, 2]
+        loader.batch(1)
+        assert pending_indices(loader._ahead) == [2, 3]
 
     def test_resume_jump_discards_stale_window(self):
         dataset = RandomRecDataset(tiny_config(), seed=0)
-        pool = WorkerPool(2)
-        try:
-            loader = PrefetchLoader(dataset, batch_size=8, pool=pool)
-            loader.batch(0)
-            # Jump (checkpoint resume): miss falls back to a direct call
-            # and the window re-centres past the new cursor.
-            got = loader.batch(50)
-            assert batches_equal(got, dataset.batch(8, 50))
-            assert pending_indices(loader._ahead) == [51]
-        finally:
-            pool.shutdown()
+        loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(2))
+        loader.batch(0)
+        # Jump (checkpoint resume): miss falls back to a direct call
+        # and the window re-centres past the new cursor.
+        got = loader.batch(50)
+        assert batches_equal(got, dataset.batch(8, 50))
+        assert pending_indices(loader._ahead) == [51]
 
     def test_one_wide_pool_is_synchronous(self):
         dataset = RandomRecDataset(tiny_config(), seed=0)
@@ -124,20 +104,14 @@ class TestPrefetchMap:
             calls.append(x)
             return x * x
 
-        pool = WorkerPool(2)
-        try:
-            wrapped = PrefetchMap(fn, items, pool=pool, depth=2)
+        with pooled(2):
+            wrapped = PrefetchMap(fn, items, depth=2)
             assert [wrapped(x) for x in items] == [x * x for x in items]
-        finally:
-            pool.shutdown()
 
     def test_unknown_item_computed_directly(self):
-        pool = WorkerPool(2)
-        try:
-            wrapped = PrefetchMap(lambda x: x + 1, [1, 2, 3], pool=pool)
+        with pooled(2):
+            wrapped = PrefetchMap(lambda x: x + 1, [1, 2, 3])
             assert wrapped(99) == 100
-        finally:
-            pool.shutdown()
 
     def test_serve_driver_prefetches_identically(self):
         """run_serving under a wide pool reproduces the sequential sweep

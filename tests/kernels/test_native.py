@@ -19,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.embedding import EmbeddingBag
-from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, interaction, native, reference, rows as row_kernels
 from repro.kernels import synth, threads
 from repro.kernels.native import build
 from repro.kernels.native.__main__ import LINES, NUMPY_TIER, draw
 from repro.kernels.workspace import Workspace
 from repro.tiering.store import file_backed
-from tests.conftest import TIERED, row_range_for_thread
+from tests.conftest import TIERED, pooled, row_range_for_thread
 from tests.kernels.test_segment import bits, special_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
@@ -181,34 +180,32 @@ class TestShardedEqualsUnsharded:
         w0 = special_values(rng, (table_rows, dim), 0.05)
         idx, offsets, bag_ids = lookups(rng, table_rows, 40, 60)  # runs of ~50 per row
         grads = special_values(rng, (40, dim), 0.05)
-        pool = WorkerPool(threads)
         ranges = []
-        run_sharded = pool.run_sharded
-        pool.run_sharded = lambda fn, work: run_sharded(
-            lambda lo, hi, tid: (ranges.append((lo, hi)), fn(lo, hi, tid)), work
-        )
-        try:
+        with pooled(threads) as pool:
+            run_sharded = pool.run_sharded
+            pool.run_sharded = lambda fn, work: run_sharded(
+                lambda lo, hi, tid: (ranges.append((lo, hi)), fn(lo, hi, tid)), work
+            )
             want, got = w0.copy(), w0.copy()
             reference.scatter_add(want, idx, grads[bag_ids])
-            assert native.scatter_add_exact(got, idx, grads, offsets, pool=pool)
+            assert native.scatter_add_exact(got, idx, grads, offsets)
             np.testing.assert_array_equal(bits(got), bits(want))
 
-            got = native.pool_rows(w0, idx, offsets, pool=pool)
+            got = native.pool_rows(w0, idx, offsets)
             np.testing.assert_array_equal(
                 bits(got), bits(reference.segment_sum(w0[idx], offsets))
             )
 
-            sharded, whole = halves(w0), halves(w0)
-            assert native.split_scatter_add(*sharded, 16, idx, grads, offsets, pool=pool)
-            assert native.split_scatter_add(*whole, 16, idx, grads, offsets, pool=WorkerPool(1))
-            np.testing.assert_array_equal(np.stack(sharded), np.stack(whole))
-            if threads > 1:  # the scatter's shards are Alg. 4's row ranges
-                assert sorted(ranges[:threads]) == [
-                    row_range_for_thread(table_rows, t, threads) for t in range(threads)
-                ]
-                assert len(ranges) == 3 * threads
-        finally:
-            pool.shutdown()
+            sharded = halves(w0)
+            assert native.split_scatter_add(*sharded, 16, idx, grads, offsets)
+        whole = halves(w0)
+        assert native.split_scatter_add(*whole, 16, idx, grads, offsets)
+        np.testing.assert_array_equal(np.stack(sharded), np.stack(whole))
+        if threads > 1:  # the scatter's shards are Alg. 4's row ranges
+            assert sorted(ranges[:threads]) == [
+                row_range_for_thread(table_rows, t, threads) for t in range(threads)
+            ]
+            assert len(ranges) == 3 * threads
 
 
 @needs_native

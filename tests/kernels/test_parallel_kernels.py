@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.embedding import SplitEmbeddingBag
-from repro.exec.pool import WorkerPool
 from repro.kernels import dispatch, native, reference, threads
 from repro.kernels.native import build
 from tests.conftest import bag_of, pooled
@@ -24,14 +23,6 @@ WORKER_COUNTS = (2, 3, 4)
 needs_native = pytest.mark.skipif(
     build.library() is None, reason=f"native tier unavailable: {build.load()[1]}"
 )
-
-
-@pytest.fixture(scope="module")
-def pools():
-    created = {w: WorkerPool(w) for w in WORKER_COUNTS}
-    yield created
-    for pool in created.values():
-        pool.shutdown()
 
 
 @pytest.fixture(autouse=True)
@@ -57,40 +48,43 @@ def duplicate_heavy_indices(rng, nnz=4000, n_rows=300):
 
 class TestSegmentKernelsParallel:
     @needs_native
-    def test_segment_sum_ragged(self, rng, pools):
+    def test_segment_sum_ragged(self, rng):
         rows, offsets = ragged_problem(rng)
         look = np.arange(rows.shape[0])
-        want = native.pool_rows(rows, look, offsets, pool=WorkerPool(1))
+        want = native.pool_rows(rows, look, offsets)
         np.testing.assert_array_equal(want, reference.segment_sum(rows, offsets))
-        for w, pool in pools.items():
-            got = native.pool_rows(rows, look, offsets, pool=pool)
+        for w in WORKER_COUNTS:
+            with pooled(w):
+                got = native.pool_rows(rows, look, offsets)
             assert np.array_equal(got, want), f"workers={w}"
 
     @needs_native
-    def test_segment_sum_equal_length_bags(self, rng, pools):
+    def test_segment_sum_equal_length_bags(self, rng):
         dim, n_bags, length = 16, 512, 4
         rows = rng.standard_normal((n_bags * length, dim)).astype(np.float32)
         offsets = np.arange(0, n_bags * length + 1, length, dtype=np.int64)
         look = np.arange(rows.shape[0])
-        want = native.pool_rows(rows, look, offsets, pool=WorkerPool(1))
-        for w, pool in pools.items():
-            got = native.pool_rows(rows, look, offsets, pool=pool)
+        want = native.pool_rows(rows, look, offsets)
+        for w in WORKER_COUNTS:
+            with pooled(w):
+                got = native.pool_rows(rows, look, offsets)
             assert np.array_equal(got, want), f"workers={w}"
 
     @needs_native
-    def test_scatter_add_exact(self, rng, pools):
+    def test_scatter_add_exact(self, rng):
         indices = duplicate_heavy_indices(rng)
         deltas = rng.standard_normal((indices.size, 16)).astype(np.float32)
         base = rng.standard_normal((300, 16)).astype(np.float32)
         want = base.copy()
         np.add.at(want, indices, deltas)
-        for w, pool in pools.items():
+        for w in WORKER_COUNTS:
             weight = base.copy()
-            assert native.scatter_add_exact(weight, indices, deltas, pool=pool)
+            with pooled(w):
+                assert native.scatter_add_exact(weight, indices, deltas)
             assert np.array_equal(weight, want), f"workers={w}"
 
     @needs_native
-    def test_one_row_holding_most_of_the_payload(self, rng, pools):
+    def test_one_row_holding_most_of_the_payload(self, rng):
         """Row ranges with a hot row in one of them: the other ranges
         finish early, and the hot row still has one owner."""
         indices = rng.permutation(
@@ -100,9 +94,10 @@ class TestSegmentKernelsParallel:
         base = rng.standard_normal((300, 16)).astype(np.float32)
         want = base.copy()
         np.add.at(want, indices, deltas)
-        for w, pool in pools.items():
+        for w in WORKER_COUNTS:
             weight = base.copy()
-            assert native.scatter_add_exact(weight, indices, deltas, pool=pool)
+            with pooled(w):
+                assert native.scatter_add_exact(weight, indices, deltas)
             assert np.array_equal(weight, want), f"workers={w}"
 
     def test_scatter_add_via_global_pool(self, rng):

@@ -26,28 +26,24 @@ STEPS = 3
 def run_training(workers: int, storage: str, exchange: str = "alltoall"):
     cfg = tiny_config(num_tables=4, rows=200, minibatch=16)
     dataset = RandomRecDataset(cfg, seed=3)
-    pool = WorkerPool(workers)
-    try:
-        cluster = SimCluster(RANKS, platform="cluster")
-        dist = DistributedDLRM(
-            cfg, cluster, seed=1, storage=storage, exchange=exchange, pool=pool
-        )
-        dist.attach_optimizers(lambda: SGD(lr=0.05))
-        losses = [
-            dist.train_step(dataset.batch(cfg.global_minibatch, i))
-            for i in range(STEPS)
-        ]
-        probs = dist.predict_proba(dataset.batch(cfg.global_minibatch, 99))
-        return {
-            "losses": losses,
-            "state": dist.state_dict(),
-            "opt": dist.optimizer_state_dict(),
-            "probs": probs,
-            "clocks": [c.now for c in cluster.clocks],
-            "profiles": [dict(p._times) for p in cluster.profilers],
-        }
-    finally:
-        pool.shutdown()
+    cluster = SimCluster(RANKS, platform="cluster")
+    dist = DistributedDLRM(
+        cfg, cluster, seed=1, storage=storage, exchange=exchange, pool=WorkerPool(workers)
+    )
+    dist.attach_optimizers(lambda: SGD(lr=0.05))
+    losses = [
+        dist.train_step(dataset.batch(cfg.global_minibatch, i))
+        for i in range(STEPS)
+    ]
+    probs = dist.predict_proba(dataset.batch(cfg.global_minibatch, 99))
+    return {
+        "losses": losses,
+        "state": dist.state_dict(),
+        "opt": dist.optimizer_state_dict(),
+        "probs": probs,
+        "clocks": [c.now for c in cluster.clocks],
+        "profiles": [dict(p._times) for p in cluster.profilers],
+    }
 
 
 @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])

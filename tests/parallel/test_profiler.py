@@ -1,9 +1,8 @@
-"""Profiler, virtual clock and report rendering."""
+"""The virtual-clock Profiler and VirtualClock of ``repro.parallel.cluster``."""
 
 import pytest
 
 from repro.parallel.cluster import COMM_BUCKETS, Profiler, VirtualClock
-from repro.util import format_seconds, format_table
 
 
 class TestVirtualClock:
@@ -83,28 +82,3 @@ class TestProfiler:
         p.add("x", 1.0)
         p.clear()
         assert p.total() == 0.0
-
-
-class TestReport:
-    def test_format_seconds_units(self):
-        assert format_seconds(2.0) == "2.00 s"
-        assert format_seconds(0.0388) == "38.8 ms"
-        assert format_seconds(5e-5) == "50.0 us"
-        assert format_seconds(3e-8) == "30 ns"
-        with pytest.raises(ValueError):
-            format_seconds(-1)
-
-    def test_format_table_alignment(self):
-        rows = [{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}]
-        out = format_table(rows, title="T")
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "b" in lines[1]
-        assert len(lines) == 5
-
-    def test_format_table_empty(self):
-        assert "(no rows)" in format_table([])
-
-    def test_format_table_column_selection(self):
-        out = format_table([{"a": 1, "b": 2}], columns=["b"])
-        assert "a" not in out.splitlines()[0]

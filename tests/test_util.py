@@ -1,4 +1,4 @@
-"""Table rendering and duration formatting of the benchmark harness."""
+"""``repro.util``: table rendering and duration formatting."""
 
 import pytest
 
@@ -67,3 +67,28 @@ class TestFormatTable:
     def test_empty_rows(self):
         assert format_table([]) == "(no rows)"
         assert format_table([], title="T") == "T\n(no rows)"
+
+
+class TestReport:
+    def test_format_seconds_units(self):
+        assert format_seconds(2.0) == "2.00 s"
+        assert format_seconds(0.0388) == "38.8 ms"
+        assert format_seconds(5e-5) == "50.0 us"
+        assert format_seconds(3e-8) == "30 ns"
+        with pytest.raises(ValueError):
+            format_seconds(-1)
+
+    def test_format_table_alignment(self):
+        rows = [{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}]
+        out = format_table(rows, title="T")
+        lines = out.splitlines()
+        assert lines[0] == "T"
+        assert "a" in lines[1] and "b" in lines[1]
+        assert len(lines) == 5
+
+    def test_format_table_empty(self):
+        assert "(no rows)" in format_table([])
+
+    def test_format_table_column_selection(self):
+        out = format_table([{"a": 1, "b": 2}], columns=["b"])
+        assert "a" not in out.splitlines()[0]
