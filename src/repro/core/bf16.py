@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.rows import lo_mask
-
 
 def fp32_to_bf16_rne(x: np.ndarray) -> np.ndarray:
     """Round FP32 to BF16 (round-to-nearest-even), returned as uint16 bits.
@@ -62,19 +60,6 @@ def quantize_bf16(x: np.ndarray) -> np.ndarray:
     return bf16_to_fp32(fp32_to_bf16_rne(x))
 
 
-def split_fp32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split FP32 into (hi, lo) uint16 halves by *truncation*.
-
-    The paper stores the 16 MSBs as the model weight ("a valid BFLOAT16
-    number") and the 16 LSBs as optimizer state; note the split truncates
-    rather than rounds, so reconstruction is exact.
-    """
-    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
-    hi = (bits >> np.uint32(16)).astype(np.uint16)
-    lo = (bits & np.uint32(0xFFFF)).astype(np.uint16)
-    return hi, lo
-
-
 def combine_fp32(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Reassemble FP32 from its two 16-bit halves, bit-exactly."""
     hi = np.asarray(hi, dtype=np.uint16)
@@ -83,20 +68,6 @@ def combine_fp32(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         raise ValueError(f"hi/lo shape mismatch: {hi.shape} vs {lo.shape}")
     bits = (hi.astype(np.uint32) << np.uint32(16)) | lo.astype(np.uint32)
     return bits.view(np.float32)
-
-
-def truncate_lo_bits(lo: np.ndarray, keep_bits: int) -> np.ndarray:
-    """Keep only the ``keep_bits`` MSBs of the low half (zero the rest).
-
-    ``keep_bits=8`` yields the paper's FP24 (1-8-15) experiment: 16 MSBs
-    plus 8 extra mantissa LSBs.  ``keep_bits=16`` is a no-op, ``0`` drops
-    the low half entirely (pure BF16 weights).
-    """
-    mask = lo_mask(keep_bits)
-    lo = np.asarray(lo, dtype=np.uint16)
-    if keep_bits == 16:
-        return lo.copy()
-    return lo & mask
 
 
 def bf16_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

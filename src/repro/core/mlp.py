@@ -10,18 +10,22 @@ two backward GEMMs
 All three passes call one product function, the layer's engine: plain
 ``np.matmul`` (the PyTorch/MKL baseline) for ``reference``, and the
 emulated BF16 dot product :func:`~repro.core.bf16.bf16_dot` for
-``bf16``.  The paper's Alg. 5 (blocked layouts and a batch-reduce GEMM)
-is priced by the cost model (:mod:`repro.hw.costmodel`), not executed.
+``bf16``.  Large ``reference`` products with a home (``out=``) run as
+Alg. 5's static row blocks on two threads (``FullyConnected._product``);
+its blocked layouts and batch-reduce GEMM are priced by the cost model
+(:mod:`repro.hw.costmodel`), not executed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.bf16 import bf16_dot
 from repro.core.param import Parameter, Prefixed, checked_entry
+from repro.exec.pool import fork_join
 from repro.kernels.workspace import Workspace
 
 #: The product ``a @ b`` (into ``out=`` when given) of each GEMM engine:
@@ -31,10 +35,6 @@ from repro.kernels.workspace import Workspace
 #: speed-up the MLP portions").
 _PRODUCTS = {"reference": np.matmul, "bf16": bf16_dot}
 ENGINES = tuple(_PRODUCTS)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -53,17 +53,12 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _matmul_into(ws: Workspace, key: str, dot, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``dot(a, b)`` into the workspace buffer named ``key``.
+#: A product splits from ``SPLIT_ROWS`` rows and ``SPLIT_MACS`` multiply-adds:
+#: below ~300 us on one core, the hand-off's round trip eats what it saves.
+SPLIT_ROWS, SPLIT_MACS = 128, 16 << 20
 
-    Falls back to a fresh allocation when either operand aliases the
-    buffer (self-feeding calls: the GEMM must never write what it is
-    reading).
-    """
-    out = ws.take(key, (a.shape[0], b.shape[1]))
-    if np.may_share_memory(a, out) or np.may_share_memory(b, out):
-        return dot(a, b)
-    return dot(a, b, out=out)
+#: Split geometry -> whether the split gave the whole call's bits.
+_agrees: dict[tuple, bool] = {}
 
 
 class FullyConnected:
@@ -171,7 +166,8 @@ class FullyConnected:
             and out.flags["C_CONTIGUOUS"]
             and not np.may_share_memory(x, out)
         )
-        z = self._dot(x, self.weight.value.T, out=out if usable else None)
+        w = self.weight.value.T
+        z = self._product(x, w, out) if usable else self._dot(x, w)
         z += self.bias.value
         if self.activation == "relu":
             np.maximum(z, 0.0, out=z)
@@ -207,12 +203,39 @@ class FullyConnected:
         if self.weight.grad is None:
             # The step's first dW is written straight into the
             # gradient storage (a view of the model's gradient flat).
-            self._dot(dz.T, self._x, out=self.weight.fresh_grad())
+            self._product(dz.T, self._x, self.weight.fresh_grad())
         else:
             self.weight.accumulate_grad(self._dot(dz.T, self._x))
         self.bias.accumulate_grad(dz.sum(axis=0))
-        # BWD_D: dX[N, C] = dz[N, K] @ W[K, C].
-        return _matmul_into(self._ws, "bwd.dx", self._dot, dz, self.weight.value) if input_grad else None
+        if not input_grad:
+            return None
+        # BWD_D: dX[N, C] = dz[N, K] @ W[K, C], into the workspace unless
+        # dz aliases it (the GEMM must never write what it is reading).
+        dx, w = self._ws.take("bwd.dx", self._x.shape), self.weight.value
+        return self._dot(dz, w) if np.may_share_memory(dz, dx) else self._product(dz, w, dx)
+
+    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``a @ b`` into ``out`` (C-contiguous), a large ``reference`` one
+        split by the rows of ``a`` (minibatch rows for FWD and BWD_D, ``K``
+        for BWD_W) at the multiple of 64 nearest half of them: the lower
+        block here, the upper on the helper (:func:`~repro.exec.pool.fork_join`).
+        A geometry's first split is checked against the whole call, digest
+        to digest (allocating nothing); one that disagreed runs whole."""
+        rows = a.shape[0]
+        if self.engine != "reference" or rows < SPLIT_ROWS or rows * a.shape[1] * b.shape[1] < SPLIT_MACS:
+            return self._dot(a, b, out=out)
+        s = 64 * ((rows + 64) // 128)
+        # Not the rows: the serve engine's micro-batches vary in them, not in s.
+        key = (s, a.shape[1], b.shape[1], a.strides, b.strides)
+        agrees = _agrees.get(key)
+        if agrees is False or not fork_join(
+            lambda: self._dot(a[:s], b, out=out[:s]), lambda: self._dot(a[s:], b, out=out[s:])
+        ):
+            return self._dot(a, b, out=out)
+        if agrees is None:
+            split = hashlib.blake2b(out).digest()
+            _agrees[key] = hashlib.blake2b(self._dot(a, b, out=out)).digest() == split
+        return out
 
 
 class MLP:

@@ -47,7 +47,8 @@ from typing import Any
 import numpy as np
 
 from repro.exec.shm import MAILBOX_ENV, ShmArena, ShmBlock, ShmMailbox
-from repro.exec.worker import MODEL, OPT, WORKER_ENV, ProcessRecipe, WorkerSeat, worker_main
+from repro.exec.pool import WORKER_ENV
+from repro.exec.worker import MODEL, OPT, ProcessRecipe, WorkerSeat, worker_main
 from repro.kernels.threads import static_partition
 from repro.obs.aggregate import merge_spans
 from repro.obs.tracer import enabled as trace_enabled

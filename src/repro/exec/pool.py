@@ -27,9 +27,11 @@ result reduction in a **fixed order**:
 The width fixes the partition; the helpers only decide which thread runs
 each shard, so no bit moves at any width or CPU count.  One process-wide
 pool (:func:`get_pool`) is shared by the parallel-rank trainer, the
-sharded kernels and the prefetching data pipeline.  It is 1 wide (inline,
-bit-for-bit the sequential code path) unless :func:`set_pool_workers`
-(the CLI's ``--workers``, a spec's ``parallel.exec_workers``) widens it.
+sharded kernels and the prefetching data pipeline.  It is 1 wide unless
+:func:`set_pool_workers` (the CLI's ``--workers``, a spec's
+``parallel.exec_workers``) widens it; 1 wide it shards nothing, and the
+first helper is free for :func:`fork_join`'s two-block calls (the row
+scatter beside the next batch, the MLP's large GEMMs).
 
 Nested parallelism is defused rather than deadlocked: a task running on
 any lane, the caller's included, sees an effective width of 1
@@ -119,6 +121,26 @@ def pinned(call: Callable[[], R]) -> R:
 
 
 os.register_at_fork(after_in_child=helpers.cache_clear)  # the threads stay in the parent
+
+#: Set in each process-backend worker's environment.
+WORKER_ENV = "_REPRO_MP_WORKER"
+
+
+def fork_join(near: Callable[[], object], far: Callable[[], object]) -> bool:
+    """``far()`` on the first helper, :func:`pinned`, while ``near()`` runs
+    here: True once both are done (an error raised then).  False, running
+    neither, where the helper is not the caller's: there is none, the
+    caller runs a pool task, or a look-ahead holds it (a pool wider than
+    1, or a process-backend worker's 2-wide batch window)."""
+    side = helpers()
+    if not side or _in_worker() or _global_pool.workers > 1 or os.environ.get(WORKER_ENV):
+        return False
+    future = side[0].submit(pinned, far)
+    try:
+        near()
+    finally:
+        future.result()
+    return True
 
 
 def _in_worker() -> bool:

@@ -19,11 +19,10 @@ its lookahead window and computes it directly.
 A 1-wide pool schedules nothing: the consumer builds the next position
 (:meth:`LookAhead.primer`) in ``with beside(work):``, where the first
 call handed to :func:`overlap` (the FP32 row scatter's ``ctypes`` call,
-which releases the GIL) runs on the first of the process's
-:func:`~repro.exec.pool.helpers`, :func:`~repro.exec.pool.pinned` to its
-CPU, while the caller runs ``work()``; with
-no helper (one allowed CPU) or no such call (the NumPy tier, a
-Split-BF16 or sharded scatter) ``work()`` runs as the block ends.
+which releases the GIL) runs on the first helper while the caller runs
+``work()`` (:func:`~repro.exec.pool.fork_join`); with no helper (one
+allowed CPU) or no such call (the NumPy tier, a Split-BF16 or sharded
+scatter) ``work()`` runs as the block ends.
 
 The same determinism argument is what lets the process backend
 (:mod:`repro.exec.mp`) synthesize batches *per worker process* instead
@@ -41,7 +40,7 @@ import sys
 from concurrent.futures import Future
 from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
-from repro.exec.pool import WorkerPool, done, get_pool, helpers, pinned
+from repro.exec.pool import WorkerPool, done, fork_join, get_pool
 from repro.obs.tracer import trace
 
 T = TypeVar("T")
@@ -67,18 +66,11 @@ def beside(work: Callable[[], object] | None) -> Iterator[None]:
 
 def overlap(call: Callable[[], object]) -> None:
     """``call()``, a native call that releases the GIL and reads no Python
-    object: on the first helper, pinned, while the innermost ``beside``
-    block's work runs here, when there are both; else here."""
+    object: beside the innermost ``beside`` block's work where
+    :func:`~repro.exec.pool.fork_join` takes the helper, else here."""
     box = _work.get()
-    side = helpers() if box else ()
-    if not side:
+    if not (box and fork_join(lambda: box.pop()(), call)):
         call()
-        return
-    future = side[0].submit(pinned, call)
-    try:
-        box.pop()()
-    finally:
-        future.result()
 
 
 class LookAhead(Generic[R]):

@@ -26,16 +26,12 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.exec.pool import WorkerPool, set_pool_workers
+from repro.exec.pool import WORKER_ENV, WorkerPool, set_pool_workers
 from repro.exec.shm import ArenaLayout, ShmArena, ShmBlock, ShmMailbox
 from repro.exec.transport import SpmdRankPool, WorkerTransport
 from repro.kernels.threads import static_partition
 from repro.obs.tracer import Tracer, drain_current, set_tracer
 from repro.resilience.heartbeat import HeartbeatBoard
-
-#: Set in every worker's environment: the nested-use marker
-#: :func:`repro.exec.mp.in_worker_process` reads.
-WORKER_ENV = "_REPRO_MP_WORKER"
 
 #: Key prefixes of the two halves of a rank's state arena.
 MODEL, OPT = "m.", "o."

@@ -105,21 +105,6 @@ def index_stats(indices: np.ndarray, table_rows: int, threads: int = 28) -> Inde
     )
 
 
-def merge_stats(stats: list[IndexStats]) -> IndexStats:
-    """Aggregate per-table stats (tables update sequentially, so totals,
-    conflicts and work-weighted imbalance add/average)."""
-    if not stats:
-        return IndexStats(0, 0, 0, 0, 0, 0.0, 1.0)
-    total = sum(s.total for s in stats)
-    unique = sum(s.unique for s in stats)
-    dup = sum(s.duplicates for s in stats)
-    max_count = max(s.max_count for s in stats)
-    rows = sum(s.table_rows for s in stats)
-    conflicts = sum(s.conflicts for s in stats)
-    imb = sum(s.imbalance * s.total for s in stats) / total if total else 1.0
-    return IndexStats(total, unique, dup, max_count, rows, conflicts, max(1.0, imb))
-
-
 class ContentionModel:
     """Converts :class:`IndexStats` into strategy-specific time penalties."""
 

@@ -41,8 +41,7 @@ def lo_mask(keep_bits: int) -> np.uint16:
 def split_fp32_into(x: np.ndarray, lo: np.ndarray, keep_bits: int = 16) -> None:
     """The 16 LSBs of C-contiguous FP32 ``x`` move into ``lo`` (same
     shape, ``uint16``; only its ``keep_bits`` MSBs are kept) and ``x``
-    keeps its hi half, a BF16 number widened: ``split_fp32`` +
-    ``truncate_lo_bits`` of :mod:`repro.core.bf16` without a temporary."""
+    keeps its hi half, a BF16 number widened, without a temporary."""
     bits = x.view(np.uint32)
     np.copyto(lo, bits, casting="unsafe")  # uint32 -> uint16 keeps the LSBs
     if keep_bits != 16:

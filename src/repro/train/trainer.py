@@ -345,10 +345,6 @@ class Trainer:
         """The live model weights, consolidated."""
         return self._executor.state_dicts()[0]
 
-    def opt_state_dict(self) -> dict[str, np.ndarray]:
-        """The live optimizer state, consolidated."""
-        return self._executor.state_dicts()[1]
-
     def save_checkpoint(self, path: str | Path) -> None:
         """Write model + optimizer + step (+ spec) as one ``.npz``,
         straight from the live storage."""

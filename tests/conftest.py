@@ -259,11 +259,26 @@ def pooled(workers: int):
         set_pool_workers(before)
 
 
+def split_fp32(x) -> tuple[np.ndarray, np.ndarray]:
+    """The (hi, lo) uint16 halves of FP32 ``x``, split by *truncation*: the
+    paper's Split-BF16 weight (a valid BF16 number) and its optimizer
+    state, ``hi || lo`` the FP32 master bit for bit."""
+    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
+    return (bits >> np.uint32(16)).astype(np.uint16), (bits & np.uint32(0xFFFF)).astype(np.uint16)
+
+
+def truncate_lo_bits(lo, keep_bits: int) -> np.ndarray:
+    """A copy of the low halves ``lo`` keeping only their ``keep_bits``
+    MSBs: 8 is the paper's FP24 (1-8-15), 0 pure BF16 weights."""
+    from repro.kernels.rows import lo_mask
+
+    return np.asarray(lo, dtype=np.uint16) & lo_mask(keep_bits)
+
+
 def bag_of(weight, cls=None, **kwargs):
     """A ``cls`` table (:class:`EmbeddingBag` by default) holding the FP32
     ``weight`` bit-exactly, through :meth:`load_state_dict`; a
     Split-BF16 one keeps ``lo_bits`` of its low halves."""
-    from repro.core.bf16 import split_fp32, truncate_lo_bits
     from repro.core.embedding import EmbeddingBag
     from repro.kernels.workspace import aligned_empty
 
@@ -347,6 +362,11 @@ def state_bytes(opt, params, tables=()) -> int:
     row-wise optimizer's sparse state)."""
     dense = 0 if opt.state_key is None else sum(opt.state_view(p).nbytes for p in params)
     return dense + sum(t.rows * 4 for t in tables)
+
+
+def opt_state(trainer) -> dict:
+    """A trainer's live optimizer state, consolidated."""
+    return trainer._executor.state_dicts()[1]
 
 
 def state_digest(state: dict) -> str:

@@ -11,10 +11,10 @@ from repro.core.bf16 import (
     bf16_to_fp32,
     combine_fp32,
     quantize_bf16,
-    split_fp32,
-    truncate_lo_bits,
 )
 from repro.kernels.rows import split_fp32_into
+
+from tests.conftest import split_fp32, truncate_lo_bits
 
 finite_f32 = hnp.arrays(
     np.float32,

@@ -18,7 +18,7 @@ from repro.core.optim import SGD, SplitSGD
 from repro.core.param import DenseSlab, Parameter
 from repro.kernels.workspace import LINE_BYTES
 from repro.train import make_trainer
-from tests.conftest import pending_grads, random_batch, tiny_config
+from tests.conftest import opt_state, pending_grads, random_batch, tiny_config
 from tests.train.test_trainer import tiny_spec
 
 
@@ -243,7 +243,7 @@ class TestResumeKeepsTheSlab:
         assert resumed.losses[-3:] == straight.losses[-3:]
         for a, b in (
             (resumed.model_state_dict(), straight.model_state_dict()),
-            (resumed.opt_state_dict(), straight.opt_state_dict()),
+            (opt_state(resumed), opt_state(straight)),
         ):
             assert set(a) == set(b)
             for key in a:

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bf16 import bf16_to_fp32, combine_fp32, split_fp32, truncate_lo_bits
+from repro.core.bf16 import bf16_to_fp32, combine_fp32
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.kernels import reference, rows as row_kernels
 from repro.kernels.lookup import check_offsets
-from tests.conftest import TIERED, bag_of, capacity_bytes, scatter_add_rows_oracle
+from tests.conftest import (
+    TIERED,
+    bag_of,
+    capacity_bytes,
+    scatter_add_rows_oracle,
+    split_fp32,
+    truncate_lo_bits,
+)
 from tests.kernels.test_segment import bits, special_values
 
 

@@ -13,7 +13,6 @@ import types
 import numpy as np
 import pytest
 
-from repro.core.bf16 import split_fp32, truncate_lo_bits
 from repro.kernels import rows as row_kernels
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.model import DLRM
@@ -29,7 +28,7 @@ from repro.kernels.workspace import aligned_empty
 from repro.tiering.store import build_tiered
 from repro.util import rng_from
 
-from tests.conftest import random_batch, state_digest, tiny_config
+from tests.conftest import random_batch, split_fp32, state_digest, tiny_config, truncate_lo_bits
 
 #: (optimizer, strategy, storage): plain SGD through the fused and the
 #: materialising dispatch, Split-SGD, and an optimizer that overrides

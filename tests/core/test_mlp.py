@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mlp import ENGINES, MLP, FullyConnected, relu, sigmoid
+from repro.core.mlp import ENGINES, MLP, FullyConnected, sigmoid
 
 
 class TestActivations:
     def test_relu(self):
-        x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
-        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 2.0])
+        w = np.array([[-1.0], [0.0], [2.0]], dtype=np.float32)
+        fc = FullyConnected(1, 3, activation="relu", state={"weight": w, "bias": np.zeros(3, np.float32)})
+        np.testing.assert_array_equal(fc.infer(np.ones((1, 1), np.float32)), [[0.0, 0.0, 2.0]])
 
     def test_sigmoid_stable_at_extremes(self):
         x = np.array([-100.0, 0.0, 100.0], dtype=np.float32)
@@ -319,7 +320,7 @@ class TestWorkspaceSteadyState:
         y1 = fc.forward(x)  # workspace view, deliberately not copied
         snapshot = y1.copy()
         y2 = fc.forward(y1)
-        want = relu(snapshot @ fc.weight.value.T + fc.bias.value)
+        want = np.maximum(snapshot @ fc.weight.value.T + fc.bias.value, 0.0)
         np.testing.assert_allclose(y2, want, rtol=1e-5, atol=1e-6)
 
     def test_self_feeding_backward_is_safe(self, rng):

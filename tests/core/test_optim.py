@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bf16 import combine_fp32, quantize_bf16, split_fp32
+from repro.core.bf16 import combine_fp32, quantize_bf16
 from repro.core.embedding import EmbeddingBag, SparseGrad, SplitEmbeddingBag
 from repro.core import optim
 from repro.core.model import DLRM
@@ -22,6 +22,7 @@ from tests.conftest import (
     pending_grads,
     racefree_update_oracle,
     random_batch,
+    split_fp32,
     state_bytes,
     tiny_config,
 )

@@ -3,7 +3,8 @@
 At pool width 1 :class:`~repro.exec.executor.LocalExecutor` builds batch
 ``k+1`` during step ``k``: beside the FP32 row scatter, which runs on
 the first of the process's helper threads (:func:`repro.exec.pool.helpers`),
-or after the update where no such scatter runs.  These tests hold that to *when*,
+or after the update where no such scatter runs.  The same helper takes
+the upper row block of the MLP's large GEMMs.  These tests hold that to *when*,
 never *what*: the same losses and state bits as a process with one
 allowed CPU (which has no helper), the scatter applied once whatever
 the synthesis does, the primed batch dropped on a jump, every span on
@@ -58,6 +59,14 @@ def criteo_spec(storage: str = "fp32", optimizer: str = "sgd", steps: int = 5) -
             "schedule": {"steps": steps, "eval_size": 64},
         }
     )
+
+
+def mlp_spec(steps: int = 3) -> RunSpec:
+    """``train_mlp``'s MLPs over small tables, at a batch whose large GEMMs split."""
+    workload = json.loads((REPO / "benchmarks/suite/workloads/train_mlp.json").read_text())
+    workload["model"]["overrides"]["table_rows"] = [512] * 4
+    workload["schedule"] = {"steps": steps, "batch_size": 256}
+    return RunSpec.from_dict(workload)
 
 
 def run(spec: RunSpec) -> dict:
@@ -118,16 +127,33 @@ def test_one_allowed_cpu_means_no_helper():
     assert (first_helper() is None) == ONE_CPU
 
 
+def the_same_run_on_one_cpu(spec: RunSpec, tier: str) -> None:
+    got = run(spec)
+    want = one_cpu_child(spec, tier)
+    assert want["tier"] == tier and not want["helper"]
+    assert got == {k: want[k] for k in got}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_the_helper_changes_no_bit(case, kernel_tier, handed):
     spec = criteo_spec(*CASES[case])
-    got = run(spec)
-    want = one_cpu_child(spec, kernel_tier)
-    assert want["tier"] == kernel_tier and not want["helper"]
-    assert got == {k: want[k] for k in got}
-    # The helper took one call a step exactly where an FP32 scatter runs whole.
-    takes = CASES[case][0] == "fp32" and kernel_tier == "native" and not ONE_CPU
-    assert len(handed) == (spec.schedule.steps if takes else 0)
+    the_same_run_on_one_cpu(spec, kernel_tier)
+    # The helper took one call a step where an FP32 scatter runs whole,
+    # and three GEMM shards: the upper K rows of the (512 -> 512) layer's
+    # dW and of the two (1024 -> 1024) layers' (64 rows split no product).
+    takes = CASES[case][0] == "fp32" and kernel_tier == "native"
+    assert len(handed) == (0 if ONE_CPU else spec.schedule.steps * (3 + takes))
+    assert all(fn is pinned for fn, _ in handed)
+
+
+def test_the_split_gemms_change_no_bit(kernel_tier, handed):
+    """``train_mlp``'s MLPs at 256 rows: 15 products a step split (FWD,
+    BWD_D and BWD_W of the five layers above 16 Mi multiply-adds) and
+    give a one-CPU run's bits."""
+    spec = mlp_spec()
+    the_same_run_on_one_cpu(spec, kernel_tier)
+    takes = kernel_tier == "native"  # and the FP32 row scatter
+    assert len(handed) == (0 if ONE_CPU else spec.schedule.steps * (15 + takes))
     assert all(fn is pinned for fn, _ in handed)
 
 
@@ -252,7 +278,7 @@ def test_every_span_comes_from_the_callers_thread(kernel_tier, handed):
     finally:
         set_tracer(None)
     spans = tracer.drain()
-    assert len(handed) == (3 if kernel_tier == "native" and not ONE_CPU else 0)
+    assert len(handed) == (0 if ONE_CPU else 3 * (3 + (kernel_tier == "native")))
     assert {"data.synthesis", "update.sparse"} <= {s["name"] for s in spans}
     assert {s["tid"] for s in spans} == {1}
     assert list(tracer._rings) == [threading.get_ident()]

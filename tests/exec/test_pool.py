@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exec import pool as pool_mod
-from repro.exec.pool import WorkerPool, get_pool, helpers, pinned, set_pool_workers
+from repro.exec.pool import WorkerPool, fork_join, get_pool, helpers, pinned, set_pool_workers
 from repro.kernels.threads import static_partition
 
 REPO = Path(__file__).resolve().parents[2]
@@ -191,6 +191,36 @@ class TestLanes:
 
     def test_one_helper_per_allowed_cpu_but_this_ones(self):
         assert len(helpers()) == len(os.sched_getaffinity(0)) - 1
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """One stand-in helper (its CPU one this process may use) as ``helpers()``."""
+    side = ThreadPoolExecutor(1, "repro-helper-fake", pool_mod._own.__setattr__, ("cpu", max(os.sched_getaffinity(0))))
+    monkeypatch.setattr(pool_mod, "helpers", lambda: (side,))
+    yield side
+    side.shutdown()
+
+
+class TestForkJoin:
+    def test_far_runs_on_the_helper_beside_near(self, helper):
+        both, ran = threading.Barrier(2, timeout=5), {}
+
+        def on(name):
+            return lambda: (both.wait(), ran.__setitem__(name, threading.current_thread().name))
+
+        assert fork_join(on("near"), on("far"))
+        assert ran == {"near": threading.current_thread().name, "far": "repro-helper-fake_0"}
+
+    def test_a_failing_near_raises_once_far_is_done(self, helper):
+        done = []
+
+        def near():
+            raise RuntimeError("near failed")
+
+        with pytest.raises(RuntimeError, match="near failed"):
+            fork_join(near, lambda: (time.sleep(0.05), done.append(1)))
+        assert done == [1]
 
 
 _WIDTH_1_CHILD = """

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import bounded_zipf
-from repro.hw.cache import ContentionModel, IndexStats, index_stats, merge_stats
+from repro.hw.cache import ContentionModel, IndexStats, index_stats
 from repro.kernels.threads import bucket_by_row_ranges
 
 from tests.conftest import row_range_for_thread
@@ -105,18 +105,6 @@ class TestIndexStats:
         assert 0 <= s.conflicts <= s.duplicates
         assert s.imbalance >= 1.0
         assert 1 <= s.max_count <= s.total
-
-
-class TestMergeStats:
-    def test_totals_add(self):
-        a = index_stats(np.array([0, 1]), 10, threads=2)
-        b = index_stats(np.array([0, 0]), 10, threads=2)
-        m = merge_stats([a, b])
-        assert m.total == 4
-        assert m.conflicts == a.conflicts + b.conflicts
-
-    def test_empty_list(self):
-        assert merge_stats([]).total == 0
 
 
 class TestContentionModel:

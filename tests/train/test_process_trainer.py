@@ -17,7 +17,7 @@ import pytest
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
-from tests.conftest import counting_cc, pooled
+from tests.conftest import counting_cc, opt_state, pooled
 from tests.train.test_trainer import tiny_spec
 
 
@@ -73,7 +73,7 @@ class TestProcessBitIdentity:
         sequential, proc = fitted(storage)
         assert proc.losses == sequential.losses
         assert state_equal(proc.model_state_dict(), sequential.dist.state_dict())
-        assert state_equal(proc.opt_state_dict(), sequential.dist.optimizer_state_dict())
+        assert state_equal(opt_state(proc), sequential.dist.optimizer_state_dict())
         assert proc._executor.clocks() == sequential.dist.cluster.snapshot()
 
     def test_fit_matches_thread_pool(self, fitted):
@@ -129,7 +129,7 @@ class TestCrossBackendCheckpoints:
             assert resumed.losses == full.losses[3:]
             assert state_equal(resumed.model_state_dict(), full.dist.state_dict())
             assert state_equal(
-                resumed.opt_state_dict(), full.dist.optimizer_state_dict()
+                opt_state(resumed), full.dist.optimizer_state_dict()
             )
         finally:
             resumed.close()

@@ -19,7 +19,7 @@ import pytest
 from repro.train import RunSpec, load_checkpoint, make_trainer
 from repro.train.trainer import Trainer
 
-from tests.conftest import skip_unless_recorded_here, state_digest
+from tests.conftest import opt_state, skip_unless_recorded_here, state_digest
 from tests.core.test_embedding_slab import arrays, detach_tables
 
 DATA = Path(__file__).parent / "data"
@@ -105,7 +105,7 @@ def test_twenty_steps_equal_the_per_table_twin(combo, executor):
         run.fit()
         assert run.losses == twin.losses
         assert_states_equal(run.model_state_dict(), twin.model_state_dict())
-        assert_states_equal(run.opt_state_dict(), twin.opt_state_dict())
+        assert_states_equal(opt_state(run), opt_state(twin))
         if executor != "process":  # the workers hold the live models
             assert_tables_are_slab_views(run)
     finally:
@@ -167,7 +167,7 @@ class TestCheckpointFromTheParentCommit:
         twin.fit(5)
         assert resumed.losses == twin.losses
         assert_states_equal(resumed.model_state_dict(), twin.model_state_dict())
-        assert_states_equal(resumed.opt_state_dict(), twin.opt_state_dict())
+        assert_states_equal(opt_state(resumed), opt_state(twin))
 
     def test_resumes_to_the_bits_the_parent_reached(self, storage, kernel_tier):
         recorded = json.loads((DATA / "parent_expected.json").read_text())
@@ -177,7 +177,7 @@ class TestCheckpointFromTheParentCommit:
         resumed.fit(recorded["resumed_steps"])
         assert [float(x).hex() for x in resumed.losses] == want["losses"]
         assert state_digest(resumed.model_state_dict()) == want["model"]
-        assert state_digest(resumed.opt_state_dict()) == want["optimizer"]
+        assert state_digest(opt_state(resumed)) == want["optimizer"]
 
 
 def pinned_child(*argv: str, **environ: str) -> str:
@@ -311,12 +311,12 @@ class TestTheTrainingStepAgainstCommit15082ab:
             resumed = Trainer.from_checkpoint(path)
             assert resumed.step == 10
             assert_states_equal(resumed.model_state_dict(), ckpt.model_state)
-            assert_states_equal(resumed.opt_state_dict(), ckpt.opt_state)
+            assert_states_equal(opt_state(resumed), ckpt.opt_state)
             resumed.fit(recorded["steps"] - 10)
             reached[case] = {
                 "final_loss": float(resumed.losses[-1]).hex(),
                 "model": state_digest(resumed.model_state_dict()),
-                "optimizer": state_digest(resumed.opt_state_dict()),
+                "optimizer": state_digest(opt_state(resumed)),
             }
         skip_unless_recorded_here(recorded["host"])
         for case, got in reached.items():
