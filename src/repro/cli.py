@@ -182,7 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "performance knobs (every combination trains bit-identically):\n"
             "  --backend/--workers   execution substrate and pool width\n"
             "  --bucket-mb           issue-as-ready allreduce bucket cap\n"
-            "  spec data.prefetch_depth      batches synthesized ahead\n"
             "  spec tiering.enabled / parallel.placement=auto\n"
             "                        hot/cold embedding storage + planner-\n"
             "                        chosen table owners\n"
@@ -202,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="N",
         help="pool width N (thread backend: the static shards of parallel "
         "ranks and sharded kernels, run on the caller and up to N-1 "
-        "helper threads, the first of which also builds the batch "
-        "prefetch) or worker processes (process backend); default: 1 / "
+        "helper threads) or worker processes (process backend); "
+        "default: 1 / "
         "one process per rank",
     )
     tr.add_argument(

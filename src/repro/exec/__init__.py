@@ -10,10 +10,9 @@ worker processes over shared memory.  A process has one set of threads,
 creator's.  The process-wide ``WorkerPool`` (1 wide unless
 ``set_pool_workers(n)``, the CLI's ``--workers n`` or a spec's
 ``parallel.exec_workers`` say otherwise) shards parallel ranks and
-native kernels over the caller and those helpers, and submits the batch
-prefetch (:mod:`repro.exec.prefetch`) to them.  At width 1 a
-``LocalExecutor`` step builds its next batch while the first helper runs
-the row scatter (:func:`repro.exec.prefetch.beside`).  Every substrate
+native kernels over the caller and those helpers.  An in-process step
+builds its next batch while the first helper runs the row scatter
+(:func:`repro.exec.prefetch.beside`).  Every substrate
 trains bitwise identically: they move *when* work happens, never
 *what*.
 """

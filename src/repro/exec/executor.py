@@ -20,6 +20,9 @@ Every implementation owns its :class:`~repro.exec.prefetch.PrefetchLoader`
 (batches are pure functions of ``(seed, batch_index)``, so only the
 index crosses the interface) and trains bitwise identically: losses,
 consolidated state and virtual clocks do not depend on the executor.
+Both in-process executors build batch ``index + 1`` during step
+``index``: beside the row scatter the first helper thread runs, or after
+the update (:func:`~repro.exec.prefetch.beside`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Protocol
 import numpy as np
 
 from repro.core.mlp import sigmoid
-from repro.exec.pool import WorkerPool, get_pool, set_pool_workers
+from repro.exec.pool import get_pool, set_pool_workers
 from repro.exec.prefetch import PrefetchLoader, beside
 
 if TYPE_CHECKING:
@@ -86,32 +89,27 @@ def _load(model: "DLRM", opt: "SGD", model_state: StateDict, opt_state: StateDic
 
 
 class _InProcessExecutor:
-    """What the two in-process executors share: the batch source and the
-    pool width they asked for."""
+    """What the two in-process executors share: the batch source, the
+    pool width they asked for, and a step that primes the next batch."""
 
     backend = "thread"
 
-    def __init__(
-        self,
-        dataset,
-        batch_size: int,
-        workers: int | None,
-        prefetch_depth: int,
-        prefetch_pool: WorkerPool | None,
-    ):
+    def __init__(self, dataset, batch_size: int, workers: int | None):
         self.dataset = dataset
         self.batch_size = batch_size
-        #: Synthesizes batch ``index+1`` on the pool while ``index``
-        #: trains; a 1-wide pool leaves it to the executor's step.
-        self._prefetch = PrefetchLoader(
-            dataset, batch_size, pool=prefetch_pool, depth=prefetch_depth
-        )
+        self._prefetch = PrefetchLoader(dataset, batch_size)
         #: Width of the process-wide pool before ``workers`` replaced it;
         #: :meth:`close` puts it back.
         self._previous_workers: int | None = None
         if workers is not None:
             self._previous_workers = get_pool().workers
             set_pool_workers(workers)
+
+    def _step(self, index: int, train) -> float:
+        """``train(batch index)``, building batch ``index + 1`` beside it."""
+        batch = self._prefetch.batch(index)
+        with beside(self._prefetch.primer(index + 1)):
+            return train(batch)
 
     def drain_traces(self) -> list[dict[str, Any]]:
         return []
@@ -134,22 +132,15 @@ class LocalExecutor(_InProcessExecutor):
         dataset,
         batch_size: int | None = None,
         workers: int | None = None,
-        prefetch_depth: int = 1,
     ):
-        super().__init__(
-            dataset, batch_size or model.cfg.minibatch, workers, prefetch_depth, None
-        )
+        super().__init__(dataset, batch_size or model.cfg.minibatch, workers)
         self.model = model
         self.optimizer = optimizer
 
     def step(self, index: int, lr: float | None) -> float:
         if lr is not None:
             self.optimizer.lr = lr
-        batch = self._prefetch.batch(index)
-        # On a 1-wide pool batch ``index + 1`` is built here: beside the
-        # row scatter the helper thread runs, or after the update.
-        with beside(self._prefetch.primer(index + 1)):
-            return self.model.train_step(batch, self.optimizer)
+        return self._step(index, lambda batch: self.model.train_step(batch, self.optimizer))
 
     def predict(self, batch: "Batch") -> np.ndarray:
         # The no-grad path: bit-identical to the training forward, but safe
@@ -182,18 +173,10 @@ class InlineRankExecutor(_InProcessExecutor):
         dataset,
         batch_size: int | None = None,
         workers: int | None = None,
-        prefetch_depth: int = 1,
-        prefetch_pool: WorkerPool | None = None,
     ):
         if dist.optimizers is None:
             raise ValueError("attach_optimizers() before building an executor")
-        super().__init__(
-            dataset,
-            batch_size or dist.cfg.global_minibatch,
-            workers,
-            prefetch_depth,
-            prefetch_pool,
-        )
+        super().__init__(dataset, batch_size or dist.cfg.global_minibatch, workers)
         self.dist = dist
         #: Rank 0's replica: dense weights are kept in lock-step by the
         #: allreduce, so it stands for the model wherever one is wanted.
@@ -204,7 +187,7 @@ class InlineRankExecutor(_InProcessExecutor):
         if lr is not None:
             for opt in self.dist.optimizers:
                 opt.lr = lr
-        return self.dist.train_step(self._prefetch.batch(index))
+        return self._step(index, self.dist.train_step)
 
     def predict(self, batch: "Batch") -> np.ndarray:
         return self.dist.predict_proba(batch)

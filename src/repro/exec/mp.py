@@ -47,7 +47,6 @@ from typing import Any
 import numpy as np
 
 from repro.exec.shm import MAILBOX_ENV, ShmArena, ShmBlock, ShmMailbox
-from repro.exec.pool import WORKER_ENV
 from repro.exec.worker import MODEL, OPT, ProcessRecipe, WorkerSeat, worker_main
 from repro.kernels.threads import static_partition
 from repro.obs.aggregate import merge_spans
@@ -64,6 +63,9 @@ _DEFAULT_TIMEOUT = 600.0
 #: semantics); "fork" starts much faster on Linux and accepts
 #: unpicklable factories, at fork's usual caveats.
 _CONTEXT_ENV = "REPRO_MP_CONTEXT"
+
+#: Set in each process-backend worker's environment.
+WORKER_ENV = "_REPRO_MP_WORKER"
 
 
 def in_worker_process() -> bool:
@@ -117,7 +119,6 @@ class ProcessRankExecutor:
         dataset,
         batch_size: int,
         workers: int | None = None,
-        prefetch_depth: int = 1,
         eval_size_hint: int = 0,
         faults: Any = None,
         timeout: float = _DEFAULT_TIMEOUT,
@@ -166,7 +167,6 @@ class ProcessRankExecutor:
             optimizer_factory=dist.optimizer_factory,
             dataset=dataset,
             batch_size=batch_size,
-            prefetch_depth=prefetch_depth,
             trace=self._trace,
             faults=faults,
         )

@@ -26,12 +26,13 @@ result reduction in a **fixed order**:
 
 The width fixes the partition; the helpers only decide which thread runs
 each shard, so no bit moves at any width or CPU count.  One process-wide
-pool (:func:`get_pool`) is shared by the parallel-rank trainer, the
-sharded kernels and the prefetching data pipeline.  It is 1 wide unless
-:func:`set_pool_workers` (the CLI's ``--workers``, a spec's
-``parallel.exec_workers``) widens it; 1 wide it shards nothing, and the
-first helper is free for :func:`fork_join`'s two-block calls (the row
-scatter beside the next batch, the MLP's large GEMMs).
+pool (:func:`get_pool`) is shared by the parallel-rank trainer and the
+sharded kernels.  It is 1 wide unless :func:`set_pool_workers` (the
+CLI's ``--workers``, a spec's ``parallel.exec_workers``) widens it; 1
+wide it shards nothing.  Between the pool's calls the helpers are idle,
+so a caller outside any pool task hands the first one
+:func:`fork_join`'s two-block calls (the row scatter beside the next
+batch, the MLP's large GEMMs) at any width.
 
 Nested parallelism is defused rather than deadlocked: a task running on
 any lane, the caller's included, sees an effective width of 1
@@ -122,18 +123,14 @@ def pinned(call: Callable[[], R]) -> R:
 
 os.register_at_fork(after_in_child=helpers.cache_clear)  # the threads stay in the parent
 
-#: Set in each process-backend worker's environment.
-WORKER_ENV = "_REPRO_MP_WORKER"
-
 
 def fork_join(near: Callable[[], object], far: Callable[[], object]) -> bool:
     """``far()`` on the first helper, :func:`pinned`, while ``near()`` runs
     here: True once both are done (an error raised then).  False, running
-    neither, where the helper is not the caller's: there is none, the
-    caller runs a pool task, or a look-ahead holds it (a pool wider than
-    1, or a process-backend worker's 2-wide batch window)."""
+    neither, where there is no helper or the caller runs a pool task
+    (whose lanes may hold the helper)."""
     side = helpers()
-    if not side or _in_worker() or _global_pool.workers > 1 or os.environ.get(WORKER_ENV):
+    if not side or _in_worker():
         return False
     future = side[0].submit(pinned, far)
     try:
@@ -173,8 +170,8 @@ class WorkerPool:
     byte-for-byte the sequential path.  ``workers>1`` runs task ``i`` on
     lane ``i mod (H+1)`` (lane 0 the caller, lanes ``1..H`` the first
     ``H = min(workers - 1, len(helpers()))`` :func:`helpers`; all on the
-    caller, in order, where ``H`` is 0); ``submit`` takes the first helper;
-    results are always collected in submission order.
+    caller, in order, where ``H`` is 0); results are always collected in
+    submission order.
     """
 
     def __init__(self, workers: int = 1):
@@ -190,15 +187,6 @@ class WorkerPool:
         task (the lanes are busy with the tasks that would wait), the
         configured width everywhere else."""
         return 1 if _in_worker() else self.workers
-
-    def submit(self, fn: Callable[..., R], *args: Any) -> "Future[R]":
-        """Schedule ``fn(*args)`` on the first helper lane; inline (an
-        already-completed future) at effective width 1 or with no
-        helpers."""
-        if self.effective_workers == 1:
-            return done(fn, *args)
-        side = helpers()
-        return side[0].submit(_guarded, fn, args) if side else done(_guarded, fn, args)
 
     def _lanes(self, fn: Callable[..., R], tasks: Sequence[tuple]) -> list[R]:
         """``[fn(*t) for t in tasks]``, task ``i`` on lane ``i mod (H+1)``;

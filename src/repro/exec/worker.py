@@ -8,7 +8,10 @@ backend uses -- over an :class:`~repro.exec.transport.SpmdRankPool`, so
 only its own ranks compute -- and then answers the parent's commands on
 one pipe, each through one entry of a handler table.  Batches are never
 shipped: the worker synthesizes the global batch from
-``(seed, batch_index)``, so commands carry an index, not data.
+``(seed, batch_index)``, so commands carry an index, not data, and its
+executor builds batch ``k+1`` during step ``k`` as the parent's would:
+beside the row scatter on the worker's first helper thread, where its
+slice of the cores leaves it one, else after the update.
 
 Failure has one path.  Whatever goes wrong -- while building, inside a
 command, or because the parent vanished (pipe EOF, liveness poll) -- the
@@ -26,7 +29,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.exec.pool import WORKER_ENV, WorkerPool, set_pool_workers
+from repro.exec.pool import WorkerPool, set_pool_workers
 from repro.exec.shm import ArenaLayout, ShmArena, ShmBlock, ShmMailbox
 from repro.exec.transport import SpmdRankPool, WorkerTransport
 from repro.kernels.threads import static_partition
@@ -50,7 +53,6 @@ class ProcessRecipe:
     optimizer_factory: Callable[[], Any]
     dataset: Any
     batch_size: int
-    prefetch_depth: int = 1
     #: Install a wall-clock tracer in each worker (captured from the
     #: parent's ``repro.obs`` switch at executor construction).
     trace: bool = False
@@ -117,16 +119,8 @@ def _build(seat: WorkerSeat, recipe: ProcessRecipe, stack: ExitStack):
     dist.attach_optimizers(recipe.optimizer_factory)
     arenas = {r: attached(ShmArena(*seat.arenas[r])) for r in range(*seat.rank_range)}
     # The same executor the parent uses for the thread backend, over this
-    # worker's SPMD pool.  A 2-wide pool double-buffers the next batch
-    # index under the current step on this worker's helpers, if its cores
-    # leave it any (bits are index-pure either way).
-    ranks = InlineRankExecutor(
-        dist,
-        recipe.dataset,
-        recipe.batch_size,
-        prefetch_depth=recipe.prefetch_depth,
-        prefetch_pool=WorkerPool(2),
-    )
+    # worker's SPMD pool.
+    ranks = InlineRankExecutor(dist, recipe.dataset, recipe.batch_size)
 
     def step(index: int, lr: float | None) -> float:
         heartbeat.stamp(seat.index, step=index)
@@ -182,13 +176,13 @@ def _serve(seat: WorkerSeat, handlers: dict[str, Callable], heartbeat) -> None:
 
 
 def worker_main(recipe: ProcessRecipe, seat: WorkerSeat) -> None:
-    os.environ[WORKER_ENV] = "1"
+    from repro.exec import mp as mp_mod
+
+    os.environ[mp_mod.WORKER_ENV] = "1"
     _pin_to_cores(seat.index, seat.n_workers)
     # A forked worker inherits the parent's executor registry and pool
     # width; both are parent-owned state that must not leak in (the fork
     # already dropped the parent's helper threads).
-    from repro.exec import mp as mp_mod
-
     mp_mod._EXECUTORS.clear()
     set_pool_workers(1)
     if recipe.trace:

@@ -300,7 +300,6 @@ class CostModel:
         exec_backend: str = "thread",
         workers: int | None = None,
         synth_s: float = 0.0,
-        prefetch_depth: int = 1,
         compute_s: float = 0.0,
         payload_bytes: float = 0.0,
     ) -> float:
@@ -312,11 +311,11 @@ class CostModel:
         worker processes under the process backend), the process
         backend's per-step mailbox round (``payload_bytes`` of cross-rank
         tensors through shared memory), and whatever batch-synthesis
-        time (``synth_s``) the prefetch pipeline fails to hide under
+        time (``synth_s``) the primed next batch fails to hide under
         ``compute_s`` of step compute.  A pure function of its arguments
         -- the ``repro.tune`` deterministic score uses it to rank the
-        ``exec_backend`` / ``exec_workers`` / ``prefetch_depth`` knobs
-        the (backend-invariant) virtual clocks cannot see.
+        ``exec_backend`` / ``exec_workers`` knobs the (backend-invariant)
+        virtual clocks cannot see.
         """
         if exec_backend not in ("thread", "process"):
             raise ValueError(
@@ -340,12 +339,12 @@ class CostModel:
                 + self.calib.mailbox_round_s
                 + self.copy_time(payload_bytes)
             )
-            # Process workers synthesize batches locally and prefetch on
-            # a private pool; synthesis hides like the workers>1 case.
+            # Process workers synthesize batches locally; synthesis
+            # hides like the workers>1 case.
             pool_width = 2
         if synth_s > 0.0:
             if pool_width == 1:
                 overhead += synth_s  # synchronous synthesis: fully exposed
             else:
-                overhead += max(0.0, synth_s - prefetch_depth * max(compute_s, 0.0))
+                overhead += max(0.0, synth_s - max(compute_s, 0.0))
         return overhead

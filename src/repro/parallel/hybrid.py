@@ -151,7 +151,6 @@ class DistributedDLRM:
         storage: str = "fp32",
         lo_bits: int = 16,
         loader_mode: str = "none",
-        gemm_impl: str = "this_work",
         placement: str | list[int] = "round_robin",
         pool: WorkerPool | None = None,
         bucket_mb: float = 4.0,
@@ -220,7 +219,6 @@ class DistributedDLRM:
         self._reduced_view.flags.writeable = False
         self._prices: dict[int, tuple] = {}
         self.loader_mode = loader_mode
-        self.gemm_impl = gemm_impl
         self.optimizers: list[SGD] | None = None
         #: Worker pool for per-rank phase execution (None = the
         #: process-wide pool, resolved at call time).
@@ -236,7 +234,6 @@ class DistributedDLRM:
             storage=storage,
             lo_bits=lo_bits,
             loader_mode=loader_mode,
-            gemm_impl=gemm_impl,
             placement=list(self.owners),
             bucket_mb=self.bucket_mb,
             tiering=tiering,
@@ -281,7 +278,8 @@ class DistributedDLRM:
         batch ``ln``, cluster), computed once: MLP forward by half, MLP
         backward by half and bucket, interaction, loss, dense update."""
         if ln not in self._prices:
-            cfg, cm, impl = self.cfg, self.cluster.cost, self.gemm_impl
+            # Priced as the analytic twin prices this work's GEMMs.
+            cfg, cm, impl = self.cfg, self.cluster.cost, "this_work"
             cores = self.cluster.compute_cores
             shapes = {"top": cfg.top_layer_shapes(), "bottom": cfg.bottom_layer_shapes()}
             buckets = {"top": self.top_buckets.buckets, "bottom": self.bottom_buckets.buckets}

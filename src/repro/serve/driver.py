@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.core.config import DLRMConfig, get_config
 from repro.data.synthetic import bounded_zipf
-from repro.exec.pool import get_pool
-from repro.exec.prefetch import PrefetchMap
 from repro.obs.tracer import trace
 from repro.parallel.cluster import SimCluster
 from repro.resilience.faults import FaultPlan
@@ -149,18 +147,7 @@ def run_serving(
         faults=FaultPlan.parse(params.fault) if params.fault else None,
         policy=degrade,
     )
-    # Sort into dispatch order here (ReplicaSet.serve's own stable sort
-    # is then the identity), so the prefetcher's lookahead window and
-    # the replica loop consume the micro-batches in the same order.
-    ordered = sorted(batches, key=lambda b: b.dispatch_time)
-    indices_for = workload.batch_indices
-    if get_pool().effective_workers > 1:
-        # Synthesize the next micro-batch's index vectors on the pool
-        # while the current one is served.  Synthesis is a pure function
-        # of the micro-batch (and requests never repeat across batches),
-        # so the prefetched vectors are bitwise the direct-call ones.
-        indices_for = PrefetchMap(workload.batch_indices, ordered, depth=2)
-    result = replicas.serve(ordered, indices_for)
+    result = replicas.serve(batches, workload.batch_indices)
     row: dict[str, object] = {
         "label": params.label,
         "policy": params.policy,

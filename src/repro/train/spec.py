@@ -95,16 +95,15 @@ class ModelSpec:
 class DataSpec:
     """Data source: a name in :data:`~repro.train.registry.DATASETS`.
 
-    ``prefetch_depth`` is how many future batches the
-    :class:`~repro.exec.prefetch.PrefetchLoader` schedules ahead of the
-    training step (per worker process under the process backend).
-    Batches are pure functions of ``(seed, batch_index)``, so any depth
-    is bit-identical to synchronous synthesis -- only wall-clock moves.
+    Batches are pure functions of ``(seed, batch_index)``: every
+    executor builds batch ``k+1`` during step ``k``
+    (:mod:`repro.exec.prefetch`, per worker process under the process
+    backend), bit-identical to synchronous synthesis -- only wall-clock
+    moves.
     """
 
     name: str = "random"
     seed: int = 0
-    prefetch_depth: int = 1
     kwargs: dict[str, Any] = field(default_factory=dict)
 
 
@@ -278,8 +277,6 @@ class RunSpec:
             raise ValueError(
                 f"data.name {self.data.name!r} not registered; have {sorted(DATASETS)}"
             )
-        if self.data.prefetch_depth < 1:
-            raise ValueError("data.prefetch_depth must be >= 1")
         if self.update.name not in UPDATE_STRATEGIES:
             raise ValueError(
                 f"update.name {self.update.name!r} not registered; "
@@ -376,7 +373,8 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSpec":
-        """Build a spec from a plain dict, rejecting unknown keys."""
+        """Build a spec from a plain dict, rejecting unknown keys (but for
+        the retired ``data.prefetch_depth``, dropped)."""
         if not isinstance(data, dict):
             raise TypeError(f"RunSpec wants a mapping, got {type(data).__name__}")
         sections = {
@@ -396,7 +394,12 @@ class RunSpec:
         kwargs: dict[str, Any] = {"name": data.get("name", "run")}
         for key, section_cls in sections.items():
             if key in data:
-                kwargs[key] = _from_mapping(section_cls, data[key], f"RunSpec.{key}")
+                section = data[key]
+                if key == "data" and isinstance(section, dict):
+                    # Retired: older specs and checkpoints name the depth
+                    # of a look-ahead that is now one primed batch.
+                    section = {k: v for k, v in section.items() if k != "prefetch_depth"}
+                kwargs[key] = _from_mapping(section_cls, section, f"RunSpec.{key}")
         return cls(**kwargs)
 
     # -- overlay / mutation ---------------------------------------------------

@@ -117,7 +117,6 @@ def _spec_executor(
     common = dict(
         batch_size=batch_size,
         workers=workers if workers is not None else par.exec_workers,
-        prefetch_depth=spec.data.prefetch_depth,
     )
     if par.ranks == 1:
         if backend == "process":

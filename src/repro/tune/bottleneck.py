@@ -5,8 +5,7 @@ Given a per-stage time breakdown (the cost-model prior under
 wall``), :func:`attribute` names the dominant stage and emits the
 actionable hint the successive-halving loop uses to mutate survivors:
 a comm-exposed arm spawns a child with a larger allreduce bucket, a
-data-bound arm a deeper prefetch, a host-bound distributed arm a wider
-pool, and so on.  Attribution is a pure function of the breakdown, so
+host-bound distributed arm a wider pool, and so on.  Attribution is a pure function of the breakdown, so
 under virtual scoring the mutation sequence -- and therefore the whole
 search trajectory -- is deterministic for a fixed seed.
 
@@ -28,12 +27,7 @@ _PLAYBOOK: dict[str, tuple[str | None, int, str]] = {
         "comm-exposed -> raise parallel.bucket_mb (fewer, larger buckets "
         "amortise per-collective overhead)",
     ),
-    "data": (
-        "prefetch_depth",
-        +1,
-        "loader-bound -> raise data.prefetch_depth to hide batch "
-        "synthesis behind compute",
-    ),
+    "data": (None, 0, "loader-bound -> the next batch is already built beside the step"),
     "host": (
         "exec_workers",
         +1,

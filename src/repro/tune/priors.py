@@ -83,14 +83,13 @@ def prior_breakdown(
     known = data + embedding + gemm + update + comm
     other = max(0.0, it.iteration_time - known)
     compute = embedding + gemm + update
-    # Deeper prefetch hides more batch synthesis behind compute; the
-    # payload is the dense features and label a process worker receives.
+    # The primed batch hides synthesis behind compute; the payload is
+    # the dense features and label a process worker receives.
     host = CostModel(CLX_8280, calib).host_overhead_time(
         par.ranks,
         exec_backend=par.exec_backend,
         workers=par.exec_workers,
         synth_s=data,
-        prefetch_depth=spec.data.prefetch_depth,
         compute_s=compute / 4.0,
         payload_bytes=float(batch) * (cfg.dense_features + 1) * 4.0,
     )

@@ -15,7 +15,7 @@ Layout (one JSON object per line, via the shared envelope helpers of
 * a final ``{"type": "result", ...}`` record with the winning arm id
   and the complete winning RunSpec/ServeParams JSON.
 
-Readers reject files whose :data:`TUNE_SCHEMA` differs (raising
+A reader rejects files whose :data:`TUNE_SCHEMA` differs (raising
 :class:`repro.obs.export.SchemaMismatch`) instead of misreading them --
 the same versioning contract telemetry traces follow.  Bump the schema
 whenever a record field changes meaning.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.obs.export import read_versioned_jsonl, write_versioned_jsonl
+from repro.obs.export import write_versioned_jsonl
 from repro.tune.tuner import TuneResult
 
 #: Version of the tuning-report record layout.
@@ -80,9 +80,3 @@ def write_report(
         header_extra=header_extra,
     )
 
-
-def read_report(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read ``(header, records)``; raises
-    :class:`~repro.obs.export.SchemaMismatch` on version skew and
-    ``ValueError`` on files that are not tuning reports."""
-    return read_versioned_jsonl(path, _KIND, "tune_schema", TUNE_SCHEMA)

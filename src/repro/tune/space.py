@@ -97,7 +97,6 @@ class SearchSpace:
         batches = tuple(sorted({halved, batch, batch * 2}))
         knobs = [
             Knob("batch_size", batches, _single("schedule.batch_size")),
-            Knob("prefetch_depth", (1, 2, 4), _single("data.prefetch_depth")),
             Knob("precision", ("fp32", "split_bf16"), _expand_precision),
             Knob("tiering", ("off", "on", "auto"), _expand_tiering),
             Knob(

@@ -17,7 +17,8 @@ import pytest
 from repro.core import mlp
 from repro.core.mlp import SPLIT_MACS, SPLIT_ROWS, FullyConnected
 from repro.exec import pool
-from repro.exec.pool import WORKER_ENV, WorkerPool, helpers
+from repro.exec.mp import WORKER_ENV
+from repro.exec.pool import WorkerPool, helpers
 
 from tests.conftest import pooled
 
@@ -130,17 +131,19 @@ class TestTheProduct:
         assert forks == []
 
     def test_declines_inside_a_pool_task(self, rng, forks):
+        """On the caller's lane and the helper's alike."""
         fc, x = self.big(rng)
         got = WorkerPool(2).map(lambda _: self.fwd(fc, x).copy(), [0, 1])
         for out in got:
             np.testing.assert_array_equal(bits(out), bits(x @ fc.weight.value.T))
         assert forks == [False, False]
 
-    def test_declines_at_pool_width_2(self, rng, forks):
+    def test_splits_from_the_caller_at_pool_width_2(self, rng, forks):
+        """Between the pool's calls its helpers are idle: the product splits."""
         fc, x = self.big(rng)
         with pooled(2):
             np.testing.assert_array_equal(bits(self.fwd(fc, x)), bits(x @ fc.weight.value.T))
-        assert forks == [False]
+        assert forks == [HELPER]
 
     def test_declines_with_no_helper(self, rng, forks, monkeypatch):
         monkeypatch.setattr(pool, "helpers", lambda: ())
@@ -148,11 +151,11 @@ class TestTheProduct:
         np.testing.assert_array_equal(bits(self.fwd(fc, x)), bits(x @ fc.weight.value.T))
         assert forks == [False]
 
-    def test_declines_in_a_process_backend_worker(self, rng, forks, monkeypatch):
+    def test_splits_in_a_process_backend_worker_that_has_a_helper(self, rng, forks, monkeypatch):
         monkeypatch.setenv(WORKER_ENV, "1")
         fc, x = self.big(rng)
         np.testing.assert_array_equal(bits(self.fwd(fc, x)), bits(x @ fc.weight.value.T))
-        assert forks == [False]
+        assert forks == [HELPER]
 
     def test_declines_without_a_home_for_the_product(self, rng, forks):
         """``out=None``: ``infer`` without a buffer and an accumulating dW

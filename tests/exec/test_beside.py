@@ -1,10 +1,10 @@
 """The step's helper thread: the next batch is built beside the row scatter.
 
-At pool width 1 :class:`~repro.exec.executor.LocalExecutor` builds batch
-``k+1`` during step ``k``: beside the FP32 row scatter, which runs on
-the first of the process's helper threads (:func:`repro.exec.pool.helpers`),
-or after the update where no such scatter runs.  The same helper takes
-the upper row block of the MLP's large GEMMs.  These tests hold that to *when*,
+Both in-process executors build batch ``k+1`` during step ``k``: beside
+the first FP32 row scatter, which runs on the first of the process's
+helper threads (:func:`repro.exec.pool.helpers`), or after the update
+where no such scatter runs.  The same helper takes the upper row block
+of the MLP's large GEMMs.  These tests hold that to *when*,
 never *what*: the same losses and state bits as a process with one
 allowed CPU (which has no helper), the scatter applied once whatever
 the synthesis does, the primed batch dropped on a jump, every span on
@@ -24,30 +24,34 @@ import pytest
 
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.exec.executor import LocalExecutor
-from repro.exec.pool import WorkerPool, helpers, pinned
+from repro.exec.pool import helpers, pinned
 from repro.exec.prefetch import PrefetchLoader, beside
 from repro.kernels import dispatch
 from repro.obs import Tracer, set_tracer
 from repro.train import RunSpec, Trainer, make_trainer
 
-from tests.conftest import assert_same_bits, force_kernel_tier, state_digest
+from tests.conftest import assert_same_bits, force_kernel_tier, pooled, state_digest
 from tests.data import batch_bits
+from tests.exec.test_prefetch import batches_equal
 from tests.train.test_process_trainer import dist_spec
 
 REPO = Path(__file__).resolve().parents[2]
 ONE_CPU = len(os.sched_getaffinity(0)) == 1
 
-#: (storage, optimizer): the fused FP32 scatter, Adagrad's per-table
-#: scatters (the first of a step takes the work) and the Split-BF16
-#: update, after which the batch is built instead.
+#: (storage, optimizer, ranks): the fused FP32 scatter, Adagrad's
+#: per-table scatters (the first of a step takes the work), the
+#: Split-BF16 update, after which the batch is built instead, and two
+#: inline ranks (rank 0's first scatter takes it).
 CASES = {
-    "fp32": ("fp32", "sgd"),
-    "split_bf16": ("split_bf16", "split_sgd"),
-    "adagrad": ("fp32", "adagrad"),
+    "fp32": ("fp32", "sgd", 1),
+    "split_bf16": ("split_bf16", "split_sgd", 1),
+    "adagrad": ("fp32", "adagrad", 1),
+    "inline_fp32": ("fp32", "sgd", 2),
 }
 
 
-def criteo_spec(storage: str = "fp32", optimizer: str = "sgd", steps: int = 5) -> RunSpec:
+def criteo_spec(storage: str = "fp32", optimizer: str = "sgd", ranks: int = 1, steps: int = 5) -> RunSpec:
+    """64 rows a rank, so every case's MLP products have one shape."""
     return RunSpec.from_dict(
         {
             "name": "beside",
@@ -56,7 +60,8 @@ def criteo_spec(storage: str = "fp32", optimizer: str = "sgd", steps: int = 5) -
             "optimizer": {"name": optimizer, "lr": 0.05},
             "update": {"name": "fused"},
             "precision": {"storage": storage},
-            "schedule": {"steps": steps, "eval_size": 64},
+            "parallel": {"ranks": ranks, "platform": "cluster"},
+            "schedule": {"steps": steps, "batch_size": 64 * ranks, "eval_size": 64},
         }
     )
 
@@ -136,13 +141,15 @@ def the_same_run_on_one_cpu(spec: RunSpec, tier: str) -> None:
 
 @pytest.mark.parametrize("case", CASES)
 def test_the_helper_changes_no_bit(case, kernel_tier, handed):
+    storage, _, ranks = CASES[case]
     spec = criteo_spec(*CASES[case])
     the_same_run_on_one_cpu(spec, kernel_tier)
     # The helper took one call a step where an FP32 scatter runs whole,
-    # and three GEMM shards: the upper K rows of the (512 -> 512) layer's
-    # dW and of the two (1024 -> 1024) layers' (64 rows split no product).
-    takes = CASES[case][0] == "fp32" and kernel_tier == "native"
-    assert len(handed) == (0 if ONE_CPU else spec.schedule.steps * (3 + takes))
+    # and three GEMM shards a rank: the upper K rows of the (512 -> 512)
+    # layer's dW and of the two (1024 -> 1024) layers' (64 rows split no
+    # product).
+    takes = storage == "fp32" and kernel_tier == "native"
+    assert len(handed) == (0 if ONE_CPU else spec.schedule.steps * (3 * ranks + takes))
     assert all(fn is pinned for fn, _ in handed)
 
 
@@ -240,13 +247,13 @@ class TestThePrimedBatch:
     def test_a_jump_drops_it_and_the_batches_are_the_parents(self):
         cell = ("train_emb", 0, 1.05)
         cfg, n = batch_bits.shape(cell[0])
-        loader = PrefetchLoader(SyntheticCriteoDataset(cfg, seed=0, alpha=1.05), n, WorkerPool(1))
+        loader = PrefetchLoader(SyntheticCriteoDataset(cfg, seed=0, alpha=1.05), n)
         h = hashlib.sha256()
         for i in batch_bits.BATCH_INDICES:  # 0, 1, 17: a hit, then a jump
             b = loader.batch(i)
-            assert sorted(loader._ahead._pending) == []
+            assert loader._primed is None
             loader.primer(i + 1)()
-            assert sorted(loader._ahead._pending) == [i + 1]
+            assert loader._primed[0] == i + 1
             for a in (b.dense, *b.indices, *b.offsets, b.labels):
                 batch_bits._update(h, a)
         recorded = json.loads((REPO / "tests/data/data/parent_7e426b8_batches.json").read_text())
@@ -259,15 +266,24 @@ class TestThePrimedBatch:
         real = ex.model.train_step
         ex.model.train_step = lambda batch, opt: (used.append(batch), real(batch, opt))[1]
         ex.step(0, None), ex.step(1, None), ex.step(5, None)
-        assert sorted(ex._prefetch._ahead._pending) == [6]
+        assert ex._prefetch._primed[0] == 6
         want = ex.dataset.batch(ex.batch_size, 5)
         assert np.array_equal(used[2].dense, want.dense)
         assert all(np.array_equal(a, b) for a, b in zip(used[2].indices, want.indices))
         ex.close()
 
-    def test_a_wider_pool_schedules_it_itself(self):
-        loader = PrefetchLoader(SyntheticCriteoDataset(criteo_spec().build_config()), 8, WorkerPool(2))
-        assert loader.primer(1) is None
+    def test_it_is_primed_at_any_width(self, kernel_tier, handed):
+        """A wider pool leaves the helper to the step: the scatter still
+        takes it, and the next batch is built beside."""
+        with pooled(2):
+            ex = make_trainer(criteo_spec())._executor
+            try:
+                ex.step(0, None)
+                assert ex._prefetch._primed[0] == 1
+                assert batches_equal(ex._prefetch.batch(1), ex.dataset.batch(ex.batch_size, 1))
+            finally:
+                ex.close()
+        assert len(handed) == (0 if ONE_CPU else 3 + (kernel_tier == "native"))
 
 
 def test_every_span_comes_from_the_callers_thread(kernel_tier, handed):

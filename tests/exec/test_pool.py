@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from repro.exec import pool as pool_mod
+from repro.exec.mp import WORKER_ENV
 from repro.exec.pool import WorkerPool, fork_join, get_pool, helpers, pinned, set_pool_workers
 from repro.kernels.threads import static_partition
+
+from tests.conftest import pooled
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -128,14 +131,6 @@ class TestWorkerPool:
         assert pool.map(outer, [0, 1]) == [1, 1]
         assert pool.effective_workers == 2  # guard resets after tasks
 
-    def test_submit_inline_future(self):
-        pool = WorkerPool(1)
-        future = pool.submit(lambda: 42)
-        assert future.result() == 42
-        failing = pool.submit(lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            failing.result()
-
 
 def lanes_of(pool: WorkerPool, shards: int) -> list[threading.Thread]:
     """The thread each of ``shards`` static shards ran on, in tid order."""
@@ -155,16 +150,11 @@ class TestLanes:
     def test_with_no_helpers_every_shard_runs_here(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "helpers", lambda: ())
         assert lanes_of(WorkerPool(4), 4) == [threading.current_thread()] * 4
-        assert WorkerPool(3).submit(threading.current_thread).result() is threading.current_thread()
 
     def test_the_callers_own_shard_sees_width_1(self):
         pool = WorkerPool(3)
         assert pool.run_sharded(lambda lo, hi, tid: pool.effective_workers, 3) == [1, 1, 1]
         assert pool.effective_workers == 3
-
-    def test_a_wide_submit_runs_on_a_helper(self):
-        ran = WorkerPool(2).submit(threading.current_thread).result(timeout=5)
-        assert (ran is threading.current_thread()) == (not helpers())
 
     def test_a_pool_uses_at_most_width_minus_1_helpers(self, monkeypatch):
         side = tuple(ThreadPoolExecutor(1, f"repro-helper-fake{i}") for i in range(4))
@@ -174,7 +164,6 @@ class TestLanes:
             ran = pool.map(lambda _: threading.current_thread(), range(6))
             assert {t.name for t in ran[1::2]} == {"repro-helper-fake0_0"}
             assert ran[::2] == [threading.current_thread()] * 3
-            assert [pool.submit(threading.current_thread).result(timeout=5) for _ in range(3)] == [ran[1]] * 3
         finally:
             for executor in side:
                 executor.shutdown()
@@ -221,6 +210,37 @@ class TestForkJoin:
         with pytest.raises(RuntimeError, match="near failed"):
             fork_join(near, lambda: (time.sleep(0.05), done.append(1)))
         assert done == [1]
+
+    def test_the_caller_of_a_wider_pool_forks(self, helper):
+        """Between the pool's calls its helpers are idle."""
+        with pooled(2):
+            assert fork_join(lambda: None, threading.current_thread) is True
+
+    def test_a_process_backend_worker_with_a_helper_forks(self, helper, monkeypatch):
+        monkeypatch.setenv(WORKER_ENV, "1")
+        assert fork_join(lambda: None, lambda: None) is True
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_it_declines_inside_any_pool_task(self, helper, width):
+        """On every lane, running neither block: a lane may hold the helper."""
+        ran = []
+
+        def task(*_):
+            return fork_join(lambda: ran.append("near"), lambda: ran.append("far"))
+
+        pool = WorkerPool(width)
+        assert pool.map(task, range(4)) == [False] * 4
+        assert pool.run_sharded(task, 4) == [False] * width
+        assert ran == []
+
+    def test_a_one_wide_pool_runs_no_task(self, helper):
+        """It calls ``fn`` in order on the caller, which forks as it would outside."""
+        split = WorkerPool(1).map(lambda _: fork_join(lambda: None, lambda: None), range(2))
+        assert split == [True, True]
+
+    def test_it_declines_with_no_helper(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "helpers", lambda: ())
+        assert fork_join(lambda: 1 / 0, lambda: 1 / 0) is False
 
 
 _WIDTH_1_CHILD = """

@@ -1,15 +1,18 @@
-"""LookAhead and its two callers, PrefetchLoader / PrefetchMap:
-bitwise-deterministic lookahead."""
+"""PrefetchLoader's one primed slot, and both in-process executors filling
+it beside every step: bitwise-deterministic batches at any width."""
 
 import numpy as np
 import pytest
 
 from repro.core.batch import Batch
 from repro.data.synthetic import RandomRecDataset
-from repro.exec.pool import WorkerPool
-from repro.exec.prefetch import LookAhead, PrefetchLoader, PrefetchMap
+from repro.exec.executor import InlineRankExecutor, LocalExecutor
+from repro.exec.prefetch import PrefetchLoader
+from repro.train import make_trainer
 
 from tests.conftest import pooled, tiny_config
+from tests.train.test_process_trainer import dist_spec
+from tests.train.test_trainer import tiny_spec
 
 
 def batches_equal(a: Batch, b: Batch) -> bool:
@@ -24,103 +27,92 @@ def batches_equal(a: Batch, b: Batch) -> bool:
     return True
 
 
-def pending_indices(ahead: LookAhead) -> list[int]:
-    """Positions currently scheduled ahead."""
-    return sorted(ahead._pending)
+class Squares:
+    """A dataset whose batch ``k`` is ``k * k``, recording each call."""
+
+    def __init__(self, bad: int | None = None):
+        self.calls: list[int] = []
+        self.bad = bad
+
+    def batch(self, n: int, index: int) -> int:
+        self.calls.append(index)
+        if index == self.bad:
+            raise RuntimeError(f"batch {index} failed")
+        return index * index
 
 
-class TestLookAhead:
-    def test_schedules_the_window_below_stop_and_recentres_on_a_miss(self):
-        ahead = LookAhead(lambda k: k * k, depth=3, pool=WorkerPool(2), stop=6)
-        assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
-        assert ahead(1) == 1 and pending_indices(ahead) == [2, 3, 4]
-        assert ahead(5) == 25 and pending_indices(ahead) == []  # a miss: window dropped
-        assert ahead(2) == 4 and pending_indices(ahead) == [3, 4, 5]
-
-    def test_a_hit_drops_the_positions_skipped_over(self):
-        ahead = LookAhead(lambda k: k * k, depth=3, pool=WorkerPool(2))
-        assert ahead(0) == 0 and pending_indices(ahead) == [1, 2, 3]
-        # A skip forward onto a scheduled position: 1 and 2 will never
-        # be asked for, so they must not stay (each holds a result).
-        assert ahead(3) == 9 and pending_indices(ahead) == [4, 5, 6]
-
-    def test_a_one_wide_pool_schedules_nothing(self):
-        ahead = LookAhead(lambda k: -k, depth=2, pool=WorkerPool(1))
-        assert [ahead(k) for k in (0, 1, 7)] == [0, -1, -7] and pending_indices(ahead) == []
-
-    def test_depth_is_validated(self):
-        with pytest.raises(ValueError, match="depth"):
-            LookAhead(abs, depth=0)
+def primed(loader: PrefetchLoader) -> int | None:
+    """The index the slot holds, or None."""
+    return None if loader._primed is None else loader._primed[0]
 
 
-class TestPrefetchLoader:
-    def test_sequential_stream_matches_direct_calls(self):
-        cfg = tiny_config()
-        dataset = RandomRecDataset(cfg, seed=7)
-        loader = PrefetchLoader(dataset, batch_size=16, pool=WorkerPool(2))
-        for step in range(6):
-            got = loader.batch(step)
-            want = dataset.batch(16, step)
-            assert batches_equal(got, want)
+class TestTheSlot:
+    def test_a_hit_takes_the_primed_batch(self):
+        data = Squares()
+        loader = PrefetchLoader(data, 8)
+        loader.primer(1)()
+        assert primed(loader) == 1 and data.calls == [1]
+        assert loader.batch(1) == 1 and data.calls == [1]
+        assert primed(loader) is None
 
-    def test_primes_lookahead_window(self):
-        dataset = RandomRecDataset(tiny_config(), seed=0)
-        loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(2), depth=2)
-        loader.batch(0)
-        assert pending_indices(loader._ahead) == [1, 2]
-        loader.batch(1)
-        assert pending_indices(loader._ahead) == [2, 3]
+    def test_a_miss_builds_directly_and_drops_it(self):
+        data = Squares()
+        loader = PrefetchLoader(data, 8)
+        loader.primer(1)()
+        # A jump (checkpoint resume) or a skip: the primed batch is stale.
+        assert loader.batch(5) == 25 and data.calls == [1, 5]
+        assert primed(loader) is None
+        assert loader.batch(1) == 1 and data.calls == [1, 5, 1]
 
-    def test_resume_jump_discards_stale_window(self):
-        dataset = RandomRecDataset(tiny_config(), seed=0)
-        loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(2))
-        loader.batch(0)
-        # Jump (checkpoint resume): miss falls back to a direct call
-        # and the window re-centres past the new cursor.
-        got = loader.batch(50)
-        assert batches_equal(got, dataset.batch(8, 50))
-        assert pending_indices(loader._ahead) == [51]
+    def test_a_failed_synthesis_raises_at_its_own_batch(self):
+        data = Squares(bad=3)
+        loader = PrefetchLoader(data, 8)
+        loader.primer(3)()  # the error waits in the slot
+        with pytest.raises(RuntimeError, match="batch 3 failed"):
+            loader.batch(3)
+        data.bad = None  # a retry builds it afresh
+        assert loader.batch(3) == 9 and data.calls == [3, 3]
 
-    def test_one_wide_pool_is_synchronous(self):
-        dataset = RandomRecDataset(tiny_config(), seed=0)
-        loader = PrefetchLoader(dataset, batch_size=8, pool=WorkerPool(1))
-        assert batches_equal(loader.batch(3), dataset.batch(8, 3))
-        assert pending_indices(loader._ahead) == []
+    def test_another_index_drops_a_failed_one_unraised(self):
+        loader = PrefetchLoader(Squares(bad=3), 8)
+        loader.primer(3)()
+        assert loader.batch(4) == 16 and primed(loader) is None
 
-    def test_batch_size_and_depth_validated(self):
-        dataset = RandomRecDataset(tiny_config(), seed=0)
+    def test_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
-            PrefetchLoader(dataset, batch_size=0)
-        with pytest.raises(ValueError, match="depth"):
-            PrefetchLoader(dataset, batch_size=8, depth=0)
+            PrefetchLoader(Squares(), batch_size=0)
 
 
-class TestPrefetchMap:
-    def test_in_order_consumption_matches_fn(self):
-        items = list(range(10))
-        calls = []
+def test_a_primed_stream_matches_direct_calls():
+    dataset = RandomRecDataset(tiny_config(), seed=7)
+    loader = PrefetchLoader(dataset, batch_size=16)
+    for step in range(6):
+        got = loader.batch(step)
+        loader.primer(step + 1)()
+        assert batches_equal(got, dataset.batch(16, step))
 
-        def fn(x):
-            calls.append(x)
-            return x * x
 
-        with pooled(2):
-            wrapped = PrefetchMap(fn, items, depth=2)
-            assert [wrapped(x) for x in items] == [x * x for x in items]
-
-    def test_unknown_item_computed_directly(self):
-        with pooled(2):
-            wrapped = PrefetchMap(lambda x: x + 1, [1, 2, 3])
-            assert wrapped(99) == 100
-
-    def test_serve_driver_prefetches_identically(self):
-        """run_serving under a wide pool reproduces the sequential sweep
-        row bitwise (index synthesis is pure; only timing of synthesis
-        moves)."""
-        from repro.serve.driver import ServeParams, run_serving
-
-        params = ServeParams(config="small", requests=40, mean_qps=500.0, replicas=2)
-        _, sequential = run_serving(params)
-        with pooled(4):
-            _, parallel = run_serving(params)
-        assert sequential == parallel
+@pytest.mark.parametrize("kind", ["local", "inline"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_every_step_primes_the_next_batch(kind, width):
+    """Both in-process executors, at any pool width (with or without a
+    helper): step ``k`` trains on the dataset's batch ``k`` and leaves
+    ``k + 1`` primed; a jump misses it; the losses are the 1-wide ones."""
+    spec = tiny_spec() if kind == "local" else dist_spec()
+    expected = {"local": LocalExecutor, "inline": InlineRankExecutor}[kind]
+    losses = {}
+    for w in sorted({1, width}):
+        with pooled(w):
+            ex = make_trainer(spec)._executor
+            assert type(ex) is expected
+            seen = []
+            real = ex._prefetch.batch
+            ex._prefetch.batch = lambda i: (seen.append(real(i)), seen[-1])[1]
+            try:
+                losses[w] = [ex.step(i, None) for i in (0, 1, 5)]
+                assert primed(ex._prefetch) == 6
+                for got, i in zip(seen, (0, 1, 5)):
+                    assert batches_equal(got, ex.dataset.batch(ex.batch_size, i))
+            finally:
+                ex.close()
+    assert losses[width] == losses[1]

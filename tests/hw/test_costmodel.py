@@ -174,19 +174,16 @@ class TestHostOverhead:
         wide = cm.host_overhead_time(4, "process", workers=4)
         assert wide < narrow
 
-    def test_prefetch_hides_synthesis(self, cm):
-        exposed = cm.host_overhead_time(
-            2, "thread", workers=2, synth_s=2e-3, prefetch_depth=1, compute_s=5e-4
-        )
-        hidden = cm.host_overhead_time(
-            2, "thread", workers=2, synth_s=2e-3, prefetch_depth=4, compute_s=5e-4
-        )
-        assert hidden < exposed
+    def test_the_primed_batch_hides_synthesis_under_compute(self, cm):
+        base = cm.host_overhead_time(2, "thread", workers=2)
+        exposed = cm.host_overhead_time(2, "thread", workers=2, synth_s=2e-3, compute_s=5e-4)
+        hidden = cm.host_overhead_time(2, "thread", workers=2, synth_s=2e-3, compute_s=3e-3)
+        assert exposed == pytest.approx(base + 1.5e-3) and hidden == base
 
     def test_serial_pool_cannot_hide_synthesis(self, cm):
         base = cm.host_overhead_time(2, "thread", workers=1)
         with_synth = cm.host_overhead_time(
-            2, "thread", workers=1, synth_s=2e-3, prefetch_depth=8, compute_s=1e-3
+            2, "thread", workers=1, synth_s=2e-3, compute_s=1e-3
         )
         assert with_synth == pytest.approx(base + 2e-3)
 

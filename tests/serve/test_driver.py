@@ -8,6 +8,8 @@ from repro.serve.batcher import MicroBatch, Request
 from repro.serve.driver import ServeParams, ServingWorkload, run_serving, sweep_budgets
 from repro.serve.sla import sla_frontier
 
+from tests.conftest import pooled
+
 FAST = ServeParams(config="mlperf", requests=120, mean_qps=4000.0, replicas=2)
 
 
@@ -68,6 +70,14 @@ class TestRunServing:
         _, a = run_serving(FAST)
         _, b = run_serving(FAST)
         assert a == b
+
+    def test_width_2_serves_the_width_1_rows(self):
+        """The pool width moves no bit of the sweep row."""
+        params = ServeParams(config="small", requests=40, mean_qps=500.0, replicas=2)
+        _, narrow = run_serving(params)
+        with pooled(2):
+            _, wide = run_serving(params)
+        assert wide == narrow
 
     @pytest.mark.parametrize("policy", ["static", "dynamic", "adaptive"])
     @pytest.mark.parametrize("router", ["round_robin", "least_loaded", "cache_affinity"])

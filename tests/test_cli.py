@@ -349,7 +349,9 @@ class TestTuneCli:
         assert "final_loss" in capsys.readouterr().out
 
     def test_tune_report_round_trips(self, quick_spec, tmp_path, capsys):
-        from repro.tune.report import TUNE_SCHEMA, read_report
+        from repro.tune.report import TUNE_SCHEMA
+
+        from tests.tune.report_reader import read_report
 
         report = tmp_path / "report.jsonl"
         assert (

@@ -184,12 +184,12 @@ class TestWithOverrides:
         spec = RunSpec().with_overrides(
             {
                 "name": "tuned",
-                "data.prefetch_depth": 4,
+                "data.seed": 4,
                 "schedule.steps": 7,
             }
         )
         assert spec.name == "tuned"
-        assert spec.data.prefetch_depth == 4
+        assert spec.data.seed == 4
         assert spec.schedule.steps == 7
 
     def test_result_revalidates(self):
@@ -217,6 +217,10 @@ class TestWithOverrides:
         base.with_overrides({"schedule.steps": 999})
         assert base.schedule.steps == RunSpec().schedule.steps
 
-    def test_prefetch_depth_validated(self):
-        with pytest.raises(ValueError, match="prefetch_depth"):
-            RunSpec().with_overrides({"data.prefetch_depth": 0})
+    def test_the_retired_prefetch_depth_is_dropped_on_read_only(self):
+        """Older specs and checkpoints name it; nothing may set it."""
+        old = RunSpec().to_dict()
+        old["data"]["prefetch_depth"] = 1
+        assert RunSpec.from_dict(old) == RunSpec()
+        with pytest.raises(ValueError, match="unknown in RunSpec.data"):
+            RunSpec().with_overrides({"data.prefetch_depth": 1})

@@ -24,7 +24,7 @@ def _dist_base() -> RunSpec:
 
 class TestKnob:
     def test_overlay_rejects_unknown_value(self):
-        knob = Knob("k", (1, 2), lambda v: {"data.prefetch_depth": v})
+        knob = Knob("k", (1, 2), lambda v: {"data.seed": v})
         with pytest.raises(ValueError, match="not in"):
             knob.overlay(3)
 
@@ -81,7 +81,7 @@ class TestMutation:
     def test_step_moves_one_knob_up(self):
         space = SearchSpace.train_space(_dist_base())
         [overlay] = space.sample(1, random.Random(3))
-        stepped = space.step(overlay, "prefetch_depth", +1)
+        stepped = space.step(overlay, "coverage_threshold", +1)
         if stepped is not None:
             assert stepped != overlay
             space.validate(stepped)

@@ -8,9 +8,11 @@ import pytest
 
 from repro.obs.export import SchemaMismatch
 from repro.tune.bottleneck import Bottleneck
-from repro.tune.report import TUNE_SCHEMA, read_report, write_report
+from repro.tune.report import TUNE_SCHEMA, write_report
 from repro.tune.trial import TrialResult
 from repro.tune.tuner import Arm, TuneResult
+
+from tests.tune.report_reader import read_report
 
 
 def _result() -> TuneResult:

@@ -17,7 +17,7 @@ from repro.tune.tuner import SuccessiveHalving
 def _toy_space() -> SearchSpace:
     """Two independent integer knobs; every overlay is valid."""
     knobs = [
-        Knob("a", (1, 2, 3), lambda v: {"data.prefetch_depth": v}),
+        Knob("a", (1, 2, 3), lambda v: {"parallel.exec_workers": v}),
         Knob("b", (0.3, 0.5, 0.7), lambda v: {"tiering.coverage_threshold": v}),
     ]
     return SearchSpace(knobs=knobs, validate=lambda ov: ov, flip_prob=0.9)
@@ -53,16 +53,16 @@ def _sha(runner, **kw) -> SuccessiveHalving:
     return SuccessiveHalving(_toy_space(), runner, **defaults)
 
 
-def _depth_score(overlay, arm_id):
-    # Deeper prefetch scores higher; defaults arm gets depth 1.
-    return float(overlay.get("data.prefetch_depth", 1))
+def _width_score(overlay, arm_id):
+    # A wider pool scores higher; defaults arm gets width 1.
+    return float(overlay.get("parallel.exec_workers", 1))
 
 
 class TestDeterminism:
     def test_same_seed_same_winner_and_scores(self):
         runs = []
         for _ in range(2):
-            res = _sha(ScriptedRunner(_depth_score)).run()
+            res = _sha(ScriptedRunner(_width_score)).run()
             runs.append(
                 (
                     res.winner.arm_id,
@@ -73,18 +73,18 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_elimination_order_pinned(self):
-        res = _sha(ScriptedRunner(_depth_score)).run()
+        res = _sha(ScriptedRunner(_width_score)).run()
         # Arm pool is a pure function of seed 0; pin the exact order the
         # weakest arms left the race (worst first within each rung).
-        # Rung 0 drops the two depth-1 sampled arms (worst id last); the
+        # Rung 0 drops the two width-1 sampled arms (worst id last); the
         # baseline would be cut at rung 1 but is protection-exempt, so
         # nothing else ever eliminates.
         assert res.eliminated == [(0, 4), (0, 3)]
         assert res.winner.arm_id == 1
-        assert res.winner.overlay["data.prefetch_depth"] == 2
+        assert res.winner.overlay["parallel.exec_workers"] == 2
 
     def test_rungs_grow_by_eta(self):
-        runner = ScriptedRunner(_depth_score)
+        runner = ScriptedRunner(_width_score)
         _sha(runner).run()
         steps_by_rung = {}
         for rung, _, steps in runner.calls:
@@ -96,7 +96,7 @@ class TestBaselineProtection:
     def test_baseline_reaches_final_rung(self):
         # Baseline (arm 0, empty overlay) scores worst yet still runs at
         # every rung: the winner is provably >= all-defaults.
-        res = _sha(ScriptedRunner(_depth_score)).run()
+        res = _sha(ScriptedRunner(_width_score)).run()
         last = res.rungs[-1]
         assert any(r.arm_id == 0 for r in last)
         baseline = next(r for r in last if r.arm_id == 0)
@@ -109,7 +109,7 @@ class TestBaselineProtection:
 
 class TestFailures:
     def test_failed_arms_score_last_and_search_completes(self):
-        runner = ScriptedRunner(_depth_score, fail_arms={1, 2})
+        runner = ScriptedRunner(_width_score, fail_arms={1, 2})
         res = _sha(runner).run()
         assert res.winner.arm_id not in (1, 2)
         failed = [r for rung in res.rungs for r in rung if not r.ok]
@@ -119,7 +119,7 @@ class TestFailures:
         assert {1, 2} & dropped_r0
 
     def test_all_arms_failing_still_returns_a_winner(self):
-        runner = ScriptedRunner(_depth_score, fail_arms={0, 1, 2, 3, 4})
+        runner = ScriptedRunner(_width_score, fail_arms={0, 1, 2, 3, 4})
         res = _sha(runner).run()
         assert res.winner_result.ok is False
 
@@ -128,7 +128,7 @@ class TestMutation:
     def test_bottleneck_hint_spawns_child(self):
         # Every result points at knob "a" (+1); with mutants=1 each rung
         # adds one child stepping the top survivor's knob.
-        runner = ScriptedRunner(_depth_score)
+        runner = ScriptedRunner(_width_score)
         res = _sha(runner, mutants=1).run()
         mutants = [a for a in res.arms if a.origin.startswith("mutant:")]
         assert mutants
@@ -136,7 +136,7 @@ class TestMutation:
         assert parent_ids <= {a.arm_id for a in res.arms}
 
     def test_mutants_race_in_later_rungs(self):
-        runner = ScriptedRunner(_depth_score)
+        runner = ScriptedRunner(_width_score)
         res = _sha(runner, mutants=1).run()
         mutant_ids = {a.arm_id for a in res.arms if a.origin.startswith("mutant:")}
         raced = {r.arm_id for rung in res.rungs[1:] for r in rung}
@@ -150,7 +150,7 @@ class TestPriorPruning:
         space = _toy_space()
         sha = SuccessiveHalving(
             space,
-            ScriptedRunner(_depth_score),
+            ScriptedRunner(_width_score),
             budget=3,
             seed=0,
             prior=lambda ov: float(len(ov)),
