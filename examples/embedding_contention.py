@@ -44,7 +44,7 @@ def main(rows_n: int = ROWS, dim: int = DIM, lookups: int = LOOKUPS) -> None:
         results = {}
         for name in STRATEGIES:
             table = EmbeddingBag(rows_n, dim, rng=np.random.default_rng(7))
-            make_strategy(name, threads=THREADS).apply(table, grad, lr=0.01)
+            make_strategy(name).apply(table, grad, lr=0.01)
             results[name] = table.weight
         for name in STRATEGIES[1:]:
             np.testing.assert_allclose(

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.bf16 import quantize_bf16
 from repro.core.embedding import EmbeddingBag, SparseGrad
 from repro.core.param import DenseSlab, Parameter, checked_entry
-from repro.core.update import RaceFreeUpdate, UpdateStrategy
+from repro.core.update import FusedBackwardUpdate, UpdateStrategy
 from repro.kernels.dispatch import sgd_step, split_sgd_step
 from repro.kernels.rows import descend, split_fp32_into
 
@@ -75,7 +75,7 @@ class SGD:
         self.momentum = float(momentum)
         if self.momentum:
             self.state_key = "velocity"
-        self.strategy = strategy or RaceFreeUpdate()
+        self.strategy = strategy or FusedBackwardUpdate("racefree")
         #: slab -> (its state flat, the slots registered with this
         #: optimizer).  Keyed by the slab object, not its ``id``: the
         #: dict keeps the key alive, so a recycled address can never
@@ -254,6 +254,8 @@ class SplitSGD(SGD):
     def _update(self, values: np.ndarray, grads: np.ndarray, lo: np.ndarray) -> None:
         split_sgd_step(values, lo, grads, self.lr, self.lo_bits, self._scratch)
 
+    # SGD's, defined again so the benchmark suite's layer table
+    # (benchmarks/suite/layers.py) can wrap this class's own method.
     def step_dense(self, params: list[Parameter], reduced: np.ndarray | None = None) -> None:
         self._step(params, reduced)
 

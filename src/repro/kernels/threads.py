@@ -13,10 +13,6 @@ output rows and stay bitwise equal to their sequential formulations.
 
 from __future__ import annotations
 
-import numpy as np
-
-_INT64_MAX = np.iinfo(np.int64).max
-
 #: Minimum shardable items (rows, bags, segments) before threads engage.
 PARALLEL_MIN_SEGMENTS = 256
 #: Minimum total float32 elements a kernel moves before threads engage.
@@ -48,23 +44,3 @@ def static_partition(work: int, threads: int) -> list[tuple[int, int]]:
         ((work * t) // threads, (work * (t + 1)) // threads) for t in range(threads)
     ]
 
-
-def bucket_by_row_ranges(indices: np.ndarray, rows: int, threads: int) -> np.ndarray:
-    """Per-thread update counts under Alg. 4's static row partition.
-
-    Thread ``t`` owns rows ``[rows*t // threads, rows*(t+1) // threads)``,
-    so row ``i`` belongs to the last ``t`` with ``rows*t < (i+1)*threads``:
-    ``((i + 1) * threads - 1) // rows``.  That closed form plus one
-    ``bincount`` replaces the ``threads`` full-array mask scans of the
-    naive race-free update.  Returns an ``(threads,)`` int64 count
-    vector identical to what the mask scans produce.
-    """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if rows * threads > _INT64_MAX:
-        raise ValueError("rows * threads must fit in int64")
-    indices = np.asarray(indices, dtype=np.int64)
-    counts = np.bincount(((indices + 1) * threads - 1) // rows, minlength=threads)
-    if counts.shape[0] != threads:
-        raise IndexError("indices out of range")
-    return counts.astype(np.int64, copy=False)

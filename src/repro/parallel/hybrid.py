@@ -12,7 +12,9 @@ order (:class:`repro.comm.ddp.GradientBucketer`, capped at
 ``bucket_mb``) and each bucket's allreduce is issued the moment its
 layers' backward-by-weights completes:
 
-1.  (loader) -- optionally the flawed global-minibatch loader,
+1.  (loader) -- not charged here: batches arrive built; the analytic
+    twin prices the paper's flawed global-minibatch loader
+    (:func:`repro.parallel.timing.model_iteration`'s ``loader_mode``),
 2.  embedding forward on owned tables (full batch),
 3.  **issue** the forward exchange (alltoall / scatters),
 4.  Bottom MLP forward -- the only compute the forward alltoall can hide
@@ -81,9 +83,6 @@ from repro.obs.tracer import trace
 from repro.parallel.cluster import SimCluster
 from repro.tiering.store import build_tiered
 
-LOADER_MODES = ("none", "global", "sharded")
-
-
 def mlp_forward_time(
     cm: CostModel, shapes: list[tuple[int, int]], n: int, impl: str, cores: int
 ) -> float:
@@ -150,7 +149,6 @@ class DistributedDLRM:
         engine: str = "reference",
         storage: str = "fp32",
         lo_bits: int = 16,
-        loader_mode: str = "none",
         placement: str | list[int] = "round_robin",
         pool: WorkerPool | None = None,
         bucket_mb: float = 4.0,
@@ -163,8 +161,6 @@ class DistributedDLRM:
                 f"pure model parallelism needs >= 1 table per rank: "
                 f"{cfg.num_tables} tables < {r} ranks"
             )
-        if loader_mode not in LOADER_MODES:
-            raise ValueError(f"loader_mode must be one of {LOADER_MODES}")
         self.cfg = cfg
         self.cluster = cluster
         if isinstance(placement, str):
@@ -218,7 +214,6 @@ class DistributedDLRM:
         self._reduced_view = self._reduced.view()
         self._reduced_view.flags.writeable = False
         self._prices: dict[int, tuple] = {}
-        self.loader_mode = loader_mode
         self.optimizers: list[SGD] | None = None
         #: Worker pool for per-rank phase execution (None = the
         #: process-wide pool, resolved at call time).
@@ -233,7 +228,6 @@ class DistributedDLRM:
             engine=engine,
             storage=storage,
             lo_bits=lo_bits,
-            loader_mode=loader_mode,
             placement=list(self.owners),
             bucket_mb=self.bucket_mb,
             tiering=tiering,
@@ -255,13 +249,6 @@ class DistributedDLRM:
     @property
     def row_bytes(self) -> int:
         return self.cfg.embedding_dim * 4
-
-    def _charge_loader(self, global_n: int) -> None:
-        if self.loader_mode == "none":
-            return
-        per_rank = global_n if self.loader_mode == "global" else global_n // self.cluster.n_ranks
-        for r in self.cluster.ranks:
-            self.cluster.charge(r, self.cluster.cost.loader_time(per_rank), "data.loader")
 
     def _resolve_pool(self) -> WorkerPool:
         return self.pool if self.pool is not None else get_pool()
@@ -312,7 +299,6 @@ class DistributedDLRM:
         cfg = self.cfg
         shards = global_batch.shard(r_count)
         cluster.charge_all(cm.calib.iteration_overhead_s, "compute.framework")
-        self._charge_loader(gn)
 
         # 2. Embedding forward: owned tables, full global batch.  Every
         # per-rank phase below runs through _map_ranks: concurrent on a

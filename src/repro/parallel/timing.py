@@ -3,10 +3,16 @@
 
 The functional hybrid model runs real numerics, which is fine for tests
 and examples but impossible at paper scale (the MLPerf config alone holds
-~96 GB of tables).  This module replays the *exact same* charging
-sequence -- same phases, same cost-model calls, same collective issue
-points -- using only shapes and sampled index statistics.  A unit test
-pins the two engines together on a scaled-down config.
+~96 GB of tables).  This module charges the same phases through the same
+cost-model calls using only shapes and sampled index statistics.  The
+two are twins, not replicas: the functional step always buckets its
+allreduce and charges no loader, while :func:`model_iteration` defaults
+to the classic two-allreduce schedule (``bucket_mb=None``) and charges
+the global-minibatch loader for the MLPerf config.  Its index statistics
+are sampled independently.  ``tests/parallel/test_consistency.py`` pins
+them on a scaled-down config: the same phase categories, compute and
+framework charges within 5 %, embedding totals within 30 % and the
+iteration time within 20 %.
 
 Every figure of Sect. VI-D (Figs. 9-15) is generated by sweeping
 :func:`model_iteration` over rank counts, exchange strategies, backends

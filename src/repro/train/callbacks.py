@@ -17,7 +17,6 @@ stopper sees the evaluation of the step that just finished.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -190,35 +189,6 @@ class LRScheduleCallback(Callback):
         # The executor sets it on every optimizer it owns (in whatever
         # process they live) at the top of this step.
         trainer.lr = self.last_lr = float(self.schedule.lr_at(step))
-
-
-class CheckpointCallback(Callback):
-    """Save a checkpoint every ``every`` steps (and at fit end).
-
-    Files land in ``directory/step_<n>.npz``; ``latest`` tracks the most
-    recent path for easy resumption.
-    """
-
-    def __init__(self, directory: str | Path, every: int):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.directory = Path(directory)
-        self.every = every
-        self.latest: Path | None = None
-
-    def _save(self, trainer: "Trainer") -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / f"step_{trainer.step}.npz"
-        trainer.save_checkpoint(path)
-        self.latest = path
-
-    def on_step_end(self, trainer: "Trainer", step: int, loss: float) -> None:
-        if (step + 1) % self.every == 0:
-            self._save(trainer)
-
-    def on_fit_end(self, trainer: "Trainer") -> None:
-        if self.latest is None or self.latest.name != f"step_{trainer.step}.npz":
-            self._save(trainer)
 
 
 class StepTimer(Callback):

@@ -10,18 +10,12 @@ it.  :func:`repro.core.update.make_strategy` is a look-up in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
-from repro.core.update import (
-    AtomicXchgUpdate,
-    FusedBackwardUpdate,
-    RaceFreeUpdate,
-    ReferenceUpdate,
-    RTMUpdate,
-    UpdateStrategy,
-)
+from repro.core.update import FusedBackwardUpdate, UpdateStrategy
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.data.synthetic import RandomRecDataset
 
@@ -44,20 +38,15 @@ OPTIMIZERS: dict[str, Callable[..., Any]] = {
 }
 
 
-def _strategy_factory(cls: type[UpdateStrategy]) -> Callable[..., UpdateStrategy]:
-    threaded = issubclass(cls, FusedBackwardUpdate)
-
-    def make(threads: int = 28) -> UpdateStrategy:
-        return cls(threads) if threaded else cls()
-
-    return make
-
-
 #: Sparse update strategies (paper Sect. III-A), by cost key:
-#: ``factory(threads=28)``.  The one strategy table.
+#: ``factory()``.  The one strategy table: ``racefree`` and ``fused``
+#: take bag-level gradients, the rest the materialised ones.
 UPDATE_STRATEGIES: dict[str, Callable[..., Any]] = {
-    cls.cost_key: _strategy_factory(cls)
-    for cls in (ReferenceUpdate, AtomicXchgUpdate, RTMUpdate, RaceFreeUpdate, FusedBackwardUpdate)
+    "reference": partial(UpdateStrategy, "reference"),
+    "atomic": partial(UpdateStrategy, "atomic"),
+    "rtm": partial(UpdateStrategy, "rtm"),
+    "racefree": partial(FusedBackwardUpdate, "racefree"),
+    "fused": partial(FusedBackwardUpdate, "fused"),
 }
 
 #: Datasets: ``factory(cfg, seed=0, **kwargs) -> RandomRecDataset``.

@@ -11,7 +11,7 @@ config file::
       "model":     {"config": "mlperf", "rows_cap": 2000, "seed": 5},
       "data":      {"name": "criteo", "seed": 0},
       "optimizer": {"name": "split_sgd", "lr": 0.15},
-      "update":    {"name": "racefree", "threads": 28},
+      "update":    {"name": "racefree"},
       "precision": {"storage": "split_bf16", "lo_bits": 16},
       "parallel":  {"ranks": 1},
       "schedule":  {"steps": 200, "eval_every": 50}
@@ -45,6 +45,28 @@ from repro.train.registry import (
 
 #: Fields of DLRMConfig that JSON round-trips as lists but must be tuples.
 _TUPLE_FIELDS = ("table_rows", "bottom_mlp", "top_mlp")
+
+#: Keys that older specs and checkpoints hold but no field reads any
+#: more, dropped on read by :meth:`RunSpec.from_dict`.  ``None`` drops
+#: any value; a ``(default, successor)`` pair drops only the old default
+#: and refuses any other value, naming the field that decides it now.
+_RETIRED: dict[tuple[str, str], tuple[Any, str] | None] = {
+    ("data", "prefetch_depth"): None,  # the look-ahead is one primed batch
+    ("update", "threads"): None,  # never changed a result or a price
+    ("schedule", "checkpoint_every"): (0, "resilience.ring_every"),
+    ("schedule", "checkpoint_dir"): (None, "resilience.ring_dir"),
+}
+
+
+def _drop_retired(section: str, data: Any) -> Any:
+    """``data`` without the retired keys of ``section`` (see :data:`_RETIRED`)."""
+    if not isinstance(data, dict):
+        return data
+    for key, value in data.items():
+        rule = _RETIRED.get((section, key))
+        if rule is not None and value != rule[0]:
+            raise ValueError(f"RunSpec.{section}.{key} is retired; set {rule[1]} (got {value!r})")
+    return {k: v for k, v in data.items() if (section, k) not in _RETIRED}
 
 
 def _from_mapping(cls: type, data: dict[str, Any], where: str) -> Any:
@@ -121,7 +143,6 @@ class UpdateSpec:
     """Sparse update strategy (paper Sect. III-A) by registry name."""
 
     name: str = "racefree"
-    threads: int = 28
 
 
 @dataclass(frozen=True)
@@ -197,9 +218,11 @@ class ResilienceSpec:
     every hook stays a None-check).  ``supervise`` wraps the run in the
     restart loop: up to ``max_restarts`` respawn-restore-replay cycles
     after typed worker failures.  ``ring_every``/``ring_keep``/
-    ``ring_dir`` configure the durable checkpoint ring the supervisor
-    restores from (``ring_every=0`` leaves ring checkpointing off;
-    the supervisor then restarts failed runs from step 0).
+    ``ring_dir`` configure the run's one periodic checkpoint: a save
+    every ``ring_every`` steps and at fit end into a ring of the newest
+    ``ring_keep`` files, which the supervisor restores from
+    (``ring_every=0`` leaves it off; the supervisor then restarts failed
+    runs from step 0).
     ``heartbeat_timeout`` is the reply deadline (seconds) the process
     executor enforces on every worker round trip.
     """
@@ -231,8 +254,6 @@ class ScheduleSpec:
     eval_size: int = 2048
     eval_index: int = 10_000_000
     log_every: int = 0
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
     lr_schedule: dict[str, Any] | None = None
     early_stop: dict[str, Any] | None = None
 
@@ -374,7 +395,7 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSpec":
         """Build a spec from a plain dict, rejecting unknown keys (but for
-        the retired ``data.prefetch_depth``, dropped)."""
+        the retired ones of :data:`_RETIRED`)."""
         if not isinstance(data, dict):
             raise TypeError(f"RunSpec wants a mapping, got {type(data).__name__}")
         sections = {
@@ -394,11 +415,7 @@ class RunSpec:
         kwargs: dict[str, Any] = {"name": data.get("name", "run")}
         for key, section_cls in sections.items():
             if key in data:
-                section = data[key]
-                if key == "data" and isinstance(section, dict):
-                    # Retired: older specs and checkpoints name the depth
-                    # of a look-ahead that is now one primed batch.
-                    section = {k: v for k, v in section.items() if k != "prefetch_depth"}
+                section = _drop_retired(key, data[key])
                 kwargs[key] = _from_mapping(section_cls, section, f"RunSpec.{key}")
         return cls(**kwargs)
 
@@ -497,7 +514,7 @@ class RunSpec:
         )
 
     def build_strategy(self) -> UpdateStrategy:
-        return make_strategy(self.update.name, threads=self.update.threads)
+        return make_strategy(self.update.name)
 
     def build_optimizer(self, strategy: UpdateStrategy | None = None) -> SGD:
         strategy = strategy or self.build_strategy()

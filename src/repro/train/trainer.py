@@ -43,7 +43,6 @@ from repro.parallel.hybrid import DistributedDLRM
 from repro.train.callbacks import (
     Callback,
     CallbackList,
-    CheckpointCallback,
     EarlyStopping,
     LRScheduleCallback,
     MetricLogger,
@@ -62,7 +61,8 @@ EXEC_BACKENDS = ("thread", "process")
 
 
 def _spec_callbacks(spec: RunSpec) -> list[Callback]:
-    """The callbacks a spec's schedule section asks for, in dispatch order."""
+    """The callbacks a spec's schedule and resilience sections ask for,
+    in dispatch order."""
     sched = spec.schedule
     cbs: list[Callback] = []
     lr_schedule = spec.build_lr_schedule()
@@ -76,9 +76,6 @@ def _spec_callbacks(spec: RunSpec) -> list[Callback]:
         cbs.append(PeriodicEval(every=sched.eval_every))
     if sched.early_stop:
         cbs.append(EarlyStopping(**sched.early_stop))
-    if sched.checkpoint_every:
-        directory = sched.checkpoint_dir or f"checkpoints/{spec.name}"
-        cbs.append(CheckpointCallback(directory, every=sched.checkpoint_every))
     if spec.resilience.ring_every:
         from repro.resilience.ring import RingCheckpoint
 

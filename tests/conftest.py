@@ -320,6 +320,27 @@ def row_range_for_thread(rows: int, tid: int, threads: int) -> tuple[int, int]:
     return (rows * tid) // threads, (rows * (tid + 1)) // threads
 
 
+def bucket_by_row_ranges(indices: np.ndarray, rows: int, threads: int) -> np.ndarray:
+    """Per-thread update counts under Alg. 4's static row partition.
+
+    Thread ``t`` owns rows ``[rows*t // threads, rows*(t+1) // threads)``,
+    so row ``i`` belongs to the last ``t`` with ``rows*t < (i+1)*threads``:
+    ``((i + 1) * threads - 1) // rows``.  That closed form plus one
+    ``bincount`` gives the ``(threads,)`` int64 count vector the
+    ``threads`` full-array mask scans of :func:`racefree_update_oracle`
+    produce.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if rows * threads > np.iinfo(np.int64).max:
+        raise ValueError("rows * threads must fit in int64")
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = np.bincount(((indices + 1) * threads - 1) // rows, minlength=threads)
+    if counts.shape[0] != threads:
+        raise IndexError("indices out of range")
+    return counts.astype(np.int64, copy=False)
+
+
 def racefree_update_oracle(table, grad, lr: float, threads: int) -> np.ndarray:
     """Alg. 4 as written on ``table``: every thread scans all the ids and
     hands those in its own row range to :func:`scatter_add_rows_oracle`

@@ -17,12 +17,7 @@ from repro.kernels import rows as row_kernels
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
-from repro.core.update import (
-    FusedBackwardUpdate,
-    RaceFreeUpdate,
-    ReferenceUpdate,
-    uses_fused_dispatch,
-)
+from repro.core.update import make_strategy, uses_fused_dispatch
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.kernels.workspace import aligned_empty
 from repro.tiering.store import build_tiered
@@ -34,10 +29,10 @@ from tests.conftest import random_batch, split_fp32, state_digest, tiny_config, 
 #: materialising dispatch, Split-SGD, and an optimizer that overrides
 #: ``step_sparse`` (it keeps receiving table views).
 COMBOS = {
-    "sgd+fused": (SGD, FusedBackwardUpdate, "fp32"),
-    "sgd+racefree": (SGD, RaceFreeUpdate, "fp32"),
-    "split_sgd+fused": (SplitSGD, FusedBackwardUpdate, "split_bf16"),
-    "adagrad": (SparseAdagrad, RaceFreeUpdate, "fp32"),
+    "sgd+fused": (SGD, "fused", "fp32"),
+    "sgd+racefree": (SGD, "racefree", "fp32"),
+    "split_sgd+fused": (SplitSGD, "fused", "split_bf16"),
+    "adagrad": (SparseAdagrad, "racefree", "fp32"),
 }
 
 
@@ -293,7 +288,7 @@ class TestModelOverTheSlab:
     def test_an_id_past_its_own_table_raises_instead_of_reading_the_next(self, table, bad):
         cfg = mixed_cfg()
         model = DLRM(cfg, seed=1)
-        opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(4))
+        opt = SGD(lr=0.1, strategy=make_strategy("fused"))
         opt.register(model.parameters())
         batch = random_batch(cfg, 8, seed=0)
         batch.indices[table][5] = bad
@@ -332,14 +327,14 @@ class TestModelOverTheSlab:
 
 @pytest.mark.parametrize("combo", sorted(COMBOS))
 def test_twenty_steps_equal_the_per_table_construction(combo):
-    opt_cls, strategy_cls, storage = COMBOS[combo]
+    opt_cls, strategy, storage = COMBOS[combo]
     cfg = mixed_cfg()
     model = DLRM(cfg, seed=7, storage=storage)
     twin = DLRM(cfg, seed=7, storage=storage)
     detach_tables(twin, seed=7)
     opts = []
     for m in (model, twin):
-        opt = opt_cls(lr=0.05, strategy=strategy_cls(threads=5))
+        opt = opt_cls(lr=0.05, strategy=make_strategy(strategy))
         opt.register(m.parameters())
         opts.append(opt)
     data = SyntheticCriteoDataset(cfg, seed=3)
@@ -409,12 +404,12 @@ class TestTheIdSeam:
         assert model.tables[2] is fresh and model._lookup is None
         return cfg, model, twin
 
-    @pytest.mark.parametrize("strategy", [FusedBackwardUpdate, RaceFreeUpdate])
+    @pytest.mark.parametrize("strategy", ["fused", "racefree"])
     def test_a_view_with_its_own_row_order_stays_in_the_slab(self, strategy):
         cfg, model, twin = self.rebound()
         opts = []
         for m in (model, twin):
-            opts.append(SGD(lr=0.05, strategy=strategy(threads=3)))
+            opts.append(SGD(lr=0.05, strategy=make_strategy(strategy)))
             opts[-1].register(m.parameters())
         for step in range(6):
             batch = random_batch(cfg, 16, seed=step, ragged=step % 2 == 1)
@@ -423,7 +418,7 @@ class TestTheIdSeam:
                 assert model.train_step(batch, opts[0]) == twin.train_step(batch, opts[1])
             else:  # the materialising way into the same update
                 for m in (model, twin):
-                    m.train_step(batch, SGD(lr=0.05, strategy=ReferenceUpdate()))
+                    m.train_step(batch, SGD(lr=0.05, strategy=make_strategy("reference")))
         for key, value in twin.state_dict().items():
             np.testing.assert_array_equal(model.state_dict()[key], value, err_msg=key)
         np.testing.assert_array_equal(model.slab.weight[43:100], twin.slab.weight[43:100][::-1])
@@ -432,7 +427,7 @@ class TestTheIdSeam:
         cfg = mixed_cfg()
         model = DLRM(cfg, seed=1, table_ids=[])
         batch = random_batch(cfg, 4, seed=0)
-        opt = SGD(lr=0.1, strategy=FusedBackwardUpdate(2))
+        opt = SGD(lr=0.1, strategy=make_strategy("fused"))
         assert model.slab is None and model.embedding_forward(batch) == {}
         model.sparse_update({}, batch, opt)
 
@@ -452,7 +447,7 @@ def test_a_steady_state_step_never_allocates_a_lookups_by_dim_block(kernel_tier)
     exists at any point of a step."""
     cfg = tiny_config(num_tables=8, rows=5_000, dim=64, lookups=32, minibatch=128)
     model = DLRM(cfg, seed=0)
-    opt = SGD(lr=0.05, strategy=FusedBackwardUpdate(28))
+    opt = SGD(lr=0.05, strategy=make_strategy("fused"))
     opt.register(model.parameters())
     data = SyntheticCriteoDataset(cfg, seed=0)
     batches = [data.batch(128, i) for i in range(4)]

@@ -155,7 +155,7 @@ class TestTraining:
         ref = DLRM(tiny_cfg, seed=5)
         ref.train_step(batch, SGD(lr=0.1, strategy=make_strategy("reference")))
         other = DLRM(tiny_cfg, seed=5)
-        other.train_step(batch, SGD(lr=0.1, strategy=make_strategy(strategy, threads=3)))
+        other.train_step(batch, SGD(lr=0.1, strategy=make_strategy(strategy)))
         for t in tiny_cfg.table_rows and ref.table_ids:
             np.testing.assert_allclose(
                 ref.tables[t].dense_weight(),

@@ -14,11 +14,12 @@ from repro.core import optim
 from repro.core.model import DLRM
 from repro.core.optim import SGD, MasterWeightSGD, SparseAdagrad, SplitSGD
 from repro.core.param import DenseSlab, Parameter
-from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.core.update import make_strategy
 from repro.data.synthetic import bounded_zipf
 from tests.conftest import (
     TIERED,
     bag_of,
+    bucket_by_row_ranges,
     pending_grads,
     racefree_update_oracle,
     random_batch,
@@ -192,12 +193,12 @@ class TestSinglePassUpdates:
             rng.standard_normal((90, dim)).astype(np.float32),
         )
         fast_table = bag_of(w0, cls)
-        fast = RaceFreeUpdate(threads)
-        fast.apply(fast_table, grad, 0.05)
+        make_strategy("racefree").apply(fast_table, grad, 0.05)
         naive_table = bag_of(w0, cls)
         naive_counts = racefree_update_oracle(naive_table, grad, 0.05, threads)
         assert np.array_equal(fast_table.dense_weight(), naive_table.dense_weight())
-        np.testing.assert_array_equal(fast.last_thread_counts, naive_counts)
+        counts = bucket_by_row_ranges(grad.indices, rows, threads)
+        np.testing.assert_array_equal(counts, naive_counts)
 
     @staticmethod
     def fused_against_backward_then_update(rng, storage, rows, dim, indices, offsets, threads):
@@ -208,10 +209,8 @@ class TestSinglePassUpdates:
         grad = naive_table.backward(dy, indices, offsets)
         racefree_update_oracle(naive_table, grad, 0.1, threads)
         fused_table = bag_of(w0, cls)
-        fused = FusedBackwardUpdate(threads)
-        fused.apply_fused(fused_table, dy, indices, offsets, 0.1)
+        make_strategy("fused").apply_fused(fused_table, dy, indices, offsets, 0.1)
         assert np.array_equal(fused_table.dense_weight(), naive_table.dense_weight())
-        assert fused.last_thread_counts.sum() == indices.size
 
     @pytest.mark.parametrize("storage", ["fp32", "split_bf16"])
     def test_fused_apply_matches_backward_then_update(self, rng, storage):
@@ -238,8 +237,8 @@ class TestSinglePassUpdates:
         kw = dict(seed=11, storage=storage)
         a, b = DLRM(cfg, **kw), DLRM(cfg, **kw)
         make = SplitSGD if storage == "split_bf16" else SGD
-        opt_a = make(lr=0.05, strategy=RaceFreeUpdate(threads=6))
-        opt_b = make(lr=0.05, strategy=FusedBackwardUpdate(threads=6))
+        opt_a = make(lr=0.05, strategy=make_strategy("reference"))
+        opt_b = make(lr=0.05, strategy=make_strategy("fused"))
         opt_a.register(a.parameters())
         opt_b.register(b.parameters())
         for step in range(3):
@@ -257,8 +256,8 @@ class TestSinglePassUpdates:
         defer to it (and still train identically to any other strategy)."""
         cfg = tiny_config()
         a, b = DLRM(cfg, seed=2), DLRM(cfg, seed=2)
-        opt_a = SparseAdagrad(lr=0.05, strategy=RaceFreeUpdate(threads=4))
-        opt_b = SparseAdagrad(lr=0.05, strategy=FusedBackwardUpdate(threads=4))
+        opt_a = SparseAdagrad(lr=0.05, strategy=make_strategy("reference"))
+        opt_b = SparseAdagrad(lr=0.05, strategy=make_strategy("fused"))
         opt_a.register(a.parameters())
         opt_b.register(b.parameters())
         for step in range(2):

@@ -11,7 +11,7 @@ class TestGlobalVsSharded:
     """``Batch.shard`` is how every rank gets its slice of the global
     minibatch (``DistributedDLRM.train_step``); the paper's
     global-minibatch loader flaw (Sect. VI-D2) is purely a cost
-    phenomenon, charged by ``DistributedDLRM._charge_loader``."""
+    phenomenon, charged by ``repro.parallel.timing.model_iteration``."""
 
     def test_shards_partition_the_global_batch(self):
         g = RandomRecDataset(tiny_config(), 0).batch(16, 0)

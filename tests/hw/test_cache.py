@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data.synthetic import bounded_zipf
 from repro.hw.cache import ContentionModel, IndexStats, index_stats
-from repro.kernels.threads import bucket_by_row_ranges
 
-from tests.conftest import row_range_for_thread
+from tests.conftest import bucket_by_row_ranges, row_range_for_thread
 
 
 class TestIndexStats:

@@ -21,7 +21,7 @@ from repro.core import embedding
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SplitSGD
-from repro.core.update import FusedBackwardUpdate
+from repro.core.update import make_strategy
 from repro.kernels import dispatch, native
 from repro.kernels.workspace import LINE_BYTES, Workspace, aligned_empty
 from repro.tiering.store import build_tiered
@@ -107,7 +107,7 @@ class TestWhereRowsLive:
         table = bag_cls(20, 16, rng=rng)
         idx, offsets, _ = lookups(rng, 20, 9, 5)
         grad_out = placed(rng.standard_normal((9, 16)).astype(np.float32), 16)
-        FusedBackwardUpdate().apply_fused(table, grad_out, idx, offsets, 0.1)
+        make_strategy("fused").apply_fused(table, grad_out, idx, offsets, 0.1)
         assert len(seen) == 1 and seen[0] is grad_out and not on_a_line(seen[0])
 
 

@@ -19,7 +19,7 @@ from repro.core import embedding
 from repro.core.embedding import EmbeddingBag, SplitEmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SplitSGD
-from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate
+from repro.core.update import make_strategy
 from repro.kernels import lookup, native
 from repro.kernels.lookup import BadLookup, Lookup, check_lookup
 from repro.kernels.native import build
@@ -62,8 +62,8 @@ class TestOneTypedError:
         for call in (
             lambda: table.forward(indices, offsets),
             lambda: table.backward(np.ones((2, 4), np.float32), indices, offsets),
-            lambda: FusedBackwardUpdate().apply_fused(table, np.ones((2, 4), np.float32),
-                                                      indices, offsets, 0.1),
+            lambda: make_strategy("fused").apply_fused(table, np.ones((2, 4), np.float32),
+                                                   indices, offsets, 0.1),
         ):
             with pytest.raises(BadLookup) as info:
                 call()
@@ -193,10 +193,10 @@ def range_passes(monkeypatch):
 @pytest.mark.parametrize(
     "storage,opt_cls,strategy,tiered",
     [
-        ("fp32", SGD, FusedBackwardUpdate, ()),
-        ("fp32", SGD, RaceFreeUpdate, ()),
-        ("split_bf16", SplitSGD, FusedBackwardUpdate, ()),
-        ("fp32", SGD, FusedBackwardUpdate, (0, 2)),
+        ("fp32", SGD, "fused", ()),
+        ("fp32", SGD, "racefree", ()),
+        ("split_bf16", SplitSGD, "fused", ()),
+        ("fp32", SGD, "fused", (0, 2)),
     ],
     ids=["fused", "racefree", "split_bf16", "tiered"],
 )
@@ -205,7 +205,7 @@ def test_a_step_scans_each_tables_ids_once(range_passes, tmp_path, storage, opt_
     model = DLRM(cfg, seed=0, storage=storage)
     plans = {t: types.SimpleNamespace(mode="hot_cold", hot_rows=np.arange(0, 40, 3)) for t in tiered}
     apply_tiering(model, plans, cold_dir=str(tmp_path))
-    opt = opt_cls(lr=0.05, strategy=strategy())
+    opt = opt_cls(lr=0.05, strategy=make_strategy(strategy))
     opt.register(model.parameters())
     for seed in range(3):
         range_passes.clear()

@@ -20,9 +20,8 @@ from repro.core.embedding import SparseGrad
 from repro.kernels import dispatch, reference
 from repro.kernels import rows as row_kernels
 from repro.kernels.native import _plan_segments as plan_segments
-from repro.kernels.threads import bucket_by_row_ranges
 from repro.kernels.workspace import Workspace
-from tests.conftest import TIERED
+from tests.conftest import TIERED, bucket_by_row_ranges
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf: wanted inputs
 

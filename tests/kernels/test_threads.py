@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.kernels.threads import static_partition
 
-from tests.conftest import row_range_for_thread
+from tests.conftest import bucket_by_row_ranges, row_range_for_thread
 
 
 class TestStaticPartition:
@@ -102,8 +102,6 @@ class TestPartitionBalance:
 
 class TestBucketByRowRanges:
     def test_matches_mask_scan_counts(self, rng):
-        from repro.kernels.threads import bucket_by_row_ranges
-
         rows, threads = 101, 7
         indices = rng.integers(0, rows, size=500, dtype=np.int64)
         counts = bucket_by_row_ranges(indices, rows, threads)

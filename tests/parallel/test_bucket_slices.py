@@ -144,7 +144,7 @@ class TestSparseDispatch:
         "strategy,bag_level", [("racefree", True), ("fused", True), ("reference", False)]
     )
     def test_which_entry_a_distributed_step_takes(self, strategy, bag_level):
-        cfg, dist = build(make_opt=lambda: SGD(lr=0.05, strategy=make_strategy(strategy, 4)))
+        cfg, dist = build(make_opt=lambda: SGD(lr=0.05, strategy=make_strategy(strategy)))
         fused, backward = FusedBackwardUpdate.apply_fused, EmbeddingBag.backward
         with mock.patch.object(
             FusedBackwardUpdate, "apply_fused", autospec=True, side_effect=fused

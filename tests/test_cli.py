@@ -307,7 +307,7 @@ class TestTuneCli:
                 "name": "cli-tune",
                 "model": {"config": "small", "rows_cap": 128, "minibatch": 16},
                 "parallel": {"ranks": 2, "platform": "node"},
-                "update": {"name": "racefree", "threads": 2},
+                "update": {"name": "racefree"},
                 "schedule": {"steps": 4, "eval_size": 32},
             }
         ).save(path)

@@ -22,7 +22,7 @@ import repro
 from repro.core.embedding import EmbeddingBag
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad
-from repro.core.update import FusedBackwardUpdate, ReferenceUpdate, make_strategy
+from repro.core.update import FusedBackwardUpdate, make_strategy
 from repro.serve import InferenceEngine
 from repro.tiering import store
 from repro.tiering.store import TieredEmbeddingBag, apply_tiering, build_tiered
@@ -259,7 +259,7 @@ class TestSlabMembership:
         converted = apply_tiering(model, self.plans(tiered_tables), cold_dir=str(cold_dir))
         assert converted == sorted(tiered_tables)
         opt = (SparseAdagrad if optimizer == "adagrad" else SGD)(
-            lr=0.05, strategy=make_strategy(update, threads=4)
+            lr=0.05, strategy=make_strategy(update)
         )
         opt.register(model.parameters())
         return model, opt
@@ -320,7 +320,7 @@ class TestSlabMembership:
         # The materialised SparseGrad branch, the other way into the same update.
         batch = random_batch(self.CFG, 16, seed=9)
         for m, o in ((model, opt), (flat, flat_opt)):
-            o.strategy = ReferenceUpdate()
+            o.strategy = make_strategy("reference")
             m.train_step(batch, o)
         assert_states_equal(model.state_dict(), flat.state_dict())
         for t, table in model.tables.items():  # still views, steps later

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.update import RaceFreeUpdate, UpdateStrategy
+from repro.core.update import FusedBackwardUpdate, UpdateStrategy
 from repro.tiering.store import TieredEmbeddingBag
 from repro.train import RunSpec, Trainer
 from tests.conftest import assert_same_bits, scatter_add_rows_oracle
@@ -28,23 +28,8 @@ WORKLOADS = Path(__file__).resolve().parents[2] / "benchmarks" / "suite" / "work
 class AddAtUpdate(UpdateStrategy):
     """Alg. 2's materialised gradient applied row by row by NumPy."""
 
-    cost_key = "reference"
-
     def apply(self, table, grad, lr):
         scatter_add_rows_oracle(table, grad.indices, -np.float32(lr) * grad.values)
-
-
-class MaterialisedRaceFree(UpdateStrategy):
-    """``racefree`` as it ran before it took bag-level gradients: not a
-    ``FusedBackwardUpdate``, so the loops hand it Alg. 2's gradient."""
-
-    cost_key = "racefree"
-
-    def __init__(self, threads: int):
-        self.inner = RaceFreeUpdate(threads)
-
-    def apply(self, table, grad, lr):
-        self.inner.apply(table, grad, lr)
 
 
 def workload_spec(name: str) -> RunSpec:
@@ -62,7 +47,7 @@ def train_emb_spec(tiered: bool) -> RunSpec:
 def test_fused_weights_equal_add_at_weights_bitwise(tiered):
     fused = Trainer.from_spec(train_emb_spec(tiered))
     oracle = Trainer.from_spec(train_emb_spec(tiered))
-    oracle.optimizer.strategy = AddAtUpdate()
+    oracle.optimizer.strategy = AddAtUpdate("reference")
     try:
         fused.fit(STEPS)
         oracle.fit(STEPS)
@@ -79,15 +64,17 @@ def test_fused_weights_equal_add_at_weights_bitwise(tiered):
 
 def test_racefree_on_four_ranks_equals_add_at_on_every_rank_bitwise():
     """The distributed default dispatches bag-level gradients; its twin
-    through the materialised entry sees the same thread partition and
-    the same rank clocks, and the ``np.add.at`` twin the same weights."""
+    through the materialised entry sees the same rank clocks, and the
+    ``np.add.at`` twin the same weights."""
     spec = workload_spec("train_dist4")
     assert (spec.parallel.ranks, spec.update.name) == (4, "racefree")
     bag_level, materialised, oracle = (Trainer.from_spec(spec) for _ in range(3))
     for opt in materialised.dist.optimizers:
-        opt.strategy = MaterialisedRaceFree(opt.strategy.threads)
+        # ``racefree`` as it ran before it took bag-level gradients: not
+        # a FusedBackwardUpdate, so the loops hand it Alg. 2's gradient.
+        opt.strategy = UpdateStrategy("racefree")
     for opt in oracle.dist.optimizers:
-        opt.strategy = AddAtUpdate()
+        opt.strategy = AddAtUpdate("reference")
     try:
         for trainer in (bag_level, materialised, oracle):
             trainer.fit(STEPS)
@@ -95,12 +82,8 @@ def test_racefree_on_four_ranks_equals_add_at_on_every_rank_bitwise():
             assert twin.losses == bag_level.losses
             assert_same_bits(twin.model_state_dict(), bag_level.model_state_dict())
         assert materialised._executor.clocks() == bag_level._executor.clocks()
-        for rank, (a, b) in enumerate(zip(bag_level.dist.optimizers, materialised.dist.optimizers)):
-            assert type(a.strategy) is RaceFreeUpdate
-            counts = a.strategy.last_thread_counts
-            # Two tables of 16 look-ups per sample on each rank's slab.
-            assert counts.sum() == 2 * 16 * spec.schedule.batch_size, rank
-            np.testing.assert_array_equal(counts, b.strategy.inner.last_thread_counts)
+        for a in bag_level.dist.optimizers:
+            assert type(a.strategy) is FusedBackwardUpdate and a.strategy.cost_key == "racefree"
     finally:
         for trainer in (bag_level, materialised, oracle):
             trainer.close()

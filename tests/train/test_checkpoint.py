@@ -13,7 +13,6 @@ import pytest
 from repro.core.model import DLRM
 from repro.serve import InferenceEngine
 from repro.train import RunSpec, Trainer, load_checkpoint, make_trainer
-from repro.train.callbacks import CheckpointCallback
 from repro.train.checkpoint import build_from_checkpoint, save_checkpoint
 
 #: (name, spec-section overrides) for every optimizer-state flavour.
@@ -161,13 +160,14 @@ class TestCheckpointFile:
         with pytest.raises(KeyError, match="table 2"):
             model.load_state_dict(state)
 
-    def test_checkpoint_callback_writes_periodically(self, tmp_path):
-        cb = CheckpointCallback(tmp_path / "ckpts", every=2)
-        make_trainer(spec_for("fp32_sgd"), callbacks=[cb]).fit(5)
-        names = sorted(p.name for p in (tmp_path / "ckpts").glob("*.npz"))
-        assert names == ["step_2.npz", "step_4.npz", "step_5.npz"]
-        assert cb.latest is not None and cb.latest.name == "step_5.npz"
-        assert load_checkpoint(cb.latest).step == 5
+    def test_the_ring_checkpoints_periodically_and_at_the_end(self, tmp_path):
+        spec = spec_for("fp32_sgd").with_overrides(
+            {"resilience.ring_every": 2, "resilience.ring_dir": str(tmp_path / "ckpts")}
+        )
+        make_trainer(spec).fit(5)
+        paths = sorted((tmp_path / "ckpts").glob("*.npz"))
+        assert [p.name for p in paths] == [f"ckpt-0000000{s}.npz" for s in (2, 4, 5)]
+        assert [load_checkpoint(p).step for p in paths] == [2, 4, 5]
 
 
 class TestDistributedCheckpoint:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
-from repro.core.update import FusedBackwardUpdate, RaceFreeUpdate, make_strategy
+from repro.core.update import FusedBackwardUpdate, UpdateStrategy, make_strategy
 from repro.train.registry import DATASETS, LR_SCHEDULES, OPTIMIZERS, UPDATE_STRATEGIES
 from repro.train.registry import create
 
@@ -24,26 +24,22 @@ class TestBuiltins:
         assert isinstance(create(OPTIMIZERS, "optimizer", "split_sgd", lr=0.1), SplitSGD)
         assert isinstance(create(OPTIMIZERS, "optimizer", "adagrad", lr=0.1), SparseAdagrad)
 
-    def test_update_strategies_match_legacy_factory(self):
-        assert {"reference", "atomic", "rtm", "racefree", "fused"} <= set(
-            UPDATE_STRATEGIES
-        )
-        s = create(UPDATE_STRATEGIES, "update strategy", "racefree", threads=5)
-        assert isinstance(s, RaceFreeUpdate) and s.threads == 5
-        # non-threaded strategies accept (and ignore) the threads kwarg
-        assert create(UPDATE_STRATEGIES, "update strategy", "atomic", threads=9).cost_key == "atomic"
+    def test_update_strategies_are_their_cost_keys(self):
+        assert set(UPDATE_STRATEGIES) == {"reference", "atomic", "rtm", "racefree", "fused"}
+        for key in UPDATE_STRATEGIES:
+            assert create(UPDATE_STRATEGIES, "update strategy", key).cost_key == key
 
     def test_make_strategy_delegates_to_registry(self):
-        got = make_strategy("fused", threads=3)
-        assert isinstance(got, FusedBackwardUpdate) and got.threads == 3
+        got = make_strategy("fused")
+        assert isinstance(got, FusedBackwardUpdate) and got.cost_key == "fused"
         with pytest.raises(ValueError, match="unknown update strategy"):
             make_strategy("lockfree")
 
     def test_custom_strategy_reachable_via_make_strategy(self, monkeypatch):
-        class NullStrategy(RaceFreeUpdate):
-            cost_key = "racefree"
+        class NullStrategy(UpdateStrategy):
+            pass
 
-        monkeypatch.setitem(UPDATE_STRATEGIES, "null-test", lambda threads=28: NullStrategy(threads))
+        monkeypatch.setitem(UPDATE_STRATEGIES, "null-test", lambda: NullStrategy("racefree"))
         assert isinstance(make_strategy("null-test"), NullStrategy)
 
     def test_datasets(self, tiny_cfg):

@@ -1,17 +1,22 @@
 """RunSpec: round trips, validation, builders."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.core.model import DLRM
 from repro.core.optim import SGD, SparseAdagrad, SplitSGD
 from repro.core.schedule import WarmupDecaySchedule
-from repro.core.update import AtomicXchgUpdate
 from repro.data.criteo import SyntheticCriteoDataset
 from repro.data.synthetic import RandomRecDataset
 from repro.train import RunSpec
 from repro.train.spec import ModelSpec
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+COMMITTED_SPECS = sorted(
+    [*BENCHMARKS.glob("specs/*.json"), *BENCHMARKS.glob("suite/workloads/*.json")]
+)
 
 FULL = {
     "name": "full",
@@ -24,7 +29,7 @@ FULL = {
     },
     "data": {"name": "criteo", "seed": 2, "kwargs": {"alpha": 1.1}},
     "optimizer": {"name": "split_sgd", "lr": 0.2},
-    "update": {"name": "atomic", "threads": 4},
+    "update": {"name": "atomic"},
     "precision": {"storage": "split_bf16", "lo_bits": 8},
     "parallel": {"ranks": 2, "platform": "node"},
     "schedule": {
@@ -130,7 +135,7 @@ class TestBuilders:
         spec = RunSpec.from_dict(FULL)
         opt = spec.build_optimizer()
         assert isinstance(opt, SplitSGD) and opt.lo_bits == 8
-        assert isinstance(opt.strategy, AtomicXchgUpdate)
+        assert opt.strategy.cost_key == "atomic"
         plain = RunSpec().build_optimizer()
         assert type(plain) is SGD and plain.lr == pytest.approx(0.05)
 
@@ -217,10 +222,41 @@ class TestWithOverrides:
         base.with_overrides({"schedule.steps": 999})
         assert base.schedule.steps == RunSpec().schedule.steps
 
-    def test_the_retired_prefetch_depth_is_dropped_on_read_only(self):
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("data", "prefetch_depth", 1),
+            ("update", "threads", 4),
+            ("schedule", "checkpoint_every", 0),
+            ("schedule", "checkpoint_dir", None),
+        ],
+    )
+    def test_a_retired_key_is_dropped_on_read_only(self, section, key, value):
         """Older specs and checkpoints name it; nothing may set it."""
         old = RunSpec().to_dict()
-        old["data"]["prefetch_depth"] = 1
+        old[section][key] = value
         assert RunSpec.from_dict(old) == RunSpec()
-        with pytest.raises(ValueError, match="unknown in RunSpec.data"):
-            RunSpec().with_overrides({"data.prefetch_depth": 1})
+        with pytest.raises(ValueError, match=f"unknown in RunSpec.{section}"):
+            RunSpec().with_overrides({f"{section}.{key}": value})
+
+    @pytest.mark.parametrize(
+        "key,value,successor",
+        [
+            ("checkpoint_every", 5, "resilience.ring_every"),
+            ("checkpoint_dir", "ckpts", "resilience.ring_dir"),
+        ],
+    )
+    def test_a_retired_checkpoint_cadence_is_refused_not_lost(self, key, value, successor):
+        old = RunSpec().to_dict()
+        old["schedule"][key] = value
+        with pytest.raises(ValueError, match=successor):
+            RunSpec.from_dict(old)
+
+    @pytest.mark.parametrize("path", COMMITTED_SPECS, ids=lambda p: p.stem)
+    def test_every_committed_spec_loads(self, path):
+        spec = RunSpec.load(path)
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    def test_the_spec_has_45_fields(self):
+        sections = [f for f in dataclasses.fields(RunSpec) if f.name != "name"]
+        assert 1 + sum(len(dataclasses.fields(getattr(RunSpec(), f.name))) for f in sections) == 45

@@ -16,7 +16,6 @@ def _quick_base() -> RunSpec:
         {
             "model.rows_cap": 128,
             "model.minibatch": 16,
-            "update.threads": 2,
             "schedule.eval_size": 32,
         }
     )
@@ -74,6 +73,15 @@ class TestTrainTrial:
         runner.run({"parallel.exec_workers": 2}, 0, steps=1, rung=0)
         assert get_pool().workers == saved
         assert get_tracer() is None
+
+    def test_a_trial_writes_no_checkpoint(self, tmp_path, monkeypatch):
+        """A base spec that checkpoints every step still leaves no file:
+        trials turn the periodic checkpoint off."""
+        monkeypatch.chdir(tmp_path)
+        base = _quick_base().with_overrides({"resilience.ring_every": 1})
+        res = TrainTrialRunner(base, warmup=1).run({}, 0, steps=2, rung=0)
+        assert res.ok
+        assert list(tmp_path.rglob("*")) == []
 
     def test_bad_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):
