@@ -5,7 +5,7 @@ CI's fault-tolerance canary.  Three scenarios, each a scripted disaster
 with a machine-checked recovery claim:
 
 1. **worker kill** -- a process-backend rank worker ``os._exit``s
-   mid-step; the supervisor must convert the stall into a typed
+   mid-step; the restarting trainer must convert the stall into a typed
    failure, respawn, restore from the checkpoint ring and finish with a
    loss stream and final weights *bitwise identical* to a fault-free
    run.
@@ -17,9 +17,9 @@ with a machine-checked recovery claim:
    replica set must complete *every* request, report p99 and the shed
    rate, and replay deterministically.
 
-Every recovery event (supervisor events + serve degradation events,
-tagged with the scenario) is written to a JSONL artifact so a failing
-CI run ships its own post-mortem.  Exits non-zero on any violated
+Every recovery event (the trainer's restart events + serve degradation
+events, tagged with the scenario) is written to a versioned JSONL
+artifact so a failing CI run ships its own post-mortem.  Exits non-zero on any violated
 claim.
 
 Run:  PYTHONPATH=src python benchmarks/chaos_smoke.py [--out chaos_events.jsonl]
@@ -35,15 +35,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 os.environ.setdefault("REPRO_MP_CONTEXT", "fork")
 
 import argparse
-import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.supervisor import Supervisor
+from repro.obs.export import write_versioned_jsonl
+from repro.resilience import EVENTS_KIND, EVENTS_SCHEMA
+from repro.resilience.ring import CheckpointRing
 from repro.serve import ServeParams, run_serving
-from repro.train import RunSpec, load_checkpoint
+from repro.train import RunSpec, Trainer, load_checkpoint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +62,7 @@ def chaos_spec(tmp: Path, tag: str, faults: str = "", ranks: int = 1) -> RunSpec
                 "ring_dir": str(tmp / f"ring-{tag}"),
                 "ring_every": 2,
                 "ring_keep": 10,
+                "max_restarts": 2,
             },
             "schedule": {"steps": 8, "batch_size": 32, "eval_size": 32},
         }
@@ -68,16 +70,14 @@ def chaos_spec(tmp: Path, tag: str, faults: str = "", ranks: int = 1) -> RunSpec
 
 
 def run_supervised(spec: RunSpec, backend=None, workers=None):
-    """(report, final ring checkpoint or None); the trainer is closed."""
-    sup = Supervisor(spec, backend=backend, workers=workers)
-    report = sup.run()
+    """(trainer, final ring checkpoint or None); the trainer is closed."""
+    trainer = Trainer.from_spec(spec, backend=backend, workers=workers)
     try:
-        entries = sup.ring.entries()
-        final = load_checkpoint(entries[-1]) if entries else None
+        trainer.fit()
     finally:
-        if sup.trainer is not None:
-            sup.trainer.close()
-    return report, final
+        trainer.close()
+    entries = CheckpointRing.of(spec).entries()
+    return trainer, load_checkpoint(entries[-1]) if entries else None
 
 
 def states_bitwise_equal(a, b) -> bool:
@@ -208,10 +208,8 @@ def main() -> int:
         scenario_corrupt_checkpoint(tmp, events, failures)
     scenario_replica_death(events, failures)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event) + "\n")
-    print(f"wrote {len(events)} recovery events to {args.out}")
+    n = write_versioned_jsonl(args.out, EVENTS_KIND, "events_schema", EVENTS_SCHEMA, events)
+    print(f"wrote {n} recovery events to {args.out}")
     if failures:
         print(f"CHAOS SMOKE FAILED ({len(failures)} violated claim(s))")
         return 1

@@ -21,8 +21,8 @@ exec      Real parallelism: the RankExecutor surface the Trainer loop
           shared memory), the process's helper threads, the pool width
           that shards parallel ranks and kernels over them, and the
           prefetching data pipeline (bit-identical to sequential runs).
-resilience Fault injection, typed failures, supervised recovery and
-          durable checkpoints.
+resilience Fault injection, typed failures and durable checkpoints
+          (a restarting Trainer.fit recovers from them).
 obs       Wall-clock tracing spans, their aggregation and export.
 bench     Experiment drivers regenerating every paper table and figure.
 train     The unified experiment API: JSON-round-trippable RunSpecs,
@@ -54,7 +54,7 @@ from repro.parallel.hybrid import DistributedDLRM
 from repro.parallel.timing import model_iteration, single_socket_iteration
 from repro.serve.engine import InferenceEngine
 from repro.train.callbacks import Callback
-from repro.train.checkpoint import build_from_checkpoint, load_checkpoint, save_checkpoint
+from repro.train.checkpoint import load_checkpoint
 from repro.train.spec import RunSpec
 from repro.train.trainer import Trainer, make_trainer
 
@@ -80,11 +80,9 @@ __all__ = [
     "SparseAdagrad",
     "SplitSGD",
     "Trainer",
-    "build_from_checkpoint",
     "get_config",
     "load_checkpoint",
     "make_trainer",
     "model_iteration",
-    "save_checkpoint",
     "single_socket_iteration",
 ]

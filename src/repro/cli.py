@@ -243,11 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "torn_write/corrupt; see repro.resilience.faults)",
     )
     tr.add_argument(
-        "--supervise", action="store_true",
-        help="run under the resilience supervisor: catch worker failures, "
-        "respawn, restore from the checkpoint ring and replay "
-        "bit-exactly (requires --ring-every or the spec's "
-        "resilience.ring_every for checkpointed recovery)",
+        "--max-restarts", type=int, default=None, metavar="N",
+        help="restart a failed run up to N times: respawn, restore from "
+        "the checkpoint ring (see --ring-every; else from the starting "
+        "state) and replay bit-exactly (0: a failure ends the run)",
     )
     tr.add_argument(
         "--ring-dir", metavar="DIR", default=None,
@@ -264,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument(
         "--events-jsonl", metavar="JSONL", default=None,
-        help="write the supervisor's recovery events as JSONL "
-        "(--supervise only)",
+        help="write the run's recovery events as versioned JSONL",
     )
     tn = sub.add_parser(
         "tune",
@@ -407,14 +405,13 @@ def _dispatch(args: argparse.Namespace) -> str:
             ("backend", "parallel.exec_backend"),
             ("workers", "parallel.exec_workers"),
             ("fault", "resilience.faults"),
+            ("max_restarts", "resilience.max_restarts"),
             ("ring_dir", "resilience.ring_dir"),
             ("ring_every", "resilience.ring_every"),
             ("ring_keep", "resilience.ring_keep"),
         ):
             if getattr(args, flag) is not None:
                 overrides[field] = getattr(args, flag)
-        if args.supervise:
-            overrides["resilience.supervise"] = True
         if overrides:
             try:
                 spec = spec.with_overrides(overrides)
@@ -422,17 +419,6 @@ def _dispatch(args: argparse.Namespace) -> str:
                 raise SystemExit(f"repro train: {exc}") from exc
             if ckpt is not None:
                 ckpt.spec = spec
-        supervised = spec.resilience.supervise
-        if supervised and args.resume:
-            raise SystemExit(
-                "repro train: --supervise restores from its checkpoint "
-                "ring, not --resume"
-            )
-        if supervised and args.steps is not None:
-            raise SystemExit(
-                "repro train: --supervise always runs the spec's full "
-                "remaining budget; --steps does not apply"
-            )
         tracing = bool(args.trace or args.trace_jsonl)
         if tracing:
             from repro.obs import Tracer, set_tracer
@@ -443,81 +429,71 @@ def _dispatch(args: argparse.Namespace) -> str:
             set_tracer(Tracer(proc="main"))
         trainer = None
         try:
-            if supervised:
-                from repro.resilience.supervisor import Supervisor
+            timer = StepTimer()
+            trainer = (
+                Trainer.from_checkpoint(ckpt, callbacks=[timer])
+                if ckpt is not None
+                else Trainer.from_spec(spec, callbacks=[timer])
+            )
+            start = trainer.step
+            trainer.fit(args.steps)
+            steps_per_s = (
+                len(timer.times) / timer.total_s if timer.total_s > 0 else float("nan")
+            )
+            row = {
+                "run": spec.name,
+                "steps": trainer.step - start,
+                "global_step": trainer.step,
+                "final_loss": trainer.losses[-1] if trainer.losses else float("nan"),
+                "steps_per_s": steps_per_s,
+                "rows_per_s": steps_per_s * trainer.batch_size,
+                **trainer.evaluate(),
+            }
+            out = format_table([row], title=f"Training run '{spec.name}'")
+            out += "\n\n" + timer.summary()
+            if distributed:
+                from repro.parallel.placement import placement_stats
 
-                sup = Supervisor(spec)
-                report = sup.run()
-                trainer = sup.trainer
-                row = {
-                    "run": spec.name,
-                    "steps": len(report.losses),
-                    "global_step": report.final_step,
-                    "restarts": report.restarts,
-                    "final_loss": report.losses[-1] if report.losses else float("nan"),
-                    **trainer.evaluate(),
-                }
-                out = format_table([row], title=f"Supervised training run '{spec.name}'")
-                if report.events:
-                    erows = [
-                        {
-                            "event": e["event"],
-                            "restart": e.get("restart", ""),
-                            "step": e.get("step", ""),
-                            "detail": e.get("error", e.get("path", e.get("disarmed", ""))),
-                        }
-                        for e in report.events
-                    ]
-                    out += "\n\n" + format_table(erows, title="Recovery events")
-                if report.checkpoint:
-                    out += f"\n\nring checkpoint: {report.checkpoint}"
-                if args.events_jsonl:
-                    path = report.write_events(args.events_jsonl)
-                    out += f"\nrecovery events written to {path}"
-            else:
-                timer = StepTimer()
-                trainer = (
-                    Trainer.from_checkpoint(ckpt, callbacks=[timer])
-                    if ckpt is not None
-                    else Trainer.from_spec(spec, callbacks=[timer])
+                dist = trainer.dist
+                n_ranks = dist.cluster.n_ranks
+                pstats = placement_stats(dist.cfg, dist.owners, n_ranks)
+                prow = [
+                    {
+                        "rank": r,
+                        "tables": pstats.tables_per_rank[r],
+                        "embedding_mb": pstats.bytes_per_rank[r] / 2**20,
+                    }
+                    for r in range(n_ranks)
+                ]
+                out += "\n\n" + format_table(
+                    prow,
+                    title=(
+                        f"Placement ({spec.parallel.placement}): memory "
+                        f"imbalance {pstats.memory_imbalance:.2f}"
+                    ),
                 )
-                start = trainer.step
-                trainer.fit(args.steps)
-                steps_per_s = (
-                    len(timer.times) / timer.total_s if timer.total_s > 0 else float("nan")
+            if trainer.events:
+                erows = [
+                    {
+                        "event": e["event"],
+                        "restart": e["restart"],
+                        "step": e["step"],
+                        "detail": e.get("error", e.get("path", e.get("disarmed", ""))),
+                    }
+                    for e in trainer.events
+                ]
+                out += "\n\n" + format_table(
+                    erows, title=f"Recovery events ({trainer.restarts} restarts)"
                 )
-                row = {
-                    "run": spec.name,
-                    "steps": trainer.step - start,
-                    "global_step": trainer.step,
-                    "final_loss": trainer.losses[-1] if trainer.losses else float("nan"),
-                    "steps_per_s": steps_per_s,
-                    "rows_per_s": steps_per_s * trainer.batch_size,
-                    **trainer.evaluate(),
-                }
-                out = format_table([row], title=f"Training run '{spec.name}'")
-                out += "\n\n" + timer.summary()
-                if distributed:
-                    from repro.parallel.placement import placement_stats
+            if args.events_jsonl:
+                from repro.obs.export import write_versioned_jsonl
+                from repro.resilience import EVENTS_KIND, EVENTS_SCHEMA
 
-                    dist = trainer.dist
-                    n_ranks = dist.cluster.n_ranks
-                    pstats = placement_stats(dist.cfg, dist.owners, n_ranks)
-                    prow = [
-                        {
-                            "rank": r,
-                            "tables": pstats.tables_per_rank[r],
-                            "embedding_mb": pstats.bytes_per_rank[r] / 2**20,
-                        }
-                        for r in range(n_ranks)
-                    ]
-                    out += "\n\n" + format_table(
-                        prow,
-                        title=(
-                            f"Placement ({spec.parallel.placement}): memory "
-                            f"imbalance {pstats.memory_imbalance:.2f}"
-                        ),
-                    )
+                n = write_versioned_jsonl(
+                    args.events_jsonl, EVENTS_KIND, "events_schema", EVENTS_SCHEMA,
+                    trainer.events,
+                )
+                out += f"\n\nrecovery events: {n} written to {args.events_jsonl}"
             if tracing:
                 from repro.obs.aggregate import stage_table
                 from repro.obs.export import write_chrome_trace, write_jsonl

@@ -11,6 +11,6 @@ AUC curves of Fig. 16).
 Contract: every batch is a pure function of ``(seed, batch_index)`` --
 no hidden iterator state -- which is what makes prefetching at any
 depth, per-process synthesis under the process backend, resume, and
-supervised crash-replay all bit-identical to synchronous single-process
+crash-replay all bit-identical to synchronous single-process
 synthesis.
 """

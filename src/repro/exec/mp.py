@@ -27,8 +27,8 @@ loop and on each mailbox round; the parent's reply deadline polls in
 one-second slices watching process liveness and raises typed
 :class:`~repro.resilience.errors.WorkerCrash` /
 :class:`~repro.resilience.errors.WorkerTimeout` errors carrying worker
-index, rank range, heartbeat age and exit code -- what a supervisor
-needs to respawn and replay.  A failed round trip closes the executor
+index, rank range, heartbeat age and exit code -- what a restarting
+``Trainer.fit`` needs to respawn and replay.  A failed round trip closes the executor
 (workers stopped or reaped, every segment unlinked), as does an
 :func:`atexit` hook.  A :class:`~repro.resilience.faults.FaultPlan` in
 the recipe arms deterministic chaos at ``worker.step`` /

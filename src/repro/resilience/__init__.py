@@ -1,4 +1,4 @@
-"""Fault injection, supervised recovery, durable checkpoints (``repro.resilience``).
+"""Fault injection, typed failures, durable checkpoints (``repro.resilience``).
 
 The package turns "a worker died" from a run-killing event into a
 handled one, and makes the failure modes themselves injectable so the
@@ -15,12 +15,18 @@ handling is testable:
   stamps, piggybacked on mailbox rounds.
 * :mod:`~repro.resilience.ring` -- the retained checkpoint ring with
   CRC-verified loads and automatic fallback past corruption.
-* :mod:`~repro.resilience.supervisor` -- the restart loop: catch a
-  typed worker failure, respawn, restore from the ring, replay to the
-  failure step bit-exactly.
 
+The restart loop itself is :meth:`repro.train.trainer.Trainer.fit`'s:
+with ``resilience.max_restarts > 0`` it catches a failed step, respawns
+the executor, restores from the ring and replays to the failure step.
 Because every batch is a pure function of ``(seed, batch_index)`` and
-checkpoints are bit-exact, recovery here is *lossless by construction*
--- a supervised run's losses and final state are bitwise identical to a
+checkpoints are bit-exact, recovery is *lossless by construction* -- a
+restarted run's losses and final state are bitwise identical to a
 fault-free run's, which ``tests/resilience`` pins.
 """
+
+#: The envelope of a recovery-event JSONL (``repro train --events-jsonl``,
+#: ``benchmarks/chaos_smoke.py``), read and written through
+#: :mod:`repro.obs.export`'s versioned-JSONL helpers.
+EVENTS_KIND = "repro-recovery-events"
+EVENTS_SCHEMA = 1

@@ -2,7 +2,7 @@
 
 Every class subclasses :class:`RuntimeError` so existing ``except
 RuntimeError`` recovery paths (and tests matching on message text) keep
-working; the subclasses add the structured fields a supervisor needs to
+working; the subclasses add the structured fields a restart needs to
 diagnose and recover -- which worker, which ranks, how stale its last
 heartbeat was, whether the process is even alive.
 """

@@ -117,7 +117,7 @@ class FaultPlan:
 
     Plans are picklable (they ride to process-rank workers inside the
     build recipe), and *copies diverge*: a worker's plan decrements its
-    own arming counts.  The parent-side supervisor therefore disarms its
+    own arming counts.  A restarting trainer therefore disarms its
     copy explicitly (:meth:`disarm_through`) before a respawn so replay
     does not re-fire the failure it is recovering from.
     """
@@ -164,8 +164,8 @@ class FaultPlan:
 
     def disarm_through(self, step: int) -> int:
         """Disarm every step-pinned point with ``point.step <= step``;
-        returns how many were disarmed.  The supervisor calls this with
-        the failure step before respawning, so the recovery replay runs
+        returns how many were disarmed.  A restarting trainer calls this
+        with the failure step before respawning, so the recovery replay runs
         past the old injection site untouched."""
         n = 0
         for point in self.points:

@@ -5,12 +5,14 @@ checkpoints (``ckpt-00000040.npz`` …), keeps the newest ``keep`` files,
 and loads "the latest *good* one": a candidate failing CRC/archive
 verification is quarantined (renamed ``*.corrupt``) and the previous
 entry is tried -- so a torn or bit-flipped latest checkpoint costs a few
-extra replay steps, never the run.
+extra replay steps, never the run.  A directory may hold another run's
+entries: a save removes every entry past its own step, and a restore
+takes only an entry whose embedded spec is the run's own.
 
 :class:`RingCheckpoint` is the trainer callback flavour: save every N
-steps plus one final save, all through the ring.  The supervisor
-(:mod:`repro.resilience.supervisor`) restores from the same ring after a
-worker failure.
+steps plus one final save, all through the ring.  A restarting
+:meth:`Trainer.fit <repro.train.trainer.Trainer.fit>` restores from the
+same ring after a failure.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from repro.resilience.errors import CheckpointCorrupt
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import Checkpoint, load_checkpoint
+from repro.train.spec import RunSpec
 
 _ENTRY = re.compile(r"^ckpt-(\d{8})\.npz$")
 
@@ -34,6 +37,12 @@ class CheckpointRing:
         self.directory = Path(directory)
         self.keep = keep
 
+    @classmethod
+    def of(cls, spec: RunSpec) -> "CheckpointRing":
+        """The ring a spec's ``resilience`` section names."""
+        res = spec.resilience
+        return cls(res.ring_dir or f"checkpoints/{spec.name}-ring", keep=res.ring_keep)
+
     def path_for(self, step: int) -> Path:
         return self.directory / f"ckpt-{step:08d}.npz"
 
@@ -46,30 +55,40 @@ class CheckpointRing:
         )
 
     def save(self, trainer) -> Path:
-        """Checkpoint ``trainer`` into the ring and prune old entries.
+        """Checkpoint ``trainer`` into the ring and prune it.
 
         Idempotent per step (replay after recovery rewrites the same
         file with the same bits -- the bit-exactness contract).
         """
         path = self.path_for(trainer.step)
         trainer.save_checkpoint(path)
-        self.prune()
+        self.prune(path)
         return path
 
-    def prune(self) -> None:
-        for stale in self.entries()[: -self.keep]:
+    def prune(self, newest: Path) -> None:
+        """Keep the ``keep`` entries up to ``newest``.  Entries past it
+        are another run's or steps this run is replaying, so a stale
+        entry never outlives -- or evicts -- one of the run's own."""
+        entries = self.entries()
+        mine = entries[: entries.index(newest) + 1]
+        for stale in entries[len(mine):] + mine[: -self.keep]:
             stale.unlink(missing_ok=True)
 
-    def load_latest(self) -> tuple[Checkpoint, Path] | None:
-        """The newest verifiable checkpoint (with its path), walking
-        past -- and quarantining -- corrupt entries.  None when the ring
-        holds no loadable checkpoint."""
+    def load_latest(self, spec: RunSpec, at_most: int) -> tuple[Checkpoint, Path] | None:
+        """The newest verifiable checkpoint (with its path) at or below
+        step ``at_most`` whose embedded spec is ``spec``, walking past --
+        and quarantining -- corrupt entries.  None when the ring holds
+        no such checkpoint."""
         for path in reversed(self.entries()):
+            if int(_ENTRY.match(path.name)[1]) > at_most:
+                continue
             try:
-                return load_checkpoint(path, verify=True), path
+                ckpt = load_checkpoint(path, verify=True)
             except CheckpointCorrupt:
-                quarantined = path.with_suffix(path.suffix + ".corrupt")
-                path.replace(quarantined)
+                path.replace(path.with_suffix(path.suffix + ".corrupt"))
+                continue
+            if ckpt.spec == spec:
+                return ckpt, path
         return None
 
 

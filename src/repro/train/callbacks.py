@@ -145,8 +145,12 @@ class EarlyStopping(Callback):
         self.best: float | None = None
         self.stale = 0
         self.stopped_at: int | None = None
+        self.last_step = -1
 
     def _observe(self, trainer: "Trainer", step: int, value: float) -> None:
+        if step <= self.last_step:
+            return  # a restart replaying a step it already saw
+        self.last_step = step
         improved = self.best is None or (
             value < self.best - self.min_delta
             if self.mode == "min"

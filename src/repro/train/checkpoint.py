@@ -23,10 +23,10 @@ against ``meta.crc`` when read, so silent corruption surfaces as a typed
 steps later; v1 files (no ``meta.crc``) load unverified.
 
 An :class:`Archive` reads one member at a time: a fresh model built from
-it (:func:`build_from_checkpoint`, ``serve.InferenceEngine.from_checkpoint``)
-takes each tensor where it would have drawn it, so a restore holds the
-model and one member.  A live restore (:func:`load_checkpoint`) checks
-every member before anything is written.
+it (``serve.InferenceEngine.from_checkpoint``) takes each tensor where it
+would have drawn it, so a restore holds the model and one member.  A
+live restore (:func:`load_checkpoint`) checks every member before
+anything is written.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.core.model import DLRM
-from repro.core.optim import SGD
 from repro.core.param import Prefixed
 from repro.resilience.errors import CheckpointCorrupt
 from repro.train.spec import RunSpec
@@ -198,42 +196,9 @@ def save_state(
     retry(_write, attempts=3, backoff=0.05, jitter_seed=str(path))
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: DLRM,
-    optimizer: SGD | None = None,
-    step: int = 0,
-    spec: RunSpec | None = None,
-) -> None:
-    """Checkpoint a single-process model (+ optimizer) to ``path``,
-    from its live storage."""
-    opt_state = optimizer and optimizer.state_dict(model.parameters(), model.tables, copy=False)
-    save_state(path, model.state_dict(copy=False), opt_state, step=step, spec=spec)
-
-
 def load_checkpoint(path: str | Path, verify: bool = True) -> Checkpoint:
     """Read a ``.npz`` checkpoint back into a :class:`Checkpoint`, every
     member checked against ``meta.crc`` (with ``verify``, the default)
     before this returns: what a restore into live objects needs."""
     with Archive(path, verify) as ar:
         return Checkpoint(dict(ar.model_state), dict(ar.opt_state), ar.step, ar.spec)
-
-
-def build_from_checkpoint(source: str | Path | Archive) -> tuple[DLRM, SGD, Archive]:
-    """Reconstruct (model, optimizer, archive) from the file alone.
-
-    The embedded RunSpec rebuilds the exact architecture and optimizer
-    (always as a full single-process replica, whatever parallelism the
-    run used -- distributed checkpoints are saved consolidated), each
-    tensor taken from its checked member; the optimizer's state streams
-    in after ``register``.  The archive comes back closed (unless it was
-    handed in open), for its ``step`` and ``spec``.
-    """
-    with open_checkpoint(source) as archive:
-        spec = archive.require_spec()
-        model = spec.build_model(state=archive.model_state)
-        optimizer = spec.build_optimizer()
-        optimizer.register(model.parameters())
-        if len(archive.opt_state):
-            optimizer.load_state_dict(archive.opt_state, model.parameters(), model.tables)
-    return model, optimizer, archive

@@ -59,9 +59,18 @@ _RETIRED: dict[tuple[str, str], tuple[Any, str] | None] = {
 
 
 def _drop_retired(section: str, data: Any) -> Any:
-    """``data`` without the retired keys of ``section`` (see :data:`_RETIRED`)."""
+    """``data`` without the retired keys of ``section`` (see :data:`_RETIRED`;
+    the retired ``supervise`` flag of ``resilience`` decides ``max_restarts``)."""
     if not isinstance(data, dict):
         return data
+    if section == "resilience" and "supervise" in data:
+        # A run restarts iff max_restarts > 0: an unsupervised one never
+        # did, a supervised one keeps its count (once 2 by default).
+        data = dict(data)
+        if data.pop("supervise"):
+            data.setdefault("max_restarts", 2)
+        else:
+            data["max_restarts"] = 0
     for key, value in data.items():
         rule = _RETIRED.get((section, key))
         if rule is not None and value != rule[0]:
@@ -211,25 +220,25 @@ class TieringSpec:
 
 @dataclass(frozen=True)
 class ResilienceSpec:
-    """Fault injection and supervised recovery (:mod:`repro.resilience`).
+    """Fault injection and recovery (:mod:`repro.resilience`).
 
     ``faults`` is a fault-plan string (see
     :meth:`repro.resilience.faults.FaultPlan.parse`; empty = no injection and
-    every hook stays a None-check).  ``supervise`` wraps the run in the
-    restart loop: up to ``max_restarts`` respawn-restore-replay cycles
-    after typed worker failures.  ``ring_every``/``ring_keep``/
+    every hook stays a None-check).  ``max_restarts`` is how many
+    respawn-restore-replay cycles :meth:`Trainer.fit
+    <repro.train.trainer.Trainer.fit>` makes after a failure (0: a
+    failure ends the run).  ``ring_every``/``ring_keep``/
     ``ring_dir`` configure the run's one periodic checkpoint: a save
     every ``ring_every`` steps and at fit end into a ring of the newest
-    ``ring_keep`` files, which the supervisor restores from
-    (``ring_every=0`` leaves it off; the supervisor then restarts failed
-    runs from step 0).
+    ``ring_keep`` files, which a restart restores from
+    (``ring_every=0`` leaves it off; a restart then replays from the
+    state the trainer started from).
     ``heartbeat_timeout`` is the reply deadline (seconds) the process
     executor enforces on every worker round trip.
     """
 
     faults: str = ""
-    supervise: bool = False
-    max_restarts: int = 2
+    max_restarts: int = 0
     heartbeat_timeout: float = 600.0
     ring_dir: str | None = None
     ring_every: int = 0

@@ -13,6 +13,15 @@ k, checkpointing, restoring and training N-k -- under any executor, and
 across them (``tests/train/test_checkpoint.py``,
 ``test_process_trainer.py``).
 
+The same property makes recovery lossless.  With
+``resilience.max_restarts > 0``, :meth:`Trainer.fit` catches a failed
+step (a typed worker failure or any ``RuntimeError``), records it,
+closes the executor, disarms the fault plan through the failed step,
+rebuilds the executor from the spec, restores the newest good entry of
+the run's checkpoint ring (or the state the trainer started from) and
+replays: the finished run's losses, weights and optimizer state are
+bitwise a fault-free run's (``tests/resilience/test_supervisor.py``).
+
 Build one three ways::
 
     Trainer.from_spec(spec)                      # from a RunSpec
@@ -27,8 +36,9 @@ momentum state.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from repro.train.callbacks import (
     PeriodicEval,
 )
 from repro.train.checkpoint import Checkpoint, load_checkpoint, save_state
+from repro.resilience.errors import WorkerFailure
 from repro.resilience.faults import FaultPlan
 from repro.train.spec import RunSpec
 from repro.tiering.planner import plan_from_spec
@@ -77,22 +88,11 @@ def _spec_callbacks(spec: RunSpec) -> list[Callback]:
     if sched.early_stop:
         cbs.append(EarlyStopping(**sched.early_stop))
     if spec.resilience.ring_every:
-        from repro.resilience.ring import RingCheckpoint
+        from repro.resilience.ring import CheckpointRing, RingCheckpoint
 
-        directory = spec.resilience.ring_dir or f"checkpoints/{spec.name}-ring"
-        cbs.append(
-            RingCheckpoint(
-                directory,
-                every=spec.resilience.ring_every,
-                keep=spec.resilience.ring_keep,
-            )
-        )
+        ring = CheckpointRing.of(spec)
+        cbs.append(RingCheckpoint(ring.directory, spec.resilience.ring_every, ring.keep))
     return cbs
-
-
-def _spec_faults(spec: RunSpec) -> FaultPlan | None:
-    """The spec's armed fault plan, or None (the common, zero-cost case)."""
-    return FaultPlan.parse(spec.resilience.faults) if spec.resilience.faults else None
 
 
 def _spec_executor(
@@ -209,6 +209,17 @@ class Trainer:
         #: Armed fault plan (chaos testing), or None -- the loop's only
         #: cost without one is a single attribute check per step.
         self.faults = faults
+        #: Restarts :meth:`fit` may make (the spec's
+        #: ``resilience.max_restarts``), restarts made, and the recovery
+        #: events (failure / gave_up / respawn / restore) in order.
+        self.max_restarts = spec.resilience.max_restarts if spec is not None else 0
+        self.restarts = 0
+        self.events: list[dict[str, Any]] = []
+        #: What a restart rebuilds and falls back to: the executor
+        #: overrides of :meth:`from_spec` and the checkpoint the trainer
+        #: resumed from (None: the fresh step-0 state).
+        self._overrides: tuple[str | None, int | None] = (None, None)
+        self._origin: Checkpoint | None = None
         self.eval_size = eval_size
         self.eval_index = eval_index
         #: Global step: batches consumed so far; the dataset index of the
@@ -237,18 +248,15 @@ class Trainer:
         callbacks: Sequence[Callback] = (),
         backend: str | None = None,
         workers: int | None = None,
-        faults: FaultPlan | None = None,
     ) -> "Trainer":
         """Build model, data, optimizer, executor and callbacks from a
         RunSpec.
 
         ``backend``/``workers`` override the spec's ``parallel.exec_backend``
-        / ``exec_workers``.  ``faults`` overrides the spec's own fault
-        plan -- the supervisor passes its (partially disarmed) plan here
-        on respawn so replay does not re-fire a recovered failure.
+        / ``exec_workers`` (a restart rebuilds with the same overrides).
         """
-        faults = faults if faults is not None else _spec_faults(spec)
-        return cls(
+        faults = FaultPlan.parse(spec.resilience.faults) if spec.resilience.faults else None
+        trainer = cls(
             _spec_executor(spec, backend, workers, faults),
             callbacks=[*_spec_callbacks(spec), *callbacks],
             spec=spec,
@@ -256,6 +264,8 @@ class Trainer:
             eval_index=spec.schedule.eval_index,
             faults=faults,
         )
+        trainer._overrides = (backend, workers)
+        return trainer
 
     @classmethod
     def from_checkpoint(
@@ -264,15 +274,13 @@ class Trainer:
         callbacks: Sequence[Callback] = (),
         backend: str | None = None,
         workers: int | None = None,
-        faults: FaultPlan | None = None,
     ) -> "Trainer":
         """Resume from a checkpoint file or an already-loaded
         :class:`Checkpoint` (spec must be embedded)."""
         if not isinstance(ckpt, Checkpoint):
             ckpt = load_checkpoint(ckpt)
         trainer = cls.from_spec(
-            ckpt.require_spec(), callbacks, backend=backend, workers=workers,
-            faults=faults,
+            ckpt.require_spec(), callbacks, backend=backend, workers=workers
         )
         trainer.load_checkpoint(ckpt)
         return trainer
@@ -283,7 +291,9 @@ class Trainer:
         """Train ``steps`` more steps (default: the spec's remaining budget).
 
         Callbacks fire in registration order; any of them may set
-        ``should_stop``.  Returns ``self`` for chaining.
+        ``should_stop``.  A failed step ends the call, unless restarts
+        are left: then the trainer recovers (see the module docstring)
+        and runs on to the same end step.  Returns ``self`` for chaining.
         """
         if steps is None:
             if self.spec is None:
@@ -292,6 +302,20 @@ class Trainer:
         self.should_stop = False
         self.callbacks.on_fit_start(self)
         end = self.step + steps
+        if self.max_restarts:
+            while True:
+                try:
+                    with trace("resilience.attempt", restart=self.restarts, start=self.step):
+                        self._steps(end)
+                    break
+                except RuntimeError as exc:
+                    self._recover(exc)
+        else:
+            self._steps(end)
+        self.callbacks.on_fit_end(self)
+        return self
+
+    def _steps(self, end: int) -> None:
         while self.step < end and not self.should_stop:
             step = self.step
             self.callbacks.on_step_start(self, step)
@@ -302,8 +326,43 @@ class Trainer:
             self.losses.append(loss)
             self.step += 1
             self.callbacks.on_step_end(self, step, loss)
-        self.callbacks.on_fit_end(self)
-        return self
+
+    def _event(self, kind: str, **data: Any) -> None:
+        self.events.append({"event": kind, "time": time.time(), **data})
+
+    def _recover(self, exc: RuntimeError) -> None:
+        """Record ``exc``, then rebuild the executor and restore the
+        newest state the failed step can replay from; re-raises once the
+        restarts are spent."""
+        from repro.resilience.ring import CheckpointRing
+
+        failed, restart = self.step, self.restarts
+        diag = (
+            exc.diagnostics()
+            if isinstance(exc, WorkerFailure)
+            else {"error": type(exc).__name__, "message": str(exc)}
+        )
+        self._event("failure", restart=restart, step=failed, **diag)
+        with trace("resilience.recover", restart=restart, step=failed):
+            self.close()
+            if restart >= self.max_restarts:
+                self._event("gave_up", restart=restart, step=failed)
+                raise exc
+            disarmed = self.faults.disarm_through(failed) if self.faults is not None else 0
+            self._event("respawn", restart=restart, step=failed, disarmed=disarmed)
+            self.restarts += 1
+            self._executor = _spec_executor(self.spec, *self._overrides, self.faults)
+            ckpt, path = self._origin, None
+            if self.spec.resilience.ring_every:
+                entry = CheckpointRing.of(self.spec).load_latest(self.spec, at_most=failed)
+                if entry is not None and entry[0].step >= (ckpt.step if ckpt else 0):
+                    ckpt, path = entry
+            self.step = 0
+            if ckpt is not None:
+                self.load_checkpoint(ckpt)
+            # The steps after the restored one run again, and record again.
+            del self.losses[len(self.losses) - (failed - self.step):]
+            self._event("restore", restart=self.restarts, step=self.step, path=path and str(path))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -353,6 +412,8 @@ class Trainer:
             ckpt = load_checkpoint(ckpt)
         self._executor.load_state(ckpt.model_state, ckpt.opt_state or None)
         self.step = ckpt.step
+        if self.max_restarts:
+            self._origin = ckpt
 
     def drain_trace_spans(self) -> list[dict]:
         """This process's tracer spans merged with the executor's (worker

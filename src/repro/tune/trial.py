@@ -54,12 +54,12 @@ from repro.tune.bottleneck import (
 from repro.tune.priors import prior_breakdown
 
 #: Fields every trial forces: no eval/checkpoint/log side work, no
-#: supervised restarts masking a crash as a slow success.
+#: restarts masking a crash as a slow success.
 _TRIAL_OVERRIDES = {
     "schedule.eval_every": 0,
     "schedule.log_every": 0,
     "resilience.ring_every": 0,
-    "resilience.supervise": False,
+    "resilience.max_restarts": 0,
 }
 
 

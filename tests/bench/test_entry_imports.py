@@ -43,7 +43,7 @@ def test_every_benchmark_script_imports():
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.resilience.supervisor", "repro.exec.mp", "repro.resilience"]
+    "module", ["repro.resilience.ring", "repro.exec.mp", "repro.resilience"]
 )
 def test_imports_first_in_a_fresh_interpreter(module):
     res = _run(f"import {module}")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck
 
 from repro.core.config import DLRMConfig
+from repro.train.checkpoint import open_checkpoint, save_state
 
 #: What the reason of every skipped recorded-bit comparison starts with.
 RECORDED_ELSEWHERE = "recorded bits"
@@ -408,3 +409,30 @@ def assert_same_bits(got: dict, want: dict, what: str = "state") -> None:
         a, b = np.atleast_1d(got[key]), np.atleast_1d(value)
         assert a.dtype == b.dtype and a.shape == b.shape, f"{what}: {key}"
         np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=f"{what}: {key}")
+
+
+def save_checkpoint(path, model, optimizer=None, step: int = 0, spec=None) -> None:
+    """Checkpoint a single-process model (+ optimizer) to ``path``,
+    from its live storage."""
+    opt_state = optimizer and optimizer.state_dict(model.parameters(), model.tables, copy=False)
+    save_state(path, model.state_dict(copy=False), opt_state, step=step, spec=spec)
+
+
+def build_from_checkpoint(source):
+    """Reconstruct (model, optimizer, archive) from the file alone.
+
+    The embedded RunSpec rebuilds the exact architecture and optimizer
+    (always as a full single-process replica, whatever parallelism the
+    run used -- distributed checkpoints are saved consolidated), each
+    tensor taken from its checked member; the optimizer's state streams
+    in after ``register``.  The archive comes back closed (unless it was
+    handed in open), for its ``step`` and ``spec``.
+    """
+    with open_checkpoint(source) as archive:
+        spec = archive.require_spec()
+        model = spec.build_model(state=archive.model_state)
+        optimizer = spec.build_optimizer()
+        optimizer.register(model.parameters())
+        if len(archive.opt_state):
+            optimizer.load_state_dict(archive.opt_state, model.parameters(), model.tables)
+    return model, optimizer, archive

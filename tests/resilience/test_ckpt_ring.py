@@ -43,12 +43,34 @@ class TestRing:
         ring.save(trainer)
         trainer.fit(2)
         ring.save(trainer)
-        ckpt, path = ring.load_latest()
+        ckpt, path = ring.load_latest(trainer.spec, at_most=4)
         assert ckpt.step == 4
         assert path == ring.path_for(4)
 
+    def test_a_save_evicts_the_entries_past_its_step(self, tmp_path, trainer):
+        """Another run's newer entries go at once; the run's own stay."""
+        ring = CheckpointRing(tmp_path / "ring", keep=2)
+        for step in (8, 10):
+            trainer.step = step
+            ring.save(trainer)
+        trainer.step = 0
+        trainer.fit(2)
+        ring.save(trainer)
+        assert [p.name for p in ring.entries()] == ["ckpt-00000002.npz"]
+
+    def test_load_latest_takes_only_the_runs_own_entry_at_or_below_a_step(
+        self, tmp_path, trainer
+    ):
+        ring = CheckpointRing(tmp_path / "ring", keep=3)
+        trainer.fit(2)
+        ring.save(trainer)
+        trainer.fit(2)
+        ring.save(trainer)
+        assert ring.load_latest(trainer.spec, at_most=3)[0].step == 2
+        assert ring.load_latest(tiny_spec(name="another"), at_most=4) is None
+
     def test_empty_ring_loads_none(self, tmp_path):
-        assert CheckpointRing(tmp_path / "nothing").load_latest() is None
+        assert CheckpointRing(tmp_path / "nothing").load_latest(tiny_spec(), at_most=9) is None
 
     def test_corrupt_latest_quarantined_and_fallback(self, tmp_path, trainer):
         ring = CheckpointRing(tmp_path / "ring", keep=3)
@@ -57,7 +79,7 @@ class TestRing:
         trainer.fit(2)
         bad = ring.save(trainer)
         corrupt_file(bad)
-        ckpt, path = ring.load_latest()
+        ckpt, path = ring.load_latest(trainer.spec, at_most=4)
         assert ckpt.step == 2 and path == good
         # The broken entry is out of the ring, kept for post-mortem.
         assert not bad.exists()

@@ -1,7 +1,7 @@
-"""Supervised recovery is lossless: bit-exact replay across backends.
+"""Restarting recovery is lossless: bit-exact replay across backends.
 
 The acceptance pin of the resilience subsystem: kill/crash a run at a
-seeded step, let the supervisor respawn + restore + replay, and the
+seeded step, let ``Trainer.fit`` respawn + restore + replay, and the
 finished run's loss stream and checkpoint bytes are bitwise identical
 to an uninterrupted run's.
 """
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.resilience.errors import InjectedFault, WorkerCrash
-from repro.resilience.supervisor import Supervisor
-from repro.train import RunSpec, load_checkpoint
+from repro.resilience.ring import CheckpointRing
+from repro.train import RunSpec, Trainer, load_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +26,7 @@ def chaos_spec(tmp_path, tag: str, faults: str = "", ranks: int = 1, **res) -> R
         "ring_dir": str(tmp_path / f"ring-{tag}"),
         "ring_every": 2,
         "ring_keep": 10,
+        "max_restarts": 2,
     }
     base_res.update(res)
     return RunSpec.from_dict(
@@ -42,15 +43,27 @@ def chaos_spec(tmp_path, tag: str, faults: str = "", ranks: int = 1, **res) -> R
 
 
 def run_supervised(spec: RunSpec, backend=None, workers=None):
-    sup = Supervisor(spec, backend=backend, workers=workers)
-    report = sup.run()
+    """(the closed trainer, its ring's newest checkpoint or None) of a
+    full ``fit`` of ``spec``."""
+    trainer = Trainer.from_spec(spec, backend=backend, workers=workers)
     try:
-        entries = sup.ring.entries()
-        final = load_checkpoint(entries[-1]) if entries else None
+        trainer.fit()
     finally:
-        if sup.trainer is not None:
-            sup.trainer.close()
-    return report, final
+        trainer.close()
+    entries = CheckpointRing.of(spec).entries()
+    return trainer, load_checkpoint(entries[-1]) if entries else None
+
+
+def run_failing(spec: RunSpec, error, backend=None, workers=None):
+    """The closed trainer of a ``fit`` that raises ``error``, and the
+    raised error's info."""
+    trainer = Trainer.from_spec(spec, backend=backend, workers=workers)
+    try:
+        with pytest.raises(error) as err:
+            trainer.fit()
+    finally:
+        trainer.close()
+    return trainer, err
 
 
 def assert_states_bitwise_equal(a, b):
@@ -122,10 +135,42 @@ class TestSingleProcess:
             faults="train.step:step=1,action=raise;train.step:step=2,action=raise",
             max_restarts=1,
         )
-        sup = Supervisor(spec)
-        with pytest.raises(InjectedFault):
-            sup.run()
-        assert [e["event"] for e in sup.events][-1] == "gave_up"
+        trainer, _ = run_failing(spec, InjectedFault)
+        assert [e["event"] for e in trainer.events][-1] == "gave_up"
+
+    def test_early_stopping_counts_a_replayed_eval_once(self, tmp_path):
+        early = {
+            "schedule.eval_every": 1,
+            "schedule.early_stop": {"monitor": "auc", "patience": 3},
+            "schedule.steps": 40,
+        }
+        clean, _ = run_supervised(chaos_spec(tmp_path, "es0").with_overrides(early))
+        chaos, _ = run_supervised(
+            chaos_spec(
+                tmp_path, "es1", faults="train.step:step=3,action=raise", ring_every=0
+            ).with_overrides(early)
+        )
+        assert clean.step < 40 and chaos.step == clean.step
+        assert chaos.losses == clean.losses
+
+    def test_a_ring_seeded_by_another_run_is_not_restored(self, tmp_path):
+        """A longer run with another lr left ckpt-8/10/12 in the shared
+        directory: the saves evict them rather than the run's own
+        entries, and the step-5 crash restores the run's own step 4."""
+        shared = {"ring_dir": str(tmp_path / "shared"), "ring_keep": 3}
+        other = chaos_spec(tmp_path, "other", **shared)
+        run_supervised(other.with_overrides({"schedule.steps": 12}))
+        lr = {"optimizer.lr": 0.1}
+        clean, clean_bytes = run_supervised(chaos_spec(tmp_path, "fresh").with_overrides(lr))
+        chaos, chaos_bytes = run_supervised(
+            chaos_spec(
+                tmp_path, "stale", faults="train.step:step=5,action=raise", **shared
+            ).with_overrides(lr)
+        )
+        restore = [e for e in chaos.events if e["event"] == "restore"][0]
+        assert restore["step"] == 4
+        assert len(chaos.losses) == 8 and chaos.losses == clean.losses
+        assert_states_bitwise_equal(chaos_bytes, clean_bytes)
 
 
 class TestThreadBackend:
@@ -160,12 +205,7 @@ class TestProcessBackend:
             faults="worker.step:step=4,worker=0,action=kill",
             ranks=2,
         )
-        sup = Supervisor(spec, backend="process", workers=2)
-        report = sup.run()
-        try:
-            chaos_ckpt = load_checkpoint(sup.ring.entries()[-1])
-        finally:
-            sup.trainer.close()
+        report, chaos_ckpt = run_supervised(spec, backend="process", workers=2)
         assert report.restarts == 1
         failure = [e for e in report.events if e["event"] == "failure"][0]
         assert failure["worker_index"] == 0
@@ -181,9 +221,7 @@ class TestProcessBackend:
             ranks=2,
             max_restarts=0,
         )
-        sup = Supervisor(spec, backend="process", workers=2)
-        with pytest.raises(WorkerCrash) as err:
-            sup.run()
+        _, err = run_failing(spec, WorkerCrash, backend="process", workers=2)
         diag = err.value.diagnostics()
         assert diag["worker_index"] == 0
         assert diag["error"] == "WorkerCrash"

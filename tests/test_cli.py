@@ -3,6 +3,7 @@
 import re
 import zipfile
 
+import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -120,6 +121,60 @@ class TestTrainEvalCli:
         out = capsys.readouterr().out
         # The summary row: 2 steps this run, global_step 4 after 2 + 2.
         assert re.search(r"cli-test\s+2\s+4\s", out)
+
+    @staticmethod
+    def final_loss(out: str) -> str:
+        """The summary row's final_loss, as printed."""
+        return re.search(r"cli-test\s+\d+\s+\d+\s+(\S+)", out)[1]
+
+    def test_train_restarts_after_a_fault(self, spec_path, tmp_path, capsys):
+        from repro.obs.export import SchemaMismatch, read_versioned_jsonl
+        from repro.resilience import EVENTS_KIND, EVENTS_SCHEMA
+
+        main(["train", "--spec", str(spec_path), "--steps", "6"])
+        clean = self.final_loss(capsys.readouterr().out)
+        events = tmp_path / "events.jsonl"
+        assert main(
+            ["train", "--spec", str(spec_path), "--steps", "6", "--max-restarts", "1",
+             "--fault", "train.step:step=3,action=raise", "--ring-every", "2",
+             "--ring-dir", str(tmp_path / "ring"), "--events-jsonl", str(events)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Recovery events (1 restarts)" in out and "InjectedFault" in out
+        assert self.final_loss(out) == clean
+        _, records = read_versioned_jsonl(events, EVENTS_KIND, "events_schema", EVENTS_SCHEMA)
+        assert [r["event"] for r in records] == ["failure", "respawn", "restore"]
+        assert records[-1]["step"] == 2
+        with pytest.raises(SchemaMismatch):
+            read_versioned_jsonl(events, EVENTS_KIND, "events_schema", EVENTS_SCHEMA + 1)
+
+    def test_a_resumed_run_restarts_from_its_checkpoint(self, spec_path, tmp_path, capsys):
+        """No ring entry precedes the step-3 fault, so the restart
+        restores the checkpoint the run resumed from."""
+        from repro.obs.export import read_versioned_jsonl
+        from repro.resilience import EVENTS_KIND, EVENTS_SCHEMA
+        from repro.train import load_checkpoint
+
+        start, clean, chaos = (tmp_path / f"{n}.npz" for n in ("start", "clean", "chaos"))
+        main(["train", "--spec", str(spec_path), "--checkpoint", str(start)])
+        capsys.readouterr()
+        main(["train", "--resume", str(start), "--steps", "4", "--checkpoint", str(clean)])
+        want = self.final_loss(capsys.readouterr().out)
+        assert main(
+            ["train", "--resume", str(start), "--steps", "4", "--max-restarts", "1",
+             "--fault", "train.step:step=3,action=raise", "--ring-every", "2",
+             "--ring-dir", str(tmp_path / "ring"), "--checkpoint", str(chaos),
+             "--events-jsonl", str(tmp_path / "events.jsonl")]
+        ) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"cli-test\s+4\s+6\s", out) and self.final_loss(out) == want
+        _, records = read_versioned_jsonl(
+            tmp_path / "events.jsonl", EVENTS_KIND, "events_schema", EVENTS_SCHEMA
+        )
+        assert records[-1] == {**records[-1], "event": "restore", "step": 2, "path": None}
+        a, b = load_checkpoint(chaos), load_checkpoint(clean)
+        for left, right in ((a.model_state, b.model_state), (a.opt_state, b.opt_state)):
+            assert all(np.array_equal(left[k], right[k]) for k in right)
 
     def test_train_requires_spec_or_resume(self):
         with pytest.raises(SystemExit, match="need --spec or --resume"):

@@ -13,7 +13,7 @@ import pytest
 from repro.core.model import DLRM
 from repro.serve import InferenceEngine
 from repro.train import RunSpec, Trainer, load_checkpoint, make_trainer
-from repro.train.checkpoint import build_from_checkpoint, save_checkpoint
+from tests.conftest import build_from_checkpoint, save_checkpoint
 
 #: (name, spec-section overrides) for every optimizer-state flavour.
 VARIANTS = {

@@ -31,8 +31,9 @@ from repro.resilience.errors import CheckpointCorrupt
 from repro.resilience.faults import corrupt_file
 from repro.serve import InferenceEngine
 from repro.train import RunSpec, load_checkpoint, make_trainer
-from repro.train.checkpoint import build_from_checkpoint, save_state
+from repro.train.checkpoint import save_state
 from repro.train import checkpoint as ckpt_mod
+from tests.conftest import build_from_checkpoint
 
 DATA = Path(__file__).parent / "data"
 

@@ -257,6 +257,16 @@ class TestWithOverrides:
         spec = RunSpec.load(path)
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
-    def test_the_spec_has_45_fields(self):
+    @pytest.mark.parametrize("supervise,restarts", [(False, 0), (True, 2)])
+    def test_a_retired_supervise_flag_decides_max_restarts(self, supervise, restarts):
+        """A run restarts iff max_restarts > 0, so an old unsupervised
+        spec loads with none and a supervised one keeps its count."""
+        old = RunSpec().to_dict()
+        old["resilience"].update(supervise=supervise, max_restarts=2)
+        assert RunSpec.from_dict(old).resilience.max_restarts == restarts
+        with pytest.raises(ValueError, match="unknown in RunSpec.resilience"):
+            RunSpec().with_overrides({"resilience.supervise": supervise})
+
+    def test_the_spec_has_44_fields(self):
         sections = [f for f in dataclasses.fields(RunSpec) if f.name != "name"]
-        assert 1 + sum(len(dataclasses.fields(getattr(RunSpec(), f.name))) for f in sections) == 45
+        assert 1 + sum(len(dataclasses.fields(getattr(RunSpec(), f.name))) for f in sections) == 44

@@ -83,6 +83,13 @@ class TestTrainTrial:
         assert res.ok
         assert list(tmp_path.rglob("*")) == []
 
+    def test_a_trial_makes_no_restart(self):
+        """A crash fails the arm instead of passing as a slow success."""
+        base = _quick_base().with_overrides(
+            {"resilience.max_restarts": 2, "resilience.faults": "train.step:step=2,action=raise"}
+        )
+        assert not TrainTrialRunner(base, warmup=1).run({}, 0, steps=2, rung=0).ok
+
     def test_bad_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):
             TrainTrialRunner(_quick_base(), measure="cpu")
